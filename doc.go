@@ -285,13 +285,76 @@
 // edits while distinct sessions run concurrently. Every mutating
 // response carries a wire.Summary and results responses add only the
 // top-k ranked rows, so wire cost is proportional to the display
-// budget, never to n — and float64 values survive JSON bit-exactly,
+// budget, never to n — and float64 values survive JSON bit-exactly
+// (and the binary results frame, below, carries their bits as such),
 // which TestRemoteReplayMatchesInProcess exploits to assert bitwise
 // identity between a remote session and a fresh in-process engine at
 // every step of a randomized script. The daemon drains in-flight
 // recalculations on SIGTERM before exiting; visdbbench -serve/-remote
 // measure the serving overhead against the in-process -concurrent
 // mode.
+//
+// # The results frame
+//
+// GET /v1/sessions/{id}/results has two representations. JSON
+// (wire.ResultsResponse) is the default: what curl, the examples above
+// and every request with ?tuples=1 get, byte for byte what it always
+// was. A request that lists wire.ResultsFrameType in Accept,
+//
+//	Accept: application/vnd.visdb.results-frame
+//
+// and does not set tuples is answered under that Content-Type with a
+// columnar binary frame (internal/wire/frame.go, built on
+// internal/binenc; all integers little-endian):
+//
+//	"VRS1"
+//	u32 len, len bytes   wire.Summary as JSON (a few hundred bytes)
+//	u32 k                rows that follow: min(top, displayed)
+//	k × u32              item index per display rank
+//	k × u64              IEEE-754 bits of the combined distance per rank
+//
+// That is 12 bytes per displayed row where JSON spends 40–70, with an
+// explicit Content-Length, and "Vary: Accept" on both representations.
+// The summary stays JSON inside the frame on purpose: it is small, and
+// a Timings field added later reaches frame readers without a second
+// schema (readers ignore fields they do not know). Relevance is not on
+// the wire at all: it is relevance.RelevanceFactor(distance), a pure
+// function, so the decoder recomputes it from the very bits the server
+// would have fed it, and client.Results is bit for bit the value the
+// JSON path yields — TestResultsFrameMatchesJSON fetches every picture
+// of a randomized script three ways (JSON, frame, typed client) and
+// compares them, and the e2e, chaos and fleet identity suites now run
+// through the frame unchanged.
+//
+// Negotiation is per request and has no switch anywhere. The typed
+// client sends the Accept header on Results (and therefore on
+// FleetSession.Results), never on ResultsWithTuples, and decodes by
+// the response's Content-Type; the router forwards Accept to the member
+// and the member's Content-Type and Vary back. Every mismatch falls
+// back to JSON silently: a new client against a member that predates
+// the frame gets JSON because that member ignores Accept, an old client
+// against a new member gets JSON because it never asks, and a picture
+// the frame cannot carry (item indexes past 2^32) is answered as JSON
+// whatever was asked. A fleet can therefore be upgraded member by
+// member, in any order, with clients of either vintage connected. The
+// decoder treats the frame as untrusted input: the declared row count
+// must equal the bytes that follow, exactly, before anything is sized
+// by it (FuzzResultsFrame).
+//
+// Why it exists: on the repository benchmark (bench/README.md; 2
+// clients, 200k rows, 128×128 grid, a step = one edit + reading the
+// whole picture back) a drag over HTTP spent half of its 28 ms
+// producing and parsing ~590 kB of JSON. With the frame,
+// client.results_self went 13.7 → 0.3 ms per step, server.results 3.8
+// → 0.2 ms, the payload 592 → 145 kB, and drag_http step_p50 28.3 →
+// 13.9 ms (drag_fleet 32.9 → 18.7 ms) — an HTTP step now costs what
+// the in-process one does (drag_inproc: 14.2 ms).
+//
+// One rule rides along for every JSON response the fleet reads
+// (internal/httpbody): decode, then read on to EOF. json.Decoder stops
+// at the end of the value, which on a chunked body is before the
+// terminator, and net/http discards a keep-alive connection whose body
+// was closed unread — a session used to dial once per large response.
 //
 // # Failure semantics
 //

@@ -76,6 +76,10 @@ func (r *Reader) Err() error { return r.err }
 // Done reports whether the buffer was consumed exactly, with no error.
 func (r *Reader) Done() bool { return r.err == nil && r.off == len(r.b) }
 
+// Remaining reports how many bytes are left to read — what a decoder
+// checks a declared element count against before it allocates.
+func (r *Reader) Remaining() int { return len(r.b) - r.off }
+
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil

@@ -2,13 +2,14 @@ package kv
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httpbody"
 )
 
 // DefaultTimeout bounds every client request. The backend sits on the
@@ -363,7 +364,7 @@ func (c *Client) ServerStats() (Stats, error) {
 	}
 	defer resp.Body.Close()
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := httpbody.DecodeJSON(resp.Body, &st); err != nil {
 		return Stats{}, err
 	}
 	return st, nil

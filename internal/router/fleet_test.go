@@ -41,6 +41,7 @@ type fleetEnv struct {
 	members  []*fleetMember
 	catalogs map[string]*dataset.Catalog
 	rt       *Router
+	url      string // the router's front end
 	client   *client.Client
 }
 
@@ -98,6 +99,7 @@ func newFleetEnv(t *testing.T, nodes, cats, rows int) *fleetEnv {
 	env.rt = rt
 	rtTS := httptest.NewServer(rt)
 	t.Cleanup(rtTS.Close)
+	env.url = rtTS.URL
 	env.client = client.New(rtTS.URL)
 	// Sleepless retries: the node-kill path exercises the real retry
 	// loop without real backoff waits.

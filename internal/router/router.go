@@ -101,6 +101,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/httpbody"
 	"repro/internal/kv"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -410,7 +411,7 @@ func (rt *Router) probe(ctx context.Context, m *member) (wire.HealthResponse, er
 		return wire.HealthResponse{}, fmt.Errorf("health: http %d", resp.StatusCode)
 	}
 	var h wire.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+	if err := httpbody.DecodeJSON(resp.Body, &h); err != nil {
 		return wire.HealthResponse{}, err
 	}
 	return h, nil
@@ -596,8 +597,12 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *member, bod
 		writeJSON(w, http.StatusInternalServerError, wire.ErrorResponse{Error: err.Error()})
 		return
 	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	// Accept travels with the request so the member, not the router,
+	// picks the representation (the results frame or JSON).
+	for _, h := range []string{"Content-Type", "Accept"} {
+		if v := r.Header.Get(h); v != "" {
+			req.Header.Set(h, v)
+		}
 	}
 	resp, err := rt.http.Do(req)
 	if err != nil {
@@ -612,7 +617,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, m *member, bod
 		return
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After"} {
+	for _, h := range []string{"Content-Type", "Retry-After", "Vary"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -724,7 +729,7 @@ func (rt *Router) fetchShardStats(ctx context.Context, m *member) ([]wire.ShardS
 		return nil, fmt.Errorf("shards: http %d", resp.StatusCode)
 	}
 	var out []wire.ShardStats
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := httpbody.DecodeJSON(resp.Body, &out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/query"
@@ -350,11 +351,37 @@ func (s *Server) handlePct(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// acceptsResultsFrame reports whether the request lists the results
+// frame's media type in Accept. Parameters (q-values) are ignored: the
+// only client that names the type wants it.
+func acceptsResultsFrame(r *http.Request) bool {
+	for _, line := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(line, ",") {
+			mt, _, _ := strings.Cut(part, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), wire.ResultsFrameType) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // handleResults returns the top-k ranked rows. k defaults to (and is
 // capped at) the displayed count, so the response size tracks the
-// display budget; ?tuples=1 adds the rendered row values. The whole
-// marshal runs under the session mutex — a session Result's vectors
-// are pooled and valid only until its next recalculation.
+// display budget; ?tuples=1 adds the rendered row values.
+//
+// Two representations, negotiated per request: JSON
+// (wire.ResultsResponse) is the default, and a request that lists
+// wire.ResultsFrameType in Accept and does not set tuples is answered
+// with the binary frame under that Content-Type. Both are produced by
+// the one extraction loop below.
+//
+// Locking rule: a session Result's vectors are pooled and valid only
+// until its next recalculation, so everything is extracted under the
+// session mutex into memory the response owns (the frame's buffer or
+// deep-copied rows); JSON encoding and the network write happen after
+// the mutex is released, so a slow-reading client never stalls the
+// session's edits for transfer time.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	ss, err := s.lookup(r.PathValue("id"))
 	if err != nil {
@@ -377,25 +404,32 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	withTuples := r.URL.Query().Get("tuples") == "1"
+	wantFrame := !withTuples && acceptsResultsFrame(r)
 
-	// Build the response under the session mutex (the pooled Result is
-	// only valid until the next recalculation), but release it before
-	// the network write: everything in `out` is a deep copy, and a
-	// slow-reading client must not stall the session's edits for
-	// transfer time.
 	ss.mu.Lock()
 	res := ss.sess.Result()
 	k := res.Displayed
 	if top >= 0 && top < k {
 		k = top
 	}
-	out := wire.ResultsResponse{Summary: summaryLocked(ss), Rows: make([]wire.Row, 0, k)}
+	out := wire.ResultsResponse{Summary: summaryLocked(ss)}
+	var frame *wire.ResultsFrame
+	if wantFrame {
+		frame = wire.NewResultsFrame(out.Summary, k) // nil: not representable, answer JSON
+	}
+	if frame == nil {
+		out.Rows = make([]wire.Row, 0, k)
+	}
 	var tupleErr error
 	for rank := 0; rank < k; rank++ {
 		item := res.Order[rank]
 		// Ranked access: the rank-before-scale path only ever scales the
 		// display prefix, and the response needs nothing more.
 		d := res.DistanceOfRank(rank)
+		if frame != nil {
+			frame.Add(item, d)
+			continue
+		}
 		row := wire.Row{Item: item, Distance: d, Relevance: relevance.RelevanceFactor(d)}
 		if withTuples {
 			tup, err := res.Tuple(item)
@@ -417,6 +451,17 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	ss.mu.Unlock()
 	if tupleErr != nil {
 		writeErr(w, http.StatusInternalServerError, tupleErr)
+		return
+	}
+	if !withTuples {
+		w.Header().Set("Vary", "Accept")
+	}
+	if frame != nil {
+		body := frame.Bytes()
+		w.Header().Set("Content-Type", wire.ResultsFrameType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body) // a failed write is the client's disconnect
 		return
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -1,10 +1,12 @@
-// Package wire defines the JSON message types of the visdbd serving
+// Package wire defines the message types of the visdbd serving
 // protocol — the shared vocabulary of internal/server (which marshals
 // them) and visdb/client (which consumes them). Everything is plain
-// encoding/json over HTTP; the types deliberately carry only what a
-// thin interaction client needs, so the wire cost of a response stays
-// proportional to the display budget (top-k rows), never to the
-// catalog size n.
+// encoding/json over HTTP, with one exception: the tuple-less results
+// read-back also has a binary representation (frame.go), negotiated by
+// Accept, because a 16k-row picture as JSON cost more than computing
+// it. The types deliberately carry only what a thin interaction client
+// needs, so the wire cost of a response stays proportional to the
+// display budget (top-k rows), never to the catalog size n.
 //
 // Float64 values round-trip exactly: encoding/json emits the shortest
 // decimal representation that parses back to the same bits, which is

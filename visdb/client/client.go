@@ -29,12 +29,14 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"mime"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpbody"
 	"repro/internal/wire"
 )
 
@@ -226,6 +228,12 @@ func New(baseURL string) *Client {
 	return &Client{base: baseURL, HTTP: http.DefaultClient}
 }
 
+// framedResults is the out target of a tuple-less results read-back:
+// the request then asks for the binary frame (wire.ResultsFrameType)
+// and the response is decoded by its Content-Type, so a server that
+// predates the frame and answers JSON works unchanged.
+type framedResults struct{ res *Results }
+
 // do performs a JSON round trip, retrying per c.Retry when set. A nil
 // in sends no body; a nil out discards the response body. The body is
 // marshaled once and replayed from the same bytes on every attempt.
@@ -282,6 +290,11 @@ func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, ou
 	if buf != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	framed, _ := out.(*framedResults)
+	if framed != nil {
+		req.Header.Set("Accept", wire.ResultsFrameType+", application/json")
+		out = framed.res
+	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
@@ -316,7 +329,19 @@ func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, ou
 		_, err = io.Copy(io.Discard, resp.Body)
 		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if framed != nil {
+		if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt == wire.ResultsFrameType {
+			// ReadAll ends at EOF, so the connection is reusable; the
+			// decoder checks the declared row count against these bytes.
+			b, err := io.ReadAll(resp.Body)
+			if err != nil {
+				return err
+			}
+			*framed.res, err = wire.DecodeResultsFrame(b)
+			return err
+		}
+	}
+	return httpbody.DecodeJSON(resp.Body, out)
 }
 
 // Session is a remote interactive session.
@@ -412,7 +437,9 @@ func (s *Session) SetPercentDisplayed(ctx context.Context, pct float64) (Summary
 
 // Results fetches the top-k ranked rows (item index, combined
 // distance, relevance factor). top < 0 means "everything displayed";
-// the server caps k at the displayed count either way.
+// the server caps k at the displayed count either way. The rows travel
+// as the binary results frame when the server offers it and as JSON
+// otherwise; the returned value is the same bit for bit.
 func (s *Session) Results(ctx context.Context, top int) (Results, error) {
 	return s.results(ctx, top, false)
 }
@@ -426,7 +453,7 @@ func (s *Session) ResultsWithTuples(ctx context.Context, top int) (Results, erro
 func (s *Session) results(ctx context.Context, top int, tuples bool) (Results, error) {
 	q := url.Values{}
 	if top >= 0 {
-		q.Set("top", fmt.Sprint(top))
+		q.Set("top", strconv.Itoa(top))
 	}
 	if tuples {
 		q.Set("tuples", "1")
@@ -436,7 +463,11 @@ func (s *Session) results(ctx context.Context, top int, tuples bool) (Results, e
 		p += "?" + q.Encode()
 	}
 	var res Results
-	err := s.c.do(ctx, http.MethodGet, p, nil, &res)
+	var out any = &res
+	if !tuples {
+		out = &framedResults{res: &res}
+	}
+	err := s.c.do(ctx, http.MethodGet, p, nil, out)
 	return res, err
 }
 
