@@ -289,7 +289,7 @@ func runJSONBench(path string, rows int, seed int64, floors, disk, fleet bool) e
 		RecalcsPerSec: float64(total) / elapsed.Seconds(),
 		StepP50MS:     percentileMS(allSteps, 50),
 		StepP99MS:     percentileMS(allSteps, 99),
-		SharedStats:   wire.SharedStatsOf(st),
+		SharedStats:   st,
 	}
 	if st.Hits+st.Misses > 0 {
 		rep.Concurrent.SharedHitRate = float64(st.Hits) / float64(st.Hits+st.Misses)

@@ -8,9 +8,9 @@
 //	visdbkv -addr :8499 -max-bytes-mb 256 -max-entries 65536
 //
 // The store is a cache, not a database: nothing persists, eviction is
-// LRU under the entry cap and byte budget, and a restart merely costs
-// the fleet a warm-up. On SIGINT/SIGTERM the daemon shuts down
-// gracefully (in-flight requests finish).
+// LRU under the entry cap and the byte budget (keys count towards it),
+// and a restart merely costs the fleet a warm-up. On SIGINT/SIGTERM the
+// daemon shuts down gracefully (in-flight requests finish).
 package main
 
 import (
@@ -38,7 +38,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8499", "listen address")
 	flag.IntVar(&cfg.maxEntries, "max-entries", kv.DefaultMaxEntries, "resident entry cap")
-	flag.IntVar(&cfg.maxBytesMB, "max-bytes-mb", int(kv.DefaultMaxBytes>>20), "value byte budget in MiB")
+	flag.IntVar(&cfg.maxBytesMB, "max-bytes-mb", int(kv.DefaultMaxBytes>>20), "key + value byte budget in MiB")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -61,8 +61,10 @@ func run(ctx context.Context, cfg config, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
+	// The flags' 0 means "default"; log the bounds in effect.
+	bounds := store.Stats()
 	log.Printf("visdbkv: listening on %s (budget %d MiB, %d entries)",
-		l.Addr(), cfg.maxBytesMB, cfg.maxEntries)
+		l.Addr(), bounds.MaxBytes>>20, bounds.MaxEntries)
 	if ready != nil {
 		ready(l.Addr().String())
 	}

@@ -52,7 +52,7 @@
 //     reduction-first normalization range for any weight is O(1).
 //     Keys embed table row counts, so entries never serve stale data;
 //     invalidation (per-condition on range edits, pruning on query
-//     replacement, an LRU cap) only bounds memory.
+//     replacement, the tier's cap) only bounds memory.
 //   - relevance.Evaluate is a chunk-fused evaluator: normalization
 //     ranges come from cheap scans and selections, then one chunked
 //     pass per tree level scales children (leaf chunks in L1-resident
@@ -128,9 +128,9 @@
 //     table/field/segment to its blob, per-field min/max stats, FNV-1a
 //     content epoch). Reads go through mmap where available (linux) or
 //     os.File.ReadAt everywhere else (OpenOptions.ForceReadAt forces
-//     the fallback), into a bounded decoded-segment LRU cache —
-//     resident memory is O(cache budget), not O(catalog), and the
-//     format is immutable (Append is rejected).
+//     the fallback), into a bounded decoded-segment cache — resident
+//     memory is O(cache budget), not O(catalog), and the format is
+//     immutable (Append is rejected).
 //
 // The catalog epoch flows into every structural cache key (a single
 // keying helper in internal/core builds all of them), so a regenerated
@@ -223,8 +223,8 @@
 // The shared tier holds immutable leaf distance vectors and their
 // promoted quantile indexes under the same structural keys as the
 // private tier, with singleflight fills (N sessions dragging the same
-// slider compute a leaf once) and LRU + byte-budget eviction. The
-// invalidation rules are asymmetric by design:
+// slider compute a leaf once). The invalidation rules are asymmetric by
+// design:
 //
 //   - A range edit invalidates the superseded range in BOTH tiers
 //     (the dead range is dead for everyone); sessions still at that
@@ -254,6 +254,25 @@
 // fills still serve their vector to the caller and to every
 // singleflight waiter. NewSharedCache (the in-process constructor)
 // admits everything; NewSharedCacheOpts applies the policy.
+//
+// The cache hierarchy — private leaf and interior tiers (RunCache),
+// shared leaf and interior tiers (SharedCache), the kv server's
+// resident set, the decoded-segment cache of a catalog file — stands on
+// one store, internal/lru: a map ordered by recency under an entry cap
+// and a byte budget, with one eviction rule: evict from the cold end
+// while over either bound, and never the most recently used entry (so
+// an entry larger than a whole budget stays, alone, until the next
+// insert). Each tier keeps its own mutex and counters and only sets
+// the bounds: RunCache 64 leaves and 16 interior entries, count only;
+// SharedCache the SharedOptions cap and budget for leaves (an entry
+// costs its vectors plus promoted indexes) and a quarter of both for
+// interior entries; the kv server its -max-entries and -max-bytes-mb
+// (an entry costs key plus value; one over the budget is refused
+// before insert); the segment cache OpenOptions.CacheBytes, no cap.
+// RunCache orders by access like the rest — which leaf a full private
+// tier drops first can differ from a by-run ordering, results cannot.
+// SharedStats.Evictions / InteriorEvictions count what the bounds
+// pushed out, apart from InvalidateCond drops.
 //
 // # Serving layer: visdbd, sharded session routing over HTTP
 //
@@ -431,7 +450,7 @@
 //     re-opens it and restarts the cooldown). 200/404 on Get and
 //     204/413 on Put count as healthy — only transport-level failure
 //     trips it. The state, trip count and short-circuit count ride
-//     the wire.SharedStats ("remote_breaker", "remote_trips",
+//     core.SharedStats ("remote_breaker", "remote_trips",
 //     "remote_short_circuits") into /v1/shards and the router's
 //     /v1/fleet, so a flapping store is visible fleet-wide.
 //
@@ -548,9 +567,9 @@
 // tier can die without breaking serving. The store itself speaks a
 // minimal stdlib HTTP protocol: GET/PUT /v1/kv?key=K (200/404 on GET;
 // 204 accepted, 413 over the value cap on PUT), GET /v1/kv/stats, and
-// GET /healthz, with LRU entry- and byte-budget eviction. Values are
-// immutable: re-PUTting a key refreshes recency but keeps the first
-// bytes, matching the cache's copy-on-invalidate discipline. Keys are
+// GET /healthz. Values are immutable: re-PUTting a key refreshes
+// recency but keeps the first bytes, matching the cache's
+// copy-on-invalidate discipline. Keys are
 // STRUCTURAL (table identity, row count, content epoch — not catalog
 // names), which is what lets replica catalogs share entries; the
 // operator contract is therefore that every catalog attached to one

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/query"
 	"repro/internal/relevance"
 )
@@ -41,9 +42,10 @@ import (
 // or another session's invalidation — shared entries are immutable and
 // only ever unlinked, never overwritten in place.
 type RunCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	gen     uint64
+	mu sync.Mutex
+	// entries is the private leaf tier: at most maxCacheEntries leaves,
+	// ordered by access (see internal/lru for the eviction rule).
+	entries *lru.Cache[string, *leafEntry]
 	// shared is the optional catalog-level tier behind this cache.
 	shared *SharedCache
 	// Cumulative and per-run lookup accounting (tests and the
@@ -56,13 +58,9 @@ type RunCache struct {
 	// considered (see predicateData.SegsSkipped). Zero on warm runs.
 	runSegsSkipped, runSegs int
 	// Buffer pools for the evaluation output vectors and the ranking's
-	// index permutation. free holds reusable buffers; lent the ones
-	// handed out since the current run began; live the ones belonging
-	// to the last successful run's Result (recycled only once a newer
-	// run SUCCEEDS, so a failed rerun never corrupts the Result a
-	// session keeps serving on error).
-	free, lent, live          [][]float64
-	intFree, intLent, intLive [][]int
+	// index permutation.
+	floats bufPool[float64]
+	ints   bufPool[int]
 	// seedThr/seedSig carry the previous ranking's raw k-th value (the
 	// rank-before-scale pruning threshold) across recalculations of the
 	// same item space. Weight-only reruns reuse it as-is — a stale seed
@@ -80,13 +78,7 @@ type RunCache struct {
 	// subtree shape, child weights, kernel options), so entries never go
 	// stale; the invalidation paths drop them wholesale purely to bound
 	// memory during slider storms.
-	interior map[string]*interiorRef
-}
-
-// interiorRef is one privately held interior entry with its LRU stamp.
-type interiorRef struct {
-	e    *relevance.InteriorEntry
-	used uint64
+	interior *lru.Cache[string, *relevance.InteriorEntry]
 }
 
 // maxCacheEntries bounds the cache so pathological interaction scripts
@@ -102,13 +94,16 @@ const maxCacheEntries = 64
 // query shapes.
 const maxInteriorEntries = 16
 
-// cacheEntry is one cached leaf. Exactly one of pd (simple conditions)
-// and dists (join, boolean-negation and subquery leaves) is set.
-type cacheEntry struct {
+// leafEntry is one cached leaf as both tiers hold it and as fetches hand
+// it out (by value: a consistent snapshot, since quant and cstats of the
+// resident entry may be attached later under the tier's mutex). Exactly
+// one of pd (simple conditions) and dists (join, boolean-negation and
+// subquery leaves) is set. The vectors are immutable once stored.
+type leafEntry struct {
 	pd    *predicateData
 	dists []float64
 	// quant is the sorted quantile index over the leaf's distances,
-	// built on the entry's first hit: a leaf that recurs across reruns
+	// built on the entry's first reuse: a leaf that recurs across reruns
 	// is hot, and the one-time O(n log n) sort buys O(1) normalization
 	// ranges for every subsequent weighting change.
 	quant *relevance.LeafQuantiles
@@ -124,15 +119,109 @@ type cacheEntry struct {
 	// label is the leaf's structural label — the handle Prune matches
 	// against the conditions of a replacement query.
 	label string
-	// used is the generation of the last run that hit or stored the
-	// entry (LRU eviction order).
-	used uint64
+}
+
+// satisfies reports whether the entry can serve a lookup that needs
+// signed distances (only condition entries carry them; needSigned is
+// set by 2D-arrangement engines, so a cache shared across arrangement
+// modes never serves a 2D run a spiral-era vector).
+func (e *leafEntry) satisfies(needSigned bool) bool {
+	return e.pd == nil || !needSigned || e.pd.Signed != nil
+}
+
+// raw returns the leaf's distance vector.
+func (e *leafEntry) raw() []float64 {
+	if e.pd != nil {
+		return e.pd.Raw
+	}
+	return e.dists
+}
+
+// derivedFrom reports whether the entry was computed for exactly this
+// condition in its current form (attribute and structural label).
+func (e *leafEntry) derivedFrom(cond *query.Cond, label string) bool {
+	return e.attr != "" && e.attr == cond.Attr && e.label == label
+}
+
+// sizeBytes accounts the entry's retained vectors and indexes.
+func (e *leafEntry) sizeBytes() int64 {
+	n := len(e.dists)
+	if e.pd != nil {
+		n += len(e.pd.Values) + len(e.pd.Raw) + len(e.pd.Signed)
+	}
+	if e.quant != nil {
+		n += e.quant.Size()
+	}
+	if e.cstats != nil {
+		n += e.cstats.Size()
+	}
+	return int64(8 * n)
+}
+
+// bufPool recycles the run-scoped buffers of one element type. free
+// holds reusable buffers; lent the ones handed out since the current
+// run began; live the ones belonging to the last successful run's
+// Result (recycled only once a newer run SUCCEEDS, so a failed rerun
+// never corrupts the Result a session keeps serving on error).
+type bufPool[T any] struct {
+	mu               sync.Mutex
+	free, lent, live [][]T
+}
+
+// alloc hands out an n-sized buffer, reusing the pool when a matching
+// length is free. Buffers are fully overwritten by the evaluator before
+// any read, so no zeroing happens here.
+func (p *bufPool[T]) alloc(n int) []T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := len(p.free) - 1; i >= 0; i-- {
+		if len(p.free[i]) == n {
+			b := p.free[i]
+			p.free = append(p.free[:i], p.free[i+1:]...)
+			p.lent = append(p.lent, b)
+			return b
+		}
+	}
+	b := make([]T, n)
+	p.lent = append(p.lent, b)
+	return b
+}
+
+// beginRun moves buffers handed out since the last run ended (lazy
+// window materializations of the live Result) into the live set.
+func (p *bufPool[T]) beginRun() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.live = append(p.live, p.lent...)
+	p.lent = p.lent[:0]
+}
+
+// endRun finishes a run. On success the previous Result is superseded:
+// its buffers return to the pool and this run's become the live set.
+// On failure this run's (possibly partially written) buffers return to
+// the pool and the live Result's stay untouched — a session that keeps
+// serving its old Result after a failed Recalculate stays consistent.
+// Steady state therefore retains two buffer generations (live plus
+// free), the usual double-buffering cost.
+func (p *bufPool[T]) endRun(ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ok {
+		p.free = append(p.free, p.live...)
+		p.live = append(p.live[:0], p.lent...)
+	} else {
+		p.free = append(p.free, p.lent...)
+	}
+	p.lent = p.lent[:0]
 }
 
 // NewRunCache creates an empty cache.
 func NewRunCache() *RunCache {
-	return &RunCache{entries: make(map[string]*cacheEntry),
-		interior: make(map[string]*interiorRef), seedThr: math.NaN()}
+	return &RunCache{
+		entries:  lru.New[string, *leafEntry](maxCacheEntries, 0),
+		interior: lru.New[string, *relevance.InteriorEntry](maxInteriorEntries, 0),
+		seedThr:  math.NaN(),
+	}
 }
 
 // rootSeed returns the previous ranking's raw threshold for the given
@@ -169,59 +258,21 @@ func (c *RunCache) AttachShared(sc *SharedCache) {
 	c.shared = sc
 }
 
-// beginRun starts a new run: per-run counters reset, and buffers
-// handed out since the last run ended (lazy window materializations of
-// the live Result) join the live set.
+// beginRun starts a new run: per-run counters reset and the buffer
+// pools turn over.
 func (c *RunCache) beginRun() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
 	c.runHits, c.runMisses, c.runSharedHits = 0, 0, 0
 	c.runSegsSkipped, c.runSegs = 0, 0
-	c.live = append(c.live, c.lent...)
-	c.lent = c.lent[:0]
-	c.intLive = append(c.intLive, c.intLent...)
-	c.intLent = c.intLent[:0]
+	c.mu.Unlock()
+	c.floats.beginRun()
+	c.ints.beginRun()
 }
 
-// endRun finishes a run. On success the previous Result is superseded:
-// its buffers return to the pool and this run's become the live set.
-// On failure this run's (possibly partially written) buffers return to
-// the pool and the live Result's stay untouched — a session that keeps
-// serving its old Result after a failed Recalculate stays consistent.
-// Steady state therefore retains two buffer generations (live plus
-// free), the usual double-buffering cost.
+// endRun finishes a run; see bufPool.endRun for what ok decides.
 func (c *RunCache) endRun(ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ok {
-		c.free = append(c.free, c.live...)
-		c.live = append(c.live[:0], c.lent...)
-		c.intFree = append(c.intFree, c.intLive...)
-		c.intLive = append(c.intLive[:0], c.intLent...)
-	} else {
-		c.free = append(c.free, c.lent...)
-		c.intFree = append(c.intFree, c.intLent...)
-	}
-	c.lent = c.lent[:0]
-	c.intLent = c.intLent[:0]
-}
-
-// evictLocked drops least-recently-used entries beyond the cap; called
-// with the mutex held after every store. Entries stored by the current
-// run carry the current generation and therefore go last.
-func (c *RunCache) evictLocked() {
-	for len(c.entries) > maxCacheEntries {
-		var oldestKey string
-		var oldest uint64
-		first := true
-		for k, e := range c.entries {
-			if first || e.used < oldest || (e.used == oldest && k < oldestKey) {
-				oldestKey, oldest, first = k, e.used, false
-			}
-		}
-		delete(c.entries, oldestKey)
-	}
+	c.floats.endRun(ok)
+	c.ints.endRun(ok)
 }
 
 // runStats returns the current run's lookup counts. sharedHits is the
@@ -262,115 +313,49 @@ func (c *RunCache) Stats() (hits, misses uint64) {
 func (c *RunCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.entries.Len()
 }
 
 // InteriorLen returns the number of privately held interior entries.
 func (c *RunCache) InteriorLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.interior)
+	return c.interior.Len()
 }
 
-// leafIndexes bundles the per-leaf acceleration structures a fetch
-// returns: the quantile index (O(1) normalization ranges) and the
-// chunk stats (block-pruning bounds). Both are built together on a
-// leaf's first reuse and promoted to the shared tier.
-type leafIndexes struct {
-	quant  *relevance.LeafQuantiles
-	cstats *relevance.LeafChunkStats
-}
-
-// condFetch resolves a condition leaf through the tiers: private hit,
-// then shared hit (promoted into the private tier), then compute (the
-// result fills the shared tier singleflight when one is attached, then
-// the private tier). needSigned misses entries computed without signed
-// distances (a cache shared across arrangement modes never serves a 2D
-// run a spiral-era vector).
-func (c *RunCache) condFetch(key, attr, label string, needSigned bool, compute func() (*predicateData, error)) (*predicateData, leafIndexes, error) {
+// fetch resolves a leaf through the tiers: private hit, then shared hit
+// (promoted into the private tier), then compute (the result fills the
+// shared tier singleflight when one is attached, then the private
+// tier). An entry that does not satisfy needSigned is a miss. The
+// acceleration indexes (quant, cstats) of the returned entry are set
+// from the leaf's first reuse on.
+func (c *RunCache) fetch(key string, needSigned bool, compute func() (leafEntry, error)) (leafEntry, error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok && e.pd != nil && (!needSigned || e.pd.Signed != nil) {
+	if e, ok := c.entries.Get(key); ok && e.satisfies(needSigned) {
 		c.hits++
 		c.runHits++
-		e.used = c.gen
-		pd, li := e.pd, leafIndexes{quant: e.quant, cstats: e.cstats}
+		le := *e
 		c.mu.Unlock()
-		if li.quant == nil {
-			li = c.buildIndexes(key, pd.Raw)
+		if le.quant == nil {
+			le.quant, le.cstats = c.buildIndexes(key, le.raw())
 		}
-		return pd, li, nil
+		return le, nil
 	}
 	shared := c.shared
 	c.mu.Unlock()
+	var le leafEntry
+	var sharedHit bool
+	var err error
 	if shared == nil {
-		pd, err := compute()
-		if err != nil {
-			return nil, leafIndexes{}, err
-		}
-		c.store(key, &cacheEntry{pd: pd, attr: attr, label: label}, false)
-		return pd, leafIndexes{}, nil
+		le, err = compute()
+	} else {
+		le, sharedHit, err = shared.fetch(key, needSigned, compute)
 	}
-	v, hit, err := shared.fetch(key, needSigned, func() (*sharedEntry, error) {
-		pd, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return &sharedEntry{pd: pd, attr: attr, label: label}, nil
-	})
 	if err != nil {
-		return nil, leafIndexes{}, err
+		return leafEntry{}, err
 	}
-	li := leafIndexes{quant: v.quant, cstats: v.cstats}
-	c.store(key, &cacheEntry{pd: v.pd, quant: li.quant, cstats: li.cstats, attr: attr, label: label}, hit)
-	return v.pd, li, nil
-}
-
-// leafFetch is condFetch for non-condition leaf vectors (joins,
-// boolean-negation fallbacks, subqueries). attr carries the owning
-// condition's attribute when the leaf is a boolean-negation fallback of
-// a simple condition (so range edits invalidate it too).
-func (c *RunCache) leafFetch(key, attr, label string, compute func() ([]float64, error)) ([]float64, leafIndexes, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok && e.dists != nil {
-		c.hits++
-		c.runHits++
-		e.used = c.gen
-		dists, li := e.dists, leafIndexes{quant: e.quant, cstats: e.cstats}
-		c.mu.Unlock()
-		if li.quant == nil {
-			li = c.buildIndexes(key, dists)
-		}
-		return dists, li, nil
-	}
-	shared := c.shared
-	c.mu.Unlock()
-	if shared == nil {
-		dists, err := compute()
-		if err != nil {
-			return nil, leafIndexes{}, err
-		}
-		c.store(key, &cacheEntry{dists: dists, attr: attr, label: label}, false)
-		return dists, leafIndexes{}, nil
-	}
-	v, hit, err := shared.fetch(key, false, func() (*sharedEntry, error) {
-		dists, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return &sharedEntry{dists: dists, attr: attr, label: label}, nil
-	})
-	if err != nil {
-		return nil, leafIndexes{}, err
-	}
-	li := leafIndexes{quant: v.quant, cstats: v.cstats}
-	c.store(key, &cacheEntry{dists: v.dists, quant: li.quant, cstats: li.cstats, attr: attr, label: label}, hit)
-	return v.dists, li, nil
-}
-
-// store records an entry in the private tier and attributes the lookup
-// that produced it: sharedHit marks a vector served by the shared tier
-// (a cache hit for the run), anything else was computed here (a miss).
-func (c *RunCache) store(key string, e *cacheEntry, sharedHit bool) {
+	// Attribute the lookup: a vector served by the shared tier is a
+	// cache hit for the run, anything else was computed here (a miss).
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sharedHit {
@@ -381,9 +366,29 @@ func (c *RunCache) store(key string, e *cacheEntry, sharedHit bool) {
 		c.misses++
 		c.runMisses++
 	}
-	e.used = c.gen
-	c.entries[key] = e
-	c.evictLocked()
+	stored := le
+	c.entries.Put(key, &stored, 0)
+	return le, nil
+}
+
+// condFetch is fetch for a condition leaf (predicateData payload). attr
+// and label are the invalidation handles of the condition as written.
+func (c *RunCache) condFetch(key, attr, label string, needSigned bool, compute func() (*predicateData, error)) (leafEntry, error) {
+	return c.fetch(key, needSigned, func() (leafEntry, error) {
+		pd, err := compute()
+		return leafEntry{pd: pd, attr: attr, label: label}, err
+	})
+}
+
+// leafFetch is fetch for non-condition leaf vectors (joins,
+// boolean-negation fallbacks, subqueries). attr carries the owning
+// condition's attribute when the leaf is a boolean-negation fallback of
+// a simple condition (so range edits invalidate it too).
+func (c *RunCache) leafFetch(key, attr, label string, compute func() ([]float64, error)) (leafEntry, error) {
+	return c.fetch(key, false, func() (leafEntry, error) {
+		dists, err := compute()
+		return leafEntry{dists: dists, attr: attr, label: label}, err
+	})
 }
 
 // buildIndexes resolves a hot leaf's acceleration indexes (quantiles +
@@ -392,34 +397,35 @@ func (c *RunCache) store(key string, e *cacheEntry, sharedHit bool) {
 // not serialize the sibling leaf builds that share the cache — and
 // promote them. Two racing builders do redundant work; both results
 // are identical and the canonical (first promoted) one wins.
-func (c *RunCache) buildIndexes(key string, dists []float64) leafIndexes {
+func (c *RunCache) buildIndexes(key string, dists []float64) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
 	c.mu.Lock()
 	shared := c.shared
 	c.mu.Unlock()
-	var li leafIndexes
+	var quant *relevance.LeafQuantiles
+	var cstats *relevance.LeafChunkStats
 	if shared != nil {
-		li.quant, li.cstats = shared.indexesOf(key)
-		if li.quant == nil {
+		quant, cstats = shared.indexesOf(key)
+		if quant == nil {
 			// Another node in the fleet may already have paid the sort.
-			li.quant, li.cstats = shared.remoteIndexesOf(key)
+			quant, cstats = shared.remoteIndexesOf(key)
 		}
 	}
-	if li.quant == nil {
-		li.quant = relevance.BuildLeafQuantiles(dists)
-		li.cstats = relevance.BuildLeafChunkStats(dists)
+	if quant == nil {
+		quant = relevance.BuildLeafQuantiles(dists)
+		cstats = relevance.BuildLeafChunkStats(dists)
 		if shared != nil {
-			li.quant, li.cstats = shared.attachIndexes(key, li.quant, li.cstats)
+			quant, cstats = shared.attachIndexes(key, quant, cstats)
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries.Peek(key); ok {
 		if e.quant != nil {
-			return leafIndexes{quant: e.quant, cstats: e.cstats}
+			return e.quant, e.cstats
 		}
-		e.quant, e.cstats = li.quant, li.cstats
+		e.quant, e.cstats = quant, cstats
 	}
-	return li
+	return quant, cstats
 }
 
 // interiorFetch resolves an interior-normalization entry through the
@@ -429,19 +435,13 @@ func (c *RunCache) buildIndexes(key string, dists []float64) leafIndexes {
 // so serving the same entry to any number of runs is safe.
 func (c *RunCache) interiorFetch(key string) *relevance.InteriorEntry {
 	c.mu.Lock()
-	if r, ok := c.interior[key]; ok {
-		r.used = c.gen
-		e := r.e
-		c.mu.Unlock()
-		return e
-	}
+	e, ok := c.interior.Get(key)
 	shared := c.shared
 	c.mu.Unlock()
-	if shared == nil {
-		return nil
+	if ok || shared == nil {
+		return e
 	}
-	e := shared.InteriorOf(key)
-	if e != nil {
+	if e = shared.InteriorOf(key); e != nil {
 		c.storeInterior(key, e)
 	}
 	return e
@@ -460,58 +460,11 @@ func (c *RunCache) interiorStore(key string, e *relevance.InteriorEntry) {
 	c.storeInterior(key, e)
 }
 
-// storeInterior places an entry in the private tier under the LRU cap.
+// storeInterior places an entry in the private tier under its cap.
 func (c *RunCache) storeInterior(key string, e *relevance.InteriorEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.interior[key] = &interiorRef{e: e, used: c.gen}
-	for len(c.interior) > maxInteriorEntries {
-		var oldestKey string
-		var oldest uint64
-		first := true
-		for k, r := range c.interior {
-			if first || r.used < oldest || (r.used == oldest && k < oldestKey) {
-				oldestKey, oldest, first = k, r.used, false
-			}
-		}
-		delete(c.interior, oldestKey)
-	}
-}
-
-// alloc hands out an n-sized evaluation buffer, reusing the pool when a
-// matching length is free. Buffers are fully overwritten by the
-// evaluator before any read, so no zeroing happens here.
-func (c *RunCache) alloc(n int) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.free) - 1; i >= 0; i-- {
-		if len(c.free[i]) == n {
-			b := c.free[i]
-			c.free = append(c.free[:i], c.free[i+1:]...)
-			c.lent = append(c.lent, b)
-			return b
-		}
-	}
-	b := make([]float64, n)
-	c.lent = append(c.lent, b)
-	return b
-}
-
-// allocInt is alloc for int slices (the ranking's index permutation).
-func (c *RunCache) allocInt(n int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.intFree) - 1; i >= 0; i-- {
-		if len(c.intFree[i]) == n {
-			b := c.intFree[i]
-			c.intFree = append(c.intFree[:i], c.intFree[i+1:]...)
-			c.intLent = append(c.intLent, b)
-			return b
-		}
-	}
-	b := make([]int, n)
-	c.intLent = append(c.intLent, b)
-	return b
+	c.interior.Put(key, e, 0)
 }
 
 // InvalidateCond drops the entries derived from exactly this condition
@@ -535,11 +488,7 @@ func (c *RunCache) InvalidateCond(cond *query.Cond) {
 	c.mu.Lock()
 	c.clearRootSeedLocked()
 	shared := c.shared
-	for k, e := range c.entries {
-		if e.attr != "" && e.attr == cond.Attr && e.label == label {
-			delete(c.entries, k)
-		}
-	}
+	c.entries.DeleteFunc(func(_ string, e *leafEntry) bool { return e.derivedFrom(cond, label) })
 	// Interior entries combining the superseded leaf are dead weight
 	// (their keys embed the old literals and can never be hit again);
 	// the private tier is small, so dropping it wholesale beats parsing
@@ -580,17 +529,12 @@ func (c *RunCache) Prune(q *query.Query) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clearRootSeedLocked()
-	for k, e := range c.entries {
+	c.entries.DeleteFunc(func(_ string, e *leafEntry) bool {
 		if e.attr != "" {
-			if !attrs[e.attr] {
-				delete(c.entries, k)
-			}
-			continue
+			return !attrs[e.attr]
 		}
-		if !labels[e.label] {
-			delete(c.entries, k)
-		}
-	}
+		return !labels[e.label]
+	})
 	// Interior entries are per query shape; a replacement query rebuilds
 	// them (or re-promotes survivors from the shared tier).
 	c.clearInteriorLocked()
@@ -602,14 +546,14 @@ func (c *RunCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.clearRootSeedLocked()
-	c.entries = make(map[string]*cacheEntry)
+	c.entries.Clear()
 	c.clearInteriorLocked()
 }
 
 // clearInteriorLocked drops the private interior tier; called with the
 // mutex held by every invalidation path.
 func (c *RunCache) clearInteriorLocked() {
-	c.interior = make(map[string]*interiorRef)
+	c.interior.Clear()
 }
 
 // spaceSig fingerprints the item space a leaf vector was computed over:

@@ -250,7 +250,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		Checkpoint: checkpoint,
 	}
 	if cache != nil {
-		evalOpts.Alloc = cache.alloc
+		evalOpts.Alloc = cache.floats.alloc
 		evalOpts.LazyLeaves = true
 		if !e.opt.NoInteriorSketch {
 			// Incremental interior normalization: interior nodes whose
@@ -303,7 +303,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		var idx []int
 		if cache != nil {
 			seed = cache.rootSeed(res.cacheSig)
-			vals, idx = cache.alloc(space.n), cache.allocInt(space.n)
+			vals, idx = cache.floats.alloc(space.n), cache.ints.alloc(space.n)
 		}
 		rk, err := eval.RankRoot(k, seed, vals, idx)
 		if err != nil {
@@ -327,7 +327,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		var sorted []float64
 		var order []int
 		if cache != nil {
-			sorted, order = topk.SelectKWithIndexInto(eval.Combined, k, cache.alloc(space.n), cache.allocInt(space.n))
+			sorted, order = topk.SelectKWithIndexInto(eval.Combined, k, cache.floats.alloc(space.n), cache.ints.alloc(space.n))
 		} else {
 			sorted, order = topk.SelectKWithIndex(eval.Combined, k)
 		}
@@ -489,8 +489,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			return pd, err
 		}
-		var pd *predicateData
-		var li leafIndexes
+		var le leafEntry
 		var err error
 		var key string
 		if res.cache != nil {
@@ -503,14 +502,14 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			// the condition as written in the query, and the two labels
 			// differ under negation.
 			key = res.keys.cond(attr.Qualified(), c.Label())
-			pd, li, err = res.cache.condFetch(key, n.Attr, n.Label(), e.opt.Arrangement == Arrange2D, compute)
+			le, err = res.cache.condFetch(key, n.Attr, n.Label(), e.opt.Arrangement == Arrange2D, compute)
 		} else {
-			pd, err = compute()
+			le.pd, err = compute()
 		}
 		if err != nil {
 			return nil, err
 		}
-		cs := li.cstats
+		pd, cs := le.pd, le.cstats
 		if cs == nil {
 			// Cold file-backed computes synthesize their chunk stats from
 			// the catalog footer (predicateData.CStats), so deferred-root
@@ -519,7 +518,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			cs = pd.CStats
 		}
 		node := &relevance.Node{Op: relevance.Leaf, Label: expr.Label(), Weight: expr.Weight(), Dists: pd.Raw,
-			Quantiles: li.quant, ChunkStats: cs}
+			Quantiles: le.quant, ChunkStats: cs}
 		if key != "" {
 			res.setLeafID(node, key)
 		}
@@ -633,21 +632,20 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			return dists, nil
 		}
-		var dists []float64
-		var li leafIndexes
+		var le leafEntry
 		var err error
 		var key string
 		if res.cache != nil {
 			key = res.keys.join(n.Label(), negated)
-			dists, li, err = res.cache.leafFetch(key, "", n.Label(), compute)
+			le, err = res.cache.leafFetch(key, "", n.Label(), compute)
 		} else {
-			dists, err = compute()
+			le.dists, err = compute()
 		}
 		if err != nil {
 			return nil, err
 		}
-		node := &relevance.Node{Op: relevance.Leaf, Label: expr.Label(), Weight: n.Weight(), Dists: dists,
-			Quantiles: li.quant, ChunkStats: li.cstats}
+		node := &relevance.Node{Op: relevance.Leaf, Label: expr.Label(), Weight: n.Weight(), Dists: le.dists,
+			Quantiles: le.quant, ChunkStats: le.cstats}
 		if key != "" {
 			res.setLeafID(node, key)
 		}
@@ -732,21 +730,20 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 		}
 		return dists, nil
 	}
-	var dists []float64
-	var li leafIndexes
+	var le leafEntry
 	var err error
 	var key string
 	if res.cache != nil {
 		key = res.keys.boolean(label)
-		dists, li, err = res.cache.leafFetch(key, c.Attr, c.Label(), compute)
+		le, err = res.cache.leafFetch(key, c.Attr, c.Label(), compute)
 	} else {
-		dists, err = compute()
+		le.dists, err = compute()
 	}
 	if err != nil {
 		return nil, err
 	}
-	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: c.Weight(), Dists: dists,
-		Quantiles: li.quant, ChunkStats: li.cstats}
+	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: c.Weight(), Dists: le.dists,
+		Quantiles: le.quant, ChunkStats: le.cstats}
 	if key != "" {
 		res.setLeafID(node, key)
 	}
@@ -864,21 +861,20 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 	}
 	// The subquery leaf caches on runKeys.subquery — the full rendered
 	// subquery plus the engine options the inner evaluation depends on.
-	var dists []float64
-	var li leafIndexes
+	var le leafEntry
 	var err error
 	var key string
 	if res.cache != nil {
 		key = res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
-		dists, li, err = res.cache.leafFetch(key, "", sq.Label(), compute)
+		le, err = res.cache.leafFetch(key, "", sq.Label(), compute)
 	} else {
-		dists, err = compute()
+		le.dists, err = compute()
 	}
 	if err != nil {
 		return nil, err
 	}
-	node := &relevance.Node{Op: relevance.Leaf, Label: sq.Label(), Weight: sq.Weight(), Dists: dists,
-		Quantiles: li.quant, ChunkStats: li.cstats}
+	node := &relevance.Node{Op: relevance.Leaf, Label: sq.Label(), Weight: sq.Weight(), Dists: le.dists,
+		Quantiles: le.quant, ChunkStats: le.cstats}
 	if key != "" {
 		res.setLeafID(node, key)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/query"
+	"repro/internal/relevance"
 )
 
 // interiorCatalog builds a single-table numeric catalog large enough to
@@ -270,9 +271,9 @@ func TestInvalidationDropsInteriorTiers(t *testing.T) {
 	}
 	// The shared tier drops exactly the entries combining the edited
 	// leaf (their keys embed its label); subtrees not touching it stay.
-	for key := range sc.interior {
+	visit(sc.interior, func(key string, _ *relevance.InteriorEntry) {
 		if strings.Contains(key, cond.Label()) {
 			t.Fatalf("shared interior tier kept an entry over the invalidated leaf: %q", key)
 		}
-	}
+	})
 }

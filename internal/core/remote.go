@@ -84,7 +84,7 @@ const (
 // false for entries that must not leave the process. The quantile and
 // chunk-stat indexes are not part of the envelope — they are promoted
 // separately under remoteIndexPrefix when some session builds them.
-func encodeSharedEntry(e *sharedEntry) ([]byte, bool) {
+func encodeSharedEntry(e *leafEntry) ([]byte, bool) {
 	if e.pd != nil && e.pd.skip != nil {
 		return nil, false
 	}
@@ -127,10 +127,8 @@ func encodeSharedEntry(e *sharedEntry) ([]byte, bool) {
 	return b, true
 }
 
-// decodeSharedEntry reverses encodeSharedEntry. The returned entry has
-// no accounting fields set; the cache stamps bytes/used when admitting
-// it.
-func decodeSharedEntry(data []byte) (*sharedEntry, error) {
+// decodeSharedEntry reverses encodeSharedEntry.
+func decodeSharedEntry(data []byte) (*leafEntry, error) {
 	r := binenc.NewReader(data)
 	if ver := r.Byte(); ver != sharedEntryVersion {
 		if r.Err() != nil {
@@ -139,7 +137,7 @@ func decodeSharedEntry(data []byte) (*sharedEntry, error) {
 		return nil, fmt.Errorf("core: shared-entry codec version %d", ver)
 	}
 	kind := r.Byte()
-	e := &sharedEntry{}
+	e := &leafEntry{}
 	e.attr = r.Str()
 	e.label = r.Str()
 	switch kind {
@@ -256,18 +254,8 @@ func (sc *SharedCache) remoteIndexesOf(key string) (*relevance.LeafQuantiles, *r
 		return nil, nil
 	}
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	sc.remoteHits++
-	if e, ok := sc.entries[key]; ok {
-		if e.quant != nil {
-			q, cs = e.quant, e.cstats
-		} else {
-			e.quant, e.cstats = q, cs
-			grown := e.sizeBytes()
-			sc.bytes += grown - e.bytes
-			e.bytes = grown
-			sc.evictLocked()
-		}
-	}
-	sc.mu.Unlock()
+	q, cs, _ = sc.adoptIndexesLocked(key, q, cs)
 	return q, cs
 }

@@ -51,7 +51,7 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 		Hi:       4.5,
 		CStats:   relevance.BuildLeafChunkStats([]float64{0, 1, math.NaN(), 0.25}),
 	}
-	e := &sharedEntry{pd: pd, attr: "x", label: "x>6"}
+	e := &leafEntry{pd: pd, attr: "x", label: "x>6"}
 	data, ok := encodeSharedEntry(e)
 	if !ok {
 		t.Fatal("materialized cond entry refused")
@@ -80,7 +80,7 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 	}
 
 	// Dists-only entries round-trip too.
-	de := &sharedEntry{dists: []float64{3, math.NaN(), 1}, label: "J:T-U"}
+	de := &leafEntry{dists: []float64{3, math.NaN(), 1}, label: "J:T-U"}
 	data, ok = encodeSharedEntry(de)
 	if !ok {
 		t.Fatal("dists entry refused")
@@ -111,7 +111,7 @@ func TestSharedEntryCodecRefusesPushdownState(t *testing.T) {
 		Raw:  []float64{0, 0}, Values: []float64{0, 0},
 		skip: []bool{true},
 	}
-	if _, ok := encodeSharedEntry(&sharedEntry{pd: pd}); ok {
+	if _, ok := encodeSharedEntry(&leafEntry{pd: pd}); ok {
 		t.Fatal("pushdown-state entry encoded")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/query"
 	"repro/internal/relevance"
 )
@@ -33,8 +34,8 @@ import (
 //     once (the classic thundering herd of a shared dashboard), one
 //     computes and the rest wait for its result.
 //
-//   - Memory is bounded by an entry cap and a byte budget, evicted in
-//     least-recently-used order.
+//   - Memory is bounded by an entry cap and a byte budget (internal/lru
+//     holds the eviction rule).
 //
 //   - Admission is cost-aware: only leaves whose measured compute time
 //     reaches AdmitMinCost occupy the budget (edit-distance and join
@@ -55,26 +56,18 @@ import (
 // their keys or satisfy lookups conditionally.
 type SharedCache struct {
 	mu       sync.Mutex
-	entries  map[string]*sharedEntry
+	entries  *lru.Cache[string, *leafEntry]
 	inflight map[string]*sharedCall
-	// clock orders accesses for LRU eviction.
-	clock      uint64
-	bytes      int64
-	maxEntries int
-	maxBytes   int64
 	// admitMin is the minimum measured compute cost for residency;
 	// <= 0 admits every computed leaf.
 	admitMin time.Duration
 
 	// interior is the shared tier of the interior-normalization cache
 	// (relevance.InteriorEntry promoted from sessions' RunCaches). It
-	// has its own byte budget and LRU so interior vectors — each as
+	// has its own store and byte budget so interior vectors — each as
 	// large as a leaf vector plus its sketch — can never thrash the
 	// leaf tier's budget, and vice versa.
-	interior      map[string]*sharedInterior
-	intBytes      int64
-	maxIntEntries int
-	maxIntBytes   int64
+	interior *lru.Cache[string, *relevance.InteriorEntry]
 
 	// backend is the optional remote tier (a network KV shared across
 	// the fleet); see SharedBackend in remote.go. All network calls
@@ -82,16 +75,10 @@ type SharedCache struct {
 	backend SharedBackend
 
 	hits, misses, fills, waits, rejects uint64
+	evictions, intEvictions             uint64
 	intHits, intMisses                  uint64
 	remoteHits, remoteMisses            uint64
 	remotePuts                          uint64
-}
-
-// sharedInterior is one resident interior entry with its accounting.
-type sharedInterior struct {
-	e     *relevance.InteriorEntry
-	bytes int64
-	used  uint64
 }
 
 // Default bounds for NewSharedCache: sized for a serving tier (many
@@ -145,37 +132,12 @@ func NewSharedCacheOpts(o SharedOptions) *SharedCache {
 	return sc
 }
 
-// sharedEntry is one immutable cached leaf. Exactly one of pd and
-// dists is set; quant is attached later, when some session first
-// reuses the leaf (promotion of the quantile index to the shared
-// tier).
-type sharedEntry struct {
-	pd     *predicateData
-	dists  []float64
-	quant  *relevance.LeafQuantiles
-	cstats *relevance.LeafChunkStats
-	attr   string
-	label  string
-	bytes  int64
-	used   uint64
-}
-
-// sharedView is a consistent snapshot of an entry's payload, taken
-// under the cache mutex (the quant field of the entry itself may be
-// attached concurrently by another session).
-type sharedView struct {
-	pd     *predicateData
-	dists  []float64
-	quant  *relevance.LeafQuantiles
-	cstats *relevance.LeafChunkStats
-}
-
 // sharedCall is one in-flight singleflight fill.
 type sharedCall struct {
-	done chan struct{}
-	view sharedView
-	ok   bool
-	err  error
+	done  chan struct{}
+	entry leafEntry
+	ok    bool
+	err   error
 }
 
 // NewSharedCache creates a shared tier with the given bounds; zero or
@@ -193,60 +155,113 @@ func NewSharedCache(maxEntries int, maxBytes int64) *SharedCache {
 		maxBytes = DefaultSharedBytes
 	}
 	return &SharedCache{
-		entries:    make(map[string]*sharedEntry),
-		inflight:   make(map[string]*sharedCall),
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		interior:   make(map[string]*sharedInterior),
+		entries:  lru.New[string, *leafEntry](maxEntries, maxBytes),
+		inflight: make(map[string]*sharedCall),
 		// The interior tier rides along at a quarter of the leaf
 		// bounds: interior entries are derived data (always rebuildable
 		// from the leaves in one pass), so they never crowd out the
 		// vectors they are derived from.
-		maxIntEntries: maxEntries/4 + 1,
-		maxIntBytes:   maxBytes / 4,
+		interior: lru.New[string, *relevance.InteriorEntry](maxEntries/4+1, max(maxBytes/4, 1)),
 	}
 }
 
-// SharedStats is a point-in-time snapshot of the shared tier.
+// SharedStats is a point-in-time snapshot of the shared tier, and as it
+// stands the "shared" object of /v1/shards and /v1/fleet
+// (wire.SharedStats is this type).
 type SharedStats struct {
 	// Hits counts lookups served from the cache, including waiters
 	// that got their vector from another session's in-flight fill.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses counts lookups that had to compute (singleflight
 	// leaders).
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Fills counts successful stores (misses whose computation
 	// succeeded, plus needSigned upgrades that replaced an entry).
-	Fills uint64
+	Fills uint64 `json:"fills"`
 	// Waits counts lookups that blocked on another session's fill
 	// instead of computing redundantly.
-	Waits uint64
+	Waits uint64 `json:"waits"`
 	// Rejects counts computed fills the admission policy kept out of
 	// the resident set (compute cost below AdmitMinCost); their results
 	// were still served to the caller and any waiters.
-	Rejects uint64
+	Rejects uint64 `json:"rejects"`
+	// Evictions counts leaf entries the entry cap or byte budget pushed
+	// out — capacity misses, as opposed to InvalidateCond drops.
+	Evictions uint64 `json:"evictions"`
 	// Entries and Bytes describe the current resident set.
-	Entries int
-	Bytes   int64
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
 	// InteriorHits/InteriorMisses count lookups against the shared
-	// interior-normalization tier; InteriorEntries and InteriorBytes
-	// describe its resident set (budgeted separately from the leaves).
-	InteriorHits, InteriorMisses uint64
-	InteriorEntries              int
-	InteriorBytes                int64
+	// interior-normalization tier (cached interior combine vectors plus
+	// their normalization sketches, at a quarter of the leaf tier's
+	// bounds), InteriorEvictions what its bounds pushed out;
+	// InteriorEntries and InteriorBytes describe its resident set.
+	InteriorHits      uint64 `json:"interior_hits"`
+	InteriorMisses    uint64 `json:"interior_misses"`
+	InteriorEvictions uint64 `json:"interior_evictions"`
+	InteriorEntries   int    `json:"interior_entries"`
+	InteriorBytes     int64  `json:"interior_bytes"`
 	// RemoteHits/RemoteMisses/RemotePuts count traffic against the
 	// attached remote backend (leaf entries, promoted indexes, and
-	// interior entries combined); all zero when no backend is attached.
-	// A RemoteHit is work some other node already paid for.
-	RemoteHits, RemoteMisses, RemotePuts uint64
+	// interior entries combined): fills answered by the networked store,
+	// fills that fell through to local compute after asking it, and
+	// entries this process offered to the fleet. All zero when no
+	// backend is attached. A RemoteHit is work some other node already
+	// paid for.
+	RemoteHits   uint64 `json:"remote_hits"`
+	RemoteMisses uint64 `json:"remote_misses"`
+	RemotePuts   uint64 `json:"remote_puts"`
 	// RemoteBreaker/RemoteTrips/RemoteShortCircuits report the remote
 	// backend's circuit breaker when the backend implements
 	// BreakerReporter (empty/zero otherwise): the current state
 	// ("closed", "open", "half-open"), cumulative closed→open trips,
-	// and requests answered instantly while open instead of paying a
-	// network timeout.
-	RemoteBreaker                    string
-	RemoteTrips, RemoteShortCircuits uint64
+	// and requests answered instantly as misses while open — each one a
+	// network timeout that was not paid.
+	RemoteBreaker       string `json:"remote_breaker,omitempty"`
+	RemoteTrips         uint64 `json:"remote_trips,omitempty"`
+	RemoteShortCircuits uint64 `json:"remote_short_circuits,omitempty"`
+}
+
+// breakerRank orders breaker states by badness so an aggregate over
+// many catalogs/shards reports the worst one (an "open" anywhere is
+// the signal an operator needs to see).
+func breakerRank(state string) int {
+	switch state {
+	case "open":
+		return 3
+	case "half-open":
+		return 2
+	case "closed":
+		return 1
+	default: // "" — no backend / breaker disabled
+		return 0
+	}
+}
+
+// Add accumulates another snapshot into s (shard-level aggregation over
+// the catalogs homed on a shard).
+func (s *SharedStats) Add(o SharedStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Fills += o.Fills
+	s.Waits += o.Waits
+	s.Rejects += o.Rejects
+	s.Evictions += o.Evictions
+	s.Entries += o.Entries
+	s.Bytes += o.Bytes
+	s.InteriorHits += o.InteriorHits
+	s.InteriorMisses += o.InteriorMisses
+	s.InteriorEvictions += o.InteriorEvictions
+	s.InteriorEntries += o.InteriorEntries
+	s.InteriorBytes += o.InteriorBytes
+	s.RemoteHits += o.RemoteHits
+	s.RemoteMisses += o.RemoteMisses
+	s.RemotePuts += o.RemotePuts
+	if breakerRank(o.RemoteBreaker) > breakerRank(s.RemoteBreaker) {
+		s.RemoteBreaker = o.RemoteBreaker
+	}
+	s.RemoteTrips += o.RemoteTrips
+	s.RemoteShortCircuits += o.RemoteShortCircuits
 }
 
 // Stats returns cumulative counters and the current size.
@@ -254,10 +269,10 @@ func (sc *SharedCache) Stats() SharedStats {
 	sc.mu.Lock()
 	st := SharedStats{
 		Hits: sc.hits, Misses: sc.misses, Fills: sc.fills, Waits: sc.waits,
-		Rejects: sc.rejects,
-		Entries: len(sc.entries), Bytes: sc.bytes,
-		InteriorHits: sc.intHits, InteriorMisses: sc.intMisses,
-		InteriorEntries: len(sc.interior), InteriorBytes: sc.intBytes,
+		Rejects: sc.rejects, Evictions: sc.evictions,
+		Entries: sc.entries.Len(), Bytes: sc.entries.Bytes(),
+		InteriorHits: sc.intHits, InteriorMisses: sc.intMisses, InteriorEvictions: sc.intEvictions,
+		InteriorEntries: sc.interior.Len(), InteriorBytes: sc.interior.Bytes(),
 		RemoteHits: sc.remoteHits, RemoteMisses: sc.remoteMisses,
 		RemotePuts: sc.remotePuts,
 	}
@@ -275,59 +290,30 @@ func (sc *SharedCache) Stats() SharedStats {
 func (sc *SharedCache) Len() int {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return len(sc.entries)
+	return sc.entries.Len()
 }
 
 // Bytes returns the resident vector bytes.
 func (sc *SharedCache) Bytes() int64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.bytes
-}
-
-// satisfies reports whether the entry can serve a lookup that needs
-// signed distances (only condition entries carry them; needSigned is
-// set by 2D-arrangement engines).
-func (e *sharedEntry) satisfies(needSigned bool) bool {
-	return e.pd == nil || !needSigned || e.pd.Signed != nil
-}
-
-// sizeBytes accounts the entry's retained vectors.
-func (e *sharedEntry) sizeBytes() int64 {
-	n := len(e.dists)
-	if e.pd != nil {
-		n += len(e.pd.Values) + len(e.pd.Raw) + len(e.pd.Signed)
-	}
-	if e.quant != nil {
-		n += e.quant.Size()
-	}
-	if e.cstats != nil {
-		n += e.cstats.Size()
-	}
-	return int64(8 * n)
-}
-
-// view snapshots the payload; call with the mutex held.
-func (e *sharedEntry) viewLocked() sharedView {
-	return sharedView{pd: e.pd, dists: e.dists, quant: e.quant, cstats: e.cstats}
+	return sc.entries.Bytes()
 }
 
 // fetch returns the entry for key, computing it at most once across
-// concurrent callers. hit reports whether the view was served without
-// running compute in this call (a resident entry, or another caller's
-// fill we waited on). compute runs without any cache lock held, so
-// fills for different keys proceed concurrently and a fill may
-// recursively fetch other keys.
-func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (*sharedEntry, error)) (view sharedView, hit bool, err error) {
+// concurrent callers. hit reports whether the entry was served without
+// running compute in this call (a resident entry, another caller's fill
+// we waited on, or the remote tier). compute runs without any cache
+// lock held, so fills for different keys proceed concurrently and a
+// fill may recursively fetch other keys.
+func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
 	for {
-		if e, ok := sc.entries[key]; ok && e.satisfies(needSigned) {
-			sc.clock++
-			e.used = sc.clock
+		if e, ok := sc.entries.Get(key); ok && e.satisfies(needSigned) {
 			sc.hits++
-			v := e.viewLocked()
+			le = *e
 			sc.mu.Unlock()
-			return v, true, nil
+			return le, true, nil
 		}
 		call, ok := sc.inflight[key]
 		if !ok {
@@ -340,13 +326,13 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (*share
 			// The leader's computation failed; ours would too (same
 			// key, same deterministic computation over the same
 			// catalog).
-			return sharedView{}, false, call.err
+			return leafEntry{}, false, call.err
 		}
-		if call.ok && (call.view.pd == nil || !needSigned || call.view.pd.Signed != nil) {
+		if call.ok && call.entry.satisfies(needSigned) {
 			sc.mu.Lock()
 			sc.hits++
 			sc.mu.Unlock()
-			return call.view, true, nil
+			return call.entry, true, nil
 		}
 		// The finished fill does not satisfy us (e.g. it lacks signed
 		// distances and we need them): loop and try to lead an
@@ -364,19 +350,18 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (*share
 	// the singleflight leader asks, so a thundering herd costs one
 	// network round trip, and a decode failure (version skew, truncated
 	// value) degrades to a local compute.
-	var e *sharedEntry
 	remote := false
 	if backend != nil {
 		if data, ok := backend.Get(key); ok {
 			if d, derr := decodeSharedEntry(data); derr == nil && d.satisfies(needSigned) {
-				e, remote = d, true
+				le, remote = *d, true
 			}
 		}
 	}
 	var cost time.Duration
-	if e == nil {
+	if !remote {
 		t0 := time.Now()
-		e, err = compute()
+		le, err = compute()
 		cost = time.Since(t0)
 	}
 
@@ -399,38 +384,33 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (*share
 		// dropping it would downgrade later 2D lookups to permanent
 		// misses. Remote-served entries are always admitted: the fleet
 		// already judged them worth sharing.
-		_, replaces := sc.entries[key]
+		_, replaces := sc.entries.Peek(key)
 		if !remote && sc.admitMin > 0 && cost < sc.admitMin && !replaces {
 			sc.rejects++
 		} else {
-			sc.clock++
-			e.used = sc.clock
-			e.bytes = e.sizeBytes()
-			if old, ok := sc.entries[key]; ok {
-				sc.bytes -= old.bytes
-			}
-			sc.entries[key] = e
-			sc.bytes += e.bytes
+			resident := le
+			sc.evictions += uint64(sc.entries.Put(key, &resident, resident.sizeBytes()))
 			sc.fills++
-			sc.evictLocked()
 			stored = true
 		}
-		call.view, call.ok = e.viewLocked(), true
-		view = call.view
+		call.entry, call.ok = le, true
 	}
 	call.err = err
 	sc.mu.Unlock()
 	close(call.done)
+	if err != nil {
+		return leafEntry{}, false, err
+	}
 	// Offer locally computed, admitted fills to the fleet. The encode
 	// reads only immutable fields and the Put happens after waiters are
 	// released, so a slow backend never extends the singleflight.
 	if stored && !remote && backend != nil {
-		if data, ok := encodeSharedEntry(e); ok {
+		if data, ok := encodeSharedEntry(&le); ok {
 			backend.Put(key, data)
 			sc.noteRemote(&sc.remotePuts)
 		}
 	}
-	return view, remote, err
+	return le, remote, nil
 }
 
 // indexesOf returns the promoted leaf indexes (quantiles + chunk
@@ -438,41 +418,43 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (*share
 func (sc *SharedCache) indexesOf(key string) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if e, ok := sc.entries[key]; ok {
+	if e, ok := sc.entries.Peek(key); ok {
 		return e.quant, e.cstats
 	}
 	return nil, nil
 }
 
-// attachIndexes promotes freshly built leaf indexes (the quantile
-// index and the block-pruning chunk stats) to the shared tier and
-// returns the canonical ones: if another session's build won the race,
-// its indexes are returned (both are identical — the builds are
-// deterministic — so either could win; keeping the first keeps one
-// copy resident). The entry's byte accounting grows by the indexes.
-func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
-	sc.mu.Lock()
-	e, ok := sc.entries[key]
+// adoptIndexesLocked attaches leaf indexes to the resident entry for
+// key and returns the canonical ones: the entry's own if it already has
+// some (both are identical — the builds are deterministic — so either
+// could win; keeping the first keeps one copy resident), q and cs
+// otherwise. won reports that q and cs were attached, growing the
+// entry's byte accounting by the indexes. Call with the mutex held.
+func (sc *SharedCache) adoptIndexesLocked(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats, bool) {
+	e, ok := sc.entries.Peek(key)
 	if !ok {
-		sc.mu.Unlock()
-		return q, cs
+		return q, cs, false
 	}
 	if e.quant != nil {
-		q, cs := e.quant, e.cstats
-		sc.mu.Unlock()
-		return q, cs
+		return e.quant, e.cstats, false
 	}
 	e.quant, e.cstats = q, cs
-	grown := e.sizeBytes()
-	sc.bytes += grown - e.bytes
-	e.bytes = grown
-	sc.evictLocked()
+	sc.evictions += uint64(sc.entries.Resize(key, e.sizeBytes()))
+	return q, cs, true
+}
+
+// attachIndexes promotes freshly built leaf indexes (the quantile
+// index and the block-pruning chunk stats) to the shared tier and
+// returns the canonical ones (see adoptIndexesLocked).
+func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+	sc.mu.Lock()
+	q, cs, won := sc.adoptIndexesLocked(key, q, cs)
 	backend := sc.backend
 	sc.mu.Unlock()
 	// The winning build is promoted to the fleet too: quantile indexes
 	// are pure functions of the (already shared) leaf vector, so any
 	// node can reuse them for O(1) normalization ranges.
-	if backend != nil {
+	if won && backend != nil {
 		backend.Put(remoteIndexPrefix+key, encodeLeafIndexes(q, cs))
 		sc.noteRemote(&sc.remotePuts)
 	}
@@ -484,11 +466,8 @@ func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs 
 // one concurrently.
 func (sc *SharedCache) InteriorOf(key string) *relevance.InteriorEntry {
 	sc.mu.Lock()
-	if r, ok := sc.interior[key]; ok {
-		sc.clock++
-		r.used = sc.clock
+	if e, ok := sc.interior.Get(key); ok {
 		sc.intHits++
-		e := r.e
 		sc.mu.Unlock()
 		return e
 	}
@@ -541,60 +520,11 @@ func (sc *SharedCache) AttachInterior(key string, e *relevance.InteriorEntry) *r
 func (sc *SharedCache) attachInteriorLocal(key string, e *relevance.InteriorEntry) *relevance.InteriorEntry {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if r, ok := sc.interior[key]; ok {
-		sc.clock++
-		r.used = sc.clock
-		return r.e
+	if canon, ok := sc.interior.Get(key); ok {
+		return canon
 	}
-	sc.clock++
-	r := &sharedInterior{e: e, bytes: int64(e.Size()), used: sc.clock}
-	sc.interior[key] = r
-	sc.intBytes += r.bytes
-	sc.evictInteriorLocked()
+	sc.intEvictions += uint64(sc.interior.Put(key, e, int64(e.Size())))
 	return e
-}
-
-// evictInteriorLocked is evictLocked for the interior tier's separate
-// cap and byte budget.
-func (sc *SharedCache) evictInteriorLocked() {
-	for len(sc.interior) > sc.maxIntEntries || sc.intBytes > sc.maxIntBytes {
-		if len(sc.interior) == 0 {
-			return
-		}
-		var oldestKey string
-		var oldest uint64
-		first := true
-		for k, r := range sc.interior {
-			if first || r.used < oldest || (r.used == oldest && k < oldestKey) {
-				oldestKey, oldest, first = k, r.used, false
-			}
-		}
-		sc.intBytes -= sc.interior[oldestKey].bytes
-		delete(sc.interior, oldestKey)
-	}
-}
-
-// evictLocked drops least-recently-used entries until both the entry
-// cap and the byte budget hold; called with the mutex held after every
-// store. Ties break by key so eviction order is deterministic.
-// Evicting an entry other sessions still read is safe: entries are
-// immutable and eviction only unlinks them (copy-on-invalidate).
-func (sc *SharedCache) evictLocked() {
-	for len(sc.entries) > sc.maxEntries || sc.bytes > sc.maxBytes {
-		if len(sc.entries) == 0 {
-			return
-		}
-		var oldestKey string
-		var oldest uint64
-		first := true
-		for k, e := range sc.entries {
-			if first || e.used < oldest || (e.used == oldest && k < oldestKey) {
-				oldestKey, oldest, first = k, e.used, false
-			}
-		}
-		sc.bytes -= sc.entries[oldestKey].bytes
-		delete(sc.entries, oldestKey)
-	}
 }
 
 // InvalidateCond drops the shared entries derived from exactly this
@@ -612,23 +542,13 @@ func (sc *SharedCache) InvalidateCond(cond *query.Cond) {
 	label := cond.Label()
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for k, e := range sc.entries {
-		if e.attr != "" && e.attr == cond.Attr && e.label == label {
-			sc.bytes -= e.bytes
-			delete(sc.entries, k)
-		}
-	}
+	sc.entries.DeleteFunc(func(_ string, e *leafEntry) bool { return e.derivedFrom(cond, label) })
 	// Interior keys embed their leaves' full cache keys, so an entry
 	// combining the superseded leaf contains its label verbatim. The
 	// containment check can over-drop (a literal string collision), but
 	// invalidation is memory management — over-dropping costs a rebuild,
 	// never correctness.
-	for k, r := range sc.interior {
-		if strings.Contains(k, label) {
-			sc.intBytes -= r.bytes
-			delete(sc.interior, k)
-		}
-	}
+	sc.interior.DeleteFunc(func(k string, _ *relevance.InteriorEntry) bool { return strings.Contains(k, label) })
 }
 
 // Clear drops every entry. In-flight fills complete and store their
@@ -636,8 +556,6 @@ func (sc *SharedCache) InvalidateCond(cond *query.Cond) {
 func (sc *SharedCache) Clear() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.entries = make(map[string]*sharedEntry)
-	sc.bytes = 0
-	sc.interior = make(map[string]*sharedInterior)
-	sc.intBytes = 0
+	sc.entries.Clear()
+	sc.interior.Clear()
 }

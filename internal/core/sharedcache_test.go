@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/lru"
 	"repro/internal/query"
 )
 
@@ -16,12 +17,12 @@ import (
 // singleflight path (compute always runs: the key is absent).
 func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, false, func() (*sharedEntry, error) {
+	_, hit, err := sc.fetch(key, false, func() (leafEntry, error) {
 		dists := make([]float64, n)
 		for i := range dists {
 			dists[i] = fill
 		}
-		return &sharedEntry{dists: dists, label: key}, nil
+		return leafEntry{dists: dists, label: key}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +35,8 @@ func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 // touch performs a lookup that must hit.
 func touch(t *testing.T, sc *SharedCache, key string) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, false, func() (*sharedEntry, error) {
-		return nil, fmt.Errorf("touch of %q missed", key)
+	_, hit, err := sc.fetch(key, false, func() (leafEntry, error) {
+		return leafEntry{}, fmt.Errorf("touch of %q missed", key)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,13 +46,17 @@ func touch(t *testing.T, sc *SharedCache, key string) {
 	}
 }
 
+// visit calls f for every resident entry of a tier's store (a
+// DeleteFunc that deletes nothing).
+func visit[V any](c *lru.Cache[string, V], f func(k string, v V)) {
+	c.DeleteFunc(func(k string, v V) bool { f(k, v); return false })
+}
+
 func residentKeys(sc *SharedCache) []string {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	keys := make([]string, 0, len(sc.entries))
-	for k := range sc.entries {
-		keys = append(keys, k)
-	}
+	keys := make([]string, 0, sc.entries.Len())
+	visit(sc.entries, func(k string, _ *leafEntry) { keys = append(keys, k) })
 	sort.Strings(keys)
 	return keys
 }
@@ -102,11 +107,21 @@ func TestSharedCacheEviction(t *testing.T) {
 			wantBytes: 80 * 8,
 		},
 		{
+			// The store never evicts the most recently used entry, so an
+			// entry over the whole budget empties the tier and stays ...
+			name:       "oversized entry stays alone until the next insert",
+			maxEntries: 64, maxBytes: 100 * 8,
+			ops:       []op{{fill: "a", n: 10}, {fill: "big", n: 200}},
+			want:      []string{"big"},
+			wantBytes: 200 * 8,
+		},
+		{
+			// ... exactly until something else is stored.
 			name:       "oversized entry cannot stay resident",
 			maxEntries: 64, maxBytes: 100 * 8,
-			ops:       []op{{fill: "big", n: 200}},
-			want:      []string{},
-			wantBytes: 0,
+			ops:       []op{{fill: "big", n: 200}, {fill: "a", n: 10}},
+			want:      []string{"a"},
+			wantBytes: 10 * 8,
 		},
 		{
 			name:       "mixed sizes drop two small for one large",
@@ -150,8 +165,8 @@ func TestSharedCacheCopyOnInvalidate(t *testing.T) {
 	sc := NewSharedCache(0, 0)
 	cond := &query.Cond{Attr: "x", Op: query.OpGt, Value: dataset.Float(5)}
 	key := "C|T:T:4|T.x|" + cond.Label()
-	old, _, err := sc.fetch(key, false, func() (*sharedEntry, error) {
-		return &sharedEntry{
+	old, _, err := sc.fetch(key, false, func() (leafEntry, error) {
+		return leafEntry{
 			pd:    &predicateData{Raw: []float64{1, 2, 3, 4}},
 			attr:  cond.Attr,
 			label: cond.Label(),
@@ -167,8 +182,8 @@ func TestSharedCacheCopyOnInvalidate(t *testing.T) {
 		t.Fatalf("invalidate left %d entries, %d bytes", sc.Len(), sc.Bytes())
 	}
 
-	fresh, hit, err := sc.fetch(key, false, func() (*sharedEntry, error) {
-		return &sharedEntry{
+	fresh, hit, err := sc.fetch(key, false, func() (leafEntry, error) {
+		return leafEntry{
 			pd:    &predicateData{Raw: []float64{9, 9, 9, 9}},
 			attr:  cond.Attr,
 			label: cond.Label(),
@@ -213,7 +228,7 @@ func TestSharedCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := sc.fetch("K", false, func() (*sharedEntry, error) {
+			v, _, err := sc.fetch("K", false, func() (leafEntry, error) {
 				computes.Add(1)
 				// Hold the fill open until every other goroutine is
 				// blocked on it, so the schedule cannot degenerate into
@@ -221,11 +236,11 @@ func TestSharedCacheSingleflight(t *testing.T) {
 				deadline := time.Now().Add(5 * time.Second)
 				for sc.Stats().Waits < waiters {
 					if time.Now().After(deadline) {
-						return nil, fmt.Errorf("waiters never arrived")
+						return leafEntry{}, fmt.Errorf("waiters never arrived")
 					}
 					time.Sleep(time.Millisecond)
 				}
-				return &sharedEntry{dists: []float64{42}}, nil
+				return leafEntry{dists: []float64{42}}, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -255,14 +270,14 @@ func TestSharedCacheSingleflight(t *testing.T) {
 // unsigned vector.
 func TestSharedCacheSignedUpgrade(t *testing.T) {
 	sc := NewSharedCache(0, 0)
-	unsigned, _, err := sc.fetch("K", false, func() (*sharedEntry, error) {
-		return &sharedEntry{pd: &predicateData{Raw: []float64{1, 2}}}, nil
+	unsigned, _, err := sc.fetch("K", false, func() (leafEntry, error) {
+		return leafEntry{pd: &predicateData{Raw: []float64{1, 2}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, hit, err := sc.fetch("K", true, func() (*sharedEntry, error) {
-		return &sharedEntry{pd: &predicateData{Raw: []float64{1, 2}, Signed: []float64{-1, 2}}}, nil
+	v, hit, err := sc.fetch("K", true, func() (leafEntry, error) {
+		return leafEntry{pd: &predicateData{Raw: []float64{1, 2}, Signed: []float64{-1, 2}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -376,11 +391,11 @@ func TestSharedTierPromotesQuantiles(t *testing.T) {
 	}
 	sc.mu.Lock()
 	withQuant := 0
-	for _, ent := range sc.entries {
+	visit(sc.entries, func(_ string, ent *leafEntry) {
 		if ent.quant != nil {
 			withQuant++
 		}
-	}
+	})
 	sc.mu.Unlock()
 	if withQuant == 0 {
 		t.Fatal("no shared entry carries a promoted quantile index")
@@ -510,11 +525,11 @@ func TestSharedCacheAdmission(t *testing.T) {
 			sc := NewSharedCacheOpts(tc.opts)
 			for _, o := range tc.ops {
 				o := o
-				v, hit, err := sc.fetch(o.key, false, func() (*sharedEntry, error) {
+				v, hit, err := sc.fetch(o.key, false, func() (leafEntry, error) {
 					if o.cost > 0 {
 						time.Sleep(o.cost)
 					}
-					return &sharedEntry{dists: []float64{1, 2, 3}, label: o.key}, nil
+					return leafEntry{dists: []float64{1, 2, 3}, label: o.key}, nil
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -581,9 +596,9 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	key := "C|T:T:3|T.x|x > 5"
 	// Seed an unsigned condition entry (expensive enough to be
 	// admitted).
-	if _, _, err := sc.fetch(key, false, func() (*sharedEntry, error) {
+	if _, _, err := sc.fetch(key, false, func() (leafEntry, error) {
 		time.Sleep(2 * time.Millisecond)
-		return &sharedEntry{pd: &predicateData{Raw: []float64{1, 2, 3}}, attr: "x", label: "x > 5"}, nil
+		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}}, attr: "x", label: "x > 5"}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -592,8 +607,8 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	}
 	// A needSigned lookup misses it and upgrades with a cheap compute;
 	// the replacement must still be stored.
-	v, hit, err := sc.fetch(key, true, func() (*sharedEntry, error) {
-		return &sharedEntry{pd: &predicateData{Raw: []float64{1, 2, 3}, Signed: []float64{-1, 0, 1}},
+	v, hit, err := sc.fetch(key, true, func() (leafEntry, error) {
+		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}, Signed: []float64{-1, 0, 1}},
 			attr: "x", label: "x > 5"}, nil
 	})
 	if err != nil {
@@ -608,8 +623,8 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	if sc.Len() != 1 {
 		t.Fatalf("upgrade not resident: %d entries", sc.Len())
 	}
-	if _, hit, err := sc.fetch(key, true, func() (*sharedEntry, error) {
-		return nil, fmt.Errorf("upgraded entry missed")
+	if _, hit, err := sc.fetch(key, true, func() (leafEntry, error) {
+		return leafEntry{}, fmt.Errorf("upgraded entry missed")
 	}); err != nil || !hit {
 		t.Fatalf("post-upgrade lookup: hit=%v err=%v", hit, err)
 	}

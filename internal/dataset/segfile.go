@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"container/list"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -15,6 +14,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // This file implements the on-disk segment catalog format and its two
@@ -659,11 +660,9 @@ func OpenCatalogFile(path string, opts OpenOptions) (*Catalog, error) {
 		budget = 64 << 20
 	}
 	src := &fileSource{
-		br:       br,
-		cache:    make(map[segKey]*list.Element),
-		lru:      list.New(),
-		maxBytes: budget,
-		verify:   version >= 2,
+		br:     br,
+		cache:  lru.New[segKey, *decodedSeg](0, budget),
+		verify: version >= 2,
 	}
 	cat := NewCatalog()
 	cat.epoch = ft.Epoch
@@ -856,24 +855,17 @@ type decodedSeg struct {
 	bytes  int64
 }
 
-type cacheSlot struct {
-	key segKey
-	seg *decodedSeg
-}
-
 // fileSource is the shared read state of one open catalog file: the
-// backend and the bounded decoded-segment LRU. Concurrent sessions
-// share it; the mutex guards only the cache bookkeeping — decoding
-// happens outside it (a rare race decodes a segment twice, which is
-// benign).
+// backend and the decoded-segment cache, bounded by OpenOptions.CacheBytes
+// (the store keeps its most recent segment whatever the budget, so a
+// 1-byte cache still serves reads). Concurrent sessions share it; the
+// mutex guards only the cache bookkeeping — decoding happens outside it
+// (a rare race decodes a segment twice, which is benign).
 type fileSource struct {
-	br       blobReader
-	verify   bool // format v2: check each blob's CRC32C on decode
-	mu       sync.Mutex
-	cache    map[segKey]*list.Element
-	lru      *list.List
-	bytes    int64
-	maxBytes int64
+	br     blobReader
+	verify bool // format v2: check each blob's CRC32C on decode
+	mu     sync.Mutex
+	cache  *lru.Cache[segKey, *decodedSeg]
 	// corrupt is the sticky first decode/read failure. Once set, data
 	// served from this source is untrustworthy (failed segments read
 	// as zeroes) and the owner must quarantine the catalog; it never
@@ -909,13 +901,11 @@ func (s *fileSource) fail(err error) {
 func (s *fileSource) segment(c *fileColumn, si int) *decodedSeg {
 	key := segKey{c.id, si}
 	s.mu.Lock()
-	if el, ok := s.cache[key]; ok {
-		s.lru.MoveToFront(el)
-		seg := el.Value.(*cacheSlot).seg
-		s.mu.Unlock()
+	seg, ok := s.cache.Get(key)
+	s.mu.Unlock()
+	if ok {
 		return seg
 	}
-	s.mu.Unlock()
 
 	seg, err := s.decode(c, si)
 	if err != nil {
@@ -924,23 +914,11 @@ func (s *fileSource) segment(c *fileColumn, si int) *decodedSeg {
 	}
 
 	s.mu.Lock()
-	if el, ok := s.cache[key]; ok {
-		s.lru.MoveToFront(el)
-		seg = el.Value.(*cacheSlot).seg
-		s.mu.Unlock()
-		return seg
+	defer s.mu.Unlock()
+	if first, ok := s.cache.Get(key); ok {
+		return first
 	}
-	el := s.lru.PushFront(&cacheSlot{key: key, seg: seg})
-	s.cache[key] = el
-	s.bytes += seg.bytes
-	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		slot := back.Value.(*cacheSlot)
-		s.lru.Remove(back)
-		delete(s.cache, slot.key)
-		s.bytes -= slot.seg.bytes
-	}
-	s.mu.Unlock()
+	s.cache.Put(key, seg, seg.bytes)
 	return seg
 }
 
@@ -1239,8 +1217,7 @@ func (c *Catalog) CacheStats() (segments int, bytes int64) {
 		for _, col := range t.cols {
 			if fc, ok := col.(*fileColumn); ok {
 				fc.src.mu.Lock()
-				segments = fc.src.lru.Len()
-				bytes = fc.src.bytes
+				segments, bytes = fc.src.cache.Len(), fc.src.cache.Bytes()
 				fc.src.mu.Unlock()
 				return segments, bytes
 			}

@@ -18,18 +18,20 @@
 // every writer derives the value deterministically from the key, so
 // first-wins and last-wins are byte-identical), GET of a missing or
 // evicted key is a plain miss, and the server may evict anything at any
-// time under its entry cap and byte budget (LRU). Nothing is persisted:
+// time under its entry cap and byte budget (an entry costs its key plus
+// its value; internal/lru holds the eviction rule). Nothing is persisted:
 // the store is a cache of recomputable work, and a restart merely costs
 // the fleet a warm-up.
 package kv
 
 import (
-	"container/list"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // Defaults for NewServer bounds.
@@ -51,24 +53,18 @@ type Stats struct {
 	Rejects   uint64 `json:"rejects"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-}
-
-// entry is one resident value; list elements order recency.
-type entry struct {
-	key string
-	val []byte
+	// Bytes is the resident key plus value bytes, bounded by MaxBytes;
+	// MaxEntries and MaxBytes are the bounds in effect.
+	Bytes      int64 `json:"bytes"`
+	MaxBytes   int64 `json:"max_bytes"`
+	MaxEntries int   `json:"max_entries"`
 }
 
 // Server is the store plus its HTTP surface. The zero value is not
 // usable; construct with NewServer. Safe for concurrent use.
 type Server struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-	bytes   int64
-
+	mu         sync.Mutex
+	entries    *lru.Cache[string, []byte]
 	maxEntries int
 	maxBytes   int64
 
@@ -78,7 +74,7 @@ type Server struct {
 }
 
 // NewServer creates a store bounded by maxEntries values and maxBytes
-// total value bytes; zero or negative selects the defaults.
+// total key and value bytes; zero or negative selects the defaults.
 func NewServer(maxEntries int, maxBytes int64) *Server {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
@@ -87,8 +83,7 @@ func NewServer(maxEntries int, maxBytes int64) *Server {
 		maxBytes = DefaultMaxBytes
 	}
 	s := &Server{
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
+		entries:    lru.New[string, []byte](maxEntries, maxBytes),
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 	}
@@ -114,46 +109,31 @@ func (s *Server) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gets++
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
+	val, ok := s.entries.Get(key)
+	if ok {
+		s.hits++
 	}
-	s.hits++
-	s.lru.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	return val, ok
 }
 
 // Put stores val under key. Values are immutable: if the key is
 // resident the stored bytes are kept (recency refreshed) — writers
 // derive values deterministically from keys, so the bytes are the same
-// either way. A value larger than the byte budget is rejected outright
-// (it could never stay resident).
+// either way. An entry larger than the byte budget is rejected outright
+// (it could never stay resident beside anything else).
 func (s *Server) Put(key string, val []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++
-	if int64(len(val)) > s.maxBytes {
+	cost := int64(len(key) + len(val))
+	if cost > s.maxBytes {
 		s.rejects++
 		return false
 	}
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
+	if _, ok := s.entries.Get(key); ok {
 		return true
 	}
-	el := s.lru.PushFront(&entry{key: key, val: val})
-	s.entries[key] = el
-	s.bytes += int64(len(val))
-	for len(s.entries) > s.maxEntries || s.bytes > s.maxBytes {
-		oldest := s.lru.Back()
-		if oldest == nil {
-			break
-		}
-		e := oldest.Value.(*entry)
-		s.lru.Remove(oldest)
-		delete(s.entries, e.key)
-		s.bytes -= int64(len(e.val))
-		s.evictions++
-	}
+	s.evictions += uint64(s.entries.Put(key, val, cost))
 	return true
 }
 
@@ -164,7 +144,8 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Gets: s.gets, Hits: s.hits, Puts: s.puts,
 		Rejects: s.rejects, Evictions: s.evictions,
-		Entries: len(s.entries), Bytes: s.bytes, MaxBytes: s.maxBytes,
+		Entries: s.entries.Len(), Bytes: s.entries.Bytes(),
+		MaxBytes: s.maxBytes, MaxEntries: s.maxEntries,
 	}
 }
 
@@ -172,7 +153,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.entries.Len()
 }
 
 func reqKey(w http.ResponseWriter, r *http.Request) (string, bool) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -45,8 +46,32 @@ func TestServerGetPutEvict(t *testing.T) {
 	if st.Evictions != 1 || st.Rejects != 1 || st.Entries != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.Bytes != 80 {
+	if st.Bytes != 82 { // two 40-byte values under 1-byte keys
 		t.Fatalf("byte accounting: %d", st.Bytes)
+	}
+}
+
+// TestServerBudgetCountsKeys: the byte budget charges keys, so a flood
+// of long keys under empty values cannot outgrow it.
+func TestServerBudgetCountsKeys(t *testing.T) {
+	const budget = 10 * MaxKeyLen
+	s := NewServer(0, budget)
+	for i := 0; i < 100; i++ {
+		key := strings.Repeat("k", MaxKeyLen-3) + fmt.Sprintf("%03d", i)
+		if !s.Put(key, nil) {
+			t.Fatalf("put %d rejected", i)
+		}
+		if st := s.Stats(); st.Bytes > st.MaxBytes {
+			t.Fatalf("after %d puts: %d resident bytes over the budget %d", i+1, st.Bytes, st.MaxBytes)
+		}
+	}
+	if st := s.Stats(); st.Entries != 10 || st.Bytes != budget || st.Evictions != 90 {
+		t.Fatalf("stats: %+v", st)
+	}
+	// A key that alone exceeds the budget is rejected like an oversized
+	// value.
+	if NewServer(0, 8).Put("123456789", nil) {
+		t.Fatal("entry larger than the budget accepted")
 	}
 }
 

@@ -547,7 +547,7 @@ func (sh *shard) stats() wire.ShardStats {
 	}
 	for _, cs := range sh.catalogs {
 		st.Catalogs = append(st.Catalogs, cs.name)
-		st.Shared.Add(wire.SharedStatsOf(cs.shared.Stats()))
+		st.Shared.Add(cs.shared.Stats())
 	}
 	return st
 }

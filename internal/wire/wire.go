@@ -200,105 +200,13 @@ type ResultsResponse struct {
 	Rows    []Row   `json:"rows"`
 }
 
-// SharedStats mirrors core.SharedStats. The interior_* counters cover
-// the shared cache's separate interior-entry tier (cached interior
-// combine vectors plus their normalization sketches), which rides at a
-// quarter of the leaf tier's bounds.
-type SharedStats struct {
-	Hits            uint64 `json:"hits"`
-	Misses          uint64 `json:"misses"`
-	Fills           uint64 `json:"fills"`
-	Waits           uint64 `json:"waits"`
-	Rejects         uint64 `json:"rejects"`
-	Entries         int    `json:"entries"`
-	Bytes           int64  `json:"bytes"`
-	InteriorHits    uint64 `json:"interior_hits"`
-	InteriorMisses  uint64 `json:"interior_misses"`
-	InteriorEntries int    `json:"interior_entries"`
-	InteriorBytes   int64  `json:"interior_bytes"`
-	// Remote* attribute the fleet KV tier: shared-tier fills answered
-	// by the networked store (hits), fills that fell through to local
-	// compute after asking it (misses), and entries this process
-	// offered to the fleet (puts). All zero when no backend is
-	// attached.
-	RemoteHits   uint64 `json:"remote_hits"`
-	RemoteMisses uint64 `json:"remote_misses"`
-	RemotePuts   uint64 `json:"remote_puts"`
-	// RemoteBreaker is the KV client's circuit-breaker state ("closed",
-	// "open", "half-open"; empty when no backend is attached or the
-	// breaker is disabled). RemoteTrips counts closed→open transitions;
-	// RemoteShortCircuits counts requests answered instantly as misses
-	// while the breaker was open — each one is a KV timeout that was
-	// not paid.
-	RemoteBreaker       string `json:"remote_breaker,omitempty"`
-	RemoteTrips         uint64 `json:"remote_trips,omitempty"`
-	RemoteShortCircuits uint64 `json:"remote_short_circuits,omitempty"`
-}
+// SharedStats is the engine's shared-cache snapshot, on the wire as the
+// engine declares it (JSON tags and Add live on core.SharedStats).
+type SharedStats = core.SharedStats
 
-// SharedStatsOf converts the engine's shared-cache counters — the
-// single conversion point, shared by the serving /v1/shards handler
-// (which aggregates one per catalog) and the benchmark reports.
-func SharedStatsOf(st core.SharedStats) SharedStats {
-	return SharedStats{
-		Hits:                st.Hits,
-		Misses:              st.Misses,
-		Fills:               st.Fills,
-		Waits:               st.Waits,
-		Rejects:             st.Rejects,
-		Entries:             st.Entries,
-		Bytes:               st.Bytes,
-		InteriorHits:        st.InteriorHits,
-		InteriorMisses:      st.InteriorMisses,
-		InteriorEntries:     st.InteriorEntries,
-		InteriorBytes:       st.InteriorBytes,
-		RemoteHits:          st.RemoteHits,
-		RemoteMisses:        st.RemoteMisses,
-		RemotePuts:          st.RemotePuts,
-		RemoteBreaker:       st.RemoteBreaker,
-		RemoteTrips:         st.RemoteTrips,
-		RemoteShortCircuits: st.RemoteShortCircuits,
-	}
-}
-
-// breakerRank orders breaker states by badness so an aggregate over
-// many catalogs/shards reports the worst one (an "open" anywhere is
-// the signal an operator needs to see).
-func breakerRank(state string) int {
-	switch state {
-	case "open":
-		return 3
-	case "half-open":
-		return 2
-	case "closed":
-		return 1
-	default: // "" — no backend / breaker disabled
-		return 0
-	}
-}
-
-// Add accumulates another snapshot into s (shard-level aggregation over
-// the catalogs homed on a shard).
-func (s *SharedStats) Add(o SharedStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Fills += o.Fills
-	s.Waits += o.Waits
-	s.Rejects += o.Rejects
-	s.Entries += o.Entries
-	s.Bytes += o.Bytes
-	s.InteriorHits += o.InteriorHits
-	s.InteriorMisses += o.InteriorMisses
-	s.InteriorEntries += o.InteriorEntries
-	s.InteriorBytes += o.InteriorBytes
-	s.RemoteHits += o.RemoteHits
-	s.RemoteMisses += o.RemoteMisses
-	s.RemotePuts += o.RemotePuts
-	if breakerRank(o.RemoteBreaker) > breakerRank(s.RemoteBreaker) {
-		s.RemoteBreaker = o.RemoteBreaker
-	}
-	s.RemoteTrips += o.RemoteTrips
-	s.RemoteShortCircuits += o.RemoteShortCircuits
-}
+// SharedStatsOf is the identity, kept for callers that predate the
+// alias.
+func SharedStatsOf(st core.SharedStats) SharedStats { return st }
 
 // ShardStats describes one shard: GET /v1/shards. Shared aggregates
 // the per-catalog shared-cache counters of every catalog homed on the
