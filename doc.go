@@ -25,9 +25,9 @@
 // time needed for sorting". Since only GridW×GridH·(numPreds+1)
 // distance values are ever displayed, the engine ranks by selection by
 // default: internal/topk quickselects the display budget in expected
-// O(n) and relevance normalization finds its reduction range with a
-// bounded heap instead of a full sort. Two engine options control the
-// trade-off:
+// O(n), and relevance normalization finds each leaf's reduction range
+// by counting into monotone equal-width buckets and selecting inside the
+// one the rank falls in (relevance/orderstats.go). Two engine options:
 //
 //   - Options.FullSort: exact O(n log n) ranking of every item (the
 //     A-series ablations, exact quantiles; implied by Arrange2D).
@@ -48,8 +48,9 @@
 //     table, attribute, operator, literals, distance function, but NOT
 //     the weighting factor. A weight-only rerun recomputes no
 //     distances; a single-slider drag recomputes exactly one leaf.
-//     Hot leaves additionally get a sorted quantile index so the
-//     reduction-first normalization range for any weight is O(1).
+//     From its first reuse a leaf carries a quantile index (sorted in
+//     linear time by the same buckets), so the reduction-first
+//     normalization range for any weight is O(1).
 //     Keys embed table row counts, so entries never serve stale data;
 //     invalidation (per-condition on range edits, pruning on query
 //     replacement, the tier's cap) only bounds memory.
@@ -563,8 +564,9 @@
 // written back, so leaf vectors, quantile indexes and interior entries
 // computed on one member warm every member. Entries travel in the
 // deterministic binary codec of internal/relevance (internal/binenc);
-// lookups degrade to a local recompute on any store error — the kv
-// tier can die without breaking serving. The store itself speaks a
+// lookups degrade to a local recompute on any store error or value that
+// does not validate — the kv tier can die, or lie, without breaking
+// serving. The store itself speaks a
 // minimal stdlib HTTP protocol: GET/PUT /v1/kv?key=K (200/404 on GET;
 // 204 accepted, 413 over the value cap on PUT), GET /v1/kv/stats, and
 // GET /healthz. Values are immutable: re-PUTting a key refreshes

@@ -104,7 +104,7 @@ type leafEntry struct {
 	dists []float64
 	// quant is the sorted quantile index over the leaf's distances,
 	// built on the entry's first reuse: a leaf that recurs across reruns
-	// is hot, and the one-time O(n log n) sort buys O(1) normalization
+	// is hot, and the one-time linear-time build buys O(1) normalization
 	// ranges for every subsequent weighting change.
 	quant *relevance.LeafQuantiles
 	// cstats is the per-chunk min/NaN index built together with quant:
@@ -393,10 +393,10 @@ func (c *RunCache) leafFetch(key, attr, label string, compute func() ([]float64,
 
 // buildIndexes resolves a hot leaf's acceleration indexes (quantiles +
 // chunk stats): reuse ones another session already promoted to the
-// shared tier, else build OUTSIDE the mutex — the O(n log n) sort must
-// not serialize the sibling leaf builds that share the cache — and
-// promote them. Two racing builders do redundant work; both results
-// are identical and the canonical (first promoted) one wins.
+// shared tier, else build OUTSIDE the mutex — milliseconds of linear
+// passes must not serialize sibling leaf builds — and promote them. Two
+// racing builders do redundant work; both results are identical and
+// the canonical (first promoted) one wins.
 func (c *RunCache) buildIndexes(key string, dists []float64) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
 	c.mu.Lock()
 	shared := c.shared
@@ -406,13 +406,12 @@ func (c *RunCache) buildIndexes(key string, dists []float64) (*relevance.LeafQua
 	if shared != nil {
 		quant, cstats = shared.indexesOf(key)
 		if quant == nil {
-			// Another node in the fleet may already have paid the sort.
-			quant, cstats = shared.remoteIndexesOf(key)
+			// Another node in the fleet may already have built them.
+			quant, cstats = shared.remoteIndexesOf(key, len(dists))
 		}
 	}
 	if quant == nil {
-		quant = relevance.BuildLeafQuantiles(dists)
-		cstats = relevance.BuildLeafChunkStats(dists)
+		quant, cstats = relevance.BuildLeafIndexes(dists)
 		if shared != nil {
 			quant, cstats = shared.attachIndexes(key, quant, cstats)
 		}

@@ -156,7 +156,7 @@ func decodeSharedEntry(data []byte) (*leafEntry, error) {
 		pd.Raw = r.F64s()
 		pd.Signed = r.F64s()
 		if flags&2 != 0 {
-			cs, err := relevance.DecodeLeafChunkStats(r)
+			cs, err := relevance.DecodeLeafChunkStats(r, len(pd.Raw))
 			if err != nil {
 				return nil, err
 			}
@@ -206,8 +206,8 @@ func encodeLeafIndexes(q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats)
 	return b
 }
 
-// decodeLeafIndexes reverses encodeLeafIndexes.
-func decodeLeafIndexes(data []byte) (*relevance.LeafQuantiles, *relevance.LeafChunkStats, error) {
+// decodeLeafIndexes reverses encodeLeafIndexes for a leaf of rows rows.
+func decodeLeafIndexes(data []byte, rows int) (*relevance.LeafQuantiles, *relevance.LeafChunkStats, error) {
 	r := binenc.NewReader(data)
 	if ver := r.Byte(); ver != sharedEntryVersion {
 		if r.Err() != nil {
@@ -215,13 +215,13 @@ func decodeLeafIndexes(data []byte) (*relevance.LeafQuantiles, *relevance.LeafCh
 		}
 		return nil, nil, fmt.Errorf("core: leaf-index codec version %d", ver)
 	}
-	q, err := relevance.DecodeLeafQuantiles(r)
+	q, err := relevance.DecodeLeafQuantiles(r, rows)
 	if err != nil {
 		return nil, nil, err
 	}
 	var cs *relevance.LeafChunkStats
 	if r.Byte()&1 != 0 {
-		if cs, err = relevance.DecodeLeafChunkStats(r); err != nil {
+		if cs, err = relevance.DecodeLeafChunkStats(r, rows); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -234,11 +234,11 @@ func decodeLeafIndexes(data []byte) (*relevance.LeafQuantiles, *relevance.LeafCh
 	return q, cs, nil
 }
 
-// remoteIndexesOf consults the remote tier for leaf indexes another
-// node has already built, attaching a hit to the resident entry (no
-// re-Put — the value came from the store) so later sessions on this
-// node hit locally.
-func (sc *SharedCache) remoteIndexesOf(key string) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+// remoteIndexesOf consults the remote tier for indexes another node has
+// already built of this rows-long leaf, attaching a hit to the resident
+// entry (no re-Put — the value came from the store) so later sessions
+// here hit locally. A value that fails validation is a miss.
+func (sc *SharedCache) remoteIndexesOf(key string, rows int) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
 	b := sc.backendRef()
 	if b == nil {
 		return nil, nil
@@ -248,7 +248,7 @@ func (sc *SharedCache) remoteIndexesOf(key string) (*relevance.LeafQuantiles, *r
 		sc.noteRemote(&sc.remoteMisses)
 		return nil, nil
 	}
-	q, cs, err := decodeLeafIndexes(data)
+	q, cs, err := decodeLeafIndexes(data, rows)
 	if err != nil {
 		sc.noteRemote(&sc.remoteMisses)
 		return nil, nil

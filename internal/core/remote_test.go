@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/binenc"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/relevance"
@@ -243,5 +245,73 @@ func TestRemoteBackendDegradesToMiss(t *testing.T) {
 	sameResults(t, cold, res2)
 	if st := sc2.Stats(); st.RemoteMisses == 0 {
 		t.Fatalf("poisoned values should count as remote misses: %+v", st)
+	}
+}
+
+// TestRemoteIndexesAreValidated: a promoted index arrives from another
+// process; one that is not an ascending run of finite values headed by
+// its minimum, counts more values than the leaf has rows, or brings
+// chunk stats of another chunking would silently move DMax fleet-wide.
+// Each such value must be a remote miss answered by a local rebuild.
+func TestRemoteIndexesAreValidated(t *testing.T) {
+	const key = "C|leaf"
+	dists := make([]float64, relevance.EvalChunk+3)
+	for i := range dists {
+		dists[i] = float64((i*7919)%1000) / 8
+	}
+	dists[5], dists[6] = math.NaN(), math.Inf(-1)
+	want, _ := relevance.BuildLeafIndexes(dists)
+	sorted := make([]float64, 0, len(dists))
+	for _, d := range dists {
+		if !math.IsNaN(d) && !math.IsInf(d, 0) {
+			sorted = append(sorted, d)
+		}
+	}
+	sort.Float64s(sorted)
+	edit := func(f func(s []float64) []float64) []float64 { return f(append([]float64(nil), sorted...)) }
+	cases := []struct {
+		name       string
+		minFinite  float64
+		sorted     []float64
+		nNaN, cmin int
+		cut        int // bytes dropped from the envelope's end
+		hit        bool
+	}{
+		{name: "genuine", sorted: sorted, nNaN: 1, cmin: 2, hit: true},
+		{name: "two values swapped", sorted: edit(func(s []float64) []float64 { s[10], s[len(s)-10] = s[len(s)-10], s[10]; return s }), nNaN: 1, cmin: 2},
+		{name: "NaN injected", sorted: edit(func(s []float64) []float64 { s[100] = math.NaN(); return s }), nNaN: 1, cmin: 2},
+		{name: "+Inf at the end", sorted: edit(func(s []float64) []float64 { s[len(s)-1] = math.Inf(1); return s }), nNaN: 1, cmin: 2},
+		{name: "-Inf at the head", minFinite: math.Inf(-1), sorted: edit(func(s []float64) []float64 { s[0] = math.Inf(-1); return s }), nNaN: 1, cmin: 2},
+		{name: "minimum disagrees", minFinite: -4, sorted: sorted, nNaN: 1, cmin: 2},
+		{name: "more values than rows", sorted: sorted, nNaN: 3, cmin: 2},
+		{name: "wrong chunk count", sorted: sorted, nNaN: 1, cmin: 3},
+		{name: "truncated envelope", sorted: sorted, nNaN: 1, cmin: 2, cut: 5},
+	}
+	for _, tc := range cases {
+		b := []byte{sharedEntryVersion, 1} // envelope, leaf-quantiles codec
+		b = binenc.F64(b, tc.minFinite)
+		b = binenc.U32(b, 1) // one -Inf
+		b = binenc.U32(b, uint32(tc.nNaN))
+		b = binenc.F64s(b, tc.sorted)
+		b = append(b, 1, 1) // chunk stats follow, their codec version
+		b = binenc.F64s(b, make([]float64, tc.cmin))
+		b = binenc.I32s(b, make([]int32, tc.cmin))
+		backend := newMapBackend()
+		backend.Put(remoteIndexPrefix+key, b[:len(b)-tc.cut])
+		sc := NewSharedCacheOpts(SharedOptions{AdmitMinCost: -1, Backend: backend})
+		c := NewRunCache()
+		c.AttachShared(sc)
+		got, cs := c.buildIndexes(key, dists)
+		for keep := 0; keep <= len(dists); keep += 97 {
+			if g, w := got.Range(keep), want.Range(keep); g != w {
+				t.Fatalf("%s: Range(%d) = %+v, want %+v", tc.name, keep, g, w)
+			}
+		}
+		if cs.Chunks() != 2 {
+			t.Fatalf("%s: adopted chunk stats of %d chunks", tc.name, cs.Chunks())
+		}
+		if st := sc.Stats(); (st.RemoteHits == 1) != tc.hit || (st.RemoteMisses == 1) == tc.hit {
+			t.Fatalf("%s: remote hits %d, misses %d", tc.name, st.RemoteHits, st.RemoteMisses)
+		}
 	}
 }

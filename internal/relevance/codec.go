@@ -2,6 +2,7 @@ package relevance
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/binenc"
 )
@@ -39,9 +40,11 @@ func AppendLeafQuantiles(b []byte, q *LeafQuantiles) []byte {
 	return binenc.F64s(b, q.sorted)
 }
 
-// DecodeLeafQuantiles decodes an envelope produced by
-// AppendLeafQuantiles, consuming it from r.
-func DecodeLeafQuantiles(r *binenc.Reader) (*LeafQuantiles, error) {
+// DecodeLeafQuantiles consumes from r an envelope AppendLeafQuantiles
+// produced for a leaf of rows rows. Another process wrote the bytes and
+// Range trusts the array blindly: anything but an ascending run of at
+// most rows finite values headed by minFinite is refused.
+func DecodeLeafQuantiles(r *binenc.Reader, rows int) (*LeafQuantiles, error) {
 	if ver := r.Byte(); ver != leafQuantilesVersion {
 		if r.Err() != nil {
 			return nil, r.Err()
@@ -56,6 +59,18 @@ func DecodeLeafQuantiles(r *binenc.Reader) (*LeafQuantiles, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	// A leading -Inf and any NaN fail the comparison; of an ascending
+	// run only the last value can be +Inf.
+	first, prev, asc := math.Inf(1), -math.MaxFloat64, true
+	for i, v := range q.sorted {
+		if i == 0 {
+			first = v
+		}
+		asc, prev = asc && prev <= v, v
+	}
+	if !asc || math.IsInf(prev, 1) || q.minFinite != first || len(q.sorted)+q.nNegInf+q.nNaN > rows {
+		return nil, fmt.Errorf("relevance: leaf-quantiles index is not an ascending run of finite values headed by its minimum, or outgrows its leaf")
+	}
 	return q, nil
 }
 
@@ -67,8 +82,8 @@ func AppendLeafChunkStats(b []byte, s *LeafChunkStats) []byte {
 }
 
 // DecodeLeafChunkStats decodes an envelope produced by
-// AppendLeafChunkStats, consuming it from r.
-func DecodeLeafChunkStats(r *binenc.Reader) (*LeafChunkStats, error) {
+// AppendLeafChunkStats for a leaf of rows rows, consuming it from r.
+func DecodeLeafChunkStats(r *binenc.Reader, rows int) (*LeafChunkStats, error) {
 	if ver := r.Byte(); ver != leafChunkStatsVersion {
 		if r.Err() != nil {
 			return nil, r.Err()
@@ -81,8 +96,8 @@ func DecodeLeafChunkStats(r *binenc.Reader) (*LeafChunkStats, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if len(s.nans) != len(s.mins) {
-		return nil, fmt.Errorf("relevance: leaf-chunk-stats mins/nans length mismatch")
+	if len(s.nans) != len(s.mins) || len(s.mins) != (rows+evalChunk-1)/evalChunk {
+		return nil, fmt.Errorf("relevance: leaf-chunk-stats of %d/%d chunks for %d rows", len(s.mins), len(s.nans), rows)
 	}
 	return s, nil
 }

@@ -1,9 +1,11 @@
 package relevance
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/binenc"
@@ -49,9 +51,9 @@ func eqBits(t *testing.T, what string, a, b []float64) {
 func TestLeafQuantilesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{0, 1, 7, 4096, 9000} {
-		q := BuildLeafQuantiles(awkwardFloats(rng, n))
+		q := leafQuantiles(awkwardFloats(rng, n))
 		r := binenc.NewReader(AppendLeafQuantiles(nil, q))
-		got, err := DecodeLeafQuantiles(r)
+		got, err := DecodeLeafQuantiles(r, n)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
@@ -73,12 +75,92 @@ func TestLeafQuantilesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLeafQuantilesEncodingUnchanged: the kernel replaced how the index
+// is built, not what it is. Its envelope must stay byte for byte what
+// the previous builder (filter, sort.Float64s) encoded, under the same
+// codec version, so a mixed-version fleet shares one kv value per leaf.
+// (Inputs with both -0 and +0 are excluded: their order was unspecified
+// before and is pinned by TestLeafIndexZeroOrderIsCanonical now.)
+func TestLeafQuantilesEncodingUnchanged(t *testing.T) {
+	if leafQuantilesVersion != 1 {
+		t.Fatalf("leaf-quantiles codec version moved to %d", leafQuantilesVersion)
+	}
+	rng := rand.New(rand.NewSource(44))
+	for _, s := range append(edgeShapes, benchShapes...) {
+		if s.name == "mixed zeros" {
+			continue
+		}
+		for _, n := range []int{0, 3, kernelMin + 9, 2*evalChunk + 1} {
+			dists := s.gen(rng, n)
+			var sorted []float64
+			var nNegInf, nNaN uint32
+			for _, d := range dists {
+				switch {
+				case math.IsNaN(d):
+					nNaN++
+				case math.IsInf(d, -1):
+					nNegInf++
+				case !math.IsInf(d, 1):
+					sorted = append(sorted, d)
+				}
+			}
+			sort.Float64s(sorted)
+			minFinite := math.Inf(1)
+			if len(sorted) > 0 {
+				minFinite = sorted[0]
+			}
+			want := binenc.F64([]byte{1}, minFinite)
+			want = binenc.F64s(binenc.U32(binenc.U32(want, nNegInf), nNaN), sorted)
+			if got := AppendLeafQuantiles(nil, leafQuantiles(dists)); !bytes.Equal(got, want) {
+				t.Fatalf("%s n=%d: envelope differs from the previous builder's", s.name, n)
+			}
+		}
+	}
+}
+
+// TestLeafQuantilesDecodeValidates: see core's
+// TestRemoteIndexesAreValidated for why; here every way the envelope
+// can be wrong for its leaf, at the codec.
+func TestLeafQuantilesDecodeValidates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		minFinite float64
+		sorted    []float64
+		nNaN      uint32
+		rows      int
+		ok        bool
+	}{
+		{inf, nil, 0, 0, true},
+		{1, []float64{1, 1, 2.5}, 2, 5, true},
+		{math.Copysign(0, -1), []float64{math.Copysign(0, -1), 0}, 0, 2, true},
+		{0, nil, 0, 0, false},
+		{1, []float64{1, 3, 2}, 0, 3, false},
+		{1, []float64{1, nan, 2}, 0, 3, false},
+		{nan, []float64{nan}, 0, 1, false},
+		{1, []float64{1, inf}, 0, 2, false},
+		{-inf, []float64{-inf, 1}, 0, 2, false},
+		{2, []float64{1, 2}, 0, 2, false},
+		{1, []float64{1, 1, 2.5}, 2, 4, false},
+	} {
+		b := binenc.F64s(binenc.U32(binenc.U32(binenc.F64([]byte{1}, tc.minFinite), 0), tc.nNaN), tc.sorted)
+		if _, err := DecodeLeafQuantiles(binenc.NewReader(b), tc.rows); (err == nil) != tc.ok {
+			t.Fatalf("min %v sorted %v + %d NaN, %d rows: err %v, want ok=%v", tc.minFinite, tc.sorted, tc.nNaN, tc.rows, err, tc.ok)
+		}
+	}
+	stats := AppendLeafChunkStats(nil, BuildLeafChunkStats(make([]float64, evalChunk+1)))
+	for rows, ok := range map[int]bool{evalChunk + 1: true, 2 * evalChunk: true, evalChunk: false, 2*evalChunk + 1: false} {
+		if _, err := DecodeLeafChunkStats(binenc.NewReader(stats), rows); (err == nil) != ok {
+			t.Fatalf("two chunks of stats for %d rows: err %v, want ok=%v", rows, err, ok)
+		}
+	}
+}
+
 func TestLeafChunkStatsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{0, 1, 4096, 12289} {
 		s := BuildLeafChunkStats(awkwardFloats(rng, n))
 		r := binenc.NewReader(AppendLeafChunkStats(nil, s))
-		got, err := DecodeLeafChunkStats(r)
+		got, err := DecodeLeafChunkStats(r, n)
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}

@@ -36,16 +36,14 @@ import (
 //      re-scanned to gather the bucket's values;
 //   3. a selection over the gathered candidates yields the exact order
 //      statistic — the same float64 rangeOf would have found, because
-//      the bucketing function is monotone (values in lower buckets are
-//      strictly smaller than values in higher buckets).
+//      the bucket function is monotone (orderstats.go).
 //
 // Exactness guard: when the crossing bucket touches more than half the
 // chunks (adversarially flat distributions put every bucket in every
 // chunk), the gather would approach a full pass — the entry falls back
-// to the reference rangeOf over its cached vector instead. Either way
-// the returned params are bit-identical to the sketchless path; the
-// guard only decides how much work the answer costs, never its value.
-// Repeated keeps (the common warm-rerun case) memoize to O(1).
+// to the reference rangeOf over its cached vector instead: the guard
+// decides how much work the answer costs, never its value. Repeated
+// keeps (the common warm-rerun case) memoize to O(1).
 
 // interiorBuckets is the sketch resolution: wide enough that a
 // display-budget keep usually isolates a handful of chunks, small
@@ -64,11 +62,9 @@ type InteriorEntry struct {
 	scans []rangeScan // per evalChunk, aligned with the fused pass
 	total rangeScan   // merged scans
 
-	histLo   float64
-	histSpan float64
-	spanZero bool     // all finite values equal total.minFinite
-	hist     []uint16 // chunk-major finite-value counts [ci*interiorBuckets+b]
-	global   []int    // per-bucket totals across chunks
+	bk     buckets  // over [total.minFinite, total.maxFinite]
+	hist   []uint16 // chunk-major finite-value counts [ci*interiorBuckets+b]
+	global []int    // per-bucket totals across chunks
 
 	mu   sync.Mutex
 	memo map[int]NormParams // keep -> params
@@ -94,17 +90,13 @@ func buildInteriorEntry(raw []float64, scans []rangeScan, total rangeScan) *Inte
 	if total.nFinite == 0 {
 		return e
 	}
-	span := total.maxFinite - total.minFinite
-	if span == 0 {
-		e.spanZero = true
+	var ok bool
+	if e.bk, ok = newBuckets(total.minFinite, total.maxFinite, interiorBuckets); !ok {
+		// All finite values equal (Range answers from the scan) or range
+		// overflow (extremes near ±MaxFloat64; Range falls back to the
+		// exact full selection): no usable bucketing.
 		return e
 	}
-	if math.IsInf(span, 0) || math.IsNaN(span) {
-		// Range overflow (e.g. extremes near ±MaxFloat64): no usable
-		// bucketing; Range falls back to the exact full selection.
-		return e
-	}
-	e.histLo, e.histSpan = total.minFinite, span
 	nchunks := len(scans)
 	e.hist = make([]uint16, nchunks*interiorBuckets)
 	e.global = make([]int, interiorBuckets)
@@ -119,29 +111,12 @@ func buildInteriorEntry(raw []float64, scans []rangeScan, total rangeScan) *Inte
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
 			}
-			b := e.bucket(v)
+			b := e.bk.of(v)
 			row[b]++
 			e.global[b]++
 		}
 	}
 	return e
-}
-
-// bucket maps a finite value onto its histogram bucket. The function
-// is monotone non-decreasing (every IEEE operation here rounds
-// monotonically and truncation preserves order), which is what makes
-// the sketch exact: any value in a lower bucket is strictly smaller
-// than any value in a higher bucket, and equal values always share a
-// bucket — so an order statistic localizes to exactly one bucket.
-func (e *InteriorEntry) bucket(v float64) int {
-	b := int((v - e.histLo) / e.histSpan * interiorBuckets)
-	if b < 0 {
-		b = 0
-	}
-	if b >= interiorBuckets {
-		b = interiorBuckets - 1
-	}
-	return b
 }
 
 // Chunks returns the number of evaluator chunks the entry indexes.
@@ -175,23 +150,15 @@ func (e *InteriorEntry) Range(keep int) (NormParams, int) {
 
 func (e *InteriorEntry) rangeLocked(keep int) (NormParams, int) {
 	st := e.total
-	if st.nFinite == 0 {
-		return NormParams{NoFinite: true}, 0
-	}
-	if keep <= 0 || keep > st.nFinite {
-		keep = st.nFinite
-	}
-	p := NormParams{Kept: keep, DMin: st.minFinite}
-	if p.DMin > 0 {
-		p.DMin = 0
-	}
+	p := baseParams(st.nFinite, st.minFinite, keep)
+	keep = p.Kept
 	switch {
-	case keep >= st.nFinite:
-		p.DMax = st.maxFinite
+	case p.NoFinite:
 		return p, 0
-	case e.spanZero:
-		// Every finite value equals the minimum; any order statistic is it.
-		p.DMax = st.minFinite
+	case keep == st.nFinite || st.maxFinite == st.minFinite:
+		// Everything kept, or every finite value equal: any such order
+		// statistic is the maximum.
+		p.DMax = st.maxFinite
 		return p, 0
 	case e.hist == nil:
 		// Degenerate bounds: exact reference selection over the cache.
@@ -234,7 +201,7 @@ func (e *InteriorEntry) rangeLocked(keep int) (NormParams, int) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
 			}
-			if e.bucket(v) == beta {
+			if e.bk.of(v) == beta {
 				cands = append(cands, v)
 			}
 		}

@@ -10,8 +10,6 @@ package relevance
 import (
 	"math"
 	"sort"
-
-	"repro/internal/topk"
 )
 
 // Scale is the fixed normalization range upper bound; distances map to
@@ -225,41 +223,46 @@ func NormRange(dists []float64, keep int) NormParams {
 }
 
 // LeafQuantiles is a sorted index over one leaf's finite distances: a
-// one-time O(n log n) investment that answers NormRange for ANY keep in
-// O(1). Weighting-factor changes move each leaf's keep count
-// (KeepCount is inverse in the weight), so an interactive session
+// one-time linear-time investment (sortFinite) that answers NormRange
+// for ANY keep in O(1). Weighting-factor changes move each leaf's keep
+// count (KeepCount is inverse in the weight), so an interactive session
 // builds this for its hot leaves and reruns without any per-leaf scan
-// or selection. The derived params are bit-identical to NormRange: the
-// keep-th smallest finite value is the same order statistic whichever
-// way it is found.
+// or selection — bit-identically: it is the same order statistic.
 type LeafQuantiles struct {
-	sorted    []float64 // finite values, ascending
-	minFinite float64
-	nNegInf   int
-	nNaN      int
+	sorted        []float64 // finite values, ascending, -0 before +0
+	minFinite     float64
+	nNegInf, nNaN int
 }
 
-// BuildLeafQuantiles sorts the finite values of dists. The input is
-// not retained.
-func BuildLeafQuantiles(dists []float64) *LeafQuantiles {
-	q := &LeafQuantiles{minFinite: math.Inf(1)}
-	q.sorted = make([]float64, 0, len(dists))
-	for _, d := range dists {
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			if math.IsInf(d, -1) {
-				q.nNegInf++
-			} else if !math.IsInf(d, 1) {
-				q.nNaN++
-			}
-			continue
+// BuildLeafIndexes builds both per-leaf indexes in three reads of dists
+// (a scan per evaluator chunk, a count, a scatter); nothing is retained.
+func BuildLeafIndexes(dists []float64) (*LeafQuantiles, *LeafChunkStats) {
+	nchunks := (len(dists) + evalChunk - 1) / evalChunk
+	cs := &LeafChunkStats{mins: make([]float64, nchunks), nans: make([]int32, nchunks)}
+	st := newRangeScan()
+	for ci := range cs.mins {
+		s := scanRange(dists, ci*evalChunk, min(len(dists), (ci+1)*evalChunk))
+		cs.mins[ci], cs.nans[ci] = s.minFinite, int32(s.nNaN)
+		if s.nNegInf > 0 {
+			cs.mins[ci] = math.Inf(-1)
 		}
-		q.sorted = append(q.sorted, d)
+		st.merge(s)
 	}
-	sort.Float64s(q.sorted)
+	q := &LeafQuantiles{sorted: make([]float64, st.nFinite), minFinite: st.minFinite, nNegInf: st.nNegInf, nNaN: st.nNaN}
+	sortFinite(q.sorted, dists, st.minFinite, st.maxFinite, 0)
+	// -0 and +0 compare equal and come out in input order; -0 first, so
+	// that any two nodes indexing the same values encode the same bytes.
+	zeros, neg := q.sorted[sort.SearchFloat64s(q.sorted, 0):], 0
+	for i := 0; i < len(zeros) && zeros[i] == 0; i++ {
+		if math.Signbit(zeros[i]) {
+			zeros[i], zeros[neg] = zeros[neg], zeros[i]
+			neg++
+		}
+	}
 	if len(q.sorted) > 0 {
 		q.minFinite = q.sorted[0]
 	}
-	return q
+	return q, cs
 }
 
 // NaNs reports how many of the indexed vector's entries were NaN — the
@@ -273,18 +276,10 @@ func (q *LeafQuantiles) Size() int { return len(q.sorted) }
 
 // Range answers NormRange(dists, keep) for the indexed vector.
 func (q *LeafQuantiles) Range(keep int) NormParams {
-	nFinite := len(q.sorted)
-	if nFinite == 0 {
-		return NormParams{NoFinite: true}
+	p := baseParams(len(q.sorted), q.minFinite, keep)
+	if !p.NoFinite {
+		p.DMax = q.sorted[p.Kept-1]
 	}
-	if keep <= 0 || keep > nFinite {
-		keep = nFinite
-	}
-	p := NormParams{Kept: keep, DMin: q.minFinite}
-	if p.DMin > 0 {
-		p.DMin = 0
-	}
-	p.DMax = q.sorted[keep-1]
 	return p
 }
 
@@ -356,49 +351,36 @@ func (s *LeafChunkStats) Chunks() int { return len(s.mins) }
 // memory-accounting handle for caches keeping it resident.
 func (s *LeafChunkStats) Size() int { return len(s.mins) + (len(s.nans)+1)/2 }
 
-// rangeOf derives NormParams from a completed scan of dists. The
-// selection strategies must see the same full vector the scan covered.
-func rangeOf(st rangeScan, dists []float64, keep int) NormParams {
-	if st.nFinite == 0 {
+// baseParams answers the part of a normalization range that needs no
+// selection: the clamped keep count and the range minimum.
+func baseParams(nFinite int, minFinite float64, keep int) NormParams {
+	if nFinite == 0 {
 		return NormParams{NoFinite: true}
 	}
-	if keep <= 0 || keep > st.nFinite {
-		keep = st.nFinite
+	if keep <= 0 || keep > nFinite {
+		keep = nFinite
 	}
-	p := NormParams{Kept: keep, DMin: st.minFinite}
 	// Distances are non-negative with 0 meaning "exactly fulfilled";
 	// anchor the range at 0 so the yellow end of the colormap stays
-	// reserved for correct answers. Without this, a predicate nobody
-	// fulfills would paint its best approximate answer yellow —
-	// contradicting the paper's observation that windows may be "almost
-	// black in cases where all the data are completely wrong results".
-	// Signed inputs (negative minimum) keep their own minimum.
-	if p.DMin > 0 {
-		p.DMin = 0
-	}
-	// The normalization range only needs the keep-th smallest finite
-	// value, not a full sort of the vector. Three strategies, all
-	// returning the same order statistic: everything kept → the max from
-	// the scan; a small keep (the display-budget case) → a bounded
-	// max-heap streaming the vector in O(k) space; otherwise → an
-	// expected-O(n) quickselect over a scratch copy.
+	// reserved for correct answers — else a predicate nobody fulfills
+	// would paint its best approximation yellow, where the paper sees
+	// windows "almost black in cases where all the data are completely
+	// wrong results". Signed inputs keep their (negative) minimum.
+	return NormParams{Kept: keep, DMin: min(minFinite, 0)}
+}
+
+// rangeOf derives NormParams from a completed scan of dists, which must
+// be the same full vector. The range maximum is the Kept-th smallest
+// finite value, found without sorting: the scan's maximum when
+// everything is kept, else the bucket-counting selection.
+func rangeOf(st rangeScan, dists []float64, keep int) NormParams {
+	p := baseParams(st.nFinite, st.minFinite, keep)
 	switch {
-	case keep >= st.nFinite:
+	case p.NoFinite:
+	case p.Kept == st.nFinite:
 		p.DMax = st.maxFinite
-	case keep <= st.nFinite/8:
-		sel := topk.NewBounded(keep)
-		for _, d := range dists {
-			if !math.IsInf(d, 0) { // NaNs are ignored by Offer
-				sel.Offer(d)
-			}
-		}
-		p.DMax = sel.Threshold()
 	default:
-		// Threshold orders -Inf first and NaN/+Inf past the finite
-		// values, so the keep-th smallest finite value sits at rank
-		// keep + #(-Inf) of the unfiltered copy.
-		scratch := append([]float64(nil), dists...)
-		p.DMax = topk.Threshold(scratch, keep+st.nNegInf)
+		p.DMax = kthFinite(st, dists, p.Kept)
 	}
 	return p
 }
@@ -412,10 +394,8 @@ func rangeOf(st rangeScan, dists []float64, keep int) NormParams {
 // NaNs pass through (uncolorable); keep <= 0 means use every finite
 // value (the naive normalization, kept for the A1 ablation).
 func Normalize(dists []float64, keep int) Normalized {
-	// One scan finds the finite range and counts without materializing a
-	// filtered copy (the previous implementation built and fully sorted
-	// a copy of every finite value — the O(n log n) cost the paper calls
-	// the dominating one, plus an n-sized allocation per predicate).
+	// One scan finds the finite range and counts; no filtered copy, no
+	// sort — the cost the paper calls the dominating one.
 	p := NormRange(dists, keep)
 	out := Normalized{Scaled: make([]float64, len(dists))}
 	if !p.NoFinite {

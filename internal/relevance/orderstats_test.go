@@ -1,0 +1,280 @@
+package relevance
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// The oracle of this file shares nothing with the kernel: filter the
+// finite values, sort them by comparison (-0 before +0), index.
+
+func oracleSorted(dists []float64) []float64 {
+	var fin []float64
+	for _, d := range dists {
+		if !math.IsNaN(d) && !math.IsInf(d, 0) {
+			fin = append(fin, d)
+		}
+	}
+	sort.Slice(fin, func(a, b int) bool {
+		if fin[a] != fin[b] {
+			return fin[a] < fin[b]
+		}
+		return math.Signbit(fin[a]) && !math.Signbit(fin[b])
+	})
+	return fin
+}
+
+// leafQuantiles is the quantile half of BuildLeafIndexes.
+func leafQuantiles(dists []float64) *LeafQuantiles {
+	q, _ := BuildLeafIndexes(dists)
+	return q
+}
+
+func oracleRange(fin []float64, keep int) NormParams {
+	if len(fin) == 0 {
+		return NormParams{NoFinite: true}
+	}
+	if keep <= 0 || keep > len(fin) {
+		keep = len(fin)
+	}
+	return NormParams{DMin: math.Min(fin[0], 0), DMax: fin[keep-1], Kept: keep}
+}
+
+// checkLeafOrderStats holds every leaf order statistic of dists against
+// the oracle: the index element for element by bits, NormRange and
+// LeafQuantiles.Range for the keeps around every branch of the kernel,
+// and the fused chunk stats against the standalone builder.
+func checkLeafOrderStats(t *testing.T, what string, dists []float64) {
+	t.Helper()
+	orig := append([]float64(nil), dists...)
+	fin := oracleSorted(dists)
+	q, cs := BuildLeafIndexes(dists)
+	eqBits(t, what+": sorted", fin, q.sorted)
+	wantMin, wantNegInf, wantNaN := math.Inf(1), 0, 0
+	if len(fin) > 0 {
+		wantMin = fin[0]
+	}
+	for _, d := range dists {
+		if math.IsNaN(d) {
+			wantNaN++
+		} else if math.IsInf(d, -1) {
+			wantNegInf++
+		}
+	}
+	if math.Float64bits(q.minFinite) != math.Float64bits(wantMin) || q.nNegInf != wantNegInf || q.nNaN != wantNaN {
+		t.Fatalf("%s: index scalars (%v, %d, %d), want (%v, %d, %d)", what, q.minFinite, q.nNegInf, q.nNaN, wantMin, wantNegInf, wantNaN)
+	}
+	ref := BuildLeafChunkStats(dists)
+	eqBits(t, what+": chunk mins", ref.mins, cs.mins)
+	if fmt.Sprint(ref.nans) != fmt.Sprint(cs.nans) {
+		t.Fatalf("%s: chunk NaN counts %v, want %v", what, cs.nans, ref.nans)
+	}
+	n, nf := len(dists), len(fin)
+	for _, keep := range []int{1, 2, n / 12, n / 8, n/8 + 1, n / 2, nf - 1, nf, nf + 3, 0, -5} {
+		want := oracleRange(fin, keep)
+		if got := NormRange(dists, keep); got != want {
+			t.Fatalf("%s: NormRange(keep %d) = %+v, want %+v", what, keep, got, want)
+		}
+		if got := q.Range(keep); got != want {
+			t.Fatalf("%s: LeafQuantiles.Range(keep %d) = %+v, want %+v", what, keep, got, want)
+		}
+	}
+	eqBits(t, what+": input untouched", orig, dists)
+}
+
+// Leaf shapes, each a pure function of (rng, n).
+
+// rangeDistances is a range predicate's leaf over a uniform column: a
+// spike of exact zeros (the rows inside the range, 5-40 %) and the
+// distances to the nearer bound on either side.
+func rangeDistances(rng *rand.Rand, n int) []float64 {
+	lo := rng.Float64() * 60
+	hi := lo + 5 + rng.Float64()*35
+	v := make([]float64, n)
+	for i := range v {
+		switch x := rng.Float64() * 100; {
+		case x < lo:
+			v[i] = lo - x
+		case x > hi:
+			v[i] = x - hi
+		}
+	}
+	return v
+}
+
+func oneOutlier(rng *rand.Rand, n int) []float64 {
+	v := rangeDistances(rng, n)
+	if n > 0 {
+		v[rng.Intn(n)] = 1e12
+	}
+	return v
+}
+
+func logNormal(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Exp(3 * rng.NormFloat64())
+	}
+	return v
+}
+
+func fiftyInts(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(rng.Intn(50))
+	}
+	return v
+}
+
+func fill(n int, f func() float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = f()
+	}
+	return v
+}
+
+// pick draws each element from vals.
+func pick(vals ...float64) func(*rand.Rand, int) []float64 {
+	return func(rng *rand.Rand, n int) []float64 {
+		return fill(n, func() float64 { return vals[rng.Intn(len(vals))] })
+	}
+}
+
+type leafShape struct {
+	name string
+	gen  func(*rand.Rand, int) []float64
+}
+
+// benchShapes are the four shapes of the kernel table.
+var benchShapes = []leafShape{
+	{"range", rangeDistances},
+	{"outlier", oneOutlier},
+	{"lognormal", logNormal},
+	{"ints50", fiftyInts},
+}
+
+// edgeShapes aim at the kernel's fall-throughs and tie handling.
+var edgeShapes = []leafShape{
+	{"all equal", pick(7.25)},
+	{"two values", pick(0, 3)},
+	{"awkward", awkwardFloats},
+	{"no finite", pick(math.NaN(), math.Inf(1), math.Inf(-1))},
+	{"subnormal", func(rng *rand.Rand, n int) []float64 {
+		return fill(n, func() float64 { return float64(rng.Intn(900)) * 5e-324 })
+	}},
+	{"span overflow", func(rng *rand.Rand, n int) []float64 {
+		return fill(n, func() float64 { return (rng.Float64()*2 - 1) * math.MaxFloat64 })
+	}},
+	{"signed", func(rng *rand.Rand, n int) []float64 {
+		return fill(n, func() float64 { return rng.NormFloat64()*40 - 25 })
+	}},
+	{"mixed zeros", pick(0, math.Copysign(0, -1), 1, -1)},
+	// Every re-bucketing level meets another spike: the depth cap.
+	{"nested spikes", pick(1, 1e-5, 1e-10, 1e-15, 1e-20, 1e-25)},
+}
+
+func TestLeafOrderStatsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, s := range append(edgeShapes, benchShapes...) {
+		for _, n := range []int{0, 1, 2, 37, kernelMin - 1, kernelMin, kernelMin + 1, evalChunk + 5, 3*evalChunk + 77} {
+			checkLeafOrderStats(t, fmt.Sprintf("%s n=%d", s.name, n), s.gen(rng, n))
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	for _, s := range benchShapes {
+		checkLeafOrderStats(t, s.name+" n=200001", s.gen(rng, 200001))
+	}
+}
+
+// TestLeafIndexZeroOrderIsCanonical: two nodes filling the same leaf in
+// different row orders must encode the same index bytes, so mixed -0/+0
+// cannot be left in input order.
+func TestLeafIndexZeroOrderIsCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{9, 5000} {
+		v := pick(0, math.Copysign(0, -1), 2.5, -3)(rng, n)
+		a := AppendLeafQuantiles(nil, leafQuantiles(v))
+		rng.Shuffle(n, func(i, j int) { v[i], v[j] = v[j], v[i] })
+		b := AppendLeafQuantiles(nil, leafQuantiles(v))
+		if string(a) != string(b) {
+			t.Fatalf("n=%d: the index of a permuted leaf encodes differently", n)
+		}
+	}
+}
+
+// FuzzLeafOrderStats decodes the input as float64s (so the fuzzer owns
+// every bit pattern) and repeats it past the kernel's length threshold.
+func FuzzLeafOrderStats(f *testing.F) {
+	seed := func(vals ...float64) {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		f.Add(b, uint16(1))
+		f.Add(b, uint16(700))
+	}
+	seed()
+	seed(1)
+	seed(0, math.Copysign(0, -1), 0, 5e-324, -5e-324)
+	seed(math.NaN(), math.Inf(1), math.Inf(-1), 3, 3, 1e12)
+	seed(math.MaxFloat64, -math.MaxFloat64, 1, 2)
+	seed(1, 1e-5, 1e-10, 1e-15, 1e-20, 1e-25, 1, 1e-5)
+	f.Fuzz(func(t *testing.T, data []byte, reps uint16) {
+		var vals []float64
+		for ; len(data) >= 8; data = data[8:] {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		dists := make([]float64, 0, len(vals)*int(reps%1024))
+		for r := 0; r < int(reps%1024); r++ {
+			dists = append(dists, vals...)
+		}
+		checkLeafOrderStats(t, "fuzz", dists)
+	})
+}
+
+// The kernel table of CHANGES.md: n = 200 000, per-op time. The sinks
+// keep the measured calls from being optimized away.
+var (
+	sinkIndex  *LeafQuantiles
+	sinkParams NormParams
+)
+
+func BenchmarkLeafIndexBuild(b *testing.B) {
+	for _, s := range benchShapes {
+		dists := s.gen(rand.New(rand.NewSource(1994)), 200000)
+		b.Run(s.name+"/kernel", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkIndex, _ = BuildLeafIndexes(dists)
+			}
+		})
+		b.Run(s.name+"/sort.Float64s", func(b *testing.B) {
+			scratch := make([]float64, len(dists))
+			for i := 0; i < b.N; i++ {
+				copy(scratch, dists)
+				sort.Float64s(scratch)
+			}
+		})
+	}
+}
+
+func BenchmarkNormRange(b *testing.B) {
+	for _, s := range benchShapes {
+		dists := s.gen(rand.New(rand.NewSource(1994)), 200000)
+		for _, keep := range []int{len(dists) / 12, len(dists) / 2} {
+			b.Run(fmt.Sprintf("%s/keep=%d", s.name, keep), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkParams = NormRange(dists, keep)
+				}
+			})
+		}
+	}
+}

@@ -31,7 +31,7 @@ func attachLeafStats(root *Node, quantiles bool) {
 		if n.Op == Leaf {
 			n.ChunkStats = BuildLeafChunkStats(n.Dists)
 			if quantiles {
-				n.Quantiles = BuildLeafQuantiles(n.Dists)
+				n.Quantiles = leafQuantiles(n.Dists)
 			}
 			return
 		}

@@ -167,79 +167,6 @@ func floatSelect(a []float64, k int) float64 {
 	}
 }
 
-// Bounded is a bounded max-heap that streams the k smallest of a
-// sequence of values using O(k) space, without materializing or
-// mutating the sequence — the allocation-free alternative to Threshold
-// when k ≪ n (a display budget against a million distances). Offer
-// every candidate; Threshold then returns the k-th smallest seen.
-type Bounded struct {
-	k    int
-	heap []float64
-}
-
-// NewBounded returns a bounded selector of the k smallest values.
-func NewBounded(k int) *Bounded {
-	if k < 1 {
-		k = 1
-	}
-	return &Bounded{k: k, heap: make([]float64, 0, k)}
-}
-
-// Offer considers v. NaNs are ignored (callers stream comparable
-// values; Normalize filters non-finite entries itself).
-func (b *Bounded) Offer(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	if len(b.heap) < b.k {
-		b.heap = append(b.heap, v)
-		// Sift up.
-		i := len(b.heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if b.heap[p] >= b.heap[i] {
-				break
-			}
-			b.heap[p], b.heap[i] = b.heap[i], b.heap[p]
-			i = p
-		}
-		return
-	}
-	if v >= b.heap[0] {
-		return
-	}
-	// Replace the current maximum and sift down.
-	b.heap[0] = v
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(b.heap) && b.heap[l] > b.heap[big] {
-			big = l
-		}
-		if r < len(b.heap) && b.heap[r] > b.heap[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		b.heap[i], b.heap[big] = b.heap[big], b.heap[i]
-		i = big
-	}
-}
-
-// Len is how many values are currently kept (min(k, offered)).
-func (b *Bounded) Len() int { return len(b.heap) }
-
-// Threshold returns the largest kept value — the min(k, offered)-th
-// smallest value offered so far — or NaN when nothing was offered.
-func (b *Bounded) Threshold() float64 {
-	if len(b.heap) == 0 {
-		return math.NaN()
-	}
-	return b.heap[0]
-}
-
 func medianOfThree(a, b, c float64) float64 {
 	if a > b {
 		a, b = b, a
