@@ -1,5 +1,5 @@
 // Command visdbbench regenerates the paper's figures and quantitative
-// claims (see DESIGN.md §4 for the experiment index) and prints
+// claims (the F, C and A series of internal/experiments) and prints
 // paper-expectation vs measured-outcome reports.
 //
 // Usage:
@@ -9,28 +9,14 @@
 //	visdbbench -out ""       # skip image output
 //	visdbbench -list         # list experiment ids
 //
-// The concurrent-traffic mode exercises the multi-tenant serving path
-// instead of the paper experiments: M goroutine sessions on one
-// catalog share a catalog-level predicate cache while each drives a
-// randomized interaction script, and the run reports throughput plus
-// the shared-tier hit/miss/singleflight counters:
-//
-//	visdbbench -concurrent 8 -steps 40 -rows 200000
-//
-// The same traffic can be driven through the visdbd serving layer to
-// measure the HTTP/JSON overhead against the in-process numbers:
-// -serve hosts the traffic catalog behind the protocol (blocking until
-// SIGINT), -remote replays the concurrent scripts against it through
-// the typed client and prints throughput plus the server's shard and
-// shared-tier counters:
-//
-//	visdbbench -serve :8491 -rows 200000 &
-//	visdbbench -remote http://localhost:8491 -concurrent 8 -steps 40
+// It measures nothing about the serving path: the cost of one feedback
+// step, layer by layer, is the repository benchmark's (bench/).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -39,68 +25,42 @@ import (
 
 func main() {
 	var (
-		exp  = flag.String("exp", "all", "experiment id (f1a f1b f2 f3 f4 f5 c1 c2 c3 c4 a1 a2 a3) or 'all'")
+		exp  = flag.String("exp", "all", "experiment id ("+strings.Join(ids(), " ")+") or 'all'")
 		out  = flag.String("out", "out", "directory for generated images (empty to skip)")
 		list = flag.Bool("list", false, "list experiments and exit")
-
-		concurrent = flag.Int("concurrent", 0, "concurrent-traffic mode: number of simultaneous sessions (0 runs the experiments)")
-		steps      = flag.Int("steps", 40, "interaction steps per session (concurrent/remote modes)")
-		rows       = flag.Int("rows", 200000, "catalog rows (concurrent/serve modes)")
-		seed       = flag.Int64("seed", 1994, "script and data seed (concurrent/serve/remote modes)")
-
-		serve  = flag.String("serve", "", "serve mode: host the traffic catalog behind the visdbd protocol on this address")
-		remote = flag.String("remote", "", "remote mode: drive the concurrent scripts against a visdbd at this base URL")
-		shards = flag.Int("shards", 2, "serving shards (serve mode)")
-
-		jsonOut  = flag.String("json", "", "json mode: run the interactive-loop benchmarks and write a machine-readable report to this path")
-		jsonRows = flag.Int("json-rows", 1_000_000, "catalog rows for the json benchmark mode")
-		floors   = flag.Bool("floors", false, "with -json: fail (exit 1) when the regression floors are violated (prune rate, warm<cold, cache attribution, sketch hits)")
-		disk     = flag.Bool("disk", false, "with -json: serve the benchmark catalog from an on-disk segment file through a bounded decoded-segment cache")
-		fleet    = flag.Bool("fleet", false, "with -json: also stand up a three-member routed fleet over a networked kv tier and report fleet-wide recalcs/s, step percentiles and shared-hit rate")
 	)
 	flag.Parse()
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut, *jsonRows, *seed, *floors, *disk, *fleet); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
-		for _, e := range experiments.Registry() {
-			fmt.Println(e.ID)
-		}
-		return
-	}
-	if *serve != "" {
-		if err := runServe(*serve, *shards, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *remote != "" {
-		n := *concurrent
-		if n <= 0 {
-			n = 8
-		}
-		if err := runRemote(*remote, n, *steps, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *concurrent > 0 {
-		if err := runConcurrent(*concurrent, *steps, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "visdbbench:", err)
-			os.Exit(1)
-		}
+		printIDs(os.Stdout)
 		return
 	}
 	if err := run(*exp, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "visdbbench:", err)
 		os.Exit(1)
 	}
+}
+
+// ids returns every registered experiment id, in registry order.
+func ids() []string {
+	var out []string
+	for _, e := range experiments.Registry() {
+		out = append(out, e.ID)
+	}
+	return out
+}
+
+func printIDs(w io.Writer) {
+	fmt.Fprintln(w, strings.Join(ids(), "\n"))
+}
+
+// lookup resolves an experiment id, ignoring case.
+func lookup(id string) (experiments.Runner, bool) {
+	for _, e := range experiments.Registry() {
+		if strings.EqualFold(e.ID, id) {
+			return e.Run, true
+		}
+	}
+	return nil, false
 }
 
 func run(exp, out string) error {
@@ -124,18 +84,17 @@ func run(exp, out string) error {
 		}
 		return nil
 	}
-	for _, e := range experiments.Registry() {
-		if strings.EqualFold(e.ID, exp) {
-			r, err := e.Run(out)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Format())
-			if !r.Pass {
-				return fmt.Errorf("experiment %s failed the shape check", r.ID)
-			}
-			return nil
-		}
+	runExp, ok := lookup(exp)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (use -list)", exp)
 	}
-	return fmt.Errorf("unknown experiment %q (use -list)", exp)
+	r, err := runExp(out)
+	if err != nil {
+		return err
+	}
+	fmt.Println(r.Format())
+	if !r.Pass {
+		return fmt.Errorf("experiment %s failed the shape check", r.ID)
+	}
+	return nil
 }

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/experiments"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -12,72 +15,32 @@ func TestRunSingleExperiment(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
+	// Every registered id resolves in either case, and -list prints
+	// each of them once, in registry order.
+	reg := experiments.Registry()
+	if len(reg) != 14 {
+		t.Fatalf("registry holds %d experiments, want 14", len(reg))
+	}
+	var listed bytes.Buffer
+	printIDs(&listed)
+	lines := strings.Fields(listed.String())
+	if len(lines) != len(reg) {
+		t.Fatalf("-list printed %d ids, want %d: %q", len(lines), len(reg), lines)
+	}
+	for i, e := range reg {
+		if lines[i] != e.ID {
+			t.Errorf("-list line %d = %q, want %q", i, lines[i], e.ID)
+		}
+		for _, id := range []string{strings.ToLower(e.ID), strings.ToUpper(e.ID)} {
+			if _, ok := lookup(id); !ok {
+				t.Errorf("registered experiment %q does not resolve as %q", e.ID, id)
+			}
+		}
+	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("zzz", ""); err == nil {
 		t.Error("unknown experiment should fail")
-	}
-}
-
-func TestRunConcurrentTraffic(t *testing.T) {
-	// Small enough to stay fast; large enough that sessions overlap and
-	// the shared tier must report cross-session hits.
-	if err := runConcurrent(4, 6, 2000, 7); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunFleetBench(t *testing.T) {
-	// A miniature routed fleet: the report must show cross-node sharing
-	// through the kv tier and populated step percentiles.
-	fb, err := runFleetBench(2000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb.SharedHitRate <= 0 || fb.Shared.RemoteHits == 0 || fb.KV.Entries == 0 {
-		t.Fatalf("fleet bench shows no sharing: %+v", fb)
-	}
-	if fb.StepP50MS <= 0 || fb.StepP99MS < fb.StepP50MS {
-		t.Fatalf("degenerate percentiles: %+v", fb)
-	}
-	if fb.Recalcs == 0 || fb.RecalcsPerSec <= 0 {
-		t.Fatalf("fleet served nothing: %+v", fb)
-	}
-	// The node-kill phase must land on live sessions and stay invisible
-	// to callers — the same floors -floors enforces in CI.
-	if fb.NodeKill.Recoveries == 0 {
-		t.Fatalf("node kill triggered no recoveries: %+v", fb.NodeKill)
-	}
-	if fb.NodeKill.Errors != 0 {
-		t.Fatalf("node kill leaked %d errors", fb.NodeKill.Errors)
-	}
-}
-
-func TestPercentileMS(t *testing.T) {
-	var samples []time.Duration
-	for i := 1; i <= 100; i++ {
-		samples = append(samples, time.Duration(i)*time.Millisecond)
-	}
-	if p := percentileMS(samples, 50); p != 50 {
-		t.Errorf("p50 = %v, want 50", p)
-	}
-	if p := percentileMS(samples, 99); p != 99 {
-		t.Errorf("p99 = %v, want 99", p)
-	}
-	if p := percentileMS(nil, 50); p != 0 {
-		t.Errorf("empty sample p50 = %v, want 0", p)
-	}
-	if p := percentileMS([]time.Duration{3 * time.Millisecond}, 99); p != 3 {
-		t.Errorf("single sample p99 = %v, want 3", p)
-	}
-}
-
-func TestRunConcurrentRejectsBadArgs(t *testing.T) {
-	if err := runConcurrent(0, 6, 2000, 7); err == nil {
-		t.Error("zero sessions should fail")
-	}
-	if err := runConcurrent(2, 0, 2000, 7); err == nil {
-		t.Error("zero steps should fail")
 	}
 }

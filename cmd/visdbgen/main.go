@@ -1,7 +1,7 @@
 // Command visdbgen generates the synthetic datasets of the
 // reproduction and writes them as CSV files or as a single on-disk
-// segment catalog (-format seg) that visdbd and visdbbench can serve
-// directly from the file with bounded resident memory.
+// segment catalog (-format seg) that visdbd serves directly from the
+// file with bounded resident memory.
 //
 // Usage:
 //

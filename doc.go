@@ -4,10 +4,13 @@
 //
 // The public API lives in repro/visdb; the experiment harness that
 // regenerates every figure and quantitative claim of the paper lives in
-// cmd/visdbbench; repository-level benchmarks for each experiment are
-// in bench_test.go. See README.md for an overview, DESIGN.md for the
-// system inventory and experiment index, and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// cmd/visdbbench (visdbbench -list names the experiments, and each one
+// prints the paper's expectation next to what it measured);
+// micro-benchmarks for each experiment are in bench_test.go. What one
+// feedback step costs, end to end and layer by layer, is measured by
+// the repository benchmark in bench/ (bench/README.md), which is what a
+// change is judged by. ROADMAP.md holds the system inventory and
+// CHANGES.md the record of every change.
 //
 // # Building and testing
 //
@@ -16,8 +19,10 @@
 //
 //	go build ./... && go test ./...
 //	go vet ./...
-//	go test -bench=. -benchmem          # repository benchmarks
+//	go test -bench=. -benchmem          # micro-benchmarks (bench_test.go)
 //	go test -run '^$' -bench SortRanking -benchtime=1x .  # CI smoke
+//	cd bench && go vet ./... && go test ./...             # the benchmark's own module
+//	bash bench/run.sh --workload drag_inproc --seed 1994 --seconds 20 --trace 0   # one measured run
 //
 // # Ranking: selection instead of sorting
 //
@@ -177,15 +182,18 @@
 //     display-path touches (slider first/last labels).
 //     StageTimings.SegsSkipped/Segs (wire: segs_skipped/segs)
 //     attribute it; Options.NoSegmentStats is the ablation gate, and
-//     the BENCH_9.json cold-scan floors fail CI if the pushdown
-//     silently deactivates.
+//     TestPushdownLockstepReplay fails if the pushdown silently
+//     deactivates (no segment skipped with stats on, or any skipped
+//     with them off); bench/ reports dataset.segs_skipped_ratio and
+//     dataset.cold_scan_ms.
 //   - Segment codecs. Int and time blobs are delta-coded
 //     (zigzag+uvarint over the word stream), float blobs
 //     xor-with-previous coded, behind the decoded-segment LRU so
 //     decode cost stays attributed to fileSource.decode; a codec is
 //     kept only when strictly smaller than the raw payload, blob CRCs
 //     cover the on-disk (compressed) bytes, and clustered columns
-//     shrink the file measurably (enforced as a bench floor).
+//     shrink the file measurably (TestCompressionShrinksClusteredFile;
+//     bench/ reports dataset.file_bytes_per_row).
 //
 // # Incremental interior normalization
 //
@@ -210,8 +218,10 @@
 // SharedCache's separate quarter-budget interior tier, so a second
 // session's first run already takes the fast path.
 // StageTimings.SketchHits/SketchRescans (and the wire timings)
-// attribute it; the BENCH_9.json floors fail CI if the sketch silently
-// deactivates or stops beating the sketchless baseline.
+// attribute it; TestInteriorSketchWarmRerunBitIdentical fails if the
+// sketch silently deactivates and TestNoInteriorSketchDisables if the
+// gate stops gating; what the sketch saves is bench/'s to say
+// (relevance.sketch_hits_per_step, relevance.evaluate_ms_per_step).
 //
 // # Shared cache: serving many sessions on one catalog
 //
@@ -243,9 +253,10 @@
 // state machines while the catalog tier is fully concurrent.
 // TestConcurrentSharedSessionsMatchFreshEngine (run under -race in CI)
 // asserts bitwise identity between shared-cache sessions and isolated
-// fresh engines at every step of randomized concurrent scripts;
-// BenchmarkConcurrentSessions and the visdbbench -concurrent traffic
-// mode measure the serving path.
+// fresh engines at every step of randomized concurrent scripts, and
+// TestSharedSessionsReportSharedHits that the second session is served
+// from the first one's leaves; bench/'s drag_inproc workload (two
+// sessions on one SharedCache) measures the path.
 //
 // Admission into the shared tier is cost-aware (core.SharedOptions):
 // only leaves whose measured compute time reaches AdmitMinCost
@@ -310,9 +321,10 @@
 // which TestRemoteReplayMatchesInProcess exploits to assert bitwise
 // identity between a remote session and a fresh in-process engine at
 // every step of a randomized script. The daemon drains in-flight
-// recalculations on SIGTERM before exiting; visdbbench -serve/-remote
-// measure the serving overhead against the in-process -concurrent
-// mode.
+// recalculations on SIGTERM before exiting (TestDaemonSmoke). The
+// serving overhead is bench/'s drag_http workload read against
+// drag_inproc: the same script, with and without client, wire and
+// server in the way.
 //
 // # The results frame
 //
@@ -588,11 +600,10 @@
 // repeats that over real visdbd/visdbrouter/visdbkv processes in CI;
 // TestFleetNodeKillRecovers kills a member mid-run and proves recovery
 // via the retry/recreate/replay contract with recalc-counter equality
-// against a fault-free mirror; visdbbench -json -fleet records the
-// fleet's recalcs/s, step-latency percentiles and sharing counters as
-// CI data with regression floors, and its node-kill phase kills a
-// live member under self-healing FleetSessions with floors requiring
-// recoveries > 0 and zero caller-visible errors.
+// against a fault-free mirror; TestFleetChaosSoakSelfHeals kills and
+// restarts members under self-healing FleetSessions and requires
+// recoveries > 0 with zero caller-visible errors. The fleet's step
+// latency and its sharing counters are bench/'s drag_fleet workload.
 //
 // Render artifacts under out/ are generated by visdbbench and the
 // examples; they are not tracked in git.

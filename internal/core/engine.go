@@ -389,19 +389,13 @@ func (e *Engine) displayCount(rankedPrefix []float64, colorable, total, numPreds
 		return k
 	}
 	r := capacity * (numPreds + 1)
-	var k int
-	if e.opt.DisableGapHeuristic {
-		p := reduce.DisplayFraction(r, colorable, numPreds)
-		k = reduce.QuantileCut(colorable, p)
-	} else {
-		prefix := rankedPrefix
-		if colorable < len(prefix) {
-			// The ranked prefix is NaN-last, so its first colorable
-			// entries are exactly the finite distances.
-			prefix = prefix[:colorable]
-		}
-		k = reduce.CutPrefix(prefix, colorable, r, numPreds)
+	prefix := rankedPrefix
+	if colorable < len(prefix) {
+		// The ranked prefix is NaN-last, so its first colorable
+		// entries are exactly the finite distances.
+		prefix = prefix[:colorable]
 	}
+	k := reduce.CutPrefix(prefix, colorable, r, numPreds)
 	if k > capacity {
 		k = capacity
 	}

@@ -68,8 +68,6 @@ type Options struct {
 	// (the user's slider in figure 5); otherwise the section 5.1
 	// heuristics decide.
 	PercentDisplayed float64
-	// DisableGapHeuristic forces the plain α-quantile cut (ablation A3).
-	DisableGapHeuristic bool
 	// FullSort ranks every item with a full O(n log n) sort instead of
 	// selecting only the display budget. The displayed result is
 	// identical either way; full sorting keeps Result.Order an exact

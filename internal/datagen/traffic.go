@@ -8,9 +8,9 @@ import (
 
 // TrafficQueries is the interaction workload that pairs with Traffic:
 // the session queries the randomized concurrent scripts rotate
-// through. One definition keeps the in-process traffic mode, the
-// remote bench driver and the server's replay-identity suite on the
-// exact same workload.
+// through. One definition keeps the repository benchmark (bench/) and
+// the server's and router's replay-identity suites on the exact same
+// workload.
 func TrafficQueries() []string {
 	return []string{
 		`SELECT a FROM S WHERE a > 50 AND b < 40`,

@@ -3,8 +3,7 @@
 // plus in-text claims define the experimental surface). Each experiment
 // returns a Report pairing the paper's expectation with the measured
 // outcome and a pass/fail judgement of whether the qualitative shape
-// holds. The cmd/visdbbench binary prints these reports and
-// EXPERIMENTS.md records them.
+// holds. The cmd/visdbbench binary prints these reports.
 package experiments
 
 import (

@@ -323,6 +323,9 @@ func TestFleetReplayMatchesInProcess(t *testing.T) {
 	if fleet.KV.Puts == 0 || fleet.KV.Entries == 0 {
 		t.Fatalf("kv store unused: %+v", fleet.KV)
 	}
+	if fleet.KV.MaxEntries == 0 || fleet.KV.MaxBytes == 0 {
+		t.Fatalf("fleet report dropped the kv store's bounds: %+v", fleet.KV)
+	}
 	if fleet.Recalcs == 0 {
 		t.Fatalf("fleet recalcs: %+v", fleet)
 	}

@@ -831,7 +831,7 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	}
 	if rt.cfg.KV != "" {
 		if st, err := kv.NewClient(rt.cfg.KV).ServerStats(); err == nil {
-			out.KV = wire.KVStats{Gets: st.Gets, Hits: st.Hits, Puts: st.Puts, Entries: st.Entries, Bytes: st.Bytes}
+			out.KV = st
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

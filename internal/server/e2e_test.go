@@ -113,9 +113,9 @@ func compareRemote(ctx context.Context, step string, remote *client.Session, mir
 }
 
 // scriptQueries are the whole-query replacements the randomized
-// scripts rotate through — the same workload the in-process and
-// remote traffic modes drive, so the replay-identity suite covers
-// exactly what the benches measure.
+// scripts rotate through — the same queries the repository benchmark
+// (bench/) drives, so the replay-identity suite covers exactly what
+// it measures.
 var scriptQueries = datagen.TrafficQueries()
 
 // scriptStep applies one random interaction to the remote session and

@@ -17,7 +17,10 @@
 // bounds travel as null instead of ±Inf.
 package wire
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/kv"
+)
 
 // SessionOptions carries the engine options a client may set at
 // session creation. Zero fields select the server's defaults.
@@ -284,15 +287,10 @@ type FleetMember struct {
 	Sessions int `json:"sessions"`
 }
 
-// KVStats mirrors the shared store's own counters inside a fleet
-// report (zero-valued when the fleet runs without a KV tier).
-type KVStats struct {
-	Gets    uint64 `json:"gets"`
-	Hits    uint64 `json:"hits"`
-	Puts    uint64 `json:"puts"`
-	Entries int    `json:"entries"`
-	Bytes   int64  `json:"bytes"`
-}
+// KVStats is the shared store's own snapshot inside a fleet report, on
+// the wire as the store declares it (JSON tags live on kv.Stats);
+// zero-valued when the fleet runs without a KV tier.
+type KVStats = kv.Stats
 
 // FleetStats aggregates the whole fleet: GET /v1/fleet on the router.
 // Shared sums every member's per-shard shared-cache counters, so

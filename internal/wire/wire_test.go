@@ -57,3 +57,26 @@ func TestSharedStatsJSONGolden(t *testing.T) {
 		t.Errorf("Add: %+v", sum)
 	}
 }
+
+// TestKVStatsJSONGolden pins the "kv" object of /v1/fleet: every key
+// and their order. The type is kv.Stats now; the bytes are what the
+// former wire-side copy produced, plus the four counters it dropped.
+func TestKVStatsJSONGolden(t *testing.T) {
+	const golden = `{"gets":1,"hits":2,"puts":3,"rejects":4,"evictions":5,"entries":6,"bytes":7,"max_bytes":8,"max_entries":9}`
+	// What the parent of the alias wrote for the same counters.
+	const parent = `{"gets":1,"hits":2,"puts":3,"entries":6,"bytes":7}`
+
+	b, err := json.Marshal(FleetStats{KV: KVStats{
+		Gets: 1, Hits: 2, Puts: 3, Rejects: 4, Evictions: 5, Entries: 6, Bytes: 7, MaxBytes: 8, MaxEntries: 9,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"kv":`+golden+`,`) {
+		t.Errorf("fleet report:\n got %s\nwant \"kv\":%s inside", b, golden)
+	}
+	without := strings.NewReplacer(`"rejects":4,"evictions":5,`, "", `,"max_bytes":8,"max_entries":9`, "").Replace(golden)
+	if without != parent {
+		t.Errorf("differs from the parent by more than the four added keys:\n got %s\nwant %s", without, parent)
+	}
+}
