@@ -1,7 +1,6 @@
 // Command visdbkv is the fleet's shared-distance store: one small
 // process holding the immutable byte vectors of internal/kv so leaf
-// distance vectors, promoted quantile indexes, and interior entries
-// computed on one visdbd node warm every node.
+// distance vectors computed on one visdbd node warm every node.
 //
 // Usage:
 //

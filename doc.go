@@ -178,8 +178,10 @@
 //     reproduce). Skipped chunks' entries in the per-leaf chunk-stats
 //     index are synthesized from the footer proof, so deferred-root
 //     block pruning composes with the pushdown on the very first cold
-//     run. Attribute values of skipped segments materialize lazily on
-//     display-path touches (slider first/last labels).
+//     run. The leaf keeps no attribute values, skipped or not: the
+//     panel fields that show them read the catalog (see the cache
+//     hierarchy below), so a skipped segment decodes only if a
+//     displayed row lies in it.
 //     StageTimings.SegsSkipped/Segs (wire: segs_skipped/segs)
 //     attribute it; Options.NoSegmentStats is the ablation gate, and
 //     TestPushdownLockstepReplay fails if the pushdown silently
@@ -285,6 +287,26 @@
 // tier drops first can differ from a by-run ordering, results cannot.
 // SharedStats.Evictions / InteriorEvictions count what the bounds
 // pushed out, apart from InvalidateCond drops.
+//
+// A cached leaf is what a rerun reuses and nothing else: its raw
+// distance vector (plus the signed one under Arrange2D), for a
+// condition the O(1) scalars its slider shows (database min/max, query
+// range), and from its first reuse the quantile index and chunk stats
+// built from that vector. It holds no copy of the attribute column —
+// at 200k rows that copy was a third of every indexed entry (1.6 of
+// 4.8 MB) in every budget above. The two panel fields that show
+// attribute values, PredicateInfos' first/last displayed and
+// FirstLastOfColor, read the cells they need — at most the display
+// budget — from the catalog through the Result's item space (the
+// item's row of the predicate's table; NaN for nulls and the kinds
+// without a numeric value), the same on memory, mmap and ReadAt
+// catalogs and on pair spaces (TestPanelValuesComeFromTheCatalog).
+// That is one Column.Value per displayed item: on a file-backed
+// catalog whose segment cache cannot hold the displayed rows' segments
+// each read decodes one, so size OpenOptions.CacheBytes for the panel
+// if a UI renders it per step (internal/server never calls either).
+// Likewise Result.ItemAt / CellOfItem — a click on a pixel — scan the
+// displayed ranks instead of keeping two display-sized maps per Result.
 //
 // # Serving layer: visdbd, sharded session routing over HTTP
 //
@@ -571,14 +593,36 @@
 //
 // The kv tier. visdbd -shared-kv attaches a read-through/write-through
 // remote backend (core.SharedBackend) to every catalog's SharedCache:
-// a shared-tier miss consults the store before computing (only the
+// a shared-tier leaf miss consults the store before computing (only the
 // singleflight leader issues the network read), and admitted fills are
-// written back, so leaf vectors, quantile indexes and interior entries
-// computed on one member warm every member. Entries travel in the
-// deterministic binary codec of internal/relevance (internal/binenc);
-// lookups degrade to a local recompute on any store error or value that
-// does not validate — the kv tier can die, or lie, without breaking
-// serving. The store itself speaks a
+// written back, so a leaf computed on one member warms every member.
+// Leaf entries are all that travels: a leaf's distance vector(s) and
+// slider scalars in core's versioned envelope (core/remote.go, over
+// internal/binenc), under the leaf keys — "C|", "J|", "B|", "S|".
+// Whatever is derived from a leaf is rebuilt by the member that needs
+// it: each is a linear pass over a vector that member then holds, and
+// each measured dearer to move than to make at the benchmark's 200k
+// rows. A leaf's quantile index and chunk stats build in 4.2 ms against
+// 7.0 ms to fetch them (1.6 MB), plus a 3.7 ms synchronous put on the
+// member that built them first; an interior entry is a 1.6 MB fetch at
+// ≈ 4 ms against a fused combine stage of 0.9 ms a step; and the
+// attribute-column copy a condition leaf once carried was half of its
+// payload for two panel fields the server never renders. Dropping the
+// three took drag_fleet's kv traffic from 1.11 MB got + 1.29 MB put per
+// step to 0.54 + 0.45 MB, and kv.get/put from 2.8 + 2.6 ms to 1.3 +
+// 0.8 ms (CHANGES.md, PR 19). A value is adopted only if it decodes in
+// full, under the current envelope version, to vectors exactly as long
+// as the item space it was fetched for (decodeSharedEntry(data, rows);
+// FuzzSharedEntry holds the decoder to that on arbitrary bytes).
+// Anything else — a store error, a missing key, an older version's
+// envelope, a truncated, padded or wrong-length value — is a remote
+// miss answered by a local compute, counted in
+// SharedStats.RemoteMisses, and never enters a local tier
+// (TestRemoteLeafOfWrongLengthIsAMiss), so the kv tier can die, or
+// answer with the wrong shape, without breaking serving; the content
+// of a well-formed value under the right key is believed. Keys of
+// retired kinds ("Q|" indexes, "I|" interior entries) left in a running
+// store are never asked for and age out. The store itself speaks a
 // minimal stdlib HTTP protocol: GET/PUT /v1/kv?key=K (200/404 on GET;
 // 204 accepted, 413 over the value cap on PUT), GET /v1/kv/stats, and
 // GET /healthz. Values are immutable: re-PUTting a key refreshes

@@ -49,15 +49,6 @@ func F64s(b []byte, v []float64) []byte {
 	return b
 }
 
-// I32s appends a u32 count prefix and the elements as u32 bit patterns.
-func I32s(b []byte, v []int32) []byte {
-	b = U32(b, uint32(len(v)))
-	for _, x := range v {
-		b = U32(b, uint32(x))
-	}
-	return b
-}
-
 // Reader consumes a buffer written with the append helpers. The first
 // failed read latches Err; subsequent reads return zero values, so a
 // decoder can read a whole envelope and check Err once at the end.
@@ -120,9 +111,6 @@ func (r *Reader) U32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
-// Int reads a u32 and returns it as int.
-func (r *Reader) Int() int { return int(r.U32()) }
-
 // F64 reads IEEE float64 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
@@ -151,23 +139,6 @@ func (r *Reader) F64s() []float64 {
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = r.F64()
-	}
-	return v
-}
-
-// I32s reads a count-prefixed int32 vector; count 0 returns nil.
-func (r *Reader) I32s() []int32 {
-	n := int(r.U32())
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	if len(r.b)-r.off < 4*n {
-		r.err = ErrTruncated
-		return nil
-	}
-	v := make([]int32, n)
-	for i := range v {
-		v[i] = int32(r.U32())
 	}
 	return v
 }

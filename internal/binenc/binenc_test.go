@@ -3,7 +3,6 @@ package binenc
 import (
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -13,7 +12,6 @@ func TestRoundTrip(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nanPayload := math.Float64frombits(0x7ff8_0000_dead_beef)
 	floats := []float64{0, negZero, 1.5, math.Inf(1), math.Inf(-1), nanPayload, math.SmallestNonzeroFloat64}
-	ints := []int32{0, 1, -1, math.MaxInt32, math.MinInt32}
 
 	var b []byte
 	b = append(b, 0xab)
@@ -24,8 +22,6 @@ func TestRoundTrip(t *testing.T) {
 	b = Str(b, "héllo\x00")
 	b = F64s(b, floats)
 	b = F64s(b, nil)
-	b = I32s(b, ints)
-	b = I32s(b, nil)
 	b = U32(b, 7)
 
 	r := NewReader(b)
@@ -62,20 +58,14 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.F64s(); got != nil {
 		t.Errorf("nil F64s decoded as %v", got)
 	}
-	if got := r.I32s(); !reflect.DeepEqual(got, ints) {
-		t.Errorf("I32s = %v, want %v", got, ints)
-	}
-	if got := r.I32s(); got != nil {
-		t.Errorf("nil I32s decoded as %v", got)
-	}
 	if r.Done() {
 		t.Error("Done with 4 bytes left")
 	}
 	if got := r.Remaining(); got != 4 {
 		t.Errorf("Remaining = %d, want 4", got)
 	}
-	if got := r.Int(); got != 7 {
-		t.Errorf("Int = %d", got)
+	if got := r.U32(); got != 7 {
+		t.Errorf("U32 = %d", got)
 	}
 	if !r.Done() || r.Err() != nil || r.Remaining() != 0 {
 		t.Errorf("after the last read: Done=%v Err=%v Remaining=%d", r.Done(), r.Err(), r.Remaining())
@@ -102,7 +92,7 @@ func TestTruncationIsSticky(t *testing.T) {
 	if got := r.Byte(); got != 0 {
 		t.Errorf("Byte after a failed read = %#x, want 0", got)
 	}
-	if r.Str() != "" || r.F64s() != nil || r.I32s() != nil || r.F64() != 0 || r.Int() != 0 {
+	if r.Str() != "" || r.F64s() != nil || r.F64() != 0 {
 		t.Error("reads after a failed read returned non-zero values")
 	}
 	if r.Done() {
@@ -120,7 +110,6 @@ func TestDeclaredLengthsAreBounded(t *testing.T) {
 	for name, read := range map[string]func(*Reader){
 		"Str":  func(r *Reader) { r.Str() },
 		"F64s": func(r *Reader) { r.F64s() },
-		"I32s": func(r *Reader) { r.I32s() },
 	} {
 		b := append(append([]byte(nil), huge...), 1, 2, 3)
 		var r Reader

@@ -98,7 +98,11 @@ const maxInteriorEntries = 16
 // it out (by value: a consistent snapshot, since quant and cstats of the
 // resident entry may be attached later under the tier's mutex). Exactly
 // one of pd (simple conditions) and dists (join, boolean-negation and
-// subquery leaves) is set. The vectors are immutable once stored.
+// subquery leaves) is set. The vectors are immutable once stored. An
+// entry holds what a rerun reuses and nothing else: distances, a
+// condition's slider scalars, and the indexes built from the distances.
+// Of these only the distances and scalars ever leave the process
+// (encodeSharedEntry); the indexes are rebuilt wherever the vector goes.
 type leafEntry struct {
 	pd    *predicateData
 	dists []float64
@@ -147,7 +151,7 @@ func (e *leafEntry) derivedFrom(cond *query.Cond, label string) bool {
 func (e *leafEntry) sizeBytes() int64 {
 	n := len(e.dists)
 	if e.pd != nil {
-		n += len(e.pd.Values) + len(e.pd.Raw) + len(e.pd.Signed)
+		n += len(e.pd.Raw) + len(e.pd.Signed)
 	}
 	if e.quant != nil {
 		n += e.quant.Size()
@@ -323,13 +327,13 @@ func (c *RunCache) InteriorLen() int {
 	return c.interior.Len()
 }
 
-// fetch resolves a leaf through the tiers: private hit, then shared hit
-// (promoted into the private tier), then compute (the result fills the
-// shared tier singleflight when one is attached, then the private
-// tier). An entry that does not satisfy needSigned is a miss. The
-// acceleration indexes (quant, cstats) of the returned entry are set
-// from the leaf's first reuse on.
-func (c *RunCache) fetch(key string, needSigned bool, compute func() (leafEntry, error)) (leafEntry, error) {
+// fetch resolves a leaf over an item space of rows items through the
+// tiers: private hit, then shared hit (promoted into the private tier),
+// then compute (the result fills the shared tier singleflight when one
+// is attached, then the private tier). An entry that does not satisfy
+// needSigned is a miss. The acceleration indexes (quant, cstats) of the
+// returned entry are set from the leaf's first reuse on.
+func (c *RunCache) fetch(key string, rows int, needSigned bool, compute func() (leafEntry, error)) (leafEntry, error) {
 	c.mu.Lock()
 	if e, ok := c.entries.Get(key); ok && e.satisfies(needSigned) {
 		c.hits++
@@ -349,7 +353,7 @@ func (c *RunCache) fetch(key string, needSigned bool, compute func() (leafEntry,
 	if shared == nil {
 		le, err = compute()
 	} else {
-		le, sharedHit, err = shared.fetch(key, needSigned, compute)
+		le, sharedHit, err = shared.fetch(key, rows, needSigned, compute)
 	}
 	if err != nil {
 		return leafEntry{}, err
@@ -373,8 +377,8 @@ func (c *RunCache) fetch(key string, needSigned bool, compute func() (leafEntry,
 
 // condFetch is fetch for a condition leaf (predicateData payload). attr
 // and label are the invalidation handles of the condition as written.
-func (c *RunCache) condFetch(key, attr, label string, needSigned bool, compute func() (*predicateData, error)) (leafEntry, error) {
-	return c.fetch(key, needSigned, func() (leafEntry, error) {
+func (c *RunCache) condFetch(key, attr, label string, rows int, needSigned bool, compute func() (*predicateData, error)) (leafEntry, error) {
+	return c.fetch(key, rows, needSigned, func() (leafEntry, error) {
 		pd, err := compute()
 		return leafEntry{pd: pd, attr: attr, label: label}, err
 	})
@@ -384,8 +388,8 @@ func (c *RunCache) condFetch(key, attr, label string, needSigned bool, compute f
 // boolean-negation fallbacks, subqueries). attr carries the owning
 // condition's attribute when the leaf is a boolean-negation fallback of
 // a simple condition (so range edits invalidate it too).
-func (c *RunCache) leafFetch(key, attr, label string, compute func() ([]float64, error)) (leafEntry, error) {
-	return c.fetch(key, false, func() (leafEntry, error) {
+func (c *RunCache) leafFetch(key, attr, label string, rows int, compute func() ([]float64, error)) (leafEntry, error) {
+	return c.fetch(key, rows, false, func() (leafEntry, error) {
 		dists, err := compute()
 		return leafEntry{dists: dists, attr: attr, label: label}, err
 	})
@@ -405,10 +409,6 @@ func (c *RunCache) buildIndexes(key string, dists []float64) (*relevance.LeafQua
 	var cstats *relevance.LeafChunkStats
 	if shared != nil {
 		quant, cstats = shared.indexesOf(key)
-		if quant == nil {
-			// Another node in the fleet may already have built them.
-			quant, cstats = shared.remoteIndexesOf(key, len(dists))
-		}
 	}
 	if quant == nil {
 		quant, cstats = relevance.BuildLeafIndexes(dists)

@@ -496,7 +496,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			// the condition as written in the query, and the two labels
 			// differ under negation.
 			key = res.keys.cond(attr.Qualified(), c.Label())
-			le, err = res.cache.condFetch(key, n.Attr, n.Label(), e.opt.Arrangement == Arrange2D, compute)
+			le, err = res.cache.condFetch(key, n.Attr, n.Label(), space.n, e.opt.Arrangement == Arrange2D, compute)
 		} else {
 			le.pd, err = compute()
 		}
@@ -631,7 +631,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		var key string
 		if res.cache != nil {
 			key = res.keys.join(n.Label(), negated)
-			le, err = res.cache.leafFetch(key, "", n.Label(), compute)
+			le, err = res.cache.leafFetch(key, "", n.Label(), space.n, compute)
 		} else {
 			le.dists, err = compute()
 		}
@@ -729,7 +729,7 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 	var key string
 	if res.cache != nil {
 		key = res.keys.boolean(label)
-		le, err = res.cache.leafFetch(key, c.Attr, c.Label(), compute)
+		le, err = res.cache.leafFetch(key, c.Attr, c.Label(), space.n, compute)
 	} else {
 		le.dists, err = compute()
 	}
@@ -860,7 +860,7 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 	var key string
 	if res.cache != nil {
 		key = res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
-		le, err = res.cache.leafFetch(key, "", sq.Label(), compute)
+		le, err = res.cache.leafFetch(key, "", sq.Label(), space.n, compute)
 	} else {
 		le.dists, err = compute()
 	}

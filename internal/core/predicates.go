@@ -13,13 +13,13 @@ import (
 	"repro/internal/relevance"
 )
 
-// predicateData holds everything the engine derives for one simple
-// condition: the attribute values across the item space, the raw
-// (unsigned) and signed distances, and the database min/max the sliders
-// display.
+// predicateData is one simple condition's cached leaf: exactly what a
+// later run reuses — the raw (unsigned) distances, the signed ones under
+// the 2D arrangement, and the O(1) scalars the sliders display. The
+// attribute values themselves are not kept: the panel fields read the
+// few they need from the catalog (Result.attrValue).
 type predicateData struct {
 	Attr     query.BoundAttr
-	Values   []float64 // attribute values per item (NaN for non-numeric)
 	Raw      []float64 // unsigned distances
 	Signed   []float64 // signed distances (negative below the range)
 	MinDB    float64
@@ -27,52 +27,15 @@ type predicateData struct {
 	HasRange bool    // numeric predicate with a query range
 	Lo, Hi   float64 // current query range (±Inf for open sides)
 
-	// Segment-stats pushdown state (single-table file-backed scans
-	// only; see numericCond). skip marks the storage segments whose
-	// decode was skipped because the footer stats proved every row's
-	// range distance exactly 0: Raw is exact everywhere (the skipped
-	// ranges keep their zero fill, which IS the distance), but Values
-	// holds stale zeros there and must go through valueAt. CStats is
-	// the per-chunk index synthesized at compute time (skipped chunks
-	// from the footer, the rest scanned) so even a COLD run hands the
-	// deferred-root ranking its block-pruning bounds. SegsSkipped and
+	// Segment-stats pushdown (single-table file-backed scans only; see
+	// numericCond). CStats is the per-chunk index synthesized at compute
+	// time (skipped chunks from the footer, the rest scanned) so even a
+	// COLD run hands the deferred-root ranking its block-pruning bounds;
+	// it stays with the process that computed the leaf. SegsSkipped and
 	// Segs attribute the pushdown for StageTimings.
-	skip        []bool
-	fr          dataset.FloatReader
-	matMu       sync.Mutex
-	matDone     []bool
 	CStats      *relevance.LeafChunkStats
 	SegsSkipped int
 	Segs        int
-}
-
-// valueAt returns the item's attribute value, materializing the
-// containing segment on first touch when its decode was skipped. The
-// display paths (PredicateInfos, FirstLastOfColor) touch only the
-// display budget, so a skipped segment decodes lazily — and usually
-// never. Safe for concurrent readers: skipped ranges are only written
-// under matMu, and non-skipped ranges are immutable after the fill
-// pass.
-func (pd *predicateData) valueAt(i int) float64 {
-	if pd.skip == nil {
-		return pd.Values[i]
-	}
-	si := i / dataset.SegmentSize
-	if !pd.skip[si] {
-		return pd.Values[i]
-	}
-	pd.matMu.Lock()
-	defer pd.matMu.Unlock()
-	if !pd.matDone[si] {
-		lo := si * dataset.SegmentSize
-		hi := lo + dataset.SegmentSize
-		if hi > len(pd.Values) {
-			hi = len(pd.Values)
-		}
-		pd.fr.ReadFloats(pd.Values[lo:hi], lo)
-		pd.matDone[si] = true
-	}
-	return pd.Values[i]
 }
 
 // itemSpace describes the totality of items a query ranges over: single
@@ -117,11 +80,7 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace,
 	if err != nil {
 		return nil, err
 	}
-	pd := &predicateData{
-		Attr:   attr,
-		Values: make([]float64, space.n),
-		Raw:    make([]float64, space.n),
-	}
+	pd := &predicateData{Attr: attr, Raw: make([]float64, space.n)}
 	// Signed distances exist for the 2D quadrant arrangement only; the
 	// default spiral never reads them, so skip the vector (and its
 	// computation) unless figure 1b is in play.
@@ -144,9 +103,8 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace,
 // distance-to-range semantics of section 3.
 func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData, workers int) error {
 	singleTable := space.pairs == nil
-	// Single-table spaces stream the column range by range straight
-	// into pd.Values through the bulk reader — file-backed columns
-	// decode a segment at a time and never materialize an n-sized
+	// Single-table spaces stream the column a segment at a time through
+	// the bulk reader — file-backed columns never materialize an n-sized
 	// copy. Pair spaces index rows non-monotonically, so they keep the
 	// materialized column (the pair count is MaxPairs-capped).
 	var col []float64
@@ -177,7 +135,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	pd.Lo, pd.Hi = lo, hi
 	// Strict operators exclude the boundary: a value sitting exactly on
 	// it is not a correct answer, but its distance to fulfillment is
-	// infinitesimal. Such items are marked and later assigned a small
+	// infinitesimal. Such items are recorded and later assigned a small
 	// positive distance relative to the predicate's scale, so they rank
 	// just behind the correct answers without being painted yellow.
 	strictLo := c.Op == query.OpGt
@@ -221,61 +179,55 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 			}
 			pd.Segs = nSegs
 			pd.SegsSkipped = skipped
-			if skip != nil {
-				pd.skip, pd.fr = skip, fr
-				pd.matDone = make([]bool, nSegs)
-			}
 		}
 	}
 	// The per-item pass runs chunked across the worker pool: every chunk
-	// writes disjoint slots of Values/Raw/Signed, and the merged
-	// reductions (a max and an any-boundary flag) are order-independent,
-	// so the result is bit-identical to the serial loop. Within a chunk,
-	// the pass walks segment-aligned subranges so skipped segments drop
-	// out wholesale (a parallel chunk may cover a fraction of a
-	// segment; both fractions make the same precomputed decision).
+	// writes disjoint slots of Raw/Signed, and the merged reductions (a
+	// max and the boundary items) are order-independent, so the result is
+	// bit-identical to the serial loop. Within a chunk, the pass walks
+	// segment-aligned subranges — each read into a SegmentSize scratch —
+	// so skipped segments drop out wholesale (a parallel chunk may cover
+	// a fraction of a segment; both fractions make the same precomputed
+	// decision).
 	var mu sync.Mutex
 	maxFinite := 0.0
-	hasBoundary := false
+	var boundary []int
 	signed := pd.Signed
 	perr := parallelFor(space.n, workers, itemChunk, func(from, to int) error {
 		chunkMax := 0.0
-		chunkBoundary := false
+		var chunkBoundary []int
+		var scratch [dataset.SegmentSize]float64
 		for s := from; s < to; {
-			end := to
-			if skip != nil {
-				si := s / dataset.SegmentSize
-				if end = (si + 1) * dataset.SegmentSize; end > to {
-					end = to
-				}
-				if skip[si] {
-					// Raw[s:end] keeps its zero fill — exactly the distance
-					// of every in-range row; a zero never raises chunkMax,
-					// and the strict-containment proof rules out boundary
-					// hits.
-					s = end
-					continue
-				}
+			si := s / dataset.SegmentSize
+			end := (si + 1) * dataset.SegmentSize
+			if end > to {
+				end = to
 			}
-			if singleTable && col == nil {
-				fr.ReadFloats(pd.Values[s:end], s)
+			if skip != nil && skip[si] {
+				// Raw[s:end] keeps its zero fill — exactly the distance
+				// of every in-range row; a zero never raises chunkMax,
+				// and the strict-containment proof rules out boundary
+				// hits.
+				s = end
+				continue
 			}
-			for i := s; i < end; i++ {
-				var v float64
-				if col == nil {
-					v = pd.Values[i]
-				} else {
-					row := i
-					if !singleTable {
-						r, err := space.rowFor(i, attr.Table)
-						if err != nil {
-							return err
-						}
-						row = r
+			vals := scratch[:end-s]
+			switch {
+			case col == nil:
+				fr.ReadFloats(vals, s)
+			case singleTable:
+				vals = col[s:end]
+			default:
+				for j := range vals {
+					row, err := space.rowFor(s+j, attr.Table)
+					if err != nil {
+						return err
 					}
-					v = col[row]
-					pd.Values[i] = v
+					vals[j] = col[row]
 				}
+			}
+			for j, v := range vals {
+				i := s + j
 				var raw, sd float64
 				switch {
 				case math.IsNaN(v):
@@ -289,7 +241,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 				case c.Op == query.OpIn:
 					raw, sd = minListDistance(v, c.List)
 				case (strictLo && v == lo) || (strictHi && v == hi):
-					chunkBoundary = true // distances assigned in the fixup pass
+					chunkBoundary = append(chunkBoundary, i) // distances assigned in the fixup pass
 				default:
 					raw = distance.ToRange(v, lo, hi)
 					if signed != nil {
@@ -310,35 +262,25 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 		if chunkMax > maxFinite {
 			maxFinite = chunkMax
 		}
-		hasBoundary = hasBoundary || chunkBoundary
+		boundary = append(boundary, chunkBoundary...)
 		mu.Unlock()
 		return nil
 	})
 	if perr != nil {
 		return perr
 	}
-	if hasBoundary {
+	if len(boundary) > 0 {
 		eps := maxFinite / 128
 		if eps == 0 {
 			eps = 1
 		}
-		for i := 0; i < space.n; i++ {
-			// Re-derive the boundary membership from the stored values —
-			// guarded by the skip mask, whose segments hold stale zero
-			// Values (and provably no boundary rows: strict containment
-			// requires smin > lo / smax < hi). The conditions are mutually
-			// exclusive with every other branch of the fill pass.
-			if skip != nil && skip[i/dataset.SegmentSize] {
-				continue
-			}
-			if (strictLo && pd.Values[i] == lo) || (strictHi && pd.Values[i] == hi) {
-				pd.Raw[i] = eps
-				if signed != nil {
-					if strictLo {
-						signed[i] = -eps
-					} else {
-						signed[i] = eps
-					}
+		for _, i := range boundary {
+			pd.Raw[i] = eps
+			if signed != nil {
+				if strictLo {
+					signed[i] = -eps
+				} else {
+					signed[i] = eps
 				}
 			}
 		}
@@ -499,7 +441,6 @@ func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tabl
 			if err != nil {
 				return err
 			}
-			pd.Values[i] = math.NaN()
 			var raw, sd float64
 			val := col.Value(row)
 			s, ok := val.AsString()

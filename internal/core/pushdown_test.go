@@ -45,8 +45,7 @@ func clusteredCatalog(t *testing.T, rows int) *dataset.Catalog {
 }
 
 // samePredicateInfos compares the slider panels — FirstDisplayed and
-// LastDisplayed go through predicateData.valueAt, the lazy
-// materialization path of skipped segments.
+// LastDisplayed are read from the catalog, skipped segments included.
 func samePredicateInfos(t *testing.T, step string, a, b *Result) {
 	t.Helper()
 	ia, ib := a.PredicateInfos(), b.PredicateInfos()
@@ -83,12 +82,7 @@ func TestPushdownLockstepReplay(t *testing.T) {
 	open := func(force bool) *dataset.Catalog {
 		// A tiny decode cache forces real cold decodes on every leaf
 		// recompute, so the skip path is exercised, not the LRU.
-		c, err := dataset.OpenCatalogFile(path, dataset.OpenOptions{CacheBytes: 1 << 16, ForceReadAt: force})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
+		return openSegFile(t, path, 1<<16, force)
 	}
 	base := Options{GridW: 16, GridH: 16}
 	noStats := base

@@ -5,17 +5,17 @@ import (
 
 	"repro/internal/binenc"
 	"repro/internal/dataset"
-	"repro/internal/relevance"
 )
 
 // SharedBackend is the pluggable remote tier behind a SharedCache: a
-// network KV of immutable byte vectors under the same structural keys
-// the local tiers use. Because every key embeds the full signature of
-// the computation it names — table names, row counts, literals,
-// options, and the catalog's content epoch — a value stored by one
-// process is correct in every process serving the same data: there is
-// no invalidation protocol, only immutable entries that age out of the
-// remote store's budget.
+// network KV of immutable leaf entries (encodeSharedEntry: distance
+// vectors and slider scalars) under the same structural keys the local
+// tiers use, which start "C|", "J|", "B|" or "S|". Because every key
+// embeds the full signature of the computation it names — table names,
+// row counts, literals, options, and the catalog's content epoch — a
+// value stored by one process is correct in every process serving the
+// same data: there is no invalidation protocol, only immutable entries
+// that age out of the remote store's budget.
 //
 // Both methods are best-effort and must never block correctness: Get
 // answers ok=false on a network failure or a missing key (the caller
@@ -47,88 +47,59 @@ func (sc *SharedCache) AttachBackend(b SharedBackend) {
 	sc.backend = b
 }
 
-// backendRef snapshots the attached backend.
-func (sc *SharedCache) backendRef() SharedBackend {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.backend
-}
-
-// noteRemote bumps one remote-tier counter.
-func (sc *SharedCache) noteRemote(c *uint64) {
-	sc.mu.Lock()
-	*c++
-	sc.mu.Unlock()
-}
-
 // The shared-entry envelope: version, kind, the invalidation handles,
-// then the payload. Only fully materialized entries are encodable —
-// a predicateData carrying segment-pushdown state (skip != nil) holds
-// lazily materialized Values backed by a local file reader, which has
-// no meaning in another process; those leaves stay node-local and the
-// remote tier simply never learns them.
+// then the payload — a leaf's distance vectors and, for a condition,
+// its slider scalars. Nothing else crosses the fleet: quantile indexes,
+// chunk stats and interior entries are linear-time functions of vectors
+// the receiving node then holds, cheaper to rebuild than to fetch (see
+// doc.go, "The kv tier"). Version 1 carried a copy of the attribute
+// column ahead of Raw; a v1 value read as v2 would pass every length
+// check with that column in Raw's place, so the version moved and skew
+// is a remote miss.
 const (
-	sharedEntryVersion = 1
+	sharedEntryVersion = 2
 
 	sharedKindCond  = 1 // predicateData payload
 	sharedKindDists = 2 // bare distance vector (join/boolean/subquery)
-
-	// remoteIndexPrefix namespaces promoted leaf indexes (quantiles +
-	// chunk stats) in the remote store; leaf keys start with "C|", "J|",
-	// "B|", "S|" and interior keys with "I|", so the prefix collides
-	// with nothing.
-	remoteIndexPrefix = "Q|"
 )
 
-// encodeSharedEntry serializes e for the remote tier, reporting ok =
-// false for entries that must not leave the process. The quantile and
-// chunk-stat indexes are not part of the envelope — they are promoted
-// separately under remoteIndexPrefix when some session builds them.
-func encodeSharedEntry(e *leafEntry) ([]byte, bool) {
-	if e.pd != nil && e.pd.skip != nil {
-		return nil, false
-	}
-	b := make([]byte, 0, 64)
+// encodeSharedEntry serializes e for the remote tier.
+func encodeSharedEntry(e *leafEntry) []byte {
+	b := make([]byte, 0, 128+8*len(e.raw()))
 	b = append(b, sharedEntryVersion)
-	if e.pd != nil {
-		pd := e.pd
-		b = append(b, sharedKindCond)
+	if e.pd == nil {
+		b = append(b, sharedKindDists)
 		b = binenc.Str(b, e.attr)
 		b = binenc.Str(b, e.label)
-		b = binenc.Str(b, pd.Attr.Table)
-		b = binenc.Str(b, pd.Attr.Attr)
-		b = binenc.U32(b, uint32(pd.Attr.Kind))
-		var flags byte
-		if pd.HasRange {
-			flags |= 1
-		}
-		if pd.CStats != nil {
-			flags |= 2
-		}
-		b = append(b, flags)
-		b = binenc.F64(b, pd.MinDB)
-		b = binenc.F64(b, pd.MaxDB)
-		b = binenc.F64(b, pd.Lo)
-		b = binenc.F64(b, pd.Hi)
-		b = binenc.F64s(b, pd.Values)
-		b = binenc.F64s(b, pd.Raw)
-		b = binenc.F64s(b, pd.Signed)
-		if pd.CStats != nil {
-			// The synthesized chunk index rides along so a remote-warmed
-			// cold run still gets its block-pruning bounds.
-			b = relevance.AppendLeafChunkStats(b, pd.CStats)
-		}
-		return b, true
+		return binenc.F64s(b, e.dists)
 	}
-	b = append(b, sharedKindDists)
+	pd := e.pd
+	b = append(b, sharedKindCond)
 	b = binenc.Str(b, e.attr)
 	b = binenc.Str(b, e.label)
-	b = binenc.F64s(b, e.dists)
-	return b, true
+	b = binenc.Str(b, pd.Attr.Table)
+	b = binenc.Str(b, pd.Attr.Attr)
+	b = binenc.U32(b, uint32(pd.Attr.Kind))
+	var hasRange byte
+	if pd.HasRange {
+		hasRange = 1
+	}
+	b = append(b, hasRange)
+	b = binenc.F64(b, pd.MinDB)
+	b = binenc.F64(b, pd.MaxDB)
+	b = binenc.F64(b, pd.Lo)
+	b = binenc.F64(b, pd.Hi)
+	b = binenc.F64s(b, pd.Raw)
+	return binenc.F64s(b, pd.Signed)
 }
 
-// decodeSharedEntry reverses encodeSharedEntry.
-func decodeSharedEntry(data []byte) (*leafEntry, error) {
+// decodeSharedEntry reverses encodeSharedEntry for a leaf over an item
+// space of rows items. Another process wrote the bytes and every reader
+// of the entry indexes its vectors by item, so a vector of any other
+// length is refused here — a remote miss, answered by a local compute —
+// instead of failing the run, and every run after it, from inside the
+// cache.
+func decodeSharedEntry(data []byte, rows int) (*leafEntry, error) {
 	r := binenc.NewReader(data)
 	if ver := r.Byte(); ver != sharedEntryVersion {
 		if r.Err() != nil {
@@ -146,116 +117,34 @@ func decodeSharedEntry(data []byte) (*leafEntry, error) {
 		pd.Attr.Table = r.Str()
 		pd.Attr.Attr = r.Str()
 		pd.Attr.Kind = dataset.Kind(r.U32())
-		flags := r.Byte()
-		pd.HasRange = flags&1 != 0
+		hasRange := r.Byte()
+		if hasRange > 1 {
+			return nil, fmt.Errorf("core: shared-entry range flag %d", hasRange)
+		}
+		pd.HasRange = hasRange == 1
 		pd.MinDB = r.F64()
 		pd.MaxDB = r.F64()
 		pd.Lo = r.F64()
 		pd.Hi = r.F64()
-		pd.Values = r.F64s()
 		pd.Raw = r.F64s()
 		pd.Signed = r.F64s()
-		if flags&2 != 0 {
-			cs, err := relevance.DecodeLeafChunkStats(r, len(pd.Raw))
-			if err != nil {
-				return nil, err
-			}
-			pd.CStats = cs
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if !r.Done() {
-			return nil, binenc.ErrTruncated
-		}
-		if len(pd.Values) != len(pd.Raw) || (pd.Signed != nil && len(pd.Signed) != len(pd.Raw)) {
-			return nil, fmt.Errorf("core: shared entry vector lengths disagree")
-		}
 		e.pd = pd
 	case sharedKindDists:
 		e.dists = r.F64s()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if !r.Done() {
-			return nil, binenc.ErrTruncated
-		}
 	default:
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
 		return nil, fmt.Errorf("core: shared-entry kind %d", kind)
 	}
-	return e, nil
-}
-
-// encodeLeafIndexes serializes a promoted quantile index and its chunk
-// stats for the remote tier.
-func encodeLeafIndexes(q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, sharedEntryVersion)
-	b = relevance.AppendLeafQuantiles(b, q)
-	var flags byte
-	if cs != nil {
-		flags = 1
-	}
-	b = append(b, flags)
-	if cs != nil {
-		b = relevance.AppendLeafChunkStats(b, cs)
-	}
-	return b
-}
-
-// decodeLeafIndexes reverses encodeLeafIndexes for a leaf of rows rows.
-func decodeLeafIndexes(data []byte, rows int) (*relevance.LeafQuantiles, *relevance.LeafChunkStats, error) {
-	r := binenc.NewReader(data)
-	if ver := r.Byte(); ver != sharedEntryVersion {
-		if r.Err() != nil {
-			return nil, nil, r.Err()
-		}
-		return nil, nil, fmt.Errorf("core: leaf-index codec version %d", ver)
-	}
-	q, err := relevance.DecodeLeafQuantiles(r, rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	var cs *relevance.LeafChunkStats
-	if r.Byte()&1 != 0 {
-		if cs, err = relevance.DecodeLeafChunkStats(r, rows); err != nil {
-			return nil, nil, err
-		}
-	}
 	if err := r.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !r.Done() {
-		return nil, nil, binenc.ErrTruncated
+		return nil, binenc.ErrTruncated
 	}
-	return q, cs, nil
-}
-
-// remoteIndexesOf consults the remote tier for indexes another node has
-// already built of this rows-long leaf, attaching a hit to the resident
-// entry (no re-Put — the value came from the store) so later sessions
-// here hit locally. A value that fails validation is a miss.
-func (sc *SharedCache) remoteIndexesOf(key string, rows int) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
-	b := sc.backendRef()
-	if b == nil {
-		return nil, nil
+	if len(e.raw()) != rows || (e.pd != nil && e.pd.Signed != nil && len(e.pd.Signed) != rows) {
+		return nil, fmt.Errorf("core: shared entry's vectors are not %d items long", rows)
 	}
-	data, ok := b.Get(remoteIndexPrefix + key)
-	if !ok {
-		sc.noteRemote(&sc.remoteMisses)
-		return nil, nil
-	}
-	q, cs, err := decodeLeafIndexes(data, rows)
-	if err != nil {
-		sc.noteRemote(&sc.remoteMisses)
-		return nil, nil
-	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.remoteHits++
-	q, cs, _ = sc.adoptIndexesLocked(key, q, cs)
-	return q, cs
+	return e, nil
 }

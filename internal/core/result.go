@@ -57,9 +57,7 @@ type Result struct {
 	mu     sync.Mutex // guards nodeOf/preds during build, rank extension and relevance memoization after
 	nodeOf map[query.Expr]*relevance.Node
 	preds  map[*query.Cond]*predicateData
-	cells  []arrange.Point       // rank → cell
-	rankAt map[arrange.Point]int // cell → rank
-	rankOf map[int]int           // item index → rank
+	cells  []arrange.Point // rank → cell
 
 	// relevance memoizes the Relevance accessor.
 	relevance []float64
@@ -181,14 +179,6 @@ func (r *Result) buildPlacement() {
 		r.build2DPlacement()
 	} else {
 		r.cells = arrange.Place(opt.GridW, opt.GridH, r.Displayed)
-	}
-	r.rankAt = make(map[arrange.Point]int, r.Displayed)
-	r.rankOf = make(map[int]int, r.Displayed)
-	for rank := 0; rank < r.Displayed && rank < len(r.cells); rank++ {
-		if r.cells[rank] != arrange.Unplaced {
-			r.rankAt[r.cells[rank]] = rank
-		}
-		r.rankOf[r.Order[rank]] = rank
 	}
 }
 
@@ -389,8 +379,9 @@ func (r *Result) PredicateInfos() []PredicateInfo {
 					info.QueryLo, info.QueryHi = pd.Lo, pd.Hi
 					first, last := math.Inf(1), math.Inf(-1)
 					any := false
+					valueOf := r.attrValue(pd.Attr)
 					for rank := 0; rank < r.Displayed; rank++ {
-						v := pd.valueAt(r.Order[rank])
+						v := valueOf(r.Order[rank])
 						if math.IsNaN(v) {
 							continue
 						}
@@ -412,6 +403,26 @@ func (r *Result) PredicateInfos() []PredicateInfo {
 		out = append(out, info)
 	}
 	return out
+}
+
+// attrValue returns a per-item reader of an attribute's value, straight
+// from the catalog (the item's row of the attribute's table; NaN for
+// nulls and non-numeric kinds). The panel fields need at most the
+// display budget of them, which is why a cached leaf keeps no copy of
+// its column.
+func (r *Result) attrValue(attr query.BoundAttr) func(item int) float64 {
+	var col dataset.Column
+	if t, err := r.Space.tableByName(attr.Table); err == nil {
+		col, _ = t.Column(attr.Attr)
+	}
+	return func(item int) float64 {
+		row, err := r.Space.rowFor(item, attr.Table)
+		if col == nil || err != nil {
+			return math.NaN()
+		}
+		v, _ := col.Value(row).AsFloat() // NaN when not ok
+		return v
+	}
 }
 
 // colorFor maps a normalized distance to its display color.
@@ -619,21 +630,28 @@ func clamp01(v float64) float64 {
 // ItemAt returns the item index displayed at a window cell, for tuple
 // selection (section 4.3).
 func (r *Result) ItemAt(cell arrange.Point) (int, bool) {
-	rank, ok := r.rankAt[cell]
-	if !ok {
+	if cell == arrange.Unplaced {
 		return 0, false
 	}
-	return r.Order[rank], true
+	// A click is a human-rate event: scan the displayed ranks (both
+	// arrangements hand every cell to at most one rank).
+	for rank := 0; rank < r.Displayed && rank < len(r.cells); rank++ {
+		if r.cells[rank] == cell {
+			return r.Order[rank], true
+		}
+	}
+	return 0, false
 }
 
 // CellOfItem returns the window cell of an item, if displayed.
 func (r *Result) CellOfItem(item int) (arrange.Point, bool) {
-	rank, ok := r.rankOf[item]
-	if !ok || rank >= len(r.cells) {
-		return arrange.Unplaced, false
+	for rank := 0; rank < r.Displayed && rank < len(r.cells); rank++ {
+		if r.Order[rank] == item {
+			c := r.cells[rank]
+			return c, c != arrange.Unplaced
+		}
 	}
-	c := r.cells[rank]
-	return c, c != arrange.Unplaced
+	return arrange.Unplaced, false
 }
 
 // SelectedTuple materializes the underlying row(s) of an item: one row
@@ -676,6 +694,7 @@ func (r *Result) FirstLastOfColor(c *query.Cond, loLevel, hiLevel int) (first, l
 	node := r.nodeOf[c]
 	vec := r.Eval.Vec(node)
 	m := r.Engine.opt.Map
+	valueOf := r.attrValue(pd.Attr)
 	first, last = math.Inf(1), math.Inf(-1)
 	for rank := 0; rank < r.Displayed; rank++ {
 		item := r.Order[rank]
@@ -687,7 +706,7 @@ func (r *Result) FirstLastOfColor(c *query.Cond, loLevel, hiLevel int) (first, l
 		if level < loLevel || level > hiLevel {
 			continue
 		}
-		v := pd.valueAt(item)
+		v := valueOf(item)
 		if math.IsNaN(v) {
 			continue
 		}

@@ -202,12 +202,12 @@ type SharedStats struct {
 	InteriorEntries   int    `json:"interior_entries"`
 	InteriorBytes     int64  `json:"interior_bytes"`
 	// RemoteHits/RemoteMisses/RemotePuts count traffic against the
-	// attached remote backend (leaf entries, promoted indexes, and
-	// interior entries combined): fills answered by the networked store,
-	// fills that fell through to local compute after asking it, and
-	// entries this process offered to the fleet. All zero when no
-	// backend is attached. A RemoteHit is work some other node already
-	// paid for.
+	// attached remote backend (leaf entries, the only thing that
+	// travels): fills answered by the networked store, fills that fell
+	// through to local compute after asking it — no value, or one the
+	// decoder refused — and entries this process offered to the fleet.
+	// All zero when no backend is attached. A RemoteHit is work some
+	// other node already paid for.
 	RemoteHits   uint64 `json:"remote_hits"`
 	RemoteMisses uint64 `json:"remote_misses"`
 	RemotePuts   uint64 `json:"remote_puts"`
@@ -300,13 +300,14 @@ func (sc *SharedCache) Bytes() int64 {
 	return sc.entries.Bytes()
 }
 
-// fetch returns the entry for key, computing it at most once across
-// concurrent callers. hit reports whether the entry was served without
-// running compute in this call (a resident entry, another caller's fill
-// we waited on, or the remote tier). compute runs without any cache
-// lock held, so fills for different keys proceed concurrently and a
-// fill may recursively fetch other keys.
-func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
+// fetch returns the entry for key — a leaf over an item space of rows
+// items — computing it at most once across concurrent callers. hit
+// reports whether the entry was served without running compute in this
+// call (a resident entry, another caller's fill we waited on, or the
+// remote tier). compute runs without any cache lock held, so fills for
+// different keys proceed concurrently and a fill may recursively fetch
+// other keys.
+func (sc *SharedCache) fetch(key string, rows int, needSigned bool, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
 	for {
 		if e, ok := sc.entries.Get(key); ok && e.satisfies(needSigned) {
@@ -349,11 +350,11 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (leafEn
 	// elsewhere in the fleet may already have paid for this leaf. Only
 	// the singleflight leader asks, so a thundering herd costs one
 	// network round trip, and a decode failure (version skew, truncated
-	// value) degrades to a local compute.
+	// value, vectors of another length) degrades to a local compute.
 	remote := false
 	if backend != nil {
 		if data, ok := backend.Get(key); ok {
-			if d, derr := decodeSharedEntry(data); derr == nil && d.satisfies(needSigned) {
+			if d, derr := decodeSharedEntry(data, rows); derr == nil && d.satisfies(needSigned) {
 				le, remote = *d, true
 			}
 		}
@@ -383,7 +384,8 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (leafEn
 		// the superseded entry's budget is reclaimed either way, and
 		// dropping it would downgrade later 2D lookups to permanent
 		// misses. Remote-served entries are always admitted: the fleet
-		// already judged them worth sharing.
+		// already judged them worth sharing (and the decoder checked them
+		// against this item space).
 		_, replaces := sc.entries.Peek(key)
 		if !remote && sc.admitMin > 0 && cost < sc.admitMin && !replaces {
 			sc.rejects++
@@ -405,10 +407,10 @@ func (sc *SharedCache) fetch(key string, needSigned bool, compute func() (leafEn
 	// reads only immutable fields and the Put happens after waiters are
 	// released, so a slow backend never extends the singleflight.
 	if stored && !remote && backend != nil {
-		if data, ok := encodeSharedEntry(&le); ok {
-			backend.Put(key, data)
-			sc.noteRemote(&sc.remotePuts)
-		}
+		backend.Put(key, encodeSharedEntry(&le))
+		sc.mu.Lock()
+		sc.remotePuts++
+		sc.mu.Unlock()
 	}
 	return le, remote, nil
 }
@@ -424,100 +426,53 @@ func (sc *SharedCache) indexesOf(key string) (*relevance.LeafQuantiles, *relevan
 	return nil, nil
 }
 
-// adoptIndexesLocked attaches leaf indexes to the resident entry for
+// attachIndexes promotes freshly built leaf indexes (the quantile
+// index and the block-pruning chunk stats) to the resident entry for
 // key and returns the canonical ones: the entry's own if it already has
 // some (both are identical — the builds are deterministic — so either
 // could win; keeping the first keeps one copy resident), q and cs
-// otherwise. won reports that q and cs were attached, growing the
-// entry's byte accounting by the indexes. Call with the mutex held.
-func (sc *SharedCache) adoptIndexesLocked(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats, bool) {
+// otherwise, which then grow the entry's byte accounting. Indexes stay
+// in this process: any node rebuilds them from the leaf vector in
+// linear time, faster than a fetch.
+func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	e, ok := sc.entries.Peek(key)
 	if !ok {
-		return q, cs, false
+		return q, cs
 	}
 	if e.quant != nil {
-		return e.quant, e.cstats, false
+		return e.quant, e.cstats
 	}
 	e.quant, e.cstats = q, cs
 	sc.evictions += uint64(sc.entries.Resize(key, e.sizeBytes()))
-	return q, cs, true
-}
-
-// attachIndexes promotes freshly built leaf indexes (the quantile
-// index and the block-pruning chunk stats) to the shared tier and
-// returns the canonical ones (see adoptIndexesLocked).
-func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
-	sc.mu.Lock()
-	q, cs, won := sc.adoptIndexesLocked(key, q, cs)
-	backend := sc.backend
-	sc.mu.Unlock()
-	// The winning build is promoted to the fleet too: quantile indexes
-	// are pure functions of the (already shared) leaf vector, so any
-	// node can reuse them for O(1) normalization ranges.
-	if won && backend != nil {
-		backend.Put(remoteIndexPrefix+key, encodeLeafIndexes(q, cs))
-		sc.noteRemote(&sc.remotePuts)
-	}
 	return q, cs
 }
 
 // InteriorOf returns the resident interior-normalization entry for
 // key, or nil. Entries are immutable; any number of sessions may read
-// one concurrently.
+// one concurrently. Like leaf indexes they are never asked of the
+// remote tier: the fused combine pass that rebuilds one costs less than
+// fetching its vector.
 func (sc *SharedCache) InteriorOf(key string) *relevance.InteriorEntry {
 	sc.mu.Lock()
-	if e, ok := sc.interior.Get(key); ok {
+	defer sc.mu.Unlock()
+	e, ok := sc.interior.Get(key)
+	if ok {
 		sc.intHits++
-		sc.mu.Unlock()
-		return e
+	} else {
+		sc.intMisses++
 	}
-	sc.intMisses++
-	backend := sc.backend
-	sc.mu.Unlock()
-	if backend == nil {
-		return nil
-	}
-	// Interior keys embed the leaves' full cache keys plus every kernel
-	// option, so a fleet-mate's entry is exactly the one this node would
-	// build; the histogram sketch is re-derived locally by the decoder.
-	data, ok := backend.Get(key)
-	if !ok {
-		sc.noteRemote(&sc.remoteMisses)
-		return nil
-	}
-	e, err := relevance.DecodeInteriorEntry(data)
-	if err != nil {
-		sc.noteRemote(&sc.remoteMisses)
-		return nil
-	}
-	sc.noteRemote(&sc.remoteHits)
-	return sc.attachInteriorLocal(key, e)
+	return e
 }
 
 // AttachInterior promotes a freshly built interior entry to the shared
-// tier and returns the canonical one: if another session's build won
-// the race, its entry is returned (both are bit-identical — the fused
-// pass is deterministic — so either could win; keeping the first keeps
-// one copy resident and its Range memo shared).
+// tier, under the interior tier's cap and budget, and returns the
+// canonical one: if another session's build won the race, its entry is
+// returned (both are bit-identical — the fused pass is deterministic —
+// so either could win; keeping the first keeps one copy resident and
+// its Range memo shared).
 func (sc *SharedCache) AttachInterior(key string, e *relevance.InteriorEntry) *relevance.InteriorEntry {
-	canon := sc.attachInteriorLocal(key, e)
-	if canon != e {
-		return canon
-	}
-	// This build won the local race; offer it to the fleet too (a
-	// remote-decoded entry goes through attachInteriorLocal directly and
-	// is never re-offered).
-	if backend := sc.backendRef(); backend != nil {
-		backend.Put(key, relevance.AppendInteriorEntry(nil, canon))
-		sc.noteRemote(&sc.remotePuts)
-	}
-	return canon
-}
-
-// attachInteriorLocal is AttachInterior without the remote offer: the
-// local store under the interior tier's cap and budget, first promotion
-// canonical.
-func (sc *SharedCache) attachInteriorLocal(key string, e *relevance.InteriorEntry) *relevance.InteriorEntry {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if canon, ok := sc.interior.Get(key); ok {

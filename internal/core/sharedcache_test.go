@@ -17,7 +17,7 @@ import (
 // singleflight path (compute always runs: the key is absent).
 func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, false, func() (leafEntry, error) {
+	_, hit, err := sc.fetch(key, n, false, func() (leafEntry, error) {
 		dists := make([]float64, n)
 		for i := range dists {
 			dists[i] = fill
@@ -35,7 +35,7 @@ func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 // touch performs a lookup that must hit.
 func touch(t *testing.T, sc *SharedCache, key string) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, false, func() (leafEntry, error) {
+	_, hit, err := sc.fetch(key, 0, false, func() (leafEntry, error) {
 		return leafEntry{}, fmt.Errorf("touch of %q missed", key)
 	})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestSharedCacheCopyOnInvalidate(t *testing.T) {
 	sc := NewSharedCache(0, 0)
 	cond := &query.Cond{Attr: "x", Op: query.OpGt, Value: dataset.Float(5)}
 	key := "C|T:T:4|T.x|" + cond.Label()
-	old, _, err := sc.fetch(key, false, func() (leafEntry, error) {
+	old, _, err := sc.fetch(key, 4, false, func() (leafEntry, error) {
 		return leafEntry{
 			pd:    &predicateData{Raw: []float64{1, 2, 3, 4}},
 			attr:  cond.Attr,
@@ -182,7 +182,7 @@ func TestSharedCacheCopyOnInvalidate(t *testing.T) {
 		t.Fatalf("invalidate left %d entries, %d bytes", sc.Len(), sc.Bytes())
 	}
 
-	fresh, hit, err := sc.fetch(key, false, func() (leafEntry, error) {
+	fresh, hit, err := sc.fetch(key, 4, false, func() (leafEntry, error) {
 		return leafEntry{
 			pd:    &predicateData{Raw: []float64{9, 9, 9, 9}},
 			attr:  cond.Attr,
@@ -228,7 +228,7 @@ func TestSharedCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := sc.fetch("K", false, func() (leafEntry, error) {
+			v, _, err := sc.fetch("K", 1, false, func() (leafEntry, error) {
 				computes.Add(1)
 				// Hold the fill open until every other goroutine is
 				// blocked on it, so the schedule cannot degenerate into
@@ -270,13 +270,13 @@ func TestSharedCacheSingleflight(t *testing.T) {
 // unsigned vector.
 func TestSharedCacheSignedUpgrade(t *testing.T) {
 	sc := NewSharedCache(0, 0)
-	unsigned, _, err := sc.fetch("K", false, func() (leafEntry, error) {
+	unsigned, _, err := sc.fetch("K", 2, false, func() (leafEntry, error) {
 		return leafEntry{pd: &predicateData{Raw: []float64{1, 2}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, hit, err := sc.fetch("K", true, func() (leafEntry, error) {
+	v, hit, err := sc.fetch("K", 2, true, func() (leafEntry, error) {
 		return leafEntry{pd: &predicateData{Raw: []float64{1, 2}, Signed: []float64{-1, 2}}}, nil
 	})
 	if err != nil {
@@ -525,7 +525,7 @@ func TestSharedCacheAdmission(t *testing.T) {
 			sc := NewSharedCacheOpts(tc.opts)
 			for _, o := range tc.ops {
 				o := o
-				v, hit, err := sc.fetch(o.key, false, func() (leafEntry, error) {
+				v, hit, err := sc.fetch(o.key, 3, false, func() (leafEntry, error) {
 					if o.cost > 0 {
 						time.Sleep(o.cost)
 					}
@@ -596,7 +596,7 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	key := "C|T:T:3|T.x|x > 5"
 	// Seed an unsigned condition entry (expensive enough to be
 	// admitted).
-	if _, _, err := sc.fetch(key, false, func() (leafEntry, error) {
+	if _, _, err := sc.fetch(key, 3, false, func() (leafEntry, error) {
 		time.Sleep(2 * time.Millisecond)
 		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}}, attr: "x", label: "x > 5"}, nil
 	}); err != nil {
@@ -607,7 +607,7 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	}
 	// A needSigned lookup misses it and upgrades with a cheap compute;
 	// the replacement must still be stored.
-	v, hit, err := sc.fetch(key, true, func() (leafEntry, error) {
+	v, hit, err := sc.fetch(key, 3, true, func() (leafEntry, error) {
 		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}, Signed: []float64{-1, 0, 1}},
 			attr: "x", label: "x > 5"}, nil
 	})
@@ -623,7 +623,7 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	if sc.Len() != 1 {
 		t.Fatalf("upgrade not resident: %d entries", sc.Len())
 	}
-	if _, hit, err := sc.fetch(key, true, func() (leafEntry, error) {
+	if _, hit, err := sc.fetch(key, 3, true, func() (leafEntry, error) {
 		return leafEntry{}, fmt.Errorf("upgraded entry missed")
 	}); err != nil || !hit {
 		t.Fatalf("post-upgrade lookup: hit=%v err=%v", hit, err)

@@ -74,15 +74,8 @@ type InteriorEntry struct {
 // vector. The vector is copied (the fused pass scales it in place
 // afterwards); scans is retained as-is and must never be mutated.
 func newInteriorEntry(out []float64, scans []rangeScan, total rangeScan) *InteriorEntry {
-	return buildInteriorEntry(append([]float64(nil), out...), scans, total)
-}
-
-// buildInteriorEntry is newInteriorEntry taking ownership of raw
-// instead of copying it — the decode path already holds a private
-// vector.
-func buildInteriorEntry(raw []float64, scans []rangeScan, total rangeScan) *InteriorEntry {
 	e := &InteriorEntry{
-		raw:   raw,
+		raw:   append([]float64(nil), out...),
 		scans: scans,
 		total: total,
 		memo:  make(map[int]NormParams),

@@ -28,6 +28,19 @@ func oracleSorted(dists []float64) []float64 {
 	return fin
 }
 
+// eqBits compares float slices by IEEE bits (NaN == NaN, -0 != +0).
+func eqBits(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: length %d != %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s[%d]: %x != %x", what, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
+		}
+	}
+}
+
 // leafQuantiles is the quantile half of BuildLeafIndexes.
 func leafQuantiles(dists []float64) *LeafQuantiles {
 	q, _ := BuildLeafIndexes(dists)
@@ -87,6 +100,29 @@ func checkLeafOrderStats(t *testing.T, what string, dists []float64) {
 }
 
 // Leaf shapes, each a pure function of (rng, n).
+
+// awkwardFloats exercises every special value an order statistic must
+// place: NaN, ±Inf, signed zero, denormals, and ordinary values.
+func awkwardFloats(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		switch rng.Intn(10) {
+		case 0:
+			v[i] = math.NaN()
+		case 1:
+			v[i] = math.Inf(1)
+		case 2:
+			v[i] = math.Inf(-1)
+		case 3:
+			v[i] = math.Copysign(0, -1)
+		case 4:
+			v[i] = 5e-324 // smallest denormal
+		default:
+			v[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(6)))
+		}
+	}
+	return v
+}
 
 // rangeDistances is a range predicate's leaf over a uniform column: a
 // spike of exact zeros (the rows inside the range, 5-40 %) and the
@@ -193,19 +229,16 @@ func TestLeafOrderStatsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestLeafIndexZeroOrderIsCanonical: two nodes filling the same leaf in
-// different row orders must encode the same index bytes, so mixed -0/+0
-// cannot be left in input order.
+// TestLeafIndexZeroOrderIsCanonical: the index is a function of the
+// leaf's values, not of their row order, so mixed -0/+0 cannot be left
+// in input order.
 func TestLeafIndexZeroOrderIsCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{9, 5000} {
 		v := pick(0, math.Copysign(0, -1), 2.5, -3)(rng, n)
-		a := AppendLeafQuantiles(nil, leafQuantiles(v))
+		a := leafQuantiles(v).sorted
 		rng.Shuffle(n, func(i, j int) { v[i], v[j] = v[j], v[i] })
-		b := AppendLeafQuantiles(nil, leafQuantiles(v))
-		if string(a) != string(b) {
-			t.Fatalf("n=%d: the index of a permuted leaf encodes differently", n)
-		}
+		eqBits(t, fmt.Sprintf("n=%d: index of the permuted leaf", n), a, leafQuantiles(v).sorted)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,8 +38,11 @@ type fleetMember struct {
 }
 
 type fleetEnv struct {
-	shards   int
-	kvStore  *kv.Server
+	shards  int
+	kvStore *kv.Server
+	// kvKeys is every key a member asked the store for or offered it.
+	kvMu     sync.Mutex
+	kvKeys   map[string]bool
 	members  []*fleetMember
 	catalogs map[string]*dataset.Catalog
 	rt       *Router
@@ -51,8 +56,15 @@ type fleetEnv struct {
 // through one kv store and one router.
 func newFleetEnv(t *testing.T, nodes, cats, rows int) *fleetEnv {
 	t.Helper()
-	env := &fleetEnv{shards: 8, kvStore: kv.NewServer(0, 0), catalogs: make(map[string]*dataset.Catalog)}
-	kvTS := httptest.NewServer(env.kvStore)
+	env := &fleetEnv{shards: 8, kvStore: kv.NewServer(0, 0), kvKeys: make(map[string]bool), catalogs: make(map[string]*dataset.Catalog)}
+	kvTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if key := r.URL.Query().Get("key"); key != "" {
+			env.kvMu.Lock()
+			env.kvKeys[key] = true
+			env.kvMu.Unlock()
+		}
+		env.kvStore.ServeHTTP(w, r)
+	}))
 	t.Cleanup(kvTS.Close)
 
 	var catCfgs []server.CatalogConfig
@@ -229,8 +241,8 @@ func randomOp(rng *rand.Rand, mirror *session.Session, queries []string) (fleetO
 // many concurrent randomized sessions driven through the router
 // across three member processes are bitwise identical to fresh
 // in-process engines at every step, while the kv tier carries leaf
-// work between the members (fleet shared-hit rate and remote hits
-// both nonzero).
+// work — and only leaf work — between the members (fleet shared-hit
+// rate and remote hits both nonzero, every kv key a leaf's).
 func TestFleetReplayMatchesInProcess(t *testing.T) {
 	sessions, steps := 60, 6
 	if testing.Short() {
@@ -323,6 +335,16 @@ func TestFleetReplayMatchesInProcess(t *testing.T) {
 	if fleet.KV.Puts == 0 || fleet.KV.Entries == 0 {
 		t.Fatalf("kv store unused: %+v", fleet.KV)
 	}
+	// Leaf vectors are all that crosses: every index and interior entry
+	// behind the identical results above was rebuilt on the member that
+	// used it.
+	env.kvMu.Lock()
+	for key := range env.kvKeys {
+		if !strings.HasPrefix(key, "C|") && !strings.HasPrefix(key, "J|") && !strings.HasPrefix(key, "B|") && !strings.HasPrefix(key, "S|") {
+			t.Fatalf("a member asked the kv store about %q, which is not a leaf entry", key)
+		}
+	}
+	env.kvMu.Unlock()
 	if fleet.KV.MaxEntries == 0 || fleet.KV.MaxBytes == 0 {
 		t.Fatalf("fleet report dropped the kv store's bounds: %+v", fleet.KV)
 	}
