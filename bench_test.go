@@ -19,7 +19,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/join"
-	"repro/internal/kdtree"
 	"repro/internal/query"
 	"repro/internal/reduce"
 	"repro/internal/relevance"
@@ -622,27 +621,6 @@ func BenchmarkColormapLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cm.AtNorm(float64(i%1000) / 1000)
-	}
-}
-
-func BenchmarkKDTreeRange(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	pts := make([][]float64, 100000)
-	for i := range pts {
-		pts[i] = []float64{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-	}
-	tr, err := kdtree.Build(pts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lo := []float64{20, 20, 20}
-	hi := []float64{30, 30, 30}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Range(lo, hi); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

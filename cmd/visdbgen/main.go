@@ -34,16 +34,15 @@ func main() {
 		parts  = flag.Int("parts", 1000, "cad: number of parts")
 		people = flag.Int("people", 300, "multidb: entities in database A")
 		rows   = flag.Int("rows", 200000, "traffic: row count")
-		segVer = flag.Int("seg-version", 3, "seg: segment-catalog format version (3, 2 or 1)")
 	)
 	flag.Parse()
-	if err := run(*kind, *out, *format, *seed, *hours, *every, *offset, *hot, *parts, *people, *rows, *segVer); err != nil {
+	if err := run(*kind, *out, *format, *seed, *hours, *every, *offset, *hot, *parts, *people, *rows); err != nil {
 		fmt.Fprintln(os.Stderr, "visdbgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind, out, format string, seed int64, hours, every, offset, hot, parts, people, rows, segVer int) error {
+func run(kind, out, format string, seed int64, hours, every, offset, hot, parts, people, rows int) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -114,21 +113,11 @@ func run(kind, out, format string, seed int64, hours, every, offset, hot, parts,
 		}
 	case "seg":
 		path := filepath.Join(out, kind+".visdb")
-		write := visdb.WriteCatalogFile
-		switch segVer {
-		case 3:
-		case 2:
-			write = visdb.WriteCatalogFileV2
-		case 1:
-			write = visdb.WriteCatalogFileV1
-		default:
-			return fmt.Errorf("unknown -seg-version %d (3, 2 or 1)", segVer)
-		}
-		epoch, err := write(path, cat)
+		epoch, err := visdb.WriteCatalogFile(path, cat)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (format v%d, epoch %x)\n", path, segVer, epoch)
+		fmt.Printf("wrote %s (format v3, epoch %x)\n", path, epoch)
 	default:
 		return fmt.Errorf("unknown format %q (csv, seg)", format)
 	}

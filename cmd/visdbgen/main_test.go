@@ -10,7 +10,7 @@ import (
 
 func TestGenerateAllKinds(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("env", dir, "csv", 1, 48, 2, 30, 2, 0, 0, 0, 3); err != nil {
+	if err := run("env", dir, "csv", 1, 48, 2, 30, 2, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"Weather.csv", "Air-Pollution.csv"} {
@@ -18,7 +18,7 @@ func TestGenerateAllKinds(t *testing.T) {
 			t.Errorf("env: missing %s", f)
 		}
 	}
-	if err := run("cad", dir, "csv", 1, 0, 0, 0, 0, 50, 0, 0, 3); err != nil {
+	if err := run("cad", dir, "csv", 1, 0, 0, 0, 0, 50, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"Parts.csv", "cad_query.sql"} {
@@ -26,7 +26,7 @@ func TestGenerateAllKinds(t *testing.T) {
 			t.Errorf("cad: missing %s", f)
 		}
 	}
-	if err := run("multidb", dir, "csv", 1, 0, 0, 0, 0, 0, 40, 0, 3); err != nil {
+	if err := run("multidb", dir, "csv", 1, 0, 0, 0, 0, 0, 40, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"PersonsA.csv", "PersonsB.csv"} {
@@ -40,7 +40,7 @@ func TestGenerateAllKinds(t *testing.T) {
 // segment catalog carrying every table of the kind.
 func TestGenerateSegmentCatalog(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("traffic", dir, "seg", 7, 0, 0, 0, 0, 0, 0, 5000, 3); err != nil {
+	if err := run("traffic", dir, "seg", 7, 0, 0, 0, 0, 0, 0, 5000); err != nil {
 		t.Fatal(err)
 	}
 	cat, err := visdb.OpenCatalogFile(filepath.Join(dir, "traffic.visdb"), visdb.OpenOptions{})
@@ -59,7 +59,7 @@ func TestGenerateSegmentCatalog(t *testing.T) {
 		t.Errorf("rows = %d, want 5000", tbl.NumRows())
 	}
 
-	if err := run("env", dir, "seg", 1, 48, 2, 30, 2, 0, 0, 0, 3); err != nil {
+	if err := run("env", dir, "seg", 1, 48, 2, 30, 2, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	env, err := visdb.OpenCatalogFile(filepath.Join(dir, "env.visdb"), visdb.OpenOptions{})
@@ -70,29 +70,13 @@ func TestGenerateSegmentCatalog(t *testing.T) {
 	if got := len(env.TableNames()); got != 2 {
 		t.Errorf("env segment catalog has %d tables, want 2", got)
 	}
-
-	// Older format versions must still be writable and openable.
-	for _, ver := range []int{2, 1} {
-		vdir := t.TempDir()
-		if err := run("traffic", vdir, "seg", 7, 0, 0, 0, 0, 0, 0, 500, ver); err != nil {
-			t.Fatalf("seg-version %d: %v", ver, err)
-		}
-		old, err := visdb.OpenCatalogFile(filepath.Join(vdir, "traffic.visdb"), visdb.OpenOptions{})
-		if err != nil {
-			t.Fatalf("seg-version %d: %v", ver, err)
-		}
-		old.Close()
-	}
-	if err := run("traffic", t.TempDir(), "seg", 7, 0, 0, 0, 0, 0, 0, 10, 9); err == nil {
-		t.Error("unknown seg version should fail")
-	}
 }
 
 func TestGenerateUnknownKind(t *testing.T) {
-	if err := run("nope", t.TempDir(), "csv", 1, 0, 0, 0, 0, 0, 0, 0, 3); err == nil {
+	if err := run("nope", t.TempDir(), "csv", 1, 0, 0, 0, 0, 0, 0, 0); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	if err := run("traffic", t.TempDir(), "nope", 1, 0, 0, 0, 0, 0, 0, 10, 3); err == nil {
+	if err := run("traffic", t.TempDir(), "nope", 1, 0, 0, 0, 0, 0, 0, 10); err == nil {
 		t.Error("unknown format should fail")
 	}
 }

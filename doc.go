@@ -96,9 +96,15 @@
 //     scalings — let the pass skip every chunk that provably cannot
 //     beat the running k-th candidate. The session carries the
 //     previous recalculation's k-th raw value as the seed threshold,
-//     so a weight drag starts pruning from its very first chunk; a
-//     stale seed can only cost a re-run of the selection, never
-//     correctness, and query/range edits clear it.
+//     so a weight drag rejects candidates from its very first chunk;
+//     the seed carries no item index, so on a selection saturated with
+//     exact answers (seed 0, every chunk's bound 0) chunks start to
+//     fall only once the selector holds k candidates under it and
+//     installs an indexed bound — which it does at k+1, not at its
+//     usual 2k compaction point (TestSeededSaturatedSelectionPrunes:
+//     a carried seed never prunes less than no seed). A stale seed can
+//     only cost a re-run of the selection, never correctness, and
+//     query/range edits clear it.
 //   - Tie resolution keeps the result bit-identical to
 //     Options.FullSort: scaled-space ties (values clamped to Scale,
 //     degenerate ranges, rounding collisions) order by item index, so
@@ -111,6 +117,12 @@
 //     (Stats and exact-match aggregation still see exact values);
 //     displays, wire responses and windows read the ranked prefix via
 //     Result.DistanceOfRank and never force it.
+//   - Result.Order holds the ranked prefix and nothing else on this
+//     path — selectBudget entries, not a permutation of all N items:
+//     every reader stops at the display budget, and Result.TopK(k)
+//     extends the ranking from Combined for any deeper k. FullSort
+//     (and the eager fallback for pathological weights) still list all
+//     N.
 //
 // StageTimings.Scale times the survivor scaling, and Pruned/Chunks
 // count the skipped combine chunks (also exposed over the wire).
@@ -147,17 +159,21 @@
 // under a deliberately tiny cache (TestDiskReplayBitIdentical,
 // TestDiskCatalogReplayMatchesInMemory), race-clean in CI. visdbd
 // accepts "name:path" catalog specs (-catalog-cache-mb bounds the
-// decoded cache), visdbgen -format seg writes the files (-seg-version
-// selects an older layout), and CSV ingest streams rows chunk-by-chunk
-// with O(chunk) peak allocation.
+// decoded cache), visdbgen -format seg writes the files, and CSV ingest
+// streams rows chunk-by-chunk with O(chunk) peak allocation.
 //
 // # Segment format v3: per-segment stats pushdown and codecs
 //
-// The "VSEGCAT3" layout (v1/v2 files stay readable; all three round
-// trip bit-identically through both read backends) extends the footer
-// and the blob encoding; the file shape is unchanged — blobs, then a
-// JSON footer, then the 20-byte tail [footer CRC32C | footer length |
-// "VSEGEND3"]:
+// One writer, three readable versions: "VSEGCAT3" is the only layout
+// the code can write; "VSEGCAT1" and "VSEGCAT2" files stay readable
+// through both read backends, bit-identically, and the two checked-in
+// files internal/dataset/testdata/mixed_v1.vseg and mixed_v2.vseg —
+// written by the last v1/v2 writers before they were deleted — hold
+// that promise (TestLegacyV1StillReadable,
+// TestFormatVersionMatrixRoundTrip, TestLegacyV2FlipsStillDetected).
+// v3 extends the footer and the blob encoding; the file shape is
+// unchanged — blobs, then a JSON footer, then the 20-byte tail
+// [footer CRC32C | footer length | "VSEGEND3"]:
 //
 //   - Per-segment statistics. Every numeric segment blob's footer
 //     entry carries min/max (hex float strings — exact bits,

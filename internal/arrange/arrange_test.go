@@ -243,14 +243,3 @@ func TestBlockSide(t *testing.T) {
 		}
 	}
 }
-
-func TestGridDims(t *testing.T) {
-	gw, gh := GridDims(1024, 1280, 4)
-	if gw != 256 || gh != 320 {
-		t.Errorf("got %dx%d", gw, gh)
-	}
-	gw, gh = GridDims(10, 10, 0) // clamped to 1
-	if gw != 10 || gh != 10 {
-		t.Errorf("got %dx%d", gw, gh)
-	}
-}

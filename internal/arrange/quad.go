@@ -121,12 +121,3 @@ func BlockSide(pixelsPerItem int) int {
 		return 1
 	}
 }
-
-// GridDims returns the item-grid dimensions of a pixel window of size
-// pw×ph when each item occupies a block of blockSide×blockSide pixels.
-func GridDims(pw, ph, blockSide int) (gw, gh int) {
-	if blockSide < 1 {
-		blockSide = 1
-	}
-	return pw / blockSide, ph / blockSide
-}

@@ -115,17 +115,12 @@ func (e *Engine) Run(q *query.Query) (*Result, error) {
 	return e.RunCached(q, nil)
 }
 
-// RunCtx is Run bounded by ctx: the run polls ctx between pipeline
-// stages, between distance chunks, and between evaluator chunks, and
-// aborts with an error wrapping ctx.Err() once the context is done. An
-// aborted run leaves the session cache consistent — completed leaf
-// vectors stay cached (they are correct), the run's pooled buffers
-// return to the pool, and no partial result escapes.
-func (e *Engine) RunCtx(ctx context.Context, q *query.Query) (*Result, error) {
-	return e.RunCachedCtx(ctx, q, nil)
-}
-
-// RunCachedCtx is RunCached bounded by ctx (see RunCtx).
+// RunCachedCtx is RunCached bounded by ctx: the run polls ctx between
+// pipeline stages, between distance chunks, and between evaluator
+// chunks, and aborts with an error wrapping ctx.Err() once the context
+// is done. An aborted run leaves the session cache consistent —
+// completed leaf vectors stay cached (they are correct), the run's
+// pooled buffers return to the pool, and no partial result escapes.
 func (e *Engine) RunCachedCtx(ctx context.Context, q *query.Query, cache *RunCache) (*Result, error) {
 	start := time.Now()
 	b, err := query.Bind(q, e.cat)
@@ -135,7 +130,7 @@ func (e *Engine) RunCachedCtx(ctx context.Context, q *query.Query, cache *RunCac
 	return e.runBound(ctx, q, b, cache, start)
 }
 
-// RunPreboundCtx is RunPrebound bounded by ctx (see RunCtx).
+// RunPreboundCtx is RunPrebound bounded by ctx (see RunCachedCtx).
 func (e *Engine) RunPreboundCtx(ctx context.Context, q *query.Query, b *query.Binding, cache *RunCache) (*Result, error) {
 	start := time.Now()
 	if b == nil || b.Query != q {
@@ -303,7 +298,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		var idx []int
 		if cache != nil {
 			seed = cache.rootSeed(res.cacheSig)
-			vals, idx = cache.floats.alloc(space.n), cache.ints.alloc(space.n)
+			vals, idx = cache.floats.alloc(k), cache.ints.alloc(k)
 		}
 		rk, err := eval.RankRoot(k, seed, vals, idx)
 		if err != nil {

@@ -38,15 +38,6 @@ type BreakerReporter interface {
 	BreakerState() (state string, trips, shortCircuits uint64)
 }
 
-// AttachBackend plugs a remote tier behind the cache. Attach before
-// serving traffic; entries computed earlier are simply never offered to
-// the backend.
-func (sc *SharedCache) AttachBackend(b SharedBackend) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.backend = b
-}
-
 // The shared-entry envelope: version, kind, the invalidation handles,
 // then the payload — a leaf's distance vectors and, for a condition,
 // its slider scalars. Nothing else crosses the fleet: quantile indexes,

@@ -34,15 +34,16 @@ type Result struct {
 	combined []float64
 	// Order maps display rank → item index (ascending combined
 	// distance, i.e. descending relevance); sorted holds the distances
-	// in rank order. Order is always a permutation of [0, N), but on
-	// the default selection path only the first rankedK entries (at
-	// least the display budget) are exactly ranked — the remainder is
-	// unordered. Use TopK to obtain the head of the ranking at any
-	// depth, or Options.FullSort for a fully sorted Order.
+	// in rank order. On the default selection path Order holds the
+	// ranked prefix only — rankedK entries, at least the display budget
+	// — and the unranked items are not listed. Use TopK to obtain the
+	// head of the ranking at any depth, or Options.FullSort for a fully
+	// sorted Order of all N items.
 	Order  []int
 	sorted []float64
 	// rankedK is how many leading entries of Order/sorted are in exact
-	// relevance order (N when fully sorted).
+	// relevance order (N when fully sorted); entries past it, where a
+	// fallback path leaves any, are in unspecified order.
 	rankedK int
 	// sortedReordered marks sorted as re-filtered into display order by
 	// the 2D-quantile refinement (no longer ascending).
@@ -109,18 +110,14 @@ func (r *Result) combinedLocked() []float64 {
 
 // DistanceOfRank returns the combined (scaled) distance of the item at
 // display rank k — res.Combined()[res.Order[k]] without materializing
-// the combined vector. Valid for the exactly-ranked prefix (k below
-// RankedK; display ranks always qualify); NaN outside it.
+// the combined vector. Valid for the exactly-ranked prefix (display
+// ranks always qualify); NaN outside it.
 func (r *Result) DistanceOfRank(k int) float64 {
 	if k < 0 || k >= r.rankedK {
 		return math.NaN()
 	}
 	return r.sorted[k]
 }
-
-// RankedK reports how many leading entries of Order are exactly ranked
-// (N under FullSort, at least the display budget otherwise).
-func (r *Result) RankedK() int { return r.rankedK }
 
 // Relevance returns the per-item relevance factors — "the relevance
 // factor is determined as the inverse of that distance value" —
@@ -759,8 +756,9 @@ func (r *Result) ItemsInColorRange(e query.Expr, loLevel, hiLevel int) ([]int, e
 
 // TopK returns the item indices of the k most relevant items (the head
 // of the ranking) — the programmatic consumption path for similarity
-// retrieval (section 4.5). When k exceeds the materialized selection
-// prefix, the ranking is extended with another selection pass over the
+// retrieval (section 4.5); k is clamped to N. When k exceeds the
+// materialized selection prefix (all that Order holds on the selection
+// path), the ranking is extended with another selection pass over the
 // combined distances; the already-ranked prefix is unchanged by the
 // extension. Concurrent TopK calls are synchronized, but an extension
 // replaces the Order/sorted slices — goroutines reading the exported
@@ -769,8 +767,8 @@ func (r *Result) ItemsInColorRange(e query.Expr, loLevel, hiLevel int) ([]int, e
 func (r *Result) TopK(k int) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if k > len(r.Order) {
-		k = len(r.Order)
+	if k > r.N {
+		k = r.N
 	}
 	if k < 0 {
 		k = 0

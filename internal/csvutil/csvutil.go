@@ -7,10 +7,8 @@
 // Inference and loading are both streaming: a first pass over the
 // rows narrows the per-column kind flags without retaining any row,
 // and a second pass appends rows chunk-by-chunk into segmented
-// columns. File-based entry points (LoadInferred, ConvertFile) reopen
-// the file for the second pass, so their peak memory is O(segment) —
-// not O(rows) — which is what lets a CSV larger than RAM convert into
-// an on-disk segment catalog.
+// columns. LoadInferred reopens the file for the second pass, so no
+// pass retains the CSV's rows.
 package csvutil
 
 import (
@@ -49,7 +47,7 @@ func LoadInferred(path, name string) (*dataset.Table, error) {
 
 // ReadInferred is LoadInferred over a reader. A generic reader cannot
 // rewind, so the raw bytes are buffered once and streamed twice; use
-// LoadInferred or ConvertFile for O(segment) memory.
+// LoadInferred to avoid the buffer.
 func ReadInferred(r io.Reader, name string) (*dataset.Table, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -67,27 +65,6 @@ func ReadInferred(r io.Reader, name string) (*dataset.Table, error) {
 		return nil, err
 	}
 	return tbl, nil
-}
-
-// ConvertFile streams the CSV at path into an open segment-catalog
-// writer as one table with an inferred schema. Rows flow straight into
-// the writer's segment buffer, so peak memory stays O(segment)
-// regardless of the file size.
-func ConvertFile(path, name string, w *dataset.SegmentWriter) error {
-	schema, err := InferSchemaFile(path)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tw, err := w.AddTable(name, schema)
-	if err != nil {
-		return err
-	}
-	return streamRows(f, schema, tw.AppendRow)
 }
 
 // InferSchemaFile streams path once and returns the inferred schema.

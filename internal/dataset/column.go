@@ -341,14 +341,6 @@ func (c *TimeColumn) Append(v Value) error {
 	return nil
 }
 
-// TimeAt returns entry i and whether it is non-null.
-func (c *TimeColumn) TimeAt(i int) (time.Time, bool) {
-	if c.nulls.at(i) {
-		return time.Time{}, false
-	}
-	return c.vals.at(i), true
-}
-
 // ReadFloats implements FloatReader (Unix seconds, per AsFloat).
 func (c *TimeColumn) ReadFloats(dst []float64, from int) {
 	readSegmented(dst, from, func(dst []float64, si, lo, hi int) {

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,43 +55,111 @@ func scanAll(t *testing.T, cat *Catalog) {
 	}
 }
 
-// TestLegacyV1StillReadable pins backward compatibility: a catalog
-// written in the checksum-free VSEGCAT1 layout opens and reads cell
-// for cell identically to the in-memory original, with no corruption
-// reported.
-func TestLegacyV1StillReadable(t *testing.T) {
-	const rows = SegmentSize + 57
-	mem := mixedCatalog(t, rows)
-	path := filepath.Join(t.TempDir(), "legacy.vseg")
-	epoch, err := WriteCatalogFileV1(path, mem)
+// legacyFixtureRows is the row count of the two checked-in legacy
+// segment files, testdata/mixed_v1.vseg and testdata/mixed_v2.vseg:
+// mixedCatalog(t, legacyFixtureRows) as the VSEGCAT1 and VSEGCAT2
+// writers wrote it before they were deleted (the layouts are read-only
+// now, so the fixtures cannot be regenerated — only read).
+const legacyFixtureRows = SegmentSize + 57
+
+func legacyFixture(version int) string {
+	return filepath.Join("testdata", fmt.Sprintf("mixed_v%d.vseg", version))
+}
+
+// checkReadsBack opens the segment file at path through both backends
+// (mmap and ReadAt) and compares table "m" against mem cell for cell
+// and through FloatsOf bit for bit, with no corruption reported. Each
+// opened catalog is handed to extra (when non-nil) before it closes.
+func checkReadsBack(t *testing.T, name, path string, mem *Catalog, extra func(disk *Catalog)) {
+	t.Helper()
+	mt, err := mem.Table("m")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if epoch == 0 {
-		t.Fatal("v1 writer stamped zero epoch")
 	}
 	for _, force := range []bool{false, true} {
 		disk, err := OpenCatalogFile(path, OpenOptions{ForceReadAt: force})
 		if err != nil {
-			t.Fatalf("open v1 (forceReadAt=%v): %v", force, err)
+			t.Fatalf("%s (readat=%v): %v", name, force, err)
 		}
-		mt, _ := mem.Table("m")
 		dt, err := disk.Table("m")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if dt.NumRows() != mt.NumRows() {
+			t.Fatalf("%s (readat=%v): %d rows, want %d", name, force, dt.NumRows(), mt.NumRows())
 		}
 		for r := 0; r < mt.NumRows(); r++ {
 			want, got := mt.Row(r), dt.Row(r)
 			for i := range want {
 				if !valueEqualNaN(want[i], got[i]) {
-					t.Fatalf("row %d col %d: %v != %v", r, i, got[i], want[i])
+					t.Fatalf("%s (readat=%v) row %d col %d: %v != %v", name, force, r, i, got[i], want[i])
 				}
 			}
 		}
-		if err := disk.Corrupt(); err != nil {
-			t.Fatalf("healthy v1 catalog reports corruption: %v", err)
+		for _, field := range mt.Schema() {
+			mf, err := mt.FloatsOf(field.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			df, err := dt.FloatsOf(field.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range mf {
+				if math.Float64bits(mf[r]) != math.Float64bits(df[r]) {
+					t.Fatalf("%s (readat=%v) col %s row %d: floats differ", name, force, field.Name, r)
+				}
+			}
+		}
+		if extra != nil {
+			extra(disk)
+		}
+		if cerr := disk.Corrupt(); cerr != nil {
+			t.Fatalf("%s: healthy catalog reports corruption: %v", name, cerr)
 		}
 		disk.Close()
+	}
+}
+
+// TestLegacyV1StillReadable pins backward compatibility: a catalog
+// written in the checksum-free VSEGCAT1 layout opens and reads cell
+// for cell identically to the in-memory original, with no corruption
+// reported.
+func TestLegacyV1StillReadable(t *testing.T) {
+	mem := mixedCatalog(t, legacyFixtureRows)
+	checkReadsBack(t, "v1", legacyFixture(1), mem, func(disk *Catalog) {
+		if disk.Epoch() == 0 {
+			t.Fatal("v1 fixture carries a zero epoch")
+		}
+	})
+}
+
+// flipDetected writes data with the byte at off flipped to work and
+// requires the damage to surface as a typed ErrCorruptSegment, at open
+// or on a full scan — never as silently wrong data.
+func flipDetected(t *testing.T, data []byte, off int, work string) {
+	t.Helper()
+	data[off] ^= 0x41
+	err := os.WriteFile(work, data, 0o644)
+	data[off] ^= 0x41
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenCatalogFile(work, OpenOptions{ForceReadAt: true})
+	if err != nil {
+		if !errors.Is(err, ErrCorruptSegment) {
+			t.Fatalf("flip at %d: open error is not ErrCorruptSegment: %v", off, err)
+		}
+		return
+	}
+	scanAll(t, cat)
+	cerr := cat.Corrupt()
+	cat.Close()
+	if cerr == nil {
+		t.Fatalf("flip at %d: opened and scanned clean — corruption undetected", off)
+	}
+	if !errors.Is(cerr, ErrCorruptSegment) {
+		t.Fatalf("flip at %d: sticky error is not ErrCorruptSegment: %v", off, cerr)
 	}
 }
 
@@ -111,28 +181,23 @@ func TestEveryByteFlipDetected(t *testing.T) {
 	t.Logf("sweeping %d byte positions", len(data))
 	work := filepath.Join(dir, "flip.vseg")
 	for off := range data {
-		data[off] ^= 0x41
-		if err := os.WriteFile(work, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		data[off] ^= 0x41
+		flipDetected(t, data, off, work)
+	}
+}
 
-		cat, err := OpenCatalogFile(work, OpenOptions{ForceReadAt: true})
-		if err != nil {
-			if !errors.Is(err, ErrCorruptSegment) {
-				t.Fatalf("flip at %d: open error is not ErrCorruptSegment: %v", off, err)
-			}
-			continue
-		}
-		scanAll(t, cat)
-		cerr := cat.Corrupt()
-		cat.Close()
-		if cerr == nil {
-			t.Fatalf("flip at %d: opened and scanned clean — corruption undetected", off)
-		}
-		if !errors.Is(cerr, ErrCorruptSegment) {
-			t.Fatalf("flip at %d: sticky error is not ErrCorruptSegment: %v", off, cerr)
-		}
+// TestLegacyV2FlipsStillDetected: the VSEGCAT2 layout is read-only but
+// its integrity checks are not optional — a flipped byte in the head
+// magic, a blob, the footer, the footer CRC, the footer length or the
+// end magic of the checked-in v2 file is still an ErrCorruptSegment.
+func TestLegacyV2FlipsStillDetected(t *testing.T) {
+	data, err := os.ReadFile(legacyFixture(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(data)
+	work := filepath.Join(t.TempDir(), "flip.vseg")
+	for _, off := range []int{0, len(segMagic2), size / 2, size - 20 - 10, size - 20, size - 16, size - 1} {
+		flipDetected(t, data, off, work)
 	}
 }
 

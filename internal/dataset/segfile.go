@@ -42,10 +42,12 @@ import (
 // and word payloads may be compressed (segBlob.Enc: delta+zigzag+
 // uvarint for ints and times, xor-with-previous+uvarint for floats;
 // kept only when strictly smaller). Blob CRCs cover the on-disk,
-// possibly compressed bytes. The legacy layouts — checksum-free
-// "VSEGCAT1" (16-byte tail) and "VSEGCAT2" — are still readable;
-// their reads behave exactly as before (no per-segment stats, no
-// compression, v1 unverified).
+// possibly compressed bytes. The writer produces v3 and nothing else;
+// the legacy layouts — checksum-free "VSEGCAT1" (16-byte tail) and
+// "VSEGCAT2" — are read-only: files in them still open and read exactly
+// as before (no per-segment stats, no compression, v1 unverified), and
+// testdata/mixed_v1.vseg and mixed_v2.vseg, written by the last
+// writers that could, pin that.
 //
 // The per-segment stats carry a soundness contract: min/max bound
 // every usable value of the segment and nulls counts every unusable
@@ -95,10 +97,9 @@ var ErrCorruptSegment = errors.New("corrupt segment catalog")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segBlob locates one segment blob in the file. CRC is the CRC32C of
-// the blob's on-disk bytes (compressed form when Enc is set); format
-// v2+ writers always set it and readers verify it on every decode
-// (absent from legacy v1 footers, where it decodes as zero and is
-// ignored).
+// the blob's on-disk bytes (compressed form when Enc is set); the
+// writer always sets it and readers verify it on every decode (absent
+// from legacy v1 footers, where it decodes as zero and is ignored).
 //
 // Format v3 adds the per-segment fields: Enc selects the payload
 // encoding (encRaw/encDelta/encXor), and Min/Max/Nulls are the
@@ -151,66 +152,39 @@ type segFooter struct {
 // O(segment) memory: rows buffer per table until a full segment
 // accumulates, then its column blobs flush to the file.
 type SegmentWriter struct {
-	f       *os.File
-	w       *bufio.Writer
-	off     int64
-	hash    interface{ Write([]byte) (int, error) }
-	sum     func() uint64
-	footer  segFooter
-	open    []*TableWriter
-	names   map[string]bool
-	epoch   *uint64
-	version int
-	closed  bool
+	f      *os.File
+	w      *bufio.Writer
+	off    int64
+	hash   interface{ Write([]byte) (int, error) }
+	sum    func() uint64
+	footer segFooter
+	open   []*TableWriter
+	names  map[string]bool
+	epoch  *uint64
+	closed bool
 }
 
-// CreateSegmentCatalog creates path and returns a writer for it,
-// producing the current "VSEGCAT3" layout (per-segment stats and
-// compression on top of the v2 checksums).
+// CreateSegmentCatalog creates path and returns a writer for it. The
+// writer produces the current "VSEGCAT3" layout and no other; the
+// older layouts are read-only.
 func CreateSegmentCatalog(path string) (*SegmentWriter, error) {
-	return createSegmentCatalog(path, 3)
-}
-
-// CreateSegmentCatalogV2 creates path and returns a writer producing
-// the checksummed but stats-free "VSEGCAT2" layout — kept for
-// compatibility tests and for generating fixtures old readers accept.
-func CreateSegmentCatalogV2(path string) (*SegmentWriter, error) {
-	return createSegmentCatalog(path, 2)
-}
-
-// CreateSegmentCatalogV1 creates path and returns a writer producing
-// the legacy checksum-free "VSEGCAT1" layout — kept for compatibility
-// tests and for generating fixtures old readers accept.
-func CreateSegmentCatalogV1(path string) (*SegmentWriter, error) {
-	return createSegmentCatalog(path, 1)
-}
-
-func createSegmentCatalog(path string, version int) (*SegmentWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	h := fnv.New64a()
 	w := &SegmentWriter{
-		f:       f,
-		w:       bufio.NewWriterSize(f, 1<<16),
-		hash:    h,
-		sum:     h.Sum64,
-		names:   make(map[string]bool),
-		version: version,
+		f:     f,
+		w:     bufio.NewWriterSize(f, 1<<16),
+		hash:  h,
+		sum:   h.Sum64,
+		names: make(map[string]bool),
 	}
-	magic := segMagic3
-	switch version {
-	case 1:
-		magic = segMagic
-	case 2:
-		magic = segMagic2
-	}
-	if _, err := w.w.WriteString(magic); err != nil {
+	if _, err := w.w.WriteString(segMagic3); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w.off = int64(len(magic))
+	w.off = int64(len(segMagic3))
 	return w, nil
 }
 
@@ -260,17 +234,14 @@ func (w *SegmentWriter) AddTable(name string, schema Schema) (*TableWriter, erro
 	return tw, nil
 }
 
-// writeBlob appends raw blob bytes and returns their location (with
-// the blob's CRC32C under format v2).
+// writeBlob appends raw blob bytes and returns their location and
+// CRC32C.
 func (w *SegmentWriter) writeBlob(b []byte) (segBlob, error) {
 	if _, err := w.w.Write(b); err != nil {
 		return segBlob{}, err
 	}
 	w.hash.Write(b)
-	loc := segBlob{Off: w.off, Len: int64(len(b))}
-	if w.version >= 2 {
-		loc.CRC = crc32.Checksum(b, castagnoli)
-	}
+	loc := segBlob{Off: w.off, Len: int64(len(b)), CRC: crc32.Checksum(b, castagnoli)}
 	w.off += int64(len(b))
 	return loc, nil
 }
@@ -303,21 +274,10 @@ func (w *SegmentWriter) Close() error {
 		w.f.Close()
 		return err
 	}
-	var tail []byte
-	if w.version >= 2 {
-		tail = make([]byte, 20)
-		binary.LittleEndian.PutUint32(tail[:4], crc32.Checksum(ft, castagnoli))
-		binary.LittleEndian.PutUint64(tail[4:12], uint64(len(ft)))
-		end := segEndMagic3
-		if w.version == 2 {
-			end = segEndMagic2
-		}
-		copy(tail[12:], end)
-	} else {
-		tail = make([]byte, 16)
-		binary.LittleEndian.PutUint64(tail[:8], uint64(len(ft)))
-		copy(tail[8:], segEndMagic)
-	}
+	tail := make([]byte, 20)
+	binary.LittleEndian.PutUint32(tail[:4], crc32.Checksum(ft, castagnoli))
+	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(ft)))
+	copy(tail[12:], segEndMagic3)
 	if _, err := w.w.Write(tail); err != nil {
 		w.f.Close()
 		return err
@@ -356,7 +316,7 @@ func (tw *TableWriter) AppendRow(vals ...Value) error {
 }
 
 // flush encodes and writes the buffered segment of every column,
-// computing the segment's statistics (v3 footers carry them per blob)
+// computing the segment's statistics (the footer carries them per blob)
 // and folding them into the running column extremes.
 func (tw *TableWriter) flush() error {
 	rows := tw.buf.NumRows()
@@ -365,7 +325,7 @@ func (tw *TableWriter) flush() error {
 	}
 	for i := range tw.meta.Fields {
 		c := tw.buf.ColumnAt(i)
-		blob, enc := encodeSegmentV(c, rows, tw.w.version)
+		blob, enc := encodeSegment(c, rows)
 		loc, err := tw.w.writeBlob(blob)
 		if err != nil {
 			return err
@@ -380,11 +340,9 @@ func (tw *TableWriter) flush() error {
 				tw.maxs[i] = smax
 			}
 			tw.any[i] = true
-			if tw.w.version >= 3 {
-				loc.Min = strconv.FormatFloat(smin, 'x', -1, 64)
-				loc.Max = strconv.FormatFloat(smax, 'x', -1, 64)
-				loc.Nulls = unusable
-			}
+			loc.Min = strconv.FormatFloat(smin, 'x', -1, 64)
+			loc.Max = strconv.FormatFloat(smax, 'x', -1, 64)
+			loc.Nulls = unusable
 		}
 		tw.meta.Fields[i].Segs = append(tw.meta.Fields[i].Segs, loc)
 	}
@@ -436,23 +394,7 @@ func (tw *TableWriter) finishStats() {
 // path (current format, "VSEGCAT3") and returns the epoch stamped into
 // its footer.
 func WriteCatalogFile(path string, cat *Catalog) (uint64, error) {
-	return writeCatalogFile(path, cat, 3)
-}
-
-// WriteCatalogFileV2 is WriteCatalogFile for the checksummed but
-// stats-free "VSEGCAT2" layout.
-func WriteCatalogFileV2(path string, cat *Catalog) (uint64, error) {
-	return writeCatalogFile(path, cat, 2)
-}
-
-// WriteCatalogFileV1 is WriteCatalogFile for the legacy checksum-free
-// "VSEGCAT1" layout.
-func WriteCatalogFileV1(path string, cat *Catalog) (uint64, error) {
-	return writeCatalogFile(path, cat, 1)
-}
-
-func writeCatalogFile(path string, cat *Catalog, version int) (uint64, error) {
-	w, err := createSegmentCatalog(path, version)
+	w, err := CreateSegmentCatalog(path)
 	if err != nil {
 		return 0, err
 	}
@@ -510,9 +452,9 @@ func peekEpoch(path string) (uint64, error) {
 	return ft.Epoch, nil
 }
 
-// encodeSegment serializes the first (only) buffered segment of an
-// in-memory column as a blob.
-func encodeSegment(c Column, rows int) []byte {
+// encodeSegmentRaw serializes the first (only) buffered segment of an
+// in-memory column as an uncompressed blob.
+func encodeSegmentRaw(c Column, rows int) []byte {
 	bm := make([]byte, (rows+7)/8)
 	for i := 0; i < rows; i++ {
 		if c.IsNull(i) {
@@ -574,16 +516,13 @@ func encodeSegment(c Column, rows int) []byte {
 	return out
 }
 
-// encodeSegmentV encodes one segment for the given format version:
-// the raw blob under v1/v2, and under v3 the compressed word payload
-// when the kind has one and compression strictly shrinks it (the null
-// bitmap always stays raw at the front). Returns the blob bytes and
-// the encoding stamped into the footer entry.
-func encodeSegmentV(c Column, rows, version int) ([]byte, int) {
-	raw := encodeSegment(c, rows)
-	if version < 3 {
-		return raw, encRaw
-	}
+// encodeSegment encodes one segment as the writer stores it: the
+// compressed word payload when the kind has one and compression
+// strictly shrinks it (the null bitmap always stays raw at the front),
+// the raw blob otherwise. Returns the blob bytes and the encoding
+// stamped into the footer entry.
+func encodeSegment(c Column, rows int) ([]byte, int) {
+	raw := encodeSegmentRaw(c, rows)
 	var enc int
 	switch c.(type) {
 	case *IntColumn, *TimeColumn:

@@ -188,68 +188,42 @@ func TestSegmentStatsMatchScan(t *testing.T) {
 }
 
 // TestFormatVersionMatrixRoundTrip pins the compatibility contract:
-// the same catalog written in formats v1, v2 and v3 reads back
-// bit-identically through both the mmap and the ReadAt backends.
+// the same catalog in formats v1, v2 (the checked-in files the deleted
+// writers left) and v3 (written here) reads back bit-identically
+// through both the mmap and the ReadAt backends, and only v3 answers
+// per-segment stats.
 func TestFormatVersionMatrixRoundTrip(t *testing.T) {
-	const rows = SegmentSize + 421
-	mem := mixedCatalog(t, rows)
-	writers := []struct {
-		name  string
-		write func(string, *Catalog) (uint64, error)
-	}{
-		{"v3", WriteCatalogFile},
-		{"v2", WriteCatalogFileV2},
-		{"v1", WriteCatalogFileV1},
+	mem := mixedCatalog(t, legacyFixtureRows)
+	v3 := filepath.Join(t.TempDir(), "v3.vseg")
+	if _, err := WriteCatalogFile(v3, mem); err != nil {
+		t.Fatal(err)
 	}
-	mt, _ := mem.Table("m")
-	for _, w := range writers {
-		path := filepath.Join(t.TempDir(), w.name+".vseg")
-		if _, err := w.write(path, mem); err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		for _, force := range []bool{false, true} {
-			disk, err := OpenCatalogFile(path, OpenOptions{ForceReadAt: force})
-			if err != nil {
-				t.Fatalf("%s (readat=%v): %v", w.name, force, err)
-			}
-			dt, err := disk.Table("m")
+	for _, f := range []struct {
+		name, path string
+		stats      bool
+	}{
+		{"v3", v3, true},
+		{"v2", legacyFixture(2), false},
+		{"v1", legacyFixture(1), false},
+	} {
+		checkReadsBack(t, f.name, f.path, mem, func(disk *Catalog) {
+			dt, _ := disk.Table("m")
+			fr, err := dt.FloatReaderOf("i")
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r := 0; r < rows; r++ {
-				want, got := mt.Row(r), dt.Row(r)
-				for i := range want {
-					if !valueEqualNaN(want[i], got[i]) {
-						t.Fatalf("%s (readat=%v) row %d col %d: %v != %v", w.name, force, r, i, got[i], want[i])
-					}
-				}
+			if _, _, _, ok := fr.(SegmentStatser).SegmentStats(0); ok != f.stats {
+				t.Fatalf("%s: SegmentStats ok = %v, want %v", f.name, ok, f.stats)
 			}
-			for _, field := range mt.Schema() {
-				mf, err := mt.FloatsOf(field.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				df, err := dt.FloatsOf(field.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r := range mf {
-					if math.Float64bits(mf[r]) != math.Float64bits(df[r]) {
-						t.Fatalf("%s (readat=%v) col %s row %d: floats differ", w.name, force, field.Name, r)
-					}
-				}
-			}
-			if cerr := disk.Corrupt(); cerr != nil {
-				t.Fatalf("%s: healthy catalog reports corruption: %v", w.name, cerr)
-			}
-			disk.Close()
-		}
+		})
 	}
 }
 
 // TestCompressionShrinksClusteredFile: the v3 codecs (delta for
-// ints/times, xor for floats) must beat the raw v2 layout on clustered
-// data, where adjacent words share most of their bits.
+// ints/times, xor for floats) must beat the raw payload — 8 bytes a
+// word plus a null bitmap per column segment, what the uncompressed
+// layouts store — on clustered data, where adjacent words share most
+// of their bits.
 func TestCompressionShrinksClusteredFile(t *testing.T) {
 	tbl, err := NewTable("c", Schema{
 		{Name: "seq", Kind: KindInt},
@@ -277,23 +251,17 @@ func TestCompressionShrinksClusteredFile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	p3 := filepath.Join(dir, "c3.vseg")
-	p2 := filepath.Join(dir, "c2.vseg")
 	if _, err := WriteCatalogFile(p3, mem); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteCatalogFileV2(p2, mem); err != nil {
 		t.Fatal(err)
 	}
 	s3, err := os.Stat(p3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := os.Stat(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Size() >= s2.Size() {
-		t.Fatalf("v3 file %d bytes, not smaller than v2 %d bytes", s3.Size(), s2.Size())
+	const cols = 3
+	raw := int64(cols * (rows*8 + rows/SegmentSize*(SegmentSize/8)))
+	if s3.Size() >= raw {
+		t.Fatalf("v3 file %d bytes (footer included), not smaller than the raw payload %d bytes", s3.Size(), raw)
 	}
 	// And the compressed file still reads back exactly.
 	disk, err := OpenCatalogFile(p3, OpenOptions{})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestAbsSignedRelative(t *testing.T) {
@@ -303,23 +302,6 @@ func TestPhonetic(t *testing.T) {
 	}
 }
 
-func TestFold(t *testing.T) {
-	if Fold("Hello, World! 42") != "helloworld42" {
-		t.Errorf("Fold = %q", Fold("Hello, World! 42"))
-	}
-}
-
-func TestTimeDiff(t *testing.T) {
-	t0 := time.Date(1994, 2, 14, 10, 0, 0, 0, time.UTC)
-	t1 := t0.Add(2 * time.Hour)
-	if TimeDiff(t0, t1) != 7200 || TimeDiff(t1, t0) != 7200 {
-		t.Error("TimeDiff")
-	}
-	if TimeDiffSigned(t1, t0) != 7200 || TimeDiffSigned(t0, t1) != -7200 {
-		t.Error("TimeDiffSigned")
-	}
-}
-
 func TestHaversine(t *testing.T) {
 	// Munich (48.137, 11.575) to Augsburg (48.371, 10.898): ~57.6 km.
 	d := Haversine(48.137, 11.575, 48.371, 10.898)
@@ -333,12 +315,6 @@ func TestHaversine(t *testing.T) {
 	d = Haversine(0, 0, 0, 180)
 	if math.Abs(d-math.Pi*EarthRadiusMeters) > 1000 {
 		t.Errorf("antipodal = %v", d)
-	}
-}
-
-func TestEuclid2D(t *testing.T) {
-	if Euclid2D(0, 0, 3, 4) != 5 {
-		t.Error("3-4-5 triangle")
 	}
 }
 

@@ -1,22 +1,6 @@
 package distance
 
-import (
-	"math"
-	"time"
-)
-
-// TimeDiff is the absolute difference between two instants in seconds;
-// it scores the paper's `with-time-diff(min)` approximate-join
-// connection.
-func TimeDiff(a, b time.Time) float64 {
-	d := a.Sub(b).Seconds()
-	return math.Abs(d)
-}
-
-// TimeDiffSigned is the directed difference a−b in seconds.
-func TimeDiffSigned(a, b time.Time) float64 {
-	return a.Sub(b).Seconds()
-}
+import "math"
 
 // EarthRadiusMeters is the mean Earth radius used by Haversine.
 const EarthRadiusMeters = 6371000.0
@@ -36,11 +20,4 @@ func Haversine(lat1, lon1, lat2, lon2 float64) float64 {
 		a = 1
 	}
 	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(a))
-}
-
-// Euclid2D is the planar Euclidean distance, for location attributes
-// already in projected coordinates.
-func Euclid2D(x1, y1, x2, y2 float64) float64 {
-	dx, dy := x2-x1, y2-y1
-	return math.Hypot(dx, dy)
 }

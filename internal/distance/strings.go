@@ -1,9 +1,6 @@
 package distance
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // StringFunc is a distance between two strings.
 type StringFunc func(a, b string) float64
@@ -203,16 +200,4 @@ func soundexDigit(c byte) byte {
 // ("Smith"/"Smyth") have distance 0.
 func Phonetic(a, b string) float64 {
 	return CharacterWise(Soundex(a), Soundex(b))
-}
-
-// Fold lower-cases and strips non-alphanumeric runes; useful as a
-// preprocessing step for the multi-database correspondence example.
-func Fold(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
-		}
-	}
-	return b.String()
 }

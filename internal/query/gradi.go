@@ -36,15 +36,6 @@ func Gradi(q *Query) string {
 	return b.String()
 }
 
-// GradiExpr renders just a condition tree, used when the user
-// double-clicks a boolean operator box to drill into a query part
-// (figures 4 → 5).
-func GradiExpr(e Expr) string {
-	var b strings.Builder
-	renderNode(&b, e, "", true, true)
-	return b.String()
-}
-
 func renderNode(b *strings.Builder, e Expr, prefix string, isLast, isRoot bool) {
 	connector := "├── "
 	childPrefix := prefix + "│   "

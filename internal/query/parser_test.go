@@ -320,10 +320,9 @@ func TestGradiRendering(t *testing.T) {
 	if !strings.Contains(Gradi(q4), "(weight 3)") {
 		t.Error("weight annotation missing")
 	}
-	// GradiExpr on a subtree.
-	e, _ := ParseExpr(`a > 1 AND NOT (b < 2)`)
-	sub := GradiExpr(e)
-	if !strings.Contains(sub, "NOT") || !strings.Contains(sub, "[b < 2]") {
-		t.Errorf("GradiExpr:\n%s", sub)
+	// Negation renders as an operator box over its operand.
+	q5, _ := Parse(`SELECT * FROM A WHERE a > 1 AND NOT (b < 2)`)
+	if art5 := Gradi(q5); !strings.Contains(art5, "NOT") || !strings.Contains(art5, "[b < 2]") {
+		t.Errorf("negation missing:\n%s", art5)
 	}
 }

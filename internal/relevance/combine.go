@@ -320,95 +320,6 @@ func CombineEuclidean(dists [][]float64, weights []float64) ([]float64, error) {
 	return CombineLp(dists, weights, 2)
 }
 
-// Mahalanobis combines per-predicate distances with the Mahalanobis
-// form sqrt(dᵀ·Σ⁻¹·d) given the covariance matrix cov of the predicate
-// distances. cov must be square with side len(dists) and invertible.
-func Mahalanobis(dists [][]float64, cov [][]float64) ([]float64, error) {
-	m := len(dists)
-	if m == 0 {
-		return nil, fmt.Errorf("relevance: no distance vectors")
-	}
-	n := len(dists[0])
-	for j, d := range dists {
-		if len(d) != n {
-			return nil, fmt.Errorf("relevance: vector %d has length %d, want %d", j, len(d), n)
-		}
-	}
-	inv, err := invert(cov, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	row := make([]float64, m)
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			row[j] = dists[j][i]
-		}
-		var acc float64
-		for a := 0; a < m; a++ {
-			for b := 0; b < m; b++ {
-				acc += row[a] * inv[a][b] * row[b]
-			}
-		}
-		if acc < 0 {
-			acc = 0 // numerical noise on near-singular covariance
-		}
-		out[i] = math.Sqrt(acc)
-	}
-	return out, nil
-}
-
-// invert computes the inverse of an m×m matrix by Gauss-Jordan
-// elimination with partial pivoting.
-func invert(mat [][]float64, m int) ([][]float64, error) {
-	if len(mat) != m {
-		return nil, fmt.Errorf("relevance: covariance has %d rows, want %d", len(mat), m)
-	}
-	a := make([][]float64, m)
-	inv := make([][]float64, m)
-	for i := range a {
-		if len(mat[i]) != m {
-			return nil, fmt.Errorf("relevance: covariance row %d has %d entries, want %d", i, len(mat[i]), m)
-		}
-		a[i] = append([]float64(nil), mat[i]...)
-		inv[i] = make([]float64, m)
-		inv[i][i] = 1
-	}
-	for col := 0; col < m; col++ {
-		// Partial pivot.
-		pivot := col
-		for r := col + 1; r < m; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-12 {
-			return nil, fmt.Errorf("relevance: covariance matrix is singular at column %d", col)
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		inv[col], inv[pivot] = inv[pivot], inv[col]
-		p := a[col][col]
-		for c := 0; c < m; c++ {
-			a[col][c] /= p
-			inv[col][c] /= p
-		}
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col]
-			if f == 0 {
-				continue
-			}
-			for c := 0; c < m; c++ {
-				a[r][c] -= f * a[col][c]
-				inv[r][c] -= f * inv[col][c]
-			}
-		}
-	}
-	return inv, nil
-}
-
 func checkShape(dists [][]float64, weights []float64) (int, error) {
 	if len(dists) == 0 {
 		return 0, fmt.Errorf("relevance: no distance vectors")

@@ -3,7 +3,7 @@
 // to a fixed [0, 255] range with the reduction-first fix for outlier
 // distortion, weighted combination of distances over the query's
 // AND/OR structure (weighted arithmetic mean for AND, weighted geometric
-// mean for OR), alternative Lp/Euclidean/Mahalanobis combiners, and the
+// mean for OR), alternative Lp/Euclidean combiners, and the
 // relevance factor as the inverse of the combined distance.
 package relevance
 

@@ -294,39 +294,6 @@ func TestCombineLpAndEuclidean(t *testing.T) {
 	}
 }
 
-func TestMahalanobis(t *testing.T) {
-	// Identity covariance reduces to Euclidean.
-	dists := [][]float64{{3, 0}, {4, 0}}
-	cov := [][]float64{{1, 0}, {0, 1}}
-	got, err := Mahalanobis(dists, cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-5) > 1e-9 || got[1] != 0 {
-		t.Fatalf("identity: %v", got)
-	}
-	// Scaling covariance: var 4 in first dim halves its contribution.
-	cov = [][]float64{{4, 0}, {0, 1}}
-	got, err = Mahalanobis([][]float64{{4}, {0}}, cov)
-	if err != nil || math.Abs(got[0]-2) > 1e-9 {
-		t.Fatalf("scaled: %v %v", got, err)
-	}
-	// Singular covariance fails.
-	if _, err := Mahalanobis(dists, [][]float64{{1, 1}, {1, 1}}); err == nil {
-		t.Error("singular should fail")
-	}
-	// Shape errors.
-	if _, err := Mahalanobis(nil, cov); err == nil {
-		t.Error("no vectors")
-	}
-	if _, err := Mahalanobis([][]float64{{1}, {1, 2}}, cov); err == nil {
-		t.Error("ragged")
-	}
-	if _, err := Mahalanobis([][]float64{{1}, {2}}, [][]float64{{1}}); err == nil {
-		t.Error("bad covariance shape")
-	}
-}
-
 func TestEvaluateTree(t *testing.T) {
 	// (p1 OR p2) AND p3 over 4 items.
 	p1 := &Node{Op: Leaf, Label: "p1", Dists: []float64{0, 10, 20, 30}}
@@ -504,9 +471,6 @@ func TestEvaluateRangeProperty(t *testing.T) {
 
 func TestHelpers(t *testing.T) {
 	vec := []float64{0, 1, math.NaN()}
-	if !ZeroPreserved(vec, 0) || ZeroPreserved(vec, 1) || ZeroPreserved(vec, -1) || ZeroPreserved(vec, 5) {
-		t.Error("ZeroPreserved")
-	}
 	if CountNaN(vec) != 1 {
 		t.Error("CountNaN")
 	}

@@ -58,10 +58,10 @@ const (
 // RootRanking is the outcome of Result.RankRoot: the top-K of the
 // scaled combined distances plus the attribution the engine surfaces.
 type RootRanking struct {
-	// Order is a permutation of [0, n); the first K entries are the
-	// exact head of the scaled ranking (ascending distance, NaN last,
-	// ties by index), the remainder is in unspecified order. Sorted
-	// holds the scaled distances aligned with Order's first K entries.
+	// Order is the exact head of the scaled ranking (ascending distance,
+	// NaN last, ties by index) and Sorted the scaled distances aligned
+	// with it. Both are exactly K long: the unranked items are not
+	// listed.
 	Order  []int
 	Sorted []float64
 	K      int
@@ -300,7 +300,7 @@ func boundBeats(b float64, first int, bv float64, bi int) bool {
 // chunk whose raw lower bound cannot beat the running selection
 // threshold. seed carries the previous recalculation's raw k-th value
 // (NaN for none): a stale seed can only cost a re-run, never
-// correctness. vals and idx, when n-sized, back the returned
+// correctness. vals and idx, when min(k, n) long, back the returned
 // Sorted/Order slices (buffer pooling); wrong-sized buffers are
 // replaced. RankRoot is idempotent: a second call returns the first
 // ranking. The only possible error is a tripped evaluation checkpoint
@@ -320,12 +320,6 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 		return nil, err
 	}
 	n := rd.n
-	if len(vals) != n {
-		vals = make([]float64, n)
-	}
-	if len(idx) != n {
-		idx = make([]int, n)
-	}
 	if k > n {
 		k = n
 	}
@@ -335,10 +329,16 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 	if r.Combined != nil {
 		// Someone materialized Combined before ranking: the raw buffer
 		// now holds scaled values, so select on those directly.
-		sorted, order := topk.SelectKWithIndexInto(r.Combined, k, vals, idx)
-		rd.ranking = &RootRanking{Order: order, Sorted: sorted, K: k,
+		sorted, order := topk.SelectKWithIndex(r.Combined, k)
+		rd.ranking = &RootRanking{Order: order[:k], Sorted: sorted[:k], K: k,
 			NaNs: CountNaN(r.Combined), Threshold: math.NaN(), Chunks: rd.chunkCount()}
 		return rd.ranking, nil
+	}
+	if len(vals) != k {
+		vals = make([]float64, k)
+	}
+	if len(idx) != k {
+		idx = make([]int, k)
 	}
 	rk := &RootRanking{Order: idx, Sorted: vals, K: k, Chunks: rd.chunkCount(), Threshold: math.NaN()}
 	if n == 0 || k == 0 {
@@ -347,9 +347,6 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 			rd.params, rd.paramsKnown = rd.paramsFromFull(), true
 		}
 		rk.NaNs = rd.nanTotal()
-		for i := range idx {
-			idx[i] = i
-		}
 		rd.ranking = rk
 		return rk, nil
 	}
@@ -418,12 +415,9 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 	rk.NaNs = rd.nanTotal()
 
 	// Phase 3: scale the survivors and resolve the tie class at the cut.
-	used := make([]uint64, (n+63)/64)
-	mark := func(i int) { used[i/64] |= 1 << (uint(i) % 64) }
 	rank := 0
 	emit := func(s float64, i int) {
 		vals[rank], idx[rank] = s, i
-		mark(i)
 		rank++
 	}
 	if complete {
@@ -490,14 +484,6 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 			if math.IsNaN(rd.out[i]) {
 				emit(math.NaN(), i)
 			}
-		}
-	}
-	// Complete the permutation with the unranked indices.
-	pos := rank
-	for i := 0; i < n && pos < n; i++ {
-		if used[i/64]&(1<<(uint(i)%64)) == 0 {
-			idx[pos] = i
-			pos++
 		}
 	}
 	rk.Pruned = pruned

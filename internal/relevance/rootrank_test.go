@@ -171,13 +171,9 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 				t.Fatalf("trial %d: sorted[%d] = %v, want %v", trial, r, a, b)
 			}
 		}
-		// Permutation completeness of Order.
-		seen := make([]bool, n)
-		for _, i := range rk.Order {
-			if i < 0 || i >= n || seen[i] {
-				t.Fatalf("trial %d: Order is not a permutation", trial)
-			}
-			seen[i] = true
+		// The ranking lists the k ranked items and nothing else.
+		if len(rk.Order) != k || len(rk.Sorted) != k {
+			t.Fatalf("trial %d: ranking is %d/%d long, want %d", trial, len(rk.Order), len(rk.Sorted), k)
 		}
 		if want := CountNaN(eager.Combined); rk.NaNs != want {
 			t.Fatalf("trial %d: NaNs = %d, want %d", trial, rk.NaNs, want)
@@ -244,6 +240,63 @@ func TestDeferredPruningFiresAndStaysExact(t *testing.T) {
 	// the next rerun starts from.
 	if rk.Threshold != 0 {
 		t.Fatalf("threshold = %v, want 0", rk.Threshold)
+	}
+}
+
+// TestSeededSaturatedSelectionPrunes: on a selection saturated with
+// exact answers (k ≤ zeros < 2k) the carried seed is 0 and admits every
+// zero; the seeded rerun must install an indexed bound as soon as it
+// holds k of them and prune at least what the unseeded run pruned — a
+// previous answer must never do worse than none. Both runs stay
+// bit-identical to the eager reference.
+func TestSeededSaturatedSelectionPrunes(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	n := 16 * evalChunk
+	mkLeaf := func() *Node {
+		d := make([]float64, n)
+		for i := range d {
+			if i%11 != 0 {
+				d[i] = 1 + rng.Float64()*100
+			}
+		}
+		return &Node{Op: Leaf, Weight: 1, Dists: d}
+	}
+	tree := &Node{Op: NodeAnd, Weight: 1, Children: []*Node{mkLeaf(), mkLeaf()}}
+	opts := EvalOptions{Budget: 64}
+	k := 4096 // n/11 ≈ 5958 zeros: k ≤ zeros < 2k
+
+	_, wantSorted, wantOrder := eagerRanking(t, tree, n, k, opts)
+
+	attachLeafStats(tree, true)
+	opts.DeferRoot = true
+	seed := math.NaN()
+	var pruned [2]int
+	for run := range pruned {
+		got, err := Evaluate(tree, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rk, err := got.RankRoot(k, seed, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rk.Order) != k || len(rk.Sorted) != k {
+			t.Fatalf("run %d: ranking is %d/%d long, want %d", run, len(rk.Order), len(rk.Sorted), k)
+		}
+		for r := 0; r < k; r++ {
+			if rk.Order[r] != wantOrder[r] || math.Float64bits(rk.Sorted[r]) != math.Float64bits(wantSorted[r]) {
+				t.Fatalf("run %d: rank %d diverged: (%v,%d) vs (%v,%d)",
+					run, r, rk.Sorted[r], rk.Order[r], wantSorted[r], wantOrder[r])
+			}
+		}
+		if rk.Threshold != 0 {
+			t.Fatalf("run %d: threshold = %v, want 0", run, rk.Threshold)
+		}
+		pruned[run], seed = rk.Pruned, rk.Threshold
+	}
+	t.Logf("pruned %d of %d chunks unseeded, %d under the carried seed", pruned[0], n/evalChunk, pruned[1])
+	if pruned[0] == 0 || pruned[1] < pruned[0] {
+		t.Fatal("the carried seed pruned less than no seed at all")
 	}
 }
 

@@ -310,12 +310,6 @@ func Evaluate(root *Node, n int, opts EvalOptions) (*Result, error) {
 	return evaluateFused(root, n, opts)
 }
 
-// ZeroPreserved reports whether item i is an exact answer (distance 0)
-// in vec — a helper for tests and invariant checks.
-func ZeroPreserved(vec []float64, i int) bool {
-	return i >= 0 && i < len(vec) && vec[i] == 0
-}
-
 // CountNaN returns how many entries of vec are NaN (uncolorable).
 func CountNaN(vec []float64) int {
 	c := 0

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Pearson returns the Pearson correlation coefficient of the paired
 // samples xs and ys. It returns 0 when the slices differ in length, hold
@@ -64,40 +61,4 @@ func BestLag(xs, ys []float64, maxLag int) (lag int, corr float64) {
 		}
 	}
 	return bestLag, best
-}
-
-// Spearman returns the Spearman rank correlation of the paired samples:
-// the Pearson correlation of their rank vectors (average ranks for
-// ties). It measures how well one ranking preserves another — used to
-// quantify ranking distortion in the normalization ablation.
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based fractional ranks of xs (ties share the
-// average of their positions).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }

@@ -65,43 +65,6 @@ func NewHistogram(xs []float64, bins int) Histogram {
 	return h
 }
 
-// BinCenter returns the midpoint value of bin i.
-func (h Histogram) BinCenter(i int) float64 {
-	bins := len(h.Counts)
-	if bins == 0 {
-		return h.Min
-	}
-	width := (h.Max - h.Min) / float64(bins)
-	return h.Min + (float64(i)+0.5)*width
-}
-
-// Peaks returns the indices of local maxima of the histogram whose count
-// is at least minFrac of the total. Bins count as peaks when strictly
-// greater than the left neighbour and at least the right neighbour (so
-// plateaus report their left edge). It is used to classify distance
-// densities as unimodal vs multimodal (figure 2).
-func (h Histogram) Peaks(minFrac float64) []int {
-	var peaks []int
-	threshold := int(math.Ceil(minFrac * float64(h.Total)))
-	for i, c := range h.Counts {
-		if c < threshold || c == 0 {
-			continue
-		}
-		left := -1
-		if i > 0 {
-			left = h.Counts[i-1]
-		}
-		right := -1
-		if i < len(h.Counts)-1 {
-			right = h.Counts[i+1]
-		}
-		if c > left && c >= right {
-			peaks = append(peaks, i)
-		}
-	}
-	return peaks
-}
-
 // ASCII renders the histogram as a vertical-bar string, height rows tall.
 // It is the text stand-in for the density plots of figure 2.
 func (h Histogram) ASCII(height int) string {

@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate of the VisDB
 // reproduction: empirical quantiles (the α-quantile of section 5.1 of the
-// paper), histograms, kernel density estimates, correlation measures and
-// seeded random distributions used by the synthetic workload generators.
+// paper), histograms, correlation measures and seeded random
+// distributions used by the synthetic workload generators.
 //
 // All functions are deterministic given their inputs; random sources are
 // always passed explicitly so experiments are reproducible.
@@ -77,22 +77,6 @@ func QuantileIndex(n int, alpha float64) int {
 		k = n
 	}
 	return k
-}
-
-// ECDF returns the empirical cumulative distribution function of xs as a
-// closure. The closure reports, for a value v, the fraction of samples ≤ v.
-func ECDF(xs []float64) func(v float64) float64 {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	return func(v float64) float64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		idx := sort.SearchFloat64s(sorted, math.Nextafter(v, math.Inf(1)))
-		return float64(idx) / n
-	}
 }
 
 // ZeroQuantileAlpha returns α₀ such that the α₀-quantile of the sorted

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -103,8 +104,7 @@ func TestQuantileProperties(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		min, max := MinMax(xs)
-		return q1 <= q2 && q1 >= min && q2 <= max
+		return q1 <= q2 && q1 >= slices.Min(xs) && q2 <= slices.Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -119,31 +119,6 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func TestECDF(t *testing.T) {
-	xs := []float64{1, 2, 2, 3}
-	cdf := ECDF(xs)
-	cases := []struct{ v, want float64 }{
-		{0, 0},
-		{1, 0.25},
-		{2, 0.75},
-		{2.5, 0.75},
-		{3, 1},
-		{10, 1},
-	}
-	for _, c := range cases {
-		if got := cdf(c.v); got != c.want {
-			t.Errorf("ECDF(%v) = %v, want %v", c.v, got, c.want)
-		}
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	cdf := ECDF(nil)
-	if got := cdf(0); got != 0 {
-		t.Errorf("empty ECDF = %v, want 0", got)
-	}
 }
 
 func TestZeroQuantileAlpha(t *testing.T) {

@@ -44,21 +44,9 @@ func TestMeanVariance(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
 	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("Variance of singleton != 0")
+	if got := Mean([]float64{2, 4}); got != 3 {
+		t.Errorf("Mean = %v, want 3", got)
 	}
-	if got := Variance([]float64{2, 4}); got != 1 {
-		t.Errorf("Variance = %v, want 1", got)
-	}
-}
-
-func TestMinMaxPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for empty MinMax")
-		}
-	}()
-	MinMax(nil)
 }
 
 func TestPearsonPerfect(t *testing.T) {
@@ -135,9 +123,6 @@ func TestHistogramKnown(t *testing.T) {
 			t.Errorf("bin %d = %d, want 2", i, c)
 		}
 	}
-	if h.BinCenter(0) != 0.9 {
-		t.Errorf("BinCenter(0) = %v, want 0.9", h.BinCenter(0))
-	}
 }
 
 func TestHistogramDegenerate(t *testing.T) {
@@ -154,25 +139,6 @@ func TestHistogramDegenerate(t *testing.T) {
 	}
 }
 
-func TestHistogramPeaks(t *testing.T) {
-	// Bimodal: peaks at the two ends.
-	rng := rand.New(rand.NewSource(2))
-	xs := SampleN(Bimodal(0, 0.5, 10, 0.5), rng, 4000)
-	h := NewHistogram(xs, 40)
-	peaks := h.Peaks(0.01)
-	if len(peaks) < 2 {
-		t.Fatalf("expected >=2 peaks for bimodal data, got %v", peaks)
-	}
-	// Unimodal: a single dominant peak (coarse bins keep sampling noise
-	// from splitting the mode).
-	uni := SampleN(Normal{5, 1}, rng, 4000)
-	hu := NewHistogram(uni, 12)
-	big := hu.Peaks(0.1)
-	if len(big) != 1 {
-		t.Fatalf("expected 1 dominant peak for unimodal data, got %v", big)
-	}
-}
-
 func TestHistogramASCIIShape(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 2, 3, 3, 3}, 3)
 	art := h.ASCII(3)
@@ -182,52 +148,6 @@ func TestHistogramASCIIShape(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[0], "#") {
 		t.Errorf("tallest bin should reach the top row: %q", lines[0])
-	}
-}
-
-func TestKDEIntegratesToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := SampleN(Normal{0, 1}, rng, 300)
-	k := NewKDE(xs, 0)
-	pts, dens := k.Grid(-6, 6, 600)
-	var integral float64
-	for i := 1; i < len(pts); i++ {
-		integral += (dens[i] + dens[i-1]) / 2 * (pts[i] - pts[i-1])
-	}
-	if math.Abs(integral-1) > 0.05 {
-		t.Errorf("KDE integral = %v, want ~1", integral)
-	}
-}
-
-func TestKDEDegenerate(t *testing.T) {
-	k := NewKDE(nil, 0)
-	if k.At(0) != 0 {
-		t.Error("empty KDE should evaluate to 0")
-	}
-	k = NewKDE([]float64{math.Inf(1), math.NaN(), 2}, 0)
-	if k.At(2) <= 0 {
-		t.Error("KDE should survive Inf/NaN inputs")
-	}
-	if k.Bandwidth() <= 0 {
-		t.Error("bandwidth must stay positive")
-	}
-}
-
-func TestModeCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	uni := SampleN(Normal{0, 1}, rng, 1000)
-	if got := ModeCount(uni, 64); got != 1 {
-		t.Errorf("unimodal: got %d modes", got)
-	}
-	bi := SampleN(Bimodal(0, 0.4, 8, 0.4), rng, 1000)
-	if got := ModeCount(bi, 64); got < 2 {
-		t.Errorf("bimodal: got %d modes", got)
-	}
-	if got := ModeCount(nil, 64); got != 0 {
-		t.Errorf("empty: got %d", got)
-	}
-	if got := ModeCount([]float64{3, 3, 3}, 64); got != 1 {
-		t.Errorf("constant: got %d", got)
 	}
 }
 

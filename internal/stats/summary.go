@@ -61,35 +61,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// MinMax returns the minimum and maximum of xs. It panics on an empty
-// slice; callers guard with len checks.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}

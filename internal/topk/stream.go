@@ -79,24 +79,11 @@ func (s *StreamSelector) Bound() (v float64, i int, ok bool) {
 	return s.boundV, s.boundI, s.bounded
 }
 
-// Offer considers (v, i). NaN values are ignored (NaN distances rank
-// after every candidate and are resolved by the caller's tie fill).
-func (s *StreamSelector) Offer(v float64, i int) {
-	if math.IsNaN(v) {
-		return
-	}
-	if s.bounded && !lexLess(v, i, s.boundV, s.boundI) {
-		return
-	}
-	s.cands = append(s.cands, Cand{V: v, I: i})
-	if len(s.cands) >= s.trigger() {
-		s.compact()
-	}
-}
-
 // OfferSlice streams a chunk of values whose indices are base, base+1,
-// ... — the fused evaluator's per-chunk feed. It hoists the bound
-// check out of the per-element path.
+// ... — the fused evaluator's per-chunk feed. NaN values are ignored
+// (NaN distances rank after every candidate and are resolved by the
+// caller's tie fill). It hoists the bound check out of the per-element
+// path.
 func (s *StreamSelector) OfferSlice(vals []float64, base int) {
 	bv, bi, bounded := s.boundV, s.boundI, s.bounded
 	for off, v := range vals {
@@ -116,8 +103,17 @@ func (s *StreamSelector) OfferSlice(vals []float64, base int) {
 }
 
 // trigger is the buffer length that forces a compaction: enough slack
-// past k that compaction cost amortizes to O(1) per offer.
+// past k that compaction cost amortizes to O(1) per offer. While the
+// bound is still the index-less seed the first compaction comes at k+1:
+// a seed that admits between k and 2k candidates (a selection saturated
+// with exact answers under seed 0) would otherwise never install an
+// indexed bound, and (seed, MaxInt) beats no chunk whose minimum equals
+// the seed — the seeded pass would prune nothing where an unseeded one
+// prunes.
 func (s *StreamSelector) trigger() int {
+	if s.bounded && !s.full {
+		return s.k + 1
+	}
 	t := 2 * s.k
 	if t < 64 {
 		t = 64

@@ -34,11 +34,13 @@
 // By default the engine ranks with a top-k selection rather than the
 // full sort the paper describes as the dominating cost: only the
 // display budget (GridW×GridH plus the gap-heuristic margin) is ever
-// materialized in order, in expected O(n) time. Set Options.FullSort
-// for an exact full ranking (the A-series ablations and exact quantile
-// statistics), and Options.Workers to bound the worker pool that
-// chunks per-predicate distance computation (0 selects GOMAXPROCS;
-// parallel and serial runs are bit-identical).
+// materialized in order, in expected O(n) time, and Result.Order lists
+// that ranked prefix only (Result.TopK extends it to any depth). Set
+// Options.FullSort for an exact full ranking of all N items (the
+// A-series ablations and exact quantile statistics), and
+// Options.Workers to bound the worker pool that chunks per-predicate
+// distance computation (0 selects GOMAXPROCS; parallel and serial runs
+// are bit-identical).
 //
 // # Incremental reruns
 //
@@ -157,16 +159,12 @@ type OpenOptions = dataset.OpenOptions
 // through a bounded decoded-segment cache — resident memory is
 // O(cache budget), not O(catalog), and query results are bit-identical
 // to the in-memory catalog. Close the opened catalog to release the
-// backing file.
+// backing file. WriteCatalogFile writes the current format only;
+// OpenCatalogFile also reads the two older ones (no per-segment stats
+// or codecs; the oldest also lacks footer integrity).
 var (
 	WriteCatalogFile = dataset.WriteCatalogFile
 	OpenCatalogFile  = dataset.OpenCatalogFile
-	// WriteCatalogFileV2 and WriteCatalogFileV1 write the older segment
-	// formats (no per-segment stats or codecs; v1 also lacks footer
-	// integrity) for compatibility tooling — OpenCatalogFile reads all
-	// three.
-	WriteCatalogFileV2 = dataset.WriteCatalogFileV2
-	WriteCatalogFileV1 = dataset.WriteCatalogFileV1
 )
 
 // Query types.
