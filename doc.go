@@ -48,17 +48,18 @@
 // recompute incremental while staying bit-identical to a cold run:
 //
 //   - core.RunCache (used by every session, or explicitly via
-//     Engine.RunCached) caches per-predicate leaf distance vectors
+//     Engine.RunCached) keeps per-predicate leaf distance vectors
 //     across reruns, keyed by the condition's structural signature —
 //     table, attribute, operator, literals, distance function, but NOT
 //     the weighting factor. A weight-only rerun recomputes no
-//     distances; a single-slider drag recomputes exactly one leaf.
-//     From its first reuse a leaf carries a quantile index (sorted in
-//     linear time by the same buckets), so the reduction-first
-//     normalization range for any weight is O(1).
-//     Keys embed table row counts, so entries never serve stale data;
-//     invalidation (per-condition on range edits, pruning on query
-//     replacement, the tier's cap) only bounds memory.
+//     distances; a single-slider drag recomputes at most one leaf, and
+//     none when it returns to a range the loop has been at (an undo, a
+//     bookmark). From its first reuse a leaf carries a quantile index
+//     (sorted in linear time by the same buckets), so the
+//     reduction-first normalization range for any weight is O(1).
+//     Keys embed table row counts and the content epoch, so entries
+//     never serve stale data and nothing is ever invalidated: the
+//     store's entry cap and byte budget alone decide what is forgotten.
 //   - relevance.Evaluate is a chunk-fused evaluator: normalization
 //     ranges come from cheap scans and selections, then one chunked
 //     pass per tree level scales children (leaf chunks in L1-resident
@@ -232,8 +233,8 @@
 // whenever more than half the chunks would be touched, so the selected
 // range is always exactly the full-scan range and results stay
 // bit-identical (Options.NoInteriorSketch is the ablation gate).
-// Entries live in the private RunCache tier and promote through the
-// SharedCache's separate quarter-budget interior tier, so a second
+// Entries live in the SharedCache's separate quarter-budget interior
+// tier (the RunCache pins the ones its picture reads), so a second
 // session's first run already takes the fast path.
 // StageTimings.SketchHits/SketchRescans (and the wire timings)
 // attribute it; TestInteriorSketchWarmRerunBitIdentical fails if the
@@ -243,28 +244,37 @@
 //
 // # Shared cache: serving many sessions on one catalog
 //
-// Concurrent sessions on the same catalog attach to a core.SharedCache
-// (session.NewShared / visdb.NewSessionShared), turning the predicate
-// cache into three tiers resolved in order:
+// The predicate cache is one store, core.SharedCache, and a per-session
+// pin set over it, core.RunCache. Concurrent sessions on the same
+// catalog attach to the catalog's SharedCache (session.NewShared /
+// visdb.NewSessionShared); a session that attaches none stands on a
+// small one of its own (64 leaves under the default byte budget). A
+// leaf is resolved in this order:
 //
-//	private RunCache  →  catalog SharedCache  →  recompute
+//	the session's pins  →  the SharedCache  →  recompute
 //
-// The shared tier holds immutable leaf distance vectors and their
-// promoted quantile indexes under the same structural keys as the
-// private tier, with singleflight fills (N sessions dragging the same
-// slider compute a leaf once). The invalidation rules are asymmetric by
-// design:
+// The store holds immutable leaf distance vectors and their promoted
+// quantile indexes under structural keys, with singleflight fills (N
+// sessions dragging the same slider compute a leaf once). Its rules:
 //
-//   - A range edit invalidates the superseded range in BOTH tiers
-//     (the dead range is dead for everyone); sessions still at that
-//     range keep their private copies.
-//   - Query replacement (SetQuery/Undo) prunes only the PRIVATE tier —
-//     one session abandoning a query says nothing about the others.
-//   - Eviction and invalidation only ever unlink entries
-//     (copy-on-invalidate): vectors are immutable, so sessions holding
-//     them through their private tier or a live Result are unaffected,
-//     and correctness never depends on invalidation (keys embed table
-//     names and row counts).
+//   - Nothing is invalidated. A range edit, an undo, a query
+//     replacement leave the entries they walk away from where they are;
+//     the entry cap and the byte budget push entries out of the cold
+//     end, and nothing else drops one. Going back — the third move of
+//     the paper's modify, look, go back loop — is therefore a hit, for
+//     the session that left the range and for any other.
+//   - A session pins the leaves (and interior entries) its live Result
+//     and its run in flight read, and nothing else: the pins turn over
+//     with the evaluation buffers, a successful run's replacing the
+//     previous picture's, a failed run's dropped. Pins are pointers,
+//     not copies. They keep a rerun at zero misses when the store has
+//     meanwhile evicted the entry or its admission policy never took
+//     it, and a pinned hit touches the store's entry so that a leaf a
+//     session sits on does not age out under other sessions' fills.
+//   - Eviction only ever unlinks entries: vectors are immutable, so
+//     sessions holding them through their pins or a live Result are
+//     unaffected (keys embed table names, row counts and the content
+//     epoch, so no entry can be served stale).
 //
 // Everything downstream of the leaves — evaluation buffers, rankings,
 // Results — stays session-private, so sessions remain single-goroutine
@@ -285,24 +295,22 @@
 // singleflight waiter. NewSharedCache (the in-process constructor)
 // admits everything; NewSharedCacheOpts applies the policy.
 //
-// The cache hierarchy — private leaf and interior tiers (RunCache),
-// shared leaf and interior tiers (SharedCache), the kv server's
-// resident set, the decoded-segment cache of a catalog file — stands on
-// one store, internal/lru: a map ordered by recency under an entry cap
+// The cache hierarchy — the leaf and interior tiers of a SharedCache,
+// the kv server's resident set, the decoded-segment cache of a catalog
+// file — stands on one store, internal/lru: a map ordered by recency under an entry cap
 // and a byte budget, with one eviction rule: evict from the cold end
 // while over either bound, and never the most recently used entry (so
 // an entry larger than a whole budget stays, alone, until the next
 // insert). Each tier keeps its own mutex and counters and only sets
-// the bounds: RunCache 64 leaves and 16 interior entries, count only;
-// SharedCache the SharedOptions cap and budget for leaves (an entry
-// costs its vectors plus promoted indexes) and a quarter of both for
-// interior entries; the kv server its -max-entries and -max-bytes-mb
-// (an entry costs key plus value; one over the budget is refused
-// before insert); the segment cache OpenOptions.CacheBytes, no cap.
-// RunCache orders by access like the rest — which leaf a full private
-// tier drops first can differ from a by-run ordering, results cannot.
-// SharedStats.Evictions / InteriorEvictions count what the bounds
-// pushed out, apart from InvalidateCond drops.
+// the bounds: SharedCache the SharedOptions cap and budget for leaves
+// (an entry costs its vectors plus promoted indexes) and a quarter of
+// both for interior entries; the kv server its -max-entries and
+// -max-bytes-mb (an entry costs key plus value; one over the budget is
+// refused before insert); the segment cache OpenOptions.CacheBytes, no
+// cap. SharedStats.Evictions / InteriorEvictions count what the bounds
+// pushed out, which is everything that ever left
+// (TestDragStormStaysInsideTheBudget: 500 slider positions, resident
+// bytes never over the budget, fills − evictions = entries throughout).
 //
 // A cached leaf is what a rerun reuses and nothing else: its raw
 // distance vector (plus the signed one under Arrange2D), for a
@@ -643,7 +651,7 @@
 // 204 accepted, 413 over the value cap on PUT), GET /v1/kv/stats, and
 // GET /healthz. Values are immutable: re-PUTting a key refreshes
 // recency but keeps the first bytes, matching the cache's
-// copy-on-invalidate discipline. Keys are
+// immutable-entry discipline. Keys are
 // STRUCTURAL (table identity, row count, content epoch — not catalog
 // names), which is what lets replica catalogs share entries; the
 // operator contract is therefore that every catalog attached to one

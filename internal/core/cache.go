@@ -5,25 +5,39 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/lru"
-	"repro/internal/query"
 	"repro/internal/relevance"
 )
 
-// RunCache is the reuse layer of the incremental feedback loop: it
-// caches per-predicate leaf distance vectors across Engine.RunCached
-// calls and pools the evaluation buffers those runs write into.
+// RunCache is the reuse layer of the incremental feedback loop as one
+// interaction loop sees it: the pin set of the leaf distance vectors
+// (and interior-normalization entries) that the loop's live Result and
+// its run in flight read, over a SharedCache that stores them, plus the
+// pooled evaluation buffers those runs write into.
 //
 // Entries are keyed by a structural signature of the leaf — table,
 // attribute, operator, literals and distance function, but NOT the
 // weighting factor — so a weight-only rerun (the section 5.2 slider
 // interaction) recomputes nothing below the combination stage, and a
-// single-slider range drag recomputes exactly the one leaf whose
+// single-slider range drag recomputes at most the one leaf whose
 // literals changed. Since the signature captures every input of the
 // leaf computation (the catalog is immutable while an engine uses it),
-// entries never go stale; invalidation (InvalidateCond, Prune, the LRU
-// cap) exists to bound memory during slider storms, not for
-// correctness.
+// entries never go stale and nothing is ever invalidated: what a drag,
+// an undo or a query replacement leaves behind stays in the tier until
+// its entry cap or byte budget pushes it out of the cold end, so going
+// back to a range (undo, a bookmark) is a hit.
+//
+// The tier is the catalog's (AttachShared) or, for a loop that attaches
+// none, the cache's own: maxCacheEntries leaves under
+// DefaultSharedBytes, admitting every fill. Lookups go pins → tier →
+// compute (the tier fills singleflight). The pins are what keeps a
+// rerun at zero misses whatever the tier does meanwhile — another
+// session's fills evicting the entry, an admission policy that refused
+// it — because tier entries are immutable and only ever unlinked, never
+// overwritten in place. A pin holds no copy of anything: it is the
+// entry's pointers. Pins turn over with the buffer generations
+// (beginRun/endRun): a successful run's pins replace the previous
+// Result's, a failed run's are dropped and the old picture keeps its
+// own.
 //
 // A RunCache is safe for the concurrent leaf builds within one run, but
 // at most one RunCached call may use it at a time, and a Result
@@ -33,24 +47,16 @@ import (
 // All runs sharing a cache must use the same catalog and distance
 // registry: the keys fingerprint table names and row counts, not cell
 // contents or registered function identities.
-//
-// A RunCache may additionally be backed by a catalog-level SharedCache
-// (AttachShared): lookups then fall through private → shared →
-// recompute, and recomputed leaves fill the shared tier (singleflight
-// across sessions) before being promoted into the private one. The
-// private tier keeps serving a session even after shared-tier eviction
-// or another session's invalidation — shared entries are immutable and
-// only ever unlinked, never overwritten in place.
 type RunCache struct {
 	mu sync.Mutex
-	// entries is the private leaf tier: at most maxCacheEntries leaves,
-	// ordered by access (see internal/lru for the eviction rule).
-	entries *lru.Cache[string, *leafEntry]
-	// shared is the optional catalog-level tier behind this cache.
+	// shared is the tier the pins stand on; never nil.
 	shared *SharedCache
+	// live pins what the last successful run's Result reads, cur what
+	// the run in flight has fetched so far (empty between runs).
+	live, cur pinSet
 	// Cumulative and per-run lookup accounting (tests and the
-	// StageTimings attribution). Shared-tier hits count as hits and
-	// additionally as sharedHits.
+	// StageTimings attribution). Hits the tier served count as hits and
+	// additionally as sharedHits; pinned ones as hits only.
 	hits, misses                      uint64
 	runHits, runMisses, runSharedHits int
 	// Per-run segment-pushdown accounting: storage segments whose decode
@@ -65,44 +71,41 @@ type RunCache struct {
 	// rank-before-scale pruning threshold) across recalculations of the
 	// same item space. Weight-only reruns reuse it as-is — a stale seed
 	// can only cost a re-run of the selection, never correctness — but
-	// query and range edits clear it (InvalidateCond, Prune, Clear):
-	// the perturbed leaf makes the old raw domain meaningless as a
-	// starting point.
+	// query and range edits clear it (ResetRootSeed): the perturbed leaf
+	// makes the old raw domain meaningless as a starting point.
 	seedThr float64
 	seedSig string
-	// interior is the private tier of the interior-normalization cache:
-	// cached raw combined vectors of interior query-tree nodes with
-	// their quantile sketches (relevance.InteriorEntry), keyed by
-	// runKeys.interior. Like leaf entries, interior keys embed every
-	// input of the cached computation (the leaves' full cache keys, the
-	// subtree shape, child weights, kernel options), so entries never go
-	// stale; the invalidation paths drop them wholesale purely to bound
-	// memory during slider storms.
-	interior *lru.Cache[string, *relevance.InteriorEntry]
 }
 
-// maxCacheEntries bounds the cache so pathological interaction scripts
-// (e.g. a slider sweep over hundreds of distinct ranges with
-// auto-recalculate on) stay within a constant factor of the working
-// set. 64 entries comfortably covers the paper's interfaces (a handful
-// of predicates, each with its current and a few recent ranges).
+// pinSet is one generation of pins: leaves by leaf key, interior
+// entries by runKeys.interior.
+type pinSet struct {
+	leaves   map[string]leafEntry
+	interior map[string]*relevance.InteriorEntry
+}
+
+func newPinSet() pinSet {
+	return pinSet{leaves: make(map[string]leafEntry), interior: make(map[string]*relevance.InteriorEntry)}
+}
+
+// maxCacheEntries caps the tier of a cache that stands on its own, so
+// pathological interaction scripts (e.g. a slider sweep over hundreds
+// of distinct ranges with auto-recalculate on) stay within a constant
+// factor of the working set. 64 entries comfortably covers the paper's
+// interfaces (a handful of predicates, each with its current and a few
+// recent ranges).
 const maxCacheEntries = 64
 
-// maxInteriorEntries bounds the private interior tier. A query tree has
-// only a handful of interior nodes (one per AND/OR level), so 16 covers
-// the working set of an interaction loop with room for a few recent
-// query shapes.
-const maxInteriorEntries = 16
-
-// leafEntry is one cached leaf as both tiers hold it and as fetches hand
-// it out (by value: a consistent snapshot, since quant and cstats of the
-// resident entry may be attached later under the tier's mutex). Exactly
-// one of pd (simple conditions) and dists (join, boolean-negation and
-// subquery leaves) is set. The vectors are immutable once stored. An
-// entry holds what a rerun reuses and nothing else: distances, a
-// condition's slider scalars, and the indexes built from the distances.
-// Of these only the distances and scalars ever leave the process
-// (encodeSharedEntry); the indexes are rebuilt wherever the vector goes.
+// leafEntry is one cached leaf as the tier holds it and as fetches hand
+// it out and pins keep it (by value: a consistent snapshot, since quant
+// and cstats of the resident entry may be attached later under the
+// tier's mutex). Exactly one of pd (simple conditions) and dists (join,
+// boolean-negation and subquery leaves) is set. The vectors are
+// immutable once stored. An entry holds what a rerun reuses and nothing
+// else: distances, a condition's slider scalars, and the indexes built
+// from the distances. Of these only the distances and scalars ever
+// leave the process (encodeSharedEntry); the indexes are rebuilt
+// wherever the vector goes.
 type leafEntry struct {
 	pd    *predicateData
 	dists []float64
@@ -116,13 +119,6 @@ type leafEntry struct {
 	// ranking, so warm reruns can skip whole chunks of root combine
 	// work.
 	cstats *relevance.LeafChunkStats
-	// attr is the condition's attribute as written in the query (empty
-	// for non-condition leaves) — the handle for per-condition
-	// invalidation.
-	attr string
-	// label is the leaf's structural label — the handle Prune matches
-	// against the conditions of a replacement query.
-	label string
 }
 
 // satisfies reports whether the entry can serve a lookup that needs
@@ -139,12 +135,6 @@ func (e *leafEntry) raw() []float64 {
 		return e.pd.Raw
 	}
 	return e.dists
-}
-
-// derivedFrom reports whether the entry was computed for exactly this
-// condition in its current form (attribute and structural label).
-func (e *leafEntry) derivedFrom(cond *query.Cond, label string) bool {
-	return e.attr != "" && e.attr == cond.Attr && e.label == label
 }
 
 // sizeBytes accounts the entry's retained vectors and indexes.
@@ -219,12 +209,13 @@ func (p *bufPool[T]) endRun(ok bool) {
 	p.lent = p.lent[:0]
 }
 
-// NewRunCache creates an empty cache.
+// NewRunCache creates an empty cache standing on a tier of its own.
 func NewRunCache() *RunCache {
 	return &RunCache{
-		entries:  lru.New[string, *leafEntry](maxCacheEntries, 0),
-		interior: lru.New[string, *relevance.InteriorEntry](maxInteriorEntries, 0),
-		seedThr:  math.NaN(),
+		shared:  NewSharedCache(maxCacheEntries, 0),
+		live:    newPinSet(),
+		cur:     newPinSet(),
+		seedThr: math.NaN(),
 	}
 }
 
@@ -247,19 +238,29 @@ func (c *RunCache) storeRootSeed(sig string, thr float64) {
 	c.seedThr, c.seedSig = thr, sig
 }
 
-// clearRootSeedLocked drops the carried threshold; called with the
-// mutex held by every invalidation path.
-func (c *RunCache) clearRootSeedLocked() {
-	c.seedThr, c.seedSig = math.NaN(), ""
+// ResetRootSeed drops the carried threshold. The session calls it when
+// an edit moves a leaf (a range drag, an undo, a query replacement): a
+// seed from the old raw domain can leave the selection pruning less
+// than no seed would.
+func (c *RunCache) ResetRootSeed() {
+	c.storeRootSeed("", math.NaN())
 }
 
-// AttachShared backs this private cache with a catalog-level shared
-// tier. All caches attached to one SharedCache must run over the same
+// AttachShared stands this cache on a catalog-level tier instead of its
+// own. All caches attached to one SharedCache must run over the same
 // catalog and distance registry. Attach before the first run.
 func (c *RunCache) AttachShared(sc *SharedCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.shared = sc
+}
+
+// Shared returns the tier this cache stands on: the attached one, or
+// its own.
+func (c *RunCache) Shared() *SharedCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shared
 }
 
 // beginRun starts a new run: per-run counters reset and the buffer
@@ -273,15 +274,24 @@ func (c *RunCache) beginRun() {
 	c.ints.beginRun()
 }
 
-// endRun finishes a run; see bufPool.endRun for what ok decides.
+// endRun finishes a run; see bufPool.endRun for what ok decides. The
+// pins follow the buffers: a successful run's become the live set, a
+// failed run's are dropped and the live Result keeps its own.
 func (c *RunCache) endRun(ok bool) {
 	c.floats.endRun(ok)
 	c.ints.endRun(ok)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ok {
+		c.live, c.cur = c.cur, c.live
+	}
+	clear(c.cur.leaves)
+	clear(c.cur.interior)
 }
 
 // runStats returns the current run's lookup counts. sharedHits is the
-// subset of hits served by the shared tier (including waits on another
-// session's in-flight fill).
+// subset of hits the tier served (including waits on another session's
+// in-flight fill) rather than the pins.
 func (c *RunCache) runStats() (hits, misses, sharedHits int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -313,53 +323,65 @@ func (c *RunCache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// Len returns the number of cached leaves.
+// Len returns the number of leaves pinned for the live Result.
 func (c *RunCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.entries.Len()
+	return len(c.live.leaves)
 }
 
-// InteriorLen returns the number of privately held interior entries.
+// InteriorLen returns the number of interior entries pinned for the
+// live Result.
 func (c *RunCache) InteriorLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.interior.Len()
+	return len(c.live.interior)
 }
 
-// fetch resolves a leaf over an item space of rows items through the
-// tiers: private hit, then shared hit (promoted into the private tier),
-// then compute (the result fills the shared tier singleflight when one
-// is attached, then the private tier). An entry that does not satisfy
+// fetch resolves a leaf over an item space of rows items: a pin (of
+// this run or of the live Result), then the tier, then compute (through
+// the tier's singleflight fill). An entry that does not satisfy
 // needSigned is a miss. The acceleration indexes (quant, cstats) of the
-// returned entry are set from the leaf's first reuse on.
+// returned entry are set from the leaf's first pinned reuse on — a fill
+// never indexes, and neither does a revisit the tier answers.
 func (c *RunCache) fetch(key string, rows int, needSigned bool, compute func() (leafEntry, error)) (leafEntry, error) {
 	c.mu.Lock()
-	if e, ok := c.entries.Get(key); ok && e.satisfies(needSigned) {
+	shared := c.shared
+	le, pinned := c.cur.leaves[key]
+	if !pinned {
+		le, pinned = c.live.leaves[key]
+	}
+	if pinned && le.satisfies(needSigned) {
 		c.hits++
 		c.runHits++
-		le := *e
 		c.mu.Unlock()
+		// The tier does not see a pinned hit unless told: touching keeps
+		// a leaf this loop sits on from ageing out under other loops'
+		// fills, and finds the indexes another loop already built.
+		quant, cstats := shared.touch(key)
 		if le.quant == nil {
-			le.quant, le.cstats = c.buildIndexes(key, le.raw())
+			if quant == nil {
+				// Built outside any mutex — milliseconds of linear passes
+				// must not serialize sibling leaf builds. Two racing
+				// builders do redundant work; both results are identical
+				// and the first one promoted wins.
+				quant, cstats = relevance.BuildLeafIndexes(le.raw())
+				quant, cstats = shared.attachIndexes(key, quant, cstats)
+			}
+			le.quant, le.cstats = quant, cstats
 		}
+		c.mu.Lock()
+		c.cur.leaves[key] = le
+		c.mu.Unlock()
 		return le, nil
 	}
-	shared := c.shared
 	c.mu.Unlock()
-	var le leafEntry
-	var sharedHit bool
-	var err error
-	if shared == nil {
-		le, err = compute()
-	} else {
-		le, sharedHit, err = shared.fetch(key, rows, needSigned, compute)
-	}
+	le, sharedHit, err := shared.fetch(key, rows, needSigned, compute)
 	if err != nil {
 		return leafEntry{}, err
 	}
-	// Attribute the lookup: a vector served by the shared tier is a
-	// cache hit for the run, anything else was computed here (a miss).
+	// Attribute the lookup: a vector the tier served is a cache hit for
+	// the run, anything else was computed here (a miss).
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sharedHit {
@@ -370,189 +392,65 @@ func (c *RunCache) fetch(key string, rows int, needSigned bool, compute func() (
 		c.misses++
 		c.runMisses++
 	}
-	stored := le
-	c.entries.Put(key, &stored, 0)
+	c.cur.leaves[key] = le
 	return le, nil
 }
 
-// condFetch is fetch for a condition leaf (predicateData payload). attr
-// and label are the invalidation handles of the condition as written.
-func (c *RunCache) condFetch(key, attr, label string, rows int, needSigned bool, compute func() (*predicateData, error)) (leafEntry, error) {
+// condFetch is fetch for a condition leaf (predicateData payload).
+func (c *RunCache) condFetch(key string, rows int, needSigned bool, compute func() (*predicateData, error)) (leafEntry, error) {
 	return c.fetch(key, rows, needSigned, func() (leafEntry, error) {
 		pd, err := compute()
-		return leafEntry{pd: pd, attr: attr, label: label}, err
+		return leafEntry{pd: pd}, err
 	})
 }
 
 // leafFetch is fetch for non-condition leaf vectors (joins,
-// boolean-negation fallbacks, subqueries). attr carries the owning
-// condition's attribute when the leaf is a boolean-negation fallback of
-// a simple condition (so range edits invalidate it too).
-func (c *RunCache) leafFetch(key, attr, label string, rows int, compute func() ([]float64, error)) (leafEntry, error) {
+// boolean-negation fallbacks, subqueries).
+func (c *RunCache) leafFetch(key string, rows int, compute func() ([]float64, error)) (leafEntry, error) {
 	return c.fetch(key, rows, false, func() (leafEntry, error) {
 		dists, err := compute()
-		return leafEntry{dists: dists, attr: attr, label: label}, err
+		return leafEntry{dists: dists}, err
 	})
 }
 
-// buildIndexes resolves a hot leaf's acceleration indexes (quantiles +
-// chunk stats): reuse ones another session already promoted to the
-// shared tier, else build OUTSIDE the mutex — milliseconds of linear
-// passes must not serialize sibling leaf builds — and promote them. Two
-// racing builders do redundant work; both results are identical and
-// the canonical (first promoted) one wins.
-func (c *RunCache) buildIndexes(key string, dists []float64) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
-	c.mu.Lock()
-	shared := c.shared
-	c.mu.Unlock()
-	var quant *relevance.LeafQuantiles
-	var cstats *relevance.LeafChunkStats
-	if shared != nil {
-		quant, cstats = shared.indexesOf(key)
-	}
-	if quant == nil {
-		quant, cstats = relevance.BuildLeafIndexes(dists)
-		if shared != nil {
-			quant, cstats = shared.attachIndexes(key, quant, cstats)
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries.Peek(key); ok {
-		if e.quant != nil {
-			return e.quant, e.cstats
-		}
-		e.quant, e.cstats = quant, cstats
-	}
-	return quant, cstats
-}
-
-// interiorFetch resolves an interior-normalization entry through the
-// tiers: private hit, then shared hit (promoted into the private tier),
-// then nil (the evaluator recomputes and interiorStore fills both
-// tiers). Entries are immutable and borrowed read-only by evaluations,
-// so serving the same entry to any number of runs is safe.
+// interiorFetch resolves an interior-normalization entry: a pin, then
+// the tier, then nil (the evaluator recomputes and interiorStore hands
+// the result to the tier). Entries are immutable and borrowed read-only
+// by evaluations, so serving the same entry to any number of runs is
+// safe.
 func (c *RunCache) interiorFetch(key string) *relevance.InteriorEntry {
 	c.mu.Lock()
-	e, ok := c.interior.Get(key)
 	shared := c.shared
-	c.mu.Unlock()
-	if ok || shared == nil {
-		return e
+	e, pinned := c.cur.interior[key]
+	if !pinned {
+		e, pinned = c.live.interior[key]
 	}
-	if e = shared.InteriorOf(key); e != nil {
-		c.storeInterior(key, e)
+	c.mu.Unlock()
+	if !pinned {
+		e = shared.InteriorOf(key)
+	}
+	if e != nil {
+		c.pinInterior(key, e)
 	}
 	return e
 }
 
-// interiorStore records a freshly built interior entry: the shared tier
-// first (whose first-promoted entry is canonical, so concurrent
-// sessions converge on one resident copy), then the private tier.
+// interiorStore records a freshly built interior entry: in the tier
+// (whose first-promoted entry is canonical, so concurrent sessions
+// converge on one resident copy) and among the run's pins.
 func (c *RunCache) interiorStore(key string, e *relevance.InteriorEntry) {
 	c.mu.Lock()
 	shared := c.shared
 	c.mu.Unlock()
-	if shared != nil {
-		e = shared.AttachInterior(key, e)
-	}
-	c.storeInterior(key, e)
+	c.pinInterior(key, shared.AttachInterior(key, e))
 }
 
-// storeInterior places an entry in the private tier under its cap.
-func (c *RunCache) storeInterior(key string, e *relevance.InteriorEntry) {
+// pinInterior records e among the interior entries the run in flight
+// reads.
+func (c *RunCache) pinInterior(key string, e *relevance.InteriorEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.interior.Put(key, e, 0)
-}
-
-// InvalidateCond drops the entries derived from exactly this condition
-// in its CURRENT form (matched structurally by attribute and label) —
-// the session calls it right before a slider drag supersedes a range,
-// so the storm of a continuous drag does not pile up one entry per
-// intermediate position. Entries of other conditions that merely share
-// the attribute (a second predicate on the same column, a same-named
-// column of another table) are untouched: invalidation is memory
-// management, and a drag must keep recomputing exactly one leaf.
-//
-// The invalidation propagates to the attached shared tier (the
-// superseded range is dead weight there too); sessions still reading
-// the old vectors are unaffected — entries are immutable and
-// invalidation only unlinks them.
-func (c *RunCache) InvalidateCond(cond *query.Cond) {
-	if cond == nil {
-		return
-	}
-	label := cond.Label()
-	c.mu.Lock()
-	c.clearRootSeedLocked()
-	shared := c.shared
-	c.entries.DeleteFunc(func(_ string, e *leafEntry) bool { return e.derivedFrom(cond, label) })
-	// Interior entries combining the superseded leaf are dead weight
-	// (their keys embed the old literals and can never be hit again);
-	// the private tier is small, so dropping it wholesale beats parsing
-	// leaf keys out of interior signatures. Subtrees not touching the
-	// edit re-promote from the shared tier on the next run.
-	c.clearInteriorLocked()
-	c.mu.Unlock()
-	if shared != nil {
-		shared.InvalidateCond(cond)
-	}
-}
-
-// Prune drops entries no longer reachable from q — the per-condition
-// invalidation for whole-query replacement (SetQuery) and Undo.
-// Condition entries survive when their attribute still appears in some
-// condition of q (a restored query re-hits them); join and subquery
-// entries survive by structural label. Prune is strictly private: one
-// session abandoning a query says nothing about the other sessions
-// sharing the catalog tier, whose leaves stay resident there under the
-// LRU + byte budget.
-func (c *RunCache) Prune(q *query.Query) {
-	if q == nil {
-		c.Clear()
-		return
-	}
-	attrs := make(map[string]bool)
-	labels := make(map[string]bool)
-	query.Walk(q.Where, func(e query.Expr) {
-		switch n := e.(type) {
-		case *query.Cond:
-			attrs[n.Attr] = true
-		case *query.JoinExpr:
-			labels[n.Label()] = true
-		case *query.SubqueryExpr:
-			labels[n.Label()] = true
-		}
-	})
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clearRootSeedLocked()
-	c.entries.DeleteFunc(func(_ string, e *leafEntry) bool {
-		if e.attr != "" {
-			return !attrs[e.attr]
-		}
-		return !labels[e.label]
-	})
-	// Interior entries are per query shape; a replacement query rebuilds
-	// them (or re-promotes survivors from the shared tier).
-	c.clearInteriorLocked()
-}
-
-// Clear drops every entry (the buffer pool is kept: buffer reuse is
-// keyed only by vector length).
-func (c *RunCache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clearRootSeedLocked()
-	c.entries.Clear()
-	c.clearInteriorLocked()
-}
-
-// clearInteriorLocked drops the private interior tier; called with the
-// mutex held by every invalidation path.
-func (c *RunCache) clearInteriorLocked() {
-	c.interior.Clear()
+	c.cur.interior[key] = e
 }
 
 // spaceSig fingerprints the item space a leaf vector was computed over:

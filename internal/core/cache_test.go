@@ -233,28 +233,41 @@ func TestRunCachedFailedRunPreservesLiveResult(t *testing.T) {
 	}
 	snapshot := append([]float64(nil), live.Combined()...)
 	// Corrupt the second predicate's weight so Evaluate fails after the
-	// first subtree (and its buffer writes) already ran.
+	// first subtree (and its buffer writes) already ran — and move the
+	// first predicate's range, so the failing run fetches a leaf the live
+	// Result does not read.
 	bad := query.Predicates(q.Where)[1].(*query.Cond)
 	bad.W = math.Inf(1) * 0 // NaN weight: passes SetWeight-less mutation, fails evaluation
+	moved := query.Predicates(q.Where)[0].(*query.Cond)
+	moved.Value = dataset.Float(4)
 	if _, err := e.RunCached(q, cache); err == nil {
 		t.Fatal("expected the NaN-weight run to fail")
 	}
+	if hits, misses := cache.Stats(); hits != 1 || misses != 3 {
+		t.Fatalf("the failing run should have hit y < 5 and computed x > 4: %d hits, %d misses", hits, misses)
+	}
+	moved.Value = dataset.Float(6)
 	for i, v := range live.Combined() {
 		if math.Float64bits(v) != math.Float64bits(snapshot[i]) && !(math.IsNaN(v) && math.IsNaN(snapshot[i])) {
 			t.Fatalf("failed run overwrote live Combined[%d]: %v -> %v", i, snapshot[i], v)
 		}
 	}
-	// The cache recovers: fixing the query yields a correct run again.
+	// The cache recovers: fixing the query yields a correct run again,
+	// served by the pins the live Result kept through the failure.
 	bad.W = 1
 	again, err := e.RunCached(q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tm := again.Timings; tm.CacheHits != 2 || tm.SharedHits != 0 || cache.Len() != 2 {
+		t.Fatalf("rerun after the failure: %+v, %d leaves pinned", tm, cache.Len())
+	}
 	sameResults(t, live, again)
 }
 
-// TestRunCacheEviction: the entry count stays bounded under a sweep of
-// distinct ranges.
+// TestRunCacheEviction: under a sweep of distinct ranges a cache on its
+// own tier keeps at most maxCacheEntries leaves there and pins only the
+// current query's.
 func TestRunCacheEviction(t *testing.T) {
 	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8})
 	cache := NewRunCache()
@@ -266,76 +279,16 @@ func TestRunCacheEviction(t *testing.T) {
 		if _, err := e.RunCached(q, cache); err != nil {
 			t.Fatal(err)
 		}
+		if cache.Len() != 1 {
+			t.Fatalf("sweep step %d pins %d leaves of a one-leaf query", i, cache.Len())
+		}
 	}
-	if cache.Len() > maxCacheEntries {
-		t.Fatalf("cache grew to %d entries (cap %d)", cache.Len(), maxCacheEntries)
+	st := cache.shared.Stats()
+	if st.Entries != maxCacheEntries || st.Evictions != 40 {
+		t.Fatalf("own tier holds %d entries after %d evictions (cap %d, 40 over)", st.Entries, st.Evictions, maxCacheEntries)
 	}
-}
-
-// TestRunCacheInvalidateAndPrune: per-condition invalidation and
-// whole-query pruning drop exactly the affected entries.
-func TestRunCacheInvalidateAndPrune(t *testing.T) {
-	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8})
-	q, err := query.Parse(`SELECT x FROM T WHERE x > 6 AND y < 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewRunCache()
-	if _, err := e.RunCached(q, cache); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("entries: %d", cache.Len())
-	}
-	cache.InvalidateCond(query.Predicates(q.Where)[0].(*query.Cond))
-	if cache.Len() != 1 {
-		t.Fatalf("after InvalidateCond: %d entries", cache.Len())
-	}
-	// Invalidation is structural, not per-attribute: a second condition
-	// on the same column keeps its entry when the first is dragged.
-	q3, err := query.Parse(`SELECT x FROM T WHERE x > 6 OR x < 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3 := NewRunCache()
-	if _, err := e.RunCached(q3, c3); err != nil {
-		t.Fatal(err)
-	}
-	c3.InvalidateCond(query.Predicates(q3.Where)[0].(*query.Cond))
-	if c3.Len() != 1 {
-		t.Fatalf("same-attribute sibling was evicted: %d entries", c3.Len())
-	}
-	res3, err := e.RunCached(q3, c3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Timings.CacheHits != 1 || res3.Timings.CacheMisses != 1 {
-		t.Fatalf("after structural invalidation: hits=%d misses=%d", res3.Timings.CacheHits, res3.Timings.CacheMisses)
-	}
-	// Pruning to a query that keeps only y drops the rest.
-	q2, err := query.Parse(`SELECT x FROM T WHERE y < 9`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.Prune(q2)
-	if cache.Len() != 1 {
-		t.Fatalf("after Prune: %d entries", cache.Len())
-	}
-	res, err := e.RunCached(q2, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// y < 9 is a different range than y < 5: everything misses.
-	if res.Timings.CacheHits != 0 {
-		t.Fatalf("pruned cache produced hits: %d", res.Timings.CacheHits)
-	}
-	cache.Clear()
-	if cache.Len() != 0 {
-		t.Fatal("Clear left entries")
-	}
-	hits, misses := cache.Stats()
-	if hits == 0 && misses == 0 {
-		t.Fatal("cumulative stats never counted")
+	if hits, misses := cache.Stats(); hits != 0 || misses != maxCacheEntries+40 {
+		t.Fatalf("cumulative stats: %d hits, %d misses", hits, misses)
 	}
 }
 

@@ -74,10 +74,11 @@ type StageTimings struct {
 	Total     time.Duration
 	// CacheHits and CacheMisses attribute the Distances stage of a
 	// RunCached run: how many leaf vectors were served from the cache
-	// versus recomputed. SharedHits is the subset of CacheHits served
-	// by the catalog-level shared tier (another session computed the
-	// vector, or this session waited on its in-flight fill). All are
-	// zero for uncached runs.
+	// versus recomputed. SharedHits is the subset of CacheHits the
+	// SharedCache served rather than the run cache's pins: a leaf
+	// another session computed (or is computing — a wait on its
+	// in-flight fill), or one this session computed earlier and is
+	// returning to. All are zero for uncached runs.
 	CacheHits, CacheMisses, SharedHits int
 	// Pruned and Chunks attribute the block pruning of the
 	// rank-before-scale path: evaluator chunks whose root combine work
@@ -158,9 +159,9 @@ func (e *Engine) RunPreboundCtx(ctx context.Context, q *query.Query, b *query.Bi
 // concurrent or long-lived results. A nil cache makes RunCached
 // identical to Run.
 //
-// When the cache is backed by a catalog-level SharedCache, leaf
-// lookups fall through private → shared → recompute, and recomputed
-// leaves fill the shared tier once for every session on the catalog.
+// Leaf lookups go the cache's pins → its SharedCache → recompute; when
+// that is a catalog-level SharedCache (AttachShared), recomputed leaves
+// fill it once for every session on the catalog.
 func (e *Engine) RunCached(q *query.Query, cache *RunCache) (*Result, error) {
 	return e.RunCachedCtx(context.Background(), q, cache)
 }
@@ -486,12 +487,8 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			// signature: bound table.attr plus Label (operator, literals,
 			// distance function — Label excludes the weighting factor by
 			// construction), so weight-only reruns hit unconditionally.
-			// The invalidation handle is the ORIGINAL condition's label
-			// (n, not the inverted copy c): SetRange edits and invalidates
-			// the condition as written in the query, and the two labels
-			// differ under negation.
 			key = res.keys.cond(attr.Qualified(), c.Label())
-			le, err = res.cache.condFetch(key, n.Attr, n.Label(), space.n, e.opt.Arrangement == Arrange2D, compute)
+			le, err = res.cache.condFetch(key, space.n, e.opt.Arrangement == Arrange2D, compute)
 		} else {
 			le.pd, err = compute()
 		}
@@ -626,7 +623,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		var key string
 		if res.cache != nil {
 			key = res.keys.join(n.Label(), negated)
-			le, err = res.cache.leafFetch(key, "", n.Label(), space.n, compute)
+			le, err = res.cache.leafFetch(key, space.n, compute)
 		} else {
 			le.dists, err = compute()
 		}
@@ -724,7 +721,7 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 	var key string
 	if res.cache != nil {
 		key = res.keys.boolean(label)
-		le, err = res.cache.leafFetch(key, c.Attr, c.Label(), space.n, compute)
+		le, err = res.cache.leafFetch(key, space.n, compute)
 	} else {
 		le.dists, err = compute()
 	}
@@ -855,7 +852,7 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 	var key string
 	if res.cache != nil {
 		key = res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
-		le, err = res.cache.leafFetch(key, "", sq.Label(), space.n, compute)
+		le, err = res.cache.leafFetch(key, space.n, compute)
 	} else {
 		le.dists, err = compute()
 	}

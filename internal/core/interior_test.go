@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/query"
-	"repro/internal/relevance"
 )
 
 // interiorCatalog builds a single-table numeric catalog large enough to
@@ -238,10 +237,11 @@ func TestSpaceSigEmbedsEpoch(t *testing.T) {
 	}
 }
 
-// TestInvalidationDropsInteriorTiers: a range edit must drop the
-// affected interior entries in both tiers (memory management — stale
-// hits are impossible either way, but dead entries must not pile up).
-func TestInvalidationDropsInteriorTiers(t *testing.T) {
+// TestRangeEditKeepsInteriorEntries: a range edit invalidates nothing,
+// so the interior entries of the shape being left stay in the tier and
+// going back takes the interior fast path again — while the run's own
+// pins turn over and never hold more than the live query's nodes.
+func TestRangeEditKeepsInteriorEntries(t *testing.T) {
 	cat := interiorCatalog(t, 4096+300)
 	e := New(cat, nil, Options{GridW: 16, GridH: 16})
 	sc := NewSharedCache(0, 0)
@@ -251,11 +251,12 @@ func TestInvalidationDropsInteriorTiers(t *testing.T) {
 	if _, err := e.RunCached(q, cache); err != nil {
 		t.Fatal(err)
 	}
-	if cache.InteriorLen() == 0 || sc.Stats().InteriorEntries == 0 {
-		t.Fatal("cold run filled no interior tiers")
+	pinned, resident := cache.InteriorLen(), sc.Stats().InteriorEntries
+	if pinned == 0 || resident == 0 {
+		t.Fatal("cold run cached no interior entries")
 	}
-	// The edited condition is `a > 50` INSIDE the AND subtree — its
-	// label is embedded in the AND's interior key.
+	// The edited condition is `a > 50` INSIDE the AND subtree — its key
+	// is embedded in the AND's interior key.
 	var cond *query.Cond
 	query.Walk(q.Where, func(e query.Expr) {
 		if c, ok := e.(*query.Cond); ok && cond == nil && c.Attr == "a" {
@@ -265,15 +266,31 @@ func TestInvalidationDropsInteriorTiers(t *testing.T) {
 	if cond == nil {
 		t.Fatal("no condition on a")
 	}
-	cache.InvalidateCond(cond)
-	if cache.InteriorLen() != 0 {
-		t.Fatalf("private interior tier kept %d entries across invalidation", cache.InteriorLen())
+	cond.Value = dataset.Float(30)
+	away, err := e.RunCached(q, cache)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The shared tier drops exactly the entries combining the edited
-	// leaf (their keys embed its label); subtrees not touching it stay.
-	visit(sc.interior, func(key string, _ *relevance.InteriorEntry) {
-		if strings.Contains(key, cond.Label()) {
-			t.Fatalf("shared interior tier kept an entry over the invalidated leaf: %q", key)
-		}
-	})
+	if away.Timings.SketchHits != 0 {
+		t.Fatalf("a subtree over a new literal took %d interior hits", away.Timings.SketchHits)
+	}
+	if got := sc.Stats().InteriorEntries; got <= resident {
+		t.Fatalf("the edit left %d interior entries in the tier, %d before it", got, resident)
+	}
+	if cache.InteriorLen() != pinned {
+		t.Fatalf("pinned interior entries %d, want the live query's %d", cache.InteriorLen(), pinned)
+	}
+	cond.Value = dataset.Float(50)
+	back, err := e.RunCached(q, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Timings.SketchHits == 0 || back.Timings.CacheMisses != 0 {
+		t.Fatalf("back at the first range: %+v", back.Timings)
+	}
+	ref, err := e.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, ref, back)
 }

@@ -38,17 +38,17 @@ type BreakerReporter interface {
 	BreakerState() (state string, trips, shortCircuits uint64)
 }
 
-// The shared-entry envelope: version, kind, the invalidation handles,
-// then the payload — a leaf's distance vectors and, for a condition,
-// its slider scalars. Nothing else crosses the fleet: quantile indexes,
+// The shared-entry envelope: version, kind, then the payload — a leaf's
+// distance vectors and, for a condition, its slider scalars. Nothing else crosses the fleet: quantile indexes,
 // chunk stats and interior entries are linear-time functions of vectors
 // the receiving node then holds, cheaper to rebuild than to fetch (see
 // doc.go, "The kv tier"). Version 1 carried a copy of the attribute
-// column ahead of Raw; a v1 value read as v2 would pass every length
-// check with that column in Raw's place, so the version moved and skew
-// is a remote miss.
+// column ahead of Raw — read under a later layout it would pass every
+// length check with that column in Raw's place — and version 2 two
+// invalidation handles ahead of the payload, from when range edits
+// invalidated; each change moved the version, and skew is a remote miss.
 const (
-	sharedEntryVersion = 2
+	sharedEntryVersion = 3
 
 	sharedKindCond  = 1 // predicateData payload
 	sharedKindDists = 2 // bare distance vector (join/boolean/subquery)
@@ -60,14 +60,10 @@ func encodeSharedEntry(e *leafEntry) []byte {
 	b = append(b, sharedEntryVersion)
 	if e.pd == nil {
 		b = append(b, sharedKindDists)
-		b = binenc.Str(b, e.attr)
-		b = binenc.Str(b, e.label)
 		return binenc.F64s(b, e.dists)
 	}
 	pd := e.pd
 	b = append(b, sharedKindCond)
-	b = binenc.Str(b, e.attr)
-	b = binenc.Str(b, e.label)
 	b = binenc.Str(b, pd.Attr.Table)
 	b = binenc.Str(b, pd.Attr.Attr)
 	b = binenc.U32(b, uint32(pd.Attr.Kind))
@@ -100,8 +96,6 @@ func decodeSharedEntry(data []byte, rows int) (*leafEntry, error) {
 	}
 	kind := r.Byte()
 	e := &leafEntry{}
-	e.attr = r.Str()
-	e.label = r.Str()
 	switch kind {
 	case sharedKindCond:
 		pd := &predicateData{}

@@ -60,10 +60,14 @@ func (b *mapBackend) leafKeys(t *testing.T) []string {
 // condEnvelope writes a condition entry for the leaf "a > 50" of
 // interiorCatalog by hand: the scalars, then vecs in the order given —
 // (Raw, Signed) is the current layout, (Values, Raw, Signed) was v1's.
+// Versions before 3 carried two invalidation handles ahead of the
+// scalars.
 func condEnvelope(ver byte, vecs ...[]float64) []byte {
 	b := []byte{ver, sharedKindCond}
-	b = binenc.Str(b, "a")
-	b = binenc.Str(b, "a > 50")
+	if ver < 3 {
+		b = binenc.Str(b, "a")
+		b = binenc.Str(b, "a > 50")
+	}
 	b = binenc.Str(b, "S")
 	b = binenc.Str(b, "a")
 	b = binenc.U32(b, uint32(dataset.KindFloat))
@@ -88,13 +92,9 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 		Lo:       math.Inf(-1),
 		Hi:       4.5,
 	}
-	e := &leafEntry{pd: pd, attr: "x", label: "x>6"}
-	got, err := decodeSharedEntry(encodeSharedEntry(e), 4)
+	got, err := decodeSharedEntry(encodeSharedEntry(&leafEntry{pd: pd}), 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.attr != e.attr || got.label != e.label {
-		t.Fatalf("handles: %q/%q", got.attr, got.label)
 	}
 	g := got.pd
 	if g.Attr != pd.Attr || g.MinDB != pd.MinDB || g.MaxDB != pd.MaxDB ||
@@ -110,13 +110,12 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 	}
 
 	// Dists-only entries round-trip too.
-	de := &leafEntry{dists: []float64{3, math.NaN(), 1}, label: "J:T-U"}
-	data := encodeSharedEntry(de)
+	data := encodeSharedEntry(&leafEntry{dists: []float64{3, math.NaN(), 1}})
 	got, err = decodeSharedEntry(data, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.dists) != 3 || got.label != de.label {
+	if len(got.dists) != 3 || got.pd != nil {
 		t.Fatalf("dists entry mangled: %+v", got)
 	}
 
@@ -138,16 +137,18 @@ func FuzzSharedEntry(f *testing.F) {
 	seeds := [][]byte{
 		condEnvelope(sharedEntryVersion, raw, nil),
 		condEnvelope(sharedEntryVersion, raw, signed),
-		encodeSharedEntry(&leafEntry{dists: raw, label: "J|x"}),
+		encodeSharedEntry(&leafEntry{dists: raw}),
 		condEnvelope(1, raw, raw, nil), // v1: Values, Raw, Signed
+		condEnvelope(2, raw, signed),   // v2: handles, then today's payload
 	}
 	for _, s := range seeds {
 		f.Add(s, uint16(len(raw)))
 	}
 	// A cut at every field boundary of the fullest seed: 2 header bytes,
-	// 4 strings, kind, range flag, 4 scalars, 2 vectors.
+	// 2 strings, kind, range flag, 4 scalars, 2 vectors (and one cut
+	// inside Raw).
 	full := seeds[1]
-	for _, cut := range []int{0, 1, 2, 7, 17, 22, 27, 31, 32, 40, 48, 56, 64, 100, len(full) - 1} {
+	for _, cut := range []int{0, 1, 2, 7, 12, 16, 17, 25, 33, 41, 49, 60, 85, len(full) - 1} {
 		f.Add(full[:cut], uint16(len(raw)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, rows16 uint16) {
@@ -228,6 +229,7 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 		"long":          long,
 		"signed != raw": condEnvelope(sharedEntryVersion, zeros, zeros[:10]),
 		"v1 envelope":   condEnvelope(1, zeros, zeros, nil),
+		"v2 envelope":   condEnvelope(2, zeros, nil),
 	} {
 		backend := newMapBackend()
 		backend.Put(key, poisoned)

@@ -1,22 +1,21 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/lru"
-	"repro/internal/query"
 	"repro/internal/relevance"
 )
 
-// SharedCache is the catalog-level tier of the predicate cache: one
-// instance per catalog, attached to every session exploring that
-// catalog, so the expensive part of the feedback loop — leaf distance
-// vectors and their quantile indexes — is computed once per catalog
-// instead of once per session. It is the first piece of the multi-
-// tenant serving architecture: N users dragging sliders over the same
-// large database share every leaf whose structural signature matches.
+// SharedCache is the store of the predicate cache: one instance per
+// catalog, attached to every session exploring that catalog, so the
+// expensive part of the feedback loop — leaf distance vectors and their
+// quantile indexes — is computed once per catalog instead of once per
+// session. (A loop that attaches none stands on a small one of its own,
+// see NewRunCache.) N users dragging sliders over the same large
+// database share every leaf whose structural signature matches, and one
+// user going back to a range finds it where they left it.
 //
 // The design invariants, in order of importance:
 //
@@ -24,18 +23,19 @@ import (
 //     stored and never written afterwards, so any number of sessions
 //     may read a cached vector concurrently without synchronization.
 //
-//   - Invalidation and eviction are copy-on-invalidate: they only
-//     unlink an entry from the map. Sessions still holding the vector
-//     (via their private RunCache tier or a live Result) keep reading
-//     valid, unchanging data; the next fill allocates a fresh vector
-//     instead of reusing the old one.
+//   - Eviction only unlinks an entry from the map. Sessions still
+//     holding the vector (pinned in their RunCache, or through a live
+//     Result) keep reading valid, unchanging data; the next fill
+//     allocates a fresh vector instead of reusing the old one.
 //
 //   - Fills are singleflight: when N sessions miss on the same key at
 //     once (the classic thundering herd of a shared dashboard), one
 //     computes and the rest wait for its result.
 //
-//   - Memory is bounded by an entry cap and a byte budget (internal/lru
-//     holds the eviction rule).
+//   - Memory is bounded by an entry cap and a byte budget, and by
+//     nothing else: no edit invalidates, recency alone decides what is
+//     forgotten (internal/lru holds the eviction rule), so
+//     SharedStats.Evictions accounts for every entry that ever left.
 //
 //   - Admission is cost-aware: only leaves whose measured compute time
 //     reaches AdmitMinCost occupy the budget (edit-distance and join
@@ -44,16 +44,16 @@ import (
 //     caller and to every singleflight waiter — admission decides
 //     residency, never correctness.
 //
-// Correctness does not depend on invalidation: keys embed the full
-// structural signature of the leaf computation including table names
-// and row counts (see spaceSig), so an entry can never be served
-// stale. All sessions sharing a cache must use the same catalog and
-// distance registry — the keys fingerprint table identities, not cell
-// contents or registered function implementations. Sessions may differ
-// in every other option: leaf vectors are upstream of normalization
-// and combination, and the leaf kinds that do depend on options
-// (subquery leaves, signed-distance vectors) carry those options in
-// their keys or satisfy lookups conditionally.
+// Nothing can be served stale: keys embed the full structural signature
+// of the leaf computation including table names, row counts and the
+// catalog's content epoch (see spaceSig). All sessions sharing a cache
+// must use the same catalog and distance registry — the keys
+// fingerprint table identities, not cell contents or registered
+// function implementations. Sessions may differ in every other option:
+// leaf vectors are upstream of normalization and combination, and the
+// leaf kinds that do depend on options (subquery leaves,
+// signed-distance vectors) carry those options in their keys or satisfy
+// lookups conditionally.
 type SharedCache struct {
 	mu       sync.Mutex
 	entries  *lru.Cache[string, *leafEntry]
@@ -62,9 +62,9 @@ type SharedCache struct {
 	// <= 0 admits every computed leaf.
 	admitMin time.Duration
 
-	// interior is the shared tier of the interior-normalization cache
-	// (relevance.InteriorEntry promoted from sessions' RunCaches). It
-	// has its own store and byte budget so interior vectors — each as
+	// interior is the store of the interior-normalization cache
+	// (relevance.InteriorEntry built by sessions' runs). It has its own
+	// store and byte budget so interior vectors — each as
 	// large as a leaf vector plus its sketch — can never thrash the
 	// leaf tier's budget, and vice versa.
 	interior *lru.Cache[string, *relevance.InteriorEntry]
@@ -82,8 +82,8 @@ type SharedCache struct {
 }
 
 // Default bounds for NewSharedCache: sized for a serving tier (many
-// sessions, many queries) rather than the 64-entry private tier of one
-// interaction loop.
+// sessions, many queries) rather than the 64 entries of one interaction
+// loop's own tier.
 const (
 	DefaultSharedEntries = 1024
 	DefaultSharedBytes   = 256 << 20 // 256 MiB of cached vectors
@@ -186,7 +186,7 @@ type SharedStats struct {
 	// were still served to the caller and any waiters.
 	Rejects uint64 `json:"rejects"`
 	// Evictions counts leaf entries the entry cap or byte budget pushed
-	// out — capacity misses, as opposed to InvalidateCond drops.
+	// out; short of Clear, nothing else drops one.
 	Evictions uint64 `json:"evictions"`
 	// Entries and Bytes describe the current resident set.
 	Entries int   `json:"entries"`
@@ -415,12 +415,14 @@ func (sc *SharedCache) fetch(key string, rows int, needSigned bool, compute func
 	return le, remote, nil
 }
 
-// indexesOf returns the promoted leaf indexes (quantiles + chunk
-// stats) for key, if any session has built them.
-func (sc *SharedCache) indexesOf(key string) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+// touch makes the entry under key the most recently used — a session
+// served it from its pins, which the tier would otherwise not see — and
+// returns the leaf indexes (quantiles + chunk stats) promoted to it, if
+// any session has built them. A key that is not resident is a no-op.
+func (sc *SharedCache) touch(key string) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if e, ok := sc.entries.Peek(key); ok {
+	if e, ok := sc.entries.Get(key); ok {
 		return e.quant, e.cstats
 	}
 	return nil, nil
@@ -480,30 +482,6 @@ func (sc *SharedCache) AttachInterior(key string, e *relevance.InteriorEntry) *r
 	}
 	sc.intEvictions += uint64(sc.interior.Put(key, e, int64(e.Size())))
 	return e
-}
-
-// InvalidateCond drops the shared entries derived from exactly this
-// condition in its current form — the propagation of a session's
-// range edit (see RunCache.InvalidateCond). This is memory
-// management, not correctness: the superseded range's vectors would
-// never be served for the new range (the key embeds the literals), and
-// sessions still sitting at the old range keep their private-tier
-// copies. Old readers are unaffected — the vectors themselves are
-// immutable and only the map entry is unlinked.
-func (sc *SharedCache) InvalidateCond(cond *query.Cond) {
-	if cond == nil {
-		return
-	}
-	label := cond.Label()
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.entries.DeleteFunc(func(_ string, e *leafEntry) bool { return e.derivedFrom(cond, label) })
-	// Interior keys embed their leaves' full cache keys, so an entry
-	// combining the superseded leaf contains its label verbatim. The
-	// containment check can over-drop (a literal string collision), but
-	// invalidation is memory management — over-dropping costs a rebuild,
-	// never correctness.
-	sc.interior.DeleteFunc(func(k string, _ *relevance.InteriorEntry) bool { return strings.Contains(k, label) })
 }
 
 // Clear drops every entry. In-flight fills complete and store their

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/lru"
 	"repro/internal/query"
 )
 
@@ -22,7 +21,7 @@ func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 		for i := range dists {
 			dists[i] = fill
 		}
-		return leafEntry{dists: dists, label: key}, nil
+		return leafEntry{dists: dists}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,17 +45,20 @@ func touch(t *testing.T, sc *SharedCache, key string) {
 	}
 }
 
-// visit calls f for every resident entry of a tier's store (a
-// DeleteFunc that deletes nothing).
-func visit[V any](c *lru.Cache[string, V], f func(k string, v V)) {
-	c.DeleteFunc(func(k string, v V) bool { f(k, v); return false })
-}
-
-func residentKeys(sc *SharedCache) []string {
+// residentKeys returns which of the candidate keys are resident, sorted,
+// without touching their recency.
+func residentKeys(sc *SharedCache, candidates ...string) []string {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	keys := make([]string, 0, sc.entries.Len())
-	visit(sc.entries, func(k string, _ *leafEntry) { keys = append(keys, k) })
+	keys := []string{}
+	for _, k := range candidates {
+		if _, ok := sc.entries.Peek(k); ok {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) != sc.entries.Len() {
+		keys = append(keys, fmt.Sprintf("(%d resident entries outside the candidates)", sc.entries.Len()-len(keys)))
+	}
 	sort.Strings(keys)
 	return keys
 }
@@ -134,14 +136,16 @@ func TestSharedCacheEviction(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := NewSharedCache(tc.maxEntries, tc.maxBytes)
+			var filled []string
 			for _, o := range tc.ops {
 				if o.get != "" {
 					touch(t, sc, o.get)
 				} else {
 					fillDists(t, sc, o.fill, o.n, 1)
+					filled = append(filled, o.fill)
 				}
 			}
-			got := residentKeys(sc)
+			got := residentKeys(sc, filled...)
 			if len(got) != len(tc.want) {
 				t.Fatalf("resident %v, want %v", got, tc.want)
 			}
@@ -157,60 +161,42 @@ func TestSharedCacheEviction(t *testing.T) {
 	}
 }
 
-// TestSharedCacheCopyOnInvalidate: invalidation (and eviction) only
-// unlink entries — a session still holding the vector keeps reading
-// valid, unchanged data, and the next fill allocates a fresh vector
-// instead of reusing the old backing array.
-func TestSharedCacheCopyOnInvalidate(t *testing.T) {
-	sc := NewSharedCache(0, 0)
-	cond := &query.Cond{Attr: "x", Op: query.OpGt, Value: dataset.Float(5)}
-	key := "C|T:T:4|T.x|" + cond.Label()
+// TestSharedCacheEvictionOnlyUnlinks: eviction only unlinks entries — a
+// session still holding the vector keeps reading valid, unchanged data,
+// and the next fill allocates a fresh vector instead of reusing the old
+// backing array.
+func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
+	sc := NewSharedCache(1, 0)
+	const key = "C|T:T:4|T.x|x > 5"
 	old, _, err := sc.fetch(key, 4, false, func() (leafEntry, error) {
-		return leafEntry{
-			pd:    &predicateData{Raw: []float64{1, 2, 3, 4}},
-			attr:  cond.Attr,
-			label: cond.Label(),
-		}, nil
+		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3, 4}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := append([]float64(nil), old.pd.Raw...)
 
-	sc.InvalidateCond(cond)
-	if sc.Len() != 0 || sc.Bytes() != 0 {
-		t.Fatalf("invalidate left %d entries, %d bytes", sc.Len(), sc.Bytes())
+	fillDists(t, sc, "C|T:T:4|T.x|x > 7", 4, 0) // the cap of one pushes key out
+	if st := sc.Stats(); st.Entries != 1 || st.Evictions != 1 || st.Bytes != 4*8 {
+		t.Fatalf("after the evicting fill: %+v", st)
 	}
 
 	fresh, hit, err := sc.fetch(key, 4, false, func() (leafEntry, error) {
-		return leafEntry{
-			pd:    &predicateData{Raw: []float64{9, 9, 9, 9}},
-			attr:  cond.Attr,
-			label: cond.Label(),
-		}, nil
+		return leafEntry{pd: &predicateData{Raw: []float64{9, 9, 9, 9}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
-		t.Fatal("post-invalidation fetch hit a dead entry")
+		t.Fatal("fetch after eviction hit a dead entry")
 	}
 	if &fresh.pd.Raw[0] == &old.pd.Raw[0] {
-		t.Fatal("refill reused the invalidated backing array")
+		t.Fatal("refill reused the evicted backing array")
 	}
 	for i, v := range old.pd.Raw {
 		if v != snapshot[i] {
 			t.Fatalf("old reader's vector changed at %d: %v -> %v", i, snapshot[i], v)
 		}
-	}
-
-	// Invalidation is structural: a different range on the same
-	// attribute stays resident.
-	other := &query.Cond{Attr: "x", Op: query.OpGt, Value: dataset.Float(7)}
-	fillDists(t, sc, "C|T:T:4|T.x|"+other.Label(), 4, 0)
-	sc.InvalidateCond(cond)
-	if sc.Len() != 1 {
-		t.Fatalf("structural invalidation dropped a sibling range: %d entries", sc.Len())
 	}
 }
 
@@ -389,26 +375,29 @@ func TestSharedTierPromotesQuantiles(t *testing.T) {
 	if sc.Bytes() <= afterFill {
 		t.Fatalf("quantile promotion did not grow the shared tier: %d -> %d bytes", afterFill, sc.Bytes())
 	}
-	sc.mu.Lock()
-	withQuant := 0
-	visit(sc.entries, func(_ string, ent *leafEntry) {
-		if ent.quant != nil {
-			withQuant++
+	// A later session's first run is handed the promoted indexes with
+	// the vectors: it never builds its own.
+	c2 := NewRunCache()
+	c2.AttachShared(sc)
+	if _, err := e.RunCached(q, c2); err != nil {
+		t.Fatal(err)
+	}
+	if len(c2.live.leaves) != 2 {
+		t.Fatalf("second session pins %d leaves", len(c2.live.leaves))
+	}
+	for key, le := range c2.live.leaves {
+		if le.quant == nil || le.quant != c1.live.leaves[key].quant {
+			t.Fatalf("leaf %q: the second session did not get the promoted quantile index", key)
 		}
-	})
-	sc.mu.Unlock()
-	if withQuant == 0 {
-		t.Fatal("no shared entry carries a promoted quantile index")
 	}
 }
 
-// TestInvalidateNegatedCondition: entries computed for a negated
-// invertible condition (stored under the inverted operator's key) must
-// still be invalidated by the condition AS WRITTEN — that is what a
-// slider drag hands to InvalidateCond. A drag storm over a
-// NOT-condition must not pile one dead entry per intermediate position
-// into either tier.
-func TestInvalidateNegatedCondition(t *testing.T) {
+// TestNegatedConditionDragRevisits: a negated invertible condition is
+// stored under the inverted operator's key. A drag over a NOT-condition
+// must still pin exactly the query's leaves at every position, leave one
+// tier entry per position behind, and find the position it started from
+// again without computing.
+func TestNegatedConditionDragRevisits(t *testing.T) {
 	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8})
 	q, err := query.Parse(`SELECT x FROM T WHERE NOT (x > 6) AND y < 5`)
 	if err != nil {
@@ -421,21 +410,32 @@ func TestInvalidateNegatedCondition(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cache.Len() != 2 || sc.Len() != 2 {
-		t.Fatalf("baseline entries: private %d, shared %d", cache.Len(), sc.Len())
+		t.Fatalf("baseline entries: pinned %d, tier %d", cache.Len(), sc.Len())
 	}
-	// Drag x's threshold through several positions the way the session
-	// does: invalidate the current form, mutate, rerun.
 	inner := q.Where.(*query.BoolExpr).Children[0].(*query.Not).Child.(*query.Cond)
 	for i := 0; i < 5; i++ {
-		cache.InvalidateCond(inner)
 		inner.Value = dataset.Float(float64(7 + i))
-		if _, err := e.RunCached(q, cache); err != nil {
+		res, err := e.RunCached(q, cache)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if cache.Len() != 2 || sc.Len() != 2 {
-			t.Fatalf("drag %d piled entries: private %d, shared %d", i, cache.Len(), sc.Len())
+		if res.Timings.CacheMisses != 1 || cache.Len() != 2 || sc.Len() != 3+i {
+			t.Fatalf("drag %d: %d misses, pinned %d, tier %d", i, res.Timings.CacheMisses, cache.Len(), sc.Len())
 		}
 	}
+	inner.Value = dataset.Float(6)
+	back, err := e.RunCached(q, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Timings.CacheMisses != 0 || back.Timings.SharedHits != 1 {
+		t.Fatalf("back at the first position: %+v", back.Timings)
+	}
+	cold, err := e.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, cold, back)
 }
 
 // TestRunPreboundValidation: a binding must match the query AST and
@@ -523,13 +523,15 @@ func TestSharedCacheAdmission(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := NewSharedCacheOpts(tc.opts)
+			var filled []string
 			for _, o := range tc.ops {
 				o := o
+				filled = append(filled, o.key)
 				v, hit, err := sc.fetch(o.key, 3, false, func() (leafEntry, error) {
 					if o.cost > 0 {
 						time.Sleep(o.cost)
 					}
-					return leafEntry{dists: []float64{1, 2, 3}, label: o.key}, nil
+					return leafEntry{dists: []float64{1, 2, 3}}, nil
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -542,7 +544,7 @@ func TestSharedCacheAdmission(t *testing.T) {
 					t.Fatalf("fill of %q returned %d dists", o.key, len(v.dists))
 				}
 			}
-			got := residentKeys(sc)
+			got := residentKeys(sc, filled...)
 			if len(got) != len(tc.want) {
 				t.Fatalf("resident %v, want %v", got, tc.want)
 			}
@@ -598,7 +600,7 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	// admitted).
 	if _, _, err := sc.fetch(key, 3, false, func() (leafEntry, error) {
 		time.Sleep(2 * time.Millisecond)
-		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}}, attr: "x", label: "x > 5"}, nil
+		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}}}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -608,8 +610,7 @@ func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
 	// A needSigned lookup misses it and upgrades with a cheap compute;
 	// the replacement must still be stored.
 	v, hit, err := sc.fetch(key, 3, true, func() (leafEntry, error) {
-		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}, Signed: []float64{-1, 0, 1}},
-			attr: "x", label: "x > 5"}, nil
+		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}, Signed: []float64{-1, 0, 1}}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

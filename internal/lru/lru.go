@@ -1,7 +1,8 @@
 // Package lru is the one budgeted store under every cache tier of the
-// repository: the session-private leaf and interior tiers and the
-// catalog-level shared tiers of internal/core, the kv server's resident
-// set, and the decoded-segment cache of internal/dataset. It imports
+// repository: the leaf and interior tiers of internal/core's
+// SharedCache, the kv server's resident set, and the decoded-segment
+// cache of internal/dataset. Entries leave it through the eviction rule
+// or Clear, never one by one: no tier invalidates. It imports
 // nothing from the repository, so any package may use it.
 package lru
 
@@ -101,29 +102,6 @@ func (c *Cache[K, V]) Resize(k K, bytes int64) (evicted int) {
 	c.bytes += bytes - n.cost
 	n.cost = bytes
 	return c.evict()
-}
-
-// Delete drops the entry under k and reports whether it was resident.
-func (c *Cache[K, V]) Delete(k K) bool {
-	n, ok := c.items[k]
-	if ok {
-		c.remove(n)
-	}
-	return ok
-}
-
-// DeleteFunc drops every entry for which del returns true, visiting
-// from most to least recently used, and returns how many it dropped.
-func (c *Cache[K, V]) DeleteFunc(del func(k K, v V) bool) (deleted int) {
-	for n := c.root.next; n != &c.root; {
-		next := n.next
-		if del(n.key, n.val) {
-			c.remove(n)
-			deleted++
-		}
-		n = next
-	}
-	return deleted
 }
 
 // Clear drops every entry.

@@ -17,8 +17,10 @@
 //
 // Each catalog owns one core.SharedCache: every session on that
 // catalog, regardless of which client opened it, resolves leaf
-// distance vectors private tier → catalog tier → recompute, so N
-// remote users dragging the same slider compute each leaf once. The
+// distance vectors its own pins → catalog tier → recompute, so N
+// remote users dragging the same slider compute each leaf once, and a
+// range any of them returns to is still there (no edit invalidates;
+// the tier's budget alone evicts). The
 // cache is per-catalog rather than per-shard because shared keys
 // fingerprint table identities (names and row counts), which are only
 // unique within one catalog.

@@ -33,14 +33,17 @@ type Session struct {
 	opt core.Options
 	q   *query.Query
 	res *core.Result
-	// cache is the session-level predicate cache of the incremental
-	// feedback loop: leaf distance vectors survive across Recalculate
-	// calls (keyed structurally, weights excluded), and evaluation
-	// buffers are pooled, so a weight-only rerun recomputes nothing
-	// below the combination stage and a slider drag recomputes exactly
-	// one leaf. When the session was opened with NewShared, the cache
-	// is additionally backed by a catalog-level shared tier, so leaves
-	// other sessions already computed are never recomputed here.
+	// cache is the session's side of the predicate cache of the
+	// incremental feedback loop: it pins the leaf distance vectors the
+	// current picture reads (keyed structurally, weights excluded) and
+	// pools the evaluation buffers, so a weight-only rerun recomputes
+	// nothing below the combination stage and a slider drag recomputes
+	// at most one leaf. The vectors live in a tier bounded by entries
+	// and bytes — the catalog's when the session was opened with
+	// NewShared, so leaves other sessions already computed are never
+	// recomputed here, else the session's own — and no edit invalidates
+	// there: the range an edit leaves stays until it ages out, so an
+	// undo or a return to an earlier range recomputes nothing either.
 	cache *core.RunCache
 	// bind is the cached query binding: resolved once per query AST and
 	// reused across recalculations (the engine treats bindings as
@@ -234,7 +237,10 @@ func (s *Session) CanUndo() bool { return len(s.history) > 0 }
 // Undo restores the most recent query snapshot (reverting the last
 // range, weight or structural modification) and recomputes. The query
 // AST is rebuilt, so condition pointers obtained earlier via FindCond
-// become stale; projections and selections are cleared.
+// become stale; projections and selections are cleared. Nothing was
+// invalidated when the reverted edit was made, so the leaves of the
+// restored query are normally still in the tier and an undo costs what
+// a weight change costs.
 func (s *Session) Undo() error {
 	if len(s.history) == 0 {
 		return fmt.Errorf("session: nothing to undo")
@@ -249,10 +255,7 @@ func (s *Session) Undo() error {
 	oldSel := s.selectedItem
 	oldProjExpr, oldProjLo, oldProjHi, oldProj := s.projExpr, s.projLo, s.projHi, s.hasProj
 	s.q = q
-	// Per-condition invalidation: entries for conditions absent from
-	// the restored query are dropped; surviving ones make the undo
-	// recomputation as cheap as the drag it reverts.
-	s.cache.Prune(q)
+	s.cache.ResetRootSeed()
 	s.ClearProjection()
 	s.ClearSelection()
 	if err := s.Recalculate(); err != nil {
@@ -260,7 +263,6 @@ func (s *Session) Undo() error {
 		// query it would have reverted, so the session is exactly as
 		// before the call and the undo can be retried.
 		s.q = oldQ
-		s.cache.Prune(oldQ)
 		s.projExpr, s.projLo, s.projHi, s.hasProj = oldProjExpr, oldProjLo, oldProjHi, oldProj
 		s.selectedItem = oldSel
 		s.history = append(s.history, src)
@@ -283,9 +285,7 @@ func (s *Session) SetQuery(src string) error {
 	oldProjExpr, oldProjLo, oldProjHi, oldProj := s.projExpr, s.projLo, s.projHi, s.hasProj
 	s.snapshot()
 	s.q = q
-	// Drop cache entries for conditions the new query no longer
-	// contains; shared conditions keep their vectors.
-	s.cache.Prune(q)
+	s.cache.ResetRootSeed()
 	s.ClearProjection()
 	s.ClearSelection()
 	if err := s.maybeRecalc(); err != nil {
@@ -295,7 +295,6 @@ func (s *Session) SetQuery(src string) error {
 		// snapshot so the aborted edit is not undoable. The session keeps
 		// serving its previous result.
 		s.q = oldQ
-		s.cache.Prune(oldQ)
 		s.projExpr, s.projLo, s.projHi, s.hasProj = oldProjExpr, oldProjLo, oldProjHi, oldProj
 		s.selectedItem = oldSel
 		s.popSnapshot()
@@ -327,8 +326,11 @@ func (s *Session) FindCond(attr string) (*query.Cond, error) {
 // becomes >=, <= or BETWEEN accordingly. For time-typed attributes the
 // bounds are interpreted as Unix seconds, so time sliders use the same
 // numeric interface. A drag to the range the condition already
-// expresses is a no-op: nothing is snapshotted, no recalculation runs
-// (slider jitter used to snapshot and recompute anyway).
+// expresses is a no-op: nothing is snapshotted, no recalculation runs.
+// The range being left is not invalidated anywhere — it ages out of the
+// tier's cold end like the intermediate positions of a continuous drag
+// do — so coming back to it is a hit; the only thing a drag resets is
+// the carried selection threshold (core.RunCache.ResetRootSeed).
 func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
 		return fmt.Errorf("session: invalid range [%v, %v]", lo, hi)
@@ -376,9 +378,7 @@ func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 		}
 	}
 	s.snapshot()
-	// Drop the superseded range's cache entries so a continuous drag
-	// does not pile one entry per intermediate position into the cache.
-	s.cache.InvalidateCond(c)
+	s.cache.ResetRootSeed()
 	oldOp, oldLo, oldHi, oldV := c.Op, c.Lo, c.Hi, c.Value
 	c.Op = newOp
 	if newOp == query.OpBetween {
@@ -389,8 +389,9 @@ func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 	if err := s.maybeRecalc(); err != nil {
 		// Failed recalculation: restore the condition in place (callers'
 		// AST pointers stay valid) and drop the snapshot. Leaf vectors
-		// the aborted run did finish stay cached under the new range's
-		// key, so retrying the same drag resumes rather than restarts.
+		// the aborted run did finish are in the tier under the new
+		// range's key (unless its admission policy refused them), so
+		// retrying the same drag resumes rather than restarts.
 		c.Op, c.Lo, c.Hi, c.Value = oldOp, oldLo, oldHi, oldV
 		s.popSnapshot()
 		return err

@@ -26,8 +26,8 @@ func TestConcurrentSharedSessionsMatchFreshEngine(t *testing.T) {
 	cat := interactionCatalog(t, 400)
 	opt := core.Options{GridW: 8, GridH: 8}
 	shared := core.NewSharedCache(0, 0)
-	// Three overlapping queries so sessions share some leaves, drag
-	// others apart, and prune differently on undo.
+	// Three overlapping queries so sessions share some leaves and drag
+	// others apart.
 	queries := []string{
 		`SELECT a FROM S WHERE a > 50 AND b < 40`,
 		`SELECT a FROM S WHERE a > 50 AND c BETWEEN 20 AND 30`,
@@ -136,9 +136,8 @@ func TestSharedSessionsReportSharedHits(t *testing.T) {
 	if tm := s2.Result().Timings; tm.SharedHits != 2 || tm.CacheHits != 2 || tm.CacheMisses != 0 {
 		t.Fatalf("second session timings: %+v", tm)
 	}
-	// One session's drag invalidates the superseded range in both
-	// tiers, but the other session — still at that range — keeps its
-	// private copy and stays warm.
+	// One session's drag away from the range leaves the other session —
+	// still at that range — warm.
 	c1, err := s1.FindCond("a")
 	if err != nil {
 		t.Fatal(err)
@@ -151,9 +150,9 @@ func TestSharedSessionsReportSharedHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tm := s2.Result().Timings; tm.CacheMisses != 0 {
-		t.Fatalf("neighbor's drag invalidated a private entry: %+v", tm)
+		t.Fatalf("neighbor's drag cost this session a leaf: %+v", tm)
 	}
-	if err := freshMismatch("post-invalidation", s2, cat, opt); err != nil {
+	if err := freshMismatch("after the neighbor's drag", s2, cat, opt); err != nil {
 		t.Fatal(err)
 	}
 }

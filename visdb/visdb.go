@@ -61,9 +61,10 @@
 // Many sessions serving different users over one catalog share leaf
 // work through a catalog-level SharedCache (NewSessionShared): leaf
 // distance vectors and quantile indexes are computed once per catalog
-// with singleflight fills, bounded by an LRU byte budget, and every
-// entry is immutable — invalidation and eviction only unlink, so
-// concurrent readers are never affected (copy-on-invalidate). Each
+// with singleflight fills, bounded by an LRU byte budget and by nothing
+// else — no edit invalidates, so returning to an earlier range is a hit
+// — and every entry is immutable: eviction only unlinks, so concurrent
+// readers are never affected. Each
 // session stays a single-goroutine state machine; any number may run
 // in parallel against one SharedCache, and results remain bit-identical
 // to isolated sessions.
@@ -197,9 +198,11 @@ type (
 	SelectedTuple = core.SelectedTuple
 )
 
-// RunCache is the reuse layer of the incremental feedback loop: leaf
-// distance vectors cached across Engine.RunCached calls (keyed
-// structurally, weighting factors excluded) plus pooled evaluation
+// RunCache is the reuse layer of the incremental feedback loop as one
+// loop holds it: the pins of the leaf distance vectors its current
+// picture reads (keyed structurally, weighting factors excluded) over
+// the SharedCache that stores them — the one attached with
+// AttachShared, else a small one of its own — plus pooled evaluation
 // buffers. Sessions manage one internally; use an explicit cache with
 // Engine.RunCached for custom interaction loops. A Result produced
 // through a cache is valid only until the next RunCached on that
@@ -209,10 +212,10 @@ type RunCache = core.RunCache
 // NewRunCache creates an empty cache for Engine.RunCached.
 var NewRunCache = core.NewRunCache
 
-// SharedCache is the catalog-level tier of the predicate cache: one
-// instance per catalog, shared by any number of concurrent sessions,
-// with singleflight fills, immutable copy-on-invalidate entries and
-// LRU + byte-budget eviction. Leaf distance vectors (and their
+// SharedCache is the store of the predicate cache: one instance per
+// catalog, shared by any number of concurrent sessions, with
+// singleflight fills, immutable entries and LRU + byte-budget eviction
+// as the only way an entry leaves. Leaf distance vectors (and their
 // quantile indexes) are computed once per catalog instead of once per
 // session.
 type SharedCache = core.SharedCache
