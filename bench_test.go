@@ -132,29 +132,6 @@ func BenchmarkFig4Pipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4PipelineParallel measures the concurrent sibling
-// evaluation option on the same workload.
-func BenchmarkFig4PipelineParallel(b *testing.B) {
-	cat, _, err := datagen.Environmental(datagen.EnvConfig{
-		Hours: 2849, PollutionEvery: 119, OffsetMinutes: 0, Seed: 1994,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := core.New(cat, nil, core.Options{GridW: 165, GridH: 165, Parallel: true})
-	q, err := query.Parse(paperQuery)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig5ORPart(b *testing.B) {
 	eng := fig4Engine(b)
 	res, err := eng.RunSQL(paperQuery)

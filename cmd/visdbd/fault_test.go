@@ -70,7 +70,6 @@ func TestDaemonQuarantinesCorruptCatalog(t *testing.T) {
 		seed:           7,
 		gridW:          16,
 		gridH:          16,
-		admitMin:       -1,
 		drainTimeout:   10 * time.Second,
 		requestTimeout: 30 * time.Second,
 	}

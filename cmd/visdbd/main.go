@@ -18,9 +18,7 @@
 // not O(catalog), and results are bit-identical to serving the same
 // data in memory. All catalogs are sharded across -shards serving
 // shards by name hash. Every catalog gets its own shared
-// predicate-cache tier bounded by -cache-entries / -cache-mb with
-// cost-aware admission at -admit-min (0 selects the ~1ms default; a
-// negative duration admits every leaf).
+// predicate-cache tier bounded by -cache-entries / -cache-mb.
 //
 //	visdbd -addr :8491 -catalogs "traffic:200000,archive:/data/archive.visdb"
 //
@@ -68,7 +66,6 @@ type config struct {
 	catCacheMB     int
 	forceReadAt    bool
 	sharedKV       string
-	admitMin       time.Duration
 	drainTimeout   time.Duration
 	sessionTTL     time.Duration
 	requestTimeout time.Duration
@@ -113,7 +110,6 @@ func main() {
 	flag.IntVar(&cfg.catCacheMB, "catalog-cache-mb", 0, "decoded-segment cache budget in MiB for file-backed catalogs (0 = default 64)")
 	flag.BoolVar(&cfg.forceReadAt, "force-readat", false, "disable mmap for file-backed catalogs; read through ReadAt")
 	flag.StringVar(&cfg.sharedKV, "shared-kv", "", "visdbkv store base URL; attaches the fleet's shared-distance tier to every catalog's cache")
-	flag.DurationVar(&cfg.admitMin, "admit-min", 0, "shared-tier admission threshold (0 = ~1ms default, negative admits all)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown drain bound")
 	flag.DurationVar(&cfg.sessionTTL, "session-ttl", 30*time.Minute, "reap sessions idle longer than this (0 disables; each live session pins O(rows) buffers)")
 	flag.DurationVar(&cfg.requestTimeout, "request-timeout", 0, "per-request deadline, recalculations included; overruns answer 504 with the session rolled back (0 disables)")
@@ -132,9 +128,8 @@ func main() {
 // served through the bounded decoded-segment cache.
 func buildCatalogs(cfg config) ([]server.CatalogConfig, error) {
 	shared := core.SharedOptions{
-		MaxEntries:   cfg.cacheEntries,
-		MaxBytes:     int64(cfg.cacheMB) << 20,
-		AdmitMinCost: cfg.admitMin,
+		MaxEntries: cfg.cacheEntries,
+		MaxBytes:   int64(cfg.cacheMB) << 20,
 	}
 	if cfg.sharedKV != "" {
 		// One client for every catalog: the kv keys are structural

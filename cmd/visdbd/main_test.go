@@ -27,7 +27,6 @@ func TestDaemonSmoke(t *testing.T) {
 		seed:         7,
 		gridW:        16,
 		gridH:        16,
-		admitMin:     -1, // admit everything: the smoke catalog's leaves are cheap
 		drainTimeout: 10 * time.Second,
 	}
 	addrc := make(chan string, 1)
@@ -154,7 +153,6 @@ func TestDaemonDiskCatalog(t *testing.T) {
 		gridW:        16,
 		gridH:        16,
 		catCacheMB:   1,
-		admitMin:     -1,
 		drainTimeout: 10 * time.Second,
 	}
 	addrc := make(chan string, 1)

@@ -46,7 +46,7 @@ func TestRouterDaemonSmoke(t *testing.T) {
 		srv, err := server.New(server.Config{
 			Shards: shards,
 			Catalogs: []server.CatalogConfig{
-				{Name: "traffic", Catalog: cat, Shared: core.SharedOptions{AdmitMinCost: -1}},
+				{Name: "traffic", Catalog: cat},
 			},
 			DefaultOptions: core.Options{GridW: 16, GridH: 16},
 		})

@@ -28,16 +28,15 @@ import (
 //
 // The tier is the catalog's (AttachShared) or, for a loop that attaches
 // none, the cache's own: maxCacheEntries leaves under
-// DefaultSharedBytes, admitting every fill. Lookups go pins → tier →
-// compute (the tier fills singleflight). The pins are what keeps a
-// rerun at zero misses whatever the tier does meanwhile — another
-// session's fills evicting the entry, an admission policy that refused
-// it — because tier entries are immutable and only ever unlinked, never
-// overwritten in place. A pin holds no copy of anything: it is the
-// entry's pointers. Pins turn over with the buffer generations
-// (beginRun/endRun): a successful run's pins replace the previous
-// Result's, a failed run's are dropped and the old picture keeps its
-// own.
+// DefaultSharedBytes. Lookups go pins → tier → compute (the tier fills
+// singleflight). The pins are what keeps a rerun at zero misses
+// whatever the tier does meanwhile — another session's fills evicting
+// the entry — because tier entries are immutable and only ever
+// unlinked, never overwritten in place. A pin holds no copy of
+// anything: it is the entry's pointers. Pins turn over with the buffer
+// generations (beginRun/endRun): a successful run's pins replace the
+// previous Result's, a failed run's are dropped and the old picture
+// keeps its own.
 //
 // A RunCache is safe for the concurrent leaf builds within one run, but
 // at most one RunCached call may use it at a time, and a Result
@@ -67,12 +66,14 @@ type RunCache struct {
 	// index permutation.
 	floats bufPool[float64]
 	ints   bufPool[int]
-	// seedThr/seedSig carry the previous ranking's raw k-th value (the
-	// rank-before-scale pruning threshold) across recalculations of the
-	// same item space. Weight-only reruns reuse it as-is — a stale seed
-	// can only cost a re-run of the selection, never correctness — but
-	// query and range edits clear it (ResetRootSeed): the perturbed leaf
-	// makes the old raw domain meaningless as a starting point.
+	// seedThr carries the previous ranking's raw k-th value (the
+	// rank-before-scale pruning threshold) to the next recalculation over
+	// the same leaves, seedSig being the run's leaf-key set (leafSetSig).
+	// Weight edits, their undos and a query rewritten over the same leaves
+	// reuse it — a stale seed can only cost a re-run of the selection,
+	// never correctness — and a run that moved a leaf finds none: the
+	// perturbed leaf makes the old raw domain meaningless as a starting
+	// point.
 	seedThr float64
 	seedSig string
 }
@@ -119,14 +120,6 @@ type leafEntry struct {
 	// ranking, so warm reruns can skip whole chunks of root combine
 	// work.
 	cstats *relevance.LeafChunkStats
-}
-
-// satisfies reports whether the entry can serve a lookup that needs
-// signed distances (only condition entries carry them; needSigned is
-// set by 2D-arrangement engines, so a cache shared across arrangement
-// modes never serves a 2D run a spiral-era vector).
-func (e *leafEntry) satisfies(needSigned bool) bool {
-	return e.pd == nil || !needSigned || e.pd.Signed != nil
 }
 
 // raw returns the leaf's distance vector.
@@ -219,8 +212,8 @@ func NewRunCache() *RunCache {
 	}
 }
 
-// rootSeed returns the previous ranking's raw threshold for the given
-// item-space signature, or NaN when none is carried.
+// rootSeed returns the previous ranking's raw threshold if that ranking
+// read the leaf set sig names, NaN otherwise.
 func (c *RunCache) rootSeed(sig string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,19 +224,11 @@ func (c *RunCache) rootSeed(sig string) float64 {
 }
 
 // storeRootSeed records a ranking's raw threshold for the next
-// recalculation (NaN clears it).
+// recalculation over the same leaf set.
 func (c *RunCache) storeRootSeed(sig string, thr float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seedThr, c.seedSig = thr, sig
-}
-
-// ResetRootSeed drops the carried threshold. The session calls it when
-// an edit moves a leaf (a range drag, an undo, a query replacement): a
-// seed from the old raw domain can leave the selection pruning less
-// than no seed would.
-func (c *RunCache) ResetRootSeed() {
-	c.storeRootSeed("", math.NaN())
 }
 
 // AttachShared stands this cache on a catalog-level tier instead of its
@@ -340,18 +325,18 @@ func (c *RunCache) InteriorLen() int {
 
 // fetch resolves a leaf over an item space of rows items: a pin (of
 // this run or of the live Result), then the tier, then compute (through
-// the tier's singleflight fill). An entry that does not satisfy
-// needSigned is a miss. The acceleration indexes (quant, cstats) of the
-// returned entry are set from the leaf's first pinned reuse on — a fill
-// never indexes, and neither does a revisit the tier answers.
-func (c *RunCache) fetch(key string, rows int, needSigned bool, compute func() (leafEntry, error)) (leafEntry, error) {
+// the tier's singleflight fill). The acceleration indexes (quant,
+// cstats) of the returned entry are set from the leaf's first pinned
+// reuse on — a fill never indexes, and neither does a revisit the tier
+// answers.
+func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
 	c.mu.Lock()
 	shared := c.shared
 	le, pinned := c.cur.leaves[key]
 	if !pinned {
 		le, pinned = c.live.leaves[key]
 	}
-	if pinned && le.satisfies(needSigned) {
+	if pinned {
 		c.hits++
 		c.runHits++
 		c.mu.Unlock()
@@ -376,7 +361,7 @@ func (c *RunCache) fetch(key string, rows int, needSigned bool, compute func() (
 		return le, nil
 	}
 	c.mu.Unlock()
-	le, sharedHit, err := shared.fetch(key, rows, needSigned, compute)
+	le, sharedHit, err := shared.fetch(key, rows, compute)
 	if err != nil {
 		return leafEntry{}, err
 	}
@@ -397,8 +382,8 @@ func (c *RunCache) fetch(key string, rows int, needSigned bool, compute func() (
 }
 
 // condFetch is fetch for a condition leaf (predicateData payload).
-func (c *RunCache) condFetch(key string, rows int, needSigned bool, compute func() (*predicateData, error)) (leafEntry, error) {
-	return c.fetch(key, rows, needSigned, func() (leafEntry, error) {
+func (c *RunCache) condFetch(key string, rows int, compute func() (*predicateData, error)) (leafEntry, error) {
+	return c.fetch(key, rows, func() (leafEntry, error) {
 		pd, err := compute()
 		return leafEntry{pd: pd}, err
 	})
@@ -407,7 +392,7 @@ func (c *RunCache) condFetch(key string, rows int, needSigned bool, compute func
 // leafFetch is fetch for non-condition leaf vectors (joins,
 // boolean-negation fallbacks, subqueries).
 func (c *RunCache) leafFetch(key string, rows int, compute func() ([]float64, error)) (leafEntry, error) {
-	return c.fetch(key, rows, false, func() (leafEntry, error) {
+	return c.fetch(key, rows, func() (leafEntry, error) {
 		dists, err := compute()
 		return leafEntry{dists: dists}, err
 	})

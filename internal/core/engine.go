@@ -212,8 +212,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		// buffers to the pool.
 		defer func() { cache.endRun(runOK) }()
 		res.cache = cache
-		res.cacheSig = e.spaceSig(space)
-		res.keys = runKeys{space: res.cacheSig}
+		res.keys = runKeys{space: e.spaceSig(space), signed: e.opt.Arrangement == Arrange2D}
 	}
 	res.Timings.Bind = time.Since(start)
 	mark := time.Now()
@@ -235,8 +234,6 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		NaiveNormalize: e.opt.NaiveNormalize,
 		And:            e.opt.And,
 		LpP:            e.opt.LpP,
-		Parallel:       e.opt.Parallel,
-		Workers:        e.opt.Workers,
 		// Rank-before-scale: on the selection path the root's final
 		// monotonic transforms apply only to the top-k survivors, so
 		// the root is evaluated raw and deferred.
@@ -297,8 +294,10 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		seed := math.NaN()
 		var vals []float64
 		var idx []int
+		var leaves string
 		if cache != nil {
-			seed = cache.rootSeed(res.cacheSig)
+			leaves = res.leafSetSig()
+			seed = cache.rootSeed(leaves)
 			vals, idx = cache.floats.alloc(k), cache.ints.alloc(k)
 		}
 		rk, err := eval.RankRoot(k, seed, vals, idx)
@@ -311,23 +310,16 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		res.Timings.Scale = rk.ScaleTime
 		res.Timings.Pruned, res.Timings.Chunks = rk.Pruned, rk.Chunks
 		if cache != nil {
-			cache.storeRootSeed(res.cacheSig, rk.Threshold)
+			cache.storeRootSeed(leaves, rk.Threshold)
 		}
 	default:
 		// Deferral declined (pathological weights): select on the
-		// eagerly scaled vector. Cached runs rank into pooled buffers
-		// (identical output).
+		// eagerly scaled vector.
 		res.combined = eval.Combined
 		colorable = space.n - relevance.CountNaN(eval.Combined)
 		k := e.selectBudget(space.n)
-		var sorted []float64
-		var order []int
-		if cache != nil {
-			sorted, order = topk.SelectKWithIndexInto(eval.Combined, k, cache.floats.alloc(space.n), cache.ints.alloc(space.n))
-		} else {
-			sorted, order = topk.SelectKWithIndex(eval.Combined, k)
-		}
-		res.sorted, res.Order, res.rankedK = sorted, order, k
+		res.sorted, res.Order = topk.SelectKWithIndex(eval.Combined, k)
+		res.rankedK = k
 		res.Timings.Select = time.Since(mark)
 	}
 	mark = time.Now()
@@ -488,7 +480,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			// distance function — Label excludes the weighting factor by
 			// construction), so weight-only reruns hit unconditionally.
 			key = res.keys.cond(attr.Qualified(), c.Label())
-			le, err = res.cache.condFetch(key, space.n, e.opt.Arrangement == Arrange2D, compute)
+			le, err = res.cache.condFetch(key, space.n, compute)
 		} else {
 			le.pd, err = compute()
 		}
@@ -618,25 +610,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			return dists, nil
 		}
-		var le leafEntry
-		var err error
-		var key string
-		if res.cache != nil {
-			key = res.keys.join(n.Label(), negated)
-			le, err = res.cache.leafFetch(key, space.n, compute)
-		} else {
-			le.dists, err = compute()
-		}
-		if err != nil {
-			return nil, err
-		}
-		node := &relevance.Node{Op: relevance.Leaf, Label: expr.Label(), Weight: n.Weight(), Dists: le.dists,
-			Quantiles: le.quant, ChunkStats: le.cstats}
-		if key != "" {
-			res.setLeafID(node, key)
-		}
-		res.setNode(expr, node)
-		return node, nil
+		return e.distsLeaf(res, space, n, n.Label(), res.keys.join(n.Label(), negated), compute)
 	case *query.SubqueryExpr:
 		return e.subqueryNode(n, b, space, res, negated, workers)
 	default:
@@ -716,11 +690,16 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 		}
 		return dists, nil
 	}
+	return e.distsLeaf(res, space, c, label, res.keys.boolean(label), compute)
+}
+
+// distsLeaf builds the relevance leaf of a join, boolean-fallback or
+// subquery expression from its bare distance vector: fetched under key
+// on a cached run, computed on the spot otherwise.
+func (e *Engine) distsLeaf(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() ([]float64, error)) (*relevance.Node, error) {
 	var le leafEntry
 	var err error
-	var key string
 	if res.cache != nil {
-		key = res.keys.boolean(label)
 		le, err = res.cache.leafFetch(key, space.n, compute)
 	} else {
 		le.dists, err = compute()
@@ -728,12 +707,12 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 	if err != nil {
 		return nil, err
 	}
-	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: c.Weight(), Dists: le.dists,
+	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: expr.Weight(), Dists: le.dists,
 		Quantiles: le.quant, ChunkStats: le.cstats}
-	if key != "" {
+	if res.cache != nil {
 		res.setLeafID(node, key)
 	}
-	res.setNode(c, node)
+	res.setNode(expr, node)
 	return node, nil
 }
 
@@ -847,25 +826,8 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 	}
 	// The subquery leaf caches on runKeys.subquery — the full rendered
 	// subquery plus the engine options the inner evaluation depends on.
-	var le leafEntry
-	var err error
-	var key string
-	if res.cache != nil {
-		key = res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
-		le, err = res.cache.leafFetch(key, space.n, compute)
-	} else {
-		le.dists, err = compute()
-	}
-	if err != nil {
-		return nil, err
-	}
-	node := &relevance.Node{Op: relevance.Leaf, Label: sq.Label(), Weight: sq.Weight(), Dists: le.dists,
-		Quantiles: le.quant, ChunkStats: le.cstats}
-	if key != "" {
-		res.setLeafID(node, key)
-	}
-	res.setNode(sq, node)
-	return node, nil
+	key := res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
+	return e.distsLeaf(res, space, sq, sq.Label(), key, compute)
 }
 
 // boolSubquery evaluates NOT EXISTS / NOT IN exactly. The inner

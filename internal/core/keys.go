@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/relevance"
 )
 
 // runKeys is the single point where structural cache keys are built.
-// Both cache tiers (the private RunCache and the catalog-level
-// SharedCache) key by these strings, so the formats live in one place
-// and the tiers can never drift apart. Every key embeds the item-space
+// A RunCache's pins, the SharedCache and the remote tier all key by
+// these strings, and a key names exactly one vector: everything the
+// leaf computation depends on is in it. Every key embeds the item-space
 // fingerprint — table identities, row counts and the catalog's segment
 // epoch (spaceSig) — so caches shared across catalog reloads or
 // regenerated segment files can never serve vectors computed over
@@ -17,15 +18,32 @@ import (
 type runKeys struct {
 	// space is the item-space fingerprint of the run (spaceSig).
 	space string
+	// signed marks the run of an Arrange2D engine, whose condition
+	// leaves carry signed distances beside the unsigned ones.
+	signed bool
 }
 
 // cond keys a simple-condition leaf: bound table.attr plus the
 // condition label (operator, literals, distance function — Label
 // excludes the weighting factor by construction, so weight-only reruns
-// hit unconditionally).
+// hit unconditionally). A 2D-arrangement run's leaf holds a second,
+// signed vector, so it is another entry under a marked key — the way a
+// subquery key carries budget and mode. No fingerprint starts with the
+// marker, so the two forms cannot collide.
 func (k runKeys) cond(qualified, label string) string {
-	return "C|" + k.space + "|" + qualified + "|" + label
+	prefix := "C|"
+	if k.signed {
+		prefix = signedCondPrefix
+	}
+	return prefix + k.space + "|" + qualified + "|" + label
 }
+
+// signedCondPrefix starts the condition keys of signed runs.
+const signedCondPrefix = "C|signed|"
+
+// isSignedCond reports whether key names a condition leaf with its
+// signed vector.
+func isSignedCond(key string) bool { return strings.HasPrefix(key, signedCondPrefix) }
 
 // join keys a join-connection leaf; negation is part of the identity
 // (the negated vector differs, while the label does not).

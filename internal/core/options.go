@@ -53,9 +53,6 @@ type Options struct {
 	// NaiveNormalize disables reduction-first normalization (ablation
 	// A1).
 	NaiveNormalize bool
-	// Parallel evaluates sibling query parts concurrently; results are
-	// identical, only wall-clock changes.
-	Parallel bool
 	// MaxPairs caps the materialized cross product of multi-table
 	// queries; 0 means 1<<20.
 	MaxPairs int
@@ -74,10 +71,10 @@ type Options struct {
 	// ranking of all n items, which the A-series ablations and exact
 	// quantile statistics rely on. Arrange2D implies FullSort.
 	FullSort bool
-	// Workers bounds the worker pool used for per-predicate distance
-	// computation (chunked across rows and across sibling predicates).
-	// 0 or negative selects runtime.GOMAXPROCS(0); 1 forces the serial
-	// path. Parallel and serial runs are bit-identical.
+	// Workers bounds the worker pool of the distance stage (chunked
+	// across rows and across sibling predicates). 0 or negative selects
+	// runtime.GOMAXPROCS(0); 1 forces the serial path. Runs are
+	// bit-identical whatever the count.
 	Workers int
 	// NoInteriorSketch disables the incremental interior-normalization
 	// cache of cached runs (the ablation/benchmark baseline): interior

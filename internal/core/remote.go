@@ -80,13 +80,14 @@ func encodeSharedEntry(e *leafEntry) []byte {
 	return binenc.F64s(b, pd.Signed)
 }
 
-// decodeSharedEntry reverses encodeSharedEntry for a leaf over an item
-// space of rows items. Another process wrote the bytes and every reader
-// of the entry indexes its vectors by item, so a vector of any other
-// length is refused here — a remote miss, answered by a local compute —
-// instead of failing the run, and every run after it, from inside the
-// cache.
-func decodeSharedEntry(data []byte, rows int) (*leafEntry, error) {
+// decodeSharedEntry reverses encodeSharedEntry for the value stored
+// under key, a leaf over an item space of rows items. Another process
+// wrote the bytes and every reader of the entry indexes its vectors by
+// item, so a vector of any other length — or a value without the signed
+// vector a signed key names — is refused here: a remote miss, answered
+// by a local compute, instead of failing the run, and every run after
+// it, from inside the cache.
+func decodeSharedEntry(key string, data []byte, rows int) (*leafEntry, error) {
 	r := binenc.NewReader(data)
 	if ver := r.Byte(); ver != sharedEntryVersion {
 		if r.Err() != nil {
@@ -130,6 +131,9 @@ func decodeSharedEntry(data []byte, rows int) (*leafEntry, error) {
 	}
 	if len(e.raw()) != rows || (e.pd != nil && e.pd.Signed != nil && len(e.pd.Signed) != rows) {
 		return nil, fmt.Errorf("core: shared entry's vectors are not %d items long", rows)
+	}
+	if isSignedCond(key) && (e.pd == nil || e.pd.Signed == nil) {
+		return nil, fmt.Errorf("core: shared entry under a signed key has no signed vector")
 	}
 	return e, nil
 }

@@ -92,7 +92,7 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 		Lo:       math.Inf(-1),
 		Hi:       4.5,
 	}
-	got, err := decodeSharedEntry(encodeSharedEntry(&leafEntry{pd: pd}), 4)
+	got, err := decodeSharedEntry(signedCondPrefix+"T:T:4|T.x|x > 1", encodeSharedEntry(&leafEntry{pd: pd}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 
 	// Dists-only entries round-trip too.
 	data := encodeSharedEntry(&leafEntry{dists: []float64{3, math.NaN(), 1}})
-	got, err = decodeSharedEntry(data, 3)
+	got, err = decodeSharedEntry("J|T:T:3|c|neg=false", data, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,18 +120,19 @@ func TestSharedEntryCodecRoundTrip(t *testing.T) {
 	}
 
 	// Corruption surfaces as an error, not a bogus entry.
-	if _, err := decodeSharedEntry(data[:len(data)-2], 3); err == nil {
+	if _, err := decodeSharedEntry("J|T:T:3|c|neg=false", data[:len(data)-2], 3); err == nil {
 		t.Fatal("truncated entry decoded")
 	}
-	if _, err := decodeSharedEntry(append(append([]byte(nil), data...), 1), 3); err == nil {
+	if _, err := decodeSharedEntry("J|T:T:3|c|neg=false", append(append([]byte(nil), data...), 1), 3); err == nil {
 		t.Fatal("padded entry decoded")
 	}
 }
 
 // FuzzSharedEntry: the one decoder on the kv boundary. Arbitrary bytes
 // never panic and never become vectors larger than the input; a value
-// that is accepted has every vector rows long and is canonical — it
-// encodes back to the bytes it came from.
+// that is accepted has every vector rows long, carries the signed vector
+// if its key names one, and is canonical — it encodes back to the bytes
+// it came from.
 func FuzzSharedEntry(f *testing.F) {
 	raw, signed := []float64{0, 1.5, math.NaN(), math.Inf(1)}, []float64{0, -1.5, math.NaN(), math.Inf(-1)}
 	seeds := [][]byte{
@@ -142,20 +143,28 @@ func FuzzSharedEntry(f *testing.F) {
 		condEnvelope(2, raw, signed),   // v2: handles, then today's payload
 	}
 	for _, s := range seeds {
-		f.Add(s, uint16(len(raw)))
+		f.Add(s, uint16(len(raw)), false)
 	}
+	// Under a signed key the first seed lacks the vector the key names (a
+	// miss) and the second has it.
+	f.Add(seeds[0], uint16(len(raw)), true)
+	f.Add(seeds[1], uint16(len(raw)), true)
 	// A cut at every field boundary of the fullest seed: 2 header bytes,
 	// 2 strings, kind, range flag, 4 scalars, 2 vectors (and one cut
 	// inside Raw).
 	full := seeds[1]
 	for _, cut := range []int{0, 1, 2, 7, 12, 16, 17, 25, 33, 41, 49, 60, 85, len(full) - 1} {
-		f.Add(full[:cut], uint16(len(raw)))
+		f.Add(full[:cut], uint16(len(raw)), false)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, rows16 uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, rows16 uint16, signedKey bool) {
 		rows := int(rows16)
-		e, err := decodeSharedEntry(data, rows)
+		key := runKeys{space: "T:S:4:e0", signed: signedKey}.cond("S.a", "a > 50")
+		e, err := decodeSharedEntry(key, data, rows)
 		if err != nil {
 			return
+		}
+		if signedKey && (e.pd == nil || e.pd.Signed == nil) {
+			t.Fatalf("accepted a value without a signed vector under %q", key)
 		}
 		vecs := [][]float64{e.raw()}
 		if e.pd != nil && e.pd.Signed != nil {
@@ -177,14 +186,15 @@ func FuzzSharedEntry(f *testing.F) {
 	})
 }
 
-// remoteLeaf runs sql over cat on a node of its own and returns what it
-// offered the fleet for the leaf whose key ends in suffix.
-func remoteLeaf(t *testing.T, cat *dataset.Catalog, sql, suffix string) (key string, val []byte) {
+// remoteLeaf runs sql over cat on a node of its own, an engine under
+// opt, and returns what it offered the fleet for the leaf whose key ends
+// in suffix.
+func remoteLeaf(t *testing.T, cat *dataset.Catalog, opt Options, sql, suffix string) (key string, val []byte) {
 	t.Helper()
 	backend := newMapBackend()
 	c := NewRunCache()
-	c.AttachShared(NewSharedCacheOpts(SharedOptions{AdmitMinCost: -1, Backend: backend}))
-	if _, err := New(cat, nil, Options{GridW: 8, GridH: 8}).RunCached(mustParse(t, sql), c); err != nil {
+	c.AttachShared(NewSharedCacheOpts(SharedOptions{Backend: backend}))
+	if _, err := New(cat, nil, opt).RunCached(mustParse(t, sql), c); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range backend.leafKeys(t) {
@@ -206,36 +216,46 @@ func mustParse(t *testing.T, sql string) *query.Query {
 }
 
 // TestRemoteLeafOfWrongLengthIsAMiss: the store answers a leaf's key
-// with a value that decodes cleanly but was not computed over this item
-// space — another catalog's rows, a Signed vector cut short, a
-// previous-version envelope. Each is a remote miss answered by a local
-// compute; none is adopted, so the member's next run and a fresh
-// session on it are right too.
+// with a value that decodes cleanly but is not the vector the key names
+// — another catalog's rows, a Signed vector cut short, a
+// previous-version envelope, or under a signed key the leaf without its
+// signed vector. Each is a remote miss answered by a local compute; none
+// is adopted, so the member's next run and a fresh session on it are
+// right too.
 func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 	const rows = 2*4096 + 57
 	const sql = `SELECT a FROM S WHERE a > 50 AND b < 40`
+	spiral := Options{GridW: 8, GridH: 8}
+	twoD := Options{GridW: 8, GridH: 8, Arrangement: Arrange2D, AxisX: "a", AxisY: "b"}
 	cat := interiorCatalog(t, rows)
-	cold, err := New(cat, nil, Options{GridW: 8, GridH: 8}).Run(mustParse(t, sql))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, _ := remoteLeaf(t, cat, sql, "|a > 50")
-	otherKey, other := remoteLeaf(t, cat, sql, "|b < 40")
-	_, short := remoteLeaf(t, interiorCatalog(t, 10), sql, "|a > 50")
-	_, long := remoteLeaf(t, interiorCatalog(t, rows+3), sql, "|a > 50")
+	_, unsigned := remoteLeaf(t, cat, spiral, sql, "|a > 50")
+	_, short := remoteLeaf(t, interiorCatalog(t, 10), spiral, sql, "|a > 50")
+	_, long := remoteLeaf(t, interiorCatalog(t, rows+3), spiral, sql, "|a > 50")
 	zeros := make([]float64, rows) // adopted, these would also move the ranking
-	for name, poisoned := range map[string][]byte{
-		"short":         short,
-		"long":          long,
-		"signed != raw": condEnvelope(sharedEntryVersion, zeros, zeros[:10]),
-		"v1 envelope":   condEnvelope(1, zeros, zeros, nil),
-		"v2 envelope":   condEnvelope(2, zeros, nil),
+	for _, tc := range []struct {
+		name     string
+		opt      Options
+		poisoned []byte
+	}{
+		{"short", spiral, short},
+		{"long", spiral, long},
+		{"signed != raw", spiral, condEnvelope(sharedEntryVersion, zeros, zeros[:10])},
+		{"v1 envelope", spiral, condEnvelope(1, zeros, zeros, nil)},
+		{"v2 envelope", spiral, condEnvelope(2, zeros, nil)},
+		{"signed key, value without signed vector", twoD, unsigned},
 	} {
+		name := tc.name
+		cold, err := New(cat, nil, tc.opt).Run(mustParse(t, sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := remoteLeaf(t, cat, tc.opt, sql, "|a > 50")
+		otherKey, other := remoteLeaf(t, cat, tc.opt, sql, "|b < 40")
 		backend := newMapBackend()
-		backend.Put(key, poisoned)
+		backend.Put(key, tc.poisoned)
 		backend.Put(otherKey, other)
-		sc := NewSharedCacheOpts(SharedOptions{AdmitMinCost: -1, Backend: backend})
-		e := New(cat, nil, Options{GridW: 8, GridH: 8})
+		sc := NewSharedCacheOpts(SharedOptions{Backend: backend})
+		e := New(cat, nil, tc.opt)
 		c := NewRunCache()
 		c.AttachShared(sc)
 		for run := 0; run < 2; run++ {
@@ -272,7 +292,7 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 	backend := newMapBackend()
 	node := func(forceReadAt bool) (*Engine, *RunCache, *SharedCache) {
 		cat := openSegFile(t, path, 1<<16, forceReadAt)
-		sc := NewSharedCacheOpts(SharedOptions{AdmitMinCost: -1, Backend: backend})
+		sc := NewSharedCacheOpts(SharedOptions{Backend: backend})
 		c := NewRunCache()
 		c.AttachShared(sc)
 		return New(cat, nil, Options{GridW: 16, GridH: 16}), c, sc
@@ -326,7 +346,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	}
 
 	backend := newMapBackend()
-	opts := SharedOptions{AdmitMinCost: -1, Backend: backend}
+	opts := SharedOptions{Backend: backend}
 
 	// Node A: the first run fills the backend; the second builds the
 	// leaf indexes and takes its interior hits, none of which travel.
@@ -400,7 +420,7 @@ func TestRemoteBackendDegradesToMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend := newMapBackend()
-	sc := NewSharedCacheOpts(SharedOptions{AdmitMinCost: -1, Backend: backend})
+	sc := NewSharedCacheOpts(SharedOptions{Backend: backend})
 	c := NewRunCache()
 	c.AttachShared(sc)
 	res, err := e.RunCached(q, c)
@@ -416,7 +436,7 @@ func TestRemoteBackendDegradesToMiss(t *testing.T) {
 		backend.m[k] = []byte{0xde, 0xad}
 	}
 	backend.mu.Unlock()
-	sc2 := NewSharedCacheOpts(SharedOptions{AdmitMinCost: -1, Backend: backend})
+	sc2 := NewSharedCacheOpts(SharedOptions{Backend: backend})
 	c2 := NewRunCache()
 	c2.AttachShared(sc2)
 	e2 := New(cat, nil, Options{GridW: 8, GridH: 8})

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -62,16 +65,16 @@ type Result struct {
 
 	// relevance memoizes the Relevance accessor.
 	relevance []float64
-	// cache and cacheSig are set on RunCached runs: the session-level
-	// predicate cache serving this run and the item-space fingerprint
-	// its keys embed. keys builds every structural cache key of the run
-	// from that fingerprint (see runKeys), and leafID records each
-	// relevance leaf's full cache key — the content-precise identity the
-	// interior-normalization signatures embed in place of the label.
-	cache    *RunCache
-	cacheSig string
-	keys     runKeys
-	leafID   map[*relevance.Node]string
+	// cache is set on RunCached runs: the session-level predicate cache
+	// serving this run. keys builds every structural cache key of the run
+	// from the item-space fingerprint (see runKeys), and leafID records
+	// each relevance leaf's full cache key — the content-precise identity
+	// the interior-normalization signatures embed in place of the label,
+	// and together the identity the carried selection threshold is valid
+	// for (leafSetSig).
+	cache  *RunCache
+	keys   runKeys
+	leafID map[*relevance.Node]string
 
 	// checkpoint is the run's cancellation poll (nil on uncanceled
 	// runs): the tree build polls it at node entry and between distance
@@ -167,6 +170,14 @@ func (r *Result) leafIDOf(n *relevance.Node) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.leafID[n]
+}
+
+// leafSetSig names the set of leaves the run read: the item space and
+// the leaf keys in sorted order, so reordering or reweighting the query
+// over the same leaves keeps it and moving any leaf changes it. Called
+// once the tree is built, when nothing writes leafID any more.
+func (r *Result) leafSetSig() string {
+	return r.keys.space + "\n" + strings.Join(slices.Sorted(maps.Values(r.leafID)), "\n")
 }
 
 // buildPlacement assigns window cells to the displayed ranks.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/lru"
 	"repro/internal/relevance"
@@ -17,7 +16,8 @@ import (
 // database share every leaf whose structural signature matches, and one
 // user going back to a range finds it where they left it.
 //
-// The design invariants, in order of importance:
+// The contract is two lines: recency alone decides residency, and a key
+// names exactly one vector. What follows from them:
 //
 //   - Entries are immutable. A vector is fully computed before it is
 //     stored and never written afterwards, so any number of sessions
@@ -33,16 +33,10 @@ import (
 //     computes and the rest wait for its result.
 //
 //   - Memory is bounded by an entry cap and a byte budget, and by
-//     nothing else: no edit invalidates, recency alone decides what is
-//     forgotten (internal/lru holds the eviction rule), so
-//     SharedStats.Evictions accounts for every entry that ever left.
-//
-//   - Admission is cost-aware: only leaves whose measured compute time
-//     reaches AdmitMinCost occupy the budget (edit-distance and join
-//     leaves qualify; cheap numeric sweeps are recomputed instead of
-//     churning the LRU). Rejected fills still serve their result to the
-//     caller and to every singleflight waiter — admission decides
-//     residency, never correctness.
+//     nothing else: every computed leaf is stored, no edit invalidates,
+//     and the cold end of the recency order is what leaves
+//     (internal/lru holds the eviction rule), so SharedStats.Evictions
+//     accounts for every entry that ever left.
 //
 // Nothing can be served stale: keys embed the full structural signature
 // of the leaf computation including table names, row counts and the
@@ -51,16 +45,13 @@ import (
 // fingerprint table identities, not cell contents or registered
 // function implementations. Sessions may differ in every other option:
 // leaf vectors are upstream of normalization and combination, and the
-// leaf kinds that do depend on options (subquery leaves,
-// signed-distance vectors) carry those options in their keys or satisfy
-// lookups conditionally.
+// leaf kinds that do depend on options (subquery leaves, the signed
+// condition leaves of a 2D arrangement) carry those options in their
+// keys (runKeys).
 type SharedCache struct {
 	mu       sync.Mutex
 	entries  *lru.Cache[string, *leafEntry]
 	inflight map[string]*sharedCall
-	// admitMin is the minimum measured compute cost for residency;
-	// <= 0 admits every computed leaf.
-	admitMin time.Duration
 
 	// interior is the store of the interior-normalization cache
 	// (relevance.InteriorEntry built by sessions' runs). It has its own
@@ -74,11 +65,11 @@ type SharedCache struct {
 	// happen outside mu.
 	backend SharedBackend
 
-	hits, misses, fills, waits, rejects uint64
-	evictions, intEvictions             uint64
-	intHits, intMisses                  uint64
-	remoteHits, remoteMisses            uint64
-	remotePuts                          uint64
+	hits, misses, fills, waits uint64
+	evictions, intEvictions    uint64
+	intHits, intMisses         uint64
+	remoteHits, remoteMisses   uint64
+	remotePuts                 uint64
 }
 
 // Default bounds for NewSharedCache: sized for a serving tier (many
@@ -87,67 +78,32 @@ type SharedCache struct {
 const (
 	DefaultSharedEntries = 1024
 	DefaultSharedBytes   = 256 << 20 // 256 MiB of cached vectors
-
-	// DefaultAdmitMinCost is the admission threshold SharedOptions
-	// selects when AdmitMinCost is zero: roughly the cost boundary
-	// between a cheap numeric sweep (tens of microseconds to a few
-	// hundred at interactive row counts) and the leaves worth sharing —
-	// edit-distance predicates, join connections, subqueries.
-	DefaultAdmitMinCost = time.Millisecond
 )
 
 // SharedOptions configures a shared tier. The zero value selects the
-// defaults, including cost-aware admission at DefaultAdmitMinCost.
+// defaults.
 type SharedOptions struct {
 	// MaxEntries and MaxBytes bound the resident set; zero or negative
 	// values select DefaultSharedEntries / DefaultSharedBytes.
 	MaxEntries int
 	MaxBytes   int64
-	// AdmitMinCost is the minimum measured compute time a leaf must
-	// cost before it is admitted into the tier: zero selects
-	// DefaultAdmitMinCost, negative admits every computed leaf (the
-	// historical all-or-nothing behavior, also what NewSharedCache
-	// selects). Whatever the policy decides, the computed vector is
-	// still returned to the caller and to all singleflight waiters —
-	// admission bounds budget churn, it never costs correctness.
-	AdmitMinCost time.Duration
-	// Backend plugs a remote tier (network KV) behind the cache: fills
-	// admitted locally are offered to it, and misses consult it before
-	// computing. Nil serves purely from this process.
+	// Backend plugs a remote tier (network KV) behind the cache: local
+	// fills are offered to it, and misses consult it before computing.
+	// Nil serves purely from this process.
 	Backend SharedBackend
 }
 
-// NewSharedCacheOpts creates a shared tier from SharedOptions — the
-// constructor serving tiers use, with cost-aware admission on by
-// default.
-func NewSharedCacheOpts(o SharedOptions) *SharedCache {
-	sc := NewSharedCache(o.MaxEntries, o.MaxBytes)
-	switch {
-	case o.AdmitMinCost == 0:
-		sc.admitMin = DefaultAdmitMinCost
-	case o.AdmitMinCost > 0:
-		sc.admitMin = o.AdmitMinCost
-	}
-	sc.backend = o.Backend
-	return sc
-}
-
-// sharedCall is one in-flight singleflight fill.
+// sharedCall is one in-flight singleflight fill: entry or err is set
+// when done closes.
 type sharedCall struct {
 	done  chan struct{}
 	entry leafEntry
-	ok    bool
 	err   error
 }
 
-// NewSharedCache creates a shared tier with the given bounds; zero or
-// negative values select the defaults. Caches built this way admit
-// every computed leaf — the in-process default, where a handful of
-// sessions share one interaction working set. Serving tiers exposed to
-// adversarial traffic (slider sweeps over hundreds of distinct ranges)
-// should use NewSharedCacheOpts, whose cost-aware admission keeps
-// cheap leaves from churning the byte budget.
-func NewSharedCache(maxEntries int, maxBytes int64) *SharedCache {
+// NewSharedCacheOpts creates a shared tier from SharedOptions.
+func NewSharedCacheOpts(o SharedOptions) *SharedCache {
+	maxEntries, maxBytes := o.MaxEntries, o.MaxBytes
 	if maxEntries <= 0 {
 		maxEntries = DefaultSharedEntries
 	}
@@ -157,12 +113,19 @@ func NewSharedCache(maxEntries int, maxBytes int64) *SharedCache {
 	return &SharedCache{
 		entries:  lru.New[string, *leafEntry](maxEntries, maxBytes),
 		inflight: make(map[string]*sharedCall),
+		backend:  o.Backend,
 		// The interior tier rides along at a quarter of the leaf
 		// bounds: interior entries are derived data (always rebuildable
 		// from the leaves in one pass), so they never crowd out the
 		// vectors they are derived from.
 		interior: lru.New[string, *relevance.InteriorEntry](maxEntries/4+1, max(maxBytes/4, 1)),
 	}
+}
+
+// NewSharedCache creates a shared tier with the given bounds and no
+// remote tier.
+func NewSharedCache(maxEntries int, maxBytes int64) *SharedCache {
+	return NewSharedCacheOpts(SharedOptions{MaxEntries: maxEntries, MaxBytes: maxBytes})
 }
 
 // SharedStats is a point-in-time snapshot of the shared tier, and as it
@@ -175,15 +138,14 @@ type SharedStats struct {
 	// Misses counts lookups that had to compute (singleflight
 	// leaders).
 	Misses uint64 `json:"misses"`
-	// Fills counts successful stores (misses whose computation
-	// succeeded, plus needSigned upgrades that replaced an entry).
+	// Fills counts successful stores: misses whose computation
+	// succeeded or that the remote tier answered.
 	Fills uint64 `json:"fills"`
 	// Waits counts lookups that blocked on another session's fill
 	// instead of computing redundantly.
 	Waits uint64 `json:"waits"`
-	// Rejects counts computed fills the admission policy kept out of
-	// the resident set (compute cost below AdmitMinCost); their results
-	// were still served to the caller and any waiters.
+	// Rejects is always 0: every fill is stored. The field outlives the
+	// admission policy it counted for because bench/metrics.go reads it.
 	Rejects uint64 `json:"rejects"`
 	// Evictions counts leaf entries the entry cap or byte budget pushed
 	// out; short of Clear, nothing else drops one.
@@ -269,8 +231,7 @@ func (sc *SharedCache) Stats() SharedStats {
 	sc.mu.Lock()
 	st := SharedStats{
 		Hits: sc.hits, Misses: sc.misses, Fills: sc.fills, Waits: sc.waits,
-		Rejects: sc.rejects, Evictions: sc.evictions,
-		Entries: sc.entries.Len(), Bytes: sc.entries.Bytes(),
+		Evictions: sc.evictions, Entries: sc.entries.Len(), Bytes: sc.entries.Bytes(),
 		InteriorHits: sc.intHits, InteriorMisses: sc.intMisses, InteriorEvictions: sc.intEvictions,
 		InteriorEntries: sc.interior.Len(), InteriorBytes: sc.interior.Bytes(),
 		RemoteHits: sc.remoteHits, RemoteMisses: sc.remoteMisses,
@@ -307,19 +268,15 @@ func (sc *SharedCache) Bytes() int64 {
 // remote tier). compute runs without any cache lock held, so fills for
 // different keys proceed concurrently and a fill may recursively fetch
 // other keys.
-func (sc *SharedCache) fetch(key string, rows int, needSigned bool, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
+func (sc *SharedCache) fetch(key string, rows int, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
-	for {
-		if e, ok := sc.entries.Get(key); ok && e.satisfies(needSigned) {
-			sc.hits++
-			le = *e
-			sc.mu.Unlock()
-			return le, true, nil
-		}
-		call, ok := sc.inflight[key]
-		if !ok {
-			break // no resident entry, no fill in flight: we lead
-		}
+	if e, ok := sc.entries.Get(key); ok {
+		sc.hits++
+		le = *e
+		sc.mu.Unlock()
+		return le, true, nil
+	}
+	if call, ok := sc.inflight[key]; ok {
 		sc.waits++
 		sc.mu.Unlock()
 		<-call.done
@@ -329,16 +286,10 @@ func (sc *SharedCache) fetch(key string, rows int, needSigned bool, compute func
 			// catalog).
 			return leafEntry{}, false, call.err
 		}
-		if call.ok && call.entry.satisfies(needSigned) {
-			sc.mu.Lock()
-			sc.hits++
-			sc.mu.Unlock()
-			return call.entry, true, nil
-		}
-		// The finished fill does not satisfy us (e.g. it lacks signed
-		// distances and we need them): loop and try to lead an
-		// upgrading fill ourselves.
 		sc.mu.Lock()
+		sc.hits++
+		sc.mu.Unlock()
+		return call.entry, true, nil
 	}
 	sc.misses++
 	call := &sharedCall{done: make(chan struct{})}
@@ -354,16 +305,13 @@ func (sc *SharedCache) fetch(key string, rows int, needSigned bool, compute func
 	remote := false
 	if backend != nil {
 		if data, ok := backend.Get(key); ok {
-			if d, derr := decodeSharedEntry(data, rows); derr == nil && d.satisfies(needSigned) {
+			if d, derr := decodeSharedEntry(key, data, rows); derr == nil {
 				le, remote = *d, true
 			}
 		}
 	}
-	var cost time.Duration
 	if !remote {
-		t0 := time.Now()
 		le, err = compute()
-		cost = time.Since(t0)
 	}
 
 	sc.mu.Lock()
@@ -375,27 +323,11 @@ func (sc *SharedCache) fetch(key string, rows int, needSigned bool, compute func
 		}
 	}
 	delete(sc.inflight, key)
-	stored := false
 	if err == nil {
-		// Cost-aware admission: a leaf cheaper than the threshold is
-		// served but not stored — recomputing it is cheaper than the
-		// budget churn of keeping it resident. A fill that replaces an
-		// existing entry (the needSigned upgrade) is always admitted:
-		// the superseded entry's budget is reclaimed either way, and
-		// dropping it would downgrade later 2D lookups to permanent
-		// misses. Remote-served entries are always admitted: the fleet
-		// already judged them worth sharing (and the decoder checked them
-		// against this item space).
-		_, replaces := sc.entries.Peek(key)
-		if !remote && sc.admitMin > 0 && cost < sc.admitMin && !replaces {
-			sc.rejects++
-		} else {
-			resident := le
-			sc.evictions += uint64(sc.entries.Put(key, &resident, resident.sizeBytes()))
-			sc.fills++
-			stored = true
-		}
-		call.entry, call.ok = le, true
+		resident := le
+		sc.evictions += uint64(sc.entries.Put(key, &resident, resident.sizeBytes()))
+		sc.fills++
+		call.entry = le
 	}
 	call.err = err
 	sc.mu.Unlock()
@@ -403,10 +335,10 @@ func (sc *SharedCache) fetch(key string, rows int, needSigned bool, compute func
 	if err != nil {
 		return leafEntry{}, false, err
 	}
-	// Offer locally computed, admitted fills to the fleet. The encode
-	// reads only immutable fields and the Put happens after waiters are
-	// released, so a slow backend never extends the singleflight.
-	if stored && !remote && backend != nil {
+	// Offer locally computed fills to the fleet. The encode reads only
+	// immutable fields and the Put happens after waiters are released, so
+	// a slow backend never extends the singleflight.
+	if !remote && backend != nil {
 		backend.Put(key, encodeSharedEntry(&le))
 		sc.mu.Lock()
 		sc.remotePuts++

@@ -16,7 +16,7 @@ import (
 // singleflight path (compute always runs: the key is absent).
 func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, n, false, func() (leafEntry, error) {
+	_, hit, err := sc.fetch(key, n, func() (leafEntry, error) {
 		dists := make([]float64, n)
 		for i := range dists {
 			dists[i] = fill
@@ -34,7 +34,7 @@ func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 // touch performs a lookup that must hit.
 func touch(t *testing.T, sc *SharedCache, key string) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, 0, false, func() (leafEntry, error) {
+	_, hit, err := sc.fetch(key, 0, func() (leafEntry, error) {
 		return leafEntry{}, fmt.Errorf("touch of %q missed", key)
 	})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestSharedCacheEviction(t *testing.T) {
 func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
 	sc := NewSharedCache(1, 0)
 	const key = "C|T:T:4|T.x|x > 5"
-	old, _, err := sc.fetch(key, 4, false, func() (leafEntry, error) {
+	old, _, err := sc.fetch(key, 4, func() (leafEntry, error) {
 		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3, 4}}}, nil
 	})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
 		t.Fatalf("after the evicting fill: %+v", st)
 	}
 
-	fresh, hit, err := sc.fetch(key, 4, false, func() (leafEntry, error) {
+	fresh, hit, err := sc.fetch(key, 4, func() (leafEntry, error) {
 		return leafEntry{pd: &predicateData{Raw: []float64{9, 9, 9, 9}}}, nil
 	})
 	if err != nil {
@@ -214,7 +214,7 @@ func TestSharedCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := sc.fetch("K", 1, false, func() (leafEntry, error) {
+			v, _, err := sc.fetch("K", 1, func() (leafEntry, error) {
 				computes.Add(1)
 				// Hold the fill open until every other goroutine is
 				// blocked on it, so the schedule cannot degenerate into
@@ -250,41 +250,79 @@ func TestSharedCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestSharedCacheSignedUpgrade: an entry computed without signed
-// distances cannot serve a 2D-arrangement lookup; the upgrading fill
-// replaces it (byte accounting included) while old readers keep the
-// unsigned vector.
-func TestSharedCacheSignedUpgrade(t *testing.T) {
+// TestSignedLeavesAreTheirOwnEntries: a key names one vector. A spiral
+// session and a 2D-arrangement session on one tier and one query keep
+// two entries per condition under two keys — the 2D one carrying the
+// signed vector — neither ever replaces the other's, each session's
+// rerun recomputes nothing, a second session of either kind is served by
+// the tier, and every result is bit-identical to a fresh engine's,
+// window cells included.
+func TestSignedLeavesAreTheirOwnEntries(t *testing.T) {
+	const sql = `SELECT x FROM T WHERE x BETWEEN 4 AND 5 AND y BETWEEN 4 AND 5`
+	cat := smallCatalog(t)
 	sc := NewSharedCache(0, 0)
-	unsigned, _, err := sc.fetch("K", 2, false, func() (leafEntry, error) {
-		return leafEntry{pd: &predicateData{Raw: []float64{1, 2}}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	type subject struct {
+		name  string
+		e     *Engine
+		cache *RunCache
+		fresh *Result
 	}
-	v, hit, err := sc.fetch("K", 2, true, func() (leafEntry, error) {
-		return leafEntry{pd: &predicateData{Raw: []float64{1, 2}, Signed: []float64{-1, 2}}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	var subjects []*subject
+	for _, o := range []struct {
+		name string
+		opt  Options
+	}{
+		{"spiral", Options{GridW: 10, GridH: 10}},
+		{"2d", Options{GridW: 10, GridH: 10, Arrangement: Arrange2D, AxisX: "x", AxisY: "y"}},
+	} {
+		su := &subject{name: o.name, e: New(cat, nil, o.opt), cache: NewRunCache()}
+		su.cache.AttachShared(sc)
+		fresh, err := New(cat, nil, o.opt).Run(mustParse(t, sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		su.fresh = fresh
+		subjects = append(subjects, su)
 	}
-	if hit {
-		t.Fatal("needSigned lookup hit an unsigned entry")
+	check := func(su *subject, cache *RunCache, wantMisses, wantShared int) {
+		t.Helper()
+		res, err := su.e.RunCached(mustParse(t, sql), cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tm := res.Timings; tm.CacheMisses != wantMisses || tm.SharedHits != wantShared {
+			t.Fatalf("%s: %d misses, %d shared hits; want %d and %d", su.name, tm.CacheMisses, tm.SharedHits, wantMisses, wantShared)
+		}
+		sameResults(t, su.fresh, res)
+		for rank := 0; rank < res.Displayed; rank++ {
+			if res.CellOfRank(rank) != su.fresh.CellOfRank(rank) {
+				t.Fatalf("%s: rank %d placed at %+v, a fresh engine places it at %+v", su.name, rank, res.CellOfRank(rank), su.fresh.CellOfRank(rank))
+			}
+		}
 	}
-	if v.pd.Signed == nil {
-		t.Fatal("upgrade did not produce signed distances")
+	for _, su := range subjects {
+		check(su, su.cache, 2, 0) // the other kind's entries do not answer
 	}
-	if sc.Len() != 1 {
-		t.Fatalf("upgrade left %d entries", sc.Len())
+	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 || st.Evictions != 0 {
+		t.Fatalf("two conditions under two kinds of key: %+v", st)
 	}
-	if want := int64(8 * 4); sc.Bytes() != want {
-		t.Fatalf("bytes %d, want %d", sc.Bytes(), want)
+	for _, su := range subjects {
+		signed := su.name == "2d"
+		for key, le := range su.cache.live.leaves {
+			if isSignedCond(key) != signed || (le.pd.Signed != nil) != signed {
+				t.Errorf("%s pins %q, signed vector present = %v", su.name, key, le.pd.Signed != nil)
+			}
+		}
 	}
-	if unsigned.pd.Signed != nil {
-		t.Fatal("old reader's entry was mutated in place")
+	for _, su := range subjects {
+		check(su, su.cache, 0, 0) // pinned
+		second := NewRunCache()
+		second.AttachShared(sc)
+		check(su, second, 0, 2) // the tier's
 	}
-	// And the signed entry serves both kinds of lookup now.
-	touch(t, sc, "K")
+	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 {
+		t.Fatalf("reruns refilled: %+v", st)
+	}
 }
 
 // TestSharedTierAcrossRunCaches is the end-to-end two-tier flow: two
@@ -471,162 +509,5 @@ func TestRunPreboundValidation(t *testing.T) {
 	other := New(smallCatalog(t), nil, Options{})
 	if _, err := other.RunPrebound(q, b, nil); err == nil {
 		t.Fatal("binding for a different catalog accepted")
-	}
-}
-
-// TestSharedCacheAdmission: the cost-aware admission policy. Each op
-// fills a key with a compute of controlled cost; the table asserts
-// which fills become resident, which are rejected, and that rejected
-// fills still serve a valid vector to the caller.
-func TestSharedCacheAdmission(t *testing.T) {
-	type op struct {
-		key  string
-		cost time.Duration // how long the compute sleeps
-	}
-	cases := []struct {
-		name        string
-		opts        SharedOptions
-		ops         []op
-		want        []string
-		wantRejects uint64
-	}{
-		{
-			name: "negative threshold admits everything",
-			opts: SharedOptions{AdmitMinCost: -1},
-			ops:  []op{{key: "cheap"}, {key: "cheap2"}},
-			want: []string{"cheap", "cheap2"},
-		},
-		{
-			name:        "cheap leaves stay out",
-			opts:        SharedOptions{AdmitMinCost: time.Hour},
-			ops:         []op{{key: "cheap"}, {key: "cheap2"}},
-			want:        []string{},
-			wantRejects: 2,
-		},
-		{
-			name: "expensive leaves are admitted",
-			opts: SharedOptions{AdmitMinCost: time.Microsecond},
-			ops:  []op{{key: "slow", cost: 2 * time.Millisecond}},
-			want: []string{"slow"},
-		},
-		{
-			// The threshold sits far above an instant compute (even with
-			// a scheduler stall) and far below the slow fill's sleep, so
-			// the case cannot flake on a loaded machine.
-			name:        "mixed traffic keeps only the expensive leaf",
-			opts:        SharedOptions{AdmitMinCost: 50 * time.Millisecond},
-			ops:         []op{{key: "cheap"}, {key: "slow", cost: 150 * time.Millisecond}, {key: "cheap2"}},
-			want:        []string{"slow"},
-			wantRejects: 2,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			sc := NewSharedCacheOpts(tc.opts)
-			var filled []string
-			for _, o := range tc.ops {
-				o := o
-				filled = append(filled, o.key)
-				v, hit, err := sc.fetch(o.key, 3, false, func() (leafEntry, error) {
-					if o.cost > 0 {
-						time.Sleep(o.cost)
-					}
-					return leafEntry{dists: []float64{1, 2, 3}}, nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hit {
-					t.Fatalf("fill of %q was a hit", o.key)
-				}
-				// Rejected or admitted, the computed vector is served.
-				if len(v.dists) != 3 {
-					t.Fatalf("fill of %q returned %d dists", o.key, len(v.dists))
-				}
-			}
-			got := residentKeys(sc, filled...)
-			if len(got) != len(tc.want) {
-				t.Fatalf("resident %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("resident %v, want %v", got, tc.want)
-				}
-			}
-			if st := sc.Stats(); st.Rejects != tc.wantRejects {
-				t.Fatalf("rejects %d, want %d", st.Rejects, tc.wantRejects)
-			}
-		})
-	}
-}
-
-// TestSharedCacheAdmissionDefaults: the zero SharedOptions selects
-// cost-aware admission at DefaultAdmitMinCost, while the legacy
-// NewSharedCache constructor keeps admitting everything.
-func TestSharedCacheAdmissionDefaults(t *testing.T) {
-	if sc := NewSharedCacheOpts(SharedOptions{}); sc.admitMin != DefaultAdmitMinCost {
-		t.Fatalf("zero SharedOptions admitMin = %v, want %v", sc.admitMin, DefaultAdmitMinCost)
-	}
-	if sc := NewSharedCache(0, 0); sc.admitMin != 0 {
-		t.Fatalf("NewSharedCache admitMin = %v, want 0 (admit all)", sc.admitMin)
-	}
-	// An instant fill under the default threshold is served but not
-	// stored. The assertion only runs when the whole fill round trip
-	// measurably stayed under the threshold — on a machine loaded
-	// enough to stall an instant compute past 1ms, residency is
-	// legitimately allowed and the check would flake.
-	sc := NewSharedCacheOpts(SharedOptions{})
-	t0 := time.Now()
-	fillDists(t, sc, "instant", 4, 1)
-	if time.Since(t0) >= DefaultAdmitMinCost {
-		t.Skip("machine too loaded to observe an instant fill")
-	}
-	if sc.Len() != 0 {
-		t.Fatalf("instant fill became resident (%d entries)", sc.Len())
-	}
-	if st := sc.Stats(); st.Rejects != 1 || st.Fills != 0 {
-		t.Fatalf("rejects=%d fills=%d, want 1/0", st.Rejects, st.Fills)
-	}
-}
-
-// TestSharedCacheAdmissionUpgradeReplaces: a fill that replaces an
-// existing entry (the needSigned upgrade path) is admitted regardless
-// of its cost — dropping the entry instead would turn later 2D lookups
-// into permanent misses.
-func TestSharedCacheAdmissionUpgradeReplaces(t *testing.T) {
-	sc := NewSharedCacheOpts(SharedOptions{AdmitMinCost: time.Millisecond})
-	key := "C|T:T:3|T.x|x > 5"
-	// Seed an unsigned condition entry (expensive enough to be
-	// admitted).
-	if _, _, err := sc.fetch(key, 3, false, func() (leafEntry, error) {
-		time.Sleep(2 * time.Millisecond)
-		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}}}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Len() != 1 {
-		t.Fatalf("seed entry not resident")
-	}
-	// A needSigned lookup misses it and upgrades with a cheap compute;
-	// the replacement must still be stored.
-	v, hit, err := sc.fetch(key, 3, true, func() (leafEntry, error) {
-		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3}, Signed: []float64{-1, 0, 1}}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("needSigned lookup hit the unsigned entry")
-	}
-	if v.pd == nil || v.pd.Signed == nil {
-		t.Fatal("upgrade did not return signed distances")
-	}
-	if sc.Len() != 1 {
-		t.Fatalf("upgrade not resident: %d entries", sc.Len())
-	}
-	if _, hit, err := sc.fetch(key, 3, true, func() (leafEntry, error) {
-		return leafEntry{}, fmt.Errorf("upgraded entry missed")
-	}); err != nil || !hit {
-		t.Fatalf("post-upgrade lookup: hit=%v err=%v", hit, err)
 	}
 }

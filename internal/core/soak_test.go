@@ -36,7 +36,7 @@ func TestSoakLargePipeline(t *testing.T) {
 	if err := cat.AddTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat, nil, Options{GridW: 256, GridH: 256, Parallel: true})
+	e := New(cat, nil, Options{GridW: 256, GridH: 256})
 	res, err := e.RunSQL(`SELECT a FROM Big WHERE a > 150 OR b < 10 AND a BETWEEN -50 AND 50`)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ import (
 // (rows+1) uint32 cumulative offsets followed by the concatenated
 // bytes. The footer maps every table, field and segment to its blob
 // (offset, length) and carries the per-field min/max stats and the
-// catalog epoch (FNV-1a over all blob bytes unless overridden), so
+// catalog epoch (FNV-1a over all blob bytes), so
 // opening a catalog reads the footer and nothing else.
 //
 // Two format consequences are deliberate: times are stored as unix
@@ -160,7 +160,6 @@ type SegmentWriter struct {
 	footer segFooter
 	open   []*TableWriter
 	names  map[string]bool
-	epoch  *uint64
 	closed bool
 }
 
@@ -187,10 +186,6 @@ func CreateSegmentCatalog(path string) (*SegmentWriter, error) {
 	w.off = int64(len(segMagic3))
 	return w, nil
 }
-
-// SetEpoch overrides the content-hash epoch the footer would otherwise
-// carry.
-func (w *SegmentWriter) SetEpoch(e uint64) { w.epoch = &e }
 
 // AddConnection records a connection in the footer. Validation against
 // tables happens on open (tables may not be written yet).
@@ -262,9 +257,6 @@ func (w *SegmentWriter) Close() error {
 		w.footer.Tables = append(w.footer.Tables, tw.meta)
 	}
 	w.footer.Epoch = w.sum()
-	if w.epoch != nil {
-		w.footer.Epoch = *w.epoch
-	}
 	ft, err := json.Marshal(w.footer)
 	if err != nil {
 		w.f.Close()

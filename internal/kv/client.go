@@ -14,9 +14,8 @@ import (
 
 // DefaultTimeout bounds every client request. The backend sits on the
 // leaf-fill path — a slow store must degrade to a local compute, not
-// stall a session — so the timeout is short relative to the work a Get
-// saves (leaves worth sharing cost >= the admission threshold to
-// compute, and typically far more).
+// stall a session — so the timeout is what bounds the worst case, not
+// the work a Get saves.
 const DefaultTimeout = 2 * time.Second
 
 // DefaultBreakerThreshold is the consecutive-failure count that trips

@@ -1,11 +1,6 @@
 package relevance
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // This file implements the chunk-fused evaluator behind Evaluate. The
 // node-at-a-time pipeline made ~7 O(n) passes per node — normalize the
@@ -44,14 +39,7 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	if root == nil {
 		return nil, fmt.Errorf("relevance: nil tree")
 	}
-	workers := 1
-	if opts.Parallel {
-		workers = opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	ctx := &fusedCtx{opts: opts, n: n, workers: workers,
+	ctx := &fusedCtx{opts: opts, n: n,
 		res: &Result{ByNode: make(map[*Node][]float64), n: n, alloc: opts.Alloc}}
 	if opts.LazyLeaves {
 		ctx.res.lazy = make(map[*Node]NormParams)
@@ -83,7 +71,7 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	if root.Op == Leaf || ctx.res.borrowed[root] {
 		out = ctx.alloc()
 	}
-	ctx.forChunks(func(_, _, lo, hi int) {
+	ctx.forChunks(func(_, lo, hi int) {
 		applyRange(out[lo:hi], vec[lo:hi], params)
 	})
 	if err := ctx.checkpoint(); err != nil {
@@ -94,15 +82,12 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	return ctx.res, nil
 }
 
-// fusedCtx carries one evaluation's state. Unlike the old recursive
-// evaluator, nodes are processed strictly bottom-up on the calling
-// goroutine — concurrency lives inside the chunk passes — so ByNode
-// needs no locking.
+// fusedCtx carries one evaluation's state. Nodes are processed strictly
+// bottom-up on the calling goroutine, so ByNode needs no locking.
 type fusedCtx struct {
-	opts    EvalOptions
-	n       int
-	workers int
-	res     *Result
+	opts EvalOptions
+	n    int
+	res  *Result
 	// nodeScans retains each interior node's per-chunk range scans when
 	// the root is deferred: the block-pruning bounds of the root fold
 	// the chunk minima (and NaN counts) of its interior children.
@@ -226,26 +211,21 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		ws, effSum := resolveWeights(weights, k)
 		out := c.alloc()
 		// The fused pass: scale every child's chunk (into its buffer, in
-		// place, or into worker-local scratch that stays L1-resident),
+		// place, or into chunk-sized scratch that stays L1-resident),
 		// combine the chunk, and fold it into the node's range scan —
 		// one cache-hot sweep instead of 2k+3 vector-length passes.
-		scratch := make([][][]float64, c.workers)
-		views := make([][][]float64, c.workers)
-		for w := range scratch {
-			scratch[w] = make([][]float64, k)
-			views[w] = make([][]float64, k)
-			for j, child := range node.Children {
-				if child.Op == Leaf && c.opts.LazyLeaves {
-					scratch[w][j] = make([]float64, evalChunk)
-				}
+		scratch := make([][]float64, k)
+		vs := make([][]float64, k)
+		for j, child := range node.Children {
+			if child.Op == Leaf && c.opts.LazyLeaves {
+				scratch[j] = make([]float64, evalChunk)
 			}
 		}
 		chunkStats := make([]rangeScan, c.chunkCount())
-		c.forChunks(func(wid, ci, lo, hi int) {
-			vs := views[wid]
+		c.forChunks(func(ci, lo, hi int) {
 			for j := range node.Children {
 				src, p := raw[j], cparams[j]
-				if buf := scratch[wid][j]; buf != nil {
+				if buf := scratch[j]; buf != nil {
 					dst := buf[:hi-lo]
 					applyRange(dst, src[lo:hi], p)
 					vs[j] = dst
@@ -278,9 +258,7 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		if c.nodeScans != nil {
 			c.nodeScans[node] = chunkStats
 		}
-		// Merge per-chunk scans in chunk order: min/max/count merging is
-		// exact and order-independent, so parallel chunk execution stays
-		// bit-identical to the serial sweep.
+		// Merge the per-chunk scans (min/max/count merging is exact).
 		stats := newRangeScan()
 		for _, st := range chunkStats {
 			stats.merge(st)
@@ -304,57 +282,15 @@ func (c *fusedCtx) chunkCount() int {
 	return (c.n + evalChunk - 1) / evalChunk
 }
 
-// forChunks runs fn over [0, n) in evalChunk-sized chunks, concurrently
-// when the evaluation is parallel. Chunks are disjoint and every index
-// is covered exactly once, so fn may write per-index slots of shared
-// slices without synchronization; a shared atomic cursor hands chunks
-// to whichever worker is free. wid identifies the executing worker
-// (0 ≤ wid < c.workers) for worker-local scratch.
-func (c *fusedCtx) forChunks(fn func(wid, ci, lo, hi int)) {
-	n := c.n
-	nchunks := c.chunkCount()
-	run := func(wid, ci int) {
-		// Per-chunk cancellation: once the caller's checkpoint trips,
-		// remaining chunks are skipped — the caller re-polls after the
-		// pass and discards the partial result.
-		if c.opts.Checkpoint != nil && c.opts.Checkpoint() != nil {
+// forChunks runs fn over [0, n) in evalChunk-sized chunks, in order.
+// Once the caller's checkpoint trips, the remaining chunks are skipped —
+// the caller re-polls after the pass and discards the partial result.
+func (c *fusedCtx) forChunks(fn func(ci, lo, hi int)) {
+	for ci, nchunks := 0, c.chunkCount(); ci < nchunks; ci++ {
+		if c.checkpoint() != nil {
 			return
 		}
 		lo := ci * evalChunk
-		hi := lo + evalChunk
-		if hi > n {
-			hi = n
-		}
-		fn(wid, ci, lo, hi)
+		fn(ci, lo, min(lo+evalChunk, c.n))
 	}
-	if c.workers <= 1 || nchunks <= 1 {
-		for ci := 0; ci < nchunks; ci++ {
-			run(0, ci)
-		}
-		return
-	}
-	workers := c.workers
-	if workers > nchunks {
-		workers = nchunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func(wid int) {
-		for {
-			ci := int(next.Add(1)) - 1
-			if ci >= nchunks {
-				return
-			}
-			run(wid, ci)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			work(wid)
-		}(w)
-	}
-	work(0)
-	wg.Wait()
 }

@@ -96,11 +96,38 @@ func sameVec(t *testing.T, label string, a, b []float64) {
 	}
 }
 
+// buildRandomTree makes a random tree with nLeaves leaves over n items.
+func buildRandomTree(rng *rand.Rand, n, depth int) *Node {
+	if depth <= 0 || rng.Intn(3) == 0 {
+		d := make([]float64, n)
+		for i := range d {
+			switch rng.Intn(10) {
+			case 0:
+				d[i] = math.NaN()
+			case 1:
+				d[i] = 0
+			default:
+				d[i] = rng.Float64() * 100
+			}
+		}
+		return &Node{Op: Leaf, Weight: rng.Float64()*2 + 0.1, Dists: d}
+	}
+	op := NodeAnd
+	if rng.Intn(2) == 0 {
+		op = NodeOr
+	}
+	node := &Node{Op: op, Weight: rng.Float64() + 0.5}
+	k := 2 + rng.Intn(3)
+	for i := 0; i < k; i++ {
+		node.Children = append(node.Children, buildRandomTree(rng, n, depth-1))
+	}
+	return node
+}
+
 // TestFusedMatchesReference: the chunk-fused evaluator must be
 // bit-identical to the node-at-a-time reference pipeline across random
 // trees and every option combination — combine modes, AND combiners,
-// naive and reduction-first normalization, serial and parallel chunk
-// execution.
+// naive and reduction-first normalization.
 func TestFusedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	optVariants := []EvalOptions{
@@ -110,7 +137,6 @@ func TestFusedMatchesReference(t *testing.T) {
 		{And: ANDEuclidean},
 		{And: ANDLp, LpP: 2},
 		{And: ANDLp, LpP: 3.5},
-		{Parallel: true, Workers: 4},
 	}
 	for trial := 0; trial < 40; trial++ {
 		// Cross the evalChunk boundary regularly so the chunked passes

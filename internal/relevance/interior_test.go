@@ -189,7 +189,7 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		{And: ANDLp, LpP: 3},
 		{LazyLeaves: true},
 		{LazyLeaves: true, DeferRoot: true},
-		{Parallel: true, Workers: 3},
+		{NaiveNormalize: true},
 	}
 	for trial := 0; trial < 30; trial++ {
 		n := 50 + rng.Intn(2*evalChunk)

@@ -709,7 +709,7 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 			// ByNode contract of non-lazy evaluation), and the raw
 			// chunks combine straight from it.
 			buf := c.alloc()
-			c.forChunks(func(_, _, lo, hi int) {
+			c.forChunks(func(_, lo, hi int) {
 				applyRange(buf[lo:hi], v[lo:hi], p)
 			})
 			res.ByNode[child] = buf

@@ -81,13 +81,6 @@ type EvalOptions struct {
 	And ANDCombiner
 	// LpP is the exponent for ANDLp (values < 1 error).
 	LpP float64
-	// Parallel runs the fused chunk passes concurrently (bounded by
-	// Workers). Results are identical to the sequential evaluation;
-	// only wall-clock changes.
-	Parallel bool
-	// Workers bounds the chunk-pass concurrency when Parallel is set;
-	// 0 selects GOMAXPROCS.
-	Workers int
 	// Alloc, when non-nil, provides the n-sized output buffers for the
 	// per-node scaled vectors (ByNode and Combined). It enables buffer
 	// pooling across reruns: the caller may hand back buffers of
@@ -142,8 +135,7 @@ type EvalOptions struct {
 	// that error. The engine wires context cancellation through it, so
 	// a request deadline interrupts a run mid-pass instead of holding
 	// its goroutine until the full sweep completes. Checkpoint must be
-	// cheap (it is called O(n/chunk) times) and safe for concurrent
-	// use — ctx.Err is both.
+	// cheap (it is called O(n/chunk) times) — ctx.Err is.
 	Checkpoint func() error
 	// LeafID, when non-nil, supplies the leaf identity the interior
 	// signatures embed in place of Node.Label (an empty return falls

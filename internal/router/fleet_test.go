@@ -91,7 +91,7 @@ func newFleetEnv(t *testing.T, nodes, cats, rows int) *fleetEnv {
 		cfgs := make([]server.CatalogConfig, len(catCfgs))
 		copy(cfgs, catCfgs)
 		for i := range cfgs {
-			cfgs[i].Shared = core.SharedOptions{AdmitMinCost: -1, Backend: kv.NewClient(kvTS.URL)}
+			cfgs[i].Shared = core.SharedOptions{Backend: kv.NewClient(kvTS.URL)}
 		}
 		srv, err := server.New(server.Config{Shards: env.shards, Catalogs: cfgs, DefaultOptions: fleetGrid})
 		if err != nil {

@@ -104,7 +104,7 @@ func newHealEnv(t *testing.T, nodes, nRouters, cats, rows, failAfter int) *healE
 				kvc.BreakerCooldown = 10 * time.Millisecond
 				cfgs = append(cfgs, server.CatalogConfig{
 					Name: name, Catalog: env.catalogs[name],
-					Shared: core.SharedOptions{AdmitMinCost: -1, Backend: kvc},
+					Shared: core.SharedOptions{Backend: kvc},
 				})
 			}
 			return server.New(server.Config{

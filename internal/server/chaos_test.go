@@ -59,7 +59,6 @@ func chaosScript(n int) []faultinject.Outcome {
 // exactly once.
 func TestChaosReplayMatchesInProcess(t *testing.T) {
 	cc := trafficConfig(t, "traffic", 1200, 7)
-	cc.Shared.AdmitMinCost = -1
 	// Injected handler faults: every 9th request answers 500 before
 	// touching any state.
 	var hookCalls atomic.Uint64
@@ -133,7 +132,6 @@ func TestChaosReplayMatchesInProcess(t *testing.T) {
 // exactly once.
 func TestDeadlineRollsBackAndRetryResumes(t *testing.T) {
 	cc := trafficConfig(t, "traffic", 1200, 11)
-	cc.Shared.AdmitMinCost = -1
 	// The first three /range requests stall past the request deadline.
 	var rangeCalls atomic.Uint64
 	srv, err := New(Config{

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -10,78 +11,61 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/visdb/client"
 )
 
-// TestAdmissionOverWire: a server with default cost-aware admission
-// rejects the cheap numeric leaves of a tiny catalog (warm clients see
-// zero SharedHits but the shard stats account the rejects), while an
-// admit-everything server shares them. Correctness is identical either
-// way — only residency differs.
+// TestAdmissionOverWire: a server in its default configuration shares
+// the cheap numeric leaves of a tiny catalog like any others — recency
+// is the tier's only residency rule, there is no cost threshold a leaf
+// must reach. A second session on the query takes its leaves from the
+// tier, and an undo of a range drag recomputes nothing.
 func TestAdmissionOverWire(t *testing.T) {
 	ctx := context.Background()
-	mk := func(admit time.Duration) (*Server, *client.Client) {
-		cc := trafficConfig(t, "traffic", 500, 11)
-		cc.Shared.AdmitMinCost = admit
-		srv, err := New(Config{Shards: 2, Catalogs: []CatalogConfig{cc}, DefaultOptions: testGrid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		return srv, client.New(ts.URL)
+	srv, err := New(Config{
+		Shards:         2,
+		Catalogs:       []CatalogConfig{trafficConfig(t, "traffic", 500, 11)},
+		DefaultOptions: testGrid,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	warmHits := func(c *client.Client) (int, []client.ShardStats) {
-		t.Helper()
-		for i := 0; i < 2; i++ {
-			s, _, err := c.NewSession(ctx, "traffic", `SELECT a FROM S WHERE a > 50 AND b < 40`, client.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				if err := s.Close(ctx); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			sum, err := s.Timings(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := c.ShardStats(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sum.Timings.SharedHits, stats
-		}
-		panic("unreachable")
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	const sql = `SELECT a FROM S WHERE a > 50 AND b < 40`
+	first, _, err := c.NewSession(ctx, "traffic", sql, client.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Cost-aware admission: 500-row numeric leaves stay out of the
-	// tier. The threshold is set far above any plausible compute-plus-
-	// stall time so the assertion cannot flake on a loaded machine; the
-	// zero-value-selects-1ms default is covered (timing-free) by
-	// TestSharedCacheAdmissionDefaults in internal/core.
-	_, c := mk(time.Minute)
-	hits, stats := warmHits(c)
-	if hits != 0 {
-		t.Fatalf("admission shared cheap leaves: SharedHits=%d", hits)
+	if err := first.Close(ctx); err != nil {
+		t.Fatal(err)
 	}
-	var rejects uint64
+	s, sum, err := c.NewSession(ctx, "traffic", sql, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := sum.Timings; tm.SharedHits == 0 || tm.CacheMisses != 0 {
+		t.Fatalf("the second session recomputed what the first left: %+v", tm)
+	}
+	if _, err := s.SetRange(ctx, "a", 30, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	sum, err = s.Undo(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := sum.Timings; tm.CacheMisses != 0 {
+		t.Fatalf("undo recomputed a leaf the drag left in the tier: %+v", tm)
+	}
+	stats, err := c.ShardStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, st := range stats {
-		rejects += st.Shared.Rejects
-	}
-	if rejects == 0 {
-		t.Fatal("admission recorded no rejects")
-	}
-
-	// Admit-everything: the same warm client is served by the tier.
-	_, c = mk(-1)
-	hits, _ = warmHits(c)
-	if hits == 0 {
-		t.Fatal("admit-all server shared nothing")
+		if st.Shared.Rejects != 0 {
+			t.Fatalf("shard %d reports %d rejects; nothing rejects", st.Shard, st.Shared.Rejects)
+		}
 	}
 }
 
@@ -124,7 +108,6 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		Catalogs: []CatalogConfig{{
 			Name:    "people",
 			Catalog: drainCatalog(t, 120_000),
-			Shared:  core.SharedOptions{AdmitMinCost: -1},
 		}},
 		DefaultOptions: testGrid,
 	})

@@ -23,14 +23,10 @@ import (
 // identical engine options.
 var testGrid = core.Options{GridW: 16, GridH: 16}
 
-// newTestServer serves the given catalogs (all with admit-everything
-// shared tiers, so cross-session reuse is observable at test row
-// counts) behind an httptest server and returns a typed client.
+// newTestServer serves the given catalogs behind an httptest server and
+// returns a typed client.
 func newTestServer(t testing.TB, shards int, catalogs ...CatalogConfig) (*Server, *client.Client) {
 	t.Helper()
-	for i := range catalogs {
-		catalogs[i].Shared.AdmitMinCost = -1
-	}
 	srv, err := New(Config{Shards: shards, Catalogs: catalogs, DefaultOptions: testGrid})
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,6 @@ func TestWarmRemoteRerunsReportPruning(t *testing.T) {
 func TestIdleSessionTTLSweep(t *testing.T) {
 	ctx := context.Background()
 	cfg := trafficConfig(t, "ttl", 2000, 6)
-	cfg.Shared.AdmitMinCost = -1
 	srv, err := New(Config{
 		Shards:         1,
 		Catalogs:       []CatalogConfig{cfg},

@@ -89,9 +89,7 @@ type CatalogConfig struct {
 	// Registry supplies distance functions; nil selects the built-ins.
 	Registry *distance.Registry
 	// Shared configures the catalog's shared cache tier (entry cap,
-	// byte budget, admission threshold). The zero value selects the
-	// defaults, including cost-aware admission at
-	// core.DefaultAdmitMinCost.
+	// byte budget, remote backend). The zero value selects the defaults.
 	Shared core.SharedOptions
 	// Quarantined registers the catalog in quarantine from the start:
 	// its segment file failed checksum verification when the daemon

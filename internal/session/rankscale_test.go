@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/relevance"
@@ -218,32 +219,56 @@ func TestWarmRerunsPruneChunks(t *testing.T) {
 	}
 }
 
-// TestRangeEditClearsThresholdSeed: a range drag perturbs the leaf the
-// carried-over pruning threshold was derived from; the seed must be
-// cleared (the rerun still prunes once its own threshold tightens, and
-// stays exact either way).
+// TestRangeEditClearsThresholdSeed: the carried selection threshold is
+// keyed by the leaves a run read, so it is carried exactly when no leaf
+// moved — a weight edit, the undo of one, a query rewritten over the same
+// leaves in another order — and a run over a moved leaf (a range edit,
+// the undo of one) starts without it; nothing resets it by hand. On a
+// saturated selection (more exact answers than the selection keeps) a
+// seeded run skips every chunk a warm weight edit skips, an unseeded one
+// has to fill its selection first and skips fewer. Seeded or not, every
+// step is bit-identical to a fresh FullSort engine.
 func TestRangeEditClearsThresholdSeed(t *testing.T) {
-	const n = 30000
-	cat := rankScaleCatalog(t, n)
-	opt := core.Options{GridW: 16, GridH: 16}
-	s, err := NewSQL(cat, nil, opt, `SELECT a FROM S WHERE a > 50 AND b < 40 OR c BETWEEN 20 AND 30`)
+	cat, err := datagen.Traffic(60000, 1994)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: weight rerun carries a threshold.
-	pred := query.Predicates(s.Query().Where)[0]
-	if err := s.SetWeight(pred, 2); err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.FindCond("c")
+	opt := core.Options{GridW: 64, GridH: 64}
+	s, err := NewSQL(cat, nil, opt, reuseSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := s.SetRange(c, float64(10+i), float64(40+i)); err != nil {
-			t.Fatal(err)
+	// The first rerun builds the leaves' chunk stats and carries the cold
+	// run's threshold: what it prunes is what seeded means here.
+	if err := weigh(0, 2)(s); err != nil {
+		t.Fatal(err)
+	}
+	warm := s.Result().Timings.Pruned
+	if warm == 0 {
+		t.Fatalf("the selection is not saturated: a warm weight edit pruned nothing (%+v)", s.Result().Timings)
+	}
+	for _, st := range []struct {
+		name   string
+		do     func(s *Session) error
+		seeded bool
+	}{
+		{"weight edit", weigh(1, 3), true},
+		{"undo of the weight edit", (*Session).Undo, true},
+		{"the same leaves reordered", func(s *Session) error {
+			return s.SetQuery(`SELECT a FROM S WHERE b < 40 WEIGHT 3 AND a > 50`)
+		}, true},
+		{"undo of the rewrite", (*Session).Undo, true},
+		{"range edit", dragA(30), false},
+		{"undo of the range edit", (*Session).Undo, false},
+		{"weight edit after it", weigh(0, 0.5), true},
+	} {
+		if err := st.do(s); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
 		}
-		if err := matchesFullSort(fmt.Sprintf("drag %d", i), s, cat, opt); err != nil {
+		if tm := s.Result().Timings; (tm.Pruned >= warm) != st.seeded {
+			t.Fatalf("%s pruned %d of %d chunks (a seeded selection prunes %d), want seeded = %v", st.name, tm.Pruned, tm.Chunks, warm, st.seeded)
+		}
+		if err := matchesFullSort(st.name, s, cat, opt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -103,30 +103,6 @@ func TestSecondSessionHitsRangeTheFirstLeft(t *testing.T) {
 	}
 }
 
-// TestPinsSurviveAdmissionRefusal: a serving tier whose admission policy
-// refuses every fill stores nothing, so the pins are all that stands
-// between a weight change and a recompute — three in a row recompute
-// nothing — and a revisited range recomputes its one leaf, once.
-func TestPinsSurviveAdmissionRefusal(t *testing.T) {
-	shared := core.NewSharedCacheOpts(core.SharedOptions{AdmitMinCost: time.Hour})
-	s, err := NewSQLShared(rankScaleCatalog(t, 9000), nil, core.Options{GridW: 16, GridH: 16}, reuseSQL, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runReuseScript(t, s, []reuseStep{
-		{"weight 1", weigh(0, 2), 2, 0, 0},
-		{"weight 2", weigh(1, 3), 2, 0, 0},
-		{"weight 3", weigh(0, 0.5), 2, 0, 0},
-		{"drag", dragA(30), 1, 1, 0},
-		{"drag on", dragA(20), 1, 1, 0},
-		{"revisit", dragA(30), 1, 1, 0},
-		{"weight at the revisited range", weigh(1, 1), 2, 0, 0},
-	})
-	if st := shared.Stats(); st.Entries != 0 || st.Fills != 0 || st.Rejects != 5 {
-		t.Fatalf("a tier that admits nothing: %+v", st)
-	}
-}
-
 // TestDeadlineCancelledRerunKeepsPicture: a rerun cut off by its
 // deadline leaves the Result the session serves bit-identical — the
 // vectors it pins and the buffers it lent are the old picture's still,

@@ -255,7 +255,6 @@ func (s *Session) Undo() error {
 	oldSel := s.selectedItem
 	oldProjExpr, oldProjLo, oldProjHi, oldProj := s.projExpr, s.projLo, s.projHi, s.hasProj
 	s.q = q
-	s.cache.ResetRootSeed()
 	s.ClearProjection()
 	s.ClearSelection()
 	if err := s.Recalculate(); err != nil {
@@ -285,7 +284,6 @@ func (s *Session) SetQuery(src string) error {
 	oldProjExpr, oldProjLo, oldProjHi, oldProj := s.projExpr, s.projLo, s.projHi, s.hasProj
 	s.snapshot()
 	s.q = q
-	s.cache.ResetRootSeed()
 	s.ClearProjection()
 	s.ClearSelection()
 	if err := s.maybeRecalc(); err != nil {
@@ -329,8 +327,9 @@ func (s *Session) FindCond(attr string) (*query.Cond, error) {
 // expresses is a no-op: nothing is snapshotted, no recalculation runs.
 // The range being left is not invalidated anywhere — it ages out of the
 // tier's cold end like the intermediate positions of a continuous drag
-// do — so coming back to it is a hit; the only thing a drag resets is
-// the carried selection threshold (core.RunCache.ResetRootSeed).
+// do — so coming back to it is a hit. The carried selection threshold
+// is keyed by the leaves a run read, so the run over the moved leaf
+// starts without one and nothing is reset by hand.
 func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
 		return fmt.Errorf("session: invalid range [%v, %v]", lo, hi)
@@ -378,7 +377,6 @@ func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 		}
 	}
 	s.snapshot()
-	s.cache.ResetRootSeed()
 	oldOp, oldLo, oldHi, oldV := c.Op, c.Lo, c.Hi, c.Value
 	c.Op = newOp
 	if newOp == query.OpBetween {
@@ -390,8 +388,8 @@ func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 		// Failed recalculation: restore the condition in place (callers'
 		// AST pointers stay valid) and drop the snapshot. Leaf vectors
 		// the aborted run did finish are in the tier under the new
-		// range's key (unless its admission policy refused them), so
-		// retrying the same drag resumes rather than restarts.
+		// range's key, so retrying the same drag resumes rather than
+		// restarts.
 		c.Op, c.Lo, c.Hi, c.Value = oldOp, oldLo, oldHi, oldV
 		s.popSnapshot()
 		return err

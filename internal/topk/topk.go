@@ -50,19 +50,7 @@ func less(d []float64, a, b int) bool {
 // dists is not modified.
 func SelectKWithIndex(dists []float64, k int) (vals []float64, idx []int) {
 	n := len(dists)
-	return SelectKWithIndexInto(dists, k, make([]float64, n), make([]int, n))
-}
-
-// SelectKWithIndexInto is SelectKWithIndex writing into caller-provided
-// buffers (both of length len(dists)), so interactive reruns rank
-// without allocating two n-sized slices per run. The buffers are
-// overwritten in full; the returned slices alias them. Output is
-// bit-identical to SelectKWithIndex.
-func SelectKWithIndexInto(dists []float64, k int, vals []float64, idx []int) ([]float64, []int) {
-	n := len(dists)
-	if len(vals) != n || len(idx) != n {
-		vals, idx = make([]float64, n), make([]int, n)
-	}
+	vals, idx = make([]float64, n), make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}

@@ -386,42 +386,81 @@ func (s *Session) path(suffix string) string {
 	return p
 }
 
+// mutation is one mutating request of the session protocol as it goes
+// over the wire: the endpoint suffix and the wire request value, which
+// carries the sequence number it was (and will always be) issued under.
+// FleetSession's replay log is a list of these.
+type mutation struct {
+	suffix string
+	req    any
+}
+
+// mutationFor builds an operation's request once its sequence number is
+// known; one constructor per operation serves Session and FleetSession.
+type mutationFor func(seq uint64) mutation
+
+func queryMutation(query string) mutationFor {
+	return func(seq uint64) mutation { return mutation{"query", wire.QueryRequest{Query: query, Seq: seq}} }
+}
+
+// rangeMutation maps open sides (±Inf) to the null bounds they travel
+// as.
+func rangeMutation(attr string, lo, hi float64) mutationFor {
+	return func(seq uint64) mutation {
+		req := wire.RangeRequest{Attr: attr, Seq: seq}
+		if !math.IsInf(lo, -1) {
+			req.Lo = &lo
+		}
+		if !math.IsInf(hi, 1) {
+			req.Hi = &hi
+		}
+		return mutation{"range", req}
+	}
+}
+
+func weightMutation(pred int, weight float64) mutationFor {
+	return func(seq uint64) mutation {
+		return mutation{"weight", wire.WeightRequest{Pred: pred, Weight: weight, Seq: seq}}
+	}
+}
+
+func undoMutation() mutationFor {
+	return func(seq uint64) mutation { return mutation{"undo", wire.UndoRequest{Seq: seq}} }
+}
+
+func pctMutation(pct float64) mutationFor {
+	return func(seq uint64) mutation { return mutation{"pct", wire.PctRequest{Pct: pct, Seq: seq}} }
+}
+
+// send posts m to the session as is — retries and replays included, so
+// its sequence number never changes.
+func (s *Session) send(ctx context.Context, m mutation) (Summary, error) {
+	var sum Summary
+	err := s.c.do(ctx, http.MethodPost, s.path(m.suffix), m.req, &sum)
+	return sum, err
+}
+
 // SetQuery replaces the whole query (the old state stays undoable).
 func (s *Session) SetQuery(ctx context.Context, query string) (Summary, error) {
-	var sum Summary
-	err := s.c.do(ctx, http.MethodPost, s.path("query"), wire.QueryRequest{Query: query, Seq: s.nextSeq()}, &sum)
-	return sum, err
+	return s.send(ctx, queryMutation(query)(s.nextSeq()))
 }
 
 // SetRange moves the range of the first condition on attr — the
 // remote slider drag. Pass math.Inf(-1) / math.Inf(1) for open sides;
 // they travel as null bounds.
 func (s *Session) SetRange(ctx context.Context, attr string, lo, hi float64) (Summary, error) {
-	req := wire.RangeRequest{Attr: attr, Seq: s.nextSeq()}
-	if !math.IsInf(lo, -1) {
-		req.Lo = &lo
-	}
-	if !math.IsInf(hi, 1) {
-		req.Hi = &hi
-	}
-	var sum Summary
-	err := s.c.do(ctx, http.MethodPost, s.path("range"), req, &sum)
-	return sum, err
+	return s.send(ctx, rangeMutation(attr, lo, hi)(s.nextSeq()))
 }
 
 // SetWeight sets the weighting factor of the pred-th top-level
 // selection predicate (query order, 0-based).
 func (s *Session) SetWeight(ctx context.Context, pred int, weight float64) (Summary, error) {
-	var sum Summary
-	err := s.c.do(ctx, http.MethodPost, s.path("weight"), wire.WeightRequest{Pred: pred, Weight: weight, Seq: s.nextSeq()}, &sum)
-	return sum, err
+	return s.send(ctx, weightMutation(pred, weight)(s.nextSeq()))
 }
 
 // Undo reverts the most recent modification.
 func (s *Session) Undo(ctx context.Context) (Summary, error) {
-	var sum Summary
-	err := s.c.do(ctx, http.MethodPost, s.path("undo"), wire.UndoRequest{Seq: s.nextSeq()}, &sum)
-	return sum, err
+	return s.send(ctx, undoMutation()(s.nextSeq()))
 }
 
 // SetPercentDisplayed fixes the displayed fraction (the paper's
@@ -430,9 +469,7 @@ func (s *Session) Undo(ctx context.Context) (Summary, error) {
 // takes no snapshot for it, so a following Undo reverts the latest
 // query/range/weight edit instead.
 func (s *Session) SetPercentDisplayed(ctx context.Context, pct float64) (Summary, error) {
-	var sum Summary
-	err := s.c.do(ctx, http.MethodPost, s.path("pct"), wire.PctRequest{Pct: pct, Seq: s.nextSeq()}, &sum)
-	return sum, err
+	return s.send(ctx, pctMutation(pct)(s.nextSeq()))
 }
 
 // Results fetches the top-k ranked rows (item index, combined

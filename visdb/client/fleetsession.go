@@ -3,9 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,29 +31,6 @@ type FleetOptions struct {
 // DefaultMaxRecoveries is the per-operation recovery budget when
 // FleetOptions.MaxRecoveries is zero.
 const DefaultMaxRecoveries = 8
-
-// Op kinds of the FleetSession operation log.
-const (
-	opQuery  = "query"
-	opRange  = "range"
-	opWeight = "weight"
-	opUndo   = "undo"
-	opPct    = "pct"
-)
-
-// fleetOp is one logged mutating operation: its kind, arguments, and
-// the idempotency sequence number it was (and will always be) issued
-// under.
-type fleetOp struct {
-	kind   string
-	seq    uint64
-	query  string
-	attr   string
-	lo, hi *float64
-	pred   int
-	weight float64
-	pct    float64
-}
 
 // FleetSession is a self-healing session over a fleet: a typed wrapper
 // around Session that records every mutating operation in a
@@ -103,7 +77,7 @@ type FleetSession struct {
 	backoff  *RetryPolicy
 	sess     *Session // nil while the session is lost
 	synced   int      // log prefix applied to the current incarnation
-	log      []fleetOp
+	log      []mutation
 	lastSeq  uint64 // last allocated sequence number (gaps stay skipped)
 	closed   bool
 	recovers atomic.Uint64
@@ -166,37 +140,30 @@ func (fs *FleetSession) Ops() int {
 
 // SetQuery replaces the whole query.
 func (fs *FleetSession) SetQuery(ctx context.Context, query string) (Summary, error) {
-	return fs.apply(ctx, fleetOp{kind: opQuery, query: query})
+	return fs.apply(ctx, queryMutation(query))
 }
 
 // SetRange moves the range of the first condition on attr. Pass
 // math.Inf(-1) / math.Inf(1) for open sides.
 func (fs *FleetSession) SetRange(ctx context.Context, attr string, lo, hi float64) (Summary, error) {
-	op := fleetOp{kind: opRange, attr: attr}
-	if !math.IsInf(lo, -1) {
-		op.lo = &lo
-	}
-	if !math.IsInf(hi, 1) {
-		op.hi = &hi
-	}
-	return fs.apply(ctx, op)
+	return fs.apply(ctx, rangeMutation(attr, lo, hi))
 }
 
 // SetWeight sets the weighting factor of the pred-th top-level
 // selection predicate.
 func (fs *FleetSession) SetWeight(ctx context.Context, pred int, weight float64) (Summary, error) {
-	return fs.apply(ctx, fleetOp{kind: opWeight, pred: pred, weight: weight})
+	return fs.apply(ctx, weightMutation(pred, weight))
 }
 
 // Undo reverts the most recent undoable modification.
 func (fs *FleetSession) Undo(ctx context.Context) (Summary, error) {
-	return fs.apply(ctx, fleetOp{kind: opUndo})
+	return fs.apply(ctx, undoMutation())
 }
 
 // SetPercentDisplayed fixes the displayed fraction; see
 // Session.SetPercentDisplayed.
 func (fs *FleetSession) SetPercentDisplayed(ctx context.Context, pct float64) (Summary, error) {
-	return fs.apply(ctx, fleetOp{kind: opPct, pct: pct})
+	return fs.apply(ctx, pctMutation(pct))
 }
 
 // Results fetches the top-k ranked rows, recovering first if the
@@ -251,24 +218,25 @@ func (fs *FleetSession) Close(ctx context.Context) error {
 	return err
 }
 
-// apply runs one logical mutating operation through the sync → issue →
-// recover loop. The operation's sequence number is allocated once and
-// reused across every retry and recovery, which is what makes the
+// apply runs one logical mutating operation through the sync → send →
+// recover loop. The operation's sequence number is allocated once, here
+// rather than by Session.nextSeq, and the request built under it is
+// what every retry, recovery and replay sends, which is what makes the
 // whole dance exactly-once.
-func (fs *FleetSession) apply(ctx context.Context, op fleetOp) (Summary, error) {
+func (fs *FleetSession) apply(ctx context.Context, build mutationFor) (Summary, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.closed {
 		return Summary{}, errors.New("client: fleet session is closed")
 	}
 	fs.lastSeq++
-	op.seq = fs.lastSeq
+	op := build(fs.lastSeq)
 	budget := fs.maxRec
 	for {
 		if err := fs.syncLocked(ctx, &budget); err != nil {
 			return Summary{}, err
 		}
-		sum, err := fs.issueLocked(ctx, op)
+		sum, err := fs.sess.send(ctx, op)
 		if err == nil {
 			fs.log = append(fs.log, op)
 			fs.synced = len(fs.log)
@@ -321,7 +289,7 @@ func (fs *FleetSession) syncLocked(ctx context.Context, budget *int) error {
 			fs.sess, fs.synced = sess, 0
 		}
 		for fs.synced < len(fs.log) {
-			if _, err := fs.issueLocked(ctx, fs.log[fs.synced]); err != nil {
+			if _, err := fs.sess.send(ctx, fs.log[fs.synced]); err != nil {
 				if fs.recoverLocked(ctx, err, budget) {
 					break // restart: recreate or re-aim, then resume replay
 				}
@@ -333,32 +301,6 @@ func (fs *FleetSession) syncLocked(ctx context.Context, budget *int) error {
 			return nil
 		}
 	}
-}
-
-// issueLocked sends one operation to the current incarnation under the
-// operation's own sequence number. It builds the wire request directly
-// rather than going through Session's mutating methods — those
-// allocate a fresh number per call, which would break the replay's
-// exactly-once guarantee.
-func (fs *FleetSession) issueLocked(ctx context.Context, op fleetOp) (Summary, error) {
-	s := fs.sess
-	var sum Summary
-	var err error
-	switch op.kind {
-	case opQuery:
-		err = s.c.do(ctx, http.MethodPost, s.path("query"), wire.QueryRequest{Query: op.query, Seq: op.seq}, &sum)
-	case opRange:
-		err = s.c.do(ctx, http.MethodPost, s.path("range"), wire.RangeRequest{Attr: op.attr, Lo: op.lo, Hi: op.hi, Seq: op.seq}, &sum)
-	case opWeight:
-		err = s.c.do(ctx, http.MethodPost, s.path("weight"), wire.WeightRequest{Pred: op.pred, Weight: op.weight, Seq: op.seq}, &sum)
-	case opUndo:
-		err = s.c.do(ctx, http.MethodPost, s.path("undo"), wire.UndoRequest{Seq: op.seq}, &sum)
-	case opPct:
-		err = s.c.do(ctx, http.MethodPost, s.path("pct"), wire.PctRequest{Pct: op.pct, Seq: op.seq}, &sum)
-	default:
-		err = fmt.Errorf("client: unknown fleet op %q", op.kind)
-	}
-	return sum, err
 }
 
 // recoverLocked decides whether err is survivable and performs the

@@ -223,21 +223,19 @@ type SharedCache = core.SharedCache
 // SharedStats is a snapshot of a SharedCache's counters.
 type SharedStats = core.SharedStats
 
-// SharedOptions configures a shared tier: entry cap, byte budget and
-// the cost-aware admission threshold (AdmitMinCost; zero selects the
-// ~1ms default, negative admits every leaf).
+// SharedOptions configures a shared tier: entry cap, byte budget and an
+// optional remote backend. Every computed leaf is stored; recency alone
+// decides what the bounds push out.
 type SharedOptions = core.SharedOptions
 
 // NewSharedCache creates a shared tier; zero bounds select the
-// defaults (1024 entries, 256 MiB). Caches built this way admit every
-// computed leaf; use NewSharedCacheOpts for cost-aware admission.
+// defaults (1024 entries, 256 MiB).
 var NewSharedCache = core.NewSharedCache
 
-// NewSharedCacheOpts creates a shared tier from SharedOptions, with
-// cost-aware admission on by default: only leaves whose measured
-// compute time reaches AdmitMinCost occupy the budget, so cheap
-// numeric slider sweeps cannot churn the tier. This is what the
-// serving subsystem (internal/server, cmd/visdbd) uses per catalog.
+// NewSharedCacheOpts creates a shared tier from SharedOptions: the same
+// tier as NewSharedCache's, plus the remote backend if one is set. This
+// is what the serving subsystem (internal/server, cmd/visdbd) uses per
+// catalog.
 var NewSharedCacheOpts = core.NewSharedCacheOpts
 
 // Arrangement kinds.
