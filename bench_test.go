@@ -349,6 +349,54 @@ func BenchmarkSliderDrag(b *testing.B) {
 	}
 }
 
+// BenchmarkNestedDrag is the interaction loop over the one traffic query
+// with an interior node — (a AND b) OR c — at n = 2e5, the traffic the
+// repository benchmark's flat two-leaf ANDs never produce. Four drags,
+// one session each: the weight of the leaf outside the AND part (the
+// part's cached vector and its range are reused as they are), the weight
+// of the part itself (reused vector, a new keep count every step), a
+// range inside the part (every step computes a leaf and stores a new
+// part vector) and a range outside it (the part hits every step).
+func BenchmarkNestedDrag(b *testing.B) {
+	cat, err := datagen.Traffic(200_000, 1994)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, drag := range []struct {
+		name string
+		step func(s *session.Session, i int) error
+	}{
+		// Predicates of the OR root are [AND(a, b), c].
+		{"weight-leaf", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[1], 1+float64(i%7)/2)
+		}},
+		{"weight-part", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[0], 1+float64(i%97)/16)
+		}},
+		{"range-inside", func(s *session.Session, i int) error {
+			return s.SetRangeByAttr("a", float64(i%1000)/10, math.Inf(1))
+		}},
+		{"range-outside", func(s *session.Session, i int) error {
+			lo := float64(i%800) / 10
+			return s.SetRangeByAttr("c", lo, lo+10)
+		}},
+	} {
+		b.Run(drag.name, func(b *testing.B) {
+			s, err := session.NewSQL(cat, nil, core.Options{GridW: 128, GridH: 128}, datagen.TrafficQueries()[2])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := drag.step(s, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkConcurrentSessions is the multi-tenant serving workload:
 // M sessions on one catalog attached to a shared catalog-level cache,
 // interacting concurrently. Session 1 pays the cold leaf computation;

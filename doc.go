@@ -152,21 +152,25 @@
 //     blobs, kept only when strictly smaller than the raw payload; blob
 //     CRCs cover the on-disk bytes.
 //
-// # Incremental interior normalization
+// # Interior reuse: a cached subtree is a leaf
 //
-// Cached runs keep a relevance.InteriorEntry per interior node — its
-// raw combined vector plus a per-chunk histogram sketch — keyed by a
-// structural signature over the subtree (children's identities and
-// effective weights, combiner options, NOT the node's own weight; leaf
-// identities are the leaves' full cache keys). A warm rerun serves the
-// node's vector from the entry and localizes the order statistic its
-// normalization needs to one histogram bucket; an exactness guard falls
-// back to the full scan whenever more than half the chunks would be
-// touched, so results stay bit-identical (Options.NoInteriorSketch is
-// the ablation gate). Entries live in the SharedCache's separate
-// quarter-budget interior tier. StageTimings.SketchHits/SketchRescans
-// attribute it (TestInteriorSketchWarmRerunBitIdentical,
-// TestNoInteriorSketchDisables).
+// Cached runs keep the raw combined vector of every interior node a
+// fused pass computes (the deferred root has none), keyed ("I|") by a
+// structural signature over the subtree (children's identities and effective weights, combiner
+// options, NOT the node's own weight; leaf identities are the leaves'
+// full cache keys). A rerun that finds the vector skips the fused
+// passes of the whole subtree and treats the node as it treats a leaf:
+// the vector is read-only, its normalization range — the keep-th
+// smallest finite value, a new keep with every move of the node's
+// weight — comes from the sorted quantile index once the vector has
+// one and from NormRange before, and its scaled form is chunk-local in
+// the parent's pass. The vector lives in the SharedCache among the
+// leaves, under the same recency rule and byte budget, is pinned,
+// touched and — on its first pinned reuse — indexed by the lines that
+// do so for a leaf, and never travels to the kv tier. Results are
+// bit-identical (Options.NoInteriorSketch is the ablation gate);
+// StageTimings.SketchHits/SketchRescans attribute it
+// (TestInteriorSketchWarmRerunBitIdentical, TestNoInteriorSketchDisables).
 //
 // # Shared cache: serving many sessions on one catalog
 //
@@ -208,7 +212,7 @@
 // eviction only unlinks them, so sessions holding a vector through
 // their pins or a live Result are unaffected.
 //
-// A session pins the leaves (and interior entries) its live Result and
+// A session pins the leaves (and interior vectors) its live Result and
 // its run in flight read, and nothing else: the pins turn over with the
 // evaluation buffers, a successful run's replacing the previous
 // picture's, a failed run's dropped. Pins are pointers, not copies.
@@ -228,15 +232,14 @@
 // FirstLastOfColor) read the cells they need from the catalog
 // (TestPanelValuesComeFromTheCatalog).
 //
-// Every tier — the leaf and interior tiers of a SharedCache, the kv
-// server's resident set, the decoded-segment cache of a catalog file —
+// Every tier — a SharedCache, the kv server's resident set, the decoded-segment cache of a catalog file —
 // stands on internal/lru: a map ordered by recency under an entry cap
 // and a byte budget, with one eviction rule (evict from the cold end
 // while over either bound, never the most recently used entry). Each
 // tier keeps its own mutex and counters and only sets the bounds:
-// core.SharedOptions' MaxEntries and MaxBytes for leaves and a quarter
-// of both for interior entries; the kv server's -max-entries and
-// -max-bytes-mb; OpenOptions.CacheBytes for segments.
+// core.SharedOptions' MaxEntries and MaxBytes (interior vectors compete
+// with leaves for both, by recency alone); the kv server's -max-entries
+// and -max-bytes-mb; OpenOptions.CacheBytes for segments.
 //
 // # Serving layer: visdbd, sharded session routing over HTTP
 //
@@ -381,7 +384,7 @@
 // written back. Leaf entries are all that travels — distance vector(s)
 // and slider scalars in core's versioned envelope (core/remote.go),
 // under the leaf keys "C|", "J|", "B|", "S|"; indexes and interior
-// entries are rebuilt where they are used. A value is adopted only if
+// vectors are rebuilt where they are used. A value is adopted only if
 // it decodes in full, under the current envelope version, to vectors
 // exactly as long as the item space, with the signed vector if its key
 // names one (decodeSharedEntry; FuzzSharedEntry). Anything else is a

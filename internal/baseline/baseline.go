@@ -67,7 +67,15 @@ func evalExpr(e query.Expr, b *query.Binding, cat *dataset.Catalog, t *dataset.T
 	}
 	switch n := e.(type) {
 	case *query.Cond:
-		return evalCond(n, b, t, row)
+		attr, ok := b.Attrs[n]
+		if !ok {
+			return false, fmt.Errorf("baseline: condition %q not bound", n.Label())
+		}
+		v, err := t.Value(row, attr.Attr)
+		if err != nil {
+			return false, err
+		}
+		return n.Holds(attr.Kind, v) // false on NULL: three-valued logic collapsed
 	case *query.BoolExpr:
 		if n.Op == query.And {
 			for _, c := range n.Children {
@@ -98,84 +106,6 @@ func evalExpr(e query.Expr, b *query.Binding, cat *dataset.Catalog, t *dataset.T
 	default:
 		return false, fmt.Errorf("baseline: unsupported expression %T", e)
 	}
-}
-
-func evalCond(c *query.Cond, b *query.Binding, t *dataset.Table, row int) (bool, error) {
-	attr, ok := b.Attrs[c]
-	if !ok {
-		return false, fmt.Errorf("baseline: condition %q not bound", c.Label())
-	}
-	v, err := t.Value(row, attr.Attr)
-	if err != nil {
-		return false, err
-	}
-	// SQL three-valued logic collapses to false for NULLs.
-	if v.Null {
-		return false, nil
-	}
-	if attr.Kind.IsNumeric() {
-		f, _ := v.AsFloat()
-		cmpF := func(target dataset.Value) (float64, bool) {
-			tf, ok := target.AsFloat()
-			return tf, ok
-		}
-		switch c.Op {
-		case query.OpEq:
-			tf, ok := cmpF(c.Value)
-			return ok && f == tf, nil
-		case query.OpNe:
-			tf, ok := cmpF(c.Value)
-			return ok && f != tf, nil
-		case query.OpGt:
-			tf, ok := cmpF(c.Value)
-			return ok && f > tf, nil
-		case query.OpGe:
-			tf, ok := cmpF(c.Value)
-			return ok && f >= tf, nil
-		case query.OpLt:
-			tf, ok := cmpF(c.Value)
-			return ok && f < tf, nil
-		case query.OpLe:
-			tf, ok := cmpF(c.Value)
-			return ok && f <= tf, nil
-		case query.OpBetween:
-			lo, lok := cmpF(c.Lo)
-			hi, hok := cmpF(c.Hi)
-			return lok && hok && f >= lo && f <= hi, nil
-		case query.OpIn:
-			for _, lv := range c.List {
-				if tf, ok := lv.AsFloat(); ok && f == tf {
-					return true, nil
-				}
-			}
-			return false, nil
-		}
-	}
-	s, _ := v.AsString()
-	switch c.Op {
-	case query.OpEq:
-		return s == c.Value.S, nil
-	case query.OpNe:
-		return s != c.Value.S, nil
-	case query.OpGt:
-		return s > c.Value.S, nil
-	case query.OpGe:
-		return s >= c.Value.S, nil
-	case query.OpLt:
-		return s < c.Value.S, nil
-	case query.OpLe:
-		return s <= c.Value.S, nil
-	case query.OpBetween:
-		return s >= c.Lo.S && s <= c.Hi.S, nil
-	case query.OpIn:
-		for _, lv := range c.List {
-			if s == lv.S {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	return false, fmt.Errorf("baseline: unsupported operator %s", c.Op)
 }
 
 func evalSubquery(sq *query.SubqueryExpr, b *query.Binding, cat *dataset.Catalog, t *dataset.Table, row int) (bool, error) {

@@ -63,7 +63,7 @@ func TestUnboundConditionError(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := c.Table("T")
-	_, evalErr := evalCond(&query.Cond{Attr: "x", Op: query.OpGt}, &query.Binding{Attrs: map[*query.Cond]query.BoundAttr{}}, tbl, 0)
+	_, evalErr := evalExpr(&query.Cond{Attr: "x", Op: query.OpGt}, &query.Binding{Attrs: map[*query.Cond]query.BoundAttr{}}, c, tbl, 0)
 	if evalErr == nil {
 		t.Error("unbound condition should error")
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // RunCache is the reuse layer of the incremental feedback loop as one
-// interaction loop sees it: the pin set of the leaf distance vectors
-// (and interior-normalization entries) that the loop's live Result and
-// its run in flight read, over a SharedCache that stores them, plus the
-// pooled evaluation buffers those runs write into.
+// interaction loop sees it: the pin set of the vectors — leaf distances
+// and the raw combined vectors of interior nodes — that the loop's live
+// Result and its run in flight read, over a SharedCache that stores
+// them, plus the pooled evaluation buffers those runs write into.
 //
 // Entries are keyed by a structural signature of the leaf — table,
 // attribute, operator, literals and distance function, but NOT the
@@ -78,15 +78,14 @@ type RunCache struct {
 	seedSig string
 }
 
-// pinSet is one generation of pins: leaves by leaf key, interior
-// entries by runKeys.interior.
+// pinSet is one generation of pins, by cache key: leaves and, under
+// runKeys.interior, interior vectors.
 type pinSet struct {
-	leaves   map[string]leafEntry
-	interior map[string]*relevance.InteriorEntry
+	leaves map[string]leafEntry
 }
 
 func newPinSet() pinSet {
-	return pinSet{leaves: make(map[string]leafEntry), interior: make(map[string]*relevance.InteriorEntry)}
+	return pinSet{leaves: make(map[string]leafEntry)}
 }
 
 // maxCacheEntries caps the tier of a cache that stands on its own, so
@@ -97,12 +96,13 @@ func newPinSet() pinSet {
 // recent ranges).
 const maxCacheEntries = 64
 
-// leafEntry is one cached leaf as the tier holds it and as fetches hand
-// it out and pins keep it (by value: a consistent snapshot, since quant
-// and cstats of the resident entry may be attached later under the
-// tier's mutex). Exactly one of pd (simple conditions) and dists (join,
-// boolean-negation and subquery leaves) is set. The vectors are
-// immutable once stored. An entry holds what a rerun reuses and nothing
+// leafEntry is one cached vector as the tier holds it and as fetches
+// hand it out and pins keep it (by value: a consistent snapshot, since
+// quant and cstats of the resident entry may be attached later under
+// the tier's mutex). Exactly one of pd (simple conditions) and dists
+// (join, boolean-negation and subquery leaves, and the raw combined
+// vector of an interior node — a cached subtree is a leaf) is set. The
+// vectors are immutable once stored. An entry holds what a rerun reuses and nothing
 // else: distances, a condition's slider scalars, and the indexes built
 // from the distances. Of these only the distances and scalars ever
 // leave the process (encodeSharedEntry); the indexes are rebuilt
@@ -115,7 +115,8 @@ type leafEntry struct {
 	// is hot, and the one-time linear-time build buys O(1) normalization
 	// ranges for every subsequent weighting change.
 	quant *relevance.LeafQuantiles
-	// cstats is the per-chunk min/NaN index built together with quant:
+	// cstats is the per-chunk min/NaN index, built together with quant
+	// (an interior vector arrives with the one its fused pass produced):
 	// it feeds the block-pruning bounds of the rank-before-scale
 	// ranking, so warm reruns can skip whole chunks of root combine
 	// work.
@@ -271,7 +272,6 @@ func (c *RunCache) endRun(ok bool) {
 		c.live, c.cur = c.cur, c.live
 	}
 	clear(c.cur.leaves)
-	clear(c.cur.interior)
 }
 
 // runStats returns the current run's lookup counts. sharedHits is the
@@ -308,76 +308,82 @@ func (c *RunCache) Stats() (hits, misses uint64) {
 	return c.hits, c.misses
 }
 
-// Len returns the number of leaves pinned for the live Result.
+// Len returns the number of vectors pinned for the live Result.
 func (c *RunCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.live.leaves)
 }
 
-// InteriorLen returns the number of interior entries pinned for the
-// live Result.
-func (c *RunCache) InteriorLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.live.interior)
-}
-
-// fetch resolves a leaf over an item space of rows items: a pin (of
-// this run or of the live Result), then the tier, then compute (through
-// the tier's singleflight fill). The acceleration indexes (quant,
-// cstats) of the returned entry are set from the leaf's first pinned
-// reuse on — a fill never indexes, and neither does a revisit the tier
-// answers.
-func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
+// pinned serves key from the pins (of this run or of the live Result)
+// and pins it for this run. The acceleration indexes (quant, cstats) of
+// the returned entry are set from a vector's first pinned reuse on — a
+// fill never indexes, and neither does a revisit the tier answers.
+func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	c.mu.Lock()
 	shared := c.shared
-	le, pinned := c.cur.leaves[key]
-	if !pinned {
-		le, pinned = c.live.leaves[key]
-	}
-	if pinned {
-		c.hits++
-		c.runHits++
-		c.mu.Unlock()
-		// The tier does not see a pinned hit unless told: touching keeps
-		// a leaf this loop sits on from ageing out under other loops'
-		// fills, and finds the indexes another loop already built.
-		quant, cstats := shared.touch(key)
-		if le.quant == nil {
-			if quant == nil {
-				// Built outside any mutex — milliseconds of linear passes
-				// must not serialize sibling leaf builds. Two racing
-				// builders do redundant work; both results are identical
-				// and the first one promoted wins.
-				quant, cstats = relevance.BuildLeafIndexes(le.raw())
-				quant, cstats = shared.attachIndexes(key, quant, cstats)
-			}
-			le.quant, le.cstats = quant, cstats
-		}
-		c.mu.Lock()
-		c.cur.leaves[key] = le
-		c.mu.Unlock()
-		return le, nil
+	le, ok := c.cur.leaves[key]
+	if !ok {
+		le, ok = c.live.leaves[key]
 	}
 	c.mu.Unlock()
-	le, sharedHit, err := shared.fetch(key, rows, compute)
-	if err != nil {
-		return leafEntry{}, err
+	if !ok {
+		return leafEntry{}, false
 	}
-	// Attribute the lookup: a vector the tier served is a cache hit for
-	// the run, anything else was computed here (a miss).
+	// The tier does not see a pinned hit unless told: touching keeps a
+	// vector this loop sits on from ageing out under other loops' fills,
+	// and finds the indexes another loop already built.
+	quant, cstats := shared.touch(key)
+	if le.quant == nil {
+		if quant == nil {
+			// Built outside any mutex — milliseconds of linear passes
+			// must not serialize sibling leaf builds. Two racing
+			// builders do redundant work; both results are identical
+			// and the first one promoted wins.
+			quant, cstats = relevance.BuildLeafIndexes(le.raw())
+			quant, cstats = shared.attachIndexes(key, quant, cstats)
+		}
+		le.quant, le.cstats = quant, cstats
+	}
+	c.pin(key, le)
+	return le, true
+}
+
+// pin records le among the vectors the run in flight reads.
+func (c *RunCache) pin(key string, le leafEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if sharedHit {
+	c.cur.leaves[key] = le
+}
+
+// fetch resolves a leaf over an item space of rows items: a pin, then
+// the tier, then compute (through the tier's singleflight fill).
+func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
+	le, pinned := c.pinned(key)
+	sharedHit := false
+	if !pinned {
+		var err error
+		if le, sharedHit, err = c.Shared().fetch(key, rows, compute); err != nil {
+			return leafEntry{}, err
+		}
+		c.pin(key, le)
+	}
+	// Attribute the lookup: a vector the pins or the tier served is a
+	// cache hit for the run, anything else was computed here (a miss).
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case pinned:
+		c.hits++
+		c.runHits++
+	case sharedHit:
 		c.hits++
 		c.runHits++
 		c.runSharedHits++
-	} else {
+	default:
 		c.misses++
 		c.runMisses++
 	}
-	c.cur.leaves[key] = le
 	return le, nil
 }
 
@@ -398,44 +404,26 @@ func (c *RunCache) leafFetch(key string, rows int, compute func() ([]float64, er
 	})
 }
 
-// interiorFetch resolves an interior-normalization entry: a pin, then
-// the tier, then nil (the evaluator recomputes and interiorStore hands
-// the result to the tier). Entries are immutable and borrowed read-only
-// by evaluations, so serving the same entry to any number of runs is
-// safe.
-func (c *RunCache) interiorFetch(key string) *relevance.InteriorEntry {
-	c.mu.Lock()
-	shared := c.shared
-	e, pinned := c.cur.interior[key]
-	if !pinned {
-		e, pinned = c.live.interior[key]
+// lookup resolves an interior node's raw combined vector: a pin, then
+// the tier, never a compute — on a miss the evaluator runs the node's
+// fused pass and store hands the result to the tier. Neither counts as
+// a leaf lookup.
+func (c *RunCache) lookup(key string) (leafEntry, bool) {
+	if le, ok := c.pinned(key); ok {
+		return le, true
 	}
-	c.mu.Unlock()
-	if !pinned {
-		e = shared.InteriorOf(key)
+	le, ok := c.Shared().lookup(key)
+	if ok {
+		c.pin(key, le)
 	}
-	if e != nil {
-		c.pinInterior(key, e)
-	}
-	return e
+	return le, ok
 }
 
-// interiorStore records a freshly built interior entry: in the tier
-// (whose first-promoted entry is canonical, so concurrent sessions
-// converge on one resident copy) and among the run's pins.
-func (c *RunCache) interiorStore(key string, e *relevance.InteriorEntry) {
-	c.mu.Lock()
-	shared := c.shared
-	c.mu.Unlock()
-	c.pinInterior(key, shared.AttachInterior(key, e))
-}
-
-// pinInterior records e among the interior entries the run in flight
-// reads.
-func (c *RunCache) pinInterior(key string, e *relevance.InteriorEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cur.interior[key] = e
+// store records a freshly computed interior vector: in the tier (whose
+// first stored entry is canonical, so concurrent sessions converge on
+// one resident copy) and among the run's pins.
+func (c *RunCache) store(key string, le leafEntry) {
+	c.pin(key, c.Shared().store(key, le))
 }
 
 // spaceSig fingerprints the item space a leaf vector was computed over:

@@ -12,7 +12,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/reduce"
 	"repro/internal/relevance"
-	"repro/internal/topk"
 )
 
 // Engine executes visual feedback queries against a catalog. An Engine
@@ -56,7 +55,8 @@ func (e *Engine) RunSQL(src string) (*Result, error) {
 // measured breakdown. Distances covers the per-predicate distance
 // computation (tree building), Evaluate the normalization and weighted
 // combination of the query tree below the root, Sort the final
-// full-sort relevance ranking (FullSort or Arrange2D runs), Select the
+// full-sort relevance ranking (FullSort or Arrange2D runs, and roots
+// the evaluator declines to defer), Select the
 // selection-based partial ranking (the default rank-before-scale path,
 // which ranks RAW root values and materializes only the display
 // budget), Scale the final monotonic transforms applied to the top-k
@@ -88,15 +88,16 @@ type StageTimings struct {
 	// chunks; cold runs prune nothing (the per-leaf chunk stats that
 	// feed the bounds are built by the session cache on first reuse).
 	Pruned, Chunks int
-	// SketchHits and SketchRescans attribute the incremental interior
-	// normalization of the Evaluate stage: interior nodes whose combine
-	// pass was skipped because their raw combined vector was cached
-	// (the whole subtree's fused passes are saved), and how many
-	// evaluator chunks the entries' quantile sketches re-scanned to
-	// answer the normalization ranges exactly. A warm weight-only rerun
-	// shows SketchHits > 0 with SketchRescans a small fraction of
-	// Chunks — the measured "last full-array pass" the sketch kills.
-	// Zero for uncached runs and under Options.NoInteriorSketch.
+	// SketchHits and SketchRescans attribute the interior reuse of the
+	// Evaluate stage: interior nodes whose combine pass was skipped
+	// because their raw combined vector was cached (the whole subtree's
+	// fused passes are saved), and how many evaluator chunks were
+	// scanned to answer their normalization ranges — none for a vector
+	// with its quantile index (built, as for a leaf, on its first pinned
+	// reuse), every chunk for one ranged by NormRange before that. A
+	// warm weight-only rerun shows SketchHits > 0 with SketchRescans 0.
+	// Zero for uncached runs and under Options.NoInteriorSketch. Both
+	// names predate the index; wire.Timings and bench/ freeze them.
 	SketchHits, SketchRescans int
 	// SegsSkipped and Segs attribute the segment-stats pushdown of cold
 	// file-backed scans: storage segments whose decode was skipped
@@ -246,20 +247,20 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		evalOpts.Alloc = cache.floats.alloc
 		evalOpts.LazyLeaves = true
 		if !e.opt.NoInteriorSketch {
-			// Incremental interior normalization: interior nodes whose
-			// subtree signature matches a cached entry skip their fused
-			// combine pass and answer their normalization range from the
-			// entry's quantile sketch. Keys compose the evaluator's
+			// Interior reuse: an interior node whose subtree signature
+			// names a cached vector skips its subtree's fused passes and
+			// is ranged like a leaf. Keys compose the evaluator's
 			// structural signature — whose leaves are the full leaf cache
 			// keys (leafIDOf), pinning item space, segment epoch and
 			// literals — so a hit can never cross data or query identity.
 			keys := res.keys
 			evalOpts.LeafID = res.leafIDOf
-			evalOpts.InteriorFetch = func(sig string) *relevance.InteriorEntry {
-				return cache.interiorFetch(keys.interior(sig))
+			evalOpts.InteriorFetch = func(sig string) ([]float64, *relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+				le, _ := cache.lookup(keys.interior(sig))
+				return le.dists, le.quant, le.cstats
 			}
-			evalOpts.InteriorStore = func(sig string, en *relevance.InteriorEntry) {
-				cache.interiorStore(keys.interior(sig), en)
+			evalOpts.InteriorStore = func(sig string, raw []float64, cs *relevance.LeafChunkStats) {
+				cache.store(keys.interior(sig), leafEntry{dists: raw, cstats: cs})
 			}
 		}
 	}
@@ -276,16 +277,18 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	// items never display).
 	var colorable int
 	switch {
-	case e.fullSort():
+	case e.fullSort() || !eval.Deferred():
 		// Exact O(n log n) ranking of every item — the paper's
-		// "dominating" sort, kept for ablations, exact quantiles and the
-		// 2D arrangement (which re-filters the whole ranking).
+		// "dominating" sort, kept for ablations, exact quantiles, the
+		// 2D arrangement (which re-filters the whole ranking), and for
+		// the pathological weights whose root the evaluator declines to
+		// defer.
 		res.combined = eval.Combined
 		colorable = space.n - relevance.CountNaN(eval.Combined)
 		sorted, order := reduce.SortWithIndex(eval.Combined)
 		res.sorted, res.Order, res.rankedK = sorted, order, space.n
 		res.Timings.Sort = time.Since(mark)
-	case eval.Deferred():
+	default:
 		// Rank-before-scale selection: rank the RAW root values —
 		// skipping chunks whose bound cannot beat the threshold carried
 		// over from the previous recalculation — and scale only the
@@ -312,15 +315,6 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		if cache != nil {
 			cache.storeRootSeed(leaves, rk.Threshold)
 		}
-	default:
-		// Deferral declined (pathological weights): select on the
-		// eagerly scaled vector.
-		res.combined = eval.Combined
-		colorable = space.n - relevance.CountNaN(eval.Combined)
-		k := e.selectBudget(space.n)
-		res.sorted, res.Order = topk.SelectKWithIndex(eval.Combined, k)
-		res.rankedK = k
-		res.Timings.Select = time.Since(mark)
 	}
 	mark = time.Now()
 	res.Displayed = e.displayCount(res.sorted[:res.rankedK], colorable, space.n, numPreds)
@@ -668,10 +662,23 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 		label = "NOT " + label
 	}
 	compute := func() ([]float64, error) {
+		attr := b.Attrs[c]
+		t, err := space.tableByName(attr.Table)
+		if err != nil {
+			return nil, err
+		}
 		dists := make([]float64, space.n)
 		if err := parallelFor(space.n, workers, itemChunk, func(from, to int) error {
 			for i := from; i < to; i++ {
-				sat, err := boolEvalCond(c, b, space, i)
+				row, err := space.rowFor(i, attr.Table)
+				if err != nil {
+					return err
+				}
+				v, err := t.Value(row, attr.Attr)
+				if err != nil {
+					return err
+				}
+				sat, err := c.Holds(attr.Kind, v)
 				if err != nil {
 					return err
 				}

@@ -38,6 +38,29 @@ func interiorCatalog(t *testing.T, rows int) *dataset.Catalog {
 	return cat
 }
 
+// interiorPins returns the keys of the interior vectors c pins for its
+// live Result.
+func interiorPins(c *RunCache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []string
+	for k := range c.live.leaves {
+		if strings.HasPrefix(k, "I|") {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// resident reports whether sc holds an entry for key, without touching
+// its recency.
+func resident(sc *SharedCache, key string) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	_, ok := sc.entries.Peek(key)
+	return ok
+}
+
 const interiorSQL = `SELECT a FROM S WHERE a > 50 AND b < 40 OR c BETWEEN 20 AND 30 WEIGHT 2`
 
 // TestInteriorSketchWarmRerunBitIdentical: warm cached reruns must take
@@ -56,7 +79,7 @@ func TestInteriorSketchWarmRerunBitIdentical(t *testing.T) {
 	if _, err := e.RunCached(q, cache); err != nil {
 		t.Fatal(err)
 	}
-	if cache.InteriorLen() == 0 {
+	if len(interiorPins(cache)) == 0 {
 		t.Fatal("cold run cached no interior entries")
 	}
 
@@ -101,9 +124,9 @@ func TestInteriorSketchWarmRerunBitIdentical(t *testing.T) {
 }
 
 // TestInteriorSharedTierPromotion: a second session attached to the
-// same SharedCache must get interior hits on its very first run — the
-// entries another session built are promoted through the shared tier —
-// with bit-identical results.
+// same SharedCache must get interior hits on its very first run — off
+// the vector the first session's run left in the one store — with
+// bit-identical results.
 func TestInteriorSharedTierPromotion(t *testing.T) {
 	cat := interiorCatalog(t, 4096+300)
 	e := New(cat, nil, Options{GridW: 16, GridH: 16})
@@ -115,8 +138,14 @@ func TestInteriorSharedTierPromotion(t *testing.T) {
 	if _, err := e.RunCached(qa, a); err != nil {
 		t.Fatal(err)
 	}
-	if st := sc.Stats(); st.InteriorEntries == 0 || st.InteriorBytes <= 0 {
-		t.Fatalf("cold run promoted nothing to the shared interior tier: %+v", st)
+	part := interiorPins(a)
+	if len(part) != 1 || !resident(sc, part[0]) {
+		t.Fatalf("cold run left no interior vector in the store: pins %q", part)
+	}
+	// One store: the AND part's vector sits among the three leaves and is
+	// counted with them.
+	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 || st.InteriorBytes != 0 {
+		t.Fatalf("after the cold run: %+v", st)
 	}
 
 	b := NewRunCache()
@@ -172,7 +201,8 @@ func TestInteriorNegationDoesNotAlias(t *testing.T) {
 }
 
 // TestNoInteriorSketchDisables: the ablation gate must keep cached runs
-// off the interior fast path without changing any result.
+// off the interior fast path — no "I|" key stored, none pinned —
+// without changing any result.
 func TestNoInteriorSketchDisables(t *testing.T) {
 	cat := interiorCatalog(t, 4096+300)
 	e := New(cat, nil, Options{GridW: 16, GridH: 16, NoInteriorSketch: true})
@@ -188,8 +218,12 @@ func TestNoInteriorSketchDisables(t *testing.T) {
 	if warm.Timings.SketchHits != 0 || warm.Timings.SketchRescans != 0 {
 		t.Fatalf("NoInteriorSketch run reported sketch activity: %+v", warm.Timings)
 	}
-	if cache.InteriorLen() != 0 {
-		t.Fatalf("NoInteriorSketch run cached %d interior entries", cache.InteriorLen())
+	if pins := interiorPins(cache); len(pins) != 0 {
+		t.Fatalf("NoInteriorSketch run pinned interior vectors %q", pins)
+	}
+	// The store holds the three leaves and was asked for nothing else.
+	if st := cache.Shared().Stats(); st.Entries != 3 || st.Fills != 3 || st.InteriorHits+st.InteriorMisses != 0 {
+		t.Fatalf("NoInteriorSketch store: %+v", st)
 	}
 	ref, err := e.Run(q)
 	if err != nil {
@@ -237,11 +271,11 @@ func TestSpaceSigEmbedsEpoch(t *testing.T) {
 	}
 }
 
-// TestRangeEditKeepsInteriorEntries: a range edit invalidates nothing,
-// so the interior entries of the shape being left stay in the tier and
+// TestRangeEditKeepsInteriorVectors: a range edit invalidates nothing,
+// so the interior vector of the shape being left stays in the store and
 // going back takes the interior fast path again — while the run's own
 // pins turn over and never hold more than the live query's nodes.
-func TestRangeEditKeepsInteriorEntries(t *testing.T) {
+func TestRangeEditKeepsInteriorVectors(t *testing.T) {
 	cat := interiorCatalog(t, 4096+300)
 	e := New(cat, nil, Options{GridW: 16, GridH: 16})
 	sc := NewSharedCache(0, 0)
@@ -251,10 +285,11 @@ func TestRangeEditKeepsInteriorEntries(t *testing.T) {
 	if _, err := e.RunCached(q, cache); err != nil {
 		t.Fatal(err)
 	}
-	pinned, resident := cache.InteriorLen(), sc.Stats().InteriorEntries
-	if pinned == 0 || resident == 0 {
-		t.Fatal("cold run cached no interior entries")
+	old := interiorPins(cache)
+	if len(old) != 1 || !resident(sc, old[0]) {
+		t.Fatalf("cold run cached no interior vector: pins %q", old)
 	}
+	entries := sc.Stats().Entries
 	// The edited condition is `a > 50` INSIDE the AND subtree — its key
 	// is embedded in the AND's interior key.
 	var cond *query.Cond
@@ -274,11 +309,13 @@ func TestRangeEditKeepsInteriorEntries(t *testing.T) {
 	if away.Timings.SketchHits != 0 {
 		t.Fatalf("a subtree over a new literal took %d interior hits", away.Timings.SketchHits)
 	}
-	if got := sc.Stats().InteriorEntries; got <= resident {
-		t.Fatalf("the edit left %d interior entries in the tier, %d before it", got, resident)
+	// The edit added a leaf and the new part's vector and dropped
+	// nothing; only the live part is pinned.
+	if got := sc.Stats().Entries; got != entries+2 || !resident(sc, old[0]) {
+		t.Fatalf("after the edit: %d entries (%d before), old part resident: %v", got, entries, resident(sc, old[0]))
 	}
-	if cache.InteriorLen() != pinned {
-		t.Fatalf("pinned interior entries %d, want the live query's %d", cache.InteriorLen(), pinned)
+	if live := interiorPins(cache); len(live) != 1 || live[0] == old[0] {
+		t.Fatalf("pinned interior vectors %q, want the live part's alone (old %q)", live, old)
 	}
 	cond.Value = dataset.Float(50)
 	back, err := e.RunCached(q, cache)

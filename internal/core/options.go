@@ -76,12 +76,13 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 forces the serial path. Runs are
 	// bit-identical whatever the count.
 	Workers int
-	// NoInteriorSketch disables the incremental interior-normalization
-	// cache of cached runs (the ablation/benchmark baseline): interior
-	// nodes always re-run their fused combine pass and re-select their
-	// normalization range, exactly as if no interior entry were cached.
-	// Results are bit-identical either way — the sketch only changes
-	// where the warm-rerun time goes (see StageTimings.SketchHits).
+	// NoInteriorSketch disables interior reuse on cached runs (the
+	// ablation/benchmark baseline): no interior node's raw combined
+	// vector is looked up or stored, so every one re-runs its fused
+	// combine pass and re-selects its normalization range. Results are
+	// bit-identical either way — reuse only changes where the warm-rerun
+	// time goes (see StageTimings.SketchHits). The name predates the
+	// quantile index that replaced the sketch.
 	NoInteriorSketch bool
 	// NoSegmentStats disables the per-segment footer-stats pushdown of
 	// cold file-backed scans (the ablation/benchmark baseline): range

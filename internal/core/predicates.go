@@ -494,83 +494,3 @@ func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tabl
 		return nil
 	})
 }
-
-// boolEval evaluates a condition exactly (true/false) for the
-// non-invertible negation path. Null attribute values evaluate false.
-func boolEvalCond(c *query.Cond, b *query.Binding, space *itemSpace, i int) (bool, error) {
-	attr := b.Attrs[c]
-	t, err := space.tableByName(attr.Table)
-	if err != nil {
-		return false, err
-	}
-	row, err := space.rowFor(i, attr.Table)
-	if err != nil {
-		return false, err
-	}
-	v, err := t.Value(row, attr.Attr)
-	if err != nil {
-		return false, err
-	}
-	if v.Null {
-		return false, nil
-	}
-	if attr.Kind.IsNumeric() {
-		f, _ := v.AsFloat()
-		switch c.Op {
-		case query.OpEq:
-			tv, _ := c.Value.AsFloat()
-			return f == tv, nil
-		case query.OpNe:
-			tv, _ := c.Value.AsFloat()
-			return f != tv, nil
-		case query.OpGt:
-			tv, _ := c.Value.AsFloat()
-			return f > tv, nil
-		case query.OpGe:
-			tv, _ := c.Value.AsFloat()
-			return f >= tv, nil
-		case query.OpLt:
-			tv, _ := c.Value.AsFloat()
-			return f < tv, nil
-		case query.OpLe:
-			tv, _ := c.Value.AsFloat()
-			return f <= tv, nil
-		case query.OpBetween:
-			lo, _ := c.Lo.AsFloat()
-			hi, _ := c.Hi.AsFloat()
-			return f >= lo && f <= hi, nil
-		case query.OpIn:
-			for _, lv := range c.List {
-				if tv, ok := lv.AsFloat(); ok && f == tv {
-					return true, nil
-				}
-			}
-			return false, nil
-		}
-	}
-	s, _ := v.AsString()
-	switch c.Op {
-	case query.OpEq:
-		return s == c.Value.S, nil
-	case query.OpNe:
-		return s != c.Value.S, nil
-	case query.OpGt:
-		return s > c.Value.S, nil
-	case query.OpGe:
-		return s >= c.Value.S, nil
-	case query.OpLt:
-		return s < c.Value.S, nil
-	case query.OpLe:
-		return s <= c.Value.S, nil
-	case query.OpBetween:
-		return s >= c.Lo.S && s <= c.Hi.S, nil
-	case query.OpIn:
-		for _, lv := range c.List {
-			if s == lv.S {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	return false, fmt.Errorf("core: cannot boolean-evaluate operator %s", c.Op)
-}

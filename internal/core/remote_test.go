@@ -14,10 +14,12 @@ import (
 )
 
 // mapBackend is an in-memory SharedBackend standing in for the network
-// KV: what one "node" puts, another gets.
+// KV: what one "node" puts, another gets. It records every key it is
+// asked for or handed.
 type mapBackend struct {
 	mu   sync.Mutex
 	m    map[string][]byte
+	seen []string
 	gets int
 	puts int
 }
@@ -28,6 +30,7 @@ func (b *mapBackend) Get(key string) ([]byte, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.gets++
+	b.seen = append(b.seen, key)
 	v, ok := b.m[key]
 	return v, ok
 }
@@ -36,22 +39,26 @@ func (b *mapBackend) Put(key string, val []byte) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.puts++
+	b.seen = append(b.seen, key)
 	if _, ok := b.m[key]; !ok {
 		b.m[key] = val
 	}
 }
 
-// leafKeys lists the store's keys, failing on any that is not a leaf
-// entry's: leaf vectors are all the fleet shares.
+// leafKeys lists the store's keys, failing on any — stored, or so much
+// as asked for — that is not a leaf entry's: leaf vectors are all the
+// fleet shares, and an interior vector ("I|") never touches the backend.
 func (b *mapBackend) leafKeys(t *testing.T) []string {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	for _, k := range b.seen {
+		if !strings.HasPrefix(k, "C|") && !strings.HasPrefix(k, "J|") && !strings.HasPrefix(k, "B|") && !strings.HasPrefix(k, "S|") {
+			t.Fatalf("the store saw %q, which is not a leaf entry", k)
+		}
+	}
 	var keys []string
 	for k := range b.m {
-		if !strings.HasPrefix(k, "C|") && !strings.HasPrefix(k, "J|") && !strings.HasPrefix(k, "B|") && !strings.HasPrefix(k, "S|") {
-			t.Fatalf("the store holds %q, which is not a leaf entry", k)
-		}
 		keys = append(keys, k)
 	}
 	return keys
@@ -385,9 +392,11 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 		t.Fatalf("node B counted %d remote hits: %+v", st.RemoteHits, st)
 	}
 
-	// Node B's warm runs stand on indexes and interior entries it built
+	// Node B's warm runs stand on indexes and the interior vector it built
 	// itself: the store was asked once per leaf by each node (A's three
-	// misses, B's three hits) and for nothing else.
+	// misses, B's three hits) and for nothing else — a range edit inside
+	// the AND part included, which looks up and stores a new part vector
+	// in B's tier and asks the fleet for the moved leaf alone.
 	for run := 0; run < 2; run++ {
 		warm, err := eB.RunCached(q2, cB)
 		if err != nil {
@@ -398,10 +407,23 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 			t.Fatalf("node B's warm run %d built no local interior entry or chunk stats: %+v", run, warm.Timings)
 		}
 	}
+	query.Predicates(q2.Where)[0].(*query.BoolExpr).Children[0].(*query.Cond).Value = dataset.Float(30)
+	edited, err := eB.RunCached(q2, cB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := scB.Stats(); edited.Timings.CacheMisses != 1 || st.InteriorMisses == 0 || st.Entries != 6 {
+		t.Fatalf("node B's range edit: %+v, tier %+v", edited.Timings, st)
+	}
+	for _, k := range backend.leafKeys(t) {
+		if !strings.HasPrefix(k, "C|") {
+			t.Fatalf("a query of conditions left %q in the store", k)
+		}
+	}
 	backend.mu.Lock()
 	defer backend.mu.Unlock()
-	if backend.gets != 6 || backend.puts != 3 {
-		t.Fatalf("the store served %d gets and %d puts, want 6 and 3", backend.gets, backend.puts)
+	if backend.gets != 7 || backend.puts != 4 {
+		t.Fatalf("the store served %d gets and %d puts, want 7 and 4", backend.gets, backend.puts)
 	}
 }
 

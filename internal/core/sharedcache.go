@@ -9,8 +9,9 @@ import (
 
 // SharedCache is the store of the predicate cache: one instance per
 // catalog, attached to every session exploring that catalog, so the
-// expensive part of the feedback loop — leaf distance vectors and their
-// quantile indexes — is computed once per catalog instead of once per
+// expensive part of the feedback loop — leaf distance vectors, the raw
+// combined vectors of the interior nodes over them, and the quantile
+// indexes of both — is computed once per catalog instead of once per
 // session. (A loop that attaches none stands on a small one of its own,
 // see NewRunCache.) N users dragging sliders over the same large
 // database share every leaf whose structural signature matches, and one
@@ -53,20 +54,13 @@ type SharedCache struct {
 	entries  *lru.Cache[string, *leafEntry]
 	inflight map[string]*sharedCall
 
-	// interior is the store of the interior-normalization cache
-	// (relevance.InteriorEntry built by sessions' runs). It has its own
-	// store and byte budget so interior vectors — each as
-	// large as a leaf vector plus its sketch — can never thrash the
-	// leaf tier's budget, and vice versa.
-	interior *lru.Cache[string, *relevance.InteriorEntry]
-
 	// backend is the optional remote tier (a network KV shared across
 	// the fleet); see SharedBackend in remote.go. All network calls
 	// happen outside mu.
 	backend SharedBackend
 
 	hits, misses, fills, waits uint64
-	evictions, intEvictions    uint64
+	evictions                  uint64
 	intHits, intMisses         uint64
 	remoteHits, remoteMisses   uint64
 	remotePuts                 uint64
@@ -114,11 +108,6 @@ func NewSharedCacheOpts(o SharedOptions) *SharedCache {
 		entries:  lru.New[string, *leafEntry](maxEntries, maxBytes),
 		inflight: make(map[string]*sharedCall),
 		backend:  o.Backend,
-		// The interior tier rides along at a quarter of the leaf
-		// bounds: interior entries are derived data (always rebuildable
-		// from the leaves in one pass), so they never crowd out the
-		// vectors they are derived from.
-		interior: lru.New[string, *relevance.InteriorEntry](maxEntries/4+1, max(maxBytes/4, 1)),
 	}
 }
 
@@ -139,7 +128,8 @@ type SharedStats struct {
 	// leaders).
 	Misses uint64 `json:"misses"`
 	// Fills counts successful stores: misses whose computation
-	// succeeded or that the remote tier answered.
+	// succeeded or that the remote tier answered, and interior vectors
+	// a run stored.
 	Fills uint64 `json:"fills"`
 	// Waits counts lookups that blocked on another session's fill
 	// instead of computing redundantly.
@@ -147,22 +137,20 @@ type SharedStats struct {
 	// Rejects is always 0: every fill is stored. The field outlives the
 	// admission policy it counted for because bench/metrics.go reads it.
 	Rejects uint64 `json:"rejects"`
-	// Evictions counts leaf entries the entry cap or byte budget pushed
-	// out; short of Clear, nothing else drops one.
+	// Evictions counts entries the entry cap or byte budget pushed out;
+	// short of Clear, nothing else drops one.
 	Evictions uint64 `json:"evictions"`
-	// Entries and Bytes describe the current resident set.
+	// Entries and Bytes describe the current resident set, leaf and
+	// interior vectors alike.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// InteriorHits/InteriorMisses count lookups against the shared
-	// interior-normalization tier (cached interior combine vectors plus
-	// their normalization sketches, at a quarter of the leaf tier's
-	// bounds), InteriorEvictions what its bounds pushed out;
-	// InteriorEntries and InteriorBytes describe its resident set.
-	InteriorHits      uint64 `json:"interior_hits"`
-	InteriorMisses    uint64 `json:"interior_misses"`
-	InteriorEvictions uint64 `json:"interior_evictions"`
-	InteriorEntries   int    `json:"interior_entries"`
-	InteriorBytes     int64  `json:"interior_bytes"`
+	// InteriorHits/InteriorMisses count the lookups of interior nodes'
+	// raw combined vectors (they live among the leaves, under "I|"
+	// keys). InteriorBytes is always 0 — Bytes includes them; the field
+	// outlives the tier it measured because bench/metrics.go reads it.
+	InteriorHits   uint64 `json:"interior_hits"`
+	InteriorMisses uint64 `json:"interior_misses"`
+	InteriorBytes  int64  `json:"interior_bytes"`
 	// RemoteHits/RemoteMisses/RemotePuts count traffic against the
 	// attached remote backend (leaf entries, the only thing that
 	// travels): fills answered by the networked store, fills that fell
@@ -213,8 +201,6 @@ func (s *SharedStats) Add(o SharedStats) {
 	s.Bytes += o.Bytes
 	s.InteriorHits += o.InteriorHits
 	s.InteriorMisses += o.InteriorMisses
-	s.InteriorEvictions += o.InteriorEvictions
-	s.InteriorEntries += o.InteriorEntries
 	s.InteriorBytes += o.InteriorBytes
 	s.RemoteHits += o.RemoteHits
 	s.RemoteMisses += o.RemoteMisses
@@ -232,8 +218,7 @@ func (sc *SharedCache) Stats() SharedStats {
 	st := SharedStats{
 		Hits: sc.hits, Misses: sc.misses, Fills: sc.fills, Waits: sc.waits,
 		Evictions: sc.evictions, Entries: sc.entries.Len(), Bytes: sc.entries.Bytes(),
-		InteriorHits: sc.intHits, InteriorMisses: sc.intMisses, InteriorEvictions: sc.intEvictions,
-		InteriorEntries: sc.interior.Len(), InteriorBytes: sc.interior.Bytes(),
+		InteriorHits: sc.intHits, InteriorMisses: sc.intMisses,
 		RemoteHits: sc.remoteHits, RemoteMisses: sc.remoteMisses,
 		RemotePuts: sc.remotePuts,
 	}
@@ -383,37 +368,35 @@ func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs 
 	return q, cs
 }
 
-// InteriorOf returns the resident interior-normalization entry for
-// key, or nil. Entries are immutable; any number of sessions may read
-// one concurrently. Like leaf indexes they are never asked of the
-// remote tier: the fused combine pass that rebuilds one costs less than
-// fetching its vector.
-func (sc *SharedCache) InteriorOf(key string) *relevance.InteriorEntry {
+// lookup returns the resident entry for key and nothing else: it never
+// computes and never asks the remote tier. It serves the interior
+// vectors, which a run rebuilds from its leaves in one fused pass —
+// less than fetching one costs — so only whole leaf vectors travel.
+func (sc *SharedCache) lookup(key string) (leafEntry, bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	e, ok := sc.interior.Get(key)
-	if ok {
-		sc.intHits++
-	} else {
+	e, ok := sc.entries.Get(key)
+	if !ok {
 		sc.intMisses++
+		return leafEntry{}, false
 	}
-	return e
+	sc.intHits++
+	return *e, true
 }
 
-// AttachInterior promotes a freshly built interior entry to the shared
-// tier, under the interior tier's cap and budget, and returns the
-// canonical one: if another session's build won the race, its entry is
-// returned (both are bit-identical — the fused pass is deterministic —
-// so either could win; keeping the first keeps one copy resident and
-// its Range memo shared).
-func (sc *SharedCache) AttachInterior(key string, e *relevance.InteriorEntry) *relevance.InteriorEntry {
+// store is lookup's other half: it makes le the entry for key unless
+// one is resident, and returns the resident one (two sessions' builds
+// are bit-identical — the fused pass is deterministic — so either could
+// win; keeping the first keeps one copy, and its indexes).
+func (sc *SharedCache) store(key string, le leafEntry) leafEntry {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if canon, ok := sc.interior.Get(key); ok {
-		return canon
+	if e, ok := sc.entries.Get(key); ok {
+		return *e
 	}
-	sc.intEvictions += uint64(sc.interior.Put(key, e, int64(e.Size())))
-	return e
+	sc.evictions += uint64(sc.entries.Put(key, &le, le.sizeBytes()))
+	sc.fills++
+	return le
 }
 
 // Clear drops every entry. In-flight fills complete and store their
@@ -422,5 +405,4 @@ func (sc *SharedCache) Clear() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.entries.Clear()
-	sc.interior.Clear()
 }

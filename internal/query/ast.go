@@ -143,6 +143,73 @@ func (c *Cond) Label() string {
 	return s
 }
 
+// Holds evaluates the condition exactly — true or false, SQL's boolean
+// semantics — on v, the row's value of the bound attribute, whose kind
+// decides between numeric and string comparison. A null never holds.
+// The binder has checked that the literals coerce to the kind. The
+// engine's non-invertible negations and the boolean baseline both
+// stand on it.
+func (c *Cond) Holds(kind dataset.Kind, v dataset.Value) (bool, error) {
+	if v.Null {
+		return false, nil
+	}
+	if kind.IsNumeric() {
+		f, _ := v.AsFloat()
+		num := func(lit dataset.Value) float64 {
+			x, _ := lit.AsFloat()
+			return x
+		}
+		switch c.Op {
+		case OpEq:
+			return f == num(c.Value), nil
+		case OpNe:
+			return f != num(c.Value), nil
+		case OpGt:
+			return f > num(c.Value), nil
+		case OpGe:
+			return f >= num(c.Value), nil
+		case OpLt:
+			return f < num(c.Value), nil
+		case OpLe:
+			return f <= num(c.Value), nil
+		case OpBetween:
+			return f >= num(c.Lo) && f <= num(c.Hi), nil
+		case OpIn:
+			for _, lv := range c.List {
+				if tv, ok := lv.AsFloat(); ok && f == tv {
+					return true, nil
+				}
+			}
+			return false, nil
+		}
+	}
+	s, _ := v.AsString()
+	switch c.Op {
+	case OpEq:
+		return s == c.Value.S, nil
+	case OpNe:
+		return s != c.Value.S, nil
+	case OpGt:
+		return s > c.Value.S, nil
+	case OpGe:
+		return s >= c.Value.S, nil
+	case OpLt:
+		return s < c.Value.S, nil
+	case OpLe:
+		return s <= c.Value.S, nil
+	case OpBetween:
+		return s >= c.Lo.S && s <= c.Hi.S, nil
+	case OpIn:
+		for _, lv := range c.List {
+			if s == lv.S {
+				return true, nil
+			}
+		}
+		return false, nil
+	}
+	return false, fmt.Errorf("query: cannot boolean-evaluate operator %s", c.Op)
+}
+
 // BoolOp is the connective of a BoolExpr.
 type BoolOp int
 

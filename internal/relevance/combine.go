@@ -48,26 +48,18 @@ func CombineAnd(dists [][]float64, weights []float64, mode CombineMode) ([]float
 	if err != nil {
 		return nil, err
 	}
-	ws, effSum := resolveWeights(weights, len(dists))
-	out := make([]float64, n)
-	combineAndRange(out, dists, ws, effSum, mode, 0, n)
-	return out, nil
+	return combineAll(NodeAnd, EvalOptions{Mode: mode}, dists, weights, n), nil
 }
 
-// combineAndRange is the chunk kernel of CombineAnd: it fills
-// dst[lo:hi] from dists[...][lo:hi]. ws/effSum come from
-// resolveWeights; the fused evaluator calls it per chunk.
-func combineAndRange(dst []float64, dists [][]float64, ws []float64, effSum float64, mode CombineMode, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var acc float64
-		for j := range dists {
-			acc += ws[j] * dists[j][i]
-		}
-		if mode == WeightNormalized {
-			acc /= effSum
-		}
-		dst[i] = acc
-	}
+// combineAll runs one node's kernel over whole vectors: the raw
+// combiner, then the transform that completes it.
+func combineAll(op NodeOp, opts EvalOptions, dists [][]float64, weights []float64, n int) []float64 {
+	ws, effSum := resolveWeights(weights, len(dists))
+	combiner, t, lpP := kernelFor(op, opts, effSum)
+	out := make([]float64, n)
+	combineRaw(combiner, out, dists, ws, lpP)
+	t.applyRange(out)
+	return out
 }
 
 // CombineOr combines per-predicate distance vectors with the weighted
@@ -83,75 +75,20 @@ func CombineOr(dists [][]float64, weights []float64, mode CombineMode) ([]float6
 	if err != nil {
 		return nil, err
 	}
-	ws, effSum := resolveWeights(weights, len(dists))
-	out := make([]float64, n)
-	combineOrRange(out, dists, ws, effSum, mode, 0, n)
-	return out, nil
+	return combineAll(NodeOr, EvalOptions{Mode: mode}, dists, weights, n), nil
 }
 
-// combineOrRange is the chunk kernel of CombineOr. Small integer
-// weights take fast paths past math.Pow — exact ones: Pow(x, 1) is
-// specified to return x, and for y in {2, 3} Pow's
-// exponentiation-by-squaring performs the same rounding sequence as
-// x*x and (x*x)*x in the normal range. This matters in the hot
-// interactive loop, where weights overwhelmingly are 1 or small slider
-// integers.
-func combineOrRange(dst []float64, dists [][]float64, ws []float64, effSum float64, mode CombineMode, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		prod := 1.0
-		nan := false
-		zero := false
-		for j := range dists {
-			d := dists[j][i]
-			w := ws[j]
-			if d == 0 && w > 0 {
-				zero = true
-				break
-			}
-			if math.IsNaN(d) {
-				nan = true
-				continue
-			}
-			switch w {
-			case 0:
-			case 1:
-				prod *= d
-			case 2:
-				prod *= d * d
-			case 3:
-				prod *= d * d * d
-			default:
-				prod *= math.Pow(d, w)
-			}
-		}
-		switch {
-		case zero:
-			dst[i] = 0
-		case nan:
-			dst[i] = math.NaN()
-		case mode == WeightNormalized && prod > 0:
-			if effSum == 1 {
-				dst[i] = prod // Pow(prod, 1) == prod exactly
-			} else {
-				dst[i] = math.Pow(prod, 1/effSum)
-			}
-		default:
-			dst[i] = prod
-		}
-	}
-}
-
-// --- Raw kernels (rank-before-scale) ----------------------------------
+// --- Kernels ----------------------------------------------------------
 //
-// The rank-before-scale pipeline ranks the root's combined values
-// before the final monotonic per-element transform is applied, so each
-// combine kernel has a "raw" variant that stops right before that
-// transform: the weighted sum without the /Σw normalization, the
-// product of powers without the (·)^(1/Σw) geometric root, the Lp sum
-// without the (·)^(1/p) root. rootTransform captures the deferred step
-// and replicates the eager kernel's tail bit for bit, so
-// transform(raw) == eager for every element — the property the
-// deferred ranking and the lazy Combined materialization both rely on.
+// Every combiner is a raw kernel followed by a monotonic per-element
+// transform: the weighted sum then the /Σw normalization, the product
+// of powers then the (·)^(1/Σw) geometric root, the Lp sum then the
+// (·)^(1/p) root. An interior node's fused pass runs both over the
+// chunk it just scaled; the rank-before-scale pipeline stops the root
+// after the raw kernel, ranks, and applies the transform to the
+// survivors only — the same rootTransform, so transform(raw) is the
+// eager value for every element, which the deferred ranking and the
+// lazy Combined materialization both rely on.
 
 // rootTransform kinds. Every kind is monotone non-decreasing over the
 // raw domain the kernels produce (non-negative values; NaN passes
@@ -165,9 +102,8 @@ const (
 	xformPowInv          // Lp with p != 2: x^(1/p)
 )
 
-// rootTransform is the deferred final scalar step of a root combine
-// kernel. apply is bit-identical to the tail of the corresponding
-// eager kernel.
+// rootTransform is the final scalar step of a combine kernel — applied
+// in the pass for an interior node, deferred for the root.
 type rootTransform struct {
 	kind int
 	// c is Σw for xformDivide/xformGeoRoot; invP is 1/p for
@@ -193,10 +129,72 @@ func (t rootTransform) apply(x float64) float64 {
 	return x
 }
 
-// combineAndRawRange is combineAndRange without the weight-normalized
-// division — the raw kernel of the deferred root.
-func combineAndRawRange(dst []float64, dists [][]float64, ws []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// applyRange transforms v in place.
+func (t rootTransform) applyRange(v []float64) {
+	switch t.kind {
+	case xformIdentity:
+	case xformDivide:
+		for i := range v {
+			v[i] /= t.c
+		}
+	default:
+		for i, x := range v {
+			v[i] = t.apply(x)
+		}
+	}
+}
+
+// Raw combiner kinds.
+const (
+	cmbLeaf = iota // no combiner: a deferred root that is a single leaf
+	cmbAnd
+	cmbOr
+	cmbLp
+)
+
+// kernelFor maps a node's operator, the options and the effective
+// weight sum onto the raw combiner kind, the transform completing it,
+// and the Lp exponent.
+func kernelFor(op NodeOp, opts EvalOptions, effSum float64) (combiner int, t rootTransform, lpP float64) {
+	if op == NodeAnd {
+		switch opts.And {
+		case ANDEuclidean:
+			return cmbLp, rootTransform{kind: xformSqrt}, 2
+		case ANDLp:
+			if opts.LpP == 2 {
+				return cmbLp, rootTransform{kind: xformSqrt}, 2
+			}
+			return cmbLp, rootTransform{kind: xformPowInv, invP: 1 / opts.LpP}, opts.LpP
+		default:
+			if opts.Mode == WeightNormalized {
+				return cmbAnd, rootTransform{kind: xformDivide, c: effSum}, 0
+			}
+			return cmbAnd, rootTransform{kind: xformIdentity}, 0
+		}
+	}
+	// NodeOr: Pow(prod, 1) == prod exactly, so Σw == 1 needs no root.
+	if opts.Mode == WeightNormalized && effSum != 1 {
+		return cmbOr, rootTransform{kind: xformGeoRoot, c: effSum}, 0
+	}
+	return cmbOr, rootTransform{kind: xformIdentity}, 0
+}
+
+// combineRaw fills dst from the equally long vectors of dists with the
+// raw kernel of the given kind. ws comes from resolveWeights.
+func combineRaw(combiner int, dst []float64, dists [][]float64, ws []float64, lpP float64) {
+	switch combiner {
+	case cmbAnd:
+		combineAndRaw(dst, dists, ws)
+	case cmbOr:
+		combineOrRaw(dst, dists, ws)
+	case cmbLp:
+		combineLpRaw(dst, dists, ws, lpP)
+	}
+}
+
+// combineAndRaw is the weighted sum Σwⱼ·dᵢⱼ.
+func combineAndRaw(dst []float64, dists [][]float64, ws []float64) {
+	for i := range dst {
 		var acc float64
 		for j := range dists {
 			acc += ws[j] * dists[j][i]
@@ -205,11 +203,15 @@ func combineAndRawRange(dst []float64, dists [][]float64, ws []float64, lo, hi i
 	}
 }
 
-// combineOrRawRange is combineOrRange without the geometric root: the
-// zero/NaN semantics are identical (they are per-element, not part of
-// the deferred transform), only the (·)^(1/Σw) step is left out.
-func combineOrRawRange(dst []float64, dists [][]float64, ws []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// combineOrRaw is the product of powers Πdᵢⱼ^wⱼ with OR's zero/NaN
+// semantics (see CombineOr). Small integer weights take fast paths
+// past math.Pow — exact ones: Pow(x, 1) is specified to return x, and
+// for y in {2, 3} Pow's exponentiation-by-squaring performs the same
+// rounding sequence as x*x and (x*x)*x in the normal range. This
+// matters in the hot interactive loop, where weights overwhelmingly are
+// 1 or small slider integers.
+func combineOrRaw(dst []float64, dists [][]float64, ws []float64) {
+	for i := range dst {
 		prod := 1.0
 		nan := false
 		zero := false
@@ -247,10 +249,14 @@ func combineOrRawRange(dst []float64, dists [][]float64, ws []float64, lo, hi in
 	}
 }
 
-// combineLpRawRange is combineLpRange without the final (·)^(1/p) root.
-func combineLpRawRange(dst []float64, dists [][]float64, ws []float64, p float64, lo, hi int) {
+// combineLpRaw is the Lp sum Σwⱼ·|dᵢⱼ|^p. The Euclidean case (p == 2)
+// squares directly instead of calling math.Pow per term: Pow(|d|, 2)
+// rounds to the same double as d*d (one rounding of the exact product
+// in the normal range) — and its transform is Sqrt, which Go's
+// Pow(acc, 0.5) is defined as.
+func combineLpRaw(dst []float64, dists [][]float64, ws []float64, p float64) {
 	if p == 2 {
-		for i := lo; i < hi; i++ {
+		for i := range dst {
 			var acc float64
 			for j := range dists {
 				d := dists[j][i]
@@ -260,7 +266,7 @@ func combineLpRawRange(dst []float64, dists [][]float64, ws []float64, p float64
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		var acc float64
 		for j := range dists {
 			d := dists[j][i]
@@ -282,37 +288,7 @@ func CombineLp(dists [][]float64, weights []float64, p float64) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	ws, _ := resolveWeights(weights, len(dists))
-	out := make([]float64, n)
-	combineLpRange(out, dists, ws, p, 0, n)
-	return out, nil
-}
-
-// combineLpRange is the chunk kernel of CombineLp. The Euclidean case
-// (p == 2) squares directly and takes a single square root instead of
-// two math.Pow calls per term: Pow(|d|, 2) rounds to the same double
-// as d*d (one rounding of the exact product in the normal range), and
-// Go's Pow(acc, 0.5) is defined as Sqrt(acc).
-func combineLpRange(dst []float64, dists [][]float64, ws []float64, p float64, lo, hi int) {
-	if p == 2 {
-		for i := lo; i < hi; i++ {
-			var acc float64
-			for j := range dists {
-				d := dists[j][i]
-				acc += ws[j] * (d * d)
-			}
-			dst[i] = math.Sqrt(acc)
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		var acc float64
-		for j := range dists {
-			d := dists[j][i]
-			acc += ws[j] * math.Pow(math.Abs(d), p)
-		}
-		dst[i] = math.Pow(acc, 1/p)
-	}
+	return combineAll(NodeAnd, EvalOptions{And: ANDLp, LpP: p}, dists, weights, n), nil
 }
 
 // CombineEuclidean is CombineLp with p = 2.

@@ -41,15 +41,12 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	}
 	ctx := &fusedCtx{opts: opts, n: n,
 		res: &Result{ByNode: make(map[*Node][]float64), n: n, alloc: opts.Alloc}}
-	if opts.LazyLeaves {
-		ctx.res.lazy = make(map[*Node]NormParams)
-	}
 	if opts.DeferRoot && deferralSafe(root, opts) {
 		// Rank-before-scale: children evaluate fully (their passes are
 		// needed for the root's normalization inputs), the root itself
 		// stays raw and chunk-lazy — see rootrank.go. Unsafe transforms
 		// (deferralSafe false) fall through to the eager root below.
-		ctx.nodeScans = make(map[*Node][]rangeScan)
+		ctx.nodeStats = make(map[*Node]*LeafChunkStats)
 		if err := ctx.buildDeferredRoot(root); err != nil {
 			return nil, err
 		}
@@ -64,12 +61,13 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	}
 	// Finalize the root: its combined vector scales in place (the
 	// buffer is ctx-owned); a leaf root scales into a fresh buffer,
-	// since node.Dists belongs to the caller, and so does a borrowed
-	// root (an interior cache hit's read-only vector). The root always
+	// since node.Dists belongs to the caller, and so does a root served
+	// by an interior cache hit (a read-only vector). The root always
 	// materializes — Combined is the interface's primary output.
 	out := vec
-	if root.Op == Leaf || ctx.res.borrowed[root] {
+	if _, cached := ctx.res.lazy[root]; cached || root.Op == Leaf {
 		out = ctx.alloc()
+		delete(ctx.res.lazy, root)
 	}
 	ctx.forChunks(func(_, lo, hi int) {
 		applyRange(out[lo:hi], vec[lo:hi], params)
@@ -88,10 +86,10 @@ type fusedCtx struct {
 	opts EvalOptions
 	n    int
 	res  *Result
-	// nodeScans retains each interior node's per-chunk range scans when
-	// the root is deferred: the block-pruning bounds of the root fold
-	// the chunk minima (and NaN counts) of its interior children.
-	nodeScans map[*Node][]rangeScan
+	// nodeStats retains each interior node's per-chunk stats when the
+	// root is deferred: the block-pruning bounds of the root fold the
+	// chunk minima (and NaN counts) of its interior children.
+	nodeStats map[*Node]*LeafChunkStats
 	// sigs/optsSig memoize the interior cache signatures (interior.go);
 	// populated only when the Interior hooks are set.
 	sigs    map[*Node]string
@@ -141,10 +139,7 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		if len(node.Dists) != c.n {
 			return nil, NormParams{}, fmt.Errorf("relevance: leaf %q has %d distances, want %d", node.Label, len(node.Dists), c.n)
 		}
-		if node.Quantiles != nil {
-			return node.Dists, node.Quantiles.Range(c.keepOf(node)), nil
-		}
-		return node.Dists, NormRange(node.Dists, c.keepOf(node)), nil
+		return node.Dists, indexedRange(node.Dists, node.Quantiles, c.keepOf(node)), nil
 	case NodeAnd, NodeOr:
 		if len(node.Children) == 0 {
 			return nil, NormParams{}, fmt.Errorf("relevance: %q has no children", node.Label)
@@ -153,17 +148,12 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 			// Match CombineLp's validation (NaN compares unequal to itself).
 			return nil, NormParams{}, fmt.Errorf("relevance: Lp needs p >= 1, got %v", c.opts.LpP)
 		}
-		var sig string
-		if c.opts.InteriorFetch != nil || c.opts.InteriorStore != nil {
-			sig = c.sig(node)
-		}
 		if c.opts.InteriorFetch != nil {
-			if e := c.opts.InteriorFetch(sig); c.entryFits(e) {
+			if e, ok := c.fetchInterior(node); ok {
 				// The subtree's raw combined vector is cached: skip the
-				// whole subtree's fused passes, borrow the vectors
-				// read-only, and take the normalization ranges from the
-				// entries' sketches — provided every skipped descendant
-				// stays materializable from its own entry.
+				// whole subtree's fused passes and range the vector like a
+				// leaf — provided every skipped descendant stays
+				// materializable from its own vector.
 				if entries, ok := c.collectSubtreeEntries(node); ok {
 					return c.useInteriorEntry(node, e, entries)
 				}
@@ -171,7 +161,7 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		}
 		k := len(node.Children)
 		raw := make([][]float64, k)    // child vectors, unscaled
-		scaled := make([][]float64, k) // materialized destination, nil for lazy leaves
+		scaled := make([][]float64, k) // materialized destination, nil for lazy children
 		cparams := make([]NormParams, k)
 		weights := make([]float64, k)
 		for j, child := range node.Children {
@@ -186,12 +176,9 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 			}
 			weights[j] = w
 			switch {
-			case child.Op != Leaf && c.res.borrowed[child]:
-				// A borrowed interior child (cache hit) is read-only:
-				// scale into a fresh buffer and re-point ByNode at it —
-				// the same final state the in-place path reaches.
-				scaled[j] = c.alloc()
-				c.res.ByNode[child] = scaled[j]
+			case c.res.isLazy(child):
+				// A cached interior child is read-only: it scales into
+				// chunk-local scratch like a lazy leaf.
 			case child.Op != Leaf:
 				// Interior children finalize in place: their ByNode
 				// buffer holds the raw combined vector until this pass
@@ -200,7 +187,7 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 			case c.opts.LazyLeaves:
 				// Lazy leaves scale into chunk-local scratch for the
 				// combination and materialize later via Result.Vec.
-				c.res.lazy[child] = p
+				c.res.setLazy(child, v, p)
 			default:
 				// Eager leaves scale into their own output buffer
 				// during the fused pass below.
@@ -209,6 +196,7 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 			}
 		}
 		ws, effSum := resolveWeights(weights, k)
+		combiner, t, lpP := kernelFor(node.Op, c.opts, effSum)
 		out := c.alloc()
 		// The fused pass: scale every child's chunk (into its buffer, in
 		// place, or into chunk-sized scratch that stays L1-resident),
@@ -216,8 +204,8 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		// one cache-hot sweep instead of 2k+3 vector-length passes.
 		scratch := make([][]float64, k)
 		vs := make([][]float64, k)
-		for j, child := range node.Children {
-			if child.Op == Leaf && c.opts.LazyLeaves {
+		for j := range scaled {
+			if scaled[j] == nil {
 				scratch[j] = make([]float64, evalChunk)
 			}
 		}
@@ -236,18 +224,8 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 				vs[j] = dst
 			}
 			dst := out[lo:hi]
-			if node.Op == NodeAnd {
-				switch c.opts.And {
-				case ANDEuclidean:
-					combineLpRange(dst, vs, ws, 2, 0, hi-lo)
-				case ANDLp:
-					combineLpRange(dst, vs, ws, c.opts.LpP, 0, hi-lo)
-				default:
-					combineAndRange(dst, vs, ws, effSum, c.opts.Mode, 0, hi-lo)
-				}
-			} else {
-				combineOrRange(dst, vs, ws, effSum, c.opts.Mode, 0, hi-lo)
-			}
+			combineRaw(combiner, dst, vs, ws, lpP)
+			t.applyRange(dst)
 			chunkStats[ci] = scanRange(out, lo, hi)
 		})
 		if err := c.checkpoint(); err != nil {
@@ -255,20 +233,22 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 			// (stats, caches, ByNode) may see the partial buffers.
 			return nil, NormParams{}, err
 		}
-		if c.nodeScans != nil {
-			c.nodeScans[node] = chunkStats
-		}
 		// Merge the per-chunk scans (min/max/count merging is exact).
 		stats := newRangeScan()
 		for _, st := range chunkStats {
 			stats.merge(st)
 		}
-		if c.opts.InteriorStore != nil {
-			// Cache the RAW vector (out is scaled in place by the parent
-			// later; the entry copies it) with its per-chunk scans and
-			// sketch, so the next structurally identical rerun skips this
-			// whole pass.
-			c.opts.InteriorStore(sig, newInteriorEntry(out, chunkStats, stats))
+		if c.nodeStats != nil || c.opts.InteriorStore != nil {
+			cs := chunkStatsOf(chunkStats)
+			if c.nodeStats != nil {
+				c.nodeStats[node] = cs
+			}
+			if c.opts.InteriorStore != nil {
+				// Cache a copy of the RAW vector (the parent scales out in
+				// place later) with its chunk stats, so the next
+				// structurally identical rerun skips this whole pass.
+				c.opts.InteriorStore(c.sig(node), append([]float64(nil), out...), cs)
+			}
 		}
 		c.res.ByNode[node] = out
 		return out, rangeOf(stats, out, c.keepOf(node)), nil

@@ -7,29 +7,39 @@ import (
 	"testing"
 )
 
-// entryOf builds an InteriorEntry over dists exactly as the fused pass
-// would: per-chunk scans, merged total, copied vector.
-func entryOf(dists []float64) *InteriorEntry {
-	nchunks := (len(dists) + evalChunk - 1) / evalChunk
-	scans := make([]rangeScan, nchunks)
-	total := newRangeScan()
-	for ci := 0; ci < nchunks; ci++ {
-		lo := ci * evalChunk
-		hi := lo + evalChunk
-		if hi > len(dists) {
-			hi = len(dists)
+// interiorHit evaluates AND(part, x) the way the engine does (lazy
+// leaves, deferred root) with part's raw combined vector answered by
+// InteriorFetch — raw itself, indexed or not — and returns the params
+// the evaluator ranged part with and the rescans it reported.
+func interiorHit(t *testing.T, raw []float64, budget int, indexed bool) (NormParams, int) {
+	t.Helper()
+	n := len(raw)
+	leaf := func(label string) *Node { return &Node{Op: Leaf, Label: label, Dists: make([]float64, n)} }
+	part := &Node{Op: NodeOr, Children: []*Node{leaf("a"), leaf("b")}}
+	root := &Node{Op: NodeAnd, Children: []*Node{part, leaf("x")}}
+	opts := EvalOptions{Budget: budget, NaiveNormalize: budget == 0, LazyLeaves: true, DeferRoot: true}
+	opts.InteriorFetch = func(string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
+		if indexed {
+			q, cs := BuildLeafIndexes(raw)
+			return raw, q, cs
 		}
-		scans[ci] = scanRange(dists, lo, hi)
-		total.merge(scans[ci])
+		return raw, nil, nil
 	}
-	return newInteriorEntry(dists, scans, total)
+	res, err := Evaluate(root, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SketchHits != 1 {
+		t.Fatalf("SketchHits %d, want 1", res.SketchHits)
+	}
+	return res.lazy[part].p, res.SketchRescans
 }
 
-// TestInteriorEntryRangeMatchesNormRange: for every distribution shape
-// (flat — the guard path; clustered — the sketch path; non-finite
-// mixes; degenerate) and a sweep of keep counts, the entry's Range must
-// return bit-identical params to the reference NormRange over the same
-// vector.
+// TestInteriorEntryRangeMatchesNormRange: a cached subtree is ranged
+// like a leaf. For every distribution shape (non-finite mixes, signed
+// zeros, duplicate-heavy, degenerate) and random keep counts, the
+// params of an interior hit equal NormRange over the cached vector, with and without its quantile index, and the rescans
+// say which of the two answered.
 func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	gens := map[string]func(n int) []float64{
@@ -41,8 +51,6 @@ func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 			return d
 		},
 		"clustered": func(n int) []float64 {
-			// Most mass far from the low tail: the crossing bucket for
-			// small keeps touches few chunks.
 			d := make([]float64, n)
 			for i := range d {
 				if i%977 == 0 {
@@ -63,9 +71,20 @@ func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 					d[i] = math.Inf(1)
 				case 2:
 					d[i] = math.Inf(-1)
+				case 3:
+					d[i] = math.Copysign(0, -1)
 				default:
 					d[i] = rng.NormFloat64() * 50
 				}
+			}
+			return d
+		},
+		"duplicates": func(n int) []float64 {
+			// A handful of distinct values, both zeros among them.
+			vals := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, 255}
+			d := make([]float64, n)
+			for i := range d {
+				d[i] = vals[rng.Intn(len(vals))]
 			}
 			return d
 		},
@@ -84,8 +103,7 @@ func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 			return d
 		},
 		"extremes": func(n int) []float64 {
-			// Span overflows float64: the histogram is declined and every
-			// query takes the exact fallback.
+			// Span overflows float64.
 			d := make([]float64, n)
 			for i := range d {
 				d[i] = (rng.Float64()*2 - 1) * math.MaxFloat64
@@ -97,48 +115,33 @@ func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range []int{1, 100, evalChunk, 3*evalChunk + 17} {
 				dists := gen(n)
-				e := entryOf(dists)
-				keeps := []int{0, 1, 2, n / 100, n / 8, n / 2, n - 1, n, n + 5}
-				for _, keep := range keeps {
+				budgets := []int{0, 1, 2, n / 2, n - 1, n, n + 5}
+				for i := 0; i < 6; i++ {
+					budgets = append(budgets, 1+rng.Intn(n))
+				}
+				nchunks := (n + evalChunk - 1) / evalChunk
+				for _, budget := range budgets {
+					keep := 0
+					if budget != 0 {
+						keep = KeepCount(budget, n, 1)
+					}
 					want := NormRange(dists, keep)
-					got, rescans := e.Range(keep)
-					if want.NoFinite != got.NoFinite || want.Kept != got.Kept ||
-						math.Float64bits(want.DMin) != math.Float64bits(got.DMin) ||
-						math.Float64bits(want.DMax) != math.Float64bits(got.DMax) {
-						t.Fatalf("n=%d keep=%d: sketch %+v, reference %+v", n, keep, got, want)
-					}
-					if rescans < 0 || rescans > e.Chunks() {
-						t.Fatalf("n=%d keep=%d: rescans %d out of [0,%d]", n, keep, rescans, e.Chunks())
-					}
-					// Memoized repeat: same params, zero rescans.
-					again, r2 := e.Range(keep)
-					if again != got || r2 != 0 {
-						t.Fatalf("n=%d keep=%d: memo returned %+v/%d", n, keep, again, r2)
+					for _, indexed := range []bool{false, true} {
+						got, rescans := interiorHit(t, dists, budget, indexed)
+						// == on the bounds: the index orders -0 before +0 and the
+						// selection answers whichever zero it met (as for leaves);
+						// a combined vector holds no -0 to tell them apart — the
+						// kernels accumulate from +0 over non-negative weights.
+						if want != got {
+							t.Fatalf("n=%d keep=%d indexed=%v: hit %+v, reference %+v", n, keep, indexed, got, want)
+						}
+						if wantRescans := map[bool]int{false: nchunks, true: 0}[indexed]; rescans != wantRescans {
+							t.Fatalf("n=%d keep=%d indexed=%v: rescans %d, want %d", n, keep, indexed, rescans, wantRescans)
+						}
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestInteriorSketchLocalizesRescans: on a clustered distribution with
-// a display-budget keep, the sketch must answer from a small fraction
-// of the chunks — the incremental claim, not just the exactness one.
-func TestInteriorSketchLocalizesRescans(t *testing.T) {
-	n := 64 * evalChunk
-	dists := make([]float64, n)
-	rng := rand.New(rand.NewSource(3))
-	for i := range dists {
-		if i/evalChunk == 5 { // low tail lives in one chunk
-			dists[i] = rng.Float64()
-		} else {
-			dists[i] = 50 + rng.Float64()*50
-		}
-	}
-	e := entryOf(dists)
-	_, rescans := e.Range(100)
-	if rescans == 0 || rescans > e.Chunks()/4 {
-		t.Fatalf("rescanned %d of %d chunks, want small non-zero", rescans, e.Chunks())
 	}
 }
 
@@ -179,8 +182,9 @@ func collectLeaves(root *Node) []*Node {
 // TestInteriorCacheHitBitIdentical: evaluating with a warm interior
 // cache must reproduce the hookless evaluation bit for bit — combined
 // vector and every leaf window — across option variants, weight drags,
-// and the deferred root; and the cached entries themselves must come
-// back byte-identical (the evaluation may only borrow them).
+// and the deferred root, with the cached vectors indexed on every other
+// trial; and the cached vectors themselves must come back
+// byte-identical (the evaluation may only read them).
 func TestInteriorCacheHitBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	variants := []EvalOptions{
@@ -199,9 +203,11 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		opts.Budget = 1 + n/(1+rng.Intn(6))
 
 		// Cold run fills the store.
-		store := map[string]*InteriorEntry{}
+		store := map[string]cachedVec{}
 		cold := opts
-		cold.InteriorStore = func(sig string, e *InteriorEntry) { store[sig] = e }
+		cold.InteriorStore = func(sig string, raw []float64, cs *LeafChunkStats) {
+			store[sig] = cachedVec{raw: raw, cs: cs}
+		}
 		if _, err := Evaluate(tree, n, cold); err != nil {
 			t.Fatal(err)
 		}
@@ -212,6 +218,10 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		snap := map[string][]float64{}
 		for sig, e := range store {
 			snap[sig] = append([]float64(nil), e.raw...)
+			if trial%4 >= 2 {
+				e.q, e.cs = BuildLeafIndexes(e.raw)
+				store[sig] = e
+			}
 		}
 
 		// A weight drag that leaves subtrees reusable: perturb one leaf's
@@ -223,13 +233,13 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 
 		warm := opts
 		fetches, hits := 0, 0
-		warm.InteriorFetch = func(sig string) *InteriorEntry {
+		warm.InteriorFetch = func(sig string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
 			fetches++
-			if e := store[sig]; e != nil {
+			e, ok := store[sig]
+			if ok {
 				hits++
-				return e
 			}
-			return nil
+			return e.raw, e.q, e.cs
 		}
 		got, err := Evaluate(tree, n, warm)
 		if err != nil {
@@ -255,8 +265,8 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 			sameVec(t, fmt.Sprintf("leaf %d", i), ref.Vec(leaf), got.Vec(leaf))
 		}
 		// Direct interior children of the root materialize through Vec on
-		// both paths (exercises the borrowed-pending copy under DeferRoot
-		// and the borrowed-root/child scaling when eager).
+		// both paths (a cached child is lazy, a computed one finalizes in
+		// place or pends under DeferRoot).
 		if tree.Op != Leaf {
 			for i, ch := range tree.Children {
 				if ch.Op == Leaf {

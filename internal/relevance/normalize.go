@@ -238,16 +238,13 @@ type LeafQuantiles struct {
 // (a scan per evaluator chunk, a count, a scatter); nothing is retained.
 func BuildLeafIndexes(dists []float64) (*LeafQuantiles, *LeafChunkStats) {
 	nchunks := (len(dists) + evalChunk - 1) / evalChunk
-	cs := &LeafChunkStats{mins: make([]float64, nchunks), nans: make([]int32, nchunks)}
+	scans := make([]rangeScan, nchunks)
 	st := newRangeScan()
-	for ci := range cs.mins {
-		s := scanRange(dists, ci*evalChunk, min(len(dists), (ci+1)*evalChunk))
-		cs.mins[ci], cs.nans[ci] = s.minFinite, int32(s.nNaN)
-		if s.nNegInf > 0 {
-			cs.mins[ci] = math.Inf(-1)
-		}
-		st.merge(s)
+	for ci := range scans {
+		scans[ci] = scanRange(dists, ci*evalChunk, min(len(dists), (ci+1)*evalChunk))
+		st.merge(scans[ci])
 	}
+	cs := chunkStatsOf(scans)
 	q := &LeafQuantiles{sorted: make([]float64, st.nFinite), minFinite: st.minFinite, nNegInf: st.nNegInf, nNaN: st.nNaN}
 	sortFinite(q.sorted, dists, st.minFinite, st.maxFinite, 0)
 	// -0 and +0 compare equal and come out in input order; -0 first, so
@@ -299,6 +296,20 @@ func (q *LeafQuantiles) Range(keep int) NormParams {
 type LeafChunkStats struct {
 	mins []float64
 	nans []int32
+}
+
+// chunkStatsOf converts the per-chunk scans of a vector — one per
+// evalChunk, as BuildLeafIndexes and the fused passes produce them —
+// into its chunk stats.
+func chunkStatsOf(scans []rangeScan) *LeafChunkStats {
+	cs := &LeafChunkStats{mins: make([]float64, len(scans)), nans: make([]int32, len(scans))}
+	for ci, s := range scans {
+		cs.mins[ci], cs.nans[ci] = s.minFinite, int32(s.nNaN) // +Inf for an all-NaN chunk
+		if s.nNegInf > 0 {
+			cs.mins[ci] = math.Inf(-1)
+		}
+	}
+	return cs
 }
 
 // BuildLeafChunkStats scans dists once. The input is not retained.

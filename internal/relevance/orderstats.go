@@ -7,12 +7,12 @@ import (
 	"repro/internal/topk"
 )
 
-// Exact, linear-time order statistics over a vector's finite values.
-// The leaf tier and the interior sketch (interior.go) stand on one
+// Exact, linear-time order statistics over a vector's finite values —
+// a leaf's distances or an interior node's raw combined vector. One
 // monotone equal-width bucket function — values in a lower bucket are
-// strictly smaller, equal values share a bucket — so per-bucket counts
+// strictly smaller, equal values share a bucket — lets per-bucket counts
 // localize any rank to one bucket (kthFinite) and a scatter into bucket
-// order leaves only the inside of each bucket to sort (sortFinite).
+// order leave only the inside of each bucket to sort (sortFinite).
 // Bucketing decides what an answer costs, never its value.
 
 // buckets maps the values of [lo, hi] onto n equal-width buckets.

@@ -47,14 +47,6 @@ import (
 // pipeline followed by topk.SelectKWithIndex, which the property tests
 // in rootrank_test.go and internal/core assert against Options.FullSort.
 
-// Combiner kinds of a deferred root.
-const (
-	cmbLeaf = iota // root is a single leaf: raw = Dists, t = identity
-	cmbAnd
-	cmbOr
-	cmbLp
-)
-
 // RootRanking is the outcome of Result.RankRoot: the top-K of the
 // scaled combined distances plus the attribution the engine surfaces.
 type RootRanking struct {
@@ -168,14 +160,7 @@ func (rd *rootDefer) ensureRaw(ci int) {
 		vs[j] = dst
 	}
 	dst := rd.out[lo:hi]
-	switch rd.combiner {
-	case cmbAnd:
-		combineAndRawRange(dst, vs, rd.ws, 0, hi-lo)
-	case cmbOr:
-		combineOrRawRange(dst, vs, rd.ws, 0, hi-lo)
-	case cmbLp:
-		combineLpRawRange(dst, vs, rd.ws, rd.lpP, 0, hi-lo)
-	}
+	combineRaw(rd.combiner, dst, vs, rd.ws, rd.lpP)
 	rd.scans[ci] = scanRange(rd.out, lo, hi)
 	rd.state[ci] = 1
 }
@@ -540,34 +525,6 @@ func finalizeRange(dst, src []float64, t rootTransform, p NormParams) {
 	}
 }
 
-// rootKernelFor maps the root node and options onto the raw combiner
-// kind, the deferred transform, and the Lp exponent. Must mirror the
-// kernel dispatch of the eager fused pass exactly.
-func rootKernelFor(root *Node, opts EvalOptions, effSum float64) (combiner int, t rootTransform, lpP float64) {
-	if root.Op == NodeAnd {
-		switch opts.And {
-		case ANDEuclidean:
-			return cmbLp, rootTransform{kind: xformSqrt}, 2
-		case ANDLp:
-			if opts.LpP == 2 {
-				return cmbLp, rootTransform{kind: xformSqrt}, 2
-			}
-			return cmbLp, rootTransform{kind: xformPowInv, invP: 1 / opts.LpP}, opts.LpP
-		default:
-			if opts.Mode == WeightNormalized {
-				return cmbAnd, rootTransform{kind: xformDivide, c: effSum}, 0
-			}
-			return cmbAnd, rootTransform{kind: xformIdentity}, 0
-		}
-	}
-	// NodeOr: the geometric root is deferred only when it exists (the
-	// eager kernel short-circuits Σw == 1 to the identity).
-	if opts.Mode == WeightNormalized && effSum != 1 {
-		return cmbOr, rootTransform{kind: xformGeoRoot, c: effSum}, 0
-	}
-	return cmbOr, rootTransform{kind: xformIdentity}, 0
-}
-
 // deferralSafe reports whether the root's deferred transform can be
 // applied after ranking without changing any value's finite/NaN
 // classification: the raw domain is bounded by U (every child value is
@@ -599,7 +556,7 @@ func deferralSafe(root *Node, opts EvalOptions) bool {
 		return false
 	}
 	ws, effSum := resolveWeights(weights, k)
-	combiner, t, lpP := rootKernelFor(root, opts, effSum)
+	combiner, t, lpP := kernelFor(root.Op, opts, effSum)
 	var u float64
 	switch combiner {
 	case cmbAnd:
@@ -648,18 +605,16 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 		rd.out = root.Dists
 		rd.state = make([]byte, nchunks)
 		rd.scans = make([]rangeScan, nchunks)
-		if root.Quantiles != nil {
-			rd.params = root.Quantiles.Range(rd.keep)
+		rd.params = indexedRange(root.Dists, root.Quantiles, rd.keep)
+		switch {
+		case root.Quantiles != nil:
 			rd.leafNaNs = root.Quantiles.NaNs()
-		} else {
-			rd.params = NormRange(root.Dists, rd.keep)
-			if root.ChunkStats != nil && root.ChunkStats.Chunks() == nchunks {
-				for _, c := range root.ChunkStats.nans {
-					rd.leafNaNs += int(c)
-				}
-			} else {
-				rd.leafNaNs = CountNaN(root.Dists)
+		case root.ChunkStats != nil && root.ChunkStats.Chunks() == nchunks:
+			for _, c := range root.ChunkStats.nans {
+				rd.leafNaNs += int(c)
 			}
+		default:
+			rd.leafNaNs = CountNaN(root.Dists)
 		}
 		rd.paramsKnown = true
 		if st := root.ChunkStats; st != nil && st.Chunks() == nchunks {
@@ -697,13 +652,15 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 		}
 		weights[j] = w
 		switch {
+		case res.isLazy(child):
+			// A cached interior child: read-only, scaled per chunk.
 		case child.Op != Leaf:
 			// The interior child's ByNode buffer stays RAW; it finalizes
 			// in place — after the root's raw chunks no longer need it —
 			// on the first Vec.
 			rd.pending[child] = p
 		case c.opts.LazyLeaves:
-			res.lazy[child] = p
+			res.setLazy(child, v, p)
 		default:
 			// Eager leaves materialize their scaled vector now (the
 			// ByNode contract of non-lazy evaluation), and the raw
@@ -717,7 +674,7 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 		}
 	}
 	rd.ws, rd.effSum = resolveWeights(weights, k)
-	rd.combiner, rd.t, rd.lpP = rootKernelFor(root, c.opts, rd.effSum)
+	rd.combiner, rd.t, rd.lpP = kernelFor(root.Op, c.opts, rd.effSum)
 	rd.out = c.alloc()
 	rd.state = make([]byte, nchunks)
 	rd.scans = make([]rangeScan, nchunks)
@@ -732,12 +689,12 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 	return nil
 }
 
-// buildBounds folds the children's per-chunk range stats into raw
-// lower bounds on the root's combined value, chunk by chunk. Leaf
-// children contribute their cached LeafChunkStats (missing stats
-// disable pruning for the whole run — correctness never depends on
-// bounds); interior children contribute the per-chunk scans their own
-// fused pass just computed. The scaled chunk minimum of child j is
+// buildBounds folds the children's per-chunk stats into raw lower
+// bounds on the root's combined value, chunk by chunk. Leaf children
+// contribute their cached LeafChunkStats, interior children the stats
+// their own fused pass just computed or their cached vector came with
+// (missing stats disable pruning for the whole run — correctness never
+// depends on bounds). The scaled chunk minimum of child j is
 // Apply(raw chunk minimum) exactly, because Apply is monotone; the
 // kernels then fold those minima with the same operations (and the
 // same order) as the per-element combine, which makes the bound exact
@@ -748,29 +705,14 @@ func (rd *rootDefer) buildBounds(c *fusedCtx) {
 	mins := make([][]float64, len(rd.children))
 	nans := make([][]int32, len(rd.children))
 	for j, child := range rd.children {
-		if child.Op == Leaf {
-			st := child.ChunkStats
-			if st == nil || st.Chunks() != nchunks {
-				return
-			}
-			mins[j], nans[j] = st.mins, st.nans
-			continue
+		st := child.ChunkStats
+		if child.Op != Leaf {
+			st = c.nodeStats[child]
 		}
-		scans := c.nodeScans[child]
-		if len(scans) != nchunks {
+		if st == nil || st.Chunks() != nchunks {
 			return
 		}
-		m := make([]float64, nchunks)
-		nn := make([]int32, nchunks)
-		for ci, s := range scans {
-			if s.nNegInf > 0 {
-				m[ci] = math.Inf(-1)
-			} else {
-				m[ci] = s.minFinite // +Inf for all-NaN chunks; gated by nans
-			}
-			nn[ci] = int32(s.nNaN)
-		}
-		mins[j], nans[j] = m, nn
+		mins[j], nans[j] = st.mins, st.nans
 	}
 	rd.bounds = make([]float64, nchunks)
 	rd.nanFree = make([]bool, nchunks)

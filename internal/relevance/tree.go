@@ -115,20 +115,22 @@ type EvalOptions struct {
 	// InteriorFetch, when non-nil, is consulted before every interior
 	// node's combine pass with the node's cache signature (structure,
 	// leaf labels, child weights, kernel options — see fusedCtx.sig). A
-	// matching entry skips the pass entirely: the node's raw combined
-	// vector is BORROWED read-only from the entry, its per-chunk scans
-	// feed block pruning, and its normalization range comes from the
-	// entry's exact quantile sketch. Results are bit-identical to the
-	// sketchless evaluation; Result.SketchHits/SketchRescans attribute
-	// the reuse. Callers own key scoping: a fetch must only return
-	// entries built over the same leaf data (same dataset epoch, same
-	// predicate distance vectors).
-	InteriorFetch func(sig string) *InteriorEntry
-	// InteriorStore, when non-nil, receives a freshly built entry for
-	// every interior node this evaluation computed (same signatures as
-	// InteriorFetch). The entry holds a private copy of the raw vector
-	// and is safe to share across evaluations and sessions.
-	InteriorStore func(sig string, e *InteriorEntry)
+	// non-nil raw of the evaluation's length skips the pass, and the
+	// passes of the whole subtree under it: the node is then a leaf —
+	// raw is read READ-ONLY, q (optional, must index exactly raw)
+	// answers its normalization range where NormRange would otherwise,
+	// and cs (optional) feeds block pruning. Results are bit-identical
+	// to the hookless evaluation; Result.SketchHits/SketchRescans
+	// attribute the reuse. Callers own key scoping: a fetch must only
+	// return vectors built over the same leaf data (same dataset epoch,
+	// same predicate distance vectors).
+	InteriorFetch func(sig string) (raw []float64, q *LeafQuantiles, cs *LeafChunkStats)
+	// InteriorStore, when non-nil, receives the raw combined vector of
+	// every interior node whose fused pass this evaluation ran (a
+	// deferred root has none), under InteriorFetch's signatures, with
+	// its per-chunk stats. raw is a private copy the callee owns;
+	// neither may be written afterwards.
+	InteriorStore func(sig string, raw []float64, cs *LeafChunkStats)
 	// Checkpoint, when non-nil, is polled at every node entry and
 	// between evaluator chunks; the first non-nil return aborts the
 	// evaluation (and any deferred-root ranking built from it) with
@@ -150,8 +152,9 @@ type EvalOptions struct {
 // Result carries the evaluated tree: the per-node normalized distance
 // vectors in [0, Scale] (keyed by node), and the root's combined,
 // re-normalized distances. Under EvalOptions.LazyLeaves, leaf vectors
-// are absent from ByNode until Vec materializes them; read through Vec
-// rather than the map when lazy evaluation may be in play. Under
+// are absent from ByNode until Vec materializes them, and so is every
+// node under an EvalOptions.InteriorFetch hit; read through Vec rather
+// than the map when lazy evaluation may be in play. Under
 // EvalOptions.DeferRoot, Combined (and the root's ByNode entry, and
 // the raw interior children of the root) also stay unmaterialized
 // until Vec or MaterializeCombined asks for them.
@@ -161,35 +164,42 @@ type Result struct {
 
 	// SketchHits counts interior nodes whose combine pass was skipped
 	// via EvalOptions.InteriorFetch; SketchRescans counts the chunks
-	// the entries' quantile sketches re-scanned to answer the
-	// normalization ranges exactly (0 when every answer was memoized
-	// or O(1), the full chunk count when a guard fell back to the
-	// reference selection).
+	// scanned to answer their normalization ranges (none for a vector
+	// that came with its quantile index, every chunk for one ranged by
+	// NormRange).
 	SketchHits    int
 	SketchRescans int
 
-	mu   sync.Mutex
-	lazy map[*Node]NormParams // un-materialized leaves: params over node.Dists
-	// lazyInt holds skipped interior descendants of a cache hit: their
-	// borrowed raw vectors and params, materialized by Vec on demand.
-	lazyInt map[*Node]lazyInterior
-	alloc   func(n int) []float64
-	n       int
-	// borrowed marks nodes whose ByNode vector is a cache entry's
-	// read-only raw vector (an InteriorFetch hit): finalization must
-	// scale into a fresh buffer, never in place.
-	borrowed map[*Node]bool
+	mu sync.Mutex
+	// lazy holds the nodes Vec has yet to materialize: lazy leaves
+	// (raw is node.Dists) and the interior nodes a cache hit skipped.
+	lazy  map[*Node]lazyVec
+	alloc func(n int) []float64
+	n     int
 	// root is the deferred rank-before-scale state (nil when the root
 	// was finalized eagerly).
 	root *rootDefer
 }
 
-// markBorrowed records that node's ByNode vector is borrowed read-only.
-func (r *Result) markBorrowed(node *Node) {
-	if r.borrowed == nil {
-		r.borrowed = make(map[*Node]bool)
+// lazyVec is a node awaiting materialization: a read-only raw vector
+// and the params that scale it.
+type lazyVec struct {
+	raw []float64
+	p   NormParams
+}
+
+// setLazy registers node as raw scaled by p, to be materialized by Vec.
+func (r *Result) setLazy(node *Node, raw []float64, p NormParams) {
+	if r.lazy == nil {
+		r.lazy = make(map[*Node]lazyVec)
 	}
-	r.borrowed[node] = true
+	r.lazy[node] = lazyVec{raw: raw, p: p}
+}
+
+// isLazy reports whether node awaits materialization.
+func (r *Result) isLazy(node *Node) bool {
+	_, ok := r.lazy[node]
+	return ok
 }
 
 // Deferred reports whether the root is evaluated rank-before-scale:
@@ -213,18 +223,10 @@ func (r *Result) Vec(node *Node) []float64 {
 			// A raw interior child of the deferred root: the root's raw
 			// chunks need this child's raw values, so they materialize
 			// first; then the child finalizes in place exactly like the
-			// eager root pass would have. A borrowed vector (interior
-			// cache hit) is read-only — scale into a fresh buffer.
+			// eager root pass would have.
 			r.root.ensureAllRaw()
 			v := r.ByNode[node]
-			if r.borrowed[node] {
-				out := r.allocVec()
-				applyRange(out, v, p)
-				r.ByNode[node] = out
-				v = out
-			} else {
-				applyRange(v, v, p)
-			}
+			applyRange(v, v, p)
 			delete(r.root.pending, node)
 			return v
 		}
@@ -232,32 +234,17 @@ func (r *Result) Vec(node *Node) []float64 {
 	if v, ok := r.ByNode[node]; ok {
 		return v
 	}
-	if li, ok := r.lazyInt[node]; ok {
-		// A skipped interior descendant of a cache hit: scale its
-		// borrowed raw vector (read-only) into a fresh buffer — the same
-		// values the eager pass would have produced in place.
-		out := r.allocVec()
-		applyRange(out, li.raw, li.p)
-		r.ByNode[node] = out
-		delete(r.lazyInt, node)
-		return out
-	}
-	p, ok := r.lazy[node]
+	lv, ok := r.lazy[node]
 	if !ok {
 		return nil
 	}
+	// Scale the read-only raw vector into a fresh buffer — the same
+	// values the eager pass would have written.
 	out := r.allocVec()
-	applyRange(out, node.Dists, p)
+	applyRange(out, lv.raw, lv.p)
 	r.ByNode[node] = out
 	delete(r.lazy, node)
 	return out
-}
-
-// lazyInterior is a skipped interior node awaiting materialization: a
-// borrowed (read-only) raw vector and the params that scale it.
-type lazyInterior struct {
-	raw []float64
-	p   NormParams
 }
 
 // allocVec returns an n-sized buffer from the caller's pool (or fresh).

@@ -217,54 +217,88 @@ func TestDragStormStaysInsideTheBudget(t *testing.T) {
 }
 
 // TestPinnedSessionReadsWhileNeighbourEvicts (run it under -race): a
-// catalog tier of ONE entry, so every fill of the storming session
-// evicts whatever the tier held — including, at once, the leaves of the
+// catalog tier too small for two sessions, so the fills of the storming
+// one evict whatever the tier held — including the vectors of the
 // session next to it. That one keeps rerunning over exactly those
-// leaves: its pins must serve every rerun without a recompute while
+// vectors: its pins must serve every rerun without a recompute while
 // their tier entries come and go underneath, bit-identical to a fresh
-// engine throughout.
+// engine throughout, and the tier never passes its bounds. The flat row
+// has a tier of ONE entry under two-leaf queries; the nested row a byte
+// budget of six bare vectors under an OR over an AND part, where every
+// position of the storm fills a leaf and stores the part over it while
+// the reader drags the weight outside its own part and reuses it.
 func TestPinnedSessionReadsWhileNeighbourEvicts(t *testing.T) {
-	const steps = 60
-	cat := interactionCatalog(t, 1500)
+	const steps, rows = 60, 1500
+	cat := interactionCatalog(t, rows)
 	opt := core.Options{GridW: 8, GridH: 8}
-	shared := core.NewSharedCache(1, 0)
-	stormer, err := NewSQLShared(cat, nil, opt, reuseSQL, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reader, err := NewSQLShared(cat, nil, opt, `SELECT a FROM S WHERE b < 40 AND c BETWEEN 20 AND 30`, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < steps && errs[0] == nil; i++ {
-			if errs[0] = dragA(float64(i))(stormer); errs[0] == nil && i%10 == 9 {
-				errs[0] = freshMismatch(fmt.Sprintf("storm position %d", i), stormer, cat, opt)
+	for name, tc := range map[string]struct {
+		stormSQL, readSQL string
+		entries           int
+		bytes             int64
+		hits, sketchHits  int // of every reader rerun
+	}{
+		"flat": {reuseSQL, `SELECT a FROM S WHERE b < 40 AND c BETWEEN 20 AND 30`, 1, 0, 2, 0},
+		"nested": {`SELECT a FROM S WHERE a > 50 AND b < 40 OR c BETWEEN 20 AND 30`,
+			`SELECT a FROM S WHERE a > 10.5 AND b < 40 OR c BETWEEN 20 AND 30`, 0, 6 * 8 * rows, 3, 1},
+	} {
+		shared := core.NewSharedCache(tc.entries, tc.bytes)
+		inBounds := func() error {
+			st := shared.Stats()
+			if (tc.entries > 0 && st.Entries > tc.entries) || (tc.bytes > 0 && st.Bytes > tc.bytes) {
+				return fmt.Errorf("%s: tier past its bounds: %+v", name, st)
 			}
+			return nil
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < steps && errs[1] == nil; i++ {
-			if errs[1] = weigh(i%2, float64(2+i%3))(reader); errs[1] != nil {
-				return
-			}
-			if tm := reader.Result().Timings; tm.CacheMisses != 0 || tm.CacheHits != 2 {
-				errs[1] = fmt.Errorf("reader rerun %d recomputed: hits=%d misses=%d", i, tm.CacheHits, tm.CacheMisses)
-				return
-			}
-			errs[1] = freshMismatch(fmt.Sprintf("reader rerun %d", i), reader, cat, opt)
+		stormer, err := NewSQLShared(cat, nil, opt, tc.stormSQL, shared)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	if st := shared.Stats(); st.Entries != 1 || int(st.Fills-st.Evictions) != 1 {
-		t.Fatalf("one-entry tier after the storm: %+v", st)
+		reader, err := NewSQLShared(cat, nil, opt, tc.readSQL, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < steps && errs[0] == nil; i++ {
+				if errs[0] = dragA(float64(i))(stormer); errs[0] == nil {
+					errs[0] = inBounds()
+				}
+				if errs[0] == nil && i%10 == 9 {
+					errs[0] = freshMismatch(fmt.Sprintf("%s: storm position %d", name, i), stormer, cat, opt)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < steps && errs[1] == nil; i++ {
+				// Flat: either leaf's weight. Nested: the BETWEEN leaf's, the
+				// one predicate outside the AND part.
+				pred := i % 2
+				if tc.sketchHits > 0 {
+					pred = 1
+				}
+				if errs[1] = weigh(pred, float64(2+i%3))(reader); errs[1] != nil {
+					return
+				}
+				if tm := reader.Result().Timings; tm.CacheMisses != 0 || tm.CacheHits != tc.hits || tm.SketchHits != tc.sketchHits {
+					errs[1] = fmt.Errorf("%s: reader rerun %d recomputed: hits=%d misses=%d sketch hits=%d", name, i, tm.CacheHits, tm.CacheMisses, tm.SketchHits)
+					return
+				}
+				if errs[1] = inBounds(); errs[1] == nil {
+					errs[1] = freshMismatch(fmt.Sprintf("%s: reader rerun %d", name, i), reader, cat, opt)
+				}
+			}
+		}()
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		st := shared.Stats()
+		if int(st.Fills-st.Evictions) != st.Entries || st.Evictions == 0 || (tc.entries == 1 && st.Entries != 1) {
+			t.Fatalf("%s: tier after the storm: %+v", name, st)
+		}
 	}
 }

@@ -125,12 +125,11 @@ type Timings struct {
 	SharedHits  int   `json:"shared_hits"`
 	Pruned      int   `json:"pruned"`
 	Chunks      int   `json:"chunks"`
-	// SketchHits/SketchRescans attribute the incremental interior
-	// normalization: interior nodes served from their cached raw
-	// combined vector, and how many evaluator chunks their quantile
-	// sketches re-scanned for the exact normalization ranges (warm
-	// weight drags show hits > 0 with rescans ≪ chunks — the killed
-	// full-array pass, measured).
+	// SketchHits/SketchRescans attribute interior reuse: interior nodes
+	// served from their cached raw combined vector, and how many
+	// evaluator chunks were scanned to range them (0 once a vector has
+	// its quantile index — warm weight drags show hits > 0 with
+	// rescans 0). The JSON names predate the index and are frozen.
 	SketchHits    int `json:"sketch_hits"`
 	SketchRescans int `json:"sketch_rescans"`
 	// SegsSkipped/Segs attribute the segment-stats pushdown of cold

@@ -8,26 +8,26 @@ import (
 
 // TestSharedStatsJSONGolden pins the "shared" object of /v1/shards and
 // /v1/fleet: every key, their order and the omitempty of the breaker
-// fields. The type is core.SharedStats now; the bytes are what the
-// former wire-side copy produced, plus "evictions" and
-// "interior_evictions".
+// fields. The type is core.SharedStats; since interior vectors live in
+// the one store, "interior_evictions" and "interior_entries" are gone
+// ("evictions" and "entries" count them) and nothing else moved.
 func TestSharedStatsJSONGolden(t *testing.T) {
 	full := SharedStats{
 		Hits: 1, Misses: 2, Fills: 3, Waits: 4, Rejects: 5, Evictions: 6, Entries: 7, Bytes: 8,
-		InteriorHits: 9, InteriorMisses: 10, InteriorEvictions: 11, InteriorEntries: 12, InteriorBytes: 13,
+		InteriorHits: 9, InteriorMisses: 10, InteriorBytes: 13,
 		RemoteHits: 14, RemoteMisses: 15, RemotePuts: 16,
 		RemoteBreaker: "half-open", RemoteTrips: 17, RemoteShortCircuits: 18,
 	}
 	const goldenFull = `{"hits":1,"misses":2,"fills":3,"waits":4,"rejects":5,"evictions":6,"entries":7,"bytes":8,` +
-		`"interior_hits":9,"interior_misses":10,"interior_evictions":11,"interior_entries":12,"interior_bytes":13,` +
+		`"interior_hits":9,"interior_misses":10,"interior_bytes":13,` +
 		`"remote_hits":14,"remote_misses":15,"remote_puts":16,` +
 		`"remote_breaker":"half-open","remote_trips":17,"remote_short_circuits":18}`
 	const goldenZero = `{"hits":0,"misses":0,"fills":0,"waits":0,"rejects":0,"evictions":0,"entries":0,"bytes":0,` +
-		`"interior_hits":0,"interior_misses":0,"interior_evictions":0,"interior_entries":0,"interior_bytes":0,` +
+		`"interior_hits":0,"interior_misses":0,"interior_bytes":0,` +
 		`"remote_hits":0,"remote_misses":0,"remote_puts":0}`
-	// What the parent of the alias wrote for the same counters.
-	const parentFull = `{"hits":1,"misses":2,"fills":3,"waits":4,"rejects":5,"entries":7,"bytes":8,` +
-		`"interior_hits":9,"interior_misses":10,"interior_entries":12,"interior_bytes":13,` +
+	// What the two-store parent wrote for the same counters.
+	const parentFull = `{"hits":1,"misses":2,"fills":3,"waits":4,"rejects":5,"evictions":6,"entries":7,"bytes":8,` +
+		`"interior_hits":9,"interior_misses":10,"interior_evictions":11,"interior_entries":12,"interior_bytes":13,` +
 		`"remote_hits":14,"remote_misses":15,"remote_puts":16,` +
 		`"remote_breaker":"half-open","remote_trips":17,"remote_short_circuits":18}`
 
@@ -45,15 +45,15 @@ func TestSharedStatsJSONGolden(t *testing.T) {
 	if got := marshal(SharedStats{}); got != goldenZero {
 		t.Errorf("zero snapshot:\n got %s\nwant %s", got, goldenZero)
 	}
-	without := strings.NewReplacer(`"evictions":6,`, "", `"interior_evictions":11,`, "").Replace(goldenFull)
-	if without != parentFull {
-		t.Errorf("differs from the parent by more than the two eviction keys:\n got %s\nwant %s", without, parentFull)
+	without := strings.NewReplacer(`"interior_evictions":11,`, "", `"interior_entries":12,`, "").Replace(parentFull)
+	if without != goldenFull {
+		t.Errorf("differs from the parent by more than the two interior keys:\n got %s\nwant %s", goldenFull, without)
 	}
 
 	// The identity and the aggregation the handlers use.
 	sum := SharedStatsOf(full)
-	sum.Add(SharedStats{Evictions: 1, InteriorEvictions: 2, RemoteBreaker: "open"})
-	if sum.Evictions != 7 || sum.InteriorEvictions != 13 || sum.RemoteBreaker != "open" || sum.Hits != 1 {
+	sum.Add(SharedStats{Evictions: 1, InteriorHits: 2, RemoteBreaker: "open"})
+	if sum.Evictions != 7 || sum.InteriorHits != 11 || sum.RemoteBreaker != "open" || sum.Hits != 1 {
 		t.Errorf("Add: %+v", sum)
 	}
 }

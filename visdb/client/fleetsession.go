@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -18,14 +17,10 @@ type FleetOptions struct {
 	// MaxRecoveries bounds the recovery actions (session recreations
 	// and endpoint rotations) one logical operation may consume before
 	// its error surfaces; 0 selects DefaultMaxRecoveries, negative
-	// disables recovery entirely (every failure surfaces).
+	// disables recovery entirely (every failure surfaces). Recovery
+	// itself is immediate: the per-request RetryPolicy of each endpoint
+	// Client does the pacing.
 	MaxRecoveries int
-	// Backoff, when non-nil, paces consecutive recovery attempts with
-	// its delay/sleep machinery (attempt 1 backoff each time, honoring
-	// any server Retry-After hint). Nil recovers immediately — the
-	// inner per-request RetryPolicy of each endpoint Client usually
-	// provides enough pacing.
-	Backoff *RetryPolicy
 }
 
 // DefaultMaxRecoveries is the per-operation recovery budget when
@@ -74,7 +69,6 @@ type FleetSession struct {
 	query    string
 	opt      Options
 	maxRec   int
-	backoff  *RetryPolicy
 	sess     *Session // nil while the session is lost
 	synced   int      // log prefix applied to the current incarnation
 	log      []mutation
@@ -96,7 +90,6 @@ func NewFleetSession(ctx context.Context, endpoints []*Client, catalog, query st
 		query:   query,
 		opt:     fo.Session,
 		maxRec:  fo.MaxRecoveries,
-		backoff: fo.Backoff,
 	}
 	if fs.maxRec == 0 {
 		fs.maxRec = DefaultMaxRecoveries
@@ -325,15 +318,6 @@ func (fs *FleetSession) recoverLocked(ctx context.Context, err error, budget *in
 	default:
 		*budget--
 		fs.rotateLocked()
-	}
-	if fs.backoff != nil {
-		var hint time.Duration
-		if isAPI {
-			hint = ae.RetryAfter
-		}
-		if serr := fs.backoff.sleep(ctx, fs.backoff.delay(1, hint)); serr != nil {
-			return false
-		}
 	}
 	return true
 }

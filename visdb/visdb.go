@@ -60,7 +60,8 @@
 //
 // Many sessions serving different users over one catalog share leaf
 // work through a catalog-level SharedCache (NewSessionShared): leaf
-// distance vectors and quantile indexes are computed once per catalog
+// distance vectors, the combined vectors of the query parts over them
+// and the quantile indexes of both are computed once per catalog
 // with singleflight fills, bounded by an LRU byte budget and by nothing
 // else — no edit invalidates, so returning to an earlier range is a hit
 // — and every entry is immutable: eviction only unlinks, so concurrent
@@ -215,12 +216,16 @@ var NewRunCache = core.NewRunCache
 // SharedCache is the store of the predicate cache: one instance per
 // catalog, shared by any number of concurrent sessions, with
 // singleflight fills, immutable entries and LRU + byte-budget eviction
-// as the only way an entry leaves. Leaf distance vectors (and their
-// quantile indexes) are computed once per catalog instead of once per
+// as the only way an entry leaves. Leaf distance vectors, the raw
+// combined vectors of interior query nodes (a cached subtree is a leaf:
+// same store, same recency rule, same byte budget) and the quantile
+// indexes of both are computed once per catalog instead of once per
 // session.
 type SharedCache = core.SharedCache
 
-// SharedStats is a snapshot of a SharedCache's counters.
+// SharedStats is a snapshot of a SharedCache's counters. Entries, Bytes,
+// Fills and Evictions cover leaf and interior vectors alike;
+// InteriorHits/InteriorMisses count the lookups of the latter.
 type SharedStats = core.SharedStats
 
 // SharedOptions configures a shared tier: entry cap, byte budget and an
