@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/arrange"
 	"repro/internal/colormap"
@@ -392,6 +393,65 @@ func BenchmarkNestedDrag(b *testing.B) {
 				if err := drag.step(s, i); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkFlatDrag is the step the repository benchmark's script is
+// made of, one session and one kind of step at a time, with the engine's
+// own stage breakdown: the flat two-leaf AND of TrafficQueries()[1] at
+// n = 2e5 under the script's weight set and its 3-40-wide ranges. It is
+// the profile harness for the root stage (`-cpuprofile` on /weight is
+// RankRoot and little else): select_ms includes root_combine_ms.
+func BenchmarkFlatDrag(b *testing.B) {
+	cat, err := datagen.Traffic(200_000, 1994)
+	if err != nil {
+		b.Fatal(err)
+	}
+	weights := []float64{0.5, 1, 2, 3}
+	for _, drag := range []struct {
+		name string
+		step func(s *session.Session, i int) error
+	}{
+		// Alternate the two predicates; each walks the weight set, so no
+		// step restates the value it finds.
+		{"weight", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[i%2], weights[(2+i/2)%len(weights)])
+		}},
+		{"range", func(s *session.Session, i int) error {
+			lo, width := float64(i*7%60), float64(3+i*5%38)
+			return s.SetRangeByAttr("c", lo, lo+width)
+		}},
+	} {
+		b.Run(drag.name, func(b *testing.B) {
+			s, err := session.NewSQL(cat, nil, core.Options{GridW: 128, GridH: 128}, datagen.TrafficQueries()[1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sum core.StageTimings
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := drag.step(s, i); err != nil {
+					b.Fatal(err)
+				}
+				tm := s.Result().Timings
+				sum.Select += tm.Select
+				sum.RootCombine += tm.RootCombine
+				sum.Scale += tm.Scale
+				sum.Distances += tm.Distances
+				sum.Evaluate += tm.Evaluate
+				sum.Total += tm.Total
+			}
+			for _, m := range []struct {
+				d    time.Duration
+				unit string
+			}{
+				{sum.Select, "select_ms"}, {sum.RootCombine, "root_combine_ms"}, {sum.Scale, "scale_ms"},
+				{sum.Distances, "dist_ms"}, {sum.Evaluate, "eval_ms"}, {sum.Total, "total_ms"},
+			} {
+				b.ReportMetric(m.d.Seconds()*1e3/float64(b.N), m.unit)
 			}
 		})
 	}

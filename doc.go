@@ -80,6 +80,17 @@
 //   - The root combine runs chunk-on-demand with raw kernels, streaming
 //     each chunk through a threshold-seeded lexicographic (value, index)
 //     selector (topk.StreamSelector).
+//   - The pass does not guess. Its n-wide loops run over columns in
+//     generation order, where which side of a clamp or of the
+//     selector's bound a row falls on is a coin flip, so neither is a
+//     branch: relevance.applyRange selects its clamps with bit masks
+//     built from NormParams.Apply's own comparisons, and
+//     StreamSelector.OfferSlice is a compacting filter — store every
+//     value at the buffer's end, advance the end by 0 or 1. Both are
+//     held to their element-at-a-time references bit for bit
+//     (TestApplyRangeMatchesApply, FuzzApplyRange,
+//     TestOfferSliceMatchesElementwise) and read the same on sorted
+//     and on shuffled input (BenchmarkApplyRange, BenchmarkOfferSlice).
 //   - Block pruning: per-chunk lower bounds on the raw combined value —
 //     folded from per-leaf chunk minima (relevance.LeafChunkStats,
 //     cached next to the quantile index) through the monotone child
@@ -107,8 +118,10 @@
 //     ranked prefix (selectBudget entries) on this path; Result.TopK(k)
 //     extends it for any deeper k, and FullSort lists all N.
 //
-// StageTimings.Scale times the survivor scaling, and Pruned/Chunks
-// count the skipped combine chunks (also exposed over the wire). The
+// StageTimings.Scale times the survivor scaling, RootCombine the part
+// of Select that produces the raw values (the children's chunks scaled,
+// combined and scanned), and Pruned/Chunks count the skipped combine
+// chunks (all exposed over the wire). The
 // identity property — bitwise-equal rows, distances, relevances and
 // order against FullSort under randomized interaction scripts — is
 // asserted by TestRankBeforeScaleMatchesFullSortScript,

@@ -62,16 +62,21 @@ func (e *Engine) RunSQL(src string) (*Result, error) {
 // budget), Scale the final monotonic transforms applied to the top-k
 // survivors (including the clamp-tie cut), and Reduce the display
 // reduction plus placement. Exactly one of Sort and Select is nonzero
-// per run; Scale is nonzero only on the Select path.
+// per run; Scale is nonzero only on the Select path. RootCombine is not
+// a further stage but a part of Select ("of which"): the time spent
+// producing the raw root values the selection reads — the children's
+// chunks scaled, combined and scanned for their range, n-wide whatever
+// moved — so Select − RootCombine is the selection proper.
 type StageTimings struct {
-	Bind      time.Duration
-	Distances time.Duration
-	Evaluate  time.Duration
-	Sort      time.Duration
-	Select    time.Duration
-	Scale     time.Duration
-	Reduce    time.Duration
-	Total     time.Duration
+	Bind        time.Duration
+	Distances   time.Duration
+	Evaluate    time.Duration
+	Sort        time.Duration
+	Select      time.Duration
+	RootCombine time.Duration
+	Scale       time.Duration
+	Reduce      time.Duration
+	Total       time.Duration
 	// CacheHits and CacheMisses attribute the Distances stage of a
 	// RunCached run: how many leaf vectors were served from the cache
 	// versus recomputed. SharedHits is the subset of CacheHits the
@@ -310,6 +315,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		res.sorted, res.Order, res.rankedK = rk.Sorted, rk.Order, rk.K
 		colorable = space.n - rk.NaNs
 		res.Timings.Select = time.Since(mark) - rk.ScaleTime
+		res.Timings.RootCombine = rk.CombineTime
 		res.Timings.Scale = rk.ScaleTime
 		res.Timings.Pruned, res.Timings.Chunks = rk.Pruned, rk.Chunks
 		if cache != nil {

@@ -68,6 +68,10 @@ func TestStageTimingsPopulated(t *testing.T) {
 	if tm.Sort != 0 {
 		t.Fatal("full sort ran on the default selection path")
 	}
+	// The root's combine pass is timed as a part of it.
+	if tm.RootCombine <= 0 || tm.RootCombine > tm.Select {
+		t.Fatalf("root combine %v outside (0, Select %v]", tm.RootCombine, tm.Select)
+	}
 }
 
 func TestStageTimingsFullSort(t *testing.T) {

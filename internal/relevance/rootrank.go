@@ -1,9 +1,10 @@
 package relevance
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/topk"
@@ -69,6 +70,10 @@ type RootRanking struct {
 	// ScaleTime is the portion of the ranking spent scaling survivors
 	// and resolving the tie cut (the engine's Scale stage).
 	ScaleTime time.Duration
+	// CombineTime is the portion of the selection sweep spent producing
+	// the raw root values it selects from: scaling the children's
+	// chunks, combining them and scanning the result for its range.
+	CombineTime time.Duration
 }
 
 // rootDefer carries the deferred root of one evaluation. All access is
@@ -98,6 +103,7 @@ type rootDefer struct {
 	state   []byte    // per chunk: 0 = unmaterialized, 1 = raw in out
 	scans   []rangeScan
 	scratch [][]float64 // per-child chunk scratch (nil where scaled[j] serves)
+	vs      [][]float64 // the chunk's scaled child slices, refilled per chunk
 
 	// Block-pruning inputs, valid when haveBounds: per-chunk raw lower
 	// bound and NaN-freedom proof.
@@ -149,18 +155,17 @@ func (rd *rootDefer) ensureRaw(ci int) {
 		return
 	}
 	lo, hi := rd.chunkSpan(ci)
-	vs := make([][]float64, len(rd.children))
 	for j := range rd.children {
 		if rd.scaled[j] != nil {
-			vs[j] = rd.scaled[j][lo:hi]
+			rd.vs[j] = rd.scaled[j][lo:hi]
 			continue
 		}
 		dst := rd.scratch[j][:hi-lo]
 		applyRange(dst, rd.raw[j][lo:hi], rd.cparams[j])
-		vs[j] = dst
+		rd.vs[j] = dst
 	}
 	dst := rd.out[lo:hi]
-	combineRaw(rd.combiner, dst, vs, rd.ws, rd.lpP)
+	combineRaw(rd.combiner, dst, rd.vs, rd.ws, rd.lpP)
 	rd.scans[ci] = scanRange(rd.out, lo, hi)
 	rd.state[ci] = 1
 }
@@ -191,11 +196,12 @@ func (rd *rootDefer) domainLo() float64 {
 
 // deriveParams computes the root NormParams after a completed
 // selection. cands are the collected candidates (the k lex-smallest
-// raw values), pruned reports whether any chunk was skipped. The
-// derived params are value-identical to the eager rangeOf over the
-// scaled vector: order statistics commute with the monotone deferred
-// transform.
-func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool) NormParams {
+// raw values), pruned reports whether any chunk was skipped, and
+// scratch is a buffer of at least len(cands) values to select in (the
+// ranking's own output buffer, not yet written). The derived params are
+// value-identical to the eager rangeOf over the scaled vector: order
+// statistics commute with the monotone deferred transform.
+func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool, scratch []float64) NormParams {
 	st := newRangeScan()
 	for ci := 0; ci < rd.chunkCount(); ci++ {
 		if rd.state[ci] != 0 {
@@ -230,7 +236,7 @@ func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool) NormParams {
 	case keep <= len(cands):
 		// The keep smallest values all live in the candidate set (they
 		// are the k lex-smallest, keep ≤ k).
-		scratch := make([]float64, len(cands))
+		scratch = scratch[:len(cands)]
 		for i, c := range cands {
 			scratch[i] = c.V
 		}
@@ -240,8 +246,7 @@ func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool) NormParams {
 		// of the vector than the display budget selects). Pruning is
 		// gated off in this regime, so the full raw vector is
 		// materialized; select on it directly.
-		scratch := append([]float64(nil), rd.out...)
-		p.DMax = rd.t.apply(topk.Threshold(scratch, keep+st.nNegInf))
+		p.DMax = rd.t.apply(topk.Threshold(slices.Clone(rd.out), keep+st.nNegInf))
 	}
 	return p
 }
@@ -252,7 +257,7 @@ func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool) NormParams {
 // pruned, deriveParams takes exactly the full-vector branches.
 func (rd *rootDefer) paramsFromFull() NormParams {
 	rd.ensureAllRaw()
-	return rd.deriveParams(nil, false)
+	return rd.deriveParams(nil, false, nil)
 }
 
 // nanTotal is the exact count of NaN combined values after a selection
@@ -352,7 +357,9 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 					continue
 				}
 			}
+			combineStart := time.Now()
 			rd.ensureRaw(ci)
+			rk.CombineTime += time.Since(combineStart)
 			sel.OfferSlice(rd.out[lo:hi], lo)
 		}
 		return pruned, nil
@@ -389,12 +396,8 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 
 	// Phase 2: derive the root params (raw-domain order statistics
 	// mapped through the monotone transform).
-	if rd.combiner == cmbLeaf {
-		// params precomputed at build (quantile index or full scan).
-	} else if pruned > 0 {
-		rd.params = rd.deriveParams(cands, true)
-	} else {
-		rd.params = rd.deriveParams(cands, false)
+	if rd.combiner != cmbLeaf { // a leaf root's were computed at build (quantile index or full scan)
+		rd.params = rd.deriveParams(cands, pruned > 0, vals)
 	}
 	rd.paramsKnown = true
 	rk.NaNs = rd.nanTotal()
@@ -486,8 +489,14 @@ type rankedCand struct {
 // sortRanked sorts by (scaled value, index) — the exact display order.
 // NaNs cannot occur (candidates are comparable by construction).
 func sortRanked(rs []rankedCand) {
-	sort.Slice(rs, func(a, b int) bool {
-		return rs[a].s < rs[b].s || (rs[a].s == rs[b].s && rs[a].i < rs[b].i)
+	slices.SortFunc(rs, func(a, b rankedCand) int {
+		switch {
+		case a.s < b.s:
+			return -1
+		case a.s > b.s:
+			return 1
+		}
+		return cmp.Compare(a.i, b.i)
 	})
 }
 
@@ -678,7 +687,7 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 	rd.out = c.alloc()
 	rd.state = make([]byte, nchunks)
 	rd.scans = make([]rangeScan, nchunks)
-	rd.scratch = make([][]float64, k)
+	rd.scratch, rd.vs = make([][]float64, k), make([][]float64, k)
 	for j := range rd.scratch {
 		if rd.scaled[j] == nil {
 			rd.scratch[j] = make([]float64, evalChunk)

@@ -71,6 +71,10 @@ func TestWarmRemoteRerunsReportPruning(t *testing.T) {
 	if tm.Timings.Chunks == 0 {
 		t.Fatalf("timings endpoint lost the chunk counters: %+v", tm.Timings)
 	}
+	// ... and names the root's combine pass as a part of the selection.
+	if tm.Timings.RootCombineNS <= 0 || tm.Timings.RootCombineNS > tm.Timings.SelectNS {
+		t.Fatalf("root_combine_ns %d outside (0, select_ns %d]", tm.Timings.RootCombineNS, tm.Timings.SelectNS)
+	}
 }
 
 // TestIdleSessionTTLSweep: sessions idle past the TTL are reaped —

@@ -107,24 +107,27 @@ type UndoRequest struct {
 // Timings mirrors core.StageTimings in nanoseconds plus the cache and
 // pruning attribution counters. ScaleNS is the rank-before-scale
 // stage applying the final monotonic transforms to the top-k
-// survivors; Pruned/Chunks count the evaluator chunks whose root
+// survivors; RootCombineNS is the part of SelectNS (included in it)
+// spent producing the raw root values the selection reads;
+// Pruned/Chunks count the evaluator chunks whose root
 // combine work was skipped by block pruning, out of the total (warm
 // reruns on saturated selections prune most chunks; cold runs report
 // zero).
 type Timings struct {
-	BindNS      int64 `json:"bind_ns"`
-	DistancesNS int64 `json:"distances_ns"`
-	EvaluateNS  int64 `json:"evaluate_ns"`
-	SortNS      int64 `json:"sort_ns"`
-	SelectNS    int64 `json:"select_ns"`
-	ScaleNS     int64 `json:"scale_ns"`
-	ReduceNS    int64 `json:"reduce_ns"`
-	TotalNS     int64 `json:"total_ns"`
-	CacheHits   int   `json:"cache_hits"`
-	CacheMisses int   `json:"cache_misses"`
-	SharedHits  int   `json:"shared_hits"`
-	Pruned      int   `json:"pruned"`
-	Chunks      int   `json:"chunks"`
+	BindNS        int64 `json:"bind_ns"`
+	DistancesNS   int64 `json:"distances_ns"`
+	EvaluateNS    int64 `json:"evaluate_ns"`
+	SortNS        int64 `json:"sort_ns"`
+	SelectNS      int64 `json:"select_ns"`
+	RootCombineNS int64 `json:"root_combine_ns"`
+	ScaleNS       int64 `json:"scale_ns"`
+	ReduceNS      int64 `json:"reduce_ns"`
+	TotalNS       int64 `json:"total_ns"`
+	CacheHits     int   `json:"cache_hits"`
+	CacheMisses   int   `json:"cache_misses"`
+	SharedHits    int   `json:"shared_hits"`
+	Pruned        int   `json:"pruned"`
+	Chunks        int   `json:"chunks"`
 	// SketchHits/SketchRescans attribute interior reuse: interior nodes
 	// served from their cached raw combined vector, and how many
 	// evaluator chunks were scanned to range them (0 once a vector has
@@ -151,6 +154,7 @@ func TimingsOf(tm core.StageTimings) Timings {
 		EvaluateNS:    tm.Evaluate.Nanoseconds(),
 		SortNS:        tm.Sort.Nanoseconds(),
 		SelectNS:      tm.Select.Nanoseconds(),
+		RootCombineNS: tm.RootCombine.Nanoseconds(),
 		ScaleNS:       tm.Scale.Nanoseconds(),
 		ReduceNS:      tm.Reduce.Nanoseconds(),
 		TotalNS:       tm.Total.Nanoseconds(),
