@@ -86,6 +86,7 @@ func TestDaemonQuarantinesCorruptCatalog(t *testing.T) {
 	}
 
 	c := client.New("http://" + addr)
+	c.Retry.MaxAttempts = 1 // failures surface as they are answered
 	rctx, rcancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer rcancel()
 

@@ -36,7 +36,7 @@ func TestKVDaemonSmoke(t *testing.T) {
 	if !ok || !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Fatalf("round trip through daemon: %v %v", v, ok)
 	}
-	st, err := c.ServerStats()
+	st, err := c.ServerStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

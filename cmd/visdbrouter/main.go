@@ -41,7 +41,6 @@ type config struct {
 	kv             string
 	healthInterval time.Duration
 	probeTimeout   time.Duration
-	probeJitter    float64
 	failAfter      int
 	drainTimeout   time.Duration
 }
@@ -61,9 +60,6 @@ func (cfg *config) validate() error {
 	if cfg.probeTimeout != 0 && cfg.healthInterval != 0 && cfg.probeTimeout > cfg.healthInterval {
 		return fmt.Errorf("-probe-timeout %v exceeds -health-interval %v (probe rounds would overlap)", cfg.probeTimeout, cfg.healthInterval)
 	}
-	if cfg.probeJitter > 1 {
-		return fmt.Errorf("-probe-jitter %v exceeds 1 (a full health interval)", cfg.probeJitter)
-	}
 	if cfg.failAfter < 0 {
 		return fmt.Errorf("-fail-after must be >= 0, got %d", cfg.failAfter)
 	}
@@ -81,7 +77,6 @@ func main() {
 	flag.StringVar(&cfg.kv, "kv", "", "shared kv store base URL (stats only; members attach via visdbd -shared-kv)")
 	flag.DurationVar(&cfg.healthInterval, "health-interval", router.DefaultHealthInterval, "health probe period")
 	flag.DurationVar(&cfg.probeTimeout, "probe-timeout", router.DefaultProbeTimeout, "bound on one health probe")
-	flag.Float64Var(&cfg.probeJitter, "probe-jitter", router.DefaultProbeJitter, "random fraction of -health-interval added to each probe tick so redundant routers drift apart (negative disables)")
 	flag.IntVar(&cfg.failAfter, "fail-after", router.DefaultFailAfter, "consecutive failed probes before failover; a rejoining member needs the same number of clean probes")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", router.DefaultDrainTimeout, "bound on draining a moved shard off a healthy owner")
 	flag.Parse()
@@ -94,15 +89,10 @@ func main() {
 	}
 }
 
-// parseMembers parses the -members spec ("a=http://x,b=http://y"),
-// rejecting duplicate names and duplicate URLs — two entries sharing a
-// name would silently halve the fleet (rendezvous keys on names), and
-// two names sharing a URL would double-count one process as two
-// members.
+// parseMembers parses the -members spec ("a=http://x,b=http://y");
+// router.New rejects duplicate names and duplicate URLs.
 func parseMembers(spec string) ([]router.Member, error) {
 	var out []router.Member
-	seenName := make(map[string]bool)
-	seenURL := make(map[string]string)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -112,18 +102,7 @@ func parseMembers(spec string) ([]router.Member, error) {
 		if !ok || name == "" || url == "" {
 			return nil, fmt.Errorf("bad member spec %q (want name=url)", part)
 		}
-		if seenName[name] {
-			return nil, fmt.Errorf("duplicate member name %q in -members", name)
-		}
-		seenName[name] = true
-		if prev, dup := seenURL[url]; dup {
-			return nil, fmt.Errorf("members %q and %q share URL %s in -members", prev, name, url)
-		}
-		seenURL[url] = name
 		out = append(out, router.Member{Name: name, URL: url})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no members configured (-members)")
 	}
 	return out, nil
 }
@@ -144,7 +123,6 @@ func run(ctx context.Context, cfg config, ready func(addr string)) error {
 		Members:        members,
 		HealthInterval: cfg.healthInterval,
 		ProbeTimeout:   cfg.probeTimeout,
-		ProbeJitter:    cfg.probeJitter,
 		FailAfter:      cfg.failAfter,
 		DrainTimeout:   cfg.drainTimeout,
 		KV:             cfg.kv,

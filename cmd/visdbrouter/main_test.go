@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/router"
 	"repro/internal/server"
 	"repro/visdb/client"
 )
@@ -142,9 +143,8 @@ func TestConfigValidation(t *testing.T) {
 		{healthInterval: 2 * time.Millisecond},                              // probe storm
 		{probeTimeout: time.Millisecond},                                    // probes can't finish
 		{healthInterval: 100 * time.Millisecond, probeTimeout: time.Second}, // overlapping rounds
-		{probeJitter: 1.5},                                                  // more than a full interval
-		{failAfter: -1},                                                     // nonsensical hysteresis
-		{drainTimeout: 100 * time.Millisecond},                              // drains can't finish
+		{failAfter: -1},                        // nonsensical hysteresis
+		{drainTimeout: 100 * time.Millisecond}, // drains can't finish
 	}
 	for i, cfg := range bad {
 		if err := cfg.validate(); err == nil {
@@ -153,7 +153,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	good := []config{
 		{}, // zero = flags not set; run() applies library defaults
-		{healthInterval: time.Second, probeTimeout: 500 * time.Millisecond, probeJitter: -1, drainTimeout: 30 * time.Second},
+		{healthInterval: time.Second, probeTimeout: 500 * time.Millisecond, drainTimeout: 30 * time.Second},
 	}
 	for i, cfg := range good {
 		if err := cfg.validate(); err != nil {
@@ -169,7 +169,11 @@ func TestConfigValidation(t *testing.T) {
 		" , ,",                    // nothing at all
 	}
 	for _, spec := range specs {
-		if _, err := parseMembers(spec); err == nil {
+		ms, err := parseMembers(spec)
+		if err == nil {
+			_, err = router.New(router.Config{Members: ms})
+		}
+		if err == nil {
 			t.Errorf("member spec %q accepted", spec)
 		}
 	}

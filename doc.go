@@ -305,63 +305,60 @@
 //
 // # Failure semantics
 //
-// Every failure a distributed deployment sees has a defined, tested
-// outcome:
+// The serving edge's contract is four lines, each with the tests that
+// hold it:
 //
-//   - Request deadlines. visdbd -request-timeout arms a per-request
-//     context that the evaluator polls between chunks. An overrun
-//     answers 504 "deadline" (client disconnect: "canceled"), the
-//     session rolls back to its pre-request state, and leaf vectors the
-//     aborted run completed stay cached, so a retry resumes.
-//   - Idempotent retries. Mutating operations carry a per-session
-//     monotonic sequence number (wire Seq; 0 = legacy non-idempotent).
-//     A request is applied only when its Seq is past the last applied
-//     one; retransmitting the last applied Seq replays the stored
-//     response; an older Seq answers 409 "seq_conflict". visdb/client
-//     stamps Seq automatically and, with Client.Retry set, retries
-//     transport errors and retryable codes under the same Seq.
-//   - Segment checksums and quarantine. VSEGCAT2+ files carry a CRC32C
-//     per segment blob plus a footer CRC; damage surfaces as
-//     dataset.ErrCorruptSegment and visdbd quarantines the catalog (503
-//     "catalog_quarantined") while every other catalog keeps serving.
-//   - Session-ID nonces. IDs embed a per-process nonce
-//     ("s{shard}.{seq}-{nonce}"), so a restarted member answers a stale
-//     ID with a deterministic 404 "session_not_found" — the trigger of
-//     client-side recovery.
-//   - Automatic session recovery. client.FleetSession logs every
-//     acknowledged mutation as the wire request it sent, Seq included.
-//     On "session_not_found" (or an unreachable endpoint, after rotating
-//     to another router) it recreates the session on the current owner,
-//     replays the log as is — so each operation applies exactly once —
-//     and re-issues the interrupted operation. Recoveries are counted
-//     and bounded per operation (FleetOptions.MaxRecoveries); 4xx
-//     validation failures surface and their sequence numbers are legal
-//     gaps.
-//   - KV circuit breaker. The internal/kv client wraps Get/Put in a
-//     closed → open → half-open breaker on transport errors; while open
-//     every call short-circuits and the cache degrades to recompute.
-//     State and counters ride core.SharedStats into /v1/shards and
-//     /v1/fleet.
+//   - A mutation is idempotent by Seq and rolled back on deadline. Every
+//     mutating request carries a positive per-session sequence number
+//     (none is a 400); it applies only past the last applied one, the
+//     last applied one replays its stored response, an older one is a
+//     "seq_conflict". An overrun of visdbd -request-timeout (or a client
+//     disconnect) restores the pre-request state and records nothing, so
+//     the same Seq re-applies. (TestSeqReplayAndConflict,
+//     TestDeadlineRollsBackAndRetryResumes, FuzzSessionRequestBodies)
+//   - A read is a picture of the last committed step, never of a
+//     half-applied edit — across a recovery, of the replayed log.
+//     (TestChaosReplayMatchesInProcess, TestFleetChaosSoakSelfHeals)
+//   - The code decides who retries. A coded failure travels under the
+//     status and Retry-After hint of its row below (wire.CodeTable) and
+//     is retried by its class alone: "resend" the same request, same
+//     Seq; "recreate" the session and replay the log, which
+//     client.FleetSession keeps as the wire requests it sent (a plain
+//     Session surfaces the error); or "never". Uncoded failures — a
+//     request that does not validate (400), a malformed ID or unknown
+//     catalog (404), a tuple that cannot be rendered (500), anything a
+//     foreign hop answers — are classified in one place, wire.ClassOf,
+//     by status: 5xx resend, 4xx never. (TestCodeTableIsTheContract,
+//     which also holds this table to that one; TestRetryableKeysOnCode)
+//   - One budget per logical operation. A call — for a FleetSession with
+//     whatever rotation, recreation and replay it needs — makes at most
+//     Client.Retry.MaxAttempts attempts in one loop (RetryPolicy.run),
+//     waiting between them the longer of its backoff and the server's
+//     hint. (TestOneBudgetPerOperation, TestFleetSessionRecoveryBudget)
 //
-// Every non-2xx response carries a machine-readable wire code
-// (wire.Code*; client.APIError exposes Code and RetryAfter):
+// The rows:
 //
-//	404 session_not_found    unknown/dead session ID (recreate+replay)
-//	409 seq_conflict         stale sequence number; resynchronize
-//	409 nothing_to_undo      no earlier state to revert to
-//	503 session_cap          shard at its session limit (Retry-After)
-//	503 catalog_quarantined  segment checksum failure (Retry-After)
-//	503 node_down            fleet member unreachable (Retry-After)
-//	503 no_healthy_members   no member owns the shard (Retry-After)
-//	504 deadline             recalculation overran, rolled back
-//	504 canceled             client disconnected, rolled back
+//	code                 status  Retry-After  who retries
+//	session_not_found    404     -            recreate
+//	seq_conflict         409     -            never
+//	nothing_to_undo      409     -            never
+//	session_cap          503     1s           resend
+//	catalog_quarantined  503     60s          resend
+//	node_down            503     -            resend
+//	no_healthy_members   503     2s           resend
+//	deadline             504     -            resend
+//	canceled             504     -            resend
 //
-// The client's retry policy keys on these codes: the 503s and 504s
-// retry (honoring Retry-After), the 409s and session_not_found never
-// do, unknown codes fall back to retrying 5xx. internal/faultinject
-// supplies the deterministic fault surface the suite drives this with
-// (scripted RoundTripper, corrupting ReaderAt, handler fault hook,
-// connection-severing Breaker, seeded chaos scheduler).
+// node_down carries no hint: the router marks the member down and
+// re-places its shards before it writes the response, so the resend
+// reaches the new owner — which answers a session request with
+// session_not_found, because session IDs embed a per-process nonce
+// ("s{shard}.{seq}-{nonce}") and a stale one names nobody. Damage to a
+// segment file (CRC32C per blob and footer) quarantines that catalog
+// alone (TestCorruptCatalogQuarantinedOthersServe); a dead kv store
+// opens the internal/kv client's breaker and the cache degrades to
+// recompute (TestKVBreakerVisibleInFleetStats). internal/faultinject is
+// the deterministic fault surface the suites drive this with.
 //
 // # Fleet topology: visdbrouter, placement, and the networked kv tier
 //

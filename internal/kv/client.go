@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/url"
@@ -356,15 +357,8 @@ func (c *Client) Put(key string, val []byte) {
 
 // ServerStats fetches the store's own counters (the fleet-stats
 // aggregation surfaces them).
-func (c *Client) ServerStats() (Stats, error) {
-	resp, err := c.HTTP.Get(c.base + "/v1/kv/stats")
-	if err != nil {
-		return Stats{}, err
-	}
-	defer resp.Body.Close()
+func (c *Client) ServerStats(ctx context.Context) (Stats, error) {
 	var st Stats
-	if err := httpbody.DecodeJSON(resp.Body, &st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
+	err := httpbody.GetJSON(ctx, c.HTTP, c.base+"/v1/kv/stats", &st)
+	return st, err
 }

@@ -25,12 +25,12 @@
 package kv
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
+	"repro/internal/httpbody"
 	"repro/internal/lru"
 )
 
@@ -201,6 +201,5 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Stats())
+	httpbody.WriteJSON(w, http.StatusOK, s.Stats())
 }

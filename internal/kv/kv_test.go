@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -113,7 +114,7 @@ func TestClientAgainstServer(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 1 || st.Puts != 2 || st.Errors != 0 {
 		t.Fatalf("client stats: %+v", st)
 	}
-	ss, err := c.ServerStats()
+	ss, err := c.ServerStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestExternalFleetReplay(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	c := client.New(base)
-	c.Retry = &client.RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond}
+	c.Retry = client.RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond}
 
 	queries := datagen.TrafficQueries()
 	const perCatalog, steps = 2, 6

@@ -115,12 +115,17 @@ func newFleetEnv(t *testing.T, nodes, cats, rows int) *fleetEnv {
 	env.client = client.New(rtTS.URL)
 	// Sleepless retries: the node-kill path exercises the real retry
 	// loop without real backoff waits.
-	env.client.Retry = &client.RetryPolicy{
-		MaxAttempts: 4,
+	env.client.Retry = sleepless(4)
+	return env
+}
+
+// sleepless is a retry policy whose waits return at once.
+func sleepless(attempts int) client.RetryPolicy {
+	return client.RetryPolicy{
+		MaxAttempts: attempts,
 		BaseDelay:   time.Millisecond,
 		Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	}
-	return env
 }
 
 // ownerOfCatalog reports which member currently serves a catalog.

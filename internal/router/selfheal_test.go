@@ -144,11 +144,7 @@ func newHealEnv(t *testing.T, nodes, nRouters, cats, rows, failAfter int) *healE
 		ts := httptest.NewServer(br)
 		t.Cleanup(ts.Close)
 		c := client.New(ts.URL)
-		c.Retry = &client.RetryPolicy{
-			MaxAttempts: 4,
-			BaseDelay:   time.Millisecond,
-			Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
-		}
+		c.Retry = sleepless(4)
 		env.routers = append(env.routers, rt)
 		env.routerBr = append(env.routerBr, br)
 		env.routerURLs = append(env.routerURLs, ts.URL)
@@ -288,7 +284,7 @@ func TestFleetChaosSoakSelfHeals(t *testing.T) {
 		// rotate between them.
 		endpoints := []*client.Client{env.clients[g%2], env.clients[(g+1)%2]}
 		fs, _, err := client.NewFleetSession(ctx, endpoints, catName, src,
-			client.FleetOptions{MaxRecoveries: 32})
+			client.FleetOptions{})
 		if err != nil {
 			t.Fatalf("session %d create: %v", g, err)
 		}
@@ -634,7 +630,7 @@ func TestNoHealthyMembers(t *testing.T) {
 }
 
 // TestRouterConfigValidation pins the hardening: duplicate member
-// URLs and out-of-range probe jitter are rejected at construction.
+// URLs are rejected at construction.
 func TestRouterConfigValidation(t *testing.T) {
 	base := []Member{{Name: "a", URL: "http://n1"}, {Name: "b", URL: "http://n2"}}
 	if _, err := New(Config{Shards: 4, Members: base}); err != nil {
@@ -643,12 +639,6 @@ func TestRouterConfigValidation(t *testing.T) {
 	dup := []Member{{Name: "a", URL: "http://n1"}, {Name: "b", URL: "http://n1"}}
 	if _, err := New(Config{Shards: 4, Members: dup}); err == nil {
 		t.Fatal("duplicate member URL accepted")
-	}
-	if _, err := New(Config{Shards: 4, Members: base, ProbeJitter: 1.5}); err == nil {
-		t.Fatal("probe jitter > 1 accepted")
-	}
-	if _, err := New(Config{Shards: 4, Members: base, ProbeJitter: -1}); err != nil {
-		t.Fatalf("negative jitter (explicitly none) rejected: %v", err)
 	}
 }
 

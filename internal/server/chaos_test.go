@@ -21,8 +21,8 @@ import (
 
 // chaosPolicy is a retry policy with no real sleeps and no jitter —
 // the chaos suite's wall-clock cost is pure compute.
-func chaosPolicy(attempts int) *client.RetryPolicy {
-	return &client.RetryPolicy{
+func chaosPolicy(attempts int) client.RetryPolicy {
+	return client.RetryPolicy{
 		MaxAttempts: attempts,
 		BaseDelay:   time.Millisecond,
 		Sleep:       func(ctx context.Context, d time.Duration) error { return ctx.Err() },
@@ -152,6 +152,7 @@ func TestDeadlineRollsBackAndRetryResumes(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := client.New(ts.URL)
+	c.Retry.MaxAttempts = 1 // failures surface as they are answered
 	ctx := context.Background()
 
 	remote, _, err := c.NewSession(ctx, "traffic", scriptQueries[0], client.Options{})
@@ -207,7 +208,9 @@ func TestDeadlineRollsBackAndRetryResumes(t *testing.T) {
 
 // TestSeqReplayAndConflict exercises the raw sequence protocol: a
 // retransmitted Seq replays the stored summary without recomputing,
-// and a stale Seq answers 409 CodeSeqConflict.
+// a stale Seq answers 409 CodeSeqConflict, and a mutation without a
+// positive Seq — there is no non-idempotent form — answers 400 and runs
+// nothing.
 func TestSeqReplayAndConflict(t *testing.T) {
 	cc := trafficConfig(t, "traffic", 800, 3)
 	srv, err := New(Config{Shards: 1, Catalogs: []CatalogConfig{cc}, DefaultOptions: testGrid})
@@ -258,6 +261,26 @@ func TestSeqReplayAndConflict(t *testing.T) {
 	_, ae = post(1, 2.5)
 	if ae == nil || ae.Status != http.StatusConflict || ae.Code != wire.CodeSeqConflict {
 		t.Fatalf("want 409/%s, got %+v", wire.CodeSeqConflict, ae)
+	}
+	// No Seq, no mutation: Seq 0 on any route, and the empty undo body a
+	// client without sequence numbers would send.
+	before, err := remote.Timings(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ae = post(0, 7); ae == nil || ae.Status != http.StatusBadRequest || ae.Code != "" {
+		t.Fatalf("seq 0: want an uncoded 400, got %+v", ae)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sessions/"+remote.ID+"/undo", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty undo body: want 400, got %d", resp.StatusCode)
+	}
+	if after, err := remote.Timings(ctx); err != nil || after.Recalcs != before.Recalcs {
+		t.Fatalf("a refused mutation ran: recalcs %d -> %d (%v)", before.Recalcs, after.Recalcs, err)
 	}
 }
 

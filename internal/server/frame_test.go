@@ -303,9 +303,10 @@ func TestAcceptNegotiation(t *testing.T) {
 	}
 }
 
-// TestTypedClientAgainstJSONOnlyServer is the rolling-upgrade case: a
-// member that predates the frame ignores the Accept header and answers
-// JSON, and the new client reads that exactly as it reads a frame.
+// TestTypedClientAgainstJSONOnlyServer: a hop that ignores the Accept
+// header gets JSON (what the server also answers when the frame cannot
+// hold the summary), and the client reads that exactly as it reads a
+// frame.
 func TestTypedClientAgainstJSONOnlyServer(t *testing.T) {
 	srv, _ := newTestServer(t, 2, trafficConfig(t, "traffic", 1500, 42))
 	direct := httptest.NewServer(srv)

@@ -32,8 +32,10 @@ func stateOf(ss *serverSession) sessionState {
 // FuzzSessionRequestBodies feeds arbitrary bytes to POST /v1/sessions
 // and to every mutation route of a live session. Whatever arrives, the
 // server never panics and never answers 5xx; a refused creation
-// registers nothing; and a 4xx on a mutation leaves the session's query,
-// displayed count and recalculation counter untouched, with its Seq
+// registers nothing; a mutation that carries no positive Seq (there is
+// no non-idempotent form) answers 400; and a 4xx on a mutation leaves
+// the session's query, displayed count and recalculation counter
+// untouched, with its Seq
 // either unchanged or burned forward to the number the request itself
 // carried (a validation failure under a fresh Seq is recorded so its
 // retransmission replays the same answer).
@@ -145,17 +147,21 @@ func FuzzSessionRequestBodies(f *testing.F) {
 			// the session is live.
 			t.Fatalf("%s answered %d: %s", name, rec.Code, rec.Body)
 		}
-		if rec.Code < 400 {
-			return
-		}
-		after := stateOf(ss)
 		// The number the request carried, read the way the handlers read
 		// it (first JSON value of the body); an undecodable body carries
 		// none, and neither does one the handler's stricter decode refused.
 		var probe struct {
 			Seq uint64 `json:"seq"`
 		}
-		carried := json.NewDecoder(bytes.NewReader(body)).Decode(&probe) == nil && probe.Seq > before.seq
+		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&probe) == nil
+		if !(decoded && probe.Seq > 0) && rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s without a positive seq answered %d: %s", name, rec.Code, rec.Body)
+		}
+		if rec.Code < 400 {
+			return
+		}
+		after := stateOf(ss)
+		carried := decoded && probe.Seq > before.seq
 		want := before
 		if carried && after.seq == probe.Seq {
 			want.seq = probe.Seq

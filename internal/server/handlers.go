@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -13,93 +12,47 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/httpbody"
 	"repro/internal/query"
 	"repro/internal/relevance"
 	"repro/internal/session"
 	"repro/internal/wire"
 )
 
-// writeJSON encodes v as the response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeErr encodes a wire.ErrorResponse with no machine-readable code.
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeErrCode(w, code, "", 0, err)
-}
-
-// writeErrCode encodes a wire.ErrorResponse carrying a machine-
-// readable code; a nonzero retryAfter adds the Retry-After header
-// (whole seconds, rounded up, at least 1) so clients can pace their
-// retries off the server's own hint.
-func writeErrCode(w http.ResponseWriter, status int, apiCode string, retryAfter time.Duration, err error) {
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+// codeOf names the wire code of a session-layer failure; "" is a request
+// the session refused (no such attribute, a query that does not parse),
+// which travels uncoded.
+func codeOf(err error) string {
+	switch {
+	case errors.Is(err, errNoSession):
+		return wire.CodeSessionNotFound
+	case errors.Is(err, context.DeadlineExceeded):
+		return wire.CodeDeadline
+	case errors.Is(err, context.Canceled):
+		return wire.CodeCanceled
+	case errors.Is(err, errNothingToUndo):
+		return wire.CodeNothingToUndo
 	}
-	writeJSON(w, status, wire.ErrorResponse{Error: err.Error(), Code: apiCode})
+	return ""
 }
 
-// Retry-After hints for the two standing 503 classes: a session-cap
-// shed clears as soon as the idle sweep or a DELETE frees a slot,
-// while a quarantined catalog stays down until an operator intervenes.
-const (
-	retryAfterSessionCap  = 1 * time.Second
-	retryAfterQuarantined = 60 * time.Second
-)
-
-// writeLookupErr maps a failed session lookup to its wire form: a
-// well-formed ID with no live session behind it answers 404 with
-// CodeSessionNotFound (the machine-readable "recreate and replay"
-// signal — the session was reaped, closed, or belongs to a dead
-// instance), while a malformed ID stays an uncoded 404 (retrying or
-// recreating cannot help a garbage ID).
-func writeLookupErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, errNoSession) {
-		writeErrCode(w, http.StatusNotFound, wire.CodeSessionNotFound, 0, err)
+// writeErr answers err: under its code's row of wire.CodeTable when it
+// has one, else uncoded under status.
+func writeErr(w http.ResponseWriter, status int, err error) {
+	if code := codeOf(err); code != "" {
+		wire.WriteError(w, code, err)
 		return
 	}
-	writeErr(w, http.StatusNotFound, err)
+	httpbody.WriteJSON(w, status, wire.ErrorResponse{Error: err.Error()})
 }
 
-// writeRecalcErr maps a failed session operation to its wire form:
-// deadline overruns and cancellations answer 504 (the edit was rolled
-// back; the session still serves its previous result), everything else
-// is a client error.
-func writeRecalcErr(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		writeErrCode(w, http.StatusGatewayTimeout, wire.CodeDeadline, 0, err)
-	case errors.Is(err, context.Canceled):
-		writeErrCode(w, http.StatusGatewayTimeout, wire.CodeCanceled, 0, err)
-	case err == errNothingToUndo:
-		writeErrCode(w, http.StatusConflict, wire.CodeNothingToUndo, 0, err)
-	default:
-		writeErr(w, http.StatusBadRequest, err)
-	}
-}
-
-// decodeJSON parses a JSON request body (capped at 1 MiB — every
-// protocol request is a few hundred bytes).
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+// decodeBody parses a JSON request body (capped at 1 MiB — every
+// protocol request is a few hundred bytes), answering 400 itself when it
+// does not parse.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
-// decodeBody is decodeJSON for handlers that answer the error
-// themselves.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeJSON(w, r, v); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
@@ -135,31 +88,27 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if qerr := cs.quarantineErr(); qerr != nil {
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeCatalogQuarantined, retryAfterQuarantined, qerr)
+		wire.WriteError(w, wire.CodeCatalogQuarantined, qerr)
 		return
 	}
 	// Cheap pre-check so a full shard refuses before paying the
 	// initial recalculation; register re-checks authoritatively under
 	// the shard lock.
 	if err := cs.shard.checkCapacity(); err != nil {
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeSessionCap, retryAfterSessionCap, err)
+		wire.WriteError(w, wire.CodeSessionCap, err)
 		return
 	}
 	opt := s.sessionOptions(req.Options)
 	sess, err := session.NewSQLSharedCtx(r.Context(), cs.cat, cs.reg, opt, req.Query, cs.shared)
-	if err != nil {
-		if cerr := cs.checkCorrupt(); cerr != nil {
-			writeErrCode(w, http.StatusServiceUnavailable, wire.CodeCatalogQuarantined, retryAfterQuarantined, cerr)
-			return
-		}
-		writeRecalcErr(w, err)
-		return
-	}
-	// A run over a corrupt segment file completes (corrupt segments
-	// decode as zeroes) but its result is garbage: quarantine and
+	// A run over a corrupt segment file fails, or completes (corrupt
+	// segments decode as zeroes) with garbage: either way quarantine and
 	// refuse instead of publishing the session.
 	if cerr := cs.checkCorrupt(); cerr != nil {
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeCatalogQuarantined, retryAfterQuarantined, cerr)
+		wire.WriteError(w, wire.CodeCatalogQuarantined, cerr)
+		return
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// Capture the initial run's count before the session is published:
@@ -170,14 +119,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The discarded session's work stays out of the shard counter,
 		// keeping recalcs attributable to sessions that ever existed.
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeSessionCap, retryAfterSessionCap, err)
+		wire.WriteError(w, wire.CodeSessionCap, err)
 		return
 	}
 	cs.shard.recalcs.Add(initialRecalcs)
 	ss.mu.Lock()
 	info := wire.SessionInfo{ID: ss.id, Catalog: cs.name, Shard: cs.shard.id, Summary: summaryLocked(ss)}
 	ss.mu.Unlock()
-	writeJSON(w, http.StatusOK, info)
+	httpbody.WriteJSON(w, http.StatusOK, info)
 }
 
 // sessionEdit is the shared tail of every mutating session endpoint:
@@ -189,42 +138,40 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 // I/O (a client trickling a body must not stall the session's
 // readers).
 //
-// Sequence semantics (seq != 0): a request numbered past the last
-// applied operation applies (forward gaps are legal — a client that
-// exhausted its retry budget abandons that operation's number); a
-// retransmission of the last applied number replays its stored
-// response without touching the session; a stale number answers 409
-// CodeSeqConflict, so a late duplicate of an abandoned operation can
-// never re-apply after later operations. Responses are recorded for
-// 2xx and 4xx outcomes only — a 504 was rolled back server-side, so
-// the retry must re-apply, which is exactly what not advancing the
-// number achieves.
+// Sequence semantics are wire.RangeRequest.Seq's: past the last applied
+// number applies, the last applied number replays its stored response,
+// a stale one answers seq_conflict. An outcome is recorded exactly when
+// it is a decision (success, or a failure nobody may resend): a failure
+// of class RetrySame was rolled back, so the retry must re-apply, which
+// is what not advancing the number achieves.
 func (s *Server) sessionEdit(w http.ResponseWriter, r *http.Request, seq uint64, edit func(ss *serverSession) error) {
+	if seq == 0 {
+		writeErr(w, http.StatusBadRequest, errors.New("bad request body: a mutation needs a positive seq"))
+		return
+	}
 	ss, err := s.lookup(r.PathValue("id"))
 	if err != nil {
-		writeLookupErr(w, err)
+		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	ss.mu.Lock()
 	if qerr := ss.cat.quarantineErr(); qerr != nil {
 		ss.mu.Unlock()
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeCatalogQuarantined, retryAfterQuarantined, qerr)
+		wire.WriteError(w, wire.CodeCatalogQuarantined, qerr)
 		return
 	}
-	if seq != 0 {
-		switch {
-		case seq == ss.seq && ss.reply != nil:
-			rep := *ss.reply
-			ss.mu.Unlock()
-			rep.write(w)
-			return
-		case seq <= ss.seq:
-			cur := ss.seq
-			ss.mu.Unlock()
-			writeErrCode(w, http.StatusConflict, wire.CodeSeqConflict, 0,
-				fmt.Errorf("sequence conflict: request carries stale seq %d, session applied up to %d", seq, cur))
-			return
-		}
+	switch {
+	case seq == ss.seq:
+		rep := ss.reply
+		ss.mu.Unlock()
+		rep.write(w)
+		return
+	case seq < ss.seq:
+		cur := ss.seq
+		ss.mu.Unlock()
+		wire.WriteError(w, wire.CodeSeqConflict,
+			fmt.Errorf("sequence conflict: request carries stale seq %d, session applied up to %d", seq, cur))
+		return
 	}
 	ss.sess.SetRunContext(r.Context())
 	before := ss.sess.Recalcs
@@ -236,27 +183,15 @@ func (s *Server) sessionEdit(w http.ResponseWriter, r *http.Request, seq uint64,
 	// result must not be served.
 	if cerr := ss.cat.checkCorrupt(); cerr != nil {
 		ss.mu.Unlock()
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeCatalogQuarantined, retryAfterQuarantined, cerr)
+		wire.WriteError(w, wire.CodeCatalogQuarantined, cerr)
 		return
 	}
-	if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-		// Rolled back, not recorded: the client's retry re-applies.
-		ss.mu.Unlock()
-		writeRecalcErr(w, err)
-		return
+	rep := storedReply{err: err}
+	if err == nil {
+		rep.summary = summaryLocked(ss)
 	}
-	var rep storedReply
-	switch {
-	case err == nil:
-		rep = storedReply{status: http.StatusOK, summary: summaryLocked(ss)}
-	case err == errNothingToUndo:
-		rep = storedReply{status: http.StatusConflict, errMsg: err.Error(), errCode: wire.CodeNothingToUndo}
-	default:
-		rep = storedReply{status: http.StatusBadRequest, errMsg: err.Error()}
-	}
-	if seq != 0 {
-		ss.seq = seq
-		ss.reply = &rep
+	if wire.CodeTable[codeOf(err)].Class != wire.RetrySame {
+		ss.seq, ss.reply = seq, rep
 	}
 	ss.mu.Unlock()
 	rep.write(w)
@@ -264,15 +199,15 @@ func (s *Server) sessionEdit(w http.ResponseWriter, r *http.Request, seq uint64,
 
 // write emits a stored reply — the single encoding for both fresh and
 // replayed responses, so a replay is byte-identical to the original.
-func (rep *storedReply) write(w http.ResponseWriter) {
-	if rep.status == http.StatusOK {
-		writeJSON(w, rep.status, rep.summary)
+func (rep storedReply) write(w http.ResponseWriter) {
+	if rep.err != nil {
+		writeErr(w, http.StatusBadRequest, rep.err)
 		return
 	}
-	writeErrCode(w, rep.status, rep.errCode, 0, errors.New(rep.errMsg))
+	httpbody.WriteJSON(w, http.StatusOK, rep.summary)
 }
 
-var errNothingToUndo = fmt.Errorf("nothing to undo")
+var errNothingToUndo = errors.New("nothing to undo")
 
 // handleQuery replaces the whole query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -319,14 +254,10 @@ func (s *Server) handleWeight(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleUndo reverts the last modification. The body is optional on
-// the wire: pre-idempotency clients POST an empty body, which reads as
-// Seq 0.
+// handleUndo reverts the last modification.
 func (s *Server) handleUndo(w http.ResponseWriter, r *http.Request) {
 	var req wire.UndoRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.sessionEdit(w, r, req.Seq, func(ss *serverSession) error {
@@ -385,14 +316,14 @@ func acceptsResultsFrame(r *http.Request) bool {
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	ss, err := s.lookup(r.PathValue("id"))
 	if err != nil {
-		writeLookupErr(w, err)
+		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	if qerr := ss.cat.quarantineErr(); qerr != nil {
 		// The last result may predate the corruption, but rows computed
 		// from zeroed segments are indistinguishable from good ones —
 		// refuse rather than serve data of unknown integrity.
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeCatalogQuarantined, retryAfterQuarantined, qerr)
+		wire.WriteError(w, wire.CodeCatalogQuarantined, qerr)
 		return
 	}
 	top := -1
@@ -464,24 +395,24 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(body) // a failed write is the client's disconnect
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpbody.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleTimings returns the stage timings of the last recalculation.
 func (s *Server) handleTimings(w http.ResponseWriter, r *http.Request) {
 	ss, err := s.lookup(r.PathValue("id"))
 	if err != nil {
-		writeLookupErr(w, err)
+		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	if qerr := ss.cat.quarantineErr(); qerr != nil {
-		writeErrCode(w, http.StatusServiceUnavailable, wire.CodeCatalogQuarantined, retryAfterQuarantined, qerr)
+		wire.WriteError(w, wire.CodeCatalogQuarantined, qerr)
 		return
 	}
 	ss.mu.Lock()
 	sum := summaryLocked(ss)
 	ss.mu.Unlock()
-	writeJSON(w, http.StatusOK, sum)
+	httpbody.WriteJSON(w, http.StatusOK, sum)
 }
 
 // handleDelete closes a session.
@@ -489,14 +420,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ss, err := s.lookup(id)
 	if err != nil {
-		writeLookupErr(w, err)
+		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	if !ss.shard.remove(id) {
-		writeErrCode(w, http.StatusNotFound, wire.CodeSessionNotFound, 0, fmt.Errorf("no session %q: %w", id, errNoSession))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("no session %q: %w", id, errNoSession))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "closed"})
+	httpbody.WriteJSON(w, http.StatusOK, map[string]string{"status": "closed"})
 }
 
 // handleShards reports every shard's serving and cache stats.
@@ -505,17 +436,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	for i, sh := range s.shards {
 		out[i] = sh.stats()
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleShard reports one shard.
-func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
-	idx, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil || idx < 0 || idx >= len(s.shards) {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no shard %q", r.PathValue("shard")))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.shards[idx].stats())
+	httpbody.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealth is a node's self-report for the fleet router: per-shard
@@ -543,7 +464,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.Shards[i] = wire.ShardHealth{Shard: i, Sessions: n, Catalogs: names}
 		out.Sessions += n
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpbody.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleCatalogs lists the served catalogs and their shard homes.
@@ -563,5 +484,5 @@ func (s *Server) handleCatalogs(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, info)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpbody.WriteJSON(w, http.StatusOK, out)
 }

@@ -59,6 +59,7 @@ func TestCorruptCatalogQuarantinedOthersServe(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := client.New(ts.URL)
+	c.Retry.MaxAttempts = 1 // failures surface as they are answered
 	ctx := context.Background()
 
 	// Creating a session on the corrupt catalog trips the checksum
@@ -117,6 +118,7 @@ func TestStartupQuarantinedCatalog(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := client.New(ts.URL)
+	c.Retry.MaxAttempts = 1 // failures surface as they are answered
 	ctx := context.Background()
 
 	_, _, err = c.NewSession(ctx, "bad", scriptQueries[0], client.Options{})
@@ -158,6 +160,7 @@ func TestQuarantineMidSession(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := client.New(ts.URL)
+	c.Retry.MaxAttempts = 1 // failures surface as they are answered
 	ctx := context.Background()
 
 	goodSess, _, err := c.NewSession(ctx, "good", scriptQueries[1], client.Options{})

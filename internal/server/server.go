@@ -12,8 +12,8 @@
 // embeds the shard index, so every later request routes straight to
 // the owning shard without any global lookup. Shards are the
 // concurrency and accounting unit — each owns its catalogs' session
-// tables and stats counters, and in a future multi-node deployment the
-// same catalog→shard map distributes shards across processes.
+// tables and stats counters — and the fleet's unit of placement:
+// internal/router spreads the same shards over member processes.
 //
 // Each catalog owns one core.SharedCache: every session on that
 // catalog, regardless of which client opened it, resolves leaf
@@ -48,7 +48,6 @@
 //	GET    /v1/sessions/{id}/timings   stage timings of the last recalc
 //	DELETE /v1/sessions/{id}           close the session
 //	GET    /v1/shards                  per-shard serving + cache stats
-//	GET    /v1/shards/{shard}          one shard's stats
 //	GET    /v1/catalogs                served catalogs and their shards
 //	GET    /healthz                    liveness
 //
@@ -76,6 +75,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/distance"
+	"repro/internal/httpbody"
 	"repro/internal/session"
 	"repro/internal/wire"
 )
@@ -241,12 +241,10 @@ type serverSession struct {
 	shard *shard
 	cat   *catalogState
 	// seq is the highest applied idempotency sequence number and reply
-	// the stored response of the operation that applied it (2xx and 4xx
-	// outcomes only — a 5xx/504 is rolled back server-side and
-	// recording it would make a retry replay the failure instead of
-	// re-applying the operation). Guarded by mu.
+	// the stored response of the operation that applied it (see
+	// sessionEdit for which outcomes are recorded). Guarded by mu.
 	seq   uint64
-	reply *storedReply
+	reply storedReply
 	// lastAccess is the UnixNano stamp of the latest request that
 	// touched the session (creation included) — the idle-TTL sweep's
 	// eviction clock.
@@ -259,10 +257,8 @@ func (ss *serverSession) touch() { ss.lastAccess.Store(time.Now().UnixNano()) }
 // storedReply is the recorded outcome of the last applied idempotent
 // operation, replayed verbatim when the client retransmits its Seq.
 type storedReply struct {
-	status  int
-	summary wire.Summary // valid when status is 2xx
-	errMsg  string       // valid otherwise
-	errCode string
+	summary wire.Summary // valid when err is nil
+	err     error
 }
 
 // Server routes the serving protocol over a set of shards. It
@@ -342,9 +338,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // ShardOf is the deterministic catalog→shard map: FNV-1a of the
-// catalog name modulo the shard count. Exported so external routers
-// (a future multi-node front end) compute the same placement.
-// Non-positive shard counts normalize to DefaultShards, matching New.
+// catalog name modulo the shard count; internal/router routes creations
+// by it. Non-positive shard counts normalize to DefaultShards, matching
+// New.
 func ShardOf(catalog string, shards int) int {
 	if shards <= 0 {
 		shards = DefaultShards
@@ -380,7 +376,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				// Injected before any handler state changes: an injected
 				// error is indistinguishable from a request that never
 				// arrived, so retries stay safe.
-				writeErrCode(w, f.Status, f.Code, 0, fmt.Errorf("%s", f.Msg))
+				httpbody.WriteJSON(w, f.Status, wire.ErrorResponse{Error: f.Msg, Code: f.Code})
 				return
 			}
 		}
@@ -404,11 +400,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/sessions/{id}/timings", s.handleTimings)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
 	s.mux.HandleFunc("GET /v1/shards", s.handleShards)
-	s.mux.HandleFunc("GET /v1/shards/{shard}", s.handleShard)
 	s.mux.HandleFunc("GET /v1/catalogs", s.handleCatalogs)
 	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		httpbody.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 }
 
@@ -473,17 +468,28 @@ func (sh *shard) register(sess *session.Session, cs *catalogState) (*serverSessi
 	return ss, nil
 }
 
+// ShardOfID parses the shard index a session ID embeds
+// ("s2.17-a1b2c3" → 2) — the whole routing table of a member and of the
+// fleet router alike.
+func ShardOfID(id string) (int, error) {
+	dot := strings.IndexByte(id, '.')
+	if !strings.HasPrefix(id, "s") || dot < 0 {
+		return 0, fmt.Errorf("malformed session id %q", id)
+	}
+	shard, err := strconv.Atoi(id[1:dot])
+	if err != nil || shard < 0 {
+		return 0, fmt.Errorf("session id %q names no shard", id)
+	}
+	return shard, nil
+}
+
 // lookup resolves a session ID to its shard's session table.
 func (s *Server) lookup(id string) (*serverSession, error) {
-	if !strings.HasPrefix(id, "s") {
-		return nil, fmt.Errorf("malformed session id %q", id)
+	shardID, err := ShardOfID(id)
+	if err != nil {
+		return nil, err
 	}
-	dot := strings.IndexByte(id, '.')
-	if dot < 0 {
-		return nil, fmt.Errorf("malformed session id %q", id)
-	}
-	shardID, err := strconv.Atoi(id[1:dot])
-	if err != nil || shardID < 0 || shardID >= len(s.shards) {
+	if shardID >= len(s.shards) {
 		return nil, fmt.Errorf("session id %q names no shard", id)
 	}
 	sh := s.shards[shardID]

@@ -49,7 +49,7 @@ type CreateSessionRequest struct {
 type QueryRequest struct {
 	Query string `json:"query"`
 	// Seq is the idempotency sequence number; see RangeRequest.Seq.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64 `json:"seq"`
 }
 
 // RangeRequest moves a condition's range (the remote slider drag):
@@ -57,20 +57,19 @@ type QueryRequest struct {
 // attribute name; a null bound leaves that side open (the condition
 // becomes >= or <=).
 //
-// Seq, when nonzero, makes the operation idempotent: the client
-// numbers its mutating operations 1, 2, 3, … per session, and the
-// server applies a request only when its Seq is past the last applied
-// number (forward gaps are legal — an abandoned operation's number is
-// simply skipped). Retransmitting the last applied Seq replays the
-// stored response without re-running anything; a stale Seq answers
-// 409 with code CodeSeqConflict, so a late duplicate can never
-// re-apply after later operations. Seq 0 is the legacy non-idempotent
-// mode: always applied.
+// Seq makes the operation idempotent and is required (a mutation
+// without a positive Seq answers 400): the client numbers its mutating
+// operations 1, 2, 3, … per session, and the server applies a request
+// only when its Seq is past the last applied number (forward gaps are
+// legal — an abandoned operation's number is simply skipped).
+// Retransmitting the last applied Seq replays the stored response
+// without re-running anything; a stale Seq answers CodeSeqConflict, so a
+// late duplicate can never re-apply after later operations.
 type RangeRequest struct {
 	Attr string   `json:"attr"`
 	Lo   *float64 `json:"lo"`
 	Hi   *float64 `json:"hi"`
-	Seq  uint64   `json:"seq,omitempty"`
+	Seq  uint64   `json:"seq"`
 }
 
 // WeightRequest updates a top-level predicate's weighting factor:
@@ -81,7 +80,7 @@ type WeightRequest struct {
 	Pred   int     `json:"pred"`
 	Weight float64 `json:"weight"`
 	// Seq is the idempotency sequence number; see RangeRequest.Seq.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64 `json:"seq"`
 }
 
 // PctRequest fixes the session's displayed fraction:
@@ -93,15 +92,14 @@ type WeightRequest struct {
 type PctRequest struct {
 	Pct float64 `json:"pct"`
 	// Seq is the idempotency sequence number; see RangeRequest.Seq.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64 `json:"seq"`
 }
 
 // UndoRequest reverts the last modification:
-// POST /v1/sessions/{id}/undo. The body is optional on the wire (an
-// empty body means Seq 0, the legacy non-idempotent form).
+// POST /v1/sessions/{id}/undo.
 type UndoRequest struct {
 	// Seq is the idempotency sequence number; see RangeRequest.Seq.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64 `json:"seq"`
 }
 
 // Timings mirrors core.StageTimings in nanoseconds plus the cache and
@@ -210,8 +208,7 @@ type ResultsResponse struct {
 // engine declares it (JSON tags and Add live on core.SharedStats).
 type SharedStats = core.SharedStats
 
-// SharedStatsOf is the identity, kept for callers that predate the
-// alias.
+// SharedStatsOf is the identity; bench/ names it.
 func SharedStatsOf(st core.SharedStats) SharedStats { return st }
 
 // ShardStats describes one shard: GET /v1/shards. Shared aggregates
@@ -313,59 +310,4 @@ type FleetStats struct {
 	// routers), the epoch is this router's local change counter.
 	PlacementEpoch uint64 `json:"placement_epoch"`
 	PlacementHash  string `json:"placement_hash"`
-}
-
-// Machine-readable error codes carried in ErrorResponse.Code. Clients
-// branch on these, never on the human-readable message.
-const (
-	// CodeDeadline: the operation exceeded the server's request
-	// deadline and was rolled back; the session still serves its
-	// previous result. Retrying (same Seq) is safe and resumes from
-	// whatever leaf vectors the aborted run finished.
-	CodeDeadline = "deadline"
-	// CodeCanceled: the request's context was canceled before the
-	// recalculation finished (client disconnect); rolled back like
-	// CodeDeadline.
-	CodeCanceled = "canceled"
-	// CodeSeqConflict: the request's Seq is neither the last applied
-	// number (replay) nor the next one (apply) — a lost or reordered
-	// operation. The client must resynchronize its view.
-	CodeSeqConflict = "seq_conflict"
-	// CodeSessionCap: the catalog's shard is at its session limit;
-	// retry after closing sessions or after the idle sweep.
-	CodeSessionCap = "session_cap"
-	// CodeCatalogQuarantined: the catalog's segment file failed
-	// checksum verification; everything on this catalog answers 503
-	// while other catalogs keep serving.
-	CodeCatalogQuarantined = "catalog_quarantined"
-	// CodeNothingToUndo: the session has no earlier state to revert
-	// to.
-	CodeNothingToUndo = "nothing_to_undo"
-	// CodeNodeDown: the fleet router owns this request's shard on a
-	// node that stopped answering health checks; the shard is being
-	// replaced onto a healthy node. The session's state died with the
-	// node — the client recreates the session (replaying its operation
-	// log) after the Retry-After hint, and the new creation lands on
-	// the shard's new owner.
-	CodeNodeDown = "node_down"
-	// CodeNoHealthyMembers: the fleet router has no healthy member to
-	// place the request's shard on — every node is failing health
-	// checks. Retryable after the Retry-After hint; the first member to
-	// recover re-owns the whole shard map.
-	CodeNoHealthyMembers = "no_healthy_members"
-	// CodeSessionNotFound: the session ID names a serving shard but no
-	// live session — it was reaped by the idle sweep, closed, or died
-	// with its node (a replacement node serves the shard but never knew
-	// the session). Retrying the same request cannot succeed; the
-	// client must recreate the session and replay its operation log
-	// (client.FleetSession automates exactly this).
-	CodeSessionNotFound = "session_not_found"
-)
-
-// ErrorResponse is the body of every non-2xx response.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	// Code is a machine-readable error class (one of the Code*
-	// constants), empty for generic validation failures.
-	Code string `json:"code,omitempty"`
 }

@@ -68,10 +68,9 @@ type (
 type APIError struct {
 	Status int    // HTTP status code
 	Msg    string // server's error message
-	// Code is the server's machine-readable error class (one of the
-	// wire.Code* constants: "deadline", "seq_conflict", "session_cap",
-	// "catalog_quarantined", …), empty for generic failures. Branch on
-	// Code, never on Msg.
+	// Code is the server's machine-readable error class (a key of
+	// wire.CodeTable), empty for uncoded failures. Branch on Code, never
+	// on Msg.
 	Code string
 	// RetryAfter is the server's Retry-After hint, zero when absent.
 	RetryAfter time.Duration
@@ -84,50 +83,39 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("visdbd: %s (http %d)", e.Msg, e.Status)
 }
 
-// RetryPolicy configures the client's automatic retries. Retries
-// cover transport failures (connection drops, resets) and 5xx
-// responses — outcomes where the operation may or may not have been
-// applied; the per-session sequence numbers the client stamps on every
-// mutating request make such retries exactly-once on the server, so a
-// replayed request returns the original response instead of applying
-// twice. 4xx responses are never retried (the server made a
-// deterministic decision).
+// RetryPolicy is the attempt budget and pacing of one logical operation
+// (FleetSession: with whatever recreation and replay it needs). What is
+// retried is not the policy's to say: the failure's code decides
+// (wire.CodeTable), and the sequence number stamped on every mutation
+// makes a retry exactly-once — a replayed request returns the original
+// response instead of applying twice.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget, first try included;
 	// values below 1 read as 1 (no retries).
 	MaxAttempts int
 	// BaseDelay seeds the exponential backoff: attempt n (1-based)
-	// waits BaseDelay·2^(n-1), capped at MaxDelay, before retrying.
+	// waits BaseDelay·2^(n-1), capped at MaxDelay, spread uniformly over
+	// ±50 % so clients shed by one outage do not retry in lockstep, and
+	// never less than the server's Retry-After hint.
 	BaseDelay time.Duration
 	// MaxDelay caps a single backoff wait; 0 means uncapped.
 	MaxDelay time.Duration
-	// Jitter spreads each wait uniformly over ±Jitter·delay (0..1), so
-	// a fleet of clients shed by the same outage does not retry in
-	// lockstep. 0 disables jitter.
-	Jitter float64
-	// Rand supplies the jitter's uniform [0,1) samples; nil selects
-	// math/rand's global source. Tests inject a deterministic one.
-	Rand func() float64
-	// Sleep waits out a backoff delay; nil selects a real timer bounded
-	// by the context. Tests inject a virtual clock so retry schedules
-	// run in microseconds.
+	// Sleep waits out a delay; nil selects a real timer bounded by the
+	// context. Tests inject a virtual clock so retry schedules run in
+	// microseconds.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// PerTryTimeout bounds each individual attempt; 0 leaves only the
-	// caller's context. The overall budget is still the caller's
-	// context — an expired parent context stops the loop regardless.
-	PerTryTimeout time.Duration
 }
 
-// DefaultRetryPolicy returns a conservative production policy: 4
-// attempts, 100 ms base delay doubling to a 2 s cap, ±50% jitter.
-func DefaultRetryPolicy() *RetryPolicy {
-	return &RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.5}
+// DefaultRetryPolicy is what New gives a client: 4 attempts, 100 ms
+// base delay doubling to a 2 s cap.
+func DefaultRetryPolicy() RetryPolicy {
+	return RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
 }
 
 // delay computes the wait before retrying after attempt n (1-based),
 // honoring a server Retry-After hint when it is longer than the
 // backoff would be.
-func (p *RetryPolicy) delay(attempt int, retryAfter time.Duration) time.Duration {
+func (p RetryPolicy) delay(attempt int, retryAfter time.Duration) time.Duration {
 	d := p.BaseDelay << (attempt - 1)
 	if p.BaseDelay > 0 && d < p.BaseDelay { // overflow past ~60 attempts
 		d = p.MaxDelay
@@ -135,26 +123,14 @@ func (p *RetryPolicy) delay(attempt int, retryAfter time.Duration) time.Duration
 	if p.MaxDelay > 0 && d > p.MaxDelay {
 		d = p.MaxDelay
 	}
-	if p.Jitter > 0 {
-		r := rand.Float64
-		if p.Rand != nil {
-			r = p.Rand
-		}
-		d = time.Duration(float64(d) * (1 + p.Jitter*(2*r()-1)))
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
+	d = d/2 + time.Duration(rand.Float64()*float64(d))
+	return max(d, retryAfter)
 }
 
 // sleep waits d or until ctx is done, via the injected clock if any.
-func (p *RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
+func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 	if p.Sleep != nil {
 		return p.Sleep(ctx, d)
-	}
-	if d <= 0 {
-		return ctx.Err()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -166,41 +142,36 @@ func (p *RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// retryable reports whether an attempt's outcome warrants another try.
-// Transport errors always qualify. Protocol errors are keyed on their
-// machine-readable code, not just the status class: the transient
-// fleet conditions — a shard's node died and the router is replacing
-// it (node_down), a shard at its session cap (session_cap), a rolled-
-// back deadline overrun (deadline/canceled: the same Seq re-applies
-// exactly once) — retry, as does catalog_quarantined (the catalog may
-// come back on a healthy replacement node even though one node's
-// quarantine is sticky) and no_healthy_members (the whole fleet is
-// down; the Retry-After hint paces the wait for the first recovery).
-// Coded 4xx conflicts (seq_conflict, nothing_to_undo,
-// session_not_found) never retry — the server made a deterministic
-// decision; session_not_found in particular cannot heal by
-// retransmission, only by recreating the session (FleetSession does) —
-// and anything else falls back to the status class (5xx retries, 4xx
-// does not).
-func retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if ae, ok := err.(*APIError); ok {
-		switch ae.Code {
-		case wire.CodeNodeDown, wire.CodeCatalogQuarantined, wire.CodeSessionCap,
-			wire.CodeDeadline, wire.CodeCanceled, wire.CodeNoHealthyMembers:
-			return true
-		case wire.CodeSeqConflict, wire.CodeNothingToUndo, wire.CodeSessionNotFound:
-			return false
+// run is the edge's one retry loop: try, classify the failure, act, pace,
+// try again — at most MaxAttempts tries for the whole logical operation.
+// recoverFn is the between-attempts action, told what the failure's
+// class asks for and answering whether it could act on it: a Session
+// can only resend, a FleetSession drops its incarnation or rotates its
+// endpoint. A transport error counts as RetrySame (applied or not, its
+// Seq settles that); when the budget, the context or the class says
+// stop, the last real failure surfaces.
+func (p RetryPolicy) run(ctx context.Context, try func() error, recoverFn func(wire.RetryClass) bool) error {
+	for attempt := 1; ; attempt++ {
+		err := try()
+		if err == nil || attempt >= p.MaxAttempts || ctx.Err() != nil {
+			return err
 		}
-		// Unknown or absent code: fall back to the status class.
-		return ae.Status >= 500
+		class, hint := wire.RetrySame, time.Duration(0)
+		if ae, ok := err.(*APIError); ok {
+			class, hint = wire.ClassOf(ae.Code, ae.Status), ae.RetryAfter
+		}
+		if class == wire.RetryNever || !recoverFn(class) {
+			return err
+		}
+		if p.sleep(ctx, p.delay(attempt, hint)) != nil {
+			return err
+		}
 	}
-	// Transport-level failure (connection refused, reset, injected
-	// drop). The caller's context expiring is checked separately.
-	return true
 }
+
+// resendOnly is run's between-attempts action for a caller that keeps no
+// operation log: the same request again, or nothing.
+func resendOnly(class wire.RetryClass) bool { return class == wire.RetrySame }
 
 // Client speaks the serving protocol to one server.
 type Client struct {
@@ -208,15 +179,10 @@ type Client struct {
 	// HTTP is the underlying client; replace it before first use for
 	// custom transports or timeouts. Defaults to http.DefaultClient.
 	HTTP *http.Client
-	// Retry, when non-nil, enables automatic retries for transport
-	// failures and 5xx responses (see RetryPolicy). Nil — the default —
-	// keeps the historical single-attempt behavior, where admission
-	// sheds (503) surface directly to the caller.
-	Retry *RetryPolicy
-	// Now supplies the wall clock used to turn an HTTP-date Retry-After
-	// header into a duration; nil selects time.Now. Tests inject a
-	// fixed clock so date arithmetic is deterministic.
-	Now func() time.Time
+	// Retry is the budget and pacing of every call (see RetryPolicy);
+	// New sets DefaultRetryPolicy. MaxAttempts 1 surfaces every failure
+	// directly.
+	Retry RetryPolicy
 }
 
 // New creates a client for a server base URL (e.g.
@@ -225,18 +191,18 @@ func New(baseURL string) *Client {
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
-	return &Client{base: baseURL, HTTP: http.DefaultClient}
+	return &Client{base: baseURL, HTTP: http.DefaultClient, Retry: DefaultRetryPolicy()}
 }
 
 // framedResults is the out target of a tuple-less results read-back:
 // the request then asks for the binary frame (wire.ResultsFrameType)
-// and the response is decoded by its Content-Type, so a server that
-// predates the frame and answers JSON works unchanged.
+// and the response is decoded by its Content-Type: the server answers
+// JSON when the frame cannot hold the summary.
 type framedResults struct{ res *Results }
 
-// do performs a JSON round trip, retrying per c.Retry when set. A nil
-// in sends no body; a nil out discards the response body. The body is
-// marshaled once and replayed from the same bytes on every attempt.
+// do performs a JSON round trip under c.Retry. A nil in sends no body;
+// a nil out discards the response body. The body is marshaled once and
+// replayed from the same bytes on every attempt.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var buf []byte
 	if in != nil {
@@ -246,35 +212,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		buf = b
 	}
-	p := c.Retry
-	if p == nil {
-		return c.doOnce(ctx, method, path, buf, out)
-	}
-	attempts := p.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		tryCtx, cancel := ctx, context.CancelFunc(nil)
-		if p.PerTryTimeout > 0 {
-			tryCtx, cancel = context.WithTimeout(ctx, p.PerTryTimeout)
-		}
-		err = c.doOnce(tryCtx, method, path, buf, out)
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil || attempt >= attempts || !retryable(err) || ctx.Err() != nil {
-			return err
-		}
-		var hint time.Duration
-		if ae, ok := err.(*APIError); ok {
-			hint = ae.RetryAfter
-		}
-		if serr := p.sleep(ctx, p.delay(attempt, hint)); serr != nil {
-			return err // budget gone: surface the last real failure
-		}
-	}
+	return c.Retry.run(ctx, func() error { return c.doOnce(ctx, method, path, buf, out) }, resendOnly)
 }
 
 // doOnce performs exactly one round trip.
@@ -307,20 +245,14 @@ func (c *Client) doOnce(ctx context.Context, method, path string, buf []byte, ou
 			msg = e.Error
 		}
 		ae := &APIError{Status: resp.StatusCode, Msg: msg, Code: e.Code}
-		// RFC 9110 §10.2.3: Retry-After is either delay-seconds or an
-		// HTTP-date. A date in the past (or clock skew) reads as no
-		// hint rather than a negative duration.
+		// RFC 9110 §10.2.3: Retry-After is either delay-seconds (what
+		// visdbd and visdbrouter send) or an HTTP-date (what a proxy in
+		// between may). A date in the past, or garbage, reads as no hint.
 		if v := resp.Header.Get("Retry-After"); v != "" {
 			if secs, perr := strconv.Atoi(v); perr == nil && secs >= 0 {
 				ae.RetryAfter = time.Duration(secs) * time.Second
 			} else if at, perr := http.ParseTime(v); perr == nil {
-				now := time.Now
-				if c.Now != nil {
-					now = c.Now
-				}
-				if d := at.Sub(now()); d > 0 {
-					ae.RetryAfter = d
-				}
+				ae.RetryAfter = max(0, time.Until(at))
 			}
 		}
 		return ae

@@ -69,36 +69,66 @@ func fail(err error) func(*http.Request) (*http.Response, error) {
 	}
 }
 
-// fakeClock records backoff waits without sleeping: every retry test
-// runs in microseconds of real time.
+// fakeClock is a virtual clock: it records backoff waits and advances
+// its own time by them without sleeping, so every retry test runs in
+// microseconds of real time.
 type fakeClock struct {
 	mu     sync.Mutex
+	now    time.Duration
 	delays []time.Duration
 }
 
 func (f *fakeClock) sleep(ctx context.Context, d time.Duration) error {
 	f.mu.Lock()
 	f.delays = append(f.delays, d)
+	f.now += d
 	f.mu.Unlock()
 	return ctx.Err()
 }
 
-// newTestClient wires a scripted transport and a deterministic policy:
-// Rand pinned to 0.5 makes the ±50% jitter multiplier exactly 1, so
-// expected delays are the raw exponential schedule.
-func newTestClient(rt *scriptRT, attempts int) (*Client, *fakeClock) {
+func (f *fakeClock) elapsed() time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+// newTestClient wires a scripted transport and a policy on the virtual
+// clock: 10 ms doubling to an 80 ms cap, spread over ±50 % like every
+// policy (checkBackoff asserts the band).
+func newTestClient(rt http.RoundTripper, attempts int) (*Client, *fakeClock) {
 	clk := &fakeClock{}
 	c := New("http://test")
 	c.HTTP = &http.Client{Transport: rt}
-	c.Retry = &RetryPolicy{
+	c.Retry = RetryPolicy{
 		MaxAttempts: attempts,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    80 * time.Millisecond,
-		Jitter:      0.5,
-		Rand:        func() float64 { return 0.5 },
 		Sleep:       clk.sleep,
 	}
 	return c, clk
+}
+
+// checkBackoff asserts the recorded waits against the nominal schedule:
+// each within ±50 % of its nominal value, or exactly the value when it is
+// a server hint (exact[i]).
+func checkBackoff(t *testing.T, got, nominal []time.Duration, exact ...int) {
+	t.Helper()
+	if len(got) != len(nominal) {
+		t.Fatalf("delays %v, want %d of them (nominal %v)", got, len(nominal), nominal)
+	}
+	isExact := make(map[int]bool)
+	for _, i := range exact {
+		isExact[i] = true
+	}
+	for i, d := range nominal {
+		lo, hi := d/2, d+d/2
+		if isExact[i] {
+			lo, hi = d, d
+		}
+		if got[i] < lo || got[i] > hi {
+			t.Fatalf("delay[%d] = %v, want within [%v, %v]", i, got[i], lo, hi)
+		}
+	}
 }
 
 func session(c *Client) *Session {
@@ -123,18 +153,9 @@ func TestRetriesOn5xxThenSucceeds(t *testing.T) {
 	if rt.count() != 3 {
 		t.Fatalf("attempts %d, want 3", rt.count())
 	}
-	// First wait: base 10ms (jitter multiplier pinned to 1). Second:
-	// backoff says 20ms but the server's Retry-After hint (2s) is
-	// longer and wins.
-	wantDelays := []time.Duration{10 * time.Millisecond, 2 * time.Second}
-	if len(clk.delays) != len(wantDelays) {
-		t.Fatalf("delays %v", clk.delays)
-	}
-	for i, d := range wantDelays {
-		if clk.delays[i] != d {
-			t.Fatalf("delay[%d] = %v, want %v", i, clk.delays[i], d)
-		}
-	}
+	// First wait: base 10ms. Second: backoff says 20ms but the server's
+	// Retry-After hint (2s) is longer and wins.
+	checkBackoff(t, clk.delays, []time.Duration{10 * time.Millisecond, 2 * time.Second}, 1)
 }
 
 func TestNoRetryOn4xx(t *testing.T) {
@@ -168,9 +189,7 @@ func TestBudgetExhaustion(t *testing.T) {
 		t.Fatalf("attempts %d, want exactly the budget", rt.count())
 	}
 	// Exponential schedule 10, 20ms between the three attempts.
-	if len(clk.delays) != 2 || clk.delays[0] != 10*time.Millisecond || clk.delays[1] != 20*time.Millisecond {
-		t.Fatalf("delays %v", clk.delays)
-	}
+	checkBackoff(t, clk.delays, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond})
 }
 
 func TestBackoffCapsAtMaxDelay(t *testing.T) {
@@ -189,14 +208,7 @@ func TestBackoffCapsAtMaxDelay(t *testing.T) {
 	for i := range want {
 		want[i] *= time.Millisecond
 	}
-	if len(clk.delays) != len(want) {
-		t.Fatalf("delays %v", clk.delays)
-	}
-	for i, d := range want {
-		if clk.delays[i] != d {
-			t.Fatalf("delay[%d] = %v, want %v", i, clk.delays[i], d)
-		}
-	}
+	checkBackoff(t, clk.delays, want)
 }
 
 func TestTransportErrorRetries(t *testing.T) {
@@ -271,8 +283,7 @@ func TestAPIErrorCarriesCodeAndRetryAfter(t *testing.T) {
 		respond(503, wire.ErrorResponse{Error: "segment corrupt", Code: wire.CodeCatalogQuarantined},
 			map[string]string{"Retry-After": "60"}),
 	}}
-	c := New("http://test")
-	c.HTTP = &http.Client{Transport: rt}
+	c, _ := newTestClient(rt, 1)
 	_, err := session(c).Results(context.Background(), 5)
 	var ae *APIError
 	if !errors.As(err, &ae) {
@@ -284,20 +295,22 @@ func TestAPIErrorCarriesCodeAndRetryAfter(t *testing.T) {
 }
 
 // TestRetryAfterHTTPDate: RFC 9110 allows Retry-After to be an
-// HTTP-date as well as delay-seconds; the client must turn a date into
-// a duration against its (injectable) clock, and a past date must read
-// as no hint, not a negative one.
+// HTTP-date as well as delay-seconds (no binary of ours sends one; a
+// proxy in between may). The client turns a date into a duration against
+// the wall clock — an HTTP-date has one-second resolution, so a date
+// d ahead reads as (d − 2 s, d] — and a past date must read as no hint,
+// not a negative one.
 func TestRetryAfterHTTPDate(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	now := time.Now()
 	cases := []struct {
-		name   string
-		header string
-		want   time.Duration
+		name     string
+		header   string
+		min, max time.Duration
 	}{
-		{"http-date future", now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second},
-		{"http-date past", now.Add(-30 * time.Second).Format(http.TimeFormat), 0},
-		{"delay-seconds still works", "45", 45 * time.Second},
-		{"garbage ignored", "soon", 0},
+		{"http-date future", now.Add(90 * time.Second).UTC().Format(http.TimeFormat), 88 * time.Second, 90 * time.Second},
+		{"http-date past", now.Add(-30 * time.Second).UTC().Format(http.TimeFormat), 0, 0},
+		{"delay-seconds still works", "45", 45 * time.Second, 45 * time.Second},
+		{"garbage ignored", "soon", 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,16 +318,14 @@ func TestRetryAfterHTTPDate(t *testing.T) {
 				respond(503, wire.ErrorResponse{Error: "shed"},
 					map[string]string{"Retry-After": tc.header}),
 			}}
-			c := New("http://test")
-			c.HTTP = &http.Client{Transport: rt}
-			c.Now = func() time.Time { return now }
+			c, _ := newTestClient(rt, 1)
 			_, err := session(c).Results(context.Background(), 5)
 			var ae *APIError
 			if !errors.As(err, &ae) {
 				t.Fatalf("want APIError, got %v", err)
 			}
-			if ae.RetryAfter != tc.want {
-				t.Fatalf("RetryAfter = %v, want %v", ae.RetryAfter, tc.want)
+			if ae.RetryAfter < tc.min || ae.RetryAfter > tc.max {
+				t.Fatalf("RetryAfter = %v, want within [%v, %v]", ae.RetryAfter, tc.min, tc.max)
 			}
 		})
 	}
@@ -345,40 +356,38 @@ func TestRetriesOnNodeDown(t *testing.T) {
 	}
 }
 
-// TestRetryableKeysOnCode pins the retry decision to the
-// machine-readable code, exhaustively over the protocol's vocabulary:
-// transient fleet conditions retry, deterministic conflicts never do,
-// and unknown codes fall back to the status class.
+// TestRetryableKeysOnCode pins the retry decision to the code's row of
+// wire.CodeTable, exhaustively: a plain Session resends exactly the
+// failures of class RetrySame, never a RetryNever or a RetryRecreate
+// (it has no log to replay), and an absent or unknown code falls back to
+// the status class.
 func TestRetryableKeysOnCode(t *testing.T) {
-	cases := []struct {
+	type row struct {
 		code   string
 		status int
 		want   bool
-	}{
-		{wire.CodeNodeDown, 503, true},
-		{wire.CodeCatalogQuarantined, 503, true},
-		{wire.CodeSessionCap, 503, true},
-		{wire.CodeDeadline, 504, true},
-		{wire.CodeCanceled, 504, true},
-		{wire.CodeSeqConflict, 409, false},
-		{wire.CodeNothingToUndo, 409, false},
-		{"", 500, true},
-		{"", 503, true},
-		{"", 400, false},
-		{"injected", 500, true}, // unknown code: status class decides
-		{"injected", 404, false},
 	}
+	var cases []row
+	for code, info := range wire.CodeTable {
+		cases = append(cases, row{code, info.Status, info.Class == wire.RetrySame})
+	}
+	if len(cases) != 9 {
+		t.Fatalf("table has %d codes; the protocol's vocabulary is 9", len(cases))
+	}
+	cases = append(cases,
+		row{"", 500, true}, row{"", 503, true}, row{"", 400, false}, row{"", 404, false},
+		row{"injected", 500, true}, row{"injected", 404, false}, // unknown code: status class decides
+	)
 	for _, tc := range cases {
-		got := retryable(&APIError{Status: tc.status, Code: tc.code})
-		if got != tc.want {
-			t.Errorf("retryable(%d %q) = %v, want %v", tc.status, tc.code, got, tc.want)
+		rt := &scriptRT{steps: []func(*http.Request) (*http.Response, error){
+			respond(tc.status, wire.ErrorResponse{Error: "x", Code: tc.code}, nil),
+			respond(200, Summary{}, nil),
+		}}
+		c, _ := newTestClient(rt, 2)
+		_, err := session(c).SetWeight(context.Background(), 0, 2)
+		if retried := rt.count() == 2; retried != tc.want || (err == nil) != tc.want {
+			t.Errorf("%d %q: retried=%v err=%v, want retried=%v", tc.status, tc.code, retried, err, tc.want)
 		}
-	}
-	if !retryable(errors.New("connection reset")) {
-		t.Error("transport errors must retry")
-	}
-	if retryable(nil) {
-		t.Error("nil error retried")
 	}
 }
 
@@ -386,18 +395,70 @@ func TestRetryableKeysOnCode(t *testing.T) {
 // HTTP-date must reach the backoff loop exactly like the integer form —
 // the retry waits the server's hint when it exceeds the schedule.
 func TestRetryAfterDateStretchesBackoff(t *testing.T) {
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	rt := &scriptRT{steps: []func(*http.Request) (*http.Response, error){
 		respond(503, wire.ErrorResponse{Error: "shed"},
-			map[string]string{"Retry-After": now.Add(2 * time.Second).Format(http.TimeFormat)}),
+			map[string]string{"Retry-After": time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat)}),
 		respond(200, Summary{N: 1}, nil),
 	}}
 	c, clk := newTestClient(rt, 3)
-	c.Now = func() time.Time { return now }
 	if _, err := session(c).Results(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	if len(clk.delays) != 1 || clk.delays[0] != 2*time.Second {
-		t.Fatalf("delays %v, want [2s]", clk.delays)
+	if len(clk.delays) != 1 || clk.delays[0] < 8*time.Second || clk.delays[0] > 10*time.Second {
+		t.Fatalf("delays %v, want one within [8s, 10s]", clk.delays)
 	}
 }
+
+// TestOneBudgetPerOperation is the edge's second contract line: one
+// logical operation spends one attempt budget, paced by the server's
+// hint. Against a server that answers every mutation 503 session_cap +
+// Retry-After: 1, a Session op and a FleetSession op each send the
+// failing request exactly MaxAttempts times with at least a second of
+// (virtual) time between consecutive sends — where a FleetSession used to
+// send it 9 times back to back, or 36 with a policy set, because its
+// recovery loop and its endpoint's retry loop multiplied.
+func TestOneBudgetPerOperation(t *testing.T) {
+	const attempts = 4
+	for _, fleet := range []bool{false, true} {
+		var clk *fakeClock
+		var sentAt []time.Duration
+		handler := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if req.URL.Path == "/v1/sessions" {
+				return respond(200, info("s0.1-aaa", 1), nil)(req)
+			}
+			sentAt = append(sentAt, clk.elapsed())
+			return respond(503, wire.ErrorResponse{Error: "full", Code: wire.CodeSessionCap},
+				map[string]string{"Retry-After": "1"})(req)
+		})
+		var c *Client
+		c, clk = newTestClient(handler, attempts)
+		ctx := context.Background()
+		var err error
+		if fleet {
+			var fs *FleetSession
+			if fs, _, err = NewFleetSession(ctx, []*Client{c}, "cat", "SELECT x FROM t", FleetOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			_, err = fs.SetRange(ctx, "x", 1, 2)
+		} else {
+			_, err = session(c).SetRange(ctx, "x", 1, 2)
+		}
+		ae, ok := err.(*APIError)
+		if !ok || ae.Code != wire.CodeSessionCap {
+			t.Fatalf("fleet=%v: want the last session_cap to surface, got %v", fleet, err)
+		}
+		if len(sentAt) != attempts {
+			t.Fatalf("fleet=%v: the failing request went out %d times (at %v), want exactly MaxAttempts = %d",
+				fleet, len(sentAt), sentAt, attempts)
+		}
+		for i := 1; i < len(sentAt); i++ {
+			if gap := sentAt[i] - sentAt[i-1]; gap < time.Second {
+				t.Fatalf("fleet=%v: sends %d and %d are %v apart; Retry-After: 1 asks for at least 1s", fleet, i, i+1, gap)
+			}
+		}
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }

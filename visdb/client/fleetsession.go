@@ -14,18 +14,7 @@ type FleetOptions struct {
 	// Session carries the engine options for the underlying session
 	// (and for every recreated incarnation of it).
 	Session Options
-	// MaxRecoveries bounds the recovery actions (session recreations
-	// and endpoint rotations) one logical operation may consume before
-	// its error surfaces; 0 selects DefaultMaxRecoveries, negative
-	// disables recovery entirely (every failure surfaces). Recovery
-	// itself is immediate: the per-request RetryPolicy of each endpoint
-	// Client does the pacing.
-	MaxRecoveries int
 }
-
-// DefaultMaxRecoveries is the per-operation recovery budget when
-// FleetOptions.MaxRecoveries is zero.
-const DefaultMaxRecoveries = 8
 
 // FleetSession is a self-healing session over a fleet: a typed wrapper
 // around Session that records every mutating operation in a
@@ -50,25 +39,35 @@ const DefaultMaxRecoveries = 8
 // What can't replay: state the server never acknowledged. If the
 // CREATION response is lost, the retry creates a fresh session and the
 // orphan lives on the old node until the idle-TTL sweep reaps it; if a
-// mutation's response is lost and recovery exhausts MaxRecoveries, the
+// mutation's response is lost and recovery exhausts the budget, the
 // operation's fate on the old incarnation is unknowable — the error
 // surfaces and the next successful operation starts a fresh
 // incarnation from the log, which contains only acknowledged
 // operations. Results read between a kill and the next operation
 // reflect the replayed log, never a half-applied drag.
 //
-// Endpoints are typically redundant visdbrouter front ends; a
-// transport failure or an exhausted retry budget against one rotates
-// to the next. A FleetSession, like a Session, represents one user's
-// interaction loop: methods serialize on an internal mutex.
+// # One budget
+//
+// A logical operation — with whatever recreation and replay it needs —
+// spends ONE attempt budget, the first endpoint's RetryPolicy, in the
+// loop a plain Session uses: every request goes out as a single attempt,
+// a failed one costs an attempt whatever it was (creation, replayed
+// mutation, the operation itself), and between attempts the session
+// first acts on the failure's class — drop the incarnation on
+// "recreate", rotate to the next endpoint otherwise — and then waits the
+// longer of the backoff and the server's Retry-After hint.
+//
+// Endpoints are typically redundant visdbrouter front ends. A
+// FleetSession, like a Session, represents one user's interaction loop:
+// methods serialize on an internal mutex.
 type FleetSession struct {
 	mu       sync.Mutex
-	clients  []*Client
+	clients  []*Client // single-attempt copies of the caller's endpoints
+	policy   RetryPolicy
 	cur      int
 	catalog  string
 	query    string
 	opt      Options
-	maxRec   int
 	sess     *Session // nil while the session is lost
 	synced   int      // log prefix applied to the current incarnation
 	log      []mutation
@@ -84,29 +83,23 @@ func NewFleetSession(ctx context.Context, endpoints []*Client, catalog, query st
 	if len(endpoints) == 0 {
 		return nil, Summary{}, errors.New("client: fleet session needs at least one endpoint")
 	}
-	fs := &FleetSession{
-		clients: endpoints,
-		catalog: catalog,
-		query:   query,
-		opt:     fo.Session,
-		maxRec:  fo.MaxRecoveries,
-	}
-	if fs.maxRec == 0 {
-		fs.maxRec = DefaultMaxRecoveries
+	fs := &FleetSession{catalog: catalog, query: query, opt: fo.Session, policy: endpoints[0].Retry}
+	for _, c := range endpoints {
+		single := *c
+		single.Retry.MaxAttempts = 1
+		fs.clients = append(fs.clients, &single)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	budget := fs.maxRec
-	for {
-		sess, sum, err := fs.clients[fs.cur].NewSession(ctx, catalog, query, fs.opt)
-		if err == nil {
-			fs.sess = sess
-			return fs, sum, nil
-		}
-		if !fs.recoverLocked(ctx, err, &budget) {
-			return nil, Summary{}, err
-		}
+	var sum Summary
+	err := fs.policy.run(ctx, func() (err error) {
+		sum, err = fs.createLocked(ctx)
+		return err
+	}, fs.recoverLocked)
+	if err != nil {
+		return nil, Summary{}, err
 	}
+	return fs, sum, nil
 }
 
 // ID returns the current incarnation's server-assigned session ID
@@ -211,125 +204,84 @@ func (fs *FleetSession) Close(ctx context.Context) error {
 	return err
 }
 
-// apply runs one logical mutating operation through the sync → send →
-// recover loop. The operation's sequence number is allocated once, here
-// rather than by Session.nextSeq, and the request built under it is
-// what every retry, recovery and replay sends, which is what makes the
-// whole dance exactly-once.
+// apply runs one logical mutating operation. Its sequence number is
+// allocated once, here rather than by Session.nextSeq, and the request
+// built under it is what every attempt, recovery and replay sends, which
+// is what makes the whole dance exactly-once.
 func (fs *FleetSession) apply(ctx context.Context, build mutationFor) (Summary, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if fs.closed {
-		return Summary{}, errors.New("client: fleet session is closed")
-	}
 	fs.lastSeq++
 	op := build(fs.lastSeq)
-	budget := fs.maxRec
-	for {
-		if err := fs.syncLocked(ctx, &budget); err != nil {
-			return Summary{}, err
-		}
-		sum, err := fs.sess.send(ctx, op)
-		if err == nil {
-			fs.log = append(fs.log, op)
-			fs.synced = len(fs.log)
-			return sum, nil
-		}
-		if !fs.recoverLocked(ctx, err, &budget) {
-			return Summary{}, err
-		}
+	var sum Summary
+	err := fs.doLocked(ctx, func(s *Session) (err error) {
+		sum, err = s.send(ctx, op)
+		return err
+	})
+	if err != nil {
+		return Summary{}, err
 	}
+	fs.log = append(fs.log, op)
+	fs.synced = len(fs.log)
+	return sum, nil
 }
 
-// read runs a read-only call through the same sync → recover loop
-// (reads carry no sequence number; they are naturally idempotent).
-func (fs *FleetSession) read(ctx context.Context, fn func(s *Session) error) error {
+// read runs a read-only call (reads carry no sequence number; they are
+// naturally idempotent).
+func (fs *FleetSession) read(ctx context.Context, call func(s *Session) error) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	return fs.doLocked(ctx, call)
+}
+
+// doLocked spends the one budget on one logical operation: each attempt
+// brings a live incarnation up to the whole log and then makes the call,
+// stopping at its first failed request.
+func (fs *FleetSession) doLocked(ctx context.Context, call func(s *Session) error) error {
 	if fs.closed {
 		return errors.New("client: fleet session is closed")
 	}
-	budget := fs.maxRec
-	for {
-		if err := fs.syncLocked(ctx, &budget); err != nil {
-			return err
-		}
-		err := fn(fs.sess)
-		if err == nil {
-			return nil
-		}
-		if !fs.recoverLocked(ctx, err, &budget) {
-			return err
-		}
-	}
-}
-
-// syncLocked guarantees a live incarnation with the whole log
-// replayed: recreate if lost, then replay log[synced:] under the
-// original sequence numbers. Replay errors feed the same recovery
-// loop, so a node that dies mid-replay just moves the replay to the
-// next placement owner.
-func (fs *FleetSession) syncLocked(ctx context.Context, budget *int) error {
-	for {
+	return fs.policy.run(ctx, func() error {
 		if fs.sess == nil {
-			sess, _, err := fs.clients[fs.cur].NewSession(ctx, fs.catalog, fs.query, fs.opt)
-			if err != nil {
-				if fs.recoverLocked(ctx, err, budget) {
-					continue
-				}
+			if _, err := fs.createLocked(ctx); err != nil {
 				return err
 			}
-			fs.sess, fs.synced = sess, 0
 		}
-		for fs.synced < len(fs.log) {
+		// Replay under the original sequence numbers; a node that dies
+		// mid-replay just moves the rest to the next placement owner.
+		for ; fs.synced < len(fs.log); fs.synced++ {
 			if _, err := fs.sess.send(ctx, fs.log[fs.synced]); err != nil {
-				if fs.recoverLocked(ctx, err, budget) {
-					break // restart: recreate or re-aim, then resume replay
-				}
 				return err
 			}
-			fs.synced++
 		}
-		if fs.sess != nil && fs.synced == len(fs.log) {
-			return nil
-		}
-	}
+		return call(fs.sess)
+	}, fs.recoverLocked)
 }
 
-// recoverLocked decides whether err is survivable and performs the
-// recovery action: session_not_found (the node died and a replacement
-// owns the shard — or the idle sweep reaped us) drops the incarnation
-// for recreation; any other recoverable failure (transport error, a
-// retryable fleet condition that exhausted the endpoint's own retry
-// budget) rotates to the next endpoint. Returns false when the error
-// must surface: non-recoverable, context over, or budget exhausted.
-func (fs *FleetSession) recoverLocked(ctx context.Context, err error, budget *int) bool {
-	if ctx.Err() != nil || *budget <= 0 {
-		return false
+// createLocked opens a fresh incarnation through the current endpoint.
+func (fs *FleetSession) createLocked(ctx context.Context) (Summary, error) {
+	sess, sum, err := fs.clients[fs.cur].NewSession(ctx, fs.catalog, fs.query, fs.opt)
+	if err == nil {
+		fs.sess, fs.synced = sess, 0
 	}
-	ae, isAPI := err.(*APIError)
-	switch {
-	case isAPI && ae.Code == wire.CodeSessionNotFound:
-		*budget--
-		fs.sess, fs.synced = nil, 0
+	return sum, err
+}
+
+// recoverLocked is the between-attempts action: "recreate" (the node
+// died and a replacement owns the shard, or the idle sweep reaped us)
+// drops the incarnation so the next attempt opens a new one; any other
+// retryable failure — a transport error, a shed, a rolled-back overrun —
+// re-aims the session and future creations at the next endpoint in
+// failover order.
+func (fs *FleetSession) recoverLocked(class wire.RetryClass) bool {
+	if class == wire.RetryRecreate {
+		fs.sess = nil
 		fs.recovers.Add(1)
-	case isAPI && !retryable(err):
-		return false // deterministic server decision; recovery can't help
-	default:
-		*budget--
-		fs.rotateLocked()
+	} else if len(fs.clients) > 1 {
+		fs.cur = (fs.cur + 1) % len(fs.clients)
+		if fs.sess != nil {
+			fs.sess.c = fs.clients[fs.cur]
+		}
 	}
 	return true
-}
-
-// rotateLocked re-aims the session (and future creations) at the next
-// endpoint in failover order.
-func (fs *FleetSession) rotateLocked() {
-	if len(fs.clients) <= 1 {
-		return
-	}
-	fs.cur = (fs.cur + 1) % len(fs.clients)
-	if fs.sess != nil {
-		fs.sess.c = fs.clients[fs.cur]
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -57,8 +58,7 @@ func TestFleetSessionRecreatesAndReplays(t *testing.T) {
 		expect(t, "POST", "/range", 1, 200, Summary{Recalcs: 2}),
 		expect(t, "POST", "/weight", 2, 200, Summary{Recalcs: 3}),
 	}}
-	c := New("http://test")
-	c.HTTP = &http.Client{Transport: rt}
+	c, _ := newTestClient(rt, 4)
 	ctx := context.Background()
 	fs, sum, err := NewFleetSession(ctx, []*Client{c}, "cat", "SELECT x FROM t", FleetOptions{})
 	if err != nil || sum.Recalcs != 1 {
@@ -96,9 +96,8 @@ func TestFleetSessionRotatesAcrossEndpoints(t *testing.T) {
 		expect(t, "POST", "/v1/sessions", -1, 200, info("s0.1-aaa", 1)),
 		expect(t, "POST", "/range", 1, 200, Summary{Recalcs: 2}),
 	}}
-	a, b := New("http://a"), New("http://b")
-	a.HTTP = &http.Client{Transport: dead}
-	b.HTTP = &http.Client{Transport: live}
+	a, _ := newTestClient(dead, 4)
+	b, _ := newTestClient(live, 4)
 	ctx := context.Background()
 	fs, _, err := NewFleetSession(ctx, []*Client{a, b}, "cat", "SELECT x FROM t", FleetOptions{})
 	if err != nil {
@@ -124,8 +123,7 @@ func TestFleetSessionSurfacesDeterministicErrors(t *testing.T) {
 		// op takes the NEXT number, leaving a legal gap.
 		expect(t, "POST", "/weight", 2, 200, Summary{Recalcs: 2}),
 	}}
-	c := New("http://test")
-	c.HTTP = &http.Client{Transport: rt}
+	c, _ := newTestClient(rt, 4)
 	ctx := context.Background()
 	fs, _, err := NewFleetSession(ctx, []*Client{c}, "cat", "SELECT x FROM t", FleetOptions{})
 	if err != nil {
@@ -149,8 +147,9 @@ func TestFleetSessionSurfacesDeterministicErrors(t *testing.T) {
 
 func TestFleetSessionRecoveryBudget(t *testing.T) {
 	// Every mutation finds the session gone, forever (a pathological
-	// fleet that loses every incarnation instantly). The recovery
-	// budget must bound the loop and surface the error.
+	// fleet that loses every incarnation instantly). The one budget —
+	// the endpoint's MaxAttempts — must bound the loop and surface the
+	// error, and the recreations must be paced, not a storm.
 	steps := []func(*http.Request) (*http.Response, error){
 		expect(t, "POST", "/v1/sessions", -1, 200, info("s0.1-aaa", 1)),
 	}
@@ -160,13 +159,12 @@ func TestFleetSessionRecoveryBudget(t *testing.T) {
 			expect(t, "POST", "/v1/sessions", -1, 200, info("s0.2-bbb", 1)),
 		)
 	}
-	// MaxRecoveries 2: attempt, recover, attempt, recover, attempt →
-	// surface. The last scripted recreation pair stays unused.
+	// MaxAttempts 3: attempt, recover, attempt, recover, attempt →
+	// surface. The last scripted recreation stays unused.
 	rt := &scriptRT{steps: steps}
-	c := New("http://test")
-	c.HTTP = &http.Client{Transport: rt}
+	c, clk := newTestClient(rt, 3)
 	ctx := context.Background()
-	fs, _, err := NewFleetSession(ctx, []*Client{c}, "cat", "SELECT x FROM t", FleetOptions{MaxRecoveries: 2})
+	fs, _, err := NewFleetSession(ctx, []*Client{c}, "cat", "SELECT x FROM t", FleetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +176,10 @@ func TestFleetSessionRecoveryBudget(t *testing.T) {
 	if fs.Recoveries() != 2 {
 		t.Fatalf("recoveries: %d, want 2", fs.Recoveries())
 	}
+	if got := rt.count(); got != 6 {
+		t.Fatalf("requests: %d, want 6 (create, 3 × range, 2 × recreate)", got)
+	}
+	checkBackoff(t, clk.delays, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond})
 }
 
 func TestFleetSessionCloseOnDeadNodeIsClean(t *testing.T) {
@@ -185,8 +187,7 @@ func TestFleetSessionCloseOnDeadNodeIsClean(t *testing.T) {
 		expect(t, "POST", "/v1/sessions", -1, 200, info("s0.1-aaa", 1)),
 		expect(t, "DELETE", "/v1/sessions/s0.1-aaa", -1, 404, notFound()),
 	}}
-	c := New("http://test")
-	c.HTTP = &http.Client{Transport: rt}
+	c, _ := newTestClient(rt, 4)
 	ctx := context.Background()
 	fs, _, err := NewFleetSession(ctx, []*Client{c}, "cat", "SELECT x FROM t", FleetOptions{})
 	if err != nil {
