@@ -66,6 +66,12 @@
 //     vectors materialize lazily (windows only read the displayed
 //     items). The pooling contract: a session Result is valid until
 //     the next recalculation.
+//   - A fresh range leaf is one branch-free pass (distances selected by
+//     bit masks) that counts its exact +0 entries (relevance.Node.Zeros):
+//     a range keeping no more items is [+0, +0] without a look at the
+//     vector; the slider's extremes are the column's (dataset.MinMaxer).
+//     (TestRangeKernelMatchesToRange, FuzzRangeKernel, BenchmarkRangeDistances,
+//     TestLeafZeroBlockMatchesNormRange, TestColumnExtremesMatchScan)
 //
 // # Rank before scale: monotonic-transform-aware top-k with block pruning
 //
@@ -335,6 +341,9 @@
 //     Client.Retry.MaxAttempts attempts in one loop (RetryPolicy.run),
 //     waiting between them the longer of its backoff and the server's
 //     hint. (TestOneBudgetPerOperation, TestFleetSessionRecoveryBudget)
+//
+// Closing is idempotent: client.Session.Close answers nil for
+// session_not_found, however the session went (TestSessionCloseIsIdempotent).
 //
 // The rows:
 //

@@ -496,7 +496,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			cs = pd.CStats
 		}
 		node := &relevance.Node{Op: relevance.Leaf, Label: expr.Label(), Weight: expr.Weight(), Dists: pd.Raw,
-			Quantiles: le.quant, ChunkStats: cs}
+			Quantiles: le.quant, ChunkStats: cs, Zeros: pd.Zeros}
 		if key != "" {
 			res.setLeafID(node, key)
 		}

@@ -26,6 +26,7 @@ type predicateData struct {
 	MaxDB    float64
 	HasRange bool    // numeric predicate with a query range
 	Lo, Hi   float64 // current query range (±Inf for open sides)
+	Zeros    int     // exact +0 entries of Raw, counted by rangeKernel; 0 when not counted
 
 	// Segment-stats pushdown (single-table file-backed scans only; see
 	// numericCond). CStats is the per-chunk index synthesized at compute
@@ -118,13 +119,12 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 			return err
 		}
 	}
-	min, max, okRange, err := t.MinMaxOf(attr.Attr)
+	var okRange bool
+	pd.MinDB, pd.MaxDB, okRange, err = t.MinMaxOf(attr.Attr)
 	if err != nil {
 		return err
 	}
-	if okRange {
-		pd.MinDB, pd.MaxDB = min, max
-	} else {
+	if !okRange {
 		pd.MinDB, pd.MaxDB = math.NaN(), math.NaN()
 	}
 	lo, hi, pointwise, err := numericRange(c)
@@ -140,6 +140,13 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// just behind the correct answers without being painted yellow.
 	strictLo := c.Op == query.OpGt
 	strictHi := c.Op == query.OpLt
+	edge := math.NaN() // equal to no value unless the operator is strict
+	if strictLo {
+		edge = lo
+	} else if strictHi {
+		edge = hi
+	}
+	kernel := !pointwise && c.Op != query.OpIn // OpNe, OpIn: other distances, a per-item loop
 	// Segment-stats pushdown (the cold-scan block pruning): when the
 	// file-backed column carries per-segment min/max and null counts, a
 	// segment whose every row provably lies inside [lo, hi] — stats
@@ -152,8 +159,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// signed vectors (the 2D arrangement reads per-item signs).
 	var skip []bool
 	skipped := 0
-	if singleTable && col == nil && pd.Signed == nil &&
-		!pointwise && c.Op != query.OpIn && !e.opt.NoSegmentStats {
+	if singleTable && col == nil && pd.Signed == nil && kernel && !e.opt.NoSegmentStats {
 		if ss, ok := fr.(dataset.SegmentStatser); ok {
 			nSegs := (space.n + dataset.SegmentSize - 1) / dataset.SegmentSize
 			for si := 0; si < nSegs; si++ {
@@ -183,19 +189,17 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	}
 	// The per-item pass runs chunked across the worker pool: every chunk
 	// writes disjoint slots of Raw/Signed, and the merged reductions (a
-	// max and the boundary items) are order-independent, so the result is
-	// bit-identical to the serial loop. Within a chunk, the pass walks
-	// segment-aligned subranges — each read into a SegmentSize scratch —
-	// so skipped segments drop out wholesale (a parallel chunk may cover
-	// a fraction of a segment; both fractions make the same precomputed
-	// decision).
+	// max, a count and the boundary items) are order-independent, so the
+	// result is bit-identical to the serial loop. Within a chunk, the pass
+	// walks segment-aligned subranges — each read into a SegmentSize
+	// scratch — so skipped segments drop out wholesale (a parallel chunk
+	// may cover a fraction of a segment; both fractions make the same
+	// precomputed decision).
 	var mu sync.Mutex
-	maxFinite := 0.0
-	var boundary []int
+	var total rangeKernel // the merged shares
 	signed := pd.Signed
 	perr := parallelFor(space.n, workers, itemChunk, func(from, to int) error {
-		chunkMax := 0.0
-		var chunkBoundary []int
+		k := rangeKernel{lo: lo, hi: hi, edge: edge}
 		var scratch [dataset.SegmentSize]float64
 		for s := from; s < to; {
 			si := s / dataset.SegmentSize
@@ -205,9 +209,9 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 			}
 			if skip != nil && skip[si] {
 				// Raw[s:end] keeps its zero fill — exactly the distance
-				// of every in-range row; a zero never raises chunkMax,
-				// and the strict-containment proof rules out boundary
-				// hits.
+				// of every in-range row, and all of it zero block; the
+				// strict-containment proof rules out boundary hits.
+				k.zeros += end - s
 				s = end
 				continue
 			}
@@ -226,6 +230,11 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 					vals[j] = col[row]
 				}
 			}
+			if kernel {
+				k.run(pd.Raw, signed, vals, s)
+				s = end
+				continue
+			}
 			for j, v := range vals {
 				i := s + j
 				var raw, sd float64
@@ -238,43 +247,35 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 					if v == lo {
 						raw, sd = math.NaN(), math.NaN()
 					}
-				case c.Op == query.OpIn:
-					raw, sd = minListDistance(v, c.List)
-				case (strictLo && v == lo) || (strictHi && v == hi):
-					chunkBoundary = append(chunkBoundary, i) // distances assigned in the fixup pass
 				default:
-					raw = distance.ToRange(v, lo, hi)
-					if signed != nil {
-						sd = distance.ToRangeSigned(v, lo, hi)
-					}
+					raw, sd = minListDistance(v, c.List)
 				}
 				pd.Raw[i] = raw
 				if signed != nil {
 					signed[i] = sd
 				}
-				if raw > chunkMax && !math.IsInf(raw, 0) { // NaN compares false
-					chunkMax = raw
-				}
 			}
 			s = end
 		}
 		mu.Lock()
-		if chunkMax > maxFinite {
-			maxFinite = chunkMax
-		}
-		boundary = append(boundary, chunkBoundary...)
+		total.max = max(total.max, k.max)
+		total.zeros += k.zeros
+		total.boundary = append(total.boundary, k.boundary...)
 		mu.Unlock()
 		return nil
 	})
 	if perr != nil {
 		return perr
 	}
-	if len(boundary) > 0 {
-		eps := maxFinite / 128
+	if kernel {
+		pd.Zeros = total.zeros - len(total.boundary)
+	}
+	if len(total.boundary) > 0 {
+		eps := total.max / 128
 		if eps == 0 {
 			eps = 1
 		}
-		for _, i := range boundary {
+		for _, i := range total.boundary {
 			pd.Raw[i] = eps
 			if signed != nil {
 				if strictLo {
@@ -291,15 +292,66 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 		// from the footer proof (min 0, NaN-free), the rest scan. This
 		// is what composes the pushdown with the deferred-root block
 		// pruning on COLD runs — warm runs build the same index from
-		// the cached vector. Requires the storage segment and the
-		// evaluator chunk to be the same unit.
-		if dataset.SegmentSize == relevance.EvalChunk {
-			pd.CStats = relevance.BuildLeafChunkStatsMasked(pd.Raw, skip)
-		} else {
-			pd.CStats = relevance.BuildLeafChunkStats(pd.Raw)
-		}
+		// the cached vector.
+		pd.CStats = relevance.BuildLeafChunkStatsMasked(pd.Raw, skip)
 	}
 	return nil
+}
+
+// The pushdown's skip mask is per storage segment and read per evaluator
+// chunk (BuildLeafChunkStatsMasked): this fails to compile unless they are one unit.
+var _ = [1]struct{}{}[dataset.SegmentSize-relevance.EvalChunk]
+
+// rangeKernel is one worker's share of a range condition's distance
+// pass: distance.ToRange (and ToRangeSigned under the 2D arrangement)
+// bit for bit. Which side of the range a value of a column in generation
+// order falls on is a coin flip, so ToRange's comparisons (v < lo, then
+// v > hi) become masks over the two candidates' bits, a NaN ORs in
+// math.NaN()'s, and the signed value takes the sign bit of the v < lo
+// mask (v − lo is −(lo − v) exactly). Only rare events branch: a value
+// on a strict operator's bound (edge), a new running maximum.
+type rangeKernel struct {
+	lo, hi, edge float64
+	max          float64 // largest finite distance written
+	zeros        int     // exact +0 entries written (boundary rows included)
+	boundary     []int   // items equal to edge; the caller assigns their distances
+}
+
+// run writes the distances of vals, items base.. base+len(vals), into
+// those items of raw and, when non-nil, of signed.
+func (k *rangeKernel) run(raw, signed, vals []float64, base int) {
+	const signBit = 1 << 63
+	nan := math.Float64bits(math.NaN())
+	lo, hi, edge, mx, zeros, boundary := k.lo, k.hi, k.edge, k.max, k.zeros, k.boundary
+	raw = raw[base : base+len(vals)]
+	if signed != nil {
+		signed = signed[base : base+len(vals)]
+	}
+	for j, v := range vals {
+		below := -b2u(v < lo)
+		above := -b2u(v > hi) &^ below
+		d := math.Float64bits(lo-v)&below | math.Float64bits(v-hi)&above | nan&-b2u(v != v)
+		raw[j] = math.Float64frombits(d)
+		if signed != nil {
+			signed[j] = math.Float64frombits(d | signBit&below)
+		}
+		zeros += int(b2u(d == 0))
+		if v == edge {
+			boundary = append(boundary, base+j)
+		}
+		if f := math.Float64frombits(d); f > mx && !math.IsInf(f, 1) {
+			mx = f
+		}
+	}
+	k.max, k.zeros, k.boundary = mx, zeros, boundary
+}
+
+// b2u is 1 for true and 0 for false, as a flag-to-register move.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // numericRange derives the target interval of a numeric condition.

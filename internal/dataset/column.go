@@ -70,12 +70,35 @@ type FloatReader interface {
 	ReadFloats(dst []float64, from int)
 }
 
-// MinMaxer is implemented by columns that know their numeric extremes
-// without a scan — file-backed columns carry them in the catalog
-// footer. ok is false when the column has no non-null numeric values.
+// MinMaxer is implemented by every numeric column: it knows its extremes
+// without a scan (file-backed columns from the catalog footer, in-memory
+// ones kept on Append). ok is false when it has no non-null numeric value.
 type MinMaxer interface {
 	MinMax() (min, max float64, ok bool)
 }
+
+// extremes is an in-memory numeric column's MinMaxer: what a scan of its
+// AsFloat values in row order finds, NaN and nulls skipped.
+type extremes struct {
+	min, max float64
+	ok       bool
+}
+
+// add folds one appended value in, as AsFloat coerces it.
+func (x *extremes) add(f float64, ok bool) {
+	switch {
+	case !ok || f != f:
+	case !x.ok:
+		x.min, x.max, x.ok = f, f, true
+	case f < x.min:
+		x.min = f
+	case f > x.max:
+		x.max = f
+	}
+}
+
+// MinMax implements MinMaxer.
+func (x *extremes) MinMax() (min, max float64, ok bool) { return x.min, x.max, x.ok }
 
 // SegmentStatser is implemented by columns that know per-segment
 // statistics without decoding — file-backed columns opened from a
@@ -142,6 +165,7 @@ func readSegmented(dst []float64, from int, fn func(dst []float64, si, lo, hi in
 type FloatColumn struct {
 	vals  segs[float64]
 	nulls segs[bool]
+	extremes
 }
 
 // Kind implements Column.
@@ -178,6 +202,7 @@ func (c *FloatColumn) Append(v Value) error {
 		return kindMismatch(KindFloat, v.Kind)
 	}
 	c.nulls.append(false)
+	c.add(v.AsFloat())
 	return nil
 }
 
@@ -201,6 +226,7 @@ func (c *FloatColumn) ReadFloats(dst []float64, from int) {
 type IntColumn struct {
 	vals  segs[int64]
 	nulls segs[bool]
+	extremes
 }
 
 // Kind implements Column.
@@ -232,6 +258,7 @@ func (c *IntColumn) Append(v Value) error {
 	}
 	c.vals.append(v.I)
 	c.nulls.append(false)
+	c.add(v.AsFloat())
 	return nil
 }
 
@@ -307,6 +334,7 @@ func (c *StringColumn) Str(i int) (string, bool) {
 type TimeColumn struct {
 	vals  segs[time.Time]
 	nulls segs[bool]
+	extremes
 }
 
 // Kind implements Column.
@@ -338,6 +366,7 @@ func (c *TimeColumn) Append(v Value) error {
 	}
 	c.vals.append(v.T)
 	c.nulls.append(false)
+	c.add(v.AsFloat())
 	return nil
 }
 
@@ -359,6 +388,7 @@ func (c *TimeColumn) ReadFloats(dst []float64, from int) {
 type BoolColumn struct {
 	vals  segs[bool]
 	nulls segs[bool]
+	extremes
 }
 
 // Kind implements Column.
@@ -390,6 +420,7 @@ func (c *BoolColumn) Append(v Value) error {
 	}
 	c.vals.append(v.B)
 	c.nulls.append(false)
+	c.add(v.AsFloat())
 	return nil
 }
 

@@ -142,6 +142,61 @@ func TestFloatsOfAndMinMax(t *testing.T) {
 	}
 }
 
+// TestColumnExtremesMatchScan: an in-memory numeric column's MinMaxer
+// answers what a scan of its values in row order under AsFloat finds —
+// NaN and nulls skipped, the first of two equal extremes (-0, +0) kept,
+// bit for bit — for every numeric kind, empty, after one row, and again
+// after every further append; Table.MinMaxOf answers the same.
+func TestColumnExtremesMatchScan(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	appends := map[Kind][]Value{
+		KindFloat: {Float(math.NaN()), Null(KindFloat), Float(negZero), Float(0), Float(3.5), Int(-2),
+			Float(math.Inf(1)), Float(-7), Null(KindFloat), Float(math.Inf(-1))},
+		KindInt:  {Null(KindInt), Int(4), Int(-3), Null(KindInt), Int(1 << 60), Int(4)},
+		KindTime: {Time(time.Unix(500, 0)), Null(KindTime), Time(time.Unix(-20, 0)), Time(time.Unix(9e9, 0))},
+		KindBool: {Bool(true), Null(KindBool), Bool(true), Bool(false)},
+	}
+	for kind, vals := range appends {
+		tbl, err := NewTable("T", Schema{{Name: "x", Kind: kind}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := tbl.Column("x")
+		for i := 0; i <= len(vals); i++ {
+			if i > 0 {
+				if err := tbl.AppendRow(vals[i-1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wmin, wmax, wok := math.Inf(1), math.Inf(-1), false
+			for r := 0; r < c.Len(); r++ {
+				f, ok := c.Value(r).AsFloat()
+				if !ok || math.IsNaN(f) {
+					continue
+				}
+				if f < wmin {
+					wmin = f
+				}
+				if f > wmax {
+					wmax = f
+				}
+				wok = true
+			}
+			if !wok {
+				wmin, wmax = 0, 0
+			}
+			min, max, ok := c.(MinMaxer).MinMax()
+			tmin, tmax, tok, err := tbl.MinMaxOf("x")
+			bits := math.Float64bits
+			if err != nil || ok != wok || tok != wok || bits(min) != bits(wmin) || bits(max) != bits(wmax) ||
+				bits(tmin) != bits(wmin) || bits(tmax) != bits(wmax) {
+				t.Fatalf("%v after %d rows: MinMax (%v, %v, %v), MinMaxOf (%v, %v, %v, %v); the scan finds (%v, %v, %v)",
+					kind, c.Len(), min, max, ok, tmin, tmax, tok, err, wmin, wmax, wok)
+			}
+		}
+	}
+}
+
 func TestValueCoercions(t *testing.T) {
 	ts := time.Unix(1000, 0).UTC()
 	cases := []struct {

@@ -201,9 +201,8 @@ func (t *Table) FloatReaderOf(name string) (FloatReader, error) {
 // MinMaxOf returns the minimum and maximum non-null coerced value of a
 // numeric column; ok is false when the column has no non-null values.
 // The query-modification sliders display these bounds "to give the user
-// a feeling for useful query values" (section 4.3). File-backed columns
-// answer from their footer stats without touching data; in-memory
-// columns stream with O(segment) scratch.
+// a feeling for useful query values" (section 4.3). Every numeric column
+// knows them without touching data (MinMaxer); a string column has none.
 func (t *Table) MinMaxOf(name string) (min, max float64, ok bool, err error) {
 	c, err := t.Column(name)
 	if err != nil {
@@ -211,44 +210,6 @@ func (t *Table) MinMaxOf(name string) (min, max float64, ok bool, err error) {
 	}
 	if mm, isMM := c.(MinMaxer); isMM {
 		min, max, ok = mm.MinMax()
-		return min, max, ok, nil
 	}
-	min, max = math.Inf(1), math.Inf(-1)
-	scan := func(fs []float64) {
-		for _, f := range fs {
-			if math.IsNaN(f) {
-				continue
-			}
-			if f < min {
-				min = f
-			}
-			if f > max {
-				max = f
-			}
-			ok = true
-		}
-	}
-	if fr, isFR := c.(FloatReader); isFR {
-		var buf [SegmentSize]float64
-		for from, n := 0, c.Len(); from < n; from += SegmentSize {
-			m := n - from
-			if m > SegmentSize {
-				m = SegmentSize
-			}
-			fr.ReadFloats(buf[:m], from)
-			scan(buf[:m])
-		}
-	} else {
-		for i, n := 0, c.Len(); i < n; i++ {
-			f, fok := c.Value(i).AsFloat()
-			if !fok {
-				continue
-			}
-			scan([]float64{f})
-		}
-	}
-	if !ok {
-		return 0, 0, false, nil
-	}
-	return min, max, true, nil
+	return min, max, ok, nil
 }

@@ -139,7 +139,7 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		if len(node.Dists) != c.n {
 			return nil, NormParams{}, fmt.Errorf("relevance: leaf %q has %d distances, want %d", node.Label, len(node.Dists), c.n)
 		}
-		return node.Dists, indexedRange(node.Dists, node.Quantiles, c.keepOf(node)), nil
+		return node.Dists, indexedRange(node.Dists, node.Quantiles, node.Zeros, c.keepOf(node)), nil
 	case NodeAnd, NodeOr:
 		if len(node.Children) == 0 {
 			return nil, NormParams{}, fmt.Errorf("relevance: %q has no children", node.Label)

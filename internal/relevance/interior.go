@@ -34,10 +34,14 @@ type cachedVec struct {
 	cs  *LeafChunkStats
 }
 
-// indexedRange answers NormRange(dists, keep), from q when the caller
-// built it — q must index exactly dists.
-func indexedRange(dists []float64, q *LeafQuantiles, keep int) NormParams {
-	if q != nil {
+// indexedRange answers NormRange(dists, keep) by the cheapest means at
+// hand: the zero block (Node.Zeros) when keep fits in it — the range is
+// then [+0, +0] — else the index q (of exactly dists), else a scan.
+func indexedRange(dists []float64, q *LeafQuantiles, zeros, keep int) NormParams {
+	switch {
+	case keep > 0 && keep <= zeros:
+		return NormParams{Kept: keep}
+	case q != nil:
 		return q.Range(keep)
 	}
 	return NormRange(dists, keep)
@@ -173,7 +177,7 @@ func (c *fusedCtx) useInteriorEntry(node *Node, e cachedVec, entries map[*Node]c
 		return nil, NormParams{}, err
 	}
 	use := func(d *Node, de cachedVec) NormParams {
-		p := indexedRange(de.raw, de.q, c.keepOf(d))
+		p := indexedRange(de.raw, de.q, 0, c.keepOf(d))
 		c.res.setLazy(d, de.raw, p)
 		c.res.SketchHits++
 		if de.q == nil {

@@ -309,20 +309,16 @@ func chunkStatsOf(scans []rangeScan) *LeafChunkStats {
 	return cs
 }
 
-// BuildLeafChunkStats scans dists once. The input is not retained.
-func BuildLeafChunkStats(dists []float64) *LeafChunkStats {
-	return BuildLeafChunkStatsMasked(dists, nil)
-}
-
-// BuildLeafChunkStatsMasked is BuildLeafChunkStats with a per-chunk
-// shortcut: a chunk whose zero entry is true is known to hold only
-// exact zeros (the segment-stats pushdown proved its range distance 0
-// without decoding), so its stats — min 0, no NaNs — are synthesized
-// without scanning. This is how cold file-backed scans hand the
-// deferred-root block pruning its bounds: the skipped chunks' entries
-// come straight from the catalog footer's per-segment statistics. zero
-// may be nil or shorter than the chunk count (missing entries scan
-// normally); callers must size its chunks by EvalChunk.
+// BuildLeafChunkStatsMasked scans dists once (the input is not
+// retained), with a per-chunk shortcut: a chunk whose zero entry is
+// true is known to hold only exact zeros (the segment-stats pushdown
+// proved its range distance 0 without decoding), so its stats — min 0,
+// no NaNs — are synthesized without scanning. This is how cold
+// file-backed scans hand the deferred-root block pruning its bounds:
+// the skipped chunks' entries come straight from the catalog footer's
+// per-segment statistics. zero may be nil (every chunk scans) or
+// shorter than the chunk count (missing entries scan); callers must
+// size its chunks by EvalChunk.
 func BuildLeafChunkStatsMasked(dists []float64, zero []bool) *LeafChunkStats {
 	nchunks := (len(dists) + evalChunk - 1) / evalChunk
 	s := &LeafChunkStats{mins: make([]float64, nchunks), nans: make([]int32, nchunks)}

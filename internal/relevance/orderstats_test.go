@@ -81,7 +81,7 @@ func checkLeafOrderStats(t *testing.T, what string, dists []float64) {
 	if math.Float64bits(q.minFinite) != math.Float64bits(wantMin) || q.nNegInf != wantNegInf || q.nNaN != wantNaN {
 		t.Fatalf("%s: index scalars (%v, %d, %d), want (%v, %d, %d)", what, q.minFinite, q.nNegInf, q.nNaN, wantMin, wantNegInf, wantNaN)
 	}
-	ref := BuildLeafChunkStats(dists)
+	ref := BuildLeafChunkStatsMasked(dists, nil)
 	eqBits(t, what+": chunk mins", ref.mins, cs.mins)
 	if fmt.Sprint(ref.nans) != fmt.Sprint(cs.nans) {
 		t.Fatalf("%s: chunk NaN counts %v, want %v", what, cs.nans, ref.nans)
@@ -239,6 +239,64 @@ func TestLeafIndexZeroOrderIsCanonical(t *testing.T) {
 		a := leafQuantiles(v).sorted
 		rng.Shuffle(n, func(i, j int) { v[i], v[j] = v[j], v[i] })
 		eqBits(t, fmt.Sprintf("n=%d: index of the permuted leaf", n), a, leafQuantiles(v).sorted)
+	}
+}
+
+// TestLeafZeroBlockMatchesNormRange: a leaf whose distance pass counted
+// its zero block is ranged by indexedRange without a look at the vector
+// for every keep up to the count, and by the index or NormRange beyond
+// it — every answer NormRange's, bit for bit, with and without the
+// index. The vectors are what the range kernel writes: exact +0 inside
+// the range, positive distances outside, NaN and +Inf for awkward rows.
+func TestLeafZeroBlockMatchesNormRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	same := func(a, b NormParams) bool {
+		return math.Float64bits(a.DMin) == math.Float64bits(b.DMin) &&
+			math.Float64bits(a.DMax) == math.Float64bits(b.DMax) && a.Kept == b.Kept && a.NoFinite == b.NoFinite
+	}
+	for _, s := range []leafShape{
+		{"range", rangeDistances},
+		{"range with NaN and +Inf", func(rng *rand.Rand, n int) []float64 {
+			v := rangeDistances(rng, n)
+			for i := range v {
+				if r := rng.Intn(20); r == 0 {
+					v[i] = math.NaN()
+				} else if r == 1 {
+					v[i] = math.Inf(1)
+				}
+			}
+			return v
+		}},
+		{"all zero", pick(0)},
+		{"one zero", func(rng *rand.Rand, n int) []float64 {
+			v := fill(n, func() float64 { return 1 + rng.Float64() })
+			v[rng.Intn(n)] = 0
+			return v
+		}},
+	} {
+		for _, n := range []int{1, 2, 37, kernelMin + 1, evalChunk + 5} {
+			dists := s.gen(rng, n)
+			zeros := 0
+			for _, d := range dists {
+				if math.Float64bits(d) == 0 {
+					zeros++
+				}
+			}
+			q := leafQuantiles(dists)
+			keeps := []int{zeros - 1, zeros, zeros + 1}
+			for keep := -1; keep <= n+1; keep += 1 + n/300 {
+				keeps = append(keeps, keep)
+			}
+			for _, keep := range keeps {
+				want := NormRange(dists, keep)
+				for _, idx := range []*LeafQuantiles{nil, q} {
+					if got := indexedRange(dists, idx, zeros, keep); !same(got, want) {
+						t.Fatalf("%s n=%d zeros=%d keep=%d (index %v): %+v, NormRange %+v",
+							s.name, n, zeros, keep, idx != nil, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -614,7 +614,7 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 		rd.out = root.Dists
 		rd.state = make([]byte, nchunks)
 		rd.scans = make([]rangeScan, nchunks)
-		rd.params = indexedRange(root.Dists, root.Quantiles, rd.keep)
+		rd.params = indexedRange(root.Dists, root.Quantiles, root.Zeros, rd.keep)
 		switch {
 		case root.Quantiles != nil:
 			rd.leafNaNs = root.Quantiles.NaNs()

@@ -29,7 +29,7 @@ func attachLeafStats(root *Node, quantiles bool) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Op == Leaf {
-			n.ChunkStats = BuildLeafChunkStats(n.Dists)
+			n.ChunkStats = BuildLeafChunkStatsMasked(n.Dists, nil)
 			if quantiles {
 				n.Quantiles = leafQuantiles(n.Dists)
 			}

@@ -40,6 +40,9 @@ type Node struct {
 	// Dists. Pruning degrades gracefully without it (chunks whose
 	// children lack stats are never skipped).
 	ChunkStats *LeafChunkStats
+	// Zeros, when positive on a leaf, counts the exact +0 entries of a
+	// Dists with no value below +0 (a fresh range leaf's); 0: not counted.
+	Zeros int
 }
 
 // EffWeight returns the node's weight with the default of 1.

@@ -447,9 +447,15 @@ func (s *Session) Timings(ctx context.Context) (Summary, error) {
 	return sum, err
 }
 
-// Close deletes the session on the server.
+// Close deletes the session on the server, idempotently: session_not_found
+// — a lost response's attempt closed it, the idle sweep or a node's death
+// took it, the server never issued the ID — means gone, and answers nil.
 func (s *Session) Close(ctx context.Context) error {
-	return s.c.do(ctx, http.MethodDelete, s.path(""), nil, nil)
+	err := s.c.do(ctx, http.MethodDelete, s.path(""), nil, nil)
+	if ae, ok := err.(*APIError); ok && ae.Code == wire.CodeSessionNotFound {
+		return nil
+	}
+	return err
 }
 
 // ShardStats fetches every shard's serving and shared-cache counters.

@@ -187,8 +187,9 @@ func (fs *FleetSession) Timings(ctx context.Context) (Summary, error) {
 }
 
 // Close deletes the current incarnation, best-effort: a dead node
-// already closed it, and the idle sweep reaps anything missed. The
-// FleetSession refuses further operations either way.
+// already closed it (Session.Close answers nil for that), and the idle
+// sweep reaps anything missed. The FleetSession refuses further
+// operations either way.
 func (fs *FleetSession) Close(ctx context.Context) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -198,9 +199,6 @@ func (fs *FleetSession) Close(ctx context.Context) error {
 	}
 	err := fs.sess.Close(ctx)
 	fs.sess = nil
-	if ae, ok := err.(*APIError); ok && ae.Code == wire.CodeSessionNotFound {
-		return nil // the node's death closed it for us
-	}
 	return err
 }
 
