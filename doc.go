@@ -30,17 +30,20 @@
 // The paper observes that "query processing time is dominated by the
 // time needed for sorting". Since only GridW×GridH·(numPreds+1)
 // distance values are ever displayed, the engine ranks by selection by
-// default: internal/topk quickselects the display budget in expected
-// O(n), and relevance normalization finds each leaf's reduction range
-// by counting into monotone equal-width buckets and selecting inside the
-// one the rank falls in (relevance/orderstats.go). Two engine options:
+// default: internal/topk streams the vector through one O(k)-space
+// selector of the display budget, and relevance normalization finds
+// each leaf's reduction range by counting into monotone equal-width
+// buckets and selecting inside the one the rank falls in
+// (relevance/orderstats.go). Options.FullSort ranks every item exactly
+// in O(n log n) instead (the A-series ablations, exact quantiles;
+// implied by Arrange2D).
 //
-//   - Options.FullSort: exact O(n log n) ranking of every item (the
-//     A-series ablations, exact quantiles; implied by Arrange2D).
-//   - Options.Workers: bounds the worker pool of the distance stage,
-//     which chunks per-predicate distance computation across rows and
-//     sibling predicates (0 → GOMAXPROCS). Results are bit-identical
-//     whatever the count.
+// Policy: a process uses every core GOMAXPROCS gives it. A run builds
+// its leaves one after another in query order, each leaf's distance
+// pass chunked across all of those cores; concurrent sessions are the
+// other source of parallelism. There is no worker option, and a
+// client's "workers" session option is ignored (the server ignores
+// unknown keys). Results are bit-identical whatever the core count.
 //
 // # Incremental feedback loop
 //

@@ -38,10 +38,10 @@ import (
 // previous Result's, a failed run's are dropped and the old picture
 // keeps its own.
 //
-// A RunCache is safe for the concurrent leaf builds within one run, but
-// at most one RunCached call may use it at a time, and a Result
-// produced with a RunCache is only valid until the next successful
-// RunCached on the same cache (whose evaluation recycles the buffers).
+// A run builds its leaves one after another, and at most one RunCached
+// call may use a RunCache at a time; a Result produced with a RunCache
+// is only valid until the next successful RunCached on the same cache
+// (whose evaluation recycles the buffers).
 // Sessions — one user, one interaction loop — are exactly that shape.
 // All runs sharing a cache must use the same catalog and distance
 // registry: the keys fingerprint table names and row counts, not cell
@@ -337,7 +337,7 @@ func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	if le.quant == nil {
 		if quant == nil {
 			// Built outside any mutex — milliseconds of linear passes
-			// must not serialize sibling leaf builds. Two racing
+			// must not stall other sessions on the tier. Two racing
 			// builders do redundant work; both results are identical
 			// and the first one promoted wins.
 			quant, cstats = relevance.BuildLeafIndexes(le.raw())

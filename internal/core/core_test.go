@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/arrange"
 	"repro/internal/colormap"
 	"repro/internal/dataset"
+	"repro/internal/distance"
 	"repro/internal/query"
 	"repro/internal/relevance"
 )
@@ -395,6 +399,36 @@ func TestSubqueryExistsAndNegations(t *testing.T) {
 	}
 	if got := relevance.CountNaN(res.Combined()); got != 2 {
 		t.Fatalf("NOT IN uncolorable: %d", got)
+	}
+}
+
+// TestSubqueryInnerRunHonoursCancel: a subquery's inner run stops when
+// the request does. The inner query's first predicate cancels the
+// context on its first distance call; the second must never compute,
+// and the run must fail with an error wrapping context.Canceled.
+func TestSubqueryInnerRunHonoursCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var tallies atomic.Int64
+	reg := distance.NewRegistry()
+	reg.RegisterString("trip", func(a, b string) float64 {
+		cancel()
+		return 1
+	})
+	reg.RegisterString("tally", func(a, b string) float64 {
+		tallies.Add(1)
+		return 1
+	})
+	e := New(smallCatalog(t), reg, Options{GridW: 8, GridH: 8})
+	q, err := query.Parse(`SELECT x FROM T WHERE EXISTS (SELECT name FROM T WHERE name = 'a' USING trip AND name = 'b' USING tally)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RunCachedCtx(ctx, q, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run: %v, want an error wrapping context.Canceled", err)
+	}
+	if n := tallies.Load(); n != 0 {
+		t.Fatalf("the inner run's second predicate computed %d distances after the cancel, want 0", n)
 	}
 }
 

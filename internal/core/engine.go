@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/dataset"
@@ -21,6 +22,10 @@ type Engine struct {
 	cat *dataset.Catalog
 	reg *distance.Registry
 	opt Options
+	// workers is how many goroutines chunk one leaf's distance pass:
+	// every core GOMAXPROCS gives the process. A run builds its leaves
+	// one after another, so this is its one parallel layer.
+	workers int
 }
 
 // New creates an engine. reg may be nil (built-in distances only).
@@ -28,7 +33,7 @@ func New(cat *dataset.Catalog, reg *distance.Registry, opt Options) *Engine {
 	if reg == nil {
 		reg = distance.NewRegistry()
 	}
-	return &Engine{cat: cat, reg: reg, opt: opt.withDefaults()}
+	return &Engine{cat: cat, reg: reg, opt: opt.withDefaults(), workers: runtime.GOMAXPROCS(0)}
 }
 
 // Catalog returns the engine's catalog.
@@ -222,7 +227,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	}
 	res.Timings.Bind = time.Since(start)
 	mark := time.Now()
-	root, err := e.buildTree(q.Where, b, space, res, e.opt.Workers)
+	root, err := e.buildTree(q.Where, b, space, res)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +255,6 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	}
 	if cache != nil {
 		evalOpts.Alloc = cache.floats.alloc
-		evalOpts.LazyLeaves = true
 		if !e.opt.NoInteriorSketch {
 			// Interior reuse: an interior node whose subtree signature
 			// names a cached vector skips its subtree's fused passes and
@@ -291,7 +295,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		res.combined = eval.Combined
 		colorable = space.n - relevance.CountNaN(eval.Combined)
 		sorted, order := reduce.SortWithIndex(eval.Combined)
-		res.sorted, res.Order, res.rankedK = sorted, order, space.n
+		res.sorted, res.Order = sorted, order
 		res.Timings.Sort = time.Since(mark)
 	default:
 		// Rank-before-scale selection: rank the RAW root values —
@@ -312,7 +316,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		if err != nil {
 			return nil, err
 		}
-		res.sorted, res.Order, res.rankedK = rk.Sorted, rk.Order, rk.K
+		res.sorted, res.Order = rk.Sorted, rk.Order
 		colorable = space.n - rk.NaNs
 		res.Timings.Select = time.Since(mark) - rk.ScaleTime
 		res.Timings.RootCombine = rk.CombineTime
@@ -323,7 +327,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		}
 	}
 	mark = time.Now()
-	res.Displayed = e.displayCount(res.sorted[:res.rankedK], colorable, space.n, numPreds)
+	res.Displayed = e.displayCount(res.sorted, colorable, space.n, numPreds)
 	res.buildPlacement()
 	res.Timings.Reduce = time.Since(mark)
 	res.Timings.Total = time.Since(start)
@@ -422,18 +426,18 @@ func (e *Engine) buildItemSpace(q *query.Query) (*itemSpace, error) {
 // buildTree converts the bound condition tree into a relevance node
 // tree, computing raw leaf distances. A nil condition yields an
 // all-zeros leaf (every item is a correct answer).
-func (e *Engine) buildTree(where query.Expr, b *query.Binding, space *itemSpace, res *Result, workers int) (*relevance.Node, error) {
+func (e *Engine) buildTree(where query.Expr, b *query.Binding, space *itemSpace, res *Result) (*relevance.Node, error) {
 	if where == nil {
 		return &relevance.Node{Op: relevance.Leaf, Label: "true", Dists: make([]float64, space.n)}, nil
 	}
-	return e.exprNode(where, b, space, res, false, workers)
+	return e.exprNode(where, b, space, res, false)
 }
 
 // exprNode builds the node for one expression. negated handles the
 // negation semantics of section 4.4: invertible comparison operators
 // invert; everything else falls back to exact boolean evaluation with
 // satisfied items at distance 0 and failing items uncolorable.
-func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, res *Result, negated bool, workers int) (*relevance.Node, error) {
+func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, res *Result, negated bool) (*relevance.Node, error) {
 	// Per-node cancellation poll: a request deadline cuts the Distances
 	// stage off between leaf computations (the evaluator's per-chunk
 	// checkpoints cover everything after). Leaves that completed before
@@ -458,11 +462,11 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 				c = &query.Cond{Attr: n.Attr, Op: inv, Value: n.Value, Lo: n.Lo, Hi: n.Hi,
 					List: n.List, DistFunc: n.DistFunc, W: n.W}
 			} else {
-				return e.booleanLeaf(n, b, space, res, true, workers)
+				return e.booleanLeaf(n, b, space, res, true)
 			}
 		}
 		compute := func() (*predicateData, error) {
-			pd, err := e.condData(c, attr, space, workers)
+			pd, err := e.condData(c, attr, space)
 			if err == nil && res.cache != nil && pd.Segs > 0 {
 				// Segment-pushdown attribution happens here, inside the
 				// compute closure, so only the run that actually paid for
@@ -519,47 +523,19 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 		}
 		node := &relevance.Node{Op: op, Label: n.Label(), Weight: n.Weight()}
-		children := make([]*relevance.Node, len(n.Children))
-		if workers > 1 && len(n.Children) > 1 {
-			// Build sibling predicate subtrees concurrently: each child
-			// fills only its own distance vectors, Result's maps are
-			// mutex-guarded, and the binding is read-only during runs
-			// (negation rewrites condition copies, never the binding), so
-			// negating subtrees parallelize like any other. The worker
-			// budget is split between siblings (and the sibling fan-out
-			// itself bounded by it), so total concurrency composes to
-			// ≈ workers instead of multiplying.
-			childWorkers := workers / len(n.Children)
-			if childWorkers < 1 {
-				childWorkers = 1
-			}
-			err := parallelFor(len(n.Children), workers, 1, func(from, to int) error {
-				for i := from; i < to; i++ {
-					child, err := e.exprNode(n.Children[i], b, space, res, negated, childWorkers)
-					if err != nil {
-						return err
-					}
-					children[i] = child
-				}
-				return nil
-			})
+		// Children build in query order, each leaf's pass chunked across
+		// every core (Engine.workers).
+		for _, c := range n.Children {
+			child, err := e.exprNode(c, b, space, res, negated)
 			if err != nil {
 				return nil, err
 			}
-		} else {
-			for i, c := range n.Children {
-				child, err := e.exprNode(c, b, space, res, negated, workers)
-				if err != nil {
-					return nil, err
-				}
-				children[i] = child
-			}
+			node.Children = append(node.Children, child)
 		}
-		node.Children = children
 		res.setNode(expr, node)
 		return node, nil
 	case *query.Not:
-		child, err := e.exprNode(n.Child, b, space, res, !negated, workers)
+		child, err := e.exprNode(n.Child, b, space, res, !negated)
 		if err != nil {
 			return nil, err
 		}
@@ -584,10 +560,10 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 				// distance". A partner is a row of the other relation that
 				// fulfills the connection exactly (distance 0; use a
 				// Within-mode connection for tolerance-based counting).
-				dists, err = e.partnerCountDistances(conn, space, workers)
+				dists, err = e.partnerCountDistances(conn, space)
 			} else {
 				out := make([]float64, len(space.pairs))
-				err = parallelFor(len(space.pairs), workers, itemChunk, func(from, to int) error {
+				err = parallelFor(len(space.pairs), e.workers, itemChunk, func(from, to int) error {
 					return join.ConnDistancesRange(conn, space.tables[0], space.tables[1], space.pairs, out, from, to, e.reg)
 				})
 				dists = out
@@ -612,7 +588,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		}
 		return e.distsLeaf(res, space, n, n.Label(), res.keys.join(n.Label(), negated), compute)
 	case *query.SubqueryExpr:
-		return e.subqueryNode(n, b, space, res, negated, workers)
+		return e.subqueryNode(n, b, space, res, negated)
 	default:
 		return nil, fmt.Errorf("core: unsupported expression %T", expr)
 	}
@@ -622,7 +598,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 // a connection for every row of a single-table query. The FROM table
 // may be either side of the connection; the other side is looked up in
 // the catalog.
-func (e *Engine) partnerCountDistances(conn dataset.Connection, space *itemSpace, workers int) ([]float64, error) {
+func (e *Engine) partnerCountDistances(conn dataset.Connection, space *itemSpace) ([]float64, error) {
 	table := space.tables[0]
 	var other *dataset.Table
 	var err error
@@ -642,7 +618,7 @@ func (e *Engine) partnerCountDistances(conn dataset.Connection, space *itemSpace
 	// Each left row scans the partner relation independently; chunk the
 	// O(n·m) count across the worker pool.
 	counts := make([]int, table.NumRows())
-	if err := parallelFor(len(counts), workers, 16, func(from, to int) error {
+	if err := parallelFor(len(counts), e.workers, 16, func(from, to int) error {
 		return join.PartnerCountsRange(conn, table, other, 0, counts, from, to, e.reg)
 	}); err != nil {
 		return nil, err
@@ -662,7 +638,7 @@ func reverseConnection(c dataset.Connection) dataset.Connection {
 // items get distance 0, failing items are uncolorable (NaN), matching
 // "no distance values may be obtained and hence no coloring is
 // possible" for negations (section 4.4).
-func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, res *Result, negate bool, workers int) (*relevance.Node, error) {
+func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, res *Result, negate bool) (*relevance.Node, error) {
 	label := c.Label()
 	if negate {
 		label = "NOT " + label
@@ -674,7 +650,7 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 			return nil, err
 		}
 		dists := make([]float64, space.n)
-		if err := parallelFor(space.n, workers, itemChunk, func(from, to int) error {
+		if err := parallelFor(space.n, e.workers, itemChunk, func(from, to int) error {
 			for i := from; i < to; i++ {
 				row, err := space.rowFor(i, attr.Table)
 				if err != nil {
@@ -734,7 +710,7 @@ func (e *Engine) distsLeaf(res *Result, space *itemSpace, expr query.Expr, label
 // inner relation ("the data item most closely fulfilling the subquery
 // condition"); the negated forms are colorable only via boolean
 // evaluation (yellow where satisfied, uncolorable otherwise).
-func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *itemSpace, res *Result, negated bool, workers int) (*relevance.Node, error) {
+func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *itemSpace, res *Result, negated bool) (*relevance.Node, error) {
 	subBinding, ok := b.Subs[sq]
 	if !ok {
 		return nil, fmt.Errorf("core: subquery not bound")
@@ -751,14 +727,18 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 		// evaluation (normalization-free raw means keep the scale of the
 		// attribute distance; we use normalized values for robustness).
 		innerSpace := &itemSpace{tables: []*dataset.Table{inner}, n: inner.NumRows()}
-		innerRes := &Result{Engine: e, nodeOf: make(map[query.Expr]*relevance.Node), preds: make(map[*query.Cond]*predicateData)}
-		innerRoot, err := e.buildTree(sq.Sub.Where, subBinding, innerSpace, innerRes, workers)
+		// The inner run polls the outer run's checkpoint, so a request
+		// deadline interrupts it like any other leaf compute.
+		innerRes := &Result{Engine: e, nodeOf: make(map[query.Expr]*relevance.Node),
+			preds: make(map[*query.Cond]*predicateData), checkpoint: res.checkpoint}
+		innerRoot, err := e.buildTree(sq.Sub.Where, subBinding, innerSpace, innerRes)
 		if err != nil {
 			return nil, err
 		}
 		innerEval, err := relevance.Evaluate(innerRoot, innerSpace.n, relevance.EvalOptions{
-			Budget: e.opt.GridW * e.opt.GridH,
-			Mode:   e.opt.Mode,
+			Budget:     e.opt.GridW * e.opt.GridH,
+			Mode:       e.opt.Mode,
+			Checkpoint: res.checkpoint,
 		})
 		if err != nil {
 			return nil, err

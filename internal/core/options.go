@@ -12,8 +12,6 @@
 package core
 
 import (
-	"runtime"
-
 	"repro/internal/colormap"
 	"repro/internal/relevance"
 )
@@ -71,11 +69,6 @@ type Options struct {
 	// ranking of all n items, which the A-series ablations and exact
 	// quantile statistics rely on. Arrange2D implies FullSort.
 	FullSort bool
-	// Workers bounds the worker pool of the distance stage (chunked
-	// across rows and across sibling predicates). 0 or negative selects
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Runs are
-	// bit-identical whatever the count.
-	Workers int
 	// NoInteriorSketch disables interior reuse on cached runs (the
 	// ablation/benchmark baseline): no interior node's raw combined
 	// vector is looked up or stored, so every one re-runs its fused
@@ -117,9 +110,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PercentDisplayed > 1 {
 		o.PercentDisplayed = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }

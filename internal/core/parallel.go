@@ -6,8 +6,8 @@ import (
 )
 
 // parallelFor runs fn over the index range [0, n) split into contiguous
-// chunks, executed by up to workers goroutines (the calling goroutine
-// included, so the pool never deadlocks under nesting). Chunks are
+// chunks, executed by up to workers goroutines, the calling goroutine
+// included. Chunks are
 // disjoint, so fn may write to per-index slots of shared slices without
 // synchronization, and the union of all chunk iterations is exactly the
 // serial loop — results are bit-identical to workers == 1. Errors are

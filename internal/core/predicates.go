@@ -76,7 +76,7 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 // space. attr is the condition's resolved binding, passed explicitly so
 // negation rewrites (which evaluate a private copy of the condition)
 // never have to touch the shared, read-only Binding.
-func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace, workers int) (*predicateData, error) {
+func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace) (*predicateData, error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
 		return nil, err
@@ -89,11 +89,11 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace,
 		pd.Signed = make([]float64, space.n)
 	}
 	if attr.Kind.IsNumeric() {
-		if err := e.numericCond(c, attr, t, space, pd, workers); err != nil {
+		if err := e.numericCond(c, attr, t, space, pd); err != nil {
 			return nil, err
 		}
 	} else {
-		if err := e.stringCond(c, attr, t, space, pd, workers); err != nil {
+		if err := e.stringCond(c, attr, t, space, pd); err != nil {
 			return nil, err
 		}
 	}
@@ -102,7 +102,7 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace,
 
 // numericCond fills pd for numeric/time/bool attributes using the
 // distance-to-range semantics of section 3.
-func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData, workers int) error {
+func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData) error {
 	singleTable := space.pairs == nil
 	// Single-table spaces stream the column a segment at a time through
 	// the bulk reader — file-backed columns never materialize an n-sized
@@ -198,7 +198,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	var mu sync.Mutex
 	var total rangeKernel // the merged shares
 	signed := pd.Signed
-	perr := parallelFor(space.n, workers, itemChunk, func(from, to int) error {
+	perr := parallelFor(space.n, e.workers, itemChunk, func(from, to int) error {
 		k := rangeKernel{lo: lo, hi: hi, edge: edge}
 		var scratch [dataset.SegmentSize]float64
 		for s := from; s < to; {
@@ -425,7 +425,7 @@ func minListDistance(v float64, list []dataset.Value) (raw, signed float64) {
 
 // stringCond fills pd for string/ordinal/nominal attributes using the
 // string distances and distance matrices of section 3.
-func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData, workers int) error {
+func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData) error {
 	col, err := t.Column(attr.Attr)
 	if err != nil {
 		return err
@@ -487,7 +487,7 @@ func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tabl
 	// particular) dominate this loop, every chunk writes disjoint slots,
 	// and the distance functions and matrices are stateless/read-only.
 	signed := pd.Signed
-	return parallelFor(space.n, workers, itemChunk, func(from, to int) error {
+	return parallelFor(space.n, e.workers, itemChunk, func(from, to int) error {
 		for i := from; i < to; i++ {
 			row, err := space.rowFor(i, attr.Table)
 			if err != nil {

@@ -91,7 +91,8 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 	for _, arr := range []ArrangementKind{ArrangeSpiral, Arrange2D} {
 		e := New(cat, nil, Options{Arrangement: arr})
 		for _, workers := range []int{1, 3} {
-			pd, err := e.condData(c, attr, space, workers)
+			e.workers = workers
+			pd, err := e.condData(c, attr, space)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +181,7 @@ func TestRangeKernelMatchesToRange(t *testing.T) {
 		{Attr: "x", Op: query.OpNe, Value: dataset.Float(50)},
 		{Attr: "x", Op: query.OpIn, List: []dataset.Value{dataset.Float(10), dataset.Float(50)}},
 	} {
-		pd, err := e.condData(c, x, space, 1)
+		pd, err := e.condData(c, x, space)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +331,7 @@ func BenchmarkRangeDistances(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := New(cat, nil, Options{})
+	e := withWorkers(New(cat, nil, Options{}), 1) // the kernel on one core
 	space := &itemSpace{tables: []*dataset.Table{tbl}, n: tbl.NumRows()}
 	for _, col := range []struct{ name, attr string }{{"uniform", "c"}, {"ascending", "t"}} {
 		b.Run(col.name, func(b *testing.B) {
@@ -339,7 +340,7 @@ func BenchmarkRangeDistances(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.condData(c, attr, space, 1); err != nil {
+				if _, err := e.condData(c, attr, space); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,17 +37,13 @@ type Result struct {
 	combined []float64
 	// Order maps display rank → item index (ascending combined
 	// distance, i.e. descending relevance); sorted holds the distances
-	// in rank order. On the default selection path Order holds the
-	// ranked prefix only — rankedK entries, at least the display budget
-	// — and the unranked items are not listed. Use TopK to obtain the
-	// head of the ranking at any depth, or Options.FullSort for a fully
-	// sorted Order of all N items.
+	// in rank order. Every entry is in exact relevance order: on the
+	// default selection path Order holds the ranked prefix only — at
+	// least the display budget — and the unranked items are not listed.
+	// Use TopK to obtain the head of the ranking at any depth, or
+	// Options.FullSort for a fully sorted Order of all N items.
 	Order  []int
 	sorted []float64
-	// rankedK is how many leading entries of Order/sorted are in exact
-	// relevance order (N when fully sorted); entries past it, where a
-	// fallback path leaves any, are in unspecified order.
-	rankedK int
 	// sortedReordered marks sorted as re-filtered into display order by
 	// the 2D-quantile refinement (no longer ascending).
 	sortedReordered bool
@@ -58,7 +54,7 @@ type Result struct {
 	Timings StageTimings
 
 	root   *relevance.Node
-	mu     sync.Mutex // guards nodeOf/preds during build, rank extension and relevance memoization after
+	mu     sync.Mutex // guards rank extension and the Combined/Relevance memoization
 	nodeOf map[query.Expr]*relevance.Node
 	preds  map[*query.Cond]*predicateData
 	cells  []arrange.Point // rank → cell
@@ -116,7 +112,7 @@ func (r *Result) combinedLocked() []float64 {
 // the combined vector. Valid for the exactly-ranked prefix (display
 // ranks always qualify); NaN outside it.
 func (r *Result) DistanceOfRank(k int) float64 {
-	if k < 0 || k >= r.rankedK {
+	if k < 0 || k >= len(r.Order) {
 		return math.NaN()
 	}
 	return r.sorted[k]
@@ -137,40 +133,23 @@ func (r *Result) Relevance() []float64 {
 	return r.relevance
 }
 
-// setNode records the relevance node of an expression; safe under
-// concurrent sibling predicate builds.
-func (r *Result) setNode(e query.Expr, n *relevance.Node) {
-	r.mu.Lock()
-	r.nodeOf[e] = n
-	r.mu.Unlock()
-}
+// setNode records the relevance node of an expression.
+func (r *Result) setNode(e query.Expr, n *relevance.Node) { r.nodeOf[e] = n }
 
-// setPred records the predicate data of a condition; safe under
-// concurrent sibling predicate builds.
-func (r *Result) setPred(c *query.Cond, pd *predicateData) {
-	r.mu.Lock()
-	r.preds[c] = pd
-	r.mu.Unlock()
-}
+// setPred records the predicate data of a condition.
+func (r *Result) setPred(c *query.Cond, pd *predicateData) { r.preds[c] = pd }
 
-// setLeafID records a leaf node's full cache key; safe under concurrent
-// sibling predicate builds.
+// setLeafID records a leaf node's full cache key.
 func (r *Result) setLeafID(n *relevance.Node, key string) {
-	r.mu.Lock()
 	if r.leafID == nil {
 		r.leafID = make(map[*relevance.Node]string)
 	}
 	r.leafID[n] = key
-	r.mu.Unlock()
 }
 
 // leafIDOf answers relevance.EvalOptions.LeafID: the leaf's full cache
 // key, or empty (label fallback) for leaves built without one.
-func (r *Result) leafIDOf(n *relevance.Node) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.leafID[n]
-}
+func (r *Result) leafIDOf(n *relevance.Node) string { return r.leafID[n] }
 
 // leafSetSig names the set of leaves the run read: the item space and
 // the leaf keys in sorted order, so reordering or reweighting the query
@@ -305,12 +284,11 @@ type PanelStats struct {
 // rank-before-scale path avoids.
 func (r *Result) Stats() PanelStats {
 	exact := 0
-	if !r.sortedReordered && r.rankedK > 0 && r.sorted[r.rankedK-1] != 0 {
+	if k := len(r.sorted); !r.sortedReordered && k > 0 && r.sorted[k-1] != 0 {
 		// Monotone prefix (ascending, NaNs last): count the leading
 		// zeros.
-		prefix := r.sorted[:r.rankedK]
-		exact = sort.Search(len(prefix), func(i int) bool { return prefix[i] != 0 })
-	} else if r.rankedK > 0 || r.N > 0 {
+		exact = sort.Search(k, func(i int) bool { return r.sorted[i] != 0 })
+	} else if k > 0 || r.N > 0 {
 		for _, d := range r.Combined() {
 			if d == 0 {
 				exact++
@@ -784,9 +762,8 @@ func (r *Result) TopK(k int) []int {
 	if k < 0 {
 		k = 0
 	}
-	if k > r.rankedK {
-		sorted, order := topk.SelectKWithIndex(r.combinedLocked(), k)
-		r.sorted, r.Order, r.rankedK = sorted, order, k
+	if k > len(r.Order) {
+		r.sorted, r.Order = topk.SelectKWithIndex(r.combinedLocked(), k)
 	}
 	out := make([]int, k)
 	copy(out, r.Order[:k])

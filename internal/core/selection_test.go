@@ -65,8 +65,8 @@ func TestSelectionMatchesFullSort(t *testing.T) {
 	cat := selectionCatalog(t, 5000)
 	for _, sql := range selectionQueries {
 		for _, workers := range []int{1, 8} {
-			sel := New(cat, nil, Options{GridW: 16, GridH: 16, Workers: workers})
-			full := New(cat, nil, Options{GridW: 16, GridH: 16, Workers: workers, FullSort: true})
+			sel := withWorkers(New(cat, nil, Options{GridW: 16, GridH: 16}), workers)
+			full := withWorkers(New(cat, nil, Options{GridW: 16, GridH: 16, FullSort: true}), workers)
 			rs, err := sel.RunSQL(sql)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
@@ -98,15 +98,23 @@ func TestSelectionMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestWorkersBitIdentical: parallel (Workers > 1) and serial (Workers
+// withWorkers sets how many goroutines chunk e's leaf passes — what
+// GOMAXPROCS decides outside the tests — so the serial and the chunked
+// path are both checked on any machine.
+func withWorkers(e *Engine, workers int) *Engine {
+	e.workers = workers
+	return e
+}
+
+// TestWorkersBitIdentical: chunked (workers > 1) and serial (workers
 // == 1) runs must produce bit-identical Result.Combined(), identical
 // ranked prefixes and identical display counts, across numeric, string,
 // negated and join-bearing queries.
 func TestWorkersBitIdentical(t *testing.T) {
 	cat := selectionCatalog(t, 5000)
 	for _, sql := range selectionQueries {
-		serial := New(cat, nil, Options{GridW: 16, GridH: 16, Workers: 1})
-		parallel := New(cat, nil, Options{GridW: 16, GridH: 16, Workers: 8})
+		serial := withWorkers(New(cat, nil, Options{GridW: 16, GridH: 16}), 1)
+		parallel := withWorkers(New(cat, nil, Options{GridW: 16, GridH: 16}), 8)
 		rs, err := serial.RunSQL(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -128,7 +136,10 @@ func TestWorkersBitIdentical(t *testing.T) {
 		if rs.Displayed != rp.Displayed {
 			t.Fatalf("%s: Displayed %d vs %d", sql, rs.Displayed, rp.Displayed)
 		}
-		for rank := 0; rank < rs.rankedK; rank++ {
+		if len(rs.Order) != len(rp.Order) {
+			t.Fatalf("%s: ranked prefix %d vs %d long", sql, len(rs.Order), len(rp.Order))
+		}
+		for rank := range rs.Order {
 			if rs.Order[rank] != rp.Order[rank] {
 				t.Fatalf("%s: ranked prefix diverged at %d", sql, rank)
 			}
@@ -144,8 +155,8 @@ func TestWorkersBitIdenticalJoin(t *testing.T) {
 		`SELECT Temperature FROM Weather, Air-Pollution WHERE Temperature > 18 AND CONNECT with-time-diff(45)`,
 		`SELECT Temperature FROM Weather WHERE CONNECT with-time-diff(45)`,
 	} {
-		serial := New(cat, nil, Options{GridW: 8, GridH: 8, Workers: 1})
-		parallel := New(cat, nil, Options{GridW: 8, GridH: 8, Workers: 8})
+		serial := withWorkers(New(cat, nil, Options{GridW: 8, GridH: 8}), 1)
+		parallel := withWorkers(New(cat, nil, Options{GridW: 8, GridH: 8}), 8)
 		rs, err := serial.RunSQL(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -320,7 +331,7 @@ func TestTopKConcurrent(t *testing.T) {
 
 // TestSelectionInvariantsAtScale: on a larger-than-budget input the
 // selection path must keep Order exactly the ranked prefix (distinct
-// items, nothing past rankedK), the prefix ascending (NaNs last), and
+// items, exactly the selection budget), the prefix ascending (NaNs last), and
 // the display within capacity.
 func TestSelectionInvariantsAtScale(t *testing.T) {
 	cat := selectionCatalog(t, 60000)
@@ -332,8 +343,8 @@ func TestSelectionInvariantsAtScale(t *testing.T) {
 	if res.Displayed > 64*64 {
 		t.Fatalf("Displayed %d exceeds capacity", res.Displayed)
 	}
-	if len(res.Order) != res.rankedK || res.rankedK >= res.N {
-		t.Fatalf("Order length %d, want the ranked prefix %d (N = %d)", len(res.Order), res.rankedK, res.N)
+	if k := e.selectBudget(res.N); len(res.Order) != k || len(res.sorted) != k || k >= res.N {
+		t.Fatalf("Order/sorted length %d/%d, want the ranked prefix %d (N = %d)", len(res.Order), len(res.sorted), k, res.N)
 	}
 	seen := make([]bool, res.N)
 	for _, it := range res.Order {
@@ -342,7 +353,7 @@ func TestSelectionInvariantsAtScale(t *testing.T) {
 		}
 		seen[it] = true
 	}
-	for rank := 1; rank < res.rankedK; rank++ {
+	for rank := 1; rank < len(res.Order); rank++ {
 		a := res.Combined()[res.Order[rank-1]]
 		b := res.Combined()[res.Order[rank]]
 		if math.IsNaN(a) && !math.IsNaN(b) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/lru"
@@ -247,7 +249,9 @@ func (sc *SharedCache) Bytes() int64 {
 }
 
 // fetch returns the entry for key — a leaf over an item space of rows
-// items — computing it at most once across concurrent callers. hit
+// items — computing it at most once across concurrent callers (a
+// leader's failure is its waiters' too, unless it is the leader's own
+// request ending: a canceled or timed-out fill is led again). hit
 // reports whether the entry was served without running compute in this
 // call (a resident entry, another caller's fill we waited on, or the
 // remote tier). compute runs without any cache lock held, so fills for
@@ -255,26 +259,34 @@ func (sc *SharedCache) Bytes() int64 {
 // other keys.
 func (sc *SharedCache) fetch(key string, rows int, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
-	if e, ok := sc.entries.Get(key); ok {
-		sc.hits++
-		le = *e
-		sc.mu.Unlock()
-		return le, true, nil
-	}
-	if call, ok := sc.inflight[key]; ok {
+	for {
+		if e, ok := sc.entries.Get(key); ok {
+			sc.hits++
+			le = *e
+			sc.mu.Unlock()
+			return le, true, nil
+		}
+		call, ok := sc.inflight[key]
+		if !ok {
+			break
+		}
 		sc.waits++
 		sc.mu.Unlock()
 		<-call.done
-		if call.err != nil {
+		switch {
+		case call.err == nil:
+			sc.mu.Lock()
+			sc.hits++
+			sc.mu.Unlock()
+			return call.entry, true, nil
+		case !errors.Is(call.err, context.Canceled) && !errors.Is(call.err, context.DeadlineExceeded):
 			// The leader's computation failed; ours would too (same
 			// key, same deterministic computation over the same
 			// catalog).
 			return leafEntry{}, false, call.err
 		}
+		// The leader's request ended, not the fill: lead it ourselves.
 		sc.mu.Lock()
-		sc.hits++
-		sc.mu.Unlock()
-		return call.entry, true, nil
 	}
 	sc.misses++
 	call := &sharedCall{done: make(chan struct{})}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -247,6 +249,68 @@ func TestSharedCacheSingleflight(t *testing.T) {
 	for g := 1; g <= waiters; g++ {
 		if &results[g][0] != &results[0][0] {
 			t.Fatal("waiter received a different vector than the leader")
+		}
+	}
+}
+
+// TestCanceledFillIsLedAgain: a fill whose leader's request ended
+// (context.Canceled or DeadlineExceeded out of its compute) is nobody
+// else's failure — the waiter leads the fill itself and gets its own
+// entry — while any other failure is still the waiters' too.
+func TestCanceledFillIsLedAgain(t *testing.T) {
+	boom := errors.New("boom")
+	for _, leaderErr := range []error{
+		fmt.Errorf("core: run canceled: %w", context.Canceled),
+		fmt.Errorf("core: run canceled: %w", context.DeadlineExceeded),
+		boom,
+	} {
+		sc := NewSharedCache(0, 0)
+		leaderDone := make(chan error, 1)
+		go func() {
+			_, _, err := sc.fetch("K", 1, func() (leafEntry, error) {
+				// Fail only once the waiter is blocked on this fill.
+				deadline := time.Now().Add(5 * time.Second)
+				for sc.Stats().Waits < 1 {
+					if time.Now().After(deadline) {
+						return leafEntry{}, fmt.Errorf("the waiter never arrived")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				return leafEntry{}, leaderErr
+			})
+			leaderDone <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			sc.mu.Lock()
+			_, inflight := sc.inflight["K"]
+			sc.mu.Unlock()
+			if inflight {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the leader never started its fill")
+			}
+		}
+		computed := false
+		le, hit, err := sc.fetch("K", 1, func() (leafEntry, error) {
+			computed = true
+			return leafEntry{dists: []float64{7}}, nil
+		})
+		if lerr := <-leaderDone; lerr != leaderErr {
+			t.Fatalf("leader: %v, want %v", lerr, leaderErr)
+		}
+		st := sc.Stats()
+		if leaderErr == boom {
+			if err != boom || computed || st.Misses != 1 || st.Fills != 0 {
+				t.Fatalf("a failed fill: waiter got %v (computed %v), stats %+v; want the leader's error", err, computed, st)
+			}
+			continue
+		}
+		if err != nil || hit || !computed || len(le.dists) != 1 || le.dists[0] != 7 {
+			t.Fatalf("%v: waiter got %v, %v, hit %v, computed %v; want its own entry", leaderErr, le.dists, err, hit, computed)
+		}
+		if st.Waits != 1 || st.Misses != 2 || st.Fills != 1 || st.Entries != 1 {
+			t.Fatalf("%v: stats %+v", leaderErr, st)
 		}
 	}
 }

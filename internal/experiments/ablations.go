@@ -32,35 +32,31 @@ func AblationNormalize(outDir string) (*Report, error) {
 		p2[i] = float64((n - i) % 100)
 	}
 	p1[n-1] = 1e12 // the single exceptional value
-	build := func() *relevance.Node {
-		return &relevance.Node{Op: relevance.NodeAnd, Children: []*relevance.Node{
-			{Op: relevance.Leaf, Label: "p1", Dists: append([]float64(nil), p1...)},
-			{Op: relevance.Leaf, Label: "p2", Dists: append([]float64(nil), p2...)},
+	// spread evaluates the query and measures p1's normalized spread.
+	spread := func(opts relevance.EvalOptions) (float64, error) {
+		p1n := &relevance.Node{Op: relevance.Leaf, Label: "p1", Dists: append([]float64(nil), p1...)}
+		root := &relevance.Node{Op: relevance.NodeAnd, Children: []*relevance.Node{
+			p1n, {Op: relevance.Leaf, Label: "p2", Dists: append([]float64(nil), p2...)},
 		}}
-	}
-	spread := func(res *relevance.Result, label string) float64 {
-		for node, vec := range res.ByNode {
-			if node.Label != label {
-				continue
-			}
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, v := range vec[:n-1] { // inliers only
-				lo = math.Min(lo, v)
-				hi = math.Max(hi, v)
-			}
-			return hi - lo
+		res, err := relevance.Evaluate(root, n, opts)
+		if err != nil {
+			return 0, err
 		}
-		return math.NaN()
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range res.Vec(p1n)[:n-1] { // inliers only
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+		}
+		return hi - lo, nil
 	}
-	robust, err := relevance.Evaluate(build(), n, relevance.EvalOptions{Budget: n / 2})
+	sr, err := spread(relevance.EvalOptions{Budget: n / 2})
 	if err != nil {
 		return nil, err
 	}
-	naive, err := relevance.Evaluate(build(), n, relevance.EvalOptions{Budget: n / 2, NaiveNormalize: true})
+	sn, err := spread(relevance.EvalOptions{Budget: n / 2, NaiveNormalize: true})
 	if err != nil {
 		return nil, err
 	}
-	sr, sn := spread(robust, "p1"), spread(naive, "p1")
 	r.addf("p1 normalized inlier spread: reduction-first %.1f, naive %.5f (of %g)", sr, sn, relevance.Scale)
 	ratio := math.Inf(1)
 	if sn > 0 {

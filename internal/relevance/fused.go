@@ -160,8 +160,8 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 			}
 		}
 		k := len(node.Children)
-		raw := make([][]float64, k)    // child vectors, unscaled
-		scaled := make([][]float64, k) // materialized destination, nil for lazy children
+		raw := make([][]float64, k)     // child vectors, unscaled
+		scratch := make([][]float64, k) // chunk scratch; nil: the child finalizes in place
 		cparams := make([]NormParams, k)
 		weights := make([]float64, k)
 		for j, child := range node.Children {
@@ -178,49 +178,35 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 			switch {
 			case c.res.isLazy(child):
 				// A cached interior child is read-only: it scales into
-				// chunk-local scratch like a lazy leaf.
+				// chunk-local scratch like a leaf.
+				scratch[j] = make([]float64, evalChunk)
 			case child.Op != Leaf:
 				// Interior children finalize in place: their ByNode
 				// buffer holds the raw combined vector until this pass
 				// scales it.
-				scaled[j] = v
-			case c.opts.LazyLeaves:
-				// Lazy leaves scale into chunk-local scratch for the
+			default:
+				// Leaves scale into chunk-local scratch for the
 				// combination and materialize later via Result.Vec.
 				c.res.setLazy(child, v, p)
-			default:
-				// Eager leaves scale into their own output buffer
-				// during the fused pass below.
-				scaled[j] = c.alloc()
-				c.res.ByNode[child] = scaled[j]
+				scratch[j] = make([]float64, evalChunk)
 			}
 		}
 		ws, effSum := resolveWeights(weights, k)
 		combiner, t, lpP := kernelFor(node.Op, c.opts, effSum)
 		out := c.alloc()
-		// The fused pass: scale every child's chunk (into its buffer, in
-		// place, or into chunk-sized scratch that stays L1-resident),
-		// combine the chunk, and fold it into the node's range scan —
-		// one cache-hot sweep instead of 2k+3 vector-length passes.
-		scratch := make([][]float64, k)
+		// The fused pass: scale every child's chunk (in place, or into
+		// chunk-sized scratch that stays L1-resident), combine the chunk,
+		// and fold it into the node's range scan — one cache-hot sweep
+		// instead of 2k+3 vector-length passes.
 		vs := make([][]float64, k)
-		for j := range scaled {
-			if scaled[j] == nil {
-				scratch[j] = make([]float64, evalChunk)
-			}
-		}
 		chunkStats := make([]rangeScan, c.chunkCount())
 		c.forChunks(func(ci, lo, hi int) {
 			for j := range node.Children {
-				src, p := raw[j], cparams[j]
+				dst := raw[j][lo:hi]
 				if buf := scratch[j]; buf != nil {
-					dst := buf[:hi-lo]
-					applyRange(dst, src[lo:hi], p)
-					vs[j] = dst
-					continue
+					dst = buf[:hi-lo]
 				}
-				dst := scaled[j][lo:hi]
-				applyRange(dst, src[lo:hi], p)
+				applyRange(dst, raw[j][lo:hi], cparams[j])
 				vs[j] = dst
 			}
 			dst := out[lo:hi]

@@ -127,7 +127,8 @@ func buildRandomTree(rng *rand.Rand, n, depth int) *Node {
 // TestFusedMatchesReference: the chunk-fused evaluator must be
 // bit-identical to the node-at-a-time reference pipeline across random
 // trees and every option combination — combine modes, AND combiners,
-// naive and reduction-first normalization.
+// naive and reduction-first normalization — on Combined and on every
+// node's vector, lazy leaves included.
 func TestFusedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	optVariants := []EvalOptions{
@@ -154,15 +155,17 @@ func TestFusedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameVec(t, "combined", ref.Combined, got.Combined)
-		if len(ref.ByNode) != len(got.ByNode) {
-			t.Fatalf("ByNode sizes: %d vs %d", len(ref.ByNode), len(got.ByNode))
-		}
+		// Every node through Vec — leaves materialize on first read — and
+		// a second read hands back the same buffer.
 		for node, rv := range ref.ByNode {
-			gv, ok := got.ByNode[node]
-			if !ok {
-				t.Fatal("missing node in fused ByNode")
+			gv := got.Vec(node)
+			if gv == nil {
+				t.Fatalf("Vec(%q) = nil", node.Label)
 			}
 			sameVec(t, "node "+node.Label, rv, gv)
+			if &got.Vec(node)[0] != &gv[0] {
+				t.Fatalf("Vec(%q) rematerialized on second call", node.Label)
+			}
 		}
 	}
 }
@@ -293,46 +296,6 @@ func TestLeafQuantilesMatchNormRange(t *testing.T) {
 	deg := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	if got := leafQuantiles(deg).Range(2); !got.NoFinite {
 		t.Fatalf("degenerate vector: %+v", got)
-	}
-}
-
-// TestLazyLeavesMatchEager: under LazyLeaves, Combined is identical,
-// leaf vectors are absent from ByNode until Vec materializes them, and
-// materialization is bit-identical to the eager evaluation.
-func TestLazyLeavesMatchEager(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 15; trial++ {
-		n := 50 + rng.Intn(2*evalChunk)
-		tree := buildRandomTree(rng, n, 3)
-		opts := EvalOptions{Budget: n / 2}
-		eager, err := Evaluate(tree, n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.LazyLeaves = true
-		lazy, err := Evaluate(tree, n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameVec(t, "combined", eager.Combined, lazy.Combined)
-		if len(lazy.ByNode) >= len(eager.ByNode) && len(eager.ByNode) > 1 {
-			t.Fatalf("lazy ByNode has %d entries, eager %d — leaves were materialized eagerly",
-				len(lazy.ByNode), len(eager.ByNode))
-		}
-		for node, ev := range eager.ByNode {
-			lv := lazy.Vec(node)
-			if lv == nil {
-				t.Fatalf("Vec(%q) = nil", node.Label)
-			}
-			sameVec(t, "node "+node.Label, ev, lv)
-			if &lazy.Vec(node)[0] != &lv[0] {
-				t.Fatal("Vec rematerialized on second call")
-			}
-		}
-		// After full materialization both maps agree.
-		if len(lazy.ByNode) != len(eager.ByNode) {
-			t.Fatalf("materialized ByNode %d vs eager %d", len(lazy.ByNode), len(eager.ByNode))
-		}
 	}
 }
 

@@ -17,7 +17,7 @@ func interiorHit(t *testing.T, raw []float64, budget int, indexed bool) (NormPar
 	leaf := func(label string) *Node { return &Node{Op: Leaf, Label: label, Dists: make([]float64, n)} }
 	part := &Node{Op: NodeOr, Children: []*Node{leaf("a"), leaf("b")}}
 	root := &Node{Op: NodeAnd, Children: []*Node{part, leaf("x")}}
-	opts := EvalOptions{Budget: budget, NaiveNormalize: budget == 0, LazyLeaves: true, DeferRoot: true}
+	opts := EvalOptions{Budget: budget, NaiveNormalize: budget == 0, DeferRoot: true}
 	opts.InteriorFetch = func(string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
 		if indexed {
 			q, cs := BuildLeafIndexes(raw)
@@ -191,8 +191,7 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		{},
 		{Mode: PaperRaw},
 		{And: ANDLp, LpP: 3},
-		{LazyLeaves: true},
-		{LazyLeaves: true, DeferRoot: true},
+		{DeferRoot: true},
 		{NaiveNormalize: true},
 	}
 	for trial := 0; trial < 30; trial++ {

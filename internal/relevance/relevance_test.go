@@ -318,8 +318,8 @@ func TestEvaluateTree(t *testing.T) {
 	}
 	// Every node has a normalized vector.
 	for _, n := range []*Node{p1, p2, p3, or, root} {
-		vec, ok := res.ByNode[n]
-		if !ok || len(vec) != 4 {
+		vec := res.Vec(n)
+		if len(vec) != 4 {
 			t.Fatalf("missing per-node vector for %s", n.Label)
 		}
 		for _, v := range vec {
@@ -383,19 +383,17 @@ func TestEvaluateNaiveVsRobust(t *testing.T) {
 		p2d[i] = float64(n - i)
 	}
 	p1d[n-1] = 1e12 // single exceptional value
-	build := func() *Node {
-		return &Node{Op: NodeAnd, Children: []*Node{
-			{Op: Leaf, Label: "p1", Dists: append([]float64(nil), p1d...)},
-			{Op: Leaf, Label: "p2", Dists: append([]float64(nil), p2d...)},
+	// p1Vec evaluates the query and returns p1's normalized vector.
+	p1Vec := func(opts EvalOptions) []float64 {
+		p1 := &Node{Op: Leaf, Label: "p1", Dists: append([]float64(nil), p1d...)}
+		root := &Node{Op: NodeAnd, Children: []*Node{
+			p1, {Op: Leaf, Label: "p2", Dists: append([]float64(nil), p2d...)},
 		}}
-	}
-	robust, err := Evaluate(build(), n, EvalOptions{Budget: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := Evaluate(build(), n, EvalOptions{Budget: 50, NaiveNormalize: true})
-	if err != nil {
-		t.Fatal(err)
+		res, err := Evaluate(root, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Vec(p1)
 	}
 	// Under naive normalization p1's inlier values all collapse to ≈0,
 	// so the combined ordering is dominated by p2 alone: item 0 (p2=100)
@@ -410,17 +408,8 @@ func TestEvaluateNaiveVsRobust(t *testing.T) {
 	}
 	// p1's normalized inlier spread should be much larger with robust
 	// normalization.
-	var p1Robust, p1Naive []float64
-	for node, vec := range robust.ByNode {
-		if node.Label == "p1" {
-			p1Robust = vec
-		}
-	}
-	for node, vec := range naive.ByNode {
-		if node.Label == "p1" {
-			p1Naive = vec
-		}
-	}
+	p1Robust := p1Vec(EvalOptions{Budget: 50})
+	p1Naive := p1Vec(EvalOptions{Budget: 50, NaiveNormalize: true})
 	if spreadOf(p1Robust) < 10*spreadOf(p1Naive) {
 		t.Fatalf("robust spread %v should dwarf naive %v", spreadOf(p1Robust), spreadOf(p1Naive))
 	}

@@ -53,15 +53,14 @@ import (
 type RootRanking struct {
 	// Order is the exact head of the scaled ranking (ascending distance,
 	// NaN last, ties by index) and Sorted the scaled distances aligned
-	// with it. Both are exactly K long: the unranked items are not
-	// listed.
+	// with it. Both are exactly min(k, n) long: the unranked items are
+	// not listed.
 	Order  []int
 	Sorted []float64
-	K      int
 	// NaNs is the exact number of uncolorable (NaN) combined values.
 	NaNs int
 	// Threshold is the raw-domain k-th value — the seed for the next
-	// recalculation's pruning. NaN when the selection had fewer than K
+	// recalculation's pruning. NaN when the selection had fewer than k
 	// comparable values.
 	Threshold float64
 	// Pruned and Chunks attribute the block pruning: chunks whose
@@ -87,7 +86,6 @@ type rootDefer struct {
 	children []*Node
 	raw      [][]float64  // child raw vectors (leaf Dists, interior raw combined)
 	cparams  []NormParams // child scaling params
-	scaled   [][]float64  // pre-materialized scaled child (eager leaves); nil → scale per chunk
 	ws       []float64
 	effSum   float64
 	lpP      float64
@@ -102,7 +100,7 @@ type rootDefer struct {
 	out     []float64 // raw combined values (cmbLeaf: aliases node.Dists)
 	state   []byte    // per chunk: 0 = unmaterialized, 1 = raw in out
 	scans   []rangeScan
-	scratch [][]float64 // per-child chunk scratch (nil where scaled[j] serves)
+	scratch [][]float64 // per-child chunk scratch
 	vs      [][]float64 // the chunk's scaled child slices, refilled per chunk
 
 	// Block-pruning inputs, valid when haveBounds: per-chunk raw lower
@@ -156,10 +154,6 @@ func (rd *rootDefer) ensureRaw(ci int) {
 	}
 	lo, hi := rd.chunkSpan(ci)
 	for j := range rd.children {
-		if rd.scaled[j] != nil {
-			rd.vs[j] = rd.scaled[j][lo:hi]
-			continue
-		}
 		dst := rd.scratch[j][:hi-lo]
 		applyRange(dst, rd.raw[j][lo:hi], rd.cparams[j])
 		rd.vs[j] = dst
@@ -320,7 +314,7 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 		// Someone materialized Combined before ranking: the raw buffer
 		// now holds scaled values, so select on those directly.
 		sorted, order := topk.SelectKWithIndex(r.Combined, k)
-		rd.ranking = &RootRanking{Order: order[:k], Sorted: sorted[:k], K: k,
+		rd.ranking = &RootRanking{Order: order, Sorted: sorted,
 			NaNs: CountNaN(r.Combined), Threshold: math.NaN(), Chunks: rd.chunkCount()}
 		return rd.ranking, nil
 	}
@@ -330,7 +324,7 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 	if len(idx) != k {
 		idx = make([]int, k)
 	}
-	rk := &RootRanking{Order: idx, Sorted: vals, K: k, Chunks: rd.chunkCount(), Threshold: math.NaN()}
+	rk := &RootRanking{Order: idx, Sorted: vals, Chunks: rd.chunkCount(), Threshold: math.NaN()}
 	if n == 0 || k == 0 {
 		rd.ensureAllRaw()
 		if !rd.paramsKnown {
@@ -647,7 +641,6 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 	rd.children = root.Children
 	rd.raw = make([][]float64, k)
 	rd.cparams = make([]NormParams, k)
-	rd.scaled = make([][]float64, k)
 	weights := make([]float64, k)
 	for j, child := range root.Children {
 		v, p, err := c.eval(child)
@@ -668,18 +661,9 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 			// in place — after the root's raw chunks no longer need it —
 			// on the first Vec.
 			rd.pending[child] = p
-		case c.opts.LazyLeaves:
-			res.setLazy(child, v, p)
 		default:
-			// Eager leaves materialize their scaled vector now (the
-			// ByNode contract of non-lazy evaluation), and the raw
-			// chunks combine straight from it.
-			buf := c.alloc()
-			c.forChunks(func(_, lo, hi int) {
-				applyRange(buf[lo:hi], v[lo:hi], p)
-			})
-			res.ByNode[child] = buf
-			rd.scaled[j] = buf
+			// A leaf: scaled per chunk, materialized by Vec.
+			res.setLazy(child, v, p)
 		}
 	}
 	rd.ws, rd.effSum = resolveWeights(weights, k)
@@ -689,9 +673,7 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 	rd.scans = make([]rangeScan, nchunks)
 	rd.scratch, rd.vs = make([][]float64, k), make([][]float64, k)
 	for j := range rd.scratch {
-		if rd.scaled[j] == nil {
-			rd.scratch[j] = make([]float64, evalChunk)
-		}
+		rd.scratch[j] = make([]float64, evalChunk)
 	}
 	rd.buildBounds(c)
 	res.root = rd

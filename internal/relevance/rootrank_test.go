@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/reduce"
 	"repro/internal/topk"
 )
 
@@ -114,7 +115,6 @@ func deferredOptVariants() []EvalOptions {
 		{And: ANDLp, LpP: 2},
 		{And: ANDLp, LpP: 3.5},
 		{NaiveNormalize: true},
-		{LazyLeaves: true},
 	}
 }
 
@@ -180,15 +180,20 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 		}
 		// Lazy materialization must reproduce the eager vector bitwise.
 		sameVec(t, "combined", eager.Combined, got.MaterializeCombined())
-		// And every node's vector through Vec (pending interior children
-		// finalize on demand).
-		for node, ev := range eager.ByNode {
+		// And every node's vector through Vec (leaves and pending interior
+		// children materialize on demand, on both sides).
+		var walk func(node *Node)
+		walk = func(node *Node) {
 			gv := got.Vec(node)
 			if gv == nil {
 				t.Fatalf("trial %d: Vec(%q) = nil", trial, node.Label)
 			}
-			sameVec(t, "node "+node.Label, ev, gv)
+			sameVec(t, "node "+node.Label, eager.Vec(node), gv)
+			for _, c := range node.Children {
+				walk(c)
+			}
 		}
+		walk(tree)
 		clearLeafStats(tree)
 	}
 }
@@ -355,7 +360,7 @@ func TestStreamSelectorMatchesSort(t *testing.T) {
 				vals[i] = rng.Float64() * 10
 			}
 		}
-		wantSorted, wantIdx := topk.SelectKWithIndex(vals, k)
+		wantSorted, wantIdx := reduce.SortWithIndex(vals)
 		comparable := 0
 		for _, v := range vals {
 			if !math.IsNaN(v) {

@@ -91,14 +91,6 @@ type EvalOptions struct {
 	// full. nil (or a wrong-sized return) falls back to fresh
 	// allocation.
 	Alloc func(n int) []float64
-	// LazyLeaves skips materializing the scaled vectors of leaf nodes:
-	// their values are computed inline (in chunk-local scratch) for the
-	// combination passes, and Result.Vec materializes a leaf's full
-	// vector only when someone asks for it — windows read a few
-	// thousand displayed items, so interactive reruns avoid one n-sized
-	// write per leaf per run. Under DeferRoot even Combined (the root)
-	// materializes lazily.
-	LazyLeaves bool
 	// DeferRoot enables the rank-before-scale pipeline: the root's
 	// combine pass stops at the RAW combined value (before the final
 	// monotonic transforms — the geometric root, the Lp root, the
@@ -154,10 +146,12 @@ type EvalOptions struct {
 
 // Result carries the evaluated tree: the per-node normalized distance
 // vectors in [0, Scale] (keyed by node), and the root's combined,
-// re-normalized distances. Under EvalOptions.LazyLeaves, leaf vectors
-// are absent from ByNode until Vec materializes them, and so is every
-// node under an EvalOptions.InteriorFetch hit; read through Vec rather
-// than the map when lazy evaluation may be in play. Under
+// re-normalized distances. Leaf vectors are lazy: the combination
+// passes scale them chunk by chunk into scratch, and they are absent
+// from ByNode until Vec materializes them — windows read a few thousand
+// displayed items, so a run writes no n-sized vector per leaf. So is
+// every node under an EvalOptions.InteriorFetch hit; read through Vec
+// rather than the map. Under
 // EvalOptions.DeferRoot, Combined (and the root's ByNode entry, and
 // the raw interior children of the root) also stay unmaterialized
 // until Vec or MaterializeCombined asks for them.
@@ -212,8 +206,8 @@ func (r *Result) Deferred() bool { return r.root != nil }
 
 // Vec returns the node's normalized vector, materializing a lazy leaf
 // (or, under DeferRoot, the root and its raw interior children) on
-// first use — bit-identical to eager evaluation: same params, same
-// per-element transforms. nil when the node was not part of the
+// first use — bit-identical to the values the combination passes
+// scaled: same params, same per-element transforms. nil when the node was not part of the
 // evaluation. Safe for concurrent use.
 func (r *Result) Vec(node *Node) []float64 {
 	r.mu.Lock()
@@ -241,8 +235,8 @@ func (r *Result) Vec(node *Node) []float64 {
 	if !ok {
 		return nil
 	}
-	// Scale the read-only raw vector into a fresh buffer — the same
-	// values the eager pass would have written.
+	// Scale the read-only raw vector into a fresh buffer — the values
+	// the parent's pass scaled into its chunk scratch.
 	out := r.allocVec()
 	applyRange(out, lv.raw, lv.p)
 	r.ByNode[node] = out

@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -408,8 +407,8 @@ func (s *Server) routes() {
 }
 
 // sessionOptions merges a client's wire options over the server
-// defaults, clamping resource-shaped fields (grid dimensions, worker
-// count) so no single request can size the server's allocations.
+// defaults, clamping the resource-shaped fields (grid dimensions) so no
+// single request can size the server's allocations.
 func (s *Server) sessionOptions(o wire.SessionOptions) core.Options {
 	opt := s.opt
 	if o.GridW > 0 {
@@ -423,9 +422,6 @@ func (s *Server) sessionOptions(o wire.SessionOptions) core.Options {
 	}
 	if o.FullSort {
 		opt.FullSort = true
-	}
-	if o.Workers > 0 {
-		opt.Workers = min(o.Workers, runtime.GOMAXPROCS(0))
 	}
 	return opt
 }

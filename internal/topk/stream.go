@@ -214,16 +214,20 @@ func selectCandLex(cands []Cand, k int) Cand {
 			return cands[k-1]
 		}
 	}
-	slices.SortFunc(cands[lo:hi], func(a, b Cand) int {
-		if c := cmp.Compare(a.V, b.V); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.I, b.I)
-	})
+	slices.SortFunc(cands[lo:hi], compareCand)
 	return cands[k-1]
 }
 
 func candLess(a, b Cand) bool { return lexLess(a.V, a.I, b.V, b.I) }
+
+// compareCand is candLess as a slices.SortFunc comparator: by value,
+// ties by index.
+func compareCand(a, b Cand) int {
+	if c := cmp.Compare(a.V, b.V); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.I, b.I)
+}
 
 // --- Monotone preimage search -----------------------------------------
 

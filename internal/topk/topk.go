@@ -3,8 +3,10 @@
 // by the time needed for sorting", yet only GridW×GridH·(numPreds+1)
 // distance values are ever displayed — so the engine does not need the
 // full O(n log n) sort of the relevance ranking, only the k smallest
-// values in order. This package supplies that with an expected-O(n)
-// quickselect followed by an O(k log k) sort of the selected prefix.
+// values in order. This package supplies that with one streaming
+// selection (StreamSelector: O(n) over the vector in O(k) space)
+// followed by an O(k log k) sort of the selected candidates; Threshold
+// is a quickselect over plain floats.
 //
 // All functions use the same total order as reduce.SortWithIndex:
 // ascending by value with -Inf smallest and +Inf largest, NaN
@@ -17,70 +19,36 @@ package topk
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
-// less is the package's total order over entries of d: by value
-// ascending with NaNs last, ties broken by index. It matches the
-// ordering of reduce.SortWithIndex (a stable sort on values with NaNs
-// pushed last orders equal values — and NaNs — by original index).
-func less(d []float64, a, b int) bool {
-	da, db := d[a], d[b]
-	aNaN, bNaN := math.IsNaN(da), math.IsNaN(db)
-	switch {
-	case aNaN && bNaN:
-		return a < b
-	case aNaN:
-		return false
-	case bNaN:
-		return true
-	case da != db:
-		return da < db
-	default:
-		return a < b
-	}
-}
-
-// SelectKWithIndex returns a permutation idx of [0, len(dists)) and the
-// permuted values vals (vals[i] = dists[idx[i]]) such that the first
-// min(k, n) entries are exactly the first entries of the full
-// reduce.SortWithIndex ranking: the k smallest values in ascending
-// order, NaNs last, ties by original index. The remaining entries are a
-// permutation of the rest in unspecified (but deterministic) order.
-// dists is not modified.
+// SelectKWithIndex returns the first min(k, len(dists)) entries of the
+// reduce.SortWithIndex ranking of dists: the item indices idx and their
+// values vals (vals[i] = dists[idx[i]]) — the k smallest values in
+// ascending order, ties by index, NaNs last by index. It is the
+// StreamSelector over the whole vector; dists is not modified.
 func SelectKWithIndex(dists []float64, k int) (vals []float64, idx []int) {
-	n := len(dists)
-	vals, idx = make([]float64, n), make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	k = min(max(k, 0), len(dists))
+	vals, idx = make([]float64, 0, k), make([]int, 0, k)
+	if k == 0 {
+		return vals, idx
 	}
-	if k > n {
-		k = n
+	sel := NewStreamSelector(k, math.NaN())
+	sel.OfferSlice(dists, 0)
+	cands, _, _ := sel.Finish()
+	slices.SortFunc(cands, compareCand)
+	for _, c := range cands {
+		vals, idx = append(vals, c.V), append(idx, c.I)
 	}
-	if k > 0 {
-		partitionK(dists, idx, k)
-		prefix := idx[:k]
-		sort.Slice(prefix, func(a, b int) bool { return less(dists, prefix[a], prefix[b]) })
-	}
-	for i, j := range idx {
-		vals[i] = dists[j]
+	// Fewer than k comparable values: the NaNs the selector ignored fill
+	// the rest, and there are at least that many of them.
+	for i := 0; len(idx) < k; i++ {
+		if math.IsNaN(dists[i]) {
+			vals, idx = append(vals, dists[i]), append(idx, i)
+		}
 	}
 	return vals, idx
-}
-
-// SelectK returns the min(k, len(dists)) smallest values of dists in
-// ascending order (NaNs last, as in SortWithIndex). dists is not
-// modified.
-func SelectK(dists []float64, k int) []float64 {
-	n := len(dists)
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
-		return nil
-	}
-	vals, _ := SelectKWithIndex(dists, k)
-	return vals[:k:k]
 }
 
 // Threshold returns the k-th smallest value of xs (1-based) under the
@@ -166,62 +134,4 @@ func medianOfThree(a, b, c float64) float64 {
 		b = a
 	}
 	return b
-}
-
-// partitionK reorders idx so its first k entries are the k smallest
-// under less, in arbitrary order. Classic quickselect with
-// median-of-three pivots; the index tiebreak makes every key distinct,
-// so a binary (Lomuto) partition cannot degenerate on duplicates.
-func partitionK(d []float64, idx []int, k int) {
-	lo, hi := 0, len(idx)
-	for hi-lo > 16 {
-		if k <= lo || k >= hi {
-			return
-		}
-		p := partitionIdx(d, idx, lo, hi)
-		switch {
-		case p < k:
-			lo = p + 1
-		case p > k:
-			hi = p
-		default:
-			return
-		}
-	}
-	insertionSortIdx(d, idx, lo, hi)
-}
-
-// partitionIdx partitions idx[lo:hi) around a median-of-three pivot and
-// returns the pivot's final position.
-func partitionIdx(d []float64, idx []int, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if less(d, idx[mid], idx[lo]) {
-		idx[mid], idx[lo] = idx[lo], idx[mid]
-	}
-	if less(d, idx[hi-1], idx[mid]) {
-		idx[hi-1], idx[mid] = idx[mid], idx[hi-1]
-		if less(d, idx[mid], idx[lo]) {
-			idx[mid], idx[lo] = idx[lo], idx[mid]
-		}
-	}
-	// idx[mid] is the median of the three; park it at hi-1 and sweep.
-	idx[mid], idx[hi-1] = idx[hi-1], idx[mid]
-	pv := idx[hi-1]
-	store := lo
-	for i := lo; i < hi-1; i++ {
-		if less(d, idx[i], pv) {
-			idx[i], idx[store] = idx[store], idx[i]
-			store++
-		}
-	}
-	idx[store], idx[hi-1] = idx[hi-1], idx[store]
-	return store
-}
-
-func insertionSortIdx(d []float64, idx []int, lo, hi int) {
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && less(d, idx[j], idx[j-1]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
 }

@@ -38,79 +38,39 @@ func sameFloat(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// Property: SelectKWithIndex agrees with reduce.SortWithIndex on the
-// first k entries — values and indices — for any k, including inputs
-// with NaN, ±Inf and duplicate distances.
+// sameBits compares floats bit for bit (so -0 differs from +0), any NaN
+// equal to any NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// Property: SelectKWithIndex returns exactly the first min(k, n) entries
+// of reduce.SortWithIndex — values bit for bit and indices — for k in
+// {0, 1, n-1, n, n+5} and a random k, on inputs with NaN, ±Inf, ±0 and
+// duplicate distances.
 func TestSelectKWithIndexMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(300)
 		dists := randomDists(rng, n)
-		k := rng.Intn(n + 2) // occasionally k > n
 		orig := append([]float64(nil), dists...)
-
 		sorted, sortIdx := reduce.SortWithIndex(dists)
-		vals, idx := topk.SelectKWithIndex(dists, k)
-
+		for _, k := range []int{0, 1, n - 1, n, n + 5, rng.Intn(n + 2)} {
+			vals, idx := topk.SelectKWithIndex(dists, k)
+			want := min(max(k, 0), n)
+			if len(vals) != want || len(idx) != want {
+				t.Fatalf("trial %d (n=%d k=%d): lengths %d/%d, want %d", trial, n, k, len(vals), len(idx), want)
+			}
+			for i := range idx {
+				if idx[i] != sortIdx[i] || !sameBits(vals[i], sorted[i]) {
+					t.Fatalf("trial %d (n=%d k=%d): entry %d = (%v,%d), sort gives (%v,%d)",
+						trial, n, k, i, vals[i], idx[i], sorted[i], sortIdx[i])
+				}
+			}
+		}
 		for i, v := range dists { // input must be untouched
-			if !sameFloat(v, orig[i]) {
+			if !sameBits(v, orig[i]) {
 				t.Fatalf("trial %d: input mutated at %d", trial, i)
-			}
-		}
-		if len(vals) != n || len(idx) != n {
-			t.Fatalf("trial %d: got lengths %d/%d, want %d", trial, len(vals), len(idx), n)
-		}
-		kk := k
-		if kk > n {
-			kk = n
-		}
-		for i := 0; i < kk; i++ {
-			if idx[i] != sortIdx[i] {
-				t.Fatalf("trial %d (n=%d k=%d): idx[%d] = %d, sort gives %d",
-					trial, n, k, i, idx[i], sortIdx[i])
-			}
-			if !sameFloat(vals[i], sorted[i]) {
-				t.Fatalf("trial %d: vals[%d] = %v, sort gives %v", trial, i, vals[i], sorted[i])
-			}
-		}
-		// The remainder must still be a permutation of [0, n).
-		seen := make([]bool, n)
-		for _, j := range idx {
-			if j < 0 || j >= n || seen[j] {
-				t.Fatalf("trial %d: idx is not a permutation", trial)
-			}
-			seen[j] = true
-			if !sameFloat(vals[0], dists[idx[0]]) {
-				t.Fatalf("trial %d: vals disagree with permutation", trial)
-			}
-		}
-		for i := range vals {
-			if !sameFloat(vals[i], dists[idx[i]]) {
-				t.Fatalf("trial %d: vals[%d] != dists[idx[%d]]", trial, i, i)
-			}
-		}
-	}
-}
-
-// Property: SelectK equals the sorted prefix.
-func TestSelectKMatchesSortedPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(200)
-		dists := randomDists(rng, n)
-		k := rng.Intn(n + 2)
-		sorted, _ := reduce.SortWithIndex(dists)
-		got := topk.SelectK(dists, k)
-		kk := k
-		if kk > n {
-			kk = n
-		}
-		if len(got) != kk {
-			t.Fatalf("trial %d: len %d, want %d", trial, len(got), kk)
-		}
-		for i := range got {
-			if !sameFloat(got[i], sorted[i]) {
-				t.Fatalf("trial %d: SelectK[%d] = %v, want %v", trial, i, got[i], sorted[i])
 			}
 		}
 	}
@@ -159,18 +119,21 @@ func TestThresholdEdgeCases(t *testing.T) {
 
 func TestSelectKZeroAndFull(t *testing.T) {
 	dists := []float64{4, 2, math.NaN(), 1}
-	if got := topk.SelectK(dists, 0); got != nil {
-		t.Fatalf("k=0 must be nil, got %v", got)
+	if vals, idx := topk.SelectKWithIndex(dists, 0); len(vals) != 0 || len(idx) != 0 {
+		t.Fatalf("k=0 must be empty, got %v %v", vals, idx)
 	}
-	full := topk.SelectK(dists, 10)
-	want := []float64{1, 2, 4, math.NaN()}
+	full, fullIdx := topk.SelectKWithIndex(dists, 10)
+	want, wantIdx := []float64{1, 2, 4, math.NaN()}, []int{3, 1, 0, 2}
+	if len(full) != len(want) {
+		t.Fatalf("full selection has %d entries, want %d", len(full), len(want))
+	}
 	for i := range want {
-		if !sameFloat(full[i], want[i]) {
-			t.Fatalf("full selection mismatch at %d: %v vs %v", i, full[i], want[i])
+		if !sameFloat(full[i], want[i]) || fullIdx[i] != wantIdx[i] {
+			t.Fatalf("full selection mismatch at %d: (%v,%d) vs (%v,%d)", i, full[i], fullIdx[i], want[i], wantIdx[i])
 		}
 	}
 	vals, idx := topk.SelectKWithIndex(dists, 2)
 	if idx[0] != 3 || idx[1] != 1 || vals[0] != 1 || vals[1] != 2 {
-		t.Fatalf("unexpected top-2: vals=%v idx=%v", vals[:2], idx[:2])
+		t.Fatalf("unexpected top-2: vals=%v idx=%v", vals, idx)
 	}
 }

@@ -33,8 +33,6 @@ type SessionOptions struct {
 	// FullSort ranks with the exact full sort instead of top-k
 	// selection.
 	FullSort bool `json:"full_sort,omitempty"`
-	// Workers bounds the per-session worker pool (0 = server default).
-	Workers int `json:"workers,omitempty"`
 }
 
 // CreateSessionRequest opens a session: POST /v1/sessions.

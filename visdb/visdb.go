@@ -37,10 +37,10 @@
 // materialized in order, in expected O(n) time, and Result.Order lists
 // that ranked prefix only (Result.TopK extends it to any depth). Set
 // Options.FullSort for an exact full ranking of all N items (the
-// A-series ablations and exact quantile statistics), and
-// Options.Workers to bound the worker pool that chunks per-predicate
-// distance computation (0 selects GOMAXPROCS; parallel and serial runs
-// are bit-identical).
+// A-series ablations and exact quantile statistics). A run computes its
+// predicates one after another, each one's distance pass chunked across
+// every core GOMAXPROCS allows; runs are bit-identical whatever the core
+// count.
 //
 // # Incremental reruns
 //

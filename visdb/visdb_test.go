@@ -176,10 +176,10 @@ func TestPublicAPICustomDistance(t *testing.T) {
 	}
 }
 
-// TestPublicAPIWorkersAndFullSort exercises the performance options
-// through the public API: FullSort and the default selection ranking
-// must agree on the display, and Workers must not change results.
-func TestPublicAPIWorkersAndFullSort(t *testing.T) {
+// TestPublicAPIFullSort exercises the performance option through the
+// public API: FullSort and the default selection ranking must agree on
+// the display.
+func TestPublicAPIFullSort(t *testing.T) {
 	cat := visdb.NewCatalog()
 	tbl, err := visdb.NewTable("T", visdb.Schema{{Name: "x", Kind: visdb.KindFloat}})
 	if err != nil {
@@ -196,9 +196,8 @@ func TestPublicAPIWorkersAndFullSort(t *testing.T) {
 	sql := `SELECT x FROM T WHERE x BETWEEN 100 AND 200`
 	var ref *visdb.Result
 	for _, opt := range []visdb.Options{
-		{GridW: 8, GridH: 8, Workers: 1},
-		{GridW: 8, GridH: 8, Workers: 4},
-		{GridW: 8, GridH: 8, Workers: 4, FullSort: true},
+		{GridW: 8, GridH: 8},
+		{GridW: 8, GridH: 8, FullSort: true},
 	} {
 		res, err := visdb.NewEngine(cat, opt).RunSQL(sql)
 		if err != nil {
