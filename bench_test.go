@@ -7,6 +7,7 @@ package repro
 //
 //	go test -bench=. -benchmem
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -481,7 +482,7 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 	}
 	pool := make(chan *benchSession, sessions)
 	for i := 0; i < sessions; i++ {
-		s, err := session.NewSQLShared(cat, nil, opt, interactQuery, shared)
+		s, err := session.NewSQLSharedCtx(context.Background(), cat, nil, opt, interactQuery, shared)
 		if err != nil {
 			b.Fatal(err)
 		}

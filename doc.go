@@ -13,6 +13,26 @@
 // CHANGES.md the record of every change, with its measurements; this
 // comment describes what the code does today.
 //
+// # The public API
+//
+// Policy: repro/visdb is the paper's interaction model and nothing
+// else. It builds or opens a catalog, parses a query, runs it once
+// (Engine) or opens a Session and drives its sliders, weights,
+// selection, projection and drill-down, and reads the picture (Result:
+// Windows, Image, Stats, PredicateInfos) and the ranked rows (TopK,
+// Relevance, Pair, Tuple, Aggregates, ResultTable); the synthetic
+// generators ride along. Engine, Result and Session are types of the
+// facade, not aliases of internal/core or internal/session, so the
+// engine's own methods and fields (a Result's Order, Eval, Engine,
+// Binding) are not public API. The cache types (SharedCache,
+// SharedStats, SharedOptions, RunCache and their constructors),
+// NewSessionShared, Binding and ReadCSV left the facade: concurrent
+// sessions over one catalog are what cmd/visdbd serves.
+// TestFacadeSurface (visdb) pins the exported names. Inside, a
+// core.Engine has three run entries: Run, RunSQL and RunCtx(ctx, q,
+// binding, cache), where a nil binding binds and a nil cache runs
+// uncached.
+//
 // # Building and testing
 //
 // The repository is a single Go module (module repro, Go ≥ 1.24) with
@@ -203,7 +223,8 @@
 //	a key names exactly one vector.
 //
 // Concurrent sessions on the same catalog attach to the catalog's
-// SharedCache (session.NewShared / visdb.NewSessionShared); a session
+// SharedCache (session.NewShared, which the serving layer calls per
+// catalog); a session
 // that attaches none stands on a small one of its own (64 leaves under
 // the default byte budget). A leaf is resolved in this order:
 //
@@ -250,8 +271,8 @@
 // condition the O(1) scalars its slider shows, and from its first
 // reuse the quantile index and chunk stats built from that vector. It
 // holds no copy of the attribute column: the panel fields that show
-// attribute values (PredicateInfos' first/last displayed,
-// FirstLastOfColor) read the cells they need from the catalog
+// attribute values (PredicateInfos' first/last displayed) read the
+// cells they need from the catalog
 // (TestPanelValuesComeFromTheCatalog).
 //
 // Every tier — a SharedCache, the kv server's resident set, the decoded-segment cache of a catalog file —

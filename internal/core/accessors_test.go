@@ -16,9 +16,6 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Catalog() != cat {
 		t.Error("Catalog accessor")
 	}
-	if e.Registry() == nil {
-		t.Error("Registry accessor")
-	}
 	if e.Options().GridW != 8 {
 		t.Error("Options accessor")
 	}
@@ -58,9 +55,6 @@ func TestResultAccessors(t *testing.T) {
 	res, err := e.RunSQL(`SELECT x FROM T WHERE x > 6`)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Root() == nil {
-		t.Error("Root")
 	}
 	// Single-table results have no pairs.
 	if _, _, ok := res.Pair(0); ok {

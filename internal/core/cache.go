@@ -38,10 +38,10 @@ import (
 // previous Result's, a failed run's are dropped and the old picture
 // keeps its own.
 //
-// A run builds its leaves one after another, and at most one RunCached
-// call may use a RunCache at a time; a Result produced with a RunCache
-// is only valid until the next successful RunCached on the same cache
-// (whose evaluation recycles the buffers).
+// A run builds its leaves one after another, and at most one run may use
+// a RunCache at a time; a Result produced with a RunCache is only valid
+// until the next successful run on the same cache (whose evaluation
+// recycles the buffers).
 // Sessions — one user, one interaction loop — are exactly that shape.
 // All runs sharing a cache must use the same catalog and distance
 // registry: the keys fingerprint table names and row counts, not cell
@@ -53,10 +53,9 @@ type RunCache struct {
 	// live pins what the last successful run's Result reads, cur what
 	// the run in flight has fetched so far (empty between runs).
 	live, cur pinSet
-	// Cumulative and per-run lookup accounting (tests and the
-	// StageTimings attribution). Hits the tier served count as hits and
-	// additionally as sharedHits; pinned ones as hits only.
-	hits, misses                      uint64
+	// Per-run lookup accounting (the StageTimings attribution). Hits
+	// the tier served count as hits and additionally as sharedHits;
+	// pinned ones as hits only.
 	runHits, runMisses, runSharedHits int
 	// Per-run segment-pushdown accounting: storage segments whose decode
 	// the footer stats skipped, out of the segments cold computes
@@ -301,13 +300,6 @@ func (c *RunCache) runSegStats() (skipped, segs int) {
 	return c.runSegsSkipped, c.runSegs
 }
 
-// Stats returns the cumulative hit/miss counts.
-func (c *RunCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
 // Len returns the number of vectors pinned for the live Result.
 func (c *RunCache) Len() int {
 	c.mu.Lock()
@@ -374,14 +366,11 @@ func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)
 	defer c.mu.Unlock()
 	switch {
 	case pinned:
-		c.hits++
 		c.runHits++
 	case sharedHit:
-		c.hits++
 		c.runHits++
 		c.runSharedHits++
 	default:
-		c.misses++
 		c.runMisses++
 	}
 	return le, nil

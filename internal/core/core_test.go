@@ -424,7 +424,7 @@ func TestSubqueryInnerRunHonoursCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunCachedCtx(ctx, q, nil); !errors.Is(err, context.Canceled) {
+	if _, err := e.RunCtx(ctx, q, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("run: %v, want an error wrapping context.Canceled", err)
 	}
 	if n := tallies.Load(); n != 0 {
@@ -530,14 +530,6 @@ func TestColorRangeProjection(t *testing.T) {
 	}
 	if len(all) != res.Displayed {
 		t.Fatalf("full band: %d vs %d", len(all), res.Displayed)
-	}
-	// First/last of color: yellow band of x>6 has values 7..9.
-	first, last, ok := res.FirstLastOfColor(cond, 0, 0)
-	if !ok || first != 7 || last != 9 {
-		t.Fatalf("first/last of yellow: %v %v %v", first, last, ok)
-	}
-	if _, _, ok := res.FirstLastOfColor(&query.Cond{}, 0, 0); ok {
-		t.Error("unknown cond should report !ok")
 	}
 }
 

@@ -39,9 +39,6 @@ func New(cat *dataset.Catalog, reg *distance.Registry, opt Options) *Engine {
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *dataset.Catalog { return e.cat }
 
-// Registry returns the engine's distance registry.
-func (e *Engine) Registry() *distance.Registry { return e.reg }
-
 // Options returns the engine's effective options.
 func (e *Engine) Options() Options { return e.opt }
 
@@ -83,7 +80,7 @@ type StageTimings struct {
 	Reduce      time.Duration
 	Total       time.Duration
 	// CacheHits and CacheMisses attribute the Distances stage of a
-	// RunCached run: how many leaf vectors were served from the cache
+	// cached run: how many leaf vectors were served from the cache
 	// versus recomputed. SharedHits is the subset of CacheHits the
 	// SharedCache served rather than the run cache's pins: a leaf
 	// another session computed (or is computing — a wait on its
@@ -124,71 +121,55 @@ type StageTimings struct {
 // the per-window normalized distances, the stats-panel numbers and the
 // per-stage timings.
 func (e *Engine) Run(q *query.Query) (*Result, error) {
-	return e.RunCached(q, nil)
+	return e.RunCtx(context.Background(), q, nil, nil)
 }
 
-// RunCachedCtx is RunCached bounded by ctx: the run polls ctx between
-// pipeline stages, between distance chunks, and between evaluator
-// chunks, and aborts with an error wrapping ctx.Err() once the context
-// is done. An aborted run leaves the session cache consistent —
-// completed leaf vectors stay cached (they are correct), the run's
-// pooled buffers return to the pool, and no partial result escapes.
-func (e *Engine) RunCachedCtx(ctx context.Context, q *query.Query, cache *RunCache) (*Result, error) {
+// RunCtx executes q like Run, bounded by ctx, over binding b, reusing
+// cache. Each of the three may be absent.
+//
+// ctx: the run polls it between pipeline stages, between distance
+// chunks and between evaluator chunks, and aborts with an error
+// wrapping ctx.Err() once it is done. An aborted run leaves the cache
+// consistent — completed leaf vectors stay cached (they are correct),
+// the run's pooled buffers return to the pool, and no partial result
+// escapes.
+//
+// b: a nil b binds q against the engine's catalog. A non-nil b must
+// come from query.Bind of this exact query AST against this catalog —
+// the interaction loop binds once and reruns many times (the engine
+// never mutates a binding, so one binding may serve any number of
+// runs, concurrent ones included); reparse or requery means rebind.
+//
+// cache: leaf distance vectors whose structural signature is unchanged
+// are served from it instead of recomputed, and the evaluation stage
+// writes into buffers pooled in it instead of allocating. A weight-only
+// rerun recomputes nothing below the combination stage; a
+// single-slider range drag recomputes exactly one leaf. Cached runs are
+// bit-identical to cold ones. Leaf lookups go the cache's pins → its
+// SharedCache → recompute; when that is a catalog-level SharedCache
+// (AttachShared), recomputed leaves fill it once for every session on
+// the catalog. The pooling has a sharp edge: each cached run recycles
+// the evaluation buffers of the previous run on the same cache, so a
+// Result is only valid until the next run with that cache, and a cache
+// must not serve concurrent runs. Sessions (one user, one interaction
+// loop) hold one; a nil cache runs uncached, for concurrent or
+// long-lived results.
+func (e *Engine) RunCtx(ctx context.Context, q *query.Query, b *query.Binding, cache *RunCache) (*Result, error) {
 	start := time.Now()
-	b, err := query.Bind(q, e.cat)
-	if err != nil {
-		return nil, err
-	}
-	return e.runBound(ctx, q, b, cache, start)
-}
-
-// RunPreboundCtx is RunPrebound bounded by ctx (see RunCachedCtx).
-func (e *Engine) RunPreboundCtx(ctx context.Context, q *query.Query, b *query.Binding, cache *RunCache) (*Result, error) {
-	start := time.Now()
-	if b == nil || b.Query != q {
+	if b == nil {
+		var err error
+		if b, err = query.Bind(q, e.cat); err != nil {
+			return nil, err
+		}
+	} else if b.Query != q {
 		return nil, fmt.Errorf("core: binding does not belong to this query")
-	}
-	if b.Catalog != e.cat {
+	} else if b.Catalog != e.cat {
 		return nil, fmt.Errorf("core: binding was resolved against a different catalog")
 	}
 	return e.runBound(ctx, q, b, cache, start)
 }
 
-// RunCached executes q like Run, but reuses cache across calls: leaf
-// distance vectors whose structural signature is unchanged are served
-// from the cache instead of recomputed, and the evaluation stage writes
-// into buffers pooled in the cache instead of allocating. A weight-only
-// rerun recomputes nothing below the combination stage; a single-slider
-// range drag recomputes exactly one leaf. Cached runs are bit-identical
-// to cold ones.
-//
-// The pooling has a sharp edge: each RunCached call recycles the
-// evaluation buffers of the previous call on the same cache, so a
-// Result is only valid until the next RunCached with that cache, and a
-// cache must not serve concurrent runs. Sessions (one user, one
-// interaction loop) use it via Session.Recalculate; use Run for
-// concurrent or long-lived results. A nil cache makes RunCached
-// identical to Run.
-//
-// Leaf lookups go the cache's pins → its SharedCache → recompute; when
-// that is a catalog-level SharedCache (AttachShared), recomputed leaves
-// fill it once for every session on the catalog.
-func (e *Engine) RunCached(q *query.Query, cache *RunCache) (*Result, error) {
-	return e.RunCachedCtx(context.Background(), q, cache)
-}
-
-// RunPrebound is RunCached with the query binding supplied by the
-// caller — the interaction loop binds once and reruns many times (the
-// engine never mutates a binding, so one binding may serve any number
-// of runs, concurrent ones included). The binding must come from
-// query.Bind of this exact query AST against this engine's catalog;
-// reparse or requery means rebind.
-func (e *Engine) RunPrebound(q *query.Query, b *query.Binding, cache *RunCache) (*Result, error) {
-	return e.RunPreboundCtx(context.Background(), q, b, cache)
-}
-
-// runBound is the shared tail of Run/RunCached/RunPrebound: everything
-// after name resolution.
+// runBound is RunCtx after name resolution.
 func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding, cache *RunCache, start time.Time) (*Result, error) {
 	// A context that can never be canceled (Background) needs no
 	// polling; everything else turns into a per-chunk checkpoint.

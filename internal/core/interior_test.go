@@ -76,7 +76,7 @@ func TestInteriorSketchWarmRerunBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunCached(q, cache); err != nil {
+	if _, err := runCached(e, q, cache); err != nil {
 		t.Fatal(err)
 	}
 	if len(interiorPins(cache)) == 0 {
@@ -84,7 +84,7 @@ func TestInteriorSketchWarmRerunBitIdentical(t *testing.T) {
 	}
 
 	// Warm rerun, unchanged query: the AND subtree must hit.
-	warm, err := e.RunCached(q, cache)
+	warm, err := runCached(e, q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestInteriorSketchWarmRerunBitIdentical(t *testing.T) {
 	// untouched, so its entry must still hit. Predicates of the OR root
 	// are [AND(a,b), c]; the BETWEEN leaf is index 1.
 	query.Predicates(q.Where)[1].SetWeight(3)
-	warm2, err := e.RunCached(q, cache)
+	warm2, err := runCached(e, q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestInteriorSharedTierPromotion(t *testing.T) {
 	a := NewRunCache()
 	a.AttachShared(sc)
 	qa, _ := query.Parse(interiorSQL)
-	if _, err := e.RunCached(qa, a); err != nil {
+	if _, err := runCached(e, qa, a); err != nil {
 		t.Fatal(err)
 	}
 	part := interiorPins(a)
@@ -151,7 +151,7 @@ func TestInteriorSharedTierPromotion(t *testing.T) {
 	b := NewRunCache()
 	b.AttachShared(sc)
 	qb, _ := query.Parse(interiorSQL)
-	resB, err := e.RunCached(qb, b)
+	resB, err := runCached(e, qb, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +183,13 @@ func TestInteriorNegationDoesNotAlias(t *testing.T) {
 	cache := NewRunCache()
 
 	qPos, _ := query.Parse(`SELECT a FROM S WHERE (a > 50 AND b < 40) OR c > 90`)
-	if _, err := e.RunCached(qPos, cache); err != nil {
+	if _, err := runCached(e, qPos, cache); err != nil {
 		t.Fatal(err)
 	}
 	// NOT(a > 50 OR b < 40) De-Morgans to AND over leaves still labeled
 	// "a > 50" / "b < 40" — structurally the twin of qPos's AND subtree.
 	qNeg, _ := query.Parse(`SELECT a FROM S WHERE NOT (a > 50 OR b < 40) OR c > 90`)
-	got, err := e.RunCached(qNeg, cache)
+	got, err := runCached(e, qNeg, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +208,10 @@ func TestNoInteriorSketchDisables(t *testing.T) {
 	e := New(cat, nil, Options{GridW: 16, GridH: 16, NoInteriorSketch: true})
 	cache := NewRunCache()
 	q, _ := query.Parse(interiorSQL)
-	if _, err := e.RunCached(q, cache); err != nil {
+	if _, err := runCached(e, q, cache); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.RunCached(q, cache)
+	warm, err := runCached(e, q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRangeEditKeepsInteriorVectors(t *testing.T) {
 	cache := NewRunCache()
 	cache.AttachShared(sc)
 	q, _ := query.Parse(interiorSQL)
-	if _, err := e.RunCached(q, cache); err != nil {
+	if _, err := runCached(e, q, cache); err != nil {
 		t.Fatal(err)
 	}
 	old := interiorPins(cache)
@@ -302,7 +302,7 @@ func TestRangeEditKeepsInteriorVectors(t *testing.T) {
 		t.Fatal("no condition on a")
 	}
 	cond.Value = dataset.Float(30)
-	away, err := e.RunCached(q, cache)
+	away, err := runCached(e, q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRangeEditKeepsInteriorVectors(t *testing.T) {
 		t.Fatalf("pinned interior vectors %q, want the live part's alone (old %q)", live, old)
 	}
 	cond.Value = dataset.Float(50)
-	back, err := e.RunCached(q, cache)
+	back, err := runCached(e, q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,16 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/query"
-	"repro/internal/relevance"
 )
 
 // panelOracle computes a condition's panel fields with nothing of the
-// engine's but the ranking: the displayed items' values, read cell by
-// cell off tbl (the in-memory original, whatever backs the engine),
-// where rowOf maps an item to its row of tbl. all covers every displayed
-// item; band only those whose color level for c lies in [lo, hi].
-func panelOracle(t *testing.T, res *Result, c *query.Cond, tbl *dataset.Table, attr string, rowOf func(item int) int, lo, hi int) (all, band [2]float64, bandOK bool) {
+// engine's but the ranking: the lowest and highest of the displayed
+// items' values, read cell by cell off tbl (the in-memory original,
+// whatever backs the engine), where rowOf maps an item to its row of
+// tbl.
+func panelOracle(t *testing.T, res *Result, tbl *dataset.Table, attr string, rowOf func(item int) int) (all [2]float64) {
 	t.Helper()
 	all = [2]float64{math.Inf(1), math.Inf(-1)}
-	band = all
 	for rank := 0; rank < res.Displayed; rank++ {
 		item := res.Order[rank]
 		cell, err := tbl.Value(rowOf(item), attr)
@@ -30,43 +28,26 @@ func panelOracle(t *testing.T, res *Result, c *query.Cond, tbl *dataset.Table, a
 			continue
 		}
 		all = [2]float64{math.Min(all[0], v), math.Max(all[1], v)}
-		norm, err := res.NormOf(c, item)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if level := res.Engine.opt.Map.LevelOfNorm(norm / relevance.Scale); !math.IsNaN(norm) && level >= lo && level <= hi {
-			band = [2]float64{math.Min(band[0], v), math.Max(band[1], v)}
-			bandOK = true
-		}
 	}
-	return all, band, bandOK
+	return all
 }
 
-// checkPanel holds PredicateInfos' First/LastDisplayed and
-// FirstLastOfColor of res's pi-th predicate against panelOracle.
+// checkPanel holds PredicateInfos' First/LastDisplayed of res's pi-th
+// predicate against panelOracle.
 func checkPanel(t *testing.T, what string, res *Result, pi int, tbl *dataset.Table, attr string, rowOf func(item int) int) {
 	t.Helper()
 	c := query.Predicates(res.Query.Where)[pi].(*query.Cond)
-	lo, hi := 1, res.Engine.opt.Map.Levels()-1 // every color but the exact answers
-	all, band, bandOK := panelOracle(t, res, c, tbl, attr, rowOf, lo, hi)
+	all := panelOracle(t, res, tbl, attr, rowOf)
 	info := res.PredicateInfos()[pi]
 	if !info.Numeric || info.FirstDisplayed != all[0] || info.LastDisplayed != all[1] {
 		t.Fatalf("%s: %s displayed [%v, %v] (numeric %v), the table says [%v, %v]",
 			what, c.Label(), info.FirstDisplayed, info.LastDisplayed, info.Numeric, all[0], all[1])
 	}
-	first, last, ok := res.FirstLastOfColor(c, lo, hi)
-	if ok != bandOK || (ok && (first != band[0] || last != band[1])) {
-		t.Fatalf("%s: %s levels %d-%d [%v, %v] ok=%v, the table says [%v, %v] ok=%v",
-			what, c.Label(), lo, hi, first, last, ok, band[0], band[1], bandOK)
-	}
-	if !bandOK {
-		t.Fatalf("%s: %s displays nothing at levels %d-%d; the case checks nothing", what, c.Label(), lo, hi)
-	}
 }
 
 // TestPanelValuesComeFromTheCatalog: a cached leaf keeps no copy of its
-// column, so the panel's attribute values — first/last displayed,
-// first/last of a color — are read from the catalog. They must be the
+// column, so the panel's attribute values — first/last displayed — are
+// read from the catalog. They must be the
 // table's own values whatever backs it (memory, mmap, ReadAt; segments
 // the scan skipped included; null cells excluded), through a pair
 // space's row mapping, and absent for the kinds that have no numeric
@@ -96,7 +77,7 @@ func TestPanelValuesComeFromTheCatalog(t *testing.T) {
 			`SELECT t FROM C WHERE t BETWEEN 19 AND 61 AND n > 70`,
 			`SELECT t FROM C WHERE t BETWEEN 19 AND 61 AND n > 70 WEIGHT 3`, // warm: both leaves cached
 		} {
-			res, err := e.RunCached(mustParse(t, sql), cache)
+			res, err := runCached(e, mustParse(t, sql), cache)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,9 +147,6 @@ func TestPanelValuesComeFromTheCatalog(t *testing.T) {
 		c := query.Predicates(res.Query.Where)[pi].(*query.Cond)
 		if info.Numeric || !math.IsNaN(info.FirstDisplayed) || !math.IsNaN(info.LastDisplayed) {
 			t.Fatalf("%s: displayed [%v, %v], numeric %v", c.Label(), info.FirstDisplayed, info.LastDisplayed, info.Numeric)
-		}
-		if first, last, ok := res.FirstLastOfColor(c, 0, res.Engine.opt.Map.Levels()-1); ok {
-			t.Fatalf("%s: first/last of color [%v, %v]", c.Label(), first, last)
 		}
 	}
 }

@@ -201,7 +201,7 @@ func remoteLeaf(t *testing.T, cat *dataset.Catalog, opt Options, sql, suffix str
 	backend := newMapBackend()
 	c := NewRunCache()
 	c.AttachShared(NewSharedCacheOpts(SharedOptions{Backend: backend}))
-	if _, err := New(cat, nil, opt).RunCached(mustParse(t, sql), c); err != nil {
+	if _, err := runCached(New(cat, nil, opt), mustParse(t, sql), c); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range backend.leafKeys(t) {
@@ -266,7 +266,7 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 		c := NewRunCache()
 		c.AttachShared(sc)
 		for run := 0; run < 2; run++ {
-			res, err := e.RunCached(mustParse(t, sql), c)
+			res, err := runCached(e, mustParse(t, sql), c)
 			if err != nil {
 				t.Fatalf("%s, run %d: %v", name, run, err)
 			}
@@ -277,7 +277,7 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 		}
 		fresh := NewRunCache()
 		fresh.AttachShared(sc)
-		res, err := e.RunCached(mustParse(t, sql), fresh)
+		res, err := runCached(e, mustParse(t, sql), fresh)
 		if err != nil {
 			t.Fatalf("%s, fresh session: %v", name, err)
 		}
@@ -306,7 +306,7 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 	}
 	const sql = `SELECT t FROM C WHERE t BETWEEN 20 AND 80 AND u < 60`
 	eA, cA, scA := node(false)
-	resA, err := eA.RunCached(mustParse(t, sql), cA)
+	resA, err := runCached(eA, mustParse(t, sql), cA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 	backend.leafKeys(t)
 
 	eB, cB, scB := node(true)
-	resB, err := eB.RunCached(mustParse(t, sql), cB)
+	resB, err := runCached(eB, mustParse(t, sql), cB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	cA := NewRunCache()
 	cA.AttachShared(scA)
 	for run := 0; run < 2; run++ {
-		if _, err := eA.RunCached(q, cA); err != nil {
+		if _, err := runCached(eA, q, cA); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	cB := NewRunCache()
 	cB.AttachShared(scB)
 	q2 := mustParse(t, sql)
-	first, err := eB.RunCached(q2, cB)
+	first, err := runCached(eB, q2, cB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	// the AND part included, which looks up and stores a new part vector
 	// in B's tier and asks the fleet for the moved leaf alone.
 	for run := 0; run < 2; run++ {
-		warm, err := eB.RunCached(q2, cB)
+		warm, err := runCached(eB, q2, cB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 		}
 	}
 	query.Predicates(q2.Where)[0].(*query.BoolExpr).Children[0].(*query.Cond).Value = dataset.Float(30)
-	edited, err := eB.RunCached(q2, cB)
+	edited, err := runCached(eB, q2, cB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestRemoteBackendDegradesToMiss(t *testing.T) {
 	sc := NewSharedCacheOpts(SharedOptions{Backend: backend})
 	c := NewRunCache()
 	c.AttachShared(sc)
-	res, err := e.RunCached(q, c)
+	res, err := runCached(e, q, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestRemoteBackendDegradesToMiss(t *testing.T) {
 	c2 := NewRunCache()
 	c2.AttachShared(sc2)
 	e2 := New(cat, nil, Options{GridW: 8, GridH: 8})
-	res2, err := e2.RunCached(q, c2)
+	res2, err := runCached(e2, q, c2)
 	if err != nil {
 		t.Fatal(err)
 	}

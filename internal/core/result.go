@@ -61,7 +61,7 @@ type Result struct {
 
 	// relevance memoizes the Relevance accessor.
 	relevance []float64
-	// cache is set on RunCached runs: the session-level predicate cache
+	// cache is set on cached runs: the session-level predicate cache
 	// serving this run. keys builds every structural cache key of the run
 	// from the item-space fingerprint (see runKeys), and leafID records
 	// each relevance leaf's full cache key — the content-precise identity
@@ -436,9 +436,9 @@ func (r *Result) OverallWindow() *render.Window {
 // ordering of data items as in the overall result window") and show the
 // part's own normalized distances.
 func (r *Result) WindowFor(e query.Expr) (*render.Window, error) {
-	node, ok := r.nodeOf[e]
-	if !ok {
-		return nil, fmt.Errorf("core: no window for expression %q", e.Label())
+	node, err := r.nodeFor(e)
+	if err != nil {
+		return nil, err
 	}
 	vec := r.Eval.Vec(node)
 	if vec == nil {
@@ -667,45 +667,6 @@ func (r *Result) Tuple(item int) (SelectedTuple, error) {
 	return st, nil
 }
 
-// FirstLastOfColor implements the "first/last of color" panel fields:
-// among displayed items whose normalized distance for the given
-// predicate falls into [loLevel, hiLevel] of the colormap, the lowest
-// and highest attribute values. ok is false when no displayed item
-// matches or the predicate is not numeric.
-func (r *Result) FirstLastOfColor(c *query.Cond, loLevel, hiLevel int) (first, last float64, ok bool) {
-	pd, exists := r.preds[c]
-	if !exists {
-		return 0, 0, false
-	}
-	node := r.nodeOf[c]
-	vec := r.Eval.Vec(node)
-	m := r.Engine.opt.Map
-	valueOf := r.attrValue(pd.Attr)
-	first, last = math.Inf(1), math.Inf(-1)
-	for rank := 0; rank < r.Displayed; rank++ {
-		item := r.Order[rank]
-		norm := vec[item]
-		if math.IsNaN(norm) {
-			continue
-		}
-		level := m.LevelOfNorm(norm / relevance.Scale)
-		if level < loLevel || level > hiLevel {
-			continue
-		}
-		v := valueOf(item)
-		if math.IsNaN(v) {
-			continue
-		}
-		ok = true
-		first = math.Min(first, v)
-		last = math.Max(last, v)
-	}
-	if !ok {
-		return 0, 0, false
-	}
-	return first, last, true
-}
-
 // ItemsInColorRange returns the displayed items whose color level for
 // the given query part lies within [loLevel, hiLevel] — the projection
 // used "to focus on sets of data items with a specific color"
@@ -714,9 +675,9 @@ func (r *Result) FirstLastOfColor(c *query.Cond, loLevel, hiLevel int) (first, l
 func (r *Result) ItemsInColorRange(e query.Expr, loLevel, hiLevel int) ([]int, error) {
 	var vec []float64
 	if e != nil {
-		node, ok := r.nodeOf[e]
-		if !ok {
-			return nil, fmt.Errorf("core: no data for expression %q", e.Label())
+		node, err := r.nodeFor(e)
+		if err != nil {
+			return nil, err
 		}
 		vec = r.Eval.Vec(node)
 	}
@@ -770,10 +731,6 @@ func (r *Result) TopK(k int) []int {
 	return out
 }
 
-// Root returns the root of the evaluated distance tree (for
-// diagnostics).
-func (r *Result) Root() *relevance.Node { return r.root }
-
 // Pair returns the (left row, right row) of a cross-product item; ok is
 // false for single-table queries or out-of-range items.
 func (r *Result) Pair(item int) (left, right int, ok bool) {
@@ -793,11 +750,22 @@ func (r *Result) CellOfRank(k int) arrange.Point {
 	return r.cells[k]
 }
 
+// nodeFor returns the evaluated node of query part e.
+func (r *Result) nodeFor(e query.Expr) (*relevance.Node, error) {
+	if node, ok := r.nodeOf[e]; ok {
+		return node, nil
+	}
+	if e == nil {
+		return nil, fmt.Errorf("core: no data for a nil query part")
+	}
+	return nil, fmt.Errorf("core: no data for expression %q", e.Label())
+}
+
 // NormOf returns the normalized distance of an item for a query part.
 func (r *Result) NormOf(e query.Expr, item int) (float64, error) {
-	node, ok := r.nodeOf[e]
-	if !ok {
-		return 0, fmt.Errorf("core: no data for expression %q", e.Label())
+	node, err := r.nodeFor(e)
+	if err != nil {
+		return 0, err
 	}
 	vec := r.Eval.Vec(node)
 	if item < 0 || item >= len(vec) {
@@ -817,9 +785,9 @@ func (r *Result) ColorFor(norm float64) colormap.RGB { return r.colorFor(norm) }
 // independent == true the items are re-arranged "according to the
 // relevance factors calculated for the query part only".
 func (r *Result) DrillDownWindows(e query.Expr, independent bool) ([]*render.Window, error) {
-	node, ok := r.nodeOf[e]
-	if !ok {
-		return nil, fmt.Errorf("core: no data for expression %q", e.Label())
+	node, err := r.nodeFor(e)
+	if err != nil {
+		return nil, err
 	}
 	parts := append([]query.Expr{e}, query.Predicates(e)...)
 	if len(query.Predicates(e)) == 1 && query.Predicates(e)[0] == e {
@@ -865,9 +833,9 @@ func (r *Result) DrillDownWindows(e query.Expr, independent bool) ([]*render.Win
 	cells := arrange.Place(opt.GridW, opt.GridH, displayed)
 	out := make([]*render.Window, 0, len(parts))
 	for i, p := range parts {
-		pnode, ok := r.nodeOf[p]
-		if !ok {
-			return nil, fmt.Errorf("core: no data for expression %q", p.Label())
+		pnode, err := r.nodeFor(p)
+		if err != nil {
+			return nil, err
 		}
 		pvec := r.Eval.Vec(pnode)
 		w := render.NewWindow(p.Label(), opt.GridW, opt.GridH, arrange.BlockSide(opt.PixelsPerItem))

@@ -410,11 +410,3 @@ func (sc *SharedCache) store(key string, le leafEntry) leafEntry {
 	sc.fills++
 	return le
 }
-
-// Clear drops every entry. In-flight fills complete and store their
-// results afterwards (their vectors are valid regardless).
-func (sc *SharedCache) Clear() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.entries.Clear()
-}

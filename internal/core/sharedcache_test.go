@@ -351,7 +351,7 @@ func TestSignedLeavesAreTheirOwnEntries(t *testing.T) {
 	}
 	check := func(su *subject, cache *RunCache, wantMisses, wantShared int) {
 		t.Helper()
-		res, err := su.e.RunCached(mustParse(t, sql), cache)
+		res, err := runCached(su.e, mustParse(t, sql), cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +419,7 @@ func TestSharedTierAcrossRunCaches(t *testing.T) {
 		sc := NewSharedCache(0, 0)
 		c1 := NewRunCache()
 		c1.AttachShared(sc)
-		first, err := e.RunCached(q, c1)
+		first, err := runCached(e, q, c1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func TestSharedTierAcrossRunCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := e.RunCached(q2, c2)
+		second, err := runCached(e, q2, c2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +448,7 @@ func TestSharedTierAcrossRunCaches(t *testing.T) {
 
 		// A rerun in the second session is served privately, not from
 		// the shared tier.
-		third, err := e.RunCached(q2, c2)
+		third, err := runCached(e, q2, c2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,13 +471,13 @@ func TestSharedTierPromotesQuantiles(t *testing.T) {
 	sc := NewSharedCache(0, 0)
 	c1 := NewRunCache()
 	c1.AttachShared(sc)
-	if _, err := e.RunCached(q, c1); err != nil {
+	if _, err := runCached(e, q, c1); err != nil {
 		t.Fatal(err)
 	}
 	afterFill := sc.Bytes()
 	// The second run hits privately and builds (then promotes) the
 	// quantile indexes.
-	if _, err := e.RunCached(q, c1); err != nil {
+	if _, err := runCached(e, q, c1); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Bytes() <= afterFill {
@@ -487,7 +487,7 @@ func TestSharedTierPromotesQuantiles(t *testing.T) {
 	// the vectors: it never builds its own.
 	c2 := NewRunCache()
 	c2.AttachShared(sc)
-	if _, err := e.RunCached(q, c2); err != nil {
+	if _, err := runCached(e, q, c2); err != nil {
 		t.Fatal(err)
 	}
 	if len(c2.live.leaves) != 2 {
@@ -515,7 +515,7 @@ func TestNegatedConditionDragRevisits(t *testing.T) {
 	sc := NewSharedCache(0, 0)
 	cache := NewRunCache()
 	cache.AttachShared(sc)
-	if _, err := e.RunCached(q, cache); err != nil {
+	if _, err := runCached(e, q, cache); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 3 || sc.Len() != 3 {
@@ -524,7 +524,7 @@ func TestNegatedConditionDragRevisits(t *testing.T) {
 	inner := q.Where.(*query.BoolExpr).Children[0].(*query.Not).Child.(*query.Cond)
 	for i := 0; i < 5; i++ {
 		inner.Value = dataset.Float(float64(7 + i))
-		res, err := e.RunCached(q, cache)
+		res, err := runCached(e, q, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,7 +533,7 @@ func TestNegatedConditionDragRevisits(t *testing.T) {
 		}
 	}
 	inner.Value = dataset.Float(6)
-	back, err := e.RunCached(q, cache)
+	back, err := runCached(e, q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,8 +547,8 @@ func TestNegatedConditionDragRevisits(t *testing.T) {
 	sameResults(t, cold, back)
 }
 
-// TestRunPreboundValidation: a binding must match the query AST and
-// the engine's catalog.
+// TestRunPreboundValidation: a binding handed to RunCtx must match the
+// query AST and the engine's catalog; a nil one binds afresh.
 func TestRunPreboundValidation(t *testing.T) {
 	cat := smallCatalog(t)
 	e := New(cat, nil, Options{GridW: 8, GridH: 8})
@@ -560,7 +560,7 @@ func TestRunPreboundValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunPrebound(q, b, nil)
+	res, err := e.RunCtx(context.Background(), q, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,15 +570,17 @@ func TestRunPreboundValidation(t *testing.T) {
 	}
 	sameResults(t, cold, res)
 
-	if _, err := e.RunPrebound(q, nil, nil); err == nil {
-		t.Fatal("nil binding accepted")
+	bound, err := e.RunCtx(context.Background(), q, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameResults(t, cold, bound)
 	q2, _ := query.Parse(`SELECT x FROM T WHERE x > 6`)
-	if _, err := e.RunPrebound(q2, b, nil); err == nil {
+	if _, err := e.RunCtx(context.Background(), q2, b, nil); err == nil {
 		t.Fatal("binding for a different AST accepted")
 	}
 	other := New(smallCatalog(t), nil, Options{})
-	if _, err := other.RunPrebound(q, b, nil); err == nil {
+	if _, err := other.RunCtx(context.Background(), q, b, nil); err == nil {
 		t.Fatal("binding for a different catalog accepted")
 	}
 }

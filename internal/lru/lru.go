@@ -2,7 +2,7 @@
 // repository: the leaf and interior tiers of internal/core's
 // SharedCache, the kv server's resident set, and the decoded-segment
 // cache of internal/dataset. Entries leave it through the eviction rule
-// or Clear, never one by one: no tier invalidates. It imports
+// only, never one by one: no tier invalidates. It imports
 // nothing from the repository, so any package may use it.
 package lru
 
@@ -102,13 +102,6 @@ func (c *Cache[K, V]) Resize(k K, bytes int64) (evicted int) {
 	c.bytes += bytes - n.cost
 	n.cost = bytes
 	return c.evict()
-}
-
-// Clear drops every entry.
-func (c *Cache[K, V]) Clear() {
-	clear(c.items)
-	c.root.prev, c.root.next = &c.root, &c.root
-	c.bytes = 0
 }
 
 // evict applies the eviction rule stated on Cache.

@@ -52,7 +52,7 @@ type checker struct {
 	c     *Cache[uint8, int]
 	r     ref
 	nextV int
-	// inserted − removed (evicted, cleared) must equal Len.
+	// inserted − removed (evicted) must equal Len.
 	inserted, removed int
 }
 
@@ -60,7 +60,7 @@ func newChecker(t *testing.T, maxEntries int, maxBytes int64) *checker {
 	return &checker{t: t, c: New[uint8, int](maxEntries, maxBytes), r: ref{maxEntries: maxEntries, maxBytes: maxBytes}}
 }
 
-const numOps = 5
+const numOps = 4
 
 // step applies operation op (mod numOps) on key k with cost, to both.
 func (ck *checker) step(op, k uint8, cost int64) {
@@ -125,13 +125,6 @@ func (ck *checker) step(op, k uint8, cost int64) {
 				t.Fatalf("Resize(%d) evicted the most recently used entry %d", k, e.key)
 			}
 		}
-	case 4: // Clear, rarely: only when the cost byte agrees
-		if cost%4 != 0 {
-			return
-		}
-		c.Clear()
-		ck.removed += len(r.order)
-		r.order = nil
 	}
 	ck.invariants()
 }

@@ -82,7 +82,7 @@ func TestSecondSessionHitsRangeTheFirstLeft(t *testing.T) {
 	cat := rankScaleCatalog(t, 9000)
 	opt := core.Options{GridW: 16, GridH: 16}
 	shared := core.NewSharedCache(0, 0)
-	s1, err := NewSQLShared(cat, nil, opt, reuseSQL, shared)
+	s1, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, reuseSQL, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSecondSessionHitsRangeTheFirstLeft(t *testing.T) {
 		{"first: drag to 30", dragA(30), 1, 1, 0},
 		{"first: leaves 30 for 10", dragA(10), 1, 1, 0},
 	})
-	s2, err := NewSQLShared(cat, nil, opt, reuseSQL, shared)
+	s2, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, reuseSQL, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSecondSessionHitsRangeTheFirstLeft(t *testing.T) {
 func TestDeadlineCancelledRerunKeepsPicture(t *testing.T) {
 	cat := rankScaleCatalog(t, 9000)
 	opt := core.Options{GridW: 16, GridH: 16}
-	s, err := NewSQLShared(cat, nil, opt, reuseSQL, core.NewSharedCache(0, 0))
+	s, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, reuseSQL, core.NewSharedCache(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDragStormStaysInsideTheBudget(t *testing.T) {
 	// the default entry cap does.
 	const smallBudget = 40 * 8 * 2000
 	shared := core.NewSharedCache(0, smallBudget)
-	attached, err := NewSQLShared(cat, nil, opt, reuseSQL, shared)
+	attached, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, reuseSQL, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestPinnedSessionReadsWhileNeighbourEvicts(t *testing.T) {
 			}
 			return nil
 		}
-		stormer, err := NewSQLShared(cat, nil, opt, tc.stormSQL, shared)
+		stormer, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, tc.stormSQL, shared)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reader, err := NewSQLShared(cat, nil, opt, tc.readSQL, shared)
+		reader, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, tc.readSQL, shared)
 		if err != nil {
 			t.Fatal(err)
 		}

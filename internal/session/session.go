@@ -111,17 +111,12 @@ func NewSharedCtx(ctx context.Context, cat *dataset.Catalog, reg *distance.Regis
 
 // NewSQL starts a session from dialect text.
 func NewSQL(cat *dataset.Catalog, reg *distance.Registry, opt core.Options, src string) (*Session, error) {
-	return NewSQLShared(cat, reg, opt, src, nil)
+	return NewSQLSharedCtx(nil, cat, reg, opt, src, nil)
 }
 
-// NewSQLShared starts a shared-tier session from dialect text.
-func NewSQLShared(cat *dataset.Catalog, reg *distance.Registry, opt core.Options, src string, shared *core.SharedCache) (*Session, error) {
-	return NewSQLSharedCtx(nil, cat, reg, opt, src, shared)
-}
-
-// NewSQLSharedCtx is NewSQLShared with the initial recalculation
-// bounded by ctx (see SetRunContext); the bound does not outlive
-// construction.
+// NewSQLSharedCtx starts a session from dialect text over shared (see
+// NewShared), with the initial recalculation bounded by ctx (see
+// SetRunContext); the bound does not outlive construction.
 func NewSQLSharedCtx(ctx context.Context, cat *dataset.Catalog, reg *distance.Registry, opt core.Options, src string, shared *core.SharedCache) (*Session, error) {
 	q, err := query.Parse(src)
 	if err != nil {
@@ -183,7 +178,7 @@ func (s *Session) Recalculate() error {
 		}
 		s.bind = b
 	}
-	res, err := e.RunPreboundCtx(s.runCtx, s.q, s.bind, s.cache)
+	res, err := e.RunCtx(s.runCtx, s.q, s.bind, s.cache)
 	if err != nil {
 		return err
 	}
@@ -331,6 +326,9 @@ func (s *Session) FindCond(attr string) (*query.Cond, error) {
 // is keyed by the leaves a run read, so the run over the moved leaf
 // starts without one and nothing is reset by hand.
 func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
+	if err := s.checkPart(c); err != nil {
+		return err
+	}
 	if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
 		return fmt.Errorf("session: invalid range [%v, %v]", lo, hi)
 	}
@@ -397,6 +395,18 @@ func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 	return nil
 }
 
+// checkPart refuses a query part that is not a node of the live query
+// — nil, a nil pointer, or a part SetQuery or Undo replaced — before
+// anything dereferences it.
+func (s *Session) checkPart(e query.Expr) error {
+	found := false
+	query.Walk(s.q.Where, func(x query.Expr) { found = found || x == e })
+	if !found {
+		return fmt.Errorf("session: the query part is not in the current query")
+	}
+	return nil
+}
+
 // SetRangeByAttr finds the first condition on the named attribute and
 // moves its range — the remote-protocol form of the slider drag, where
 // a condition is addressed by attribute name instead of AST pointer
@@ -439,6 +449,9 @@ func (s *Session) SetMedianDeviation(c *query.Cond, median, dev float64) error {
 // Setting the weight the part already has (an unset weight reads as 1)
 // is a no-op: no snapshot, no recalculation.
 func (s *Session) SetWeight(e query.Expr, w float64) error {
+	if err := s.checkPart(e); err != nil {
+		return err
+	}
 	if w < 0 || math.IsNaN(w) {
 		return fmt.Errorf("session: invalid weight %v", w)
 	}
@@ -612,6 +625,9 @@ func (s *Session) Image(cols int) (*render.Image, error) {
 // the query, either keeping the overall arrangement or re-arranged
 // independently.
 func (s *Session) DrillDown(e query.Expr, independent bool) ([]*render.Window, error) {
+	if err := s.checkPart(e); err != nil {
+		return nil, err
+	}
 	return s.res.DrillDownWindows(e, independent)
 }
 

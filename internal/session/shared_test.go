@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -47,7 +48,7 @@ func TestConcurrentSharedSessionsMatchFreshEngine(t *testing.T) {
 				}
 			}
 			rng := rand.New(rand.NewSource(int64(1000 + g)))
-			s, err := NewSQLShared(cat, nil, opt, queries[g%len(queries)], shared)
+			s, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, queries[g%len(queries)], shared)
 			if err != nil {
 				fail(err)
 				return
@@ -122,14 +123,14 @@ func TestSharedSessionsReportSharedHits(t *testing.T) {
 	opt := core.Options{GridW: 8, GridH: 8}
 	shared := core.NewSharedCache(0, 0)
 	const sql = `SELECT a FROM S WHERE a > 50 AND b < 40`
-	s1, err := NewSQLShared(cat, nil, opt, sql, shared)
+	s1, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, sql, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tm := s1.Result().Timings; tm.SharedHits != 0 || tm.CacheMisses != 2 {
 		t.Fatalf("first session timings: %+v", tm)
 	}
-	s2, err := NewSQLShared(cat, nil, opt, sql, shared)
+	s2, err := NewSQLSharedCtx(context.Background(), cat, nil, opt, sql, shared)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,13 @@
 // retrieval — against a remote visdbd (or any internal/server
 // handler) over HTTP/JSON, using only the standard library.
 //
-// A Session mirrors the interactive surface of visdb.Session, but
-// every method takes a context and returns the server's
-// post-recalculation summary, so a thin client renders the stats
-// panel without ever transferring more than the display budget:
+// A Session carries the part of visdb.Session's interaction the wire
+// has ops for — query replacement, a range slider addressed by
+// attribute, a weight addressed by predicate index, percentage
+// displayed, undo — plus the ranked rows of the overall result. Every
+// method takes a context and returns the server's post-recalculation
+// summary, so a thin client renders the stats panel without ever
+// transferring more than the display budget:
 //
 //	c := client.New("http://localhost:8491")
 //	s, _, err := c.NewSession(ctx, "env", `SELECT temp FROM obs WHERE temp > 20`, client.Options{})

@@ -34,13 +34,12 @@
 // By default the engine ranks with a top-k selection rather than the
 // full sort the paper describes as the dominating cost: only the
 // display budget (GridW×GridH plus the gap-heuristic margin) is ever
-// materialized in order, in expected O(n) time, and Result.Order lists
-// that ranked prefix only (Result.TopK extends it to any depth). Set
-// Options.FullSort for an exact full ranking of all N items (the
-// A-series ablations and exact quantile statistics). A run computes its
-// predicates one after another, each one's distance pass chunked across
-// every core GOMAXPROCS allows; runs are bit-identical whatever the core
-// count.
+// materialized in order, in expected O(n) time; Result.TopK extends the
+// ranking to any depth. Set Options.FullSort for an exact full ranking
+// of all N items (the A-series ablations and exact quantile
+// statistics). A run computes its predicates one after another, each
+// one's distance pass chunked across every core GOMAXPROCS allows; runs
+// are bit-identical whatever the core count.
 //
 // # Incremental reruns
 //
@@ -53,22 +52,19 @@
 // sorted quantile indexes for O(1) normalization ranges, and
 // per-predicate window vectors materialize lazily. Cached reruns are
 // bit-identical to cold runs; the trade is that a session's Result is
-// valid only until its next modification. Engine.RunCached exposes the
-// same machinery for custom loops.
+// valid only until its next modification. An Engine's runs share
+// nothing: use one for results that must outlive an interaction loop.
 //
 // # Concurrent sessions
 //
-// Many sessions serving different users over one catalog share leaf
-// work through a catalog-level SharedCache (NewSessionShared): leaf
-// distance vectors, the combined vectors of the query parts over them
-// and the quantile indexes of both are computed once per catalog
-// with singleflight fills, bounded by an LRU byte budget and by nothing
-// else — no edit invalidates, so returning to an earlier range is a hit
-// — and every entry is immutable: eviction only unlinks, so concurrent
-// readers are never affected. Each
-// session stays a single-goroutine state machine; any number may run
-// in parallel against one SharedCache, and results remain bit-identical
-// to isolated sessions.
+// A Session is one user's interface state and is not safe for
+// concurrent use; run one goroutine per session. Any number of sessions
+// may run in parallel over one catalog. Sessions serving many users
+// over one catalog share their leaf work through the catalog-level
+// cache of the serving layer (see Remote sessions): there, leaf
+// distance vectors and the quantile indexes built on them are computed
+// once per catalog, and results remain bit-identical to isolated
+// sessions.
 //
 // # Remote sessions
 //
@@ -149,9 +145,6 @@ func NewTable(name string, schema Schema) (*Table, error) {
 	return dataset.NewTable(name, schema)
 }
 
-// ReadCSV loads a table from CSV (header must match the schema).
-var ReadCSV = dataset.ReadCSV
-
 // OpenOptions configures OpenCatalogFile (read backend, cache budget).
 type OpenOptions = dataset.OpenOptions
 
@@ -171,10 +164,9 @@ var (
 
 // Query types.
 type (
-	Query   = query.Query
-	Expr    = query.Expr
-	Cond    = query.Cond
-	Binding = query.Binding
+	Query = query.Query
+	Expr  = query.Expr
+	Cond  = query.Cond
 )
 
 // Parse parses the VisDB query dialect (SQL-like with WEIGHT, USING and
@@ -189,59 +181,14 @@ func Gradi(q *Query) string { return query.Gradi(q) }
 // tree — the parts that get their own visualization windows.
 var Predicates = query.Predicates
 
-// Engine types.
+// Plain data the engine reports: the run options, the stats panel, one
+// predicate's slider fields, and a selected item's rows.
 type (
-	Engine        = core.Engine
 	Options       = core.Options
-	Result        = core.Result
 	PanelStats    = core.PanelStats
 	PredicateInfo = core.PredicateInfo
 	SelectedTuple = core.SelectedTuple
 )
-
-// RunCache is the reuse layer of the incremental feedback loop as one
-// loop holds it: the pins of the leaf distance vectors its current
-// picture reads (keyed structurally, weighting factors excluded) over
-// the SharedCache that stores them — the one attached with
-// AttachShared, else a small one of its own — plus pooled evaluation
-// buffers. Sessions manage one internally; use an explicit cache with
-// Engine.RunCached for custom interaction loops. A Result produced
-// through a cache is valid only until the next RunCached on that
-// cache.
-type RunCache = core.RunCache
-
-// NewRunCache creates an empty cache for Engine.RunCached.
-var NewRunCache = core.NewRunCache
-
-// SharedCache is the store of the predicate cache: one instance per
-// catalog, shared by any number of concurrent sessions, with
-// singleflight fills, immutable entries and LRU + byte-budget eviction
-// as the only way an entry leaves. Leaf distance vectors, the raw
-// combined vectors of interior query nodes (a cached subtree is a leaf:
-// same store, same recency rule, same byte budget) and the quantile
-// indexes of both are computed once per catalog instead of once per
-// session.
-type SharedCache = core.SharedCache
-
-// SharedStats is a snapshot of a SharedCache's counters. Entries, Bytes,
-// Fills and Evictions cover leaf and interior vectors alike;
-// InteriorHits/InteriorMisses count the lookups of the latter.
-type SharedStats = core.SharedStats
-
-// SharedOptions configures a shared tier: entry cap, byte budget and an
-// optional remote backend. Every computed leaf is stored; recency alone
-// decides what the bounds push out.
-type SharedOptions = core.SharedOptions
-
-// NewSharedCache creates a shared tier; zero bounds select the
-// defaults (1024 entries, 256 MiB).
-var NewSharedCache = core.NewSharedCache
-
-// NewSharedCacheOpts creates a shared tier from SharedOptions: the same
-// tier as NewSharedCache's, plus the remote backend if one is set. This
-// is what the serving subsystem (internal/server, cmd/visdbd) uses per
-// catalog.
-var NewSharedCacheOpts = core.NewSharedCacheOpts
 
 // Arrangement kinds.
 const (
@@ -270,37 +217,112 @@ type Registry = distance.Registry
 // numeric and string distances.
 func NewRegistry() *Registry { return distance.NewRegistry() }
 
+// Engine answers visual feedback queries against a catalog. It is safe
+// for concurrent runs; the catalog must not be mutated while queries
+// run.
+type Engine struct{ e *core.Engine }
+
 // NewEngine creates a query engine over a catalog with built-in
 // distances.
 func NewEngine(cat *Catalog, opt Options) *Engine {
-	return core.New(cat, nil, opt)
+	return &Engine{core.New(cat, nil, opt)}
 }
 
 // NewEngineWithRegistry creates an engine with custom distances.
 func NewEngineWithRegistry(cat *Catalog, reg *Registry, opt Options) *Engine {
-	return core.New(cat, reg, opt)
+	return &Engine{core.New(cat, reg, opt)}
 }
 
-// Session is the interactive exploration layer (sliders, weights,
-// selection, projection, drill-down).
-type Session = session.Session
+// RunSQL parses and runs a query in the VisDB dialect.
+func (e *Engine) RunSQL(sql string) (*Result, error) { return wrap(e.e.RunSQL(sql)) }
+
+// Run runs a parsed query.
+func (e *Engine) Run(q *Query) (*Result, error) { return wrap(e.e.Run(q)) }
+
+// Result is one answered query: the picture — the overall window and
+// one window per top-level predicate, the stats panel and the slider
+// fields — and the relevance ranking behind it.
+type Result struct{ r *core.Result }
+
+func wrap(r *core.Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{r}, nil
+}
+
+// Image composes the windows into one image with the given column count
+// (2 matches the paper's 2×2 layout for three predicates).
+func (r *Result) Image(cols int) (*Image, error) { return r.r.Image(cols) }
+
+// Windows returns the overall window followed by one window per
+// top-level selection predicate, every item at the same position in
+// each — the visualization part of figure 4.
+func (r *Result) Windows() ([]*Window, error) { return r.r.Windows() }
+
+// Stats returns the overall numbers of the stats panel.
+func (r *Result) Stats() PanelStats { return r.r.Stats() }
+
+// PredicateInfos returns the slider fields of each top-level predicate.
+func (r *Result) PredicateInfos() []PredicateInfo { return r.r.PredicateInfos() }
+
+// TopK returns the item indices of the k most relevant items, most
+// relevant first (k is clamped to the item count) — the programmatic
+// consumption path for similarity retrieval (section 4.5). Safe for
+// concurrent use.
+func (r *Result) TopK(k int) []int { return r.r.TopK(k) }
+
+// Relevance returns every item's relevance factor — the inverse of its
+// combined distance, 1 for an exact answer — materialized on first call.
+func (r *Result) Relevance() []float64 { return r.r.Relevance() }
+
+// Pair returns the (left row, right row) of a cross-product item; ok is
+// false for single-table queries or out-of-range items.
+func (r *Result) Pair(item int) (left, right int, ok bool) { return r.r.Pair(item) }
+
+// Tuple returns the row(s) behind an item.
+func (r *Result) Tuple(item int) (SelectedTuple, error) { return r.r.Tuple(item) }
+
+// Aggregates evaluates the result list's aggregate operators (AVG, SUM,
+// MAX, MIN, COUNT) over the exact answers.
+func (r *Result) Aggregates() ([]core.AggValue, error) { return r.r.Aggregates() }
+
+// ResultTable materializes the exact answers as a table of the result
+// list's plain attributes.
+func (r *Result) ResultTable() (*Table, error) { return r.r.ResultTable() }
+
+// sessionCore names the interactive layer for embedding: Session gets
+// its methods without exporting the field.
+type sessionCore = session.Session
+
+// Session is the interactive exploration layer: range and
+// median/deviation sliders, weights, percentage displayed, undo, tuple
+// selection, color-range projection, drill-down and the stats panel.
+// Its methods refuse a query part that is not in the current query.
+// A Session is not safe for concurrent use.
+type Session struct{ *sessionCore }
+
+// Result returns the current result, valid until the next modification.
+// When auto-recalculate is off and modifications are pending it is
+// stale (Dirty reports true).
+func (s *Session) Result() *Result { return &Result{s.sessionCore.Result()} }
 
 // NewSession opens an interactive session on a query string.
 func NewSession(cat *Catalog, opt Options, sql string) (*Session, error) {
-	return session.NewSQL(cat, nil, opt, sql)
+	s, err := session.NewSQL(cat, nil, opt, sql)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{s}, nil
 }
 
 // NewSessionQuery opens a session on a parsed query.
 func NewSessionQuery(cat *Catalog, opt Options, q *Query) (*Session, error) {
-	return session.New(cat, nil, opt, q)
-}
-
-// NewSessionShared opens a session attached to a catalog-level shared
-// cache: any number of concurrent sessions on the same catalog share
-// leaf distance vectors through it (each session itself remains
-// single-goroutine).
-func NewSessionShared(cat *Catalog, opt Options, sql string, shared *SharedCache) (*Session, error) {
-	return session.NewSQLShared(cat, nil, opt, sql, shared)
+	s, err := session.New(cat, nil, opt, q)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{s}, nil
 }
 
 // Image is the off-screen framebuffer windows render into; it encodes
