@@ -64,7 +64,6 @@ type config struct {
 	cacheEntries   int
 	cacheMB        int
 	catCacheMB     int
-	forceReadAt    bool
 	sharedKV       string
 	drainTimeout   time.Duration
 	sessionTTL     time.Duration
@@ -108,7 +107,6 @@ func main() {
 	flag.IntVar(&cfg.cacheEntries, "cache-entries", 0, "per-catalog shared-cache entry cap (0 = default 1024)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 0, "per-catalog shared-cache byte budget in MiB (0 = default 256)")
 	flag.IntVar(&cfg.catCacheMB, "catalog-cache-mb", 0, "decoded-segment cache budget in MiB for file-backed catalogs (0 = default 64)")
-	flag.BoolVar(&cfg.forceReadAt, "force-readat", false, "disable mmap for file-backed catalogs; read through ReadAt")
 	flag.StringVar(&cfg.sharedKV, "shared-kv", "", "visdbkv store base URL; attaches the fleet's shared-distance tier to every catalog's cache")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown drain bound")
 	flag.DurationVar(&cfg.sessionTTL, "session-ttl", 30*time.Minute, "reap sessions idle longer than this (0 disables; each live session pins O(rows) buffers)")
@@ -165,15 +163,15 @@ func buildCatalogs(cfg config) ([]server.CatalogConfig, error) {
 			}
 		} else {
 			cat, err = dataset.OpenCatalogFile(src, dataset.OpenOptions{
-				ForceReadAt: cfg.forceReadAt,
-				CacheBytes:  int64(cfg.catCacheMB) << 20,
+				CacheBytes: int64(cfg.catCacheMB) << 20,
 			})
 			if errors.Is(err, dataset.ErrCorruptSegment) {
 				// Checksum failure at load: quarantine this catalog —
 				// clients get 503 with the error — but keep serving every
-				// other catalog. A wrong path or permission problem still
-				// fails startup (the operator misconfigured, the data is
-				// not damaged).
+				// other catalog. A wrong path, a permission problem or a
+				// file in a layout the reader does not read still fails
+				// startup (the operator misconfigured, the data is not
+				// damaged).
 				log.Printf("visdbd: catalog %q QUARANTINED: %v", name, err)
 				out = append(out, server.CatalogConfig{Name: name, Quarantined: fmt.Errorf("catalog %q: %w", name, err)})
 				continue

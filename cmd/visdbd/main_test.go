@@ -2,8 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,5 +208,43 @@ func TestDaemonDiskCatalog(t *testing.T) {
 	bad.catalogs = "oops:" + filepath.Join(t.TempDir(), "missing.visdb")
 	if err := run(context.Background(), bad, nil); err == nil {
 		t.Fatal("dangling catalog path did not fail startup")
+	}
+}
+
+// TestDaemonRefusesEarlierLayouts: a -catalogs path to a file in a
+// layout the reader does not read fails startup — the daemon exits
+// non-zero with the refusal, which names the layout and the fix — and
+// is not quarantined as corruption.
+func TestDaemonRefusesEarlierLayouts(t *testing.T) {
+	mem, err := datagen.Traffic(500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "traffic.visdb")
+	if _, err := dataset.WriteCatalogFile(path, mem); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, head := range []string{"VSEGCAT1", "VSEGCAT2"} {
+		if err := os.WriteFile(path, append([]byte(head), data[len(head):]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := config{
+			addr:         "127.0.0.1:0",
+			shards:       2,
+			catalogs:     "old:" + path + ",synth:500",
+			gridW:        16,
+			gridH:        16,
+			drainTimeout: 10 * time.Second,
+		}
+		err := run(context.Background(), cfg, nil)
+		if err == nil || errors.Is(err, dataset.ErrCorruptSegment) ||
+			!strings.Contains(err.Error(), head) || !strings.Contains(err.Error(), "visdbgen -format seg") {
+			t.Fatalf("%s: startup error %v, want the layout refusal", head, err)
+		}
 	}
 }

@@ -164,22 +164,27 @@
 // with two backends: in-memory slices (the default; Append works) and a
 // write-once segment-catalog file (dataset.WriteCatalogFile /
 // OpenCatalogFile; "VSEGCAT3", streamed with O(segment) memory, JSON
-// footer, FNV-1a content epoch) read through mmap or os.File.ReadAt
-// into a bounded decoded-segment cache, so resident memory is O(cache
-// budget), not O(catalog). The catalog epoch flows into every
-// structural cache key, so a regenerated file can never cross-serve
-// another file's cached vectors. Serving a catalog from disk is bitwise
+// footer, FNV-1a content epoch) whose blobs are read with ReadAt into
+// pooled buffers and decoded into a bounded decoded-segment cache, so
+// resident memory is O(cache budget), not O(catalog). The catalog epoch
+// flows into every structural cache key, so a regenerated file can
+// never cross-serve another file's cached vectors. Serving a catalog
+// from disk is bitwise
 // identical to serving it from memory (TestDiskReplayBitIdentical,
 // TestDiskCatalogReplayMatchesInMemory). visdbd accepts "name:path"
 // catalog specs, visdbgen -format seg writes the files.
 //
-// "VSEGCAT3" is the only layout the code writes; "VSEGCAT1" and
-// "VSEGCAT2" stay readable, held by two checked-in files under
-// internal/dataset/testdata (TestLegacyV1StillReadable,
-// TestFormatVersionMatrixRoundTrip). The file is blobs, a JSON footer
-// and a 20-byte tail [footer CRC32C | footer length | "VSEGEND3"]; v3
-// adds:
+// The file is blobs of raw payloads, a JSON footer and a 20-byte tail
+// [footer CRC32C | footer length | "VSEGEND3"], and the reader reads
+// exactly what the writer writes:
 //
+//   - Integrity: every blob's CRC32C is in the footer and checked on
+//     every read, the footer's in the tail; a footer that fails its
+//     checks is a typed ErrCorruptSegment at open (visdbd quarantines
+//     the catalog), a blob that fails its CRC — or a file cut short
+//     under a running daemon — is the catalog's sticky Corrupt() error
+//     (TestEveryByteFlipDetected, TestCatalogTruncatedAfterOpen,
+//     FuzzOpenCatalogFile).
 //   - Per-segment statistics: min/max as hex floats and a count of
 //     unusable rows per numeric segment (dataset.SegmentStatser); stats
 //     that fail to parse are a typed ErrCorruptSegment at open.
@@ -190,9 +195,16 @@
 //     proof, so block pruning works on the first cold run.
 //     StageTimings.SegsSkipped/Segs attribute it; Options.NoSegmentStats
 //     is the ablation gate (TestPushdownLockstepReplay).
-//   - Segment codecs: delta-coded int/time blobs, xor-coded float
-//     blobs, kept only when strictly smaller than the raw payload; blob
-//     CRCs cover the on-disk bytes.
+//   - One layout: a "VSEGCAT1" or "VSEGCAT2" head, or a blob an earlier
+//     writer compressed (footer enc != 0), is refused at open with an
+//     error that names the layout, says to rewrite the file with
+//     visdbgen -format seg, and does not wrap ErrCorruptSegment — visdbd
+//     fails its startup on such a path as on a wrong one
+//     (TestFormatVersionMatrixRoundTrip, TestDaemonRefusesEarlierLayouts).
+//   - Writes replace: the writer fills a temporary file beside the path
+//     and renames it into place on Close, so a catalog open at the path
+//     keeps reading the file it opened
+//     (TestCatalogRewriteLeavesOpenReaderAlone).
 //
 // # Interior reuse: a cached subtree is a leaf
 //

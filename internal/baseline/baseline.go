@@ -52,15 +52,6 @@ func MatchesSQL(cat *dataset.Catalog, src string) ([]int, error) {
 	return Matches(cat, q)
 }
 
-// Count returns the number of matching rows.
-func Count(cat *dataset.Catalog, src string) (int, error) {
-	rows, err := MatchesSQL(cat, src)
-	if err != nil {
-		return 0, err
-	}
-	return len(rows), nil
-}
-
 func evalExpr(e query.Expr, b *query.Binding, cat *dataset.Catalog, t *dataset.Table, row int) (bool, error) {
 	if e == nil {
 		return true, nil

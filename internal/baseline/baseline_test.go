@@ -118,9 +118,9 @@ func TestMatchesSubqueries(t *testing.T) {
 
 func TestCountAndErrors(t *testing.T) {
 	c := cat(t)
-	n, err := Count(c, `SELECT x FROM T WHERE x > 2`)
-	if err != nil || n != 2 {
-		t.Fatalf("count: %d %v", n, err)
+	rows, err := MatchesSQL(c, `SELECT x FROM T WHERE x > 2`)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("count: %d %v", len(rows), err)
 	}
 	if _, err := MatchesSQL(c, `SELECT x FROM T, O WHERE x > 1`); err == nil {
 		t.Error("multi-table should fail")

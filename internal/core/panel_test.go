@@ -48,8 +48,8 @@ func checkPanel(t *testing.T, what string, res *Result, pi int, tbl *dataset.Tab
 // TestPanelValuesComeFromTheCatalog: a cached leaf keeps no copy of its
 // column, so the panel's attribute values — first/last displayed — are
 // read from the catalog. They must be the
-// table's own values whatever backs it (memory, mmap, ReadAt; segments
-// the scan skipped included; null cells excluded), through a pair
+// table's own values whatever backs it (memory or its segment file;
+// segments the scan skipped included; null cells excluded), through a pair
 // space's row mapping, and absent for the kinds that have no numeric
 // value.
 func TestPanelValuesComeFromTheCatalog(t *testing.T) {
@@ -68,8 +68,7 @@ func TestPanelValuesComeFromTheCatalog(t *testing.T) {
 		open func() *dataset.Catalog
 	}{
 		{"memory", func() *dataset.Catalog { return mem }},
-		{"mmap", func() *dataset.Catalog { return openSegFile(t, path, 8<<20, false) }},
-		{"readat", func() *dataset.Catalog { return openSegFile(t, path, 8<<20, true) }},
+		{"file", func() *dataset.Catalog { return openSegFile(t, path, 8<<20) }},
 	} {
 		e := New(backing.open(), nil, Options{GridW: 128, GridH: 128})
 		cache := NewRunCache()
@@ -152,9 +151,9 @@ func TestPanelValuesComeFromTheCatalog(t *testing.T) {
 }
 
 // openSegFile opens a segment catalog, closing it with the test.
-func openSegFile(t *testing.T, path string, cacheBytes int64, forceReadAt bool) *dataset.Catalog {
+func openSegFile(t *testing.T, path string, cacheBytes int64) *dataset.Catalog {
 	t.Helper()
-	c, err := dataset.OpenCatalogFile(path, dataset.OpenOptions{CacheBytes: cacheBytes, ForceReadAt: forceReadAt})
+	c, err := dataset.OpenCatalogFile(path, dataset.OpenOptions{CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,10 @@ func samePredicateInfos(t *testing.T, step string, a, b *Result) {
 // segment-stats pushdown: the same randomized interaction script —
 // range slides on the skippable clustered column, weight changes, a
 // strict operator, predicates on never-skippable columns — replayed
-// against the in-memory catalog, the mmap backend with stats on, the
-// mmap backend with stats off (Options.NoSegmentStats) and the ReadAt
-// backend, must produce bit-identical results at every step; and the
-// stats-on engines must actually have skipped segments along the way.
+// against the in-memory catalog and its segment file with stats on and
+// with stats off (Options.NoSegmentStats), must produce bit-identical
+// results at every step; and the stats-on engine must actually have
+// skipped segments along the way.
 func TestPushdownLockstepReplay(t *testing.T) {
 	const rows = 5*dataset.SegmentSize + 301
 	mem := clusteredCatalog(t, rows)
@@ -79,10 +79,10 @@ func TestPushdownLockstepReplay(t *testing.T) {
 	if _, err := dataset.WriteCatalogFile(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	open := func(force bool) *dataset.Catalog {
+	open := func() *dataset.Catalog {
 		// A tiny decode cache forces real cold decodes on every leaf
 		// recompute, so the skip path is exercised, not the LRU.
-		return openSegFile(t, path, 1<<16, force)
+		return openSegFile(t, path, 1<<16)
 	}
 	base := Options{GridW: 16, GridH: 16}
 	noStats := base
@@ -93,9 +93,8 @@ func TestPushdownLockstepReplay(t *testing.T) {
 		statsOn bool
 	}{
 		{"memory", New(mem, nil, base), false},
-		{"mmap stats-on", New(open(false), nil, base), true},
-		{"mmap stats-off", New(open(false), nil, noStats), false},
-		{"readat stats-on", New(open(true), nil, base), true},
+		{"stats-on", New(open(), nil, base), true},
+		{"stats-off", New(open(), nil, noStats), false},
 	}
 	caches := make([]*RunCache, len(engines))
 	for i := range caches {

@@ -258,7 +258,7 @@ func TestRangeKernelMatchesToRange(t *testing.T) {
 	if _, err := dataset.WriteCatalogFile(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	disk := openSegFile(t, path, 1<<16, false)
+	disk := openSegFile(t, path, 1<<16)
 	dt, err := disk.Table("C")
 	if err != nil {
 		t.Fatal(err)

@@ -297,15 +297,15 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	backend := newMapBackend()
-	node := func(forceReadAt bool) (*Engine, *RunCache, *SharedCache) {
-		cat := openSegFile(t, path, 1<<16, forceReadAt)
+	node := func() (*Engine, *RunCache, *SharedCache) {
+		cat := openSegFile(t, path, 1<<16)
 		sc := NewSharedCacheOpts(SharedOptions{Backend: backend})
 		c := NewRunCache()
 		c.AttachShared(sc)
 		return New(cat, nil, Options{GridW: 16, GridH: 16}), c, sc
 	}
 	const sql = `SELECT t FROM C WHERE t BETWEEN 20 AND 80 AND u < 60`
-	eA, cA, scA := node(false)
+	eA, cA, scA := node()
 	resA, err := runCached(eA, mustParse(t, sql), cA)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 	}
 	backend.leafKeys(t)
 
-	eB, cB, scB := node(true)
+	eB, cB, scB := node()
 	resB, err := runCached(eB, mustParse(t, sql), cB)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@
 package csvutil
 
 import (
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -40,28 +39,6 @@ func LoadInferred(path, name string) (*dataset.Table, error) {
 		return nil, err
 	}
 	if err := streamRows(f, schema, tbl.AppendRow); err != nil {
-		return nil, err
-	}
-	return tbl, nil
-}
-
-// ReadInferred is LoadInferred over a reader. A generic reader cannot
-// rewind, so the raw bytes are buffered once and streamed twice; use
-// LoadInferred to avoid the buffer.
-func ReadInferred(r io.Reader, name string) (*dataset.Table, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("csvutil: %w", err)
-	}
-	schema, err := InferSchema(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := dataset.NewTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	if err := streamRows(bytes.NewReader(raw), schema, tbl.AppendRow); err != nil {
 		return nil, err
 	}
 	return tbl, nil

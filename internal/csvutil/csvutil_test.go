@@ -1,20 +1,32 @@
 package csvutil
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-func TestReadInferredKinds(t *testing.T) {
+// loadString writes csv to a file and loads it with LoadInferred.
+func loadString(t *testing.T, csv string) (*dataset.Table, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in.csv")
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadInferred(path, "T")
+}
+
+func TestLoadInferredKinds(t *testing.T) {
 	csv := strings.Join([]string{
 		"ts,price,ok,name,empty",
 		"1994-02-14T08:00:00Z,2.5,true,ann,",
 		"1994-02-14T09:00:00Z,3,false,bob,",
 		",4.5,true,,",
 	}, "\n")
-	tbl, err := ReadInferred(strings.NewReader(csv), "T")
+	tbl, err := loadString(t, csv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +52,8 @@ func TestReadInferredKinds(t *testing.T) {
 	}
 }
 
-func TestReadInferredNumbersStayFloat(t *testing.T) {
-	tbl, err := ReadInferred(strings.NewReader("x\n1\n2\n"), "T")
+func TestLoadInferredNumbersStayFloat(t *testing.T) {
+	tbl, err := loadString(t, "x\n1\n2\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +62,12 @@ func TestReadInferredNumbersStayFloat(t *testing.T) {
 	}
 }
 
-func TestReadInferredErrors(t *testing.T) {
-	if _, err := ReadInferred(strings.NewReader(""), "T"); err == nil {
+func TestLoadInferredErrors(t *testing.T) {
+	if _, err := loadString(t, ""); err == nil {
 		t.Error("empty input should fail")
 	}
 	// Ragged rows fail inside encoding/csv already.
-	if _, err := ReadInferred(strings.NewReader("a,b\n1\n"), "T"); err == nil {
+	if _, err := loadString(t, "a,b\n1\n"); err == nil {
 		t.Error("ragged rows should fail")
 	}
 }

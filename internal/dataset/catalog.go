@@ -213,7 +213,7 @@ type Catalog struct {
 	// catalogs default to 0 (their identity is the process lifetime).
 	epoch uint64
 	// closer releases the backing resources of a file-backed catalog
-	// (mmap, file handle); nil for in-memory catalogs.
+	// (its file); nil for in-memory catalogs.
 	closer func() error
 	// corrupt reports the sticky corruption state of a file-backed
 	// catalog's segment source; nil for in-memory catalogs.
@@ -342,23 +342,4 @@ func (c *Catalog) ConnectionNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ConnectionsInvolving lists connections touching any of the given
-// tables — the Connections window of the query-specification interface
-// shows "all 'connections' involving at least one of the selected
-// tables" (section 4.1).
-func (c *Catalog) ConnectionsInvolving(tables ...string) []Connection {
-	want := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		want[t] = true
-	}
-	var out []Connection
-	for _, name := range c.ConnectionNames() {
-		conn := c.connections[name]
-		if want[conn.Left] || want[conn.Right] {
-			out = append(out, conn)
-		}
-	}
-	return out
 }

@@ -101,13 +101,13 @@ func (x *extremes) add(f float64, ok bool) {
 func (x *extremes) MinMax() (min, max float64, ok bool) { return x.min, x.max, x.ok }
 
 // SegmentStatser is implemented by columns that know per-segment
-// statistics without decoding — file-backed columns opened from a
-// format-v3 catalog carry them in the footer. For segment si (rows
+// statistics without decoding — file-backed columns carry them in the
+// catalog file's footer. For segment si (rows
 // [si*SegmentSize, min((si+1)*SegmentSize, Len()))), min and max bound
 // every usable value the segment decodes to under the ReadFloats
 // coercion, and nulls counts the rows with no usable value (null rows,
 // plus NaN entries of float columns). ok is false when the segment has
-// no stats (older formats, all-null segments, string columns) — a
+// no stats (all-null segments, string columns) — a
 // caller may then decode, never assume.
 //
 // The contract is what makes predicate pushdown sound: ok with

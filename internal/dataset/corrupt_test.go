@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -40,8 +42,8 @@ func tinyCatalog(t *testing.T, rows int) *Catalog {
 	return cat
 }
 
-// scanAll touches every cell of every table, forcing every segment of
-// every column through the decoder.
+// scanAll touches every cell of every table, cell by cell and column by
+// column, forcing every segment of every column through the decoder.
 func scanAll(t *testing.T, cat *Catalog) {
 	t.Helper()
 	for _, name := range cat.TableNames() {
@@ -52,86 +54,56 @@ func scanAll(t *testing.T, cat *Catalog) {
 		for r := 0; r < tbl.NumRows(); r++ {
 			tbl.Row(r)
 		}
+		for _, f := range tbl.Schema() {
+			if _, err := tbl.FloatsOf(f.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
-// legacyFixtureRows is the row count of the two checked-in legacy
-// segment files, testdata/mixed_v1.vseg and testdata/mixed_v2.vseg:
-// mixedCatalog(t, legacyFixtureRows) as the VSEGCAT1 and VSEGCAT2
-// writers wrote it before they were deleted (the layouts are read-only
-// now, so the fixtures cannot be regenerated — only read).
-const legacyFixtureRows = SegmentSize + 57
-
-func legacyFixture(version int) string {
-	return filepath.Join("testdata", fmt.Sprintf("mixed_v%d.vseg", version))
-}
-
-// checkReadsBack opens the segment file at path through both backends
-// (mmap and ReadAt) and compares table "m" against mem cell for cell
-// and through FloatsOf bit for bit, with no corruption reported. Each
-// opened catalog is handed to extra (when non-nil) before it closes.
-func checkReadsBack(t *testing.T, name, path string, mem *Catalog, extra func(disk *Catalog)) {
+// checkReadsBack compares table "m" of the catalog disk opened against
+// mem cell for cell and through FloatsOf bit for bit, and requires disk
+// to report no corruption.
+func checkReadsBack(t *testing.T, what string, disk, mem *Catalog) {
 	t.Helper()
 	mt, err := mem.Table("m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, force := range []bool{false, true} {
-		disk, err := OpenCatalogFile(path, OpenOptions{ForceReadAt: force})
-		if err != nil {
-			t.Fatalf("%s (readat=%v): %v", name, force, err)
+	dt, err := disk.Table("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dt.NumRows() != mt.NumRows() {
+		t.Fatalf("%s: %d rows, want %d", what, dt.NumRows(), mt.NumRows())
+	}
+	for r := 0; r < mt.NumRows(); r++ {
+		want, got := mt.Row(r), dt.Row(r)
+		for i := range want {
+			if !valueEqualNaN(want[i], got[i]) {
+				t.Fatalf("%s row %d col %d: %v != %v", what, r, i, got[i], want[i])
+			}
 		}
-		dt, err := disk.Table("m")
+	}
+	for _, field := range mt.Schema() {
+		mf, err := mt.FloatsOf(field.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dt.NumRows() != mt.NumRows() {
-			t.Fatalf("%s (readat=%v): %d rows, want %d", name, force, dt.NumRows(), mt.NumRows())
+		df, err := dt.FloatsOf(field.Name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for r := 0; r < mt.NumRows(); r++ {
-			want, got := mt.Row(r), dt.Row(r)
-			for i := range want {
-				if !valueEqualNaN(want[i], got[i]) {
-					t.Fatalf("%s (readat=%v) row %d col %d: %v != %v", name, force, r, i, got[i], want[i])
-				}
+		for r := range mf {
+			if math.Float64bits(mf[r]) != math.Float64bits(df[r]) {
+				t.Fatalf("%s col %s row %d: floats differ", what, field.Name, r)
 			}
 		}
-		for _, field := range mt.Schema() {
-			mf, err := mt.FloatsOf(field.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			df, err := dt.FloatsOf(field.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := range mf {
-				if math.Float64bits(mf[r]) != math.Float64bits(df[r]) {
-					t.Fatalf("%s (readat=%v) col %s row %d: floats differ", name, force, field.Name, r)
-				}
-			}
-		}
-		if extra != nil {
-			extra(disk)
-		}
-		if cerr := disk.Corrupt(); cerr != nil {
-			t.Fatalf("%s: healthy catalog reports corruption: %v", name, cerr)
-		}
-		disk.Close()
 	}
-}
-
-// TestLegacyV1StillReadable pins backward compatibility: a catalog
-// written in the checksum-free VSEGCAT1 layout opens and reads cell
-// for cell identically to the in-memory original, with no corruption
-// reported.
-func TestLegacyV1StillReadable(t *testing.T) {
-	mem := mixedCatalog(t, legacyFixtureRows)
-	checkReadsBack(t, "v1", legacyFixture(1), mem, func(disk *Catalog) {
-		if disk.Epoch() == 0 {
-			t.Fatal("v1 fixture carries a zero epoch")
-		}
-	})
+	if cerr := disk.Corrupt(); cerr != nil {
+		t.Fatalf("%s: healthy catalog reports corruption: %v", what, cerr)
+	}
 }
 
 // flipDetected writes data with the byte at off flipped to work and
@@ -145,7 +117,7 @@ func flipDetected(t *testing.T, data []byte, off int, work string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := OpenCatalogFile(work, OpenOptions{ForceReadAt: true})
+	cat, err := OpenCatalogFile(work, OpenOptions{})
 	if err != nil {
 		if !errors.Is(err, ErrCorruptSegment) {
 			t.Fatalf("flip at %d: open error is not ErrCorruptSegment: %v", off, err)
@@ -185,22 +157,6 @@ func TestEveryByteFlipDetected(t *testing.T) {
 	}
 }
 
-// TestLegacyV2FlipsStillDetected: the VSEGCAT2 layout is read-only but
-// its integrity checks are not optional — a flipped byte in the head
-// magic, a blob, the footer, the footer CRC, the footer length or the
-// end magic of the checked-in v2 file is still an ErrCorruptSegment.
-func TestLegacyV2FlipsStillDetected(t *testing.T) {
-	data, err := os.ReadFile(legacyFixture(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := len(data)
-	work := filepath.Join(t.TempDir(), "flip.vseg")
-	for _, off := range []int{0, len(segMagic2), size / 2, size - 20 - 10, size - 20, size - 16, size - 1} {
-		flipDetected(t, data, off, work)
-	}
-}
-
 // TestCorruptionServedAsZeroes pins the no-panic contract: a CRC
 // mismatch mid-read must not crash the reading goroutine; the column
 // serves structurally valid zero values and the catalog turns sticky
@@ -216,7 +172,7 @@ func TestCorruptionServedAsZeroes(t *testing.T) {
 	// fine), the first decode fails its CRC.
 	cat, err := OpenCatalogFile(path, OpenOptions{
 		WrapReaderAt: func(r io.ReaderAt) io.ReaderAt {
-			return faultinject.CorruptReaderAt(r, int64(len(segMagic2)), 0x10)
+			return faultinject.CorruptReaderAt(r, int64(len(segMagic)), 0x10)
 		},
 	})
 	if err != nil {
@@ -245,7 +201,7 @@ func TestTruncationDetected(t *testing.T) {
 	}
 	cat, err := OpenCatalogFile(path, OpenOptions{
 		WrapReaderAt: func(r io.ReaderAt) io.ReaderAt {
-			return faultinject.TruncateReaderAt(r, int64(len(segMagic2))+10)
+			return faultinject.TruncateReaderAt(r, int64(len(segMagic))+10)
 		},
 	})
 	if err != nil {
@@ -256,4 +212,139 @@ func TestTruncationDetected(t *testing.T) {
 	if cerr := cat.Corrupt(); !errors.Is(cerr, ErrCorruptSegment) {
 		t.Fatalf("corrupt = %v, want ErrCorruptSegment", cerr)
 	}
+}
+
+// TestCatalogTruncatedAfterOpen: a catalog file cut short under an open
+// catalog is damage the catalog reports, not a fault that kills the
+// process: every read past the cut fails into the sticky
+// ErrCorruptSegment.
+func TestCatalogTruncatedAfterOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cut.vseg")
+	if _, err := WriteCatalogFile(path, mixedCatalog(t, 300)); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenCatalogFile(path, OpenOptions{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	if err := os.Truncate(path, int64(len(segMagic))+100); err != nil {
+		t.Fatal(err)
+	}
+	scanAll(t, cat)
+	if cerr := cat.Corrupt(); !errors.Is(cerr, ErrCorruptSegment) {
+		t.Fatalf("corrupt = %v, want ErrCorruptSegment", cerr)
+	}
+}
+
+// TestCatalogRewriteLeavesOpenReaderAlone: writing a catalog to the
+// path of an open one replaces the file at the path, not its bytes. The
+// open catalog keeps serving the file it opened — its own values and
+// epoch, no corruption — a new open sees the new file, and the writer
+// leaves nothing else in the directory.
+func TestCatalogRewriteLeavesOpenReaderAlone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cat.vseg")
+	mem := mixedCatalog(t, 2*SegmentSize+137)
+	epoch, err := WriteCatalogFile(path, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := OpenCatalogFile(path, OpenOptions{}) // nothing is read, so nothing cached, before the rewrite
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	newEpoch, err := WriteCatalogFile(path, mixedCatalog(t, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newEpoch == epoch {
+		t.Fatal("other rows wrote the same epoch")
+	}
+	checkReadsBack(t, "open across the rewrite", old, mem)
+	if old.Epoch() != epoch {
+		t.Fatalf("open catalog's epoch %x, wrote %x", old.Epoch(), epoch)
+	}
+	cat, err := OpenCatalogFile(path, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	if cat.Epoch() != newEpoch {
+		t.Fatalf("new open's epoch %x, want the rewrite's %x", cat.Epoch(), newEpoch)
+	}
+	// A write that fails — here its rename, onto a directory — removes
+	// its temporary file too.
+	dir := filepath.Join(filepath.Dir(path), "dir")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteCatalogFile(dir, mem); err == nil {
+		t.Fatal("a catalog written over a directory")
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("the writer left %d files beside the catalog", len(entries)-2)
+	}
+}
+
+// resealFooter returns a copy of data whose tail carries the CRC32C of
+// the bytes the tail frames as the footer, or nil when the tail frames
+// none.
+func resealFooter(data []byte) []byte {
+	n := len(data)
+	if n < len(segMagic)+segTailLen {
+		return nil
+	}
+	ftLen := binary.LittleEndian.Uint64(data[n-16 : n-8])
+	if ftLen == 0 || ftLen > uint64(n-segTailLen-len(segMagic)) {
+		return nil
+	}
+	out := append([]byte(nil), data...)
+	ft := out[n-segTailLen-int(ftLen) : n-segTailLen]
+	binary.LittleEndian.PutUint32(out[n-segTailLen:], crc32.Checksum(ft, castagnoli))
+	return out
+}
+
+// FuzzOpenCatalogFile is the reader's contract on any bytes: the open
+// fails with ErrCorruptSegment or the layout refusal, or the catalog it
+// returns reads every cell without a panic. Each input is opened as it
+// is and with its footer CRC recomputed, so the fuzzer reaches the
+// footer's JSON, stats and blob geometry behind the checksum.
+func FuzzOpenCatalogFile(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.vseg")
+	if _, err := WriteCatalogFile(path, mixedCatalog(f, 40)); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{len(data), len(data) - 1, len(data) - segTailLen, len(data) / 2, len(segMagic) + segTailLen, len(segMagic), 0} {
+		f.Add(data[:n])
+	}
+	dir := f.TempDir() // a worker runs its inputs one at a time
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, in := range [][]byte{data, resealFooter(data)} {
+			if in == nil {
+				continue
+			}
+			path := filepath.Join(dir, fmt.Sprintf("in%d.vseg", i))
+			if err := os.WriteFile(path, in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cat, err := OpenCatalogFile(path, OpenOptions{})
+			if err != nil {
+				if !errors.Is(err, ErrCorruptSegment) && !errors.Is(err, errLayout) {
+					t.Fatalf("open error is neither corruption nor the refusal: %v", err)
+				}
+				continue
+			}
+			scanAll(t, cat)
+			cat.Close()
+		}
+	})
 }

@@ -395,13 +395,6 @@ func TestCatalog(t *testing.T) {
 	if _, err := cat.Connection("nope"); err == nil {
 		t.Error("missing connection should fail")
 	}
-	inv := cat.ConnectionsInvolving("Weather")
-	if len(inv) != 1 || inv[0].Name != "with-time-diff" {
-		t.Fatalf("ConnectionsInvolving: %+v", inv)
-	}
-	if len(cat.ConnectionsInvolving("Other")) != 0 {
-		t.Error("unrelated table should list nothing")
-	}
 	names := cat.TableNames()
 	if len(names) != 2 || names[0] != "AirPollution" {
 		t.Errorf("TableNames: %v", names)

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -18,36 +20,33 @@ import (
 	"repro/internal/lru"
 )
 
-// This file implements the on-disk segment catalog format and its two
-// read backends. The layout is write-once, footer-based, so the writer
-// streams segments with O(segment) memory and never seeks:
+// This file implements the on-disk segment catalog format: one layout,
+// one writer, one reader. The layout is write-once, footer-based, so
+// the writer streams segments with O(segment) memory and never seeks:
 //
 //	"VSEGCAT3"                              8-byte head magic
 //	blob ...                                segment blobs, any order
 //	footer                                  JSON (segFooter)
-//	footer CRC32C                           uint32 LE (v2+)
+//	footer CRC32C                           uint32 LE
 //	footer length                           uint64 LE
 //	"VSEGEND3"                              8-byte end magic
 //
-// Format v2 added end-to-end integrity: every blob's CRC32C rides in
-// its footer entry and is verified on every decode, and the footer
-// itself is covered by the CRC in the tail — flipping any single byte
-// of a v2+ file surfaces as a typed ErrCorruptSegment error, either at
-// open (magic/tail/footer damage) or on the first read that touches
-// the damaged blob. Format v3 ("VSEGCAT3", same tail shape) adds
-// per-SEGMENT statistics and compression: every numeric column's blob
-// entry carries the segment's min/max (hex floats) and its count of
-// rows without a usable numeric value (SQL nulls plus NaN floats —
-// exactly the rows whose Value.AsFloat yields no finite ordering key),
-// and word payloads may be compressed (segBlob.Enc: delta+zigzag+
-// uvarint for ints and times, xor-with-previous+uvarint for floats;
-// kept only when strictly smaller). Blob CRCs cover the on-disk,
-// possibly compressed bytes. The writer produces v3 and nothing else;
-// the legacy layouts — checksum-free "VSEGCAT1" (16-byte tail) and
-// "VSEGCAT2" — are read-only: files in them still open and read exactly
-// as before (no per-segment stats, no compression, v1 unverified), and
-// testdata/mixed_v1.vseg and mixed_v2.vseg, written by the last
-// writers that could, pin that.
+// Integrity is end to end: every blob's CRC32C rides in its footer
+// entry and is verified on every read, and the footer itself is covered
+// by the CRC in the tail — flipping any single byte of a file surfaces
+// as a typed ErrCorruptSegment error, either at open (magic/tail/footer
+// damage) or on the first read that touches the damaged blob. Every
+// numeric column's blob entry carries the segment's min/max (hex
+// floats) and its count of rows without a usable numeric value (SQL
+// nulls plus NaN floats — exactly the rows whose Value.AsFloat yields no
+// finite ordering key).
+//
+// The reader reads what the writer writes and nothing else. The layouts
+// of earlier writers — "VSEGCAT1", "VSEGCAT2", and "VSEGCAT3" files
+// whose blobs are compressed (a footer entry with enc != 0) — are
+// refused at open with an error that names the layout and does not wrap
+// ErrCorruptSegment: nothing in such a file is damaged, and visdbgen
+// -format seg rewrites it.
 //
 // The per-segment stats carry a soundness contract: min/max bound
 // every usable value of the segment and nulls counts every unusable
@@ -59,8 +58,8 @@ import (
 // A blob holds one column segment (SegmentSize rows, the final segment
 // of a table possibly fewer): a null bitmap of ceil(rows/8) bytes
 // (bit set = null) followed by the kind's payload — float64 bits,
-// int64, or unix nanoseconds as 8-byte little-endian words (possibly
-// compressed under v3); bools as one byte each; string kinds as
+// int64, or unix nanoseconds as 8-byte little-endian words; bools as
+// one byte each; string kinds as
 // (rows+1) uint32 cumulative offsets followed by the concatenated
 // bytes. The footer maps every table, field and segment to its blob
 // (offset, length) and carries the per-field min/max stats and the
@@ -74,41 +73,41 @@ import (
 // rejected — the format is immutable once written.
 
 const (
-	segMagic    = "VSEGCAT1"
-	segEndMagic = "VSEGEND1"
-
-	segMagic2    = "VSEGCAT2"
-	segEndMagic2 = "VSEGEND2"
-
-	segMagic3    = "VSEGCAT3"
-	segEndMagic3 = "VSEGEND3"
+	segMagic    = "VSEGCAT3"
+	segEndMagic = "VSEGEND3"
+	segTailLen  = 20 // footer CRC32C, footer length, end magic
 )
 
 // ErrCorruptSegment is wrapped by every error that means a segment
 // catalog file's bytes do not match what its writer produced — bad
 // magics, a footer that fails its CRC or does not parse, blob geometry
-// out of bounds, or (v2) a blob whose CRC32C does not match on decode.
+// out of bounds, or a blob whose CRC32C does not match when it is read.
 // Callers distinguish it from I/O and usage errors with errors.Is and
 // quarantine the catalog instead of trusting its data.
 var ErrCorruptSegment = errors.New("corrupt segment catalog")
+
+// errLayout is wrapped by the refusal of a file in a layout the reader
+// does not read (see the format comment above). It is not corruption,
+// so a daemon fails its startup on such a path as on a wrong one
+// instead of quarantining it.
+var errLayout = errors.New("a segment catalog layout this reader does not read; rewrite the file with visdbgen -format seg")
 
 // castagnoli is the CRC32C polynomial table shared by the writer and
 // the verifying reader.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segBlob locates one segment blob in the file. CRC is the CRC32C of
-// the blob's on-disk bytes (compressed form when Enc is set); the
-// writer always sets it and readers verify it on every decode (absent
-// from legacy v1 footers, where it decodes as zero and is ignored).
+// the blob's bytes; the writer always sets it and the reader verifies
+// it on every read. Enc is 0 in every file the writer produces: a
+// non-zero Enc marks a compressed blob of an earlier writer and is
+// refused at open.
 //
-// Format v3 adds the per-segment fields: Enc selects the payload
-// encoding (encRaw/encDelta/encXor), and Min/Max/Nulls are the
-// segment's statistics — extremes over the usable values as hex float
-// strings (exact bits, infinities survive JSON) plus the count of rows
-// with no usable numeric value (null, or NaN for float columns).
-// Min/Max present with Nulls == 0 is the precondition for the skip
-// proof of SegmentStatser; absent stats (v1/v2 footers, string
-// columns, all-null segments) disable skipping, never correctness.
+// Min/Max/Nulls are the segment's statistics — extremes over the usable
+// values as hex float strings (exact bits, infinities survive JSON)
+// plus the count of rows with no usable numeric value (null, or NaN for
+// float columns). Min/Max present with Nulls == 0 is the precondition
+// for the skip proof of SegmentStatser; absent stats (string columns,
+// all-null segments) disable skipping, never correctness.
 type segBlob struct {
 	Off   int64  `json:"off"`
 	Len   int64  `json:"len"`
@@ -152,39 +151,53 @@ type segFooter struct {
 // O(segment) memory: rows buffer per table until a full segment
 // accumulates, then its column blobs flush to the file.
 type SegmentWriter struct {
-	f      *os.File
+	f      *os.File // a temporary file beside path until Close renames it
+	path   string
 	w      *bufio.Writer
 	off    int64
-	hash   interface{ Write([]byte) (int, error) }
-	sum    func() uint64
+	hash   hash.Hash64
 	footer segFooter
 	open   []*TableWriter
 	names  map[string]bool
 	closed bool
 }
 
-// CreateSegmentCatalog creates path and returns a writer for it. The
-// writer produces the current "VSEGCAT3" layout and no other; the
-// older layouts are read-only.
+// CreateSegmentCatalog returns a writer of a segment catalog at path.
+// The writer fills a temporary file in path's directory and Close
+// renames it over path, so a catalog already open at path keeps reading
+// the file it opened; on any error the temporary file is removed and
+// path is left as it was.
 func CreateSegmentCatalog(path string) (*SegmentWriter, error) {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return nil, err
 	}
-	h := fnv.New64a()
 	w := &SegmentWriter{
 		f:     f,
+		path:  path,
 		w:     bufio.NewWriterSize(f, 1<<16),
-		hash:  h,
-		sum:   h.Sum64,
+		hash:  fnv.New64a(),
 		names: make(map[string]bool),
 	}
-	if _, err := w.w.WriteString(segMagic3); err != nil {
-		f.Close()
+	// CreateTemp's 0600 would hide the catalog from a daemon running as
+	// another user; os.Create's files were world-readable.
+	if err := f.Chmod(0o644); err != nil {
+		w.abort()
 		return nil, err
 	}
-	w.off = int64(len(segMagic3))
+	if _, err := w.w.WriteString(segMagic); err != nil {
+		w.abort()
+		return nil, err
+	}
+	w.off = int64(len(segMagic))
 	return w, nil
+}
+
+// abort closes and removes the temporary file, leaving path as it was.
+func (w *SegmentWriter) abort() {
+	w.closed = true
+	w.f.Close()
+	os.Remove(w.f.Name())
 }
 
 // AddConnection records a connection in the footer. Validation against
@@ -241,44 +254,52 @@ func (w *SegmentWriter) writeBlob(b []byte) (segBlob, error) {
 	return loc, nil
 }
 
-// Close flushes every table's partial segment, writes the footer and
-// closes the file.
+// Close flushes every table's partial segment, writes the footer,
+// closes the file and renames it to the writer's path.
 func (w *SegmentWriter) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
+	err := w.finish()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(w.f.Name(), w.path)
+	}
+	if err != nil {
+		os.Remove(w.f.Name())
+	}
+	return err
+}
+
+// finish writes what Close adds to the blobs: every table's partial
+// segment, the footer and the tail.
+func (w *SegmentWriter) finish() error {
 	for _, tw := range w.open {
 		if err := tw.flush(); err != nil {
-			w.f.Close()
 			return err
 		}
 		tw.finishStats()
 		w.footer.Tables = append(w.footer.Tables, tw.meta)
 	}
-	w.footer.Epoch = w.sum()
+	w.footer.Epoch = w.hash.Sum64()
 	ft, err := json.Marshal(w.footer)
 	if err != nil {
-		w.f.Close()
 		return err
 	}
 	if _, err := w.w.Write(ft); err != nil {
-		w.f.Close()
 		return err
 	}
-	tail := make([]byte, 20)
+	tail := make([]byte, segTailLen)
 	binary.LittleEndian.PutUint32(tail[:4], crc32.Checksum(ft, castagnoli))
 	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(ft)))
-	copy(tail[12:], segEndMagic3)
+	copy(tail[12:], segEndMagic)
 	if _, err := w.w.Write(tail); err != nil {
-		w.f.Close()
 		return err
 	}
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	return w.w.Flush()
 }
 
 // TableWriter appends rows of one table to a SegmentWriter.
@@ -317,12 +338,10 @@ func (tw *TableWriter) flush() error {
 	}
 	for i := range tw.meta.Fields {
 		c := tw.buf.ColumnAt(i)
-		blob, enc := encodeSegment(c, rows)
-		loc, err := tw.w.writeBlob(blob)
+		loc, err := tw.w.writeBlob(encodeSegmentRaw(c, rows))
 		if err != nil {
 			return err
 		}
-		loc.Enc = enc
 		smin, smax, unusable, any := segmentStats(c, rows)
 		if any {
 			if smin < tw.mins[i] {
@@ -383,69 +402,53 @@ func (tw *TableWriter) finishStats() {
 }
 
 // WriteCatalogFile streams an in-memory catalog into a segment file at
-// path (current format, "VSEGCAT3") and returns the epoch stamped into
-// its footer.
+// path and returns the epoch stamped into its footer.
 func WriteCatalogFile(path string, cat *Catalog) (uint64, error) {
 	w, err := CreateSegmentCatalog(path)
 	if err != nil {
 		return 0, err
 	}
+	if err := w.writeCatalog(cat); err != nil {
+		w.abort()
+		return 0, err
+	}
+	if err := w.Close(); err != nil {
+		return 0, err
+	}
+	return w.footer.Epoch, nil
+}
+
+// writeCatalog appends every table and connection of cat.
+func (w *SegmentWriter) writeCatalog(cat *Catalog) error {
 	for _, name := range cat.TableNames() {
 		t, err := cat.Table(name)
 		if err != nil {
-			w.Close()
-			return 0, err
+			return err
 		}
 		tw, err := w.AddTable(name, t.Schema())
 		if err != nil {
-			w.Close()
-			return 0, err
+			return err
 		}
 		for r := 0; r < t.NumRows(); r++ {
 			if err := tw.AppendRow(t.Row(r)...); err != nil {
-				w.Close()
-				return 0, err
+				return err
 			}
 		}
 	}
 	for _, name := range cat.ConnectionNames() {
 		conn, err := cat.Connection(name)
 		if err != nil {
-			w.Close()
-			return 0, err
+			return err
 		}
 		if err := w.AddConnection(conn); err != nil {
-			w.Close()
-			return 0, err
+			return err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	epoch, err := peekEpoch(path)
-	if err != nil {
-		return 0, err
-	}
-	return epoch, nil
-}
-
-// peekEpoch reads only the footer of a segment file and returns its
-// epoch.
-func peekEpoch(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	ft, _, err := readFooter(f)
-	if err != nil {
-		return 0, err
-	}
-	return ft.Epoch, nil
+	return nil
 }
 
 // encodeSegmentRaw serializes the first (only) buffered segment of an
-// in-memory column as an uncompressed blob.
+// in-memory column as a blob.
 func encodeSegmentRaw(c Column, rows int) []byte {
 	bm := make([]byte, (rows+7)/8)
 	for i := 0; i < rows; i++ {
@@ -508,40 +511,10 @@ func encodeSegmentRaw(c Column, rows int) []byte {
 	return out
 }
 
-// encodeSegment encodes one segment as the writer stores it: the
-// compressed word payload when the kind has one and compression
-// strictly shrinks it (the null bitmap always stays raw at the front),
-// the raw blob otherwise. Returns the blob bytes and the encoding
-// stamped into the footer entry.
-func encodeSegment(c Column, rows int) ([]byte, int) {
-	raw := encodeSegmentRaw(c, rows)
-	var enc int
-	switch c.(type) {
-	case *IntColumn, *TimeColumn:
-		enc = encDelta
-	case *FloatColumn:
-		enc = encXor
-	default:
-		return raw, encRaw
-	}
-	bm := (rows + 7) / 8
-	comp := compressWords(enc, raw[bm:])
-	if len(comp) >= len(raw)-bm {
-		return raw, encRaw
-	}
-	out := make([]byte, 0, bm+len(comp))
-	out = append(out, raw[:bm]...)
-	out = append(out, comp...)
-	return out, enc
-}
-
 // --- Reader -----------------------------------------------------------
 
 // OpenOptions configures OpenCatalogFile.
 type OpenOptions struct {
-	// ForceReadAt disables the mmap backend even where available, so
-	// reads go through os.File.ReadAt (the portable fallback).
-	ForceReadAt bool
 	// CacheBytes bounds the decoded-segment cache shared by all
 	// columns of the catalog; 0 selects the 64 MiB default. The cache
 	// always retains at least one segment, so arbitrarily small
@@ -549,10 +522,8 @@ type OpenOptions struct {
 	CacheBytes int64
 	// WrapReaderAt, when non-nil, wraps the file before segment blob
 	// reads — the fault-injection seam (internal/faultinject's
-	// corrupting/truncating/slow ReaderAt wrappers plug in here).
-	// Setting it forces the ReadAt backend, since mmap would bypass
-	// the wrapper. The footer is read directly from the file at open,
-	// before wrapping.
+	// corrupting/truncating/slow ReaderAt wrappers plug in here). The
+	// footer is read directly from the file at open, before wrapping.
 	WrapReaderAt func(io.ReaderAt) io.ReaderAt
 }
 
@@ -560,44 +531,45 @@ type OpenOptions struct {
 // The returned catalog serves reads directly from the file through a
 // bounded decoded-segment cache — resident memory is O(cache budget),
 // not O(catalog). Close the catalog to release the backing file.
+//
+// A file whose footer disagrees with what the writer writes is an
+// error wrapping ErrCorruptSegment; a file in an earlier writer's
+// layout is refused with an error that names the layout and does not.
 func OpenCatalogFile(path string, opts OpenOptions) (*Catalog, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	ft, version, err := readFooter(f)
+	cat, err := openCatalog(f, opts)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
+	return cat, nil
+}
+
+// openCatalog builds the catalog f's footer describes, served from f.
+func openCatalog(f *os.File, opts OpenOptions) (*Catalog, error) {
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	var br blobReader
-	if !opts.ForceReadAt && opts.WrapReaderAt == nil {
-		br, _ = openMmapReader(f, fi.Size())
+	ft, err := readFooter(f, fi.Size())
+	if err != nil {
+		return nil, err
 	}
-	if br == nil {
-		var ra io.ReaderAt = f
-		if opts.WrapReaderAt != nil {
-			ra = opts.WrapReaderAt(f)
-		}
-		br = &readAtReader{r: ra, c: f}
+	var r io.ReaderAt = f
+	if opts.WrapReaderAt != nil {
+		r = opts.WrapReaderAt(f)
 	}
 	budget := opts.CacheBytes
 	if budget <= 0 {
 		budget = 64 << 20
 	}
-	src := &fileSource{
-		br:     br,
-		cache:  lru.New[segKey, *decodedSeg](0, budget),
-		verify: version >= 2,
-	}
+	src := &fileSource{r: r, cache: lru.New[segKey, *decodedSeg](0, budget)}
 	cat := NewCatalog()
 	cat.epoch = ft.Epoch
-	cat.closer = src.close
+	cat.closer = f.Close
 	cat.corrupt = src.corruptErr
 	colID := 0
 	for _, tm := range ft.Tables {
@@ -605,168 +577,76 @@ func OpenCatalogFile(path string, opts OpenOptions) (*Catalog, error) {
 		cols := make([]Column, len(tm.Fields))
 		for i, fm := range tm.Fields {
 			schema[i] = Field{Name: fm.Name, Kind: Kind(fm.Kind), Categories: fm.Categories}
-			fc := &fileColumn{
-				src:  src,
-				id:   colID,
-				kind: Kind(fm.Kind),
-				rows: tm.Rows,
-				segs: fm.Segs,
+			fc, err := newFileColumn(src, colID, tm.Rows, fm, fi.Size())
+			if err != nil {
+				return nil, fmt.Errorf("table %q field %q: %w", tm.Name, fm.Name, err)
 			}
 			colID++
-			// A stats string that does not parse back means the footer
-			// disagrees with its writer: surface the typed corruption
-			// error instead of silently dropping the stats (which would
-			// silently disable every pruning path on this column).
-			if fm.Min != "" || fm.Max != "" {
-				min, err1 := strconv.ParseFloat(fm.Min, 64)
-				max, err2 := strconv.ParseFloat(fm.Max, 64)
-				if err1 != nil || err2 != nil {
-					src.close()
-					return nil, fmt.Errorf("dataset: %s: table %q field %q: corrupt column stats (%q, %q): %w",
-						path, tm.Name, fm.Name, fm.Min, fm.Max, ErrCorruptSegment)
-				}
-				fc.min, fc.max, fc.stats = min, max, true
-			}
-			for si, loc := range fm.Segs {
-				if loc.Min == "" && loc.Max == "" {
-					continue
-				}
-				min, err1 := strconv.ParseFloat(loc.Min, 64)
-				max, err2 := strconv.ParseFloat(loc.Max, 64)
-				if err1 != nil || err2 != nil {
-					src.close()
-					return nil, fmt.Errorf("dataset: %s: table %q field %q segment %d: corrupt segment stats (%q, %q): %w",
-						path, tm.Name, fm.Name, si, loc.Min, loc.Max, ErrCorruptSegment)
-				}
-				if fc.sstats == nil {
-					fc.sstats = make([]segStat, len(fm.Segs))
-				}
-				fc.sstats[si] = segStat{min: min, max: max, nulls: loc.Nulls, ok: true}
-			}
-			if err := fc.validate(tm.Name, fm.Name, fi.Size()); err != nil {
-				src.close()
-				return nil, err
-			}
 			cols[i] = fc
 		}
+		// The writer validates each schema and table name as it takes
+		// it, and WriteCatalogFile's connections come from a catalog
+		// that checked them, so a footer failing these checks was not
+		// written by it.
 		if err := schema.Validate(); err != nil {
-			src.close()
-			return nil, fmt.Errorf("dataset: %s: table %q: %w", path, tm.Name, err)
+			return nil, fmt.Errorf("table %q: %v: %w", tm.Name, err, ErrCorruptSegment)
 		}
-		t := &Table{name: tm.Name, schema: schema, cols: cols}
-		if err := cat.AddTable(t); err != nil {
-			src.close()
-			return nil, err
+		if err := cat.AddTable(&Table{name: tm.Name, schema: schema, cols: cols}); err != nil {
+			return nil, fmt.Errorf("%v: %w", err, ErrCorruptSegment)
 		}
 	}
 	for _, conn := range ft.Connections {
 		if err := cat.AddConnection(conn); err != nil {
-			src.close()
-			return nil, err
+			return nil, fmt.Errorf("%v: %w", err, ErrCorruptSegment)
 		}
 	}
 	return cat, nil
 }
 
-// readFooter locates and parses the footer of a segment file,
-// reporting the format version it detected from the head magic. Every
-// way the file can disagree with its writer's layout — bad magics, a
-// tail that does not frame a footer, a v2 footer failing its CRC —
-// wraps ErrCorruptSegment.
-func readFooter(f *os.File) (*segFooter, int, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	size := fi.Size()
-	if size < int64(len(segMagic)) {
-		return nil, 0, fmt.Errorf("dataset: %s: too short for a segment catalog: %w", f.Name(), ErrCorruptSegment)
+// readFooter locates and parses the footer of a segment file of size
+// bytes. Every way the file can disagree with the writer's layout — bad
+// magics, a tail that does not frame a footer, a footer failing its CRC
+// — wraps ErrCorruptSegment; an earlier writer's head is refused.
+func readFooter(f *os.File, size int64) (*segFooter, error) {
+	if size < int64(len(segMagic))+segTailLen {
+		return nil, fmt.Errorf("too short for a segment catalog: %w", ErrCorruptSegment)
 	}
 	head := make([]byte, len(segMagic))
 	if _, err := f.ReadAt(head, 0); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	version := 0
-	tailLen := int64(0)
 	switch string(head) {
 	case segMagic:
-		version, tailLen = 1, 16
-	case segMagic2:
-		version, tailLen = 2, 20
-	case segMagic3:
-		version, tailLen = 3, 20
+	case "VSEGCAT1", "VSEGCAT2":
+		return nil, fmt.Errorf("%s: %w", head, errLayout)
 	default:
-		return nil, 0, fmt.Errorf("dataset: %s: not a segment catalog (bad magic): %w", f.Name(), ErrCorruptSegment)
+		return nil, fmt.Errorf("not a segment catalog (bad magic): %w", ErrCorruptSegment)
 	}
-	if size < int64(len(segMagic))+tailLen {
-		return nil, 0, fmt.Errorf("dataset: %s: too short for a segment catalog: %w", f.Name(), ErrCorruptSegment)
+	tail := make([]byte, segTailLen)
+	if _, err := f.ReadAt(tail, size-segTailLen); err != nil {
+		return nil, err
 	}
-	tail := make([]byte, tailLen)
-	if _, err := f.ReadAt(tail, size-tailLen); err != nil {
-		return nil, 0, err
+	if string(tail[12:]) != segEndMagic {
+		return nil, fmt.Errorf("truncated segment catalog (bad end magic): %w", ErrCorruptSegment)
 	}
-	var ftLen int64
-	var ftCRC uint32
-	if version == 1 {
-		if string(tail[8:]) != segEndMagic {
-			return nil, 0, fmt.Errorf("dataset: %s: truncated segment catalog (bad end magic): %w", f.Name(), ErrCorruptSegment)
-		}
-		ftLen = int64(binary.LittleEndian.Uint64(tail[:8]))
-	} else {
-		end := segEndMagic3
-		if version == 2 {
-			end = segEndMagic2
-		}
-		if string(tail[12:]) != end {
-			return nil, 0, fmt.Errorf("dataset: %s: truncated segment catalog (bad end magic): %w", f.Name(), ErrCorruptSegment)
-		}
-		ftCRC = binary.LittleEndian.Uint32(tail[:4])
-		ftLen = int64(binary.LittleEndian.Uint64(tail[4:12]))
-	}
-	if ftLen <= 0 || ftLen > size-tailLen-int64(len(segMagic)) {
-		return nil, 0, fmt.Errorf("dataset: %s: corrupt footer length %d: %w", f.Name(), ftLen, ErrCorruptSegment)
+	ftCRC := binary.LittleEndian.Uint32(tail[:4])
+	ftLen := int64(binary.LittleEndian.Uint64(tail[4:12]))
+	if ftLen <= 0 || ftLen > size-segTailLen-int64(len(segMagic)) {
+		return nil, fmt.Errorf("corrupt footer length %d: %w", ftLen, ErrCorruptSegment)
 	}
 	buf := make([]byte, ftLen)
-	if _, err := f.ReadAt(buf, size-tailLen-ftLen); err != nil {
-		return nil, 0, err
+	if _, err := f.ReadAt(buf, size-segTailLen-ftLen); err != nil {
+		return nil, err
 	}
-	if version >= 2 {
-		if got := crc32.Checksum(buf, castagnoli); got != ftCRC {
-			return nil, 0, fmt.Errorf("dataset: %s: footer CRC mismatch (%08x != %08x): %w", f.Name(), got, ftCRC, ErrCorruptSegment)
-		}
+	if got := crc32.Checksum(buf, castagnoli); got != ftCRC {
+		return nil, fmt.Errorf("footer CRC mismatch (%08x != %08x): %w", got, ftCRC, ErrCorruptSegment)
 	}
 	var ft segFooter
 	if err := json.Unmarshal(buf, &ft); err != nil {
-		return nil, 0, fmt.Errorf("dataset: %s: corrupt footer (%v): %w", f.Name(), err, ErrCorruptSegment)
+		return nil, fmt.Errorf("corrupt footer (%v): %w", err, ErrCorruptSegment)
 	}
-	return &ft, version, nil
+	return &ft, nil
 }
-
-// blobReader reads a byte range of the catalog file. slice may return
-// memory borrowed from an mmap window — callers must copy out before
-// the source closes and must not mutate it.
-type blobReader interface {
-	slice(off, n int64) ([]byte, error)
-	close() error
-}
-
-// readAtReader is the portable backend: plain pread into fresh
-// buffers. r is usually the file itself, but OpenOptions.WrapReaderAt
-// may interpose a fault-injecting wrapper.
-type readAtReader struct {
-	r io.ReaderAt
-	c io.Closer
-}
-
-func (r *readAtReader) slice(off, n int64) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := r.r.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func (r *readAtReader) close() error { return r.c.Close() }
 
 // segKey identifies one decoded segment in the cache.
 type segKey struct {
@@ -787,16 +667,16 @@ type decodedSeg struct {
 }
 
 // fileSource is the shared read state of one open catalog file: the
-// backend and the decoded-segment cache, bounded by OpenOptions.CacheBytes
-// (the store keeps its most recent segment whatever the budget, so a
-// 1-byte cache still serves reads). Concurrent sessions share it; the
-// mutex guards only the cache bookkeeping — decoding happens outside it
-// (a rare race decodes a segment twice, which is benign).
+// file (or OpenOptions.WrapReaderAt's wrapper of it) and the
+// decoded-segment cache, bounded by OpenOptions.CacheBytes (the store
+// keeps its most recent segment whatever the budget, so a 1-byte cache
+// still serves reads). Concurrent sessions share it; the mutex guards
+// only the cache bookkeeping — decoding happens outside it (a rare race
+// decodes a segment twice, which is benign).
 type fileSource struct {
-	br     blobReader
-	verify bool // format v2: check each blob's CRC32C on decode
-	mu     sync.Mutex
-	cache  *lru.Cache[segKey, *decodedSeg]
+	r     io.ReaderAt
+	mu    sync.Mutex
+	cache *lru.Cache[segKey, *decodedSeg]
 	// corrupt is the sticky first decode/read failure. Once set, data
 	// served from this source is untrustworthy (failed segments read
 	// as zeroes) and the owner must quarantine the catalog; it never
@@ -804,7 +684,9 @@ type fileSource struct {
 	corrupt error
 }
 
-func (s *fileSource) close() error { return s.br.close() }
+// blobBufs recycles the buffers blobs are read into: decode copies every
+// value out before its buffer goes back.
+var blobBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // corruptErr returns the sticky corruption error (nil while healthy).
 func (s *fileSource) corruptErr() error {
@@ -853,61 +735,48 @@ func (s *fileSource) segment(c *fileColumn, si int) *decodedSeg {
 	return seg
 }
 
-// decode reads and decodes one segment blob.
+// decode reads, verifies and decodes one segment blob. validate has
+// checked the blob's bounds and, for the fixed-width kinds, its exact
+// length at open.
 func (s *fileSource) decode(c *fileColumn, si int) (*decodedSeg, error) {
 	rows := c.segRows(si)
 	loc := c.segs[si]
-	raw, err := s.br.slice(loc.Off, loc.Len)
-	if err != nil {
+	buf := blobBufs.Get().(*[]byte)
+	defer blobBufs.Put(buf)
+	if int64(cap(*buf)) < loc.Len {
+		*buf = make([]byte, loc.Len)
+	}
+	raw := (*buf)[:loc.Len]
+	if _, err := s.r.ReadAt(raw, loc.Off); err != nil {
 		return nil, err
 	}
-	if s.verify {
-		if got := crc32.Checksum(raw, castagnoli); got != loc.CRC {
-			return nil, fmt.Errorf("blob (%d,%d) CRC mismatch (%08x != %08x)", loc.Off, loc.Len, got, loc.CRC)
-		}
+	if got := crc32.Checksum(raw, castagnoli); got != loc.CRC {
+		return nil, fmt.Errorf("blob (%d,%d) CRC mismatch (%08x != %08x)", loc.Off, loc.Len, got, loc.CRC)
 	}
 	bm := (rows + 7) / 8
-	if len(raw) < bm {
-		return nil, fmt.Errorf("blob shorter than its null bitmap")
-	}
 	seg := &decodedSeg{nulls: make([]bool, rows)}
 	for i := 0; i < rows; i++ {
 		seg.nulls[i] = raw[i>>3]&(1<<(i&7)) != 0
 	}
 	seg.bytes = int64(rows)
 	payload := raw[bm:]
-	if loc.Enc != encRaw {
-		payload, err = expandWords(loc.Enc, payload, rows)
-		if err != nil {
-			return nil, err
-		}
-	}
 	word := func(i int) uint64 {
 		return binary.LittleEndian.Uint64(payload[i*8:])
 	}
 	switch c.kind {
 	case KindFloat:
-		if len(payload) != rows*8 {
-			return nil, fmt.Errorf("float payload is %d bytes, want %d", len(payload), rows*8)
-		}
 		seg.floats = make([]float64, rows)
 		for i := range seg.floats {
 			seg.floats[i] = math.Float64frombits(word(i))
 		}
 		seg.bytes += int64(rows * 8)
 	case KindInt:
-		if len(payload) != rows*8 {
-			return nil, fmt.Errorf("int payload is %d bytes, want %d", len(payload), rows*8)
-		}
 		seg.ints = make([]int64, rows)
 		for i := range seg.ints {
 			seg.ints[i] = int64(word(i))
 		}
 		seg.bytes += int64(rows * 8)
 	case KindTime:
-		if len(payload) != rows*8 {
-			return nil, fmt.Errorf("time payload is %d bytes, want %d", len(payload), rows*8)
-		}
 		seg.times = make([]time.Time, rows)
 		for i := range seg.times {
 			if !seg.nulls[i] {
@@ -916,9 +785,6 @@ func (s *fileSource) decode(c *fileColumn, si int) (*decodedSeg, error) {
 		}
 		seg.bytes += int64(rows * 24)
 	case KindBool:
-		if len(payload) != rows {
-			return nil, fmt.Errorf("bool payload is %d bytes, want %d", len(payload), rows)
-		}
 		seg.bools = make([]bool, rows)
 		for i := range seg.bools {
 			seg.bools[i] = payload[i] != 0
@@ -926,9 +792,6 @@ func (s *fileSource) decode(c *fileColumn, si int) (*decodedSeg, error) {
 		seg.bytes += int64(rows)
 	default: // string kinds
 		offBytes := (rows + 1) * 4
-		if len(payload) < offBytes {
-			return nil, fmt.Errorf("string payload is %d bytes, want at least %d", len(payload), offBytes)
-		}
 		data := payload[offBytes:]
 		seg.strs = make([]string, rows)
 		prev := binary.LittleEndian.Uint32(payload)
@@ -983,52 +846,84 @@ type fileColumn struct {
 	kind     Kind
 	rows     int
 	segs     []segBlob
-	sstats   []segStat // per-segment stats (nil before format v3)
+	sstats   []segStat // per-segment stats (nil when no segment has any)
 	min, max float64
 	stats    bool
 }
 
 func (c *fileColumn) readOnlyColumn() {}
 
+// newFileColumn builds column id of a table of rows rows from its footer
+// entry fm, checked against a file of fileSize bytes.
+func newFileColumn(src *fileSource, id, rows int, fm segField, fileSize int64) (*fileColumn, error) {
+	c := &fileColumn{src: src, id: id, kind: Kind(fm.Kind), rows: rows, segs: fm.Segs}
+	// A stats string that does not parse back means the footer
+	// disagrees with its writer: surface the typed corruption error
+	// instead of silently dropping the stats (which would silently
+	// disable every pruning path on this column).
+	if fm.Min != "" || fm.Max != "" {
+		min, err1 := strconv.ParseFloat(fm.Min, 64)
+		max, err2 := strconv.ParseFloat(fm.Max, 64)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("corrupt column stats (%q, %q): %w", fm.Min, fm.Max, ErrCorruptSegment)
+		}
+		c.min, c.max, c.stats = min, max, true
+	}
+	for si, loc := range fm.Segs {
+		if loc.Min == "" && loc.Max == "" {
+			continue
+		}
+		min, err1 := strconv.ParseFloat(loc.Min, 64)
+		max, err2 := strconv.ParseFloat(loc.Max, 64)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("segment %d: corrupt segment stats (%q, %q): %w", si, loc.Min, loc.Max, ErrCorruptSegment)
+		}
+		if c.sstats == nil {
+			c.sstats = make([]segStat, len(fm.Segs))
+		}
+		c.sstats[si] = segStat{min: min, max: max, nulls: loc.Nulls, ok: true}
+	}
+	if err := c.validate(fileSize); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // validate checks the column's blob geometry against the file size, so
-// serving never reads out of bounds.
-func (c *fileColumn) validate(table, field string, fileSize int64) error {
+// serving never reads out of bounds and a fixed-width blob of the wrong
+// length fails the open instead of a read mid-serve. A compressed blob
+// is refused.
+func (c *fileColumn) validate(fileSize int64) error {
 	wantSegs := (c.rows + SegmentSize - 1) / SegmentSize
-	if len(c.segs) != wantSegs {
-		return fmt.Errorf("dataset: table %q field %q: %d segments for %d rows, want %d: %w",
-			table, field, len(c.segs), c.rows, wantSegs, ErrCorruptSegment)
+	if c.rows < 0 || len(c.segs) != wantSegs {
+		return fmt.Errorf("%d segments for %d rows, want %d: %w", len(c.segs), c.rows, wantSegs, ErrCorruptSegment)
 	}
 	for si, loc := range c.segs {
-		rows := c.segRows(si)
-		minLen := int64((rows+7)/8) + payloadSize(c.kind, rows)
-		if loc.Enc != encRaw {
-			// Compressed payloads exist only for the word kinds, and a
-			// varint per word is at least one byte.
-			wordKind := c.kind == KindFloat || c.kind == KindInt || c.kind == KindTime
-			if loc.Enc < encRaw || loc.Enc > encXor || !wordKind {
-				return fmt.Errorf("dataset: table %q field %q segment %d: invalid encoding %d: %w",
-					table, field, si, loc.Enc, ErrCorruptSegment)
-			}
-			minLen = int64((rows+7)/8 + rows)
+		if loc.Enc != 0 {
+			return fmt.Errorf("segment %d: VSEGCAT3 with compressed payloads (enc %d): %w", si, loc.Enc, errLayout)
 		}
-		if loc.Off < int64(len(segMagic)) || loc.Len < minLen || loc.Off+loc.Len > fileSize {
-			return fmt.Errorf("dataset: table %q field %q segment %d: blob (%d,%d) out of bounds: %w",
-				table, field, si, loc.Off, loc.Len, ErrCorruptSegment)
+		rows := c.segRows(si)
+		payload, exact := payloadSize(c.kind, rows)
+		want := int64((rows+7)/8) + payload
+		if loc.Off < int64(len(segMagic)) || loc.Len < want || exact && loc.Len != want || loc.Len > fileSize-loc.Off {
+			return fmt.Errorf("segment %d: blob (%d,%d) out of bounds or of the wrong length: %w",
+				si, loc.Off, loc.Len, ErrCorruptSegment)
 		}
 	}
 	return nil
 }
 
-// payloadSize is the minimum payload size of a kind (exact for
-// fixed-width kinds, the offset table alone for strings).
-func payloadSize(k Kind, rows int) int64 {
+// payloadSize is the payload size of a kind's segment of rows: exact
+// for the fixed-width kinds, the offset table alone — a minimum — for
+// strings.
+func payloadSize(k Kind, rows int) (n int64, exact bool) {
 	switch k {
 	case KindFloat, KindInt, KindTime:
-		return int64(rows * 8)
+		return int64(rows * 8), true
 	case KindBool:
-		return int64(rows)
+		return int64(rows), true
 	default:
-		return int64((rows + 1) * 4)
+		return int64((rows + 1) * 4), false
 	}
 }
 
@@ -1084,8 +979,7 @@ func (c *fileColumn) MinMax() (min, max float64, ok bool) {
 }
 
 // SegmentStats implements SegmentStatser from the footer's per-segment
-// stats (format v3); earlier formats answer ok == false for every
-// segment.
+// stats.
 func (c *fileColumn) SegmentStats(si int) (min, max float64, nulls int, ok bool) {
 	if si < 0 || si >= len(c.sstats) {
 		return 0, 0, 0, false

@@ -8,9 +8,9 @@ import (
 )
 
 // mixedCatalog builds a catalog exercising every column kind, nulls,
-// non-finite floats, and a connection, with enough rows to span
-// multiple segments.
-func mixedCatalog(t *testing.T, rows int) *Catalog {
+// non-finite floats, and a connection; rows beyond SegmentSize span
+// several segments.
+func mixedCatalog(t testing.TB, rows int) *Catalog {
 	t.Helper()
 	tbl, err := NewTable("m", Schema{
 		{Name: "f", Kind: KindFloat},
@@ -34,6 +34,8 @@ func mixedCatalog(t *testing.T, rows int) *Catalog {
 			f = Float(math.Inf(1))
 		case 7:
 			f = Float(math.NaN())
+		case 9:
+			f = Float(math.Inf(-1))
 		}
 		i := Int(int64(r * 3))
 		if r%31 == 1 {
@@ -81,9 +83,10 @@ func mixedCatalog(t *testing.T, rows int) *Catalog {
 	return cat
 }
 
-// TestSegmentFileRoundTrip writes a mixed catalog and checks that both
-// read backends reproduce every cell, the stats, and the connections
-// exactly.
+// TestSegmentFileRoundTrip writes a mixed catalog and checks that the
+// file reproduces every cell, the stats, and the connections exactly,
+// under the default cache budget and under one that holds a single
+// segment.
 func TestSegmentFileRoundTrip(t *testing.T) {
 	const rows = 2*SegmentSize + 137 // three segments, last partial
 	mem := mixedCatalog(t, rows)
@@ -99,8 +102,7 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 		name string
 		opts OpenOptions
 	}{
-		{"auto", OpenOptions{}},
-		{"readat", OpenOptions{ForceReadAt: true}},
+		{"auto", OpenOptions{}},                    // the default budget
 		{"tiny-cache", OpenOptions{CacheBytes: 1}}, // degrades to re-decoding, never fails
 	} {
 		t.Run(backend.name, func(t *testing.T) {

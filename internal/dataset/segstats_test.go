@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -187,106 +188,60 @@ func TestSegmentStatsMatchScan(t *testing.T) {
 	}
 }
 
-// TestFormatVersionMatrixRoundTrip pins the compatibility contract:
-// the same catalog in formats v1, v2 (the checked-in files the deleted
-// writers left) and v3 (written here) reads back bit-identically
-// through both the mmap and the ReadAt backends, and only v3 answers
-// per-segment stats.
+// TestFormatVersionMatrixRoundTrip pins the compatibility contract: a
+// file the writer wrote reads back bit-identically with per-segment
+// stats, and the same bytes under an earlier writer's "VSEGCAT1" or
+// "VSEGCAT2" head are refused at open as a layout, not as corruption
+// (a compressed "VSEGCAT3" blob: TestCorruptStatsRejectedTyped).
 func TestFormatVersionMatrixRoundTrip(t *testing.T) {
-	mem := mixedCatalog(t, legacyFixtureRows)
-	v3 := filepath.Join(t.TempDir(), "v3.vseg")
+	mem := mixedCatalog(t, SegmentSize+57)
+	dir := t.TempDir()
+	v3 := filepath.Join(dir, "v3.vseg")
 	if _, err := WriteCatalogFile(v3, mem); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct {
-		name, path string
-		stats      bool
-	}{
-		{"v3", v3, true},
-		{"v2", legacyFixture(2), false},
-		{"v1", legacyFixture(1), false},
-	} {
-		checkReadsBack(t, f.name, f.path, mem, func(disk *Catalog) {
-			dt, _ := disk.Table("m")
-			fr, err := dt.FloatReaderOf("i")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, _, ok := fr.(SegmentStatser).SegmentStats(0); ok != f.stats {
-				t.Fatalf("%s: SegmentStats ok = %v, want %v", f.name, ok, f.stats)
-			}
-		})
-	}
-}
-
-// TestCompressionShrinksClusteredFile: the v3 codecs (delta for
-// ints/times, xor for floats) must beat the raw payload — 8 bytes a
-// word plus a null bitmap per column segment, what the uncompressed
-// layouts store — on clustered data, where adjacent words share most
-// of their bits.
-func TestCompressionShrinksClusteredFile(t *testing.T) {
-	tbl, err := NewTable("c", Schema{
-		{Name: "seq", Kind: KindInt},
-		{Name: "ts", Kind: KindTime},
-		{Name: "v", Kind: KindFloat},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	rng := rand.New(rand.NewSource(5))
-	const rows = 3 * SegmentSize
-	for r := 0; r < rows; r++ {
-		if err := tbl.AppendRow(
-			Int(int64(1_000_000+r*3)),
-			Time(base.Add(time.Duration(r)*time.Minute)),
-			Float(float64(r)/rows*100+rng.Float64()),
-		); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mem := NewCatalog()
-	if err := mem.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	p3 := filepath.Join(dir, "c3.vseg")
-	if _, err := WriteCatalogFile(p3, mem); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := os.Stat(p3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cols = 3
-	raw := int64(cols * (rows*8 + rows/SegmentSize*(SegmentSize/8)))
-	if s3.Size() >= raw {
-		t.Fatalf("v3 file %d bytes (footer included), not smaller than the raw payload %d bytes", s3.Size(), raw)
-	}
-	// And the compressed file still reads back exactly.
-	disk, err := OpenCatalogFile(p3, OpenOptions{})
+	disk, err := OpenCatalogFile(v3, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	dt, err := disk.Table("c")
+	checkReadsBack(t, "v3", disk, mem)
+	dt, _ := disk.Table("m")
+	fr, err := dt.FloatReaderOf("i")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range []string{"seq", "ts", "v"} {
-		mf, err := tbl.FloatsOf(col)
-		if err != nil {
+	if _, _, _, ok := fr.(SegmentStatser).SegmentStats(0); !ok {
+		t.Fatal("v3: no per-segment stats")
+	}
+
+	data, err := os.ReadFile(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, head := range []string{"VSEGCAT1", "VSEGCAT2"} {
+		path := filepath.Join(dir, head+".vseg")
+		if err := os.WriteFile(path, append([]byte(head), data[len(head):]...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		df, err := dt.FloatsOf(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range mf {
-			if math.Float64bits(mf[r]) != math.Float64bits(df[r]) {
-				t.Fatalf("col %s row %d: compressed round trip differs", col, r)
-			}
-		}
+		checkRefused(t, path, head)
+	}
+}
+
+// checkRefused requires OpenCatalogFile to refuse path as a layout it
+// does not read: the error names the layout (layout is a word of it)
+// and the fix, and does not wrap ErrCorruptSegment.
+func checkRefused(t *testing.T, path, layout string) {
+	t.Helper()
+	cat, err := OpenCatalogFile(path, OpenOptions{})
+	if err == nil {
+		cat.Close()
+		t.Fatalf("%s: opened", layout)
+	}
+	msg := err.Error()
+	if !errors.Is(err, errLayout) || errors.Is(err, ErrCorruptSegment) ||
+		!strings.Contains(msg, layout) || !strings.Contains(msg, "visdbgen -format seg") {
+		t.Fatalf("%s: want the layout refusal, got %v", layout, err)
 	}
 }
 
@@ -315,7 +270,7 @@ func rewriteFooter(t *testing.T, path string, mutate func(*segFooter)) {
 	tail := make([]byte, 20)
 	binary.LittleEndian.PutUint32(tail[:4], crc32.Checksum(nf, castagnoli))
 	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(nf)))
-	copy(tail[12:], segEndMagic3)
+	copy(tail[12:], segEndMagic)
 	out = append(out, tail...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
@@ -362,8 +317,9 @@ func TestCorruptStatsRejectedTyped(t *testing.T) {
 			}
 		})
 	}
-	// A crafted encoding on a non-word kind must be rejected too: the
-	// codecs are defined only for float/int/time payloads.
+	// A blob compressed by an earlier writer — any enc != 0, on any kind
+	// — is a layout the reader does not read, refused rather than
+	// quarantined.
 	t.Run("enc on string column", func(t *testing.T) {
 		tbl, err := NewTable("s", Schema{{Name: "name", Kind: KindString}})
 		if err != nil {
@@ -383,78 +339,8 @@ func TestCorruptStatsRejectedTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 		rewriteFooter(t, path, func(ft *segFooter) {
-			ft.Tables[0].Fields[0].Segs[0].Enc = encDelta
+			ft.Tables[0].Fields[0].Segs[0].Enc = 1
 		})
-		opened, err := OpenCatalogFile(path, OpenOptions{})
-		if err == nil {
-			opened.Close()
-			t.Fatal("open accepted a delta-coded string column")
-		}
-		if !errors.Is(err, ErrCorruptSegment) {
-			t.Fatalf("error is not ErrCorruptSegment: %v", err)
-		}
+		checkRefused(t, path, "compressed")
 	})
-}
-
-// TestCodecRoundTrip is the codec property test: random word payloads
-// survive compress→expand bit-identically under both codecs, and
-// malformed compressed payloads error instead of producing garbage.
-func TestCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	payloads := [][]uint64{
-		{},
-		{0},
-		{math.MaxUint64},
-		{0, math.MaxUint64, 0, math.MaxUint64},
-	}
-	ramp := make([]uint64, 300)
-	for i := range ramp {
-		ramp[i] = uint64(i * 1000)
-	}
-	payloads = append(payloads, ramp)
-	randw := make([]uint64, 500)
-	for i := range randw {
-		randw[i] = rng.Uint64()
-	}
-	payloads = append(payloads, randw)
-	floats := make([]uint64, 400)
-	for i := range floats {
-		floats[i] = math.Float64bits(float64(i)/400 + rng.Float64()*1e-3)
-	}
-	payloads = append(payloads, floats)
-
-	for pi, words := range payloads {
-		raw := make([]byte, 8*len(words))
-		for i, w := range words {
-			binary.LittleEndian.PutUint64(raw[8*i:], w)
-		}
-		for _, enc := range []int{encDelta, encXor} {
-			comp := compressWords(enc, raw)
-			back, err := expandWords(enc, comp, len(words))
-			if err != nil {
-				t.Fatalf("payload %d enc %d: %v", pi, enc, err)
-			}
-			if len(back) != len(raw) {
-				t.Fatalf("payload %d enc %d: %d bytes back, want %d", pi, enc, len(back), len(raw))
-			}
-			for i := range raw {
-				if back[i] != raw[i] {
-					t.Fatalf("payload %d enc %d: byte %d differs", pi, enc, i)
-				}
-			}
-			// Truncation mid-stream must error, never fabricate rows.
-			if len(comp) > 1 {
-				if _, err := expandWords(enc, comp[:len(comp)/2], len(words)); err == nil {
-					t.Fatalf("payload %d enc %d: truncated payload expanded cleanly", pi, enc)
-				}
-			}
-			// Trailing garbage must error too.
-			if _, err := expandWords(enc, append(append([]byte{}, comp...), 0x01), len(words)); err == nil {
-				t.Fatalf("payload %d enc %d: trailing bytes accepted", pi, enc)
-			}
-		}
-	}
-	if _, err := expandWords(99, []byte{1, 2, 3}, 1); err == nil {
-		t.Fatal("unknown encoding accepted")
-	}
 }

@@ -35,25 +35,6 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
-// ParseExpr parses a bare condition expression (no SELECT/FROM), which
-// the interactive session uses for incremental query edits.
-func ParseExpr(src string) (Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(tokEOF, "") {
-		t := p.peek()
-		return nil, fmt.Errorf("query: trailing input %q at offset %d", t.text, t.pos)
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks []token
 	i    int

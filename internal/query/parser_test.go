@@ -193,19 +193,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseExprStandalone(t *testing.T) {
-	e, err := ParseExpr(`a > 1 AND b < 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be, ok := e.(*BoolExpr); !ok || be.Op != And {
-		t.Fatalf("got %#v", e)
-	}
-	if _, err := ParseExpr(`a > 1 extra`); err == nil {
-		t.Error("trailing input should fail")
-	}
-}
-
 // Round trip: String() output reparses to an identical String().
 func TestParseStringRoundTrip(t *testing.T) {
 	srcs := []string{
@@ -269,8 +256,8 @@ func TestPredicatesAndWalk(t *testing.T) {
 	if Predicates(nil) != nil {
 		t.Error("nil expr has no predicates")
 	}
-	single, _ := ParseExpr(`a > 1`)
-	if got := Predicates(single); len(got) != 1 {
+	single, _ := Parse(`SELECT a FROM T WHERE a > 1`)
+	if got := Predicates(single.Where); len(got) != 1 {
 		t.Errorf("leaf predicates: %d", len(got))
 	}
 }

@@ -1,14 +1,13 @@
 // Package render is the output substrate of the VisDB reproduction. The
 // original system painted X11 windows on a 19″ 1,024×1,280 display; Go
 // has no GUI in the standard library, so this package renders the same
-// pixel content into an off-screen framebuffer and encodes it as PNG or
-// PPM, with an ASCII preview for terminals. All the visual-feedback
+// pixel content into an off-screen framebuffer and encodes it as PNG,
+// with an ASCII preview for terminals. All the visual-feedback
 // semantics (window geometry, pixel blocks, color levels, highlighting)
 // are preserved; only the output device differs.
 package render
 
 import (
-	"bufio"
 	"fmt"
 	"image"
 	"image/color"
@@ -108,27 +107,6 @@ func (im *Image) EncodePNG(w io.Writer) error {
 		}
 	}
 	return png.Encode(w, out)
-}
-
-// EncodePPM writes the image as a binary PPM (P6), a no-dependency
-// fallback format.
-func (im *Image) EncodePPM(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P6\n%d %d\n255\n", im.W, im.H); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, im.W*3)
-	for y := 0; y < im.H; y++ {
-		buf = buf[:0]
-		for x := 0; x < im.W; x++ {
-			p := im.Pix[y*im.W+x]
-			buf = append(buf, p.R, p.G, p.B)
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // SavePNG writes the image to path, creating parent directories.

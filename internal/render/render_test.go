@@ -88,23 +88,6 @@ func TestEncodePNGRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodePPM(t *testing.T) {
-	im := NewImage(2, 2)
-	im.Set(0, 0, colormap.C(255, 0, 0))
-	var buf bytes.Buffer
-	if err := im.EncodePPM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.HasPrefix(s, "P6\n2 2\n255\n") {
-		t.Fatalf("header: %q", s[:20])
-	}
-	body := buf.Bytes()[len("P6\n2 2\n255\n"):]
-	if len(body) != 12 || body[0] != 255 || body[1] != 0 {
-		t.Fatalf("body: %v", body)
-	}
-}
-
 func TestSavePNG(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "img.png")
@@ -206,15 +189,6 @@ func TestWindowHighlights(t *testing.T) {
 	im := w.Image()
 	if im.At(1, 1) != colormap.HighlightColor {
 		t.Fatal("highlight overlay")
-	}
-	w.Unhighlight(p)
-	if w.Image().At(1, 1) == colormap.HighlightColor {
-		t.Fatal("unhighlight")
-	}
-	w.Highlight(p)
-	w.ClearHighlights()
-	if w.Image().At(1, 1) == colormap.HighlightColor {
-		t.Fatal("clear highlights")
 	}
 }
 

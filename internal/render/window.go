@@ -64,14 +64,8 @@ func (w *Window) CellAt(p arrange.Point) (colormap.RGB, bool) {
 	return w.cells[p.Y*w.GridW+p.X], w.set[p.Y*w.GridW+p.X]
 }
 
-// Highlight marks cell p for highlight overlay; Unhighlight removes it.
-func (w *Window) Highlight(p arrange.Point)   { w.highlights[p] = true }
-func (w *Window) Unhighlight(p arrange.Point) { delete(w.highlights, p) }
-
-// ClearHighlights removes all highlight marks.
-func (w *Window) ClearHighlights() {
-	w.highlights = make(map[arrange.Point]bool)
-}
+// Highlight marks cell p for highlight overlay.
+func (w *Window) Highlight(p arrange.Point) { w.highlights[p] = true }
 
 // PixelSize returns the window's pixel dimensions (excluding title bar).
 func (w *Window) PixelSize() (pw, ph int) {

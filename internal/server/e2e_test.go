@@ -473,9 +473,8 @@ func TestGridClamp(t *testing.T) {
 // TestDiskCatalogReplayMatchesInMemory is the file-backed serving
 // property: a server hosting the traffic catalog from an on-disk
 // segment file — under a decoded-segment cache squeezed far below the
-// catalog size, on both read backends — replays a randomized
-// interaction script bitwise identically to fresh in-process engines
-// over the same data in memory.
+// catalog size — replays a randomized interaction script bitwise
+// identically to fresh in-process engines over the same data in memory.
 func TestDiskCatalogReplayMatchesInMemory(t *testing.T) {
 	mem, err := datagen.Traffic(1500, 42)
 	if err != nil {
@@ -485,50 +484,42 @@ func TestDiskCatalogReplayMatchesInMemory(t *testing.T) {
 	if _, err := dataset.WriteCatalogFile(segPath, mem); err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []struct {
-		name  string
-		force bool
-	}{{"mmap", false}, {"readat", true}} {
-		t.Run(backend.name, func(t *testing.T) {
-			disk, err := dataset.OpenCatalogFile(segPath, dataset.OpenOptions{
-				ForceReadAt: backend.force,
-				CacheBytes:  1, // one resident segment: every read pages
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { disk.Close() })
-			_, c := newTestServer(t, 2, CatalogConfig{Name: "traffic", Catalog: disk})
-			ctx := context.Background()
-			remote, sum, err := c.NewSession(ctx, "traffic", scriptQueries[2], client.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sum.N != 1500 {
-				t.Fatalf("initial N = %d", sum.N)
-			}
-			// The mirror runs on the in-memory catalog: every comparison
-			// crosses the memory/disk boundary.
-			mirror, err := session.NewSQL(mem, nil, testGrid, scriptQueries[2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := compareRemote(ctx, "initial", remote, mirror, mem, true); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1994))
-			for step := 0; step < 25; step++ {
-				label, err := scriptStep(ctx, rng, step, remote, mirror)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := compareRemote(ctx, label, remote, mirror, mem, step%7 == 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := remote.Close(ctx); err != nil {
-				t.Fatal(err)
-			}
-		})
+	disk, err := dataset.OpenCatalogFile(segPath, dataset.OpenOptions{
+		CacheBytes: 1, // one resident segment: every read pages
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	_, c := newTestServer(t, 2, CatalogConfig{Name: "traffic", Catalog: disk})
+	ctx := context.Background()
+	remote, sum, err := c.NewSession(ctx, "traffic", scriptQueries[2], client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.N != 1500 {
+		t.Fatalf("initial N = %d", sum.N)
+	}
+	// The mirror runs on the in-memory catalog: every comparison
+	// crosses the memory/disk boundary.
+	mirror, err := session.NewSQL(mem, nil, testGrid, scriptQueries[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compareRemote(ctx, "initial", remote, mirror, mem, true); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1994))
+	for step := 0; step < 25; step++ {
+		label, err := scriptStep(ctx, rng, step, remote, mirror)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := compareRemote(ctx, label, remote, mirror, mem, step%7 == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := remote.Close(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

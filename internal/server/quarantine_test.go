@@ -14,7 +14,7 @@ import (
 	"repro/visdb/client"
 )
 
-// corruptSegCatalog writes a generated catalog to a VSEGCAT2 file,
+// corruptSegCatalog writes a generated catalog to a segment file,
 // flips one byte inside the blob region, and reopens it. The flip is
 // past the footer's reach, so the open itself succeeds and the
 // corruption only surfaces when a segment is decoded against its

@@ -58,12 +58,11 @@ func mismatch(step string, a, b *Session) error {
 // TestDiskReplayBitIdentical is the file-backed identity property: the
 // same randomized interaction script — range drags, weight changes,
 // percent-displayed moves, undos — driven in lockstep over the
-// in-memory catalog and both file-backed read backends (mmap where
-// available, the ReadAt fallback) produces bit-identical results at
-// every step. The decoded-segment cache is squeezed to near nothing,
-// so most reads re-decode segments from the file; the interior
-// normalization sketch stays active on all three sessions, so the warm
-// fast path is covered too, not just cold scans.
+// in-memory catalog and the same catalog read from its segment file
+// produces bit-identical results at every step. The decoded-segment
+// cache is squeezed to near nothing, so most reads re-decode segments
+// from the file; interior reuse stays active on both sessions, so the
+// warm fast path is covered too, not just cold scans.
 func TestDiskReplayBitIdentical(t *testing.T) {
 	const n = 2*4096 + 123 // spans three segments
 	mem := interactionCatalog(t, n)
@@ -76,29 +75,23 @@ func TestDiskReplayBitIdentical(t *testing.T) {
 		t.Fatal("segment file carries no content epoch")
 	}
 
-	open := func(force bool) *dataset.Catalog {
-		t.Helper()
-		c, err := dataset.OpenCatalogFile(segPath, dataset.OpenOptions{
-			ForceReadAt: force,
-			CacheBytes:  1, // degrades to one resident segment, never fails
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		if c.Epoch() != epoch {
-			t.Fatalf("opened epoch %x, wrote %x", c.Epoch(), epoch)
-		}
-		return c
+	disk, err := dataset.OpenCatalogFile(segPath, dataset.OpenOptions{
+		CacheBytes: 1, // degrades to one resident segment, never fails
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	if disk.Epoch() != epoch {
+		t.Fatalf("opened epoch %x, wrote %x", disk.Epoch(), epoch)
 	}
 
 	opt := core.Options{GridW: 16, GridH: 16}
 	sql := `SELECT a FROM S WHERE a > 50 AND b < 40 OR c BETWEEN 20 AND 30 WEIGHT 2`
 	sessions := map[string]*Session{}
 	for name, cat := range map[string]*dataset.Catalog{
-		"mem":    mem,
-		"mmap":   open(false),
-		"readat": open(true),
+		"mem":  mem,
+		"disk": disk,
 	} {
 		s, err := NewSQL(cat, nil, opt, sql)
 		if err != nil {
@@ -108,10 +101,8 @@ func TestDiskReplayBitIdentical(t *testing.T) {
 	}
 	compare := func(step string) {
 		t.Helper()
-		for _, name := range []string{"mmap", "readat"} {
-			if err := mismatch(step+" ["+name+"]", sessions[name], sessions["mem"]); err != nil {
-				t.Fatal(err)
-			}
+		if err := mismatch(step, sessions["disk"], sessions["mem"]); err != nil {
+			t.Fatal(err)
 		}
 	}
 	compare("initial")
@@ -167,10 +158,8 @@ func TestDiskReplayBitIdentical(t *testing.T) {
 		}
 	}
 	// The warm fast path must actually have been exercised on the
-	// file-backed sessions, not just the in-memory one.
-	for _, name := range []string{"mmap", "readat"} {
-		if sessions[name].Result().Timings.SketchHits == 0 && sessions[name].Result().Timings.CacheHits == 0 {
-			t.Errorf("%s session finished with no cache activity at all", name)
-		}
+	// file-backed session, not just the in-memory one.
+	if tm := sessions["disk"].Result().Timings; tm.SketchHits == 0 && tm.CacheHits == 0 {
+		t.Error("disk session finished with no cache activity at all")
 	}
 }

@@ -145,7 +145,8 @@ func NewTable(name string, schema Schema) (*Table, error) {
 	return dataset.NewTable(name, schema)
 }
 
-// OpenOptions configures OpenCatalogFile (read backend, cache budget).
+// OpenOptions configures OpenCatalogFile (the decoded-segment cache
+// budget).
 type OpenOptions = dataset.OpenOptions
 
 // WriteCatalogFile streams an in-memory catalog into an on-disk
@@ -154,9 +155,9 @@ type OpenOptions = dataset.OpenOptions
 // through a bounded decoded-segment cache — resident memory is
 // O(cache budget), not O(catalog), and query results are bit-identical
 // to the in-memory catalog. Close the opened catalog to release the
-// backing file. WriteCatalogFile writes the current format only;
-// OpenCatalogFile also reads the two older ones (no per-segment stats
-// or codecs; the oldest also lacks footer integrity).
+// backing file. OpenCatalogFile reads the one layout WriteCatalogFile
+// writes and refuses the layouts of earlier writers with an error that
+// says to rewrite the file (visdbgen -format seg).
 var (
 	WriteCatalogFile = dataset.WriteCatalogFile
 	OpenCatalogFile  = dataset.OpenCatalogFile
