@@ -92,7 +92,7 @@
 //   - A fresh range leaf is one branch-free pass (distances selected by
 //     bit masks) that counts its exact +0 entries (relevance.Node.Zeros):
 //     a range keeping no more items is [+0, +0] without a look at the
-//     vector; the slider's extremes are the column's (dataset.MinMaxer).
+//     vector; the slider's extremes are the column's (Column.MinMax).
 //     (TestRangeKernelMatchesToRange, FuzzRangeKernel, BenchmarkRangeDistances,
 //     TestLeafZeroBlockMatchesNormRange, TestColumnExtremesMatchScan)
 //
@@ -158,18 +158,19 @@
 //
 // # Columnar segments: catalogs larger than RAM
 //
-// internal/dataset stores every column as chunk-aligned segments of
-// SegmentSize = 4096 values — the chunk size the fused evaluator and
-// the block-pruning pass iterate in — behind a segment-reader interface
-// with two backends: in-memory slices (the default; Append works) and a
-// write-once segment-catalog file (dataset.WriteCatalogFile /
-// OpenCatalogFile; "VSEGCAT3", streamed with O(segment) memory, JSON
-// footer, FNV-1a content epoch) whose blobs are read with ReadAt into
-// pooled buffers and decoded into a bounded decoded-segment cache, so
-// resident memory is O(cache budget), not O(catalog). The catalog epoch
-// flows into every structural cache key, so a regenerated file can
-// never cross-serve another file's cached vectors. Serving a catalog
-// from disk is bitwise
+// internal/dataset has one column type, dataset.Column: a kind, a row
+// count, per-segment stats, extremes, and segments of SegmentSize = 4096
+// rows — the chunk size the fused evaluator and the block-pruning pass
+// iterate in — each null flags plus the kind's one payload slice. A
+// resident column holds its segments (Table.AppendRow fills them); a
+// file-backed one reads them from a write-once segment-catalog file
+// (dataset.WriteCatalogFile / OpenCatalogFile; "VSEGCAT3", JSON footer,
+// FNV-1a content epoch) with ReadAt into pooled buffers, decoded into a
+// bounded decoded-segment cache, so resident memory is O(cache budget),
+// not O(catalog). Value, IsNull and ReadFloats read a segment the same
+// way whatever its backing. The catalog epoch flows into every
+// structural cache key, so a regenerated file can never cross-serve
+// another file's cached vectors. Serving a catalog from disk is bitwise
 // identical to serving it from memory (TestDiskReplayBitIdentical,
 // TestDiskCatalogReplayMatchesInMemory). visdbd accepts "name:path"
 // catalog specs, visdbgen -format seg writes the files.
@@ -180,21 +181,34 @@
 //
 //   - Integrity: every blob's CRC32C is in the footer and checked on
 //     every read, the footer's in the tail; a footer that fails its
-//     checks is a typed ErrCorruptSegment at open (visdbd quarantines
-//     the catalog), a blob that fails its CRC — or a file cut short
-//     under a running daemon — is the catalog's sticky Corrupt() error
+//     checks — a kind outside KindFloat…KindNominal among them — is a
+//     typed ErrCorruptSegment at open (visdbd quarantines the catalog),
+//     a blob that fails its CRC — or a file cut short under a running
+//     daemon — is the catalog's sticky Corrupt() error
 //     (TestEveryByteFlipDetected, TestCatalogTruncatedAfterOpen,
-//     FuzzOpenCatalogFile).
-//   - Per-segment statistics: min/max as hex floats and a count of
-//     unusable rows per numeric segment (dataset.SegmentStatser); stats
-//     that fail to parse are a typed ErrCorruptSegment at open.
-//   - Predicate pushdown: a cold range scan skips decoding a segment
-//     whose stats prove every row inside the query interval — distance
-//     exactly 0 — so results stay bit-identical by construction, and
-//     the skipped chunks' chunk stats are synthesized from the footer
-//     proof, so block pruning works on the first cold run.
+//     TestFooterKindOutsideTheEnumRefusedAtOpen, FuzzOpenCatalogFile).
+//   - Stats are a property of every column: min/max and a count of
+//     unusable rows per numeric segment (Column.SegmentStats), and the
+//     column's extremes (Column.MinMax). A resident column folds them on
+//     append in row order; a file-backed one has them from the footer,
+//     as hex floats, where stats that fail to parse are a typed
+//     ErrCorruptSegment at open (TestSegmentStatsMatchScan,
+//     TestColumnExtremesMatchScan, both over both backings).
+//   - Predicate pushdown: a range scan skips reading — for a file-backed
+//     column, decoding — a segment whose stats prove every row inside
+//     the query interval — distance exactly 0 — so results stay
+//     bit-identical by construction, and the skipped chunks' chunk stats
+//     are synthesized from the proof, so block pruning works on the
+//     first cold run. It does not depend on the backing.
 //     StageTimings.SegsSkipped/Segs attribute it; Options.NoSegmentStats
-//     is the ablation gate (TestPushdownLockstepReplay).
+//     is the reference (TestPushdownLockstepReplay).
+//   - The writer writes segments: each column's, as they are — resident,
+//     or read from the file an opened catalog serves — with the stats
+//     the column holds, so reopening a file and writing it again
+//     reproduces it byte for byte (TestRewriteReproducesFile). A time is
+//     stored as int64 Unix nanoseconds, so the writer refuses an instant
+//     outside the years 1678–2262 with an error naming table, column and
+//     row (TestWriteRefusesTimesOutsideNanos).
 //   - One layout: a "VSEGCAT1" or "VSEGCAT2" head, or a blob an earlier
 //     writer compressed (footer enc != 0), is refused at open with an
 //     error that names the layout, says to rewrite the file with
@@ -202,9 +216,9 @@
 //     fails its startup on such a path as on a wrong one
 //     (TestFormatVersionMatrixRoundTrip, TestDaemonRefusesEarlierLayouts).
 //   - Writes replace: the writer fills a temporary file beside the path
-//     and renames it into place on Close, so a catalog open at the path
-//     keeps reading the file it opened
-//     (TestCatalogRewriteLeavesOpenReaderAlone).
+//     and renames it into place at the end, so a catalog open at the
+//     path keeps reading the file it opened, and a failed write leaves
+//     the path as it was (TestCatalogRewriteLeavesOpenReaderAlone).
 //
 // # Interior reuse: a cached subtree is a leaf
 //

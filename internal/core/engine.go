@@ -106,12 +106,12 @@ type StageTimings struct {
 	// Zero for uncached runs and under Options.NoInteriorSketch. Both
 	// names predate the index; wire.Timings and bench/ freeze them.
 	SketchHits, SketchRescans int
-	// SegsSkipped and Segs attribute the segment-stats pushdown of cold
-	// file-backed scans: storage segments whose decode was skipped
-	// because the catalog footer's per-segment stats proved every row in
-	// range (distance exactly 0), out of the segments the run's cold
-	// computes considered. Zero on warm runs (nothing is recomputed),
-	// for uncached runs, for pre-v3 catalogs, and under
+	// SegsSkipped and Segs attribute the segment-stats pushdown of a
+	// leaf's column read: storage segments whose read was skipped
+	// because the column's per-segment stats proved every row in range
+	// (distance exactly 0), out of the segments the run's fresh range
+	// leaves considered, resident or file-backed. Zero on warm runs
+	// (nothing is recomputed), for uncached runs, and under
 	// Options.NoSegmentStats.
 	SegsSkipped, Segs int
 }
@@ -474,10 +474,11 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		}
 		pd, cs := le.pd, le.cstats
 		if cs == nil {
-			// Cold file-backed computes synthesize their chunk stats from
-			// the catalog footer (predicateData.CStats), so deferred-root
-			// block pruning works on the very first run — the session
-			// cache's own index exists only from the first REUSE on.
+			// Cold computes that skipped segments synthesize their chunk
+			// stats from the segment stats (predicateData.CStats), so
+			// deferred-root block pruning works on the very first run —
+			// the session cache's own index exists only from the first
+			// REUSE on.
 			cs = pd.CStats
 		}
 		node := &relevance.Node{Op: relevance.Leaf, Label: expr.Label(), Weight: expr.Weight(), Dists: pd.Raw,

@@ -77,12 +77,13 @@ type Options struct {
 	// time goes (see StageTimings.SketchHits). The name predates the
 	// quantile index that replaced the sketch.
 	NoInteriorSketch bool
-	// NoSegmentStats disables the per-segment footer-stats pushdown of
-	// cold file-backed scans (the ablation/benchmark baseline): range
-	// predicates decode every storage segment even when the catalog
-	// footer proves a segment's rows all score distance zero. Results
-	// are bit-identical either way — the pushdown only skips decodes
-	// whose outcome is already known (see StageTimings.SegsSkipped).
+	// NoSegmentStats disables the segment-stats pushdown of a leaf's
+	// column read (the pushdown's reference): range predicates read every
+	// storage segment even when the column's per-segment stats prove a
+	// segment's rows all score distance zero. Results are bit-identical
+	// either way — the pushdown only skips reads (for a file-backed
+	// column, decodes) whose outcome is already known (see
+	// StageTimings.SegsSkipped).
 	NoSegmentStats bool
 }
 

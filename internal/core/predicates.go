@@ -28,9 +28,9 @@ type predicateData struct {
 	Lo, Hi   float64 // current query range (±Inf for open sides)
 	Zeros    int     // exact +0 entries of Raw, counted by rangeKernel; 0 when not counted
 
-	// Segment-stats pushdown (single-table file-backed scans only; see
-	// numericCond). CStats is the per-chunk index synthesized at compute
-	// time (skipped chunks from the footer, the rest scanned) so even a
+	// Segment-stats pushdown (single-table scans only; see numericCond).
+	// CStats is the per-chunk index synthesized at compute time (skipped
+	// chunks from the segment stats, the rest scanned) so even a
 	// COLD run hands the deferred-root ranking its block-pruning bounds;
 	// it stays with the process that computed the leaf. SegsSkipped and
 	// Segs attribute the pushdown for StageTimings.
@@ -104,26 +104,21 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace)
 // distance-to-range semantics of section 3.
 func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData) error {
 	singleTable := space.pairs == nil
-	// Single-table spaces stream the column a segment at a time through
-	// the bulk reader — file-backed columns never materialize an n-sized
-	// copy. Pair spaces index rows non-monotonically, so they keep the
-	// materialized column (the pair count is MaxPairs-capped).
-	var col []float64
-	fr, err := t.FloatReaderOf(attr.Attr)
+	// Single-table spaces stream the column a segment at a time — a
+	// file-backed column never materializes an n-sized copy. Pair spaces
+	// index rows non-monotonically, so they keep the materialized column
+	// (the pair count is MaxPairs-capped).
+	column, err := t.Column(attr.Attr)
 	if err != nil {
 		return err
 	}
-	if !singleTable || fr == nil {
-		col, err = t.FloatsOf(attr.Attr)
-		if err != nil {
-			return err
-		}
+	var col []float64
+	if !singleTable {
+		col = make([]float64, column.Len())
+		column.ReadFloats(col, 0)
 	}
 	var okRange bool
-	pd.MinDB, pd.MaxDB, okRange, err = t.MinMaxOf(attr.Attr)
-	if err != nil {
-		return err
-	}
+	pd.MinDB, pd.MaxDB, okRange = column.MinMax()
 	if !okRange {
 		pd.MinDB, pd.MaxDB = math.NaN(), math.NaN()
 	}
@@ -147,45 +142,43 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 		edge = hi
 	}
 	kernel := !pointwise && c.Op != query.OpIn // OpNe, OpIn: other distances, a per-item loop
-	// Segment-stats pushdown (the cold-scan block pruning): when the
-	// file-backed column carries per-segment min/max and null counts, a
-	// segment whose every row provably lies inside [lo, hi] — stats
-	// present, no unusable rows, extremes inside the range with
-	// strictness honored — scores range distance exactly 0 on every
-	// row, so its decode is skipped outright and the zero-filled Raw
-	// range already holds the exact distances. The gate excludes every
-	// per-item semantics the proof does not cover: pair spaces
-	// (non-monotonic row order), OpNe/OpIn (pointwise distances), and
-	// signed vectors (the 2D arrangement reads per-item signs).
+	// Segment-stats pushdown (block pruning of the column read): every
+	// column carries per-segment min/max and null counts, so a segment
+	// whose every row provably lies inside [lo, hi] — stats present, no
+	// unusable rows, extremes inside the range with strictness honored —
+	// scores range distance exactly 0 on every row, its read (a decode,
+	// when the column is file-backed) is skipped outright and the
+	// zero-filled Raw range already holds the exact distances. The gate
+	// excludes every per-item semantics the proof does not cover: pair
+	// spaces (non-monotonic row order), OpNe/OpIn (pointwise distances),
+	// and signed vectors (the 2D arrangement reads per-item signs).
 	var skip []bool
 	skipped := 0
-	if singleTable && col == nil && pd.Signed == nil && kernel && !e.opt.NoSegmentStats {
-		if ss, ok := fr.(dataset.SegmentStatser); ok {
-			nSegs := (space.n + dataset.SegmentSize - 1) / dataset.SegmentSize
-			for si := 0; si < nSegs; si++ {
-				smin, smax, nulls, ok := ss.SegmentStats(si)
-				if !ok || nulls != 0 {
-					continue
-				}
-				loOK := smin >= lo
-				if strictLo {
-					loOK = smin > lo
-				}
-				hiOK := smax <= hi
-				if strictHi {
-					hiOK = smax < hi
-				}
-				if loOK && hiOK {
-					if skip == nil {
-						skip = make([]bool, nSegs)
-					}
-					skip[si] = true
-					skipped++
-				}
+	if singleTable && pd.Signed == nil && kernel && !e.opt.NoSegmentStats {
+		nSegs := (space.n + dataset.SegmentSize - 1) / dataset.SegmentSize
+		for si := 0; si < nSegs; si++ {
+			smin, smax, nulls, ok := column.SegmentStats(si)
+			if !ok || nulls != 0 {
+				continue
 			}
-			pd.Segs = nSegs
-			pd.SegsSkipped = skipped
+			loOK := smin >= lo
+			if strictLo {
+				loOK = smin > lo
+			}
+			hiOK := smax <= hi
+			if strictHi {
+				hiOK = smax < hi
+			}
+			if loOK && hiOK {
+				if skip == nil {
+					skip = make([]bool, nSegs)
+				}
+				skip[si] = true
+				skipped++
+			}
 		}
+		pd.Segs = nSegs
+		pd.SegsSkipped = skipped
 	}
 	// The per-item pass runs chunked across the worker pool: every chunk
 	// writes disjoint slots of Raw/Signed, and the merged reductions (a
@@ -216,12 +209,9 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 				continue
 			}
 			vals := scratch[:end-s]
-			switch {
-			case col == nil:
-				fr.ReadFloats(vals, s)
-			case singleTable:
-				vals = col[s:end]
-			default:
+			if singleTable {
+				column.ReadFloats(vals, s)
+			} else {
 				for j := range vals {
 					row, err := space.rowFor(s+j, attr.Table)
 					if err != nil {
@@ -289,7 +279,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	if skip != nil {
 		// Synthesize the per-chunk pruning index now, while the compute
 		// cost is already paid: skipped chunks' entries come straight
-		// from the footer proof (min 0, NaN-free), the rest scan. This
+		// from the stats proof (min 0, NaN-free), the rest scan. This
 		// is what composes the pushdown with the deferred-root block
 		// pruning on COLD runs — warm runs build the same index from
 		// the cached vector.

@@ -68,10 +68,10 @@ func samePredicateInfos(t *testing.T, step string, a, b *Result) {
 // segment-stats pushdown: the same randomized interaction script —
 // range slides on the skippable clustered column, weight changes, a
 // strict operator, predicates on never-skippable columns — replayed
-// against the in-memory catalog and its segment file with stats on and
-// with stats off (Options.NoSegmentStats), must produce bit-identical
-// results at every step; and the stats-on engine must actually have
-// skipped segments along the way.
+// against the resident catalog and its segment file, each with stats on
+// and with stats off (Options.NoSegmentStats), must produce bit-identical
+// results at every step; both stats-on engines must skip the same
+// segments at every step, and must actually have skipped some.
 func TestPushdownLockstepReplay(t *testing.T) {
 	const rows = 5*dataset.SegmentSize + 301
 	mem := clusteredCatalog(t, rows)
@@ -92,9 +92,10 @@ func TestPushdownLockstepReplay(t *testing.T) {
 		eng     *Engine
 		statsOn bool
 	}{
-		{"memory", New(mem, nil, base), false},
-		{"stats-on", New(open(), nil, base), true},
-		{"stats-off", New(open(), nil, noStats), false},
+		{"memory", New(mem, nil, base), true},
+		{"memory-stats-off", New(mem, nil, noStats), false},
+		{"file", New(open(), nil, base), true},
+		{"file-stats-off", New(open(), nil, noStats), false},
 	}
 	caches := make([]*RunCache, len(engines))
 	for i := range caches {
@@ -136,9 +137,12 @@ func TestPushdownLockstepReplay(t *testing.T) {
 			results[ei] = res
 			skippedTotal[ei] += res.Timings.SegsSkipped
 			if !e.statsOn && res.Timings.SegsSkipped != 0 {
-				t.Fatalf("step %d (%s): skipped %d segments with pushdown unavailable",
+				t.Fatalf("step %d (%s): skipped %d segments with pushdown off",
 					si, e.name, res.Timings.SegsSkipped)
 			}
+		}
+		if a, b := results[0].Timings, results[2].Timings; a.SegsSkipped != b.SegsSkipped || a.Segs != b.Segs {
+			t.Fatalf("step %d: memory skipped %d/%d segments, file %d/%d", si, a.SegsSkipped, a.Segs, b.SegsSkipped, b.Segs)
 		}
 		for ei := 1; ei < len(engines); ei++ {
 			sameResults(t, results[0], results[ei])

@@ -397,7 +397,7 @@ func (r *Result) PredicateInfos() []PredicateInfo {
 // display budget of them, which is why a cached leaf keeps no copy of
 // its column.
 func (r *Result) attrValue(attr query.BoundAttr) func(item int) float64 {
-	var col dataset.Column
+	var col *dataset.Column
 	if t, err := r.Space.tableByName(attr.Table); err == nil {
 		col, _ = t.Column(attr.Attr)
 	}

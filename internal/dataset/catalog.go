@@ -213,11 +213,11 @@ type Catalog struct {
 	// catalogs default to 0 (their identity is the process lifetime).
 	epoch uint64
 	// closer releases the backing resources of a file-backed catalog
-	// (its file); nil for in-memory catalogs.
+	// (its file); nil for resident catalogs.
 	closer func() error
-	// corrupt reports the sticky corruption state of a file-backed
-	// catalog's segment source; nil for in-memory catalogs.
-	corrupt func() error
+	// src serves the segments of a file-backed catalog's columns; nil
+	// for resident catalogs.
+	src *fileSource
 }
 
 // NewCatalog returns an empty catalog.
@@ -241,12 +241,12 @@ func (c *Catalog) SetEpoch(e uint64) { c.epoch = e }
 // ErrCorruptSegment). A failed segment reads as zeroes, so any result
 // computed since the error was set is untrustworthy — callers must
 // check after runs and quarantine the catalog on non-nil. Always nil
-// for in-memory catalogs. Safe for concurrent use.
+// for resident catalogs. Safe for concurrent use.
 func (c *Catalog) Corrupt() error {
-	if c.corrupt == nil {
+	if c.src == nil {
 		return nil
 	}
-	return c.corrupt()
+	return c.src.corruptErr()
 }
 
 // Close releases the backing resources of a file-backed catalog. It is

@@ -348,3 +348,34 @@ func FuzzOpenCatalogFile(f *testing.F) {
 		}
 	})
 }
+
+// TestWriteRefusesACorruptCatalog: a blob that fails its CRC while the
+// writer reads it serves zeroes, so writing the catalog on would pass
+// the damage off as data — the write fails with the sticky
+// ErrCorruptSegment and leaves nothing at the path.
+func TestWriteRefusesACorruptCatalog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "c.vseg")
+	if _, err := WriteCatalogFile(path, tinyCatalog(t, 23)); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := OpenCatalogFile(path, OpenOptions{
+		WrapReaderAt: func(r io.ReaderAt) io.ReaderAt {
+			return faultinject.CorruptReaderAt(r, int64(len(segMagic)), 0x10)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	out := filepath.Join(dir, "out", "c.vseg")
+	if err := os.Mkdir(filepath.Dir(out), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteCatalogFile(out, cat); !errors.Is(err, ErrCorruptSegment) {
+		t.Fatalf("write of a corrupt catalog: %v, want ErrCorruptSegment", err)
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(out)); len(entries) != 0 {
+		t.Fatalf("the refused write left %d files", len(entries))
+	}
+}

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +36,16 @@ func TestSchemaValidate(t *testing.T) {
 	}
 	if err := weatherSchema().Validate(); err != nil {
 		t.Errorf("valid schema rejected: %v", err)
+	}
+}
+
+// TestSchemaRefusesKindOutsideTheEnum: a field's kind is one of
+// KindFloat…KindNominal, or the schema, and the table, are refused.
+func TestSchemaRefusesKindOutsideTheEnum(t *testing.T) {
+	for _, k := range []Kind{-1, KindNominal + 1, 99} {
+		if _, err := NewTable("T", Schema{{Name: "x", Kind: k}}); err == nil {
+			t.Errorf("a table with a field of %v", k)
+		}
 	}
 }
 
@@ -129,12 +141,12 @@ func TestFloatsOfAndMinMax(t *testing.T) {
 	if fs2[0] != 3 {
 		t.Error("FloatsOf aliases internal storage")
 	}
-	min, max, ok, err := tbl.MinMaxOf("x")
-	if err != nil || !ok || min != 1 || max != 4 {
-		t.Fatalf("MinMaxOf: %v %v %v %v", min, max, ok, err)
+	min, max, ok := tbl.ColumnAt(0).MinMax()
+	if !ok || min != 1 || max != 4 {
+		t.Fatalf("MinMax: %v %v %v", min, max, ok)
 	}
 	empty, _ := NewTable("E", Schema{{Name: "x", Kind: KindFloat}})
-	if _, _, ok, _ := empty.MinMaxOf("x"); ok {
+	if _, _, ok := empty.ColumnAt(0).MinMax(); ok {
 		t.Error("empty column should report !ok")
 	}
 	if _, err := tbl.FloatsOf("nope"); err == nil {
@@ -142,11 +154,11 @@ func TestFloatsOfAndMinMax(t *testing.T) {
 	}
 }
 
-// TestColumnExtremesMatchScan: an in-memory numeric column's MinMaxer
-// answers what a scan of its values in row order under AsFloat finds —
-// NaN and nulls skipped, the first of two equal extremes (-0, +0) kept,
-// bit for bit — for every numeric kind, empty, after one row, and again
-// after every further append; Table.MinMaxOf answers the same.
+// TestColumnExtremesMatchScan: a numeric column's MinMax answers what a
+// scan of its values in row order under AsFloat finds — NaN and nulls
+// skipped, the first of two equal extremes (-0, +0) kept, bit for bit —
+// for every numeric kind, empty, after one row, and again after every
+// further append, resident and reopened from the file it writes.
 func TestColumnExtremesMatchScan(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	appends := map[Kind][]Value{
@@ -156,44 +168,64 @@ func TestColumnExtremesMatchScan(t *testing.T) {
 		KindTime: {Time(time.Unix(500, 0)), Null(KindTime), Time(time.Unix(-20, 0)), Time(time.Unix(9e9, 0))},
 		KindBool: {Bool(true), Null(KindBool), Bool(true), Bool(false)},
 	}
+	path := filepath.Join(t.TempDir(), "x.vseg")
 	for kind, vals := range appends {
 		tbl, err := NewTable("T", Schema{{Name: "x", Kind: kind}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := tbl.Column("x")
+		cat := NewCatalog()
+		if err := cat.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i <= len(vals); i++ {
 			if i > 0 {
 				if err := tbl.AppendRow(vals[i-1]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			wmin, wmax, wok := math.Inf(1), math.Inf(-1), false
-			for r := 0; r < c.Len(); r++ {
-				f, ok := c.Value(r).AsFloat()
-				if !ok || math.IsNaN(f) {
-					continue
-				}
-				if f < wmin {
-					wmin = f
-				}
-				if f > wmax {
-					wmax = f
-				}
-				wok = true
+			checkExtremes(t, fmt.Sprintf("%v after %d rows, resident", kind, i), tbl.ColumnAt(0))
+			if _, err := WriteCatalogFile(path, cat); err != nil {
+				t.Fatal(err)
 			}
-			if !wok {
-				wmin, wmax = 0, 0
+			disk, err := OpenCatalogFile(path, OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			min, max, ok := c.(MinMaxer).MinMax()
-			tmin, tmax, tok, err := tbl.MinMaxOf("x")
-			bits := math.Float64bits
-			if err != nil || ok != wok || tok != wok || bits(min) != bits(wmin) || bits(max) != bits(wmax) ||
-				bits(tmin) != bits(wmin) || bits(tmax) != bits(wmax) {
-				t.Fatalf("%v after %d rows: MinMax (%v, %v, %v), MinMaxOf (%v, %v, %v, %v); the scan finds (%v, %v, %v)",
-					kind, c.Len(), min, max, ok, tmin, tmax, tok, err, wmin, wmax, wok)
+			dt, err := disk.Table("T")
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkExtremes(t, fmt.Sprintf("%v after %d rows, reopened", kind, i), dt.ColumnAt(0))
+			disk.Close()
 		}
+	}
+}
+
+// checkExtremes requires c.MinMax to equal a scan of c's values.
+func checkExtremes(t *testing.T, what string, c *Column) {
+	t.Helper()
+	wmin, wmax, wok := math.Inf(1), math.Inf(-1), false
+	for r := 0; r < c.Len(); r++ {
+		f, ok := c.Value(r).AsFloat()
+		if !ok || math.IsNaN(f) {
+			continue
+		}
+		if f < wmin {
+			wmin = f
+		}
+		if f > wmax {
+			wmax = f
+		}
+		wok = true
+	}
+	if !wok {
+		wmin, wmax = 0, 0
+	}
+	min, max, ok := c.MinMax()
+	bits := math.Float64bits
+	if ok != wok || bits(min) != bits(wmin) || bits(max) != bits(wmax) {
+		t.Fatalf("%s: MinMax (%v, %v, %v); the scan finds (%v, %v, %v)", what, min, max, ok, wmin, wmax, wok)
 	}
 }
 

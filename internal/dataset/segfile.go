@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"hash/fnv"
 	"io"
@@ -22,7 +21,8 @@ import (
 
 // This file implements the on-disk segment catalog format: one layout,
 // one writer, one reader. The layout is write-once, footer-based, so
-// the writer streams segments with O(segment) memory and never seeks:
+// the writer writes each column's segments one after another and never
+// seeks:
 //
 //	"VSEGCAT3"                              8-byte head magic
 //	blob ...                                segment blobs, any order
@@ -53,7 +53,7 @@ import (
 // row, so a reader may prove "every row of this segment lies inside
 // [lo, hi]" — and therefore has range distance exactly 0 — without
 // decoding the blob. The cold scan path of internal/core skips the
-// decode of such segments entirely (see SegmentStatser).
+// decode of such segments entirely (see Column.SegmentStats).
 //
 // A blob holds one column segment (SegmentSize rows, the final segment
 // of a table possibly fewer): a null bitmap of ceil(rows/8) bytes
@@ -67,10 +67,11 @@ import (
 // opening a catalog reads the footer and nothing else.
 //
 // Two format consequences are deliberate: times are stored as unix
-// nanoseconds and decode in UTC (instants outside the int64-nanosecond
-// range, roughly years 1678–2262, do not round-trip; original zone
-// offsets are normalized away), and Append on a file-backed table is
-// rejected — the format is immutable once written.
+// nanoseconds and decode in UTC (original zone offsets are normalized
+// away, and the writer refuses an instant outside the int64-nanosecond
+// range, roughly years 1678–2262, which would read back as another),
+// and AppendRow on a file-backed table is rejected — the format is
+// immutable once written.
 
 const (
 	segMagic    = "VSEGCAT3"
@@ -106,7 +107,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // values as hex float strings (exact bits, infinities survive JSON)
 // plus the count of rows with no usable numeric value (null, or NaN for
 // float columns). Min/Max present with Nulls == 0 is the precondition
-// for the skip proof of SegmentStatser; absent stats (string columns,
+// for the skip proof of Column.SegmentStats; absent stats (string columns,
 // all-null segments) disable skipping, never correctness.
 type segBlob struct {
 	Off   int64  `json:"off"`
@@ -147,368 +148,182 @@ type segFooter struct {
 
 // --- Writer -----------------------------------------------------------
 
-// SegmentWriter streams a catalog into the on-disk segment format with
-// O(segment) memory: rows buffer per table until a full segment
-// accumulates, then its column blobs flush to the file.
-type SegmentWriter struct {
-	f      *os.File // a temporary file beside path until Close renames it
-	path   string
-	w      *bufio.Writer
-	off    int64
-	hash   hash.Hash64
-	footer segFooter
-	open   []*TableWriter
-	names  map[string]bool
-	closed bool
-}
+// minNano and maxNano bound the instants a blob stores: UnixNano is an
+// int64.
+var (
+	minNano = time.Unix(0, math.MinInt64)
+	maxNano = time.Unix(0, math.MaxInt64)
+)
 
-// CreateSegmentCatalog returns a writer of a segment catalog at path.
-// The writer fills a temporary file in path's directory and Close
-// renames it over path, so a catalog already open at path keeps reading
-// the file it opened; on any error the temporary file is removed and
-// path is left as it was.
-func CreateSegmentCatalog(path string) (*SegmentWriter, error) {
+// WriteCatalogFile writes cat as a segment file at path and returns the
+// epoch stamped into its footer. It writes every column's segments as
+// they are — resident, or read from the file an opened catalog serves —
+// with the stats the column keeps. The bytes go to a temporary file in
+// path's directory that is renamed over path at the end, so a catalog
+// already open at path keeps reading the file it opened; on any error —
+// among them a time outside the years 1678–2262 the format stores, named
+// by table, column and row — the temporary file is removed and path is
+// left as it was.
+func WriteCatalogFile(path string, cat *Catalog) (uint64, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return nil, err
-	}
-	w := &SegmentWriter{
-		f:     f,
-		path:  path,
-		w:     bufio.NewWriterSize(f, 1<<16),
-		hash:  fnv.New64a(),
-		names: make(map[string]bool),
+		return 0, err
 	}
 	// CreateTemp's 0600 would hide the catalog from a daemon running as
 	// another user; os.Create's files were world-readable.
-	if err := f.Chmod(0o644); err != nil {
-		w.abort()
-		return nil, err
+	err = f.Chmod(0o644)
+	var epoch uint64
+	if err == nil {
+		epoch, err = writeCatalog(f, cat)
 	}
-	if _, err := w.w.WriteString(segMagic); err != nil {
-		w.abort()
-		return nil, err
-	}
-	w.off = int64(len(segMagic))
-	return w, nil
-}
-
-// abort closes and removes the temporary file, leaving path as it was.
-func (w *SegmentWriter) abort() {
-	w.closed = true
-	w.f.Close()
-	os.Remove(w.f.Name())
-}
-
-// AddConnection records a connection in the footer. Validation against
-// tables happens on open (tables may not be written yet).
-func (w *SegmentWriter) AddConnection(conn Connection) error {
-	if err := conn.Validate(); err != nil {
-		return err
-	}
-	w.footer.Connections = append(w.footer.Connections, conn)
-	return nil
-}
-
-// AddTable starts a new table; append its rows through the returned
-// TableWriter. Tables may be written concurrently only from one
-// goroutine (the writer is not synchronized).
-func (w *SegmentWriter) AddTable(name string, schema Schema) (*TableWriter, error) {
-	if w.names[name] {
-		return nil, fmt.Errorf("dataset: table %q already written", name)
-	}
-	buf, err := NewTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	w.names[name] = true
-	tw := &TableWriter{
-		w:    w,
-		buf:  buf,
-		meta: segTable{Name: name},
-		mins: make([]float64, len(schema)),
-		maxs: make([]float64, len(schema)),
-		any:  make([]bool, len(schema)),
-	}
-	for i, f := range schema {
-		tw.meta.Fields = append(tw.meta.Fields, segField{
-			Name:       f.Name,
-			Kind:       int(f.Kind),
-			Categories: append([]string(nil), f.Categories...),
-		})
-		tw.mins[i], tw.maxs[i] = math.Inf(1), math.Inf(-1)
-	}
-	w.open = append(w.open, tw)
-	return tw, nil
-}
-
-// writeBlob appends raw blob bytes and returns their location and
-// CRC32C.
-func (w *SegmentWriter) writeBlob(b []byte) (segBlob, error) {
-	if _, err := w.w.Write(b); err != nil {
-		return segBlob{}, err
-	}
-	w.hash.Write(b)
-	loc := segBlob{Off: w.off, Len: int64(len(b)), CRC: crc32.Checksum(b, castagnoli)}
-	w.off += int64(len(b))
-	return loc, nil
-}
-
-// Close flushes every table's partial segment, writes the footer,
-// closes the file and renames it to the writer's path.
-func (w *SegmentWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	err := w.finish()
-	if cerr := w.f.Close(); err == nil {
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(w.f.Name(), w.path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(w.f.Name())
-	}
-	return err
-}
-
-// finish writes what Close adds to the blobs: every table's partial
-// segment, the footer and the tail.
-func (w *SegmentWriter) finish() error {
-	for _, tw := range w.open {
-		if err := tw.flush(); err != nil {
-			return err
-		}
-		tw.finishStats()
-		w.footer.Tables = append(w.footer.Tables, tw.meta)
-	}
-	w.footer.Epoch = w.hash.Sum64()
-	ft, err := json.Marshal(w.footer)
-	if err != nil {
-		return err
-	}
-	if _, err := w.w.Write(ft); err != nil {
-		return err
-	}
-	tail := make([]byte, segTailLen)
-	binary.LittleEndian.PutUint32(tail[:4], crc32.Checksum(ft, castagnoli))
-	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(ft)))
-	copy(tail[12:], segEndMagic)
-	if _, err := w.w.Write(tail); err != nil {
-		return err
-	}
-	return w.w.Flush()
-}
-
-// TableWriter appends rows of one table to a SegmentWriter.
-type TableWriter struct {
-	w    *SegmentWriter
-	buf  *Table // holds at most one segment of rows
-	meta segTable
-	mins []float64
-	maxs []float64
-	any  []bool
-}
-
-// AppendRow validates and buffers one row, flushing a blob per column
-// whenever a full segment accumulates. Column statistics fold at flush
-// time from the buffered segment (never from the raw argument values),
-// so null rows and NaN floats — whose Value.AsFloat yields no usable
-// ordering key — can never leak into the footer's min/max.
-func (tw *TableWriter) AppendRow(vals ...Value) error {
-	if err := tw.buf.AppendRow(vals...); err != nil {
-		return err
-	}
-	tw.meta.Rows++
-	if tw.buf.NumRows() == SegmentSize {
-		return tw.flush()
-	}
-	return nil
-}
-
-// flush encodes and writes the buffered segment of every column,
-// computing the segment's statistics (the footer carries them per blob)
-// and folding them into the running column extremes.
-func (tw *TableWriter) flush() error {
-	rows := tw.buf.NumRows()
-	if rows == 0 {
-		return nil
-	}
-	for i := range tw.meta.Fields {
-		c := tw.buf.ColumnAt(i)
-		loc, err := tw.w.writeBlob(encodeSegmentRaw(c, rows))
-		if err != nil {
-			return err
-		}
-		smin, smax, unusable, any := segmentStats(c, rows)
-		if any {
-			if smin < tw.mins[i] {
-				tw.mins[i] = smin
-			}
-			if smax > tw.maxs[i] {
-				tw.maxs[i] = smax
-			}
-			tw.any[i] = true
-			loc.Min = strconv.FormatFloat(smin, 'x', -1, 64)
-			loc.Max = strconv.FormatFloat(smax, 'x', -1, 64)
-			loc.Nulls = unusable
-		}
-		tw.meta.Fields[i].Segs = append(tw.meta.Fields[i].Segs, loc)
-	}
-	fresh, err := NewTable(tw.buf.Name(), tw.buf.Schema())
-	if err != nil {
-		return err
-	}
-	tw.buf = fresh
-	return nil
-}
-
-// segmentStats scans one buffered segment for its footer statistics:
-// min/max over the usable values (rows whose Value.AsFloat is a
-// non-NaN float — matching exactly the coercion ReadFloats serves) and
-// the count of unusable rows. any is false when no row is usable
-// (all-null segments, string columns).
-func segmentStats(c Column, rows int) (smin, smax float64, unusable int, any bool) {
-	smin, smax = math.Inf(1), math.Inf(-1)
-	for r := 0; r < rows; r++ {
-		f, ok := c.Value(r).AsFloat()
-		if !ok || math.IsNaN(f) {
-			unusable++
-			continue
-		}
-		any = true
-		if f < smin {
-			smin = f
-		}
-		if f > smax {
-			smax = f
-		}
-	}
-	return smin, smax, unusable, any
-}
-
-// finishStats folds the accumulated extremes into the footer metadata —
-// called exactly once, at Close (a per-flush fold would rewrite the
-// same strings once per segment for nothing).
-func (tw *TableWriter) finishStats() {
-	for i := range tw.meta.Fields {
-		if tw.any[i] {
-			tw.meta.Fields[i].Min = strconv.FormatFloat(tw.mins[i], 'x', -1, 64)
-			tw.meta.Fields[i].Max = strconv.FormatFloat(tw.maxs[i], 'x', -1, 64)
-		}
-	}
-}
-
-// WriteCatalogFile streams an in-memory catalog into a segment file at
-// path and returns the epoch stamped into its footer.
-func WriteCatalogFile(path string, cat *Catalog) (uint64, error) {
-	w, err := CreateSegmentCatalog(path)
-	if err != nil {
+		os.Remove(f.Name())
 		return 0, err
 	}
-	if err := w.writeCatalog(cat); err != nil {
-		w.abort()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		return 0, err
-	}
-	return w.footer.Epoch, nil
+	return epoch, nil
 }
 
-// writeCatalog appends every table and connection of cat.
-func (w *SegmentWriter) writeCatalog(cat *Catalog) error {
-	for _, name := range cat.TableNames() {
-		t, err := cat.Table(name)
-		if err != nil {
-			return err
+// writeCatalog writes cat to f in the layout above and returns its
+// epoch. The blob order is the one the format's first, row-streaming
+// writer produced — every table's full segments in table order, then
+// every table's last, partial segment in table order — so a catalog
+// writes the same bytes and epoch it always did.
+func writeCatalog(f io.Writer, cat *Catalog) (uint64, error) {
+	w := bufio.NewWriterSize(f, 1<<16)
+	if _, err := w.WriteString(segMagic); err != nil {
+		return 0, err
+	}
+	off := int64(len(segMagic))
+	epoch := fnv.New64a()
+	var ft segFooter
+	names := cat.TableNames()
+	for _, name := range names {
+		t := cat.tables[name]
+		meta := segTable{Name: name, Rows: t.NumRows()}
+		for i, fd := range t.schema {
+			fm := segField{Name: fd.Name, Kind: int(fd.Kind), Categories: fd.Categories}
+			if all := t.cols[i].all; all.ok {
+				fm.Min, fm.Max = hexFloat(all.min), hexFloat(all.max)
+			}
+			meta.Fields = append(meta.Fields, fm)
 		}
-		tw, err := w.AddTable(name, t.Schema())
-		if err != nil {
-			return err
-		}
-		for r := 0; r < t.NumRows(); r++ {
-			if err := tw.AppendRow(t.Row(r)...); err != nil {
-				return err
+		ft.Tables = append(ft.Tables, meta)
+	}
+	var blob []byte
+	for _, partial := range []bool{false, true} {
+		for ti, name := range names {
+			t := cat.tables[name]
+			for si := range (t.NumRows() + segMask) / SegmentSize {
+				if t.cols[0].segRows(si) < SegmentSize != partial {
+					continue
+				}
+				for fi, c := range t.cols {
+					var err error
+					blob, err = c.segment(si).encode(blob[:0], c.kind, si*SegmentSize)
+					if err != nil {
+						return 0, fmt.Errorf("dataset: table %q column %q %w", name, t.schema[fi].Name, err)
+					}
+					if _, err := w.Write(blob); err != nil {
+						return 0, err
+					}
+					epoch.Write(blob)
+					loc := segBlob{Off: off, Len: int64(len(blob)), CRC: crc32.Checksum(blob, castagnoli)}
+					off += loc.Len
+					if st := c.stats[si]; st.ok {
+						loc.Min, loc.Max, loc.Nulls = hexFloat(st.min), hexFloat(st.max), st.nulls
+					}
+					segs := &ft.Tables[ti].Fields[fi].Segs
+					*segs = append(*segs, loc)
+				}
 			}
 		}
+	}
+	// A segment that failed to read served zeroes; writing them would
+	// pass the damage off as data.
+	if err := cat.Corrupt(); err != nil {
+		return 0, err
 	}
 	for _, name := range cat.ConnectionNames() {
-		conn, err := cat.Connection(name)
-		if err != nil {
-			return err
-		}
-		if err := w.AddConnection(conn); err != nil {
-			return err
-		}
+		ft.Connections = append(ft.Connections, cat.connections[name])
 	}
-	return nil
+	ft.Epoch = epoch.Sum64()
+	js, err := json.Marshal(ft)
+	if err != nil {
+		return 0, err
+	}
+	tail := make([]byte, segTailLen)
+	binary.LittleEndian.PutUint32(tail[:4], crc32.Checksum(js, castagnoli))
+	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(js)))
+	copy(tail[12:], segEndMagic)
+	if _, err := w.Write(append(js, tail...)); err != nil {
+		return 0, err
+	}
+	return ft.Epoch, w.Flush()
 }
 
-// encodeSegmentRaw serializes the first (only) buffered segment of an
-// in-memory column as a blob.
-func encodeSegmentRaw(c Column, rows int) []byte {
-	bm := make([]byte, (rows+7)/8)
-	for i := 0; i < rows; i++ {
-		if c.IsNull(i) {
-			bm[i>>3] |= 1 << (i & 7)
-		}
-	}
-	out := bm
-	var word [8]byte
-	put := func(u uint64) {
-		binary.LittleEndian.PutUint64(word[:], u)
-		out = append(out, word[:]...)
-	}
-	switch col := c.(type) {
-	case *FloatColumn:
-		vals := col.vals.seg(0)
-		for i := 0; i < rows; i++ {
-			put(math.Float64bits(vals[i]))
-		}
-	case *IntColumn:
-		vals := col.vals.seg(0)
-		for i := 0; i < rows; i++ {
-			put(uint64(vals[i]))
-		}
-	case *TimeColumn:
-		vals := col.vals.seg(0)
-		for i := 0; i < rows; i++ {
-			if col.nulls.seg(0)[i] {
-				put(0)
-			} else {
-				put(uint64(vals[i].UnixNano()))
+// hexFloat is a footer stat: the exact bits, infinities included.
+func hexFloat(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
+
+// encode appends the segment, of kind k, to out as a blob: the null
+// bitmap, then the kind's payload. first is the segment's first row, for
+// the error that names a time the format cannot store.
+func (s *segment) encode(out []byte, k Kind, first int) ([]byte, error) {
+	for i := 0; i < len(s.nulls); i += 8 {
+		var b byte
+		for j, null := range s.nulls[i:min(i+8, len(s.nulls))] {
+			if null {
+				b |= 1 << j
 			}
 		}
-	case *BoolColumn:
-		vals := col.vals.seg(0)
-		for i := 0; i < rows; i++ {
-			if vals[i] {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
+		out = append(out, b)
+	}
+	le := binary.LittleEndian
+	switch k {
+	case KindFloat:
+		for _, f := range s.floats {
+			out = le.AppendUint64(out, math.Float64bits(f))
+		}
+	case KindInt:
+		for _, v := range s.ints {
+			out = le.AppendUint64(out, uint64(v))
+		}
+	case KindTime:
+		for i, t := range s.times {
+			var ns int64
+			if !s.nulls[i] {
+				if t.Before(minNano) || t.After(maxNano) {
+					return nil, fmt.Errorf("row %d: time %s is outside the years 1678–2262 a segment file stores", first+i, t.Format(time.RFC3339))
+				}
+				ns = t.UnixNano()
 			}
+			out = le.AppendUint64(out, uint64(ns))
 		}
-	case *StringColumn:
-		vals := col.vals.seg(0)
-		var off [4]byte
-		total := uint32(0)
-		binary.LittleEndian.PutUint32(off[:], 0)
-		out = append(out, off[:]...)
-		for i := 0; i < rows; i++ {
-			total += uint32(len(vals[i]))
-			binary.LittleEndian.PutUint32(off[:], total)
-			out = append(out, off[:]...)
-		}
-		for i := 0; i < rows; i++ {
-			out = append(out, vals[i]...)
+	case KindBool:
+		for _, b := range s.bools {
+			var x byte
+			if b {
+				x = 1
+			}
+			out = append(out, x)
 		}
 	default:
-		panic(fmt.Sprintf("dataset: cannot encode column type %T", c))
+		total := uint32(0)
+		out = le.AppendUint32(out, total)
+		for _, v := range s.strs {
+			total += uint32(len(v))
+			out = le.AppendUint32(out, total)
+		}
+		for _, v := range s.strs {
+			out = append(out, v...)
+		}
 	}
-	return out
+	return out, nil
 }
 
 // --- Reader -----------------------------------------------------------
@@ -527,7 +342,7 @@ type OpenOptions struct {
 	WrapReaderAt func(io.ReaderAt) io.ReaderAt
 }
 
-// OpenCatalogFile opens a segment catalog written by SegmentWriter.
+// OpenCatalogFile opens a segment catalog written by WriteCatalogFile.
 // The returned catalog serves reads directly from the file through a
 // bounded decoded-segment cache — resident memory is O(cache budget),
 // not O(catalog). Close the catalog to release the backing file.
@@ -566,30 +381,31 @@ func openCatalog(f *os.File, opts OpenOptions) (*Catalog, error) {
 	if budget <= 0 {
 		budget = 64 << 20
 	}
-	src := &fileSource{r: r, cache: lru.New[segKey, *decodedSeg](0, budget)}
+	src := &fileSource{r: r, cache: lru.New[segKey, *segment](0, budget)}
 	cat := NewCatalog()
 	cat.epoch = ft.Epoch
 	cat.closer = f.Close
-	cat.corrupt = src.corruptErr
+	cat.src = src
 	colID := 0
 	for _, tm := range ft.Tables {
 		schema := make(Schema, len(tm.Fields))
-		cols := make([]Column, len(tm.Fields))
 		for i, fm := range tm.Fields {
 			schema[i] = Field{Name: fm.Name, Kind: Kind(fm.Kind), Categories: fm.Categories}
-			fc, err := newFileColumn(src, colID, tm.Rows, fm, fi.Size())
+		}
+		// The writer writes the tables, schemas and connections of a
+		// catalog that checked them, so a footer failing these checks was
+		// not written by it.
+		if err := schema.Validate(); err != nil {
+			return nil, fmt.Errorf("table %q: %v: %w", tm.Name, err, ErrCorruptSegment)
+		}
+		cols := make([]*Column, len(tm.Fields))
+		for i, fm := range tm.Fields {
+			c, err := newFileColumn(src, colID, tm.Rows, fm, fi.Size())
 			if err != nil {
 				return nil, fmt.Errorf("table %q field %q: %w", tm.Name, fm.Name, err)
 			}
 			colID++
-			cols[i] = fc
-		}
-		// The writer validates each schema and table name as it takes
-		// it, and WriteCatalogFile's connections come from a catalog
-		// that checked them, so a footer failing these checks was not
-		// written by it.
-		if err := schema.Validate(); err != nil {
-			return nil, fmt.Errorf("table %q: %v: %w", tm.Name, err, ErrCorruptSegment)
+			cols[i] = c
 		}
 		if err := cat.AddTable(&Table{name: tm.Name, schema: schema, cols: cols}); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorruptSegment)
@@ -654,18 +470,6 @@ type segKey struct {
 	seg int
 }
 
-// decodedSeg is one column segment decoded into native slices. Exactly
-// one of the payload slices is set, per the column kind.
-type decodedSeg struct {
-	nulls  []bool
-	floats []float64
-	ints   []int64
-	times  []time.Time
-	bools  []bool
-	strs   []string
-	bytes  int64
-}
-
 // fileSource is the shared read state of one open catalog file: the
 // file (or OpenOptions.WrapReaderAt's wrapper of it) and the
 // decoded-segment cache, bounded by OpenOptions.CacheBytes (the store
@@ -676,7 +480,7 @@ type decodedSeg struct {
 type fileSource struct {
 	r     io.ReaderAt
 	mu    sync.Mutex
-	cache *lru.Cache[segKey, *decodedSeg]
+	cache *lru.Cache[segKey, *segment]
 	// corrupt is the sticky first decode/read failure. Once set, data
 	// served from this source is untrustworthy (failed segments read
 	// as zeroes) and the owner must quarantine the catalog; it never
@@ -704,14 +508,14 @@ func (s *fileSource) fail(err error) {
 	s.mu.Unlock()
 }
 
-// segment returns the decoded segment si of column c, from cache or
-// disk. A decode failure (I/O error, CRC mismatch, malformed payload)
-// must not panic — reads run on evaluator worker goroutines — and has
-// no error channel through the Column interface, so it records the
-// sticky corruption error and serves a zeroed segment: callers that
-// check corruptErr (the serving layer does after every run) discard
-// the tainted results instead of trusting them.
-func (s *fileSource) segment(c *fileColumn, si int) *decodedSeg {
+// segment returns segment si of column c, from cache or disk. A decode
+// failure (I/O error, CRC mismatch, malformed payload) must not panic —
+// reads run on evaluator worker goroutines — and has no error channel
+// through the column's readers, so it records the sticky corruption
+// error and serves a zeroed segment: callers that check corruptErr (the
+// serving layer does after every run) discard the tainted results
+// instead of trusting them.
+func (s *fileSource) segment(c *Column, si int) *segment {
 	key := segKey{c.id, si}
 	s.mu.Lock()
 	seg, ok := s.cache.Get(key)
@@ -720,10 +524,11 @@ func (s *fileSource) segment(c *fileColumn, si int) *decodedSeg {
 		return seg
 	}
 
-	seg, err := s.decode(c, si)
+	seg, charge, err := s.decode(c, si)
 	if err != nil {
 		s.fail(fmt.Errorf("dataset: segment %d of column %d: %v: %w", si, c.id, err, ErrCorruptSegment))
-		return zeroSeg(c.kind, c.segRows(si))
+		zero := newSegment(c.kind, c.segRows(si), c.segRows(si))
+		return &zero
 	}
 
 	s.mu.Lock()
@@ -731,16 +536,16 @@ func (s *fileSource) segment(c *fileColumn, si int) *decodedSeg {
 	if first, ok := s.cache.Get(key); ok {
 		return first
 	}
-	s.cache.Put(key, seg, seg.bytes)
+	s.cache.Put(key, seg, charge)
 	return seg
 }
 
-// decode reads, verifies and decodes one segment blob. validate has
-// checked the blob's bounds and, for the fixed-width kinds, its exact
-// length at open.
-func (s *fileSource) decode(c *fileColumn, si int) (*decodedSeg, error) {
+// decode reads, verifies and decodes one segment blob, and returns the
+// bytes the decoded segment holds. newFileColumn has checked the blob's
+// bounds and, for the fixed-width kinds, its exact length at open.
+func (s *fileSource) decode(c *Column, si int) (*segment, int64, error) {
 	rows := c.segRows(si)
-	loc := c.segs[si]
+	loc := c.blobs[si]
 	buf := blobBufs.Get().(*[]byte)
 	defer blobBufs.Put(buf)
 	if int64(cap(*buf)) < loc.Len {
@@ -748,169 +553,115 @@ func (s *fileSource) decode(c *fileColumn, si int) (*decodedSeg, error) {
 	}
 	raw := (*buf)[:loc.Len]
 	if _, err := s.r.ReadAt(raw, loc.Off); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if got := crc32.Checksum(raw, castagnoli); got != loc.CRC {
-		return nil, fmt.Errorf("blob (%d,%d) CRC mismatch (%08x != %08x)", loc.Off, loc.Len, got, loc.CRC)
+		return nil, 0, fmt.Errorf("blob (%d,%d) CRC mismatch (%08x != %08x)", loc.Off, loc.Len, got, loc.CRC)
 	}
-	bm := (rows + 7) / 8
-	seg := &decodedSeg{nulls: make([]bool, rows)}
-	for i := 0; i < rows; i++ {
+	seg := newSegment(c.kind, rows, rows)
+	for i := range seg.nulls {
 		seg.nulls[i] = raw[i>>3]&(1<<(i&7)) != 0
 	}
-	seg.bytes = int64(rows)
-	payload := raw[bm:]
+	charge := int64(rows)
+	payload := raw[(rows+7)/8:]
 	word := func(i int) uint64 {
 		return binary.LittleEndian.Uint64(payload[i*8:])
 	}
 	switch c.kind {
 	case KindFloat:
-		seg.floats = make([]float64, rows)
 		for i := range seg.floats {
 			seg.floats[i] = math.Float64frombits(word(i))
 		}
-		seg.bytes += int64(rows * 8)
+		charge += int64(rows * 8)
 	case KindInt:
-		seg.ints = make([]int64, rows)
 		for i := range seg.ints {
 			seg.ints[i] = int64(word(i))
 		}
-		seg.bytes += int64(rows * 8)
+		charge += int64(rows * 8)
 	case KindTime:
-		seg.times = make([]time.Time, rows)
 		for i := range seg.times {
 			if !seg.nulls[i] {
 				seg.times[i] = time.Unix(0, int64(word(i))).UTC()
 			}
 		}
-		seg.bytes += int64(rows * 24)
+		charge += int64(rows * 24)
 	case KindBool:
-		seg.bools = make([]bool, rows)
 		for i := range seg.bools {
 			seg.bools[i] = payload[i] != 0
 		}
-		seg.bytes += int64(rows)
+		charge += int64(rows)
 	default: // string kinds
-		offBytes := (rows + 1) * 4
-		data := payload[offBytes:]
-		seg.strs = make([]string, rows)
+		data := payload[(rows+1)*4:]
 		prev := binary.LittleEndian.Uint32(payload)
 		if prev != 0 {
-			return nil, fmt.Errorf("string offsets do not start at 0")
+			return nil, 0, fmt.Errorf("string offsets do not start at 0")
 		}
-		for i := 0; i < rows; i++ {
+		for i := range seg.strs {
 			next := binary.LittleEndian.Uint32(payload[(i+1)*4:])
 			if next < prev || int64(next) > int64(len(data)) {
-				return nil, fmt.Errorf("string offsets corrupt at row %d", i)
+				return nil, 0, fmt.Errorf("string offsets corrupt at row %d", i)
 			}
 			seg.strs[i] = string(data[prev:next])
-			seg.bytes += int64(next - prev)
+			charge += int64(next - prev)
 			prev = next
 		}
-		seg.bytes += int64(rows * 16)
+		charge += int64(rows * 16)
 	}
-	return seg, nil
+	return &seg, charge, nil
 }
-
-// zeroSeg is the all-null, all-zero segment served in place of one
-// that failed to decode — structurally valid for every accessor, with
-// the sticky corruption error guaranteeing it is never believed.
-func zeroSeg(kind Kind, rows int) *decodedSeg {
-	seg := &decodedSeg{nulls: make([]bool, rows)}
-	switch kind {
-	case KindFloat:
-		seg.floats = make([]float64, rows)
-	case KindInt:
-		seg.ints = make([]int64, rows)
-	case KindTime:
-		seg.times = make([]time.Time, rows)
-	case KindBool:
-		seg.bools = make([]bool, rows)
-	default:
-		seg.strs = make([]string, rows)
-	}
-	return seg
-}
-
-// segStat is one segment's parsed footer statistics.
-type segStat struct {
-	min, max float64
-	nulls    int
-	ok       bool
-}
-
-// fileColumn is a read-only column served from a segment catalog file.
-type fileColumn struct {
-	src      *fileSource
-	id       int
-	kind     Kind
-	rows     int
-	segs     []segBlob
-	sstats   []segStat // per-segment stats (nil when no segment has any)
-	min, max float64
-	stats    bool
-}
-
-func (c *fileColumn) readOnlyColumn() {}
 
 // newFileColumn builds column id of a table of rows rows from its footer
-// entry fm, checked against a file of fileSize bytes.
-func newFileColumn(src *fileSource, id, rows int, fm segField, fileSize int64) (*fileColumn, error) {
-	c := &fileColumn{src: src, id: id, kind: Kind(fm.Kind), rows: rows, segs: fm.Segs}
+// entry fm, checked against a file of fileSize bytes: its stats must
+// parse back, and its blob geometry must fit the file, so serving never
+// reads out of bounds and a fixed-width blob of the wrong length fails
+// the open instead of a read mid-serve. A compressed blob is refused.
+func newFileColumn(src *fileSource, id, rows int, fm segField, fileSize int64) (*Column, error) {
+	c := &Column{kind: Kind(fm.Kind), rows: rows, src: src, id: id, blobs: fm.Segs}
 	// A stats string that does not parse back means the footer
 	// disagrees with its writer: surface the typed corruption error
 	// instead of silently dropping the stats (which would silently
 	// disable every pruning path on this column).
-	if fm.Min != "" || fm.Max != "" {
-		min, err1 := strconv.ParseFloat(fm.Min, 64)
-		max, err2 := strconv.ParseFloat(fm.Max, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("corrupt column stats (%q, %q): %w", fm.Min, fm.Max, ErrCorruptSegment)
-		}
-		c.min, c.max, c.stats = min, max, true
+	var err error
+	if c.all, err = parseStat(fm.Min, fm.Max); err != nil {
+		return nil, fmt.Errorf("corrupt column stats: %w", err)
 	}
+	wantSegs := (rows + segMask) / SegmentSize
+	if rows < 0 || len(fm.Segs) != wantSegs {
+		return nil, fmt.Errorf("%d segments for %d rows, want %d: %w", len(fm.Segs), rows, wantSegs, ErrCorruptSegment)
+	}
+	c.stats = make([]segStat, wantSegs)
 	for si, loc := range fm.Segs {
-		if loc.Min == "" && loc.Max == "" {
-			continue
+		if c.stats[si], err = parseStat(loc.Min, loc.Max); err != nil {
+			return nil, fmt.Errorf("segment %d: corrupt segment stats: %w", si, err)
 		}
-		min, err1 := strconv.ParseFloat(loc.Min, 64)
-		max, err2 := strconv.ParseFloat(loc.Max, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("segment %d: corrupt segment stats (%q, %q): %w", si, loc.Min, loc.Max, ErrCorruptSegment)
+		if c.stats[si].ok {
+			c.stats[si].nulls = loc.Nulls
 		}
-		if c.sstats == nil {
-			c.sstats = make([]segStat, len(fm.Segs))
-		}
-		c.sstats[si] = segStat{min: min, max: max, nulls: loc.Nulls, ok: true}
-	}
-	if err := c.validate(fileSize); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// validate checks the column's blob geometry against the file size, so
-// serving never reads out of bounds and a fixed-width blob of the wrong
-// length fails the open instead of a read mid-serve. A compressed blob
-// is refused.
-func (c *fileColumn) validate(fileSize int64) error {
-	wantSegs := (c.rows + SegmentSize - 1) / SegmentSize
-	if c.rows < 0 || len(c.segs) != wantSegs {
-		return fmt.Errorf("%d segments for %d rows, want %d: %w", len(c.segs), c.rows, wantSegs, ErrCorruptSegment)
-	}
-	for si, loc := range c.segs {
 		if loc.Enc != 0 {
-			return fmt.Errorf("segment %d: VSEGCAT3 with compressed payloads (enc %d): %w", si, loc.Enc, errLayout)
+			return nil, fmt.Errorf("segment %d: VSEGCAT3 with compressed payloads (enc %d): %w", si, loc.Enc, errLayout)
 		}
 		rows := c.segRows(si)
 		payload, exact := payloadSize(c.kind, rows)
 		want := int64((rows+7)/8) + payload
 		if loc.Off < int64(len(segMagic)) || loc.Len < want || exact && loc.Len != want || loc.Len > fileSize-loc.Off {
-			return fmt.Errorf("segment %d: blob (%d,%d) out of bounds or of the wrong length: %w",
+			return nil, fmt.Errorf("segment %d: blob (%d,%d) out of bounds or of the wrong length: %w",
 				si, loc.Off, loc.Len, ErrCorruptSegment)
 		}
 	}
-	return nil
+	return c, nil
+}
+
+// parseStat parses a footer entry's extremes; both absent is no stats.
+func parseStat(min, max string) (segStat, error) {
+	if min == "" && max == "" {
+		return segStat{}, nil
+	}
+	lo, err1 := strconv.ParseFloat(min, 64)
+	hi, err2 := strconv.ParseFloat(max, 64)
+	if err1 != nil || err2 != nil {
+		return segStat{}, fmt.Errorf("(%q, %q): %w", min, max, ErrCorruptSegment)
+	}
+	return segStat{min: lo, max: hi, ok: true}, nil
 }
 
 // payloadSize is the payload size of a kind's segment of rows: exact
@@ -927,126 +678,14 @@ func payloadSize(k Kind, rows int) (n int64, exact bool) {
 	}
 }
 
-// segRows returns the row count of segment si.
-func (c *fileColumn) segRows(si int) int {
-	if si < len(c.segs)-1 {
-		return SegmentSize
-	}
-	r := c.rows - si*SegmentSize
-	return r
-}
-
-// Kind implements Column.
-func (c *fileColumn) Kind() Kind { return c.kind }
-
-// Len implements Column.
-func (c *fileColumn) Len() int { return c.rows }
-
-// Append implements Column; file-backed columns are immutable.
-func (c *fileColumn) Append(Value) error {
-	return fmt.Errorf("dataset: file-backed column is read-only")
-}
-
-// IsNull implements Column.
-func (c *fileColumn) IsNull(i int) bool {
-	return c.src.segment(c, i>>segShift).nulls[i&segMask]
-}
-
-// Value implements Column.
-func (c *fileColumn) Value(i int) Value {
-	seg := c.src.segment(c, i>>segShift)
-	off := i & segMask
-	if seg.nulls[off] {
-		return Null(c.kind)
-	}
-	switch c.kind {
-	case KindFloat:
-		return Float(seg.floats[off])
-	case KindInt:
-		return Int(seg.ints[off])
-	case KindTime:
-		return Time(seg.times[off])
-	case KindBool:
-		return Bool(seg.bools[off])
-	default:
-		return Value{Kind: c.kind, S: seg.strs[off]}
-	}
-}
-
-// MinMax implements MinMaxer from the footer stats.
-func (c *fileColumn) MinMax() (min, max float64, ok bool) {
-	return c.min, c.max, c.stats
-}
-
-// SegmentStats implements SegmentStatser from the footer's per-segment
-// stats.
-func (c *fileColumn) SegmentStats(si int) (min, max float64, nulls int, ok bool) {
-	if si < 0 || si >= len(c.sstats) {
-		return 0, 0, 0, false
-	}
-	st := c.sstats[si]
-	return st.min, st.max, st.nulls, st.ok
-}
-
-// ReadFloats implements FloatReader. Each covered segment decodes (or
-// comes from the cache) once; the coercions match Value.AsFloat bit
-// for bit, which is what makes file-backed replay identical to
-// in-memory.
-func (c *fileColumn) ReadFloats(dst []float64, from int) {
-	readSegmented(dst, from, func(dst []float64, si, lo, hi int) {
-		seg := c.src.segment(c, si)
-		switch c.kind {
-		case KindFloat:
-			copy(dst, seg.floats[lo:hi])
-		case KindInt:
-			for i := lo; i < hi; i++ {
-				if seg.nulls[i] {
-					dst[i-lo] = math.NaN()
-				} else {
-					dst[i-lo] = float64(seg.ints[i])
-				}
-			}
-		case KindTime:
-			for i := lo; i < hi; i++ {
-				if seg.nulls[i] {
-					dst[i-lo] = math.NaN()
-				} else {
-					dst[i-lo] = float64(seg.times[i].Unix())
-				}
-			}
-		case KindBool:
-			for i := lo; i < hi; i++ {
-				switch {
-				case seg.nulls[i]:
-					dst[i-lo] = math.NaN()
-				case seg.bools[i]:
-					dst[i-lo] = 1
-				default:
-					dst[i-lo] = 0
-				}
-			}
-		default:
-			for i := lo; i < hi; i++ {
-				dst[i-lo] = math.NaN()
-			}
-		}
-	})
-}
-
 // CacheStats reports the decoded-segment cache occupancy of a
-// file-backed catalog (zeros for in-memory catalogs) — the observable
+// file-backed catalog (zeros for resident catalogs) — the observable
 // that lets tests pin "resident memory stays bounded".
 func (c *Catalog) CacheStats() (segments int, bytes int64) {
-	for _, name := range c.TableNames() {
-		t := c.tables[name]
-		for _, col := range t.cols {
-			if fc, ok := col.(*fileColumn); ok {
-				fc.src.mu.Lock()
-				segments, bytes = fc.src.cache.Len(), fc.src.cache.Bytes()
-				fc.src.mu.Unlock()
-				return segments, bytes
-			}
-		}
+	if c.src == nil {
+		return 0, 0
 	}
-	return 0, 0
+	c.src.mu.Lock()
+	defer c.src.mu.Unlock()
+	return c.src.cache.Len(), c.src.cache.Bytes()
 }

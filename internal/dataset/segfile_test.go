@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -150,11 +153,11 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 						}
 					}
 					// Unaligned range reads cross segment boundaries.
-					dr, err := dt.FloatReaderOf(f.Name)
+					dr, err := dt.Column(f.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if dr != nil && mt.NumRows() > SegmentSize+1500 {
+					if mt.NumRows() > SegmentSize+1500 {
 						span := make([]float64, 3000)
 						from := SegmentSize - 1500
 						dr.ReadFloats(span, from)
@@ -165,8 +168,9 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 						}
 					}
 					// Footer stats equal the in-memory scan.
-					mmin, mmax, mok, _ := mt.MinMaxOf(f.Name)
-					dmin, dmax, dok, _ := dt.MinMaxOf(f.Name)
+					mc, _ := mt.Column(f.Name)
+					mmin, mmax, mok := mc.MinMax()
+					dmin, dmax, dok := dr.MinMax()
 					if mok != dok || (mok && (mmin != dmin || mmax != dmax)) {
 						t.Fatalf("table %s col %s: minmax (%v,%v,%v) want (%v,%v,%v)", name, f.Name, dmin, dmax, dok, mmin, mmax, mok)
 					}
@@ -210,7 +214,7 @@ func TestSegmentFileBoundedCache(t *testing.T) {
 	buf := make([]float64, 1024)
 	for pass := 0; pass < 3; pass++ {
 		for _, col := range []string{"f", "i", "ts", "b"} {
-			fr, err := dt.FloatReaderOf(col)
+			fr, err := dt.Column(col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -285,5 +289,106 @@ func TestSegmentEpochTracksContent(t *testing.T) {
 	}
 	if e1 != e3 {
 		t.Fatal("identical contents produced different epochs")
+	}
+}
+
+// TestRewriteReproducesFile pins the writer to the bytes it writes from
+// either backing: a two-table catalog whose tables both end in a partial
+// segment, reopened under a one-byte cache (every segment read from the
+// file) and written again, reproduces the file byte for byte — blob
+// order, stats strings and epoch included.
+func TestRewriteReproducesFile(t *testing.T) {
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "a.vseg"), filepath.Join(dir, "b.vseg")
+	epoch, err := WriteCatalogFile(first, mixedCatalog(t, 2*SegmentSize+137))
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenCatalogFile(first, OpenOptions{CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	again, err := WriteCatalogFile(second, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != epoch || !bytes.Equal(a, b) {
+		t.Fatalf("the reopened catalog wrote %d bytes, epoch %x; the resident one %d bytes, epoch %x", len(b), again, len(a), epoch)
+	}
+}
+
+// TestWriteRefusesTimesOutsideNanos: a segment file stores a time as
+// int64 Unix nanoseconds, so an instant outside the years 1678–2262
+// would read back as another one. The writer refuses it with an error
+// naming table, column and row, and leaves nothing at the path; the two
+// instants at the ends of the range write and read back.
+func TestWriteRefusesTimesOutsideNanos(t *testing.T) {
+	build := func(at time.Time) *Catalog {
+		tbl, err := NewTable("T", Schema{{Name: "x", Kind: KindFloat}, {Name: "ts", Kind: KindTime}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+		for r := 0; r < 5; r++ {
+			ts := Time(base.Add(time.Duration(r) * time.Hour))
+			switch r {
+			case 1:
+				ts = Null(KindTime)
+			case 3:
+				ts = Time(at)
+			}
+			if err := tbl.AppendRow(Float(float64(r)), ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat := NewCatalog()
+		if err := cat.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
+	for _, bad := range []time.Time{
+		time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC),
+		{},
+		time.Unix(0, math.MaxInt64).Add(time.Nanosecond),
+	} {
+		dir := t.TempDir()
+		_, err := WriteCatalogFile(filepath.Join(dir, "x.vseg"), build(bad))
+		if err == nil {
+			t.Fatalf("%v: written", bad)
+		}
+		for _, part := range []string{`"T"`, `"ts"`, "row 3"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%v: the error %q does not name %s", bad, err, part)
+			}
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("%v: the refused write left %d files", bad, len(entries))
+		}
+	}
+	for _, edge := range []time.Time{time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)} {
+		path := filepath.Join(t.TempDir(), "x.vseg")
+		if _, err := WriteCatalogFile(path, build(edge)); err != nil {
+			t.Fatalf("%v: %v", edge, err)
+		}
+		disk, err := OpenCatalogFile(path, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt, _ := disk.Table("T")
+		if v, _ := dt.Value(3, "ts"); !v.T.Equal(edge) {
+			t.Fatalf("%v read back as %v", edge, v.T)
+		}
+		disk.Close()
 	}
 }

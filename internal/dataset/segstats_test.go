@@ -74,7 +74,7 @@ func statsCatalog(t *testing.T, rows int) *Catalog {
 // reproduce exactly: same coercion (Value.AsFloat), same usability
 // rule (null or NaN), same row-order </> comparisons (so -0/+0 ties
 // resolve identically).
-func refSegStats(c Column, si int) (smin, smax float64, nulls int, any bool) {
+func refSegStats(c *Column, si int) (smin, smax float64, nulls int, any bool) {
 	lo := si * SegmentSize
 	hi := lo + SegmentSize
 	if hi > c.Len() {
@@ -101,9 +101,9 @@ func refSegStats(c Column, si int) (smin, smax float64, nulls int, any bool) {
 }
 
 // TestSegmentStatsMatchScan is the stats-soundness property test: for
-// every column and every segment of a v3 file, the footer's stats must
-// equal a post-hoc scan of the decoded values bit for bit — including
-// all-null segments, all-NaN segments, -0 and ±Inf.
+// every column and every segment, resident and reopened from the file it
+// writes, the column's stats must equal a scan of its values bit for
+// bit — including all-null segments, all-NaN segments, -0 and ±Inf.
 func TestSegmentStatsMatchScan(t *testing.T) {
 	const rows = 4*SegmentSize + 233 // five segments, last partial
 	mem := statsCatalog(t, rows)
@@ -122,68 +122,59 @@ func TestSegmentStatsMatchScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	nSegs := (rows + SegmentSize - 1) / SegmentSize
-	for _, field := range mt.Schema() {
-		mc, err := mt.Column(field.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr, err := dt.FloatReaderOf(field.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, ok := fr.(SegmentStatser)
-		if !ok {
-			t.Fatalf("col %s: file column is no SegmentStatser", field.Name)
-		}
-		for si := 0; si < nSegs; si++ {
-			wmin, wmax, wnulls, wany := refSegStats(mc, si)
-			gmin, gmax, gnulls, gok := ss.SegmentStats(si)
-			if gok != wany {
-				t.Fatalf("col %s seg %d: ok=%v, want %v", field.Name, si, gok, wany)
+	for fi, field := range mt.Schema() {
+		for _, backing := range []struct {
+			name string
+			c    *Column
+		}{{"resident", mt.ColumnAt(fi)}, {"reopened", dt.ColumnAt(fi)}} {
+			c, what := backing.c, field.Name+" "+backing.name
+			for si := 0; si < nSegs; si++ {
+				wmin, wmax, wnulls, wany := refSegStats(c, si)
+				gmin, gmax, gnulls, gok := c.SegmentStats(si)
+				if gok != wany {
+					t.Fatalf("col %s seg %d: ok=%v, want %v", what, si, gok, wany)
+				}
+				if !wany {
+					continue
+				}
+				if math.Float64bits(gmin) != math.Float64bits(wmin) ||
+					math.Float64bits(gmax) != math.Float64bits(wmax) || gnulls != wnulls {
+					t.Fatalf("col %s seg %d: stats (%v,%v,%d), want (%v,%v,%d)",
+						what, si, gmin, gmax, gnulls, wmin, wmax, wnulls)
+				}
 			}
-			if !wany {
-				continue
+			// Out-of-range queries must read as "no stats", not panic.
+			if _, _, _, ok := c.SegmentStats(nSegs + 3); ok {
+				t.Fatalf("col %s: stats for nonexistent segment", what)
 			}
-			if math.Float64bits(gmin) != math.Float64bits(wmin) ||
-				math.Float64bits(gmax) != math.Float64bits(wmax) || gnulls != wnulls {
-				t.Fatalf("col %s seg %d: stats (%v,%v,%d), want (%v,%v,%d)",
-					field.Name, si, gmin, gmax, gnulls, wmin, wmax, wnulls)
+			// The column's extremes equal the reference fold over all
+			// segments.
+			var cmin, cmax float64
+			var cany bool
+			for si := 0; si < nSegs; si++ {
+				smin, smax, _, any := refSegStats(c, si)
+				if !any {
+					continue
+				}
+				if !cany {
+					cmin, cmax, cany = smin, smax, true
+					continue
+				}
+				if smin < cmin {
+					cmin = smin
+				}
+				if smax > cmax {
+					cmax = smax
+				}
 			}
-		}
-		// Out-of-range queries must read as "no stats", not panic.
-		if _, _, _, ok := ss.SegmentStats(nSegs + 3); ok {
-			t.Fatalf("col %s: stats for nonexistent segment", field.Name)
-		}
-		// Column-level footer stats equal the reference fold over all
-		// segments (the satellite audit of the min/max accumulation).
-		var cmin, cmax float64
-		var cany bool
-		for si := 0; si < nSegs; si++ {
-			smin, smax, _, any := refSegStats(mc, si)
-			if !any {
-				continue
+			gmin, gmax, gok := c.MinMax()
+			if gok != cany {
+				t.Fatalf("col %s: column stats ok=%v, want %v", what, gok, cany)
 			}
-			if !cany {
-				cmin, cmax, cany = smin, smax, true
-				continue
+			if cany && (math.Float64bits(gmin) != math.Float64bits(cmin) ||
+				math.Float64bits(gmax) != math.Float64bits(cmax)) {
+				t.Fatalf("col %s: column stats (%v,%v), want (%v,%v)", what, gmin, gmax, cmin, cmax)
 			}
-			if smin < cmin {
-				cmin = smin
-			}
-			if smax > cmax {
-				cmax = smax
-			}
-		}
-		gmin, gmax, gok, err := dt.MinMaxOf(field.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gok != cany {
-			t.Fatalf("col %s: column stats ok=%v, want %v", field.Name, gok, cany)
-		}
-		if cany && (math.Float64bits(gmin) != math.Float64bits(cmin) ||
-			math.Float64bits(gmax) != math.Float64bits(cmax)) {
-			t.Fatalf("col %s: column stats (%v,%v), want (%v,%v)", field.Name, gmin, gmax, cmin, cmax)
 		}
 	}
 }
@@ -207,11 +198,11 @@ func TestFormatVersionMatrixRoundTrip(t *testing.T) {
 	defer disk.Close()
 	checkReadsBack(t, "v3", disk, mem)
 	dt, _ := disk.Table("m")
-	fr, err := dt.FloatReaderOf("i")
+	c, err := dt.Column("i")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := fr.(SegmentStatser).SegmentStats(0); !ok {
+	if _, _, _, ok := c.SegmentStats(0); !ok {
 		t.Fatal("v3: no per-segment stats")
 	}
 
@@ -343,4 +334,23 @@ func TestCorruptStatsRejectedTyped(t *testing.T) {
 		})
 		checkRefused(t, path, "compressed")
 	})
+}
+
+// TestFooterKindOutsideTheEnumRefusedAtOpen: a footer naming a kind the
+// engine does not know was not written by the writer, and is refused at
+// open as corruption — not opened to fail on the first read mid-serve.
+func TestFooterKindOutsideTheEnumRefusedAtOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "k.vseg")
+	if _, err := WriteCatalogFile(path, mixedCatalog(t, 300)); err != nil {
+		t.Fatal(err)
+	}
+	rewriteFooter(t, path, func(ft *segFooter) { ft.Tables[0].Fields[0].Kind = 99 })
+	cat, err := OpenCatalogFile(path, OpenOptions{})
+	if err == nil {
+		cat.Close()
+		t.Fatal("a footer with kind 99 opened")
+	}
+	if !errors.Is(err, ErrCorruptSegment) {
+		t.Fatalf("error is not ErrCorruptSegment: %v", err)
+	}
 }

@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Field describes one attribute of a schema: its name, kind and, for
 // ordinal/nominal kinds, the category labels in rank order.
@@ -16,8 +13,9 @@ type Field struct {
 // Schema is an ordered list of fields.
 type Schema []Field
 
-// Validate checks that field names are non-empty and unique and that
-// categorical fields declare their categories.
+// Validate checks that field names are non-empty and unique, that every
+// kind is one of KindFloat…KindNominal, and that categorical fields
+// declare their categories.
 func (s Schema) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("dataset: schema has no fields")
@@ -31,6 +29,9 @@ func (s Schema) Validate() error {
 			return fmt.Errorf("dataset: duplicate field name %q", f.Name)
 		}
 		seen[f.Name] = true
+		if f.Kind < KindFloat || f.Kind > KindNominal {
+			return fmt.Errorf("dataset: field %q has no kind the engine knows (%v)", f.Name, f.Kind)
+		}
 		if (f.Kind == KindOrdinal || f.Kind == KindNominal) && len(f.Categories) == 0 {
 			return fmt.Errorf("dataset: categorical field %q declares no categories", f.Name)
 		}
@@ -48,14 +49,15 @@ func (s Schema) Index(name string) int {
 	return -1
 }
 
-// Table is an in-memory, column-oriented relation.
+// Table is a column-oriented relation, resident or file-backed.
 type Table struct {
 	name   string
 	schema Schema
-	cols   []Column
+	cols   []*Column
 }
 
-// NewTable creates an empty table with the given name and schema.
+// NewTable creates an empty resident table with the given name and
+// schema.
 func NewTable(name string, schema Schema) (*Table, error) {
 	if name == "" {
 		return nil, fmt.Errorf("dataset: table needs a name")
@@ -64,9 +66,9 @@ func NewTable(name string, schema Schema) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{name: name, schema: append(Schema(nil), schema...)}
-	t.cols = make([]Column, len(schema))
+	t.cols = make([]*Column, len(schema))
 	for i, f := range schema {
-		t.cols[i] = NewColumn(f.Kind)
+		t.cols[i] = &Column{kind: f.Kind}
 	}
 	return t, nil
 }
@@ -95,40 +97,22 @@ func (t *Table) AppendRow(vals ...Value) error {
 	if len(vals) != len(t.cols) {
 		return fmt.Errorf("dataset: table %s: row has %d values, want %d", t.name, len(vals), len(t.cols))
 	}
-	if len(t.cols) > 0 {
-		if _, ro := t.cols[0].(readOnly); ro {
-			return fmt.Errorf("dataset: table %s is file-backed and read-only", t.name)
-		}
+	if len(t.cols) > 0 && t.cols[0].src != nil {
+		return fmt.Errorf("dataset: table %s is file-backed and read-only", t.name)
 	}
 	for i, v := range vals {
-		if v.Null {
-			continue
-		}
-		k := t.schema[i].Kind
-		ok := v.Kind == k ||
-			(k == KindFloat && v.Kind == KindInt) ||
-			(k.IsStringy() && v.Kind.IsStringy())
-		if !ok {
+		if k := t.schema[i].Kind; !v.Null && !k.holds(v.Kind) {
 			return fmt.Errorf("dataset: table %s: column %q holds %v, got %v", t.name, t.schema[i].Name, k, v.Kind)
 		}
 	}
 	for i, v := range vals {
-		if v.Null {
-			v = Null(t.schema[i].Kind)
-		} else if t.schema[i].Kind.IsStringy() {
-			v.Kind = t.schema[i].Kind
-		}
-		if err := t.cols[i].Append(v); err != nil {
-			// Unreachable after the pre-validation above, but keep the
-			// invariant that columns never go ragged.
-			panic(fmt.Sprintf("dataset: ragged append after validation: %v", err))
-		}
+		t.cols[i].append(v)
 	}
 	return nil
 }
 
 // Column returns the column with the given field name.
-func (t *Table) Column(name string) (Column, error) {
+func (t *Table) Column(name string) (*Column, error) {
 	i := t.schema.Index(name)
 	if i < 0 {
 		return nil, fmt.Errorf("dataset: table %s has no column %q", t.name, name)
@@ -137,7 +121,7 @@ func (t *Table) Column(name string) (Column, error) {
 }
 
 // ColumnAt returns column i.
-func (t *Table) ColumnAt(i int) Column { return t.cols[i] }
+func (t *Table) ColumnAt(i int) *Column { return t.cols[i] }
 
 // Value returns the cell at (row, field name).
 func (t *Table) Value(row int, name string) (Value, error) {
@@ -160,56 +144,16 @@ func (t *Table) Row(i int) []Value {
 	return out
 }
 
-// FloatsOf streams the named column as float64s (NaN for nulls and
-// non-coercible kinds). It is the bulk materializing accessor; callers
-// that can consume a row range at a time should use FloatReaderOf
-// instead, which keeps file-backed columns at O(segment) resident.
+// FloatsOf reads the named column whole as float64s (Column.ReadFloats:
+// NaN for nulls and the string kinds). Callers that can consume a row
+// range at a time should read the column itself, which keeps a
+// file-backed column at O(segment) resident.
 func (t *Table) FloatsOf(name string) ([]float64, error) {
 	c, err := t.Column(name)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, c.Len())
-	if fr, ok := c.(FloatReader); ok {
-		fr.ReadFloats(out, 0)
-		return out, nil
-	}
-	for i := range out {
-		f, ok := c.Value(i).AsFloat()
-		if !ok {
-			f = math.NaN()
-		}
-		out[i] = f
-	}
+	c.ReadFloats(out, 0)
 	return out, nil
-}
-
-// FloatReaderOf returns the named column's bulk float reader, or nil
-// for kinds without a numeric coercion (strings). The returned reader
-// coerces exactly like FloatsOf; reading range by range is what lets
-// the predicate pipeline evaluate a file-backed catalog without ever
-// materializing an n-sized column copy.
-func (t *Table) FloatReaderOf(name string) (FloatReader, error) {
-	c, err := t.Column(name)
-	if err != nil {
-		return nil, err
-	}
-	fr, _ := c.(FloatReader)
-	return fr, nil
-}
-
-// MinMaxOf returns the minimum and maximum non-null coerced value of a
-// numeric column; ok is false when the column has no non-null values.
-// The query-modification sliders display these bounds "to give the user
-// a feeling for useful query values" (section 4.3). Every numeric column
-// knows them without touching data (MinMaxer); a string column has none.
-func (t *Table) MinMaxOf(name string) (min, max float64, ok bool, err error) {
-	c, err := t.Column(name)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if mm, isMM := c.(MinMaxer); isMM {
-		min, max, ok = mm.MinMax()
-	}
-	return min, max, ok, nil
 }

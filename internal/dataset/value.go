@@ -1,7 +1,8 @@
 // Package dataset is the storage substrate of the VisDB reproduction: a
-// typed, in-memory, column-oriented table store with a catalog of named
-// "connections" (the predefined, parameterizable joins of the GRADI query
-// interface, section 4.1), plus CSV import/export.
+// typed, column-oriented table store, resident or served from segment
+// files, with a catalog of named "connections" (the predefined,
+// parameterizable joins of the GRADI query interface, section 4.1), plus
+// CSV import/export.
 package dataset
 
 import (
@@ -51,6 +52,14 @@ func (k Kind) String() string {
 // IsStringy reports whether values of the kind are stored as strings.
 func (k Kind) IsStringy() bool {
 	return k == KindString || k == KindOrdinal || k == KindNominal
+}
+
+// holds reports whether a column of kind k stores a non-null value of
+// kind v: its own kind, an int widened into a float column (numeric
+// literals flow through the parser as either), or any string kind in a
+// string-kind column.
+func (k Kind) holds(v Kind) bool {
+	return v == k || k == KindFloat && v == KindInt || k.IsStringy() && v.IsStringy()
 }
 
 // IsNumeric reports whether values of the kind coerce naturally to

@@ -685,12 +685,7 @@ func (c *fusedCtx) buildDeferredRoot(root *Node) error {
 // contribute their cached LeafChunkStats, interior children the stats
 // their own fused pass just computed or their cached vector came with
 // (missing stats disable pruning for the whole run — correctness never
-// depends on bounds). The scaled chunk minimum of child j is
-// Apply(raw chunk minimum) exactly, because Apply is monotone; the
-// kernels then fold those minima with the same operations (and the
-// same order) as the per-element combine, which makes the bound exact
-// for the monotone fast paths. Only math.Pow factors get a downward
-// safety margin (Pow is not guaranteed monotone to the last ulp).
+// depends on bounds).
 func (rd *rootDefer) buildBounds(c *fusedCtx) {
 	nchunks := rd.chunkCount()
 	mins := make([][]float64, len(rd.children))
@@ -705,9 +700,34 @@ func (rd *rootDefer) buildBounds(c *fusedCtx) {
 		}
 		mins[j], nans[j] = st.mins, st.nans
 	}
+	rd.setBounds(mins, nans)
+}
+
+// setBounds sets the bounds of chunks whose children hold no NaN from
+// the children's raw chunk minima. The scaled chunk minimum of child j
+// is Apply(raw chunk minimum) exactly, because Apply is monotone, and
+// the root's combine kernel folds those minima with the operations (and
+// the order) of the per-element combine, which makes the bound exact for
+// the monotone fast paths. Only math.Pow factors — Lp with p ≠ 2, an OR
+// weight outside {0, 1, 2, 3} — get a downward safety margin (Pow is not
+// guaranteed monotone to the last ulp).
+func (rd *rootDefer) setBounds(mins [][]float64, nans [][]int32) {
+	nchunks := rd.chunkCount()
+	scaled := make([][]float64, len(mins))
+	for j := range mins {
+		scaled[j] = make([]float64, nchunks)
+		applyRange(scaled[j], mins[j], rd.cparams[j])
+	}
 	rd.bounds = make([]float64, nchunks)
+	combineRaw(rd.combiner, rd.bounds, scaled, rd.ws, rd.lpP)
+	pow := rd.combiner == cmbLp && rd.lpP != 2
+	if rd.combiner == cmbOr {
+		for _, w := range rd.ws {
+			pow = pow || w != 0 && w != 1 && w != 2 && w != 3
+		}
+	}
 	rd.nanFree = make([]bool, nchunks)
-	for ci := 0; ci < nchunks; ci++ {
+	for ci, b := range rd.bounds {
 		free := true
 		for j := range nans {
 			if nans[j][ci] != 0 {
@@ -716,64 +736,12 @@ func (rd *rootDefer) buildBounds(c *fusedCtx) {
 			}
 		}
 		rd.nanFree[ci] = free
-		if !free {
+		switch {
+		case !free:
 			rd.bounds[ci] = math.NaN() // never consulted
-			continue
+		case pow && b > 0:
+			rd.bounds[ci] = math.Nextafter(b*(1-1e-9), math.Inf(-1))
 		}
-		rd.bounds[ci] = rd.chunkBound(mins, ci)
 	}
 	rd.haveBounds = true
-}
-
-// chunkBound combines the children's scaled chunk minima with the raw
-// kernel's arithmetic.
-func (rd *rootDefer) chunkBound(mins [][]float64, ci int) float64 {
-	powUsed := false
-	var b float64
-	switch rd.combiner {
-	case cmbAnd:
-		for j := range rd.children {
-			m := rd.cparams[j].Apply(mins[j][ci])
-			b += rd.ws[j] * m
-		}
-	case cmbLp:
-		if rd.lpP == 2 {
-			for j := range rd.children {
-				m := rd.cparams[j].Apply(mins[j][ci])
-				b += rd.ws[j] * (m * m)
-			}
-		} else {
-			powUsed = true
-			for j := range rd.children {
-				m := rd.cparams[j].Apply(mins[j][ci])
-				b += rd.ws[j] * math.Pow(math.Abs(m), rd.lpP)
-			}
-		}
-	case cmbOr:
-		prod := 1.0
-		for j := range rd.children {
-			m := rd.cparams[j].Apply(mins[j][ci])
-			w := rd.ws[j]
-			if m == 0 && w > 0 {
-				return 0
-			}
-			switch w {
-			case 0:
-			case 1:
-				prod *= m
-			case 2:
-				prod *= m * m
-			case 3:
-				prod *= m * m * m
-			default:
-				prod *= math.Pow(m, w)
-				powUsed = true
-			}
-		}
-		b = prod
-	}
-	if powUsed && b > 0 {
-		b = math.Nextafter(b*(1-1e-9), math.Inf(-1))
-	}
-	return b
 }

@@ -445,3 +445,156 @@ func TestSupWhere(t *testing.T) {
 		t.Fatalf("clamp preimage should reach +Inf, got %v", clamp)
 	}
 }
+
+// chunkBound is the per-chunk bound setBounds replaced: the children's
+// scaled chunk minima folded with the raw kernels' arithmetic, written
+// out once more per combiner. It is the reference setBounds is held to.
+func chunkBound(rd *rootDefer, mins [][]float64, ci int) float64 {
+	powUsed := false
+	var b float64
+	switch rd.combiner {
+	case cmbAnd:
+		for j := range mins {
+			m := rd.cparams[j].Apply(mins[j][ci])
+			b += rd.ws[j] * m
+		}
+	case cmbLp:
+		if rd.lpP == 2 {
+			for j := range mins {
+				m := rd.cparams[j].Apply(mins[j][ci])
+				b += rd.ws[j] * (m * m)
+			}
+		} else {
+			powUsed = true
+			for j := range mins {
+				m := rd.cparams[j].Apply(mins[j][ci])
+				b += rd.ws[j] * math.Pow(math.Abs(m), rd.lpP)
+			}
+		}
+	case cmbOr:
+		prod := 1.0
+		for j := range mins {
+			m := rd.cparams[j].Apply(mins[j][ci])
+			w := rd.ws[j]
+			if m == 0 && w > 0 {
+				return 0
+			}
+			switch w {
+			case 0:
+			case 1:
+				prod *= m
+			case 2:
+				prod *= m * m
+			case 3:
+				prod *= m * m * m
+			default:
+				prod *= math.Pow(m, w)
+				powUsed = true
+			}
+		}
+		b = prod
+	}
+	if powUsed && b > 0 {
+		b = math.Nextafter(b*(1-1e-9), math.Inf(-1))
+	}
+	return b
+}
+
+// TestChunkBoundsAreTheCombineKernel: the bounds setBounds takes from the
+// root's own combine kernel over applyRange-scaled chunk minima equal
+// chunkBound's bit for bit, under AND, OR, Lp2 and Lp3, over random rows
+// of ±0, -Inf, +Inf and finite distances and weights from {0, 1, 2, 3,
+// 0.5, 7}; and every bound is at most every raw combined value of its
+// chunk.
+func TestChunkBoundsAreTheCombineKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	weights := []float64{0, 1, 2, 3, 0.5, 7}
+	params := []NormParams{
+		{DMin: 0, DMax: 50, Kept: 9},
+		{DMin: -20, DMax: 30, Kept: 9},
+		{DMin: 7.5, DMax: 7.5, Kept: 1},
+		{DMin: 0, DMax: 1e-300, Kept: 9},
+		{NoFinite: true},
+	}
+	row := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.Inf(-1)
+		case 3:
+			return math.Inf(1)
+		default:
+			return rng.Float64() * 60
+		}
+	}
+	kernels := []struct {
+		name string
+		op   NodeOp
+		opts EvalOptions
+	}{
+		{"AND", NodeAnd, EvalOptions{}},
+		{"OR", NodeOr, EvalOptions{}},
+		{"Lp2", NodeAnd, EvalOptions{And: ANDLp, LpP: 2}},
+		{"Lp3", NodeAnd, EvalOptions{And: ANDLp, LpP: 3}},
+	}
+	const nchunks, rowsPerChunk = 7, 6
+	for _, kn := range kernels {
+		for trial := 0; trial < 200; trial++ {
+			k := 2 + rng.Intn(3)
+			ws := make([]float64, k)
+			for j := range ws {
+				ws[j] = weights[rng.Intn(len(weights))]
+			}
+			rd := &rootDefer{n: nchunks * evalChunk, cparams: make([]NormParams, k)}
+			rd.ws, rd.effSum = resolveWeights(ws, k)
+			rd.combiner, rd.t, rd.lpP = kernelFor(kn.op, kn.opts, rd.effSum)
+			rows := make([][]float64, k) // child j's rows, chunk after chunk
+			mins, nans := make([][]float64, k), make([][]int32, k)
+			for j := range rows {
+				rd.cparams[j] = params[rng.Intn(len(params))]
+				rows[j] = make([]float64, nchunks*rowsPerChunk)
+				mins[j], nans[j] = make([]float64, nchunks), make([]int32, nchunks)
+				for ci := range mins[j] {
+					chunk := rows[j][ci*rowsPerChunk : (ci+1)*rowsPerChunk]
+					for i := range chunk {
+						chunk[i] = row()
+						if i == 0 || chunk[i] < mins[j][ci] {
+							mins[j][ci] = chunk[i]
+						}
+					}
+				}
+			}
+			nans[0][1] = 1 // a chunk with a NaN gets no bound
+			rd.setBounds(mins, nans)
+			scaled := make([][]float64, k)
+			for j := range scaled {
+				scaled[j] = make([]float64, len(rows[j]))
+				applyRange(scaled[j], rows[j], rd.cparams[j])
+			}
+			combined := make([]float64, nchunks*rowsPerChunk)
+			combineRaw(rd.combiner, combined, scaled, rd.ws, rd.lpP)
+			for ci := 0; ci < nchunks; ci++ {
+				got := rd.bounds[ci]
+				if ci == 1 {
+					if rd.nanFree[ci] || !math.IsNaN(got) {
+						t.Fatalf("%s: the chunk with a NaN is bounded (%v, NaN-free %v)", kn.name, got, rd.nanFree[ci])
+					}
+					continue
+				}
+				want := chunkBound(rd, mins, ci)
+				if !rd.nanFree[ci] || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s ws %v params %+v chunk %d: bound %v [%#x], chunkBound %v [%#x]",
+						kn.name, rd.ws, rd.cparams, ci, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				for _, v := range combined[ci*rowsPerChunk : (ci+1)*rowsPerChunk] {
+					if got > v {
+						t.Fatalf("%s ws %v chunk %d: bound %v above the combined value %v", kn.name, rd.ws, ci, got, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -149,15 +149,16 @@ func NewTable(name string, schema Schema) (*Table, error) {
 // budget).
 type OpenOptions = dataset.OpenOptions
 
-// WriteCatalogFile streams an in-memory catalog into an on-disk
-// segment catalog and returns the content-hash epoch stamped into its
-// footer; OpenCatalogFile serves a catalog straight from such a file
-// through a bounded decoded-segment cache — resident memory is
-// O(cache budget), not O(catalog), and query results are bit-identical
-// to the in-memory catalog. Close the opened catalog to release the
-// backing file. OpenCatalogFile reads the one layout WriteCatalogFile
-// writes and refuses the layouts of earlier writers with an error that
-// says to rewrite the file (visdbgen -format seg).
+// WriteCatalogFile writes a catalog — resident, or one OpenCatalogFile
+// opened — as an on-disk segment catalog and returns the content-hash
+// epoch stamped into its footer; it refuses a time outside the years
+// 1678–2262 the file stores. OpenCatalogFile serves a catalog straight
+// from such a file through a bounded decoded-segment cache — resident
+// memory is O(cache budget), not O(catalog), and query results are
+// bit-identical to the resident catalog. Close the opened catalog to
+// release the backing file. OpenCatalogFile reads the one layout
+// WriteCatalogFile writes and refuses the layouts of earlier writers
+// with an error that says to rewrite the file (visdbgen -format seg).
 var (
 	WriteCatalogFile = dataset.WriteCatalogFile
 	OpenCatalogFile  = dataset.OpenCatalogFile
