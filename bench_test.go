@@ -351,82 +351,26 @@ func BenchmarkSliderDrag(b *testing.B) {
 	}
 }
 
-// BenchmarkNestedDrag is the interaction loop over the one traffic query
-// with an interior node — (a AND b) OR c — at n = 2e5, the traffic the
-// repository benchmark's flat two-leaf ANDs never produce. Four drags,
-// one session each: the weight of the leaf outside the AND part (the
-// part's cached vector and its range are reused as they are), the weight
-// of the part itself (reused vector, a new keep count every step), a
-// range inside the part (every step computes a leaf and stores a new
-// part vector) and a range outside it (the part hits every step).
-func BenchmarkNestedDrag(b *testing.B) {
-	cat, err := datagen.Traffic(200_000, 1994)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, drag := range []struct {
-		name string
-		step func(s *session.Session, i int) error
-	}{
-		// Predicates of the OR root are [AND(a, b), c].
-		{"weight-leaf", func(s *session.Session, i int) error {
-			return s.SetWeight(query.Predicates(s.Query().Where)[1], 1+float64(i%7)/2)
-		}},
-		{"weight-part", func(s *session.Session, i int) error {
-			return s.SetWeight(query.Predicates(s.Query().Where)[0], 1+float64(i%97)/16)
-		}},
-		{"range-inside", func(s *session.Session, i int) error {
-			return s.SetRangeByAttr("a", float64(i%1000)/10, math.Inf(1))
-		}},
-		{"range-outside", func(s *session.Session, i int) error {
-			lo := float64(i%800) / 10
-			return s.SetRangeByAttr("c", lo, lo+10)
-		}},
-	} {
-		b.Run(drag.name, func(b *testing.B) {
-			s, err := session.NewSQL(cat, nil, core.Options{GridW: 128, GridH: 128}, datagen.TrafficQueries()[2])
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := drag.step(s, i); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+// benchDrag is one kind of interaction step, driven b.N times on a
+// session of its own.
+type benchDrag struct {
+	name string
+	step func(s *session.Session, i int) error
 }
 
-// BenchmarkFlatDrag is the step the repository benchmark's script is
-// made of, one session and one kind of step at a time, with the engine's
-// own stage breakdown: the flat two-leaf AND of TrafficQueries()[1] at
-// n = 2e5 under the script's weight set and its 3-40-wide ranges. It is
-// the profile harness for the root stage (`-cpuprofile` on /weight is
-// RankRoot and little else): select_ms includes root_combine_ms.
-func BenchmarkFlatDrag(b *testing.B) {
+// runDrags runs every drag on a fresh session over sql at n = 2e5
+// (Traffic, a 128×128 grid) and reports the engine's own stage split per
+// step: select_ms (which includes root_combine_ms), scale_ms, dist_ms,
+// eval_ms, total_ms, and pruned_ratio — the root chunks block pruning
+// skipped, out of all root chunks of the steps that ranked by selection.
+func runDrags(b *testing.B, sql string, drags []benchDrag) {
 	cat, err := datagen.Traffic(200_000, 1994)
 	if err != nil {
 		b.Fatal(err)
 	}
-	weights := []float64{0.5, 1, 2, 3}
-	for _, drag := range []struct {
-		name string
-		step func(s *session.Session, i int) error
-	}{
-		// Alternate the two predicates; each walks the weight set, so no
-		// step restates the value it finds.
-		{"weight", func(s *session.Session, i int) error {
-			return s.SetWeight(query.Predicates(s.Query().Where)[i%2], weights[(2+i/2)%len(weights)])
-		}},
-		{"range", func(s *session.Session, i int) error {
-			lo, width := float64(i*7%60), float64(3+i*5%38)
-			return s.SetRangeByAttr("c", lo, lo+width)
-		}},
-	} {
+	for _, drag := range drags {
 		b.Run(drag.name, func(b *testing.B) {
-			s, err := session.NewSQL(cat, nil, core.Options{GridW: 128, GridH: 128}, datagen.TrafficQueries()[1])
+			s, err := session.NewSQL(cat, nil, core.Options{GridW: 128, GridH: 128}, sql)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -444,6 +388,8 @@ func BenchmarkFlatDrag(b *testing.B) {
 				sum.Distances += tm.Distances
 				sum.Evaluate += tm.Evaluate
 				sum.Total += tm.Total
+				sum.Pruned += tm.Pruned
+				sum.Chunks += tm.Chunks
 			}
 			for _, m := range []struct {
 				d    time.Duration
@@ -454,8 +400,56 @@ func BenchmarkFlatDrag(b *testing.B) {
 			} {
 				b.ReportMetric(m.d.Seconds()*1e3/float64(b.N), m.unit)
 			}
+			b.ReportMetric(float64(sum.Pruned)/float64(max(sum.Chunks, 1)), "pruned_ratio")
 		})
 	}
+}
+
+// BenchmarkNestedDrag is the interaction loop over the one traffic query
+// with an interior node — (a AND b) OR c — the traffic the repository
+// benchmark's flat two-leaf ANDs never produce. Four drags: the weight
+// of the leaf outside the AND part (the part's cached vector and its
+// range are reused as they are), the weight of the part itself (reused
+// vector, a new keep count every step), a range inside the part (every
+// step computes a leaf and stores a new part vector) and a range outside
+// it (the part hits every step).
+func BenchmarkNestedDrag(b *testing.B) {
+	runDrags(b, datagen.TrafficQueries()[2], []benchDrag{
+		// Predicates of the OR root are [AND(a, b), c].
+		{"weight-leaf", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[1], 1+float64(i%7)/2)
+		}},
+		{"weight-part", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[0], 1+float64(i%97)/16)
+		}},
+		{"range-inside", func(s *session.Session, i int) error {
+			return s.SetRangeByAttr("a", float64(i%1000)/10, math.Inf(1))
+		}},
+		{"range-outside", func(s *session.Session, i int) error {
+			lo := float64(i%800) / 10
+			return s.SetRangeByAttr("c", lo, lo+10)
+		}},
+	})
+}
+
+// BenchmarkFlatDrag is the step the repository benchmark's script is
+// made of, one kind of step at a time: the flat two-leaf AND of
+// TrafficQueries()[1] under the script's weight set and its 3-40-wide
+// ranges. It is the profile harness for the root stage (`-cpuprofile` on
+// /weight is RankRoot and little else).
+func BenchmarkFlatDrag(b *testing.B) {
+	weights := []float64{0.5, 1, 2, 3}
+	runDrags(b, datagen.TrafficQueries()[1], []benchDrag{
+		// Alternate the two predicates; each walks the weight set, so no
+		// step restates the value it finds.
+		{"weight", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[i%2], weights[(2+i/2)%len(weights)])
+		}},
+		{"range", func(s *session.Session, i int) error {
+			lo, width := float64(i*7%60), float64(3+i*5%38)
+			return s.SetRangeByAttr("c", lo, lo+width)
+		}},
+	})
 }
 
 // BenchmarkConcurrentSessions is the multi-tenant serving workload:

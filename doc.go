@@ -104,7 +104,18 @@
 // ever displayed. On the default selection path the engine therefore
 // ranks the root's RAW combined values and applies the final transforms
 // only to the top-k survivors (relevance.EvalOptions.DeferRoot →
-// Result.RankRoot):
+// Result.RankRoot). Section 5.2 normalizes a combined vector before it
+// is combined further, so the root is an interior node ranked before it
+// is scaled, and one combine per AND/OR node (its children's raw
+// vectors and scaling params, the resolved weights and kernel) produces
+// every chunk: an interior pass adds the transform and the range scan,
+// the deferred root keeps it raw, and a root whose transform could
+// overflow is finished eagerly by the same combine
+// (TestUndeferrableRootsFinishEagerly). Every child of a combine — leaf,
+// cached subtree or interior node — is scaled per chunk into scratch and
+// materialized only by Result.Vec, so reading a window before the
+// ranking leaves the root's pruning alone
+// (TestWindowBeforeRankingKeepsPruning).
 //
 //   - The root combine runs chunk-on-demand with raw kernels, streaming
 //     each chunk through a threshold-seeded lexicographic (value, index)
@@ -121,8 +132,9 @@
 //     TestOfferSliceMatchesElementwise) and read the same on sorted
 //     and on shuffled input (BenchmarkApplyRange, BenchmarkOfferSlice).
 //   - Block pruning: per-chunk lower bounds on the raw combined value —
-//     folded from per-leaf chunk minima (relevance.LeafChunkStats,
-//     cached next to the quantile index) through the monotone child
+//     folded from the children's chunk minima (relevance.Node.ChunkStats:
+//     a leaf's cached next to its quantile index, an interior node's
+//     from its own pass or its cached vector) through the monotone child
 //     scalings — let the pass skip every chunk that provably cannot
 //     beat the running k-th candidate.
 //   - The seed. A run stores its k-th raw value with the RunCache, keyed
@@ -141,7 +153,8 @@
 //     value by monotone bisection (topk.SupWhere) and walks indices
 //     ascending — a skipped chunk is provably inside the tie class,
 //     provably outside it, or gets materialized after all.
-//   - Result.Combined() materializes the full scaled vector lazily;
+//   - Result.Combined() materializes the full scaled vector lazily (the
+//     root's Vec);
 //     displays, wire responses and windows read the ranked prefix via
 //     Result.DistanceOfRank and never force it. Result.Order holds the
 //     ranked prefix (selectBudget entries) on this path; Result.TopK(k)
@@ -232,7 +245,8 @@
 // smallest finite value, a new keep with every move of the node's
 // weight — comes from the sorted quantile index once the vector has
 // one and from NormRange before, and its scaled form is chunk-local in
-// the parent's pass. The vector lives in the SharedCache among the
+// the parent's pass — as a computed interior node's is: every child of
+// a combine is lazy. The vector lives in the SharedCache among the
 // leaves, under the same recency rule and byte budget, is pinned,
 // touched and — on its first pinned reuse — indexed by the lines that
 // do so for a leaf, and never travels to the kv tier. Results are
@@ -292,14 +306,17 @@
 // leaves — evaluation buffers, rankings, Results — stays
 // session-private (TestConcurrentSharedSessionsMatchFreshEngine).
 //
-// A cached leaf is what a rerun reuses and nothing else: its raw
-// distance vector (plus the signed one under a signed key), for a
-// condition the O(1) scalars its slider shows, and from its first
-// reuse the quantile index and chunk stats built from that vector. It
-// holds no copy of the attribute column: the panel fields that show
-// attribute values (PredicateInfos' first/last displayed) read the
-// cells they need from the catalog
-// (TestPanelValuesComeFromTheCatalog).
+// A cached leaf is only its vectors: its raw distance vector (plus the
+// signed one under a signed key), the count of its exact zeros when a
+// range kernel wrote it, and from its first reuse the quantile index
+// and chunk stats built from that vector. What a condition's slider
+// shows is read where it lives: the attribute from the binding, the
+// query range from the condition (numericRange), the extremes from the
+// column (Column.MinMax) — all O(1) — and the first/last displayed
+// values from the cells of the displayed items
+// (TestPanelValuesComeFromTheCatalog). One function (Engine.leafNode)
+// turns an entry into the relevance leaf of a condition, join,
+// boolean fallback or subquery.
 //
 // Every tier — a SharedCache, the kv server's resident set, the decoded-segment cache of a catalog file —
 // stands on internal/lru: a map ordered by recency under an entry cap
@@ -450,14 +467,18 @@
 // The kv tier. visdbd -shared-kv attaches a core.SharedBackend to every
 // catalog's SharedCache: a leaf miss consults the store before
 // computing (only the singleflight leader asks) and local fills are
-// written back. Leaf entries are all that travels — distance vector(s)
-// and slider scalars in core's versioned envelope (core/remote.go),
-// under the leaf keys "C|", "J|", "B|", "S|"; indexes and interior
-// vectors are rebuilt where they are used. A value is adopted only if
-// it decodes in full, under the current envelope version, to vectors
-// exactly as long as the item space, with the signed vector if its key
-// names one (decodeSharedEntry; FuzzSharedEntry). Anything else is a
-// remote miss answered by a local compute
+// written back. Leaf vectors are all that travels, in core's versioned
+// envelope (core/remote.go; version 4: the version byte, the raw
+// vector, the signed one — empty unless the key is a signed
+// condition's), under the leaf keys "C|", "J|", "B|", "S|"; indexes and
+// interior vectors are rebuilt where they are used, and a slider's
+// numbers are read from the condition and its column. A value is
+// adopted only if it decodes in full, under the current envelope
+// version, to vectors exactly as long as the item space, with the
+// signed vector exactly when its key names one (decodeSharedEntry;
+// FuzzSharedEntry). Anything else — a value an older member wrote under
+// an earlier version included, so version skew across a rolling upgrade
+// is a remote miss, never an error — is answered by a local compute
 // (TestRemoteLeafOfWrongLengthIsAMiss), so the store can die or answer
 // with the wrong shape without breaking serving. The store speaks
 // GET/PUT /v1/kv?key=K, GET /v1/kv/stats and GET /healthz; values are

@@ -59,7 +59,7 @@ type RunCache struct {
 	runHits, runMisses, runSharedHits int
 	// Per-run segment-pushdown accounting: storage segments whose decode
 	// the footer stats skipped, out of the segments cold computes
-	// considered (see predicateData.SegsSkipped). Zero on warm runs.
+	// considered (see Engine.condData). Zero on warm runs.
 	runSegsSkipped, runSegs int
 	// Buffer pools for the evaluation output vectors and the ranking's
 	// index permutation.
@@ -98,44 +98,39 @@ const maxCacheEntries = 64
 // leafEntry is one cached vector as the tier holds it and as fetches
 // hand it out and pins keep it (by value: a consistent snapshot, since
 // quant and cstats of the resident entry may be attached later under
-// the tier's mutex). Exactly one of pd (simple conditions) and dists
-// (join, boolean-negation and subquery leaves, and the raw combined
-// vector of an interior node — a cached subtree is a leaf) is set. The
-// vectors are immutable once stored. An entry holds what a rerun reuses and nothing
-// else: distances, a condition's slider scalars, and the indexes built
-// from the distances. Of these only the distances and scalars ever
-// leave the process (encodeSharedEntry); the indexes are rebuilt
-// wherever the vector goes.
+// the tier's mutex): the leaf of a condition, join, boolean-negation
+// fallback or subquery, or the raw combined vector of an interior node
+// — a cached subtree is a leaf. An entry is its vectors and what is
+// built from them, nothing else: the slider's numbers are O(1) reads of
+// the condition and its column (Result.PredicateInfos). The vectors are
+// immutable once stored; only they ever leave the process
+// (encodeSharedEntry), and the indexes are rebuilt wherever they go.
 type leafEntry struct {
-	pd    *predicateData
-	dists []float64
+	// raw is the distance vector (an interior node's raw combined one).
+	raw []float64
+	// signed is the signed distance vector of a condition under a
+	// signed key (runKeys.cond of an Arrange2D run); nil otherwise.
+	signed []float64
+	// zeros counts the exact +0 entries of raw when a range condition's
+	// kernel wrote it (relevance.Node.Zeros); 0: not counted.
+	zeros int
 	// quant is the sorted quantile index over the leaf's distances,
 	// built on the entry's first reuse: a leaf that recurs across reruns
 	// is hot, and the one-time linear-time build buys O(1) normalization
 	// ranges for every subsequent weighting change.
 	quant *relevance.LeafQuantiles
 	// cstats is the per-chunk min/NaN index, built together with quant
-	// (an interior vector arrives with the one its fused pass produced):
-	// it feeds the block-pruning bounds of the rank-before-scale
-	// ranking, so warm reruns can skip whole chunks of root combine
-	// work.
+	// (an interior vector arrives with the one its fused pass produced,
+	// a range leaf whose segments the pushdown skipped with one it
+	// synthesized): it feeds the block-pruning bounds of the
+	// rank-before-scale ranking, so warm reruns can skip whole chunks of
+	// root combine work.
 	cstats *relevance.LeafChunkStats
-}
-
-// raw returns the leaf's distance vector.
-func (e *leafEntry) raw() []float64 {
-	if e.pd != nil {
-		return e.pd.Raw
-	}
-	return e.dists
 }
 
 // sizeBytes accounts the entry's retained vectors and indexes.
 func (e *leafEntry) sizeBytes() int64 {
-	n := len(e.dists)
-	if e.pd != nil {
-		n += len(e.pd.Raw) + len(e.pd.Signed)
-	}
+	n := len(e.raw) + len(e.signed)
 	if e.quant != nil {
 		n += e.quant.Size()
 	}
@@ -283,7 +278,7 @@ func (c *RunCache) runStats() (hits, misses, sharedHits int) {
 }
 
 // addSegStats folds one cold compute's segment-pushdown counts into the
-// current run's attribution. Called from the condFetch compute closure,
+// current run's attribution. Called from a condition's compute closure,
 // which may run on any goroutine (including another session's
 // singleflight fill — the counts land on whichever run paid the cost).
 func (c *RunCache) addSegStats(skipped, segs int) {
@@ -332,7 +327,7 @@ func (c *RunCache) pinned(key string) (leafEntry, bool) {
 			// must not stall other sessions on the tier. Two racing
 			// builders do redundant work; both results are identical
 			// and the first one promoted wins.
-			quant, cstats = relevance.BuildLeafIndexes(le.raw())
+			quant, cstats = relevance.BuildLeafIndexes(le.raw)
 			quant, cstats = shared.attachIndexes(key, quant, cstats)
 		}
 		le.quant, le.cstats = quant, cstats
@@ -374,23 +369,6 @@ func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)
 		c.runMisses++
 	}
 	return le, nil
-}
-
-// condFetch is fetch for a condition leaf (predicateData payload).
-func (c *RunCache) condFetch(key string, rows int, compute func() (*predicateData, error)) (leafEntry, error) {
-	return c.fetch(key, rows, func() (leafEntry, error) {
-		pd, err := compute()
-		return leafEntry{pd: pd}, err
-	})
-}
-
-// leafFetch is fetch for non-condition leaf vectors (joins,
-// boolean-negation fallbacks, subqueries).
-func (c *RunCache) leafFetch(key string, rows int, compute func() ([]float64, error)) (leafEntry, error) {
-	return c.fetch(key, rows, func() (leafEntry, error) {
-		dists, err := compute()
-		return leafEntry{dists: dists}, err
-	})
 }
 
 // lookup resolves an interior node's raw combined vector: a pin, then

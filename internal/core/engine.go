@@ -193,7 +193,6 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		Space:   space,
 		N:       space.n,
 		nodeOf:  make(map[query.Expr]*relevance.Node),
-		preds:   make(map[*query.Cond]*predicateData),
 	}
 	res.checkpoint = checkpoint
 	runOK := false
@@ -247,10 +246,10 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 			evalOpts.LeafID = res.leafIDOf
 			evalOpts.InteriorFetch = func(sig string) ([]float64, *relevance.LeafQuantiles, *relevance.LeafChunkStats) {
 				le, _ := cache.lookup(keys.interior(sig))
-				return le.dists, le.quant, le.cstats
+				return le.raw, le.quant, le.cstats
 			}
 			evalOpts.InteriorStore = func(sig string, raw []float64, cs *relevance.LeafChunkStats) {
-				cache.store(keys.interior(sig), leafEntry{dists: raw, cstats: cs})
+				cache.store(keys.interior(sig), leafEntry{raw: raw, cstats: cs})
 			}
 		}
 	}
@@ -273,7 +272,6 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		// 2D arrangement (which re-filters the whole ranking), and for
 		// the pathological weights whose root the evaluator declines to
 		// defer.
-		res.combined = eval.Combined
 		colorable = space.n - relevance.CountNaN(eval.Combined)
 		sorted, order := reduce.SortWithIndex(eval.Combined)
 		res.sorted, res.Order = sorted, order
@@ -446,51 +444,21 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 				return e.booleanLeaf(n, b, space, res, true)
 			}
 		}
-		compute := func() (*predicateData, error) {
-			pd, err := e.condData(c, attr, space)
-			if err == nil && res.cache != nil && pd.Segs > 0 {
+		compute := func() (leafEntry, error) {
+			le, skipped, segs, err := e.condData(c, attr, space)
+			if err == nil && res.cache != nil && segs > 0 {
 				// Segment-pushdown attribution happens here, inside the
 				// compute closure, so only the run that actually paid for
 				// the cold scan counts it (cache hits recompute nothing).
-				res.cache.addSegStats(pd.SegsSkipped, pd.Segs)
+				res.cache.addSegStats(skipped, segs)
 			}
-			return pd, err
+			return le, err
 		}
-		var le leafEntry
-		var err error
-		var key string
-		if res.cache != nil {
-			// The cache key (runKeys.cond) is the condition's structural
-			// signature: bound table.attr plus Label (operator, literals,
-			// distance function — Label excludes the weighting factor by
-			// construction), so weight-only reruns hit unconditionally.
-			key = res.keys.cond(attr.Qualified(), c.Label())
-			le, err = res.cache.condFetch(key, space.n, compute)
-		} else {
-			le.pd, err = compute()
-		}
-		if err != nil {
-			return nil, err
-		}
-		pd, cs := le.pd, le.cstats
-		if cs == nil {
-			// Cold computes that skipped segments synthesize their chunk
-			// stats from the segment stats (predicateData.CStats), so
-			// deferred-root block pruning works on the very first run —
-			// the session cache's own index exists only from the first
-			// REUSE on.
-			cs = pd.CStats
-		}
-		node := &relevance.Node{Op: relevance.Leaf, Label: expr.Label(), Weight: expr.Weight(), Dists: pd.Raw,
-			Quantiles: le.quant, ChunkStats: cs, Zeros: pd.Zeros}
-		if key != "" {
-			res.setLeafID(node, key)
-		}
-		res.setNode(expr, node)
-		if orig, ok := expr.(*query.Cond); ok {
-			res.setPred(orig, pd)
-		}
-		return node, nil
+		// The cache key (runKeys.cond) is the condition's structural
+		// signature: bound table.attr plus Label (operator, literals,
+		// distance function — Label excludes the weighting factor by
+		// construction), so weight-only reruns hit unconditionally.
+		return e.leafNode(res, space, expr, expr.Label(), res.keys.cond(attr.Qualified(), c.Label()), compute)
 	case *query.BoolExpr:
 		op := relevance.NodeAnd
 		if n.Op == query.Or {
@@ -568,7 +536,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			return dists, nil
 		}
-		return e.distsLeaf(res, space, n, n.Label(), res.keys.join(n.Label(), negated), compute)
+		return e.leafNode(res, space, n, n.Label(), res.keys.join(n.Label(), negated), distsOnly(compute))
 	case *query.SubqueryExpr:
 		return e.subqueryNode(n, b, space, res, negated)
 	default:
@@ -661,30 +629,45 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 		}
 		return dists, nil
 	}
-	return e.distsLeaf(res, space, c, label, res.keys.boolean(label), compute)
+	return e.leafNode(res, space, c, label, res.keys.boolean(label), distsOnly(compute))
 }
 
-// distsLeaf builds the relevance leaf of a join, boolean-fallback or
-// subquery expression from its bare distance vector: fetched under key
-// on a cached run, computed on the spot otherwise.
-func (e *Engine) distsLeaf(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() ([]float64, error)) (*relevance.Node, error) {
+// leafNode builds the relevance leaf of a condition, join,
+// boolean-fallback or subquery expression from its leafEntry: fetched
+// under key on a cached run, computed on the spot otherwise. The leaf
+// carries whatever indexes the entry has (a fresh range leaf's chunk
+// stats from the pushdown, a reused one's quantile index), and the
+// entry's signed vector is kept for the 2D arrangement.
+func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() (leafEntry, error)) (*relevance.Node, error) {
 	var le leafEntry
 	var err error
 	if res.cache != nil {
-		le, err = res.cache.leafFetch(key, space.n, compute)
+		le, err = res.cache.fetch(key, space.n, compute)
 	} else {
-		le.dists, err = compute()
+		le, err = compute()
 	}
 	if err != nil {
 		return nil, err
 	}
-	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: expr.Weight(), Dists: le.dists,
-		Quantiles: le.quant, ChunkStats: le.cstats}
+	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: expr.Weight(), Dists: le.raw,
+		Quantiles: le.quant, ChunkStats: le.cstats, Zeros: le.zeros}
 	if res.cache != nil {
 		res.setLeafID(node, key)
 	}
+	if le.signed != nil {
+		res.setSigned(expr, le.signed)
+	}
 	res.setNode(expr, node)
 	return node, nil
+}
+
+// distsOnly adapts the compute of a join, boolean-fallback or subquery
+// leaf, whose entry is its distance vector alone.
+func distsOnly(compute func() ([]float64, error)) func() (leafEntry, error) {
+	return func() (leafEntry, error) {
+		dists, err := compute()
+		return leafEntry{raw: dists}, err
+	}
 }
 
 // subqueryNode implements the nested-query semantics of section 4.4:
@@ -711,8 +694,7 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 		innerSpace := &itemSpace{tables: []*dataset.Table{inner}, n: inner.NumRows()}
 		// The inner run polls the outer run's checkpoint, so a request
 		// deadline interrupts it like any other leaf compute.
-		innerRes := &Result{Engine: e, nodeOf: make(map[query.Expr]*relevance.Node),
-			preds: make(map[*query.Cond]*predicateData), checkpoint: res.checkpoint}
+		innerRes := &Result{Engine: e, nodeOf: make(map[query.Expr]*relevance.Node), checkpoint: res.checkpoint}
 		innerRoot, err := e.buildTree(sq.Sub.Where, subBinding, innerSpace, innerRes)
 		if err != nil {
 			return nil, err
@@ -802,7 +784,7 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 	// The subquery leaf caches on runKeys.subquery — the full rendered
 	// subquery plus the engine options the inner evaluation depends on.
 	key := res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
-	return e.distsLeaf(res, space, sq, sq.Label(), key, compute)
+	return e.leafNode(res, space, sq, sq.Label(), key, distsOnly(compute))
 }
 
 // boolSubquery evaluates NOT EXISTS / NOT IN exactly. The inner

@@ -13,32 +13,6 @@ import (
 	"repro/internal/relevance"
 )
 
-// predicateData is one simple condition's cached leaf: exactly what a
-// later run reuses — the raw (unsigned) distances, the signed ones under
-// the 2D arrangement, and the O(1) scalars the sliders display. The
-// attribute values themselves are not kept: the panel fields read the
-// few they need from the catalog (Result.attrValue).
-type predicateData struct {
-	Attr     query.BoundAttr
-	Raw      []float64 // unsigned distances
-	Signed   []float64 // signed distances (negative below the range)
-	MinDB    float64
-	MaxDB    float64
-	HasRange bool    // numeric predicate with a query range
-	Lo, Hi   float64 // current query range (±Inf for open sides)
-	Zeros    int     // exact +0 entries of Raw, counted by rangeKernel; 0 when not counted
-
-	// Segment-stats pushdown (single-table scans only; see numericCond).
-	// CStats is the per-chunk index synthesized at compute time (skipped
-	// chunks from the segment stats, the rest scanned) so even a
-	// COLD run hands the deferred-root ranking its block-pruning bounds;
-	// it stays with the process that computed the leaf. SegsSkipped and
-	// Segs attribute the pushdown for StageTimings.
-	CStats      *relevance.LeafChunkStats
-	SegsSkipped int
-	Segs        int
-}
-
 // itemSpace describes the totality of items a query ranges over: single
 // table rows, or a (possibly capped) two-table cross product.
 type itemSpace struct {
@@ -72,37 +46,39 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 	return nil, fmt.Errorf("core: no table %q in item space", name)
 }
 
-// condData computes the distances of a simple condition over the item
-// space. attr is the condition's resolved binding, passed explicitly so
-// negation rewrites (which evaluate a private copy of the condition)
-// never have to touch the shared, read-only Binding.
-func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace) (*predicateData, error) {
+// condData computes the leaf entry of a simple condition over the item
+// space, and how many storage segments the segment-stats pushdown
+// skipped out of how many it considered (single-table range scans only;
+// see numericCond). attr is the condition's resolved binding, passed
+// explicitly so negation rewrites (which evaluate a private copy of the
+// condition) never have to touch the shared, read-only Binding.
+func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace) (le leafEntry, segsSkipped, segs int, err error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
-		return nil, err
+		return leafEntry{}, 0, 0, err
 	}
-	pd := &predicateData{Attr: attr, Raw: make([]float64, space.n)}
+	le.raw = make([]float64, space.n)
 	// Signed distances exist for the 2D quadrant arrangement only; the
 	// default spiral never reads them, so skip the vector (and its
 	// computation) unless figure 1b is in play.
 	if e.opt.Arrangement == Arrange2D {
-		pd.Signed = make([]float64, space.n)
+		le.signed = make([]float64, space.n)
 	}
 	if attr.Kind.IsNumeric() {
-		if err := e.numericCond(c, attr, t, space, pd); err != nil {
-			return nil, err
-		}
+		segsSkipped, segs, err = e.numericCond(c, attr, t, space, &le)
 	} else {
-		if err := e.stringCond(c, attr, t, space, pd); err != nil {
-			return nil, err
-		}
+		err = e.stringCond(c, attr, t, space, &le)
 	}
-	return pd, nil
+	if err != nil {
+		return leafEntry{}, 0, 0, err
+	}
+	return le, segsSkipped, segs, nil
 }
 
-// numericCond fills pd for numeric/time/bool attributes using the
-// distance-to-range semantics of section 3.
-func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData) error {
+// numericCond fills le for numeric/time/bool attributes using the
+// distance-to-range semantics of section 3, and reports the segments
+// the pushdown skipped out of those it considered.
+func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry) (segsSkipped, segs int, err error) {
 	singleTable := space.pairs == nil
 	// Single-table spaces stream the column a segment at a time — a
 	// file-backed column never materializes an n-sized copy. Pair spaces
@@ -110,24 +86,17 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// (the pair count is MaxPairs-capped).
 	column, err := t.Column(attr.Attr)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	var col []float64
 	if !singleTable {
 		col = make([]float64, column.Len())
 		column.ReadFloats(col, 0)
 	}
-	var okRange bool
-	pd.MinDB, pd.MaxDB, okRange = column.MinMax()
-	if !okRange {
-		pd.MinDB, pd.MaxDB = math.NaN(), math.NaN()
-	}
 	lo, hi, pointwise, err := numericRange(c)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	pd.HasRange = !pointwise
-	pd.Lo, pd.Hi = lo, hi
 	// Strict operators exclude the boundary: a value sitting exactly on
 	// it is not a correct answer, but its distance to fulfillment is
 	// infinitesimal. Such items are recorded and later assigned a small
@@ -148,15 +117,14 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// unusable rows, extremes inside the range with strictness honored —
 	// scores range distance exactly 0 on every row, its read (a decode,
 	// when the column is file-backed) is skipped outright and the
-	// zero-filled Raw range already holds the exact distances. The gate
+	// zero-filled raw range already holds the exact distances. The gate
 	// excludes every per-item semantics the proof does not cover: pair
 	// spaces (non-monotonic row order), OpNe/OpIn (pointwise distances),
 	// and signed vectors (the 2D arrangement reads per-item signs).
 	var skip []bool
-	skipped := 0
-	if singleTable && pd.Signed == nil && kernel && !e.opt.NoSegmentStats {
-		nSegs := (space.n + dataset.SegmentSize - 1) / dataset.SegmentSize
-		for si := 0; si < nSegs; si++ {
+	if singleTable && le.signed == nil && kernel && !e.opt.NoSegmentStats {
+		segs = (space.n + dataset.SegmentSize - 1) / dataset.SegmentSize
+		for si := 0; si < segs; si++ {
 			smin, smax, nulls, ok := column.SegmentStats(si)
 			if !ok || nulls != 0 {
 				continue
@@ -171,17 +139,15 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 			}
 			if loOK && hiOK {
 				if skip == nil {
-					skip = make([]bool, nSegs)
+					skip = make([]bool, segs)
 				}
 				skip[si] = true
-				skipped++
+				segsSkipped++
 			}
 		}
-		pd.Segs = nSegs
-		pd.SegsSkipped = skipped
 	}
 	// The per-item pass runs chunked across the worker pool: every chunk
-	// writes disjoint slots of Raw/Signed, and the merged reductions (a
+	// writes disjoint slots of raw/signed, and the merged reductions (a
 	// max, a count and the boundary items) are order-independent, so the
 	// result is bit-identical to the serial loop. Within a chunk, the pass
 	// walks segment-aligned subranges — each read into a SegmentSize
@@ -190,7 +156,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// precomputed decision).
 	var mu sync.Mutex
 	var total rangeKernel // the merged shares
-	signed := pd.Signed
+	raw, signed := le.raw, le.signed
 	perr := parallelFor(space.n, e.workers, itemChunk, func(from, to int) error {
 		k := rangeKernel{lo: lo, hi: hi, edge: edge}
 		var scratch [dataset.SegmentSize]float64
@@ -201,7 +167,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 				end = to
 			}
 			if skip != nil && skip[si] {
-				// Raw[s:end] keeps its zero fill — exactly the distance
+				// raw[s:end] keeps its zero fill — exactly the distance
 				// of every in-range row, and all of it zero block; the
 				// strict-containment proof rules out boundary hits.
 				k.zeros += end - s
@@ -221,26 +187,26 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 				}
 			}
 			if kernel {
-				k.run(pd.Raw, signed, vals, s)
+				k.run(raw, signed, vals, s)
 				s = end
 				continue
 			}
 			for j, v := range vals {
 				i := s + j
-				var raw, sd float64
+				var d, sd float64
 				switch {
 				case math.IsNaN(v):
-					raw, sd = math.NaN(), math.NaN()
+					d, sd = math.NaN(), math.NaN()
 				case pointwise:
 					// OpNe: fulfilled (0) unless equal; the failing direction is
 					// undefined, so the item becomes uncolorable (section 4.4).
 					if v == lo {
-						raw, sd = math.NaN(), math.NaN()
+						d, sd = math.NaN(), math.NaN()
 					}
 				default:
-					raw, sd = minListDistance(v, c.List)
+					d, sd = minListDistance(v, c.List)
 				}
-				pd.Raw[i] = raw
+				raw[i] = d
 				if signed != nil {
 					signed[i] = sd
 				}
@@ -255,10 +221,10 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 		return nil
 	})
 	if perr != nil {
-		return perr
+		return 0, 0, perr
 	}
 	if kernel {
-		pd.Zeros = total.zeros - len(total.boundary)
+		le.zeros = total.zeros - len(total.boundary)
 	}
 	if len(total.boundary) > 0 {
 		eps := total.max / 128
@@ -266,7 +232,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 			eps = 1
 		}
 		for _, i := range total.boundary {
-			pd.Raw[i] = eps
+			raw[i] = eps
 			if signed != nil {
 				if strictLo {
 					signed[i] = -eps
@@ -281,11 +247,11 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 		// cost is already paid: skipped chunks' entries come straight
 		// from the stats proof (min 0, NaN-free), the rest scan. This
 		// is what composes the pushdown with the deferred-root block
-		// pruning on COLD runs — warm runs build the same index from
-		// the cached vector.
-		pd.CStats = relevance.BuildLeafChunkStatsMasked(pd.Raw, skip)
+		// pruning on COLD runs — the first pinned reuse builds the same
+		// index from the vector.
+		le.cstats = relevance.BuildLeafChunkStatsMasked(raw, skip)
 	}
-	return nil
+	return segsSkipped, segs, nil
 }
 
 // The pushdown's skip mask is per storage segment and read per evaluator
@@ -413,14 +379,13 @@ func minListDistance(v float64, list []dataset.Value) (raw, signed float64) {
 	return best, bestSigned
 }
 
-// stringCond fills pd for string/ordinal/nominal attributes using the
+// stringCond fills le for string/ordinal/nominal attributes using the
 // string distances and distance matrices of section 3.
-func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, pd *predicateData) error {
+func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry) error {
 	col, err := t.Column(attr.Attr)
 	if err != nil {
 		return err
 	}
-	pd.MinDB, pd.MaxDB = math.NaN(), math.NaN()
 	// Resolve the distance: explicit USING overrides; otherwise ordinal
 	// attributes use their category-rank matrix, nominal the discrete
 	// matrix, and strings edit distance.
@@ -476,7 +441,7 @@ func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tabl
 	// Chunked across the worker pool: string distances (edit distance in
 	// particular) dominate this loop, every chunk writes disjoint slots,
 	// and the distance functions and matrices are stateless/read-only.
-	signed := pd.Signed
+	dists, signed := le.raw, le.signed
 	return parallelFor(space.n, e.workers, itemChunk, func(from, to int) error {
 		for i := from; i < to; i++ {
 			row, err := space.rowFor(i, attr.Table)
@@ -528,7 +493,7 @@ func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tabl
 					return fmt.Errorf("core: unsupported string operator %s", c.Op)
 				}
 			}
-			pd.Raw[i] = raw
+			dists[i] = raw
 			if signed != nil {
 				signed[i] = sd
 			}

@@ -70,7 +70,7 @@ func rangeCond(attr string, op query.Op, a, b float64) *query.Cond {
 
 // checkRangeLeaf computes c's leaf over space on a spiral and on a 2D
 // engine (the one that keeps the signed vector), serially and on three
-// workers, and holds Raw, Signed and Zeros to refRangeLeaf over vals —
+// workers, and holds raw, signed and zeros to refRangeLeaf over vals —
 // the condition's value of every item — bit for bit. It returns the
 // segments the spiral engine's serial pass skipped.
 func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *query.Cond, attr query.BoundAttr, vals []float64) (skipped int) {
@@ -92,19 +92,19 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 		e := New(cat, nil, Options{Arrangement: arr})
 		for _, workers := range []int{1, 3} {
 			e.workers = workers
-			pd, err := e.condData(c, attr, space)
+			le, segsSkipped, _, err := e.condData(c, attr, space)
 			if err != nil {
 				t.Fatal(err)
 			}
-			same("Raw", pd.Raw, raw)
+			same("raw", le.raw, raw)
 			if arr == Arrange2D {
-				same("Signed", pd.Signed, signed)
+				same("signed", le.signed, signed)
 			}
-			if pd.Zeros != zeros {
-				t.Fatalf("%s (workers %d): Zeros %d, want %d", c.Label(), workers, pd.Zeros, zeros)
+			if le.zeros != zeros {
+				t.Fatalf("%s (workers %d): zeros %d, want %d", c.Label(), workers, le.zeros, zeros)
 			}
 			if arr == ArrangeSpiral && workers == 1 {
-				skipped = pd.SegsSkipped
+				skipped = segsSkipped
 			}
 		}
 	}
@@ -181,12 +181,12 @@ func TestRangeKernelMatchesToRange(t *testing.T) {
 		{Attr: "x", Op: query.OpNe, Value: dataset.Float(50)},
 		{Attr: "x", Op: query.OpIn, List: []dataset.Value{dataset.Float(10), dataset.Float(50)}},
 	} {
-		pd, err := e.condData(c, x, space)
+		le, _, _, err := e.condData(c, x, space)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pd.Zeros != 0 {
-			t.Fatalf("%s: Zeros %d, want 0 (not counted)", c.Label(), pd.Zeros)
+		if le.zeros != 0 {
+			t.Fatalf("%s: zeros %d, want 0 (not counted)", c.Label(), le.zeros)
 		}
 	}
 
@@ -340,7 +340,7 @@ func BenchmarkRangeDistances(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.condData(c, attr, space); err != nil {
+				if _, _, _, err := e.condData(c, attr, space); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/binenc"
-	"repro/internal/dataset"
 )
 
 // SharedBackend is the pluggable remote tier behind a SharedCache: a
-// network KV of immutable leaf entries (encodeSharedEntry: distance
-// vectors and slider scalars) under the same structural keys the local
+// network KV of immutable leaf entries (encodeSharedEntry: the distance
+// vectors) under the same structural keys the local
 // tiers use, which start "C|", "J|", "B|" or "S|". Because every key
 // embeds the full signature of the computation it names — table names,
 // row counts, literals, options, and the catalog's content epoch — a
@@ -38,55 +37,35 @@ type BreakerReporter interface {
 	BreakerState() (state string, trips, shortCircuits uint64)
 }
 
-// The shared-entry envelope: version, kind, then the payload — a leaf's
-// distance vectors and, for a condition, its slider scalars. Nothing else crosses the fleet: quantile indexes,
-// chunk stats and interior entries are linear-time functions of vectors
-// the receiving node then holds, cheaper to rebuild than to fetch (see
+// The shared-entry envelope: the version byte, then the leaf's distance
+// vector and its signed one (empty unless the key is a signed
+// condition's). Nothing else crosses the fleet: quantile indexes, chunk
+// stats and interior entries are linear-time functions of vectors the
+// receiving node then holds, cheaper to rebuild than to fetch, and the
+// slider's numbers are read from the condition and its column (see
 // doc.go, "The kv tier"). Version 1 carried a copy of the attribute
-// column ahead of Raw — read under a later layout it would pass every
-// length check with that column in Raw's place — and version 2 two
-// invalidation handles ahead of the payload, from when range edits
-// invalidated; each change moved the version, and skew is a remote miss.
-const (
-	sharedEntryVersion = 3
+// column ahead of the distances — read under a later layout it would
+// pass every length check with that column in their place — version 2
+// two invalidation handles, from when range edits invalidated, and
+// version 3 a kind byte and a condition's slider scalars; each change
+// moved the version, and skew is a remote miss.
+const sharedEntryVersion = 4
 
-	sharedKindCond  = 1 // predicateData payload
-	sharedKindDists = 2 // bare distance vector (join/boolean/subquery)
-)
-
-// encodeSharedEntry serializes e for the remote tier.
+// encodeSharedEntry serializes e's vectors for the remote tier.
 func encodeSharedEntry(e *leafEntry) []byte {
-	b := make([]byte, 0, 128+8*len(e.raw()))
+	b := make([]byte, 0, 9+8*(len(e.raw)+len(e.signed)))
 	b = append(b, sharedEntryVersion)
-	if e.pd == nil {
-		b = append(b, sharedKindDists)
-		return binenc.F64s(b, e.dists)
-	}
-	pd := e.pd
-	b = append(b, sharedKindCond)
-	b = binenc.Str(b, pd.Attr.Table)
-	b = binenc.Str(b, pd.Attr.Attr)
-	b = binenc.U32(b, uint32(pd.Attr.Kind))
-	var hasRange byte
-	if pd.HasRange {
-		hasRange = 1
-	}
-	b = append(b, hasRange)
-	b = binenc.F64(b, pd.MinDB)
-	b = binenc.F64(b, pd.MaxDB)
-	b = binenc.F64(b, pd.Lo)
-	b = binenc.F64(b, pd.Hi)
-	b = binenc.F64s(b, pd.Raw)
-	return binenc.F64s(b, pd.Signed)
+	b = binenc.F64s(b, e.raw)
+	return binenc.F64s(b, e.signed)
 }
 
 // decodeSharedEntry reverses encodeSharedEntry for the value stored
 // under key, a leaf over an item space of rows items. Another process
 // wrote the bytes and every reader of the entry indexes its vectors by
-// item, so a vector of any other length — or a value without the signed
-// vector a signed key names — is refused here: a remote miss, answered
-// by a local compute, instead of failing the run, and every run after
-// it, from inside the cache.
+// item, so a vector of any other length — or a signed vector where the
+// key names none, or none where it names one — is refused here: a
+// remote miss, answered by a local compute, instead of failing the run,
+// and every run after it, from inside the cache.
 func decodeSharedEntry(key string, data []byte, rows int) (*leafEntry, error) {
 	r := binenc.NewReader(data)
 	if ver := r.Byte(); ver != sharedEntryVersion {
@@ -95,45 +74,18 @@ func decodeSharedEntry(key string, data []byte, rows int) (*leafEntry, error) {
 		}
 		return nil, fmt.Errorf("core: shared-entry codec version %d", ver)
 	}
-	kind := r.Byte()
-	e := &leafEntry{}
-	switch kind {
-	case sharedKindCond:
-		pd := &predicateData{}
-		pd.Attr.Table = r.Str()
-		pd.Attr.Attr = r.Str()
-		pd.Attr.Kind = dataset.Kind(r.U32())
-		hasRange := r.Byte()
-		if hasRange > 1 {
-			return nil, fmt.Errorf("core: shared-entry range flag %d", hasRange)
-		}
-		pd.HasRange = hasRange == 1
-		pd.MinDB = r.F64()
-		pd.MaxDB = r.F64()
-		pd.Lo = r.F64()
-		pd.Hi = r.F64()
-		pd.Raw = r.F64s()
-		pd.Signed = r.F64s()
-		e.pd = pd
-	case sharedKindDists:
-		e.dists = r.F64s()
-	default:
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		return nil, fmt.Errorf("core: shared-entry kind %d", kind)
-	}
+	e := &leafEntry{raw: r.F64s(), signed: r.F64s()}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if !r.Done() {
 		return nil, binenc.ErrTruncated
 	}
-	if len(e.raw()) != rows || (e.pd != nil && e.pd.Signed != nil && len(e.pd.Signed) != rows) {
+	if len(e.raw) != rows || (e.signed != nil && len(e.signed) != rows) {
 		return nil, fmt.Errorf("core: shared entry's vectors are not %d items long", rows)
 	}
-	if isSignedCond(key) && (e.pd == nil || e.pd.Signed == nil) {
-		return nil, fmt.Errorf("core: shared entry under a signed key has no signed vector")
+	if (e.signed != nil) != isSignedCond(key) {
+		return nil, fmt.Errorf("core: shared entry's signed vector does not match its key")
 	}
 	return e, nil
 }

@@ -64,23 +64,26 @@ func (b *mapBackend) leafKeys(t *testing.T) []string {
 	return keys
 }
 
-// condEnvelope writes a condition entry for the leaf "a > 50" of
-// interiorCatalog by hand: the scalars, then vecs in the order given —
-// (Raw, Signed) is the current layout, (Values, Raw, Signed) was v1's.
-// Versions before 3 carried two invalidation handles ahead of the
-// scalars.
-func condEnvelope(ver byte, vecs ...[]float64) []byte {
-	b := []byte{ver, sharedKindCond}
-	if ver < 3 {
+// envelope writes a value for the leaf "a > 50" of interiorCatalog by
+// hand in the layout of version ver, with vecs as its vectors: (raw,
+// signed) since version 4; version 3 wrote a kind byte and the slider
+// scalars ahead of them, versions 1 and 2 two invalidation handles ahead
+// of those as well, and version 1's vectors were (values, raw, signed).
+func envelope(ver byte, vecs ...[]float64) []byte {
+	b := []byte{ver}
+	if ver < 4 {
+		b = append(b, 1) // the condition kind
+		if ver < 3 {
+			b = binenc.Str(b, "a")
+			b = binenc.Str(b, "a > 50")
+		}
+		b = binenc.Str(b, "S")
 		b = binenc.Str(b, "a")
-		b = binenc.Str(b, "a > 50")
-	}
-	b = binenc.Str(b, "S")
-	b = binenc.Str(b, "a")
-	b = binenc.U32(b, uint32(dataset.KindFloat))
-	b = append(b, 1) // HasRange
-	for _, f := range []float64{0, 100, 50, math.Inf(1)} {
-		b = binenc.F64(b, f)
+		b = binenc.U32(b, uint32(dataset.KindFloat))
+		b = append(b, 1) // HasRange
+		for _, f := range []float64{0, 100, 50, math.Inf(1)} {
+			b = binenc.F64(b, f)
+		}
 	}
 	for _, v := range vecs {
 		b = binenc.F64s(b, v)
@@ -89,65 +92,71 @@ func condEnvelope(ver byte, vecs ...[]float64) []byte {
 }
 
 func TestSharedEntryCodecRoundTrip(t *testing.T) {
-	pd := &predicateData{
-		Attr:     query.BoundAttr{Table: "T", Attr: "x", Kind: dataset.KindInt},
-		Raw:      []float64{0, 1, math.Inf(1), 0.25},
-		Signed:   []float64{0, -1, math.Inf(-1), math.Copysign(0, -1)},
-		MinDB:    -3,
-		MaxDB:    9,
-		HasRange: true,
-		Lo:       math.Inf(-1),
-		Hi:       4.5,
-	}
-	got, err := decodeSharedEntry(signedCondPrefix+"T:T:4|T.x|x > 1", encodeSharedEntry(&leafEntry{pd: pd}), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := got.pd
-	if g.Attr != pd.Attr || g.MinDB != pd.MinDB || g.MaxDB != pd.MaxDB ||
-		g.HasRange != pd.HasRange || g.Hi != pd.Hi || !math.IsInf(g.Lo, -1) {
-		t.Fatalf("scalars differ: %+v", g)
-	}
-	for i := range pd.Raw {
-		for _, pair := range [][2]float64{{pd.Raw[i], g.Raw[i]}, {pd.Signed[i], g.Signed[i]}} {
-			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-				t.Fatalf("vector element %d differs", i)
+	const signedKey, plainKey = signedCondPrefix + "T:T:4|T.x|x > 1", "J|T:T:4|c|neg=false"
+	raw := []float64{0, 1, math.Inf(1), 0.25}
+	signed := []float64{0, -1, math.Inf(-1), math.Copysign(0, -1)}
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s element %d differs", what, i)
 			}
 		}
 	}
-
-	// Dists-only entries round-trip too.
-	data := encodeSharedEntry(&leafEntry{dists: []float64{3, math.NaN(), 1}})
-	got, err = decodeSharedEntry("J|T:T:3|c|neg=false", data, 3)
+	// A signed condition's entry and a bare vector round-trip.
+	got, err := decodeSharedEntry(signedKey, encodeSharedEntry(&leafEntry{raw: raw, signed: signed}), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.dists) != 3 || got.pd != nil {
-		t.Fatalf("dists entry mangled: %+v", got)
+	same("raw", got.raw, raw)
+	same("signed", got.signed, signed)
+	data := encodeSharedEntry(&leafEntry{raw: raw})
+	if !bytes.Equal(data, envelope(sharedEntryVersion, raw, nil)) {
+		t.Fatalf("v4 layout: got %x", data)
+	}
+	if got, err = decodeSharedEntry(plainKey, data, 4); err != nil {
+		t.Fatal(err)
+	}
+	if same("raw", got.raw, raw); got.signed != nil {
+		t.Fatalf("bare vector decoded with a signed one: %+v", got)
 	}
 
-	// Corruption surfaces as an error, not a bogus entry.
-	if _, err := decodeSharedEntry("J|T:T:3|c|neg=false", data[:len(data)-2], 3); err == nil {
-		t.Fatal("truncated entry decoded")
-	}
-	if _, err := decodeSharedEntry("J|T:T:3|c|neg=false", append(append([]byte(nil), data...), 1), 3); err == nil {
-		t.Fatal("padded entry decoded")
+	// Corruption, another version's layout and a signed vector that does
+	// not match the key surface as errors, not bogus entries.
+	for name, tc := range map[string]struct {
+		key  string
+		data []byte
+	}{
+		"truncated":              {plainKey, data[:len(data)-2]},
+		"padded":                 {plainKey, append(append([]byte(nil), data...), 1)},
+		"v3":                     {plainKey, envelope(3, raw, nil)},
+		"signed key, no signed":  {signedKey, data},
+		"signed vector, no key":  {plainKey, envelope(sharedEntryVersion, raw, signed)},
+		"signed of other length": {signedKey, envelope(sharedEntryVersion, raw, signed[:3])},
+	} {
+		if e, err := decodeSharedEntry(tc.key, tc.data, 4); err == nil {
+			t.Fatalf("%s: decoded %+v", name, e)
+		}
 	}
 }
 
 // FuzzSharedEntry: the one decoder on the kv boundary. Arbitrary bytes
 // never panic and never become vectors larger than the input; a value
-// that is accepted has every vector rows long, carries the signed vector
-// if its key names one, and is canonical — it encodes back to the bytes
-// it came from.
+// that is accepted has every vector rows long, carries a signed vector
+// exactly when its key names one, and is canonical — it encodes back to
+// the bytes it came from.
 func FuzzSharedEntry(f *testing.F) {
 	raw, signed := []float64{0, 1.5, math.NaN(), math.Inf(1)}, []float64{0, -1.5, math.NaN(), math.Inf(-1)}
 	seeds := [][]byte{
-		condEnvelope(sharedEntryVersion, raw, nil),
-		condEnvelope(sharedEntryVersion, raw, signed),
-		encodeSharedEntry(&leafEntry{dists: raw}),
-		condEnvelope(1, raw, raw, nil), // v1: Values, Raw, Signed
-		condEnvelope(2, raw, signed),   // v2: handles, then today's payload
+		envelope(sharedEntryVersion, raw, nil),
+		envelope(sharedEntryVersion, raw, signed),
+		envelope(3, raw, nil), // v3: kind and slider scalars first
+		envelope(3, raw, signed),
+		envelope(1, raw, raw, nil), // v1: Values, Raw, Signed
+		envelope(2, raw, signed),   // v2: handles, then v3's payload
 	}
 	for _, s := range seeds {
 		f.Add(s, uint16(len(raw)), false)
@@ -156,12 +165,11 @@ func FuzzSharedEntry(f *testing.F) {
 	// miss) and the second has it.
 	f.Add(seeds[0], uint16(len(raw)), true)
 	f.Add(seeds[1], uint16(len(raw)), true)
-	// A cut at every field boundary of the fullest seed: 2 header bytes,
-	// 2 strings, kind, range flag, 4 scalars, 2 vectors (and one cut
-	// inside Raw).
+	// A cut at every field boundary of the fullest seed — the version
+	// byte, each vector's count and elements — and inside each count.
 	full := seeds[1]
-	for _, cut := range []int{0, 1, 2, 7, 12, 16, 17, 25, 33, 41, 49, 60, 85, len(full) - 1} {
-		f.Add(full[:cut], uint16(len(raw)), false)
+	for _, cut := range []int{0, 1, 3, 5, 13, 21, 29, 37, 39, 41, 49, 57, 65, len(full) - 1} {
+		f.Add(full[:cut], uint16(len(raw)), true)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, rows16 uint16, signedKey bool) {
 		rows := int(rows16)
@@ -170,12 +178,12 @@ func FuzzSharedEntry(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if signedKey && (e.pd == nil || e.pd.Signed == nil) {
-			t.Fatalf("accepted a value without a signed vector under %q", key)
+		if (e.signed != nil) != signedKey {
+			t.Fatalf("accepted a signed vector %v under %q", e.signed != nil, key)
 		}
-		vecs := [][]float64{e.raw()}
-		if e.pd != nil && e.pd.Signed != nil {
-			vecs = append(vecs, e.pd.Signed)
+		vecs := [][]float64{e.raw}
+		if e.signed != nil {
+			vecs = append(vecs, e.signed)
 		}
 		total := 0
 		for _, v := range vecs {
@@ -224,11 +232,11 @@ func mustParse(t *testing.T, sql string) *query.Query {
 
 // TestRemoteLeafOfWrongLengthIsAMiss: the store answers a leaf's key
 // with a value that decodes cleanly but is not the vector the key names
-// — another catalog's rows, a Signed vector cut short, a
-// previous-version envelope, or under a signed key the leaf without its
-// signed vector. Each is a remote miss answered by a local compute; none
-// is adopted, so the member's next run and a fresh session on it are
-// right too.
+// — another catalog's rows, a signed vector cut short, an envelope of
+// any earlier version, under a signed key the leaf without its signed
+// vector, or under a plain key one with it. Each is a remote miss
+// answered by a local compute; none is adopted, so the member's next run
+// and a fresh session on it are right too.
 func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 	const rows = 2*4096 + 57
 	const sql = `SELECT a FROM S WHERE a > 50 AND b < 40`
@@ -246,10 +254,12 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 	}{
 		{"short", spiral, short},
 		{"long", spiral, long},
-		{"signed != raw", spiral, condEnvelope(sharedEntryVersion, zeros, zeros[:10])},
-		{"v1 envelope", spiral, condEnvelope(1, zeros, zeros, nil)},
-		{"v2 envelope", spiral, condEnvelope(2, zeros, nil)},
+		{"signed != raw", twoD, envelope(sharedEntryVersion, zeros, zeros[:10])},
+		{"v1 envelope", spiral, envelope(1, zeros, zeros, nil)},
+		{"v2 envelope", spiral, envelope(2, zeros, nil)},
+		{"v3 envelope", spiral, envelope(3, zeros, nil)},
 		{"signed key, value without signed vector", twoD, unsigned},
+		{"plain key, value with a signed vector", spiral, envelope(sharedEntryVersion, zeros, zeros)},
 	} {
 		name := tc.name
 		cold, err := New(cat, nil, tc.opt).Run(mustParse(t, sql))

@@ -30,11 +30,6 @@ type Result struct {
 	// N is the totality of data items considered (rows, or cross-product
 	// pairs for multi-table queries) — the "# objects" panel field.
 	N int
-	// combined is the normalized combined distance per item,
-	// materialized lazily on the rank-before-scale path (the Combined
-	// accessor); the Relevance accessor materializes its inverse on
-	// demand.
-	combined []float64
 	// Order maps display rank → item index (ascending combined
 	// distance, i.e. descending relevance); sorted holds the distances
 	// in rank order. Every entry is in exact relevance order: on the
@@ -54,9 +49,11 @@ type Result struct {
 	Timings StageTimings
 
 	root   *relevance.Node
-	mu     sync.Mutex // guards rank extension and the Combined/Relevance memoization
+	mu     sync.Mutex // guards rank extension and the Relevance memoization
 	nodeOf map[query.Expr]*relevance.Node
-	preds  map[*query.Cond]*predicateData
+	// signed holds the signed distances of the conditions that have them
+	// (an Arrange2D run's), which the 2D placement reads.
+	signed map[query.Expr][]float64
 	cells  []arrange.Point // rank → cell
 
 	// relevance memoizes the Relevance accessor.
@@ -87,25 +84,14 @@ func (r *Result) poll() error {
 }
 
 // Combined returns the normalized combined distance per item — the
-// full n-sized scaled vector. On the default rank-before-scale path
-// the engine never needs it (ranking happens on raw values, windows
-// read only displayed ranks), so it materializes lazily on first use
-// and is memoized; FullSort/Arrange2D runs have it eagerly. Like every
-// vector of a cached run's Result, it is valid until the session's
-// next recalculation. Safe for concurrent use. Prefer DistanceOfRank
-// for ranked access — it never forces materialization.
-func (r *Result) Combined() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.combinedLocked()
-}
-
-func (r *Result) combinedLocked() []float64 {
-	if r.combined == nil {
-		r.combined = r.Eval.MaterializeCombined()
-	}
-	return r.combined
-}
+// full n-sized scaled vector, the root's Vec. On the default
+// rank-before-scale path the engine never needs it (ranking happens on
+// raw values, windows read only displayed ranks), so it materializes
+// lazily on first use and is memoized; FullSort/Arrange2D runs have it
+// eagerly. Like every vector of a cached run's Result, it is valid until
+// the session's next recalculation. Safe for concurrent use. Prefer
+// DistanceOfRank for ranked access — it never forces materialization.
+func (r *Result) Combined() []float64 { return r.Eval.Vec(r.root) }
 
 // DistanceOfRank returns the combined (scaled) distance of the item at
 // display rank k — res.Combined()[res.Order[k]] without materializing
@@ -128,7 +114,7 @@ func (r *Result) Relevance() []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.relevance == nil {
-		r.relevance = relevance.RelevanceFactors(r.combinedLocked())
+		r.relevance = relevance.RelevanceFactors(r.Combined())
 	}
 	return r.relevance
 }
@@ -136,8 +122,13 @@ func (r *Result) Relevance() []float64 {
 // setNode records the relevance node of an expression.
 func (r *Result) setNode(e query.Expr, n *relevance.Node) { r.nodeOf[e] = n }
 
-// setPred records the predicate data of a condition.
-func (r *Result) setPred(c *query.Cond, pd *predicateData) { r.preds[c] = pd }
+// setSigned records the signed distances of a condition.
+func (r *Result) setSigned(e query.Expr, signed []float64) {
+	if r.signed == nil {
+		r.signed = make(map[query.Expr][]float64)
+	}
+	r.signed[e] = signed
+}
 
 // setLeafID records a leaf node's full cache key.
 func (r *Result) setLeafID(n *relevance.Node, key string) {
@@ -201,11 +192,12 @@ func (r *Result) apply2DQuantiles(sx, sy []float64) {
 	if len(in2D) == 0 {
 		return
 	}
+	combined := r.Combined()
 	keep := make(map[int]bool, len(in2D))
 	for _, item := range in2D {
 		// Uncolorable items stay out of the display even when their
 		// axis distances fall inside the bands.
-		if !math.IsNaN(r.combined[item]) {
+		if !math.IsNaN(combined[item]) {
 			keep[item] = true
 		}
 	}
@@ -229,7 +221,7 @@ func (r *Result) apply2DQuantiles(sx, sy []float64) {
 	r.Order = newOrder
 	sorted := make([]float64, len(newOrder))
 	for i, item := range newOrder {
-		sorted[i] = r.combined[item]
+		sorted[i] = combined[item]
 	}
 	r.sorted = sorted
 	// sorted is now in DISPLAY order (band members first), not ascending
@@ -238,18 +230,24 @@ func (r *Result) apply2DQuantiles(sx, sy []float64) {
 	r.sortedReordered = true
 }
 
-// signedOf finds the signed-distance vector of the predicate on the
-// named attribute, or nil.
+// signedOf finds the signed-distance vector of the condition on the
+// named attribute, or nil: of several, the first in query order that
+// has one — the rule Session.FindCond uses.
 func (r *Result) signedOf(attr string) []float64 {
 	if attr == "" {
 		return nil
 	}
-	for c, pd := range r.preds {
-		if c.Attr == attr || pd.Attr.Attr == attr || pd.Attr.Qualified() == attr {
-			return pd.Signed
+	var found []float64
+	query.Walk(r.Query.Where, func(e query.Expr) {
+		c, ok := e.(*query.Cond)
+		if !ok || found != nil {
+			return
 		}
-	}
-	return nil
+		if b := r.Binding.Attrs[c]; c.Attr == attr || b.Attr == attr || b.Qualified() == attr {
+			found = r.signed[c]
+		}
+	})
+	return found
 }
 
 func signOf(signed []float64, item int) int {
@@ -357,15 +355,20 @@ func (r *Result) PredicateInfos() []PredicateInfo {
 			}
 		}
 		if c, ok := p.(*query.Cond); ok {
-			if pd, ok := r.preds[c]; ok {
-				info.Kind = pd.Attr.Kind
-				if pd.HasRange {
+			if attr, ok := r.Binding.Attrs[c]; ok {
+				info.Kind = attr.Kind
+				if lo, hi, ok := sliderRange(c, attr.Kind); ok {
 					info.Numeric = true
-					info.MinDB, info.MaxDB = pd.MinDB, pd.MaxDB
-					info.QueryLo, info.QueryHi = pd.Lo, pd.Hi
+					if col := r.column(attr); col != nil {
+						// The column keeps its extremes: an O(1) read.
+						if dbLo, dbHi, ok := col.MinMax(); ok {
+							info.MinDB, info.MaxDB = dbLo, dbHi
+						}
+					}
+					info.QueryLo, info.QueryHi = lo, hi
 					first, last := math.Inf(1), math.Inf(-1)
 					any := false
-					valueOf := r.attrValue(pd.Attr)
+					valueOf := r.attrValue(attr)
 					for rank := 0; rank < r.Displayed; rank++ {
 						v := valueOf(r.Order[rank])
 						if math.IsNaN(v) {
@@ -381,8 +384,8 @@ func (r *Result) PredicateInfos() []PredicateInfo {
 						info.FirstDisplayed, info.LastDisplayed = math.NaN(), math.NaN()
 					}
 				}
-				if pd.Attr.Kind == dataset.KindOrdinal || pd.Attr.Kind == dataset.KindNominal {
-					info.Categories, info.SelectedCats = r.categorySelection(c, pd)
+				if attr.Kind == dataset.KindOrdinal || attr.Kind == dataset.KindNominal {
+					info.Categories, info.SelectedCats = r.categorySelection(c, attr)
 				}
 			}
 		}
@@ -391,16 +394,33 @@ func (r *Result) PredicateInfos() []PredicateInfo {
 	return out
 }
 
+// sliderRange is the query range a numeric condition's slider marks:
+// numericRange's interval, for every operator but the pointwise <>.
+func sliderRange(c *query.Cond, kind dataset.Kind) (lo, hi float64, ok bool) {
+	if !kind.IsNumeric() {
+		return 0, 0, false
+	}
+	lo, hi, pointwise, err := numericRange(c)
+	return lo, hi, err == nil && !pointwise
+}
+
+// column returns the bound attribute's column, or nil.
+func (r *Result) column(attr query.BoundAttr) *dataset.Column {
+	t, err := r.Space.tableByName(attr.Table)
+	if err != nil {
+		return nil
+	}
+	col, _ := t.Column(attr.Attr)
+	return col
+}
+
 // attrValue returns a per-item reader of an attribute's value, straight
 // from the catalog (the item's row of the attribute's table; NaN for
 // nulls and non-numeric kinds). The panel fields need at most the
 // display budget of them, which is why a cached leaf keeps no copy of
 // its column.
 func (r *Result) attrValue(attr query.BoundAttr) func(item int) float64 {
-	var col *dataset.Column
-	if t, err := r.Space.tableByName(attr.Table); err == nil {
-		col, _ = t.Column(attr.Attr)
-	}
+	col := r.column(attr)
 	return func(item int) float64 {
 		row, err := r.Space.rowFor(item, attr.Table)
 		if col == nil || err != nil {
@@ -480,12 +500,12 @@ func (r *Result) Image(cols int) (*render.Image, error) {
 // categorySelection computes the enumeration-slider state of a
 // categorical condition: the attribute's categories and which of them
 // the condition currently selects.
-func (r *Result) categorySelection(c *query.Cond, pd *predicateData) (labels []string, selected []bool) {
-	t, err := r.Engine.cat.Table(pd.Attr.Table)
+func (r *Result) categorySelection(c *query.Cond, attr query.BoundAttr) (labels []string, selected []bool) {
+	t, err := r.Engine.cat.Table(attr.Table)
 	if err != nil {
 		return nil, nil
 	}
-	idx := t.Schema().Index(pd.Attr.Attr)
+	idx := t.Schema().Index(attr.Attr)
 	if idx < 0 {
 		return nil, nil
 	}
@@ -724,7 +744,7 @@ func (r *Result) TopK(k int) []int {
 		k = 0
 	}
 	if k > len(r.Order) {
-		r.sorted, r.Order = topk.SelectKWithIndex(r.combinedLocked(), k)
+		r.sorted, r.Order = topk.SelectKWithIndex(r.Combined(), k)
 	}
 	out := make([]int, k)
 	copy(out, r.Order[:k])

@@ -24,7 +24,7 @@ func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 		for i := range dists {
 			dists[i] = fill
 		}
-		return leafEntry{dists: dists}, nil
+		return leafEntry{raw: dists}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +172,12 @@ func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
 	sc := NewSharedCache(1, 0)
 	const key = "C|T:T:4|T.x|x > 5"
 	old, _, err := sc.fetch(key, 4, func() (leafEntry, error) {
-		return leafEntry{pd: &predicateData{Raw: []float64{1, 2, 3, 4}}}, nil
+		return leafEntry{raw: []float64{1, 2, 3, 4}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := append([]float64(nil), old.pd.Raw...)
+	snapshot := append([]float64(nil), old.raw...)
 
 	fillDists(t, sc, "C|T:T:4|T.x|x > 7", 4, 0) // the cap of one pushes key out
 	if st := sc.Stats(); st.Entries != 1 || st.Evictions != 1 || st.Bytes != 4*8 {
@@ -185,7 +185,7 @@ func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
 	}
 
 	fresh, hit, err := sc.fetch(key, 4, func() (leafEntry, error) {
-		return leafEntry{pd: &predicateData{Raw: []float64{9, 9, 9, 9}}}, nil
+		return leafEntry{raw: []float64{9, 9, 9, 9}}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,10 +193,10 @@ func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
 	if hit {
 		t.Fatal("fetch after eviction hit a dead entry")
 	}
-	if &fresh.pd.Raw[0] == &old.pd.Raw[0] {
+	if &fresh.raw[0] == &old.raw[0] {
 		t.Fatal("refill reused the evicted backing array")
 	}
-	for i, v := range old.pd.Raw {
+	for i, v := range old.raw {
 		if v != snapshot[i] {
 			t.Fatalf("old reader's vector changed at %d: %v -> %v", i, snapshot[i], v)
 		}
@@ -229,13 +229,13 @@ func TestSharedCacheSingleflight(t *testing.T) {
 					}
 					time.Sleep(time.Millisecond)
 				}
-				return leafEntry{dists: []float64{42}}, nil
+				return leafEntry{raw: []float64{42}}, nil
 			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[g] = v.dists
+			results[g] = v.raw
 		}()
 	}
 	wg.Wait()
@@ -294,7 +294,7 @@ func TestCanceledFillIsLedAgain(t *testing.T) {
 		computed := false
 		le, hit, err := sc.fetch("K", 1, func() (leafEntry, error) {
 			computed = true
-			return leafEntry{dists: []float64{7}}, nil
+			return leafEntry{raw: []float64{7}}, nil
 		})
 		if lerr := <-leaderDone; lerr != leaderErr {
 			t.Fatalf("leader: %v, want %v", lerr, leaderErr)
@@ -306,8 +306,8 @@ func TestCanceledFillIsLedAgain(t *testing.T) {
 			}
 			continue
 		}
-		if err != nil || hit || !computed || len(le.dists) != 1 || le.dists[0] != 7 {
-			t.Fatalf("%v: waiter got %v, %v, hit %v, computed %v; want its own entry", leaderErr, le.dists, err, hit, computed)
+		if err != nil || hit || !computed || len(le.raw) != 1 || le.raw[0] != 7 {
+			t.Fatalf("%v: waiter got %v, %v, hit %v, computed %v; want its own entry", leaderErr, le.raw, err, hit, computed)
 		}
 		if st.Waits != 1 || st.Misses != 2 || st.Fills != 1 || st.Entries != 1 {
 			t.Fatalf("%v: stats %+v", leaderErr, st)
@@ -379,8 +379,8 @@ func TestSignedLeavesAreTheirOwnEntries(t *testing.T) {
 			if strings.HasPrefix(key, "I|") {
 				continue
 			}
-			if isSignedCond(key) != signed || (le.pd.Signed != nil) != signed {
-				t.Errorf("%s pins %q, signed vector present = %v", su.name, key, le.pd.Signed != nil)
+			if isSignedCond(key) != signed || (le.signed != nil) != signed {
+				t.Errorf("%s pins %q, signed vector present = %v", su.name, key, le.signed != nil)
 			}
 		}
 	}

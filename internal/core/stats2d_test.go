@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 )
 
@@ -42,5 +43,39 @@ func TestStats2DQuantileReorderExact(t *testing.T) {
 	}
 	if got := res.Stats().NumResults; got != want {
 		t.Fatalf("NumResults = %d, want %d", got, want)
+	}
+}
+
+// TestArrange2DTwoConditionsOnAnAxisIsDeterministic: with two conditions
+// on the x axis's attribute, the 2D arrangement reads the signed vector
+// of the first one in query order — the rule Session.FindCond uses — on
+// every run, so the same query on one engine places every item in the
+// same cell every time (it used to pick one of the two at map-iteration
+// order and move items between runs).
+func TestArrange2DTwoConditionsOnAnAxisIsDeterministic(t *testing.T) {
+	cat, err := datagen.Traffic(5000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(cat, nil, Options{GridW: 32, GridH: 32, Arrangement: Arrange2D, AxisX: "a", AxisY: "b"})
+	const sql = `SELECT a FROM S WHERE a > 60 AND a < 40 AND b < 30`
+	first, err := e.RunSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 30; run++ {
+		res, err := e.RunSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Displayed != first.Displayed {
+			t.Fatalf("run %d displays %d items, run 0 %d", run, res.Displayed, first.Displayed)
+		}
+		for rank := 0; rank < first.Displayed; rank++ {
+			if res.Order[rank] != first.Order[rank] || res.CellOfRank(rank) != first.CellOfRank(rank) {
+				t.Fatalf("run %d, rank %d: item %d at %v, run 0 item %d at %v", run, rank,
+					res.Order[rank], res.CellOfRank(rank), first.Order[rank], first.CellOfRank(rank))
+			}
+		}
 	}
 }

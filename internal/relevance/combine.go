@@ -146,8 +146,7 @@ func (t rootTransform) applyRange(v []float64) {
 
 // Raw combiner kinds.
 const (
-	cmbLeaf = iota // no combiner: a deferred root that is a single leaf
-	cmbAnd
+	cmbAnd = iota
 	cmbOr
 	cmbLp
 )
@@ -274,6 +273,149 @@ func combineLpRaw(dst []float64, dists [][]float64, ws []float64, p float64) {
 		}
 		dst[i] = acc
 	}
+}
+
+// combine is one AND/OR node's combine as one value: its children's raw
+// vectors and the params that scale them, the resolved weights and
+// kernel, and per-child chunk scratch. chunk is the only producer of a
+// node's raw combined values: an interior node's pass completes them
+// with t, the deferred root ranks them as they are.
+type combine struct {
+	raw      [][]float64  // the children's unscaled vectors, read-only
+	params   []NormParams // the params that scale them
+	ws       []float64    // resolved weights (resolveWeights)
+	combiner int
+	t        rootTransform
+	lpP      float64
+	scratch  [][]float64 // per child, one chunk of its scaled values
+	vs       [][]float64 // the chunk's scaled child slices
+}
+
+// newCombine evaluates node's children, every one of which becomes a
+// lazy vector of the result, and resolves node's weights and kernel —
+// validating node, its weights and the Lp exponent with the reference
+// pipeline's errors.
+func (c *fusedCtx) newCombine(node *Node) (*combine, error) {
+	if len(node.Children) == 0 {
+		return nil, fmt.Errorf("relevance: %q has no children", node.Label)
+	}
+	if node.Op == NodeAnd && c.opts.And == ANDLp && (c.opts.LpP < 1 || c.opts.LpP != c.opts.LpP) {
+		// Match CombineLp's validation (NaN compares unequal to itself).
+		return nil, fmt.Errorf("relevance: Lp needs p >= 1, got %v", c.opts.LpP)
+	}
+	k := len(node.Children)
+	cb := &combine{raw: make([][]float64, k), params: make([]NormParams, k),
+		scratch: make([][]float64, k), vs: make([][]float64, k)}
+	weights := make([]float64, k)
+	for j, child := range node.Children {
+		v, p, err := c.eval(child)
+		if err != nil {
+			return nil, err
+		}
+		w := child.EffWeight()
+		if w < 0 || w != w {
+			return nil, fmt.Errorf("relevance: invalid weight %v at %d", w, j)
+		}
+		cb.raw[j], cb.params[j], weights[j] = v, p, w
+		cb.scratch[j] = make([]float64, evalChunk)
+		c.res.setLazy(child, v, p)
+	}
+	ws, effSum := resolveWeights(weights, k)
+	cb.ws = ws
+	cb.combiner, cb.t, cb.lpP = kernelFor(node.Op, c.opts, effSum)
+	return cb, nil
+}
+
+// chunk writes the raw combined values of items [lo, hi) to dst: each
+// child's chunk scaled into its scratch, then the raw kernel over them.
+func (cb *combine) chunk(dst []float64, lo, hi int) {
+	for j, raw := range cb.raw {
+		s := cb.scratch[j][:hi-lo]
+		applyRange(s, raw[lo:hi], cb.params[j])
+		cb.vs[j] = s
+	}
+	combineRaw(cb.combiner, dst, cb.vs, cb.ws, cb.lpP)
+}
+
+// deferrable reports whether t can be applied after ranking without
+// changing any value's finite/NaN classification: the raw domain is
+// bounded by U (every scaled child value is in [0, Scale]) and t(U) must
+// stay finite. Pathological weights (sums overflowing, Σw near zero
+// turning the geometric root into an overflowing power) fail the check,
+// and the root is finished eagerly instead.
+func (cb *combine) deferrable() bool {
+	var u float64
+	switch cb.combiner {
+	case cmbAnd:
+		for _, w := range cb.ws {
+			u += w * Scale
+		}
+	case cmbLp:
+		if cb.lpP == 2 {
+			for _, w := range cb.ws {
+				u += w * (Scale * Scale)
+			}
+		} else {
+			for _, w := range cb.ws {
+				u += w * math.Pow(Scale, cb.lpP)
+			}
+		}
+	case cmbOr:
+		u = 1
+		for _, w := range cb.ws {
+			u *= math.Pow(Scale, w)
+		}
+	}
+	u *= 1 + 1e-6 // headroom over kernel rounding differences
+	if math.IsNaN(u) || math.IsInf(u, 0) {
+		return false
+	}
+	v := cb.t.apply(u)
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// bounds folds the children's raw chunk minima into per-chunk lower
+// bounds on the raw combined value; a chunk is bounded (nanFree) only
+// when no child holds a NaN there. The scaled chunk minimum of child j
+// is Apply(raw chunk minimum) exactly, because Apply is monotone, and
+// the raw kernel folds those minima with the operations (and the order)
+// of the per-element combine, which makes the bound exact for the
+// monotone fast paths. Only math.Pow factors — Lp with p ≠ 2, an OR
+// weight outside {0, 1, 2, 3} — get a downward safety margin (Pow is not
+// guaranteed monotone to the last ulp).
+func (cb *combine) bounds(mins [][]float64, nans [][]int32) (bounds []float64, nanFree []bool) {
+	nchunks := len(mins[0])
+	scaled := make([][]float64, len(mins))
+	for j := range mins {
+		scaled[j] = make([]float64, nchunks)
+		applyRange(scaled[j], mins[j], cb.params[j])
+	}
+	bounds = make([]float64, nchunks)
+	combineRaw(cb.combiner, bounds, scaled, cb.ws, cb.lpP)
+	pow := cb.combiner == cmbLp && cb.lpP != 2
+	if cb.combiner == cmbOr {
+		for _, w := range cb.ws {
+			pow = pow || w != 0 && w != 1 && w != 2 && w != 3
+		}
+	}
+	nanFree = make([]bool, nchunks)
+	for ci, b := range bounds {
+		free := true
+		for j := range nans {
+			if nans[j][ci] != 0 {
+				free = false
+				break
+			}
+		}
+		nanFree[ci] = free
+		switch {
+		case !free:
+			bounds[ci] = math.NaN() // never consulted
+		case pow && b > 0:
+			bounds[ci] = math.Nextafter(b*(1-1e-9), math.Inf(-1))
+		}
+	}
+	return bounds, nanFree
 }
 
 // CombineLp combines per-predicate distances with the weighted Lp norm

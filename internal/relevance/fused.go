@@ -11,11 +11,11 @@ import "fmt"
 //
 //  1. Leaf normalization ranges are computed first (a scan plus a
 //     selection per leaf; nothing is written).
-//  2. Each interior node runs ONE chunked pass that scales its leaf
-//     children into their output buffers, finalizes interior children
-//     in place, combines the scaled chunk, and folds the combined
-//     chunk into the node's range statistics — all while the chunk is
-//     cache-hot.
+//  2. Each interior node runs ONE chunked pass over its combine, which
+//     scales every child's chunk into chunk-local scratch and combines
+//     them; the pass completes the chunk with the node's transform and
+//     folds it into the node's range statistics — all while the chunk is
+//     cache-hot. Every child stays lazy: Result.Vec materializes it.
 //  3. Output buffers come from EvalOptions.Alloc, so an interactive
 //     session reruns with zero n-sized allocations.
 //
@@ -41,18 +41,32 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	}
 	ctx := &fusedCtx{opts: opts, n: n,
 		res: &Result{ByNode: make(map[*Node][]float64), n: n, alloc: opts.Alloc}}
-	if opts.DeferRoot && deferralSafe(root, opts) {
-		// Rank-before-scale: children evaluate fully (their passes are
-		// needed for the root's normalization inputs), the root itself
-		// stays raw and chunk-lazy — see rootrank.go. Unsafe transforms
-		// (deferralSafe false) fall through to the eager root below.
-		ctx.nodeStats = make(map[*Node]*LeafChunkStats)
-		if err := ctx.buildDeferredRoot(root); err != nil {
-			return nil, err
+	var vec []float64
+	var params NormParams
+	var err error
+	switch {
+	case opts.DeferRoot && root.Op == Leaf:
+		// Rank-before-scale (rootrank.go): a leaf root ranks its own
+		// distances, over the range eval checks them for.
+		if _, params, err = ctx.eval(root); err == nil {
+			ctx.deferRoot(root, nil, params)
+			return ctx.res, nil
 		}
-		return ctx.res, nil
+	case opts.DeferRoot && (root.Op == NodeAnd || root.Op == NodeOr):
+		// Rank-before-scale: the root's combine is built (its children
+		// evaluated) and stays raw and chunk-lazy, unless its transform
+		// could overflow — then the same combine finishes eagerly below.
+		var cb *combine
+		if cb, err = ctx.newCombine(root); err == nil {
+			if cb.deferrable() {
+				ctx.deferRoot(root, cb, NormParams{})
+				return ctx.res, nil
+			}
+			vec, params, err = ctx.pass(root, cb)
+		}
+	default:
+		vec, params, err = ctx.eval(root)
 	}
-	vec, params, err := ctx.eval(root)
 	if err != nil {
 		return nil, err
 	}
@@ -86,10 +100,6 @@ type fusedCtx struct {
 	opts EvalOptions
 	n    int
 	res  *Result
-	// nodeStats retains each interior node's per-chunk stats when the
-	// root is deferred: the block-pruning bounds of the root fold the
-	// chunk minima (and NaN counts) of its interior children.
-	nodeStats map[*Node]*LeafChunkStats
 	// sigs/optsSig memoize the interior cache signatures (interior.go);
 	// populated only when the Interior hooks are set.
 	sigs    map[*Node]string
@@ -127,9 +137,9 @@ func (c *fusedCtx) checkpoint() error {
 
 // eval processes one subtree and returns the node's UNSCALED vector
 // together with the params that scale it: for leaves the raw Dists, for
-// interior nodes the combined-but-not-yet-renormalized vector (already
-// stored in ByNode; the parent — or the root finalizer — scales it in
-// place to its final form).
+// interior nodes the combined-but-not-yet-renormalized vector (the
+// parent's combine scales it chunk by chunk, the root finalizer in
+// place).
 func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 	if err := c.checkpoint(); err != nil {
 		return nil, NormParams{}, err
@@ -141,13 +151,6 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		}
 		return node.Dists, indexedRange(node.Dists, node.Quantiles, node.Zeros, c.keepOf(node)), nil
 	case NodeAnd, NodeOr:
-		if len(node.Children) == 0 {
-			return nil, NormParams{}, fmt.Errorf("relevance: %q has no children", node.Label)
-		}
-		if node.Op == NodeAnd && c.opts.And == ANDLp && (c.opts.LpP < 1 || c.opts.LpP != c.opts.LpP) {
-			// Match CombineLp's validation (NaN compares unequal to itself).
-			return nil, NormParams{}, fmt.Errorf("relevance: Lp needs p >= 1, got %v", c.opts.LpP)
-		}
 		if c.opts.InteriorFetch != nil {
 			if e, ok := c.fetchInterior(node); ok {
 				// The subtree's raw combined vector is cached: skip the
@@ -159,88 +162,48 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 				}
 			}
 		}
-		k := len(node.Children)
-		raw := make([][]float64, k)     // child vectors, unscaled
-		scratch := make([][]float64, k) // chunk scratch; nil: the child finalizes in place
-		cparams := make([]NormParams, k)
-		weights := make([]float64, k)
-		for j, child := range node.Children {
-			v, p, err := c.eval(child)
-			if err != nil {
-				return nil, NormParams{}, err
-			}
-			raw[j], cparams[j] = v, p
-			w := child.EffWeight()
-			if w < 0 || w != w {
-				return nil, NormParams{}, fmt.Errorf("relevance: invalid weight %v at %d", w, j)
-			}
-			weights[j] = w
-			switch {
-			case c.res.isLazy(child):
-				// A cached interior child is read-only: it scales into
-				// chunk-local scratch like a leaf.
-				scratch[j] = make([]float64, evalChunk)
-			case child.Op != Leaf:
-				// Interior children finalize in place: their ByNode
-				// buffer holds the raw combined vector until this pass
-				// scales it.
-			default:
-				// Leaves scale into chunk-local scratch for the
-				// combination and materialize later via Result.Vec.
-				c.res.setLazy(child, v, p)
-				scratch[j] = make([]float64, evalChunk)
-			}
-		}
-		ws, effSum := resolveWeights(weights, k)
-		combiner, t, lpP := kernelFor(node.Op, c.opts, effSum)
-		out := c.alloc()
-		// The fused pass: scale every child's chunk (in place, or into
-		// chunk-sized scratch that stays L1-resident), combine the chunk,
-		// and fold it into the node's range scan — one cache-hot sweep
-		// instead of 2k+3 vector-length passes.
-		vs := make([][]float64, k)
-		chunkStats := make([]rangeScan, c.chunkCount())
-		c.forChunks(func(ci, lo, hi int) {
-			for j := range node.Children {
-				dst := raw[j][lo:hi]
-				if buf := scratch[j]; buf != nil {
-					dst = buf[:hi-lo]
-				}
-				applyRange(dst, raw[j][lo:hi], cparams[j])
-				vs[j] = dst
-			}
-			dst := out[lo:hi]
-			combineRaw(combiner, dst, vs, ws, lpP)
-			t.applyRange(dst)
-			chunkStats[ci] = scanRange(out, lo, hi)
-		})
-		if err := c.checkpoint(); err != nil {
-			// A canceled pass may have skipped chunks: nothing below
-			// (stats, caches, ByNode) may see the partial buffers.
+		cb, err := c.newCombine(node)
+		if err != nil {
 			return nil, NormParams{}, err
 		}
-		// Merge the per-chunk scans (min/max/count merging is exact).
-		stats := newRangeScan()
-		for _, st := range chunkStats {
-			stats.merge(st)
-		}
-		if c.nodeStats != nil || c.opts.InteriorStore != nil {
-			cs := chunkStatsOf(chunkStats)
-			if c.nodeStats != nil {
-				c.nodeStats[node] = cs
-			}
-			if c.opts.InteriorStore != nil {
-				// Cache a copy of the RAW vector (the parent scales out in
-				// place later) with its chunk stats, so the next
-				// structurally identical rerun skips this whole pass.
-				c.opts.InteriorStore(c.sig(node), append([]float64(nil), out...), cs)
-			}
-		}
-		c.res.ByNode[node] = out
-		return out, rangeOf(stats, out, c.keepOf(node)), nil
+		return c.pass(node, cb)
 	default:
 		return nil, NormParams{}, fmt.Errorf("relevance: unknown node op %d", node.Op)
 	}
+}
+
+// pass runs an interior node's fused pass: per chunk, the combine's raw
+// values completed by its transform and folded into the node's range
+// scan — one cache-hot sweep instead of 2k+3 vector-length passes. It
+// sets the node's ChunkStats from the same scans and returns the
+// combined vector with the params that scale it.
+func (c *fusedCtx) pass(node *Node, cb *combine) ([]float64, NormParams, error) {
+	out := c.alloc()
+	scans := make([]rangeScan, c.chunkCount())
+	c.forChunks(func(ci, lo, hi int) {
+		dst := out[lo:hi]
+		cb.chunk(dst, lo, hi)
+		cb.t.applyRange(dst)
+		scans[ci] = scanRange(out, lo, hi)
+	})
+	if err := c.checkpoint(); err != nil {
+		// A canceled pass may have skipped chunks: nothing below
+		// (stats, caches, the parent) may see the partial buffer.
+		return nil, NormParams{}, err
+	}
+	// Merge the per-chunk scans (min/max/count merging is exact).
+	stats := newRangeScan()
+	for _, st := range scans {
+		stats.merge(st)
+	}
+	node.ChunkStats = chunkStatsOf(scans)
+	if c.opts.InteriorStore != nil {
+		// Cache a copy of the vector (the buffer is the run's; a root
+		// finalizes it in place) with its chunk stats, so the next
+		// structurally identical rerun skips this whole pass.
+		c.opts.InteriorStore(c.sig(node), append([]float64(nil), out...), node.ChunkStats)
+	}
+	return out, rangeOf(stats, out, c.keepOf(node)), nil
 }
 
 // chunkCount is how many evalChunk-sized chunks cover [0, n).

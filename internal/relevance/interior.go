@@ -188,8 +188,6 @@ func (c *fusedCtx) useInteriorEntry(node *Node, e cachedVec, entries map[*Node]c
 	for d, de := range entries {
 		use(d, de)
 	}
-	if c.nodeStats != nil {
-		c.nodeStats[node] = e.cs
-	}
+	node.ChunkStats = e.cs
 	return e.raw, use(node, e), nil
 }

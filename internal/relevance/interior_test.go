@@ -259,13 +259,12 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 				t.Fatalf("SketchHits %d, fetch hits %d", got.SketchHits, hits)
 			}
 		}
-		sameVec(t, "combined", ref.MaterializeCombined(), got.MaterializeCombined())
+		sameVec(t, "combined", ref.Vec(tree), got.Vec(tree))
 		for i, leaf := range collectLeaves(tree) {
 			sameVec(t, fmt.Sprintf("leaf %d", i), ref.Vec(leaf), got.Vec(leaf))
 		}
 		// Direct interior children of the root materialize through Vec on
-		// both paths (a cached child is lazy, a computed one finalizes in
-		// place or pends under DeferRoot).
+		// both paths (cached or computed, every child is lazy).
 		if tree.Op != Leaf {
 			for i, ch := range tree.Children {
 				if ch.Op == Leaf {

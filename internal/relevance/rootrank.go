@@ -2,7 +2,6 @@ package relevance
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -27,8 +26,9 @@ import (
 //
 // The deferred root therefore:
 //
-//  1. combines chunks into RAW values only (raw kernels in combine.go),
-//     on demand, chunk by chunk;
+//  1. combines chunks into RAW values only, on demand, chunk by chunk —
+//     the root's combine.chunk, the one producer of every interior
+//     node's chunks too, without the transform an interior pass adds;
 //  2. streams raw values through a threshold-seeded lexicographic
 //     (value, index) selector — topk.StreamSelector — skipping whole
 //     chunks whose precomputed raw lower bound cannot beat the running
@@ -78,30 +78,16 @@ type RootRanking struct {
 // rootDefer carries the deferred root of one evaluation. All access is
 // serialized by the owning Result's mutex.
 type rootDefer struct {
-	res  *Result
 	node *Node
 	n    int
 
-	// Children of a combiner root (empty for cmbLeaf).
-	children []*Node
-	raw      [][]float64  // child raw vectors (leaf Dists, interior raw combined)
-	cparams  []NormParams // child scaling params
-	ws       []float64
-	effSum   float64
-	lpP      float64
-	combiner int
-	t        rootTransform
-	keep     int // KeepCount of the root (0 under NaiveNormalize)
+	cb   *combine      // the root's combine; nil for a leaf root
+	t    rootTransform // cb's transform (the identity for a leaf root)
+	keep int           // KeepCount of the root (0 under NaiveNormalize)
 
-	// pending maps the root's raw interior children to their params;
-	// Result.Vec finalizes them in place on demand.
-	pending map[*Node]NormParams
-
-	out     []float64 // raw combined values (cmbLeaf: aliases node.Dists)
-	state   []byte    // per chunk: 0 = unmaterialized, 1 = raw in out
-	scans   []rangeScan
-	scratch [][]float64 // per-child chunk scratch
-	vs      [][]float64 // the chunk's scaled child slices, refilled per chunk
+	out   []float64 // raw combined values (a leaf root: its Dists)
+	state []byte    // per chunk: 0 = unmaterialized, 1 = raw in out
+	scans []rangeScan
 
 	// Block-pruning inputs, valid when haveBounds: per-chunk raw lower
 	// bound and NaN-freedom proof.
@@ -141,26 +127,18 @@ func (rd *rootDefer) chunkSpan(ci int) (lo, hi int) {
 	return lo, hi
 }
 
-// ensureRaw materializes chunk ci's raw combined values into out.
+// ensureRaw materializes chunk ci's raw combined values into out. A
+// leaf root's raw values ARE node.Dists: the chunk is only marked as
+// available to the tie walk.
 func (rd *rootDefer) ensureRaw(ci int) {
 	if rd.state[ci] != 0 {
 		return
 	}
-	if rd.combiner == cmbLeaf {
-		// A leaf root's raw values ARE node.Dists; "materializing" just
-		// marks the chunk as available to the tie walk.
-		rd.state[ci] = 1
-		return
+	if rd.cb != nil {
+		lo, hi := rd.chunkSpan(ci)
+		rd.cb.chunk(rd.out[lo:hi], lo, hi)
+		rd.scans[ci] = scanRange(rd.out, lo, hi)
 	}
-	lo, hi := rd.chunkSpan(ci)
-	for j := range rd.children {
-		dst := rd.scratch[j][:hi-lo]
-		applyRange(dst, rd.raw[j][lo:hi], rd.cparams[j])
-		rd.vs[j] = dst
-	}
-	dst := rd.out[lo:hi]
-	combineRaw(rd.combiner, dst, rd.vs, rd.ws, rd.lpP)
-	rd.scans[ci] = scanRange(rd.out, lo, hi)
 	rd.state[ci] = 1
 }
 
@@ -182,7 +160,7 @@ func (rd *rootDefer) key(x float64) float64 {
 // combiner outputs are non-negative by construction, a leaf root's raw
 // distances are arbitrary.
 func (rd *rootDefer) domainLo() float64 {
-	if rd.combiner == cmbLeaf {
+	if rd.cb == nil {
 		return math.Inf(-1)
 	}
 	return 0
@@ -204,24 +182,16 @@ func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool, scratch []floa
 	}
 	if pruned {
 		// Skipped chunks are provably NaN-free (the gate) and the
-		// defer-safety check excludes infinities from the raw domain, so
+		// deferrable check excludes infinities from the raw domain, so
 		// the finite count is exact without touching them. Their minima
 		// cannot undercut the candidates' (every skipped element is
 		// lex-beyond the running k-th), so the merged minimum stands.
 		st.nFinite = rd.n - st.nNaN
 	}
-	if st.nFinite == 0 {
-		return NormParams{NoFinite: true}
-	}
-	keep := rd.keep
-	if keep <= 0 || keep > st.nFinite {
-		keep = st.nFinite
-	}
-	p := NormParams{Kept: keep, DMin: rd.t.apply(st.minFinite)}
-	if p.DMin > 0 {
-		p.DMin = 0
-	}
+	p := baseParams(st.nFinite, rd.t.apply(st.minFinite), rd.keep)
+	keep := p.Kept
 	switch {
+	case p.NoFinite:
 	case keep >= st.nFinite:
 		// Everything kept: the maximum decides. Unreachable when chunks
 		// were skipped (the pruning gate bounds keep by the candidate
@@ -258,7 +228,7 @@ func (rd *rootDefer) paramsFromFull() NormParams {
 // pass: processed chunks report theirs, skipped chunks are NaN-free by
 // the pruning gate.
 func (rd *rootDefer) nanTotal() int {
-	if rd.combiner == cmbLeaf {
+	if rd.cb == nil {
 		return rd.leafNaNs
 	}
 	total := 0
@@ -338,7 +308,7 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 	// Phase 1: stream raw values chunk by chunk through the selector,
 	// skipping chunks the bound rules out. The checkpoint is polled per
 	// chunk, so a deadline interrupts the sweep mid-selection.
-	prunable := rd.haveBounds && (rd.combiner == cmbLeaf || (rd.keep >= 1 && rd.keep <= k))
+	prunable := rd.haveBounds && (rd.cb == nil || (rd.keep >= 1 && rd.keep <= k))
 	pass := func(sel *topk.StreamSelector) (pruned int, err error) {
 		for ci := 0; ci < rd.chunkCount(); ci++ {
 			if err := rd.poll(); err != nil {
@@ -376,7 +346,7 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 		}
 		cands, kth, complete = sel.Finish()
 	}
-	if pruned > 0 && rd.combiner != cmbLeaf {
+	if pruned > 0 && rd.cb != nil {
 		// Defensive: the stats shortcut in deriveParams needs the keep
 		// clamp to be a no-op; the gate guarantees keep ≤ k ≤ collected
 		// candidates ≤ finite count, so reaching here with keep out of
@@ -390,7 +360,7 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 
 	// Phase 2: derive the root params (raw-domain order statistics
 	// mapped through the monotone transform).
-	if rd.combiner != cmbLeaf { // a leaf root's were computed at build (quantile index or full scan)
+	if rd.cb != nil { // a leaf root's were computed at build (quantile index or full scan)
 		rd.params = rd.deriveParams(cands, pruned > 0, vals)
 	}
 	rd.paramsKnown = true
@@ -507,7 +477,7 @@ func (r *Result) materializeCombinedLocked() []float64 {
 	}
 	rd.ensureAllRaw()
 	dst := rd.out
-	if rd.combiner == cmbLeaf {
+	if rd.cb == nil {
 		// A leaf root's raw vector is the caller's Dists; scale into a
 		// fresh (pooled) buffer like the eager path does.
 		dst = r.allocVec()
@@ -528,220 +498,60 @@ func finalizeRange(dst, src []float64, t rootTransform, p NormParams) {
 	}
 }
 
-// deferralSafe reports whether the root's deferred transform can be
-// applied after ranking without changing any value's finite/NaN
-// classification: the raw domain is bounded by U (every child value is
-// in [0, Scale]) and t(U) must stay finite. Pathological weights (sums
-// overflowing, Σw near zero turning the geometric root into an
-// overflowing power) fail the check and fall back to the eager root.
-// Invalid inputs (negative/NaN weights, bad Lp exponents) also return
-// false so the eager path can raise its canonical error.
-func deferralSafe(root *Node, opts EvalOptions) bool {
-	if root.Op == Leaf {
-		return true
-	}
-	if root.Op != NodeAnd && root.Op != NodeOr {
-		return false
-	}
-	k := len(root.Children)
-	if k == 0 {
-		return false
-	}
-	weights := make([]float64, k)
-	for j, child := range root.Children {
-		w := child.EffWeight()
-		if w < 0 || w != w {
-			return false
-		}
-		weights[j] = w
-	}
-	if root.Op == NodeAnd && opts.And == ANDLp && (opts.LpP < 1 || opts.LpP != opts.LpP) {
-		return false
-	}
-	ws, effSum := resolveWeights(weights, k)
-	combiner, t, lpP := kernelFor(root.Op, opts, effSum)
-	var u float64
-	switch combiner {
-	case cmbAnd:
-		for j := range ws {
-			u += ws[j] * Scale
-		}
-	case cmbLp:
-		if lpP == 2 {
-			for j := range ws {
-				u += ws[j] * (Scale * Scale)
-			}
-		} else {
-			for j := range ws {
-				u += ws[j] * math.Pow(Scale, lpP)
-			}
-		}
-	case cmbOr:
-		u = 1
-		for j := range ws {
-			u *= math.Pow(Scale, ws[j])
-		}
-	}
-	u *= 1 + 1e-6 // headroom over kernel rounding differences
-	if math.IsNaN(u) || math.IsInf(u, 0) {
-		return false
-	}
-	v := t.apply(u)
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// buildDeferredRoot evaluates the root's children (subtrees fully, via
-// the fused passes) and assembles the deferred root state instead of
-// running the root combine pass. Caller has checked deferralSafe.
-func (c *fusedCtx) buildDeferredRoot(root *Node) error {
-	res := c.res
-	n := c.n
-	rd := &rootDefer{res: res, node: root, n: n, keep: c.keepOf(root), pending: make(map[*Node]NormParams),
-		checkpoint: c.opts.Checkpoint}
+// deferRoot assembles the deferred root instead of finishing it: cb is
+// the root's combine, its children evaluated, or nil for a leaf root,
+// whose range params eval has already found.
+func (c *fusedCtx) deferRoot(root *Node, cb *combine, params NormParams) {
+	rd := &rootDefer{node: root, n: c.n, cb: cb, keep: c.keepOf(root), checkpoint: c.opts.Checkpoint}
 	nchunks := rd.chunkCount()
-	if root.Op == Leaf {
-		if len(root.Dists) != n {
-			return fmt.Errorf("relevance: leaf %q has %d distances, want %d", root.Label, len(root.Dists), n)
-		}
-		rd.combiner = cmbLeaf
-		rd.t = rootTransform{kind: xformIdentity}
-		rd.out = root.Dists
-		rd.state = make([]byte, nchunks)
-		rd.scans = make([]rangeScan, nchunks)
-		rd.params = indexedRange(root.Dists, root.Quantiles, root.Zeros, rd.keep)
-		switch {
-		case root.Quantiles != nil:
-			rd.leafNaNs = root.Quantiles.NaNs()
-		case root.ChunkStats != nil && root.ChunkStats.Chunks() == nchunks:
-			for _, c := range root.ChunkStats.nans {
-				rd.leafNaNs += int(c)
-			}
-		default:
-			rd.leafNaNs = CountNaN(root.Dists)
-		}
-		rd.paramsKnown = true
-		if st := root.ChunkStats; st != nil && st.Chunks() == nchunks {
-			rd.bounds = st.mins
-			rd.nanFree = make([]bool, nchunks)
-			for ci := range rd.nanFree {
-				rd.nanFree[ci] = st.nans[ci] == 0
-			}
-			rd.haveBounds = true
-		}
-		res.root = rd
-		return nil
-	}
-	if len(root.Children) == 0 {
-		return fmt.Errorf("relevance: %q has no children", root.Label)
-	}
-	if root.Op == NodeAnd && c.opts.And == ANDLp && (c.opts.LpP < 1 || c.opts.LpP != c.opts.LpP) {
-		return fmt.Errorf("relevance: Lp needs p >= 1, got %v", c.opts.LpP)
-	}
-	k := len(root.Children)
-	rd.children = root.Children
-	rd.raw = make([][]float64, k)
-	rd.cparams = make([]NormParams, k)
-	weights := make([]float64, k)
-	for j, child := range root.Children {
-		v, p, err := c.eval(child)
-		if err != nil {
-			return err
-		}
-		rd.raw[j], rd.cparams[j] = v, p
-		w := child.EffWeight()
-		if w < 0 || w != w {
-			return fmt.Errorf("relevance: invalid weight %v at %d", w, j)
-		}
-		weights[j] = w
-		switch {
-		case res.isLazy(child):
-			// A cached interior child: read-only, scaled per chunk.
-		case child.Op != Leaf:
-			// The interior child's ByNode buffer stays RAW; it finalizes
-			// in place — after the root's raw chunks no longer need it —
-			// on the first Vec.
-			rd.pending[child] = p
-		default:
-			// A leaf: scaled per chunk, materialized by Vec.
-			res.setLazy(child, v, p)
-		}
-	}
-	rd.ws, rd.effSum = resolveWeights(weights, k)
-	rd.combiner, rd.t, rd.lpP = kernelFor(root.Op, c.opts, rd.effSum)
-	rd.out = c.alloc()
 	rd.state = make([]byte, nchunks)
 	rd.scans = make([]rangeScan, nchunks)
-	rd.scratch, rd.vs = make([][]float64, k), make([][]float64, k)
-	for j := range rd.scratch {
-		rd.scratch[j] = make([]float64, evalChunk)
+	if cb != nil {
+		rd.t = cb.t
+		rd.out = c.alloc()
+		rd.buildBounds(root.Children)
+		c.res.root = rd
+		return
 	}
-	rd.buildBounds(c)
-	res.root = rd
-	return nil
+	rd.out = root.Dists
+	rd.params, rd.paramsKnown = params, true
+	switch {
+	case root.Quantiles != nil:
+		rd.leafNaNs = root.Quantiles.NaNs()
+	case root.ChunkStats != nil && root.ChunkStats.Chunks() == nchunks:
+		for _, nan := range root.ChunkStats.nans {
+			rd.leafNaNs += int(nan)
+		}
+	default:
+		rd.leafNaNs = CountNaN(root.Dists)
+	}
+	if st := root.ChunkStats; st != nil && st.Chunks() == nchunks {
+		rd.bounds = st.mins
+		rd.nanFree = make([]bool, nchunks)
+		for ci := range rd.nanFree {
+			rd.nanFree[ci] = st.nans[ci] == 0
+		}
+		rd.haveBounds = true
+	}
+	c.res.root = rd
 }
 
-// buildBounds folds the children's per-chunk stats into raw lower
-// bounds on the root's combined value, chunk by chunk. Leaf children
-// contribute their cached LeafChunkStats, interior children the stats
-// their own fused pass just computed or their cached vector came with
-// (missing stats disable pruning for the whole run — correctness never
-// depends on bounds).
-func (rd *rootDefer) buildBounds(c *fusedCtx) {
+// buildBounds folds the children's per-chunk stats — a leaf's from its
+// caller, an interior node's from its own pass or its cached vector —
+// into raw lower bounds on the root's combined value, chunk by chunk (a
+// child without stats disables pruning for the whole run: correctness
+// never depends on bounds).
+func (rd *rootDefer) buildBounds(children []*Node) {
 	nchunks := rd.chunkCount()
-	mins := make([][]float64, len(rd.children))
-	nans := make([][]int32, len(rd.children))
-	for j, child := range rd.children {
+	mins := make([][]float64, len(children))
+	nans := make([][]int32, len(children))
+	for j, child := range children {
 		st := child.ChunkStats
-		if child.Op != Leaf {
-			st = c.nodeStats[child]
-		}
 		if st == nil || st.Chunks() != nchunks {
 			return
 		}
 		mins[j], nans[j] = st.mins, st.nans
 	}
-	rd.setBounds(mins, nans)
-}
-
-// setBounds sets the bounds of chunks whose children hold no NaN from
-// the children's raw chunk minima. The scaled chunk minimum of child j
-// is Apply(raw chunk minimum) exactly, because Apply is monotone, and
-// the root's combine kernel folds those minima with the operations (and
-// the order) of the per-element combine, which makes the bound exact for
-// the monotone fast paths. Only math.Pow factors — Lp with p ≠ 2, an OR
-// weight outside {0, 1, 2, 3} — get a downward safety margin (Pow is not
-// guaranteed monotone to the last ulp).
-func (rd *rootDefer) setBounds(mins [][]float64, nans [][]int32) {
-	nchunks := rd.chunkCount()
-	scaled := make([][]float64, len(mins))
-	for j := range mins {
-		scaled[j] = make([]float64, nchunks)
-		applyRange(scaled[j], mins[j], rd.cparams[j])
-	}
-	rd.bounds = make([]float64, nchunks)
-	combineRaw(rd.combiner, rd.bounds, scaled, rd.ws, rd.lpP)
-	pow := rd.combiner == cmbLp && rd.lpP != 2
-	if rd.combiner == cmbOr {
-		for _, w := range rd.ws {
-			pow = pow || w != 0 && w != 1 && w != 2 && w != 3
-		}
-	}
-	rd.nanFree = make([]bool, nchunks)
-	for ci, b := range rd.bounds {
-		free := true
-		for j := range nans {
-			if nans[j][ci] != 0 {
-				free = false
-				break
-			}
-		}
-		rd.nanFree[ci] = free
-		switch {
-		case !free:
-			rd.bounds[ci] = math.NaN() // never consulted
-		case pow && b > 0:
-			rd.bounds[ci] = math.Nextafter(b*(1-1e-9), math.Inf(-1))
-		}
-	}
+	rd.bounds, rd.nanFree = rd.cb.bounds(mins, nans)
 	rd.haveBounds = true
 }

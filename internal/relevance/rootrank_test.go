@@ -1,6 +1,7 @@
 package relevance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -179,9 +180,9 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 			t.Fatalf("trial %d: NaNs = %d, want %d", trial, rk.NaNs, want)
 		}
 		// Lazy materialization must reproduce the eager vector bitwise.
-		sameVec(t, "combined", eager.Combined, got.MaterializeCombined())
-		// And every node's vector through Vec (leaves and pending interior
-		// children materialize on demand, on both sides).
+		sameVec(t, "combined", eager.Combined, got.Vec(tree))
+		// And every node's vector through Vec (every node below the root
+		// materializes on demand, on both sides).
 		var walk func(node *Node)
 		walk = func(node *Node) {
 			gv := got.Vec(node)
@@ -245,6 +246,104 @@ func TestDeferredPruningFiresAndStaysExact(t *testing.T) {
 	// the next rerun starts from.
 	if rk.Threshold != 0 {
 		t.Fatalf("threshold = %v, want 0", rk.Threshold)
+	}
+}
+
+// TestWindowBeforeRankingKeepsPruning: reading an interior child's
+// window before the ranking scales that child into a buffer of its own
+// and leaves the root's raw chunks alone, so the ranking prunes exactly
+// what it prunes without the read — on a nested OR saturated with exact
+// zeros — and stays bit-identical to the eager reference.
+func TestWindowBeforeRankingKeepsPruning(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	n := 8 * evalChunk
+	mkLeaf := func(zeroEvery int) *Node {
+		d := make([]float64, n)
+		for i := range d {
+			if i%zeroEvery != 0 {
+				d[i] = 1 + rng.Float64()*100
+			}
+		}
+		return &Node{Op: Leaf, Weight: 1, Dists: d}
+	}
+	inner := &Node{Op: NodeOr, Weight: 1, Children: []*Node{mkLeaf(3), mkLeaf(4)}}
+	tree := &Node{Op: NodeOr, Weight: 1, Children: []*Node{inner, mkLeaf(5)}}
+	opts := EvalOptions{Budget: 64}
+	k := 256
+	eager, wantSorted, wantOrder := eagerRanking(t, tree, n, k, opts)
+
+	attachLeafStats(tree, true)
+	opts.DeferRoot = true
+	var pruned [2]int
+	for run, readFirst := range []bool{false, true} {
+		got, err := Evaluate(tree, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if readFirst {
+			sameVec(t, "inner window", eager.Vec(inner), got.Vec(inner))
+		}
+		rk, err := got.RankRoot(k, math.NaN(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < k; r++ {
+			if rk.Order[r] != wantOrder[r] || math.Float64bits(rk.Sorted[r]) != math.Float64bits(wantSorted[r]) {
+				t.Fatalf("read first %v: rank %d diverged: (%v,%d) vs (%v,%d)",
+					readFirst, r, rk.Sorted[r], rk.Order[r], wantSorted[r], wantOrder[r])
+			}
+		}
+		sameVec(t, "combined", eager.Combined, got.Vec(tree))
+		pruned[run] = rk.Pruned
+	}
+	t.Logf("pruned %d of %d chunks, %d after reading the window first", pruned[0], n/evalChunk, pruned[1])
+	if pruned[0] == 0 || pruned[1] != pruned[0] {
+		t.Fatal("reading a window before the ranking changed what the ranking pruned")
+	}
+}
+
+// TestUndeferrableRootsFinishEagerly: a root whose transform could
+// overflow — AND weights summing past MaxFloat64 once scaled, an OR whose
+// Σw is so small its geometric root overflows, an Lp3 sum overflowing —
+// is finished eagerly under DeferRoot, by the combine the deferral check
+// read, bit-identically to the evaluation without DeferRoot.
+func TestUndeferrableRootsFinishEagerly(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	n := 2*evalChunk + 99
+	for _, tc := range []struct {
+		name    string
+		op      NodeOp
+		opts    EvalOptions
+		weights []float64
+	}{
+		{"AND", NodeAnd, EvalOptions{}, []float64{1e307, 1e308}},
+		{"OR", NodeOr, EvalOptions{}, []float64{1e-300, 1e-300}},
+		{"Lp3", NodeAnd, EvalOptions{And: ANDLp, LpP: 3}, []float64{1e305, 1e306}},
+	} {
+		root := &Node{Op: tc.op, Weight: 1}
+		for _, w := range tc.weights {
+			leaf := buildRandomTree(rng, n, 0) // NaNs, zeros and finite distances
+			leaf.Weight = w
+			root.Children = append(root.Children, leaf)
+		}
+		tc.opts.Budget = 64
+		want, err := Evaluate(root, n, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attachLeafStats(root, true)
+		tc.opts.DeferRoot = true
+		got, err := Evaluate(root, n, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Deferred() {
+			t.Fatalf("%s: a root with weights %v was deferred", tc.name, tc.weights)
+		}
+		sameVec(t, tc.name+" combined", want.Combined, got.Combined)
+		for j, leaf := range root.Children {
+			sameVec(t, fmt.Sprintf("%s child %d", tc.name, j), want.Vec(leaf), got.Vec(leaf))
+		}
 	}
 }
 
@@ -446,36 +545,37 @@ func TestSupWhere(t *testing.T) {
 	}
 }
 
-// chunkBound is the per-chunk bound setBounds replaced: the children's
-// scaled chunk minima folded with the raw kernels' arithmetic, written
-// out once more per combiner. It is the reference setBounds is held to.
-func chunkBound(rd *rootDefer, mins [][]float64, ci int) float64 {
+// chunkBound is the per-chunk bound combine.bounds replaced: the
+// children's scaled chunk minima folded with the raw kernels'
+// arithmetic, written out once more per combiner. It is the reference
+// combine.bounds is held to.
+func chunkBound(cb *combine, mins [][]float64, ci int) float64 {
 	powUsed := false
 	var b float64
-	switch rd.combiner {
+	switch cb.combiner {
 	case cmbAnd:
 		for j := range mins {
-			m := rd.cparams[j].Apply(mins[j][ci])
-			b += rd.ws[j] * m
+			m := cb.params[j].Apply(mins[j][ci])
+			b += cb.ws[j] * m
 		}
 	case cmbLp:
-		if rd.lpP == 2 {
+		if cb.lpP == 2 {
 			for j := range mins {
-				m := rd.cparams[j].Apply(mins[j][ci])
-				b += rd.ws[j] * (m * m)
+				m := cb.params[j].Apply(mins[j][ci])
+				b += cb.ws[j] * (m * m)
 			}
 		} else {
 			powUsed = true
 			for j := range mins {
-				m := rd.cparams[j].Apply(mins[j][ci])
-				b += rd.ws[j] * math.Pow(math.Abs(m), rd.lpP)
+				m := cb.params[j].Apply(mins[j][ci])
+				b += cb.ws[j] * math.Pow(math.Abs(m), cb.lpP)
 			}
 		}
 	case cmbOr:
 		prod := 1.0
 		for j := range mins {
-			m := rd.cparams[j].Apply(mins[j][ci])
-			w := rd.ws[j]
+			m := cb.params[j].Apply(mins[j][ci])
+			w := cb.ws[j]
 			if m == 0 && w > 0 {
 				return 0
 			}
@@ -500,8 +600,8 @@ func chunkBound(rd *rootDefer, mins [][]float64, ci int) float64 {
 	return b
 }
 
-// TestChunkBoundsAreTheCombineKernel: the bounds setBounds takes from the
-// root's own combine kernel over applyRange-scaled chunk minima equal
+// TestChunkBoundsAreTheCombineKernel: the bounds combine.bounds takes
+// from the root's own combine kernel over applyRange-scaled chunk minima equal
 // chunkBound's bit for bit, under AND, OR, Lp2 and Lp3, over random rows
 // of ±0, -Inf, +Inf and finite distances and weights from {0, 1, 2, 3,
 // 0.5, 7}; and every bound is at most every raw combined value of its
@@ -548,13 +648,14 @@ func TestChunkBoundsAreTheCombineKernel(t *testing.T) {
 			for j := range ws {
 				ws[j] = weights[rng.Intn(len(weights))]
 			}
-			rd := &rootDefer{n: nchunks * evalChunk, cparams: make([]NormParams, k)}
-			rd.ws, rd.effSum = resolveWeights(ws, k)
-			rd.combiner, rd.t, rd.lpP = kernelFor(kn.op, kn.opts, rd.effSum)
+			cb := &combine{params: make([]NormParams, k)}
+			var effSum float64
+			cb.ws, effSum = resolveWeights(ws, k)
+			cb.combiner, cb.t, cb.lpP = kernelFor(kn.op, kn.opts, effSum)
 			rows := make([][]float64, k) // child j's rows, chunk after chunk
 			mins, nans := make([][]float64, k), make([][]int32, k)
 			for j := range rows {
-				rd.cparams[j] = params[rng.Intn(len(params))]
+				cb.params[j] = params[rng.Intn(len(params))]
 				rows[j] = make([]float64, nchunks*rowsPerChunk)
 				mins[j], nans[j] = make([]float64, nchunks), make([]int32, nchunks)
 				for ci := range mins[j] {
@@ -568,30 +669,30 @@ func TestChunkBoundsAreTheCombineKernel(t *testing.T) {
 				}
 			}
 			nans[0][1] = 1 // a chunk with a NaN gets no bound
-			rd.setBounds(mins, nans)
+			bounds, nanFree := cb.bounds(mins, nans)
 			scaled := make([][]float64, k)
 			for j := range scaled {
 				scaled[j] = make([]float64, len(rows[j]))
-				applyRange(scaled[j], rows[j], rd.cparams[j])
+				applyRange(scaled[j], rows[j], cb.params[j])
 			}
 			combined := make([]float64, nchunks*rowsPerChunk)
-			combineRaw(rd.combiner, combined, scaled, rd.ws, rd.lpP)
+			combineRaw(cb.combiner, combined, scaled, cb.ws, cb.lpP)
 			for ci := 0; ci < nchunks; ci++ {
-				got := rd.bounds[ci]
+				got := bounds[ci]
 				if ci == 1 {
-					if rd.nanFree[ci] || !math.IsNaN(got) {
-						t.Fatalf("%s: the chunk with a NaN is bounded (%v, NaN-free %v)", kn.name, got, rd.nanFree[ci])
+					if nanFree[ci] || !math.IsNaN(got) {
+						t.Fatalf("%s: the chunk with a NaN is bounded (%v, NaN-free %v)", kn.name, got, nanFree[ci])
 					}
 					continue
 				}
-				want := chunkBound(rd, mins, ci)
-				if !rd.nanFree[ci] || math.Float64bits(got) != math.Float64bits(want) {
+				want := chunkBound(cb, mins, ci)
+				if !nanFree[ci] || math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s ws %v params %+v chunk %d: bound %v [%#x], chunkBound %v [%#x]",
-						kn.name, rd.ws, rd.cparams, ci, got, math.Float64bits(got), want, math.Float64bits(want))
+						kn.name, cb.ws, cb.params, ci, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 				for _, v := range combined[ci*rowsPerChunk : (ci+1)*rowsPerChunk] {
 					if got > v {
-						t.Fatalf("%s ws %v chunk %d: bound %v above the combined value %v", kn.name, rd.ws, ci, got, v)
+						t.Fatalf("%s ws %v chunk %d: bound %v above the combined value %v", kn.name, cb.ws, ci, got, v)
 					}
 				}
 			}

@@ -33,12 +33,13 @@ type Node struct {
 	// the session cache attaches it to leaves that recur across reruns.
 	// It must index exactly Dists.
 	Quantiles *LeafQuantiles
-	// ChunkStats, when set on a leaf, carries the per-chunk minima and
-	// NaN counts of Dists that the block-pruning pass folds into
-	// per-chunk bounds on the root's raw combined value. The session
-	// cache attaches it alongside Quantiles; it must index exactly
-	// Dists. Pruning degrades gracefully without it (chunks whose
-	// children lack stats are never skipped).
+	// ChunkStats carries the per-chunk minima and NaN counts of the
+	// node's raw vector that the block-pruning pass folds into per-chunk
+	// bounds on the root's raw combined value. On a leaf the caller sets
+	// it (the session cache attaches it alongside Quantiles), and it must
+	// index exactly Dists; on an interior node Evaluate sets it, from the
+	// node's pass or its cached vector. Pruning degrades gracefully
+	// without it (chunks whose children lack stats are never skipped).
 	ChunkStats *LeafChunkStats
 	// Zeros, when positive on a leaf, counts the exact +0 entries of a
 	// Dists with no value below +0 (a fresh range leaf's); 0: not counted.
@@ -100,12 +101,14 @@ type EvalOptions struct {
 	// selects the top-k on raw values (skipping whole chunks whose
 	// bound cannot beat the running threshold) and applies the final
 	// transforms only to the survivors — bit-identical, including
-	// clamp-induced ties, to ranking the eagerly scaled vector.
+	// clamp-induced ties, to ranking the eagerly scaled vector. A leaf
+	// root always defers.
 	//
-	// Deferral silently falls back to the eager root (Deferred()
-	// reports false) when the deferred transforms could change the
-	// finite/infinite classification of a value (pathological weights
-	// overflowing the raw domain).
+	// The root's combine is built once either way. When its transform
+	// could change the finite/infinite classification of a value
+	// (pathological weights overflowing the raw domain — the check reads
+	// the weights and kernel the combine resolved), the same combine
+	// finishes the root eagerly and Deferred() reports false.
 	DeferRoot bool
 	// InteriorFetch, when non-nil, is consulted before every interior
 	// node's combine pass with the node's cache signature (structure,
@@ -146,15 +149,14 @@ type EvalOptions struct {
 
 // Result carries the evaluated tree: the per-node normalized distance
 // vectors in [0, Scale] (keyed by node), and the root's combined,
-// re-normalized distances. Leaf vectors are lazy: the combination
-// passes scale them chunk by chunk into scratch, and they are absent
-// from ByNode until Vec materializes them — windows read a few thousand
-// displayed items, so a run writes no n-sized vector per leaf. So is
-// every node under an EvalOptions.InteriorFetch hit; read through Vec
-// rather than the map. Under
-// EvalOptions.DeferRoot, Combined (and the root's ByNode entry, and
-// the raw interior children of the root) also stay unmaterialized
-// until Vec or MaterializeCombined asks for them.
+// re-normalized distances. Every node below the root is lazy — a leaf,
+// an interior node and every node under an EvalOptions.InteriorFetch
+// hit alike: the combination passes scale it chunk by chunk into
+// scratch, and it is absent from ByNode until Vec materializes it —
+// windows read a few thousand displayed items, so a run writes no
+// n-sized scaled vector per node. Read through Vec rather than the map.
+// Under EvalOptions.DeferRoot, Combined (and the root's ByNode entry)
+// also stay unmaterialized until Vec(root) asks for them.
 type Result struct {
 	Combined []float64
 	ByNode   map[*Node][]float64
@@ -168,8 +170,8 @@ type Result struct {
 	SketchRescans int
 
 	mu sync.Mutex
-	// lazy holds the nodes Vec has yet to materialize: lazy leaves
-	// (raw is node.Dists) and the interior nodes a cache hit skipped.
+	// lazy holds the nodes Vec has yet to materialize: a raw vector
+	// (node.Dists for a leaf) and the params that scale it.
 	lazy  map[*Node]lazyVec
 	alloc func(n int) []float64
 	n     int
@@ -193,40 +195,21 @@ func (r *Result) setLazy(node *Node, raw []float64, p NormParams) {
 	r.lazy[node] = lazyVec{raw: raw, p: p}
 }
 
-// isLazy reports whether node awaits materialization.
-func (r *Result) isLazy(node *Node) bool {
-	_, ok := r.lazy[node]
-	return ok
-}
-
 // Deferred reports whether the root is evaluated rank-before-scale:
 // Combined is nil until materialized, and the caller should rank via
 // RankRoot instead of selecting on Combined.
 func (r *Result) Deferred() bool { return r.root != nil }
 
-// Vec returns the node's normalized vector, materializing a lazy leaf
-// (or, under DeferRoot, the root and its raw interior children) on
-// first use — bit-identical to the values the combination passes
-// scaled: same params, same per-element transforms. nil when the node was not part of the
-// evaluation. Safe for concurrent use.
+// Vec returns the node's normalized vector, materializing a lazy node —
+// every node below the root, and under DeferRoot the root itself — on
+// first use, bit-identical to the values the combination passes scaled:
+// same params, same per-element transforms. nil when the node was not
+// part of the evaluation. Safe for concurrent use.
 func (r *Result) Vec(node *Node) []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.root != nil {
-		if node == r.root.node {
-			return r.materializeCombinedLocked()
-		}
-		if p, pending := r.root.pending[node]; pending {
-			// A raw interior child of the deferred root: the root's raw
-			// chunks need this child's raw values, so they materialize
-			// first; then the child finalizes in place exactly like the
-			// eager root pass would have.
-			r.root.ensureAllRaw()
-			v := r.ByNode[node]
-			applyRange(v, v, p)
-			delete(r.root.pending, node)
-			return v
-		}
+	if r.root != nil && node == r.root.node {
+		return r.materializeCombinedLocked()
 	}
 	if v, ok := r.ByNode[node]; ok {
 		return v
@@ -254,20 +237,6 @@ func (r *Result) allocVec() []float64 {
 	return make([]float64, r.n)
 }
 
-// MaterializeCombined materializes (and memoizes) the root's scaled
-// combined vector of a deferred evaluation; for eager evaluations it
-// just returns Combined. The result is bit-identical to the eager
-// pipeline. Safe for concurrent use; like every vector of a pooled
-// Result, it is valid until the evaluation's buffers are recycled.
-func (r *Result) MaterializeCombined() []float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.root != nil {
-		return r.materializeCombinedLocked()
-	}
-	return r.Combined
-}
-
 // Evaluate computes the combined normalized distance of every item per
 // section 5.2: leaf distances are normalized to [0, Scale] (range from
 // the KeepCount(budget, n, weight) smallest values), interior nodes
@@ -281,7 +250,9 @@ func (r *Result) MaterializeCombined() []float64 {
 // the scaling, combination and range tracking of each level happen in
 // one chunked pass writing into caller-pooled buffers. The results are
 // bit-identical to the straightforward node-at-a-time pipeline (see the
-// reference evaluator in the tests).
+// reference evaluator in the tests). Evaluate sets the ChunkStats of
+// the interior nodes it evaluates, so one tree must not be evaluated
+// concurrently.
 func Evaluate(root *Node, n int, opts EvalOptions) (*Result, error) {
 	return evaluateFused(root, n, opts)
 }
