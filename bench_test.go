@@ -363,14 +363,21 @@ type benchDrag struct {
 // step: select_ms (which includes root_combine_ms), scale_ms, dist_ms,
 // eval_ms, total_ms, and pruned_ratio — the root chunks block pruning
 // skipped, out of all root chunks of the steps that ranked by selection.
+// Runs that sort (FullSort, Arrange2D) report sort_ms instead of
+// select_ms; reduce_ms holds the display reduction and the placement.
 func runDrags(b *testing.B, sql string, drags []benchDrag) {
 	cat, err := datagen.Traffic(200_000, 1994)
 	if err != nil {
 		b.Fatal(err)
 	}
+	runDragsOn(b, cat, core.Options{GridW: 128, GridH: 128}, sql, drags)
+}
+
+// runDragsOn is runDrags over any catalog and engine options.
+func runDragsOn(b *testing.B, cat *dataset.Catalog, opt core.Options, sql string, drags []benchDrag) {
 	for _, drag := range drags {
 		b.Run(drag.name, func(b *testing.B) {
-			s, err := session.NewSQL(cat, nil, core.Options{GridW: 128, GridH: 128}, sql)
+			s, err := session.NewSQL(cat, nil, opt, sql)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -387,6 +394,8 @@ func runDrags(b *testing.B, sql string, drags []benchDrag) {
 				sum.Scale += tm.Scale
 				sum.Distances += tm.Distances
 				sum.Evaluate += tm.Evaluate
+				sum.Sort += tm.Sort
+				sum.Reduce += tm.Reduce
 				sum.Total += tm.Total
 				sum.Pruned += tm.Pruned
 				sum.Chunks += tm.Chunks
@@ -396,7 +405,8 @@ func runDrags(b *testing.B, sql string, drags []benchDrag) {
 				unit string
 			}{
 				{sum.Select, "select_ms"}, {sum.RootCombine, "root_combine_ms"}, {sum.Scale, "scale_ms"},
-				{sum.Distances, "dist_ms"}, {sum.Evaluate, "eval_ms"}, {sum.Total, "total_ms"},
+				{sum.Distances, "dist_ms"}, {sum.Evaluate, "eval_ms"}, {sum.Sort, "sort_ms"},
+				{sum.Reduce, "reduce_ms"}, {sum.Total, "total_ms"},
 			} {
 				b.ReportMetric(m.d.Seconds()*1e3/float64(b.N), m.unit)
 			}
@@ -450,6 +460,53 @@ func BenchmarkFlatDrag(b *testing.B) {
 			return s.SetRangeByAttr("c", lo, lo+width)
 		}},
 	})
+}
+
+// BenchmarkDrag2D is a weight drag under the figure-1b arrangement at
+// n = 2e5: every step combines, sorts all n items and places the
+// displayed ones by the signs of the two axis conditions' distances.
+// numeric places by two range conditions of Traffic; strings by an
+// edit-distance condition and a numeric one of the person table (the
+// edit distance is the costly pass). Each runs through a session, which
+// serves the leaves from its cache, and as -uncached through a bare
+// engine, which computes every leaf and both axes every step.
+func BenchmarkDrag2D(b *testing.B) {
+	weights := []float64{0.5, 1, 2, 3}
+	drag := []benchDrag{{"weight", func(s *session.Session, i int) error {
+		return s.SetWeight(query.Predicates(s.Query().Where)[i%2], weights[(2+i/2)%len(weights)])
+	}}}
+	traffic, err := datagen.Traffic(200_000, 1994)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		cat          *dataset.Catalog
+		sql          string
+		axisX, axisY string
+	}{
+		{"numeric", traffic, datagen.TrafficQueries()[0], "a", "b"},
+		{"strings", stringCatalog(b, 200_000),
+			`SELECT name FROM P WHERE name = 'meyer' USING edit AND age BETWEEN 30 AND 40`, "name", "age"},
+	} {
+		opt := core.Options{GridW: 128, GridH: 128, Arrangement: core.Arrange2D, AxisX: tc.axisX, AxisY: tc.axisY}
+		b.Run(tc.name, func(b *testing.B) { runDragsOn(b, tc.cat, opt, tc.sql, drag) })
+		b.Run(tc.name+"-uncached", func(b *testing.B) {
+			eng := core.New(tc.cat, nil, opt)
+			q, err := query.Parse(tc.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query.Predicates(q.Where)[i%2].SetWeight(weights[(2+i/2)%len(weights)])
+				if _, err := eng.Run(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkConcurrentSessions is the multi-tenant serving workload:

@@ -236,10 +236,12 @@
 // # Interior reuse: a cached subtree is a leaf
 //
 // Cached runs keep the raw combined vector of every interior node a
-// fused pass computes (the deferred root has none), keyed ("I|") by a
-// structural signature over the subtree (children's identities and effective weights, combiner
-// options, NOT the node's own weight; leaf identities are the leaves'
-// full cache keys). A rerun that finds the vector skips the fused
+// fused pass computes (the deferred root has none), under the key core
+// builds with every other cache key (runKeys.interior, "I|": the kernel
+// options, the operator, each child's key and effective weight — NOT
+// the node's own weight) and hands the evaluator on the node
+// (relevance.Node.Key; a node without one is never fetched or stored).
+// A rerun that finds the vector skips the fused
 // passes of the whole subtree and treats the node as it treats a leaf:
 // the vector is read-only, its normalization range — the keep-th
 // smallest finite value, a new keep with every move of the node's
@@ -286,12 +288,15 @@
 // of the leaf computation — item space (tables, row counts, content
 // epoch), attribute, operator, literals, distance function, and for the
 // leaf kinds that depend on engine options, those options: a subquery
-// key carries budget and combine mode, and the condition keys of an
-// Arrange2D engine carry a signed marker, because such a leaf holds a
-// second, signed vector. A spiral and a 2D session on one catalog keep
-// two entries under two keys; no lookup is ever conditional on what an
-// entry happens to contain, and no fill replaces another
-// (TestSignedLeavesAreTheirOwnEntries). Entries are immutable and
+// key carries budget and combine mode. No leaf key depends on the
+// arrangement: the 2D arrangement computes an axis condition's signed
+// distances where it places items, from the leaf's distances, and keeps
+// them under a key of their own ("A|" and the leaf's key), so a spiral
+// and a 2D session on one catalog share each condition leaf
+// (TestSpiralAnd2DShareConditionLeaves) and a 2D weight drag computes
+// no distances (BenchmarkDrag2D).
+// No lookup is ever conditional on what an entry happens to contain, and
+// no fill replaces another. Entries are immutable and
 // eviction only unlinks them, so sessions holding a vector through
 // their pins or a live Result are unaffected.
 //
@@ -306,10 +311,9 @@
 // leaves — evaluation buffers, rankings, Results — stays
 // session-private (TestConcurrentSharedSessionsMatchFreshEngine).
 //
-// A cached leaf is only its vectors: its raw distance vector (plus the
-// signed one under a signed key), the count of its exact zeros when a
-// range kernel wrote it, and from its first reuse the quantile index
-// and chunk stats built from that vector. What a condition's slider
+// A cached leaf is only its vector: its raw distances, the count of its
+// exact zeros when a range kernel wrote it, and from its first reuse the
+// quantile index and chunk stats built from that vector. What a condition's slider
 // shows is read where it lives: the attribute from the binding, the
 // query range from the condition (numericRange), the extremes from the
 // column (Column.MinMax) — all O(1) — and the first/last displayed
@@ -348,6 +352,11 @@
 //	DELETE /v1/sessions/{id}           close
 //	GET    /v1/shards[/{shard}]        per-shard sessions/recalcs/cache stats
 //	GET    /v1/catalogs                served catalogs and shard homes
+//
+// A range op names its condition by attribute, "x" or "T.x": the first
+// condition on it in query order (query.Binding.CondOn, the rule a 2D
+// arrangement's axis names one by too, passing over a boolean fallback,
+// which has no signed distances).
 //
 // Each catalog owns one SharedCache, so remote sessions share leaf work
 // exactly like in-process ones. Every mutating response carries a
@@ -467,16 +476,15 @@
 // The kv tier. visdbd -shared-kv attaches a core.SharedBackend to every
 // catalog's SharedCache: a leaf miss consults the store before
 // computing (only the singleflight leader asks) and local fills are
-// written back. Leaf vectors are all that travels, in core's versioned
-// envelope (core/remote.go; version 4: the version byte, the raw
-// vector, the signed one — empty unless the key is a signed
-// condition's), under the leaf keys "C|", "J|", "B|", "S|"; indexes and
-// interior vectors are rebuilt where they are used, and a slider's
-// numbers are read from the condition and its column. A value is
+// written back. Leaf vectors and a 2D axis's signed distances are all
+// that travels, in core's versioned envelope (core/remote.go; version 5:
+// the version byte, then the vector), under the leaf keys "C|", "J|",
+// "B|", "S|" and the axis keys "A|"; indexes and interior vectors are
+// rebuilt where they are used, and a slider's numbers are read from the
+// condition and its column. A value is
 // adopted only if it decodes in full, under the current envelope
-// version, to vectors exactly as long as the item space, with the
-// signed vector exactly when its key names one (decodeSharedEntry;
-// FuzzSharedEntry). Anything else — a value an older member wrote under
+// version, to a vector exactly as long as the item space
+// (decodeSharedEntry; FuzzSharedEntry). Anything else — a value an older member wrote under
 // an earlier version included, so version skew across a rolling upgrade
 // is a remote miss, never an error — is answered by a local compute
 // (TestRemoteLeafOfWrongLengthIsAMiss), so the store can die or answer

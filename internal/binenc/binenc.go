@@ -18,11 +18,6 @@ import (
 // or a declared length is implausible for the remaining bytes.
 var ErrTruncated = errors.New("binenc: truncated or corrupt value")
 
-// U64 appends v little-endian.
-func U64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
 // U32 appends v little-endian.
 func U32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)

@@ -1,6 +1,7 @@
 package binenc
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -16,7 +17,7 @@ func TestRoundTrip(t *testing.T) {
 	var b []byte
 	b = append(b, 0xab)
 	b = U32(b, math.MaxUint32)
-	b = U64(b, math.MaxUint64)
+	b = binary.LittleEndian.AppendUint64(b, math.MaxUint64)
 	b = F64(b, nanPayload)
 	b = Str(b, "")
 	b = Str(b, "héllo\x00")

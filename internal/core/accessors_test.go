@@ -77,14 +77,14 @@ func TestResultAccessors(t *testing.T) {
 	if _, err := res.NormOf(&query.Cond{Attr: "zz"}, 0); err == nil {
 		t.Error("NormOf unknown expr")
 	}
-	if res.ColorFor(0) != e.opt.Map.At(0) {
-		t.Error("ColorFor exact")
+	if res.colorFor(0) != e.opt.Map.At(0) {
+		t.Error("colorFor exact")
 	}
-	if res.ColorFor(math.NaN()) != colormap.UncolorableColor {
-		t.Error("ColorFor NaN")
+	if res.colorFor(math.NaN()) != colormap.UncolorableColor {
+		t.Error("colorFor NaN")
 	}
-	if res.ColorFor(relevance.Scale) != e.opt.Map.At(e.opt.Map.Levels()-1) {
-		t.Error("ColorFor far end")
+	if res.colorFor(relevance.Scale) != e.opt.Map.At(e.opt.Map.Levels()-1) {
+		t.Error("colorFor far end")
 	}
 }
 

@@ -108,9 +108,6 @@ const maxCacheEntries = 64
 type leafEntry struct {
 	// raw is the distance vector (an interior node's raw combined one).
 	raw []float64
-	// signed is the signed distance vector of a condition under a
-	// signed key (runKeys.cond of an Arrange2D run); nil otherwise.
-	signed []float64
 	// zeros counts the exact +0 entries of raw when a range condition's
 	// kernel wrote it (relevance.Node.Zeros); 0: not counted.
 	zeros int
@@ -130,7 +127,7 @@ type leafEntry struct {
 
 // sizeBytes accounts the entry's retained vectors and indexes.
 func (e *leafEntry) sizeBytes() int64 {
-	n := len(e.raw) + len(e.signed)
+	n := len(e.raw)
 	if e.quant != nil {
 		n += e.quant.Size()
 	}
@@ -303,10 +300,11 @@ func (c *RunCache) Len() int {
 }
 
 // pinned serves key from the pins (of this run or of the live Result)
-// and pins it for this run. The acceleration indexes (quant, cstats) of
-// the returned entry are set from a vector's first pinned reuse on — a
-// fill never indexes, and neither does a revisit the tier answers.
-func (c *RunCache) pinned(key string) (leafEntry, bool) {
+// and pins it for this run. With index, the acceleration indexes (quant,
+// cstats) of the returned entry are set from a vector's first pinned
+// reuse on — a fill never indexes, and neither does a revisit the tier
+// answers.
+func (c *RunCache) pinned(key string, index bool) (leafEntry, bool) {
 	c.mu.Lock()
 	shared := c.shared
 	le, ok := c.cur.leaves[key]
@@ -321,7 +319,7 @@ func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	// vector this loop sits on from ageing out under other loops' fills,
 	// and finds the indexes another loop already built.
 	quant, cstats := shared.touch(key)
-	if le.quant == nil {
+	if index && le.quant == nil {
 		if quant == nil {
 			// Built outside any mutex — milliseconds of linear passes
 			// must not stall other sessions on the tier. Two racing
@@ -346,7 +344,7 @@ func (c *RunCache) pin(key string, le leafEntry) {
 // fetch resolves a leaf over an item space of rows items: a pin, then
 // the tier, then compute (through the tier's singleflight fill).
 func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
-	le, pinned := c.pinned(key)
+	le, pinned := c.pinned(key, true)
 	sharedHit := false
 	if !pinned {
 		var err error
@@ -371,12 +369,32 @@ func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)
 	return le, nil
 }
 
+// axis resolves the signed distances a 2D placement reads for an axis
+// condition (runKeys.axis): a pin, then the tier and its remote backend,
+// then compute (only compute without a cache). Nothing ranges them, so
+// they are never indexed, and they are no leaf lookup of the run.
+func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error)) ([]float64, error) {
+	if c == nil {
+		le, err := compute()
+		return le.raw, err
+	}
+	le, ok := c.pinned(key, false)
+	if !ok {
+		var err error
+		if le, _, err = c.Shared().fetch(key, rows, compute); err != nil {
+			return nil, err
+		}
+		c.pin(key, le)
+	}
+	return le.raw, nil
+}
+
 // lookup resolves an interior node's raw combined vector: a pin, then
 // the tier, never a compute — on a miss the evaluator runs the node's
 // fused pass and store hands the result to the tier. Neither counts as
 // a leaf lookup.
 func (c *RunCache) lookup(key string) (leafEntry, bool) {
-	if le, ok := c.pinned(key); ok {
+	if le, ok := c.pinned(key, true); ok {
 		return le, true
 	}
 	le, ok := c.Shared().lookup(key)

@@ -203,7 +203,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		// buffers to the pool.
 		defer func() { cache.endRun(runOK) }()
 		res.cache = cache
-		res.keys = runKeys{space: e.spaceSig(space), signed: e.opt.Arrangement == Arrange2D}
+		res.keys = e.runKeys(space)
 	}
 	res.Timings.Bind = time.Since(start)
 	mark := time.Now()
@@ -235,22 +235,15 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	}
 	if cache != nil {
 		evalOpts.Alloc = cache.floats.alloc
-		if !e.opt.NoInteriorSketch {
-			// Interior reuse: an interior node whose subtree signature
-			// names a cached vector skips its subtree's fused passes and
-			// is ranged like a leaf. Keys compose the evaluator's
-			// structural signature — whose leaves are the full leaf cache
-			// keys (leafIDOf), pinning item space, segment epoch and
-			// literals — so a hit can never cross data or query identity.
-			keys := res.keys
-			evalOpts.LeafID = res.leafIDOf
-			evalOpts.InteriorFetch = func(sig string) ([]float64, *relevance.LeafQuantiles, *relevance.LeafChunkStats) {
-				le, _ := cache.lookup(keys.interior(sig))
-				return le.raw, le.quant, le.cstats
-			}
-			evalOpts.InteriorStore = func(sig string, raw []float64, cs *relevance.LeafChunkStats) {
-				cache.store(keys.interior(sig), leafEntry{raw: raw, cstats: cs})
-			}
+		// Interior reuse: an interior node whose key (runKeys.interior)
+		// names a cached vector skips its subtree's fused passes and is
+		// ranged like a leaf. Under NoInteriorSketch no node has a key.
+		evalOpts.InteriorFetch = func(key string) ([]float64, *relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+			le, _ := cache.lookup(key)
+			return le.raw, le.quant, le.cstats
+		}
+		evalOpts.InteriorStore = func(key string, raw []float64, cs *relevance.LeafChunkStats) {
+			cache.store(key, leafEntry{raw: raw, cstats: cs})
 		}
 	}
 	eval, err := relevance.Evaluate(root, space.n, evalOpts)
@@ -444,8 +437,9 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 				return e.booleanLeaf(n, b, space, res, true)
 			}
 		}
+		res.setEvaluated(n, c)
 		compute := func() (leafEntry, error) {
-			le, skipped, segs, err := e.condData(c, attr, space)
+			le, skipped, segs, err := e.condData(c, attr, space, nil, nil)
 			if err == nil && res.cache != nil && segs > 0 {
 				// Segment-pushdown attribution happens here, inside the
 				// compute closure, so only the run that actually paid for
@@ -482,8 +476,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			node.Children = append(node.Children, child)
 		}
-		res.setNode(expr, node)
-		return node, nil
+		return e.interiorNode(res, expr, node), nil
 	case *query.Not:
 		child, err := e.exprNode(n.Child, b, space, res, !negated)
 		if err != nil {
@@ -491,8 +484,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		}
 		node := &relevance.Node{Op: relevance.NodeAnd, Label: n.Label(), Weight: n.Weight(),
 			Children: []*relevance.Node{child}}
-		res.setNode(expr, node)
-		return node, nil
+		return e.interiorNode(res, expr, node), nil
 	case *query.JoinExpr:
 		conn, ok := b.Joins[n]
 		if !ok {
@@ -542,6 +534,17 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 	default:
 		return nil, fmt.Errorf("core: unsupported expression %T", expr)
 	}
+}
+
+// interiorNode records the AND/OR node of expr, keyed for the cache
+// when the run reuses interior vectors: a cached run, NoInteriorSketch
+// off.
+func (e *Engine) interiorNode(res *Result, expr query.Expr, node *relevance.Node) *relevance.Node {
+	if res.cache != nil && !e.opt.NoInteriorSketch {
+		node.Key = res.keys.interior(node)
+	}
+	res.setNode(expr, node)
+	return node
 }
 
 // partnerCountDistances computes the inverse-partner-count distance of
@@ -635,9 +638,8 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 // leafNode builds the relevance leaf of a condition, join,
 // boolean-fallback or subquery expression from its leafEntry: fetched
 // under key on a cached run, computed on the spot otherwise. The leaf
-// carries whatever indexes the entry has (a fresh range leaf's chunk
-// stats from the pushdown, a reused one's quantile index), and the
-// entry's signed vector is kept for the 2D arrangement.
+// carries its key and whatever indexes the entry has (a fresh range
+// leaf's chunk stats from the pushdown, a reused one's quantile index).
 func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() (leafEntry, error)) (*relevance.Node, error) {
 	var le leafEntry
 	var err error
@@ -650,13 +652,7 @@ func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label,
 		return nil, err
 	}
 	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: expr.Weight(), Dists: le.raw,
-		Quantiles: le.quant, ChunkStats: le.cstats, Zeros: le.zeros}
-	if res.cache != nil {
-		res.setLeafID(node, key)
-	}
-	if le.signed != nil {
-		res.setSigned(expr, le.signed)
-	}
+		Quantiles: le.quant, ChunkStats: le.cstats, Zeros: le.zeros, Key: key}
 	res.setNode(expr, node)
 	return node, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/query"
+	"repro/internal/relevance"
 )
 
 // interiorCatalog builds a single-table numeric catalog large enough to
@@ -200,6 +201,56 @@ func TestInteriorNegationDoesNotAlias(t *testing.T) {
 	sameResults(t, ref, got)
 }
 
+// TestInteriorKeyExcludesOwnWeight: runKeys.interior is built from the
+// kernel options, the operator and each child's key and weight. A drag
+// of the node's own weight keeps the key (the raw vector does not depend
+// on it); a child's weight, each kernel option and the item space move
+// it; and a De-Morganed subtree and its un-negated twin, whose leaves'
+// labels are equal, get different keys.
+func TestInteriorKeyExcludesOwnWeight(t *testing.T) {
+	// partKey runs sql cached on cat under opt and returns the key of the
+	// AND/OR node of the query part part picks.
+	partKey := func(cat *dataset.Catalog, opt Options, sql string, part func(where query.Expr) query.Expr) string {
+		t.Helper()
+		q := mustParse(t, sql)
+		res, err := runCached(New(cat, nil, opt), q, NewRunCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := res.nodeFor(part(q.Where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node.Op == relevance.Leaf || node.Key == "" {
+			t.Fatalf("%s: the part is not a keyed AND/OR node", sql)
+		}
+		return node.Key
+	}
+	first := func(where query.Expr) query.Expr { return query.Predicates(where)[0] }
+	cat := interiorCatalog(t, 300)
+	base := Options{GridW: 8, GridH: 8}
+	const sql = `SELECT a FROM S WHERE (a > 50 AND b < 40) OR c > 90`
+	want := partKey(cat, base, sql, first)
+	if got := partKey(cat, base, `SELECT a FROM S WHERE (a > 50 AND b < 40) WEIGHT 3 OR c > 90`, first); got != want {
+		t.Fatalf("the part's own weight moved its key:\n%s\n%s", got, want)
+	}
+	for name, key := range map[string]string{
+		"a child's weight": partKey(cat, base, `SELECT a FROM S WHERE (a > 50 WEIGHT 2 AND b < 40) OR c > 90`, first),
+		"the combine mode": partKey(cat, Options{GridW: 8, GridH: 8, Mode: relevance.PaperRaw}, sql, first),
+		"the AND kernel":   partKey(cat, Options{GridW: 8, GridH: 8, And: relevance.ANDEuclidean}, sql, first),
+		"the Lp exponent":  partKey(cat, Options{GridW: 8, GridH: 8, And: relevance.ANDLp, LpP: 3}, sql, first),
+		"the budget":       partKey(cat, Options{GridW: 8, GridH: 9}, sql, first),
+		"naive ranges":     partKey(cat, Options{GridW: 8, GridH: 8, NaiveNormalize: true}, sql, first),
+		"the item space":   partKey(interiorCatalog(t, 301), base, sql, first),
+		"a De-Morganed twin": partKey(cat, base, `SELECT a FROM S WHERE NOT (a > 50 OR b < 40) OR c > 90`,
+			func(where query.Expr) query.Expr { return first(where).(*query.Not).Child }),
+	} {
+		if key == want {
+			t.Errorf("%s left the part's key as it was", name)
+		}
+	}
+}
+
 // TestNoInteriorSketchDisables: the ablation gate must keep cached runs
 // off the interior fast path — no "I|" key stored, none pinned —
 // without changing any result.
@@ -254,12 +305,13 @@ func TestSpaceSigEmbedsEpoch(t *testing.T) {
 		t.Fatalf("space signature %q does not embed the epoch", sig1)
 	}
 	k := runKeys{space: sig1}
+	leaf := &relevance.Node{Op: relevance.Leaf, Key: k.cond("T.x", "x > 6")}
 	for _, key := range []string{
 		k.cond("T.x", "x > 6"),
 		k.join("T~U", true),
 		k.boolean("NOT x > 6"),
 		k.subquery(256, 0, "EXISTS (...)", false),
-		k.interior("m0|" + sig1 + "|L:x"),
+		k.interior(&relevance.Node{Op: relevance.NodeAnd, Children: []*relevance.Node{leaf}}),
 	} {
 		if !strings.Contains(key, sig1) {
 			t.Fatalf("key %q does not embed the space signature", key)

@@ -51,23 +51,21 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 // skipped out of how many it considered (single-table range scans only;
 // see numericCond). attr is the condition's resolved binding, passed
 // explicitly so negation rewrites (which evaluate a private copy of the
-// condition) never have to touch the shared, read-only Binding.
-func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace) (le leafEntry, segsSkipped, segs int, err error) {
+// condition) never have to touch the shared, read-only Binding. A
+// non-nil signed, zeroed and space.n long, receives the signed
+// distances the 2D arrangement places items by; a non-nil known holds
+// the condition's distances already (its leaf's), which a string
+// condition then reuses instead of recomputing them (see stringCond).
+func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
 		return leafEntry{}, 0, 0, err
 	}
 	le.raw = make([]float64, space.n)
-	// Signed distances exist for the 2D quadrant arrangement only; the
-	// default spiral never reads them, so skip the vector (and its
-	// computation) unless figure 1b is in play.
-	if e.opt.Arrangement == Arrange2D {
-		le.signed = make([]float64, space.n)
-	}
 	if attr.Kind.IsNumeric() {
-		segsSkipped, segs, err = e.numericCond(c, attr, t, space, &le)
+		segsSkipped, segs, err = e.numericCond(c, attr, t, space, &le, signed)
 	} else {
-		err = e.stringCond(c, attr, t, space, &le)
+		err = e.stringCond(c, attr, t, space, known, le.raw, signed)
 	}
 	if err != nil {
 		return leafEntry{}, 0, 0, err
@@ -75,10 +73,11 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace)
 	return le, segsSkipped, segs, nil
 }
 
-// numericCond fills le for numeric/time/bool attributes using the
-// distance-to-range semantics of section 3, and reports the segments
-// the pushdown skipped out of those it considered.
-func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry) (segsSkipped, segs int, err error) {
+// numericCond fills le (and signed, when non-nil) for
+// numeric/time/bool attributes using the distance-to-range semantics of
+// section 3, and reports the segments the pushdown skipped out of those
+// it considered.
+func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry, signed []float64) (segsSkipped, segs int, err error) {
 	singleTable := space.pairs == nil
 	// Single-table spaces stream the column a segment at a time — a
 	// file-backed column never materializes an n-sized copy. Pair spaces
@@ -117,12 +116,12 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// unusable rows, extremes inside the range with strictness honored —
 	// scores range distance exactly 0 on every row, its read (a decode,
 	// when the column is file-backed) is skipped outright and the
-	// zero-filled raw range already holds the exact distances. The gate
-	// excludes every per-item semantics the proof does not cover: pair
-	// spaces (non-monotonic row order), OpNe/OpIn (pointwise distances),
-	// and signed vectors (the 2D arrangement reads per-item signs).
+	// zero-filled raw range — and signed range: +0 inside the range —
+	// already holds the exact distances. The gate excludes every per-item
+	// semantics the proof does not cover: pair spaces (non-monotonic row
+	// order) and OpNe/OpIn (pointwise distances).
 	var skip []bool
-	if singleTable && le.signed == nil && kernel && !e.opt.NoSegmentStats {
+	if singleTable && kernel && !e.opt.NoSegmentStats {
 		segs = (space.n + dataset.SegmentSize - 1) / dataset.SegmentSize
 		for si := 0; si < segs; si++ {
 			smin, smax, nulls, ok := column.SegmentStats(si)
@@ -156,7 +155,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// precomputed decision).
 	var mu sync.Mutex
 	var total rangeKernel // the merged shares
-	raw, signed := le.raw, le.signed
+	raw := le.raw
 	perr := parallelFor(space.n, e.workers, itemChunk, func(from, to int) error {
 		k := rangeKernel{lo: lo, hi: hi, edge: edge}
 		var scratch [dataset.SegmentSize]float64
@@ -379,9 +378,12 @@ func minListDistance(v float64, list []dataset.Value) (raw, signed float64) {
 	return best, bestSigned
 }
 
-// stringCond fills le for string/ordinal/nominal attributes using the
-// string distances and distance matrices of section 3.
-func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry) error {
+// stringCond fills dists (and signed, when non-nil) for
+// string/ordinal/nominal attributes using the string distances and
+// distance matrices of section 3. A non-nil known, the condition's
+// distances, answers the distance to the target of = and to the nearest
+// member of IN, so only the cheap orderings behind the signs run.
+func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, known, dists, signed []float64) error {
 	col, err := t.Column(attr.Attr)
 	if err != nil {
 		return err
@@ -441,7 +443,6 @@ func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tabl
 	// Chunked across the worker pool: string distances (edit distance in
 	// particular) dominate this loop, every chunk writes disjoint slots,
 	// and the distance functions and matrices are stateless/read-only.
-	dists, signed := le.raw, le.signed
 	return parallelFor(space.n, e.workers, itemChunk, func(from, to int) error {
 		for i := from; i < to; i++ {
 			row, err := space.rowFor(i, attr.Table)
@@ -457,18 +458,25 @@ func (e *Engine) stringCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tabl
 				switch c.Op {
 				case query.OpEq:
 					tgt := c.Value.S
-					d := dist(s, tgt)
-					raw = d
-					sd = math.Copysign(d, signedOrder(s, tgt))
+					if known != nil {
+						raw = known[i]
+					} else {
+						raw = dist(s, tgt)
+					}
+					sd = math.Copysign(raw, signedOrder(s, tgt))
 				case query.OpNe:
 					if s == c.Value.S {
 						raw, sd = math.NaN(), math.NaN()
 					}
 				case query.OpIn:
 					best := math.Inf(1)
-					for _, lv := range c.List {
-						if d := dist(s, lv.S); d < best {
-							best = d
+					if known != nil {
+						best = known[i]
+					} else {
+						for _, lv := range c.List {
+							if d := dist(s, lv.S); d < best {
+								best = d
+							}
 						}
 					}
 					raw, sd = best, best

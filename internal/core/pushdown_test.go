@@ -155,3 +155,43 @@ func TestPushdownLockstepReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestPushdownKeepsSignedDistances: a 2D arrangement's axis condition
+// whose segments the pushdown skips gets the signed distances it gets
+// with the pushdown off — +0 on every skipped row, like its distances —
+// and places every item in the same cell.
+func TestPushdownKeepsSignedDistances(t *testing.T) {
+	cat := clusteredCatalog(t, 5*dataset.SegmentSize+301)
+	const sql = `SELECT t FROM C WHERE t BETWEEN 20 AND 80 AND u < 60`
+	base := Options{GridW: 16, GridH: 16, Arrangement: Arrange2D, AxisX: "t", AxisY: "u"}
+	noStats := base
+	noStats.NoSegmentStats = true
+	on, err := runCached(New(cat, nil, base), mustParse(t, sql), NewRunCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := runCached(New(cat, nil, noStats), mustParse(t, sql), NewRunCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Timings.SegsSkipped == 0 || off.Timings.SegsSkipped != 0 {
+		t.Fatalf("skipped %d segments with stats on, %d with them off", on.Timings.SegsSkipped, off.Timings.SegsSkipped)
+	}
+	for _, axis := range []string{"t", "u"} {
+		a, b := on.signedOf(axis), off.signedOf(axis)
+		if len(a) != on.N || len(b) != on.N {
+			t.Fatalf("axis %s: %d and %d signed distances for %d items", axis, len(a), len(b), on.N)
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("axis %s, item %d: %v with the pushdown, %v without", axis, i, a[i], b[i])
+			}
+		}
+	}
+	sameResults(t, off, on)
+	for rank := 0; rank < on.Displayed; rank++ {
+		if on.CellOfRank(rank) != off.CellOfRank(rank) {
+			t.Fatalf("rank %d: cell %v with the pushdown, %v without", rank, on.CellOfRank(rank), off.CellOfRank(rank))
+		}
+	}
+}

@@ -68,11 +68,11 @@ func rangeCond(attr string, op query.Op, a, b float64) *query.Cond {
 	return c
 }
 
-// checkRangeLeaf computes c's leaf over space on a spiral and on a 2D
-// engine (the one that keeps the signed vector), serially and on three
+// checkRangeLeaf computes c's leaf over space without and with the
+// signed distances the 2D arrangement asks for, serially and on three
 // workers, and holds raw, signed and zeros to refRangeLeaf over vals —
 // the condition's value of every item — bit for bit. It returns the
-// segments the spiral engine's serial pass skipped.
+// segments the serial pass skipped.
 func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *query.Cond, attr query.BoundAttr, vals []float64) (skipped int) {
 	t.Helper()
 	raw, signed, zeros := refRangeLeaf(c, vals)
@@ -88,24 +88,30 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 			}
 		}
 	}
-	for _, arr := range []ArrangementKind{ArrangeSpiral, Arrange2D} {
-		e := New(cat, nil, Options{Arrangement: arr})
+	e := New(cat, nil, Options{})
+	skipped = -1
+	for _, withSigned := range []bool{false, true} {
 		for _, workers := range []int{1, 3} {
 			e.workers = workers
-			le, segsSkipped, _, err := e.condData(c, attr, space)
+			var gotSigned []float64
+			if withSigned {
+				gotSigned = make([]float64, len(vals))
+			}
+			le, segsSkipped, _, err := e.condData(c, attr, space, nil, gotSigned)
 			if err != nil {
 				t.Fatal(err)
 			}
 			same("raw", le.raw, raw)
-			if arr == Arrange2D {
-				same("signed", le.signed, signed)
+			if withSigned {
+				same("signed", gotSigned, signed)
 			}
 			if le.zeros != zeros {
 				t.Fatalf("%s (workers %d): zeros %d, want %d", c.Label(), workers, le.zeros, zeros)
 			}
-			if arr == ArrangeSpiral && workers == 1 {
-				skipped = segsSkipped
+			if skipped >= 0 && segsSkipped != skipped {
+				t.Fatalf("%s (workers %d, signed %v): skipped %d segments, another pass %d", c.Label(), workers, withSigned, segsSkipped, skipped)
 			}
+			skipped = segsSkipped
 		}
 	}
 	return skipped
@@ -181,7 +187,7 @@ func TestRangeKernelMatchesToRange(t *testing.T) {
 		{Attr: "x", Op: query.OpNe, Value: dataset.Float(50)},
 		{Attr: "x", Op: query.OpIn, List: []dataset.Value{dataset.Float(10), dataset.Float(50)}},
 	} {
-		le, _, _, err := e.condData(c, x, space)
+		le, _, _, err := e.condData(c, x, space, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +346,7 @@ func BenchmarkRangeDistances(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := e.condData(c, attr, space); err != nil {
+				if _, _, _, err := e.condData(c, attr, space, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,9 +7,9 @@ import (
 )
 
 // SharedBackend is the pluggable remote tier behind a SharedCache: a
-// network KV of immutable leaf entries (encodeSharedEntry: the distance
-// vectors) under the same structural keys the local
-// tiers use, which start "C|", "J|", "B|" or "S|". Because every key
+// network KV of immutable vectors (encodeSharedEntry) under the same
+// structural keys the local tiers use: a leaf's, which start "C|", "J|",
+// "B|" or "S|", and a 2D axis's signed distances, "A|". Because every key
 // embeds the full signature of the computation it names — table names,
 // row counts, literals, options, and the catalog's content epoch — a
 // value stored by one process is correct in every process serving the
@@ -37,36 +37,33 @@ type BreakerReporter interface {
 	BreakerState() (state string, trips, shortCircuits uint64)
 }
 
-// The shared-entry envelope: the version byte, then the leaf's distance
-// vector and its signed one (empty unless the key is a signed
-// condition's). Nothing else crosses the fleet: quantile indexes, chunk
-// stats and interior entries are linear-time functions of vectors the
-// receiving node then holds, cheaper to rebuild than to fetch, and the
-// slider's numbers are read from the condition and its column (see
-// doc.go, "The kv tier"). Version 1 carried a copy of the attribute
-// column ahead of the distances — read under a later layout it would
-// pass every length check with that column in their place — version 2
-// two invalidation handles, from when range edits invalidated, and
-// version 3 a kind byte and a condition's slider scalars; each change
-// moved the version, and skew is a remote miss.
-const sharedEntryVersion = 4
+// The shared-entry envelope: the version byte, then the vector — a
+// leaf's distances or an axis's signed distances. Nothing else crosses
+// the fleet: quantile indexes, chunk stats and interior entries are
+// linear-time functions of vectors the receiving node then holds,
+// cheaper to rebuild than to fetch, and the slider's numbers are read
+// from the condition and its column (see doc.go, "The kv tier").
+// Version 1 carried a copy of the attribute column ahead of the
+// distances — read under a later layout it would pass every length
+// check with that column in their place — version 2 two invalidation
+// handles, from when range edits invalidated, version 3 a kind byte and
+// a condition's slider scalars, and version 4 a condition's signed
+// vector after its distances; each change moved the version, and skew
+// is a remote miss.
+const sharedEntryVersion = 5
 
-// encodeSharedEntry serializes e's vectors for the remote tier.
+// encodeSharedEntry serializes e's vector for the remote tier.
 func encodeSharedEntry(e *leafEntry) []byte {
-	b := make([]byte, 0, 9+8*(len(e.raw)+len(e.signed)))
-	b = append(b, sharedEntryVersion)
-	b = binenc.F64s(b, e.raw)
-	return binenc.F64s(b, e.signed)
+	return binenc.F64s(append(make([]byte, 0, 5+8*len(e.raw)), sharedEntryVersion), e.raw)
 }
 
-// decodeSharedEntry reverses encodeSharedEntry for the value stored
-// under key, a leaf over an item space of rows items. Another process
-// wrote the bytes and every reader of the entry indexes its vectors by
-// item, so a vector of any other length — or a signed vector where the
-// key names none, or none where it names one — is refused here: a
-// remote miss, answered by a local compute, instead of failing the run,
-// and every run after it, from inside the cache.
-func decodeSharedEntry(key string, data []byte, rows int) (*leafEntry, error) {
+// decodeSharedEntry reverses encodeSharedEntry for a leaf over an item
+// space of rows items. Another process wrote the bytes and every reader
+// of the entry indexes its vector by item, so a vector of any other
+// length is refused here: a remote miss, answered by a local compute,
+// instead of failing the run, and every run after it, from inside the
+// cache.
+func decodeSharedEntry(data []byte, rows int) (*leafEntry, error) {
 	r := binenc.NewReader(data)
 	if ver := r.Byte(); ver != sharedEntryVersion {
 		if r.Err() != nil {
@@ -74,18 +71,15 @@ func decodeSharedEntry(key string, data []byte, rows int) (*leafEntry, error) {
 		}
 		return nil, fmt.Errorf("core: shared-entry codec version %d", ver)
 	}
-	e := &leafEntry{raw: r.F64s(), signed: r.F64s()}
+	e := &leafEntry{raw: r.F64s()}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if !r.Done() {
 		return nil, binenc.ErrTruncated
 	}
-	if len(e.raw) != rows || (e.signed != nil && len(e.signed) != rows) {
-		return nil, fmt.Errorf("core: shared entry's vectors are not %d items long", rows)
-	}
-	if (e.signed != nil) != isSignedCond(key) {
-		return nil, fmt.Errorf("core: shared entry's signed vector does not match its key")
+	if len(e.raw) != rows {
+		return nil, fmt.Errorf("core: shared entry's vector is not %d items long", rows)
 	}
 	return e, nil
 }

@@ -46,14 +46,15 @@ func (b *mapBackend) Put(key string, val []byte) {
 }
 
 // leafKeys lists the store's keys, failing on any — stored, or so much
-// as asked for — that is not a leaf entry's: leaf vectors are all the
-// fleet shares, and an interior vector ("I|") never touches the backend.
+// as asked for — that is not a leaf entry's or a 2D axis's: those vectors
+// are all the fleet shares, and an interior vector ("I|") never touches
+// the backend.
 func (b *mapBackend) leafKeys(t *testing.T) []string {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, k := range b.seen {
-		if !strings.HasPrefix(k, "C|") && !strings.HasPrefix(k, "J|") && !strings.HasPrefix(k, "B|") && !strings.HasPrefix(k, "S|") {
+		if !strings.HasPrefix(k, "C|") && !strings.HasPrefix(k, "J|") && !strings.HasPrefix(k, "B|") && !strings.HasPrefix(k, "S|") && !strings.HasPrefix(k, "A|") {
 			t.Fatalf("the store saw %q, which is not a leaf entry", k)
 		}
 	}
@@ -65,10 +66,11 @@ func (b *mapBackend) leafKeys(t *testing.T) []string {
 }
 
 // envelope writes a value for the leaf "a > 50" of interiorCatalog by
-// hand in the layout of version ver, with vecs as its vectors: (raw,
-// signed) since version 4; version 3 wrote a kind byte and the slider
-// scalars ahead of them, versions 1 and 2 two invalidation handles ahead
-// of those as well, and version 1's vectors were (values, raw, signed).
+// hand in the layout of version ver, with vecs as its vectors: raw since
+// version 5, (raw, signed) in version 4; version 3 wrote a kind byte and
+// the slider scalars ahead of them, versions 1 and 2 two invalidation
+// handles ahead of those as well, and version 1's vectors were (values,
+// raw, signed).
 func envelope(ver byte, vecs ...[]float64) []byte {
 	b := []byte{ver}
 	if ver < 4 {
@@ -92,108 +94,85 @@ func envelope(ver byte, vecs ...[]float64) []byte {
 }
 
 func TestSharedEntryCodecRoundTrip(t *testing.T) {
-	const signedKey, plainKey = signedCondPrefix + "T:T:4|T.x|x > 1", "J|T:T:4|c|neg=false"
-	raw := []float64{0, 1, math.Inf(1), 0.25}
+	raw := []float64{0, math.Copysign(0, -1), math.Inf(1), 0.25}
 	signed := []float64{0, -1, math.Inf(-1), math.Copysign(0, -1)}
-	same := func(what string, got, want []float64) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d entries, want %d", what, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s element %d differs", what, i)
-			}
-		}
+	data := encodeSharedEntry(&leafEntry{raw: raw})
+	// v5: the version byte, then the vector's count and elements.
+	want := []byte{5, 4, 0, 0, 0}
+	for _, f := range raw {
+		want = binenc.F64(want, f)
 	}
-	// A signed condition's entry and a bare vector round-trip.
-	got, err := decodeSharedEntry(signedKey, encodeSharedEntry(&leafEntry{raw: raw, signed: signed}), 4)
+	if !bytes.Equal(data, want) || !bytes.Equal(data, envelope(sharedEntryVersion, raw)) {
+		t.Fatalf("v5 layout: got %x", data)
+	}
+	got, err := decodeSharedEntry(data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same("raw", got.raw, raw)
-	same("signed", got.signed, signed)
-	data := encodeSharedEntry(&leafEntry{raw: raw})
-	if !bytes.Equal(data, envelope(sharedEntryVersion, raw, nil)) {
-		t.Fatalf("v4 layout: got %x", data)
-	}
-	if got, err = decodeSharedEntry(plainKey, data, 4); err != nil {
-		t.Fatal(err)
-	}
-	if same("raw", got.raw, raw); got.signed != nil {
-		t.Fatalf("bare vector decoded with a signed one: %+v", got)
+	for i := range raw {
+		if math.Float64bits(got.raw[i]) != math.Float64bits(raw[i]) {
+			t.Fatalf("raw element %d differs", i)
+		}
 	}
 
-	// Corruption, another version's layout and a signed vector that does
-	// not match the key surface as errors, not bogus entries.
-	for name, tc := range map[string]struct {
-		key  string
-		data []byte
-	}{
-		"truncated":              {plainKey, data[:len(data)-2]},
-		"padded":                 {plainKey, append(append([]byte(nil), data...), 1)},
-		"v3":                     {plainKey, envelope(3, raw, nil)},
-		"signed key, no signed":  {signedKey, data},
-		"signed vector, no key":  {plainKey, envelope(sharedEntryVersion, raw, signed)},
-		"signed of other length": {signedKey, envelope(sharedEntryVersion, raw, signed[:3])},
+	// Corruption and another version's layout surface as errors, not
+	// bogus entries.
+	for name, data := range map[string][]byte{
+		"truncated":      data[:len(data)-2],
+		"padded":         append(append([]byte(nil), data...), 1),
+		"v4":             envelope(4, raw, nil),
+		"v4 with signed": envelope(4, raw, signed),
+		"v3":             envelope(3, raw, nil),
+		"v5 with signed": envelope(sharedEntryVersion, raw, signed),
+		"other rows":     envelope(sharedEntryVersion, raw[:3]),
+		"version alone":  {sharedEntryVersion},
+		"nothing at all": nil,
 	} {
-		if e, err := decodeSharedEntry(tc.key, tc.data, 4); err == nil {
+		if e, err := decodeSharedEntry(data, 4); err == nil {
 			t.Fatalf("%s: decoded %+v", name, e)
 		}
 	}
 }
 
 // FuzzSharedEntry: the one decoder on the kv boundary. Arbitrary bytes
-// never panic and never become vectors larger than the input; a value
-// that is accepted has every vector rows long, carries a signed vector
-// exactly when its key names one, and is canonical — it encodes back to
-// the bytes it came from.
+// never panic and never become a vector larger than the input; a value
+// that is accepted has its vector rows long and is canonical — it
+// encodes back to the bytes it came from.
 func FuzzSharedEntry(f *testing.F) {
 	raw, signed := []float64{0, 1.5, math.NaN(), math.Inf(1)}, []float64{0, -1.5, math.NaN(), math.Inf(-1)}
 	seeds := [][]byte{
-		envelope(sharedEntryVersion, raw, nil),
-		envelope(sharedEntryVersion, raw, signed),
-		envelope(3, raw, nil), // v3: kind and slider scalars first
-		envelope(3, raw, signed),
-		envelope(1, raw, raw, nil), // v1: Values, Raw, Signed
+		envelope(sharedEntryVersion, raw),
+		envelope(sharedEntryVersion, raw, signed), // v5 padded with v4's signed vector
+		envelope(sharedEntryVersion, nil),
+		envelope(4, raw, nil), // v4: raw, then signed
+		envelope(4, raw, signed),
+		envelope(3, raw, nil),      // v3: kind and slider scalars first
 		envelope(2, raw, signed),   // v2: handles, then v3's payload
+		envelope(1, raw, raw, nil), // v1: Values, Raw, Signed
 	}
 	for _, s := range seeds {
-		f.Add(s, uint16(len(raw)), false)
+		f.Add(s, uint16(len(raw)))
 	}
-	// Under a signed key the first seed lacks the vector the key names (a
-	// miss) and the second has it.
-	f.Add(seeds[0], uint16(len(raw)), true)
-	f.Add(seeds[1], uint16(len(raw)), true)
-	// A cut at every field boundary of the fullest seed — the version
-	// byte, each vector's count and elements — and inside each count.
-	full := seeds[1]
-	for _, cut := range []int{0, 1, 3, 5, 13, 21, 29, 37, 39, 41, 49, 57, 65, len(full) - 1} {
-		f.Add(full[:cut], uint16(len(raw)), true)
+	// The v5 seed over item spaces one shorter and one longer.
+	f.Add(seeds[0], uint16(len(raw)-1))
+	f.Add(seeds[0], uint16(len(raw)+1))
+	// A cut at every field boundary of the v5 seed — the version byte,
+	// the count and each element — and inside the count and each element.
+	full := seeds[0]
+	for _, cut := range []int{0, 1, 3, 5, 9, 13, 17, 21, 25, 29, 33, len(full) - 1} {
+		f.Add(full[:cut], uint16(len(raw)))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, rows16 uint16, signedKey bool) {
+	f.Fuzz(func(t *testing.T, data []byte, rows16 uint16) {
 		rows := int(rows16)
-		key := runKeys{space: "T:S:4:e0", signed: signedKey}.cond("S.a", "a > 50")
-		e, err := decodeSharedEntry(key, data, rows)
+		e, err := decodeSharedEntry(data, rows)
 		if err != nil {
 			return
 		}
-		if (e.signed != nil) != signedKey {
-			t.Fatalf("accepted a signed vector %v under %q", e.signed != nil, key)
+		if len(e.raw) != rows {
+			t.Fatalf("accepted a vector of %d for %d rows", len(e.raw), rows)
 		}
-		vecs := [][]float64{e.raw}
-		if e.signed != nil {
-			vecs = append(vecs, e.signed)
-		}
-		total := 0
-		for _, v := range vecs {
-			if len(v) != rows {
-				t.Fatalf("accepted a vector of %d for %d rows", len(v), rows)
-			}
-			total += 8 * len(v)
-		}
-		if total > len(data) {
-			t.Fatalf("%d bytes of vectors out of %d bytes of input", total, len(data))
+		if 8*len(e.raw) > len(data) {
+			t.Fatalf("%d bytes of vector out of %d bytes of input", 8*len(e.raw), len(data))
 		}
 		if again := encodeSharedEntry(e); !bytes.Equal(again, data) {
 			t.Fatalf("accepted value is not canonical:\n in %x\nout %x", data, again)
@@ -232,18 +211,16 @@ func mustParse(t *testing.T, sql string) *query.Query {
 
 // TestRemoteLeafOfWrongLengthIsAMiss: the store answers a leaf's key
 // with a value that decodes cleanly but is not the vector the key names
-// — another catalog's rows, a signed vector cut short, an envelope of
-// any earlier version, under a signed key the leaf without its signed
-// vector, or under a plain key one with it. Each is a remote miss
-// answered by a local compute; none is adopted, so the member's next run
-// and a fresh session on it are right too.
+// — another catalog's rows, or an envelope of any earlier version (v4's
+// with and without its signed vector). Each is a remote miss answered by
+// a local compute; none is adopted, so the member's next run and a fresh
+// session on it are right too.
 func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 	const rows = 2*4096 + 57
 	const sql = `SELECT a FROM S WHERE a > 50 AND b < 40`
 	spiral := Options{GridW: 8, GridH: 8}
 	twoD := Options{GridW: 8, GridH: 8, Arrangement: Arrange2D, AxisX: "a", AxisY: "b"}
 	cat := interiorCatalog(t, rows)
-	_, unsigned := remoteLeaf(t, cat, spiral, sql, "|a > 50")
 	_, short := remoteLeaf(t, interiorCatalog(t, 10), spiral, sql, "|a > 50")
 	_, long := remoteLeaf(t, interiorCatalog(t, rows+3), spiral, sql, "|a > 50")
 	zeros := make([]float64, rows) // adopted, these would also move the ranking
@@ -254,12 +231,11 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 	}{
 		{"short", spiral, short},
 		{"long", spiral, long},
-		{"signed != raw", twoD, envelope(sharedEntryVersion, zeros, zeros[:10])},
 		{"v1 envelope", spiral, envelope(1, zeros, zeros, nil)},
 		{"v2 envelope", spiral, envelope(2, zeros, nil)},
 		{"v3 envelope", spiral, envelope(3, zeros, nil)},
-		{"signed key, value without signed vector", twoD, unsigned},
-		{"plain key, value with a signed vector", spiral, envelope(sharedEntryVersion, zeros, zeros)},
+		{"v4 envelope", spiral, envelope(4, zeros, nil)},
+		{"v4 envelope under a 2D engine", twoD, envelope(4, zeros, zeros)},
 	} {
 		name := tc.name
 		cold, err := New(cat, nil, tc.opt).Run(mustParse(t, sql))
@@ -282,8 +258,12 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 			}
 			sameResults(t, cold, res)
 		}
-		if st := sc.Stats(); st.RemoteMisses != 1 || st.RemoteHits != 1 {
-			t.Fatalf("%s: remote misses %d, hits %d; want the refusal and the sibling's hit", name, st.RemoteMisses, st.RemoteHits)
+		wantMisses := uint64(1)
+		if tc.opt.Arrangement == Arrange2D {
+			wantMisses += 2 // the axes' signed distances, which nobody stored
+		}
+		if st := sc.Stats(); st.RemoteMisses != wantMisses || st.RemoteHits != 1 {
+			t.Fatalf("%s: remote misses %d, hits %d; want the refusal, the sibling's hit and %d axis misses", name, st.RemoteMisses, st.RemoteHits, wantMisses-1)
 		}
 		fresh := NewRunCache()
 		fresh.AttachShared(sc)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -51,23 +50,20 @@ type Result struct {
 	root   *relevance.Node
 	mu     sync.Mutex // guards rank extension and the Relevance memoization
 	nodeOf map[query.Expr]*relevance.Node
-	// signed holds the signed distances of the conditions that have them
-	// (an Arrange2D run's), which the 2D placement reads.
-	signed map[query.Expr][]float64
-	cells  []arrange.Point // rank → cell
+	// evaluated maps the condition of each condition leaf to the
+	// condition the leaf evaluated — itself, or its inverted copy under a
+	// negation — for the 2D placement's signed distances (signedOf). A
+	// condition evaluated as a boolean fallback has no entry.
+	evaluated map[*query.Cond]*query.Cond
+	cells     []arrange.Point // rank → cell
 
 	// relevance memoizes the Relevance accessor.
 	relevance []float64
 	// cache is set on cached runs: the session-level predicate cache
 	// serving this run. keys builds every structural cache key of the run
-	// from the item-space fingerprint (see runKeys), and leafID records
-	// each relevance leaf's full cache key — the content-precise identity
-	// the interior-normalization signatures embed in place of the label,
-	// and together the identity the carried selection threshold is valid
-	// for (leafSetSig).
-	cache  *RunCache
-	keys   runKeys
-	leafID map[*relevance.Node]string
+	// (see runKeys); the tree's nodes carry theirs.
+	cache *RunCache
+	keys  runKeys
 
 	// checkpoint is the run's cancellation poll (nil on uncanceled
 	// runs): the tree build polls it at node entry and between distance
@@ -122,32 +118,31 @@ func (r *Result) Relevance() []float64 {
 // setNode records the relevance node of an expression.
 func (r *Result) setNode(e query.Expr, n *relevance.Node) { r.nodeOf[e] = n }
 
-// setSigned records the signed distances of a condition.
-func (r *Result) setSigned(e query.Expr, signed []float64) {
-	if r.signed == nil {
-		r.signed = make(map[query.Expr][]float64)
+// setEvaluated records the condition a condition leaf evaluated.
+func (r *Result) setEvaluated(orig, c *query.Cond) {
+	if r.evaluated == nil {
+		r.evaluated = make(map[*query.Cond]*query.Cond)
 	}
-	r.signed[e] = signed
+	r.evaluated[orig] = c
 }
-
-// setLeafID records a leaf node's full cache key.
-func (r *Result) setLeafID(n *relevance.Node, key string) {
-	if r.leafID == nil {
-		r.leafID = make(map[*relevance.Node]string)
-	}
-	r.leafID[n] = key
-}
-
-// leafIDOf answers relevance.EvalOptions.LeafID: the leaf's full cache
-// key, or empty (label fallback) for leaves built without one.
-func (r *Result) leafIDOf(n *relevance.Node) string { return r.leafID[n] }
 
 // leafSetSig names the set of leaves the run read: the item space and
 // the leaf keys in sorted order, so reordering or reweighting the query
-// over the same leaves keeps it and moving any leaf changes it. Called
-// once the tree is built, when nothing writes leafID any more.
+// over the same leaves keeps it and moving any leaf changes it.
 func (r *Result) leafSetSig() string {
-	return r.keys.space + "\n" + strings.Join(slices.Sorted(maps.Values(r.leafID)), "\n")
+	var keys []string
+	var walk func(n *relevance.Node)
+	walk = func(n *relevance.Node) {
+		if n.Op == relevance.Leaf {
+			keys = append(keys, n.Key)
+		}
+		for _, ch := range n.Children {
+			walk(ch)
+		}
+	}
+	walk(r.root)
+	slices.Sort(keys)
+	return r.keys.space + "\n" + strings.Join(keys, "\n")
 }
 
 // buildPlacement assigns window cells to the displayed ranks.
@@ -230,24 +225,33 @@ func (r *Result) apply2DQuantiles(sx, sy []float64) {
 	r.sortedReordered = true
 }
 
-// signedOf finds the signed-distance vector of the condition on the
-// named attribute, or nil: of several, the first in query order that
-// has one — the rule Session.FindCond uses.
+// signedOf returns the signed distances of the axis condition on attr
+// — the first one query.Binding.CondOn names (the rule a range op
+// addresses conditions by) among those with a condition leaf — over the
+// condition its leaf evaluated; nil when there is none (a boolean
+// fallback has no signed distances). They are computed here, reusing
+// the leaf's distances where a string condition would repeat its edit
+// distances, and a cached run keeps them under their own key
+// (RunCache.axis), so a weight drag does not compute them again.
 func (r *Result) signedOf(attr string) []float64 {
-	if attr == "" {
+	c := r.Binding.CondOn(attr, func(c *query.Cond) bool {
+		_, ok := r.evaluated[c]
+		return ok
+	})
+	if c == nil {
 		return nil
 	}
-	var found []float64
-	query.Walk(r.Query.Where, func(e query.Expr) {
-		c, ok := e.(*query.Cond)
-		if !ok || found != nil {
-			return
-		}
-		if b := r.Binding.Attrs[c]; c.Attr == attr || b.Attr == attr || b.Qualified() == attr {
-			found = r.signed[c]
-		}
-	})
-	return found
+	leaf := r.nodeOf[c]
+	compute := func() (leafEntry, error) {
+		signed := make([]float64, r.N)
+		_, _, _, err := r.Engine.condData(r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed)
+		return leafEntry{raw: signed}, err
+	}
+	signed, err := r.cache.axis(r.keys.axis(leaf.Key), r.N, compute)
+	if err != nil {
+		return nil // the leaf computed over the same inputs; unreachable
+	}
+	return signed
 }
 
 func signOf(signed []float64, item int) int {
@@ -443,12 +447,7 @@ func (r *Result) colorFor(norm float64) colormap.RGB {
 // the color of the k-th smallest combined distance, yielding the yellow
 // center with spiral-shaped approximate answers of figure 1a.
 func (r *Result) OverallWindow() *render.Window {
-	opt := r.Engine.opt
-	w := render.NewWindow("overall result", opt.GridW, opt.GridH, arrange.BlockSide(opt.PixelsPerItem))
-	for rank := 0; rank < r.Displayed && rank < len(r.cells); rank++ {
-		w.SetCell(r.cells[rank], r.colorFor(r.sorted[rank]))
-	}
-	return w
+	return r.window("overall result", nil, r.Order, r.cells, r.Displayed, nil, -1)
 }
 
 // WindowFor renders the window of one query part: the cells keep the
@@ -456,6 +455,12 @@ func (r *Result) OverallWindow() *render.Window {
 // ordering of data items as in the overall result window") and show the
 // part's own normalized distances.
 func (r *Result) WindowFor(e query.Expr) (*render.Window, error) {
+	return r.partWindow(e, r.Order, r.cells, r.Displayed, nil, -1)
+}
+
+// partWindow draws the window of query part e, colored by the part's
+// own normalized distances, over an arrangement (see window).
+func (r *Result) partWindow(e query.Expr, order []int, cells []arrange.Point, shown int, keep map[int]bool, selected int) (*render.Window, error) {
 	node, err := r.nodeFor(e)
 	if err != nil {
 		return nil, err
@@ -464,21 +469,46 @@ func (r *Result) WindowFor(e query.Expr) (*render.Window, error) {
 	if vec == nil {
 		return nil, fmt.Errorf("core: expression %q not evaluated", e.Label())
 	}
+	return r.window(e.Label(), vec, order, cells, shown, keep, selected), nil
+}
+
+// window draws every window: the first shown ranks of order at their
+// cells, each colored by its item's entry of vec — by its overall
+// distance, the ranked prefix, when vec is nil — for the items keep
+// holds (a color-range projection; every item when nil), and the cell of
+// item selected highlighted (none when selected is negative).
+func (r *Result) window(title string, vec []float64, order []int, cells []arrange.Point, shown int, keep map[int]bool, selected int) *render.Window {
 	opt := r.Engine.opt
-	w := render.NewWindow(e.Label(), opt.GridW, opt.GridH, arrange.BlockSide(opt.PixelsPerItem))
-	for rank := 0; rank < r.Displayed && rank < len(r.cells); rank++ {
-		item := r.Order[rank]
-		w.SetCell(r.cells[rank], r.colorFor(vec[item]))
+	w := render.NewWindow(title, opt.GridW, opt.GridH, arrange.BlockSide(opt.PixelsPerItem))
+	for rank := 0; rank < shown && rank < len(cells); rank++ {
+		item, cell := order[rank], cells[rank]
+		if item == selected && cell != arrange.Unplaced {
+			w.Highlight(cell)
+		}
+		if keep != nil && !keep[item] {
+			continue
+		}
+		d := r.sorted[rank]
+		if vec != nil {
+			d = vec[item]
+		}
+		w.SetCell(cell, r.colorFor(d))
 	}
-	return w, nil
+	return w
 }
 
 // Windows returns the overall window followed by one window per
 // top-level selection predicate — the visualization part of figure 4.
-func (r *Result) Windows() ([]*render.Window, error) {
-	out := []*render.Window{r.OverallWindow()}
+func (r *Result) Windows() ([]*render.Window, error) { return r.WindowsOf(nil, -1) }
+
+// WindowsOf returns the windows of Windows as a session shows them:
+// only the displayed items keep holds (every one when nil) are colored,
+// and the cell of item selected (none when negative) is highlighted in
+// each.
+func (r *Result) WindowsOf(keep map[int]bool, selected int) ([]*render.Window, error) {
+	out := []*render.Window{r.window("overall result", nil, r.Order, r.cells, r.Displayed, keep, selected)}
 	for _, p := range query.Predicates(r.Query.Where) {
-		w, err := r.WindowFor(p)
+		w, err := r.partWindow(p, r.Order, r.cells, r.Displayed, keep, selected)
 		if err != nil {
 			return nil, err
 		}
@@ -794,9 +824,6 @@ func (r *Result) NormOf(e query.Expr, item int) (float64, error) {
 	return vec[item], nil
 }
 
-// ColorFor exposes the colormap mapping used by the windows.
-func (r *Result) ColorFor(norm float64) colormap.RGB { return r.colorFor(norm) }
-
 // DrillDownWindows implements the figure-5 interaction: double-clicking
 // a boolean operator box yields a visualization window for that query
 // part — its overall result plus one window per child predicate. With
@@ -813,59 +840,29 @@ func (r *Result) DrillDownWindows(e query.Expr, independent bool) ([]*render.Win
 	if len(query.Predicates(e)) == 1 && query.Predicates(e)[0] == e {
 		parts = []query.Expr{e} // leaf drill-down: just the one window
 	}
-	if !independent {
-		out := make([]*render.Window, 0, len(parts))
-		for i, p := range parts {
-			w, err := r.WindowFor(p)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				w.Title = "overall " + e.Label()
-			}
-			out = append(out, w)
+	order, cells, shown, title := r.Order, r.cells, r.Displayed, "overall "+e.Label()
+	if independent {
+		// Re-rank by the part's own distances. The part only ever displays
+		// up to the window capacity, so the default path selects that many
+		// ranks instead of sorting all n.
+		vec := r.Eval.Vec(node)
+		opt := r.Engine.opt
+		capacity := opt.GridW * opt.GridH
+		if r.Engine.fullSort() {
+			_, order = reduce.SortWithIndex(vec)
+		} else {
+			_, order = topk.SelectKWithIndex(vec, min(capacity, len(vec)))
 		}
-		return out, nil
+		shown = min(r.Displayed, capacity, len(vec)-relevance.CountNaN(vec))
+		cells = arrange.Place(opt.GridW, opt.GridH, shown)
+		title += " (independent)"
 	}
-	// Independent arrangement: re-rank by the part's own distances. The
-	// part only ever displays up to the window capacity, so the default
-	// path selects that many ranks instead of sorting all n.
-	vec := r.Eval.Vec(node)
-	opt := r.Engine.opt
-	capacity := opt.GridW * opt.GridH
-	var order []int
-	if r.Engine.fullSort() {
-		_, order = reduce.SortWithIndex(vec)
-	} else {
-		k := capacity
-		if k > len(vec) {
-			k = len(vec)
-		}
-		_, order = topk.SelectKWithIndex(vec, k)
-	}
-	displayed := r.Displayed
-	if displayed > capacity {
-		displayed = capacity
-	}
-	if colorable := len(vec) - relevance.CountNaN(vec); displayed > colorable {
-		displayed = colorable
-	}
-	cells := arrange.Place(opt.GridW, opt.GridH, displayed)
-	out := make([]*render.Window, 0, len(parts))
+	out := make([]*render.Window, len(parts))
 	for i, p := range parts {
-		pnode, err := r.nodeFor(p)
-		if err != nil {
+		if out[i], err = r.partWindow(p, order, cells, shown, nil, -1); err != nil {
 			return nil, err
 		}
-		pvec := r.Eval.Vec(pnode)
-		w := render.NewWindow(p.Label(), opt.GridW, opt.GridH, arrange.BlockSide(opt.PixelsPerItem))
-		if i == 0 {
-			w.Title = "overall " + e.Label() + " (independent)"
-		}
-		for rank := 0; rank < displayed; rank++ {
-			w.SetCell(cells[rank], r.colorFor(pvec[order[rank]]))
-		}
-		out = append(out, w)
 	}
+	out[0].Title = title
 	return out, nil
 }

@@ -48,9 +48,8 @@ import (
 // fingerprint table identities, not cell contents or registered
 // function implementations. Sessions may differ in every other option:
 // leaf vectors are upstream of normalization and combination, and the
-// leaf kinds that do depend on options (subquery leaves, the signed
-// condition leaves of a 2D arrangement) carry those options in their
-// keys (runKeys).
+// vectors that do depend on options (subquery leaves, interior vectors)
+// carry those options in their keys (runKeys).
 type SharedCache struct {
 	mu       sync.Mutex
 	entries  *lru.Cache[string, *leafEntry]
@@ -154,8 +153,8 @@ type SharedStats struct {
 	InteriorMisses uint64 `json:"interior_misses"`
 	InteriorBytes  int64  `json:"interior_bytes"`
 	// RemoteHits/RemoteMisses/RemotePuts count traffic against the
-	// attached remote backend (leaf entries, the only thing that
-	// travels): fills answered by the networked store, fills that fell
+	// attached remote backend (leaf and 2D axis vectors, the only things
+	// that travel): fills answered by the networked store, fills that fell
 	// through to local compute after asking it — no value, or one the
 	// decoder refused — and entries this process offered to the fleet.
 	// All zero when no backend is attached. A RemoteHit is work some
@@ -302,7 +301,7 @@ func (sc *SharedCache) fetch(key string, rows int, compute func() (leafEntry, er
 	remote := false
 	if backend != nil {
 		if data, ok := backend.Get(key); ok {
-			if d, derr := decodeSharedEntry(key, data, rows); derr == nil {
+			if d, derr := decodeSharedEntry(data, rows); derr == nil {
 				le, remote = *d, true
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,11 +48,12 @@ func TestStats2DQuantileReorderExact(t *testing.T) {
 }
 
 // TestArrange2DTwoConditionsOnAnAxisIsDeterministic: with two conditions
-// on the x axis's attribute, the 2D arrangement reads the signed vector
-// of the first one in query order — the rule Session.FindCond uses — on
-// every run, so the same query on one engine places every item in the
-// same cell every time (it used to pick one of the two at map-iteration
-// order and move items between runs).
+// on the x axis's attribute, the 2D arrangement places items by the
+// signed distances of the first one in query order —
+// query.Binding.CondOn, the rule a range op uses — on every run, so the
+// same query on one engine places every item in the same cell every time
+// (it used to pick one of the two at map-iteration order and move items
+// between runs).
 func TestArrange2DTwoConditionsOnAnAxisIsDeterministic(t *testing.T) {
 	cat, err := datagen.Traffic(5000, 7)
 	if err != nil {
@@ -75,6 +77,72 @@ func TestArrange2DTwoConditionsOnAnAxisIsDeterministic(t *testing.T) {
 			if res.Order[rank] != first.Order[rank] || res.CellOfRank(rank) != first.CellOfRank(rank) {
 				t.Fatalf("run %d, rank %d: item %d at %v, run 0 item %d at %v", run, rank,
 					res.Order[rank], res.CellOfRank(rank), first.Order[rank], first.CellOfRank(rank))
+			}
+		}
+	}
+}
+
+// TestArrange2DAxisSkipsABooleanFallback: NOT (a IN …) has no inverse,
+// so its leaf is a boolean fallback without signed distances. The x axis
+// is then placed by the next condition on a, the first one with a
+// condition leaf, exactly as where that condition stands alone; the axis
+// is not turned off.
+func TestArrange2DAxisSkipsABooleanFallback(t *testing.T) {
+	cat, err := datagen.Traffic(5000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(cat, nil, Options{GridW: 32, GridH: 32, Arrangement: Arrange2D, AxisX: "a", AxisY: "b"})
+	res, err := e.RunSQL(`SELECT a FROM S WHERE NOT (a IN (1, 2)) AND a > 5 AND b < 30`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := e.RunSQL(`SELECT a FROM S WHERE a > 5 AND b < 30`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := res.signedOf("a"), alone.signedOf("a")
+	if got == nil || want == nil {
+		t.Fatalf("x axis off: %v with the fallback, %v without", got == nil, want == nil)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("item %d: signed distance %v, want a > 5's %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestStringAxisReusesItsLeafDistances: the signed distances of a string
+// axis are computed from its leaf's distances (condData's known) and
+// equal, bit for bit, those computed from scratch, for every operator,
+// distance and negation.
+func TestStringAxisReusesItsLeafDistances(t *testing.T) {
+	cat := smallCatalog(t)
+	for _, tc := range []struct{ axis, where string }{
+		{"name", `name = 'gama'`},
+		{"name", `name IN ('alpha', 'zeta', 'beth')`},
+		{"name", `name <> 'beta'`},
+		{"name", `name > 'delta'`},
+		{"name", `name BETWEEN 'b' AND 'e'`},
+		{"name", `NOT (name < 'delta')`},
+		{"level", `level = 'mid'`},
+		{"level", `level IN ('low', 'high')`},
+		{"level", `level < 'high'`},
+	} {
+		e := New(cat, nil, Options{GridW: 4, GridH: 4, Arrangement: Arrange2D, AxisX: tc.axis, AxisY: "x"})
+		res, err := e.RunSQL(`SELECT x FROM T WHERE ` + tc.where + ` AND x > 3`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Binding.CondOn(tc.axis, nil)
+		want := make([]float64, res.N)
+		if _, _, _, err := e.condData(res.evaluated[c], res.Binding.Attrs[c], res.Space, nil, want); err != nil {
+			t.Fatal(err)
+		}
+		got := res.signedOf(tc.axis)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: item %d signed %v, from scratch %v", tc.where, i, got[i], want[i])
 			}
 		}
 	}

@@ -23,7 +23,8 @@ import (
 )
 
 // LoadInferred reads path and returns a table with an inferred schema.
-// The file is streamed twice (infer, then load); no pass retains rows.
+// The file is streamed twice (infer, then dataset.ReadCSV); no pass
+// retains rows.
 func LoadInferred(path, name string) (*dataset.Table, error) {
 	schema, err := InferSchemaFile(path)
 	if err != nil {
@@ -34,14 +35,7 @@ func LoadInferred(path, name string) (*dataset.Table, error) {
 		return nil, err
 	}
 	defer f.Close()
-	tbl, err := dataset.NewTable(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	if err := streamRows(f, schema, tbl.AppendRow); err != nil {
-		return nil, err
-	}
-	return tbl, nil
+	return dataset.ReadCSV(f, name, schema)
 }
 
 // InferSchemaFile streams path once and returns the inferred schema.
@@ -91,38 +85,6 @@ func InferSchema(r io.Reader) (dataset.Schema, error) {
 		schema[c] = dataset.Field{Name: h, Kind: flags[c].kind()}
 	}
 	return schema, nil
-}
-
-// streamRows parses r's data rows per schema and hands each to append.
-func streamRows(r io.Reader, schema dataset.Schema, append func(...dataset.Value) error) error {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	if _, err := cr.Read(); err != nil { // header
-		return fmt.Errorf("csvutil: %w", err)
-	}
-	vals := make([]dataset.Value, len(schema))
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("csvutil: %w", err)
-		}
-		if len(rec) != len(schema) {
-			return fmt.Errorf("csvutil: row %d has %d cells, want %d", line, len(rec), len(schema))
-		}
-		for c, cell := range rec {
-			v, err := dataset.ParseValue(schema[c].Kind, cell)
-			if err != nil {
-				return fmt.Errorf("csvutil: row %d column %q: %w", line, schema[c].Name, err)
-			}
-			vals[c] = v
-		}
-		if err := append(vals...); err != nil {
-			return err
-		}
-	}
 }
 
 // kindFlags tracks which kinds every non-empty cell of a column has

@@ -42,6 +42,7 @@ func ReadCSV(r io.Reader, name string, schema Schema) (*Table, error) {
 		return nil, err
 	}
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read csv header: %w", err)

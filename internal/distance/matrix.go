@@ -9,9 +9,8 @@ import (
 // distance representation for ordinal and nominal datatypes. It is
 // symmetric with a zero diagonal and non-negative entries.
 type Matrix struct {
-	index  map[string]int
-	labels []string
-	d      [][]float64
+	index map[string]int
+	d     [][]float64
 }
 
 // NewMatrix validates and builds a distance matrix. d must be square
@@ -53,7 +52,7 @@ func NewMatrix(labels []string, d [][]float64) (*Matrix, error) {
 	for i := range cp {
 		cp[i] = append([]float64(nil), d[i]...)
 	}
-	return &Matrix{index: index, labels: append([]string(nil), labels...), d: cp}, nil
+	return &Matrix{index: index, d: cp}, nil
 }
 
 // Ordinal builds the canonical ordinal-type matrix over labels in rank
@@ -85,9 +84,6 @@ func Discrete(labels []string) (*Matrix, error) {
 	}
 	return NewMatrix(labels, d)
 }
-
-// Labels returns the label set in declaration (rank) order.
-func (m *Matrix) Labels() []string { return append([]string(nil), m.labels...) }
 
 // Dist returns the distance between two labels. Unknown labels yield
 // +Inf (maximally distant) and ok = false rather than an error, so a

@@ -143,6 +143,27 @@ func (b *Binding) bindExpr(e Expr) error {
 	}
 }
 
+// CondOn returns the first condition in query order (Walk's) on the
+// attribute attr that usable accepts (every one when usable is nil): as
+// written ("x" or "T.x"), after the written table qualifier, or as bound
+// ("x" or "T.x"); nil if there is none. It is the one rule by which a
+// slider addresses a condition by name — a range op over the wire and a
+// 2D arrangement's axis alike.
+func (b *Binding) CondOn(attr string, usable func(*Cond) bool) *Cond {
+	var found *Cond
+	Walk(b.Query.Where, func(e Expr) {
+		c, ok := e.(*Cond)
+		if !ok || found != nil || usable != nil && !usable(c) {
+			return
+		}
+		a, bound := b.Attrs[c]
+		if c.Attr == attr || strings.HasSuffix(c.Attr, "."+attr) || bound && (a.Attr == attr || a.Qualified() == attr) {
+			found = c
+		}
+	})
+	return found
+}
+
 func (b *Binding) hasFrom(table string) bool {
 	for _, t := range b.Query.From {
 		if t == table {

@@ -100,10 +100,6 @@ type fusedCtx struct {
 	opts EvalOptions
 	n    int
 	res  *Result
-	// sigs/optsSig memoize the interior cache signatures (interior.go);
-	// populated only when the Interior hooks are set.
-	sigs    map[*Node]string
-	optsSig string
 }
 
 // alloc returns an n-sized output buffer, from the caller's pool when
@@ -151,15 +147,13 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		}
 		return node.Dists, indexedRange(node.Dists, node.Quantiles, node.Zeros, c.keepOf(node)), nil
 	case NodeAnd, NodeOr:
-		if c.opts.InteriorFetch != nil {
-			if e, ok := c.fetchInterior(node); ok {
-				// The subtree's raw combined vector is cached: skip the
-				// whole subtree's fused passes and range the vector like a
-				// leaf — provided every skipped descendant stays
-				// materializable from its own vector.
-				if entries, ok := c.collectSubtreeEntries(node); ok {
-					return c.useInteriorEntry(node, e, entries)
-				}
+		if e, ok := c.fetchInterior(node); ok {
+			// The subtree's raw combined vector is cached: skip the
+			// whole subtree's fused passes and range the vector like a
+			// leaf — provided every skipped descendant stays
+			// materializable from its own vector.
+			if entries, ok := c.collectSubtreeEntries(node); ok {
+				return c.useInteriorEntry(node, e, entries)
 			}
 		}
 		cb, err := c.newCombine(node)
@@ -197,11 +191,11 @@ func (c *fusedCtx) pass(node *Node, cb *combine) ([]float64, NormParams, error) 
 		stats.merge(st)
 	}
 	node.ChunkStats = chunkStatsOf(scans)
-	if c.opts.InteriorStore != nil {
+	if node.Key != "" && c.opts.InteriorStore != nil {
 		// Cache a copy of the vector (the buffer is the run's; a root
 		// finalizes it in place) with its chunk stats, so the next
 		// structurally identical rerun skips this whole pass.
-		c.opts.InteriorStore(c.sig(node), append([]float64(nil), out...), node.ChunkStats)
+		c.opts.InteriorStore(node.Key, append([]float64(nil), out...), node.ChunkStats)
 	}
 	return out, rangeOf(stats, out, c.keepOf(node)), nil
 }

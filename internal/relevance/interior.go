@@ -1,10 +1,5 @@
 package relevance
 
-import (
-	"strconv"
-	"strings"
-)
-
 // This file implements the reuse of interior nodes' raw combined
 // vectors behind EvalOptions.InteriorFetch/InteriorStore.
 //
@@ -47,74 +42,13 @@ func indexedRange(dists []float64, q *LeafQuantiles, zeros, keep int) NormParams
 	return NormRange(dists, keep)
 }
 
-// sig returns the cache signature of node's raw combined vector: the
-// structural identity of the subtree (ops, leaf labels, per-child
-// weights in hex-float — children's weights fix their keep counts and
-// combination coefficients) prefixed with every evaluation option that
-// feeds the kernels. The node's OWN weight is deliberately excluded:
-// the raw vector does not depend on it, which is exactly what lets a
-// weight drag on the node itself (or on its siblings) reuse the entry.
-// Callers compose this with their data identity (dataset epoch,
-// predicate cache version) to form the full cache key.
-func (c *fusedCtx) sig(node *Node) string {
-	if c.optsSig == "" {
-		c.optsSig = "m" + strconv.Itoa(int(c.opts.Mode)) +
-			"|a" + strconv.Itoa(int(c.opts.And)) +
-			"|p" + hexFloat(c.opts.LpP) +
-			"|b" + strconv.Itoa(c.opts.Budget) +
-			"|nn" + strconv.FormatBool(c.opts.NaiveNormalize) +
-			"|n" + strconv.Itoa(c.n) + "|"
-	}
-	return c.optsSig + c.structSig(node)
-}
-
-// structSig is the memoized structural part of sig.
-func (c *fusedCtx) structSig(node *Node) string {
-	if c.sigs == nil {
-		c.sigs = make(map[*Node]string)
-	}
-	if s, ok := c.sigs[node]; ok {
-		return s
-	}
-	var s string
-	if node.Op == Leaf {
-		s = "L:" + node.Label
-		if c.opts.LeafID != nil {
-			if id := c.opts.LeafID(node); id != "" {
-				s = "L:" + id
-			}
-		}
-	} else {
-		var b strings.Builder
-		if node.Op == NodeAnd {
-			b.WriteByte('A')
-		} else {
-			b.WriteByte('O')
-		}
-		b.WriteByte('(')
-		for j, ch := range node.Children {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(c.structSig(ch))
-			b.WriteString("|w")
-			b.WriteString(hexFloat(ch.EffWeight()))
-		}
-		b.WriteByte(')')
-		s = b.String()
-	}
-	c.sigs[node] = s
-	return s
-}
-
-// hexFloat formats v losslessly (hex mantissa), so signatures
-// distinguish weights that decimal formatting would collapse.
-func hexFloat(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-
-// fetchInterior asks the caller's store for node's raw combined vector.
-// Only a vector of this evaluation's shape is a hit.
+// fetchInterior asks the caller's store for node's raw combined vector
+// under its key. Only a vector of this evaluation's shape is a hit.
 func (c *fusedCtx) fetchInterior(node *Node) (cachedVec, bool) {
-	raw, q, cs := c.opts.InteriorFetch(c.sig(node))
+	if node.Key == "" || c.opts.InteriorFetch == nil {
+		return cachedVec{}, false
+	}
+	raw, q, cs := c.opts.InteriorFetch(node.Key)
 	if raw == nil || len(raw) != c.n || (cs != nil && cs.Chunks() != c.chunkCount()) {
 		return cachedVec{}, false
 	}

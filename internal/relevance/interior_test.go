@@ -15,7 +15,7 @@ func interiorHit(t *testing.T, raw []float64, budget int, indexed bool) (NormPar
 	t.Helper()
 	n := len(raw)
 	leaf := func(label string) *Node { return &Node{Op: Leaf, Label: label, Dists: make([]float64, n)} }
-	part := &Node{Op: NodeOr, Children: []*Node{leaf("a"), leaf("b")}}
+	part := &Node{Op: NodeOr, Children: []*Node{leaf("a"), leaf("b")}, Key: "part"}
 	root := &Node{Op: NodeAnd, Children: []*Node{part, leaf("x")}}
 	opts := EvalOptions{Budget: budget, NaiveNormalize: budget == 0, DeferRoot: true}
 	opts.InteriorFetch = func(string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
@@ -145,21 +145,25 @@ func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 	}
 }
 
-// labelLeaves assigns unique labels (the signature's leaf identity).
+// labelLeaves assigns unique labels (keyTree's leaf identity).
 func labelLeaves(root *Node) {
-	i := 0
-	var walk func(*Node)
-	walk = func(n *Node) {
-		if n.Op == Leaf {
-			n.Label = fmt.Sprintf("leaf%d", i)
-			i++
-			return
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
+	for i, leaf := range collectLeaves(root) {
+		leaf.Label = fmt.Sprintf("leaf%d", i)
 	}
-	walk(root)
+}
+
+// keyTree keys every interior node the way the engine's runKeys.interior
+// does — by its operator and each child's key and weight, its own weight
+// left out — with a leaf's label as its key, and returns root's key.
+func keyTree(root *Node) string {
+	if root.Op == Leaf {
+		return root.Label
+	}
+	root.Key = fmt.Sprint(root.Op)
+	for _, ch := range root.Children {
+		root.Key += fmt.Sprintf("(%s|w%x)", keyTree(ch), ch.EffWeight())
+	}
+	return root.Key
 }
 
 // collectLeaves returns the tree's leaves in walk order.
@@ -198,14 +202,15 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		n := 50 + rng.Intn(2*evalChunk)
 		tree := buildRandomTree(rng, n, 3)
 		labelLeaves(tree)
+		keyTree(tree)
 		opts := variants[trial%len(variants)]
 		opts.Budget = 1 + n/(1+rng.Intn(6))
 
 		// Cold run fills the store.
 		store := map[string]cachedVec{}
 		cold := opts
-		cold.InteriorStore = func(sig string, raw []float64, cs *LeafChunkStats) {
-			store[sig] = cachedVec{raw: raw, cs: cs}
+		cold.InteriorStore = func(key string, raw []float64, cs *LeafChunkStats) {
+			store[key] = cachedVec{raw: raw, cs: cs}
 		}
 		if _, err := Evaluate(tree, n, cold); err != nil {
 			t.Fatal(err)
@@ -215,11 +220,11 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		}
 		// Snapshot entry payloads to prove the warm run only borrows.
 		snap := map[string][]float64{}
-		for sig, e := range store {
-			snap[sig] = append([]float64(nil), e.raw...)
+		for key, e := range store {
+			snap[key] = append([]float64(nil), e.raw...)
 			if trial%4 >= 2 {
 				e.q, e.cs = BuildLeafIndexes(e.raw)
-				store[sig] = e
+				store[key] = e
 			}
 		}
 
@@ -228,13 +233,14 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		if trial%2 == 1 {
 			leaves := collectLeaves(tree)
 			leaves[rng.Intn(len(leaves))].Weight += 0.25
+			keyTree(tree)
 		}
 
 		warm := opts
 		fetches, hits := 0, 0
-		warm.InteriorFetch = func(sig string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
+		warm.InteriorFetch = func(key string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
 			fetches++
-			e, ok := store[sig]
+			e, ok := store[key]
 			if ok {
 				hits++
 			}
@@ -273,39 +279,8 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 				sameVec(t, fmt.Sprintf("interior child %d", i), ref.Vec(ch), got.Vec(ch))
 			}
 		}
-		for sig, want := range snap {
-			sameVec(t, "cached entry "+sig, want, store[sig].raw)
+		for key, want := range snap {
+			sameVec(t, "cached entry "+key, want, store[key].raw)
 		}
-	}
-}
-
-// TestInteriorSigExcludesOwnWeight: dragging a node's own weight must
-// not change its signature (the raw vector is weight-of-self
-// independent), while dragging a child's weight must.
-func TestInteriorSigExcludesOwnWeight(t *testing.T) {
-	n := 100
-	mk := func() *Node {
-		a := &Node{Op: Leaf, Label: "a", Weight: 1, Dists: make([]float64, n)}
-		b := &Node{Op: Leaf, Label: "b", Weight: 2, Dists: make([]float64, n)}
-		return &Node{Op: NodeAnd, Weight: 1, Children: []*Node{a, b}}
-	}
-	sigOf := func(root *Node) string {
-		c := &fusedCtx{opts: EvalOptions{Budget: 10}, n: n}
-		return c.sig(root)
-	}
-	base := mk()
-	self := mk()
-	self.Weight = 5
-	if sigOf(base) != sigOf(self) {
-		t.Fatal("own-weight drag changed the signature")
-	}
-	child := mk()
-	child.Children[0].Weight = 5
-	if sigOf(base) == sigOf(child) {
-		t.Fatal("child-weight drag did not change the signature")
-	}
-	budget := &fusedCtx{opts: EvalOptions{Budget: 20}, n: n}
-	if budget.sig(mk()) == sigOf(mk()) {
-		t.Fatal("budget change did not change the signature")
 	}
 }

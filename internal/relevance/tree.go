@@ -44,6 +44,12 @@ type Node struct {
 	// Zeros, when positive on a leaf, counts the exact +0 entries of a
 	// Dists with no value below +0 (a fresh range leaf's); 0: not counted.
 	Zeros int
+	// Key names an interior node's raw combined vector in the caller's
+	// cache (EvalOptions.InteriorFetch and InteriorStore); the caller
+	// builds it, and it must name exactly the vector the node's subtree
+	// combines to under these options. A node without a key is never
+	// fetched or stored. The evaluator reads no leaf's key.
+	Key string
 }
 
 // EffWeight returns the node's weight with the default of 1.
@@ -110,25 +116,22 @@ type EvalOptions struct {
 	// the weights and kernel the combine resolved), the same combine
 	// finishes the root eagerly and Deferred() reports false.
 	DeferRoot bool
-	// InteriorFetch, when non-nil, is consulted before every interior
-	// node's combine pass with the node's cache signature (structure,
-	// leaf labels, child weights, kernel options — see fusedCtx.sig). A
-	// non-nil raw of the evaluation's length skips the pass, and the
-	// passes of the whole subtree under it: the node is then a leaf —
-	// raw is read READ-ONLY, q (optional, must index exactly raw)
-	// answers its normalization range where NormRange would otherwise,
-	// and cs (optional) feeds block pruning. Results are bit-identical
-	// to the hookless evaluation; Result.SketchHits/SketchRescans
-	// attribute the reuse. Callers own key scoping: a fetch must only
-	// return vectors built over the same leaf data (same dataset epoch,
-	// same predicate distance vectors).
-	InteriorFetch func(sig string) (raw []float64, q *LeafQuantiles, cs *LeafChunkStats)
+	// InteriorFetch, when non-nil, is consulted before the combine pass
+	// of every interior node that has a Key, with that key. A non-nil raw
+	// of the evaluation's length skips the pass, and the passes of the
+	// whole subtree under it: the node is then a leaf — raw is read
+	// READ-ONLY, q (optional, must index exactly raw) answers its
+	// normalization range where NormRange would otherwise, and cs
+	// (optional) feeds block pruning. Results are bit-identical to the
+	// hookless evaluation; Result.SketchHits/SketchRescans attribute the
+	// reuse.
+	InteriorFetch func(key string) (raw []float64, q *LeafQuantiles, cs *LeafChunkStats)
 	// InteriorStore, when non-nil, receives the raw combined vector of
-	// every interior node whose fused pass this evaluation ran (a
-	// deferred root has none), under InteriorFetch's signatures, with
-	// its per-chunk stats. raw is a private copy the callee owns;
-	// neither may be written afterwards.
-	InteriorStore func(sig string, raw []float64, cs *LeafChunkStats)
+	// every interior node with a Key whose fused pass this evaluation ran
+	// (a deferred root has none), under that key, with its per-chunk
+	// stats. raw is a private copy the callee owns; neither may be
+	// written afterwards.
+	InteriorStore func(key string, raw []float64, cs *LeafChunkStats)
 	// Checkpoint, when non-nil, is polled at every node entry and
 	// between evaluator chunks; the first non-nil return aborts the
 	// evaluation (and any deferred-root ranking built from it) with
@@ -137,14 +140,6 @@ type EvalOptions struct {
 	// its goroutine until the full sweep completes. Checkpoint must be
 	// cheap (it is called O(n/chunk) times) — ctx.Err is.
 	Checkpoint func() error
-	// LeafID, when non-nil, supplies the leaf identity the interior
-	// signatures embed in place of Node.Label (an empty return falls
-	// back to the label). Callers whose labels are not injective over
-	// leaf CONTENT — e.g. a negated predicate keeps the un-negated
-	// label while its vector differs — must provide it; the engine
-	// passes each leaf's full cache key, which pins the item space,
-	// catalog epoch, literals, negation and distance function.
-	LeafID func(n *Node) string
 }
 
 // Result carries the evaluated tree: the per-node normalized distance

@@ -170,15 +170,11 @@ func (s *Session) SetRunContext(ctx context.Context) { s.runCtx = ctx }
 // binding (keyed by condition identity) intact, while SetQuery and
 // Undo parse a fresh AST and therefore rebind.
 func (s *Session) Recalculate() error {
-	e := core.New(s.cat, s.reg, s.opt)
-	if s.bind == nil || s.bind.Query != s.q {
-		b, err := query.Bind(s.q, s.cat)
-		if err != nil {
-			return err
-		}
-		s.bind = b
+	b, err := s.binding()
+	if err != nil {
+		return err
 	}
-	res, err := e.RunCtx(s.runCtx, s.q, s.bind, s.cache)
+	res, err := core.New(s.cat, s.reg, s.opt).RunCtx(s.runCtx, s.q, b, s.cache)
 	if err != nil {
 		return err
 	}
@@ -193,6 +189,19 @@ func (s *Session) Recalculate() error {
 		}
 	}
 	return nil
+}
+
+// binding returns the live query's binding, resolving it on the first
+// call for a query AST.
+func (s *Session) binding() (*query.Binding, error) {
+	if s.bind == nil || s.bind.Query != s.q {
+		b, err := query.Bind(s.q, s.cat)
+		if err != nil {
+			return nil, err
+		}
+		s.bind = b
+	}
+	return s.bind, nil
 }
 
 // maybeRecalc recomputes if auto mode is on; otherwise marks the
@@ -296,18 +305,16 @@ func (s *Session) SetQuery(src string) error {
 	return nil
 }
 
-// FindCond locates a top-level (or nested) condition whose attribute
-// matches name — a convenience for slider interactions addressed by
-// attribute.
+// FindCond locates the condition a slider addressed by attribute name
+// moves: the first in query order on attr, by its name or its
+// table-qualified name (query.Binding.CondOn — the rule the 2D
+// arrangement finds its axes by).
 func (s *Session) FindCond(attr string) (*query.Cond, error) {
-	var found *query.Cond
-	query.Walk(s.q.Where, func(e query.Expr) {
-		if c, ok := e.(*query.Cond); ok && found == nil {
-			if c.Attr == attr || strings.HasSuffix(c.Attr, "."+attr) {
-				found = c
-			}
-		}
-	})
+	b, err := s.binding()
+	if err != nil {
+		return nil, err
+	}
+	found := b.CondOn(attr, nil)
 	if found == nil {
 		return nil, fmt.Errorf("session: no condition on attribute %q", attr)
 	}
@@ -545,7 +552,6 @@ func (s *Session) ClearProjection() { s.hasProj = false }
 // Windows renders the current windows with the projection filter and
 // selection highlight applied.
 func (s *Session) Windows() ([]*render.Window, error) {
-	parts := append([]query.Expr{nil}, query.Predicates(s.q.Where)...)
 	var keep map[int]bool
 	if s.hasProj {
 		items, err := s.res.ItemsInColorRange(s.projExpr, s.projLo, s.projHi)
@@ -557,56 +563,7 @@ func (s *Session) Windows() ([]*render.Window, error) {
 			keep[it] = true
 		}
 	}
-	out := make([]*render.Window, 0, len(parts))
-	for _, p := range parts {
-		w, err := s.buildWindow(p, keep)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
-// buildWindow renders one window (p == nil means the overall result)
-// honoring projection and highlighting.
-func (s *Session) buildWindow(p query.Expr, keep map[int]bool) (*render.Window, error) {
-	opt := s.res.Engine.Options()
-	title := "overall result"
-	if p != nil {
-		title = p.Label()
-	}
-	w := render.NewWindow(title, opt.GridW, opt.GridH, arrange.BlockSide(opt.PixelsPerItem))
-	for rank := 0; rank < s.res.Displayed; rank++ {
-		item := s.res.Order[rank]
-		if keep != nil && !keep[item] {
-			continue
-		}
-		cell := s.res.CellOfRank(rank)
-		if cell == arrange.Unplaced {
-			continue
-		}
-		var norm float64
-		if p == nil {
-			// The overall window's distances come straight from the
-			// ranked prefix — the rank-before-scale path never needs the
-			// full combined vector for display.
-			norm = s.res.DistanceOfRank(rank)
-		} else {
-			var err error
-			norm, err = s.res.NormOf(p, item)
-			if err != nil {
-				return nil, err
-			}
-		}
-		w.SetCell(cell, s.res.ColorFor(norm))
-	}
-	if s.selectedItem >= 0 {
-		if cell, ok := s.res.CellOfItem(s.selectedItem); ok {
-			w.Highlight(cell)
-		}
-	}
-	return w, nil
+	return s.res.WindowsOf(keep, s.selectedItem)
 }
 
 // Image composes the current windows plus the query-modification

@@ -388,6 +388,48 @@ func TestFindCondErrors(t *testing.T) {
 	}
 }
 
+// TestRangeOpAddressesTheQualifiedAttribute: a range op names a
+// condition the way a 2D arrangement names an axis — "x" or "T.x" — and
+// both mean the first condition on the attribute in query order.
+func TestRangeOpAddressesTheQualifiedAttribute(t *testing.T) {
+	s, err := NewSQL(testCatalog(t), nil, core.Options{GridW: 8, GridH: 8},
+		`SELECT x FROM T WHERE y > 10 AND x > 15 AND x < 18`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRangeByAttr("T.x", 3, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range query.Predicates(s.Query().Where) {
+		got = append(got, p.Label())
+	}
+	if want := "y > 10, x >= 3, x < 18"; strings.Join(got, ", ") != want {
+		t.Fatalf("after the range op: %q, want %q", got, want)
+	}
+	for _, attr := range []string{"x", "T.x"} {
+		if c, err := s.FindCond(attr); err != nil || c.Label() != "x >= 3" {
+			t.Fatalf("FindCond(%q): %v, %v", attr, c, err)
+		}
+	}
+	// The axis "T.x" is the condition the range op moved: items sit where
+	// the axis "x" puts them.
+	place := func(axis string) *core.Result {
+		opt := core.Options{GridW: 8, GridH: 8, Arrangement: core.Arrange2D, AxisX: axis, AxisY: "y"}
+		s2, err := New(testCatalog(t), nil, opt, s.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s2.Result()
+	}
+	byName, byQualified := place("x"), place("T.x")
+	for rank := 0; rank < byName.Displayed; rank++ {
+		if byName.CellOfRank(rank) != byQualified.CellOfRank(rank) {
+			t.Fatalf("rank %d: axis x places it at %v, axis T.x at %v", rank, byName.CellOfRank(rank), byQualified.CellOfRank(rank))
+		}
+	}
+}
+
 func TestNewSQLParseError(t *testing.T) {
 	if _, err := NewSQL(testCatalog(t), nil, core.Options{}, `garbage`); err == nil {
 		t.Error("parse error should propagate")

@@ -9,7 +9,7 @@ func Pearson(xs, ys []float64) float64 {
 	if len(xs) != len(ys) || len(xs) < 2 {
 		return 0
 	}
-	mx, my := Mean(xs), Mean(ys)
+	mx, my := mean(xs), mean(ys)
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
@@ -21,6 +21,18 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
+}
+
+// mean returns the arithmetic mean of xs, or 0 for an empty slice.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // LaggedPearson returns the Pearson correlation of xs[i] with ys[i+lag].

@@ -16,23 +16,10 @@ import (
 // ErrEmpty is returned by functions that require at least one sample.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// Quantile returns the empirical α-quantile of xs: the lowest value ξ such
-// that the fraction of samples ≤ ξ is at least α. This is the definition
-// used in section 5.1 of the paper (F(ξα) ≥ α with the empirical CDF).
-//
-// α is clamped to [0, 1]. Quantile copies and sorts xs; use QuantileSorted
-// when the data is already sorted to avoid the O(n log n) cost.
-func Quantile(xs []float64, alpha float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, alpha)
-}
-
-// QuantileSorted is Quantile for data already sorted in ascending order.
+// QuantileSorted returns the empirical α-quantile of sorted, a sample in
+// ascending order: the lowest value ξ such that the fraction of samples
+// ≤ ξ is at least α. This is the definition used in section 5.1 of the
+// paper (F(ξα) ≥ α with the empirical CDF). α is clamped to [0, 1].
 func QuantileSorted(sorted []float64, alpha float64) (float64, error) {
 	n := len(sorted)
 	if n == 0 {

@@ -3,50 +3,29 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Fatalf("unexpected summary: %+v", s)
-	}
-	want := math.Sqrt(1.25)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Errorf("std = %v, want %v", s.Std, want)
-	}
-	if s.Median != 2 {
-		t.Errorf("median = %v, want 2 (lower of the middle pair)", s.Median)
-	}
-}
-
-func TestSummarizeSkipsNaN(t *testing.T) {
-	s := Summarize([]float64{math.NaN(), 5, math.NaN()})
-	if s.N != 1 || s.Min != 5 || s.Max != 5 {
-		t.Fatalf("unexpected summary: %+v", s)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 {
-		t.Fatalf("unexpected: %+v", s)
-	}
-	s = Summarize([]float64{math.NaN()})
-	if s.N != 0 {
-		t.Fatalf("all-NaN should summarize to empty, got %+v", s)
-	}
-}
-
 func TestMeanVariance(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
+	if mean(nil) != 0 {
+		t.Error("mean(nil) != 0")
 	}
-	if got := Mean([]float64{2, 4}); got != 3 {
-		t.Errorf("Mean = %v, want 3", got)
+	if got := mean([]float64{2, 4}); got != 3 {
+		t.Errorf("mean = %v, want 3", got)
 	}
+}
+
+// moments returns the extremes, mean and population standard deviation
+// of a sample.
+func moments(xs []float64) (lo, hi, mu, std float64) {
+	mu = mean(xs)
+	for _, x := range xs {
+		std += (x - mu) * (x - mu)
+	}
+	return slices.Min(xs), slices.Max(xs), mu, math.Sqrt(std / float64(len(xs)))
 }
 
 func TestPearsonPerfect(t *testing.T) {
@@ -154,22 +133,22 @@ func TestHistogramASCIIShape(t *testing.T) {
 func TestDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	u := SampleN(Uniform{2, 4}, rng, 2000)
-	su := Summarize(u)
-	if su.Min < 2 || su.Max >= 4 {
-		t.Errorf("uniform out of range: [%v, %v]", su.Min, su.Max)
+	ulo, uhi, umean, _ := moments(u)
+	if ulo < 2 || uhi >= 4 {
+		t.Errorf("uniform out of range: [%v, %v]", ulo, uhi)
 	}
-	if math.Abs(su.Mean-3) > 0.1 {
-		t.Errorf("uniform mean = %v", su.Mean)
+	if math.Abs(umean-3) > 0.1 {
+		t.Errorf("uniform mean = %v", umean)
 	}
 	n := SampleN(Normal{10, 2}, rng, 5000)
-	sn := Summarize(n)
-	if math.Abs(sn.Mean-10) > 0.2 || math.Abs(sn.Std-2) > 0.2 {
-		t.Errorf("normal: mean=%v std=%v", sn.Mean, sn.Std)
+	_, _, nmean, nstd := moments(n)
+	if math.Abs(nmean-10) > 0.2 || math.Abs(nstd-2) > 0.2 {
+		t.Errorf("normal: mean=%v std=%v", nmean, nstd)
 	}
 	e := SampleN(Exponential{Rate: 2}, rng, 5000)
-	se := Summarize(e)
-	if se.Min < 0 || math.Abs(se.Mean-0.5) > 0.1 {
-		t.Errorf("exponential: min=%v mean=%v", se.Min, se.Mean)
+	elo, _, emean, _ := moments(e)
+	if elo < 0 || math.Abs(emean-0.5) > 0.1 {
+		t.Errorf("exponential: min=%v mean=%v", elo, emean)
 	}
 	// Zero-rate guard.
 	bad := Exponential{Rate: 0}
@@ -202,8 +181,7 @@ func TestMixtureWeights(t *testing.T) {
 	// Missing weights default to 1.
 	m2 := Mixture{Components: []Dist{Normal{0, 0.01}, Normal{1, 0.01}}}
 	xs2 := SampleN(m2, rng, 1000)
-	s2 := Summarize(xs2)
-	if math.Abs(s2.Mean-0.5) > 0.1 {
-		t.Errorf("unweighted mixture mean = %v, want ~0.5", s2.Mean)
+	if m := mean(xs2); math.Abs(m-0.5) > 0.1 {
+		t.Errorf("unweighted mixture mean = %v, want ~0.5", m)
 	}
 }

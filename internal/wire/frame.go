@@ -62,8 +62,7 @@ func NewResultsFrame(sum Summary, k int) *ResultsFrame {
 	head := len(resultsFrameMagic) + 4 + len(js) + 4
 	buf := make([]byte, 0, head+k*frameRowBytes)
 	buf = append(buf, resultsFrameMagic...)
-	buf = binenc.U32(buf, uint32(len(js)))
-	buf = append(buf, js...)
+	buf = binenc.Str(buf, string(js))
 	buf = binenc.U32(buf, uint32(k))
 	mid := head + k*frameItemBytes
 	return &ResultsFrame{
