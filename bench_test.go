@@ -44,8 +44,7 @@ func BenchmarkFig1aSpiral(b *testing.B) {
 	for i := range dists {
 		dists[i] = math.Abs(rng.NormFloat64())
 	}
-	norm := relevance.Normalize(dists, 0)
-	sorted, _ := reduce.SortWithIndex(norm.Scaled)
+	sorted, _ := reduce.SortWithIndex(relevance.Normalize(dists, 0))
 	cm := colormap.VisDB(colormap.DefaultLevels)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -663,7 +662,7 @@ func BenchmarkApproxJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := join.ConnDistances(conn, w, p, pairs, nil); err != nil {
+		if err := join.ConnDistancesRange(conn, w, p, pairs, make([]float64, len(pairs)), 0, len(pairs), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

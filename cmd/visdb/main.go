@@ -70,13 +70,15 @@ func run(data, table, sql, queryFile, out string, gridW, gridH, px, cols int, as
 	if gradi {
 		fmt.Println(visdb.Gradi(q))
 	}
+	start := time.Now()
 	s, err := visdb.NewSessionQuery(cat, visdb.Options{GridW: gridW, GridH: gridH, PixelsPerItem: px}, q)
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	fmt.Println(s.PanelText())
-	fmt.Printf("(query executed in %v)\n", time.Since(start).Round(time.Millisecond))
+	panel := s.PanelText()
+	elapsed := time.Since(start)
+	fmt.Println(panel)
+	fmt.Printf("(query executed in %v)\n", elapsed.Round(time.Millisecond))
 	img, err := s.Image(cols)
 	if err != nil {
 		return err

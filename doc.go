@@ -56,7 +56,9 @@
 // buckets and selecting inside the one the rank falls in
 // (relevance/orderstats.go). Options.FullSort ranks every item exactly
 // in O(n log n) instead (the A-series ablations, exact quantiles;
-// implied by Arrange2D).
+// implied by Arrange2D). The wire has no full-sort option: a remote
+// session serves its displayed prefix, which a full sort does not
+// change, and the server ignores a client's "full_sort" key.
 //
 // Policy: a process uses every core GOMAXPROCS gives it. A run builds
 // its leaves one after another in query order, each leaf's distance

@@ -9,9 +9,6 @@ package arrange
 // Y grows downward (image convention).
 type Point struct{ X, Y int }
 
-// Pt is a terse Point constructor.
-func Pt(x, y int) Point { return Point{X: x, Y: y} }
-
 // Unplaced is the sentinel cell for items that do not fit in a window.
 var Unplaced = Point{-1, -1}
 

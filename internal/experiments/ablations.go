@@ -169,8 +169,8 @@ func AblationReduce(outDir string) (*Report, error) {
 		}
 		norm := relevance.Normalize(dists[:cut], 0)
 		used := map[int]bool{}
-		for i := 0; i < focus && i < len(norm.Scaled); i++ {
-			used[cm.LevelOfNorm(norm.Scaled[i]/relevance.Scale)] = true
+		for i := 0; i < focus && i < len(norm); i++ {
+			used[cm.LevelOfNorm(norm[i]/relevance.Scale)] = true
 		}
 		return len(used)
 	}

@@ -69,8 +69,7 @@ func Fig1a(outDir string) (*Report, error) {
 			dists[i] = math.Abs(rng.NormFloat64())
 		}
 	}
-	norm := relevance.Normalize(dists, 0)
-	sorted, _ := reduce.SortWithIndex(norm.Scaled)
+	sorted, _ := reduce.SortWithIndex(relevance.Normalize(dists, 0))
 	cm := colormap.VisDB(colormap.DefaultLevels)
 	win := render.NewWindow("figure 1a", w, h, 1)
 	cells := arrange.Spiral(w, h)
@@ -148,7 +147,7 @@ func Fig1b(outDir string) (*Report, error) {
 			continue
 		}
 		placed++
-		win.SetCell(cell, cm.AtNorm(norm.Scaled[i]/relevance.Scale))
+		win.SetCell(cell, cm.AtNorm(norm[i]/relevance.Scale))
 		if quadItems[i].SignX > 0 && cell.X < c.X {
 			misplaced++
 		}
@@ -187,7 +186,10 @@ func Fig2(outDir string) (*Report, error) {
 			"graduate differences are enhanced; plain α-quantile otherwise",
 	}
 	rng := rand.New(rand.NewSource(43))
-	uni := stats.SampleN(stats.Exponential{Rate: 1}, rng, 4000)
+	uni := make([]float64, 4000)
+	for i := range uni {
+		uni[i] = rng.ExpFloat64()
+	}
 	sort.Float64s(uni)
 	var bi []float64
 	for i := 0; i < 600; i++ {

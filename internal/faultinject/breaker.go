@@ -27,9 +27,6 @@ func (b *Breaker) Kill() { b.dead.Store(true) }
 // Revive restores normal serving.
 func (b *Breaker) Revive() { b.dead.Store(false) }
 
-// Dead reports whether the breaker is currently killing requests.
-func (b *Breaker) Dead() bool { return b.dead.Load() }
-
 // ServeHTTP implements http.Handler.
 func (b *Breaker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if b.dead.Load() {

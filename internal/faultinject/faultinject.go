@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic fault injection for the
 // serving stack's failure-semantics tests: a scripted flaky
 // http.RoundTripper (dropped requests, dropped responses), and
-// corrupting / truncating / slowing io.ReaderAt wrappers that plug
+// corrupting / truncating io.ReaderAt wrappers that plug
 // into dataset.OpenOptions.WrapReaderAt.
 //
 // Everything here is scripted, never probabilistic: a test declares
@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"time"
 )
 
 // Outcome is one scripted transport round trip.
@@ -59,13 +58,6 @@ type Transport struct {
 // order.
 func NewTransport(base http.RoundTripper, script ...Outcome) *Transport {
 	return &Transport{Base: base, script: script}
-}
-
-// Extend appends more outcomes to the script.
-func (t *Transport) Extend(script ...Outcome) {
-	t.mu.Lock()
-	t.script = append(t.script, script...)
-	t.mu.Unlock()
 }
 
 // Calls reports how many round trips were attempted; Drops how many
@@ -161,21 +153,4 @@ func (c *corruptReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		p[c.off-off] ^= c.mask
 	}
 	return n, err
-}
-
-// SlowReaderAt returns an io.ReaderAt over r that sleeps d before
-// every read — enough to push a run past a request deadline without
-// touching the data.
-func SlowReaderAt(r io.ReaderAt, d time.Duration) io.ReaderAt {
-	return &slowReaderAt{r: r, d: d}
-}
-
-type slowReaderAt struct {
-	r io.ReaderAt
-	d time.Duration
-}
-
-func (s *slowReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	time.Sleep(s.d)
-	return s.r.ReadAt(p, off)
 }

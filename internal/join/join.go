@@ -94,19 +94,9 @@ func allPairs(nLeft, nRight, total int) []Pair {
 	return out
 }
 
-// ConnDistances scores each pair with the connection's distance. Null
-// join attributes yield NaN entries.
-func ConnDistances(conn dataset.Connection, lt, rt *dataset.Table, pairs []Pair, reg *distance.Registry) ([]float64, error) {
-	out := make([]float64, len(pairs))
-	if err := ConnDistancesRange(conn, lt, rt, pairs, out, 0, len(pairs), reg); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ConnDistancesRange scores pairs[from:to] into out[from:to] — the
-// chunk form of ConnDistances used by the engine's worker pool; callers
-// on disjoint ranges may run concurrently.
+// ConnDistancesRange scores pairs[from:to] into out[from:to] with the
+// connection's distance; null join attributes yield NaN entries. The
+// engine's chunked leaf pass runs it over disjoint ranges concurrently.
 func ConnDistancesRange(conn dataset.Connection, lt, rt *dataset.Table, pairs []Pair, out []float64, from, to int, reg *distance.Registry) error {
 	for i := from; i < to; i++ {
 		p := pairs[i]
@@ -152,21 +142,11 @@ func Equi(lt, rt *dataset.Table, lAttr, rAttr string) ([]Pair, error) {
 	return out, nil
 }
 
-// PartnerCounts returns, for every left row, the number of right rows
-// whose connection distance is at most eps — its inverse is the
-// join-partner distance of section 4.4 ("the user might use the inverse
-// of that number as the distance").
-func PartnerCounts(conn dataset.Connection, lt, rt *dataset.Table, eps float64, reg *distance.Registry) ([]int, error) {
-	out := make([]int, lt.NumRows())
-	if err := PartnerCountsRange(conn, lt, rt, eps, out, 0, len(out), reg); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PartnerCountsRange counts partners for left rows [from, to) into
-// out[from:to] — the chunk form of PartnerCounts used by the engine's
-// worker pool; callers on disjoint ranges may run concurrently.
+// PartnerCountsRange counts, for left rows [from, to), the right rows
+// whose connection distance is at most eps into out[from:to] — its
+// inverse is the join-partner distance of section 4.4 ("the user might
+// use the inverse of that number as the distance"). The engine's chunked
+// leaf pass runs it over disjoint ranges concurrently.
 func PartnerCountsRange(conn dataset.Connection, lt, rt *dataset.Table, eps float64, out []int, from, to int, reg *distance.Registry) error {
 	nr := rt.NumRows()
 	for l := from; l < to; l++ {
@@ -183,7 +163,7 @@ func PartnerCountsRange(conn dataset.Connection, lt, rt *dataset.Table, eps floa
 	return nil
 }
 
-// PartnerDistances maps PartnerCounts through distance.InverseCount.
+// PartnerDistances maps partner counts through distance.InverseCount.
 func PartnerDistances(counts []int) []float64 {
 	out := make([]float64, len(counts))
 	for i, c := range counts {

@@ -91,8 +91,8 @@ func TestPairsCapped(t *testing.T) {
 func TestConnDistances(t *testing.T) {
 	lt, rt := mkTables(t)
 	pairs := Pairs(lt.NumRows(), rt.NumRows(), 0)
-	ds, err := ConnDistances(timeConn(), lt, rt, pairs, nil)
-	if err != nil {
+	ds := make([]float64, len(pairs))
+	if err := ConnDistancesRange(timeConn(), lt, rt, pairs, ds, 0, len(ds), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(ds) != 12 {
@@ -151,8 +151,8 @@ func TestEquiSkipsNulls(t *testing.T) {
 
 func TestPartnerCounts(t *testing.T) {
 	lt, rt := mkTables(t)
-	counts, err := PartnerCounts(timeConn(), lt, rt, 3600, nil)
-	if err != nil {
+	counts := make([]int, lt.NumRows())
+	if err := PartnerCountsRange(timeConn(), lt, rt, 3600, counts, 0, len(counts), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Left row 0 (00:00): right rows at 00:30 (1800s) and 01:30 (5400s)
@@ -169,7 +169,10 @@ func TestPartnerCounts(t *testing.T) {
 	if counts[3] != 1 { // 03:00 vs 02:30 → 1800s
 		t.Fatalf("counts[3]: %v", counts)
 	}
-	zero, _ := PartnerCounts(timeConn(), lt, rt, 60, nil)
+	zero := make([]int, lt.NumRows())
+	if err := PartnerCountsRange(timeConn(), lt, rt, 60, zero, 0, len(zero), nil); err != nil {
+		t.Fatal(err)
+	}
 	dz := PartnerDistances(zero)
 	if !math.IsInf(dz[0], 1) {
 		t.Fatalf("no partners: %v", dz[0])

@@ -149,13 +149,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Len returns the resident entry count.
-func (s *Server) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.entries.Len()
-}
-
 func reqKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	key := r.URL.Query().Get("key")
 	if key == "" || len(key) > MaxKeyLen {

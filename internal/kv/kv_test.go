@@ -81,8 +81,8 @@ func TestServerEntryCap(t *testing.T) {
 	s.Put("a", []byte{1})
 	s.Put("b", []byte{2})
 	s.Put("c", []byte{3})
-	if s.Len() != 2 {
-		t.Fatalf("entry cap: %d resident", s.Len())
+	if n := s.Stats().Entries; n != 2 {
+		t.Fatalf("entry cap: %d resident", n)
 	}
 	if _, ok := s.Get("a"); ok {
 		t.Fatal("oldest survived the cap")

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/stats"
 )
 
 func TestDisplayFraction(t *testing.T) {
@@ -155,7 +153,14 @@ func TestGapCutRangeProperty(t *testing.T) {
 
 func TestGapCutIncrementalMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	dists := stats.SampleN(stats.Bimodal(0, 1, 50, 1), rng, 500)
+	dists := make([]float64, 500) // two unit normals at 0 and 50, equally likely
+	for i := range dists {
+		mean := 0.0
+		if rng.Float64() >= 0.5 {
+			mean = 50
+		}
+		dists[i] = mean + rng.NormFloat64()
+	}
 	sort.Float64s(dists)
 	opt := GapOptions{RMin: 20, RMax: 480, Z: 15}
 	got := GapCut(dists, opt)
@@ -178,7 +183,10 @@ func TestGapCutIncrementalMatchesNaive(t *testing.T) {
 
 func TestCutUnimodalUsesQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	dists := stats.SampleN(stats.Exponential{Rate: 1}, rng, 2000)
+	dists := make([]float64, 2000)
+	for i := range dists {
+		dists[i] = rng.ExpFloat64()
+	}
 	sort.Float64s(dists)
 	r := 500
 	got := Cut(dists, r, 0)

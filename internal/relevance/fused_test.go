@@ -30,8 +30,8 @@ func evaluateReference(root *Node, n int, opts EvalOptions) (*Result, error) {
 				keep = KeepCount(opts.Budget, n, node.EffWeight())
 			}
 			norm := Normalize(node.Dists, keep)
-			res.ByNode[node] = norm.Scaled
-			return norm.Scaled, nil
+			res.ByNode[node] = norm
+			return norm, nil
 		case NodeAnd, NodeOr:
 			if len(node.Children) == 0 {
 				return nil, fmt.Errorf("relevance: %q has no children", node.Label)
@@ -68,8 +68,8 @@ func evaluateReference(root *Node, n int, opts EvalOptions) (*Result, error) {
 				keep = KeepCount(opts.Budget, n, node.EffWeight())
 			}
 			norm := Normalize(combined, keep)
-			res.ByNode[node] = norm.Scaled
-			return norm.Scaled, nil
+			res.ByNode[node] = norm
+			return norm, nil
 		default:
 			return nil, fmt.Errorf("relevance: unknown node op %d", node.Op)
 		}

@@ -16,17 +16,6 @@ import (
 // [0, Scale] (the paper's [0, 255], one value per colormap level).
 const Scale = 255.0
 
-// Normalized is the result of normalizing a distance vector.
-type Normalized struct {
-	// Scaled holds the normalized distances in [0, Scale]; NaN entries
-	// mark uncolorable items, values beyond DMax clamp to Scale.
-	Scaled []float64
-	// DMin and DMax are the source range that mapped to [0, Scale].
-	DMin, DMax float64
-	// Kept is the number of items that determined the range.
-	Kept int
-}
-
 // KeepCount returns how many items determine the normalization range of
 // a selection predicate with weight w given a display budget of r items:
 // the paper reduces each predicate's considered items "to a number that
@@ -226,9 +215,9 @@ func NormRange(dists []float64, keep int) NormParams {
 // builds this for its hot leaves and reruns without any per-leaf scan
 // or selection — bit-identically: it is the same order statistic.
 type LeafQuantiles struct {
-	sorted        []float64 // finite values, ascending, -0 before +0
-	minFinite     float64
-	nNegInf, nNaN int
+	sorted    []float64 // finite values, ascending, -0 before +0
+	minFinite float64
+	nNaN      int
 }
 
 // BuildLeafIndexes builds both per-leaf indexes in three reads of dists
@@ -242,7 +231,7 @@ func BuildLeafIndexes(dists []float64) (*LeafQuantiles, *LeafChunkStats) {
 		st.merge(scans[ci])
 	}
 	cs := chunkStatsOf(scans)
-	q := &LeafQuantiles{sorted: make([]float64, st.nFinite), minFinite: st.minFinite, nNegInf: st.nNegInf, nNaN: st.nNaN}
+	q := &LeafQuantiles{sorted: make([]float64, st.nFinite), minFinite: st.minFinite, nNaN: st.nNaN}
 	sortFinite(q.sorted, dists, st.minFinite, st.maxFinite, 0)
 	// -0 and +0 compare equal and come out in input order; -0 first, so
 	// that any two nodes indexing the same values encode the same bytes.
@@ -390,23 +379,20 @@ func rangeOf(st rangeScan, dists []float64, keep int) NormParams {
 }
 
 // Normalize linearly maps dists onto [0, Scale], with the range
-// [dmin, dmax] determined only by the keep smallest finite values —
-// the reduction-first normalization of section 5.2. Without it, "a
-// single data item with an exceptionally high or low value may cause a
-// completely different transformation" that erases the predicate's
-// influence on the overall answer. Values beyond dmax clamp to Scale;
-// NaNs pass through (uncolorable); keep <= 0 means use every finite
-// value (the naive normalization, kept for the A1 ablation).
-func Normalize(dists []float64, keep int) Normalized {
+// [DMin, DMax] of NormRange(dists, keep) determined only by the keep
+// smallest finite values — the reduction-first normalization of section
+// 5.2. Without it, "a single data item with an exceptionally high or low
+// value may cause a completely different transformation" that erases the
+// predicate's influence on the overall answer. Values beyond DMax clamp
+// to Scale; NaNs pass through (uncolorable); keep <= 0 means use every
+// finite value (the naive normalization, kept for the A1 ablation).
+func Normalize(dists []float64, keep int) []float64 {
 	// One scan finds the finite range and counts; no filtered copy, no
 	// sort — the cost the paper calls the dominating one.
 	p := NormRange(dists, keep)
-	out := Normalized{Scaled: make([]float64, len(dists))}
-	if !p.NoFinite {
-		out.DMin, out.DMax, out.Kept = p.DMin, p.DMax, p.Kept
-	}
+	out := make([]float64, len(dists))
 	for i, d := range dists {
-		out.Scaled[i] = p.Apply(d)
+		out[i] = p.Apply(d)
 	}
 	return out
 }

@@ -67,19 +67,17 @@ func checkLeafOrderStats(t *testing.T, what string, dists []float64) {
 	fin := oracleSorted(dists)
 	q, cs := BuildLeafIndexes(dists)
 	eqBits(t, what+": sorted", fin, q.sorted)
-	wantMin, wantNegInf, wantNaN := math.Inf(1), 0, 0
+	wantMin, wantNaN := math.Inf(1), 0
 	if len(fin) > 0 {
 		wantMin = fin[0]
 	}
 	for _, d := range dists {
 		if math.IsNaN(d) {
 			wantNaN++
-		} else if math.IsInf(d, -1) {
-			wantNegInf++
 		}
 	}
-	if math.Float64bits(q.minFinite) != math.Float64bits(wantMin) || q.nNegInf != wantNegInf || q.nNaN != wantNaN {
-		t.Fatalf("%s: index scalars (%v, %d, %d), want (%v, %d, %d)", what, q.minFinite, q.nNegInf, q.nNaN, wantMin, wantNegInf, wantNaN)
+	if math.Float64bits(q.minFinite) != math.Float64bits(wantMin) || q.nNaN != wantNaN {
+		t.Fatalf("%s: index scalars (%v, %d), want (%v, %d)", what, q.minFinite, q.nNaN, wantMin, wantNaN)
 	}
 	ref := BuildLeafChunkStatsMasked(dists, nil)
 	eqBits(t, what+": chunk mins", ref.mins, cs.mins)

@@ -30,15 +30,15 @@ func TestKeepCount(t *testing.T) {
 }
 
 func TestNormalizeBasic(t *testing.T) {
+	if p := NormRange([]float64{0, 5, 10}, 0); p.DMin != 0 || p.DMax != 10 {
+		t.Fatalf("range: %+v", p)
+	}
 	n := Normalize([]float64{0, 5, 10}, 0)
-	if n.DMin != 0 || n.DMax != 10 {
-		t.Fatalf("range: %+v", n)
+	if n[0] != 0 || n[2] != Scale {
+		t.Fatalf("endpoints: %v", n)
 	}
-	if n.Scaled[0] != 0 || n.Scaled[2] != Scale {
-		t.Fatalf("endpoints: %v", n.Scaled)
-	}
-	if math.Abs(n.Scaled[1]-Scale/2) > 1e-9 {
-		t.Fatalf("midpoint: %v", n.Scaled[1])
+	if math.Abs(n[1]-Scale/2) > 1e-9 {
+		t.Fatalf("midpoint: %v", n[1])
 	}
 }
 
@@ -46,55 +46,55 @@ func TestNormalizeOutlierClamps(t *testing.T) {
 	// One extreme value: with reduction-first (keep=4) the outlier
 	// clamps to Scale instead of compressing everyone else near zero.
 	dists := []float64{1, 2, 3, 4, 1e9}
+	if p := NormRange(dists, 4); p.DMax != 4 {
+		t.Fatalf("robust range: %+v", p)
+	}
 	robust := Normalize(dists, 4)
-	if robust.DMax != 4 {
-		t.Fatalf("robust range: %+v", robust)
+	if robust[4] != Scale {
+		t.Fatalf("outlier should clamp: %v", robust[4])
 	}
-	if robust.Scaled[4] != Scale {
-		t.Fatalf("outlier should clamp: %v", robust.Scaled[4])
-	}
-	if robust.Scaled[1] < 50 {
-		t.Fatalf("inliers should spread over the range: %v", robust.Scaled)
+	if robust[1] < 50 {
+		t.Fatalf("inliers should spread over the range: %v", robust)
 	}
 	naive := Normalize(dists, 0)
-	if naive.Scaled[1] > 1 {
-		t.Fatalf("naive normalization should compress inliers: %v", naive.Scaled)
+	if naive[1] > 1 {
+		t.Fatalf("naive normalization should compress inliers: %v", naive)
 	}
 }
 
 func TestNormalizeSpecials(t *testing.T) {
 	n := Normalize([]float64{math.NaN(), math.Inf(1), math.Inf(-1), 5}, 0)
-	if !math.IsNaN(n.Scaled[0]) {
+	if !math.IsNaN(n[0]) {
 		t.Error("NaN passes through")
 	}
-	if n.Scaled[1] != Scale {
+	if n[1] != Scale {
 		t.Error("+Inf clamps to Scale")
 	}
-	if n.Scaled[2] != 0 {
+	if n[2] != 0 {
 		t.Error("-Inf clamps to 0")
 	}
 	// Constant nonzero distance: nothing fulfills, everything maps to
 	// the dark end (the paper's "almost black in cases where all the
 	// data are completely wrong results").
 	c := Normalize([]float64{7, 7, 7}, 0)
-	for _, v := range c.Scaled {
+	for _, v := range c {
 		if v != Scale {
-			t.Errorf("constant: %v", c.Scaled)
+			t.Errorf("constant: %v", c)
 		}
 	}
 	// Constant zero distance: everything is a correct answer (yellow).
 	z := Normalize([]float64{0, 0}, 0)
-	for _, v := range z.Scaled {
+	for _, v := range z {
 		if v != 0 {
-			t.Errorf("all-zero: %v", z.Scaled)
+			t.Errorf("all-zero: %v", z)
 		}
 	}
 	// All-NaN/empty.
 	e := Normalize([]float64{math.NaN()}, 0)
-	if !math.IsNaN(e.Scaled[0]) {
+	if !math.IsNaN(e[0]) {
 		t.Error("all-NaN")
 	}
-	if got := Normalize(nil, 0); len(got.Scaled) != 0 {
+	if got := Normalize(nil, 0); len(got) != 0 {
 		t.Error("empty")
 	}
 }
@@ -114,13 +114,13 @@ func TestNormalizeProperty(t *testing.T) {
 		}
 		keep := int(keepRaw)%len(dists) + 1
 		n := Normalize(dists, keep)
-		for i, v := range n.Scaled {
+		for i, v := range n {
 			if v < 0 || v > Scale {
 				return false
 			}
-			for j := range n.Scaled[:i] {
+			for j := range n[:i] {
 				a, b := dists[j], dists[i]
-				if a < b && n.Scaled[j] > n.Scaled[i] {
+				if a < b && n[j] > n[i] {
 					return false
 				}
 			}

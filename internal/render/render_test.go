@@ -154,18 +154,18 @@ func TestWindowCells(t *testing.T) {
 		t.Fatalf("capacity: %d", w.Capacity())
 	}
 	c := colormap.C(200, 100, 0)
-	w.SetCell(arrange.Pt(1, 1), c)
-	got, ok := w.CellAt(arrange.Pt(1, 1))
+	w.SetCell(arrange.Point{X: 1, Y: 1}, c)
+	got, ok := w.CellAt(arrange.Point{X: 1, Y: 1})
 	if !ok || got != c {
 		t.Fatal("CellAt")
 	}
-	if _, ok := w.CellAt(arrange.Pt(0, 0)); ok {
+	if _, ok := w.CellAt(arrange.Point{X: 0, Y: 0}); ok {
 		t.Fatal("unset cell should report !ok")
 	}
 	// Out-of-grid and Unplaced are ignored.
 	w.SetCell(arrange.Unplaced, c)
-	w.SetCell(arrange.Pt(9, 9), c)
-	if _, ok := w.CellAt(arrange.Pt(9, 9)); ok {
+	w.SetCell(arrange.Point{X: 9, Y: 9}, c)
+	if _, ok := w.CellAt(arrange.Point{X: 9, Y: 9}); ok {
 		t.Fatal("out-of-grid cell set")
 	}
 	im := w.Image()
@@ -183,7 +183,7 @@ func TestWindowCells(t *testing.T) {
 
 func TestWindowHighlights(t *testing.T) {
 	w := NewWindow("hl", 3, 3, 1)
-	p := arrange.Pt(1, 1)
+	p := arrange.Point{X: 1, Y: 1}
 	w.SetCell(p, colormap.C(10, 10, 10))
 	w.Highlight(p)
 	im := w.Image()
@@ -195,7 +195,7 @@ func TestWindowHighlights(t *testing.T) {
 func TestCompose(t *testing.T) {
 	mk := func(title string) *Window {
 		w := NewWindow(title, 8, 8, 1)
-		w.SetCell(arrange.Pt(4, 4), colormap.C(255, 255, 0))
+		w.SetCell(arrange.Point{X: 4, Y: 4}, colormap.C(255, 255, 0))
 		return w
 	}
 	out := Compose([]*Window{mk("overall result"), mk("cond 1"), mk("cond 2"), mk("cond 3")}, 2, 4)

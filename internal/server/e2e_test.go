@@ -2,11 +2,14 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,6 +19,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relevance"
 	"repro/internal/session"
+	"repro/internal/wire"
 	"repro/visdb/client"
 )
 
@@ -468,6 +472,44 @@ func TestGridClamp(t *testing.T) {
 	if sum.Displayed > 100 {
 		t.Fatalf("displayed %d from 100 rows", sum.Displayed)
 	}
+}
+
+// TestFullSortKeyIsIgnored: the wire has no full-sort option, because
+// the displayed prefix is the same under a full sort. A create request
+// that still carries "full_sort": true succeeds and serves the rows a
+// request without it serves.
+func TestFullSortKeyIsIgnored(t *testing.T) {
+	srv, err := New(Config{Shards: 1, DefaultOptions: testGrid, Catalogs: []CatalogConfig{trafficConfig(t, "traffic", 3000, 8)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	rows := func(options string) wire.ResultsResponse {
+		body := fmt.Sprintf(`{"catalog":"traffic","query":%q,"options":{"grid_w":16,"grid_h":16%s}}`, scriptQueries[2], options)
+		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var info wire.SessionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("create with options %q: http %d, %v", options, resp.StatusCode, err)
+		}
+		_, raw := rawResults(t, ts.URL, info.ID, "", "")
+		var res wire.ResultsResponse
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := rows("")
+	if len(want.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	got := rows(`,"full_sort":true`)
+	got.Summary.Timings, want.Summary.Timings = wire.Timings{}, wire.Timings{}
+	sameRows(t, "create", "full_sort session", got, want)
 }
 
 // TestDiskCatalogReplayMatchesInMemory is the file-backed serving

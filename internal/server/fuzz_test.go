@@ -53,7 +53,7 @@ func FuzzSessionRequestBodies(f *testing.F) {
 		body  any
 	}{
 		{0, wire.CreateSessionRequest{Catalog: "traffic", Query: queries[2]}},
-		{0, wire.CreateSessionRequest{Catalog: "traffic", Query: queries[0], Options: wire.SessionOptions{GridW: 8, GridH: 8, PercentDisplayed: 0.25, FullSort: true}}},
+		{0, wire.CreateSessionRequest{Catalog: "traffic", Query: queries[0], Options: wire.SessionOptions{GridW: 8, GridH: 8, PercentDisplayed: 0.25}}},
 		{0, wire.CreateSessionRequest{Catalog: "nope", Query: queries[0]}},
 		{0, wire.CreateSessionRequest{Catalog: "traffic", Query: "SELECT FROM"}},
 		{1, wire.QueryRequest{Query: queries[1], Seq: 4}},

@@ -99,7 +99,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opt := s.sessionOptions(req.Options)
-	sess, err := session.NewSQLSharedCtx(r.Context(), cs.cat, cs.reg, opt, req.Query, cs.shared)
+	sess, err := session.NewSQLSharedCtx(r.Context(), cs.cat, nil, opt, req.Query, cs.shared)
 	// A run over a corrupt segment file fails, or completes (corrupt
 	// segments decode as zeroes) with garbage: either way quarantine and
 	// refuse instead of publishing the session.

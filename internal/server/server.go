@@ -73,7 +73,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/distance"
 	"repro/internal/httpbody"
 	"repro/internal/session"
 	"repro/internal/wire"
@@ -85,8 +84,6 @@ type CatalogConfig struct {
 	Name string
 	// Catalog holds the datasets; it must not be mutated while served.
 	Catalog *dataset.Catalog
-	// Registry supplies distance functions; nil selects the built-ins.
-	Registry *distance.Registry
 	// Shared configures the catalog's shared cache tier (entry cap,
 	// byte budget, remote backend). The zero value selects the defaults.
 	Shared core.SharedOptions
@@ -161,12 +158,12 @@ const DefaultMaxSessionsPerShard = 1024
 // is 64× the paper's display budget — far past any real display.
 const maxGridSide = 1024
 
-// catalogState is one served catalog: its datasets, registry and the
+// catalogState is one served catalog: its datasets and the
 // catalog-level shared cache tier every session on it attaches to.
+// Sessions use the built-in distance functions.
 type catalogState struct {
 	name   string
 	cat    *dataset.Catalog
-	reg    *distance.Registry
 	shared *core.SharedCache
 	shard  *shard
 
@@ -320,7 +317,6 @@ func New(cfg Config) (*Server, error) {
 		cs := &catalogState{
 			name:   cc.Name,
 			cat:    cc.Catalog,
-			reg:    cc.Registry,
 			shared: core.NewSharedCacheOpts(cc.Shared),
 			shard:  sh,
 		}
@@ -419,9 +415,6 @@ func (s *Server) sessionOptions(o wire.SessionOptions) core.Options {
 	}
 	if o.PercentDisplayed > 0 {
 		opt.PercentDisplayed = o.PercentDisplayed
-	}
-	if o.FullSort {
-		opt.FullSort = true
 	}
 	return opt
 }

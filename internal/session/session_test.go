@@ -254,7 +254,7 @@ func TestSelectionAndHighlight(t *testing.T) {
 		t.Fatalf("select by cell: %d vs %d", s.SelectedItem(), item)
 	}
 	// Selecting an empty cell clears.
-	s.Select(arrange.Pt(9999, 9999))
+	s.Select(arrange.Point{X: 9999, Y: 9999})
 	if s.SelectedItem() != -1 {
 		t.Fatal("empty cell should clear selection")
 	}
@@ -315,7 +315,7 @@ func litCells(ws []*render.Window) int {
 	for _, w := range ws {
 		for y := 0; y < w.GridH; y++ {
 			for x := 0; x < w.GridW; x++ {
-				if _, ok := w.CellAt(arrange.Pt(x, y)); ok {
+				if _, ok := w.CellAt(arrange.Point{X: x, Y: y}); ok {
 					n++
 				}
 			}

@@ -1,10 +1,8 @@
 // Package stats provides the statistical substrate of the VisDB
 // reproduction: empirical quantiles (the α-quantile of section 5.1 of the
-// paper), histograms, correlation measures and seeded random
-// distributions used by the synthetic workload generators.
+// paper), histograms and correlation measures.
 //
-// All functions are deterministic given their inputs; random sources are
-// always passed explicitly so experiments are reproducible.
+// All functions are deterministic given their inputs.
 package stats
 
 import (

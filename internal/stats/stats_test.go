@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,16 +15,6 @@ func TestMeanVariance(t *testing.T) {
 	if got := mean([]float64{2, 4}); got != 3 {
 		t.Errorf("mean = %v, want 3", got)
 	}
-}
-
-// moments returns the extremes, mean and population standard deviation
-// of a sample.
-func moments(xs []float64) (lo, hi, mu, std float64) {
-	mu = mean(xs)
-	for _, x := range xs {
-		std += (x - mu) * (x - mu)
-	}
-	return slices.Min(xs), slices.Max(xs), mu, math.Sqrt(std / float64(len(xs)))
 }
 
 func TestPearsonPerfect(t *testing.T) {
@@ -127,61 +116,5 @@ func TestHistogramASCIIShape(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[0], "#") {
 		t.Errorf("tallest bin should reach the top row: %q", lines[0])
-	}
-}
-
-func TestDistributions(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	u := SampleN(Uniform{2, 4}, rng, 2000)
-	ulo, uhi, umean, _ := moments(u)
-	if ulo < 2 || uhi >= 4 {
-		t.Errorf("uniform out of range: [%v, %v]", ulo, uhi)
-	}
-	if math.Abs(umean-3) > 0.1 {
-		t.Errorf("uniform mean = %v", umean)
-	}
-	n := SampleN(Normal{10, 2}, rng, 5000)
-	_, _, nmean, nstd := moments(n)
-	if math.Abs(nmean-10) > 0.2 || math.Abs(nstd-2) > 0.2 {
-		t.Errorf("normal: mean=%v std=%v", nmean, nstd)
-	}
-	e := SampleN(Exponential{Rate: 2}, rng, 5000)
-	elo, _, emean, _ := moments(e)
-	if elo < 0 || math.Abs(emean-0.5) > 0.1 {
-		t.Errorf("exponential: min=%v mean=%v", elo, emean)
-	}
-	// Zero-rate guard.
-	bad := Exponential{Rate: 0}
-	if v := bad.Sample(rng); v < 0 {
-		t.Errorf("exponential with rate 0 should still sample, got %v", v)
-	}
-}
-
-func TestMixtureWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := Mixture{
-		Components: []Dist{Normal{0, 0.1}, Normal{100, 0.1}},
-		Weights:    []float64{3, 1},
-	}
-	xs := SampleN(m, rng, 4000)
-	var low int
-	for _, x := range xs {
-		if x < 50 {
-			low++
-		}
-	}
-	frac := float64(low) / float64(len(xs))
-	if math.Abs(frac-0.75) > 0.05 {
-		t.Errorf("component-0 fraction = %v, want ~0.75", frac)
-	}
-	// Empty mixture samples zero.
-	if (Mixture{}).Sample(rng) != 0 {
-		t.Error("empty mixture should sample 0")
-	}
-	// Missing weights default to 1.
-	m2 := Mixture{Components: []Dist{Normal{0, 0.01}, Normal{1, 0.01}}}
-	xs2 := SampleN(m2, rng, 1000)
-	if m := mean(xs2); math.Abs(m-0.5) > 0.1 {
-		t.Errorf("unweighted mixture mean = %v, want ~0.5", m)
 	}
 }

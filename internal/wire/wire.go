@@ -30,9 +30,6 @@ type SessionOptions struct {
 	GridH int `json:"grid_h,omitempty"`
 	// PercentDisplayed, when > 0, fixes the displayed fraction.
 	PercentDisplayed float64 `json:"percent_displayed,omitempty"`
-	// FullSort ranks with the exact full sort instead of top-k
-	// selection.
-	FullSort bool `json:"full_sort,omitempty"`
 }
 
 // CreateSessionRequest opens a session: POST /v1/sessions.
