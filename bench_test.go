@@ -362,8 +362,9 @@ type benchDrag struct {
 // step: select_ms (which includes root_combine_ms), scale_ms, dist_ms,
 // eval_ms, total_ms, and pruned_ratio — the root chunks block pruning
 // skipped, out of all root chunks of the steps that ranked by selection.
-// Runs that sort (FullSort, Arrange2D) report sort_ms instead of
-// select_ms; reduce_ms holds the display reduction and the placement.
+// Runs that sort (FullSort) report sort_ms instead of select_ms;
+// reduce_ms holds the display reduction and the placement (under
+// Arrange2D, the band of combined quantiles and its ranking).
 func runDrags(b *testing.B, sql string, drags []benchDrag) {
 	cat, err := datagen.Traffic(200_000, 1994)
 	if err != nil {
@@ -462,8 +463,10 @@ func BenchmarkFlatDrag(b *testing.B) {
 }
 
 // BenchmarkDrag2D is a weight drag under the figure-1b arrangement at
-// n = 2e5: every step combines, sorts all n items and places the
-// displayed ones by the signs of the two axis conditions' distances.
+// n = 2e5: every step ranks the root by selection like the spiral,
+// counts the band of combined quantiles over the axes' quantile indexes,
+// ranks the band's members and places the displayed ones by the signs
+// of the two axis conditions' distances.
 // numeric places by two range conditions of Traffic; strings by an
 // edit-distance condition and a numeric one of the person table (the
 // edit distance is the costly pass). Each runs through a session, which

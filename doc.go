@@ -55,10 +55,12 @@
 // each leaf's reduction range by counting into monotone equal-width
 // buckets and selecting inside the one the rank falls in
 // (relevance/orderstats.go). Options.FullSort ranks every item exactly
-// in O(n log n) instead (the A-series ablations, exact quantiles;
-// implied by Arrange2D). The wire has no full-sort option: a remote
-// session serves its displayed prefix, which a full sort does not
-// change, and the server ignores a client's "full_sort" key.
+// in O(n log n) instead (the A-series ablations, exact quantiles). The
+// 2D arrangement ranks the same way; it counts its band of combined
+// α-quantiles over the axes' cached quantile indexes (reduce.Items2D).
+// The wire has no full-sort option: a remote session serves its
+// displayed prefix, which a full sort does not change, and the server
+// ignores a client's "full_sort" key.
 //
 // Policy: a process uses every core GOMAXPROCS gives it. A run builds
 // its leaves one after another in query order, each leaf's distance
@@ -159,8 +161,8 @@
 //     root's Vec);
 //     displays, wire responses and windows read the ranked prefix via
 //     Result.DistanceOfRank and never force it. Result.Order holds the
-//     ranked prefix (selectBudget entries) on this path; Result.TopK(k)
-//     extends it for any deeper k, and FullSort lists all N.
+//     ranked prefix (selectBudget entries), the displayed band under
+//     Arrange2D; Result.TopK(k) extends the ranking for any deeper k.
 //
 // StageTimings.Scale times the survivor scaling, RootCombine the part
 // of Select that produces the raw values (the children's chunks scaled,

@@ -300,11 +300,10 @@ func (c *RunCache) Len() int {
 }
 
 // pinned serves key from the pins (of this run or of the live Result)
-// and pins it for this run. With index, the acceleration indexes (quant,
-// cstats) of the returned entry are set from a vector's first pinned
-// reuse on — a fill never indexes, and neither does a revisit the tier
-// answers.
-func (c *RunCache) pinned(key string, index bool) (leafEntry, bool) {
+// and pins it for this run. The acceleration indexes (quant, cstats) of
+// the returned entry are set from a vector's first pinned reuse on — a
+// fill never indexes, and neither does a revisit the tier answers.
+func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	c.mu.Lock()
 	shared := c.shared
 	le, ok := c.cur.leaves[key]
@@ -319,7 +318,7 @@ func (c *RunCache) pinned(key string, index bool) (leafEntry, bool) {
 	// vector this loop sits on from ageing out under other loops' fills,
 	// and finds the indexes another loop already built.
 	quant, cstats := shared.touch(key)
-	if index && le.quant == nil {
+	if le.quant == nil {
 		if quant == nil {
 			// Built outside any mutex — milliseconds of linear passes
 			// must not stall other sessions on the tier. Two racing
@@ -344,7 +343,7 @@ func (c *RunCache) pin(key string, le leafEntry) {
 // fetch resolves a leaf over an item space of rows items: a pin, then
 // the tier, then compute (through the tier's singleflight fill).
 func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
-	le, pinned := c.pinned(key, true)
+	le, pinned := c.pinned(key)
 	sharedHit := false
 	if !pinned {
 		var err error
@@ -371,22 +370,22 @@ func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)
 
 // axis resolves the signed distances a 2D placement reads for an axis
 // condition (runKeys.axis): a pin, then the tier and its remote backend,
-// then compute (only compute without a cache). Nothing ranges them, so
-// they are never indexed, and they are no leaf lookup of the run.
-func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error)) ([]float64, error) {
+// then compute (only compute without a cache). They are indexed like
+// any entry — the placement's quantile bands read the sorted values —
+// and they are no leaf lookup of the run.
+func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
 	if c == nil {
-		le, err := compute()
-		return le.raw, err
+		return compute()
 	}
-	le, ok := c.pinned(key, false)
+	le, ok := c.pinned(key)
 	if !ok {
 		var err error
 		if le, _, err = c.Shared().fetch(key, rows, compute); err != nil {
-			return nil, err
+			return leafEntry{}, err
 		}
 		c.pin(key, le)
 	}
-	return le.raw, nil
+	return le, nil
 }
 
 // lookup resolves an interior node's raw combined vector: a pin, then
@@ -394,7 +393,7 @@ func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error))
 // fused pass and store hands the result to the tier. Neither counts as
 // a leaf lookup.
 func (c *RunCache) lookup(key string) (leafEntry, bool) {
-	if le, ok := c.pinned(key, true); ok {
+	if le, ok := c.pinned(key); ok {
 		return le, true
 	}
 	le, ok := c.Shared().lookup(key)

@@ -543,6 +543,7 @@ func Test2DArrangement(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := arrange.Center(10, 10)
+	signedX, _ := res.signedOf("x")
 	// Items with x below the range (signed < 0) sit left of center.
 	for rank := 0; rank < res.Displayed; rank++ {
 		item := res.Order[rank]
@@ -550,7 +551,7 @@ func Test2DArrangement(t *testing.T) {
 		if cell == arrange.Unplaced {
 			continue
 		}
-		sx := res.signedOf("x")[item]
+		sx := signedX[item]
 		if sx < 0 && cell.X >= c.X {
 			t.Fatalf("item %d (signed %v) placed at %+v, want left of %+v", item, sx, cell, c)
 		}

@@ -57,8 +57,8 @@ func (e *Engine) RunSQL(src string) (*Result, error) {
 // measured breakdown. Distances covers the per-predicate distance
 // computation (tree building), Evaluate the normalization and weighted
 // combination of the query tree below the root, Sort the final
-// full-sort relevance ranking (FullSort or Arrange2D runs, and roots
-// the evaluator declines to defer), Select the
+// full-sort relevance ranking (FullSort runs, and roots the evaluator
+// declines to defer), Select the
 // selection-based partial ranking (the default rank-before-scale path,
 // which ranks RAW root values and materializes only the display
 // budget), Scale the final monotonic transforms applied to the top-k
@@ -228,7 +228,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		// Rank-before-scale: on the selection path the root's final
 		// monotonic transforms apply only to the top-k survivors, so
 		// the root is evaluated raw and deferred.
-		DeferRoot: !e.fullSort(),
+		DeferRoot: !e.opt.FullSort,
 		// Per-chunk cancellation: a request deadline interrupts the
 		// evaluation (and the deferred ranking) mid-sweep.
 		Checkpoint: checkpoint,
@@ -259,15 +259,13 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	// items never display).
 	var colorable int
 	switch {
-	case e.fullSort() || !eval.Deferred():
+	case e.opt.FullSort || !eval.Deferred():
 		// Exact O(n log n) ranking of every item — the paper's
-		// "dominating" sort, kept for ablations, exact quantiles, the
-		// 2D arrangement (which re-filters the whole ranking), and for
-		// the pathological weights whose root the evaluator declines to
-		// defer.
+		// "dominating" sort, kept for ablations and exact quantiles, and
+		// for the pathological weights whose root the evaluator declines
+		// to defer.
 		colorable = space.n - relevance.CountNaN(eval.Combined)
-		sorted, order := reduce.SortWithIndex(eval.Combined)
-		res.sorted, res.Order = sorted, order
+		res.rankSorted, res.rankOrder = reduce.SortWithIndex(eval.Combined)
 		res.Timings.Sort = time.Since(mark)
 	default:
 		// Rank-before-scale selection: rank the RAW root values —
@@ -288,7 +286,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		if err != nil {
 			return nil, err
 		}
-		res.sorted, res.Order = rk.Sorted, rk.Order
+		res.rankSorted, res.rankOrder = rk.Sorted, rk.Order
 		colorable = space.n - rk.NaNs
 		res.Timings.Select = time.Since(mark) - rk.ScaleTime
 		res.Timings.RootCombine = rk.CombineTime
@@ -299,19 +297,15 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		}
 	}
 	mark = time.Now()
-	res.Displayed = e.displayCount(res.sorted, colorable, space.n, numPreds)
+	// The picture starts as the ranking's head; the 2D placement may
+	// narrow it to its band.
+	res.sorted, res.Order = res.rankSorted, res.rankOrder
+	res.Displayed = e.displayCount(res.rankSorted, colorable, space.n, numPreds)
 	res.buildPlacement()
 	res.Timings.Reduce = time.Since(mark)
 	res.Timings.Total = time.Since(start)
 	runOK = true
 	return res, nil
-}
-
-// fullSort reports whether this engine ranks with a full sort: set
-// explicitly, or forced by the 2D arrangement whose combined-quantile
-// refinement re-filters the complete ranking.
-func (e *Engine) fullSort() bool {
-	return e.opt.FullSort || e.opt.Arrangement == Arrange2D
 }
 
 // selectBudget is how many leading ranks the selection path

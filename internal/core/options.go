@@ -65,9 +65,9 @@ type Options struct {
 	PercentDisplayed float64
 	// FullSort ranks every item with a full O(n log n) sort instead of
 	// selecting only the display budget. The displayed result is
-	// identical either way; full sorting keeps Result.Order an exact
-	// ranking of all n items, which the A-series ablations and exact
-	// quantile statistics rely on. Arrange2D implies FullSort.
+	// identical either way; full sorting keeps the ranking (TopK, the
+	// spiral's Result.Order) exact for all n items, which the A-series
+	// ablations and exact quantile statistics rely on.
 	FullSort bool
 	// NoInteriorSketch disables interior reuse on cached runs (the
 	// ablation/benchmark baseline): no interior node's raw combined

@@ -178,7 +178,8 @@ func TestPushdownKeepsSignedDistances(t *testing.T) {
 		t.Fatalf("skipped %d segments with stats on, %d with them off", on.Timings.SegsSkipped, off.Timings.SegsSkipped)
 	}
 	for _, axis := range []string{"t", "u"} {
-		a, b := on.signedOf(axis), off.signedOf(axis)
+		a, _ := on.signedOf(axis)
+		b, _ := off.signedOf(axis)
 		if len(a) != on.N || len(b) != on.N {
 			t.Fatalf("axis %s: %d and %d signed distances for %d items", axis, len(a), len(b), on.N)
 		}

@@ -29,18 +29,22 @@ type Result struct {
 	// N is the totality of data items considered (rows, or cross-product
 	// pairs for multi-table queries) — the "# objects" panel field.
 	N int
-	// Order maps display rank → item index (ascending combined
-	// distance, i.e. descending relevance); sorted holds the distances
-	// in rank order. Every entry is in exact relevance order: on the
-	// default selection path Order holds the ranked prefix only — at
-	// least the display budget — and the unranked items are not listed.
-	// Use TopK to obtain the head of the ranking at any depth, or
-	// Options.FullSort for a fully sorted Order of all N items.
+	// Order maps display rank → item index, in relevance order
+	// (ascending combined distance); sorted holds the distances in rank
+	// order. Order[:Displayed] is the picture. Beyond it, Order is the
+	// rest of the ranking the engine produced: the ranked prefix on the
+	// default selection path (at least the display budget), every item
+	// under Options.FullSort. Under Arrange2D, Order holds only the
+	// displayed band members. Use TopK for the head of the ranking at any
+	// depth.
 	Order  []int
 	sorted []float64
-	// sortedReordered marks sorted as re-filtered into display order by
-	// the 2D-quantile refinement (no longer ascending).
-	sortedReordered bool
+	// rankOrder and rankSorted are the ranking itself, which Stats and
+	// TopK read and only TopK extends: the same slices as Order and
+	// sorted until the 2D placement narrows the picture or TopK ranks
+	// deeper.
+	rankOrder  []int
+	rankSorted []float64
 	// Displayed is the number of ranked items that fit the display after
 	// the section 5.1 reduction — the "# displayed" panel field.
 	Displayed int
@@ -48,7 +52,7 @@ type Result struct {
 	Timings StageTimings
 
 	root   *relevance.Node
-	mu     sync.Mutex // guards rank extension and the Relevance memoization
+	mu     sync.Mutex // guards the ranking's extension and the Relevance memoization
 	nodeOf map[query.Expr]*relevance.Node
 	// evaluated maps the condition of each condition leaf to the
 	// condition the leaf evaluated — itself, or its inverted copy under a
@@ -81,12 +85,13 @@ func (r *Result) poll() error {
 
 // Combined returns the normalized combined distance per item — the
 // full n-sized scaled vector, the root's Vec. On the default
-// rank-before-scale path the engine never needs it (ranking happens on
+// rank-before-scale path the spiral never needs it (ranking happens on
 // raw values, windows read only displayed ranks), so it materializes
-// lazily on first use and is memoized; FullSort/Arrange2D runs have it
-// eagerly. Like every vector of a cached run's Result, it is valid until
-// the session's next recalculation. Safe for concurrent use. Prefer
-// DistanceOfRank for ranked access — it never forces materialization.
+// lazily on first use and is memoized; the 2D placement reads it for its
+// band's members, and FullSort runs have it eagerly. Like every vector
+// of a cached run's Result, it is valid until the session's next
+// recalculation. Safe for concurrent use. Prefer DistanceOfRank for
+// ranked access — it never forces materialization.
 func (r *Result) Combined() []float64 { return r.Eval.Vec(r.root) }
 
 // DistanceOfRank returns the combined (scaled) distance of the item at
@@ -163,10 +168,10 @@ func (r *Result) buildPlacement() {
 // represented in the band around zero.
 func (r *Result) build2DPlacement() {
 	opt := r.Engine.opt
-	sx := r.signedOf(opt.AxisX)
-	sy := r.signedOf(opt.AxisY)
+	sx, sortedX := r.signedOf(opt.AxisX)
+	sy, sortedY := r.signedOf(opt.AxisY)
 	if sx != nil && sy != nil && r.N > 0 {
-		r.apply2DQuantiles(sx, sy)
+		r.apply2DQuantiles(reduce.Items2D(sx, sy, sortedX, sortedY, float64(r.Displayed)/float64(r.N)))
 	}
 	items := make([]arrange.QuadItem, r.Displayed)
 	for rank := 0; rank < r.Displayed; rank++ {
@@ -176,70 +181,52 @@ func (r *Result) build2DPlacement() {
 	r.cells = arrange.Quad2D(opt.GridW, opt.GridH, items)
 }
 
-// apply2DQuantiles refines the displayed set with the combined
-// two-dimensional α-quantiles and reorders Order so the selected items
-// (in relevance order) come first. Note that with Arrange2D, Order is
-// therefore the display order, not a pure relevance ranking beyond the
-// displayed prefix.
-func (r *Result) apply2DQuantiles(sx, sy []float64) {
-	p := float64(r.Displayed) / float64(r.N)
-	in2D := reduce.Items2D(sx, sy, p)
+// apply2DQuantiles narrows the picture to the members of the combined
+// two-dimensional α-quantile band in2D (item indices in input order):
+// the Displayed most relevant of them, or all of them when fewer are
+// colorable. The ranking Stats and TopK read is left as it is.
+func (r *Result) apply2DQuantiles(in2D []int) {
 	if len(in2D) == 0 {
 		return
 	}
 	combined := r.Combined()
-	keep := make(map[int]bool, len(in2D))
+	members, vals := in2D[:0], make([]float64, 0, len(in2D))
 	for _, item := range in2D {
 		// Uncolorable items stay out of the display even when their
 		// axis distances fall inside the bands.
-		if !math.IsNaN(combined[item]) {
-			keep[item] = true
+		if d := combined[item]; !math.IsNaN(d) {
+			members, vals = append(members, item), append(vals, d)
 		}
 	}
-	if len(keep) == 0 {
+	if len(members) == 0 {
 		return
 	}
-	newOrder := make([]int, 0, len(r.Order))
-	for _, item := range r.Order {
-		if keep[item] {
-			newOrder = append(newOrder, item)
-		}
+	// vals is in item order, so the selection's tie rule (by index) is
+	// the ranking's.
+	sorted, order := topk.SelectKWithIndex(vals, min(r.Displayed, len(members)))
+	for rank, j := range order {
+		order[rank] = members[j]
 	}
-	for _, item := range r.Order {
-		if !keep[item] {
-			newOrder = append(newOrder, item)
-		}
-	}
-	if len(keep) < r.Displayed {
-		r.Displayed = len(keep)
-	}
-	r.Order = newOrder
-	sorted := make([]float64, len(newOrder))
-	for i, item := range newOrder {
-		sorted[i] = combined[item]
-	}
-	r.sorted = sorted
-	// sorted is now in DISPLAY order (band members first), not ascending
-	// distance order — consumers that rely on monotone prefixes (the
-	// Stats exact-match shortcut) must fall back to the full vector.
-	r.sortedReordered = true
+	r.sorted, r.Order, r.Displayed = sorted, order, len(order)
 }
 
 // signedOf returns the signed distances of the axis condition on attr
 // — the first one query.Binding.CondOn names (the rule a range op
 // addresses conditions by) among those with a condition leaf — over the
-// condition its leaf evaluated; nil when there is none (a boolean
-// fallback has no signed distances). They are computed here, reusing
-// the leaf's distances where a string condition would repeat its edit
-// distances, and a cached run keeps them under their own key
-// (RunCache.axis), so a weight drag does not compute them again.
-func (r *Result) signedOf(attr string) []float64 {
+// condition its leaf evaluated, and their non-NaN values in ascending
+// order; nil when there is none (a boolean fallback has no signed
+// distances). They are computed here, reusing the leaf's distances where
+// a string condition would repeat its edit distances, and a cached run
+// keeps them under their own key (RunCache.axis), so a weight drag does
+// not compute them again; the sorted values are the entry's quantile
+// index, which its first pinned reuse builds like any entry's.
+func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	c := r.Binding.CondOn(attr, func(c *query.Cond) bool {
 		_, ok := r.evaluated[c]
 		return ok
 	})
 	if c == nil {
-		return nil
+		return nil, nil
 	}
 	leaf := r.nodeOf[c]
 	compute := func() (leafEntry, error) {
@@ -247,11 +234,15 @@ func (r *Result) signedOf(attr string) []float64 {
 		_, _, _, err := r.Engine.condData(r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed)
 		return leafEntry{raw: signed}, err
 	}
-	signed, err := r.cache.axis(r.keys.axis(leaf.Key), r.N, compute)
+	le, err := r.cache.axis(r.keys.axis(leaf.Key), r.N, compute)
 	if err != nil {
-		return nil // the leaf computed over the same inputs; unreachable
+		return nil, nil // the leaf computed over the same inputs; unreachable
 	}
-	return signed
+	if le.quant == nil {
+		// A fill, an uncached run, or a range drag on the axis.
+		le.quant, _ = relevance.BuildLeafIndexes(le.raw)
+	}
+	return le.raw, le.quant.Sorted()
 }
 
 func signOf(signed []float64, item int) int {
@@ -278,18 +269,20 @@ type PanelStats struct {
 }
 
 // Stats computes the overall panel fields. The exact-match count
-// comes from the ranked prefix whenever the prefix provably contains
-// every zero (its last entry is nonzero or NaN — zeros rank first, so
-// none can hide beyond it); only a selection saturated with exact
-// answers falls back to materializing the combined vector. Serving
-// summaries therefore stay free of the n-wide scale pass the
-// rank-before-scale path avoids.
+// comes from the ranking whenever its prefix provably contains every
+// zero (its last entry is nonzero or NaN — zeros rank first, so none can
+// hide beyond it); only a selection saturated with exact answers falls
+// back to materializing the combined vector. Serving summaries therefore
+// stay free of the n-wide scale pass the rank-before-scale path avoids.
 func (r *Result) Stats() PanelStats {
+	r.mu.Lock()
+	ranked := r.rankSorted
+	r.mu.Unlock()
 	exact := 0
-	if k := len(r.sorted); !r.sortedReordered && k > 0 && r.sorted[k-1] != 0 {
+	if k := len(ranked); k > 0 && ranked[k-1] != 0 {
 		// Monotone prefix (ascending, NaNs last): count the leading
 		// zeros.
-		exact = sort.Search(k, func(i int) bool { return r.sorted[i] != 0 })
+		exact = sort.Search(k, func(i int) bool { return ranked[i] != 0 })
 	} else if k > 0 || r.N > 0 {
 		for _, d := range r.Combined() {
 			if d == 0 {
@@ -756,28 +749,21 @@ func (r *Result) ItemsInColorRange(e query.Expr, loLevel, hiLevel int) ([]int, e
 
 // TopK returns the item indices of the k most relevant items (the head
 // of the ranking) — the programmatic consumption path for similarity
-// retrieval (section 4.5); k is clamped to N. When k exceeds the
-// materialized selection prefix (all that Order holds on the selection
-// path), the ranking is extended with another selection pass over the
-// combined distances; the already-ranked prefix is unchanged by the
-// extension. Concurrent TopK calls are synchronized, but an extension
-// replaces the Order/sorted slices — goroutines reading the exported
-// Order field directly must not race with deeper TopK calls (rank with
-// Options.FullSort when that sharing pattern is needed).
+// retrieval (section 4.5); k is clamped to N. It is the same list under
+// either arrangement. When k exceeds the ranking the engine produced
+// (the selection prefix on the default path), the ranking is extended
+// with another selection pass over the combined distances; the picture
+// (Order, DistanceOfRank, the windows) is unchanged by the extension.
+// Safe for concurrent use.
 func (r *Result) TopK(k int) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if k > r.N {
-		k = r.N
-	}
-	if k < 0 {
-		k = 0
-	}
-	if k > len(r.Order) {
-		r.sorted, r.Order = topk.SelectKWithIndex(r.Combined(), k)
+	k = min(max(k, 0), r.N)
+	if k > len(r.rankOrder) {
+		r.rankSorted, r.rankOrder = topk.SelectKWithIndex(r.Combined(), k)
 	}
 	out := make([]int, k)
-	copy(out, r.Order[:k])
+	copy(out, r.rankOrder[:k])
 	return out
 }
 
@@ -843,16 +829,12 @@ func (r *Result) DrillDownWindows(e query.Expr, independent bool) ([]*render.Win
 	order, cells, shown, title := r.Order, r.cells, r.Displayed, "overall "+e.Label()
 	if independent {
 		// Re-rank by the part's own distances. The part only ever displays
-		// up to the window capacity, so the default path selects that many
-		// ranks instead of sorting all n.
+		// up to the window capacity, so that many ranks are selected: the
+		// head of the full sort, ties by item.
 		vec := r.Eval.Vec(node)
 		opt := r.Engine.opt
 		capacity := opt.GridW * opt.GridH
-		if r.Engine.fullSort() {
-			_, order = reduce.SortWithIndex(vec)
-		} else {
-			_, order = topk.SelectKWithIndex(vec, min(capacity, len(vec)))
-		}
+		_, order = topk.SelectKWithIndex(vec, min(capacity, len(vec)))
 		shown = min(r.Displayed, capacity, len(vec)-relevance.CountNaN(vec))
 		cells = arrange.Place(opt.GridW, opt.GridH, shown)
 		title += " (independent)"

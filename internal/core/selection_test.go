@@ -7,7 +7,10 @@ import (
 
 	"repro/internal/arrange"
 	"repro/internal/dataset"
+	"repro/internal/query"
 	"repro/internal/reduce"
+	"repro/internal/relevance"
+	"repro/internal/render"
 )
 
 // selectionCatalog builds an n-row catalog with numeric and string
@@ -207,41 +210,75 @@ func TestTopKExtendsSelection(t *testing.T) {
 	}
 }
 
-// TestDrillDownIndependentSelection: the independent drill-down
-// arrangement must render identically on the selection and full-sort
-// paths.
+// TestDrillDownIndependentSelection: an independent drill-down selects
+// the window capacity's ranks of its part, and renders cell for cell
+// what the head of the part's full sort renders, on the selection and
+// the full-sort path alike, for the whole query and each of its parts.
 func TestDrillDownIndependentSelection(t *testing.T) {
 	cat := selectionCatalog(t, 3000)
-	sql := selectionQueries[0]
 	sel := New(cat, nil, Options{GridW: 16, GridH: 16})
 	full := New(cat, nil, Options{GridW: 16, GridH: 16, FullSort: true})
-	rs, err := sel.RunSQL(sql)
-	if err != nil {
-		t.Fatal(err)
+	for _, sql := range selectionQueries {
+		rs, err := sel.RunSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rf, err := full.RunSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullParts := append([]query.Expr{rf.Query.Where}, query.Predicates(rf.Query.Where)...)
+		for pi, part := range append([]query.Expr{rs.Query.Where}, query.Predicates(rs.Query.Where)...) {
+			what := sql + ", part " + part.Label()
+			ws, err := rs.DrillDownWindows(part, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wf, err := rf.DrillDownWindows(fullParts[pi], true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameWindowCells(t, what+": selection vs full sort", ws, wf)
+			// The reference: the part's full sort, its head placed.
+			vec := rs.Eval.Vec(rs.nodeOf[part])
+			_, order := reduce.SortWithIndex(vec)
+			shown := min(rs.Displayed, 16*16, len(vec)-relevance.CountNaN(vec))
+			cells := arrange.Place(16, 16, shown)
+			parts := append([]query.Expr{part}, query.Predicates(part)...)
+			if len(query.Predicates(part)) == 1 && query.Predicates(part)[0] == part {
+				parts = parts[:1]
+			}
+			var ref []*render.Window
+			for _, p := range parts {
+				w, err := rs.partWindow(p, order, cells, shown, nil, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref = append(ref, w)
+			}
+			sameWindowCells(t, what+": selection vs the sort's head", ws, ref)
+		}
 	}
-	rf, err := full.RunSQL(sql)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// sameWindowCells asserts two window lists agree cell for cell: the
+// same colors set in the same cells.
+func sameWindowCells(t *testing.T, what string, a, b []*render.Window) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d windows vs %d", what, len(a), len(b))
 	}
-	ws, err := rs.DrillDownWindows(rs.Query.Where, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, err := rf.DrillDownWindows(rf.Query.Where, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != len(wf) {
-		t.Fatalf("window counts differ: %d vs %d", len(ws), len(wf))
-	}
-	for i := range ws {
-		for y := 0; y < ws[i].GridH; y++ {
-			for x := 0; x < ws[i].GridW; x++ {
+	for i := range a {
+		if a[i].GridW != b[i].GridW || a[i].GridH != b[i].GridH {
+			t.Fatalf("%s: window %d is %d×%d vs %d×%d", what, i, a[i].GridW, a[i].GridH, b[i].GridW, b[i].GridH)
+		}
+		for y := 0; y < a[i].GridH; y++ {
+			for x := 0; x < a[i].GridW; x++ {
 				p := arrange.Point{X: x, Y: y}
-				cs, oks := ws[i].CellAt(p)
-				cf, okf := wf[i].CellAt(p)
-				if oks != okf || cs != cf {
-					t.Fatalf("window %d cell (%d,%d) diverged between selection and full sort", i, x, y)
+				ca, oka := a[i].CellAt(p)
+				cb, okb := b[i].CellAt(p)
+				if oka != okb || ca != cb {
+					t.Fatalf("%s: window %d cell (%d,%d): %v (set %v) vs %v (set %v)", what, i, x, y, ca, oka, cb, okb)
 				}
 			}
 		}

@@ -368,10 +368,10 @@ func TestSpiralAnd2DShareConditionLeaves(t *testing.T) {
 	spiral, twoD := subjects[0], subjects[1]
 	check(spiral, spiral.cache, 2, 0)
 	check(twoD, twoD.cache, 0, 2) // the spiral session's leaves
-	// Two leaves, the raw root of the 2D engine — it sorts in full, so its
-	// root is evaluated eagerly and stored like any interior vector — and
-	// the signed distances of its two axes.
-	if st := sc.Stats(); st.Entries != 5 || st.Fills != 5 || st.Evictions != 0 {
+	// Two leaves and the signed distances of the 2D engine's two axes. Its
+	// root is deferred and ranked like the spiral's, so no root vector is
+	// stored.
+	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 || st.Evictions != 0 {
 		t.Fatalf("two conditions under two arrangements: %+v", st)
 	}
 	for _, su := range subjects {
@@ -380,7 +380,7 @@ func TestSpiralAnd2DShareConditionLeaves(t *testing.T) {
 		second.AttachShared(sc)
 		check(su, second, 0, 2) // the tier's
 	}
-	if st := sc.Stats(); st.Entries != 5 || st.Fills != 5 {
+	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 {
 		t.Fatalf("reruns refilled: %+v", st)
 	}
 }

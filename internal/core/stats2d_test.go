@@ -3,17 +3,16 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 )
 
-// TestStats2DQuantileReorderExact: the exact-match count must survive
-// the 2D-quantile display reordering, which breaks the ascending-
-// prefix invariant the Stats shortcut relies on (regression: the
-// prefix binary search miscounted after apply2DQuantiles).
-func TestStats2DQuantileReorderExact(t *testing.T) {
+// uniformXY is a 400-row table T with x and y uniform on 0–100 (seed 9).
+func uniformXY(t *testing.T) *dataset.Catalog {
+	t.Helper()
 	rng := rand.New(rand.NewSource(9))
 	tbl, err := dataset.NewTable("T", dataset.Schema{
 		{Name: "x", Kind: dataset.KindFloat},
@@ -31,7 +30,15 @@ func TestStats2DQuantileReorderExact(t *testing.T) {
 	if err := cat.AddTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	e := New(cat, nil, Options{GridW: 12, GridH: 12, Arrangement: Arrange2D, AxisX: "x", AxisY: "y"})
+	return cat
+}
+
+// TestStats2DQuantileReorderExact: the exact-match count must survive
+// the 2D-quantile display refinement, whose picture is not the ranking's
+// head (regression: the prefix binary search miscounted after
+// apply2DQuantiles reordered the ranking).
+func TestStats2DQuantileReorderExact(t *testing.T) {
+	e := New(uniformXY(t), nil, Options{GridW: 12, GridH: 12, Arrangement: Arrange2D, AxisX: "x", AxisY: "y"})
 	res, err := e.RunSQL(`SELECT x FROM T WHERE x BETWEEN 40 AND 45 OR y BETWEEN 90 AND 95`)
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +53,65 @@ func TestStats2DQuantileReorderExact(t *testing.T) {
 		t.Fatalf("NumResults = %d, want %d", got, want)
 	}
 }
+
+// TestTopKIgnoresTheArrangement: TopK is the head of the relevance
+// ranking whatever the picture shows. Under the 2D arrangement the
+// picture is the band members, and items outside the y band that answer
+// the OR exactly (distance 0) still rank first; the 2D result used to
+// return its display order. A TopK past the ranked prefix leaves the
+// picture — Order, DistanceOfRank, the windows — as it was.
+func TestTopKIgnoresTheArrangement(t *testing.T) {
+	cat := uniformXY(t)
+	const sql = `SELECT x FROM T WHERE x BETWEEN 40 AND 45 OR y BETWEEN 90 AND 95`
+	run := func(opt Options) *Result {
+		t.Helper()
+		res, err := New(cat, nil, opt).RunSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	spiral, twoD := Options{GridW: 12, GridH: 12}, Options{GridW: 12, GridH: 12, Arrangement: Arrange2D, AxisX: "x", AxisY: "y"}
+	fullSpiral, fullTwoD := spiral, twoD
+	fullSpiral.FullSort, fullTwoD.FullSort = true, true
+	ref := run(fullSpiral)
+	if got, want := ref.TopK(10), []int{38, 45, 46, 48, 52, 77, 94, 113, 114, 126}; !slices.Equal(got, want) {
+		t.Fatalf("the spiral's TopK(10) = %v, want %v", got, want)
+	}
+	for name, opt := range map[string]Options{"spiral": spiral, "2d": twoD, "spiral-fullsort": fullSpiral, "2d-fullsort": fullTwoD} {
+		res := run(opt)
+		// Snapshot the picture before any TopK.
+		order := slices.Clone(res.Order)
+		dists := make([]uint64, len(order))
+		for rank := range dists {
+			dists[rank] = math.Float64bits(res.DistanceOfRank(rank))
+		}
+		windows, err := res.Windows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 10, res.Displayed - 1, res.Displayed, res.Displayed + 1, 300, res.N} {
+			if got, want := res.TopK(k), ref.Order[:k]; !slices.Equal(got, want) {
+				t.Fatalf("%s: TopK(%d) = %v, want the full sort's head %v", name, k, head(got), head(want))
+			}
+		}
+		if !slices.Equal(res.Order, order) {
+			t.Fatalf("%s: Order moved under TopK: %d entries, %d before", name, len(res.Order), len(order))
+		}
+		for rank := range dists {
+			if math.Float64bits(res.DistanceOfRank(rank)) != dists[rank] {
+				t.Fatalf("%s: DistanceOfRank(%d) moved under TopK", name, rank)
+			}
+		}
+		after, err := res.Windows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameWindowCells(t, name+": windows after TopK", after, windows)
+	}
+}
+
+func head(xs []int) []int { return xs[:min(len(xs), 12)] }
 
 // TestArrange2DTwoConditionsOnAnAxisIsDeterministic: with two conditions
 // on the x axis's attribute, the 2D arrangement places items by the
@@ -101,7 +167,8 @@ func TestArrange2DAxisSkipsABooleanFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := res.signedOf("a"), alone.signedOf("a")
+	got, _ := res.signedOf("a")
+	want, _ := alone.signedOf("a")
 	if got == nil || want == nil {
 		t.Fatalf("x axis off: %v with the fallback, %v without", got == nil, want == nil)
 	}
@@ -139,7 +206,7 @@ func TestStringAxisReusesItsLeafDistances(t *testing.T) {
 		if _, _, _, err := e.condData(res.evaluated[c], res.Binding.Attrs[c], res.Space, nil, want); err != nil {
 			t.Fatal(err)
 		}
-		got := res.signedOf(tc.axis)
+		got, _ := res.signedOf(tc.axis)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: item %d signed %v, from scratch %v", tc.where, i, got[i], want[i])

@@ -80,69 +80,93 @@ func SignedQuantileCut(sorted []float64, p float64) (lo, hi int) {
 // correspondingly the combined α-quantiles for two dimensions may be
 // used." It selects the items whose signed distances lie within the
 // per-dimension signed quantile bands, growing the per-dimension
-// fraction from √p until the intersection reaches the target count
-// target ≈ p·n (or the bands cover everything). The returned indices
+// fraction from √p by 1.25 per try (at most 32 tries, capped at 1) until
+// the intersection reaches the target count ⌈p·n⌉ or the bands cover
+// everything. A positive p is at least one item's share, 1/n. sortedX
+// and sortedY are the non-NaN values of dx and dy in ascending order,
+// ±Inf included (a quantile index's Sorted). The returned indices
 // preserve input order.
-func Items2D(dx, dy []float64, p float64) []int {
+//
+// A wider fraction widens both ends of a band, so the bands are nested
+// in the try index: an item is in every band from its first admitting
+// try on. One pass finds each item's first try and counts them, the
+// counts give the try the growth stops at, and the selection is every
+// item admitted by then.
+func Items2D(dx, dy, sortedX, sortedY []float64, p float64) []int {
 	n := len(dx)
-	if n == 0 || len(dy) != n || p <= 0 {
+	if n == 0 || len(dy) != n || p <= 0 || len(sortedX) == 0 || len(sortedY) == 0 {
 		return nil
 	}
-	if p > 1 {
-		p = 1
-	}
+	p = min(max(p, 1/float64(n)), 1)
 	target := int(math.Ceil(p * float64(n)))
-	sortedX := append([]float64(nil), dx...)
-	sortedY := append([]float64(nil), dy...)
-	// NaNs disqualify an item from both bands; drop them from the
-	// band estimation.
-	sortedX = dropNaN(sortedX)
-	sortedY = dropNaN(sortedY)
-	if len(sortedX) == 0 || len(sortedY) == 0 {
-		return nil
-	}
-	sort.Float64s(sortedX)
-	sort.Float64s(sortedY)
-	frac := math.Sqrt(p)
-	var selected []int
-	for iter := 0; iter < 32; iter++ {
-		loX, hiX := signedBand(sortedX, frac)
-		loY, hiY := signedBand(sortedY, frac)
-		selected = selected[:0]
-		for i := 0; i < n; i++ {
-			if math.IsNaN(dx[i]) || math.IsNaN(dy[i]) {
-				continue
-			}
-			if dx[i] >= loX && dx[i] <= hiX && dy[i] >= loY && dy[i] <= hiY {
-				selected = append(selected, i)
-			}
-		}
-		if len(selected) >= target || frac >= 1 {
+	var x, y bands
+	for f := math.Sqrt(p); ; f = math.Min(1, f*1.25) {
+		x.add(sortedX, f)
+		y.add(sortedY, f)
+		if f >= 1 || len(x.lo) == 32 {
 			break
 		}
-		frac = math.Min(1, frac*1.25)
 	}
-	return append([]int(nil), selected...)
-}
-
-// signedBand returns the inclusive value band of the signed quantile
-// cut for fraction f over a sorted sample.
-func signedBand(sorted []float64, f float64) (lo, hi float64) {
-	loIdx, hiIdx := SignedQuantileCut(sorted, f)
-	if hiIdx <= loIdx {
-		return math.Inf(1), math.Inf(-1) // empty band
+	// first[i] is item i's first admitting try; the try count for none.
+	tries := len(x.lo)
+	first := make([]uint8, n)
+	counts := make([]int, tries+1)
+	for i := range dx {
+		t := max(x.first(dx[i]), y.first(dy[i]))
+		first[i] = uint8(t)
+		counts[t]++
 	}
-	return sorted[loIdx], sorted[hiIdx-1]
-}
-
-func dropNaN(xs []float64) []float64 {
-	out := xs[:0]
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			out = append(out, x)
+	stop, admitted := tries-1, 0
+	for t := range tries {
+		if admitted += counts[t]; admitted >= target {
+			stop = t
+			break
 		}
 	}
-	return out
+	var selected []int
+	for i, t := range first {
+		if int(t) <= stop {
+			selected = append(selected, i)
+		}
+	}
+	return selected
+}
+
+// bands are one axis's signed quantile bands, the inclusive value range
+// [lo[t], hi[t]] of try t.
+type bands struct{ lo, hi []float64 }
+
+// add appends the band of fraction f over the axis's sorted sample; an
+// empty cut is [+Inf, -Inf], which holds nothing.
+func (b *bands) add(sorted []float64, f float64) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	if i, j := SignedQuantileCut(sorted, f); i < j {
+		lo, hi = sorted[i], sorted[j-1]
+	}
+	b.lo, b.hi = append(b.lo, lo), append(b.hi, hi)
+}
+
+// first returns the first try whose band holds v, or the try count when
+// none does (a NaN never is). The bands are nested, so lo is
+// non-increasing and hi non-decreasing: the first try past lo's is the
+// first at or after it whose hi reaches v.
+func (b *bands) first(v float64) int {
+	i, j := 0, len(b.lo)
+	for i < j {
+		if m := (i + j) / 2; b.lo[m] <= v {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	for j = len(b.hi); i < j; {
+		if m := (i + j) / 2; b.hi[m] >= v {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	return i
 }
 
 // GapOptions tunes GapCut. Z is the window half-width z of the paper's
@@ -194,8 +218,8 @@ func GapCut(sorted []float64, opt GapOptions) int {
 	}
 	// Sliding window [max(0,i−z), min(n−1,i+z)] sum, advanced one item
 	// per candidate.
-	winLo := maxInt(0, rmin-z)
-	winHi := minInt(n-1, rmin+z)
+	winLo := max(0, rmin-z)
+	winHi := min(n-1, rmin+z)
 	var winSum float64
 	for j := winLo; j <= winHi; j++ {
 		winSum += sorted[j]
@@ -203,8 +227,8 @@ func GapCut(sorted []float64, opt GapOptions) int {
 	bestI, bestS := rmin, math.Inf(-1)
 	for i := rmin; i <= rmax && i < n; i++ {
 		if i > rmin {
-			newLo := maxInt(0, i-z)
-			newHi := minInt(n-1, i+z)
+			newLo := max(0, i-z)
+			newHi := min(n-1, i+z)
 			for winLo < newLo {
 				winSum -= sorted[winLo]
 				winLo++
@@ -269,7 +293,7 @@ func CutPrefix(prefix []float64, n, r, numPredicates int) int {
 		}
 	}
 	if span > 0 && maxGap > 0.25*span {
-		g := GapCut(prefix, GapOptions{RMin: maxInt(1, k/2), RMax: k})
+		g := GapCut(prefix, GapOptions{RMin: max(1, k/2), RMax: k})
 		if g > 0 {
 			return g
 		}
@@ -306,18 +330,4 @@ func SortWithIndex(dists []float64) (sorted []float64, idx []int) {
 		sorted[i] = dists[j]
 	}
 	return sorted, idx
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -142,8 +142,8 @@ func TestGapCutRangeProperty(t *testing.T) {
 		rmin := int(a)%len(xs) + 1
 		rmax := rmin + int(b)%len(xs)
 		cut := GapCut(xs, GapOptions{RMin: rmin, RMax: rmax})
-		lo := minInt(rmin, len(xs))
-		hi := minInt(rmax, len(xs))
+		lo := min(rmin, len(xs))
+		hi := min(rmax, len(xs))
 		return cut >= lo && cut <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -168,7 +168,7 @@ func TestGapCutIncrementalMatchesNaive(t *testing.T) {
 	bestI, bestS := opt.RMin, math.Inf(-1)
 	for i := opt.RMin; i <= opt.RMax && i < len(dists); i++ {
 		var s float64
-		lo, hi := maxInt(0, i-opt.Z), minInt(len(dists)-1, i+opt.Z)
+		lo, hi := max(0, i-opt.Z), min(len(dists)-1, i+opt.Z)
 		for j := lo; j <= hi; j++ {
 			s += dists[i] - dists[j]
 		}

@@ -208,16 +208,18 @@ func NormRange(dists []float64, keep int) NormParams {
 	return rangeOf(scanRange(dists, 0, len(dists)), dists, keep)
 }
 
-// LeafQuantiles is a sorted index over one leaf's finite distances: a
-// one-time linear-time investment (sortFinite) that answers NormRange
-// for ANY keep in O(1). Weighting-factor changes move each leaf's keep
-// count (KeepCount is inverse in the weight), so an interactive session
+// LeafQuantiles is a sorted index over one vector's values: a one-time
+// linear-time investment (sortFinite) that answers NormRange for ANY
+// keep in O(1). Weighting-factor changes move each leaf's keep count
+// (KeepCount is inverse in the weight), so an interactive session
 // builds this for its hot leaves and reruns without any per-leaf scan
-// or selection — bit-identically: it is the same order statistic.
+// or selection — bit-identically: it is the same order statistic. It
+// holds every non-NaN value, so it is also the sorted sample the 2D
+// arrangement's signed quantile bands read (Sorted).
 type LeafQuantiles struct {
-	sorted    []float64 // finite values, ascending, -0 before +0
-	minFinite float64
-	nNaN      int
+	sorted []float64 // non-NaN values, ascending: -Inf first, +Inf last, -0 before +0
+	finite []float64 // sorted's finite values
+	nNaN   int
 }
 
 // BuildLeafIndexes builds both per-leaf indexes in three reads of dists
@@ -231,19 +233,23 @@ func BuildLeafIndexes(dists []float64) (*LeafQuantiles, *LeafChunkStats) {
 		st.merge(scans[ci])
 	}
 	cs := chunkStatsOf(scans)
-	q := &LeafQuantiles{sorted: make([]float64, st.nFinite), minFinite: st.minFinite, nNaN: st.nNaN}
-	sortFinite(q.sorted, dists, st.minFinite, st.maxFinite, 0)
+	sorted := make([]float64, len(dists)-st.nNaN)
+	q := &LeafQuantiles{sorted: sorted, finite: sorted[st.nNegInf : st.nNegInf+st.nFinite], nNaN: st.nNaN}
+	for i := range sorted[:st.nNegInf] {
+		sorted[i] = math.Inf(-1)
+	}
+	for i := st.nNegInf + st.nFinite; i < len(sorted); i++ {
+		sorted[i] = math.Inf(1)
+	}
+	sortFinite(q.finite, dists, st.minFinite, st.maxFinite, 0)
 	// -0 and +0 compare equal and come out in input order; -0 first, so
 	// that any two nodes indexing the same values encode the same bytes.
-	zeros, neg := q.sorted[sort.SearchFloat64s(q.sorted, 0):], 0
+	zeros, neg := q.finite[sort.SearchFloat64s(q.finite, 0):], 0
 	for i := 0; i < len(zeros) && zeros[i] == 0; i++ {
 		if math.Signbit(zeros[i]) {
 			zeros[i], zeros[neg] = zeros[neg], zeros[i]
 			neg++
 		}
-	}
-	if len(q.sorted) > 0 {
-		q.minFinite = q.sorted[0]
 	}
 	return q, cs
 }
@@ -257,12 +263,17 @@ func (q *LeafQuantiles) NaNs() int { return q.nNaN }
 // resident.
 func (q *LeafQuantiles) Size() int { return len(q.sorted) }
 
+// Sorted returns the indexed vector's non-NaN values in ascending
+// order, ±Inf included. The slice is the index itself: read-only.
+func (q *LeafQuantiles) Sorted() []float64 { return q.sorted }
+
 // Range answers NormRange(dists, keep) for the indexed vector.
 func (q *LeafQuantiles) Range(keep int) NormParams {
-	p := baseParams(len(q.sorted), q.minFinite, keep)
-	if !p.NoFinite {
-		p.DMax = q.sorted[p.Kept-1]
+	if len(q.finite) == 0 {
+		return NormParams{NoFinite: true}
 	}
+	p := baseParams(len(q.finite), q.finite[0], keep)
+	p.DMax = q.finite[p.Kept-1]
 	return p
 }
 
