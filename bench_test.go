@@ -360,8 +360,9 @@ type benchDrag struct {
 // runDrags runs every drag on a fresh session over sql at n = 2e5
 // (Traffic, a 128×128 grid) and reports the engine's own stage split per
 // step: select_ms (which includes root_combine_ms), scale_ms, dist_ms,
-// eval_ms, total_ms, and pruned_ratio — the root chunks block pruning
-// skipped, out of all root chunks of the steps that ranked by selection.
+// eval_ms, total_ms, refined_ratio — the rows whose exact root value was
+// computed, out of n — and pruned_ratio — the root chunks with none of
+// them, out of all root chunks of the steps that ranked by selection.
 // Runs that sort (FullSort) report sort_ms instead of select_ms;
 // reduce_ms holds the display reduction and the placement (under
 // Arrange2D, the band of combined quantiles and its ranking).
@@ -397,6 +398,7 @@ func runDragsOn(b *testing.B, cat *dataset.Catalog, opt core.Options, sql string
 				sum.Sort += tm.Sort
 				sum.Reduce += tm.Reduce
 				sum.Total += tm.Total
+				sum.Refined += tm.Refined
 				sum.Pruned += tm.Pruned
 				sum.Chunks += tm.Chunks
 			}
@@ -411,6 +413,43 @@ func runDragsOn(b *testing.B, cat *dataset.Catalog, opt core.Options, sql string
 				b.ReportMetric(m.d.Seconds()*1e3/float64(b.N), m.unit)
 			}
 			b.ReportMetric(float64(sum.Pruned)/float64(max(sum.Chunks, 1)), "pruned_ratio")
+			b.ReportMetric(float64(sum.Refined)/float64(b.N)/float64(s.Result().N), "refined_ratio")
+		})
+	}
+}
+
+// BenchmarkCodePlane is the code pass alone, on one core: the code plane
+// of a fresh range leaf — the distances of BETWEEN 40 AND 60 over
+// Traffic's uniform c (which class a row falls into is a coin flip: an
+// exact answer a fifth of the time, else a bucket at random) and over
+// its ascending t (the predictor learns every branch), 200k rows. The
+// kernel branches on neither, so it reads the same on both.
+func BenchmarkCodePlane(b *testing.B) {
+	cat, err := datagen.Traffic(200_000, 1994)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := cat.Table("S")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, col := range []struct{ name, attr string }{{"uniform", "c"}, {"ascending", "t"}} {
+		b.Run(col.name, func(b *testing.B) {
+			column, err := tbl.Column(col.attr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dists := make([]float64, column.Len())
+			column.ReadFloats(dists, 0)
+			for i, v := range dists {
+				dists[i] = max(40-v, v-60, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				relevance.BuildCodes(dists)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/plane")
 		})
 	}
 }

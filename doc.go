@@ -100,7 +100,7 @@
 //     (TestRangeKernelMatchesToRange, FuzzRangeKernel, BenchmarkRangeDistances,
 //     TestLeafZeroBlockMatchesNormRange, TestColumnExtremesMatchScan)
 //
-// # Rank before scale: monotonic-transform-aware top-k with block pruning
+// # Rank before scale: monotonic-transform-aware top-k by filter and refine
 //
 // The root combine kernel's final scalar step — the geometric root of
 // OR, the Lp root, the weight-normalized division — and the root's
@@ -112,63 +112,74 @@
 // is combined further, so the root is an interior node ranked before it
 // is scaled, and one combine per AND/OR node (its children's raw
 // vectors and scaling params, the resolved weights and kernel) produces
-// every chunk: an interior pass adds the transform and the range scan,
-// the deferred root keeps it raw, and a root whose transform could
+// its values: an interior pass adds the transform and the range scan,
+// the deferred root keeps them raw, and a root whose transform could
 // overflow is finished eagerly by the same combine
 // (TestUndeferrableRootsFinishEagerly). Every child of a combine — leaf,
-// cached subtree or interior node — is scaled per chunk into scratch and
+// cached subtree or interior node — is scaled into scratch and
 // materialized only by Result.Vec, so reading a window before the
-// ranking leaves the root's pruning alone
+// ranking leaves the root's ranking alone
 // (TestWindowBeforeRankingKeepsPruning).
 //
-//   - The root combine runs chunk-on-demand with raw kernels, streaming
-//     each chunk through a threshold-seeded lexicographic (value, index)
-//     selector (topk.StreamSelector).
-//   - The pass does not guess. Its n-wide loops run over columns in
-//     generation order, where which side of a clamp or of the
-//     selector's bound a row falls on is a coin flip, so neither is a
-//     branch: relevance.applyRange selects its clamps with bit masks
-//     built from NormParams.Apply's own comparisons, and
-//     StreamSelector.OfferSlice is a compacting filter — store every
-//     value at the buffer's end, advance the end by 0 or 1. Both are
-//     held to their element-at-a-time references bit for bit
-//     (TestApplyRangeMatchesApply, FuzzApplyRange,
-//     TestOfferSliceMatchesElementwise) and read the same on sorted
-//     and on shuffled input (BenchmarkApplyRange, BenchmarkOfferSlice).
-//   - Block pruning: per-chunk lower bounds on the raw combined value —
-//     folded from the children's chunk minima (relevance.Node.ChunkStats:
-//     a leaf's cached next to its quantile index, an interior node's
-//     from its own pass or its cached vector) through the monotone child
-//     scalings — let the pass skip every chunk that provably cannot
-//     beat the running k-th candidate.
-//   - The seed. A run stores its k-th raw value with the RunCache, keyed
-//     by the set of leaf keys it read, and the next run over the same
-//     leaf set starts its selector from it: a weight edit, the undo of
-//     one, a query rewritten over the same leaves. A run that moved a
-//     leaf (a range edit, its undo) finds no seed — the old raw domain
-//     means nothing for it — and nothing is reset by hand. A stale seed
-//     can only cost a re-run of the selection, never correctness, and a
-//     carried seed never prunes less than no seed
-//     (TestSeededSaturatedSelectionPrunes,
-//     TestRangeEditClearsThresholdSeed).
+//   - Code planes. Every vector the shared tier ranks by is coded where
+//     it is born — a leaf by its compute (the pushdown's skipped segments
+//     without a read), an interior vector by the pass that stores it, a
+//     kv arrival as the tier admits it: a byte per row (relevance.Codes)
+//     naming the row's class — -Inf, the vector's minimum (a range
+//     leaf's exact answers), one of 252 equal-width buckets, +Inf, NaN —
+//     and per class a raw interval holding its rows, exact for every
+//     class but a bucket. The plane counts in the entry's bytes and
+//     never crosses kv.
+//   - Filter. Each child's intervals, mapped through its params and
+//     weight onto the terms its kernel folds, bound every row's raw root
+//     value in two passes over bytes (the VA-file's filter step, Weber,
+//     Schek & Blott, VLDB 1998). Pass one counts the upper bounds and
+//     finds the lexicographic K-th (upper bound, index) cut, K the
+//     larger of k and the root's keep count; pass two keeps the rows
+//     whose (lower bound, index) reaches it — a superset of the exact
+//     top K, as K rows lie at or below the cut exactly
+//     (TestRowFilterKeepsTopK, FuzzRowFilter). An OR row whose codes
+//     leave it NaN or zero is kept too: the NaN count needs it decided.
+//     A plane keeps each evaluator chunk's least code, so on a clustered
+//     column both passes leave out the chunks whose rows all lie past
+//     the cut.
+//   - Refine. A kept row whose bounds meet is exact already (a class
+//     exact in every child, or an OR child's proven zero); only the
+//     others run the combine kernel, into a lexicographic (value, index)
+//     selector (topk.StreamSelector), and the root's range comes from
+//     their order statistics.
+//   - The passes do not guess. Their n-wide loops run over columns in
+//     generation order, where which class a row falls into or which
+//     side of a clamp or of the cut it lies on is a coin flip, so none
+//     is a branch: the code pass selects a row's class with masks,
+//     relevance.applyRange its clamps, the filter keeps its rows by a
+//     compacting store, and StreamSelector.OfferSlice is one too. Each
+//     is held to its element-at-a-time reference bit for bit
+//     (TestCodePlane, TestApplyRangeMatchesApply, FuzzApplyRange,
+//     TestOfferSliceMatchesElementwise) and reads the same on sorted and
+//     on shuffled input (BenchmarkCodePlane, BenchmarkApplyRange,
+//     BenchmarkOfferSlice).
 //   - Tie resolution keeps the result bit-identical to
 //     Options.FullSort: scaled-space ties order by item index, so the
-//     cut computes the exact raw-domain preimage of the k-th scaled
-//     value by monotone bisection (topk.SupWhere) and walks indices
-//     ascending — a skipped chunk is provably inside the tie class,
-//     provably outside it, or gets materialized after all.
+//     cut computes the raw-domain preimage of the k-th scaled value by
+//     bisection (topk.SupWhere) and walks indices ascending — a row the
+//     filter did not refine is placed inside or outside the tie class
+//     by its bounds or refined after all, and a value within an ulp-wide
+//     margin of a math.Pow transform's preimage edge is placed by its
+//     own scaled value.
 //   - Result.Combined() materializes the full scaled vector lazily (the
-//     root's Vec);
-//     displays, wire responses and windows read the ranked prefix via
-//     Result.DistanceOfRank and never force it. Result.Order holds the
-//     ranked prefix (selectBudget entries), the displayed band under
-//     Arrange2D; Result.TopK(k) extends the ranking for any deeper k.
+//     root's Vec); displays, wire responses and windows read the ranked
+//     prefix via Result.DistanceOfRank and never force it, and the 2D
+//     band reads its members' values alone (Result.RootValues).
+//     Result.Order holds the ranked prefix (selectBudget entries), the
+//     displayed band under Arrange2D; Result.TopK(k) extends the ranking
+//     for any deeper k.
 //
 // StageTimings.Scale times the survivor scaling, RootCombine the part
-// of Select that produces the raw values (the children's chunks scaled,
-// combined and scanned), and Pruned/Chunks count the skipped combine
-// chunks (all exposed over the wire). The
-// identity property — bitwise-equal rows, distances, relevances and
+// of Select that produces the raw values (every row bounded, the open
+// ones combined), Refined the rows the kernel ran on, and Pruned/Chunks
+// the evaluator chunks with none of them (all exposed over the wire).
+// The identity property — bitwise-equal rows, distances, relevances and
 // order against FullSort under randomized interaction scripts — is
 // asserted by TestRankBeforeScaleMatchesFullSortScript,
 // TestDeferredRankMatchesEagerSelection and the selection suite.
@@ -177,8 +188,8 @@
 //
 // internal/dataset has one column type, dataset.Column: a kind, a row
 // count, per-segment stats, extremes, and segments of SegmentSize = 4096
-// rows — the chunk size the fused evaluator and the block-pruning pass
-// iterate in — each null flags plus the kind's one payload slice. A
+// rows — the chunk size the fused evaluator and the code pass iterate
+// in — each null flags plus the kind's one payload slice. A
 // resident column holds its segments (Table.AppendRow fills them); a
 // file-backed one reads them from a write-once segment-catalog file
 // (dataset.WriteCatalogFile / OpenCatalogFile; "VSEGCAT3", JSON footer,
@@ -214,9 +225,8 @@
 //   - Predicate pushdown: a range scan skips reading — for a file-backed
 //     column, decoding — a segment whose stats prove every row inside
 //     the query interval — distance exactly 0 — so results stay
-//     bit-identical by construction, and the skipped chunks' chunk stats
-//     are synthesized from the proof, so block pruning works on the
-//     first cold run. It does not depend on the backing.
+//     bit-identical by construction, and the skipped chunks are coded
+//     from the proof without a read. It does not depend on the backing.
 //     StageTimings.SegsSkipped/Segs attribute it; Options.NoSegmentStats
 //     is the reference (TestPushdownLockstepReplay).
 //   - The writer writes segments: each column's, as they are — resident,
@@ -316,8 +326,9 @@
 // session-private (TestConcurrentSharedSessionsMatchFreshEngine).
 //
 // A cached leaf is only its vector: its raw distances, the count of its
-// exact zeros when a range kernel wrote it, and from its first reuse the
-// quantile index and chunk stats built from that vector. What a condition's slider
+// exact zeros when a range kernel wrote it, the code plane its compute
+// built, and from its first reuse the quantile index built from that
+// vector. What a condition's slider
 // shows is read where it lives: the attribute from the binding, the
 // query range from the condition (numericRange), the extremes from the
 // column (Column.MinMax) — all O(1) — and the first/last displayed

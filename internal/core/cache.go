@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/relevance"
@@ -65,16 +64,6 @@ type RunCache struct {
 	// index permutation.
 	floats bufPool[float64]
 	ints   bufPool[int]
-	// seedThr carries the previous ranking's raw k-th value (the
-	// rank-before-scale pruning threshold) to the next recalculation over
-	// the same leaves, seedSig being the run's leaf-key set (leafSetSig).
-	// Weight edits, their undos and a query rewritten over the same leaves
-	// reuse it — a stale seed can only cost a re-run of the selection,
-	// never correctness — and a run that moved a leaf finds none: the
-	// perturbed leaf makes the old raw domain meaningless as a starting
-	// point.
-	seedThr float64
-	seedSig string
 }
 
 // pinSet is one generation of pins, by cache key: leaves and, under
@@ -97,32 +86,31 @@ const maxCacheEntries = 64
 
 // leafEntry is one cached vector as the tier holds it and as fetches
 // hand it out and pins keep it (by value: a consistent snapshot, since
-// quant and cstats of the resident entry may be attached later under
-// the tier's mutex): the leaf of a condition, join, boolean-negation
-// fallback or subquery, or the raw combined vector of an interior node
-// — a cached subtree is a leaf. An entry is its vectors and what is
-// built from them, nothing else: the slider's numbers are O(1) reads of
-// the condition and its column (Result.PredicateInfos). The vectors are
+// quant of the resident entry may be attached later under the tier's
+// mutex): the leaf of a condition, join, boolean-negation fallback or
+// subquery, or the raw combined vector of an interior node — a cached
+// subtree is a leaf. An entry is its vectors and what is built from
+// them, nothing else: the slider's numbers are O(1) reads of the
+// condition and its column (Result.PredicateInfos). The vectors are
 // immutable once stored; only they ever leave the process
-// (encodeSharedEntry), and the indexes are rebuilt wherever they go.
+// (encodeSharedEntry), and what is built from them is rebuilt wherever
+// they go.
 type leafEntry struct {
 	// raw is the distance vector (an interior node's raw combined one).
 	raw []float64
 	// zeros counts the exact +0 entries of raw when a range condition's
 	// kernel wrote it (relevance.Node.Zeros); 0: not counted.
 	zeros int
+	// codes is raw's code plane, built where the vector is born — a
+	// leaf's compute, an interior vector's pass, a kv arrival's fill —
+	// which the ranking filters the root's rows by. A 2D axis's signed
+	// distances are never ranked and have none.
+	codes *relevance.Codes
 	// quant is the sorted quantile index over the leaf's distances,
 	// built on the entry's first reuse: a leaf that recurs across reruns
 	// is hot, and the one-time linear-time build buys O(1) normalization
 	// ranges for every subsequent weighting change.
 	quant *relevance.LeafQuantiles
-	// cstats is the per-chunk min/NaN index, built together with quant
-	// (an interior vector arrives with the one its fused pass produced,
-	// a range leaf whose segments the pushdown skipped with one it
-	// synthesized): it feeds the block-pruning bounds of the
-	// rank-before-scale ranking, so warm reruns can skip whole chunks of
-	// root combine work.
-	cstats *relevance.LeafChunkStats
 }
 
 // sizeBytes accounts the entry's retained vectors and indexes.
@@ -131,10 +119,11 @@ func (e *leafEntry) sizeBytes() int64 {
 	if e.quant != nil {
 		n += e.quant.Size()
 	}
-	if e.cstats != nil {
-		n += e.cstats.Size()
+	b := int64(8 * n)
+	if e.codes != nil {
+		b += e.codes.Bytes()
 	}
-	return int64(8 * n)
+	return b
 }
 
 // bufPool recycles the run-scoped buffers of one element type. free
@@ -197,30 +186,10 @@ func (p *bufPool[T]) endRun(ok bool) {
 // NewRunCache creates an empty cache standing on a tier of its own.
 func NewRunCache() *RunCache {
 	return &RunCache{
-		shared:  NewSharedCache(maxCacheEntries, 0),
-		live:    newPinSet(),
-		cur:     newPinSet(),
-		seedThr: math.NaN(),
+		shared: NewSharedCache(maxCacheEntries, 0),
+		live:   newPinSet(),
+		cur:    newPinSet(),
 	}
-}
-
-// rootSeed returns the previous ranking's raw threshold if that ranking
-// read the leaf set sig names, NaN otherwise.
-func (c *RunCache) rootSeed(sig string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.seedSig != sig {
-		return math.NaN()
-	}
-	return c.seedThr
-}
-
-// storeRootSeed records a ranking's raw threshold for the next
-// recalculation over the same leaf set.
-func (c *RunCache) storeRootSeed(sig string, thr float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.seedThr, c.seedSig = thr, sig
 }
 
 // AttachShared stands this cache on a catalog-level tier instead of its
@@ -300,9 +269,9 @@ func (c *RunCache) Len() int {
 }
 
 // pinned serves key from the pins (of this run or of the live Result)
-// and pins it for this run. The acceleration indexes (quant, cstats) of
-// the returned entry are set from a vector's first pinned reuse on — a
-// fill never indexes, and neither does a revisit the tier answers.
+// and pins it for this run. The quantile index of the returned entry is
+// set from a vector's first pinned reuse on — a fill never indexes, and
+// neither does a revisit the tier answers.
 func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	c.mu.Lock()
 	shared := c.shared
@@ -316,18 +285,17 @@ func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	}
 	// The tier does not see a pinned hit unless told: touching keeps a
 	// vector this loop sits on from ageing out under other loops' fills,
-	// and finds the indexes another loop already built.
-	quant, cstats := shared.touch(key)
+	// and finds the index another loop already built.
+	quant := shared.touch(key)
 	if le.quant == nil {
 		if quant == nil {
 			// Built outside any mutex — milliseconds of linear passes
 			// must not stall other sessions on the tier. Two racing
 			// builders do redundant work; both results are identical
 			// and the first one promoted wins.
-			quant, cstats = relevance.BuildLeafIndexes(le.raw)
-			quant, cstats = shared.attachIndexes(key, quant, cstats)
+			quant = shared.attachQuantiles(key, relevance.BuildLeafQuantiles(le.raw))
 		}
-		le.quant, le.cstats = quant, cstats
+		le.quant = quant
 	}
 	c.pin(key, le)
 	return le, true
@@ -341,13 +309,14 @@ func (c *RunCache) pin(key string, le leafEntry) {
 }
 
 // fetch resolves a leaf over an item space of rows items: a pin, then
-// the tier, then compute (through the tier's singleflight fill).
-func (c *RunCache) fetch(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
+// the tier (code codes what its remote tier serves), then compute
+// (through the tier's singleflight fill).
+func (c *RunCache) fetch(key string, rows int, code func([]float64) *relevance.Codes, compute func() (leafEntry, error)) (leafEntry, error) {
 	le, pinned := c.pinned(key)
 	sharedHit := false
 	if !pinned {
 		var err error
-		if le, sharedHit, err = c.Shared().fetch(key, rows, compute); err != nil {
+		if le, sharedHit, err = c.Shared().fetch(key, rows, code, compute); err != nil {
 			return leafEntry{}, err
 		}
 		c.pin(key, le)
@@ -380,7 +349,7 @@ func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error))
 	le, ok := c.pinned(key)
 	if !ok {
 		var err error
-		if le, _, err = c.Shared().fetch(key, rows, compute); err != nil {
+		if le, _, err = c.Shared().fetch(key, rows, nil, compute); err != nil {
 			return leafEntry{}, err
 		}
 		c.pin(key, le)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -66,9 +67,9 @@ func (e *Engine) RunSQL(src string) (*Result, error) {
 // reduction plus placement. Exactly one of Sort and Select is nonzero
 // per run; Scale is nonzero only on the Select path. RootCombine is not
 // a further stage but a part of Select ("of which"): the time spent
-// producing the raw root values the selection reads — the children's
-// chunks scaled, combined and scanned for their range, n-wide whatever
-// moved — so Select − RootCombine is the selection proper.
+// producing the raw root values the selection reads — every row bounded
+// from the children's code planes, and the rows the bounds leave open
+// scaled and combined — so Select − RootCombine is the selection proper.
 type StageTimings struct {
 	Bind        time.Duration
 	Distances   time.Duration
@@ -87,14 +88,13 @@ type StageTimings struct {
 	// in-flight fill), or one this session computed earlier and is
 	// returning to. All are zero for uncached runs.
 	CacheHits, CacheMisses, SharedHits int
-	// Pruned and Chunks attribute the block pruning of the
-	// rank-before-scale path: evaluator chunks whose root combine work
-	// was skipped because their raw lower bound could not beat the
-	// running top-k threshold, out of the total chunk count. Warm
-	// reruns on saturated selections (many exact answers) prune most
-	// chunks; cold runs prune nothing (the per-leaf chunk stats that
-	// feed the bounds are built by the session cache on first reuse).
-	Pruned, Chunks int
+	// Refined, Pruned and Chunks attribute the filter of the
+	// rank-before-scale path: the rows whose exact root value was
+	// computed (the rest the children's code planes ruled out), and the
+	// evaluator chunks with none of them, out of the total chunk count.
+	// Cold runs filter like warm ones — every leaf is coded where it is
+	// computed — and both names are frozen by wire.Timings and bench/.
+	Refined, Pruned, Chunks int
 	// SketchHits and SketchRescans attribute the interior reuse of the
 	// Evaluate stage: interior nodes whose combine pass was skipped
 	// because their raw combined vector was cached (the whole subtree's
@@ -238,12 +238,12 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		// Interior reuse: an interior node whose key (runKeys.interior)
 		// names a cached vector skips its subtree's fused passes and is
 		// ranged like a leaf. Under NoInteriorSketch no node has a key.
-		evalOpts.InteriorFetch = func(key string) ([]float64, *relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+		evalOpts.InteriorFetch = func(key string) ([]float64, *relevance.LeafQuantiles, *relevance.Codes) {
 			le, _ := cache.lookup(key)
-			return le.raw, le.quant, le.cstats
+			return le.raw, le.quant, le.codes
 		}
-		evalOpts.InteriorStore = func(key string, raw []float64, cs *relevance.LeafChunkStats) {
-			cache.store(key, leafEntry{raw: raw, cstats: cs})
+		evalOpts.InteriorStore = func(key string, raw []float64, codes *relevance.Codes) {
+			cache.store(key, leafEntry{raw: raw, codes: codes})
 		}
 	}
 	eval, err := relevance.Evaluate(root, space.n, evalOpts)
@@ -268,21 +268,16 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		res.rankSorted, res.rankOrder = reduce.SortWithIndex(eval.Combined)
 		res.Timings.Sort = time.Since(mark)
 	default:
-		// Rank-before-scale selection: rank the RAW root values —
-		// skipping chunks whose bound cannot beat the threshold carried
-		// over from the previous recalculation — and scale only the
+		// Rank-before-scale selection: rank the RAW root values of the
+		// rows the children's codes cannot rule out, and scale only the
 		// survivors. Combined materializes lazily (Result.Combined).
 		k := e.selectBudget(space.n)
-		seed := math.NaN()
 		var vals []float64
 		var idx []int
-		var leaves string
 		if cache != nil {
-			leaves = res.leafSetSig()
-			seed = cache.rootSeed(leaves)
 			vals, idx = cache.floats.alloc(k), cache.ints.alloc(k)
 		}
-		rk, err := eval.RankRoot(k, seed, vals, idx)
+		rk, err := eval.RankRoot(k, vals, idx)
 		if err != nil {
 			return nil, err
 		}
@@ -291,10 +286,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		res.Timings.Select = time.Since(mark) - rk.ScaleTime
 		res.Timings.RootCombine = rk.CombineTime
 		res.Timings.Scale = rk.ScaleTime
-		res.Timings.Pruned, res.Timings.Chunks = rk.Pruned, rk.Chunks
-		if cache != nil {
-			cache.storeRootSeed(leaves, rk.Threshold)
-		}
+		res.Timings.Refined, res.Timings.Pruned, res.Timings.Chunks = rk.Refined, rk.Pruned, rk.Chunks
 	}
 	mark = time.Now()
 	// The picture starts as the ranking's head; the 2D placement may
@@ -522,7 +514,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			return dists, nil
 		}
-		return e.leafNode(res, space, n, n.Label(), res.keys.join(n.Label(), negated), distsOnly(compute))
+		return e.leafNode(res, space, n, n.Label(), res.keys.join(n.Label(), negated), e.distsOnly(compute))
 	case *query.SubqueryExpr:
 		return e.subqueryNode(n, b, space, res, negated)
 	default:
@@ -626,19 +618,19 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 		}
 		return dists, nil
 	}
-	return e.leafNode(res, space, c, label, res.keys.boolean(label), distsOnly(compute))
+	return e.leafNode(res, space, c, label, res.keys.boolean(label), e.distsOnly(compute))
 }
 
 // leafNode builds the relevance leaf of a condition, join,
 // boolean-fallback or subquery expression from its leafEntry: fetched
 // under key on a cached run, computed on the spot otherwise. The leaf
-// carries its key and whatever indexes the entry has (a fresh range
-// leaf's chunk stats from the pushdown, a reused one's quantile index).
+// carries its key and whatever the entry has built (its code plane, a
+// reused one's quantile index).
 func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() (leafEntry, error)) (*relevance.Node, error) {
 	var le leafEntry
 	var err error
 	if res.cache != nil {
-		le, err = res.cache.fetch(key, space.n, compute)
+		le, err = res.cache.fetch(key, space.n, e.codes, compute)
 	} else {
 		le, err = compute()
 	}
@@ -646,18 +638,48 @@ func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label,
 		return nil, err
 	}
 	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: expr.Weight(), Dists: le.raw,
-		Quantiles: le.quant, ChunkStats: le.cstats, Zeros: le.zeros, Key: key}
+		Quantiles: le.quant, Codes: le.codes, Zeros: le.zeros, Key: key}
 	res.setNode(expr, node)
 	return node, nil
 }
 
 // distsOnly adapts the compute of a join, boolean-fallback or subquery
-// leaf, whose entry is its distance vector alone.
-func distsOnly(compute func() ([]float64, error)) func() (leafEntry, error) {
+// leaf, whose entry is its distance vector and its code plane.
+func (e *Engine) distsOnly(compute func() ([]float64, error)) func() (leafEntry, error) {
 	return func() (leafEntry, error) {
 		dists, err := compute()
-		return leafEntry{raw: dists}, err
+		if err != nil {
+			return leafEntry{}, err
+		}
+		return leafEntry{raw: dists, codes: e.codes(dists)}, nil
 	}
+}
+
+// codes builds the code plane of v over its finite extremes, both
+// passes split across the engine's workers.
+func (e *Engine) codes(v []float64) *relevance.Codes {
+	var mu sync.Mutex
+	lo, hi := math.Inf(1), math.Inf(-1)
+	_ = parallelFor(len(v), e.workers, itemChunk, func(from, to int) error {
+		l, h := relevance.FiniteExtremes(v[from:to])
+		mu.Lock()
+		lo, hi = min(lo, l), max(hi, h)
+		mu.Unlock()
+		return nil
+	})
+	return e.codesOver(v, lo, hi)
+}
+
+// codesOver builds the code plane of v, whose finite values lie in
+// [lo, hi], its evaluator chunks split across the engine's workers: the
+// same bytes for any number of them.
+func (e *Engine) codesOver(v []float64, lo, hi float64) *relevance.Codes {
+	cp := relevance.NewCodes(len(v), lo, hi)
+	_ = parallelFor(cp.Chunks(), e.workers, 1, func(c0, c1 int) error {
+		cp.Encode(v, c0, c1)
+		return nil
+	})
+	return cp
 }
 
 // subqueryNode implements the nested-query semantics of section 4.4:
@@ -774,7 +796,7 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 	// The subquery leaf caches on runKeys.subquery — the full rendered
 	// subquery plus the engine options the inner evaluation depends on.
 	key := res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
-	return e.leafNode(res, space, sq, sq.Label(), key, distsOnly(compute))
+	return e.leafNode(res, space, sq, sq.Label(), key, e.distsOnly(compute))
 }
 
 // boolSubquery evaluates NOT EXISTS / NOT IN exactly. The inner

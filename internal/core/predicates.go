@@ -10,7 +10,6 @@ import (
 	"repro/internal/distance"
 	"repro/internal/join"
 	"repro/internal/query"
-	"repro/internal/relevance"
 )
 
 // itemSpace describes the totality of items a query ranges over: single
@@ -56,6 +55,7 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 // distances the 2D arrangement places items by; a non-nil known holds
 // the condition's distances already (its leaf's), which a string
 // condition then reuses instead of recomputing them (see stringCond).
+// Without signed, the entry is a leaf's, and comes with its code plane.
 func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
@@ -64,8 +64,8 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace,
 	le.raw = make([]float64, space.n)
 	if attr.Kind.IsNumeric() {
 		segsSkipped, segs, err = e.numericCond(c, attr, t, space, &le, signed)
-	} else {
-		err = e.stringCond(c, attr, t, space, known, le.raw, signed)
+	} else if err = e.stringCond(c, attr, t, space, known, le.raw, signed); err == nil && signed == nil {
+		le.codes = e.codes(le.raw)
 	}
 	if err != nil {
 		return leafEntry{}, 0, 0, err
@@ -225,11 +225,13 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	if kernel {
 		le.zeros = total.zeros - len(total.boundary)
 	}
+	dmax := total.max // the largest finite distance written, the boundary rows' too
 	if len(total.boundary) > 0 {
 		eps := total.max / 128
 		if eps == 0 {
 			eps = 1
 		}
+		dmax = max(dmax, eps)
 		for _, i := range total.boundary {
 			raw[i] = eps
 			if signed != nil {
@@ -241,21 +243,18 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 			}
 		}
 	}
-	if skip != nil {
-		// Synthesize the per-chunk pruning index now, while the compute
-		// cost is already paid: skipped chunks' entries come straight
-		// from the stats proof (min 0, NaN-free), the rest scan. This
-		// is what composes the pushdown with the deferred-root block
-		// pruning on COLD runs — the first pinned reuse builds the same
-		// index from the vector.
-		le.cstats = relevance.BuildLeafChunkStatsMasked(raw, skip)
+	switch {
+	case signed != nil:
+	case kernel:
+		// The leaf's code plane, while its compute is paid for: range
+		// distances lie in [0, dmax] (a segment the pushdown skipped is
+		// coded from its zero fill, not decoded).
+		le.codes = e.codesOver(raw, 0, dmax)
+	default:
+		le.codes = e.codes(raw)
 	}
 	return segsSkipped, segs, nil
 }
-
-// The pushdown's skip mask is per storage segment and read per evaluator
-// chunk (BuildLeafChunkStatsMasked): this fails to compile unless they are one unit.
-var _ = [1]struct{}{}[dataset.SegmentSize-relevance.EvalChunk]
 
 // rangeKernel is one worker's share of a range condition's distance
 // pass: distance.ToRange (and ToRangeSigned under the 2D arrangement)

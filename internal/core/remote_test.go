@@ -330,7 +330,7 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 // TestRemoteBackendWarmsOtherNode: two shared tiers (two "processes")
 // over the same catalog and one backend. The leaf vectors node A paid
 // for serve node B without recomputation, and nothing but leaf vectors
-// is in the store: B rebuilds quantile indexes, chunk stats and
+// is in the store: B rebuilds code planes, quantile indexes and
 // interior entries locally, bit-identically.
 func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	cat := interiorCatalog(t, 2*4096+57)
@@ -394,7 +394,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 		}
 		sameResults(t, cold, warm)
 		if warm.Timings.SketchHits == 0 || warm.Timings.Chunks == 0 {
-			t.Fatalf("node B's warm run %d built no local interior entry or chunk stats: %+v", run, warm.Timings)
+			t.Fatalf("node B's warm run %d built no local interior entry or ranked no chunk: %+v", run, warm.Timings)
 		}
 	}
 	query.Predicates(q2.Where)[0].(*query.BoolExpr).Children[0].(*query.Cond).Value = dataset.Float(30)

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -131,25 +129,6 @@ func (r *Result) setEvaluated(orig, c *query.Cond) {
 	r.evaluated[orig] = c
 }
 
-// leafSetSig names the set of leaves the run read: the item space and
-// the leaf keys in sorted order, so reordering or reweighting the query
-// over the same leaves keeps it and moving any leaf changes it.
-func (r *Result) leafSetSig() string {
-	var keys []string
-	var walk func(n *relevance.Node)
-	walk = func(n *relevance.Node) {
-		if n.Op == relevance.Leaf {
-			keys = append(keys, n.Key)
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(r.root)
-	slices.Sort(keys)
-	return r.keys.space + "\n" + strings.Join(keys, "\n")
-}
-
 // buildPlacement assigns window cells to the displayed ranks.
 func (r *Result) buildPlacement() {
 	opt := r.Engine.opt
@@ -189,12 +168,14 @@ func (r *Result) apply2DQuantiles(in2D []int) {
 	if len(in2D) == 0 {
 		return
 	}
-	combined := r.Combined()
-	members, vals := in2D[:0], make([]float64, 0, len(in2D))
-	for _, item := range in2D {
+	// The band's combined distances alone: the root vector stays
+	// unmaterialized.
+	dists := r.Eval.RootValues(in2D)
+	members, vals := in2D[:0], dists[:0]
+	for j, item := range in2D {
 		// Uncolorable items stay out of the display even when their
 		// axis distances fall inside the bands.
-		if d := combined[item]; !math.IsNaN(d) {
+		if d := dists[j]; !math.IsNaN(d) {
 			members, vals = append(members, item), append(vals, d)
 		}
 	}
@@ -240,7 +221,7 @@ func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	}
 	if le.quant == nil {
 		// A fill, an uncached run, or a range drag on the axis.
-		le.quant, _ = relevance.BuildLeafIndexes(le.raw)
+		le.quant = relevance.BuildLeafQuantiles(le.raw)
 	}
 	return le.raw, le.quant.Sorted()
 }

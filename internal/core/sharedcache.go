@@ -253,10 +253,11 @@ func (sc *SharedCache) Bytes() int64 {
 // request ending: a canceled or timed-out fill is led again). hit
 // reports whether the entry was served without running compute in this
 // call (a resident entry, another caller's fill we waited on, or the
-// remote tier). compute runs without any cache lock held, so fills for
-// different keys proceed concurrently and a fill may recursively fetch
-// other keys.
-func (sc *SharedCache) fetch(key string, rows int, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
+// remote tier). A vector the remote tier serves gets its code plane from
+// code, unless code is nil (a vector that is never ranked). compute runs
+// without any cache lock held, so fills for different keys proceed
+// concurrently and a fill may recursively fetch other keys.
+func (sc *SharedCache) fetch(key string, rows int, code func([]float64) *relevance.Codes, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
 	for {
 		if e, ok := sc.entries.Get(key); ok {
@@ -303,6 +304,9 @@ func (sc *SharedCache) fetch(key string, rows int, compute func() (leafEntry, er
 		if data, ok := backend.Get(key); ok {
 			if d, derr := decodeSharedEntry(data, rows); derr == nil {
 				le, remote = *d, true
+				if code != nil {
+					le.codes = code(le.raw)
+				}
 			}
 		}
 	}
@@ -345,38 +349,37 @@ func (sc *SharedCache) fetch(key string, rows int, compute func() (leafEntry, er
 
 // touch makes the entry under key the most recently used — a session
 // served it from its pins, which the tier would otherwise not see — and
-// returns the leaf indexes (quantiles + chunk stats) promoted to it, if
-// any session has built them. A key that is not resident is a no-op.
-func (sc *SharedCache) touch(key string) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+// returns the quantile index promoted to it, if any session has built
+// it. A key that is not resident is a no-op.
+func (sc *SharedCache) touch(key string) *relevance.LeafQuantiles {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if e, ok := sc.entries.Get(key); ok {
-		return e.quant, e.cstats
+		return e.quant
 	}
-	return nil, nil
+	return nil
 }
 
-// attachIndexes promotes freshly built leaf indexes (the quantile
-// index and the block-pruning chunk stats) to the resident entry for
-// key and returns the canonical ones: the entry's own if it already has
-// some (both are identical — the builds are deterministic — so either
-// could win; keeping the first keeps one copy resident), q and cs
-// otherwise, which then grow the entry's byte accounting. Indexes stay
-// in this process: any node rebuilds them from the leaf vector in
-// linear time, faster than a fetch.
-func (sc *SharedCache) attachIndexes(key string, q *relevance.LeafQuantiles, cs *relevance.LeafChunkStats) (*relevance.LeafQuantiles, *relevance.LeafChunkStats) {
+// attachQuantiles promotes a freshly built quantile index to the
+// resident entry for key and returns the canonical one: the entry's own
+// if it already has one (both are identical — the builds are
+// deterministic — so either could win; keeping the first keeps one copy
+// resident), q otherwise, which then grows the entry's byte accounting.
+// The index stays in this process: any node rebuilds it from the leaf
+// vector in linear time, faster than a fetch.
+func (sc *SharedCache) attachQuantiles(key string, q *relevance.LeafQuantiles) *relevance.LeafQuantiles {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	e, ok := sc.entries.Peek(key)
 	if !ok {
-		return q, cs
+		return q
 	}
 	if e.quant != nil {
-		return e.quant, e.cstats
+		return e.quant
 	}
-	e.quant, e.cstats = q, cs
+	e.quant = q
 	sc.evictions += uint64(sc.entries.Resize(key, e.sizeBytes()))
-	return q, cs
+	return q
 }
 
 // lookup returns the resident entry for key and nothing else: it never

@@ -18,7 +18,7 @@ import (
 // singleflight path (compute always runs: the key is absent).
 func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, n, func() (leafEntry, error) {
+	_, hit, err := sc.fetch(key, n, nil, func() (leafEntry, error) {
 		dists := make([]float64, n)
 		for i := range dists {
 			dists[i] = fill
@@ -36,7 +36,7 @@ func fillDists(t *testing.T, sc *SharedCache, key string, n int, fill float64) {
 // touch performs a lookup that must hit.
 func touch(t *testing.T, sc *SharedCache, key string) {
 	t.Helper()
-	_, hit, err := sc.fetch(key, 0, func() (leafEntry, error) {
+	_, hit, err := sc.fetch(key, 0, nil, func() (leafEntry, error) {
 		return leafEntry{}, fmt.Errorf("touch of %q missed", key)
 	})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestSharedCacheEviction(t *testing.T) {
 func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
 	sc := NewSharedCache(1, 0)
 	const key = "C|T:T:4|T.x|x > 5"
-	old, _, err := sc.fetch(key, 4, func() (leafEntry, error) {
+	old, _, err := sc.fetch(key, 4, nil, func() (leafEntry, error) {
 		return leafEntry{raw: []float64{1, 2, 3, 4}}, nil
 	})
 	if err != nil {
@@ -183,7 +183,7 @@ func TestSharedCacheEvictionOnlyUnlinks(t *testing.T) {
 		t.Fatalf("after the evicting fill: %+v", st)
 	}
 
-	fresh, hit, err := sc.fetch(key, 4, func() (leafEntry, error) {
+	fresh, hit, err := sc.fetch(key, 4, nil, func() (leafEntry, error) {
 		return leafEntry{raw: []float64{9, 9, 9, 9}}, nil
 	})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestSharedCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := sc.fetch("K", 1, func() (leafEntry, error) {
+			v, _, err := sc.fetch("K", 1, nil, func() (leafEntry, error) {
 				computes.Add(1)
 				// Hold the fill open until every other goroutine is
 				// blocked on it, so the schedule cannot degenerate into
@@ -266,7 +266,7 @@ func TestCanceledFillIsLedAgain(t *testing.T) {
 		sc := NewSharedCache(0, 0)
 		leaderDone := make(chan error, 1)
 		go func() {
-			_, _, err := sc.fetch("K", 1, func() (leafEntry, error) {
+			_, _, err := sc.fetch("K", 1, nil, func() (leafEntry, error) {
 				// Fail only once the waiter is blocked on this fill.
 				deadline := time.Now().Add(5 * time.Second)
 				for sc.Stats().Waits < 1 {
@@ -291,7 +291,7 @@ func TestCanceledFillIsLedAgain(t *testing.T) {
 			}
 		}
 		computed := false
-		le, hit, err := sc.fetch("K", 1, func() (leafEntry, error) {
+		le, hit, err := sc.fetch("K", 1, nil, func() (leafEntry, error) {
 			computed = true
 			return leafEntry{raw: []float64{7}}, nil
 		})

@@ -1,0 +1,339 @@
+package relevance
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/reduce"
+)
+
+// encodeRef is the element-at-a-time code of v that the encoder's
+// selected kernel replaced, kept as its reference.
+func encodeRef(e codeEncoder, v float64) uint8 {
+	switch {
+	case math.IsNaN(v):
+		return codeNaN
+	case math.IsInf(v, -1):
+		return codeNegInf
+	case math.IsInf(v, 1):
+		return codePosInf
+	case v == e.mn:
+		return codeMin
+	}
+	b := int((v - e.b.lo) * e.b.scale)
+	if b < 0 || b > e.b.n-1 { // what an undividable span's NaN converts to
+		b = e.b.n - 1
+	}
+	return uint8(codeBucket0 + b)
+}
+
+// checkCodes holds the code plane of v, coded in one, two and five runs
+// of chunks, to encodeRef bit for bit, every row to its code's interval,
+// which for a reserved code is its one value, and every chunk's least
+// code to its rows'.
+func checkCodes(t *testing.T, what string, v []float64) {
+	t.Helper()
+	mn, mx := math.Inf(1), math.Inf(-1)
+	for _, x := range v {
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			mn, mx = min(mn, x), max(mx, x)
+		}
+	}
+	if lo, hi := FiniteExtremes(v); lo != mn || hi != mx {
+		t.Fatalf("%s: FiniteExtremes = %v, %v, want %v, %v", what, lo, hi, mn, mx)
+	}
+	e := newCodeEncoder(mn, mx)
+	for _, parts := range []int{1, 2, 5} {
+		cp := NewCodes(len(v), mn, mx)
+		for p := 0; p < parts; p++ {
+			cp.Encode(v, p*cp.Chunks()/parts, (p+1)*cp.Chunks()/parts)
+		}
+		if len(cp.codes) != len(v) {
+			t.Fatalf("%s: %d codes for %d rows", what, len(cp.codes), len(v))
+		}
+		for i, x := range v {
+			c := cp.codes[i]
+			if want := encodeRef(e, x); c != want {
+				t.Fatalf("%s (%d parts): row %d = %v [%#x] codes %d, the reference %d", what, parts, i, x, math.Float64bits(x), c, want)
+			}
+			lo, hi := cp.lo[c], cp.hi[c]
+			switch {
+			case math.IsNaN(x):
+				if !math.IsNaN(lo) || !math.IsNaN(hi) {
+					t.Fatalf("%s: the NaN code's interval is [%v, %v]", what, lo, hi)
+				}
+			case !(lo <= x && x <= hi):
+				t.Fatalf("%s: row %d = %v outside its code %d's [%v, %v]", what, i, x, c, lo, hi)
+			case c == codeMin || c == codeNegInf || c == codePosInf:
+				if lo != hi {
+					t.Fatalf("%s: reserved code %d holds [%v, %v], not one value", what, c, lo, hi)
+				}
+			}
+		}
+		for ci, l := range cp.least {
+			if want := slices.Min(cp.codes[ci*evalChunk : min((ci+1)*evalChunk, len(v))]); l != want {
+				t.Fatalf("%s: chunk %d's least code %d, want %d", what, ci, l, want)
+			}
+		}
+	}
+}
+
+// TestCodePlane codes vectors of every awkward shape: the bit patterns
+// of NaN, ±Inf, ±0 and denormals, a range leaf's spike of exact zeros,
+// duplicates, one value, none finite, and extremes near ±MaxFloat64.
+func TestCodePlane(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	shapes := map[string]func(n int) []float64{
+		"awkward": func(n int) []float64 { return awkwardFloats(rng, n) },
+		"range":   func(n int) []float64 { return rangeDistances(rng, n) },
+		"dups": func(n int) []float64 {
+			return fill(n, func() float64 { return float64(rng.Intn(4)) })
+		},
+		"equal":  func(n int) []float64 { return fill(n, func() float64 { return 7.25 }) },
+		"nan":    func(n int) []float64 { return fill(n, math.NaN) },
+		"signed": func(n int) []float64 { return fill(n, func() float64 { return rng.NormFloat64() * 40 }) },
+		"extremes": func(n int) []float64 {
+			return fill(n, func() float64 { return (rng.Float64()*2 - 1) * math.MaxFloat64 })
+		},
+		"denormal": func(n int) []float64 {
+			return fill(n, func() float64 { return float64(rng.Intn(900)) * 5e-324 })
+		},
+	}
+	for name, gen := range shapes {
+		for _, n := range []int{0, 1, 7, evalChunk, 3*evalChunk + 11} {
+			checkCodes(t, fmt.Sprintf("%s/%d", name, n), gen(n))
+		}
+	}
+}
+
+// rowFilterChild draws a child vector of one of the kinds the filter
+// must bound soundly: NaN, ±Inf and ±0 stretches, duplicates, one
+// value, a range leaf that scales to two values (its exact answers
+// outnumber its keep count: DMin == DMax == 0), and a range leaf over an
+// ascending column (its exact answers one run of rows, the chunks
+// outside it far from the cut).
+func rowFilterChild(rng *rand.Rand, n int) []float64 {
+	switch rng.Intn(8) {
+	case 6:
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(max(lo-i, i-hi, 0))
+		}
+		return v
+	case 0:
+		return fill(n, func() float64 {
+			if rng.Intn(3) == 0 {
+				return math.NaN()
+			}
+			return rng.Float64() * 50
+		})
+	case 1:
+		return fill(n, func() float64 {
+			return []float64{math.Inf(1), math.Inf(-1), 3, rng.Float64()}[rng.Intn(4)]
+		})
+	case 2:
+		return fill(n, func() float64 {
+			return []float64{0, math.Copysign(0, -1), rng.Float64() * 9}[rng.Intn(3)]
+		})
+	case 3:
+		return fill(n, func() float64 { return float64(rng.Intn(3)) })
+	case 4:
+		return fill(n, func() float64 { return 4.5 })
+	case 5:
+		return fill(n, func() float64 {
+			if rng.Intn(5) < 3 {
+				return 0
+			}
+			return rng.Float64() * 40
+		})
+	}
+	return rangeDistances(rng, n)
+}
+
+// rowFilterKernels are the combiners the filter's terms follow.
+var rowFilterKernels = []struct {
+	name string
+	op   NodeOp
+	opts EvalOptions
+}{
+	{"AND", NodeAnd, EvalOptions{}},
+	{"AND raw", NodeAnd, EvalOptions{Mode: PaperRaw}},
+	{"OR", NodeOr, EvalOptions{}},
+	{"Lp3", NodeAnd, EvalOptions{And: ANDLp, LpP: 3}},
+	{"Euclidean", NodeAnd, EvalOptions{And: ANDEuclidean}},
+}
+
+// checkRowFilter ranks root over n rows both ways and holds the deferred
+// ranking to the eager one bit for bit, every row's raw root value to
+// its bounds, and the filter's survivors to the top max(k, keep) of the
+// raw root values in the engine's order (value, ties by index, NaN last:
+// FullSort's).
+func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOptions) {
+	t.Helper()
+	eager, wantSorted, wantOrder := eagerRanking(t, root, n, k, opts)
+	opts.DeferRoot = true
+	res, err := Evaluate(root, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Deferred() {
+		return // an undeferrable root is finished eagerly
+	}
+	rd := res.root
+	K := k
+	if rd.cb != nil {
+		K = n
+		if rd.keep >= 1 {
+			K = max(k, rd.keep)
+		}
+		rd.fillAll()
+	}
+	raw := append([]float64(nil), rd.out...)
+	f := rd.newRowFilter()
+	// Every row's exact value lies within its bounds: a NaN lower bound
+	// is a row proven NaN, a NaN upper bound one the cut does not count.
+	var lb, ub [filterBlock]float64
+	for lo := 0; lo < n; lo += filterBlock {
+		l, u := lb[:min(filterBlock, n-lo)], ub[:min(filterBlock, n-lo)]
+		f.fill(l, lo, false)
+		f.fill(u, lo, true)
+		for j := range l {
+			if x := raw[lo+j]; l[j] != l[j] && x == x || u[j] == u[j] && !(l[j] <= x && x <= u[j]) {
+				t.Fatalf("%s: row %d = %v outside its bounds [%v, %v]", what, lo+j, x, l[j], u[j])
+			}
+		}
+	}
+	fr, err := rd.filter(f, K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make(map[int]bool, len(fr.surv))
+	for _, i := range fr.surv {
+		kept[i] = true
+	}
+	sorted, order := reduce.SortWithIndex(raw)
+	for r := 0; r < K && !math.IsNaN(sorted[r]); r++ {
+		if !kept[order[r]] {
+			t.Fatalf("%s (k %d, K %d): rank %d, row %d = %v, is not a survivor of the cut (%v, %d)",
+				what, k, K, r, order[r], sorted[r], fr.T, fr.iT)
+		}
+	}
+
+	got, err := Evaluate(root, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk, err := got.RankRoot(k, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < k; r++ {
+		a, b := rk.Sorted[r], wantSorted[r]
+		if rk.Order[r] != wantOrder[r] || math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+			t.Fatalf("%s (k %d): rank %d is (%v, %d), the eager ranking's (%v, %d)", what, k, r, a, rk.Order[r], b, wantOrder[r])
+		}
+	}
+	if want := CountNaN(eager.Combined); rk.NaNs != want {
+		t.Fatalf("%s: NaNs = %d, want %d", what, rk.NaNs, want)
+	}
+	sameVec(t, what+": combined", eager.Combined, got.Vec(root))
+}
+
+// TestRowFilterKeepsTopK: over children of every kind the filter must
+// bound, under AND, OR (weights 0, 0.5, 1, 2, 3, 2.5), Lp3 and
+// Euclidean, and k and the root's keep count from 1 to n, the rows the
+// filter keeps hold the exact top max(k, keep), and the deferred ranking
+// equals the eager one bit for bit.
+func TestRowFilterKeepsTopK(t *testing.T) {
+	// An OR row whose codes leave it NaN or zero (a NaN child, and a range
+	// child's lowest bucket, whose lower edge scales to 0 when the child's
+	// keep count reaches past its zeros) lies past a cut at (0, iT) when
+	// at least K rows are exact zeros, and is NaN all the same: the NaN
+	// count must still hold it.
+	a, b := make([]float64, 20), make([]float64, 20)
+	for i := range b {
+		a[i], b[i] = float64(i), float64(30+i)
+	}
+	a[9] = math.NaN()
+	for i := 0; i < 8; i++ {
+		b[i] = 0
+	}
+	b[9] = 0.1
+	checkRowFilter(t, "OR, NaN or zero past the cut", &Node{Op: NodeOr, Weight: 4, Children: []*Node{
+		{Op: Leaf, Weight: 1, Dists: a}, {Op: Leaf, Weight: 1, Dists: b}}}, 20, 1, EvalOptions{Budget: 10})
+
+	rng := rand.New(rand.NewSource(1998))
+	weights := []float64{0, 0.5, 1, 2, 3, 2.5}
+	for trial := 0; trial < 240; trial++ {
+		n := 1 + rng.Intn(40)
+		if trial%2 == 0 {
+			n = 1 + rng.Intn(2*evalChunk+40)
+		}
+		kn := rowFilterKernels[trial%len(rowFilterKernels)]
+		root := &Node{Op: kn.op, Weight: []float64{0.05, 0.5, 1, 4}[rng.Intn(4)]}
+		if rng.Intn(6) == 0 {
+			root = &Node{Op: Leaf, Dists: rowFilterChild(rng, n)} // a leaf root
+		}
+		for j := 0; root.Op != Leaf && j < 1+rng.Intn(3); j++ {
+			child := &Node{Op: Leaf, Weight: weights[rng.Intn(len(weights))], Dists: rowFilterChild(rng, n)}
+			if rng.Intn(5) == 0 {
+				child = &Node{Op: NodeOr, Weight: child.Weight, Children: []*Node{
+					{Op: Leaf, Dists: rowFilterChild(rng, n)}, {Op: Leaf, Dists: rowFilterChild(rng, n)}}}
+			}
+			root.Children = append(root.Children, child)
+		}
+		if rng.Intn(2) == 0 {
+			attachLeafStats(root, false)
+		}
+		opts := kn.opts
+		opts.Budget = 1 + rng.Intn(n)
+		opts.NaiveNormalize = rng.Intn(10) == 0
+		for _, k := range []int{1, 1 + rng.Intn(n), n} {
+			checkRowFilter(t, fmt.Sprintf("trial %d %s n %d", trial, kn.name, n), root, n, k, opts)
+		}
+	}
+}
+
+// FuzzRowFilter gives the fuzzer two children's values, their weights,
+// the kernel, the budget and k: the first byte picks the kernel, the
+// next two the weights, the next two the budget and k, and the rest,
+// eight bytes a row, the rows of the two children in turn.
+func FuzzRowFilter(f *testing.F) {
+	rng := rand.New(rand.NewSource(41))
+	for seed := 0; seed < 12; seed++ {
+		n := 1 + rng.Intn(30)
+		b := []byte{byte(seed), byte(rng.Intn(6)), byte(rng.Intn(6)), byte(rng.Intn(n)), byte(rng.Intn(n))}
+		a, c := rowFilterChild(rng, n), rowFilterChild(rng, n)
+		for i := 0; i < n; i++ {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a[i]))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c[i]))
+		}
+		f.Add(b)
+	}
+	weights := []float64{0, 0.5, 1, 2, 3, 2.5}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5+16 {
+			return
+		}
+		kn := rowFilterKernels[int(data[0])%len(rowFilterKernels)]
+		w0, w1 := weights[int(data[1])%len(weights)], weights[int(data[2])%len(weights)]
+		budget, k := int(data[3]), int(data[4])
+		var a, c []float64
+		for rows := data[5:]; len(rows) >= 16; rows = rows[16:] {
+			a = append(a, math.Float64frombits(binary.LittleEndian.Uint64(rows)))
+			c = append(c, math.Float64frombits(binary.LittleEndian.Uint64(rows[8:])))
+		}
+		n := len(a)
+		root := &Node{Op: kn.op, Weight: 1, Children: []*Node{
+			{Op: Leaf, Weight: w0, Dists: a}, {Op: Leaf, Weight: w1, Dists: c}}}
+		opts := kn.opts
+		opts.Budget = 1 + budget%n
+		checkRowFilter(t, kn.name, root, n, 1+k%n, opts)
+	})
+}

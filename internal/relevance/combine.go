@@ -337,6 +337,22 @@ func (cb *combine) chunk(dst []float64, lo, hi int) {
 	combineRaw(cb.combiner, dst, cb.vs, cb.ws, cb.lpP)
 }
 
+// rows writes the raw combined values of rows ids to dst: each child's
+// values of those rows gathered into its scratch and scaled there, then
+// the raw kernel over them — per row, exactly what chunk computes.
+// len(ids) is at most evalChunk.
+func (cb *combine) rows(dst []float64, ids []int) {
+	for j, raw := range cb.raw {
+		s := cb.scratch[j][:len(ids)]
+		for t, i := range ids {
+			s[t] = raw[i]
+		}
+		applyRange(s, s, cb.params[j])
+		cb.vs[j] = s
+	}
+	combineRaw(cb.combiner, dst[:len(ids)], cb.vs, cb.ws, cb.lpP)
+}
+
 // deferrable reports whether t can be applied after ranking without
 // changing any value's finite/NaN classification: the raw domain is
 // bounded by U (every scaled child value is in [0, Scale]) and t(U) must
@@ -372,50 +388,6 @@ func (cb *combine) deferrable() bool {
 	}
 	v := cb.t.apply(u)
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// bounds folds the children's raw chunk minima into per-chunk lower
-// bounds on the raw combined value; a chunk is bounded (nanFree) only
-// when no child holds a NaN there. The scaled chunk minimum of child j
-// is Apply(raw chunk minimum) exactly, because Apply is monotone, and
-// the raw kernel folds those minima with the operations (and the order)
-// of the per-element combine, which makes the bound exact for the
-// monotone fast paths. Only math.Pow factors — Lp with p ≠ 2, an OR
-// weight outside {0, 1, 2, 3} — get a downward safety margin (Pow is not
-// guaranteed monotone to the last ulp).
-func (cb *combine) bounds(mins [][]float64, nans [][]int32) (bounds []float64, nanFree []bool) {
-	nchunks := len(mins[0])
-	scaled := make([][]float64, len(mins))
-	for j := range mins {
-		scaled[j] = make([]float64, nchunks)
-		applyRange(scaled[j], mins[j], cb.params[j])
-	}
-	bounds = make([]float64, nchunks)
-	combineRaw(cb.combiner, bounds, scaled, cb.ws, cb.lpP)
-	pow := cb.combiner == cmbLp && cb.lpP != 2
-	if cb.combiner == cmbOr {
-		for _, w := range cb.ws {
-			pow = pow || w != 0 && w != 1 && w != 2 && w != 3
-		}
-	}
-	nanFree = make([]bool, nchunks)
-	for ci, b := range bounds {
-		free := true
-		for j := range nans {
-			if nans[j][ci] != 0 {
-				free = false
-				break
-			}
-		}
-		nanFree[ci] = free
-		switch {
-		case !free:
-			bounds[ci] = math.NaN() // never consulted
-		case pow && b > 0:
-			bounds[ci] = math.Nextafter(b*(1-1e-9), math.Inf(-1))
-		}
-	}
-	return bounds, nanFree
 }
 
 // CombineLp combines per-predicate distances with the weighted Lp norm

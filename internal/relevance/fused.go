@@ -28,12 +28,6 @@ import "fmt"
 // vector fits in cache together.
 const evalChunk = 4096
 
-// EvalChunk exports the evaluator chunk length — the granularity of
-// LeafChunkStats and of the deferred-root block pruning. Callers that
-// synthesize per-chunk masks from external statistics (the dataset
-// layer's per-segment footer stats) must check their unit matches.
-const EvalChunk = evalChunk
-
 // evaluateFused is the Evaluate implementation.
 func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	if root == nil {
@@ -169,33 +163,31 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 // pass runs an interior node's fused pass: per chunk, the combine's raw
 // values completed by its transform and folded into the node's range
 // scan — one cache-hot sweep instead of 2k+3 vector-length passes. It
-// sets the node's ChunkStats from the same scans and returns the
-// combined vector with the params that scale it.
+// codes the vector it stores, and returns the combined vector with the
+// params that scale it.
 func (c *fusedCtx) pass(node *Node, cb *combine) ([]float64, NormParams, error) {
 	out := c.alloc()
-	scans := make([]rangeScan, c.chunkCount())
-	c.forChunks(func(ci, lo, hi int) {
+	stats := newRangeScan()
+	c.forChunks(func(_, lo, hi int) {
 		dst := out[lo:hi]
 		cb.chunk(dst, lo, hi)
 		cb.t.applyRange(dst)
-		scans[ci] = scanRange(out, lo, hi)
+		stats.merge(scanRange(out, lo, hi))
 	})
 	if err := c.checkpoint(); err != nil {
 		// A canceled pass may have skipped chunks: nothing below
-		// (stats, caches, the parent) may see the partial buffer.
+		// (codes, caches, the parent) may see the partial buffer.
 		return nil, NormParams{}, err
 	}
-	// Merge the per-chunk scans (min/max/count merging is exact).
-	stats := newRangeScan()
-	for _, st := range scans {
-		stats.merge(st)
-	}
-	node.ChunkStats = chunkStatsOf(scans)
+	node.Codes = nil
 	if node.Key != "" && c.opts.InteriorStore != nil {
 		// Cache a copy of the vector (the buffer is the run's; a root
-		// finalizes it in place) with its chunk stats, so the next
+		// finalizes it in place) with its code plane, so the next
 		// structurally identical rerun skips this whole pass.
-		c.opts.InteriorStore(node.Key, append([]float64(nil), out...), node.ChunkStats)
+		raw := append([]float64(nil), out...)
+		node.Codes = NewCodes(len(raw), stats.minFinite, stats.maxFinite)
+		node.Codes.Encode(raw, 0, node.Codes.Chunks())
+		c.opts.InteriorStore(node.Key, raw, node.Codes)
 	}
 	return out, rangeOf(stats, out, c.keepOf(node)), nil
 }

@@ -285,7 +285,7 @@ func TestLeafQuantilesMatchNormRange(t *testing.T) {
 			}
 		}
 		checkLeafOrderStats(t, fmt.Sprintf("trial %d", trial), dists)
-		fin, q := oracleSorted(dists), leafQuantiles(dists)
+		fin, q := oracleSorted(dists), BuildLeafQuantiles(dists)
 		for _, keep := range []int{n / 3, n - 1, n, n + 5} {
 			if want, got := oracleRange(fin, keep), q.Range(keep); want != got || NormRange(dists, keep) != want {
 				t.Fatalf("trial %d keep %d: %+v vs %+v", trial, keep, want, got)
@@ -294,7 +294,7 @@ func TestLeafQuantilesMatchNormRange(t *testing.T) {
 	}
 	// An all-NaN/Inf vector has no finite range either way.
 	deg := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	if got := leafQuantiles(deg).Range(2); !got.NoFinite {
+	if got := BuildLeafQuantiles(deg).Range(2); !got.NoFinite {
 		t.Fatalf("degenerate vector: %+v", got)
 	}
 }

@@ -14,7 +14,7 @@ package relevance
 //
 // A cached subtree is a leaf. On a miss the evaluator hands
 // InteriorStore a private copy of the node's raw combined vector with
-// the per-chunk stats its fused pass just produced. On a hit the fused
+// its code plane. On a hit the fused
 // passes of the whole subtree are skipped and the node is treated
 // exactly as the Leaf case of eval treats a leaf: the vector is
 // read-only, its normalization range comes from the quantile index when
@@ -24,9 +24,9 @@ package relevance
 
 // cachedVec is what InteriorFetch answered for one node.
 type cachedVec struct {
-	raw []float64
-	q   *LeafQuantiles
-	cs  *LeafChunkStats
+	raw   []float64
+	q     *LeafQuantiles
+	codes *Codes
 }
 
 // indexedRange answers NormRange(dists, keep) by the cheapest means at
@@ -48,11 +48,11 @@ func (c *fusedCtx) fetchInterior(node *Node) (cachedVec, bool) {
 	if node.Key == "" || c.opts.InteriorFetch == nil {
 		return cachedVec{}, false
 	}
-	raw, q, cs := c.opts.InteriorFetch(node.Key)
-	if raw == nil || len(raw) != c.n || (cs != nil && cs.Chunks() != c.chunkCount()) {
+	raw, q, codes := c.opts.InteriorFetch(node.Key)
+	if raw == nil || len(raw) != c.n || (codes != nil && len(codes.codes) != c.n) {
 		return cachedVec{}, false
 	}
-	return cachedVec{raw: raw, q: q, cs: cs}, true
+	return cachedVec{raw: raw, q: q, codes: codes}, true
 }
 
 // collectSubtreeEntries fetches the cached vectors of every interior
@@ -122,6 +122,6 @@ func (c *fusedCtx) useInteriorEntry(node *Node, e cachedVec, entries map[*Node]c
 	for d, de := range entries {
 		use(d, de)
 	}
-	node.ChunkStats = e.cs
+	node.Codes = e.codes
 	return e.raw, use(node, e), nil
 }

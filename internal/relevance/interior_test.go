@@ -18,10 +18,9 @@ func interiorHit(t *testing.T, raw []float64, budget int, indexed bool) (NormPar
 	part := &Node{Op: NodeOr, Children: []*Node{leaf("a"), leaf("b")}, Key: "part"}
 	root := &Node{Op: NodeAnd, Children: []*Node{part, leaf("x")}}
 	opts := EvalOptions{Budget: budget, NaiveNormalize: budget == 0, DeferRoot: true}
-	opts.InteriorFetch = func(string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
+	opts.InteriorFetch = func(string) ([]float64, *LeafQuantiles, *Codes) {
 		if indexed {
-			q, cs := BuildLeafIndexes(raw)
-			return raw, q, cs
+			return raw, BuildLeafQuantiles(raw), BuildCodes(raw)
 		}
 		return raw, nil, nil
 	}
@@ -209,8 +208,8 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		// Cold run fills the store.
 		store := map[string]cachedVec{}
 		cold := opts
-		cold.InteriorStore = func(key string, raw []float64, cs *LeafChunkStats) {
-			store[key] = cachedVec{raw: raw, cs: cs}
+		cold.InteriorStore = func(key string, raw []float64, codes *Codes) {
+			store[key] = cachedVec{raw: raw, codes: codes}
 		}
 		if _, err := Evaluate(tree, n, cold); err != nil {
 			t.Fatal(err)
@@ -223,7 +222,7 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		for key, e := range store {
 			snap[key] = append([]float64(nil), e.raw...)
 			if trial%4 >= 2 {
-				e.q, e.cs = BuildLeafIndexes(e.raw)
+				e.q = BuildLeafQuantiles(e.raw)
 				store[key] = e
 			}
 		}
@@ -238,13 +237,13 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 
 		warm := opts
 		fetches, hits := 0, 0
-		warm.InteriorFetch = func(key string) ([]float64, *LeafQuantiles, *LeafChunkStats) {
+		warm.InteriorFetch = func(key string) ([]float64, *LeafQuantiles, *Codes) {
 			fetches++
 			e, ok := store[key]
 			if ok {
 				hits++
 			}
-			return e.raw, e.q, e.cs
+			return e.raw, e.q, e.codes
 		}
 		got, err := Evaluate(tree, n, warm)
 		if err != nil {

@@ -103,7 +103,6 @@ func (p NormParams) Apply(d float64) float64 {
 // without NaNs and infinities. (The min/max builtins would turn a -0
 // into +0 where Apply keeps it, and measured slower.)
 func applyRange(dst, src []float64, p NormParams) {
-	const expMask = 0x7FF << 52 // all ones in a NaN or an infinity, and in nothing else
 	scaleBits := math.Float64bits(Scale)
 	if p.NoFinite {
 		for i, d := range src {
@@ -219,22 +218,14 @@ func NormRange(dists []float64, keep int) NormParams {
 type LeafQuantiles struct {
 	sorted []float64 // non-NaN values, ascending: -Inf first, +Inf last, -0 before +0
 	finite []float64 // sorted's finite values
-	nNaN   int
 }
 
-// BuildLeafIndexes builds both per-leaf indexes in three reads of dists
-// (a scan per evaluator chunk, a count, a scatter); nothing is retained.
-func BuildLeafIndexes(dists []float64) (*LeafQuantiles, *LeafChunkStats) {
-	nchunks := (len(dists) + evalChunk - 1) / evalChunk
-	scans := make([]rangeScan, nchunks)
-	st := newRangeScan()
-	for ci := range scans {
-		scans[ci] = scanRange(dists, ci*evalChunk, min(len(dists), (ci+1)*evalChunk))
-		st.merge(scans[ci])
-	}
-	cs := chunkStatsOf(scans)
+// BuildLeafQuantiles builds the quantile index of dists in three reads
+// (a scan, a count, a scatter); dists is not retained.
+func BuildLeafQuantiles(dists []float64) *LeafQuantiles {
+	st := scanRange(dists, 0, len(dists))
 	sorted := make([]float64, len(dists)-st.nNaN)
-	q := &LeafQuantiles{sorted: sorted, finite: sorted[st.nNegInf : st.nNegInf+st.nFinite], nNaN: st.nNaN}
+	q := &LeafQuantiles{sorted: sorted, finite: sorted[st.nNegInf : st.nNegInf+st.nFinite]}
 	for i := range sorted[:st.nNegInf] {
 		sorted[i] = math.Inf(-1)
 	}
@@ -251,12 +242,8 @@ func BuildLeafIndexes(dists []float64) (*LeafQuantiles, *LeafChunkStats) {
 			neg++
 		}
 	}
-	return q, cs
+	return q
 }
-
-// NaNs reports how many of the indexed vector's entries were NaN — the
-// uncolorable count of a leaf root, answered in O(1).
-func (q *LeafQuantiles) NaNs() int { return q.nNaN }
 
 // Size returns the number of float64 values the index retains — the
 // memory accounting handle for caches that keep promoted indexes
@@ -276,84 +263,6 @@ func (q *LeafQuantiles) Range(keep int) NormParams {
 	p.DMax = q.finite[p.Kept-1]
 	return p
 }
-
-// LeafChunkStats summarizes one leaf's raw distances per evaluator
-// chunk: the minimum (over non-NaN values, -Inf included) and the NaN
-// count of every evalChunk-sized block. The block-pruning pass of the
-// rank-before-scale pipeline folds these into per-chunk lower bounds
-// on the root's raw combined value — because the scaling transform is
-// monotone, Apply(chunk raw minimum) IS the chunk minimum of the
-// scaled child values — and the NaN counts gate which chunks are
-// provably NaN-free (a chunk is only skippable when no child can make
-// a combined value uncolorable there).
-//
-// Like LeafQuantiles, a LeafChunkStats is a per-leaf index the session
-// cache builds once for a hot leaf and reuses across every
-// recalculation; it must index exactly the vector it was built from.
-type LeafChunkStats struct {
-	mins []float64
-	nans []int32
-}
-
-// chunkStatsOf converts the per-chunk scans of a vector — one per
-// evalChunk, as BuildLeafIndexes and the fused passes produce them —
-// into its chunk stats.
-func chunkStatsOf(scans []rangeScan) *LeafChunkStats {
-	cs := &LeafChunkStats{mins: make([]float64, len(scans)), nans: make([]int32, len(scans))}
-	for ci, s := range scans {
-		cs.mins[ci], cs.nans[ci] = s.minFinite, int32(s.nNaN) // +Inf for an all-NaN chunk
-		if s.nNegInf > 0 {
-			cs.mins[ci] = math.Inf(-1)
-		}
-	}
-	return cs
-}
-
-// BuildLeafChunkStatsMasked scans dists once (the input is not
-// retained), with a per-chunk shortcut: a chunk whose zero entry is
-// true is known to hold only exact zeros (the segment-stats pushdown
-// proved its range distance 0 without decoding), so its stats — min 0,
-// no NaNs — are synthesized without scanning. This is how cold
-// file-backed scans hand the deferred-root block pruning its bounds:
-// the skipped chunks' entries come straight from the catalog footer's
-// per-segment statistics. zero may be nil (every chunk scans) or
-// shorter than the chunk count (missing entries scan); callers must
-// size its chunks by EvalChunk.
-func BuildLeafChunkStatsMasked(dists []float64, zero []bool) *LeafChunkStats {
-	nchunks := (len(dists) + evalChunk - 1) / evalChunk
-	s := &LeafChunkStats{mins: make([]float64, nchunks), nans: make([]int32, nchunks)}
-	for ci := 0; ci < nchunks; ci++ {
-		if ci < len(zero) && zero[ci] {
-			s.mins[ci], s.nans[ci] = 0, 0
-			continue
-		}
-		lo := ci * evalChunk
-		hi := lo + evalChunk
-		if hi > len(dists) {
-			hi = len(dists)
-		}
-		min := math.Inf(1)
-		nan := int32(0)
-		for _, d := range dists[lo:hi] {
-			if math.IsNaN(d) {
-				nan++
-				continue
-			}
-			if d < min {
-				min = d
-			}
-		}
-		s.mins[ci], s.nans[ci] = min, nan
-	}
-	return s
-}
-
-// Chunks returns the number of indexed chunks.
-func (s *LeafChunkStats) Chunks() int { return len(s.mins) }
-
-// Size returns the number of 8-byte words the index retains — the
-// memory-accounting handle for caches keeping it resident.
-func (s *LeafChunkStats) Size() int { return len(s.mins) + (len(s.nans)+1)/2 }
 
 // baseParams answers the part of a normalization range that needs no
 // selection: the clamped keep count and the range minimum.

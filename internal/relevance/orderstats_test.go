@@ -53,12 +53,6 @@ func eqBits(t *testing.T, what string, a, b []float64) {
 	}
 }
 
-// leafQuantiles is the quantile half of BuildLeafIndexes.
-func leafQuantiles(dists []float64) *LeafQuantiles {
-	q, _ := BuildLeafIndexes(dists)
-	return q
-}
-
 func oracleRange(fin []float64, keep int) NormParams {
 	if len(fin) == 0 {
 		return NormParams{NoFinite: true}
@@ -71,29 +65,14 @@ func oracleRange(fin []float64, keep int) NormParams {
 
 // checkLeafOrderStats holds every leaf order statistic of dists against
 // the oracle: the index element for element by bits, NormRange and
-// LeafQuantiles.Range for the keeps around every branch of the kernel,
-// and the fused chunk stats against the standalone builder.
+// LeafQuantiles.Range for the keeps around every branch of the kernel.
 func checkLeafOrderStats(t *testing.T, what string, dists []float64) {
 	t.Helper()
 	orig := append([]float64(nil), dists...)
 	fin := oracleSorted(dists)
-	q, cs := BuildLeafIndexes(dists)
+	q := BuildLeafQuantiles(dists)
 	eqBits(t, what+": sorted", oracleIndex(dists), q.Sorted())
 	eqBits(t, what+": finite", fin, q.finite)
-	wantNaN := 0
-	for _, d := range dists {
-		if math.IsNaN(d) {
-			wantNaN++
-		}
-	}
-	if q.NaNs() != wantNaN {
-		t.Fatalf("%s: index NaN count %d, want %d", what, q.NaNs(), wantNaN)
-	}
-	ref := BuildLeafChunkStatsMasked(dists, nil)
-	eqBits(t, what+": chunk mins", ref.mins, cs.mins)
-	if fmt.Sprint(ref.nans) != fmt.Sprint(cs.nans) {
-		t.Fatalf("%s: chunk NaN counts %v, want %v", what, cs.nans, ref.nans)
-	}
 	n, nf := len(dists), len(fin)
 	for _, keep := range []int{1, 2, n / 12, n / 8, n/8 + 1, n / 2, nf - 1, nf, nf + 3, 0, -5} {
 		want := oracleRange(fin, keep)
@@ -244,9 +223,9 @@ func TestLeafIndexZeroOrderIsCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{9, 5000} {
 		v := pick(0, math.Copysign(0, -1), 2.5, -3)(rng, n)
-		a := leafQuantiles(v).sorted
+		a := BuildLeafQuantiles(v).sorted
 		rng.Shuffle(n, func(i, j int) { v[i], v[j] = v[j], v[i] })
-		eqBits(t, fmt.Sprintf("n=%d: index of the permuted leaf", n), a, leafQuantiles(v).sorted)
+		eqBits(t, fmt.Sprintf("n=%d: index of the permuted leaf", n), a, BuildLeafQuantiles(v).sorted)
 	}
 }
 
@@ -290,7 +269,7 @@ func TestLeafZeroBlockMatchesNormRange(t *testing.T) {
 					zeros++
 				}
 			}
-			q := leafQuantiles(dists)
+			q := BuildLeafQuantiles(dists)
 			keeps := []int{zeros - 1, zeros, zeros + 1}
 			for keep := -1; keep <= n+1; keep += 1 + n/300 {
 				keeps = append(keeps, keep)
@@ -351,7 +330,7 @@ func BenchmarkLeafIndexBuild(b *testing.B) {
 		b.Run(s.name+"/kernel", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkIndex, _ = BuildLeafIndexes(dists)
+				sinkIndex = BuildLeafQuantiles(dists)
 			}
 		})
 		b.Run(s.name+"/sort.Float64s", func(b *testing.B) {

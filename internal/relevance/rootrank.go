@@ -24,24 +24,27 @@ import (
 // Scale, degenerate ranges collapsing to 0, rounding collisions), and
 // ties are resolved by item index.
 //
-// The deferred root therefore:
+// The deferred root therefore ranks by filter and refine:
 //
-//  1. combines chunks into RAW values only, on demand, chunk by chunk —
-//     the root's combine.chunk, the one producer of every interior
-//     node's chunks too, without the transform an interior pass adds;
-//  2. streams raw values through a threshold-seeded lexicographic
-//     (value, index) selector — topk.StreamSelector — skipping whole
-//     chunks whose precomputed raw lower bound cannot beat the running
-//     k-th candidate (block pruning; the bounds fold the per-leaf chunk
-//     range stats through the monotone child scalings);
+//  1. filter: the children's code planes (codes.go) bound every row's
+//     raw root value from below and above in two passes over bytes. The
+//     first finds the lexicographic K-th (upper bound, index) cut
+//     (T, iT), K = max(k, the root's keep count); the second keeps the
+//     rows whose (lower bound, index) is at most the cut — a superset of
+//     the exact top K, as K rows lie at or below the cut exactly — and
+//     the rows whose NaN the codes leave open;
+//  2. refine: only those rows run the root's combine kernel — the one
+//     producer of every interior node's values too, without the
+//     transform an interior pass adds — into a lexicographic (value,
+//     index) selector (topk.StreamSelector), and the root params come
+//     from their order statistics;
 //  3. applies the deferred transforms only to the selected survivors,
 //     and resolves the clamp-induced tie class at the cut EXACTLY: the
-//     raw-domain preimage [loTie, hiTie] of the k-th scaled value is
-//     found by monotone bisection (topk.SupWhere), every processed
-//     element inside it is a tie ordered by index, and a skipped chunk
-//     either provably sits inside the tie class (preimage unbounded —
-//     the Scale clamp), provably outside it (bound > hiTie), or is
-//     materialized after all.
+//     raw-domain preimage (loTieEx, hiTie] of the k-th scaled value is
+//     found by monotone bisection (topk.SupWhere), every refined row
+//     inside it is a tie ordered by index, and a row the filter did not
+//     refine either provably sits inside the tie class (its bounds do),
+//     provably outside it, or is refined after all.
 //
 // The result — Order, Sorted, NaN attribution, and the lazily
 // materialized Combined vector — is bit-identical to the eager
@@ -59,19 +62,17 @@ type RootRanking struct {
 	Sorted []float64
 	// NaNs is the exact number of uncolorable (NaN) combined values.
 	NaNs int
-	// Threshold is the raw-domain k-th value — the seed for the next
-	// recalculation's pruning. NaN when the selection had fewer than k
-	// comparable values.
-	Threshold float64
-	// Pruned and Chunks attribute the block pruning: chunks whose
-	// combine work was skipped outright, out of the total.
+	// Refined counts the rows whose exact root value was computed;
+	// Pruned counts the evaluator chunks with none of them, out of
+	// Chunks.
+	Refined        int
 	Pruned, Chunks int
 	// ScaleTime is the portion of the ranking spent scaling survivors
 	// and resolving the tie cut (the engine's Scale stage).
 	ScaleTime time.Duration
-	// CombineTime is the portion of the selection sweep spent producing
-	// the raw root values it selects from: scaling the children's
-	// chunks, combining them and scanning the result for its range.
+	// CombineTime is the portion of the selection spent producing the
+	// raw root values it selects from: every row bounded from the
+	// children's codes, and the rows the bounds leave open combined.
 	CombineTime time.Duration
 }
 
@@ -85,18 +86,10 @@ type rootDefer struct {
 	t    rootTransform // cb's transform (the identity for a leaf root)
 	keep int           // KeepCount of the root (0 under NaiveNormalize)
 
-	out   []float64 // raw combined values (a leaf root: its Dists)
-	state []byte    // per chunk: 0 = unmaterialized, 1 = raw in out
-	scans []rangeScan
-
-	// Block-pruning inputs, valid when haveBounds: per-chunk raw lower
-	// bound and NaN-freedom proof.
-	bounds     []float64
-	nanFree    []bool
-	haveBounds bool
-
-	// leafNaNs is the exact NaN count of a leaf root, known at build.
-	leafNaNs int
+	// out holds raw combined values (a leaf root: its Dists): of every
+	// row when full, else of the rows the ranking refined.
+	out  []float64
+	full bool
 
 	params      NormParams // root normalization params
 	paramsKnown bool
@@ -118,34 +111,29 @@ func (rd *rootDefer) poll() error {
 
 func (rd *rootDefer) chunkCount() int { return (rd.n + evalChunk - 1) / evalChunk }
 
-func (rd *rootDefer) chunkSpan(ci int) (lo, hi int) {
-	lo = ci * evalChunk
-	hi = lo + evalChunk
-	if hi > rd.n {
-		hi = rd.n
-	}
-	return lo, hi
-}
-
-// ensureRaw materializes chunk ci's raw combined values into out. A
-// leaf root's raw values ARE node.Dists: the chunk is only marked as
-// available to the tie walk.
-func (rd *rootDefer) ensureRaw(ci int) {
-	if rd.state[ci] != 0 {
+// fillAll computes every row's raw combined value into out.
+func (rd *rootDefer) fillAll() {
+	if rd.full {
 		return
 	}
-	if rd.cb != nil {
-		lo, hi := rd.chunkSpan(ci)
+	for lo := 0; lo < rd.n; lo += evalChunk {
+		hi := min(lo+evalChunk, rd.n)
 		rd.cb.chunk(rd.out[lo:hi], lo, hi)
-		rd.scans[ci] = scanRange(rd.out, lo, hi)
 	}
-	rd.state[ci] = 1
+	rd.full = true
 }
 
-// ensureAllRaw materializes every chunk.
-func (rd *rootDefer) ensureAllRaw() {
-	for ci := 0; ci < rd.chunkCount(); ci++ {
-		rd.ensureRaw(ci)
+// refine writes the raw combined values of rows ids to dst and to out.
+func (rd *rootDefer) refine(dst []float64, ids []int) {
+	if rd.cb == nil {
+		for t, i := range ids {
+			dst[t] = rd.out[i]
+		}
+		return
+	}
+	rd.cb.rows(dst, ids)
+	for t, i := range ids {
+		rd.out[i] = dst[t]
 	}
 }
 
@@ -166,101 +154,160 @@ func (rd *rootDefer) domainLo() float64 {
 	return 0
 }
 
-// deriveParams computes the root NormParams after a completed
-// selection. cands are the collected candidates (the k lex-smallest
-// raw values), pruned reports whether any chunk was skipped, and
-// scratch is a buffer of at least len(cands) values to select in (the
-// ranking's own output buffer, not yet written). The derived params are
-// value-identical to the eager rangeOf over the scaled vector: order
-// statistics commute with the monotone deferred transform.
-func (rd *rootDefer) deriveParams(cands []topk.Cand, pruned bool, scratch []float64) NormParams {
-	st := newRangeScan()
-	for ci := 0; ci < rd.chunkCount(); ci++ {
-		if rd.state[ci] != 0 {
-			st.merge(rd.scans[ci])
-		}
-	}
-	if pruned {
-		// Skipped chunks are provably NaN-free (the gate) and the
-		// deferrable check excludes infinities from the raw domain, so
-		// the finite count is exact without touching them. Their minima
-		// cannot undercut the candidates' (every skipped element is
-		// lex-beyond the running k-th), so the merged minimum stands.
-		st.nFinite = rd.n - st.nNaN
-	}
-	p := baseParams(st.nFinite, rd.t.apply(st.minFinite), rd.keep)
-	keep := p.Kept
+// deriveParams computes the root NormParams from the refined rows'
+// raw values, which st scanned and a selection may reorder: nNaN is the
+// exact NaN count of the root and cands the k lex-smallest. The refined
+// rows hold the keep smallest values (the cut's K covers the keep
+// count) and every comparable one when everything is kept, so the
+// params are value-identical to the eager rangeOf over the scaled
+// vector: order statistics commute with the monotone deferred
+// transform, and the raw domain holds no infinities (deferrable).
+// scratch is a buffer of at least len(cands) values to select in.
+func (rd *rootDefer) deriveParams(st rangeScan, nNaN int, cands []topk.Cand, refined, scratch []float64) NormParams {
+	nFinite := rd.n - nNaN
+	p := baseParams(nFinite, rd.t.apply(st.minFinite), rd.keep)
 	switch {
 	case p.NoFinite:
-	case keep >= st.nFinite:
-		// Everything kept: the maximum decides. Unreachable when chunks
-		// were skipped (the pruning gate bounds keep by the candidate
-		// count), so the merged maximum is the global one.
+	case p.Kept == nFinite:
 		p.DMax = rd.t.apply(st.maxFinite)
-	case keep <= len(cands):
-		// The keep smallest values all live in the candidate set (they
-		// are the k lex-smallest, keep ≤ k).
+	case p.Kept <= len(cands):
 		scratch = scratch[:len(cands)]
 		for i, c := range cands {
 			scratch[i] = c.V
 		}
-		p.DMax = rd.t.apply(topk.Threshold(scratch, keep))
+		p.DMax = rd.t.apply(topk.Threshold(scratch, p.Kept))
 	default:
-		// keep exceeds the selection depth (a low root weight keeps more
-		// of the vector than the display budget selects). Pruning is
-		// gated off in this regime, so the full raw vector is
-		// materialized; select on it directly.
-		p.DMax = rd.t.apply(topk.Threshold(slices.Clone(rd.out), keep+st.nNegInf))
+		p.DMax = rd.t.apply(topk.Threshold(refined, p.Kept))
 	}
 	return p
 }
 
-// paramsFromFull derives the root params with every chunk
-// materialized — the no-selection path (lazy Combined before any
-// ranking, defensive fallbacks). With no candidates and nothing
-// pruned, deriveParams takes exactly the full-vector branches.
+// paramsFromFull derives the root params with every row computed — the
+// no-selection path (lazy Combined before any ranking, k = 0).
 func (rd *rootDefer) paramsFromFull() NormParams {
-	rd.ensureAllRaw()
-	return rd.deriveParams(nil, false, nil)
+	rd.fillAll()
+	st := scanRange(rd.out, 0, rd.n)
+	return rd.deriveParams(st, st.nNaN, nil, slices.Clone(rd.out), nil)
 }
 
-// nanTotal is the exact count of NaN combined values after a selection
-// pass: processed chunks report theirs, skipped chunks are NaN-free by
-// the pruning gate.
-func (rd *rootDefer) nanTotal() int {
-	if rd.cb == nil {
-		return rd.leafNaNs
-	}
-	total := 0
-	for ci := 0; ci < rd.chunkCount(); ci++ {
-		if rd.state[ci] != 0 {
-			total += rd.scans[ci].nNaN
+// filterBlock is how many rows the filter's passes bound at a time: a
+// block of bounds stays in L1 beside the codes and tables it reads.
+const filterBlock = 1024
+
+// filtered is what the filter leaves of a ranking.
+type filtered struct {
+	surv    []int     // the rows kept, ascending
+	sv      []float64 // their exact raw values
+	T       float64
+	iT      int
+	nNaN    int    // rows the codes prove NaN
+	refined int    // rows that ran the kernel
+	touched []bool // per evaluator chunk: a row of it ran the kernel
+}
+
+// filter runs the filter's two passes for the K smallest rows. Pass one
+// counts the rows' upper bounds and finds the lexicographic K-th (upper
+// bound, index) cut; the bounds are filled a block at a time from the
+// codes, and never stored. Pass two keeps the rows whose (lower bound,
+// index) is at most the cut: K rows lie at or below it exactly, so the
+// kept ones hold the K smallest (value, index) pairs. It keeps too the
+// rows whose codes leave them NaN or zero (rowFilter.open), which the
+// NaN count needs decided. A NaN lower bound is a row the codes prove
+// NaN. A survivor whose bounds meet (rowFilter.exact) is exact already —
+// its lower bound plus 0, as no kernel returns -0 — and the others run
+// the kernel, a block at a time; the exact values go to out too.
+//
+// Without a NaN row in any child, the least codes of an evaluator chunk
+// bound all of its rows (rowFilter.chunkLeast): pass one takes the
+// chunks in the order of those bounds and stops once K rows lie below
+// every chunk left, and pass two skips a chunk whose rows all lie past
+// the cut — on a clustered column, most of them.
+func (rd *rootDefer) filter(f *rowFilter, K int) (*filtered, error) {
+	n, nch := rd.n, rd.chunkCount()
+	var buf, exact [filterBlock]float64
+	var open [filterBlock]uint8
+	var ids, at []int // a block's survivors that run the kernel, and their place in sv
+	order, least := make([]int, nch), make([]float64, nch)
+	for c := range order {
+		order[c] = c
+		if !f.nan {
+			least[c] = f.chunkLeast(f.hi, c)
 		}
 	}
-	return total
-}
-
-// boundBeats reports whether a chunk (raw lower bound b, first index
-// first) provably cannot contribute anything lexicographically below
-// the selector bound (bv, bi): every element of the chunk has value
-// ≥ b and index ≥ first.
-func boundBeats(b float64, first int, bv float64, bi int) bool {
-	return b > bv || (b == bv && first > bi)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(least[a], least[b]) })
+	h := newCutHist(f.span())
+	counted := order
+	for j, c := range order {
+		if !f.nan && j > 0 && h.below(least[c]) >= K {
+			counted = order[:j]
+			break
+		}
+		for lo := c * evalChunk; lo < min((c+1)*evalChunk, n); lo += filterBlock {
+			if err := rd.poll(); err != nil {
+				return nil, err
+			}
+			u := buf[:min(filterBlock, n-lo)]
+			f.fill(u, lo, true)
+			h.add(u)
+		}
+	}
+	slices.Sort(counted)
+	fr := &filtered{surv: make([]int, 0, K+K/8), sv: make([]float64, 0, K+K/8),
+		touched: make([]bool, nch)}
+	fr.T, fr.iT = f.cut(h, counted, n, K, buf[:])
+	T, iT, nNaN := fr.T, fr.iT, 0
+	for lo := 0; lo < n; lo += filterBlock {
+		if lo%evalChunk == 0 && !f.nan && f.chunkLeast(f.lo, lo/evalChunk) > T {
+			lo += evalChunk - filterBlock // no row of the chunk reaches the cut
+			continue
+		}
+		if err := rd.poll(); err != nil {
+			return nil, err
+		}
+		l := buf[:min(filterBlock, n-lo)]
+		f.fill(l, lo, false)
+		f.open(open[:len(l)])
+		surv := slices.Grow(fr.surv, len(l))
+		kept, m := surv[:len(surv)+len(l)], len(surv)
+		for t, x := range l {
+			i := lo + t
+			kept[m] = i
+			m += b2i(x < T) | b2i(x == T)&b2i(i <= iT) | int(open[t])
+			nNaN += b2i(x != x)
+		}
+		ids, at = ids[:0], at[:0]
+		for _, i := range kept[len(surv):m] {
+			if x := l[i-lo]; rd.cb != nil && f.exact(i) {
+				rd.out[i] = x + 0
+			} else {
+				ids, at = append(ids, i), append(at, len(fr.sv))
+				fr.touched[i/evalChunk] = true
+			}
+			fr.sv = append(fr.sv, rd.out[i])
+		}
+		if len(ids) > 0 {
+			rd.refine(exact[:len(ids)], ids)
+			for j, t := range at {
+				fr.sv[t] = exact[j]
+			}
+			fr.refined += len(ids)
+		}
+		fr.surv = kept[:m]
+	}
+	fr.nNaN = nNaN
+	return fr, nil
 }
 
 // RankRoot ranks a deferred root: it selects the K smallest scaled
 // combined distances — bit-identically, ties included, to selecting on
-// the eagerly scaled vector — while skipping the combine work of every
-// chunk whose raw lower bound cannot beat the running selection
-// threshold. seed carries the previous recalculation's raw k-th value
-// (NaN for none): a stale seed can only cost a re-run, never
-// correctness. vals and idx, when min(k, n) long, back the returned
-// Sorted/Order slices (buffer pooling); wrong-sized buffers are
-// replaced. RankRoot is idempotent: a second call returns the first
-// ranking. The only possible error is a tripped evaluation checkpoint
-// (request deadline); a canceled call leaves no partial ranking
-// memoized and the caller discards the run.
-func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*RootRanking, error) {
+// the eagerly scaled vector — computing the exact combined value only
+// of the rows the children's codes cannot rule out. vals and idx, when
+// min(k, n) long, back the returned Sorted/Order slices (buffer
+// pooling); wrong-sized buffers are replaced. RankRoot is idempotent: a
+// second call returns the first ranking. The only possible error is a
+// tripped evaluation checkpoint (request deadline); a canceled call
+// leaves no partial ranking memoized and the caller discards the run.
+func (r *Result) RankRoot(k int, vals []float64, idx []int) (*RootRanking, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rd := r.root
@@ -274,18 +321,14 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 		return nil, err
 	}
 	n := rd.n
-	if k > n {
-		k = n
-	}
-	if k < 0 {
-		k = 0
-	}
+	k = max(0, min(k, n))
+	nchunks := rd.chunkCount()
 	if r.Combined != nil {
 		// Someone materialized Combined before ranking: the raw buffer
 		// now holds scaled values, so select on those directly.
 		sorted, order := topk.SelectKWithIndex(r.Combined, k)
 		rd.ranking = &RootRanking{Order: order, Sorted: sorted,
-			NaNs: CountNaN(r.Combined), Threshold: math.NaN(), Chunks: rd.chunkCount()}
+			NaNs: CountNaN(r.Combined), Chunks: nchunks}
 		return rd.ranking, nil
 	}
 	if len(vals) != k {
@@ -294,86 +337,72 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 	if len(idx) != k {
 		idx = make([]int, k)
 	}
-	rk := &RootRanking{Order: idx, Sorted: vals, Chunks: rd.chunkCount(), Threshold: math.NaN()}
+	rk := &RootRanking{Order: idx, Sorted: vals, Chunks: nchunks}
 	if n == 0 || k == 0 {
-		rd.ensureAllRaw()
-		if !rd.paramsKnown {
+		if rd.cb != nil {
 			rd.params, rd.paramsKnown = rd.paramsFromFull(), true
 		}
-		rk.NaNs = rd.nanTotal()
+		rk.NaNs = CountNaN(rd.out)
 		rd.ranking = rk
 		return rk, nil
 	}
 
-	// Phase 1: stream raw values chunk by chunk through the selector,
-	// skipping chunks the bound rules out. The checkpoint is polled per
-	// chunk, so a deadline interrupts the sweep mid-selection.
-	prunable := rd.haveBounds && (rd.cb == nil || (rd.keep >= 1 && rd.keep <= k))
-	pass := func(sel *topk.StreamSelector) (pruned int, err error) {
-		for ci := 0; ci < rd.chunkCount(); ci++ {
-			if err := rd.poll(); err != nil {
-				return 0, err
-			}
-			lo, hi := rd.chunkSpan(ci)
-			if prunable && rd.state[ci] == 0 && rd.nanFree[ci] {
-				if bv, bi, ok := sel.Bound(); ok && boundBeats(rd.bounds[ci], lo, bv, bi) {
-					pruned++
-					continue
-				}
-			}
-			combineStart := time.Now()
-			rd.ensureRaw(ci)
-			rk.CombineTime += time.Since(combineStart)
-			sel.OfferSlice(rd.out[lo:hi], lo)
+	f := rd.newRowFilter()
+	K := k
+	if rd.cb != nil {
+		K = n // NaiveNormalize: the range needs every row
+		if rd.keep >= 1 {
+			K = max(k, rd.keep)
 		}
-		return pruned, nil
+		rd.full = false
 	}
-	sel := topk.NewStreamSelector(k, seed)
-	pruned, err := pass(sel)
+	combineStart := time.Now()
+	fr, err := rd.filter(f, K)
 	if err != nil {
 		return nil, err
 	}
-	cands, kth, complete := sel.Finish()
-	if !complete && (pruned > 0 || !math.IsNaN(seed)) {
-		// The carried-over threshold was too tight for the perturbed
-		// distribution (weights moved the raw domain): re-run unseeded.
-		// Materialized chunks are memoized, so this costs at most one
-		// extra sweep.
-		sel = topk.NewStreamSelector(k, math.NaN())
-		pruned, err = pass(sel)
-		if err != nil {
-			return nil, err
-		}
-		cands, kth, complete = sel.Finish()
-	}
-	if pruned > 0 && rd.cb != nil {
-		// Defensive: the stats shortcut in deriveParams needs the keep
-		// clamp to be a no-op; the gate guarantees keep ≤ k ≤ collected
-		// candidates ≤ finite count, so reaching here with keep out of
-		// range means a bound was wrong — materialize and fall back.
-		if !complete || rd.keep < 1 || rd.keep > len(cands) {
-			rd.ensureAllRaw()
-			pruned = 0
-		}
-	}
-	scaleStart := time.Now()
+	surv, sv, T, iT, nNaN, touched := fr.surv, fr.sv, fr.T, fr.iT, fr.nNaN, fr.touched
+	rk.Refined, rk.CombineTime = fr.refined, time.Since(combineStart)
+	var lb [evalChunk]float64
 
-	// Phase 2: derive the root params (raw-domain order statistics
-	// mapped through the monotone transform).
-	if rd.cb != nil { // a leaf root's were computed at build (quantile index or full scan)
-		rd.params = rd.deriveParams(cands, pruned > 0, vals)
+	sel := topk.NewStreamSelector(k)
+	sel.OfferAt(sv, surv)
+	rs := scanRange(sv, 0, len(sv))
+	cands, kth, complete := sel.Finish()
+	nNaN += rs.nNaN
+	scaleStart := time.Now()
+	if rd.cb != nil { // a leaf root's params were computed at build
+		rd.params = rd.deriveParams(rs, nNaN, cands, sv, vals)
 	}
 	rd.paramsKnown = true
-	rk.NaNs = rd.nanTotal()
+	rk.NaNs = nNaN
 
-	// Phase 3: scale the survivors and resolve the tie class at the cut.
+	// Scale the survivors and resolve the tie class at the cut.
 	rank := 0
 	emit := func(s float64, i int) {
 		vals[rank], idx[rank] = s, i
 		rank++
 	}
-	if complete {
-		rk.Threshold = kth.V
+	if !complete {
+		// Fewer than k comparable values: every comparable ranks (in
+		// scaled order), NaNs fill the remainder by index. The cut let
+		// every row through that its codes do not prove NaN, so a row
+		// the filter did not refine is NaN.
+		below := make([]rankedCand, len(cands))
+		for j, c := range cands {
+			below[j] = rankedCand{s: rd.key(c.V), i: c.I}
+		}
+		emitRanked(below, emit)
+		for i, s := 0, 0; rank < k && i < n; i++ {
+			if s < len(surv) && surv[s] == i {
+				s++
+				if !math.IsNaN(rd.out[i]) {
+					continue
+				}
+			}
+			emit(math.NaN(), i)
+		}
+	} else {
 		sK := rd.key(kth.V)
 		domLo := rd.domainLo()
 		// Raw-domain preimage of sK: (loTieEx, hiTie]. loTieEx is the
@@ -382,63 +411,112 @@ func (r *Result) RankRoot(k int, seed float64, vals []float64, idx []int) (*Root
 		// exact: raw > loTieEx ⇔ key(raw) ≥ sK, raw ≤ hiTie ⇔ key(raw) ≤ sK.
 		hiTie := topk.SupWhere(func(x float64) bool { return rd.key(x) <= sK }, domLo, math.Inf(1))
 		loTieEx := topk.SupWhere(func(x float64) bool { return rd.key(x) < sK }, domLo, math.Inf(1))
-		// Strictly-below-the-cut candidates, in scaled order with index
-		// tiebreaks (distinct raw values may collide in scaled space).
-		below := make([]rankedCand, 0, k)
-		for _, c := range cands {
-			if !math.IsNaN(loTieEx) && c.V <= loTieEx {
-				below = append(below, rankedCand{s: rd.key(c.V), i: c.I})
+		// The edges come from bisecting the transform, whose math.Pow (the
+		// geometric and the Lp root) is monotone only to within an ulp or
+		// so: a raw value within pad of an edge is placed by its key, as
+		// the eager pipeline places it.
+		pad := func(x float64) float64 {
+			if rd.t.kind != xformGeoRoot && rd.t.kind != xformPowInv {
+				return 0 // the other transforms round monotonically
 			}
+			return min(math.Abs(x)*1e-12, math.MaxFloat64)
 		}
-		sortRanked(below)
-		for _, b := range below {
-			emit(b.s, b.i)
-		}
-		// Tie fill: walk indices ascending. A skipped chunk is wholly
-		// inside the tie class when the preimage is unbounded (the Scale
-		// clamp), wholly outside when its bound exceeds hiTie, and
-		// materialized otherwise.
-		for i := 0; rank < k && i < n; {
-			ci := i / evalChunk
-			if rd.state[ci] == 0 {
-				_, hi := rd.chunkSpan(ci)
-				if !(rd.bounds[ci] <= hiTie) {
-					i = hi
-					continue
-				}
-				if math.IsInf(hiTie, 1) {
-					for ; i < hi && rank < k; i++ {
-						emit(sK, i)
-					}
-					continue
-				}
-				rd.ensureRaw(ci)
+		loIn, loOut := loTieEx+pad(loTieEx), loTieEx-pad(loTieEx) // NaN when no value scales below sK
+		hiIn, hiOut := hiTie-pad(hiTie), hiTie+pad(hiTie)
+		// class places a raw value's key below sK (-1), at it (0) or above
+		// it (1, and NaN).
+		class := func(x float64) int {
+			switch {
+			case x != x || x > hiOut:
+				return 1
+			case x <= hiIn && (loTieEx != loTieEx || x > loIn):
+				return 0
+			case x <= loOut:
+				return -1
 			}
-			v := rd.out[i]
-			if v <= hiTie && (math.IsNaN(loTieEx) || v > loTieEx) {
-				emit(sK, i)
-			}
-			i++
+			return cmp.Compare(rd.key(x), sK)
 		}
-	} else {
-		// Fewer than k comparable values: every comparable ranks (in
-		// scaled order), NaNs fill the remainder by index. Nothing was
-		// skipped on this path, so out is fully materialized.
+		// Strictly-below-the-cut candidates first.
 		below := make([]rankedCand, 0, len(cands))
 		for _, c := range cands {
-			below = append(below, rankedCand{s: rd.key(c.V), i: c.I})
+			if x := c.V; x <= loOut || x <= loIn && class(x) < 0 {
+				below = append(below, rankedCand{s: rd.key(x), i: c.I})
+			}
 		}
-		sortRanked(below)
-		for _, b := range below {
-			emit(b.s, b.i)
+		emitRanked(below, emit)
+		// Tie fill: walk indices ascending, chunk by chunk. A row the
+		// filter did not refine lies lexicographically past the cut: its
+		// lower bound is above T, or T past iT. So before row from none
+		// reaches the tie class; from it on, the row's bounds place it
+		// inside or outside, or the chunk's rows they cannot place are
+		// refined together.
+		from := n
+		switch {
+		case hiOut > T && f.anyLower(n, T, hiOut, lb[:filterBlock]):
+			from = 0
+		case hiOut >= T && iT < n:
+			from = iT + 1
 		}
-		for i := 0; rank < k && i < n; i++ {
-			if math.IsNaN(rd.out[i]) {
-				emit(math.NaN(), i)
+		tie := func(x float64) bool { return class(x) == 0 }
+		// A combined root's tie scales to sK bit for bit (no kernel returns
+		// -0); a leaf root's may be a -0 where sK is a +0, and its own.
+		tieKey := func(i int) float64 {
+			if rd.cb == nil {
+				return rd.key(rd.out[i])
+			}
+			return sK
+		}
+		var ub [evalChunk]float64
+		var state [evalChunk]uint8 // 0 past the class, 1 in it, 2 refined or a survivor
+		var ids []int
+		for c0, s := 0, 0; rank < k && c0 < n; c0 += evalChunk {
+			c1 := min(c0+evalChunk, n)
+			if c1 <= from {
+				for ; rank < k && s < len(surv) && surv[s] < c1; s++ {
+					if i := surv[s]; tie(rd.out[i]) {
+						emit(tieKey(i), i)
+					}
+				}
+				continue
+			}
+			if !f.nan && f.chunkLeast(f.lo, c0/evalChunk) > hiOut { // no row of the chunk reaches the class
+				for ; s < len(surv) && surv[s] < c1; s++ {
+				}
+				continue
+			}
+			clear(state[:c1-c0])
+			for ; s < len(surv) && surv[s] < c1; s++ {
+				state[surv[s]-c0] = 2
+			}
+			f.fill(lb[:c1-c0], c0, false)
+			f.fill(ub[:c1-c0], c0, true)
+			ids = ids[:0]
+			for i := max(c0, from); i < c1; i++ {
+				lo, hi := lb[i-c0], ub[i-c0]
+				switch {
+				case state[i-c0] == 2 || lo != lo || lo > hiOut:
+				case hi <= hiIn && (loTieEx != loTieEx || lo > loIn):
+					state[i-c0] = 1
+				default:
+					ids = append(ids, i)
+					state[i-c0] = 2
+				}
+			}
+			if len(ids) > 0 {
+				rd.refine(lb[:len(ids)], ids)
+				rk.Refined += len(ids)
+				touched[c0/evalChunk] = true
+			}
+			for i := c0; rank < k && i < c1; i++ {
+				if st := state[i-c0]; st == 1 || st == 2 && tie(rd.out[i]) {
+					emit(tieKey(i), i)
+				}
 			}
 		}
 	}
-	rk.Pruned = pruned
+	for _, t := range touched {
+		rk.Pruned += 1 - b2i(t)
+	}
 	rk.ScaleTime = time.Since(scaleStart)
 	rd.ranking = rk
 	return rk, nil
@@ -450,9 +528,9 @@ type rankedCand struct {
 	i int
 }
 
-// sortRanked sorts by (scaled value, index) — the exact display order.
-// NaNs cannot occur (candidates are comparable by construction).
-func sortRanked(rs []rankedCand) {
+// emitRanked emits rs in scaled order, ties by index — the exact
+// display order (survivors are comparable: no NaN).
+func emitRanked(rs []rankedCand, emit func(float64, int)) {
 	slices.SortFunc(rs, func(a, b rankedCand) int {
 		switch {
 		case a.s < b.s:
@@ -462,6 +540,9 @@ func sortRanked(rs []rankedCand) {
 		}
 		return cmp.Compare(a.i, b.i)
 	})
+	for _, r := range rs {
+		emit(r.s, r.i)
+	}
 }
 
 // materializeCombinedLocked produces the root's scaled combined vector
@@ -475,17 +556,47 @@ func (r *Result) materializeCombinedLocked() []float64 {
 	if !rd.paramsKnown {
 		rd.params, rd.paramsKnown = rd.paramsFromFull(), true
 	}
-	rd.ensureAllRaw()
 	dst := rd.out
 	if rd.cb == nil {
 		// A leaf root's raw vector is the caller's Dists; scale into a
 		// fresh (pooled) buffer like the eager path does.
 		dst = r.allocVec()
+	} else {
+		rd.fillAll()
 	}
 	finalizeRange(dst, rd.out, rd.t, rd.params)
 	r.ByNode[rd.node] = dst
 	r.Combined = dst
 	return dst
+}
+
+// RootValues returns the scaled combined distances of rows — Vec(root)
+// at them, bit for bit — computing, while the vector is unmaterialized
+// and the ranking has found its params, the raw values of those rows
+// alone.
+func (r *Result) RootValues(rows []int) []float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]float64, len(rows))
+	rd := r.root
+	if rd == nil || r.Combined != nil || !rd.paramsKnown {
+		c := r.Combined
+		if c == nil {
+			c = r.materializeCombinedLocked()
+		}
+		for t, i := range rows {
+			out[t] = c[i]
+		}
+		return out
+	}
+	for a := 0; a < len(rows); a += evalChunk {
+		v := out[a:min(a+evalChunk, len(rows))]
+		rd.refine(v, rows[a:a+len(v)])
+		for t, x := range v {
+			v[t] = rd.key(x)
+		}
+	}
+	return out
 }
 
 // finalizeRange applies the deferred scalar transform and the root
@@ -503,55 +614,12 @@ func finalizeRange(dst, src []float64, t rootTransform, p NormParams) {
 // whose range params eval has already found.
 func (c *fusedCtx) deferRoot(root *Node, cb *combine, params NormParams) {
 	rd := &rootDefer{node: root, n: c.n, cb: cb, keep: c.keepOf(root), checkpoint: c.opts.Checkpoint}
-	nchunks := rd.chunkCount()
-	rd.state = make([]byte, nchunks)
-	rd.scans = make([]rangeScan, nchunks)
 	if cb != nil {
 		rd.t = cb.t
 		rd.out = c.alloc()
-		rd.buildBounds(root.Children)
-		c.res.root = rd
-		return
-	}
-	rd.out = root.Dists
-	rd.params, rd.paramsKnown = params, true
-	switch {
-	case root.Quantiles != nil:
-		rd.leafNaNs = root.Quantiles.NaNs()
-	case root.ChunkStats != nil && root.ChunkStats.Chunks() == nchunks:
-		for _, nan := range root.ChunkStats.nans {
-			rd.leafNaNs += int(nan)
-		}
-	default:
-		rd.leafNaNs = CountNaN(root.Dists)
-	}
-	if st := root.ChunkStats; st != nil && st.Chunks() == nchunks {
-		rd.bounds = st.mins
-		rd.nanFree = make([]bool, nchunks)
-		for ci := range rd.nanFree {
-			rd.nanFree[ci] = st.nans[ci] == 0
-		}
-		rd.haveBounds = true
+	} else {
+		rd.out, rd.full = root.Dists, true
+		rd.params, rd.paramsKnown = params, true
 	}
 	c.res.root = rd
-}
-
-// buildBounds folds the children's per-chunk stats — a leaf's from its
-// caller, an interior node's from its own pass or its cached vector —
-// into raw lower bounds on the root's combined value, chunk by chunk (a
-// child without stats disables pruning for the whole run: correctness
-// never depends on bounds).
-func (rd *rootDefer) buildBounds(children []*Node) {
-	nchunks := rd.chunkCount()
-	mins := make([][]float64, len(children))
-	nans := make([][]int32, len(children))
-	for j, child := range children {
-		st := child.ChunkStats
-		if st == nil || st.Chunks() != nchunks {
-			return
-		}
-		mins[j], nans[j] = st.mins, st.nans
-	}
-	rd.bounds, rd.nanFree = rd.cb.bounds(mins, nans)
-	rd.haveBounds = true
 }

@@ -24,16 +24,15 @@ func eagerRanking(t *testing.T, tree *Node, n, k int, opts EvalOptions) (*Result
 	return res, sorted, order
 }
 
-// attachLeafStats gives every leaf of the tree its chunk-stats (and
-// optionally quantile) index — what the session cache does for hot
-// leaves, and what arms block pruning.
+// attachLeafStats gives every leaf of the tree its code plane (and
+// optionally quantile) index — what the engine's leaf entries carry.
 func attachLeafStats(root *Node, quantiles bool) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Op == Leaf {
-			n.ChunkStats = BuildLeafChunkStatsMasked(n.Dists, nil)
+			n.Codes = BuildCodes(n.Dists)
 			if quantiles {
-				n.Quantiles = leafQuantiles(n.Dists)
+				n.Quantiles = BuildLeafQuantiles(n.Dists)
 			}
 			return
 		}
@@ -51,7 +50,7 @@ func clearLeafStats(root *Node) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Op == Leaf {
-			n.ChunkStats, n.Quantiles = nil, nil
+			n.Codes, n.Quantiles = nil, nil
 			return
 		}
 		for _, c := range n.Children {
@@ -120,11 +119,11 @@ func deferredOptVariants() []EvalOptions {
 }
 
 // TestDeferredRankMatchesEagerSelection is the tentpole identity: the
-// deferred (rank-before-scale, block-pruned) ranking must be
+// deferred (rank-before-scale, filtered and refined) ranking must be
 // bit-identical — order, scaled values, NaN counts, and the lazily
 // materialized Combined vector — to the eager pipeline followed by a
 // plain top-k selection, across combiner modes, adversarial tie
-// distributions, stats-armed and stats-less leaves, and seeds.
+// distributions, and leaves with and without their code planes.
 func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	variants := deferredOptVariants()
@@ -149,23 +148,14 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 		if !got.Deferred() {
 			t.Fatalf("trial %d: evaluation did not defer", trial)
 		}
-		seed := math.NaN()
-		switch rng.Intn(4) {
-		case 1:
-			seed = 0 // maximally tight stale seed
-		case 2:
-			seed = rng.Float64() * 50 // arbitrary stale seed
-		case 3:
-			seed = math.Inf(1) // maximally loose seed
-		}
-		rk, err := got.RankRoot(k, seed, nil, nil)
+		rk, err := got.RankRoot(k, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < k; r++ {
 			if rk.Order[r] != wantOrder[r] {
-				t.Fatalf("trial %d (k=%d seed=%v stats=%v): order[%d] = %d, want %d",
-					trial, k, seed, withStats, r, rk.Order[r], wantOrder[r])
+				t.Fatalf("trial %d (k=%d codes=%v): order[%d] = %d, want %d",
+					trial, k, withStats, r, rk.Order[r], wantOrder[r])
 			}
 			a, b := rk.Sorted[r], wantSorted[r]
 			if math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
@@ -200,9 +190,10 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 }
 
 // TestDeferredPruningFiresAndStaysExact: an OR query saturated with
-// exact zeros (more zeros than k) lets the running threshold collapse
-// to 0 after the first chunks, so block pruning must skip most of the
-// combine work — while remaining bit-identical to the eager reference.
+// exact zeros (more zeros than k) puts the cut at 0, and the codes of
+// the zeros are exact, so the filter decides every row without the
+// kernel — while the ranking remains bit-identical to the eager
+// reference.
 func TestDeferredPruningFiresAndStaysExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 8 * evalChunk
@@ -229,12 +220,12 @@ func TestDeferredPruningFiresAndStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := got.RankRoot(k, math.NaN(), nil, nil)
+	rk, err := got.RankRoot(k, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rk.Pruned == 0 {
-		t.Fatalf("expected pruned chunks on a zero-saturated selection, got %+v", rk)
+	if rk.Refined != 0 || rk.Pruned != rk.Chunks {
+		t.Fatalf("a zero-saturated selection refined %d rows and pruned %d of %d chunks, want none and all", rk.Refined, rk.Pruned, rk.Chunks)
 	}
 	for r := 0; r < k; r++ {
 		if rk.Order[r] != wantOrder[r] || math.Float64bits(rk.Sorted[r]) != math.Float64bits(wantSorted[r]) {
@@ -242,16 +233,11 @@ func TestDeferredPruningFiresAndStaysExact(t *testing.T) {
 				r, rk.Sorted[r], rk.Order[r], wantSorted[r], wantOrder[r])
 		}
 	}
-	// The raw threshold of a zero-saturated selection is 0 — the seed
-	// the next rerun starts from.
-	if rk.Threshold != 0 {
-		t.Fatalf("threshold = %v, want 0", rk.Threshold)
-	}
 }
 
 // TestWindowBeforeRankingKeepsPruning: reading an interior child's
 // window before the ranking scales that child into a buffer of its own
-// and leaves the root's raw chunks alone, so the ranking prunes exactly
+// and leaves the root's raw values alone, so the ranking prunes exactly
 // what it prunes without the read — on a nested OR saturated with exact
 // zeros — and stays bit-identical to the eager reference.
 func TestWindowBeforeRankingKeepsPruning(t *testing.T) {
@@ -283,7 +269,7 @@ func TestWindowBeforeRankingKeepsPruning(t *testing.T) {
 		if readFirst {
 			sameVec(t, "inner window", eager.Vec(inner), got.Vec(inner))
 		}
-		rk, err := got.RankRoot(k, math.NaN(), nil, nil)
+		rk, err := got.RankRoot(k, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,100 +333,8 @@ func TestUndeferrableRootsFinishEagerly(t *testing.T) {
 	}
 }
 
-// TestSeededSaturatedSelectionPrunes: on a selection saturated with
-// exact answers (k ≤ zeros < 2k) the carried seed is 0 and admits every
-// zero; the seeded rerun must install an indexed bound as soon as it
-// holds k of them and prune at least what the unseeded run pruned — a
-// previous answer must never do worse than none. Both runs stay
-// bit-identical to the eager reference.
-func TestSeededSaturatedSelectionPrunes(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	n := 16 * evalChunk
-	mkLeaf := func() *Node {
-		d := make([]float64, n)
-		for i := range d {
-			if i%11 != 0 {
-				d[i] = 1 + rng.Float64()*100
-			}
-		}
-		return &Node{Op: Leaf, Weight: 1, Dists: d}
-	}
-	tree := &Node{Op: NodeAnd, Weight: 1, Children: []*Node{mkLeaf(), mkLeaf()}}
-	opts := EvalOptions{Budget: 64}
-	k := 4096 // n/11 ≈ 5958 zeros: k ≤ zeros < 2k
-
-	_, wantSorted, wantOrder := eagerRanking(t, tree, n, k, opts)
-
-	attachLeafStats(tree, true)
-	opts.DeferRoot = true
-	seed := math.NaN()
-	var pruned [2]int
-	for run := range pruned {
-		got, err := Evaluate(tree, n, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rk, err := got.RankRoot(k, seed, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rk.Order) != k || len(rk.Sorted) != k {
-			t.Fatalf("run %d: ranking is %d/%d long, want %d", run, len(rk.Order), len(rk.Sorted), k)
-		}
-		for r := 0; r < k; r++ {
-			if rk.Order[r] != wantOrder[r] || math.Float64bits(rk.Sorted[r]) != math.Float64bits(wantSorted[r]) {
-				t.Fatalf("run %d: rank %d diverged: (%v,%d) vs (%v,%d)",
-					run, r, rk.Sorted[r], rk.Order[r], wantSorted[r], wantOrder[r])
-			}
-		}
-		if rk.Threshold != 0 {
-			t.Fatalf("run %d: threshold = %v, want 0", run, rk.Threshold)
-		}
-		pruned[run], seed = rk.Pruned, rk.Threshold
-	}
-	t.Logf("pruned %d of %d chunks unseeded, %d under the carried seed", pruned[0], n/evalChunk, pruned[1])
-	if pruned[0] == 0 || pruned[1] < pruned[0] {
-		t.Fatal("the carried seed pruned less than no seed at all")
-	}
-}
-
-// TestDeferredSeedSelfHeals: a seed from a differently-scaled previous
-// run (weights changed → raw domain shifted) may starve the seeded
-// pass; the selection must detect it and re-run, never returning a
-// wrong ranking.
-func TestDeferredSeedSelfHeals(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 4 * evalChunk
-	d := make([]float64, n)
-	for i := range d {
-		d[i] = 10 + rng.Float64()*100 // nothing below 10: a seed of 1 starves
-	}
-	tree := &Node{Op: NodeAnd, Weight: 1, Children: []*Node{
-		{Op: Leaf, Weight: 1, Dists: d},
-		{Op: Leaf, Weight: 2, Dists: append([]float64(nil), d...)},
-	}}
-	opts := EvalOptions{Budget: 32}
-	k := 64
-	_, wantSorted, wantOrder := eagerRanking(t, tree, n, k, opts)
-	attachLeafStats(tree, true)
-	opts.DeferRoot = true
-	got, err := Evaluate(tree, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rk, err := got.RankRoot(k, 1e-9, nil, nil) // absurdly tight stale seed
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < k; r++ {
-		if rk.Order[r] != wantOrder[r] || math.Float64bits(rk.Sorted[r]) != math.Float64bits(wantSorted[r]) {
-			t.Fatalf("rank %d diverged after seed self-heal", r)
-		}
-	}
-}
-
 // TestStreamSelectorMatchesSort: the streaming lex selection equals a
-// full sort's first k pairs, seeded or not.
+// full sort's first k pairs.
 func TestStreamSelectorMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 60; trial++ {
@@ -466,20 +360,9 @@ func TestStreamSelectorMatchesSort(t *testing.T) {
 				comparable++
 			}
 		}
-		seed := math.NaN()
-		if trial%3 == 0 {
-			seed = rng.Float64() * 12
-		}
-		sel := topk.NewStreamSelector(k, seed)
+		sel := topk.NewStreamSelector(k)
 		sel.OfferSlice(vals, 0)
 		cands, kth, complete := sel.Finish()
-		if !complete && !math.IsNaN(seed) {
-			// Seed starvation: the caller's contract is to re-run
-			// unseeded.
-			sel = topk.NewStreamSelector(k, math.NaN())
-			sel.OfferSlice(vals, 0)
-			cands, kth, complete = sel.Finish()
-		}
 		if comparable < k {
 			if complete {
 				t.Fatalf("trial %d: complete with only %d comparable of k=%d", trial, comparable, k)
@@ -542,160 +425,5 @@ func TestSupWhere(t *testing.T) {
 	clamp := topk.SupWhere(func(x float64) bool { return key(x) <= Scale }, math.Inf(-1), math.Inf(1))
 	if !math.IsInf(clamp, 1) {
 		t.Fatalf("clamp preimage should reach +Inf, got %v", clamp)
-	}
-}
-
-// chunkBound is the per-chunk bound combine.bounds replaced: the
-// children's scaled chunk minima folded with the raw kernels'
-// arithmetic, written out once more per combiner. It is the reference
-// combine.bounds is held to.
-func chunkBound(cb *combine, mins [][]float64, ci int) float64 {
-	powUsed := false
-	var b float64
-	switch cb.combiner {
-	case cmbAnd:
-		for j := range mins {
-			m := cb.params[j].Apply(mins[j][ci])
-			b += cb.ws[j] * m
-		}
-	case cmbLp:
-		if cb.lpP == 2 {
-			for j := range mins {
-				m := cb.params[j].Apply(mins[j][ci])
-				b += cb.ws[j] * (m * m)
-			}
-		} else {
-			powUsed = true
-			for j := range mins {
-				m := cb.params[j].Apply(mins[j][ci])
-				b += cb.ws[j] * math.Pow(math.Abs(m), cb.lpP)
-			}
-		}
-	case cmbOr:
-		prod := 1.0
-		for j := range mins {
-			m := cb.params[j].Apply(mins[j][ci])
-			w := cb.ws[j]
-			if m == 0 && w > 0 {
-				return 0
-			}
-			switch w {
-			case 0:
-			case 1:
-				prod *= m
-			case 2:
-				prod *= m * m
-			case 3:
-				prod *= m * m * m
-			default:
-				prod *= math.Pow(m, w)
-				powUsed = true
-			}
-		}
-		b = prod
-	}
-	if powUsed && b > 0 {
-		b = math.Nextafter(b*(1-1e-9), math.Inf(-1))
-	}
-	return b
-}
-
-// TestChunkBoundsAreTheCombineKernel: the bounds combine.bounds takes
-// from the root's own combine kernel over applyRange-scaled chunk minima equal
-// chunkBound's bit for bit, under AND, OR, Lp2 and Lp3, over random rows
-// of ±0, -Inf, +Inf and finite distances and weights from {0, 1, 2, 3,
-// 0.5, 7}; and every bound is at most every raw combined value of its
-// chunk.
-func TestChunkBoundsAreTheCombineKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	weights := []float64{0, 1, 2, 3, 0.5, 7}
-	params := []NormParams{
-		{DMin: 0, DMax: 50, Kept: 9},
-		{DMin: -20, DMax: 30, Kept: 9},
-		{DMin: 7.5, DMax: 7.5, Kept: 1},
-		{DMin: 0, DMax: 1e-300, Kept: 9},
-		{NoFinite: true},
-	}
-	row := func() float64 {
-		switch rng.Intn(8) {
-		case 0:
-			return 0
-		case 1:
-			return math.Copysign(0, -1)
-		case 2:
-			return math.Inf(-1)
-		case 3:
-			return math.Inf(1)
-		default:
-			return rng.Float64() * 60
-		}
-	}
-	kernels := []struct {
-		name string
-		op   NodeOp
-		opts EvalOptions
-	}{
-		{"AND", NodeAnd, EvalOptions{}},
-		{"OR", NodeOr, EvalOptions{}},
-		{"Lp2", NodeAnd, EvalOptions{And: ANDLp, LpP: 2}},
-		{"Lp3", NodeAnd, EvalOptions{And: ANDLp, LpP: 3}},
-	}
-	const nchunks, rowsPerChunk = 7, 6
-	for _, kn := range kernels {
-		for trial := 0; trial < 200; trial++ {
-			k := 2 + rng.Intn(3)
-			ws := make([]float64, k)
-			for j := range ws {
-				ws[j] = weights[rng.Intn(len(weights))]
-			}
-			cb := &combine{params: make([]NormParams, k)}
-			var effSum float64
-			cb.ws, effSum = resolveWeights(ws, k)
-			cb.combiner, cb.t, cb.lpP = kernelFor(kn.op, kn.opts, effSum)
-			rows := make([][]float64, k) // child j's rows, chunk after chunk
-			mins, nans := make([][]float64, k), make([][]int32, k)
-			for j := range rows {
-				cb.params[j] = params[rng.Intn(len(params))]
-				rows[j] = make([]float64, nchunks*rowsPerChunk)
-				mins[j], nans[j] = make([]float64, nchunks), make([]int32, nchunks)
-				for ci := range mins[j] {
-					chunk := rows[j][ci*rowsPerChunk : (ci+1)*rowsPerChunk]
-					for i := range chunk {
-						chunk[i] = row()
-						if i == 0 || chunk[i] < mins[j][ci] {
-							mins[j][ci] = chunk[i]
-						}
-					}
-				}
-			}
-			nans[0][1] = 1 // a chunk with a NaN gets no bound
-			bounds, nanFree := cb.bounds(mins, nans)
-			scaled := make([][]float64, k)
-			for j := range scaled {
-				scaled[j] = make([]float64, len(rows[j]))
-				applyRange(scaled[j], rows[j], cb.params[j])
-			}
-			combined := make([]float64, nchunks*rowsPerChunk)
-			combineRaw(cb.combiner, combined, scaled, cb.ws, cb.lpP)
-			for ci := 0; ci < nchunks; ci++ {
-				got := bounds[ci]
-				if ci == 1 {
-					if nanFree[ci] || !math.IsNaN(got) {
-						t.Fatalf("%s: the chunk with a NaN is bounded (%v, NaN-free %v)", kn.name, got, nanFree[ci])
-					}
-					continue
-				}
-				want := chunkBound(cb, mins, ci)
-				if !nanFree[ci] || math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s ws %v params %+v chunk %d: bound %v [%#x], chunkBound %v [%#x]",
-						kn.name, cb.ws, cb.params, ci, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-				for _, v := range combined[ci*rowsPerChunk : (ci+1)*rowsPerChunk] {
-					if got > v {
-						t.Fatalf("%s ws %v chunk %d: bound %v above the combined value %v", kn.name, cb.ws, ci, got, v)
-					}
-				}
-			}
-		}
 	}
 }

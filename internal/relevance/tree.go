@@ -33,14 +33,12 @@ type Node struct {
 	// the session cache attaches it to leaves that recur across reruns.
 	// It must index exactly Dists.
 	Quantiles *LeafQuantiles
-	// ChunkStats carries the per-chunk minima and NaN counts of the
-	// node's raw vector that the block-pruning pass folds into per-chunk
-	// bounds on the root's raw combined value. On a leaf the caller sets
-	// it (the session cache attaches it alongside Quantiles), and it must
-	// index exactly Dists; on an interior node Evaluate sets it, from the
-	// node's pass or its cached vector. Pruning degrades gracefully
-	// without it (chunks whose children lack stats are never skipped).
-	ChunkStats *LeafChunkStats
+	// Codes is the code plane of the node's raw vector, which the
+	// ranking of a deferred root filters its rows by (codes.go). On a
+	// leaf the caller sets it, and it must code exactly Dists; on an
+	// interior node Evaluate sets it, from the node's pass or its cached
+	// vector. A root child without one has it built where it is read.
+	Codes *Codes
 	// Zeros, when positive on a leaf, counts the exact +0 entries of a
 	// Dists with no value below +0 (a fresh range leaf's); 0: not counted.
 	Zeros int
@@ -104,11 +102,10 @@ type EvalOptions struct {
 	// weight-normalized division — and before the [0, Scale]
 	// re-normalization), and Result.Combined stays nil until someone
 	// materializes it. The caller ranks via Result.RankRoot, which
-	// selects the top-k on raw values (skipping whole chunks whose
-	// bound cannot beat the running threshold) and applies the final
-	// transforms only to the survivors — bit-identical, including
-	// clamp-induced ties, to ranking the eagerly scaled vector. A leaf
-	// root always defers.
+	// filters the rows by their children's codes, combines only the
+	// ones that can rank, and applies the final transforms only to the
+	// survivors — bit-identical, including clamp-induced ties, to
+	// ranking the eagerly scaled vector. A leaf root always defers.
 	//
 	// The root's combine is built once either way. When its transform
 	// could change the finite/infinite classification of a value
@@ -121,17 +118,17 @@ type EvalOptions struct {
 	// of the evaluation's length skips the pass, and the passes of the
 	// whole subtree under it: the node is then a leaf — raw is read
 	// READ-ONLY, q (optional, must index exactly raw) answers its
-	// normalization range where NormRange would otherwise, and cs
-	// (optional) feeds block pruning. Results are bit-identical to the
-	// hookless evaluation; Result.SketchHits/SketchRescans attribute the
-	// reuse.
-	InteriorFetch func(key string) (raw []float64, q *LeafQuantiles, cs *LeafChunkStats)
+	// normalization range where NormRange would otherwise, and codes
+	// (optional, must code exactly raw) is its code plane. Results are
+	// bit-identical to the hookless evaluation;
+	// Result.SketchHits/SketchRescans attribute the reuse.
+	InteriorFetch func(key string) (raw []float64, q *LeafQuantiles, codes *Codes)
 	// InteriorStore, when non-nil, receives the raw combined vector of
 	// every interior node with a Key whose fused pass this evaluation ran
-	// (a deferred root has none), under that key, with its per-chunk
-	// stats. raw is a private copy the callee owns; neither may be
-	// written afterwards.
-	InteriorStore func(key string, raw []float64, cs *LeafChunkStats)
+	// (a deferred root has none), under that key, with its code plane.
+	// raw is a private copy the callee owns; neither may be written
+	// afterwards.
+	InteriorStore func(key string, raw []float64, codes *Codes)
 	// Checkpoint, when non-nil, is polled at every node entry and
 	// between evaluator chunks; the first non-nil return aborts the
 	// evaluation (and any deferred-root ranking built from it) with
@@ -245,8 +242,8 @@ func (r *Result) allocVec() []float64 {
 // the scaling, combination and range tracking of each level happen in
 // one chunked pass writing into caller-pooled buffers. The results are
 // bit-identical to the straightforward node-at-a-time pipeline (see the
-// reference evaluator in the tests). Evaluate sets the ChunkStats of
-// the interior nodes it evaluates, so one tree must not be evaluated
+// reference evaluator in the tests). Evaluate sets the Codes of the
+// interior nodes it evaluates, so one tree must not be evaluated
 // concurrently.
 func Evaluate(root *Node, n int, opts EvalOptions) (*Result, error) {
 	return evaluateFused(root, n, opts)

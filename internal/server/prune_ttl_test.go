@@ -11,12 +11,12 @@ import (
 	"repro/visdb/client"
 )
 
-// TestWarmRemoteRerunsReportPruning: once a remote session's leaf
-// indexes are promoted (first reuse), warm weight-only reruns on a
-// saturated selection must skip root combine chunks — and the pruning
-// attribution must travel the wire (Summary.Timings.Pruned) so
-// operators can see the rank-before-scale path working. The results
-// stay bit-identical to a fresh in-process engine throughout.
+// TestWarmRemoteRerunsReportPruning: warm weight-only reruns on a
+// saturated selection must leave root chunks without a refined row —
+// and the pruning attribution must travel the wire
+// (Summary.Timings.Pruned) so operators can see the rank-before-scale
+// path working. The results stay bit-identical to a fresh in-process
+// engine throughout.
 func TestWarmRemoteRerunsReportPruning(t *testing.T) {
 	ctx := context.Background()
 	const rows = 65536
@@ -24,8 +24,8 @@ func TestWarmRemoteRerunsReportPruning(t *testing.T) {
 	_, cl := newTestServer(t, 1, cfg)
 
 	// `a >= 0` holds everywhere, so every combined OR distance is an
-	// exact zero: the running threshold collapses immediately and every
-	// chunk past the display budget is provably hopeless.
+	// exact zero, which the leaves' codes prove: the cut falls at the
+	// display budget and no chunk past it holds a survivor.
 	sql := `SELECT a FROM S WHERE a >= 0 OR b < 40`
 	remote, sum, err := cl.NewSession(ctx, "prune", sql, client.Options{})
 	if err != nil {

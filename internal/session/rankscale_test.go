@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/relevance"
@@ -18,7 +17,7 @@ import (
 // both raw and scaled space), values parked exactly on strict-operator
 // boundaries (clamp-boundary flips under range drags), NULLs (NaN
 // distances), and enough rows that the evaluator spans many chunks
-// (block pruning has something to skip).
+// (the filter has chunks to prune).
 func rankScaleCatalog(t testing.TB, n int) *dataset.Catalog {
 	t.Helper()
 	tbl, err := dataset.NewTable("S", dataset.Schema{
@@ -104,8 +103,9 @@ func matchesFullSort(step string, s *Session, cat *dataset.Catalog, opt core.Opt
 // property of the rank-before-scale pipeline: a randomized interaction
 // script — clamp-boundary range drags, integer and fractional weight
 // changes, undos, percent-displayed moves — on a cached session (raw
-// ranking, threshold carry-over, block pruning) stays bit-identical to
-// Options.FullSort at every step, across every combiner mode.
+// ranking, filtered by the children's code planes and refined) stays
+// bit-identical to Options.FullSort at every step, across every combiner
+// mode.
 func TestRankBeforeScaleMatchesFullSortScript(t *testing.T) {
 	const n = 20000
 	cat := rankScaleCatalog(t, n)
@@ -186,10 +186,9 @@ func TestRankBeforeScaleMatchesFullSortScript(t *testing.T) {
 	}
 }
 
-// TestWarmRerunsPruneChunks: once the session cache has promoted the
-// leaf chunk stats (first reuse), weight-only reruns on a selection
-// saturated with exact answers must skip most of the root combine
-// chunks — and stay bit-identical to FullSort while doing so.
+// TestWarmRerunsPruneChunks: weight-only reruns on a selection saturated
+// with exact answers must leave most root chunks without a refined row —
+// and stay bit-identical to FullSort while doing so.
 func TestWarmRerunsPruneChunks(t *testing.T) {
 	const n = 40000
 	cat := rankScaleCatalog(t, n)
@@ -216,60 +215,5 @@ func TestWarmRerunsPruneChunks(t *testing.T) {
 	}
 	if prunedTotal == 0 {
 		t.Fatal("warm reruns never pruned a chunk on a saturated selection")
-	}
-}
-
-// TestRangeEditClearsThresholdSeed: the carried selection threshold is
-// keyed by the leaves a run read, so it is carried exactly when no leaf
-// moved — a weight edit, the undo of one, a query rewritten over the same
-// leaves in another order — and a run over a moved leaf (a range edit,
-// the undo of one) starts without it; nothing resets it by hand. On a
-// saturated selection (more exact answers than the selection keeps) a
-// seeded run skips every chunk a warm weight edit skips, an unseeded one
-// has to fill its selection first and skips fewer. Seeded or not, every
-// step is bit-identical to a fresh FullSort engine.
-func TestRangeEditClearsThresholdSeed(t *testing.T) {
-	cat, err := datagen.Traffic(60000, 1994)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := core.Options{GridW: 64, GridH: 64}
-	s, err := NewSQL(cat, nil, opt, reuseSQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The first rerun builds the leaves' chunk stats and carries the cold
-	// run's threshold: what it prunes is what seeded means here.
-	if err := weigh(0, 2)(s); err != nil {
-		t.Fatal(err)
-	}
-	warm := s.Result().Timings.Pruned
-	if warm == 0 {
-		t.Fatalf("the selection is not saturated: a warm weight edit pruned nothing (%+v)", s.Result().Timings)
-	}
-	for _, st := range []struct {
-		name   string
-		do     func(s *Session) error
-		seeded bool
-	}{
-		{"weight edit", weigh(1, 3), true},
-		{"undo of the weight edit", (*Session).Undo, true},
-		{"the same leaves reordered", func(s *Session) error {
-			return s.SetQuery(`SELECT a FROM S WHERE b < 40 WEIGHT 3 AND a > 50`)
-		}, true},
-		{"undo of the rewrite", (*Session).Undo, true},
-		{"range edit", dragA(30), false},
-		{"undo of the range edit", (*Session).Undo, false},
-		{"weight edit after it", weigh(0, 0.5), true},
-	} {
-		if err := st.do(s); err != nil {
-			t.Fatalf("%s: %v", st.name, err)
-		}
-		if tm := s.Result().Timings; (tm.Pruned >= warm) != st.seeded {
-			t.Fatalf("%s pruned %d of %d chunks (a seeded selection prunes %d), want seeded = %v", st.name, tm.Pruned, tm.Chunks, warm, st.seeded)
-		}
-		if err := matchesFullSort(st.name, s, cat, opt); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

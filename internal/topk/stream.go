@@ -6,12 +6,10 @@ import (
 	"slices"
 )
 
-// This file holds the threshold-seeded streaming selection behind the
-// rank-before-scale pipeline: the engine ranks raw (pre-scaled)
-// combined distances, so the selection must (a) run as a stream the
-// chunk-fused evaluator can feed while it skips provably-hopeless
-// chunks, (b) accept a seed threshold carried over from the previous
-// recalculation of a slider drag, and (c) expose the exact
+// This file holds the streaming selection behind the rank-before-scale
+// pipeline: the engine ranks raw (pre-scaled) combined distances of the
+// rows its filter lets through, so the selection must (a) run as a
+// stream of values with their item indices, and (b) expose the exact
 // lexicographic (value, index) cut the clamp-tie resolution needs.
 
 // Cand is one candidate of a streaming selection: a distance value and
@@ -30,61 +28,36 @@ func lexLess(v1 float64, i1 int, v2 float64, i2 int) bool {
 }
 
 // StreamSelector collects the k lexicographically smallest (value,
-// index) pairs of a stream in O(k) space. Offers beyond the current
-// rejection bound are dropped; once k candidates are held the bound is
-// the running k-th smallest pair, so a producer can skip whole blocks
-// whose lower bound cannot beat it (block pruning).
+// index) pairs of a stream in O(k) space. Once k candidates have been
+// compacted, offers beyond the running k-th smallest pair are dropped.
 //
-// A seed bound (the previous recalculation's k-th value) activates
-// rejection — and therefore block skipping — before k candidates have
-// even been seen. A too-tight seed can starve the selection below k
-// candidates; Finish reports that as incomplete and the caller re-runs
-// unseeded (all block-skip decisions taken under a bound are only valid
-// if the selection completes).
-//
-// The zero-ish invariants: candidates are unique by index, the bound
-// never grows, and an element rejected at any point is ≥ (in lex order)
-// the final k-th candidate — so the collected set always contains the
-// true top-k of everything offered, when complete.
+// The invariants: candidates are unique by index, the bound never
+// grows, and an element rejected at any point is ≥ (in lex order) the
+// final k-th candidate — so the collected set always contains the true
+// top-k of everything offered.
 type StreamSelector struct {
 	k     int
 	cands []Cand
-	// boundV/boundI is the lex rejection bound; boundI is MaxInt while
-	// the bound is the (index-less) seed.
+	// boundV/boundI is the lex rejection bound, active once bounded.
 	boundV  float64
 	boundI  int
 	bounded bool
-	// full marks the bound as derived from a collected k-th candidate
-	// rather than the seed.
-	full bool
 }
 
 // NewStreamSelector returns a selector of the k lex-smallest pairs.
-// A NaN seed means unseeded; a non-NaN seed activates rejection (and
-// block skipping) at (seed, +∞) immediately.
-func NewStreamSelector(k int, seed float64) *StreamSelector {
+func NewStreamSelector(k int) *StreamSelector {
 	if k < 1 {
 		k = 1
 	}
-	// One buffer for the selector's life: no trigger() exceeds 2k+64.
-	s := &StreamSelector{k: k, boundI: math.MaxInt, cands: make([]Cand, 0, 2*k+64)}
-	if !math.IsNaN(seed) {
-		s.boundV, s.bounded = seed, true
-	}
-	return s
-}
-
-// Bound returns the current lex rejection bound. ok is false while no
-// bound is active (unseeded and fewer than k candidates compacted), in
-// which case nothing may be skipped.
-func (s *StreamSelector) Bound() (v float64, i int, ok bool) {
-	return s.boundV, s.boundI, s.bounded
+	// The buffer is sized by the first batch offered, then grown once to
+	// trigger() (2k+64) if more come: a selector fed fewer values than
+	// that never holds room for more.
+	return &StreamSelector{k: k}
 }
 
 // OfferSlice streams a chunk of values whose indices are base, base+1,
-// ... — the fused evaluator's per-chunk feed. NaN values are ignored
-// (NaN distances rank after every candidate and are resolved by the
-// caller's tie fill).
+// ... . NaN values are ignored (NaN distances rank after every
+// candidate and are resolved by the caller's tie fill).
 //
 // It is a compacting filter, not a loop of tests: every value is stored
 // at the buffer's end and the end advances by 0 or 1, because on a
@@ -94,21 +67,42 @@ func (s *StreamSelector) Bound() (v float64, i int, ok bool) {
 // can only reach trigger() on the last of trigger() − len values, so
 // each batch of that many runs under one bound and compacts where the
 // element-at-a-time loop would: the same candidates, the same bounds.
-func (s *StreamSelector) OfferSlice(vals []float64, base int) {
+func (s *StreamSelector) OfferSlice(vals []float64, base int) { s.offer(vals, nil, base) }
+
+// OfferAt is OfferSlice for values whose indices are idx.
+func (s *StreamSelector) OfferAt(vals []float64, idx []int) { s.offer(vals, idx, 0) }
+
+// offer streams vals, indexed by idx or, when idx is nil, from base.
+func (s *StreamSelector) offer(vals []float64, idx []int, base int) {
 	for len(vals) > 0 {
 		n := len(s.cands)
-		batch := vals[:min(len(vals), s.trigger()-n)]
-		buf := s.cands[:n+len(batch)]
+		m := min(len(vals), s.trigger()-n)
+		batch := vals[:m]
+		if cap(s.cands) < n+m {
+			size := s.trigger()
+			if cap(s.cands) == 0 {
+				size = n + m
+			}
+			s.cands = slices.Grow(s.cands, size-n)
+		}
+		buf := s.cands[:n+m]
 		if s.bounded {
 			bv, bi := s.boundV, s.boundI
 			for off, v := range batch {
 				i := base + off
+				if idx != nil {
+					i = idx[off]
+				}
 				buf[n] = Cand{V: v, I: i}
 				n += b2i(v < bv) | b2i(v == bv)&b2i(i < bi)
 			}
 		} else {
 			for off, v := range batch {
-				buf[n] = Cand{V: v, I: base + off}
+				i := base + off
+				if idx != nil {
+					i = idx[off]
+				}
+				buf[n] = Cand{V: v, I: i}
 				n += b2i(v == v)
 			}
 		}
@@ -116,7 +110,10 @@ func (s *StreamSelector) OfferSlice(vals []float64, base int) {
 		if n >= s.trigger() {
 			s.compact()
 		}
-		vals, base = vals[len(batch):], base+len(batch)
+		vals, base = vals[m:], base+m
+		if idx != nil {
+			idx = idx[m:]
+		}
 	}
 }
 
@@ -130,22 +127,9 @@ func b2i(b bool) int {
 }
 
 // trigger is the buffer length that forces a compaction: enough slack
-// past k that compaction cost amortizes to O(1) per offer. While the
-// bound is still the index-less seed the first compaction comes at k+1:
-// a seed that admits between k and 2k candidates (a selection saturated
-// with exact answers under seed 0) would otherwise never install an
-// indexed bound, and (seed, MaxInt) beats no chunk whose minimum equals
-// the seed — the seeded pass would prune nothing where an unseeded one
-// prunes.
+// past k that compaction cost amortizes to O(1) per offer.
 func (s *StreamSelector) trigger() int {
-	if s.bounded && !s.full {
-		return s.k + 1
-	}
-	t := 2 * s.k
-	if t < 64 {
-		t = 64
-	}
-	return t
+	return max(2*s.k, 64)
 }
 
 // compact reduces the buffer to the k lex-smallest candidates and
@@ -158,22 +142,21 @@ func (s *StreamSelector) compact() {
 	kth := selectCandLex(s.cands, s.k)
 	// Partition kept ≤ kth to the front (selectCandLex already did).
 	s.cands = s.cands[:s.k]
-	s.boundV, s.boundI, s.bounded, s.full = kth.V, kth.I, true, true
+	s.boundV, s.boundI, s.bounded = kth.V, kth.I, true
 }
 
 // Finish returns the collected candidates (unsorted), the k-th
-// lex-smallest pair, and whether the selection completed (k candidates
-// collected). Incomplete selections happen when fewer than k
-// comparable values were offered — or when a seed rejected too much;
-// the caller distinguishes the two by whether it skipped anything.
+// lex-smallest pair, and whether the selection completed: k candidates
+// collected, which fails only when fewer than k comparable values were
+// offered.
 func (s *StreamSelector) Finish() (cands []Cand, kth Cand, complete bool) {
 	s.compact()
 	if len(s.cands) < s.k {
 		return s.cands, Cand{V: math.NaN(), I: -1}, false
 	}
-	if !s.full {
+	if !s.bounded {
 		kth = selectCandLex(s.cands, s.k)
-		s.boundV, s.boundI, s.bounded, s.full = kth.V, kth.I, true, true
+		s.boundV, s.boundI, s.bounded = kth.V, kth.I, true
 	}
 	return s.cands, Cand{V: s.boundV, I: s.boundI}, true
 }

@@ -40,8 +40,7 @@ func sameCand(a, b Cand) bool { return sameFloat(a.V, b.V) && a.I == b.I }
 
 // TestOfferSliceMatchesElementwise drives the filter and its reference
 // over the same slices and requires the same candidates and the same
-// bound after every one of them — so every pruning decision a caller
-// takes between slices is the same — and the same Finish.
+// bound after every one of them, and the same Finish.
 func TestOfferSliceMatchesElementwise(t *testing.T) {
 	// Each stream draws value i of n from f(rng, i, n).
 	streams := []struct {
@@ -76,65 +75,49 @@ func TestOfferSliceMatchesElementwise(t *testing.T) {
 			for i := range vals {
 				vals[i] = st.f(rng, i, n)
 			}
-			fin := make([]float64, 0, n)
-			for _, v := range vals {
-				if !math.IsNaN(v) {
-					fin = append(fin, v)
+			name := fmt.Sprintf("k=%d/%s", k, st.name)
+			got, want := NewStreamSelector(k), NewStreamSelector(k)
+			// Slices of the lengths that end one short of, exactly at and
+			// one past the next compaction, and arbitrary ones, in shuffled
+			// order of their bases; every other one through OfferAt.
+			type span struct{ lo, hi int }
+			var spans []span
+			for lo, c := 0, 0; lo < n; c++ {
+				room := want.trigger() - len(want.cands)
+				ln := room + c%3 - 1
+				if c%4 == 3 || ln < 1 {
+					ln = 1 + rng.Intn(2*k+70)
+				}
+				hi := min(n, lo+ln)
+				spans = append(spans, span{lo, hi})
+				lo = hi
+			}
+			if st.name != "ascending" && st.name != "descending" {
+				rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
+			}
+			for c, sp := range spans {
+				if c%2 == 0 {
+					got.OfferSlice(vals[sp.lo:sp.hi], sp.lo)
+				} else {
+					idx := make([]int, sp.hi-sp.lo)
+					for j := range idx {
+						idx[j] = sp.lo + j
+					}
+					got.OfferAt(vals[sp.lo:sp.hi], idx)
+				}
+				offerElementwise(want, vals[sp.lo:sp.hi], sp.lo)
+				if got.bounded != want.bounded || got.boundI != want.boundI || !sameFloat(got.boundV, want.boundV) {
+					t.Fatalf("%s: after [%d,%d) bound (%v,%d,%v), want (%v,%d,%v)", name, sp.lo, sp.hi,
+						got.boundV, got.boundI, got.bounded, want.boundV, want.boundI, want.bounded)
+				}
+				if !slices.EqualFunc(sortedCands(got.cands), sortedCands(want.cands), sameCand) {
+					t.Fatalf("%s: after [%d,%d) %d candidates, want %d (or other ones)", name, sp.lo, sp.hi, len(got.cands), len(want.cands))
 				}
 			}
-			sort.Float64s(fin)
-			at := func(rank int) float64 { return fin[min(rank, len(fin)-1)] }
-			for _, sd := range []struct {
-				name string
-				seed float64
-			}{
-				{"unseeded", math.NaN()},
-				{"starves", math.Nextafter(at(k/2), math.Inf(-1))},
-				{"kth", at(k - 1)},
-				{"admits1.5k", at(k + k/2)},
-				{"completes", at(4 * k)},
-			} {
-				name, seed := fmt.Sprintf("k=%d/%s/%s", k, st.name, sd.name), sd.seed
-				got, want := NewStreamSelector(k, seed), NewStreamSelector(k, seed)
-				// Slices of the lengths that end one short of, exactly at
-				// and one past the next compaction, and arbitrary ones, in
-				// shuffled order of their bases.
-				type span struct{ lo, hi int }
-				var spans []span
-				for lo, c := 0, 0; lo < n; c++ {
-					room := want.trigger() - len(want.cands)
-					ln := room + c%3 - 1
-					if c%4 == 3 || ln < 1 {
-						ln = 1 + rng.Intn(2*k+70)
-					}
-					hi := min(n, lo+ln)
-					spans = append(spans, span{lo, hi})
-					lo = hi
-				}
-				if st.name != "ascending" && st.name != "descending" {
-					rng.Shuffle(len(spans), func(i, j int) { spans[i], spans[j] = spans[j], spans[i] })
-				}
-				for _, sp := range spans {
-					got.OfferSlice(vals[sp.lo:sp.hi], sp.lo)
-					offerElementwise(want, vals[sp.lo:sp.hi], sp.lo)
-					gv, gi, gok := got.Bound()
-					wv, wi, wok := want.Bound()
-					if gok != wok || gi != wi || !sameFloat(gv, wv) {
-						t.Fatalf("%s: after [%d,%d) bound (%v,%d,%v), want (%v,%d,%v)", name, sp.lo, sp.hi, gv, gi, gok, wv, wi, wok)
-					}
-					if !slices.EqualFunc(sortedCands(got.cands), sortedCands(want.cands), sameCand) {
-						t.Fatalf("%s: after [%d,%d) %d candidates, want %d (or other ones)", name, sp.lo, sp.hi, len(got.cands), len(want.cands))
-					}
-				}
-				gc, gk, gdone := got.Finish()
-				wc, wk, wdone := want.Finish()
-				if gdone != wdone || !sameCand(gk, wk) || !slices.EqualFunc(sortedCands(gc), sortedCands(wc), sameCand) {
-					t.Fatalf("%s: Finish (%d cands, %v, %v), want (%d cands, %v, %v)", name, len(gc), gk, gdone, len(wc), wk, wdone)
-				}
-				// The seeds do what their names say (on distinct values).
-				if st.name == "uniform" && sd.name == "starves" && gdone || sd.name == "completes" && !gdone {
-					t.Fatalf("%s: complete = %v", name, gdone)
-				}
+			gc, gk, gdone := got.Finish()
+			wc, wk, wdone := want.Finish()
+			if gdone != wdone || !sameCand(gk, wk) || !slices.EqualFunc(sortedCands(gc), sortedCands(wc), sameCand) {
+				t.Fatalf("%s: Finish (%d cands, %v, %v), want (%d cands, %v, %v)", name, len(gc), gk, gdone, len(wc), wk, wdone)
 			}
 		}
 	}
@@ -143,9 +126,8 @@ func TestOfferSliceMatchesElementwise(t *testing.T) {
 // BenchmarkOfferSlice reads the selection filter at the root pass's
 // shape — 200k values in 4096-value slices, k = 20 512 — on a stream in
 // random order (whether a value beats the bound is a coin flip early on
-// and a 1-in-10 event later), on an ascending one (the predictor's best
-// case: k accepted, then every value rejected) and on a random one
-// under the previous step's threshold as seed.
+// and a 1-in-10 event later) and on an ascending one (the predictor's
+// best case: k accepted, then every value rejected).
 func BenchmarkOfferSlice(b *testing.B) {
 	const (
 		n     = 200_000
@@ -162,16 +144,14 @@ func BenchmarkOfferSlice(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		vals []float64
-		seed float64
 	}{
-		{"uniform", uniform, math.NaN()},
-		{"ascending", ascending, math.NaN()},
-		{"seeded", uniform, ascending[k-1]},
+		{"uniform", uniform},
+		{"ascending", ascending},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sel := NewStreamSelector(k, c.seed)
+				sel := NewStreamSelector(k)
 				for lo := 0; lo < n; lo += chunk {
 					sel.OfferSlice(c.vals[lo:min(n, lo+chunk)], lo)
 				}

@@ -34,7 +34,7 @@ func SelectKWithIndex(dists []float64, k int) (vals []float64, idx []int) {
 	if k == 0 {
 		return vals, idx
 	}
-	sel := NewStreamSelector(k, math.NaN())
+	sel := NewStreamSelector(k)
 	sel.OfferSlice(dists, 0)
 	cands, _, _ := sel.Finish()
 	slices.SortFunc(cands, compareCand)

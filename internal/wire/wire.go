@@ -98,14 +98,12 @@ type UndoRequest struct {
 }
 
 // Timings mirrors core.StageTimings in nanoseconds plus the cache and
-// pruning attribution counters. ScaleNS is the rank-before-scale
+// filter attribution counters. ScaleNS is the rank-before-scale
 // stage applying the final monotonic transforms to the top-k
 // survivors; RootCombineNS is the part of SelectNS (included in it)
-// spent producing the raw root values the selection reads;
-// Pruned/Chunks count the evaluator chunks whose root
-// combine work was skipped by block pruning, out of the total (warm
-// reruns on saturated selections prune most chunks; cold runs report
-// zero).
+// spent producing the raw root values the selection reads; Refined
+// counts the rows whose root value that computed, and Pruned/Chunks the
+// evaluator chunks with none of them, out of the total.
 type Timings struct {
 	BindNS        int64 `json:"bind_ns"`
 	DistancesNS   int64 `json:"distances_ns"`
@@ -119,6 +117,7 @@ type Timings struct {
 	CacheHits     int   `json:"cache_hits"`
 	CacheMisses   int   `json:"cache_misses"`
 	SharedHits    int   `json:"shared_hits"`
+	Refined       int   `json:"refined"`
 	Pruned        int   `json:"pruned"`
 	Chunks        int   `json:"chunks"`
 	// SketchHits/SketchRescans attribute interior reuse: interior nodes
@@ -154,6 +153,7 @@ func TimingsOf(tm core.StageTimings) Timings {
 		CacheHits:     tm.CacheHits,
 		CacheMisses:   tm.CacheMisses,
 		SharedHits:    tm.SharedHits,
+		Refined:       tm.Refined,
 		Pruned:        tm.Pruned,
 		Chunks:        tm.Chunks,
 		SketchHits:    tm.SketchHits,
