@@ -454,6 +454,50 @@ func BenchmarkCodePlane(b *testing.B) {
 	}
 }
 
+// BenchmarkCodeRange is the crossing-bucket gather of Codes.Range over
+// a range leaf of the traffic table's uniform column c and of its
+// ascending column t, coded as the leaf's compute codes it: keep half of
+// the rows, past the exact answers, so that the counts name a bucket and
+// one pass over the plane's bytes gathers its rows. On t the bucket's
+// rows are two runs; on c they are spread over the whole plane.
+func BenchmarkCodeRange(b *testing.B) {
+	cat, err := datagen.Traffic(200_000, 1994)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tbl, err := cat.Table("S")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, col := range []struct{ name, attr string }{{"uniform", "c"}, {"ascending", "t"}} {
+		b.Run(col.name, func(b *testing.B) {
+			column, err := tbl.Column(col.attr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dists := make([]float64, column.Len())
+			column.ReadFloats(dists, 0)
+			dmax := 0.0
+			for i, v := range dists {
+				dists[i] = max(40-v, v-60, 0)
+				dmax = max(dmax, dists[i])
+			}
+			cp := relevance.NewCodes(len(dists), 0, dmax)
+			cp.Encode(dists, 0, cp.Chunks())
+			keep := len(dists) / 2
+			if _, gathered := cp.Range(dists, keep); !gathered {
+				b.Fatalf("keep %d is answered without the gather", keep)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cp.Range(dists, keep)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/range")
+		})
+	}
+}
+
 // BenchmarkNestedDrag is the interaction loop over the one traffic query
 // with an interior node — (a AND b) OR c — the traffic the repository
 // benchmark's flat two-leaf ANDs never produce. Four drags: the weight

@@ -52,12 +52,14 @@
 // distance values are ever displayed, the engine ranks by selection by
 // default: internal/topk streams the vector through one O(k)-space
 // selector of the display budget, and relevance normalization finds
-// each leaf's reduction range by counting into monotone equal-width
-// buckets and selecting inside the one the rank falls in
-// (relevance/orderstats.go). Options.FullSort ranks every item exactly
-// in O(n log n) instead (the A-series ablations, exact quantiles). The
-// 2D arrangement ranks the same way; it counts its band of combined
-// α-quantiles over the axes' cached quantile indexes (reduce.Items2D).
+// each vector's reduction range without sorting it: the per-code row
+// counts of its code plane name the bucket the keep-th smallest value
+// falls in, and only that bucket's rows — about n/252 — are selected
+// (relevance.Codes.Range, relevance/orderstats.go). Options.FullSort
+// ranks every item exactly in O(n log n) instead (the A-series
+// ablations, exact quantiles). The 2D arrangement ranks the same way; it
+// counts its band of combined α-quantiles over the axes' cached sorted
+// values (reduce.Items2D).
 // The wire has no full-sort option: a remote session serves its
 // displayed prefix, which a full sort does not change, and the server
 // ignores a client's "full_sort" key.
@@ -82,11 +84,14 @@
 //     weighting factor. A weight-only rerun recomputes no distances; a
 //     single-slider drag recomputes at most one leaf, and none when it
 //     returns to a range the loop has been at (an undo, a bookmark).
-//     From its first reuse a leaf carries a quantile index (sorted in
-//     linear time by the same buckets), so the reduction-first
-//     normalization range for any weight is O(1).
+//     A leaf's code plane answers its normalization range for any
+//     weight: the minimum's class (a range leaf's exact answers) at
+//     once, else one pass over the plane's bytes gathers the crossing
+//     bucket's rows, or NormRange scans the vector when that bucket holds
+//     an eighth of them or more (TestCodeRangeMatchesNormRange,
+//     FuzzCodeRange).
 //   - relevance.Evaluate is a chunk-fused evaluator: normalization
-//     ranges come from cheap scans and selections, then one chunked
+//     ranges come from code counts and selections, then one chunked
 //     pass per tree level scales children (leaf chunks in L1-resident
 //     scratch), combines them, and folds range statistics. Output
 //     buffers are pooled across reruns, and per-predicate window
@@ -94,11 +99,11 @@
 //     items). The pooling contract: a session Result is valid until
 //     the next recalculation.
 //   - A fresh range leaf is one branch-free pass (distances selected by
-//     bit masks) that counts its exact +0 entries (relevance.Node.Zeros):
-//     a range keeping no more items is [+0, +0] without a look at the
-//     vector; the slider's extremes are the column's (Column.MinMax).
+//     bit masks) that codes its exact +0 entries as its plane's minimum
+//     class: a range keeping no more items is [+0, +0] from the counts
+//     alone; the slider's extremes are the column's (Column.MinMax).
 //     (TestRangeKernelMatchesToRange, FuzzRangeKernel, BenchmarkRangeDistances,
-//     TestLeafZeroBlockMatchesNormRange, TestColumnExtremesMatchScan)
+//     TestCodeRangeMatchesNormRange, TestColumnExtremesMatchScan)
 //
 // # Rank before scale: monotonic-transform-aware top-k by filter and refine
 //
@@ -259,13 +264,12 @@
 // passes of the whole subtree and treats the node as it treats a leaf:
 // the vector is read-only, its normalization range — the keep-th
 // smallest finite value, a new keep with every move of the node's
-// weight — comes from the sorted quantile index once the vector has
-// one and from NormRange before, and its scaled form is chunk-local in
-// the parent's pass — as a computed interior node's is: every child of
-// a combine is lazy. The vector lives in the SharedCache among the
-// leaves, under the same recency rule and byte budget, is pinned,
-// touched and — on its first pinned reuse — indexed by the lines that
-// do so for a leaf, and never travels to the kv tier. Results are
+// weight — comes from the counts of the code plane its pass built, and
+// its scaled form is chunk-local in the parent's pass — as a computed
+// interior node's is: every child of a combine is lazy. The vector
+// lives in the SharedCache among the leaves, under the same recency
+// rule and byte budget, is pinned and touched by the lines that do so
+// for a leaf, and never travels to the kv tier. Results are
 // bit-identical (Options.NoInteriorSketch is the ablation gate);
 // StageTimings.SketchHits/SketchRescans attribute it
 // (TestInteriorSketchWarmRerunBitIdentical, TestNoInteriorSketchDisables).
@@ -325,10 +329,10 @@
 // leaves — evaluation buffers, rankings, Results — stays
 // session-private (TestConcurrentSharedSessionsMatchFreshEngine).
 //
-// A cached leaf is only its vector: its raw distances, the count of its
-// exact zeros when a range kernel wrote it, the code plane its compute
-// built, and from its first reuse the quantile index built from that
-// vector. What a condition's slider
+// A cached leaf is only its vector: its raw distances and the code
+// plane its compute built. Only a 2D axis entry ("A|") carries its
+// sorted values, the sample its bands are cut from, sorted on its first
+// pinned reuse (RunCache.axis). What a condition's slider
 // shows is read where it lives: the attribute from the binding, the
 // query range from the condition (numericRange), the extremes from the
 // column (Column.MinMax) — all O(1) — and the first/last displayed

@@ -2,6 +2,7 @@ package arrange
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -102,6 +103,67 @@ func TestPlaceOverflow(t *testing.T) {
 		if pts[i] != Unplaced {
 			t.Errorf("item %d should be unplaced, got %+v", i, pts[i])
 		}
+	}
+}
+
+// spiralRef is the ring-at-a-time enumeration Spiral and Place replaced:
+// every ring's cells built as a slice, those inside the window kept.
+func spiralRef(w, h int) []Point {
+	c := Center(w, h)
+	cells := []Point{c}
+	maxRing := 0
+	for _, corner := range []Point{{0, 0}, {w - 1, 0}, {0, h - 1}, {w - 1, h - 1}} {
+		maxRing = max(maxRing, chebyshev(corner, c))
+	}
+	for k := 1; k <= maxRing; k++ {
+		var ring []Point
+		for x := c.X - k; x <= c.X+k; x++ {
+			ring = append(ring, Point{x, c.Y - k})
+		}
+		for y := c.Y - k + 1; y <= c.Y+k; y++ {
+			ring = append(ring, Point{c.X + k, y})
+		}
+		for x := c.X + k - 1; x >= c.X-k; x-- {
+			ring = append(ring, Point{x, c.Y + k})
+		}
+		for y := c.Y + k - 1; y >= c.Y-k+1; y-- {
+			ring = append(ring, Point{c.X - k, y})
+		}
+		for _, p := range ring {
+			if p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h {
+				cells = append(cells, p)
+			}
+		}
+	}
+	return cells
+}
+
+// TestPlaceMatchesSpiral: Place(w, h, n) is Spiral(w, h)[:n] padded with
+// Unplaced, and both follow the reference enumeration cell for cell, on
+// odd, even, 1×1 and non-square grids, for n short of, at and past the
+// window's capacity.
+func TestPlaceMatchesSpiral(t *testing.T) {
+	for _, dim := range []struct{ w, h int }{{1, 1}, {5, 5}, {6, 6}, {7, 4}, {4, 7}, {1, 9}, {16, 3}, {128, 128}} {
+		ref := spiralRef(dim.w, dim.h)
+		if got := Spiral(dim.w, dim.h); !slices.Equal(got, ref) {
+			t.Fatalf("%dx%d: Spiral differs from the reference", dim.w, dim.h)
+		}
+		wh := dim.w * dim.h
+		for _, n := range []int{0, 1, wh / 2, wh - 1, wh, wh + 3} {
+			want := make([]Point, n)
+			for i := range want {
+				want[i] = Unplaced
+				if i < wh {
+					want[i] = ref[i]
+				}
+			}
+			if got := Place(dim.w, dim.h, n); !slices.Equal(got, want) {
+				t.Fatalf("%dx%d n=%d: Place = %v, want %v", dim.w, dim.h, n, got, want)
+			}
+		}
+	}
+	if got := Place(0, 3, 2); !slices.Equal(got, []Point{Unplaced, Unplaced}) {
+		t.Fatalf("empty window: Place = %v", got)
 	}
 }
 

@@ -47,51 +47,36 @@ func Spiral(w, h int) []Point {
 	if w <= 0 || h <= 0 {
 		return nil
 	}
-	c := Center(w, h)
-	cells := make([]Point, 0, w*h)
-	cells = append(cells, c)
-	// The largest ring needed covers the farthest corner.
-	maxRing := chebyshev(Point{0, 0}, c)
-	for _, corner := range []Point{{w - 1, 0}, {0, h - 1}, {w - 1, h - 1}} {
-		if r := chebyshev(corner, c); r > maxRing {
-			maxRing = r
+	return spiral(make([]Point, 0, w*h), w, h)
+}
+
+// spiral appends to cells the next cells of the w×h window's spiral
+// until cells is full (cap(cells) ≤ w*h): ring by ring, each across the
+// top edge left→right, down the right edge, across the bottom edge
+// right→left, and up the left edge.
+func spiral(cells []Point, w, h int) []Point {
+	add := func(x, y int) {
+		if x >= 0 && x < w && y >= 0 && y < h && len(cells) < cap(cells) {
+			cells = append(cells, Point{x, y})
 		}
 	}
-	for k := 1; k <= maxRing; k++ {
-		for _, p := range ring(c, k) {
-			if p.X >= 0 && p.X < w && p.Y >= 0 && p.Y < h {
-				cells = append(cells, p)
-			}
+	c := Center(w, h)
+	add(c.X, c.Y)
+	for k := 1; len(cells) < cap(cells); k++ {
+		for x := c.X - k; x <= c.X+k; x++ {
+			add(x, c.Y-k)
+		}
+		for y := c.Y - k + 1; y <= c.Y+k; y++ {
+			add(c.X+k, y)
+		}
+		for x := c.X + k - 1; x >= c.X-k; x-- {
+			add(x, c.Y+k)
+		}
+		for y := c.Y + k - 1; y >= c.Y-k+1; y-- {
+			add(c.X-k, y)
 		}
 	}
 	return cells
-}
-
-// ring enumerates the cells at L∞ distance k from c in clockwise order:
-// across the top edge left→right, down the right edge, across the bottom
-// edge right→left, and up the left edge.
-func ring(c Point, k int) []Point {
-	if k == 0 {
-		return []Point{c}
-	}
-	out := make([]Point, 0, 8*k)
-	// Top edge (y = c.Y-k), x from c.X-k to c.X+k.
-	for x := c.X - k; x <= c.X+k; x++ {
-		out = append(out, Point{x, c.Y - k})
-	}
-	// Right edge (x = c.X+k), y from c.Y-k+1 to c.Y+k.
-	for y := c.Y - k + 1; y <= c.Y+k; y++ {
-		out = append(out, Point{c.X + k, y})
-	}
-	// Bottom edge (y = c.Y+k), x from c.X+k-1 down to c.X-k.
-	for x := c.X + k - 1; x >= c.X-k; x-- {
-		out = append(out, Point{x, c.Y + k})
-	}
-	// Left edge (x = c.X-k), y from c.Y+k-1 down to c.Y-k+1.
-	for y := c.Y + k - 1; y >= c.Y-k+1; y-- {
-		out = append(out, Point{c.X - k, y})
-	}
-	return out
 }
 
 // Ring reports the spiral ring number of cell p in a w×h window.
@@ -101,14 +86,13 @@ func Ring(w, h int, p Point) int { return chebyshev(p, Center(w, h)) }
 // cells: item 0 (most relevant) gets the center. Items beyond capacity
 // get Unplaced. The returned slice has length n.
 func Place(w, h, n int) []Point {
-	cells := Spiral(w, h)
 	out := make([]Point, n)
-	for i := range out {
-		if i < len(cells) {
-			out[i] = cells[i]
-		} else {
-			out[i] = Unplaced
-		}
+	placed := 0
+	if w > 0 && h > 0 {
+		placed = len(spiral(out[:0:min(n, w*h)], w, h))
+	}
+	for i := placed; i < n; i++ {
+		out[i] = Unplaced
 	}
 	return out
 }

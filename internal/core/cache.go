@@ -86,40 +86,36 @@ const maxCacheEntries = 64
 
 // leafEntry is one cached vector as the tier holds it and as fetches
 // hand it out and pins keep it (by value: a consistent snapshot, since
-// quant of the resident entry may be attached later under the tier's
-// mutex): the leaf of a condition, join, boolean-negation fallback or
-// subquery, or the raw combined vector of an interior node — a cached
-// subtree is a leaf. An entry is its vectors and what is built from
-// them, nothing else: the slider's numbers are O(1) reads of the
-// condition and its column (Result.PredicateInfos). The vectors are
+// sorted of a resident axis entry may be attached later under the
+// tier's mutex): the leaf of a condition, join, boolean-negation
+// fallback or subquery, the raw combined vector of an interior node — a
+// cached subtree is a leaf — or a 2D axis's signed distances. An entry
+// is its vectors and what is built from them, nothing else: the
+// slider's numbers are O(1) reads of the condition and its column
+// (Result.PredicateInfos). The vectors are
 // immutable once stored; only they ever leave the process
 // (encodeSharedEntry), and what is built from them is rebuilt wherever
 // they go.
 type leafEntry struct {
 	// raw is the distance vector (an interior node's raw combined one).
 	raw []float64
-	// zeros counts the exact +0 entries of raw when a range condition's
-	// kernel wrote it (relevance.Node.Zeros); 0: not counted.
-	zeros int
 	// codes is raw's code plane, built where the vector is born — a
 	// leaf's compute, an interior vector's pass, a kv arrival's fill —
-	// which the ranking filters the root's rows by. A 2D axis's signed
+	// which the ranking filters the root's rows by and whose counts
+	// answer the vector's normalization ranges. A 2D axis's signed
 	// distances are never ranked and have none.
 	codes *relevance.Codes
-	// quant is the sorted quantile index over the leaf's distances,
-	// built on the entry's first reuse: a leaf that recurs across reruns
-	// is hot, and the one-time linear-time build buys O(1) normalization
-	// ranges for every subsequent weighting change.
-	quant *relevance.LeafQuantiles
+	// sorted is a 2D axis's signed distances in ascending order
+	// (relevance.SortedValues), the sample its bands are cut from: built
+	// on the axis entry's first pinned reuse (RunCache.axis) and promoted
+	// to the resident entry, so that a weight drag on a figure 1b picture
+	// does not sort them again. No other entry has one.
+	sorted []float64
 }
 
-// sizeBytes accounts the entry's retained vectors and indexes.
+// sizeBytes accounts the entry's retained vectors, plane and index.
 func (e *leafEntry) sizeBytes() int64 {
-	n := len(e.raw)
-	if e.quant != nil {
-		n += e.quant.Size()
-	}
-	b := int64(8 * n)
+	b := int64(8 * (len(e.raw) + len(e.sorted)))
 	if e.codes != nil {
 		b += e.codes.Bytes()
 	}
@@ -269,9 +265,8 @@ func (c *RunCache) Len() int {
 }
 
 // pinned serves key from the pins (of this run or of the live Result)
-// and pins it for this run. The quantile index of the returned entry is
-// set from a vector's first pinned reuse on — a fill never indexes, and
-// neither does a revisit the tier answers.
+// and pins it for this run, with the sorted values another loop
+// promoted to the resident entry, if any (an axis entry's).
 func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	c.mu.Lock()
 	shared := c.shared
@@ -284,18 +279,9 @@ func (c *RunCache) pinned(key string) (leafEntry, bool) {
 		return leafEntry{}, false
 	}
 	// The tier does not see a pinned hit unless told: touching keeps a
-	// vector this loop sits on from ageing out under other loops' fills,
-	// and finds the index another loop already built.
-	quant := shared.touch(key)
-	if le.quant == nil {
-		if quant == nil {
-			// Built outside any mutex — milliseconds of linear passes
-			// must not stall other sessions on the tier. Two racing
-			// builders do redundant work; both results are identical
-			// and the first one promoted wins.
-			quant = shared.attachQuantiles(key, relevance.BuildLeafQuantiles(le.raw))
-		}
-		le.quant = quant
+	// vector this loop sits on from ageing out under other loops' fills.
+	if sorted := shared.touch(key); le.sorted == nil {
+		le.sorted = sorted
 	}
 	c.pin(key, le)
 	return le, true
@@ -339,21 +325,32 @@ func (c *RunCache) fetch(key string, rows int, code func([]float64) *relevance.C
 
 // axis resolves the signed distances a 2D placement reads for an axis
 // condition (runKeys.axis): a pin, then the tier and its remote backend,
-// then compute (only compute without a cache). They are indexed like
-// any entry — the placement's quantile bands read the sorted values —
-// and they are no leaf lookup of the run.
+// then compute (only compute without a cache). They are no leaf lookup
+// of the run. The placement's quantile bands read their sorted values,
+// which the entry's first pinned reuse sorts and promotes to the
+// resident entry — a fill never sorts, and neither does a revisit the
+// tier answers.
 func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
 	if c == nil {
 		return compute()
 	}
 	le, ok := c.pinned(key)
-	if !ok {
+	switch {
+	case !ok:
 		var err error
 		if le, _, err = c.Shared().fetch(key, rows, nil, compute); err != nil {
 			return leafEntry{}, err
 		}
-		c.pin(key, le)
+	case le.sorted == nil:
+		// Built outside any mutex — milliseconds of linear passes must
+		// not stall other sessions on the tier. Two racing builders do
+		// redundant work; both results are identical and the first one
+		// promoted wins.
+		le.sorted = c.Shared().attachQuantiles(key, relevance.SortedValues(le.raw))
+	default:
+		return le, nil
 	}
+	c.pin(key, le)
 	return le, nil
 }
 

@@ -98,13 +98,13 @@ type StageTimings struct {
 	// SketchHits and SketchRescans attribute the interior reuse of the
 	// Evaluate stage: interior nodes whose combine pass was skipped
 	// because their raw combined vector was cached (the whole subtree's
-	// fused passes are saved), and how many evaluator chunks were
-	// scanned to answer their normalization ranges — none for a vector
-	// with its quantile index (built, as for a leaf, on its first pinned
-	// reuse), every chunk for one ranged by NormRange before that. A
-	// warm weight-only rerun shows SketchHits > 0 with SketchRescans 0.
-	// Zero for uncached runs and under Options.NoInteriorSketch. Both
-	// names predate the index; wire.Timings and bench/ freeze them.
+	// fused passes are saved), and how many of them needed a pass over
+	// the vector for their normalization range — the gather of the rows
+	// of its code plane's crossing bucket, or NormRange when that bucket
+	// is dense, as the counts answer the minimum's class and the maximum
+	// on their own. Zero for uncached runs and under
+	// Options.NoInteriorSketch. Both names predate the code plane;
+	// wire.Timings and bench/ freeze them.
 	SketchHits, SketchRescans int
 	// SegsSkipped and Segs attribute the segment-stats pushdown of a
 	// leaf's column read: storage segments whose read was skipped
@@ -238,9 +238,9 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		// Interior reuse: an interior node whose key (runKeys.interior)
 		// names a cached vector skips its subtree's fused passes and is
 		// ranged like a leaf. Under NoInteriorSketch no node has a key.
-		evalOpts.InteriorFetch = func(key string) ([]float64, *relevance.LeafQuantiles, *relevance.Codes) {
+		evalOpts.InteriorFetch = func(key string) ([]float64, *relevance.Codes) {
 			le, _ := cache.lookup(key)
-			return le.raw, le.quant, le.codes
+			return le.raw, le.codes
 		}
 		evalOpts.InteriorStore = func(key string, raw []float64, codes *relevance.Codes) {
 			cache.store(key, leafEntry{raw: raw, codes: codes})
@@ -624,8 +624,7 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 // leafNode builds the relevance leaf of a condition, join,
 // boolean-fallback or subquery expression from its leafEntry: fetched
 // under key on a cached run, computed on the spot otherwise. The leaf
-// carries its key and whatever the entry has built (its code plane, a
-// reused one's quantile index).
+// carries its key and its code plane.
 func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() (leafEntry, error)) (*relevance.Node, error) {
 	var le leafEntry
 	var err error
@@ -638,7 +637,7 @@ func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label,
 		return nil, err
 	}
 	node := &relevance.Node{Op: relevance.Leaf, Label: label, Weight: expr.Weight(), Dists: le.raw,
-		Quantiles: le.quant, Codes: le.codes, Zeros: le.zeros, Key: key}
+		Codes: le.codes, Key: key}
 	res.setNode(expr, node)
 	return node, nil
 }

@@ -75,7 +75,7 @@ type Options struct {
 	// combine pass and re-selects its normalization range. Results are
 	// bit-identical either way — reuse only changes where the warm-rerun
 	// time goes (see StageTimings.SketchHits). The name predates the
-	// quantile index that replaced the sketch.
+	// code plane that replaced the sketch.
 	NoInteriorSketch bool
 	// NoSegmentStats disables the segment-stats pushdown of a leaf's
 	// column read (the pushdown's reference): range predicates read every

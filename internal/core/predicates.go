@@ -167,9 +167,8 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 			}
 			if skip != nil && skip[si] {
 				// raw[s:end] keeps its zero fill — exactly the distance
-				// of every in-range row, and all of it zero block; the
-				// strict-containment proof rules out boundary hits.
-				k.zeros += end - s
+				// of every in-range row; the strict-containment proof
+				// rules out boundary hits.
 				s = end
 				continue
 			}
@@ -214,16 +213,12 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 		}
 		mu.Lock()
 		total.max = max(total.max, k.max)
-		total.zeros += k.zeros
 		total.boundary = append(total.boundary, k.boundary...)
 		mu.Unlock()
 		return nil
 	})
 	if perr != nil {
 		return 0, 0, perr
-	}
-	if kernel {
-		le.zeros = total.zeros - len(total.boundary)
 	}
 	dmax := total.max // the largest finite distance written, the boundary rows' too
 	if len(total.boundary) > 0 {
@@ -267,7 +262,6 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 type rangeKernel struct {
 	lo, hi, edge float64
 	max          float64 // largest finite distance written
-	zeros        int     // exact +0 entries written (boundary rows included)
 	boundary     []int   // items equal to edge; the caller assigns their distances
 }
 
@@ -276,7 +270,7 @@ type rangeKernel struct {
 func (k *rangeKernel) run(raw, signed, vals []float64, base int) {
 	const signBit = 1 << 63
 	nan := math.Float64bits(math.NaN())
-	lo, hi, edge, mx, zeros, boundary := k.lo, k.hi, k.edge, k.max, k.zeros, k.boundary
+	lo, hi, edge, mx, boundary := k.lo, k.hi, k.edge, k.max, k.boundary
 	raw = raw[base : base+len(vals)]
 	if signed != nil {
 		signed = signed[base : base+len(vals)]
@@ -289,7 +283,6 @@ func (k *rangeKernel) run(raw, signed, vals []float64, base int) {
 		if signed != nil {
 			signed[j] = math.Float64frombits(d | signBit&below)
 		}
-		zeros += int(b2u(d == 0))
 		if v == edge {
 			boundary = append(boundary, base+j)
 		}
@@ -297,7 +290,7 @@ func (k *rangeKernel) run(raw, signed, vals []float64, base int) {
 			mx = f
 		}
 	}
-	k.max, k.zeros, k.boundary = mx, zeros, boundary
+	k.max, k.boundary = mx, boundary
 }
 
 // b2u is 1 for true and 0 for false, as a flag-to-register move.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/distance"
 	"repro/internal/join"
 	"repro/internal/query"
+	"repro/internal/relevance"
 )
 
 // refRangeLeaf is what numericCond must write for a range condition,
@@ -56,6 +57,25 @@ func refRangeLeaf(c *query.Cond, vals []float64) (raw, signed []float64, zeros i
 	return raw, signed, zeros
 }
 
+// checkLeafRanges holds the normalization ranges le's code plane answers
+// to NormRange over its vector bit for bit, at the keeps around its zeros
+// exact answers (a range leaf's kernel codes over [0, its maximum]), at
+// half of it and at all of it.
+func checkLeafRanges(t testing.TB, what string, le leafEntry, zeros int) {
+	t.Helper()
+	if le.codes == nil {
+		t.Fatalf("%s: a leaf without a code plane", what)
+	}
+	for _, keep := range []int{1, zeros - 1, zeros, zeros + 1, len(le.raw) / 2, len(le.raw)} {
+		got, _ := le.codes.Range(le.raw, keep)
+		want := relevance.NormRange(le.raw, keep)
+		if math.Float64bits(got.DMin) != math.Float64bits(want.DMin) || math.Float64bits(got.DMax) != math.Float64bits(want.DMax) ||
+			got.Kept != want.Kept || got.NoFinite != want.NoFinite {
+			t.Fatalf("%s: keep %d: the plane's range %+v, NormRange %+v", what, keep, got, want)
+		}
+	}
+}
+
 // rangeOps are the operators the kernel serves.
 var rangeOps = []query.Op{query.OpBetween, query.OpLt, query.OpLe, query.OpGt, query.OpGe, query.OpEq}
 
@@ -70,9 +90,10 @@ func rangeCond(attr string, op query.Op, a, b float64) *query.Cond {
 
 // checkRangeLeaf computes c's leaf over space without and with the
 // signed distances the 2D arrangement asks for, serially and on three
-// workers, and holds raw, signed and zeros to refRangeLeaf over vals —
-// the condition's value of every item — bit for bit. It returns the
-// segments the serial pass skipped.
+// workers, and holds raw and signed to refRangeLeaf over vals — the
+// condition's value of every item — bit for bit, and the ranges the
+// leaf's code plane answers around its exact answers to NormRange's. It
+// returns the segments the serial pass skipped.
 func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *query.Cond, attr query.BoundAttr, vals []float64) (skipped int) {
 	t.Helper()
 	raw, signed, zeros := refRangeLeaf(c, vals)
@@ -105,8 +126,8 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 			if withSigned {
 				same("signed", gotSigned, signed)
 			}
-			if le.zeros != zeros {
-				t.Fatalf("%s (workers %d): zeros %d, want %d", c.Label(), workers, le.zeros, zeros)
+			if !withSigned {
+				checkLeafRanges(t, c.Label(), le, zeros)
 			}
 			if skipped >= 0 && segsSkipped != skipped {
 				t.Fatalf("%s (workers %d, signed %v): skipped %d segments, another pass %d", c.Label(), workers, withSigned, segsSkipped, skipped)
@@ -181,7 +202,8 @@ func TestRangeKernelMatchesToRange(t *testing.T) {
 		}
 	}
 
-	// OpNe and OpIn are other distance functions: no zero block.
+	// OpNe and OpIn are other distance functions, coded over their
+	// vectors' extremes.
 	e := New(cat, nil, Options{})
 	for _, c := range []*query.Cond{
 		{Attr: "x", Op: query.OpNe, Value: dataset.Float(50)},
@@ -191,9 +213,7 @@ func TestRangeKernelMatchesToRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if le.zeros != 0 {
-			t.Fatalf("%s: zeros %d, want 0 (not counted)", c.Label(), le.zeros)
-		}
+		checkLeafRanges(t, c.Label(), le, 0)
 	}
 
 	// Nulls read as NaN; an int column coerces exactly.

@@ -200,7 +200,8 @@ func (r *Result) apply2DQuantiles(in2D []int) {
 // a string condition would repeat its edit distances, and a cached run
 // keeps them under their own key (RunCache.axis), so a weight drag does
 // not compute them again; the sorted values are the entry's quantile
-// index, which its first pinned reuse builds like any entry's.
+// index, which RunCache.axis builds on the entry's first pinned reuse
+// (axis entries are the only ones that have one).
 func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	c := r.Binding.CondOn(attr, func(c *query.Cond) bool {
 		_, ok := r.evaluated[c]
@@ -219,11 +220,11 @@ func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	if err != nil {
 		return nil, nil // the leaf computed over the same inputs; unreachable
 	}
-	if le.quant == nil {
+	if le.sorted == nil {
 		// A fill, an uncached run, or a range drag on the axis.
-		le.quant = relevance.BuildLeafQuantiles(le.raw)
+		le.sorted = relevance.SortedValues(le.raw)
 	}
-	return le.raw, le.quant.Sorted()
+	return le.raw, le.sorted
 }
 
 func signOf(signed []float64, item int) int {

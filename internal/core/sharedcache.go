@@ -12,12 +12,13 @@ import (
 // SharedCache is the store of the predicate cache: one instance per
 // catalog, attached to every session exploring that catalog, so the
 // expensive part of the feedback loop — leaf distance vectors, the raw
-// combined vectors of the interior nodes over them, and the quantile
-// indexes of both — is computed once per catalog instead of once per
-// session. (A loop that attaches none stands on a small one of its own,
-// see NewRunCache.) N users dragging sliders over the same large
-// database share every leaf whose structural signature matches, and one
-// user going back to a range finds it where they left it.
+// combined vectors of the interior nodes over them, and the 2D axes'
+// signed distances with their quantile indexes — is computed once per
+// catalog instead of once per session. (A loop that attaches none stands
+// on a small one of its own, see NewRunCache.) N users dragging sliders
+// over the same large database share every leaf whose structural
+// signature matches, and one user going back to a range finds it where
+// they left it.
 //
 // The contract is two lines: recency alone decides residency, and a key
 // names exactly one vector. What follows from them:
@@ -350,34 +351,34 @@ func (sc *SharedCache) fetch(key string, rows int, code func([]float64) *relevan
 // touch makes the entry under key the most recently used — a session
 // served it from its pins, which the tier would otherwise not see — and
 // returns the quantile index promoted to it, if any session has built
-// it. A key that is not resident is a no-op.
-func (sc *SharedCache) touch(key string) *relevance.LeafQuantiles {
+// it (an axis entry's). A key that is not resident is a no-op.
+func (sc *SharedCache) touch(key string) []float64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if e, ok := sc.entries.Get(key); ok {
-		return e.quant
+		return e.sorted
 	}
 	return nil
 }
 
-// attachQuantiles promotes a freshly built quantile index to the
-// resident entry for key and returns the canonical one: the entry's own
-// if it already has one (both are identical — the builds are
+// attachQuantiles promotes an axis entry's freshly sorted values q to
+// the resident entry for key and returns the canonical ones: the
+// entry's own if it already has them (both are identical — the sorts are
 // deterministic — so either could win; keeping the first keeps one copy
 // resident), q otherwise, which then grows the entry's byte accounting.
-// The index stays in this process: any node rebuilds it from the leaf
+// They stay in this process: any node sorts them again from the axis
 // vector in linear time, faster than a fetch.
-func (sc *SharedCache) attachQuantiles(key string, q *relevance.LeafQuantiles) *relevance.LeafQuantiles {
+func (sc *SharedCache) attachQuantiles(key string, q []float64) []float64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	e, ok := sc.entries.Peek(key)
 	if !ok {
 		return q
 	}
-	if e.quant != nil {
-		return e.quant
+	if e.sorted != nil {
+		return e.sorted
 	}
-	e.quant = q
+	e.sorted = q
 	sc.evictions += uint64(sc.entries.Resize(key, e.sizeBytes()))
 	return q
 }

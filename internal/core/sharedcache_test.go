@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -449,11 +450,13 @@ func TestSharedTierAcrossRunCaches(t *testing.T) {
 	}
 }
 
-// TestSharedTierPromotesQuantiles: the quantile index built by one
-// session's rerun lands in the shared tier (byte accounting grows) and
-// later sessions reuse it instead of re-sorting.
+// TestSharedTierPromotesQuantiles: the quantile index of a 2D axis
+// entry ("A|"), built by one session's rerun, lands in the shared tier
+// (byte accounting grows) and later sessions reuse it instead of
+// re-sorting; no leaf or interior entry is indexed — their code planes
+// answer their normalization ranges.
 func TestSharedTierPromotesQuantiles(t *testing.T) {
-	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8})
+	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8, Arrangement: Arrange2D, AxisX: "x", AxisY: "y"})
 	q, err := query.Parse(`SELECT x FROM T WHERE x > 6 AND y < 5`)
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +468,7 @@ func TestSharedTierPromotesQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterFill := sc.Bytes()
-	// The second run hits privately and builds (then promotes) the
+	// The second run hits privately and builds (then promotes) the axes'
 	// quantile indexes.
 	if _, err := runCached(e, q, c1); err != nil {
 		t.Fatal(err)
@@ -480,13 +483,21 @@ func TestSharedTierPromotesQuantiles(t *testing.T) {
 	if _, err := runCached(e, q, c2); err != nil {
 		t.Fatal(err)
 	}
-	if len(c2.live.leaves) != 2 {
-		t.Fatalf("second session pins %d leaves", len(c2.live.leaves))
-	}
+	axes := 0
 	for key, le := range c2.live.leaves {
-		if le.quant == nil || le.quant != c1.live.leaves[key].quant {
-			t.Fatalf("leaf %q: the second session did not get the promoted quantile index", key)
+		if !strings.HasPrefix(key, "A|") {
+			if le.sorted != nil {
+				t.Fatalf("entry %q carries a quantile index", key)
+			}
+			continue
 		}
+		axes++
+		if c1 := c1.live.leaves[key].sorted; le.sorted == nil || &le.sorted[0] != &c1[0] {
+			t.Fatalf("axis %q: the second session did not get the promoted quantile index", key)
+		}
+	}
+	if axes != 2 {
+		t.Fatalf("second session pins %d axis entries, want 2", axes)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/topk"
 )
@@ -22,12 +23,15 @@ import (
 // exact. A plane is built where its vector is born — a leaf by its
 // compute, an interior vector by the pass that stores it, a vector
 // another process computed by the fill that admits it — and codes
-// exactly that vector.
+// exactly that vector. Per code it counts the rows, which answer the
+// vector's normalization ranges (Range).
 type Codes struct {
 	codes  []uint8
 	least  []uint8 // per evaluator chunk of rows, its least code
 	enc    codeEncoder
 	lo, hi [256]float64
+	mu     sync.Mutex // guards counts while runs of chunks are coded
+	counts [256]int32
 }
 
 // The codes of the reserved classes; the buckets run from codeBucket0.
@@ -40,9 +44,9 @@ const (
 	codeNaN     = 255
 )
 
-// Bytes is what the plane retains: a byte per row, one per chunk, and
-// the two tables.
-func (cp *Codes) Bytes() int64 { return int64(len(cp.codes) + len(cp.least) + 2*8*256) }
+// Bytes is what the plane retains: a byte per row, one per chunk, the
+// two tables and the counts.
+func (cp *Codes) Bytes() int64 { return int64(len(cp.codes) + len(cp.least) + 2*8*256 + 4*256) }
 
 // Chunks is how many evaluator chunks of rows the plane codes.
 func (cp *Codes) Chunks() int { return len(cp.least) }
@@ -60,7 +64,9 @@ func BuildCodes(v []float64) *Codes {
 // a time, and disjoint runs may be coded concurrently. The rows equal to
 // lo are the minimum's class; a producer that knows its vector's
 // extremes (a range leaf's kernel, an interior node's pass) passes them
-// and saves BuildCodes' pass over the vector.
+// and saves BuildCodes' pass over the vector. lo must be the least
+// finite value, or a bound below them all that is not below 0 (a range
+// leaf with no exact answer).
 func NewCodes(n int, lo, hi float64) *Codes {
 	cp := &Codes{codes: make([]uint8, n), least: make([]uint8, (n+evalChunk-1)/evalChunk),
 		enc: newCodeEncoder(lo, hi)}
@@ -68,13 +74,87 @@ func NewCodes(n int, lo, hi float64) *Codes {
 	return cp
 }
 
-// Encode codes the rows of evaluator chunks [c0, c1) of v.
+// Encode codes the rows of evaluator chunks [c0, c1) of v and adds
+// their per-code counts to the plane's. A chunk's least code is its
+// first counted one.
 func (cp *Codes) Encode(v []float64, c0, c1 int) {
+	var counts [256]int32
 	for c := c0; c < c1; c++ {
 		lo, hi := c*evalChunk, min((c+1)*evalChunk, len(v))
-		cp.enc.encode(cp.codes[lo:hi], v[lo:hi])
-		cp.least[c] = slices.Min(cp.codes[lo:hi])
+		dst := cp.codes[lo:hi]
+		cp.enc.encode(dst, v[lo:hi])
+		var h [256]int32
+		for _, x := range dst {
+			h[x]++
+		}
+		least := -1
+		for x, n := range h {
+			if least < 0 && n > 0 {
+				least = x
+			}
+			counts[x] += n
+		}
+		cp.least[c] = uint8(least)
 	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	for x, n := range counts {
+		cp.counts[x] += n
+	}
+}
+
+// Range answers NormRange(v, keep) for the vector v the plane codes, bit
+// for bit, from the per-code counts: they give the finite count, and the
+// minimum's class answers the range's minimum and, when keep reaches no
+// further, its maximum. Else the counts name the code the keep-th
+// smallest finite value falls into (codes are ordered like their
+// values); a code of under an eighth of the rows is gathered, a run of
+// bytes at a time, for the selection, and a denser one (a column too
+// skewed for equal-width buckets) answers by NormRange.
+// A nil plane, or one of another vector, answers by NormRange. scanned
+// reports a pass over v: the gather, or NormRange. A zero answer carries
+// the sign of v's first zero, as NormRange's does.
+func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
+	if cp == nil || len(cp.codes) != len(v) {
+		return NormRange(v, keep), true
+	}
+	nFinite := 0
+	for _, c := range cp.counts[codeMin:codePosInf] {
+		nFinite += int(c)
+	}
+	mn, mins := cp.enc.mn, int(cp.counts[codeMin])
+	switch {
+	case nFinite == 0:
+		return NormParams{NoFinite: true}, false
+	case mins == 0:
+		mn = math.Inf(1) // every finite value lies above lo ≥ 0: the range starts at +0
+	case mn == 0:
+		mn = v[bytes.IndexByte(cp.codes, codeMin)]
+	}
+	p = baseParams(nFinite, mn, keep)
+	if p.Kept <= mins {
+		p.DMax = mn
+		return p, false
+	}
+	before, c := mins, codeBucket0
+	for ; before+int(cp.counts[c]) < p.Kept; c++ {
+		before += int(cp.counts[c])
+	}
+	m := int(cp.counts[c])
+	if m*8 >= len(v) {
+		return NormRange(v, keep), true
+	}
+	vals := make([]float64, 0, m)
+	for i := 0; ; i++ {
+		j := bytes.IndexByte(cp.codes[i:], uint8(c))
+		if j < 0 {
+			break
+		}
+		i += j
+		vals = append(vals, v[i])
+	}
+	p.DMax = rangeOf(scanRange(vals, 0, len(vals)), vals, p.Kept-before).DMax
+	return p, true
 }
 
 // FiniteExtremes returns the least and the greatest finite value of v

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/reduce"
@@ -108,6 +109,126 @@ func TestCodePlane(t *testing.T) {
 			checkCodes(t, fmt.Sprintf("%s/%d", name, n), gen(n))
 		}
 	}
+}
+
+// checkCodeRange holds the range a leaf of v with plane cp is given to
+// NormRange bit for bit — DMin's and DMax's sign of zero included — for
+// every keep from -1 to n+1 (past 2000 rows, 300 of them and every keep
+// around an edge between two codes' rows), and the plane's counts to the
+// codes it wrote.
+func checkCodeRange(t *testing.T, what string, v []float64, cp *Codes) {
+	t.Helper()
+	var counts [256]int32
+	for _, c := range cp.codes {
+		counts[c]++
+	}
+	if counts != cp.counts {
+		t.Fatalf("%s: the counts do not count the codes", what)
+	}
+	stride := 1
+	if len(v) > 2000 {
+		stride = len(v) / 300
+	}
+	for _, keep := range codeRangeKeeps(cp, stride) {
+		want := NormRange(v, keep)
+		if got, _ := cp.Range(v, keep); !sameParams(got, want) {
+			t.Fatalf("%s: keep %d: Range %+v [%#x %#x], NormRange %+v [%#x %#x]", what, keep,
+				got, math.Float64bits(got.DMin), math.Float64bits(got.DMax),
+				want, math.Float64bits(want.DMin), math.Float64bits(want.DMax))
+		}
+	}
+}
+
+// codeRangeKeeps is every stride-th keep from -1 to n+1 and, past a
+// stride of 1, every keep around an edge between two codes' rows: where
+// Range's branches and its crossing code change.
+func codeRangeKeeps(cp *Codes, stride int) []int {
+	n := len(cp.codes)
+	var keeps []int
+	for keep := -1; keep <= n+1; keep += stride {
+		keeps = append(keeps, keep)
+	}
+	if stride == 1 {
+		return keeps
+	}
+	edge := 0
+	for _, c := range cp.counts[codeMin:codePosInf] {
+		edge += int(c)
+		keeps = append(keeps, edge-1, edge, edge+1)
+	}
+	keeps = append(keeps, 0, 1, n, n+1)
+	slices.Sort(keeps)
+	return slices.Compact(keeps)
+}
+
+// TestCodeRangeMatchesNormRange: a plane's counts answer the
+// normalization range of the vector it codes as NormRange does, bit for
+// bit, for every keep, over the contents that steer each branch — NaN,
+// ±Inf, mixes of ±0 (the sign of a zero answer is the first zero's),
+// duplicates, one value, -0 alone, a span too wide to bucket — and over
+// a range leaf's plane, whose lo is 0 whether or not a row is. Counts
+// coded in any split of the chunks, the runs concurrently, equal one
+// serial Encode's.
+func TestCodeRangeMatchesNormRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	negZero := math.Copysign(0, -1)
+	shapes := []leafShape{
+		{"specials", awkwardFloats},
+		{"zeros", pick(0, negZero)},
+		{"signed zeros", pick(negZero, 0, -1.5, 2, negZero, 0.25)},
+		{"zeros at the top", pick(negZero, 0, -3, -1e-3)},
+		{"zeros and specials", pick(0, negZero, math.NaN(), math.Inf(1), math.Inf(-1), 1)},
+		{"duplicates", pick(0, 1, 1, 1, 2.5, 2.5, 255)},
+		{"all equal", pick(7.25)},
+		{"one finite", func(rng *rand.Rand, n int) []float64 {
+			v := pick(math.NaN(), math.Inf(1), math.Inf(-1))(rng, n)
+			v[rng.Intn(n)] = -4.5
+			return v
+		}},
+		{"negative zero only", pick(negZero)},
+		{"span overflow", func(rng *rand.Rand, n int) []float64 {
+			return fill(n, func() float64 { return (rng.Float64()*2 - 1) * math.MaxFloat64 })
+		}},
+		{"range", rangeDistances},
+		{"lognormal", logNormal},
+	}
+	for _, s := range shapes {
+		for _, n := range []int{1, 2, 37, kernelMin + 1, 2*evalChunk + 5} {
+			v := s.gen(rng, n)
+			what := fmt.Sprintf("%s n=%d", s.name, n)
+			checkCodeRange(t, what, v, BuildCodes(v))
+			// A range leaf's kernel codes over [0, its maximum].
+			if lo, hi := FiniteExtremes(v); lo >= 0 && lo <= hi {
+				cp := NewCodes(n, 0, hi)
+				cp.Encode(v, 0, cp.Chunks())
+				checkCodeRange(t, what+" over [0, max]", v, cp)
+			}
+		}
+	}
+	// Every split of five chunks into runs, coded concurrently.
+	v := pick(0, negZero, math.NaN(), math.Inf(1), 3, 3, 7.5, -2)(rng, 4*evalChunk+77)
+	serial := BuildCodes(v)
+	lo, hi := FiniteExtremes(v)
+	for split := 0; split < 1<<(serial.Chunks()-1); split++ {
+		cp := NewCodes(len(v), lo, hi)
+		var wg sync.WaitGroup
+		for c0 := 0; c0 < cp.Chunks(); {
+			c1 := c0 + 1
+			for ; c1 < cp.Chunks() && split>>(c1-1)&1 == 0; c1++ {
+			}
+			wg.Add(1)
+			go func(c0, c1 int) {
+				defer wg.Done()
+				cp.Encode(v, c0, c1)
+			}(c0, c1)
+			c0 = c1
+		}
+		wg.Wait()
+		if cp.counts != serial.counts || !slices.Equal(cp.codes, serial.codes) || !slices.Equal(cp.least, serial.least) {
+			t.Fatalf("split %b: the plane differs from the serial one", split)
+		}
+	}
+	checkCodeRange(t, "split", v, serial)
 }
 
 // rowFilterChild draws a child vector of one of the kinds the filter
@@ -289,7 +410,7 @@ func TestRowFilterKeepsTopK(t *testing.T) {
 			root.Children = append(root.Children, child)
 		}
 		if rng.Intn(2) == 0 {
-			attachLeafStats(root, false)
+			attachLeafStats(root)
 		}
 		opts := kn.opts
 		opts.Budget = 1 + rng.Intn(n)

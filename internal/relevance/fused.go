@@ -139,7 +139,8 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		if len(node.Dists) != c.n {
 			return nil, NormParams{}, fmt.Errorf("relevance: leaf %q has %d distances, want %d", node.Label, len(node.Dists), c.n)
 		}
-		return node.Dists, indexedRange(node.Dists, node.Quantiles, node.Zeros, c.keepOf(node)), nil
+		p, _ := node.Codes.Range(node.Dists, c.keepOf(node))
+		return node.Dists, p, nil
 	case NodeAnd, NodeOr:
 		if e, ok := c.fetchInterior(node); ok {
 			// The subtree's raw combined vector is cached: skip the

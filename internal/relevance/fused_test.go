@@ -260,12 +260,13 @@ func TestEvaluateAllocHook(t *testing.T) {
 	sameVec(t, "combined fallback", want.Combined, got2.Combined)
 }
 
-// TestLeafQuantilesMatchNormRange: the quantile index and the
-// scan-plus-selection path stand on one kernel now, so agreeing with
-// each other proves nothing; both must answer what the independent
-// sort-and-index oracle (orderstats_test.go) answers, for every keep
-// count, across NaN/±Inf-laced vectors.
-func TestLeafQuantilesMatchNormRange(t *testing.T) {
+// TestLeafRangesMatchOracle: the code plane's counts and the
+// scan-plus-selection path stand on one kernel (the crossing bucket is
+// selected by NormRange's), so agreeing with each other proves little;
+// both must answer what the independent sort-and-index oracle
+// (orderstats_test.go) answers, for every keep count, across
+// NaN/±Inf-laced vectors.
+func TestLeafRangesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(3000)
@@ -285,18 +286,27 @@ func TestLeafQuantilesMatchNormRange(t *testing.T) {
 			}
 		}
 		checkLeafOrderStats(t, fmt.Sprintf("trial %d", trial), dists)
-		fin, q := oracleSorted(dists), BuildLeafQuantiles(dists)
+		fin, cp := oracleSorted(dists), BuildCodes(dists)
 		for _, keep := range []int{n / 3, n - 1, n, n + 5} {
-			if want, got := oracleRange(fin, keep), q.Range(keep); want != got || NormRange(dists, keep) != want {
+			if want, got := oracleRange(fin, keep), NormRange(dists, keep); want != got {
 				t.Fatalf("trial %d keep %d: %+v vs %+v", trial, keep, want, got)
+			}
+			if want, got := oracleRange(fin, keep), codeRange(cp, dists, keep); want != got {
+				t.Fatalf("trial %d keep %d: %+v vs codes %+v", trial, keep, want, got)
 			}
 		}
 	}
 	// An all-NaN/Inf vector has no finite range either way.
 	deg := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	if got := BuildLeafQuantiles(deg).Range(2); !got.NoFinite {
+	if got := codeRange(BuildCodes(deg), deg, 2); !got.NoFinite {
 		t.Fatalf("degenerate vector: %+v", got)
 	}
+}
+
+// codeRange is Codes.Range's params.
+func codeRange(cp *Codes, v []float64, keep int) NormParams {
+	p, _ := cp.Range(v, keep)
+	return p
 }
 
 // TestCombineOrFastPathEquivalence: the unit-weight fast path must

@@ -14,32 +14,17 @@ package relevance
 //
 // A cached subtree is a leaf. On a miss the evaluator hands
 // InteriorStore a private copy of the node's raw combined vector with
-// its code plane. On a hit the fused
-// passes of the whole subtree are skipped and the node is treated
-// exactly as the Leaf case of eval treats a leaf: the vector is
-// read-only, its normalization range comes from the quantile index when
-// the caller has built one and from NormRange when not, its scaled form
-// is chunk-local in the parent's pass, and Result.Vec materializes it on
-// demand.
+// its code plane. On a hit the fused passes of the whole subtree are
+// skipped and the node is treated exactly as the Leaf case of eval
+// treats a leaf: the vector is read-only, its normalization range comes
+// from its code plane's counts when the caller has one and from
+// NormRange when not, its scaled form is chunk-local in the parent's
+// pass, and Result.Vec materializes it on demand.
 
 // cachedVec is what InteriorFetch answered for one node.
 type cachedVec struct {
 	raw   []float64
-	q     *LeafQuantiles
 	codes *Codes
-}
-
-// indexedRange answers NormRange(dists, keep) by the cheapest means at
-// hand: the zero block (Node.Zeros) when keep fits in it — the range is
-// then [+0, +0] — else the index q (of exactly dists), else a scan.
-func indexedRange(dists []float64, q *LeafQuantiles, zeros, keep int) NormParams {
-	switch {
-	case keep > 0 && keep <= zeros:
-		return NormParams{Kept: keep}
-	case q != nil:
-		return q.Range(keep)
-	}
-	return NormRange(dists, keep)
 }
 
 // fetchInterior asks the caller's store for node's raw combined vector
@@ -48,11 +33,11 @@ func (c *fusedCtx) fetchInterior(node *Node) (cachedVec, bool) {
 	if node.Key == "" || c.opts.InteriorFetch == nil {
 		return cachedVec{}, false
 	}
-	raw, q, codes := c.opts.InteriorFetch(node.Key)
+	raw, codes := c.opts.InteriorFetch(node.Key)
 	if raw == nil || len(raw) != c.n || (codes != nil && len(codes.codes) != c.n) {
 		return cachedVec{}, false
 	}
-	return cachedVec{raw: raw, q: q, codes: codes}, true
+	return cachedVec{raw: raw, codes: codes}, true
 }
 
 // collectSubtreeEntries fetches the cached vectors of every interior
@@ -111,12 +96,10 @@ func (c *fusedCtx) useInteriorEntry(node *Node, e cachedVec, entries map[*Node]c
 		return nil, NormParams{}, err
 	}
 	use := func(d *Node, de cachedVec) NormParams {
-		p := indexedRange(de.raw, de.q, 0, c.keepOf(d))
+		p, scanned := de.codes.Range(de.raw, c.keepOf(d))
 		c.res.setLazy(d, de.raw, p)
 		c.res.SketchHits++
-		if de.q == nil {
-			c.res.SketchRescans += c.chunkCount()
-		}
+		c.res.SketchRescans += b2i(scanned)
 		return p
 	}
 	for d, de := range entries {

@@ -9,20 +9,21 @@ import (
 
 // interiorHit evaluates AND(part, x) the way the engine does (lazy
 // leaves, deferred root) with part's raw combined vector answered by
-// InteriorFetch — raw itself, indexed or not — and returns the params
-// the evaluator ranged part with and the rescans it reported.
-func interiorHit(t *testing.T, raw []float64, budget int, indexed bool) (NormParams, int) {
+// InteriorFetch — raw itself, with its code plane or without — and
+// returns the params the evaluator ranged part with and the rescans it
+// reported.
+func interiorHit(t *testing.T, raw []float64, budget int, coded bool) (NormParams, int) {
 	t.Helper()
 	n := len(raw)
 	leaf := func(label string) *Node { return &Node{Op: Leaf, Label: label, Dists: make([]float64, n)} }
 	part := &Node{Op: NodeOr, Children: []*Node{leaf("a"), leaf("b")}, Key: "part"}
 	root := &Node{Op: NodeAnd, Children: []*Node{part, leaf("x")}}
 	opts := EvalOptions{Budget: budget, NaiveNormalize: budget == 0, DeferRoot: true}
-	opts.InteriorFetch = func(string) ([]float64, *LeafQuantiles, *Codes) {
-		if indexed {
-			return raw, BuildLeafQuantiles(raw), BuildCodes(raw)
+	opts.InteriorFetch = func(string) ([]float64, *Codes) {
+		if coded {
+			return raw, BuildCodes(raw)
 		}
-		return raw, nil, nil
+		return raw, nil
 	}
 	res, err := Evaluate(root, n, opts)
 	if err != nil {
@@ -37,8 +38,10 @@ func interiorHit(t *testing.T, raw []float64, budget int, indexed bool) (NormPar
 // TestInteriorEntryRangeMatchesNormRange: a cached subtree is ranged
 // like a leaf. For every distribution shape (non-finite mixes, signed
 // zeros, duplicate-heavy, degenerate) and random keep counts, the
-// params of an interior hit equal NormRange over the cached vector, with and without its quantile index, and the rescans
-// say which of the two answered.
+// params of an interior hit equal NormRange over the cached vector, with
+// and without its code plane, and the rescans say whether a pass over
+// the vector answered: always without the plane, and with it exactly
+// when the keep-th smallest finite value is not the minimum.
 func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	gens := map[string]func(n int) []float64{
@@ -118,24 +121,24 @@ func TestInteriorEntryRangeMatchesNormRange(t *testing.T) {
 				for i := 0; i < 6; i++ {
 					budgets = append(budgets, 1+rng.Intn(n))
 				}
-				nchunks := (n + evalChunk - 1) / evalChunk
+				fin := oracleSorted(dists)
 				for _, budget := range budgets {
 					keep := 0
 					if budget != 0 {
 						keep = KeepCount(budget, n, 1)
 					}
 					want := NormRange(dists, keep)
-					for _, indexed := range []bool{false, true} {
-						got, rescans := interiorHit(t, dists, budget, indexed)
-						// == on the bounds: the index orders -0 before +0 and the
-						// selection answers whichever zero it met (as for leaves);
-						// a combined vector holds no -0 to tell them apart — the
-						// kernels accumulate from +0 over non-negative weights.
-						if want != got {
-							t.Fatalf("n=%d keep=%d indexed=%v: hit %+v, reference %+v", n, keep, indexed, got, want)
+					gather := 0
+					if o := oracleRange(fin, keep); !o.NoFinite {
+						gather = b2i(fin[o.Kept-1] != fin[0])
+					}
+					for _, coded := range []bool{false, true} {
+						got, rescans := interiorHit(t, dists, budget, coded)
+						if !sameParams(want, got) {
+							t.Fatalf("n=%d keep=%d coded=%v: hit %+v, reference %+v", n, keep, coded, got, want)
 						}
-						if wantRescans := map[bool]int{false: nchunks, true: 0}[indexed]; rescans != wantRescans {
-							t.Fatalf("n=%d keep=%d indexed=%v: rescans %d, want %d", n, keep, indexed, rescans, wantRescans)
+						if wantRescans := map[bool]int{false: 1, true: gather}[coded]; rescans != wantRescans {
+							t.Fatalf("n=%d keep=%d coded=%v: rescans %d, want %d", n, keep, coded, rescans, wantRescans)
 						}
 					}
 				}
@@ -185,8 +188,8 @@ func collectLeaves(root *Node) []*Node {
 // TestInteriorCacheHitBitIdentical: evaluating with a warm interior
 // cache must reproduce the hookless evaluation bit for bit — combined
 // vector and every leaf window — across option variants, weight drags,
-// and the deferred root, with the cached vectors indexed on every other
-// trial; and the cached vectors themselves must come back
+// and the deferred root, with the cached vectors' code planes dropped on
+// every other trial; and the cached vectors themselves must come back
 // byte-identical (the evaluation may only read them).
 func TestInteriorCacheHitBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -222,7 +225,7 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		for key, e := range store {
 			snap[key] = append([]float64(nil), e.raw...)
 			if trial%4 >= 2 {
-				e.q = BuildLeafQuantiles(e.raw)
+				e.codes = nil
 				store[key] = e
 			}
 		}
@@ -237,13 +240,13 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 
 		warm := opts
 		fetches, hits := 0, 0
-		warm.InteriorFetch = func(key string) ([]float64, *LeafQuantiles, *Codes) {
+		warm.InteriorFetch = func(key string) ([]float64, *Codes) {
 			fetches++
 			e, ok := store[key]
 			if ok {
 				hits++
 			}
-			return e.raw, e.q, e.codes
+			return e.raw, e.codes
 		}
 		got, err := Evaluate(tree, n, warm)
 		if err != nil {

@@ -9,6 +9,7 @@ package relevance
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -207,61 +208,32 @@ func NormRange(dists []float64, keep int) NormParams {
 	return rangeOf(scanRange(dists, 0, len(dists)), dists, keep)
 }
 
-// LeafQuantiles is a sorted index over one vector's values: a one-time
-// linear-time investment (sortFinite) that answers NormRange for ANY
-// keep in O(1). Weighting-factor changes move each leaf's keep count
-// (KeepCount is inverse in the weight), so an interactive session
-// builds this for its hot leaves and reruns without any per-leaf scan
-// or selection — bit-identically: it is the same order statistic. It
-// holds every non-NaN value, so it is also the sorted sample the 2D
-// arrangement's signed quantile bands read (Sorted).
-type LeafQuantiles struct {
-	sorted []float64 // non-NaN values, ascending: -Inf first, +Inf last, -0 before +0
-	finite []float64 // sorted's finite values
-}
-
-// BuildLeafQuantiles builds the quantile index of dists in three reads
-// (a scan, a count, a scatter); dists is not retained.
-func BuildLeafQuantiles(dists []float64) *LeafQuantiles {
+// SortedValues returns the non-NaN values of dists in ascending order —
+// -Inf first, +Inf last, -0 before +0 — sorted in three linear reads (a
+// scan, a count, a scatter; sortFinite): the sorted sample the 2D
+// arrangement's signed quantile bands read. A ranked vector's
+// normalization ranges come from its code plane instead (Codes.Range).
+func SortedValues(dists []float64) []float64 {
 	st := scanRange(dists, 0, len(dists))
 	sorted := make([]float64, len(dists)-st.nNaN)
-	q := &LeafQuantiles{sorted: sorted, finite: sorted[st.nNegInf : st.nNegInf+st.nFinite]}
 	for i := range sorted[:st.nNegInf] {
 		sorted[i] = math.Inf(-1)
 	}
 	for i := st.nNegInf + st.nFinite; i < len(sorted); i++ {
 		sorted[i] = math.Inf(1)
 	}
-	sortFinite(q.finite, dists, st.minFinite, st.maxFinite, 0)
+	finite := sorted[st.nNegInf : st.nNegInf+st.nFinite]
+	sortFinite(finite, dists, st.minFinite, st.maxFinite, 0)
 	// -0 and +0 compare equal and come out in input order; -0 first, so
 	// that any two nodes indexing the same values encode the same bytes.
-	zeros, neg := q.finite[sort.SearchFloat64s(q.finite, 0):], 0
+	zeros, neg := finite[sort.SearchFloat64s(finite, 0):], 0
 	for i := 0; i < len(zeros) && zeros[i] == 0; i++ {
 		if math.Signbit(zeros[i]) {
 			zeros[i], zeros[neg] = zeros[neg], zeros[i]
 			neg++
 		}
 	}
-	return q
-}
-
-// Size returns the number of float64 values the index retains — the
-// memory accounting handle for caches that keep promoted indexes
-// resident.
-func (q *LeafQuantiles) Size() int { return len(q.sorted) }
-
-// Sorted returns the indexed vector's non-NaN values in ascending
-// order, ±Inf included. The slice is the index itself: read-only.
-func (q *LeafQuantiles) Sorted() []float64 { return q.sorted }
-
-// Range answers NormRange(dists, keep) for the indexed vector.
-func (q *LeafQuantiles) Range(keep int) NormParams {
-	if len(q.finite) == 0 {
-		return NormParams{NoFinite: true}
-	}
-	p := baseParams(len(q.finite), q.finite[0], keep)
-	p.DMax = q.finite[p.Kept-1]
-	return p
+	return sorted
 }
 
 // baseParams answers the part of a normalization range that needs no
@@ -293,7 +265,11 @@ func rangeOf(st rangeScan, dists []float64, keep int) NormParams {
 	case p.Kept == st.nFinite:
 		p.DMax = st.maxFinite
 	default:
-		p.DMax = kthFinite(st, dists, p.Kept)
+		// A zero carries the sign of dists' first zero, as the scan's
+		// extremes do: the selection meets the zeros in no fixed order.
+		if p.DMax = kthFinite(st, dists, p.Kept); p.DMax == 0 {
+			p.DMax = dists[slices.Index(dists, 0)]
+		}
 	}
 	return p
 }

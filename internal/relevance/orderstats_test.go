@@ -53,6 +53,12 @@ func eqBits(t *testing.T, what string, a, b []float64) {
 	}
 }
 
+// sameParams compares params by bits: the sign of a zero counts.
+func sameParams(a, b NormParams) bool {
+	return math.Float64bits(a.DMin) == math.Float64bits(b.DMin) &&
+		math.Float64bits(a.DMax) == math.Float64bits(b.DMax) && a.Kept == b.Kept && a.NoFinite == b.NoFinite
+}
+
 func oracleRange(fin []float64, keep int) NormParams {
 	if len(fin) == 0 {
 		return NormParams{NoFinite: true}
@@ -65,22 +71,21 @@ func oracleRange(fin []float64, keep int) NormParams {
 
 // checkLeafOrderStats holds every leaf order statistic of dists against
 // the oracle: the index element for element by bits, NormRange and
-// LeafQuantiles.Range for the keeps around every branch of the kernel.
+// Codes.Range for the keeps around every branch of the kernel.
 func checkLeafOrderStats(t *testing.T, what string, dists []float64) {
 	t.Helper()
 	orig := append([]float64(nil), dists...)
 	fin := oracleSorted(dists)
-	q := BuildLeafQuantiles(dists)
-	eqBits(t, what+": sorted", oracleIndex(dists), q.Sorted())
-	eqBits(t, what+": finite", fin, q.finite)
+	eqBits(t, what+": sorted", oracleIndex(dists), SortedValues(dists))
+	cp := BuildCodes(dists)
 	n, nf := len(dists), len(fin)
 	for _, keep := range []int{1, 2, n / 12, n / 8, n/8 + 1, n / 2, nf - 1, nf, nf + 3, 0, -5} {
 		want := oracleRange(fin, keep)
 		if got := NormRange(dists, keep); got != want {
 			t.Fatalf("%s: NormRange(keep %d) = %+v, want %+v", what, keep, got, want)
 		}
-		if got := q.Range(keep); got != want {
-			t.Fatalf("%s: LeafQuantiles.Range(keep %d) = %+v, want %+v", what, keep, got, want)
+		if got, _ := cp.Range(dists, keep); got != want {
+			t.Fatalf("%s: Codes.Range(keep %d) = %+v, want %+v", what, keep, got, want)
 		}
 	}
 	eqBits(t, what+": input untouched", orig, dists)
@@ -223,24 +228,21 @@ func TestLeafIndexZeroOrderIsCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{9, 5000} {
 		v := pick(0, math.Copysign(0, -1), 2.5, -3)(rng, n)
-		a := BuildLeafQuantiles(v).sorted
+		a := SortedValues(v)
 		rng.Shuffle(n, func(i, j int) { v[i], v[j] = v[j], v[i] })
-		eqBits(t, fmt.Sprintf("n=%d: index of the permuted leaf", n), a, BuildLeafQuantiles(v).sorted)
+		eqBits(t, fmt.Sprintf("n=%d: index of the permuted leaf", n), a, SortedValues(v))
 	}
 }
 
-// TestLeafZeroBlockMatchesNormRange: a leaf whose distance pass counted
-// its zero block is ranged by indexedRange without a look at the vector
-// for every keep up to the count, and by the index or NormRange beyond
-// it — every answer NormRange's, bit for bit, with and without the
-// index. The vectors are what the range kernel writes: exact +0 inside
-// the range, positive distances outside, NaN and +Inf for awkward rows.
+// TestLeafZeroBlockMatchesNormRange: a range leaf's zero block is its
+// code plane's minimum class, coded as the range kernel codes it — over
+// [0, its maximum], whether or not a row is 0 — and the leaf is ranged
+// from the counts for every keep up to the block and past it, or by
+// NormRange without the plane: every answer NormRange's, bit for bit.
+// The vectors are what the range kernel writes: exact +0 inside the
+// range, positive distances outside, NaN and +Inf for awkward rows.
 func TestLeafZeroBlockMatchesNormRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	same := func(a, b NormParams) bool {
-		return math.Float64bits(a.DMin) == math.Float64bits(b.DMin) &&
-			math.Float64bits(a.DMax) == math.Float64bits(b.DMax) && a.Kept == b.Kept && a.NoFinite == b.NoFinite
-	}
 	for _, s := range []leafShape{
 		{"range", rangeDistances},
 		{"range with NaN and +Inf", func(rng *rand.Rand, n int) []float64 {
@@ -260,6 +262,9 @@ func TestLeafZeroBlockMatchesNormRange(t *testing.T) {
 			v[rng.Intn(n)] = 0
 			return v
 		}},
+		{"no zero", func(rng *rand.Rand, n int) []float64 {
+			return fill(n, func() float64 { return 1 + rng.Float64() })
+		}},
 	} {
 		for _, n := range []int{1, 2, 37, kernelMin + 1, evalChunk + 5} {
 			dists := s.gen(rng, n)
@@ -269,17 +274,19 @@ func TestLeafZeroBlockMatchesNormRange(t *testing.T) {
 					zeros++
 				}
 			}
-			q := BuildLeafQuantiles(dists)
+			_, hi := FiniteExtremes(dists)
+			plane := NewCodes(n, 0, max(hi, 0))
+			plane.Encode(dists, 0, plane.Chunks())
 			keeps := []int{zeros - 1, zeros, zeros + 1}
 			for keep := -1; keep <= n+1; keep += 1 + n/300 {
 				keeps = append(keeps, keep)
 			}
 			for _, keep := range keeps {
 				want := NormRange(dists, keep)
-				for _, idx := range []*LeafQuantiles{nil, q} {
-					if got := indexedRange(dists, idx, zeros, keep); !same(got, want) {
-						t.Fatalf("%s n=%d zeros=%d keep=%d (index %v): %+v, NormRange %+v",
-							s.name, n, zeros, keep, idx != nil, got, want)
+				for _, cp := range []*Codes{nil, plane} {
+					if got, _ := cp.Range(dists, keep); !sameParams(got, want) {
+						t.Fatalf("%s n=%d zeros=%d keep=%d (codes %v): %+v, NormRange %+v",
+							s.name, n, zeros, keep, cp != nil, got, want)
 					}
 				}
 			}
@@ -317,10 +324,60 @@ func FuzzLeafOrderStats(f *testing.F) {
 	})
 }
 
+// FuzzCodeRange decodes the input as float64s, repeats it past the
+// kernel's length threshold, codes it over its extremes — or, when its
+// least finite value is not below 0, over [0, its maximum], as a range
+// leaf's kernel does — in a split of its chunks, and holds the ranges
+// its counts answer to NormRange bit for bit at every keep where Range
+// changes course.
+func FuzzCodeRange(f *testing.F) {
+	seed := func(vals ...float64) {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		f.Add(b, uint16(1), false)
+		f.Add(b, uint16(700), true)
+	}
+	seed()
+	seed(1)
+	seed(0, math.Copysign(0, -1), 0, 5e-324, -5e-324)
+	seed(math.Copysign(0, -1), -1, 0, 2)
+	seed(math.NaN(), math.Inf(1), math.Inf(-1), 3, 3, 1e12)
+	seed(math.MaxFloat64, -math.MaxFloat64, 1, 2)
+	seed(1, 1e-5, 1e-10, 1e-15, 1e-20, 1e-25, 1, 1e-5)
+	f.Fuzz(func(t *testing.T, data []byte, reps uint16, fromZero bool) {
+		var vals []float64
+		for ; len(data) >= 8; data = data[8:] {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		v := make([]float64, 0, len(vals)*int(reps%1024))
+		for r := 0; r < int(reps%1024); r++ {
+			v = append(v, vals...)
+		}
+		lo, hi := FiniteExtremes(v)
+		if fromZero && lo >= 0 && lo <= hi {
+			lo = 0
+		}
+		cp := NewCodes(len(v), lo, hi)
+		mid := cp.Chunks() / 2
+		cp.Encode(v, mid, cp.Chunks())
+		cp.Encode(v, 0, mid)
+		// Every keep costs a pass; Range's branches sit at the ends and
+		// at the edges between the codes' rows, which these meet.
+		for _, keep := range codeRangeKeeps(cp, max(len(v), 1)) {
+			want := NormRange(v, keep)
+			if got, _ := cp.Range(v, keep); !sameParams(got, want) {
+				t.Fatalf("keep %d: Range %+v, NormRange %+v", keep, got, want)
+			}
+		}
+	})
+}
+
 // The kernel table of CHANGES.md: n = 200 000, per-op time. The sinks
 // keep the measured calls from being optimized away.
 var (
-	sinkIndex  *LeafQuantiles
+	sinkIndex  []float64
 	sinkParams NormParams
 )
 
@@ -330,7 +387,7 @@ func BenchmarkLeafIndexBuild(b *testing.B) {
 		b.Run(s.name+"/kernel", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkIndex = BuildLeafQuantiles(dists)
+				sinkIndex = SortedValues(dists)
 			}
 		})
 		b.Run(s.name+"/sort.Float64s", func(b *testing.B) {
@@ -343,14 +400,24 @@ func BenchmarkLeafIndexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkNormRange answers one shape's range by the scan and by the
+// counts of the vector's code plane, built outside the loop as a leaf's
+// compute builds it.
 func BenchmarkNormRange(b *testing.B) {
 	for _, s := range benchShapes {
 		dists := s.gen(rand.New(rand.NewSource(1994)), 200000)
+		cp := BuildCodes(dists)
 		for _, keep := range []int{len(dists) / 12, len(dists) / 2} {
-			b.Run(fmt.Sprintf("%s/keep=%d", s.name, keep), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/keep=%d/scan", s.name, keep), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					sinkParams = NormRange(dists, keep)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/keep=%d/codes", s.name, keep), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sinkParams, _ = cp.Range(dists, keep)
 				}
 			})
 		}

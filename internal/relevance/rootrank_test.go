@@ -24,16 +24,13 @@ func eagerRanking(t *testing.T, tree *Node, n, k int, opts EvalOptions) (*Result
 	return res, sorted, order
 }
 
-// attachLeafStats gives every leaf of the tree its code plane (and
-// optionally quantile) index — what the engine's leaf entries carry.
-func attachLeafStats(root *Node, quantiles bool) {
+// attachLeafStats gives every leaf of the tree its code plane — what
+// the engine's leaf entries carry, and what ranges the leaf.
+func attachLeafStats(root *Node) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Op == Leaf {
 			n.Codes = BuildCodes(n.Dists)
-			if quantiles {
-				n.Quantiles = BuildLeafQuantiles(n.Dists)
-			}
 			return
 		}
 		for _, c := range n.Children {
@@ -43,14 +40,14 @@ func attachLeafStats(root *Node, quantiles bool) {
 	walk(root)
 }
 
-// clearLeafStats drops the indexes again (trees are shared between
+// clearLeafStats drops the code planes again (trees are shared between
 // eager and deferred runs; the eager reference must not be affected —
 // it is not, but symmetric state keeps the comparison honest).
 func clearLeafStats(root *Node) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Op == Leaf {
-			n.Codes, n.Quantiles = nil, nil
+			n.Codes = nil
 			return
 		}
 		for _, c := range n.Children {
@@ -138,7 +135,7 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 
 		withStats := trial%2 == 0
 		if withStats {
-			attachLeafStats(tree, rng.Intn(2) == 0)
+			attachLeafStats(tree)
 		}
 		opts.DeferRoot = true
 		got, err := Evaluate(tree, n, opts)
@@ -214,7 +211,7 @@ func TestDeferredPruningFiresAndStaysExact(t *testing.T) {
 
 	_, wantSorted, wantOrder := eagerRanking(t, tree, n, k, opts)
 
-	attachLeafStats(tree, true)
+	attachLeafStats(tree)
 	opts.DeferRoot = true
 	got, err := Evaluate(tree, n, opts)
 	if err != nil {
@@ -258,7 +255,7 @@ func TestWindowBeforeRankingKeepsPruning(t *testing.T) {
 	k := 256
 	eager, wantSorted, wantOrder := eagerRanking(t, tree, n, k, opts)
 
-	attachLeafStats(tree, true)
+	attachLeafStats(tree)
 	opts.DeferRoot = true
 	var pruned [2]int
 	for run, readFirst := range []bool{false, true} {
@@ -317,7 +314,7 @@ func TestUndeferrableRootsFinishEagerly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		attachLeafStats(root, true)
+		attachLeafStats(root)
 		tc.opts.DeferRoot = true
 		got, err := Evaluate(root, n, tc.opts)
 		if err != nil {

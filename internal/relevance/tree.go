@@ -28,20 +28,14 @@ type Node struct {
 	Weight   float64 // weighting factor; 0 reads as 1
 	Dists    []float64
 	Children []*Node
-	// Quantiles, when set on a leaf, answers the normalization range
-	// for any keep count in O(1) instead of a scan plus a selection —
-	// the session cache attaches it to leaves that recur across reruns.
-	// It must index exactly Dists.
-	Quantiles *LeafQuantiles
 	// Codes is the code plane of the node's raw vector, which the
-	// ranking of a deferred root filters its rows by (codes.go). On a
-	// leaf the caller sets it, and it must code exactly Dists; on an
-	// interior node Evaluate sets it, from the node's pass or its cached
-	// vector. A root child without one has it built where it is read.
+	// ranking of a deferred root filters its rows by (codes.go) and whose
+	// counts answer the node's normalization range (Codes.Range). On a
+	// leaf the caller sets it, and it must code exactly Dists; a leaf
+	// without one is ranged by NormRange. On an interior node Evaluate
+	// sets it, from the node's pass or its cached vector. A root child
+	// without one has it built where it is read.
 	Codes *Codes
-	// Zeros, when positive on a leaf, counts the exact +0 entries of a
-	// Dists with no value below +0 (a fresh range leaf's); 0: not counted.
-	Zeros int
 	// Key names an interior node's raw combined vector in the caller's
 	// cache (EvalOptions.InteriorFetch and InteriorStore); the caller
 	// builds it, and it must name exactly the vector the node's subtree
@@ -117,12 +111,11 @@ type EvalOptions struct {
 	// of every interior node that has a Key, with that key. A non-nil raw
 	// of the evaluation's length skips the pass, and the passes of the
 	// whole subtree under it: the node is then a leaf — raw is read
-	// READ-ONLY, q (optional, must index exactly raw) answers its
-	// normalization range where NormRange would otherwise, and codes
-	// (optional, must code exactly raw) is its code plane. Results are
-	// bit-identical to the hookless evaluation;
-	// Result.SketchHits/SketchRescans attribute the reuse.
-	InteriorFetch func(key string) (raw []float64, q *LeafQuantiles, codes *Codes)
+	// READ-ONLY, and codes (optional, must code exactly raw) is its code
+	// plane, whose counts answer its normalization range where NormRange
+	// would otherwise. Results are bit-identical to the hookless
+	// evaluation; Result.SketchHits/SketchRescans attribute the reuse.
+	InteriorFetch func(key string) (raw []float64, codes *Codes)
 	// InteriorStore, when non-nil, receives the raw combined vector of
 	// every interior node with a Key whose fused pass this evaluation ran
 	// (a deferred root has none), under that key, with its code plane.
@@ -154,10 +147,10 @@ type Result struct {
 	ByNode   map[*Node][]float64
 
 	// SketchHits counts interior nodes whose combine pass was skipped
-	// via EvalOptions.InteriorFetch; SketchRescans counts the chunks
-	// scanned to answer their normalization ranges (none for a vector
-	// that came with its quantile index, every chunk for one ranged by
-	// NormRange).
+	// via EvalOptions.InteriorFetch; SketchRescans counts those of them
+	// whose normalization range needed a pass over the vector: the
+	// gather of its code plane's crossing bucket, or NormRange for a
+	// dense crossing bucket or a vector that came without a plane.
 	SketchHits    int
 	SketchRescans int
 

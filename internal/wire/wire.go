@@ -121,10 +121,10 @@ type Timings struct {
 	Pruned        int   `json:"pruned"`
 	Chunks        int   `json:"chunks"`
 	// SketchHits/SketchRescans attribute interior reuse: interior nodes
-	// served from their cached raw combined vector, and how many
-	// evaluator chunks were scanned to range them (0 once a vector has
-	// its quantile index — warm weight drags show hits > 0 with
-	// rescans 0). The JSON names predate the index and are frozen.
+	// served from their cached raw combined vector, and how many of them
+	// needed a pass over the vector to range them (the gather of their
+	// code plane's crossing bucket, or a scan). The JSON names predate the code
+	// plane and are frozen.
 	SketchHits    int `json:"sketch_hits"`
 	SketchRescans int `json:"sketch_rescans"`
 	// SegsSkipped/Segs attribute the segment-stats pushdown of cold

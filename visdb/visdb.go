@@ -48,9 +48,9 @@
 // attribute, operator, literals, distance function — weighting factors
 // excluded), so dragging a weight slider recomputes nothing below the
 // combination stage and dragging one range slider recomputes exactly
-// one predicate. Evaluation writes into pooled buffers, hot leaves get
-// sorted quantile indexes for O(1) normalization ranges, and
-// per-predicate window vectors materialize lazily. Cached reruns are
+// one predicate. Evaluation writes into pooled buffers, every cached
+// vector's code plane answers its normalization ranges without a sort,
+// and per-predicate window vectors materialize lazily. Cached reruns are
 // bit-identical to cold runs; the trade is that a session's Result is
 // valid only until its next modification. An Engine's runs share
 // nothing: use one for results that must outlive an interaction loop.
@@ -62,7 +62,7 @@
 // may run in parallel over one catalog. Sessions serving many users
 // over one catalog share their leaf work through the catalog-level
 // cache of the serving layer (see Remote sessions): there, leaf
-// distance vectors and the quantile indexes built on them are computed
+// distance vectors and the code planes built on them are computed
 // once per catalog, and results remain bit-identical to isolated
 // sessions.
 //
