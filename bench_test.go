@@ -547,19 +547,22 @@ func BenchmarkFlatDrag(b *testing.B) {
 
 // BenchmarkDrag2D is a weight drag under the figure-1b arrangement at
 // n = 2e5: every step ranks the root by selection like the spiral,
-// counts the band of combined quantiles over the axes' quantile indexes,
+// counts the band of combined quantiles over the axes' sorted samples,
 // ranks the band's members and places the displayed ones by the signs
 // of the two axis conditions' distances.
 // numeric places by two range conditions of Traffic; strings by an
 // edit-distance condition and a numeric one of the person table (the
 // edit distance is the costly pass). Each runs through a session, which
 // serves the leaves from its cache, and as -uncached through a bare
-// engine, which computes every leaf and both axes every step.
+// engine, which computes every leaf and both axes every step. The
+// session's weight drag never computes an axis; its range-weight drag
+// alternates a range drag on the Y axis condition, which fills a new
+// axis entry, with a weight step, which reuses it.
 func BenchmarkDrag2D(b *testing.B) {
 	weights := []float64{0.5, 1, 2, 3}
-	drag := []benchDrag{{"weight", func(s *session.Session, i int) error {
+	weight := benchDrag{"weight", func(s *session.Session, i int) error {
 		return s.SetWeight(query.Predicates(s.Query().Where)[i%2], weights[(2+i/2)%len(weights)])
-	}}}
+	}}
 	traffic, err := datagen.Traffic(200_000, 1994)
 	if err != nil {
 		b.Fatal(err)
@@ -575,7 +578,14 @@ func BenchmarkDrag2D(b *testing.B) {
 			`SELECT name FROM P WHERE name = 'meyer' USING edit AND age BETWEEN 30 AND 40`, "name", "age"},
 	} {
 		opt := core.Options{GridW: 128, GridH: 128, Arrangement: core.Arrange2D, AxisX: tc.axisX, AxisY: tc.axisY}
-		b.Run(tc.name, func(b *testing.B) { runDragsOn(b, tc.cat, opt, tc.sql, drag) })
+		rangeWeight := benchDrag{"range-weight", func(s *session.Session, i int) error {
+			if i%2 == 1 {
+				return s.SetWeight(query.Predicates(s.Query().Where)[1], weights[(2+i/2)%len(weights)])
+			}
+			lo, width := float64(i*7%60), float64(3+i*5%38)
+			return s.SetRangeByAttr(tc.axisY, lo, lo+width)
+		}}
+		b.Run(tc.name, func(b *testing.B) { runDragsOn(b, tc.cat, opt, tc.sql, []benchDrag{weight, rangeWeight}) })
 		b.Run(tc.name+"-uncached", func(b *testing.B) {
 			eng := core.New(tc.cat, nil, opt)
 			q, err := query.Parse(tc.sql)

@@ -331,8 +331,10 @@
 //
 // A cached leaf is only its vector: its raw distances and the code
 // plane its compute built. Only a 2D axis entry ("A|") carries its
-// sorted values, the sample its bands are cut from, sorted on its first
-// pinned reuse (RunCache.axis). What a condition's slider
+// sorted values, the sample its bands are cut from, sorted where the
+// vector is born — its compute, or a kv arrival (SharedCache.fetch's
+// derive) — so that an entry is whole when stored and never written
+// again. What a condition's slider
 // shows is read where it lives: the attribute from the binding, the
 // query range from the condition (numericRange), the extremes from the
 // column (Column.MinMax) — all O(1) — and the first/last displayed

@@ -85,17 +85,15 @@ func newPinSet() pinSet {
 const maxCacheEntries = 64
 
 // leafEntry is one cached vector as the tier holds it and as fetches
-// hand it out and pins keep it (by value: a consistent snapshot, since
-// sorted of a resident axis entry may be attached later under the
-// tier's mutex): the leaf of a condition, join, boolean-negation
-// fallback or subquery, the raw combined vector of an interior node — a
-// cached subtree is a leaf — or a 2D axis's signed distances. An entry
-// is its vectors and what is built from them, nothing else: the
-// slider's numbers are O(1) reads of the condition and its column
-// (Result.PredicateInfos). The vectors are
-// immutable once stored; only they ever leave the process
-// (encodeSharedEntry), and what is built from them is rebuilt wherever
-// they go.
+// hand it out and pins keep it: the leaf of a condition, join,
+// boolean-negation fallback or subquery, the raw combined vector of an
+// interior node — a cached subtree is a leaf — or a 2D axis's signed
+// distances. An entry is its vectors and what is built from them,
+// nothing else: the slider's numbers are O(1) reads of the condition and
+// its column (Result.PredicateInfos). An entry is whole when it is
+// stored and never written afterwards; only its raw vector ever leaves
+// the process (encodeSharedEntry), and what is built from it is rebuilt
+// wherever it goes (SharedCache.fetch's derive).
 type leafEntry struct {
 	// raw is the distance vector (an interior node's raw combined one).
 	raw []float64
@@ -106,15 +104,14 @@ type leafEntry struct {
 	// distances are never ranked and have none.
 	codes *relevance.Codes
 	// sorted is a 2D axis's signed distances in ascending order
-	// (relevance.SortedValues), the sample its bands are cut from: built
-	// on the axis entry's first pinned reuse (RunCache.axis) and promoted
-	// to the resident entry, so that a weight drag on a figure 1b picture
-	// does not sort them again. No other entry has one.
+	// (relevance.SortedValues), the sample its bands are cut from, built
+	// with the axis vector (axisEntry), so that a weight drag on a
+	// figure 1b picture does not sort them again. No other entry has one.
 	sorted []float64
 }
 
-// sizeBytes accounts the entry's retained vectors, plane and index.
-func (e *leafEntry) sizeBytes() int64 {
+// sizeBytes accounts the entry's retained vectors, plane and sample.
+func (e leafEntry) sizeBytes() int64 {
 	b := int64(8 * (len(e.raw) + len(e.sorted)))
 	if e.codes != nil {
 		b += e.codes.Bytes()
@@ -265,8 +262,7 @@ func (c *RunCache) Len() int {
 }
 
 // pinned serves key from the pins (of this run or of the live Result)
-// and pins it for this run, with the sorted values another loop
-// promoted to the resident entry, if any (an axis entry's).
+// and pins it for this run.
 func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	c.mu.Lock()
 	shared := c.shared
@@ -280,9 +276,7 @@ func (c *RunCache) pinned(key string) (leafEntry, bool) {
 	}
 	// The tier does not see a pinned hit unless told: touching keeps a
 	// vector this loop sits on from ageing out under other loops' fills.
-	if sorted := shared.touch(key); le.sorted == nil {
-		le.sorted = sorted
-	}
+	shared.touch(key)
 	c.pin(key, le)
 	return le, true
 }
@@ -295,14 +289,14 @@ func (c *RunCache) pin(key string, le leafEntry) {
 }
 
 // fetch resolves a leaf over an item space of rows items: a pin, then
-// the tier (code codes what its remote tier serves), then compute
+// the tier (derive completes what its remote tier serves), then compute
 // (through the tier's singleflight fill).
-func (c *RunCache) fetch(key string, rows int, code func([]float64) *relevance.Codes, compute func() (leafEntry, error)) (leafEntry, error) {
+func (c *RunCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (leafEntry, error) {
 	le, pinned := c.pinned(key)
 	sharedHit := false
 	if !pinned {
 		var err error
-		if le, sharedHit, err = c.Shared().fetch(key, rows, code, compute); err != nil {
+		if le, sharedHit, err = c.Shared().fetch(key, rows, derive, compute); err != nil {
 			return leafEntry{}, err
 		}
 		c.pin(key, le)
@@ -324,31 +318,19 @@ func (c *RunCache) fetch(key string, rows int, code func([]float64) *relevance.C
 }
 
 // axis resolves the signed distances a 2D placement reads for an axis
-// condition (runKeys.axis): a pin, then the tier and its remote backend,
-// then compute (only compute without a cache). They are no leaf lookup
-// of the run. The placement's quantile bands read their sorted values,
-// which the entry's first pinned reuse sorts and promotes to the
-// resident entry — a fill never sorts, and neither does a revisit the
-// tier answers.
+// condition (runKeys.axis), with their sorted sample (axisEntry): a pin,
+// then the tier and its remote backend, then compute (only compute
+// without a cache). They are no leaf lookup of the run.
 func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
 	if c == nil {
 		return compute()
 	}
-	le, ok := c.pinned(key)
-	switch {
-	case !ok:
-		var err error
-		if le, _, err = c.Shared().fetch(key, rows, nil, compute); err != nil {
-			return leafEntry{}, err
-		}
-	case le.sorted == nil:
-		// Built outside any mutex — milliseconds of linear passes must
-		// not stall other sessions on the tier. Two racing builders do
-		// redundant work; both results are identical and the first one
-		// promoted wins.
-		le.sorted = c.Shared().attachQuantiles(key, relevance.SortedValues(le.raw))
-	default:
+	if le, ok := c.pinned(key); ok {
 		return le, nil
+	}
+	le, _, err := c.Shared().fetch(key, rows, axisEntry, compute)
+	if err != nil {
+		return leafEntry{}, err
 	}
 	c.pin(key, le)
 	return le, nil

@@ -629,7 +629,7 @@ func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label,
 	var le leafEntry
 	var err error
 	if res.cache != nil {
-		le, err = res.cache.fetch(key, space.n, e.codes, compute)
+		le, err = res.cache.fetch(key, space.n, e.entry, compute)
 	} else {
 		le, err = compute()
 	}
@@ -650,8 +650,14 @@ func (e *Engine) distsOnly(compute func() ([]float64, error)) func() (leafEntry,
 		if err != nil {
 			return leafEntry{}, err
 		}
-		return leafEntry{raw: dists, codes: e.codes(dists)}, nil
+		return e.entry(dists), nil
 	}
+}
+
+// entry is the entry of a leaf's distance vector: the vector and its
+// code plane.
+func (e *Engine) entry(dists []float64) leafEntry {
+	return leafEntry{raw: dists, codes: e.codes(dists)}
 }
 
 // codes builds the code plane of v over its finite extremes, both

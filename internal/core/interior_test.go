@@ -53,12 +53,12 @@ func interiorPins(c *RunCache) []string {
 	return keys
 }
 
-// resident reports whether sc holds an entry for key, without touching
-// its recency.
+// resident reports whether sc holds an entry for key. It refreshes the
+// entry's recency and counts no lookup; its callers' tiers never evict.
 func resident(sc *SharedCache, key string) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	_, ok := sc.entries.Peek(key)
+	_, ok := sc.entries.Get(key)
 	return ok
 }
 

@@ -39,10 +39,10 @@ type BreakerReporter interface {
 
 // The shared-entry envelope: the version byte, then the vector — a
 // leaf's distances or an axis's signed distances. Nothing else crosses
-// the fleet: code planes, quantile indexes and interior entries are
+// the fleet: code planes, axes' sorted samples and interior entries are
 // linear-time functions of vectors the receiving node then holds,
-// cheaper to rebuild than to fetch (SharedCache.fetch codes a leaf
-// vector it admits), and the slider's numbers are read from the
+// cheaper to rebuild than to fetch (SharedCache.fetch's derive rebuilds
+// them for a vector it admits), and the slider's numbers are read from the
 // condition and its column (see doc.go, "The kv tier").
 // Version 1 carried a copy of the attribute column ahead of the
 // distances — read under a later layout it would pass every length

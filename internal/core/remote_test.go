@@ -330,8 +330,8 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 // TestRemoteBackendWarmsOtherNode: two shared tiers (two "processes")
 // over the same catalog and one backend. The leaf vectors node A paid
 // for serve node B without recomputation, and nothing but leaf vectors
-// is in the store: B rebuilds code planes, quantile indexes and
-// interior entries locally, bit-identically.
+// is in the store: B rebuilds code planes and interior entries locally,
+// bit-identically.
 func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	cat := interiorCatalog(t, 2*4096+57)
 	sql := interiorSQL
@@ -345,8 +345,8 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	backend := newMapBackend()
 	opts := SharedOptions{Backend: backend}
 
-	// Node A: the first run fills the backend; the second builds the
-	// leaf indexes and takes its interior hits, none of which travel.
+	// Node A: the first run fills the backend; the second takes its
+	// interior hits, which do not travel.
 	scA := NewSharedCacheOpts(opts)
 	eA := New(cat, nil, Options{GridW: 8, GridH: 8})
 	cA := NewRunCache()
@@ -382,8 +382,8 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 		t.Fatalf("node B counted %d remote hits: %+v", st.RemoteHits, st)
 	}
 
-	// Node B's warm runs stand on indexes and the interior vector it built
-	// itself: the store was asked once per leaf by each node (A's three
+	// Node B's warm runs stand on the code planes and the interior vector
+	// it built itself: the store was asked once per leaf by each node (A's three
 	// misses, B's three hits) and for nothing else — a range edit inside
 	// the AND part included, which looks up and stores a new part vector
 	// in B's tier and asks the fleet for the moved leaf alone.

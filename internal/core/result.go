@@ -194,14 +194,12 @@ func (r *Result) apply2DQuantiles(in2D []int) {
 // signedOf returns the signed distances of the axis condition on attr
 // — the first one query.Binding.CondOn names (the rule a range op
 // addresses conditions by) among those with a condition leaf — over the
-// condition its leaf evaluated, and their non-NaN values in ascending
-// order; nil when there is none (a boolean fallback has no signed
-// distances). They are computed here, reusing the leaf's distances where
-// a string condition would repeat its edit distances, and a cached run
-// keeps them under their own key (RunCache.axis), so a weight drag does
-// not compute them again; the sorted values are the entry's quantile
-// index, which RunCache.axis builds on the entry's first pinned reuse
-// (axis entries are the only ones that have one).
+// condition its leaf evaluated, and their sorted sample (axisEntry); nil
+// when there is none (a boolean fallback has no signed distances). They
+// are computed here, reusing the leaf's distances where a string
+// condition would repeat its edit distances, and a cached run keeps them
+// with their sample under their own key (RunCache.axis), so a weight drag
+// neither computes nor sorts them again.
 func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	c := r.Binding.CondOn(attr, func(c *query.Cond) bool {
 		_, ok := r.evaluated[c]
@@ -213,18 +211,22 @@ func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	leaf := r.nodeOf[c]
 	compute := func() (leafEntry, error) {
 		signed := make([]float64, r.N)
-		_, _, _, err := r.Engine.condData(r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed)
-		return leafEntry{raw: signed}, err
+		if _, _, _, err := r.Engine.condData(r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed); err != nil {
+			return leafEntry{}, err
+		}
+		return axisEntry(signed), nil
 	}
 	le, err := r.cache.axis(r.keys.axis(leaf.Key), r.N, compute)
 	if err != nil {
 		return nil, nil // the leaf computed over the same inputs; unreachable
 	}
-	if le.sorted == nil {
-		// A fill, an uncached run, or a range drag on the axis.
-		le.sorted = relevance.SortedValues(le.raw)
-	}
 	return le.raw, le.sorted
+}
+
+// axisEntry is the entry of an axis's signed distances: the vector and
+// the sorted sample the 2D bands are cut from (relevance.SortedValues).
+func axisEntry(signed []float64) leafEntry {
+	return leafEntry{raw: signed, sorted: relevance.SortedValues(signed)}
 }
 
 func signOf(signed []float64, item int) int {

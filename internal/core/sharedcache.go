@@ -6,14 +6,13 @@ import (
 	"sync"
 
 	"repro/internal/lru"
-	"repro/internal/relevance"
 )
 
 // SharedCache is the store of the predicate cache: one instance per
 // catalog, attached to every session exploring that catalog, so the
 // expensive part of the feedback loop — leaf distance vectors, the raw
 // combined vectors of the interior nodes over them, and the 2D axes'
-// signed distances with their quantile indexes — is computed once per
+// signed distances with their sorted samples — is computed once per
 // catalog instead of once per session. (A loop that attaches none stands
 // on a small one of its own, see NewRunCache.) N users dragging sliders
 // over the same large database share every leaf whose structural
@@ -23,9 +22,10 @@ import (
 // The contract is two lines: recency alone decides residency, and a key
 // names exactly one vector. What follows from them:
 //
-//   - Entries are immutable. A vector is fully computed before it is
-//     stored and never written afterwards, so any number of sessions
-//     may read a cached vector concurrently without synchronization.
+//   - Entries are immutable. An entry — its vector and what is built
+//     from it — is whole before it is stored and never written
+//     afterwards, so any number of sessions may read a cached entry
+//     concurrently without synchronization.
 //
 //   - Eviction only unlinks an entry from the map. Sessions still
 //     holding the vector (pinned in their RunCache, or through a live
@@ -53,7 +53,7 @@ import (
 // carry those options in their keys (runKeys).
 type SharedCache struct {
 	mu       sync.Mutex
-	entries  *lru.Cache[string, *leafEntry]
+	entries  *lru.Cache[string, leafEntry]
 	inflight map[string]*sharedCall
 
 	// backend is the optional remote tier (a network KV shared across
@@ -107,7 +107,7 @@ func NewSharedCacheOpts(o SharedOptions) *SharedCache {
 		maxBytes = DefaultSharedBytes
 	}
 	return &SharedCache{
-		entries:  lru.New[string, *leafEntry](maxEntries, maxBytes),
+		entries:  lru.New[string, leafEntry](maxEntries, maxBytes),
 		inflight: make(map[string]*sharedCall),
 		backend:  o.Backend,
 	}
@@ -254,18 +254,18 @@ func (sc *SharedCache) Bytes() int64 {
 // request ending: a canceled or timed-out fill is led again). hit
 // reports whether the entry was served without running compute in this
 // call (a resident entry, another caller's fill we waited on, or the
-// remote tier). A vector the remote tier serves gets its code plane from
-// code, unless code is nil (a vector that is never ranked). compute runs
-// without any cache lock held, so fills for different keys proceed
-// concurrently and a fill may recursively fetch other keys.
-func (sc *SharedCache) fetch(key string, rows int, code func([]float64) *relevance.Codes, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
+// remote tier). A vector the remote tier serves is made an entry by
+// derive, which rebuilds what is built from it (a leaf's code plane, an
+// axis's sorted sample). compute runs without any cache lock held, so
+// fills for different keys proceed concurrently and a fill may
+// recursively fetch other keys.
+func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
 	for {
 		if e, ok := sc.entries.Get(key); ok {
 			sc.hits++
-			le = *e
 			sc.mu.Unlock()
-			return le, true, nil
+			return e, true, nil
 		}
 		call, ok := sc.inflight[key]
 		if !ok {
@@ -304,10 +304,7 @@ func (sc *SharedCache) fetch(key string, rows int, code func([]float64) *relevan
 	if backend != nil {
 		if data, ok := backend.Get(key); ok {
 			if d, derr := decodeSharedEntry(data, rows); derr == nil {
-				le, remote = *d, true
-				if code != nil {
-					le.codes = code(le.raw)
-				}
+				le, remote = derive(d.raw), true
 			}
 		}
 	}
@@ -325,8 +322,7 @@ func (sc *SharedCache) fetch(key string, rows int, code func([]float64) *relevan
 	}
 	delete(sc.inflight, key)
 	if err == nil {
-		resident := le
-		sc.evictions += uint64(sc.entries.Put(key, &resident, resident.sizeBytes()))
+		sc.evictions += uint64(sc.entries.Put(key, le, le.sizeBytes()))
 		sc.fills++
 		call.entry = le
 	}
@@ -349,38 +345,12 @@ func (sc *SharedCache) fetch(key string, rows int, code func([]float64) *relevan
 }
 
 // touch makes the entry under key the most recently used — a session
-// served it from its pins, which the tier would otherwise not see — and
-// returns the quantile index promoted to it, if any session has built
-// it (an axis entry's). A key that is not resident is a no-op.
-func (sc *SharedCache) touch(key string) []float64 {
+// served it from its pins, which the tier would otherwise not see. A key
+// that is not resident is a no-op.
+func (sc *SharedCache) touch(key string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if e, ok := sc.entries.Get(key); ok {
-		return e.sorted
-	}
-	return nil
-}
-
-// attachQuantiles promotes an axis entry's freshly sorted values q to
-// the resident entry for key and returns the canonical ones: the
-// entry's own if it already has them (both are identical — the sorts are
-// deterministic — so either could win; keeping the first keeps one copy
-// resident), q otherwise, which then grows the entry's byte accounting.
-// They stay in this process: any node sorts them again from the axis
-// vector in linear time, faster than a fetch.
-func (sc *SharedCache) attachQuantiles(key string, q []float64) []float64 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	e, ok := sc.entries.Peek(key)
-	if !ok {
-		return q
-	}
-	if e.sorted != nil {
-		return e.sorted
-	}
-	e.sorted = q
-	sc.evictions += uint64(sc.entries.Resize(key, e.sizeBytes()))
-	return q
+	sc.entries.Get(key)
 }
 
 // lookup returns the resident entry for key and nothing else: it never
@@ -396,20 +366,20 @@ func (sc *SharedCache) lookup(key string) (leafEntry, bool) {
 		return leafEntry{}, false
 	}
 	sc.intHits++
-	return *e, true
+	return e, true
 }
 
 // store is lookup's other half: it makes le the entry for key unless
 // one is resident, and returns the resident one (two sessions' builds
 // are bit-identical — the fused pass is deterministic — so either could
-// win; keeping the first keeps one copy, and its indexes).
+// win; keeping the first keeps one copy).
 func (sc *SharedCache) store(key string, le leafEntry) leafEntry {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if e, ok := sc.entries.Get(key); ok {
-		return *e
+		return e
 	}
-	sc.evictions += uint64(sc.entries.Put(key, &le, le.sizeBytes()))
+	sc.evictions += uint64(sc.entries.Put(key, le, le.sizeBytes()))
 	sc.fills++
 	return le
 }

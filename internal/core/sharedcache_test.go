@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/query"
+	"repro/internal/relevance"
 )
 
 // fillDists stores an n-float leaf vector under key via the
@@ -48,14 +51,14 @@ func touch(t *testing.T, sc *SharedCache, key string) {
 	}
 }
 
-// residentKeys returns which of the candidate keys are resident, sorted,
-// without touching their recency.
+// residentKeys returns which of the candidate keys are resident, sorted.
+// It refreshes their recency, so it is a test's last look at sc.
 func residentKeys(sc *SharedCache, candidates ...string) []string {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	keys := []string{}
 	for _, k := range candidates {
-		if _, ok := sc.entries.Peek(k); ok {
+		if _, ok := sc.entries.Get(k); ok {
 			keys = append(keys, k)
 		}
 	}
@@ -450,54 +453,97 @@ func TestSharedTierAcrossRunCaches(t *testing.T) {
 	}
 }
 
-// TestSharedTierPromotesQuantiles: the quantile index of a 2D axis
-// entry ("A|"), built by one session's rerun, lands in the shared tier
-// (byte accounting grows) and later sessions reuse it instead of
-// re-sorting; no leaf or interior entry is indexed — their code planes
-// answer their normalization ranges.
-func TestSharedTierPromotesQuantiles(t *testing.T) {
-	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8, Arrangement: Arrange2D, AxisX: "x", AxisY: "y"})
-	q, err := query.Parse(`SELECT x FROM T WHERE x > 6 AND y < 5`)
-	if err != nil {
-		t.Fatal(err)
+// TestAxisEntryBornWithItsSample: a 2D axis entry ("A|") is stored with
+// its sorted sample, and nothing grows a resident entry afterwards: a
+// rerun leaves the tier's bytes alone, a later session pins the very
+// sample the first one holds, and no leaf or interior entry carries one.
+// A node that takes the axes from the fleet sorts them on arrival, to
+// the bits a local fill holds, and draws the picture a FullSort engine
+// draws.
+func TestAxisEntryBornWithItsSample(t *testing.T) {
+	const sql = `SELECT x FROM T WHERE x BETWEEN 20 AND 60 AND y BETWEEN 30 AND 50`
+	cat := specialCatalog(t, 3000)
+	opt := Options{GridW: 16, GridH: 16, Arrangement: Arrange2D, AxisX: "x", AxisY: "y"}
+	// residentAxes returns the resident entries of the axis keys c pins,
+	// and fails on any other pinned entry that carries a sample.
+	residentAxes := func(sc *SharedCache, c *RunCache) map[string]leafEntry {
+		t.Helper()
+		axes := map[string]leafEntry{}
+		for key, le := range c.live.leaves {
+			if !strings.HasPrefix(key, "A|") {
+				if le.sorted != nil {
+					t.Fatalf("entry %q carries a sample", key)
+				}
+				continue
+			}
+			sc.mu.Lock()
+			axes[key], _ = sc.entries.Get(key)
+			sc.mu.Unlock()
+			if axes[key].sorted == nil {
+				t.Fatalf("resident axis %q has no sample", key)
+			}
+		}
+		if len(axes) != 2 {
+			t.Fatalf("%d axis entries pinned, want 2", len(axes))
+		}
+		return axes
 	}
+
+	e := New(cat, nil, opt)
 	sc := NewSharedCache(0, 0)
 	c1 := NewRunCache()
 	c1.AttachShared(sc)
-	if _, err := runCached(e, q, c1); err != nil {
+	if _, err := runCached(e, mustParse(t, sql), c1); err != nil {
 		t.Fatal(err)
 	}
+	first := residentAxes(sc, c1)
 	afterFill := sc.Bytes()
-	// The second run hits privately and builds (then promotes) the axes'
-	// quantile indexes.
-	if _, err := runCached(e, q, c1); err != nil {
+	if _, err := runCached(e, mustParse(t, sql), c1); err != nil {
 		t.Fatal(err)
 	}
-	if sc.Bytes() <= afterFill {
-		t.Fatalf("quantile promotion did not grow the shared tier: %d -> %d bytes", afterFill, sc.Bytes())
+	if sc.Bytes() != afterFill {
+		t.Fatalf("a rerun grew the shared tier: %d -> %d bytes", afterFill, sc.Bytes())
 	}
-	// A later session's first run is handed the promoted indexes with
-	// the vectors: it never builds its own.
 	c2 := NewRunCache()
 	c2.AttachShared(sc)
-	if _, err := runCached(e, q, c2); err != nil {
+	if _, err := runCached(e, mustParse(t, sql), c2); err != nil {
 		t.Fatal(err)
 	}
-	axes := 0
-	for key, le := range c2.live.leaves {
-		if !strings.HasPrefix(key, "A|") {
-			if le.sorted != nil {
-				t.Fatalf("entry %q carries a quantile index", key)
-			}
-			continue
-		}
-		axes++
-		if c1 := c1.live.leaves[key].sorted; le.sorted == nil || &le.sorted[0] != &c1[0] {
-			t.Fatalf("axis %q: the second session did not get the promoted quantile index", key)
+	residentAxes(sc, c2)
+	for key, le := range first {
+		if pin := c2.live.leaves[key].sorted; &pin[0] != &le.sorted[0] {
+			t.Fatalf("axis %q: the second session pins a sample of its own", key)
 		}
 	}
-	if axes != 2 {
-		t.Fatalf("second session pins %d axis entries, want 2", axes)
+
+	// Across the fleet: node A offers the axes' vectors, node B's first
+	// run takes them (and the leaves) from the store.
+	full, err := New(cat, nil, Options{GridW: 16, GridH: 16, Arrangement: Arrange2D, AxisX: "x", AxisY: "y", FullSort: true}).Run(mustParse(t, sql))
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := newMapBackend()
+	for node := 0; node < 2; node++ {
+		scN := NewSharedCacheOpts(SharedOptions{Backend: backend})
+		c := NewRunCache()
+		c.AttachShared(scN)
+		res, err := runCached(New(cat, nil, opt), mustParse(t, sql), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, full, res)
+		if node == 0 {
+			continue
+		}
+		if st := scN.Stats(); st.RemoteHits != 4 || st.RemoteMisses != 0 {
+			t.Fatalf("node B: remote hits %d, misses %d; want its 2 leaves and 2 axes from the store", st.RemoteHits, st.RemoteMisses)
+		}
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		for key, le := range residentAxes(scN, c) {
+			if !slices.EqualFunc(relevance.SortedValues(le.raw), le.sorted, sameBits) || !slices.EqualFunc(first[key].sorted, le.sorted, sameBits) {
+				t.Fatalf("axis %q: the sample rebuilt on arrival differs from sorting its vector or from a local fill", key)
+			}
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ package lru
 
 // Cache is a map ordered by recency and bounded by an entry cap and a
 // byte budget. Every entry carries a cost in bytes that the caller
-// states (and may restate with Resize); the store never looks inside a
+// states when it stores the entry; the store never looks inside a
 // value.
 //
 // The eviction rule, for every tier, is this one: evict from the cold
@@ -63,16 +63,6 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return n.val, true
 }
 
-// Peek returns the value under k without touching its recency.
-func (c *Cache[K, V]) Peek(k K) (V, bool) {
-	n, ok := c.items[k]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return n.val, true
-}
-
 // Put stores v under k at the given cost — replacing value and cost if
 // k is resident — makes it the most recently used, and returns how many
 // other entries the bounds evicted.
@@ -88,19 +78,6 @@ func (c *Cache[K, V]) Put(k K, v V, bytes int64) (evicted int) {
 	n.val, n.cost = v, bytes
 	c.bytes += bytes
 	c.pushFront(n)
-	return c.evict()
-}
-
-// Resize restates the cost of the entry under k, leaving its recency
-// alone, and returns how many entries the bounds evicted — the resized
-// entry may be among them if it is the coldest. A missing k is a no-op.
-func (c *Cache[K, V]) Resize(k K, bytes int64) (evicted int) {
-	n, ok := c.items[k]
-	if !ok {
-		return 0
-	}
-	c.bytes += bytes - n.cost
-	n.cost = bytes
 	return c.evict()
 }
 

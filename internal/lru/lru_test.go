@@ -60,7 +60,7 @@ func newChecker(t *testing.T, maxEntries int, maxBytes int64) *checker {
 	return &checker{t: t, c: New[uint8, int](maxEntries, maxBytes), r: ref{maxEntries: maxEntries, maxBytes: maxBytes}}
 }
 
-const numOps = 4
+const numOps = 2
 
 // step applies operation op (mod numOps) on key k with cost, to both.
 func (ck *checker) step(op, k uint8, cost int64) {
@@ -77,12 +77,7 @@ func (ck *checker) step(op, k uint8, cost int64) {
 		if i >= 0 {
 			r.touch(i)
 		}
-	case 1: // Peek
-		v, ok := c.Peek(k)
-		if ok != (i >= 0) || ok && v != r.order[i].val {
-			t.Fatalf("Peek(%d) = %d, %v; reference index %d", k, v, ok, i)
-		}
-	case 2: // Put
+	case 1: // Put
 		ck.nextV++
 		got := c.Put(k, ck.nextV, cost)
 		added := 0
@@ -99,31 +94,11 @@ func (ck *checker) step(op, k uint8, cost int64) {
 		if got != want {
 			t.Fatalf("Put(%d, cost %d) evicted %d, reference %d", k, cost, got, want)
 		}
-		if v, ok := c.Peek(k); !ok || v != ck.nextV {
+		if n, ok := c.items[k]; !ok || n.val != ck.nextV {
 			t.Fatalf("Put(%d) evicted the entry it stored", k)
 		}
 		if lenBefore+added-got != c.Len() {
 			t.Fatalf("Put(%d): %d + %d - %d evicted != %d resident", k, lenBefore, added, got, c.Len())
-		}
-	case 3: // Resize
-		mru := r.order[:min(1, len(r.order))]
-		got := c.Resize(k, cost)
-		want := 0
-		if i >= 0 {
-			r.order[i].cost = cost
-			want = r.evict()
-		}
-		ck.removed += got
-		if got != want {
-			t.Fatalf("Resize(%d, %d) evicted %d, reference %d", k, cost, got, want)
-		}
-		if lenBefore-got != c.Len() {
-			t.Fatalf("Resize(%d): %d - %d evicted != %d resident", k, lenBefore, got, c.Len())
-		}
-		for _, e := range mru {
-			if _, ok := c.Peek(e.key); !ok {
-				t.Fatalf("Resize(%d) evicted the most recently used entry %d", k, e.key)
-			}
 		}
 	}
 	ck.invariants()
@@ -183,7 +158,7 @@ func TestRule(t *testing.T) {
 	if ev := c.Put("c", 3, 4); ev != 1 {
 		t.Fatalf("evicted %d, want 1 (the cold end, b)", ev)
 	}
-	if _, ok := c.Peek("b"); ok {
+	if _, ok := c.items["b"]; ok {
 		t.Fatal("b survived; a was touched and should have")
 	}
 	// Over the whole budget: everything else goes, the new entry stays
@@ -194,23 +169,14 @@ func TestRule(t *testing.T) {
 	if ev := c.Put("d", 5, 1); ev != 1 || c.Bytes() != 1 {
 		t.Fatalf("insert after oversize: evicted %d, %d bytes", ev, c.Bytes())
 	}
-	// Resize does not touch: growing the cold entry evicts it, not the
-	// most recently used one.
-	c.Put("e", 6, 1)
-	if ev := c.Resize("d", 20); ev != 1 {
-		t.Fatalf("Resize evicted %d, want 1", ev)
-	}
-	if _, ok := c.Peek("e"); !ok || c.Len() != 1 {
-		t.Fatal("Resize of the cold entry should have left only e")
-	}
 }
 
 // FuzzLRU drives the same checker from bytes: two bytes of bounds, then
 // three bytes per operation (op, key, cost).
 func FuzzLRU(f *testing.F) {
-	f.Add([]byte{0, 0, 2, 1, 5, 2, 2, 5, 0, 1, 0})
-	f.Add([]byte{2, 20, 2, 1, 9, 2, 2, 9, 2, 3, 9, 3, 1, 25, 4, 0, 0})
-	f.Add([]byte{1, 1, 2, 0, 200, 2, 1, 200, 3, 1, 0, 4, 1, 0})
+	f.Add([]byte{0, 0, 1, 1, 5, 1, 2, 5, 0, 1, 0})
+	f.Add([]byte{2, 20, 1, 1, 9, 1, 2, 9, 1, 3, 9, 1, 1, 25, 0, 0, 0})
+	f.Add([]byte{1, 1, 1, 0, 200, 1, 1, 200, 1, 1, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return

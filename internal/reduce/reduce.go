@@ -84,7 +84,7 @@ func SignedQuantileCut(sorted []float64, p float64) (lo, hi int) {
 // the intersection reaches the target count ⌈p·n⌉ or the bands cover
 // everything. A positive p is at least one item's share, 1/n. sortedX
 // and sortedY are the non-NaN values of dx and dy in ascending order,
-// ±Inf included (a quantile index's Sorted). The returned indices
+// ±Inf included (relevance.SortedValues). The returned indices
 // preserve input order.
 //
 // A wider fraction widens both ends of a band, so the bands are nested

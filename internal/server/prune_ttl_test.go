@@ -50,7 +50,8 @@ func TestWarmRemoteRerunsReportPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i > 0 {
-			// Run 1 promoted the leaf indexes; later reruns must prune.
+			// Run 1 filled the leaves and their code planes; later reruns
+			// must prune.
 			prunedWarm += wsum.Timings.Pruned
 		}
 		if wsum.Timings.Pruned > wsum.Timings.Chunks {
