@@ -504,8 +504,11 @@ func BenchmarkCodeRange(b *testing.B) {
 // of the leaf outside the AND part (the part's cached vector and its
 // range are reused as they are), the weight of the part itself (reused
 // vector, a new keep count every step), a range inside the part (every
-// step computes a leaf and stores a new part vector) and a range outside
-// it (the part hits every step).
+// step computes a leaf and fills a new part vector) and a range outside
+// it (the part hits every step). A fifth, three-level, runs a query
+// whose AND part holds an OR part: even steps drag a range inside the
+// inner part (a leaf and both parts filled), odd steps the weight of the
+// leaf outside both (both parts hit).
 func BenchmarkNestedDrag(b *testing.B) {
 	runDrags(b, datagen.TrafficQueries()[2], []benchDrag{
 		// Predicates of the OR root are [AND(a, b), c].
@@ -521,6 +524,14 @@ func BenchmarkNestedDrag(b *testing.B) {
 		{"range-outside", func(s *session.Session, i int) error {
 			lo := float64(i%800) / 10
 			return s.SetRangeByAttr("c", lo, lo+10)
+		}},
+	})
+	runDrags(b, `SELECT a FROM S WHERE (a > 50 AND (b < 40 OR t > 90)) OR c BETWEEN 20 AND 30 WEIGHT 2`, []benchDrag{
+		{"three-level", func(s *session.Session, i int) error {
+			if i%2 == 1 {
+				return s.SetWeight(query.Predicates(s.Query().Where)[1], 1+float64(i%7)/2)
+			}
+			return s.SetRangeByAttr("b", math.Inf(-1), float64(i%1000)/10)
 		}},
 	})
 }
@@ -541,6 +552,24 @@ func BenchmarkFlatDrag(b *testing.B) {
 		{"range", func(s *session.Session, i int) error {
 			lo, width := float64(i*7%60), float64(3+i*5%38)
 			return s.SetRangeByAttr("c", lo, lo+width)
+		}},
+	})
+}
+
+// BenchmarkClusteredDrag is BenchmarkFlatDrag over Traffic's ascending
+// t: a range on t ANDed with b < 40, under the script's weight set and
+// its 3-40-wide ranges on t. On a clustered column whole evaluator
+// chunks lie past the root's cut, the traffic the code planes' per-chunk
+// least codes let the filter skip.
+func BenchmarkClusteredDrag(b *testing.B) {
+	weights := []float64{0.5, 1, 2, 3}
+	runDrags(b, `SELECT a FROM S WHERE t BETWEEN 20 AND 30 AND b < 40`, []benchDrag{
+		{"weight", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[i%2], weights[(2+i/2)%len(weights)])
+		}},
+		{"range", func(s *session.Session, i int) error {
+			lo, width := float64(i*7%60), float64(3+i*5%38)
+			return s.SetRangeByAttr("t", lo, lo+width)
 		}},
 	})
 }

@@ -120,15 +120,15 @@
 // its values: an interior pass adds the transform and the range scan,
 // the deferred root keeps them raw, and a root whose transform could
 // overflow is finished eagerly by the same combine
-// (TestUndeferrableRootsFinishEagerly). Every child of a combine — leaf,
-// cached subtree or interior node — is scaled into scratch and
+// (TestUndeferrableRootsFinishEagerly). Every child of a combine — leaf
+// or interior node, computed or served — is scaled into scratch and
 // materialized only by Result.Vec, so reading a window before the
 // ranking leaves the root's ranking alone
 // (TestWindowBeforeRankingKeepsPruning).
 //
 //   - Code planes. Every vector the shared tier ranks by is coded where
 //     it is born — a leaf by its compute (the pushdown's skipped segments
-//     without a read), an interior vector by the pass that stores it, a
+//     without a read), an interior vector by the pass that fills it, a
 //     kv arrival as the tier admits it: a byte per row (relevance.Codes)
 //     naming the row's class — -Inf, the vector's minimum (a range
 //     leaf's exact answers), one of 252 equal-width buckets, +Inf, NaN —
@@ -252,27 +252,32 @@
 //     path keeps reading the file it opened, and a failed write leaves
 //     the path as it was (TestCatalogRewriteLeavesOpenReaderAlone).
 //
-// # Interior reuse: a cached subtree is a leaf
+// # Interior reuse: an interior vector is filled like a leaf
 //
-// Cached runs keep the raw combined vector of every interior node a
-// fused pass computes (the deferred root has none), under the key core
+// Cached runs keep the raw combined vector of every interior node whose
+// pass they reach (the deferred root has none), under the key core
 // builds with every other cache key (runKeys.interior, "I|": the kernel
 // options, the operator, each child's key and effective weight — NOT
 // the node's own weight) and hands the evaluator on the node
-// (relevance.Node.Key; a node without one is never fetched or stored).
-// A rerun that finds the vector skips the fused
-// passes of the whole subtree and treats the node as it treats a leaf:
-// the vector is read-only, its normalization range — the keep-th
-// smallest finite value, a new keep with every move of the node's
-// weight — comes from the counts of the code plane its pass built, and
-// its scaled form is chunk-local in the parent's pass — as a computed
-// interior node's is: every child of a combine is lazy. The vector
-// lives in the SharedCache among the leaves, under the same recency
-// rule and byte budget, is pinned and touched by the lines that do so
-// for a leaf, and never travels to the kv tier. Results are
-// bit-identical (Options.NoInteriorSketch is the ablation gate);
-// StageTimings.SketchHits/SketchRescans attribute it
-// (TestInteriorSketchWarmRerunBitIdentical, TestNoInteriorSketchDisables).
+// (relevance.Node.Key; a node without one is never resolved through the
+// cache). After evaluating the node's children, the evaluator asks
+// relevance.EvalOptions.Interior for the vector, which the engine
+// resolves as it resolves a leaf: the run's pins, then the tier, then
+// the node's pass, which runs once under the tier's singleflight and
+// writes into a vector the tier keeps, coded over the pass's extremes.
+// Hit or miss, the node is then read as a leaf is: the vector is
+// read-only, its normalization range — the keep-th smallest finite
+// value, a new keep with every move of the node's weight — comes from
+// its code plane's counts, and its scaled form is chunk-local in the
+// parent's pass. Each interior node resolves on its own, so a hit whose
+// descendant was evicted recomputes that descendant alone, and every
+// window below stays materializable. The vector lives in the
+// SharedCache among the leaves, under the same recency rule and byte
+// budget, counts as InteriorHits/InteriorMisses, and never travels to
+// the kv tier. Results are bit-identical (Options.NoInteriorSketch is
+// the ablation gate); StageTimings.SketchHits/SketchRescans attribute it
+// (TestInteriorSketchWarmRerunBitIdentical, TestNoInteriorSketchDisables,
+// TestEvictedInnerPartRecomputesAlone, TestInteriorVectorsStayLocal).
 //
 // # Shared cache: serving many sessions on one catalog
 //
@@ -500,9 +505,9 @@
 // written back. Leaf vectors and a 2D axis's signed distances are all
 // that travels, in core's versioned envelope (core/remote.go; version 5:
 // the version byte, then the vector), under the leaf keys "C|", "J|",
-// "B|", "S|" and the axis keys "A|"; indexes and interior vectors are
-// rebuilt where they are used, and a slider's numbers are read from the
-// condition and its column. A value is
+// "B|", "S|" and the axis keys "A|"; code planes, axes' sorted samples
+// and interior vectors are rebuilt where they are used, and a slider's
+// numbers are read from the condition and its column. A value is
 // adopted only if it decodes in full, under the current envelope
 // version, to a vector exactly as long as the item space
 // (decodeSharedEntry; FuzzSharedEntry). Anything else — a value an older member wrote under

@@ -66,8 +66,8 @@ type RunCache struct {
 	ints   bufPool[int]
 }
 
-// pinSet is one generation of pins, by cache key: leaves and, under
-// runKeys.interior, interior vectors.
+// pinSet is one generation of pins, by cache key (runKeys): leaves, 2D
+// axes and interior vectors.
 type pinSet struct {
 	leaves map[string]leafEntry
 }
@@ -87,10 +87,10 @@ const maxCacheEntries = 64
 // leafEntry is one cached vector as the tier holds it and as fetches
 // hand it out and pins keep it: the leaf of a condition, join,
 // boolean-negation fallback or subquery, the raw combined vector of an
-// interior node — a cached subtree is a leaf — or a 2D axis's signed
-// distances. An entry is its vectors and what is built from them,
-// nothing else: the slider's numbers are O(1) reads of the condition and
-// its column (Result.PredicateInfos). An entry is whole when it is
+// interior node, or a 2D axis's signed distances. An entry is its
+// vectors and what is built from them, nothing else: the slider's
+// numbers are O(1) reads of the condition and its column
+// (Result.PredicateInfos). An entry is whole when it is
 // stored and never written afterwards; only its raw vector ever leaves
 // the process (encodeSharedEntry), and what is built from it is rebuilt
 // wherever it goes (SharedCache.fetch's derive).
@@ -229,7 +229,9 @@ func (c *RunCache) endRun(ok bool) {
 
 // runStats returns the current run's lookup counts. sharedHits is the
 // subset of hits the tier served (including waits on another session's
-// in-flight fill) rather than the pins.
+// in-flight fill) rather than the pins. A run builds its leaves before
+// it resolves any interior vector or 2D axis, so read right after the
+// leaves, they are the leaves' counts.
 func (c *RunCache) runStats() (hits, misses, sharedHits int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -288,10 +290,14 @@ func (c *RunCache) pin(key string, le leafEntry) {
 	c.cur.leaves[key] = le
 }
 
-// fetch resolves a leaf over an item space of rows items: a pin, then
-// the tier (derive completes what its remote tier serves), then compute
-// (through the tier's singleflight fill).
+// fetch resolves key — a leaf's, a 2D axis's or an interior vector's
+// (runKeys) — over an item space of rows items: a pin, then the tier
+// (derive completes what its remote tier serves), then compute (through
+// the tier's singleflight fill). Without a cache it computes.
 func (c *RunCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (leafEntry, error) {
+	if c == nil {
+		return compute()
+	}
 	le, pinned := c.pinned(key)
 	sharedHit := false
 	if !pinned {
@@ -315,47 +321,6 @@ func (c *RunCache) fetch(key string, rows int, derive func([]float64) leafEntry,
 		c.runMisses++
 	}
 	return le, nil
-}
-
-// axis resolves the signed distances a 2D placement reads for an axis
-// condition (runKeys.axis), with their sorted sample (axisEntry): a pin,
-// then the tier and its remote backend, then compute (only compute
-// without a cache). They are no leaf lookup of the run.
-func (c *RunCache) axis(key string, rows int, compute func() (leafEntry, error)) (leafEntry, error) {
-	if c == nil {
-		return compute()
-	}
-	if le, ok := c.pinned(key); ok {
-		return le, nil
-	}
-	le, _, err := c.Shared().fetch(key, rows, axisEntry, compute)
-	if err != nil {
-		return leafEntry{}, err
-	}
-	c.pin(key, le)
-	return le, nil
-}
-
-// lookup resolves an interior node's raw combined vector: a pin, then
-// the tier, never a compute — on a miss the evaluator runs the node's
-// fused pass and store hands the result to the tier. Neither counts as
-// a leaf lookup.
-func (c *RunCache) lookup(key string) (leafEntry, bool) {
-	if le, ok := c.pinned(key); ok {
-		return le, true
-	}
-	le, ok := c.Shared().lookup(key)
-	if ok {
-		c.pin(key, le)
-	}
-	return le, ok
-}
-
-// store records a freshly computed interior vector: in the tier (whose
-// first stored entry is canonical, so concurrent sessions converge on
-// one resident copy) and among the run's pins.
-func (c *RunCache) store(key string, le leafEntry) {
-	c.pin(key, c.Shared().store(key, le))
 }
 
 // spaceSig fingerprints the item space a leaf vector was computed over:

@@ -97,12 +97,13 @@ type StageTimings struct {
 	Refined, Pruned, Chunks int
 	// SketchHits and SketchRescans attribute the interior reuse of the
 	// Evaluate stage: interior nodes whose combine pass was skipped
-	// because their raw combined vector was cached (the whole subtree's
-	// fused passes are saved), and how many of them needed a pass over
-	// the vector for their normalization range — the gather of the rows
-	// of its code plane's crossing bucket, or NormRange when that bucket
-	// is dense, as the counts answer the minimum's class and the maximum
-	// on their own. Zero for uncached runs and under
+	// because their raw combined vector was cached (an interior
+	// descendant is resolved on its own, a hit or its own pass), and how
+	// many of them needed a pass over the vector for their normalization
+	// range — the gather of the rows of its code plane's crossing
+	// bucket, or NormRange when that bucket is dense, as the counts
+	// answer the minimum's class and the maximum on their own. Zero for
+	// uncached runs and under
 	// Options.NoInteriorSketch. Both names predate the code plane;
 	// wire.Timings and bench/ freeze them.
 	SketchHits, SketchRescans int
@@ -236,14 +237,15 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	if cache != nil {
 		evalOpts.Alloc = cache.floats.alloc
 		// Interior reuse: an interior node whose key (runKeys.interior)
-		// names a cached vector skips its subtree's fused passes and is
-		// ranged like a leaf. Under NoInteriorSketch no node has a key.
-		evalOpts.InteriorFetch = func(key string) ([]float64, *relevance.Codes) {
-			le, _ := cache.lookup(key)
-			return le.raw, le.codes
-		}
-		evalOpts.InteriorStore = func(key string, raw []float64, codes *relevance.Codes) {
-			cache.store(key, leafEntry{raw: raw, codes: codes})
+		// names a vector the pins or the tier hold is ranged like a leaf;
+		// one they do not hold is filled by the node's pass. Under
+		// NoInteriorSketch no node has a key.
+		evalOpts.Interior = func(key string, compute func() ([]float64, *relevance.Codes, error)) ([]float64, *relevance.Codes, error) {
+			le, err := cache.fetch(key, space.n, nil, func() (leafEntry, error) {
+				raw, codes, err := compute()
+				return leafEntry{raw: raw, codes: codes}, err
+			})
+			return le.raw, le.codes, err
 		}
 	}
 	eval, err := relevance.Evaluate(root, space.n, evalOpts)
@@ -626,13 +628,7 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 // under key on a cached run, computed on the spot otherwise. The leaf
 // carries its key and its code plane.
 func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() (leafEntry, error)) (*relevance.Node, error) {
-	var le leafEntry
-	var err error
-	if res.cache != nil {
-		le, err = res.cache.fetch(key, space.n, e.entry, compute)
-	} else {
-		le, err = compute()
-	}
+	le, err := res.cache.fetch(key, space.n, e.entry, compute)
 	if err != nil {
 		return nil, err
 	}

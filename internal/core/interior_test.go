@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -392,4 +393,129 @@ func TestRangeEditKeepsInteriorVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, ref, back)
+}
+
+// nestedSQL is a three-level query: the OR root over an AND part, which
+// holds an inner OR part.
+const nestedSQL = `SELECT a FROM S WHERE (a > 50 AND (b < 40 OR c > 70)) OR c BETWEEN 20 AND 30 WEIGHT 2`
+
+// nestedParts returns the outer AND part of nestedSQL's q and its inner
+// OR part.
+func nestedParts(q *query.Query) (outer, inner query.Expr) {
+	outer = query.Predicates(q.Where)[0]
+	return outer, query.Predicates(outer)[1]
+}
+
+// TestEvictedInnerPartRecomputesAlone: a run whose outer part the tier
+// holds while the inner part under it was evicted takes the outer part
+// as a hit and computes the inner one alone — its pass is the only
+// fill — and every window, the inner part's included, matches a
+// FullSort engine's.
+func TestEvictedInnerPartRecomputesAlone(t *testing.T) {
+	cat := interiorCatalog(t, 2*4096+57)
+	opt := Options{GridW: 16, GridH: 16}
+	e := New(cat, nil, opt)
+	q := mustParse(t, nestedSQL)
+	cold := NewRunCache()
+	res, err := runCached(e, q, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, innerExpr := nestedParts(q)
+	inner, err := res.nodeFor(innerExpr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pins := interiorPins(cold); len(pins) != 2 {
+		t.Fatalf("the cold run pinned interior vectors %q, want the two parts'", pins)
+	}
+	// A tier holding everything the cold run read but the inner part.
+	sc := NewSharedCache(0, 0)
+	cold.mu.Lock()
+	for key, le := range cold.live.leaves {
+		if key != inner.Key {
+			sc.entries.Put(key, le, le.sizeBytes())
+		}
+	}
+	cold.mu.Unlock()
+	warm := NewRunCache()
+	warm.AttachShared(sc)
+	got, err := runCached(e, q, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sc.Stats()
+	if got.Timings.SketchHits != 1 || got.Timings.CacheMisses != 0 || st.InteriorHits != 1 || st.InteriorMisses != 1 || st.Fills != 1 {
+		t.Fatalf("want the outer part a hit and the inner part's pass the one fill: %+v, tier %+v", got.Timings, st)
+	}
+	if !resident(sc, inner.Key) {
+		t.Fatal("the inner part's recomputed vector is not in the tier")
+	}
+	opt.FullSort = true
+	ref, err := New(cat, nil, opt).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, ref, got)
+	for i := 0; i < got.N; i++ {
+		x, errX := ref.NormOf(innerExpr, i)
+		y, errY := got.NormOf(innerExpr, i)
+		if errX != nil || errY != nil || math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+			t.Fatalf("inner part item %d: %v (%v) vs %v (%v)", i, x, errX, y, errY)
+		}
+	}
+}
+
+// TestInteriorVectorsStayLocal: over a remote tier, a nested query's
+// interior vectors are neither asked of it nor offered to it, on a cold
+// node, on a node the fleet warms and on its warm rerun, and their
+// lookups count as the tier's InteriorHits/InteriorMisses, never as its
+// Hits/Misses, which count the four leaves alone.
+func TestInteriorVectorsStayLocal(t *testing.T) {
+	cat := interiorCatalog(t, 4096+300)
+	backend := newMapBackend()
+	e := New(cat, nil, Options{GridW: 16, GridH: 16})
+	q := mustParse(t, nestedSQL)
+	for _, node := range []struct {
+		name string
+		// runs on one RunCache (the second pinned), and the tier's
+		// counts after them.
+		runs                                         int
+		hits, misses, remoteHits, intHits, intMisses uint64
+	}{
+		{"cold", 1, 0, 4, 0, 0, 2},
+		{"fleet-warmed", 2, 0, 4, 4, 0, 2},
+	} {
+		sc := NewSharedCacheOpts(SharedOptions{Backend: backend})
+		c := NewRunCache()
+		c.AttachShared(sc)
+		for run := 0; run < node.runs; run++ {
+			if _, err := runCached(e, q, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A second session on the node: every vector comes from its tier.
+		c2 := NewRunCache()
+		c2.AttachShared(sc)
+		res, err := runCached(e, q, c2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Timings.SketchHits != 2 || res.Timings.CacheMisses != 0 {
+			t.Fatalf("%s: the second session's run %+v", node.name, res.Timings)
+		}
+		st := sc.Stats()
+		if st.Hits != node.hits+4 || st.Misses != node.misses || st.RemoteHits != node.remoteHits ||
+			st.InteriorHits != node.intHits+2 || st.InteriorMisses != node.intMisses {
+			t.Fatalf("%s: tier %+v", node.name, st)
+		}
+	}
+	if keys := backend.leafKeys(t); len(keys) != 4 {
+		t.Fatalf("the store holds %q, want the four leaves", keys)
+	}
+	backend.mu.Lock()
+	defer backend.mu.Unlock()
+	if backend.gets != 8 || backend.puts != 4 {
+		t.Fatalf("the store served %d gets and %d puts, want 8 and 4", backend.gets, backend.puts)
+	}
 }

@@ -81,9 +81,16 @@ func (k runKeys) axis(leaf string) string { return "A|" + leaf }
 // their parent.
 func (k runKeys) interior(n *relevance.Node) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "I|%s|%d", k.kernel, n.Op)
+	fmt.Fprintf(&b, "%s%s|%d", interiorTag, k.kernel, n.Op)
 	for _, ch := range n.Children {
 		fmt.Fprintf(&b, "|%d:%s|w%x", len(ch.Key), ch.Key, ch.EffWeight())
 	}
 	return b.String()
 }
+
+// interiorTag starts every interior key and no other.
+const interiorTag = "I|"
+
+// isInterior reports whether key names an interior node's raw combined
+// vector.
+func isInterior(key string) bool { return strings.HasPrefix(key, interiorTag) }

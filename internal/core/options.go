@@ -71,11 +71,11 @@ type Options struct {
 	FullSort bool
 	// NoInteriorSketch disables interior reuse on cached runs (the
 	// ablation/benchmark baseline): no interior node's raw combined
-	// vector is looked up or stored, so every one re-runs its fused
-	// combine pass and re-selects its normalization range. Results are
-	// bit-identical either way — reuse only changes where the warm-rerun
-	// time goes (see StageTimings.SketchHits). The name predates the
-	// code plane that replaced the sketch.
+	// vector is resolved through the cache, so every one re-runs its
+	// fused combine pass and re-selects its normalization range. Results
+	// are bit-identical either way — reuse only changes where the
+	// warm-rerun time goes (see StageTimings.SketchHits). The name
+	// predates the code plane that replaced the sketch.
 	NoInteriorSketch bool
 	// NoSegmentStats disables the segment-stats pushdown of a leaf's
 	// column read (the pushdown's reference): range predicates read every

@@ -56,12 +56,18 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 // the condition's distances already (its leaf's), which a string
 // condition then reuses instead of recomputing them (see stringCond).
 // Without signed, the entry is a leaf's, and comes with its code plane.
+// With it, the entry's raw vector is signed itself: every writer stores
+// an item's distance before its signed distance, so an axis fill writes
+// one vector.
 func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
 		return leafEntry{}, 0, 0, err
 	}
-	le.raw = make([]float64, space.n)
+	le.raw = signed
+	if signed == nil {
+		le.raw = make([]float64, space.n)
+	}
 	if attr.Kind.IsNumeric() {
 		segsSkipped, segs, err = e.numericCond(c, attr, t, space, &le, signed)
 	} else if err = e.stringCond(c, attr, t, space, known, le.raw, signed); err == nil && signed == nil {

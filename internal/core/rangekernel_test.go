@@ -90,7 +90,8 @@ func rangeCond(attr string, op query.Op, a, b float64) *query.Cond {
 
 // checkRangeLeaf computes c's leaf over space without and with the
 // signed distances the 2D arrangement asks for, serially and on three
-// workers, and holds raw and signed to refRangeLeaf over vals — the
+// workers, and holds the leaf's raw distances and the axis fill's signed
+// ones (its entry's only vector) to refRangeLeaf over vals — the
 // condition's value of every item — bit for bit, and the ranges the
 // leaf's code plane answers around its exact answers to NormRange's. It
 // returns the segments the serial pass skipped.
@@ -122,11 +123,14 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 			if err != nil {
 				t.Fatal(err)
 			}
-			same("raw", le.raw, raw)
 			if withSigned {
+				// An axis fill writes one vector: its entry's is the signed one.
 				same("signed", gotSigned, signed)
-			}
-			if !withSigned {
+				if len(le.raw) != len(gotSigned) || len(le.raw) > 0 && &le.raw[0] != &gotSigned[0] {
+					t.Fatalf("%s: an axis fill's entry is not its signed vector", c.Label())
+				}
+			} else {
+				same("raw", le.raw, raw)
 				checkLeafRanges(t, c.Label(), le, zeros)
 			}
 			if skipped >= 0 && segsSkipped != skipped {

@@ -198,7 +198,7 @@ func (r *Result) apply2DQuantiles(in2D []int) {
 // when there is none (a boolean fallback has no signed distances). They
 // are computed here, reusing the leaf's distances where a string
 // condition would repeat its edit distances, and a cached run keeps them
-// with their sample under their own key (RunCache.axis), so a weight drag
+// with their sample under their own key (runKeys.axis), so a weight drag
 // neither computes nor sorts them again.
 func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	c := r.Binding.CondOn(attr, func(c *query.Cond) bool {
@@ -216,7 +216,7 @@ func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 		}
 		return axisEntry(signed), nil
 	}
-	le, err := r.cache.axis(r.keys.axis(leaf.Key), r.N, compute)
+	le, err := r.cache.fetch(r.keys.axis(leaf.Key), r.N, axisEntry, compute)
 	if err != nil {
 		return nil, nil // the leaf computed over the same inputs; unreachable
 	}

@@ -123,15 +123,15 @@ func NewSharedCache(maxEntries int, maxBytes int64) *SharedCache {
 // stands the "shared" object of /v1/shards and /v1/fleet
 // (wire.SharedStats is this type).
 type SharedStats struct {
-	// Hits counts lookups served from the cache, including waiters
-	// that got their vector from another session's in-flight fill.
+	// Hits counts the lookups of leaves and 2D axes served from the
+	// cache, including waiters that got their vector from another
+	// session's in-flight fill.
 	Hits uint64 `json:"hits"`
-	// Misses counts lookups that had to compute (singleflight
-	// leaders).
+	// Misses counts the lookups of leaves and 2D axes that had to
+	// compute (singleflight leaders).
 	Misses uint64 `json:"misses"`
-	// Fills counts successful stores: misses whose computation
-	// succeeded or that the remote tier answered, and interior vectors
-	// a run stored.
+	// Fills counts successful stores: misses — interior ones included —
+	// whose computation succeeded or that the remote tier answered.
 	Fills uint64 `json:"fills"`
 	// Waits counts lookups that blocked on another session's fill
 	// instead of computing redundantly.
@@ -146,10 +146,11 @@ type SharedStats struct {
 	// interior vectors alike.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// InteriorHits/InteriorMisses count the lookups of interior nodes'
-	// raw combined vectors (they live among the leaves, under "I|"
-	// keys). InteriorBytes is always 0 — Bytes includes them; the field
-	// outlives the tier it measured because bench/metrics.go reads it.
+	// InteriorHits/InteriorMisses are Hits/Misses for the lookups of
+	// interior nodes' raw combined vectors (they live among the leaves,
+	// under "I|" keys). InteriorBytes is always 0 — Bytes includes them;
+	// the field outlives the tier it measured because bench/metrics.go
+	// reads it.
 	InteriorHits   uint64 `json:"interior_hits"`
 	InteriorMisses uint64 `json:"interior_misses"`
 	InteriorBytes  int64  `json:"interior_bytes"`
@@ -248,22 +249,30 @@ func (sc *SharedCache) Bytes() int64 {
 	return sc.entries.Bytes()
 }
 
-// fetch returns the entry for key — a leaf over an item space of rows
-// items — computing it at most once across concurrent callers (a
-// leader's failure is its waiters' too, unless it is the leader's own
-// request ending: a canceled or timed-out fill is led again). hit
-// reports whether the entry was served without running compute in this
-// call (a resident entry, another caller's fill we waited on, or the
-// remote tier). A vector the remote tier serves is made an entry by
-// derive, which rebuilds what is built from it (a leaf's code plane, an
-// axis's sorted sample). compute runs without any cache lock held, so
-// fills for different keys proceed concurrently and a fill may
-// recursively fetch other keys.
+// fetch returns the entry for key — a leaf's or a 2D axis's over an
+// item space of rows items, or an interior vector's — computing it at
+// most once across concurrent callers (a leader's failure is its
+// waiters' too, unless it is the leader's own request ending: a canceled
+// or timed-out fill is led again). hit reports whether the entry was
+// served without running compute in this call (a resident entry, another
+// caller's fill we waited on, or the remote tier). A vector the remote
+// tier serves is made an entry by derive, which rebuilds what is built
+// from it (a leaf's code plane, an axis's sorted sample). An interior
+// vector never travels: a run rebuilds it from its leaves in one fused
+// pass, less than fetching one costs, so its fill neither asks the
+// remote tier nor offers to it, and its lookups count as
+// InteriorHits/InteriorMisses instead of Hits/Misses. compute runs
+// without any cache lock held, so fills for different keys proceed
+// concurrently and a fill may recursively fetch other keys.
 func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
+	hits, misses, backend := &sc.hits, &sc.misses, sc.backend
+	if isInterior(key) {
+		hits, misses, backend = &sc.intHits, &sc.intMisses, nil
+	}
 	for {
 		if e, ok := sc.entries.Get(key); ok {
-			sc.hits++
+			*hits++
 			sc.mu.Unlock()
 			return e, true, nil
 		}
@@ -277,7 +286,7 @@ func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEn
 		switch {
 		case call.err == nil:
 			sc.mu.Lock()
-			sc.hits++
+			*hits++
 			sc.mu.Unlock()
 			return call.entry, true, nil
 		case !errors.Is(call.err, context.Canceled) && !errors.Is(call.err, context.DeadlineExceeded):
@@ -289,10 +298,9 @@ func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEn
 		// The leader's request ended, not the fill: lead it ourselves.
 		sc.mu.Lock()
 	}
-	sc.misses++
+	*misses++
 	call := &sharedCall{done: make(chan struct{})}
 	sc.inflight[key] = call
-	backend := sc.backend
 	sc.mu.Unlock()
 
 	// Leader path: consult the remote tier before computing — a node
@@ -351,35 +359,4 @@ func (sc *SharedCache) touch(key string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.entries.Get(key)
-}
-
-// lookup returns the resident entry for key and nothing else: it never
-// computes and never asks the remote tier. It serves the interior
-// vectors, which a run rebuilds from its leaves in one fused pass —
-// less than fetching one costs — so only whole leaf vectors travel.
-func (sc *SharedCache) lookup(key string) (leafEntry, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	e, ok := sc.entries.Get(key)
-	if !ok {
-		sc.intMisses++
-		return leafEntry{}, false
-	}
-	sc.intHits++
-	return e, true
-}
-
-// store is lookup's other half: it makes le the entry for key unless
-// one is resident, and returns the resident one (two sessions' builds
-// are bit-identical — the fused pass is deterministic — so either could
-// win; keeping the first keeps one copy).
-func (sc *SharedCache) store(key string, le leafEntry) leafEntry {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if e, ok := sc.entries.Get(key); ok {
-		return e
-	}
-	sc.evictions += uint64(sc.entries.Put(key, le, le.sizeBytes()))
-	sc.fills++
-	return le
 }

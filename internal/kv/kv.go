@@ -1,8 +1,9 @@
 // Package kv is the fleet's shared-distance store: a small HTTP
 // key-value daemon holding immutable byte vectors under the structural
-// cache keys of internal/core, so leaf distance vectors computed on one
-// visdbd node warm every node (indexes and interior entries derived
-// from a leaf are rebuilt locally, which is cheaper than moving them).
+// cache keys of internal/core, so leaf distance vectors and 2D axes'
+// signed distances computed on one visdbd node warm every node (code
+// planes, axes' sorted samples and interior vectors are rebuilt
+// locally, which is cheaper than moving them).
 //
 // The protocol is three endpoints of plain HTTP — no framing beyond
 // what net/http provides, so any stdlib client (or curl) speaks it:

@@ -21,7 +21,7 @@ import (
 // buckets (orderstats.go's buckets) over the rest of the finite span,
 // +Inf and NaN; every class but a bucket is one value, its interval
 // exact. A plane is built where its vector is born — a leaf by its
-// compute, an interior vector by the pass that stores it, a vector
+// compute, an interior vector by the pass that fills it, a vector
 // another process computed by the fill that admits it — and codes
 // exactly that vector. Per code it counts the rows, which answer the
 // vector's normalization ranges (Range).

@@ -287,7 +287,7 @@ type combine struct {
 	combiner int
 	t        rootTransform
 	lpP      float64
-	scratch  [][]float64 // per child, one chunk of its scaled values
+	scratch  [][]float64 // per child, one chunk of its scaled values, made on first use (scaled)
 	vs       [][]float64 // the chunk's scaled child slices
 }
 
@@ -317,7 +317,6 @@ func (c *fusedCtx) newCombine(node *Node) (*combine, error) {
 			return nil, fmt.Errorf("relevance: invalid weight %v at %d", w, j)
 		}
 		cb.raw[j], cb.params[j], weights[j] = v, p, w
-		cb.scratch[j] = make([]float64, evalChunk)
 		c.res.setLazy(child, v, p)
 	}
 	ws, effSum := resolveWeights(weights, k)
@@ -330,7 +329,7 @@ func (c *fusedCtx) newCombine(node *Node) (*combine, error) {
 // child's chunk scaled into its scratch, then the raw kernel over them.
 func (cb *combine) chunk(dst []float64, lo, hi int) {
 	for j, raw := range cb.raw {
-		s := cb.scratch[j][:hi-lo]
+		s := cb.scaled(j, hi-lo)
 		applyRange(s, raw[lo:hi], cb.params[j])
 		cb.vs[j] = s
 	}
@@ -343,7 +342,7 @@ func (cb *combine) chunk(dst []float64, lo, hi int) {
 // len(ids) is at most evalChunk.
 func (cb *combine) rows(dst []float64, ids []int) {
 	for j, raw := range cb.raw {
-		s := cb.scratch[j][:len(ids)]
+		s := cb.scaled(j, len(ids))
 		for t, i := range ids {
 			s[t] = raw[i]
 		}
@@ -351,6 +350,15 @@ func (cb *combine) rows(dst []float64, ids []int) {
 		cb.vs[j] = s
 	}
 	combineRaw(cb.combiner, dst[:len(ids)], cb.vs, cb.ws, cb.lpP)
+}
+
+// scaled is child j's chunk scratch, n values long. It is made on first
+// use: the combine of a node whose vector a cache serves scales nothing.
+func (cb *combine) scaled(j, n int) []float64 {
+	if cb.scratch[j] == nil {
+		cb.scratch[j] = make([]float64, evalChunk)
+	}
+	return cb.scratch[j][:n]
 }
 
 // deferrable reports whether t can be applied after ranking without

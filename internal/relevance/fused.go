@@ -1,6 +1,9 @@
 package relevance
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file implements the chunk-fused evaluator behind Evaluate. The
 // node-at-a-time pipeline made ~7 O(n) passes per node — normalize the
@@ -14,8 +17,9 @@ import "fmt"
 //  2. Each interior node runs ONE chunked pass over its combine, which
 //     scales every child's chunk into chunk-local scratch and combines
 //     them; the pass completes the chunk with the node's transform and
-//     folds it into the node's range statistics — all while the chunk is
-//     cache-hot. Every child stays lazy: Result.Vec materializes it.
+//     folds it into the node's finite extremes while the chunk is
+//     cache-hot, and the code plane built over them answers the node's
+//     range. Every child stays lazy: Result.Vec materializes it.
 //  3. Output buffers come from EvalOptions.Alloc, so an interactive
 //     session reruns with zero n-sized allocations.
 //
@@ -69,13 +73,12 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	}
 	// Finalize the root: its combined vector scales in place (the
 	// buffer is ctx-owned); a leaf root scales into a fresh buffer,
-	// since node.Dists belongs to the caller, and so does a root served
-	// by an interior cache hit (a read-only vector). The root always
+	// since node.Dists belongs to the caller, and so does a keyed root,
+	// whose vector EvalOptions.Interior owns. The root always
 	// materializes — Combined is the interface's primary output.
 	out := vec
-	if _, cached := ctx.res.lazy[root]; cached || root.Op == Leaf {
+	if root.Op == Leaf || ctx.keyed(root) {
 		out = ctx.alloc()
-		delete(ctx.res.lazy, root)
 	}
 	ctx.forChunks(func(_, lo, hi int) {
 		applyRange(out[lo:hi], vec[lo:hi], params)
@@ -142,15 +145,6 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 		p, _ := node.Codes.Range(node.Dists, c.keepOf(node))
 		return node.Dists, p, nil
 	case NodeAnd, NodeOr:
-		if e, ok := c.fetchInterior(node); ok {
-			// The subtree's raw combined vector is cached: skip the
-			// whole subtree's fused passes and range the vector like a
-			// leaf — provided every skipped descendant stays
-			// materializable from its own vector.
-			if entries, ok := c.collectSubtreeEntries(node); ok {
-				return c.useInteriorEntry(node, e, entries)
-			}
-		}
 		cb, err := c.newCombine(node)
 		if err != nil {
 			return nil, NormParams{}, err
@@ -161,36 +155,66 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 	}
 }
 
-// pass runs an interior node's fused pass: per chunk, the combine's raw
-// values completed by its transform and folded into the node's range
-// scan — one cache-hot sweep instead of 2k+3 vector-length passes. It
-// codes the vector it stores, and returns the combined vector with the
-// params that scale it.
+// pass resolves an interior node's raw combined vector and returns it
+// with the params that scale it. Its fused pass writes, per chunk, the
+// combine's raw values completed by its transform — one cache-hot sweep
+// instead of 2k+3 vector-length passes — and codes the vector over the
+// extremes it tracks. A keyed node's vector comes from
+// EvalOptions.Interior, which runs the pass into a vector of its own only
+// when it holds none under the key; any other node's pass writes a run
+// buffer. Either way the node is ranged by its code plane's counts, like
+// a leaf.
 func (c *fusedCtx) pass(node *Node, cb *combine) ([]float64, NormParams, error) {
-	out := c.alloc()
-	stats := newRangeScan()
-	c.forChunks(func(_, lo, hi int) {
-		dst := out[lo:hi]
-		cb.chunk(dst, lo, hi)
-		cb.t.applyRange(dst)
-		stats.merge(scanRange(out, lo, hi))
-	})
-	if err := c.checkpoint(); err != nil {
-		// A canceled pass may have skipped chunks: nothing below
-		// (codes, caches, the parent) may see the partial buffer.
+	run := func(out []float64) ([]float64, *Codes, error) {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		c.forChunks(func(_, l, h int) {
+			dst := out[l:h]
+			cb.chunk(dst, l, h)
+			cb.t.applyRange(dst)
+			cl, ch := FiniteExtremes(dst)
+			lo, hi = min(lo, cl), max(hi, ch)
+		})
+		if err := c.checkpoint(); err != nil {
+			// A canceled pass may have skipped chunks: nothing below
+			// (codes, caches, the parent) may see the partial buffer.
+			return nil, nil, err
+		}
+		codes := NewCodes(c.n, lo, hi)
+		codes.Encode(out, 0, codes.Chunks())
+		return out, codes, nil
+	}
+	hit := false
+	var raw []float64
+	var codes *Codes
+	var err error
+	if c.keyed(node) {
+		hit = true
+		raw, codes, err = c.opts.Interior(node.Key, func() ([]float64, *Codes, error) {
+			hit = false
+			return run(make([]float64, c.n))
+		})
+	} else {
+		raw, codes, err = run(c.alloc())
+	}
+	if err != nil {
 		return nil, NormParams{}, err
 	}
-	node.Codes = nil
-	if node.Key != "" && c.opts.InteriorStore != nil {
-		// Cache a copy of the vector (the buffer is the run's; a root
-		// finalizes it in place) with its code plane, so the next
-		// structurally identical rerun skips this whole pass.
-		raw := append([]float64(nil), out...)
-		node.Codes = NewCodes(len(raw), stats.minFinite, stats.maxFinite)
-		node.Codes.Encode(raw, 0, node.Codes.Chunks())
-		c.opts.InteriorStore(node.Key, raw, node.Codes)
+	if len(raw) != c.n {
+		return nil, NormParams{}, fmt.Errorf("relevance: %q resolved to %d values, want %d", node.Label, len(raw), c.n)
 	}
-	return out, rangeOf(stats, out, c.keepOf(node)), nil
+	node.Codes = codes
+	p, scanned := codes.Range(raw, c.keepOf(node))
+	if hit {
+		c.res.SketchHits++
+		c.res.SketchRescans += b2i(scanned)
+	}
+	return raw, p, nil
+}
+
+// keyed reports whether an interior node's vector is resolved through
+// EvalOptions.Interior, and so is read-only here.
+func (c *fusedCtx) keyed(node *Node) bool {
+	return node.Key != "" && c.opts.Interior != nil
 }
 
 // chunkCount is how many evalChunk-sized chunks cover [0, n).

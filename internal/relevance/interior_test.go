@@ -7,11 +7,18 @@ import (
 	"testing"
 )
 
+// cachedVec is what a map-backed EvalOptions.Interior holds for one
+// key.
+type cachedVec struct {
+	raw   []float64
+	codes *Codes
+}
+
 // interiorHit evaluates AND(part, x) the way the engine does (lazy
 // leaves, deferred root) with part's raw combined vector answered by
-// InteriorFetch — raw itself, with its code plane or without — and
-// returns the params the evaluator ranged part with and the rescans it
-// reported.
+// EvalOptions.Interior — raw itself, with its code plane or without —
+// and returns the params the evaluator ranged part with and the rescans
+// it reported.
 func interiorHit(t *testing.T, raw []float64, budget int, coded bool) (NormParams, int) {
 	t.Helper()
 	n := len(raw)
@@ -19,11 +26,11 @@ func interiorHit(t *testing.T, raw []float64, budget int, coded bool) (NormParam
 	part := &Node{Op: NodeOr, Children: []*Node{leaf("a"), leaf("b")}, Key: "part"}
 	root := &Node{Op: NodeAnd, Children: []*Node{part, leaf("x")}}
 	opts := EvalOptions{Budget: budget, NaiveNormalize: budget == 0, DeferRoot: true}
-	opts.InteriorFetch = func(string) ([]float64, *Codes) {
+	opts.Interior = func(string, func() ([]float64, *Codes, error)) ([]float64, *Codes, error) {
 		if coded {
-			return raw, BuildCodes(raw)
+			return raw, BuildCodes(raw), nil
 		}
-		return raw, nil
+		return raw, nil, nil
 	}
 	res, err := Evaluate(root, n, opts)
 	if err != nil {
@@ -211,8 +218,12 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 		// Cold run fills the store.
 		store := map[string]cachedVec{}
 		cold := opts
-		cold.InteriorStore = func(key string, raw []float64, codes *Codes) {
-			store[key] = cachedVec{raw: raw, codes: codes}
+		cold.Interior = func(key string, compute func() ([]float64, *Codes, error)) ([]float64, *Codes, error) {
+			raw, codes, err := compute()
+			if err == nil {
+				store[key] = cachedVec{raw: raw, codes: codes}
+			}
+			return raw, codes, err
 		}
 		if _, err := Evaluate(tree, n, cold); err != nil {
 			t.Fatal(err)
@@ -240,13 +251,13 @@ func TestInteriorCacheHitBitIdentical(t *testing.T) {
 
 		warm := opts
 		fetches, hits := 0, 0
-		warm.InteriorFetch = func(key string) ([]float64, *Codes) {
+		warm.Interior = func(key string, compute func() ([]float64, *Codes, error)) ([]float64, *Codes, error) {
 			fetches++
-			e, ok := store[key]
-			if ok {
+			if e, ok := store[key]; ok {
 				hits++
+				return e.raw, e.codes, nil
 			}
-			return e.raw, e.codes
+			return compute()
 		}
 		got, err := Evaluate(tree, n, warm)
 		if err != nil {

@@ -148,9 +148,7 @@ func b2u(b bool) uint64 {
 // finite count and extremes plus the -Inf count the quickselect rank
 // correction uses, and the NaN count the rank-before-scale path uses
 // to attribute uncolorable items without materializing the scaled
-// vector. Chunked scans merge exactly (sums, min, max are
-// order-independent), so fused parallel passes stay bit-identical to
-// the serial scan.
+// vector.
 type rangeScan struct {
 	nFinite, nNegInf, nNaN int
 	minFinite, maxFinite   float64
@@ -176,19 +174,6 @@ func (s *rangeScan) add(d float64) {
 	}
 	if d > s.maxFinite {
 		s.maxFinite = d
-	}
-}
-
-// merge folds another (disjoint) scan into s.
-func (s *rangeScan) merge(o rangeScan) {
-	s.nFinite += o.nFinite
-	s.nNegInf += o.nNegInf
-	s.nNaN += o.nNaN
-	if o.minFinite < s.minFinite {
-		s.minFinite = o.minFinite
-	}
-	if o.maxFinite > s.maxFinite {
-		s.maxFinite = o.maxFinite
 	}
 }
 

@@ -36,11 +36,11 @@ type Node struct {
 	// sets it, from the node's pass or its cached vector. A root child
 	// without one has it built where it is read.
 	Codes *Codes
-	// Key names an interior node's raw combined vector in the caller's
-	// cache (EvalOptions.InteriorFetch and InteriorStore); the caller
-	// builds it, and it must name exactly the vector the node's subtree
-	// combines to under these options. A node without a key is never
-	// fetched or stored. The evaluator reads no leaf's key.
+	// Key names an interior node's raw combined vector for
+	// EvalOptions.Interior; the caller builds it, and it must name exactly
+	// the vector the node's subtree combines to under these options. An
+	// interior node without a key is never resolved through the hook. The
+	// evaluator reads no leaf's key.
 	Key string
 }
 
@@ -107,21 +107,22 @@ type EvalOptions struct {
 	// the weights and kernel the combine resolved), the same combine
 	// finishes the root eagerly and Deferred() reports false.
 	DeferRoot bool
-	// InteriorFetch, when non-nil, is consulted before the combine pass
-	// of every interior node that has a Key, with that key. A non-nil raw
-	// of the evaluation's length skips the pass, and the passes of the
-	// whole subtree under it: the node is then a leaf — raw is read
-	// READ-ONLY, and codes (optional, must code exactly raw) is its code
-	// plane, whose counts answer its normalization range where NormRange
-	// would otherwise. Results are bit-identical to the hookless
-	// evaluation; Result.SketchHits/SketchRescans attribute the reuse.
-	InteriorFetch func(key string) (raw []float64, codes *Codes)
-	// InteriorStore, when non-nil, receives the raw combined vector of
-	// every interior node with a Key whose fused pass this evaluation ran
-	// (a deferred root has none), under that key, with its code plane.
-	// raw is a private copy the callee owns; neither may be written
-	// afterwards.
-	InteriorStore func(key string, raw []float64, codes *Codes)
+	// Interior, when non-nil, resolves the raw combined vector of every
+	// interior node with a Key whose pass this evaluation reaches (a
+	// deferred root has none), after the node's children are evaluated:
+	// it returns the vector and its code plane (optional; it must code
+	// exactly raw) that it holds under the key, or what compute returns.
+	// compute runs the node's pass into a vector of its own and codes it;
+	// the hook may keep both, and may serve them to any number of
+	// evaluations, which read them only. An interior node's raw vector
+	// depends on its subtree alone — its children's raw vectors and
+	// weights, the combiner and these options — and not on its own
+	// weight, which enters only its own normalization range, so a drag
+	// outside a subtree leaves the subtree's vector as it was. Results
+	// are bit-identical to the hookless evaluation;
+	// Result.SketchHits/SketchRescans count the vectors served without
+	// compute.
+	Interior func(key string, compute func() ([]float64, *Codes, error)) ([]float64, *Codes, error)
 	// Checkpoint, when non-nil, is polled at every node entry and
 	// between evaluator chunks; the first non-nil return aborts the
 	// evaluation (and any deferred-root ranking built from it) with
@@ -134,12 +135,12 @@ type EvalOptions struct {
 
 // Result carries the evaluated tree: the per-node normalized distance
 // vectors in [0, Scale] (keyed by node), and the root's combined,
-// re-normalized distances. Every node below the root is lazy — a leaf,
-// an interior node and every node under an EvalOptions.InteriorFetch
-// hit alike: the combination passes scale it chunk by chunk into
-// scratch, and it is absent from ByNode until Vec materializes it —
-// windows read a few thousand displayed items, so a run writes no
-// n-sized scaled vector per node. Read through Vec rather than the map.
+// re-normalized distances. Every node below the root is lazy — a leaf
+// and an interior node alike, whether EvalOptions.Interior served its
+// vector or its pass computed it: the combination passes scale it chunk
+// by chunk into scratch, and it is absent from ByNode until Vec
+// materializes it — windows read a few thousand displayed items, so a
+// run writes no n-sized scaled vector per node. Read through Vec rather than the map.
 // Under EvalOptions.DeferRoot, Combined (and the root's ByNode entry)
 // also stay unmaterialized until Vec(root) asks for them.
 type Result struct {
@@ -147,10 +148,11 @@ type Result struct {
 	ByNode   map[*Node][]float64
 
 	// SketchHits counts interior nodes whose combine pass was skipped
-	// via EvalOptions.InteriorFetch; SketchRescans counts those of them
-	// whose normalization range needed a pass over the vector: the
-	// gather of its code plane's crossing bucket, or NormRange for a
-	// dense crossing bucket or a vector that came without a plane.
+	// because EvalOptions.Interior served their vector; SketchRescans
+	// counts those of them whose normalization range needed a pass over
+	// the vector: the gather of its code plane's crossing bucket, or
+	// NormRange for a dense crossing bucket or a vector that came
+	// without a plane.
 	SketchHits    int
 	SketchRescans int
 

@@ -82,10 +82,10 @@ func New(cat *dataset.Catalog, reg *distance.Registry, opt core.Options, q *quer
 }
 
 // NewShared starts a session whose predicate cache is backed by a
-// catalog-level shared tier: leaf distance vectors (and their quantile
-// indexes) any session on the same SharedCache already computed are
-// served instead of recomputed, and leaves computed here become
-// available to every other session. Sessions themselves stay
+// catalog-level shared tier: leaf distance vectors (with their code
+// planes), interior vectors and 2D axes any session on the same
+// SharedCache already computed are served instead of recomputed, and
+// those computed here become available to every other session. Sessions themselves stay
 // single-goroutine; any number of them may run concurrently against
 // one shared cache. All sessions on one SharedCache must use the same
 // catalog and distance registry. A nil shared is identical to New.
@@ -329,9 +329,8 @@ func (s *Session) FindCond(attr string) (*query.Cond, error) {
 // expresses is a no-op: nothing is snapshotted, no recalculation runs.
 // The range being left is not invalidated anywhere — it ages out of the
 // tier's cold end like the intermediate positions of a continuous drag
-// do — so coming back to it is a hit. The carried selection threshold
-// is keyed by the leaves a run read, so the run over the moved leaf
-// starts without one and nothing is reset by hand.
+// do — so coming back to it is a hit. Nothing a run reads is keyed by
+// anything but its inputs, so nothing is reset by hand.
 func (s *Session) SetRange(c *query.Cond, lo, hi float64) error {
 	if err := s.checkPart(c); err != nil {
 		return err
