@@ -56,8 +56,9 @@
 // counts of its code plane name the bucket the keep-th smallest value
 // falls in, and only that bucket's rows — about n/252 — are selected
 // (relevance.Codes.Range, relevance/orderstats.go). Options.FullSort
-// ranks every item exactly in O(n log n) instead (the A-series
-// ablations, exact quantiles). The 2D arrangement ranks the same way; it
+// ranks every item in O(n log n) instead: the exact full ranking that
+// the benchmark's oracle and the differential tests compare the
+// selection path against. The 2D arrangement ranks the same way; it
 // counts its band of combined α-quantiles over the axes' cached sorted
 // values (reduce.Items2D).
 // The wire has no full-sort option: a remote session serves its
@@ -232,8 +233,8 @@
 //     the query interval — distance exactly 0 — so results stay
 //     bit-identical by construction, and the skipped chunks are coded
 //     from the proof without a read. It does not depend on the backing.
-//     StageTimings.SegsSkipped/Segs attribute it; Options.NoSegmentStats
-//     is the reference (TestPushdownLockstepReplay).
+//     StageTimings.SegsSkipped/Segs attribute it
+//     (TestPushdownLockstepReplay).
 //   - The writer writes segments: each column's, as they are — resident,
 //     or read from the file an opened catalog serves — with the stats
 //     the column holds, so reopening a file and writing it again
@@ -274,9 +275,8 @@
 // window below stays materializable. The vector lives in the
 // SharedCache among the leaves, under the same recency rule and byte
 // budget, counts as InteriorHits/InteriorMisses, and never travels to
-// the kv tier. Results are bit-identical (Options.NoInteriorSketch is
-// the ablation gate); StageTimings.SketchHits/SketchRescans attribute it
-// (TestInteriorSketchWarmRerunBitIdentical, TestNoInteriorSketchDisables,
+// the kv tier. Results are bit-identical; StageTimings.SketchHits/
+// SketchRescans attribute it (TestInteriorSketchWarmRerunBitIdentical,
 // TestEvictedInnerPartRecomputesAlone, TestInteriorVectorsStayLocal).
 //
 // # Shared cache: serving many sessions on one catalog

@@ -103,17 +103,15 @@ type StageTimings struct {
 	// range — the gather of the rows of its code plane's crossing
 	// bucket, or NormRange when that bucket is dense, as the counts
 	// answer the minimum's class and the maximum on their own. Zero for
-	// uncached runs and under
-	// Options.NoInteriorSketch. Both names predate the code plane;
-	// wire.Timings and bench/ freeze them.
+	// uncached runs. Both names predate the code plane; wire.Timings and
+	// bench/ freeze them.
 	SketchHits, SketchRescans int
 	// SegsSkipped and Segs attribute the segment-stats pushdown of a
 	// leaf's column read: storage segments whose read was skipped
 	// because the column's per-segment stats proved every row in range
 	// (distance exactly 0), out of the segments the run's fresh range
 	// leaves considered, resident or file-backed. Zero on warm runs
-	// (nothing is recomputed), for uncached runs, and under
-	// Options.NoSegmentStats.
+	// (nothing is recomputed) and for uncached runs.
 	SegsSkipped, Segs int
 }
 
@@ -238,8 +236,7 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		evalOpts.Alloc = cache.floats.alloc
 		// Interior reuse: an interior node whose key (runKeys.interior)
 		// names a vector the pins or the tier hold is ranged like a leaf;
-		// one they do not hold is filled by the node's pass. Under
-		// NoInteriorSketch no node has a key.
+		// one they do not hold is filled by the node's pass.
 		evalOpts.Interior = func(key string, compute func() ([]float64, *relevance.Codes, error)) ([]float64, *relevance.Codes, error) {
 			le, err := cache.fetch(key, space.n, nil, func() (leafEntry, error) {
 				raw, codes, err := compute()
@@ -263,9 +260,9 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	switch {
 	case e.opt.FullSort || !eval.Deferred():
 		// Exact O(n log n) ranking of every item — the paper's
-		// "dominating" sort, kept for ablations and exact quantiles, and
-		// for the pathological weights whose root the evaluator declines
-		// to defer.
+		// "dominating" sort, kept as the oracle the selection path is
+		// compared against, and for the pathological weights whose root
+		// the evaluator declines to defer.
 		colorable = space.n - relevance.CountNaN(eval.Combined)
 		res.rankSorted, res.rankOrder = reduce.SortWithIndex(eval.Combined)
 		res.Timings.Sort = time.Since(mark)
@@ -525,10 +522,9 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 }
 
 // interiorNode records the AND/OR node of expr, keyed for the cache
-// when the run reuses interior vectors: a cached run, NoInteriorSketch
-// off.
+// when the run is cached.
 func (e *Engine) interiorNode(res *Result, expr query.Expr, node *relevance.Node) *relevance.Node {
-	if res.cache != nil && !e.opt.NoInteriorSketch {
+	if res.cache != nil {
 		node.Key = res.keys.interior(node)
 	}
 	res.setNode(expr, node)

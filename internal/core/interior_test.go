@@ -262,38 +262,6 @@ func TestInteriorKeyExcludesOwnWeight(t *testing.T) {
 	}
 }
 
-// TestNoInteriorSketchDisables: the ablation gate must keep cached runs
-// off the interior fast path — no "I|" key stored, none pinned —
-// without changing any result.
-func TestNoInteriorSketchDisables(t *testing.T) {
-	cat := interiorCatalog(t, 4096+300)
-	e := New(cat, nil, Options{GridW: 16, GridH: 16, NoInteriorSketch: true})
-	cache := NewRunCache()
-	q, _ := query.Parse(interiorSQL)
-	if _, err := runCached(e, q, cache); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := runCached(e, q, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Timings.SketchHits != 0 || warm.Timings.SketchRescans != 0 {
-		t.Fatalf("NoInteriorSketch run reported sketch activity: %+v", warm.Timings)
-	}
-	if pins := interiorPins(cache); len(pins) != 0 {
-		t.Fatalf("NoInteriorSketch run pinned interior vectors %q", pins)
-	}
-	// The store holds the three leaves and was asked for nothing else.
-	if st := cache.Shared().Stats(); st.Entries != 3 || st.Fills != 3 || st.InteriorHits+st.InteriorMisses != 0 {
-		t.Fatalf("NoInteriorSketch store: %+v", st)
-	}
-	ref, err := e.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, ref, warm)
-}
-
 // TestSpaceSigEmbedsEpoch: every structural cache key must carry the
 // catalog's segment epoch, so regenerated file-backed catalogs can
 // never cross-serve cached vectors; and all key formats must flow

@@ -65,26 +65,10 @@ type Options struct {
 	PercentDisplayed float64
 	// FullSort ranks every item with a full O(n log n) sort instead of
 	// selecting only the display budget. The displayed result is
-	// identical either way; full sorting keeps the ranking (TopK, the
-	// spiral's Result.Order) exact for all n items, which the A-series
-	// ablations and exact quantile statistics rely on.
+	// identical either way: it is the exact full ranking that the
+	// benchmark's oracle and the differential tests compare the
+	// selection path against.
 	FullSort bool
-	// NoInteriorSketch disables interior reuse on cached runs (the
-	// ablation/benchmark baseline): no interior node's raw combined
-	// vector is resolved through the cache, so every one re-runs its
-	// fused combine pass and re-selects its normalization range. Results
-	// are bit-identical either way — reuse only changes where the
-	// warm-rerun time goes (see StageTimings.SketchHits). The name
-	// predates the code plane that replaced the sketch.
-	NoInteriorSketch bool
-	// NoSegmentStats disables the segment-stats pushdown of a leaf's
-	// column read (the pushdown's reference): range predicates read every
-	// storage segment even when the column's per-segment stats prove a
-	// segment's rows all score distance zero. Results are bit-identical
-	// either way — the pushdown only skips reads (for a file-backed
-	// column, decodes) whose outcome is already known (see
-	// StageTimings.SegsSkipped).
-	NoSegmentStats bool
 }
 
 // withDefaults returns a copy with zero fields replaced by defaults.

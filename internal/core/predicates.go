@@ -127,7 +127,7 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	// semantics the proof does not cover: pair spaces (non-monotonic row
 	// order) and OpNe/OpIn (pointwise distances).
 	var skip []bool
-	if singleTable && kernel && !e.opt.NoSegmentStats {
+	if singleTable && kernel {
 		segs = (space.n + dataset.SegmentSize - 1) / dataset.SegmentSize
 		for si := 0; si < segs; si++ {
 			smin, smax, nulls, ok := column.SegmentStats(si)

@@ -68,10 +68,10 @@ func samePredicateInfos(t *testing.T, step string, a, b *Result) {
 // segment-stats pushdown: the same randomized interaction script —
 // range slides on the skippable clustered column, weight changes, a
 // strict operator, predicates on never-skippable columns — replayed
-// against the resident catalog and its segment file, each with stats on
-// and with stats off (Options.NoSegmentStats), must produce bit-identical
-// results at every step; both stats-on engines must skip the same
-// segments at every step, and must actually have skipped some.
+// against the resident catalog and its segment file must produce, at
+// every step, the results of a fresh FullSort engine, bit for bit; both
+// engines must skip the same segments at every step, and must actually
+// have skipped some.
 func TestPushdownLockstepReplay(t *testing.T) {
 	const rows = 5*dataset.SegmentSize + 301
 	mem := clusteredCatalog(t, rows)
@@ -79,28 +79,19 @@ func TestPushdownLockstepReplay(t *testing.T) {
 	if _, err := dataset.WriteCatalogFile(path, mem); err != nil {
 		t.Fatal(err)
 	}
-	open := func() *dataset.Catalog {
+	base := Options{GridW: 16, GridH: 16}
+	fullSort := base
+	fullSort.FullSort = true
+	engines := []struct {
+		name string
+		eng  *Engine
+	}{
+		{"memory", New(mem, nil, base)},
 		// A tiny decode cache forces real cold decodes on every leaf
 		// recompute, so the skip path is exercised, not the LRU.
-		return openSegFile(t, path, 1<<16)
+		{"file", New(openSegFile(t, path, 1<<16), nil, base)},
 	}
-	base := Options{GridW: 16, GridH: 16}
-	noStats := base
-	noStats.NoSegmentStats = true
-	engines := []struct {
-		name    string
-		eng     *Engine
-		statsOn bool
-	}{
-		{"memory", New(mem, nil, base), true},
-		{"memory-stats-off", New(mem, nil, noStats), false},
-		{"file", New(open(), nil, base), true},
-		{"file-stats-off", New(open(), nil, noStats), false},
-	}
-	caches := make([]*RunCache, len(engines))
-	for i := range caches {
-		caches[i] = NewRunCache()
-	}
+	caches := []*RunCache{NewRunCache(), NewRunCache()}
 
 	// The script mixes cold leaves (fresh ranges), warm replays
 	// (repeated ranges), strict bounds, and an always-unskippable
@@ -122,11 +113,15 @@ func TestPushdownLockstepReplay(t *testing.T) {
 			script = append(script, fmt.Sprintf(`SELECT t FROM C WHERE n > %g AND u BETWEEN 10 AND 90`, lo))
 		}
 	}
-	skippedTotal := make([]int, len(engines))
+	skippedTotal := 0
 	for si, sql := range script {
 		q, err := query.Parse(sql)
 		if err != nil {
 			t.Fatalf("step %d: %v", si, err)
+		}
+		ref, err := New(mem, nil, fullSort).Run(q)
+		if err != nil {
+			t.Fatalf("step %d (reference): %v", si, err)
 		}
 		results := make([]*Result, len(engines))
 		for ei, e := range engines {
@@ -135,64 +130,55 @@ func TestPushdownLockstepReplay(t *testing.T) {
 				t.Fatalf("step %d (%s): %v", si, e.name, err)
 			}
 			results[ei] = res
-			skippedTotal[ei] += res.Timings.SegsSkipped
-			if !e.statsOn && res.Timings.SegsSkipped != 0 {
-				t.Fatalf("step %d (%s): skipped %d segments with pushdown off",
-					si, e.name, res.Timings.SegsSkipped)
-			}
+			sameResults(t, ref, res)
+			samePredicateInfos(t, sql, ref, res)
 		}
-		if a, b := results[0].Timings, results[2].Timings; a.SegsSkipped != b.SegsSkipped || a.Segs != b.Segs {
+		if a, b := results[0].Timings, results[1].Timings; a.SegsSkipped != b.SegsSkipped || a.Segs != b.Segs {
 			t.Fatalf("step %d: memory skipped %d/%d segments, file %d/%d", si, a.SegsSkipped, a.Segs, b.SegsSkipped, b.Segs)
 		}
-		for ei := 1; ei < len(engines); ei++ {
-			sameResults(t, results[0], results[ei])
-			samePredicateInfos(t, sql, results[0], results[ei])
-		}
+		skippedTotal += results[0].Timings.SegsSkipped
 	}
-	for ei, e := range engines {
-		if e.statsOn && skippedTotal[ei] == 0 {
-			t.Fatalf("%s: the script never skipped a segment — pushdown inactive", e.name)
-		}
+	if skippedTotal == 0 {
+		t.Fatal("the script never skipped a segment — pushdown inactive")
 	}
 }
 
 // TestPushdownKeepsSignedDistances: a 2D arrangement's axis condition
-// whose segments the pushdown skips gets the signed distances it gets
-// with the pushdown off — +0 on every skipped row, like its distances —
-// and places every item in the same cell.
+// whose segments the pushdown skips gets the signed distances
+// refRangeLeaf defines — +0 on every skipped row, like its distances —
+// and places every item where the 2D reference does.
 func TestPushdownKeepsSignedDistances(t *testing.T) {
 	cat := clusteredCatalog(t, 5*dataset.SegmentSize+301)
 	const sql = `SELECT t FROM C WHERE t BETWEEN 20 AND 80 AND u < 60`
-	base := Options{GridW: 16, GridH: 16, Arrangement: Arrange2D, AxisX: "t", AxisY: "u"}
-	noStats := base
-	noStats.NoSegmentStats = true
-	on, err := runCached(New(cat, nil, base), mustParse(t, sql), NewRunCache())
+	opt := Options{GridW: 16, GridH: 16, Arrangement: Arrange2D, AxisX: "t", AxisY: "u"}
+	q := mustParse(t, sql)
+	res, err := runCached(New(cat, nil, opt), q, NewRunCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := runCached(New(cat, nil, noStats), mustParse(t, sql), NewRunCache())
+	if res.Timings.SegsSkipped == 0 {
+		t.Fatal("the pushdown skipped no segment")
+	}
+	tbl, err := cat.Table("C")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Timings.SegsSkipped == 0 || off.Timings.SegsSkipped != 0 {
-		t.Fatalf("skipped %d segments with stats on, %d with them off", on.Timings.SegsSkipped, off.Timings.SegsSkipped)
-	}
-	for _, axis := range []string{"t", "u"} {
-		a, _ := on.signedOf(axis)
-		b, _ := off.signedOf(axis)
-		if len(a) != on.N || len(b) != on.N {
-			t.Fatalf("axis %s: %d and %d signed distances for %d items", axis, len(a), len(b), on.N)
+	for _, p := range query.Predicates(q.Where) {
+		c := p.(*query.Cond)
+		vals, err := tbl.FloatsOf(c.Attr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("axis %s, item %d: %v with the pushdown, %v without", axis, i, a[i], b[i])
+		_, want, _ := refRangeLeaf(c, vals)
+		got, _ := res.signedOf(c.Attr)
+		if len(got) != len(want) {
+			t.Fatalf("axis %s: %d signed distances for %d items", c.Attr, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("axis %s, item %d (value %v): signed %v, want %v", c.Attr, i, vals[i], got[i], want[i])
 			}
 		}
 	}
-	sameResults(t, off, on)
-	for rank := 0; rank < on.Displayed; rank++ {
-		if on.CellOfRank(rank) != off.CellOfRank(rank) {
-			t.Fatalf("rank %d: cell %v with the pushdown, %v without", rank, on.CellOfRank(rank), off.CellOfRank(rank))
-		}
-	}
+	same2D(t, sql, res, reference2D(t, cat, opt, q))
 }

@@ -381,7 +381,9 @@ var (
 	sinkParams NormParams
 )
 
-func BenchmarkLeafIndexBuild(b *testing.B) {
+// BenchmarkSortedValues sorts one shape's vector as a 2D axis's sample
+// is sorted, and with sort.Float64s beside it.
+func BenchmarkSortedValues(b *testing.B) {
 	for _, s := range benchShapes {
 		dists := s.gen(rand.New(rand.NewSource(1994)), 200000)
 		b.Run(s.name+"/kernel", func(b *testing.B) {

@@ -479,11 +479,6 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int) (*RootRanking, error
 				}
 				continue
 			}
-			if !f.nan && f.chunkLeast(f.lo, c0/evalChunk) > hiOut { // no row of the chunk reaches the class
-				for ; s < len(surv) && surv[s] < c1; s++ {
-				}
-				continue
-			}
 			clear(state[:c1-c0])
 			for ; s < len(surv) && surv[s] < c1; s++ {
 				state[surv[s]-c0] = 2

@@ -35,11 +35,12 @@
 // full sort the paper describes as the dominating cost: only the
 // display budget (GridW×GridH plus the gap-heuristic margin) is ever
 // materialized in order, in expected O(n) time, under either
-// arrangement; Result.TopK extends the ranking to any depth. Set
-// Options.FullSort for an exact full ranking of all N items (the
-// A-series ablations and exact quantile statistics). A run computes its predicates one after another, each
-// one's distance pass chunked across every core GOMAXPROCS allows; runs
-// are bit-identical whatever the core count.
+// arrangement; Result.TopK extends the ranking to any depth, exactly.
+// Options.FullSort ranks all N items with a full sort instead: the exact
+// full ranking that the benchmark's oracle and the differential tests
+// compare the selection path against. A run computes its predicates one
+// after another, each one's distance pass chunked across every core
+// GOMAXPROCS allows; runs are bit-identical whatever the core count.
 //
 // # Incremental reruns
 //
