@@ -374,6 +374,36 @@ func runDrags(b *testing.B, sql string, drags []benchDrag) {
 	runDragsOn(b, cat, core.Options{GridW: 128, GridH: 128}, sql, drags)
 }
 
+// dragRows are the row counts of the drags that run at more than one
+// (FlatDrag, NestedDrag), each a sub-benchmark level: a warm step whose
+// cost holds from 200k to 1M rows visits what survives, not the rows.
+var dragRows = []struct {
+	name string
+	n    int
+}{{"200k", 200_000}, {"1M", 1_000_000}}
+
+// dragSet is one query's drags.
+type dragSet struct {
+	sql   string
+	drags []benchDrag
+}
+
+// runDragsRows runs the drags of every set, as runDrags does, at every
+// count of dragRows.
+func runDragsRows(b *testing.B, sets ...dragSet) {
+	for _, rows := range dragRows {
+		b.Run(rows.name, func(b *testing.B) {
+			cat, err := datagen.Traffic(rows.n, 1994)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, set := range sets {
+				runDragsOn(b, cat, core.Options{GridW: 128, GridH: 128}, set.sql, set.drags)
+			}
+		})
+	}
+}
+
 // runDragsOn is runDrags over any catalog and engine options.
 func runDragsOn(b *testing.B, cat *dataset.Catalog, opt core.Options, sql string, drags []benchDrag) {
 	for _, drag := range drags {
@@ -508,9 +538,9 @@ func BenchmarkCodeRange(b *testing.B) {
 // it (the part hits every step). A fifth, three-level, runs a query
 // whose AND part holds an OR part: even steps drag a range inside the
 // inner part (a leaf and both parts filled), odd steps the weight of the
-// leaf outside both (both parts hit).
+// leaf outside both (both parts hit). Each runs at 200k and 1M rows.
 func BenchmarkNestedDrag(b *testing.B) {
-	runDrags(b, datagen.TrafficQueries()[2], []benchDrag{
+	runDragsRows(b, dragSet{datagen.TrafficQueries()[2], []benchDrag{
 		// Predicates of the OR root are [AND(a, b), c].
 		{"weight-leaf", func(s *session.Session, i int) error {
 			return s.SetWeight(query.Predicates(s.Query().Where)[1], 1+float64(i%7)/2)
@@ -525,25 +555,24 @@ func BenchmarkNestedDrag(b *testing.B) {
 			lo := float64(i%800) / 10
 			return s.SetRangeByAttr("c", lo, lo+10)
 		}},
-	})
-	runDrags(b, `SELECT a FROM S WHERE (a > 50 AND (b < 40 OR t > 90)) OR c BETWEEN 20 AND 30 WEIGHT 2`, []benchDrag{
+	}}, dragSet{`SELECT a FROM S WHERE (a > 50 AND (b < 40 OR t > 90)) OR c BETWEEN 20 AND 30 WEIGHT 2`, []benchDrag{
 		{"three-level", func(s *session.Session, i int) error {
 			if i%2 == 1 {
 				return s.SetWeight(query.Predicates(s.Query().Where)[1], 1+float64(i%7)/2)
 			}
 			return s.SetRangeByAttr("b", math.Inf(-1), float64(i%1000)/10)
 		}},
-	})
+	}})
 }
 
 // BenchmarkFlatDrag is the step the repository benchmark's script is
 // made of, one kind of step at a time: the flat two-leaf AND of
 // TrafficQueries()[1] under the script's weight set and its 3-40-wide
 // ranges. It is the profile harness for the root stage (`-cpuprofile` on
-// /weight is RankRoot and little else).
+// /weight is RankRoot and little else). Each runs at 200k and 1M rows.
 func BenchmarkFlatDrag(b *testing.B) {
 	weights := []float64{0.5, 1, 2, 3}
-	runDrags(b, datagen.TrafficQueries()[1], []benchDrag{
+	runDragsRows(b, dragSet{datagen.TrafficQueries()[1], []benchDrag{
 		// Alternate the two predicates; each walks the weight set, so no
 		// step restates the value it finds.
 		{"weight", func(s *session.Session, i int) error {
@@ -553,14 +582,13 @@ func BenchmarkFlatDrag(b *testing.B) {
 			lo, width := float64(i*7%60), float64(3+i*5%38)
 			return s.SetRangeByAttr("c", lo, lo+width)
 		}},
-	})
+	}})
 }
 
 // BenchmarkClusteredDrag is BenchmarkFlatDrag over Traffic's ascending
 // t: a range on t ANDed with b < 40, under the script's weight set and
 // its 3-40-wide ranges on t. On a clustered column whole evaluator
-// chunks lie past the root's cut, the traffic the code planes' per-chunk
-// least codes let the filter skip.
+// chunks lie past the root's cut.
 func BenchmarkClusteredDrag(b *testing.B) {
 	weights := []float64{0.5, 1, 2, 3}
 	runDrags(b, `SELECT a FROM S WHERE t BETWEEN 20 AND 30 AND b < 40`, []benchDrag{

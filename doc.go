@@ -146,9 +146,21 @@
 //     top K, as K rows lie at or below the cut exactly
 //     (TestRowFilterKeepsTopK, FuzzRowFilter). An OR row whose codes
 //     leave it NaN or zero is kept too: the NaN count needs it decided.
-//     A plane keeps each evaluator chunk's least code, so on a clustered
-//     column both passes leave out the chunks whose rows all lie past
-//     the cut.
+//   - Groups. A weight drag, a percent step or an undo to another weight
+//     moves a root's term tables and K, never its children's planes. So a
+//     root of two children without an OR's class bits, over at least
+//     65 536 rows, filters by a PairIndex of its children's planes: their
+//     rows in a stable counting sort by joint code c₀·256 + c₁, built by
+//     the first filter that asks and kept in the shared tier like a leaf
+//     (a "G|" key, never sent to kv). Every row of a group has its
+//     group's bounds, and a child's terms do not decrease over its codes,
+//     so pass one counts the 65 536 groups' bounds weighted by their rows,
+//     the cut bisects the rows of the crossing groups alone, and pass two
+//     keeps, per first code, one run of the index's rows (the groups
+//     below the cut) plus the groups at it up to iT — the same survivors,
+//     cut and NaN count as the passes over the rows, bit for bit
+//     (TestRowFilterKeepsTopK, FuzzRowFilter), in O(groups + survivors)
+//     instead of O(n) (TestWeightDragReadsPairIndex).
 //   - Refine. A kept row whose bounds meet is exact already (a class
 //     exact in every child, or an OR child's proven zero); only the
 //     others run the combine kernel, into a lexicographic (value, index)
@@ -505,8 +517,8 @@
 // written back. Leaf vectors and a 2D axis's signed distances are all
 // that travels, in core's versioned envelope (core/remote.go; version 5:
 // the version byte, then the vector), under the leaf keys "C|", "J|",
-// "B|", "S|" and the axis keys "A|"; code planes, axes' sorted samples
-// and interior vectors are rebuilt where they are used, and a slider's
+// "B|", "S|" and the axis keys "A|"; code planes, axes' sorted samples,
+// interior vectors and PairIndexes are rebuilt where they are used, and a slider's
 // numbers are read from the condition and its column. A value is
 // adopted only if it decodes in full, under the current envelope
 // version, to a vector exactly as long as the item space

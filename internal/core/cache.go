@@ -108,13 +108,20 @@ type leafEntry struct {
 	// with the axis vector (axisEntry), so that a weight drag on a
 	// figure 1b picture does not sort them again. No other entry has one.
 	sorted []float64
+	// pairs is a two-child root's children's rows grouped by their
+	// joint code (runKeys.pairs); such an entry holds nothing else.
+	pairs *relevance.PairIndex
 }
 
-// sizeBytes accounts the entry's retained vectors, plane and sample.
+// sizeBytes accounts the entry's retained vectors, plane, sample and
+// index.
 func (e leafEntry) sizeBytes() int64 {
 	b := int64(8 * (len(e.raw) + len(e.sorted)))
 	if e.codes != nil {
 		b += e.codes.Bytes()
+	}
+	if e.pairs != nil {
+		b += e.pairs.Bytes()
 	}
 	return b
 }
@@ -230,8 +237,8 @@ func (c *RunCache) endRun(ok bool) {
 // runStats returns the current run's lookup counts. sharedHits is the
 // subset of hits the tier served (including waits on another session's
 // in-flight fill) rather than the pins. A run builds its leaves before
-// it resolves any interior vector or 2D axis, so read right after the
-// leaves, they are the leaves' counts.
+// it resolves any interior vector, PairIndex or 2D axis, so read right
+// after the leaves, they are the leaves' counts.
 func (c *RunCache) runStats() (hits, misses, sharedHits int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -256,7 +263,7 @@ func (c *RunCache) runSegStats() (skipped, segs int) {
 	return c.runSegsSkipped, c.runSegs
 }
 
-// Len returns the number of vectors pinned for the live Result.
+// Len returns the number of entries pinned for the live Result.
 func (c *RunCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -276,7 +276,20 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 		if cache != nil {
 			vals, idx = cache.floats.alloc(k), cache.ints.alloc(k)
 		}
-		rk, err := eval.RankRoot(k, vals, idx)
+		var pairs func(a, b *relevance.Codes) *relevance.PairIndex
+		if cache != nil && space.n >= minPairRows {
+			// A two-child root's filter reads its children's rows by groups
+			// (relevance.PairIndex), built by the first filter that asks and
+			// read by every later one on the same planes: a weight drag, a
+			// percent step, an undo, another session.
+			pairs = func(a, b *relevance.Codes) *relevance.PairIndex {
+				le, _ := cache.fetch(res.keys.pairs(a, b), space.n, nil, func() (leafEntry, error) {
+					return leafEntry{pairs: relevance.NewPairIndex(a, b)}, nil // cannot fail
+				})
+				return le.pairs
+			}
+		}
+		rk, err := eval.RankRoot(k, vals, idx, pairs)
 		if err != nil {
 			return nil, err
 		}
@@ -298,6 +311,12 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	runOK = true
 	return res, nil
 }
+
+// minPairRows is the least item count whose root filter groups its rows
+// by their children's joint codes: a PairIndex holds 65 536 groups, and
+// with fewer rows than groups a filter over the groups is no cheaper
+// than one over the rows, while its offsets outweigh the vectors.
+const minPairRows = 1 << 16
 
 // selectBudget is how many leading ranks the selection path
 // materializes: the window capacity plus the ~25% margin the gap

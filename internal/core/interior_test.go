@@ -435,12 +435,13 @@ func TestEvictedInnerPartRecomputesAlone(t *testing.T) {
 }
 
 // TestInteriorVectorsStayLocal: over a remote tier, a nested query's
-// interior vectors are neither asked of it nor offered to it, on a cold
-// node, on a node the fleet warms and on its warm rerun, and their
-// lookups count as the tier's InteriorHits/InteriorMisses, never as its
+// interior vectors and its root's PairIndex are neither asked of it nor
+// offered to it, on a cold node, on a node the fleet warms and on its
+// warm rerun. The interior vectors' lookups count as the tier's
+// InteriorHits/InteriorMisses and the index's in nothing, never as its
 // Hits/Misses, which count the four leaves alone.
 func TestInteriorVectorsStayLocal(t *testing.T) {
-	cat := interiorCatalog(t, 4096+300)
+	cat := interiorCatalog(t, minPairRows+300) // the root's PairIndex is built
 	backend := newMapBackend()
 	e := New(cat, nil, Options{GridW: 16, GridH: 16})
 	q := mustParse(t, nestedSQL)
@@ -471,6 +472,9 @@ func TestInteriorVectorsStayLocal(t *testing.T) {
 		}
 		if res.Timings.SketchHits != 2 || res.Timings.CacheMisses != 0 {
 			t.Fatalf("%s: the second session's run %+v", node.name, res.Timings)
+		}
+		if ch := res.root.Children; !resident(sc, res.keys.pairs(ch[0].Codes, ch[1].Codes)) {
+			t.Fatalf("%s: the root's PairIndex is not in the tier", node.name)
 		}
 		st := sc.Stats()
 		if st.Hits != node.hits+4 || st.Misses != node.misses || st.RemoteHits != node.remoteHits ||

@@ -88,9 +88,27 @@ func (k runKeys) interior(n *relevance.Node) string {
 	return b.String()
 }
 
-// interiorTag starts every interior key and no other.
-const interiorTag = "I|"
+// pairs keys the PairIndex of two code planes (a two-child root's
+// children's) by the planes' IDs, which name exactly one plane each: a
+// vector another process computed is coded anew when it arrives, so
+// its key may come back with another plane, and the IDs keep an index
+// from outliving the planes it groups.
+func (k runKeys) pairs(a, b *relevance.Codes) string {
+	return fmt.Sprintf("%s%d|%d", pairsTag, a.ID(), b.ID())
+}
+
+// interiorTag starts every interior key and pairsTag every PairIndex
+// key, and no other.
+const (
+	interiorTag = "I|"
+	pairsTag    = "G|"
+)
 
 // isInterior reports whether key names an interior node's raw combined
 // vector.
 func isInterior(key string) bool { return strings.HasPrefix(key, interiorTag) }
+
+// isLocal reports whether key names what never travels to the remote
+// tier: an interior vector, which a run rebuilds from its leaves in one
+// pass, or a PairIndex, whose planes are the process's own.
+func isLocal(key string) bool { return isInterior(key) || strings.HasPrefix(key, pairsTag) }

@@ -47,8 +47,8 @@ func (b *mapBackend) Put(key string, val []byte) {
 
 // leafKeys lists the store's keys, failing on any — stored, or so much
 // as asked for — that is not a leaf entry's or a 2D axis's: those vectors
-// are all the fleet shares, and an interior vector ("I|") never touches
-// the backend.
+// are all the fleet shares, and an interior vector ("I|") or a PairIndex
+// ("G|") never touches the backend.
 func (b *mapBackend) leafKeys(t *testing.T) []string {
 	t.Helper()
 	b.mu.Lock()

@@ -261,14 +261,19 @@ func (sc *SharedCache) Bytes() int64 {
 // vector never travels: a run rebuilds it from its leaves in one fused
 // pass, less than fetching one costs, so its fill neither asks the
 // remote tier nor offers to it, and its lookups count as
-// InteriorHits/InteriorMisses instead of Hits/Misses. compute runs
-// without any cache lock held, so fills for different keys proceed
-// concurrently and a fill may recursively fetch other keys.
+// InteriorHits/InteriorMisses instead of Hits/Misses. A PairIndex
+// (runKeys.pairs) stays local too, and its lookups count in neither.
+// compute runs without any cache lock held, so fills for different keys
+// proceed concurrently and a fill may recursively fetch other keys.
 func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
 	hits, misses, backend := &sc.hits, &sc.misses, sc.backend
-	if isInterior(key) {
-		hits, misses, backend = &sc.intHits, &sc.intMisses, nil
+	if isLocal(key) {
+		var uncounted uint64 // a PairIndex's lookups count nowhere
+		hits, misses, backend = &uncounted, &uncounted, nil
+		if isInterior(key) {
+			hits, misses = &sc.intHits, &sc.intMisses
+		}
 	}
 	for {
 		if e, ok := sc.entries.Get(key); ok {

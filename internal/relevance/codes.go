@@ -2,17 +2,21 @@ package relevance
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/topk"
 )
 
 // This file holds the filter half of the rank-before-scale ranking's
 // filter-and-refine (the VA-file of Weber, Schek & Blott, VLDB 1998): a
-// byte-code plane beside every cached vector, and the row filter that
-// bounds the root's raw value of every row from its children's codes.
+// byte-code plane beside every cached vector, the row filter that bounds
+// the root's raw value of every row from its children's codes, and the
+// PairIndex that groups a two-child root's rows by their joint code.
 
 // Codes is the code plane of one vector: a byte per row naming the
 // row's class, and per class a raw interval [lo, hi] that holds every
@@ -26,8 +30,8 @@ import (
 // exactly that vector. Per code it counts the rows, which answer the
 // vector's normalization ranges (Range).
 type Codes struct {
+	id     uint64 // unique among the process's planes (ID)
 	codes  []uint8
-	least  []uint8 // per evaluator chunk of rows, its least code
 	enc    codeEncoder
 	lo, hi [256]float64
 	mu     sync.Mutex // guards counts while runs of chunks are coded
@@ -44,12 +48,20 @@ const (
 	codeNaN     = 255
 )
 
-// Bytes is what the plane retains: a byte per row, one per chunk, the
-// two tables and the counts.
-func (cp *Codes) Bytes() int64 { return int64(len(cp.codes) + len(cp.least) + 2*8*256 + 4*256) }
+// Bytes is what the plane retains: a byte per row, the two tables and
+// the counts.
+func (cp *Codes) Bytes() int64 { return int64(len(cp.codes) + 2*8*256 + 4*256) }
+
+// ID names the plane among every plane the process built: two planes of
+// equal ID are one plane, so a structure built from a plane (a
+// PairIndex) can be keyed by it.
+func (cp *Codes) ID() uint64 { return cp.id }
+
+// codesBuilt counts the planes built, and numbers them.
+var codesBuilt atomic.Uint64
 
 // Chunks is how many evaluator chunks of rows the plane codes.
-func (cp *Codes) Chunks() int { return len(cp.least) }
+func (cp *Codes) Chunks() int { return (len(cp.codes) + evalChunk - 1) / evalChunk }
 
 // BuildCodes codes v over its finite extremes.
 func BuildCodes(v []float64) *Codes {
@@ -68,33 +80,22 @@ func BuildCodes(v []float64) *Codes {
 // finite value, or a bound below them all that is not below 0 (a range
 // leaf with no exact answer).
 func NewCodes(n int, lo, hi float64) *Codes {
-	cp := &Codes{codes: make([]uint8, n), least: make([]uint8, (n+evalChunk-1)/evalChunk),
-		enc: newCodeEncoder(lo, hi)}
+	cp := &Codes{id: codesBuilt.Add(1), codes: make([]uint8, n), enc: newCodeEncoder(lo, hi)}
 	cp.enc.bounds(&cp.lo, &cp.hi)
 	return cp
 }
 
 // Encode codes the rows of evaluator chunks [c0, c1) of v and adds
-// their per-code counts to the plane's. A chunk's least code is its
-// first counted one.
+// their per-code counts to the plane's.
 func (cp *Codes) Encode(v []float64, c0, c1 int) {
 	var counts [256]int32
 	for c := c0; c < c1; c++ {
 		lo, hi := c*evalChunk, min((c+1)*evalChunk, len(v))
 		dst := cp.codes[lo:hi]
 		cp.enc.encode(dst, v[lo:hi])
-		var h [256]int32
 		for _, x := range dst {
-			h[x]++
+			counts[x]++
 		}
-		least := -1
-		for x, n := range h {
-			if least < 0 && n > 0 {
-				least = x
-			}
-			counts[x] += n
-		}
-		cp.least[c] = uint8(least)
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -279,6 +280,11 @@ const (
 // margin, as Pow is not monotone to the last ulp. A leaf root is one
 // child whose terms are its codes' raw intervals.
 //
+// With a PairIndex of a two-child root's planes (pairs), every row of a
+// group of the index has its group's bounds, so pass one and pass two
+// run over the groups (countPairs, cutPairs, keepGroups) and anyLower
+// over runs of them.
+//
 // OR decides zeros and NaNs apart from the product: a row is 0 when a
 // child of positive weight scales to 0, else NaN when a child is NaN.
 // Without a NaN row in any child a zero term zeroes the product. With
@@ -288,7 +294,6 @@ const (
 // refined but never counted towards the cut.
 type rowFilter struct {
 	codes  [][]uint8
-	least  [][]uint8 // per child, Codes.least
 	lo, hi [][256]float64
 	or     bool
 	nan    bool // a child has a NaN row
@@ -298,6 +303,10 @@ type rowFilter struct {
 	// the OR codes that decide a zero (exZero): a row is exact when all
 	// of its terms are, or one of its codes decides the zero.
 	ex [][256]uint8
+	// pairs groups the rows of a root of two children by their codes,
+	// when the root has no class bits and RankRoot's resolver gave one:
+	// the filter then visits groups, not rows (rootDefer.filterPairs).
+	pairs *PairIndex
 }
 
 const (
@@ -305,20 +314,21 @@ const (
 	exZero
 )
 
-// newRowFilter builds the filter of a deferred root.
-func (rd *rootDefer) newRowFilter() *rowFilter {
+// newRowFilter builds the filter of a deferred root, grouped by the
+// PairIndex pairs resolves when the root allows (RankRoot).
+func (rd *rootDefer) newRowFilter(pairs func(a, b *Codes) *PairIndex) *rowFilter {
 	if rd.cb == nil {
 		// A leaf root's -Inf rows are bounded above by the finite minimum,
 		// so that no upper bound is -Inf (see cutHist).
 		cp := codesOf(rd.node, rd.out)
-		f := &rowFilter{codes: [][]uint8{cp.codes}, least: [][]uint8{cp.least}, lo: [][256]float64{cp.lo},
+		f := &rowFilter{codes: [][]uint8{cp.codes}, lo: [][256]float64{cp.lo},
 			hi: [][256]float64{cp.hi}, nan: bytes.IndexByte(cp.codes, codeNaN) >= 0}
 		f.hi[0][codeNegInf] = cp.lo[codeMin]
 		return f
 	}
 	cb := rd.cb
 	m := len(cb.raw)
-	f := &rowFilter{codes: make([][]uint8, m), least: make([][]uint8, m), lo: make([][256]float64, m),
+	f := &rowFilter{codes: make([][]uint8, m), lo: make([][256]float64, m),
 		hi: make([][256]float64, m), or: cb.combiner == cmbOr, ex: make([][256]uint8, m)}
 	cps := make([]*Codes, m)
 	for j, raw := range cb.raw {
@@ -330,7 +340,7 @@ func (rd *rootDefer) newRowFilter() *rowFilter {
 		f.flags, f.fl = make([][256]uint8, m), make([]uint8, evalChunk)
 	}
 	for j, cp := range cps {
-		f.codes[j], f.least[j] = cp.codes, cp.least
+		f.codes[j] = cp.codes
 		p, w := cb.params[j], cb.ws[j]
 		for c := range cp.lo {
 			slo, shi := p.Apply(cp.lo[c]), p.Apply(cp.hi[c])
@@ -351,6 +361,10 @@ func (rd *rootDefer) newRowFilter() *rowFilter {
 				f.flags[j][c] = flagMayZero
 			}
 		}
+	}
+	if m == 2 && !hasFlags && pairs != nil && rd.n <= math.MaxInt32 && f.monotone() &&
+		cps[0] == rd.node.Children[0].Codes && cps[1] == rd.node.Children[1].Codes {
+		f.pairs = pairs(cps[0], cps[1])
 	}
 	return f
 }
@@ -460,20 +474,10 @@ func (f *rowFilter) fill(dst []float64, lo int, up bool) {
 	}
 }
 
-// chunkLeast bounds every bound of evaluator chunk ci in tabs (f.lo or
-// f.hi) from below: the fold of its children's least codes' terms, as
-// codes are ordered like their values. Only without a NaN row in any
-// child (the NaN code comes last, but an OR's class bits would not fold).
-func (f *rowFilter) chunkLeast(tabs [][256]float64, ci int) float64 {
-	x := tabs[0][f.least[0][ci]]
-	for j := 1; j < len(tabs); j++ {
-		if t := tabs[j][f.least[j][ci]]; f.or {
-			x *= t
-		} else {
-			x += t
-		}
-	}
-	return x
+// pair is the bound of a row of a root of two children without class
+// bits whose codes are c0 and c1, from tabs (f.lo or f.hi): fill's fold.
+func (f *rowFilter) pair(tabs [][256]float64, c0, c1 int) float64 {
+	return f.fold(tabs[0][c0], tabs[1][c1])
 }
 
 // open writes to dst per row of the last fill 1 when its codes leave it
@@ -491,6 +495,10 @@ func (f *rowFilter) open(dst []uint8) {
 // exact reports whether the bounds of row i meet, so that its lower
 // bound is its exact value up to a zero's sign.
 func (f *rowFilter) exact(i int) bool {
+	if len(f.codes) == 2 {
+		e0, e1 := f.ex[0][f.codes[0][i]], f.ex[1][f.codes[1][i]]
+		return e0&e1&exTerm != 0 || (e0|e1)&exZero != 0
+	}
 	all, any := uint8(exTerm), uint8(0)
 	for j, codes := range f.codes {
 		e := f.ex[j][codes[i]]
@@ -524,6 +532,16 @@ func (f *rowFilter) anyLower(n int, lo, hi float64, buf []float64) bool {
 	}
 	if lo >= 0 && hi < least {
 		return false
+	}
+	if x := f.pairs; x != nil {
+		// Of a first code, the groups of a bound in (lo, hi] are a run.
+		for a := range codeNaN {
+			g := a << 8
+			if x.off[g+f.below(f.lo, a, lo, true)] < x.off[g+f.below(f.lo, a, hi, true)] {
+				return true
+			}
+		}
+		return false // a NaN code's groups are NaN or empty
 	}
 	for a := 0; a < n; a += len(buf) {
 		l := buf[:min(len(buf), n-a)]
@@ -606,37 +624,23 @@ func (h *cutHist) add(u []float64) {
 
 func (h *cutHist) count(s uint) int { return int(h.counts[0][s] + h.counts[1][s]) }
 
-// below counts the values in slots below x's: all of them less than x.
-func (h *cutHist) below(x float64) int {
-	c := 0
-	for s := range h.slot(x) {
-		c += h.count(s)
-	}
-	return c
-}
-
 // cut returns the lexicographic K-th smallest (upper bound, index) pair
-// over the rows of the evaluator chunks h counted, ascending: the counts
-// find the slot the K-th falls into, and fill brings the chunks' bounds
-// back, a block at a time into buf. Often the slot is one value tied across many rows (a class
+// over the n rows h counted: the counts find the slot the K-th falls
+// into, and fill brings the rows' bounds back, a block at a time into
+// buf. Often the slot is one value tied across many rows (a class
 // exact in every child): if every row of the slot equals its first,
 // counted by a branch-free pass, the pair is the need-th of them. Else a
 // selection over the slot's rows finds it.
 // (+Inf, MaxInt) when fewer than K bounds are not NaN.
-func (f *rowFilter) cut(h *cutHist, chunks []int, n, K int, buf []float64) (T float64, iT int) {
-	s, before := uint(0), 0
-	for ; s < cutBuckets && before+h.count(s) < K; s++ {
-		before += h.count(s)
-	}
-	rows, need := h.count(s), K-before
-	if rows < need {
+func (f *rowFilter) cut(h *cutHist, n, K int, buf []float64) (T float64, iT int) {
+	s, need, ok := h.find(K)
+	if !ok {
 		return math.Inf(1), math.MaxInt
 	}
+	rows := h.count(s)
 	var los []int // the blocks' first rows
-	for _, c := range chunks {
-		for lo := c * evalChunk; lo < min((c+1)*evalChunk, n); lo += len(buf) {
-			los = append(los, lo)
-		}
+	for lo := 0; lo < n; lo += len(buf) {
+		los = append(los, lo)
 	}
 	block := func(lo int) []float64 {
 		u := buf[:min(len(buf), n-lo)]
@@ -682,6 +686,29 @@ func (f *rowFilter) cut(h *cutHist, chunks []int, n, K int, buf []float64) (T fl
 			}
 		}
 	}
+	return pickCut(vals, idx, need)
+}
+
+// find returns the slot the K-th smallest counted value falls into and
+// the rank of that value among the slot's (need); ok is false when
+// fewer than K values are counted.
+func (h *cutHist) find(K int) (s uint, need int, ok bool) {
+	before := 0
+	for ; s < cutBuckets && before+h.count(s) < K; s++ {
+		before += h.count(s)
+	}
+	need = K - before
+	return s, need, h.count(s) >= need
+}
+
+// pickCut returns the lexicographic need-th smallest (value, index)
+// pair of one slot's values vals, whose rows idx ascend: when every
+// value equals the first, the first and the need-th row, else the
+// selection's. (+Inf, MaxInt) when that value is NaN.
+func pickCut(vals []float64, idx []int, need int) (T float64, iT int) {
+	if v0 := vals[0]; !slices.ContainsFunc(vals, func(x float64) bool { return x != v0 }) {
+		return v0, idx[need-1] // one value (not NaN: a NaN equals nothing)
+	}
 	if T = topk.Threshold(slices.Clone(vals), need); T != T {
 		return math.Inf(1), math.MaxInt
 	}
@@ -696,4 +723,309 @@ func (f *rowFilter) cut(h *cutHist, chunks []int, n, K int, buf []float64) (T fl
 		}
 	}
 	return T, math.MaxInt // unreachable: the slot holds the K-th
+}
+
+// PairIndex groups the rows of two code planes by their joint code
+// c₀·256 + c₁: rows lists every row once, grouped by joint code and in
+// row order within a group (a stable counting sort), and the rows of
+// joint code g are rows[off[g]:off[g+1]]. It is the VA-file's cells
+// turned round: a root's two children's planes stay fixed while a
+// weight drag, a percent step or an undo to another weight moves only
+// the root's term tables and K, and every row of a group has the same
+// bounds, so a filter over the groups visits the 65 536 groups and its
+// survivors instead of the n rows (rootDefer.filterPairs).
+type PairIndex struct {
+	rows []int32
+	off  []int32
+}
+
+// pairGroups is how many joint codes there are.
+const pairGroups = 256 * 256
+
+// NewPairIndex groups the rows of planes a and b, which code vectors of
+// one length (at most math.MaxInt32 rows).
+func NewPairIndex(a, b *Codes) *PairIndex { return groupPairs(a.codes, b.codes) }
+
+func groupPairs(c0, c1 []uint8) *PairIndex {
+	x := &PairIndex{rows: make([]int32, len(c0)), off: make([]int32, pairGroups+1)}
+	c1 = c1[:len(c0)]
+	for i, a := range c0 {
+		x.off[int(a)<<8|int(c1[i])+1]++
+	}
+	for g := 1; g <= pairGroups; g++ {
+		x.off[g] += x.off[g-1]
+	}
+	// off[g] is group g's first slot; scattering advances it to the
+	// next group's, and the shift puts it back.
+	for i, a := range c0 {
+		g := int(a)<<8 | int(c1[i])
+		x.rows[x.off[g]] = int32(i)
+		x.off[g]++
+	}
+	copy(x.off[1:], x.off[:pairGroups])
+	x.off[0] = 0
+	return x
+}
+
+// Bytes is what the index retains: 4 bytes a row and 4 a group.
+func (x *PairIndex) Bytes() int64 { return 4 * int64(len(x.rows)+len(x.off)) }
+
+// group returns the rows of joint code g, ascending.
+func (x *PairIndex) group(g int) []int32 { return x.rows[x.off[g]:x.off[g+1]] }
+
+// monotone reports whether every child's terms over the codes below the
+// NaN code are finite and non-decreasing — codes are ordered like their
+// values, and every term rounds monotonically — and, for a product, not
+// negative. Then for a first code below the NaN code, the bounds of the
+// groups over the second codes below it do not decrease either, and
+// those of a bound at most (or under) a value are a prefix: one run of
+// the PairIndex's rows. A NaN code's groups have NaN bounds (a sum's NaN
+// term) or no rows (an OR without class bits has no NaN row); they are
+// visited one by one.
+func (f *rowFilter) monotone() bool {
+	for _, tabs := range [][][256]float64{f.lo, f.hi} {
+		for j := range tabs {
+			t := &tabs[j]
+			for c := range codeNaN {
+				if math.Float64bits(t[c])&expMask == expMask || c > 0 && t[c] < t[c-1] || f.or && t[c] < 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// below counts the second codes, below the NaN code, whose group with
+// first code a (below it too) has a bound in tabs under v, or at most v
+// when le: by bisection, as they are a prefix (monotone).
+func (f *rowFilter) below(tabs [][256]float64, a int, v float64, le bool) int {
+	t0, t1 := tabs[0][a], &tabs[1]
+	return sort.Search(codeNaN, func(b int) bool { u := f.fold(t0, t1[b]); return u > v || !le && u == v })
+}
+
+// countPairs counts the upper bound of every group of f.pairs into h,
+// weighted by its rows: pass one over the groups. A group of no rows
+// counts 0; alternate groups count in h's two arrays.
+func (f *rowFilter) countPairs(h *cutHist) {
+	x, t1 := f.pairs, &f.hi[1]
+	c0, c1 := &h.counts[0], &h.counts[1]
+	for a := range 256 {
+		o := x.off[a<<8 : a<<8+257]
+		if o[0] == o[256] {
+			continue
+		}
+		t0 := f.hi[0][a]
+		if f.or {
+			for b := 0; b < 256; b += 2 {
+				c0[h.slot(t0*t1[b])] += o[b+1] - o[b]
+				c1[h.slot(t0*t1[b+1])] += o[b+2] - o[b+1]
+			}
+		} else {
+			for b := 0; b < 256; b += 2 {
+				c0[h.slot(t0+t1[b])] += o[b+1] - o[b]
+				c1[h.slot(t0+t1[b+1])] += o[b+2] - o[b+1]
+			}
+		}
+	}
+}
+
+// slotGroups returns the groups of f.pairs with rows whose upper bound h
+// counts in slot s: of a first code below the NaN code, a run of second
+// codes (the slot of a bound does not decrease with it), and a NaN
+// code's groups one by one.
+func (f *rowFilter) slotGroups(h *cutHist, s uint) []int {
+	x := f.pairs
+	var gs []int
+	add := func(g int) {
+		if x.off[g] < x.off[g+1] {
+			gs = append(gs, g)
+		}
+	}
+	at := func(a int, s uint) int { // the second codes of a slot before s
+		t0, t1 := f.hi[0][a], &f.hi[1]
+		return sort.Search(codeNaN, func(b int) bool { return h.slot(f.fold(t0, t1[b])) >= s })
+	}
+	for a := range 256 {
+		g := a << 8
+		if x.off[g] == x.off[g+256] {
+			continue
+		}
+		if a == codeNaN {
+			for b := range 256 {
+				if h.slot(f.pair(f.hi, a, b)) == s {
+					add(g + b)
+				}
+			}
+			continue
+		}
+		for b, end := at(a, s), at(a, s+1); b < end; b++ {
+			add(g + b)
+		}
+		if h.slot(f.pair(f.hi, a, codeNaN)) == s {
+			add(g + codeNaN)
+		}
+	}
+	return gs
+}
+
+// fold is the fold of two terms.
+func (f *rowFilter) fold(t0, t1 float64) float64 {
+	if f.or {
+		return t0 * t1
+	}
+	return t0 + t1
+}
+
+// cutPairs is cut over the groups of f.pairs: the lexicographic need-th
+// smallest (upper bound, index) pair of the rows of slot, the crossing
+// slot's groups, which it reorders. The groups are ordered by bound, NaN
+// last, and the need-th row falls into a run of groups of equal bound
+// (+Inf, MaxInt when NaN); its index is found by bisecting the rows of
+// that run's groups, each in row order. The bound is the one cut
+// returns: when the slot holds one value, the value of its first row,
+// else the selection's, which only a zero of either sign leaves to
+// decide — then the slot's rows are brought into row order and
+// selected as cut selects them.
+func (f *rowFilter) cutPairs(slot []int, need int) (T float64, iT int) {
+	x, n := f.pairs, len(f.codes[0])
+	u := func(g int) float64 { return f.pair(f.hi, g>>8, g&255) }
+	slices.SortFunc(slot, func(g, h int) int {
+		a, b := u(g), u(h)
+		return cmp.Or(cmp.Compare(b2i(a != a), b2i(b != b)), cmp.Compare(a, b))
+	})
+	from, to, before := 0, 0, 0 // the run of groups the need-th row falls into
+	for ; ; from = to {
+		rows := 0
+		for to = from; to < len(slot) && u(slot[to]) == u(slot[from]); to++ {
+			rows += len(x.group(slot[to]))
+		}
+		if to == from { // a NaN group: NaN equals nothing
+			return math.Inf(1), math.MaxInt
+		}
+		if before+rows >= need {
+			break
+		}
+		before += rows
+	}
+	run := slot[from:to]
+	T = u(run[0])
+	signs := 0 // the signs of the run's bounds: 1 plus, 2 minus
+	for _, g := range run {
+		signs |= 1 << b2i(math.Signbit(u(g)))
+	}
+	switch {
+	case len(run) == len(slot): // one value: cut returns its first row's
+		first := slot[0]
+		for _, g := range slot {
+			if x.group(g)[0] < x.group(first)[0] {
+				first = g
+			}
+		}
+		T = u(first)
+	case T == 0 && signs == 3:
+		// A zero of either sign: the selection decides, as cut selects.
+		var idx []int
+		for _, g := range slot {
+			for _, i := range x.group(g) {
+				idx = append(idx, int(i))
+			}
+		}
+		slices.Sort(idx)
+		vals := make([]float64, len(idx))
+		for j, i := range idx {
+			vals[j] = f.pair(f.hi, int(f.codes[0][i]), int(f.codes[1][i]))
+		}
+		return pickCut(vals, idx, need)
+	}
+	// The (need-before)-th least row of the run: the least r with that
+	// many of its rows at or below r, bisected. Per group, the count at r
+	// lies in a window of its rows that every step narrows; a group whose
+	// window closes counts its rows below it, fixed.
+	ws := make([][]int32, len(run)) // per group, the rows the count has yet to place
+	for j, g := range run {
+		ws[j] = x.group(g)
+	}
+	at := make([]int, len(run))
+	lo, hi, base := 0, n-1, 0 // base: the rows below every open window
+	for lo < hi {
+		r, c := int(uint(lo+hi)>>1), base
+		for j, w := range ws {
+			at[j] = upTo(w, r)
+			c += at[j]
+		}
+		open := ws[:0]
+		for j, w := range ws {
+			if c >= need-before {
+				w = w[:at[j]]
+			} else {
+				base += at[j]
+				w = w[at[j]:]
+			}
+			if len(w) > 0 {
+				open = append(open, w)
+			}
+		}
+		ws = open
+		if c >= need-before {
+			hi = r
+		} else {
+			lo = r + 1
+		}
+	}
+	return T, lo
+}
+
+// upTo counts the rows of an ascending group at or below r.
+func upTo(rows []int32, r int) int {
+	i, _ := slices.BinarySearch(rows, int32(min(r, math.MaxInt32-1)+1))
+	return i
+}
+
+// setRows adds rows to the row set set.
+func (x *PairIndex) setRows(set []uint64, rows []int32) {
+	for _, i := range rows {
+		set[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// keepGroups adds to set the rows of the groups of f.pairs whose lower
+// bound lies lexicographically at or below the cut (T, iT) — of a group
+// at T, its rows up to iT — and returns the rows of the groups proven
+// NaN: pass two over the groups. Of a first code below the NaN code,
+// the groups under T are a prefix, one run of rows, and those at T
+// follow it.
+func (f *rowFilter) keepGroups(set []uint64, T float64, iT int) (nNaN int) {
+	x := f.pairs
+	group := func(g int) {
+		rows := x.group(g)
+		switch l := f.pair(f.lo, g>>8, g&255); {
+		case l < T:
+		case l == T:
+			rows = rows[:upTo(rows, iT)]
+		default:
+			nNaN += len(rows) * b2i(l != l)
+			return
+		}
+		x.setRows(set, rows)
+	}
+	for a := range 256 {
+		g := a << 8
+		if x.off[g] == x.off[g+256] {
+			continue
+		}
+		if a == codeNaN {
+			for b := range 256 {
+				group(g + b)
+			}
+			continue
+		}
+		lt := f.below(f.lo, a, T, false)
+		x.setRows(set, x.rows[x.off[g]:x.off[g+lt]])
+		for b, le := lt, f.below(f.lo, a, T, true); b < le; b++ {
+			group(g + b)
+		}
+		group(g + codeNaN)
+	}
+	return nNaN
 }

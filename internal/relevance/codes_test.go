@@ -33,9 +33,8 @@ func encodeRef(e codeEncoder, v float64) uint8 {
 }
 
 // checkCodes holds the code plane of v, coded in one, two and five runs
-// of chunks, to encodeRef bit for bit, every row to its code's interval,
-// which for a reserved code is its one value, and every chunk's least
-// code to its rows'.
+// of chunks, to encodeRef bit for bit, and every row to its code's
+// interval, which for a reserved code is its one value.
 func checkCodes(t *testing.T, what string, v []float64) {
 	t.Helper()
 	mn, mx := math.Inf(1), math.Inf(-1)
@@ -73,11 +72,6 @@ func checkCodes(t *testing.T, what string, v []float64) {
 				if lo != hi {
 					t.Fatalf("%s: reserved code %d holds [%v, %v], not one value", what, c, lo, hi)
 				}
-			}
-		}
-		for ci, l := range cp.least {
-			if want := slices.Min(cp.codes[ci*evalChunk : min((ci+1)*evalChunk, len(v))]); l != want {
-				t.Fatalf("%s: chunk %d's least code %d, want %d", what, ci, l, want)
 			}
 		}
 	}
@@ -224,7 +218,7 @@ func TestCodeRangeMatchesNormRange(t *testing.T) {
 			c0 = c1
 		}
 		wg.Wait()
-		if cp.counts != serial.counts || !slices.Equal(cp.codes, serial.codes) || !slices.Equal(cp.least, serial.least) {
+		if cp.counts != serial.counts || !slices.Equal(cp.codes, serial.codes) {
 			t.Fatalf("split %b: the plane differs from the serial one", split)
 		}
 	}
@@ -294,8 +288,11 @@ var rowFilterKernels = []struct {
 // ranking to the eager one bit for bit, every row's raw root value to
 // its bounds, and the filter's survivors to the top max(k, keep) of the
 // raw root values in the engine's order (value, ties by index, NaN last:
-// FullSort's).
-func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOptions) {
+// FullSort's). Where the root has two children and no class bits, the
+// filter over the groups of a PairIndex is held to the row passes bit for
+// bit (sameFiltered), and the ranking with it to the eager one; grouped
+// reports whether the filter over the groups ran.
+func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOptions) (grouped bool) {
 	t.Helper()
 	eager, wantSorted, wantOrder := eagerRanking(t, root, n, k, opts)
 	opts.DeferRoot = true
@@ -304,7 +301,7 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 		t.Fatal(err)
 	}
 	if !res.Deferred() {
-		return // an undeferrable root is finished eagerly
+		return false // an undeferrable root is finished eagerly
 	}
 	rd := res.root
 	K := k
@@ -316,7 +313,7 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 		rd.fillAll()
 	}
 	raw := append([]float64(nil), rd.out...)
-	f := rd.newRowFilter()
+	f := rd.newRowFilter(nil)
 	// Every row's exact value lies within its bounds: a NaN lower bound
 	// is a row proven NaN, a NaN upper bound one the cut does not count.
 	var lb, ub [filterBlock]float64
@@ -334,6 +331,17 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(f.codes) == 2 && f.flags == nil && rd.cb != nil && f.monotone() {
+		// The same filter over the groups of the children's joint codes.
+		g := *f
+		g.pairs = groupPairs(f.codes[0], f.codes[1])
+		gr, err := rd.filter(&g, K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFiltered(t, what+": grouped", fr, gr)
+		grouped = true
+	}
 	kept := make(map[int]bool, len(fr.surv))
 	for _, i := range fr.surv {
 		kept[i] = true
@@ -350,7 +358,7 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := got.RankRoot(k, nil, nil)
+	rk, err := got.RankRoot(k, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,6 +372,56 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 		t.Fatalf("%s: NaNs = %d, want %d", what, rk.NaNs, want)
 	}
 	sameVec(t, what+": combined", eager.Combined, got.Vec(root))
+	if root.Op == Leaf || len(root.Children) != 2 {
+		return grouped
+	}
+	// The ranking with the filter over the groups: the children carry
+	// their planes, and the ranking builds their index.
+	pr := *root
+	pr.Children = make([]*Node, 2)
+	for j, ch := range root.Children {
+		c := *ch
+		if c.Op == Leaf && c.Codes == nil {
+			c.Codes = BuildCodes(c.Dists)
+		}
+		pr.Children[j] = &c
+	}
+	gres, err := Evaluate(&pr, n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk, err := gres.RankRoot(k, nil, nil, NewPairIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < k; r++ {
+		a, b := gk.Sorted[r], wantSorted[r]
+		if gk.Order[r] != wantOrder[r] || math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+			t.Fatalf("%s (k %d, grouped): rank %d is (%v, %d), the eager ranking's (%v, %d)", what, k, r, a, gk.Order[r], b, wantOrder[r])
+		}
+	}
+	if gk.NaNs != rk.NaNs || gk.Refined != rk.Refined {
+		t.Fatalf("%s (grouped): NaNs %d, refined %d; the row passes' %d, %d", what, gk.NaNs, gk.Refined, rk.NaNs, rk.Refined)
+	}
+	return grouped
+}
+
+// sameFiltered holds what the filter over the groups left of a ranking
+// to what the row passes left, bit for bit: the cut, the survivors and
+// their values, the NaN count and the rows that ran the kernel.
+func sameFiltered(t *testing.T, what string, want, got *filtered) {
+	t.Helper()
+	if math.Float64bits(got.T) != math.Float64bits(want.T) || got.iT != want.iT {
+		t.Fatalf("%s: cut (%v, %d), the row passes' (%v, %d)", what, got.T, got.iT, want.T, want.iT)
+	}
+	if !slices.Equal(got.surv, want.surv) {
+		t.Fatalf("%s: survivors %v, the row passes' %v", what, got.surv, want.surv)
+	}
+	sameVec(t, what+": survivors' values", want.sv, got.sv)
+	if got.nNaN != want.nNaN || got.refined != want.refined || !slices.Equal(got.touched, want.touched) {
+		t.Fatalf("%s: NaNs %d, refined %d, touched %v; the row passes' %d, %d, %v", what,
+			got.nNaN, got.refined, got.touched, want.nNaN, want.refined, want.touched)
+	}
 }
 
 // TestRowFilterKeepsTopK: over children of every kind the filter must
@@ -391,6 +449,7 @@ func TestRowFilterKeepsTopK(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(1998))
 	weights := []float64{0, 0.5, 1, 2, 3, 2.5}
+	grouped := 0
 	for trial := 0; trial < 240; trial++ {
 		n := 1 + rng.Intn(40)
 		if trial%2 == 0 {
@@ -416,8 +475,13 @@ func TestRowFilterKeepsTopK(t *testing.T) {
 		opts.Budget = 1 + rng.Intn(n)
 		opts.NaiveNormalize = rng.Intn(10) == 0
 		for _, k := range []int{1, 1 + rng.Intn(n), n} {
-			checkRowFilter(t, fmt.Sprintf("trial %d %s n %d", trial, kn.name, n), root, n, k, opts)
+			if checkRowFilter(t, fmt.Sprintf("trial %d %s n %d", trial, kn.name, n), root, n, k, opts) {
+				grouped++
+			}
 		}
+	}
+	if grouped < 200 {
+		t.Fatalf("the filter over the groups ran in %d checks", grouped)
 	}
 }
 
@@ -457,4 +521,61 @@ func FuzzRowFilter(f *testing.F) {
 		opts.Budget = 1 + budget%n
 		checkRowFilter(t, kn.name, root, n, 1+k%n, opts)
 	})
+}
+
+// TestCutPairsZeroSigns: the cut over the groups equals the cut over the
+// rows bit for bit for every K — a zero's sign included, which only the
+// selection over the crossing slot's rows decides when the slot holds
+// zeros of both signs and other values — over terms of hand-set tables
+// that mix +0, -0, ties and values a slot apart.
+func TestCutPairsZeroSigns(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	negZero := math.Copysign(0, -1)
+	for trial := range 40 {
+		n := 1 + rng.Intn(2*filterBlock)
+		f := &rowFilter{codes: [][]uint8{make([]uint8, n), make([]uint8, n)},
+			lo: make([][256]float64, 2), hi: make([][256]float64, 2), or: trial%2 == 1}
+		for j := range f.hi {
+			// Non-decreasing terms: zeros of either sign, then ties and
+			// small steps, so that a cut slot holds several values.
+			x := 0.0
+			for c := range f.hi[j] {
+				switch {
+				case c < 3:
+					f.hi[j][c] = []float64{0, negZero}[rng.Intn(2)]
+				default:
+					x += float64(rng.Intn(2)) * 1e-4
+					f.hi[j][c] = x
+				}
+			}
+			f.lo[j] = f.hi[j]
+		}
+		for i := range n {
+			f.codes[0][i], f.codes[1][i] = uint8(rng.Intn(6)), uint8(rng.Intn(6))
+		}
+		if !f.monotone() {
+			t.Fatal("the tables are not monotone")
+		}
+		var buf [filterBlock]float64
+		rows := newCutHist(f.span())
+		for lo := 0; lo < n; lo += filterBlock {
+			u := buf[:min(filterBlock, n-lo)]
+			f.fill(u, lo, true)
+			rows.add(u)
+		}
+		g := *f
+		g.pairs = groupPairs(f.codes[0], f.codes[1])
+		groups := newCutHist(g.span())
+		g.countPairs(groups)
+		for K := 1; K <= n; K += 1 + rng.Intn(16) {
+			T, iT := f.cut(rows, n, K, buf[:])
+			gT, giT := math.Inf(1), math.MaxInt
+			if s, need, ok := groups.find(K); ok {
+				gT, giT = g.cutPairs(g.slotGroups(groups, s), need)
+			}
+			if math.Float64bits(gT) != math.Float64bits(T) || giT != iT {
+				t.Fatalf("trial %d K %d: the groups cut at (%v, %d), the rows at (%v, %d)", trial, K, gT, giT, T, iT)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package relevance
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -32,7 +33,12 @@ import (
 //     (T, iT), K = max(k, the root's keep count); the second keeps the
 //     rows whose (lower bound, index) is at most the cut — a superset of
 //     the exact top K, as K rows lie at or below the cut exactly — and
-//     the rows whose NaN the codes leave open;
+//     the rows whose NaN the codes leave open. A root of two children
+//     without an OR's class bits takes both passes over the groups of a
+//     PairIndex of its children's planes instead (filterPairs): a weight
+//     drag changes no plane, so the index one step built serves the
+//     next, and a step visits the 65 536 groups and its survivors, not
+//     the rows;
 //  2. refine: only those rows run the root's combine kernel — the one
 //     producer of every interior node's values too, without the
 //     transform an interior pass adds — into a lexicographic (value,
@@ -203,9 +209,46 @@ type filtered struct {
 	nNaN    int    // rows the codes prove NaN
 	refined int    // rows that ran the kernel
 	touched []bool // per evaluator chunk: a row of it ran the kernel
+	// A block's survivors that run the kernel, their place in sv, and
+	// their exact values.
+	ids, at []int
+	exact   [filterBlock]float64
 }
 
-// filter runs the filter's two passes for the K smallest rows. Pass one
+func newFiltered(n, K int) *filtered {
+	return &filtered{surv: make([]int, 0, K+K/8), sv: make([]float64, 0, K+K/8),
+		touched: make([]bool, (n+evalChunk-1)/evalChunk)}
+}
+
+// admit appends the values of survivors rows, ascending, of the block
+// of rows from lo, whose lower bounds l holds at i-lo, to fr.sv (the
+// caller appends the rows to fr.surv). A survivor whose bounds meet
+// (rowFilter.exact) is exact already — its lower bound plus 0, as no
+// kernel returns -0 — and the others run the kernel; the exact values
+// go to out too.
+func (rd *rootDefer) admit(fr *filtered, f *rowFilter, rows []int, lo int, l []float64) {
+	fr.ids, fr.at = fr.ids[:0], fr.at[:0]
+	for _, i := range rows {
+		if x := l[i-lo]; rd.cb != nil && f.exact(i) {
+			rd.out[i] = x + 0
+		} else {
+			fr.ids, fr.at = append(fr.ids, i), append(fr.at, len(fr.sv))
+			fr.touched[i/evalChunk] = true
+		}
+		fr.sv = append(fr.sv, rd.out[i])
+	}
+	if len(fr.ids) > 0 {
+		ex := fr.exact[:len(fr.ids)]
+		rd.refine(ex, fr.ids)
+		for j, t := range fr.at {
+			fr.sv[t] = ex[j]
+		}
+		fr.refined += len(fr.ids)
+	}
+}
+
+// filter runs the filter's two passes for the K smallest rows — over the
+// groups of f.pairs when it has them (filterPairs). Pass one
 // counts the rows' upper bounds and finds the lexicographic K-th (upper
 // bound, index) cut; the bounds are filled a block at a time from the
 // codes, and never stored. Pass two keeps the rows whose (lower bound,
@@ -216,51 +259,26 @@ type filtered struct {
 // NaN. A survivor whose bounds meet (rowFilter.exact) is exact already —
 // its lower bound plus 0, as no kernel returns -0 — and the others run
 // the kernel, a block at a time; the exact values go to out too.
-//
-// Without a NaN row in any child, the least codes of an evaluator chunk
-// bound all of its rows (rowFilter.chunkLeast): pass one takes the
-// chunks in the order of those bounds and stops once K rows lie below
-// every chunk left, and pass two skips a chunk whose rows all lie past
-// the cut — on a clustered column, most of them.
 func (rd *rootDefer) filter(f *rowFilter, K int) (*filtered, error) {
-	n, nch := rd.n, rd.chunkCount()
-	var buf, exact [filterBlock]float64
+	if f.pairs != nil {
+		return rd.filterPairs(f, K)
+	}
+	n := rd.n
+	var buf [filterBlock]float64
 	var open [filterBlock]uint8
-	var ids, at []int // a block's survivors that run the kernel, and their place in sv
-	order, least := make([]int, nch), make([]float64, nch)
-	for c := range order {
-		order[c] = c
-		if !f.nan {
-			least[c] = f.chunkLeast(f.hi, c)
-		}
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(least[a], least[b]) })
 	h := newCutHist(f.span())
-	counted := order
-	for j, c := range order {
-		if !f.nan && j > 0 && h.below(least[c]) >= K {
-			counted = order[:j]
-			break
+	for lo := 0; lo < n; lo += filterBlock {
+		if err := rd.poll(); err != nil {
+			return nil, err
 		}
-		for lo := c * evalChunk; lo < min((c+1)*evalChunk, n); lo += filterBlock {
-			if err := rd.poll(); err != nil {
-				return nil, err
-			}
-			u := buf[:min(filterBlock, n-lo)]
-			f.fill(u, lo, true)
-			h.add(u)
-		}
+		u := buf[:min(filterBlock, n-lo)]
+		f.fill(u, lo, true)
+		h.add(u)
 	}
-	slices.Sort(counted)
-	fr := &filtered{surv: make([]int, 0, K+K/8), sv: make([]float64, 0, K+K/8),
-		touched: make([]bool, nch)}
-	fr.T, fr.iT = f.cut(h, counted, n, K, buf[:])
+	fr := newFiltered(n, K)
+	fr.T, fr.iT = f.cut(h, n, K, buf[:])
 	T, iT, nNaN := fr.T, fr.iT, 0
 	for lo := 0; lo < n; lo += filterBlock {
-		if lo%evalChunk == 0 && !f.nan && f.chunkLeast(f.lo, lo/evalChunk) > T {
-			lo += evalChunk - filterBlock // no row of the chunk reaches the cut
-			continue
-		}
 		if err := rd.poll(); err != nil {
 			return nil, err
 		}
@@ -275,26 +293,57 @@ func (rd *rootDefer) filter(f *rowFilter, K int) (*filtered, error) {
 			m += b2i(x < T) | b2i(x == T)&b2i(i <= iT) | int(open[t])
 			nNaN += b2i(x != x)
 		}
-		ids, at = ids[:0], at[:0]
-		for _, i := range kept[len(surv):m] {
-			if x := l[i-lo]; rd.cb != nil && f.exact(i) {
-				rd.out[i] = x + 0
-			} else {
-				ids, at = append(ids, i), append(at, len(fr.sv))
-				fr.touched[i/evalChunk] = true
-			}
-			fr.sv = append(fr.sv, rd.out[i])
-		}
-		if len(ids) > 0 {
-			rd.refine(exact[:len(ids)], ids)
-			for j, t := range at {
-				fr.sv[t] = exact[j]
-			}
-			fr.refined += len(ids)
-		}
+		rd.admit(fr, f, kept[len(surv):m], lo, l)
 		fr.surv = kept[:m]
 	}
 	fr.nNaN = nNaN
+	return fr, nil
+}
+
+// filterPairs is filter over the groups of f.pairs, whose rows share
+// their codes and so their bounds. Pass one counts each group's upper
+// bound once, weighted by its rows (countPairs). The cut reads the
+// crossing slot's groups alone (slotGroups, cutPairs). Pass two sets, in
+// an n-bit row set, the rows of every group whose lower bound lies below
+// the cut, and of a group at the cut its rows up to iT (keepGroups), and
+// admits the set rows in row order; a group whose lower bound is NaN is
+// proven NaN. The survivors, their values, the cut and the NaN count are
+// the row passes', bit for bit.
+func (rd *rootDefer) filterPairs(f *rowFilter, K int) (*filtered, error) {
+	n := rd.n
+	h := newCutHist(f.span())
+	f.countPairs(h)
+	fr := newFiltered(n, K)
+	fr.T, fr.iT = math.Inf(1), math.MaxInt
+	if s, need, ok := h.find(K); ok {
+		fr.T, fr.iT = f.cutPairs(f.slotGroups(h, s), need)
+	}
+	if err := rd.poll(); err != nil {
+		return nil, err
+	}
+	set := make([]uint64, (n+63)/64)
+	fr.nNaN = f.keepGroups(set, fr.T, fr.iT)
+	var l [filterBlock]float64
+	var kept []int
+	c0, c1 := f.codes[0], f.codes[1]
+	for lo := 0; lo < n; lo += filterBlock {
+		kept = kept[:0]
+		for w := lo >> 6; w < min(lo+filterBlock+63, n+63)>>6; w++ {
+			for word := set[w]; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				kept = append(kept, i)
+				l[i-lo] = f.pair(f.lo, int(c0[i]), int(c1[i]))
+			}
+		}
+		if len(kept) == 0 {
+			continue
+		}
+		if err := rd.poll(); err != nil {
+			return nil, err
+		}
+		rd.admit(fr, f, kept, lo, l[:])
+		fr.surv = append(fr.surv, kept...)
+	}
 	return fr, nil
 }
 
@@ -303,11 +352,16 @@ func (rd *rootDefer) filter(f *rowFilter, K int) (*filtered, error) {
 // the eagerly scaled vector — computing the exact combined value only
 // of the rows the children's codes cannot rule out. vals and idx, when
 // min(k, n) long, back the returned Sorted/Order slices (buffer
-// pooling); wrong-sized buffers are replaced. RankRoot is idempotent: a
+// pooling); wrong-sized buffers are replaced. pairs, when non-nil, is
+// asked by a root of two children without an OR's class bits, whose
+// children both carry a code plane, for the PairIndex of the two planes:
+// one it holds (NewPairIndex(a, b), which the ranking only reads), or
+// nil. Given one, the filter visits the groups of rows instead of the
+// rows (filterPairs), bit-identically. RankRoot is idempotent: a
 // second call returns the first ranking. The only possible error is a
 // tripped evaluation checkpoint (request deadline); a canceled call
 // leaves no partial ranking memoized and the caller discards the run.
-func (r *Result) RankRoot(k int, vals []float64, idx []int) (*RootRanking, error) {
+func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Codes) *PairIndex) (*RootRanking, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rd := r.root
@@ -347,7 +401,8 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int) (*RootRanking, error
 		return rk, nil
 	}
 
-	f := rd.newRowFilter()
+	combineStart := time.Now()
+	f := rd.newRowFilter(pairs)
 	K := k
 	if rd.cb != nil {
 		K = n // NaiveNormalize: the range needs every row
@@ -356,7 +411,6 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int) (*RootRanking, error
 		}
 		rd.full = false
 	}
-	combineStart := time.Now()
 	fr, err := rd.filter(f, K)
 	if err != nil {
 		return nil, err

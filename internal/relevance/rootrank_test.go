@@ -145,7 +145,7 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 		if !got.Deferred() {
 			t.Fatalf("trial %d: evaluation did not defer", trial)
 		}
-		rk, err := got.RankRoot(k, nil, nil)
+		rk, err := got.RankRoot(k, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestDeferredPruningFiresAndStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := got.RankRoot(k, nil, nil)
+	rk, err := got.RankRoot(k, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestWindowBeforeRankingKeepsPruning(t *testing.T) {
 		if readFirst {
 			sameVec(t, "inner window", eager.Vec(inner), got.Vec(inner))
 		}
-		rk, err := got.RankRoot(k, nil, nil)
+		rk, err := got.RankRoot(k, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
