@@ -363,7 +363,9 @@ type benchDrag struct {
 // eval_ms, total_ms, refined_ratio — the rows whose exact root value was
 // computed, out of n — and pruned_ratio — the root chunks with none of
 // them, out of all root chunks of the steps that ranked by selection.
-// Runs that sort (FullSort) report sort_ms instead of select_ms;
+// Only FullSort runs sort, and report sort_ms instead of select_ms; a
+// root the evaluator finishes eagerly (a leaf root) is selected on its
+// scaled vector, in select_ms, with root_combine_ms and scale_ms 0;
 // reduce_ms holds the display reduction and the placement (under
 // Arrange2D, the band of combined quantiles and its ranking).
 func runDrags(b *testing.B, sql string, drags []benchDrag) {
@@ -598,6 +600,61 @@ func BenchmarkClusteredDrag(b *testing.B) {
 		{"range", func(s *session.Session, i int) error {
 			lo, width := float64(i*7%60), float64(3+i*5%38)
 			return s.SetRangeByAttr("t", lo, lo+width)
+		}},
+	})
+}
+
+// BenchmarkLeafDrag is a single-predicate query over 200k Traffic rows:
+// its root is a leaf, which the evaluator scales eagerly and the engine
+// ranks by a selection on the scaled vector (select_ms; root_combine_ms
+// and scale_ms read 0). range drags the BETWEEN under FlatDrag's ranges
+// (a leaf computed every step), percent walks the displayed fraction (the
+// leaf served from the cache), and uncached reruns the query on a bare
+// engine, which computes the leaf every step.
+func BenchmarkLeafDrag(b *testing.B) {
+	const sql = `SELECT a FROM S WHERE c BETWEEN 20 AND 30`
+	cat, err := datagen.Traffic(200_000, 1994)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runDragsOn(b, cat, core.Options{GridW: 128, GridH: 128}, sql, []benchDrag{
+		{"range", func(s *session.Session, i int) error {
+			lo, width := float64(i*7%60), float64(3+i*5%38)
+			return s.SetRangeByAttr("c", lo, lo+width)
+		}},
+		{"percent", func(s *session.Session, i int) error {
+			return s.SetPercentDisplayed([]float64{0.02, 0.05, 0.08}[i%3])
+		}},
+	})
+	b.Run("uncached", func(b *testing.B) {
+		eng := core.New(cat, nil, core.Options{GridW: 128, GridH: 128})
+		q, err := query.Parse(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.Run(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkThreeLeafDrag is a flat AND of three leaves over 200k Traffic
+// rows, under FlatDrag's weight set and ranges: a root of three children
+// has no joint-code index, so its filter runs the row passes (fill, cut,
+// open) that a two-child root's groups replace.
+func BenchmarkThreeLeafDrag(b *testing.B) {
+	weights := []float64{0.5, 1, 2, 3}
+	runDrags(b, `SELECT a FROM S WHERE a > 50 AND b < 40 AND c BETWEEN 20 AND 30`, []benchDrag{
+		{"weight", func(s *session.Session, i int) error {
+			return s.SetWeight(query.Predicates(s.Query().Where)[i%3], weights[(2+i/3)%len(weights)])
+		}},
+		{"range", func(s *session.Session, i int) error {
+			lo, width := float64(i*7%60), float64(3+i*5%38)
+			return s.SetRangeByAttr("c", lo, lo+width)
 		}},
 	})
 }

@@ -121,7 +121,11 @@
 // its values: an interior pass adds the transform and the range scan,
 // the deferred root keeps them raw, and a root whose transform could
 // overflow is finished eagerly by the same combine
-// (TestUndeferrableRootsFinishEagerly). Every child of a combine — leaf
+// (TestUndeferrableRootsFinishEagerly). A leaf root — one predicate —
+// has nothing to combine and is finished eagerly too. The engine selects
+// the display budget on an eager root's scaled vector
+// (topk.SelectKWithIndex, TestEagerRootsSelectLikeFullSort); only
+// Options.FullSort sorts. Every child of a combine — leaf
 // or interior node, computed or served — is scaled into scratch and
 // materialized only by Result.Vec, so reading a window before the
 // ranking leaves the root's ranking alone

@@ -14,6 +14,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/reduce"
 	"repro/internal/relevance"
+	"repro/internal/topk"
 )
 
 // Engine executes visual feedback queries against a catalog. An Engine
@@ -57,19 +58,20 @@ func (e *Engine) RunSQL(src string) (*Result, error) {
 // processing time is dominated by the time needed for sorting") with a
 // measured breakdown. Distances covers the per-predicate distance
 // computation (tree building), Evaluate the normalization and weighted
-// combination of the query tree below the root, Sort the final
-// full-sort relevance ranking (FullSort runs, and roots the evaluator
-// declines to defer), Select the
-// selection-based partial ranking (the default rank-before-scale path,
-// which ranks RAW root values and materializes only the display
-// budget), Scale the final monotonic transforms applied to the top-k
-// survivors (including the clamp-tie cut), and Reduce the display
-// reduction plus placement. Exactly one of Sort and Select is nonzero
-// per run; Scale is nonzero only on the Select path. RootCombine is not
+// combination of the query tree below the root, Sort the full sort of
+// every item, which only Options.FullSort runs rank by, Select the
+// selection of the display budget's leading ranks (the
+// rank-before-scale path, which ranks RAW root values, and the selection
+// on the scaled vector of a root the evaluator finished eagerly — a leaf
+// root, or pathological weights), Scale the final monotonic transforms
+// applied to the top-k survivors of a deferred root (including the
+// clamp-tie cut), and Reduce the display reduction plus placement.
+// Exactly one of Sort and Select is nonzero per run. RootCombine is not
 // a further stage but a part of Select ("of which"): the time spent
 // producing the raw root values the selection reads — every row bounded
 // from the children's code planes, and the rows the bounds leave open
 // scaled and combined — so Select − RootCombine is the selection proper.
+// An eagerly finished root's selection reads RootCombine and Scale 0.
 type StageTimings struct {
 	Bind        time.Duration
 	Distances   time.Duration
@@ -258,14 +260,20 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	// items never display).
 	var colorable int
 	switch {
-	case e.opt.FullSort || !eval.Deferred():
+	case e.opt.FullSort:
 		// Exact O(n log n) ranking of every item — the paper's
 		// "dominating" sort, kept as the oracle the selection path is
-		// compared against, and for the pathological weights whose root
-		// the evaluator declines to defer.
+		// compared against.
 		colorable = space.n - relevance.CountNaN(eval.Combined)
 		res.rankSorted, res.rankOrder = reduce.SortWithIndex(eval.Combined)
 		res.Timings.Sort = time.Since(mark)
+	case !eval.Deferred():
+		// A root the evaluator finished eagerly — a leaf root, or the
+		// pathological weights whose transform could overflow — is
+		// selected on its scaled vector.
+		colorable = space.n - relevance.CountNaN(eval.Combined)
+		res.rankSorted, res.rankOrder = topk.SelectKWithIndex(eval.Combined, e.selectBudget(space.n))
+		res.Timings.Select = time.Since(mark)
 	default:
 		// Rank-before-scale selection: rank the RAW root values of the
 		// rows the children's codes cannot rule out, and scale only the

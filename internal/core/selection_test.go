@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arrange"
@@ -97,6 +98,70 @@ func TestSelectionMatchesFullSort(t *testing.T) {
 			if rf.Timings.Sort <= 0 || rf.Timings.Select != 0 {
 				t.Fatalf("%s: full-sort run has Sort=%v Select=%v", sql, rf.Timings.Sort, rf.Timings.Select)
 			}
+		}
+	}
+}
+
+// TestEagerRootsSelectLikeFullSort: a root the evaluator finishes
+// eagerly — a leaf root, and the roots whose transform could overflow
+// (relevance's TestUndeferrableRootsFinishEagerly weights) — is ranked
+// by a selection of the display budget, not by the full sort: Select
+// is timed, Sort, RootCombine and Scale are not. Its ranked prefix is
+// exactly the first selectBudget(n) ranks of a fresh FullSort engine's,
+// bit for bit, and so are its display and TopK past the budget.
+func TestEagerRootsSelectLikeFullSort(t *testing.T) {
+	cat := selectionCatalog(t, 5000)
+	for _, tc := range []struct {
+		sql string
+		opt Options
+	}{
+		{`SELECT a FROM S WHERE c BETWEEN 20 AND 30`, Options{}},
+		{`SELECT a FROM S WHERE b < 40`, Options{}}, // NaN rows (null b)
+		{`SELECT a FROM S WHERE a > 50 WEIGHT 1e307 AND b < 40 WEIGHT 1e308`, Options{}},
+		{`SELECT a FROM S WHERE a > 50 WEIGHT 1e-300 OR b < 40 WEIGHT 1e-300`, Options{}},
+		{`SELECT a FROM S WHERE a > 50 WEIGHT 1e305 AND b < 40 WEIGHT 1e306`, Options{And: relevance.ANDLp, LpP: 3}},
+	} {
+		opt := tc.opt
+		opt.GridW, opt.GridH = 16, 16
+		sel := New(cat, nil, opt)
+		opt.FullSort = true
+		full := New(cat, nil, opt)
+		rs, err := sel.RunSQL(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		rf, err := full.RunSQL(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		if rs.Eval.Deferred() {
+			t.Fatalf("%s: the root was deferred", tc.sql)
+		}
+		tm := rs.Timings
+		if tm.Select <= 0 || tm.Sort != 0 || tm.RootCombine != 0 || tm.Scale != 0 {
+			t.Fatalf("%s: an eager root's run has Select=%v Sort=%v RootCombine=%v Scale=%v",
+				tc.sql, tm.Select, tm.Sort, tm.RootCombine, tm.Scale)
+		}
+		k := sel.selectBudget(rs.N)
+		if len(rs.rankOrder) != k || len(rs.rankSorted) != k {
+			t.Fatalf("%s: ranked %d/%d items, want the budget %d", tc.sql, len(rs.rankOrder), len(rs.rankSorted), k)
+		}
+		for r := 0; r < k; r++ {
+			a, b := rs.rankSorted[r], rf.rankSorted[r]
+			if rs.rankOrder[r] != rf.rankOrder[r] || math.Float64bits(a) != math.Float64bits(b) && !(math.IsNaN(a) && math.IsNaN(b)) {
+				t.Fatalf("%s: rank %d is (%v, %d), the full sort's (%v, %d)", tc.sql, r, a, rs.rankOrder[r], b, rf.rankOrder[r])
+			}
+		}
+		if rs.Displayed != rf.Displayed || rs.Stats() != rf.Stats() {
+			t.Fatalf("%s: Displayed %d, stats %+v; the full sort's %d, %+v", tc.sql, rs.Displayed, rs.Stats(), rf.Displayed, rf.Stats())
+		}
+		for r := 0; r < rs.Displayed; r++ {
+			if rs.Order[r] != rf.Order[r] {
+				t.Fatalf("%s: displayed rank %d is item %d, the full sort's %d", tc.sql, r, rs.Order[r], rf.Order[r])
+			}
+		}
+		if got, want := rs.TopK(2*k), rf.TopK(2*k); !slices.Equal(got, want) {
+			t.Fatalf("%s: TopK(%d) past the budget diverges from the full sort's", tc.sql, 2*k)
 		}
 	}
 }

@@ -277,8 +277,7 @@ const (
 // kernel's own operations in its own order — a sum from 0, or for OR a
 // product from 1 — and every one of them rounds monotonically, so the
 // bounds hold the exact value. A term math.Pow computes gets a relative
-// margin, as Pow is not monotone to the last ulp. A leaf root is one
-// child whose terms are its codes' raw intervals.
+// margin, as Pow is not monotone to the last ulp.
 //
 // With a PairIndex of a two-child root's planes (pairs), every row of a
 // group of the index has its group's bounds, so pass one and pass two
@@ -317,15 +316,6 @@ const (
 // newRowFilter builds the filter of a deferred root, grouped by the
 // PairIndex pairs resolves when the root allows (RankRoot).
 func (rd *rootDefer) newRowFilter(pairs func(a, b *Codes) *PairIndex) *rowFilter {
-	if rd.cb == nil {
-		// A leaf root's -Inf rows are bounded above by the finite minimum,
-		// so that no upper bound is -Inf (see cutHist).
-		cp := codesOf(rd.node, rd.out)
-		f := &rowFilter{codes: [][]uint8{cp.codes}, lo: [][256]float64{cp.lo},
-			hi: [][256]float64{cp.hi}, nan: bytes.IndexByte(cp.codes, codeNaN) >= 0}
-		f.hi[0][codeNegInf] = cp.lo[codeMin]
-		return f
-	}
 	cb := rd.cb
 	m := len(cb.raw)
 	f := &rowFilter{codes: make([][]uint8, m), lo: make([][256]float64, m),

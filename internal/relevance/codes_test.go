@@ -304,14 +304,11 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 		return false // an undeferrable root is finished eagerly
 	}
 	rd := res.root
-	K := k
-	if rd.cb != nil {
-		K = n
-		if rd.keep >= 1 {
-			K = max(k, rd.keep)
-		}
-		rd.fillAll()
+	K := n
+	if rd.keep >= 1 {
+		K = max(k, rd.keep)
 	}
+	rd.fillAll()
 	raw := append([]float64(nil), rd.out...)
 	f := rd.newRowFilter(nil)
 	// Every row's exact value lies within its bounds: a NaN lower bound
@@ -331,7 +328,7 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.codes) == 2 && f.flags == nil && rd.cb != nil && f.monotone() {
+	if len(f.codes) == 2 && f.flags == nil && f.monotone() {
 		// The same filter over the groups of the children's joint codes.
 		g := *f
 		g.pairs = groupPairs(f.codes[0], f.codes[1])
@@ -372,7 +369,7 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 		t.Fatalf("%s: NaNs = %d, want %d", what, rk.NaNs, want)
 	}
 	sameVec(t, what+": combined", eager.Combined, got.Vec(root))
-	if root.Op == Leaf || len(root.Children) != 2 {
+	if len(root.Children) != 2 {
 		return grouped
 	}
 	// The ranking with the filter over the groups: the children carry
@@ -457,10 +454,14 @@ func TestRowFilterKeepsTopK(t *testing.T) {
 		}
 		kn := rowFilterKernels[trial%len(rowFilterKernels)]
 		root := &Node{Op: kn.op, Weight: []float64{0.05, 0.5, 1, 4}[rng.Intn(4)]}
-		if rng.Intn(6) == 0 {
-			root = &Node{Op: Leaf, Dists: rowFilterChild(rng, n)} // a leaf root
+		not := rng.Intn(6) == 0
+		if not {
+			// A NOT root: one child under AND, so that the filter bounds a
+			// single plane.
+			root = &Node{Op: NodeAnd, Weight: root.Weight, Children: []*Node{
+				{Op: Leaf, Weight: 1, Dists: rowFilterChild(rng, n)}}}
 		}
-		for j := 0; root.Op != Leaf && j < 1+rng.Intn(3); j++ {
+		for j := 0; !not && j < 1+rng.Intn(3); j++ {
 			child := &Node{Op: Leaf, Weight: weights[rng.Intn(len(weights))], Dists: rowFilterChild(rng, n)}
 			if rng.Intn(5) == 0 {
 				child = &Node{Op: NodeOr, Weight: child.Weight, Children: []*Node{

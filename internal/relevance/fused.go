@@ -43,21 +43,16 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	var params NormParams
 	var err error
 	switch {
-	case opts.DeferRoot && root.Op == Leaf:
-		// Rank-before-scale (rootrank.go): a leaf root ranks its own
-		// distances, over the range eval checks them for.
-		if _, params, err = ctx.eval(root); err == nil {
-			ctx.deferRoot(root, nil, params)
-			return ctx.res, nil
-		}
 	case opts.DeferRoot && (root.Op == NodeAnd || root.Op == NodeOr):
-		// Rank-before-scale: the root's combine is built (its children
-		// evaluated) and stays raw and chunk-lazy, unless its transform
-		// could overflow — then the same combine finishes eagerly below.
+		// Rank-before-scale (rootrank.go): the root's combine is built
+		// (its children evaluated) and stays raw and chunk-lazy, unless
+		// its transform could overflow — then the same combine finishes
+		// eagerly below. A leaf root has nothing to combine: it finishes
+		// eagerly too.
 		var cb *combine
 		if cb, err = ctx.newCombine(root); err == nil {
 			if cb.deferrable() {
-				ctx.deferRoot(root, cb, NormParams{})
+				ctx.deferRoot(root, cb)
 				return ctx.res, nil
 			}
 			vec, params, err = ctx.pass(root, cb)

@@ -56,6 +56,10 @@ import (
 // materialized Combined vector — is bit-identical to the eager
 // pipeline followed by topk.SelectKWithIndex, which the property tests
 // in rootrank_test.go and internal/core assert against Options.FullSort.
+//
+// Only an AND or OR root defers. A leaf root has nothing to combine and
+// no children's planes to filter by: the evaluator scales it eagerly,
+// and the engine selects on its scaled vector.
 
 // RootRanking is the outcome of Result.RankRoot: the top-K of the
 // scaled combined distances plus the attribution the engine surfaces.
@@ -88,12 +92,11 @@ type rootDefer struct {
 	node *Node
 	n    int
 
-	cb   *combine      // the root's combine; nil for a leaf root
-	t    rootTransform // cb's transform (the identity for a leaf root)
-	keep int           // KeepCount of the root (0 under NaiveNormalize)
+	cb   *combine // the root's combine, its children evaluated
+	keep int      // KeepCount of the root (0 under NaiveNormalize)
 
-	// out holds raw combined values (a leaf root: its Dists): of every
-	// row when full, else of the rows the ranking refined.
+	// out holds the raw combined value of every row once full; the
+	// ranking keeps the values it computes in buffers of its own.
 	out  []float64
 	full bool
 
@@ -129,35 +132,11 @@ func (rd *rootDefer) fillAll() {
 	rd.full = true
 }
 
-// refine writes the raw combined values of rows ids to dst and to out.
-func (rd *rootDefer) refine(dst []float64, ids []int) {
-	if rd.cb == nil {
-		for t, i := range ids {
-			dst[t] = rd.out[i]
-		}
-		return
-	}
-	rd.cb.rows(dst, ids)
-	for t, i := range ids {
-		rd.out[i] = dst[t]
-	}
-}
-
 // key is the full monotone raw→display transform: the deferred scalar
 // step composed with the root normalization. Bit-identical to what the
 // eager pipeline computes per element.
 func (rd *rootDefer) key(x float64) float64 {
-	return rd.params.Apply(rd.t.apply(x))
-}
-
-// domainLo is the lower end of the raw domain for preimage bisection:
-// combiner outputs are non-negative by construction, a leaf root's raw
-// distances are arbitrary.
-func (rd *rootDefer) domainLo() float64 {
-	if rd.cb == nil {
-		return math.Inf(-1)
-	}
-	return 0
+	return rd.params.Apply(rd.cb.t.apply(x))
 }
 
 // deriveParams computes the root NormParams from the refined rows'
@@ -171,19 +150,19 @@ func (rd *rootDefer) domainLo() float64 {
 // scratch is a buffer of at least len(cands) values to select in.
 func (rd *rootDefer) deriveParams(st rangeScan, nNaN int, cands []topk.Cand, refined, scratch []float64) NormParams {
 	nFinite := rd.n - nNaN
-	p := baseParams(nFinite, rd.t.apply(st.minFinite), rd.keep)
+	p := baseParams(nFinite, rd.cb.t.apply(st.minFinite), rd.keep)
 	switch {
 	case p.NoFinite:
 	case p.Kept == nFinite:
-		p.DMax = rd.t.apply(st.maxFinite)
+		p.DMax = rd.cb.t.apply(st.maxFinite)
 	case p.Kept <= len(cands):
 		scratch = scratch[:len(cands)]
 		for i, c := range cands {
 			scratch[i] = c.V
 		}
-		p.DMax = rd.t.apply(topk.Threshold(scratch, p.Kept))
-	default:
-		p.DMax = rd.t.apply(topk.Threshold(refined, p.Kept))
+		p.DMax = rd.cb.t.apply(topk.Threshold(scratch, p.Kept))
+	default: // Threshold reorders what it selects in, and refined is the caller's
+		p.DMax = rd.cb.t.apply(topk.Threshold(slices.Clone(refined), p.Kept))
 	}
 	return p
 }
@@ -193,7 +172,7 @@ func (rd *rootDefer) deriveParams(st rangeScan, nNaN int, cands []topk.Cand, ref
 func (rd *rootDefer) paramsFromFull() NormParams {
 	rd.fillAll()
 	st := scanRange(rd.out, 0, rd.n)
-	return rd.deriveParams(st, st.nNaN, nil, slices.Clone(rd.out), nil)
+	return rd.deriveParams(st, st.nNaN, nil, rd.out, nil)
 }
 
 // filterBlock is how many rows the filter's passes bound at a time: a
@@ -224,22 +203,19 @@ func newFiltered(n, K int) *filtered {
 // of rows from lo, whose lower bounds l holds at i-lo, to fr.sv (the
 // caller appends the rows to fr.surv). A survivor whose bounds meet
 // (rowFilter.exact) is exact already — its lower bound plus 0, as no
-// kernel returns -0 — and the others run the kernel; the exact values
-// go to out too.
+// kernel returns -0 — and the others run the kernel.
 func (rd *rootDefer) admit(fr *filtered, f *rowFilter, rows []int, lo int, l []float64) {
 	fr.ids, fr.at = fr.ids[:0], fr.at[:0]
 	for _, i := range rows {
-		if x := l[i-lo]; rd.cb != nil && f.exact(i) {
-			rd.out[i] = x + 0
-		} else {
+		if !f.exact(i) {
 			fr.ids, fr.at = append(fr.ids, i), append(fr.at, len(fr.sv))
 			fr.touched[i/evalChunk] = true
 		}
-		fr.sv = append(fr.sv, rd.out[i])
+		fr.sv = append(fr.sv, l[i-lo]+0)
 	}
 	if len(fr.ids) > 0 {
 		ex := fr.exact[:len(fr.ids)]
-		rd.refine(ex, fr.ids)
+		rd.cb.rows(ex, fr.ids)
 		for j, t := range fr.at {
 			fr.sv[t] = ex[j]
 		}
@@ -258,7 +234,7 @@ func (rd *rootDefer) admit(fr *filtered, f *rowFilter, rows []int, lo int, l []f
 // NaN count needs decided. A NaN lower bound is a row the codes prove
 // NaN. A survivor whose bounds meet (rowFilter.exact) is exact already —
 // its lower bound plus 0, as no kernel returns -0 — and the others run
-// the kernel, a block at a time; the exact values go to out too.
+// the kernel, a block at a time.
 func (rd *rootDefer) filter(f *rowFilter, K int) (*filtered, error) {
 	if f.pairs != nil {
 		return rd.filterPairs(f, K)
@@ -393,9 +369,7 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 	}
 	rk := &RootRanking{Order: idx, Sorted: vals, Chunks: nchunks}
 	if n == 0 || k == 0 {
-		if rd.cb != nil {
-			rd.params, rd.paramsKnown = rd.paramsFromFull(), true
-		}
+		rd.params, rd.paramsKnown = rd.paramsFromFull(), true
 		rk.NaNs = CountNaN(rd.out)
 		rd.ranking = rk
 		return rk, nil
@@ -403,13 +377,9 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 
 	combineStart := time.Now()
 	f := rd.newRowFilter(pairs)
-	K := k
-	if rd.cb != nil {
-		K = n // NaiveNormalize: the range needs every row
-		if rd.keep >= 1 {
-			K = max(k, rd.keep)
-		}
-		rd.full = false
+	K := n // NaiveNormalize: the range needs every row
+	if rd.keep >= 1 {
+		K = max(k, rd.keep)
 	}
 	fr, err := rd.filter(f, K)
 	if err != nil {
@@ -425,10 +395,7 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 	cands, kth, complete := sel.Finish()
 	nNaN += rs.nNaN
 	scaleStart := time.Now()
-	if rd.cb != nil { // a leaf root's params were computed at build
-		rd.params = rd.deriveParams(rs, nNaN, cands, sv, vals)
-	}
-	rd.paramsKnown = true
+	rd.params, rd.paramsKnown = rd.deriveParams(rs, nNaN, cands, sv, vals), true
 	rk.NaNs = nNaN
 
 	// Scale the survivors and resolve the tie class at the cut.
@@ -450,7 +417,7 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 		for i, s := 0, 0; rank < k && i < n; i++ {
 			if s < len(surv) && surv[s] == i {
 				s++
-				if !math.IsNaN(rd.out[i]) {
+				if !math.IsNaN(sv[s-1]) {
 					continue
 				}
 			}
@@ -458,19 +425,19 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 		}
 	} else {
 		sK := rd.key(kth.V)
-		domLo := rd.domainLo()
 		// Raw-domain preimage of sK: (loTieEx, hiTie]. loTieEx is the
 		// largest raw value scaling strictly below sK (NaN when none),
 		// hiTie the largest scaling to ≤ sK. Monotonicity makes both
 		// exact: raw > loTieEx ⇔ key(raw) ≥ sK, raw ≤ hiTie ⇔ key(raw) ≤ sK.
-		hiTie := topk.SupWhere(func(x float64) bool { return rd.key(x) <= sK }, domLo, math.Inf(1))
-		loTieEx := topk.SupWhere(func(x float64) bool { return rd.key(x) < sK }, domLo, math.Inf(1))
+		// Combiner outputs are non-negative, so the bisection starts at 0.
+		hiTie := topk.SupWhere(func(x float64) bool { return rd.key(x) <= sK }, 0, math.Inf(1))
+		loTieEx := topk.SupWhere(func(x float64) bool { return rd.key(x) < sK }, 0, math.Inf(1))
 		// The edges come from bisecting the transform, whose math.Pow (the
 		// geometric and the Lp root) is monotone only to within an ulp or
 		// so: a raw value within pad of an edge is placed by its key, as
 		// the eager pipeline places it.
 		pad := func(x float64) float64 {
-			if rd.t.kind != xformGeoRoot && rd.t.kind != xformPowInv {
+			if rd.cb.t.kind != xformGeoRoot && rd.cb.t.kind != xformPowInv {
 				return 0 // the other transforms round monotonically
 			}
 			return min(math.Abs(x)*1e-12, math.MaxFloat64)
@@ -511,15 +478,8 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 		case hiOut >= T && iT < n:
 			from = iT + 1
 		}
+		// A tie scales to sK bit for bit: no kernel returns -0.
 		tie := func(x float64) bool { return class(x) == 0 }
-		// A combined root's tie scales to sK bit for bit (no kernel returns
-		// -0); a leaf root's may be a -0 where sK is a +0, and its own.
-		tieKey := func(i int) float64 {
-			if rd.cb == nil {
-				return rd.key(rd.out[i])
-			}
-			return sK
-		}
 		var ub [evalChunk]float64
 		var state [evalChunk]uint8 // 0 past the class, 1 in it, 2 refined or a survivor
 		var ids []int
@@ -527,13 +487,14 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 			c1 := min(c0+evalChunk, n)
 			if c1 <= from {
 				for ; rank < k && s < len(surv) && surv[s] < c1; s++ {
-					if i := surv[s]; tie(rd.out[i]) {
-						emit(tieKey(i), i)
+					if i := surv[s]; tie(sv[s]) {
+						emit(sK, i)
 					}
 				}
 				continue
 			}
 			clear(state[:c1-c0])
+			s0 := s
 			for ; s < len(surv) && surv[s] < c1; s++ {
 				state[surv[s]-c0] = 2
 			}
@@ -551,14 +512,22 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 					state[i-c0] = 2
 				}
 			}
+			// The bounds are read: ub now holds the exact value of every row
+			// of state 2, a survivor's from sv and a refined row's from lb.
+			for t := s0; t < s; t++ {
+				ub[surv[t]-c0] = sv[t]
+			}
 			if len(ids) > 0 {
-				rd.refine(lb[:len(ids)], ids)
+				rd.cb.rows(lb[:len(ids)], ids)
+				for j, i := range ids {
+					ub[i-c0] = lb[j]
+				}
 				rk.Refined += len(ids)
 				touched[c0/evalChunk] = true
 			}
 			for i := c0; rank < k && i < c1; i++ {
-				if st := state[i-c0]; st == 1 || st == 2 && tie(rd.out[i]) {
-					emit(tieKey(i), i)
+				if st := state[i-c0]; st == 1 || st == 2 && tie(ub[i-c0]) {
+					emit(sK, i)
 				}
 			}
 		}
@@ -605,18 +574,11 @@ func (r *Result) materializeCombinedLocked() []float64 {
 	if !rd.paramsKnown {
 		rd.params, rd.paramsKnown = rd.paramsFromFull(), true
 	}
-	dst := rd.out
-	if rd.cb == nil {
-		// A leaf root's raw vector is the caller's Dists; scale into a
-		// fresh (pooled) buffer like the eager path does.
-		dst = r.allocVec()
-	} else {
-		rd.fillAll()
-	}
-	finalizeRange(dst, rd.out, rd.t, rd.params)
-	r.ByNode[rd.node] = dst
-	r.Combined = dst
-	return dst
+	rd.fillAll()
+	finalizeRange(rd.out, rd.out, rd.cb.t, rd.params)
+	r.ByNode[rd.node] = rd.out
+	r.Combined = rd.out
+	return rd.out
 }
 
 // RootValues returns the scaled combined distances of rows — Vec(root)
@@ -640,7 +602,7 @@ func (r *Result) RootValues(rows []int) []float64 {
 	}
 	for a := 0; a < len(rows); a += evalChunk {
 		v := out[a:min(a+evalChunk, len(rows))]
-		rd.refine(v, rows[a:a+len(v)])
+		rd.cb.rows(v, rows[a:a+len(v)])
 		for t, x := range v {
 			v[t] = rd.key(x)
 		}
@@ -659,16 +621,8 @@ func finalizeRange(dst, src []float64, t rootTransform, p NormParams) {
 }
 
 // deferRoot assembles the deferred root instead of finishing it: cb is
-// the root's combine, its children evaluated, or nil for a leaf root,
-// whose range params eval has already found.
-func (c *fusedCtx) deferRoot(root *Node, cb *combine, params NormParams) {
-	rd := &rootDefer{node: root, n: c.n, cb: cb, keep: c.keepOf(root), checkpoint: c.opts.Checkpoint}
-	if cb != nil {
-		rd.t = cb.t
-		rd.out = c.alloc()
-	} else {
-		rd.out, rd.full = root.Dists, true
-		rd.params, rd.paramsKnown = params, true
-	}
-	c.res.root = rd
+// the root's combine, its children evaluated.
+func (c *fusedCtx) deferRoot(root *Node, cb *combine) {
+	c.res.root = &rootDefer{node: root, n: c.n, cb: cb, keep: c.keepOf(root),
+		out: c.alloc(), checkpoint: c.opts.Checkpoint}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/reduce"
@@ -120,7 +121,9 @@ func deferredOptVariants() []EvalOptions {
 // bit-identical — order, scaled values, NaN counts, and the lazily
 // materialized Combined vector — to the eager pipeline followed by a
 // plain top-k selection, across combiner modes, adversarial tie
-// distributions, and leaves with and without their code planes.
+// distributions, and leaves with and without their code planes. A leaf
+// root does not defer: its eager selection must equal the full sort's
+// prefix.
 func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	variants := deferredOptVariants()
@@ -141,6 +144,21 @@ func TestDeferredRankMatchesEagerSelection(t *testing.T) {
 		got, err := Evaluate(tree, n, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tree.Op == Leaf {
+			// A leaf root finishes eagerly: the selection on its scaled
+			// vector is the full sort's prefix.
+			if got.Deferred() {
+				t.Fatalf("trial %d: a leaf root deferred", trial)
+			}
+			sameVec(t, "leaf root", eager.Combined, got.Combined)
+			sorted, order := reduce.SortWithIndex(got.Combined)
+			sameVec(t, "leaf root selection", sorted[:k], wantSorted)
+			if !slices.Equal(order[:k], wantOrder) {
+				t.Fatalf("trial %d: the leaf root's selection %v, the full sort's prefix %v", trial, wantOrder, order[:k])
+			}
+			clearLeafStats(tree)
+			continue
 		}
 		if !got.Deferred() {
 			t.Fatalf("trial %d: evaluation did not defer", trial)

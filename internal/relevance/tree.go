@@ -99,9 +99,11 @@ type EvalOptions struct {
 	// filters the rows by their children's codes, combines only the
 	// ones that can rank, and applies the final transforms only to the
 	// survivors — bit-identical, including clamp-induced ties, to
-	// ranking the eagerly scaled vector. A leaf root always defers.
+	// ranking the eagerly scaled vector. A leaf root never defers: it
+	// has nothing to combine, so it is scaled eagerly, Combined is set
+	// and Deferred() reports false.
 	//
-	// The root's combine is built once either way. When its transform
+	// An AND/OR root's combine is built once either way. When its transform
 	// could change the finite/infinite classification of a value
 	// (pathological weights overflowing the raw domain — the check reads
 	// the weights and kernel the combine resolved), the same combine
@@ -141,8 +143,8 @@ type EvalOptions struct {
 // by chunk into scratch, and it is absent from ByNode until Vec
 // materializes it — windows read a few thousand displayed items, so a
 // run writes no n-sized scaled vector per node. Read through Vec rather than the map.
-// Under EvalOptions.DeferRoot, Combined (and the root's ByNode entry)
-// also stay unmaterialized until Vec(root) asks for them.
+// A deferred root's Combined (and its ByNode entry) also stay
+// unmaterialized until Vec(root) asks for them.
 type Result struct {
 	Combined []float64
 	ByNode   map[*Node][]float64
@@ -188,7 +190,7 @@ func (r *Result) setLazy(node *Node, raw []float64, p NormParams) {
 func (r *Result) Deferred() bool { return r.root != nil }
 
 // Vec returns the node's normalized vector, materializing a lazy node —
-// every node below the root, and under DeferRoot the root itself — on
+// every node below the root, and a deferred root itself — on
 // first use, bit-identical to the values the combination passes scaled:
 // same params, same per-element transforms. nil when the node was not
 // part of the evaluation. Safe for concurrent use.
