@@ -79,7 +79,7 @@ func reference2D(t *testing.T, cat *dataset.Catalog, opt Options, q *query.Query
 			return nil
 		}
 		out := make([]float64, ref.N)
-		if _, _, _, err := ref.Engine.condData(ref.evaluated[c], ref.Binding.Attrs[c], ref.Space, nil, out); err != nil {
+		if _, _, _, err := ref.Engine.condData(nil, ref.evaluated[c], ref.Binding.Attrs[c], ref.Space, nil, out); err != nil {
 			t.Fatal(err)
 		}
 		return out

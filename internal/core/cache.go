@@ -100,7 +100,9 @@ type leafEntry struct {
 	// codes is raw's code plane, built where the vector is born — a
 	// leaf's compute, an interior vector's pass, a kv arrival's fill —
 	// which the ranking filters the root's rows by and whose counts
-	// answer the vector's normalization ranges. A 2D axis's signed
+	// answer the vector's normalization ranges. A single-table range
+	// leaf's is a view of its column's plane (Engine.columnView); a
+	// column plane's entry holds that plane alone. A 2D axis's signed
 	// distances are never ranked and have none.
 	codes *relevance.Codes
 	// sorted is a 2D axis's signed distances in ascending order
@@ -237,8 +239,9 @@ func (c *RunCache) endRun(ok bool) {
 // runStats returns the current run's lookup counts. sharedHits is the
 // subset of hits the tier served (including waits on another session's
 // in-flight fill) rather than the pins. A run builds its leaves before
-// it resolves any interior vector, PairIndex or 2D axis, so read right
-// after the leaves, they are the leaves' counts.
+// it resolves any interior vector, PairIndex or 2D axis (and resolves a
+// column plane in the tier alone), so read right after the leaves, they
+// are the leaves' counts.
 func (c *RunCache) runStats() (hits, misses, sharedHits int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -297,8 +300,9 @@ func (c *RunCache) pin(key string, le leafEntry) {
 	c.cur.leaves[key] = le
 }
 
-// fetch resolves key — a leaf's, a 2D axis's or an interior vector's
-// (runKeys) — over an item space of rows items: a pin, then the tier
+// fetch resolves key — a leaf's, a 2D axis's, an interior vector's or a
+// PairIndex's (runKeys) — over an item space of rows items: a pin, then
+// the tier
 // (derive completes what its remote tier serves), then compute (through
 // the tier's singleflight fill). Without a cache it computes.
 func (c *RunCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (leafEntry, error) {

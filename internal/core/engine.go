@@ -257,8 +257,15 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	numPreds := len(query.Predicates(q.Where))
 	mark = time.Now()
 	// colorable is the count of non-NaN combined distances (uncolorable
-	// items never display).
+	// items never display). A selection ranks into the cache's pooled
+	// buffers.
 	var colorable int
+	k := e.selectBudget(space.n)
+	var vals []float64
+	var idx []int
+	if cache != nil && !e.opt.FullSort {
+		vals, idx = cache.floats.alloc(k), cache.ints.alloc(k)
+	}
 	switch {
 	case e.opt.FullSort:
 		// Exact O(n log n) ranking of every item — the paper's
@@ -270,20 +277,15 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	case !eval.Deferred():
 		// A root the evaluator finished eagerly — a leaf root, or the
 		// pathological weights whose transform could overflow — is
-		// selected on its scaled vector.
-		colorable = space.n - relevance.CountNaN(eval.Combined)
-		res.rankSorted, res.rankOrder = topk.SelectKWithIndex(eval.Combined, e.selectBudget(space.n))
+		// selected on its scaled vector, whose NaNs the selection counts.
+		var nNaN int
+		res.rankSorted, res.rankOrder, nNaN = topk.SelectKInto(eval.Combined, k, vals, idx)
+		colorable = space.n - nNaN
 		res.Timings.Select = time.Since(mark)
 	default:
 		// Rank-before-scale selection: rank the RAW root values of the
 		// rows the children's codes cannot rule out, and scale only the
 		// survivors. Combined materializes lazily (Result.Combined).
-		k := e.selectBudget(space.n)
-		var vals []float64
-		var idx []int
-		if cache != nil {
-			vals, idx = cache.floats.alloc(k), cache.ints.alloc(k)
-		}
 		var pairs func(a, b *relevance.Codes) *relevance.PairIndex
 		if cache != nil && space.n >= minPairRows {
 			// A two-child root's filter reads its children's rows by groups
@@ -451,7 +453,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		}
 		res.setEvaluated(n, c)
 		compute := func() (leafEntry, error) {
-			le, skipped, segs, err := e.condData(c, attr, space, nil, nil)
+			le, skipped, segs, err := e.condData(res.cache, c, attr, space, nil, nil)
 			if err == nil && res.cache != nil && segs > 0 {
 				// Segment-pushdown attribution happens here, inside the
 				// compute closure, so only the run that actually paid for
@@ -460,11 +462,23 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			return le, err
 		}
+		// A range leaf another process computed arrives with its column's
+		// view, as its compute gives it one.
+		derive := e.entry
+		if lo, hi, edge, ok := viewOf(c, attr, space); ok {
+			derive = func(raw []float64) leafEntry {
+				le := leafEntry{raw: raw, codes: e.columnView(res.cache, space, attr, lo, hi, edge)}
+				if le.codes == nil {
+					le.codes = e.codes(raw)
+				}
+				return le
+			}
+		}
 		// The cache key (runKeys.cond) is the condition's structural
 		// signature: bound table.attr plus Label (operator, literals,
 		// distance function — Label excludes the weighting factor by
 		// construction), so weight-only reruns hit unconditionally.
-		return e.leafNode(res, space, expr, expr.Label(), res.keys.cond(attr.Qualified(), c.Label()), compute)
+		return e.leafNode(res, space, expr, expr.Label(), res.keys.cond(attr.Qualified(), c.Label()), derive, compute)
 	case *query.BoolExpr:
 		op := relevance.NodeAnd
 		if n.Op == query.Or {
@@ -540,7 +554,7 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 			}
 			return dists, nil
 		}
-		return e.leafNode(res, space, n, n.Label(), res.keys.join(n.Label(), negated), e.distsOnly(compute))
+		return e.leafNode(res, space, n, n.Label(), res.keys.join(n.Label(), negated), e.entry, e.distsOnly(compute))
 	case *query.SubqueryExpr:
 		return e.subqueryNode(n, b, space, res, negated)
 	default:
@@ -643,15 +657,16 @@ func (e *Engine) booleanLeaf(c *query.Cond, b *query.Binding, space *itemSpace, 
 		}
 		return dists, nil
 	}
-	return e.leafNode(res, space, c, label, res.keys.boolean(label), e.distsOnly(compute))
+	return e.leafNode(res, space, c, label, res.keys.boolean(label), e.entry, e.distsOnly(compute))
 }
 
 // leafNode builds the relevance leaf of a condition, join,
 // boolean-fallback or subquery expression from its leafEntry: fetched
-// under key on a cached run, computed on the spot otherwise. The leaf
-// carries its key and its code plane.
-func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label, key string, compute func() (leafEntry, error)) (*relevance.Node, error) {
-	le, err := res.cache.fetch(key, space.n, e.entry, compute)
+// under key on a cached run (derive makes a vector the remote tier
+// serves an entry), computed on the spot otherwise. The leaf carries its
+// key and its code plane.
+func (e *Engine) leafNode(res *Result, space *itemSpace, expr query.Expr, label, key string, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (*relevance.Node, error) {
+	le, err := res.cache.fetch(key, space.n, derive, compute)
 	if err != nil {
 		return nil, err
 	}
@@ -682,16 +697,27 @@ func (e *Engine) entry(dists []float64) leafEntry {
 // codes builds the code plane of v over its finite extremes, both
 // passes split across the engine's workers.
 func (e *Engine) codes(v []float64) *relevance.Codes {
+	lo, hi := e.extremes(v, nil)
+	return e.codesOver(v, lo, hi)
+}
+
+// extremes returns the least and the greatest finite value of v, split
+// across the engine's workers; a non-nil read first fills each worker's
+// rows of v (read(dst, from) writes rows [from, from+len(dst))).
+func (e *Engine) extremes(v []float64, read func(dst []float64, from int)) (lo, hi float64) {
 	var mu sync.Mutex
-	lo, hi := math.Inf(1), math.Inf(-1)
+	lo, hi = math.Inf(1), math.Inf(-1)
 	_ = parallelFor(len(v), e.workers, itemChunk, func(from, to int) error {
+		if read != nil {
+			read(v[from:to], from)
+		}
 		l, h := relevance.FiniteExtremes(v[from:to])
 		mu.Lock()
 		lo, hi = min(lo, l), max(hi, h)
 		mu.Unlock()
 		return nil
 	})
-	return e.codesOver(v, lo, hi)
+	return lo, hi
 }
 
 // codesOver builds the code plane of v, whose finite values lie in
@@ -820,7 +846,7 @@ func (e *Engine) subqueryNode(sq *query.SubqueryExpr, b *query.Binding, space *i
 	// The subquery leaf caches on runKeys.subquery — the full rendered
 	// subquery plus the engine options the inner evaluation depends on.
 	key := res.keys.subquery(e.opt.GridW*e.opt.GridH, e.opt.Mode, sq.String(), negated)
-	return e.leafNode(res, space, sq, sq.Label(), key, e.distsOnly(compute))
+	return e.leafNode(res, space, sq, sq.Label(), key, e.entry, e.distsOnly(compute))
 }
 
 // boolSubquery evaluates NOT EXISTS / NOT IN exactly. The inner

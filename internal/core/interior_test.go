@@ -154,9 +154,9 @@ func TestInteriorSharedTierPromotion(t *testing.T) {
 	if len(part) != 1 || !resident(sc, part[0]) {
 		t.Fatalf("cold run left no interior vector in the store: pins %q", part)
 	}
-	// One store: the AND part's vector sits among the three leaves and is
-	// counted with them.
-	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 || st.InteriorBytes != 0 {
+	// One store: the AND part's vector sits among the three leaves and
+	// the code planes of their three columns, and is counted with them.
+	if st := sc.Stats(); st.Entries != 7 || st.Fills != 7 || st.InteriorBytes != 0 {
 		t.Fatalf("after the cold run: %+v", st)
 	}
 

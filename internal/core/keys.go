@@ -89,19 +89,27 @@ func (k runKeys) interior(n *relevance.Node) string {
 }
 
 // pairs keys the PairIndex of two code planes (a two-child root's
-// children's) by the planes' IDs, which name exactly one plane each: a
-// vector another process computed is coded anew when it arrives, so
-// its key may come back with another plane, and the IDs keep an index
-// from outliving the planes it groups.
+// children's) by the planes' IDs, which name exactly the code bytes it
+// groups: a range leaf's view carries its column plane's, so the index
+// of two range leaves outlives a range drag of either; a vector another
+// process computed is coded anew when it arrives, so its key may come
+// back with another plane, and the IDs keep an index from outliving the
+// codes it groups.
 func (k runKeys) pairs(a, b *relevance.Codes) string {
 	return fmt.Sprintf("%s%d|%d", pairsTag, a.ID(), b.ID())
 }
 
-// interiorTag starts every interior key and pairsTag every PairIndex
-// key, and no other.
+// column keys the code plane of a numeric column of the item space's
+// one table (Engine.columnPlane), which the space's fingerprint and the
+// qualified attribute name exactly.
+func (k runKeys) column(qualified string) string { return columnTag + k.space + "|" + qualified }
+
+// interiorTag starts every interior key, pairsTag every PairIndex key
+// and columnTag every column plane's key, and no other.
 const (
 	interiorTag = "I|"
 	pairsTag    = "G|"
+	columnTag   = "V|"
 )
 
 // isInterior reports whether key names an interior node's raw combined
@@ -110,5 +118,8 @@ func isInterior(key string) bool { return strings.HasPrefix(key, interiorTag) }
 
 // isLocal reports whether key names what never travels to the remote
 // tier: an interior vector, which a run rebuilds from its leaves in one
-// pass, or a PairIndex, whose planes are the process's own.
-func isLocal(key string) bool { return isInterior(key) || strings.HasPrefix(key, pairsTag) }
+// pass, a PairIndex, whose planes are the process's own, or a column
+// plane, which a process codes once from the catalog it holds.
+func isLocal(key string) bool {
+	return isInterior(key) || strings.HasPrefix(key, pairsTag) || strings.HasPrefix(key, columnTag)
+}

@@ -12,11 +12,13 @@ import (
 
 // TestWeightDragReadsPairIndex: over more rows than a PairIndex has
 // groups, a flat two-leaf root's first run builds the index of its
-// children's planes beside the two leaves. A weight drag reads it — from
-// the pins, and in another session from the tier — and builds nothing,
-// and the tier counts its lookups in neither Hits nor Misses. A range
-// drag on one child resolves an index over the new plane. Every ranking
-// equals a fresh FullSort engine's.
+// children's planes beside the two leaves and the planes of their
+// columns, of which the leaves' planes are views. A weight drag reads it
+// — from the pins, and in another session from the tier — and builds
+// nothing, and the tier counts its lookups in neither Hits nor Misses.
+// So do two range drags on one child: each computes the leaf alone, whose
+// view codes its rows as the column's plane does, and the one index
+// entry serves them. Every ranking equals a fresh FullSort engine's.
 func TestWeightDragReadsPairIndex(t *testing.T) {
 	cat := interiorCatalog(t, minPairRows+300)
 	e := New(cat, nil, Options{GridW: 16, GridH: 16})
@@ -47,7 +49,7 @@ func TestWeightDragReadsPairIndex(t *testing.T) {
 	}
 	a := NewRunCache()
 	a.AttachShared(sc)
-	first := run("cold", a, 3, 0, 2) // two leaves and the index
+	first := run("cold", a, 5, 0, 2) // two leaves, their columns' planes and the index
 	query.Predicates(q.Where)[0].SetWeight(3)
 	if key := run("weight drag", a, 0, 0, 0); key != first {
 		t.Fatalf("a weight drag resolved %q, not %q", key, first)
@@ -58,9 +60,11 @@ func TestWeightDragReadsPairIndex(t *testing.T) {
 	if key := run("another session's weight drag", b, 0, 2, 0); key != first {
 		t.Fatalf("a weight drag in another session resolved %q, not %q", key, first)
 	}
-	query.Predicates(q.Where)[1].(*query.Cond).Value = dataset.Float(30)
-	if key := run("range drag", a, 2, 0, 1); key == first || !resident(sc, first) {
-		t.Fatalf("a range drag resolved %q (the first index %q resident: %v)", key, first, resident(sc, first))
+	for _, v := range []float64{30, 20} {
+		query.Predicates(q.Where)[1].(*query.Cond).Value = dataset.Float(v)
+		if key := run("range drag", a, 1, 0, 1); key != first {
+			t.Fatalf("a range drag to c < %v resolved %q, not %q", v, key, first)
+		}
 	}
 }
 
@@ -119,7 +123,7 @@ func TestConcurrentSessionsShareOnePairIndex(t *testing.T) {
 			}
 		}
 	}
-	if st := sc.Stats(); st.Fills != 3 || st.Misses != 2 {
-		t.Fatalf("the sessions filled %d entries (%d leaf misses), want the two leaves and one index", st.Fills, st.Misses)
+	if st := sc.Stats(); st.Fills != 5 || st.Misses != 2 {
+		t.Fatalf("the sessions filled %d entries (%d leaf misses), want the two leaves, their columns' planes and one index", st.Fills, st.Misses)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/distance"
 	"repro/internal/join"
 	"repro/internal/query"
+	"repro/internal/relevance"
 )
 
 // itemSpace describes the totality of items a query ranges over: single
@@ -55,11 +56,12 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 // distances the 2D arrangement places items by; a non-nil known holds
 // the condition's distances already (its leaf's), which a string
 // condition then reuses instead of recomputing them (see stringCond).
-// Without signed, the entry is a leaf's, and comes with its code plane.
-// With it, the entry's raw vector is signed itself: every writer stores
-// an item's distance before its signed distance, so an axis fill writes
-// one vector.
-func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
+// Without signed, the entry is a leaf's, and comes with its code plane:
+// a single-table range leaf's the view of its column's, resolved through
+// cache (columnView). With it, the entry's raw vector is signed itself:
+// every writer stores an item's distance before its signed distance, so
+// an axis fill writes one vector.
+func (e *Engine) condData(cache *RunCache, c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
 		return leafEntry{}, 0, 0, err
@@ -69,7 +71,7 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace,
 		le.raw = make([]float64, space.n)
 	}
 	if attr.Kind.IsNumeric() {
-		segsSkipped, segs, err = e.numericCond(c, attr, t, space, &le, signed)
+		segsSkipped, segs, err = e.numericCond(cache, c, attr, t, space, &le, signed)
 	} else if err = e.stringCond(c, attr, t, space, known, le.raw, signed); err == nil && signed == nil {
 		le.codes = e.codes(le.raw)
 	}
@@ -83,7 +85,7 @@ func (e *Engine) condData(c *query.Cond, attr query.BoundAttr, space *itemSpace,
 // numeric/time/bool attributes using the distance-to-range semantics of
 // section 3, and reports the segments the pushdown skipped out of those
 // it considered.
-func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry, signed []float64) (segsSkipped, segs int, err error) {
+func (e *Engine) numericCond(cache *RunCache, c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry, signed []float64) (segsSkipped, segs int, err error) {
 	singleTable := space.pairs == nil
 	// Single-table spaces stream the column a segment at a time — a
 	// file-backed column never materializes an n-sized copy. Pair spaces
@@ -102,19 +104,9 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	if err != nil {
 		return 0, 0, err
 	}
-	// Strict operators exclude the boundary: a value sitting exactly on
-	// it is not a correct answer, but its distance to fulfillment is
-	// infinitesimal. Such items are recorded and later assigned a small
-	// positive distance relative to the predicate's scale, so they rank
-	// just behind the correct answers without being painted yellow.
 	strictLo := c.Op == query.OpGt
 	strictHi := c.Op == query.OpLt
-	edge := math.NaN() // equal to no value unless the operator is strict
-	if strictLo {
-		edge = lo
-	} else if strictHi {
-		edge = hi
-	}
+	edge := strictEdge(c, lo, hi)
 	kernel := !pointwise && c.Op != query.OpIn // OpNe, OpIn: other distances, a per-item loop
 	// Segment-stats pushdown (block pruning of the column read): every
 	// column carries per-segment min/max and null counts, so a segment
@@ -247,14 +239,94 @@ func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Tab
 	switch {
 	case signed != nil:
 	case kernel:
-		// The leaf's code plane, while its compute is paid for: range
-		// distances lie in [0, dmax] (a segment the pushdown skipped is
-		// coded from its zero fill, not decoded).
-		le.codes = e.codesOver(raw, 0, dmax)
+		if singleTable {
+			le.codes = e.columnView(cache, space, attr, lo, hi, edge)
+		}
+		if le.codes == nil {
+			// A pair space's leaf (or a column whose distances overflow)
+			// is coded while its compute is paid for: range distances lie
+			// in [0, dmax].
+			le.codes = e.codesOver(raw, 0, dmax)
+		}
 	default:
 		le.codes = e.codes(raw)
 	}
 	return segsSkipped, segs, nil
+}
+
+// strictEdge is the bound a strict operator excludes, NaN (equal to no
+// value) for every other: a value sitting exactly on it is not a correct
+// answer, but its distance to fulfillment is infinitesimal. Such items
+// are given a small positive distance relative to the predicate's scale,
+// so they rank just behind the correct answers without being painted
+// yellow.
+func strictEdge(c *query.Cond, lo, hi float64) float64 {
+	switch c.Op {
+	case query.OpGt:
+		return lo
+	case query.OpLt:
+		return hi
+	}
+	return math.NaN()
+}
+
+// viewOf reports whether c's leaf over space is a view of its column's
+// plane — a numeric condition whose distance is the distance to a range
+// ([lo, hi], strict bound edge), over a single table — and its target.
+func viewOf(c *query.Cond, attr query.BoundAttr, space *itemSpace) (lo, hi, edge float64, ok bool) {
+	if !attr.Kind.IsNumeric() || space.pairs != nil {
+		return 0, 0, 0, false
+	}
+	lo, hi, pointwise, err := numericRange(c)
+	if err != nil || pointwise || c.Op == query.OpIn {
+		return 0, 0, 0, false
+	}
+	return lo, hi, strictEdge(c, lo, hi), true
+}
+
+// columnView is the code plane of a range leaf over a column of the
+// item space's one table: the view of the column's plane for the target
+// [lo, hi] and the strict bound edge (relevance.Codes.View), nil where
+// the plane refuses one. The view holds the kernel's distances: its
+// eps is the kernel's, from the same largest finite distance.
+func (e *Engine) columnView(cache *RunCache, space *itemSpace, attr query.BoundAttr, lo, hi, edge float64) *relevance.Codes {
+	cp, err := e.columnPlane(cache, space, attr)
+	if err != nil {
+		return nil
+	}
+	view, _ := cp.View(lo, hi, edge)
+	return view
+}
+
+// columnPlane is the code plane of a numeric column of the item space's
+// one table, over the column's values, coded once per column and catalog
+// epoch: an entry of cache's tier (runKeys.column), under its budget,
+// that never leaves the process and counts in no hit ratio. No run pins
+// it: a Result reads a range leaf's view, which holds the plane's codes,
+// and the plane itself only makes views. Without a cache it is coded on
+// the spot. The column is read and its extremes found in one pass
+// across the engine's workers, then coded.
+func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.BoundAttr) (*relevance.Codes, error) {
+	t, err := space.tableByName(attr.Table)
+	if err != nil {
+		return nil, err
+	}
+	column, err := t.Column(attr.Attr)
+	if err != nil {
+		return nil, err
+	}
+	compute := func() (leafEntry, error) {
+		vals := make([]float64, space.n)
+		lo, hi := e.extremes(vals, column.ReadFloats)
+		return leafEntry{codes: e.codesOver(vals, lo, hi)}, nil
+	}
+	if cache == nil {
+		le, _ := compute()
+		return le.codes, nil
+	}
+	key := runKeys{space: e.spaceSig(space)}.column(attr.Qualified())
+	le, _, err := cache.Shared().fetch(key, space.n, nil, compute)
+	return le.codes, err
 }
 
 // rangeKernel is one worker's share of a range condition's distance

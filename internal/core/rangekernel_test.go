@@ -119,7 +119,7 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 			if withSigned {
 				gotSigned = make([]float64, len(vals))
 			}
-			le, segsSkipped, _, err := e.condData(c, attr, space, nil, gotSigned)
+			le, segsSkipped, _, err := e.condData(nil, c, attr, space, nil, gotSigned)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestRangeKernelMatchesToRange(t *testing.T) {
 		{Attr: "x", Op: query.OpNe, Value: dataset.Float(50)},
 		{Attr: "x", Op: query.OpIn, List: []dataset.Value{dataset.Float(10), dataset.Float(50)}},
 	} {
-		le, _, _, err := e.condData(c, x, space, nil, nil)
+		le, _, _, err := e.condData(nil, c, x, space, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func BenchmarkRangeDistances(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := e.condData(c, attr, space, nil, nil); err != nil {
+				if _, _, _, err := e.condData(nil, c, attr, space, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

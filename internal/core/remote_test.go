@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -378,6 +379,18 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	if first.Timings.CacheMisses != 0 || first.Timings.SharedHits != 3 {
 		t.Fatalf("node B cold run not fleet-warmed: %+v", first.Timings)
 	}
+	// Each range leaf arrived as its vector and took the view of its
+	// column's plane, as a leaf computed here does: its codes are the
+	// plane's, its own part is only its tables.
+	planes := runKeys{space: eB.spaceSig(first.Space)}
+	for _, leaf := range append(slices.Clone(first.root.Children[0].Children), first.root.Children[1]) {
+		scB.mu.Lock()
+		plane, ok := scB.entries.Get(planes.column("S." + leaf.Label[:1]))
+		scB.mu.Unlock()
+		if !ok || leaf.Codes.ID() != plane.codes.ID() || leaf.Codes.Bytes() >= int64(first.N) {
+			t.Fatalf("leaf %q arrived without the view of its column's plane", leaf.Label)
+		}
+	}
 	if st := scB.Stats(); st.RemoteHits != 3 {
 		t.Fatalf("node B counted %d remote hits: %+v", st.RemoteHits, st)
 	}
@@ -386,7 +399,9 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	// it built itself: the store was asked once per leaf by each node (A's three
 	// misses, B's three hits) and for nothing else — a range edit inside
 	// the AND part included, which looks up and stores a new part vector
-	// in B's tier and asks the fleet for the moved leaf alone.
+	// in B's tier and asks the fleet for the moved leaf alone. B's tier
+	// holds the planes of the three columns too, which its arrivals'
+	// views read: 3 leaves, 3 planes and a part, then a leaf and a part.
 	for run := 0; run < 2; run++ {
 		warm, err := runCached(eB, q2, cB)
 		if err != nil {
@@ -402,7 +417,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := scB.Stats(); edited.Timings.CacheMisses != 1 || st.InteriorMisses == 0 || st.Entries != 6 {
+	if st := scB.Stats(); edited.Timings.CacheMisses != 1 || st.InteriorMisses == 0 || st.Entries != 9 {
 		t.Fatalf("node B's range edit: %+v, tier %+v", edited.Timings, st)
 	}
 	for _, k := range backend.leafKeys(t) {

@@ -211,7 +211,7 @@ func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	leaf := r.nodeOf[c]
 	compute := func() (leafEntry, error) {
 		signed := make([]float64, r.N)
-		if _, _, _, err := r.Engine.condData(r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed); err != nil {
+		if _, _, _, err := r.Engine.condData(nil, r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed); err != nil {
 			return leafEntry{}, err
 		}
 		return axisEntry(signed), nil

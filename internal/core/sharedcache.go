@@ -262,14 +262,15 @@ func (sc *SharedCache) Bytes() int64 {
 // pass, less than fetching one costs, so its fill neither asks the
 // remote tier nor offers to it, and its lookups count as
 // InteriorHits/InteriorMisses instead of Hits/Misses. A PairIndex
-// (runKeys.pairs) stays local too, and its lookups count in neither.
+// (runKeys.pairs) and a column plane (runKeys.column) stay local too,
+// and their lookups count in neither.
 // compute runs without any cache lock held, so fills for different keys
 // proceed concurrently and a fill may recursively fetch other keys.
 func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
 	hits, misses, backend := &sc.hits, &sc.misses, sc.backend
 	if isLocal(key) {
-		var uncounted uint64 // a PairIndex's lookups count nowhere
+		var uncounted uint64 // a PairIndex's and a column plane's lookups count nowhere
 		hits, misses, backend = &uncounted, &uncounted, nil
 		if isInterior(key) {
 			hits, misses = &sc.intHits, &sc.intMisses

@@ -372,10 +372,10 @@ func TestSpiralAnd2DShareConditionLeaves(t *testing.T) {
 	spiral, twoD := subjects[0], subjects[1]
 	check(spiral, spiral.cache, 2, 0)
 	check(twoD, twoD.cache, 0, 2) // the spiral session's leaves
-	// Two leaves and the signed distances of the 2D engine's two axes. Its
-	// root is deferred and ranked like the spiral's, so no root vector is
-	// stored.
-	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 || st.Evictions != 0 {
+	// Two leaves, their columns' planes and the signed distances of the 2D
+	// engine's two axes. Its root is deferred and ranked like the
+	// spiral's, so no root vector is stored.
+	if st := sc.Stats(); st.Entries != 6 || st.Fills != 6 || st.Evictions != 0 {
 		t.Fatalf("two conditions under two arrangements: %+v", st)
 	}
 	for _, su := range subjects {
@@ -384,7 +384,7 @@ func TestSpiralAnd2DShareConditionLeaves(t *testing.T) {
 		second.AttachShared(sc)
 		check(su, second, 0, 2) // the tier's
 	}
-	if st := sc.Stats(); st.Entries != 4 || st.Fills != 4 {
+	if st := sc.Stats(); st.Entries != 6 || st.Fills != 6 {
 		t.Fatalf("reruns refilled: %+v", st)
 	}
 }
@@ -552,7 +552,8 @@ func TestAxisEntryBornWithItsSample(t *testing.T) {
 // must still pin exactly the query's vectors at every position — the two
 // leaves and the NOT's one-child part — leave the moved leaf and its part
 // behind per position, and find the position it started from again
-// without computing.
+// without computing. The tier holds the code planes of the two columns
+// besides, which no run pins.
 func TestNegatedConditionDragRevisits(t *testing.T) {
 	e := New(smallCatalog(t), nil, Options{GridW: 8, GridH: 8})
 	q, err := query.Parse(`SELECT x FROM T WHERE NOT (x > 6) AND y < 5`)
@@ -565,7 +566,7 @@ func TestNegatedConditionDragRevisits(t *testing.T) {
 	if _, err := runCached(e, q, cache); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Len() != 3 || sc.Len() != 3 {
+	if cache.Len() != 3 || sc.Len() != 5 {
 		t.Fatalf("baseline entries: pinned %d, tier %d", cache.Len(), sc.Len())
 	}
 	inner := q.Where.(*query.BoolExpr).Children[0].(*query.Not).Child.(*query.Cond)
@@ -575,7 +576,7 @@ func TestNegatedConditionDragRevisits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Timings.CacheMisses != 1 || cache.Len() != 3 || sc.Len() != 5+2*i {
+		if res.Timings.CacheMisses != 1 || cache.Len() != 3 || sc.Len() != 7+2*i {
 			t.Fatalf("drag %d: %d misses, pinned %d, tier %d", i, res.Timings.CacheMisses, cache.Len(), sc.Len())
 		}
 	}

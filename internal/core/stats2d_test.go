@@ -203,7 +203,7 @@ func TestStringAxisReusesItsLeafDistances(t *testing.T) {
 		}
 		c := res.Binding.CondOn(tc.axis, nil)
 		want := make([]float64, res.N)
-		if _, _, _, err := e.condData(res.evaluated[c], res.Binding.Attrs[c], res.Space, nil, want); err != nil {
+		if _, _, _, err := e.condData(nil, res.evaluated[c], res.Binding.Attrs[c], res.Space, nil, want); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := res.signedOf(tc.axis)

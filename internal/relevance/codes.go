@@ -2,8 +2,8 @@ package relevance
 
 import (
 	"bytes"
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -20,22 +20,26 @@ import (
 
 // Codes is the code plane of one vector: a byte per row naming the
 // row's class, and per class a raw interval [lo, hi] that holds every
-// row of it. The classes are -Inf, the finite minimum (a range leaf's
-// exact answers, often most of its rows), codeBuckets equal-width
-// buckets (orderstats.go's buckets) over the rest of the finite span,
-// +Inf and NaN; every class but a bucket is one value, its interval
-// exact. A plane is built where its vector is born — a leaf by its
-// compute, an interior vector by the pass that fills it, a vector
+// row of it. The classes are -Inf, the finite minimum, codeBuckets
+// equal-width buckets (orderstats.go's buckets) over the rest of the
+// finite span, +Inf and NaN; every class but a bucket is one value, its
+// interval exact. A plane is built where its vector is born — a leaf by
+// its compute, an interior vector by the pass that fills it, a vector
 // another process computed by the fill that admits it — and codes
 // exactly that vector. Per code it counts the rows, which answer the
-// vector's normalization ranges (Range).
+// vector's normalization ranges (Range). A range leaf's plane is a view
+// of its column's (View, view.go): the column's codes and counts, its
+// own intervals.
 type Codes struct {
-	id     uint64 // unique among the process's planes (ID)
+	id     uint64 // shared by the planes of one code bytes (ID)
 	codes  []uint8
 	enc    codeEncoder
 	lo, hi [256]float64
 	mu     sync.Mutex // guards counts while runs of chunks are coded
 	counts [256]int32
+	// view marks a range leaf's view of a column plane: lo and hi are
+	// distance intervals, and the code bytes are the column's.
+	view bool
 }
 
 // The codes of the reserved classes; the buckets run from codeBucket0.
@@ -49,11 +53,19 @@ const (
 )
 
 // Bytes is what the plane retains: a byte per row, the two tables and
-// the counts.
-func (cp *Codes) Bytes() int64 { return int64(len(cp.codes) + 2*8*256 + 4*256) }
+// the counts. A view retains its tables and counts; the code bytes are
+// its column's.
+func (cp *Codes) Bytes() int64 {
+	b := int64(2*8*256 + 4*256)
+	if !cp.view {
+		b += int64(len(cp.codes))
+	}
+	return b
+}
 
-// ID names the plane among every plane the process built: two planes of
-// equal ID are one plane, so a structure built from a plane (a
+// ID names the plane's code bytes among every plane the process built:
+// two planes of equal ID code every row alike — one plane, or views of
+// one column plane — so a structure built from the codes alone (a
 // PairIndex) can be keyed by it.
 func (cp *Codes) ID() uint64 { return cp.id }
 
@@ -114,10 +126,14 @@ func (cp *Codes) Encode(v []float64, c0, c1 int) {
 // skewed for equal-width buckets) answers by NormRange.
 // A nil plane, or one of another vector, answers by NormRange. scanned
 // reports a pass over v: the gather, or NormRange. A zero answer carries
-// the sign of v's first zero, as NormRange's does.
+// the sign of v's first zero, as NormRange's does. A view answers by its
+// intervals (viewRange).
 func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
-	if cp == nil || len(cp.codes) != len(v) {
+	switch {
+	case cp == nil || len(cp.codes) != len(v):
 		return NormRange(v, keep), true
+	case cp.view:
+		return cp.viewRange(v, keep)
 	}
 	nFinite := 0
 	for _, c := range cp.counts[codeMin:codePosInf] {
@@ -306,6 +322,13 @@ type rowFilter struct {
 	// when the root has no class bits and RankRoot's resolver gave one:
 	// the filter then visits groups, not rows (rootDefer.filterPairs).
 	pairs *PairIndex
+	// bot is, for a root of two children without class bits, the code
+	// the second child's lower (bot[0]) and upper (bot[1]) terms fall to
+	// and rise from (unimodal), and end[b] the first code past b whose
+	// upper term is not b's, bit for bit: the groups of a first code and
+	// the second codes [b, end[b]) have one upper bound.
+	bot [2]int
+	end [257]int
 }
 
 const (
@@ -323,7 +346,7 @@ func (rd *rootDefer) newRowFilter(pairs func(a, b *Codes) *PairIndex) *rowFilter
 	cps := make([]*Codes, m)
 	for j, raw := range cb.raw {
 		cps[j] = codesOf(rd.node.Children[j], raw)
-		f.nan = f.nan || bytes.IndexByte(cps[j].codes, codeNaN) >= 0
+		f.nan = f.nan || cps[j].counts[codeNaN] > 0
 	}
 	hasFlags := f.or && f.nan
 	if hasFlags {
@@ -335,24 +358,36 @@ func (rd *rootDefer) newRowFilter(pairs func(a, b *Codes) *PairIndex) *rowFilter
 		for c := range cp.lo {
 			slo, shi := p.Apply(cp.lo[c]), p.Apply(cp.hi[c])
 			f.lo[j][c], f.hi[j][c] = cb.term(slo, w, -1), cb.term(shi, w, 1)
-			if f.lo[j][c] == f.hi[j][c] {
-				f.ex[j][c] = exTerm
-			}
 			switch {
 			case !hasFlags:
 				if f.or && w > 0 && shi == 0 {
-					f.ex[j][c] |= exZero
+					f.ex[j][c] = exZero
 				}
 			case slo != slo:
-				f.lo[j][c], f.hi[j][c], f.flags[j][c], f.ex[j][c] = 1, 1, flagNaN, 0
+				f.lo[j][c], f.hi[j][c], f.flags[j][c] = 1, 1, flagNaN
 			case w > 0 && shi == 0:
-				f.flags[j][c], f.ex[j][c] = flagMayZero|flagMustZero, exTerm|exZero
+				f.flags[j][c], f.ex[j][c] = flagMayZero|flagMustZero, exZero
 			case w > 0 && slo == 0:
 				f.flags[j][c] = flagMayZero
 			}
 		}
 	}
-	if m == 2 && !hasFlags && pairs != nil && rd.n <= math.MaxInt32 && f.monotone() &&
+	if m == 2 && !hasFlags && f.terms() {
+		// The second child's terms widened to fall and then rise over its
+		// codes, where they do not (a view's eps bump): every group of a
+		// first code then has its bounds under a value in one run.
+		valley(&f.lo[1], false)
+		valley(&f.hi[1], true)
+		f.shape()
+	}
+	for j := range cps {
+		for c := range 256 {
+			if f.lo[j][c] == f.hi[j][c] && (f.flags == nil || f.flags[j][c] != flagNaN) {
+				f.ex[j][c] |= exTerm
+			}
+		}
+	}
+	if m == 2 && !hasFlags && pairs != nil && rd.n <= math.MaxInt32 && f.unimodal() &&
 		cps[0] == rd.node.Children[0].Codes && cps[1] == rd.node.Children[1].Codes {
 		f.pairs = pairs(cps[0], cps[1])
 	}
@@ -524,10 +559,13 @@ func (f *rowFilter) anyLower(n int, lo, hi float64, buf []float64) bool {
 		return false
 	}
 	if x := f.pairs; x != nil {
-		// Of a first code, the groups of a bound in (lo, hi] are a run.
+		// Of a first code, the groups of a bound at most hi are a run, and
+		// those at most lo a run inside it: the ones between, two runs.
 		for a := range codeNaN {
 			g := a << 8
-			if x.off[g+f.below(f.lo, a, lo, true)] < x.off[g+f.below(f.lo, a, hi, true)] {
+			h0, h1 := f.run(false, a, func(u float64) bool { return u <= hi })
+			l0, l1 := f.run(false, a, func(u float64) bool { return u <= lo })
+			if x.off[g+h0] < x.off[g+l0] || x.off[g+l1] < x.off[g+h1] {
 				return true
 			}
 		}
@@ -763,21 +801,15 @@ func (x *PairIndex) Bytes() int64 { return 4 * int64(len(x.rows)+len(x.off)) }
 // group returns the rows of joint code g, ascending.
 func (x *PairIndex) group(g int) []int32 { return x.rows[x.off[g]:x.off[g+1]] }
 
-// monotone reports whether every child's terms over the codes below the
-// NaN code are finite and non-decreasing — codes are ordered like their
-// values, and every term rounds monotonically — and, for a product, not
-// negative. Then for a first code below the NaN code, the bounds of the
-// groups over the second codes below it do not decrease either, and
-// those of a bound at most (or under) a value are a prefix: one run of
-// the PairIndex's rows. A NaN code's groups have NaN bounds (a sum's NaN
-// term) or no rows (an OR without class bits has no NaN row); they are
-// visited one by one.
-func (f *rowFilter) monotone() bool {
+// terms reports whether every child's terms over the codes below the
+// NaN code are finite and, for a product, not negative: then a fold of a
+// first code's term with the second child's does not decrease with the
+// latter.
+func (f *rowFilter) terms() bool {
 	for _, tabs := range [][][256]float64{f.lo, f.hi} {
 		for j := range tabs {
-			t := &tabs[j]
-			for c := range codeNaN {
-				if math.Float64bits(t[c])&expMask == expMask || c > 0 && t[c] < t[c-1] || f.or && t[c] < 0 {
+			for _, t := range tabs[j][:codeNaN] {
+				if math.Float64bits(t)&expMask == expMask || f.or && t < 0 {
 					return false
 				}
 			}
@@ -786,55 +818,156 @@ func (f *rowFilter) monotone() bool {
 	return true
 }
 
-// below counts the second codes, below the NaN code, whose group with
-// first code a (below it too) has a bound in tabs under v, or at most v
-// when le: by bisection, as they are a prefix (monotone).
-func (f *rowFilter) below(tabs [][256]float64, a int, v float64, le bool) int {
+// unimodal reports whether a root of two children is filtered over the
+// groups of a PairIndex: its terms fold monotonically (terms) and the
+// second child's fall and then rise over the codes below the NaN code —
+// a distance plane's do not fall, as its codes are ordered like its
+// values, and a view's fall over the values below its target and rise
+// over those above it. Then for a first code below the NaN code the
+// groups over the second codes below it whose bound is under (or at
+// most) a value are one run of the PairIndex's rows (run). A NaN code's
+// groups have NaN bounds (a sum's NaN term) or no rows (an OR without
+// class bits has no NaN row); they are visited one by one.
+func (f *rowFilter) unimodal() bool {
+	if len(f.codes) != 2 || !f.terms() {
+		return false
+	}
+	for k, t := range []*[256]float64{&f.lo[1], &f.hi[1]} {
+		b := f.bot[k]
+		for c := 1; c < codeNaN; c++ {
+			if c <= b && t[c] > t[c-1] || c > b && t[c] < t[c-1] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// shape sets bot and end from the second child's terms.
+func (f *rowFilter) shape() {
+	f.bot = [2]int{bottom(&f.lo[1]), bottom(&f.hi[1])}
+	f.end[256] = 256
+	for b := 255; b >= 0; b-- {
+		f.end[b] = b + 1
+		if b < 255 && math.Float64bits(f.hi[1][b]) == math.Float64bits(f.hi[1][b+1]) {
+			f.end[b] = f.end[b+1]
+		}
+	}
+}
+
+// valley widens the terms t over the codes below the NaN code into the
+// nearest ones that fall and then rise: upper terms (up) are raised to
+// the greatest term between them and the least, lower terms lowered to
+// the greater of the least term at or before them and at or after them.
+// Widened terms still bound every row; terms that fall and rise already
+// stay as they are.
+func valley(t *[256]float64, up bool) {
+	b := bottom(t)
+	if up {
+		for c := b - 1; c >= 0; c-- {
+			t[c] = max(t[c], t[c+1])
+		}
+		for c := b + 1; c < codeNaN; c++ {
+			t[c] = max(t[c], t[c-1])
+		}
+		return
+	}
+	var suffix [codeNaN]float64
+	suffix[codeNaN-1] = t[codeNaN-1]
+	for c := codeNaN - 2; c >= 0; c-- {
+		suffix[c] = min(t[c], suffix[c+1])
+	}
+	prefix := t[0]
+	for c := range codeNaN {
+		prefix = min(prefix, t[c])
+		t[c] = max(prefix, suffix[c])
+	}
+}
+
+// bottom is the first code below the NaN code whose term is the least.
+func bottom(t *[256]float64) int {
+	b := 0
+	for c := 1; c < codeNaN; c++ {
+		if t[c] < t[b] {
+			b = c
+		}
+	}
+	return b
+}
+
+// run returns the second codes [b0, b1), below the NaN code, whose group
+// with first code a (below it too) has a bound in f.hi (up) or f.lo that
+// in accepts, where in holds for every value at most one it holds for: as
+// the bounds fall to the bottom code and rise from it (unimodal), they
+// are one run, bisected on either side. An empty run starts at the
+// bottom code, which any run that is not empty holds.
+func (f *rowFilter) run(up bool, a int, in func(float64) bool) (b0, b1 int) {
+	tabs, bot := f.lo, f.bot[0]
+	if up {
+		tabs, bot = f.hi, f.bot[1]
+	}
 	t0, t1 := tabs[0][a], &tabs[1]
-	return sort.Search(codeNaN, func(b int) bool { u := f.fold(t0, t1[b]); return u > v || !le && u == v })
+	ok := func(b int) bool { return in(f.fold(t0, t1[b])) }
+	if !ok(bot) {
+		return bot, bot
+	}
+	b0 = sort.Search(bot, ok)
+	b1 = bot + 1 + sort.Search(codeNaN-bot-1, func(i int) bool { return !ok(bot + 1 + i) })
+	return b0, b1
 }
 
 // countPairs counts the upper bound of every group of f.pairs into h,
-// weighted by its rows: pass one over the groups. A group of no rows
-// counts 0; alternate groups count in h's two arrays.
+// weighted by its rows: pass one over the groups, a run of groups of one
+// bound at a time (f.end: a view's codes wholly inside its target, or
+// wholly past a clamp, share their terms). A group of no rows counts 0;
+// alternate runs count in h's two arrays.
 func (f *rowFilter) countPairs(h *cutHist) {
-	x, t1 := f.pairs, &f.hi[1]
-	c0, c1 := &h.counts[0], &h.counts[1]
+	x, t1, end := f.pairs, &f.hi[1], &f.end
 	for a := range 256 {
 		o := x.off[a<<8 : a<<8+257]
 		if o[0] == o[256] {
 			continue
 		}
 		t0 := f.hi[0][a]
+		k := 0
 		if f.or {
-			for b := 0; b < 256; b += 2 {
-				c0[h.slot(t0*t1[b])] += o[b+1] - o[b]
-				c1[h.slot(t0*t1[b+1])] += o[b+2] - o[b+1]
+			for b := 0; b < 256; b, k = end[b], k+1 {
+				h.counts[k&1][h.slot(t0*t1[b])] += o[end[b]] - o[b]
 			}
 		} else {
-			for b := 0; b < 256; b += 2 {
-				c0[h.slot(t0+t1[b])] += o[b+1] - o[b]
-				c1[h.slot(t0+t1[b+1])] += o[b+2] - o[b+1]
+			for b := 0; b < 256; b, k = end[b], k+1 {
+				h.counts[k&1][h.slot(t0+t1[b])] += o[end[b]] - o[b]
 			}
 		}
 	}
 }
 
+// groupRun is a run of groups of f.pairs, joint codes [g0, g1) of one
+// first code, whose upper bounds are u, bit for bit: their rows are
+// x.rows[x.off[g0]:x.off[g1]], each group's ascending.
+type groupRun struct {
+	g0, g1 int
+	u      float64
+}
+
 // slotGroups returns the groups of f.pairs with rows whose upper bound h
-// counts in slot s: of a first code below the NaN code, a run of second
-// codes (the slot of a bound does not decrease with it), and a NaN
-// code's groups one by one.
-func (f *rowFilter) slotGroups(h *cutHist, s uint) []int {
+// counts in slot s, as runs of groups of one bound: of a first code below
+// the NaN code, the groups of up to two runs of second codes (the slot of
+// a bound does not decrease with it, and the bounds fall and then rise),
+// split where the second child's term changes, and a NaN code's groups
+// one by one. A clamp class spread over the codes of two views
+// (thousands of groups) is a few hundred runs.
+func (f *rowFilter) slotGroups(h *cutHist, s uint) []groupRun {
 	x := f.pairs
-	var gs []int
-	add := func(g int) {
-		if x.off[g] < x.off[g+1] {
-			gs = append(gs, g)
+	var runs []groupRun
+	add := func(a, b0, b1 int) { // split where the second term changes
+		for b0 < b1 {
+			e := min(f.end[b0], b1)
+			if g := a << 8; x.off[g+b0] < x.off[g+e] {
+				runs = append(runs, groupRun{g + b0, g + e, f.pair(f.hi, a, b0)})
+			}
+			b0 = e
 		}
-	}
-	at := func(a int, s uint) int { // the second codes of a slot before s
-		t0, t1 := f.hi[0][a], &f.hi[1]
-		return sort.Search(codeNaN, func(b int) bool { return h.slot(f.fold(t0, t1[b])) >= s })
 	}
 	for a := range 256 {
 		g := a << 8
@@ -844,19 +977,22 @@ func (f *rowFilter) slotGroups(h *cutHist, s uint) []int {
 		if a == codeNaN {
 			for b := range 256 {
 				if h.slot(f.pair(f.hi, a, b)) == s {
-					add(g + b)
+					add(a, b, b+1)
 				}
 			}
 			continue
 		}
-		for b, end := at(a, s), at(a, s+1); b < end; b++ {
-			add(g + b)
-		}
+		// The slots of a first code's bounds fall and then rise: the
+		// groups at most s, less those under s, are two runs.
+		w0, w1 := f.run(true, a, func(u float64) bool { return h.slot(u) <= s })
+		v0, v1 := f.run(true, a, func(u float64) bool { return h.slot(u) < s })
+		add(a, w0, v0)
+		add(a, v1, w1)
 		if h.slot(f.pair(f.hi, a, codeNaN)) == s {
-			add(g + codeNaN)
+			add(a, codeNaN, codeNaN+1)
 		}
 	}
-	return gs
+	return runs
 }
 
 // fold is the fold of two terms.
@@ -869,55 +1005,54 @@ func (f *rowFilter) fold(t0, t1 float64) float64 {
 
 // cutPairs is cut over the groups of f.pairs: the lexicographic need-th
 // smallest (upper bound, index) pair of the rows of slot, the crossing
-// slot's groups, which it reorders. The groups are ordered by bound, NaN
-// last, and the need-th row falls into a run of groups of equal bound
-// (+Inf, MaxInt when NaN); its index is found by bisecting the rows of
-// that run's groups, each in row order. The bound is the one cut
-// returns: when the slot holds one value, the value of its first row,
-// else the selection's, which only a zero of either sign leaves to
-// decide — then the slot's rows are brought into row order and
-// selected as cut selects them.
-func (f *rowFilter) cutPairs(slot []int, need int) (T float64, iT int) {
-	x, n := f.pairs, len(f.codes[0])
-	u := func(g int) float64 { return f.pair(f.hi, g>>8, g&255) }
-	slices.SortFunc(slot, func(g, h int) int {
-		a, b := u(g), u(h)
-		return cmp.Or(cmp.Compare(b2i(a != a), b2i(b != b)), cmp.Compare(a, b))
-	})
-	from, to, before := 0, 0, 0 // the run of groups the need-th row falls into
-	for ; ; from = to {
-		rows := 0
-		for to = from; to < len(slot) && u(slot[to]) == u(slot[from]); to++ {
-			rows += len(x.group(slot[to]))
+// slot's runs of groups, in O(runs + rows at the cut). The bound T is the
+// need-th smallest of the runs' bounds, each weighted by its rows
+// (weightedKth); NaN equals nothing and ranks last (+Inf, MaxInt when the
+// need-th row is NaN). It is the one cut returns: when the slot holds one
+// value, the value of its first row, else the selection's, which only a
+// zero of either sign leaves to decide — then the slot's rows are
+// brought into row order and selected as cut selects them. iT is the
+// need-th row, less the rows under T, of the groups at T (nthRow, which
+// borrows set).
+func (f *rowFilter) cutPairs(slot []groupRun, need int, set []uint64) (T float64, iT int) {
+	x := f.pairs
+	rows := func(r groupRun) []int32 { return x.rows[x.off[r.g0]:x.off[r.g1]] }
+	ws := make([]weighted, 0, len(slot))
+	for _, r := range slot {
+		if r.u == r.u {
+			ws = append(ws, weighted{r.u, len(rows(r))})
 		}
-		if to == from { // a NaN group: NaN equals nothing
-			return math.Inf(1), math.MaxInt
-		}
-		if before+rows >= need {
-			break
-		}
-		before += rows
 	}
-	run := slot[from:to]
-	T = u(run[0])
-	signs := 0 // the signs of the run's bounds: 1 plus, 2 minus
-	for _, g := range run {
-		signs |= 1 << b2i(math.Signbit(u(g)))
+	if n := weightOf(ws); n < need {
+		return math.Inf(1), math.MaxInt
+	}
+	T, before := weightedKth(ws, need)
+	var at groupSet
+	signs, runs, rowsAt := 0, 0, 0 // the signs of the bounds at T (1 plus, 2 minus), their runs and rows
+	for _, r := range slot {
+		if r.u == T {
+			signs |= 1 << b2i(math.Signbit(r.u))
+			runs++
+			rowsAt += len(rows(r))
+			at.add(r.g0, r.g1)
+		}
 	}
 	switch {
-	case len(run) == len(slot): // one value: cut returns its first row's
-		first := slot[0]
-		for _, g := range slot {
-			if x.group(g)[0] < x.group(first)[0] {
-				first = g
+	case signs != 3:
+	case runs == len(slot): // one value: cut returns its first row's
+		first := int32(math.MaxInt32)
+		for _, r := range slot {
+			for g := r.g0; g < r.g1; g++ {
+				if rs := x.group(g); len(rs) > 0 && rs[0] < first {
+					first, T = rs[0], r.u
+				}
 			}
 		}
-		T = u(first)
-	case T == 0 && signs == 3:
+	default:
 		// A zero of either sign: the selection decides, as cut selects.
 		var idx []int
-		for _, g := range slot {
-			for _, i := range x.group(g) {
+		for _, r := range slot {
+			for _, i := range rows(r) {
 				idx = append(idx, int(i))
 			}
 		}
@@ -928,48 +1063,122 @@ func (f *rowFilter) cutPairs(slot []int, need int) (T float64, iT int) {
 		}
 		return pickCut(vals, idx, need)
 	}
-	// The (need-before)-th least row of the run: the least r with that
-	// many of its rows at or below r, bisected. Per group, the count at r
-	// lies in a window of its rows that every step narrows; a group whose
-	// window closes counts its rows below it, fixed.
-	ws := make([][]int32, len(run)) // per group, the rows the count has yet to place
-	for j, g := range run {
-		ws[j] = x.group(g)
-	}
-	at := make([]int, len(run))
-	lo, hi, base := 0, n-1, 0 // base: the rows below every open window
-	for lo < hi {
-		r, c := int(uint(lo+hi)>>1), base
-		for j, w := range ws {
-			at[j] = upTo(w, r)
-			c += at[j]
-		}
-		open := ws[:0]
-		for j, w := range ws {
-			if c >= need-before {
-				w = w[:at[j]]
-			} else {
-				base += at[j]
-				w = w[at[j]:]
-			}
-			if len(w) > 0 {
-				open = append(open, w)
-			}
-		}
-		ws = open
-		if c >= need-before {
-			hi = r
-		} else {
-			lo = r + 1
-		}
-	}
-	return T, lo
+	return T, f.nthRow(&at, rowsAt, need-before, set)
 }
 
-// upTo counts the rows of an ascending group at or below r.
-func upTo(rows []int32, r int) int {
-	i, _ := slices.BinarySearch(rows, int32(min(r, math.MaxInt32-1)+1))
-	return i
+// weightOf is the weight of ws.
+func weightOf(ws []weighted) int {
+	n := 0
+	for _, w := range ws {
+		n += w.w
+	}
+	return n
+}
+
+// groupSet is a set of the joint codes of a PairIndex, a bit per group.
+type groupSet [pairGroups / 64]uint64
+
+// add adds the groups [g0, g1).
+func (s *groupSet) add(g0, g1 int) {
+	for g0 < g1 {
+		w, lo := g0>>6, g0&63
+		hi := min(64, lo+g1-g0)
+		s[w] |= (^uint64(0) >> (64 - (hi - lo))) << lo
+		g0 += hi - lo
+	}
+}
+
+// has is 1 when the set holds the group of row i of the codes c0, c1,
+// else 0.
+func (s *groupSet) has(c0, c1 []uint8, i int) uint64 {
+	g := int(c0[i])<<8 | int(c1[i])
+	return s[g>>6] >> (g & 63) & 1
+}
+
+// nthRow returns the m-th smallest row of the rows groups of f.pairs
+// that at holds. Where the m-th lies early among them (n·m < rows²: it
+// is expected before row n·m/rows), the codes are read in row order and
+// the rows of at's groups counted, 64 rows at a time, branch-free; else
+// the groups' rows are set in set, an n-bit row set that is empty on
+// entry and on return, and its bits counted.
+func (f *rowFilter) nthRow(at *groupSet, rows, m int, set []uint64) int {
+	x, c0, c1 := f.pairs, f.codes[0], f.codes[1]
+	n := len(c0)
+	if n*m < rows*rows {
+		for lo := 0; lo < n; lo += 64 {
+			hi, c := min(lo+64, n), 0
+			for i := lo; i < hi; i++ {
+				c += int(at.has(c0, c1, i))
+			}
+			if c < m {
+				m -= c
+				continue
+			}
+			for i := lo; ; i++ {
+				if m -= int(at.has(c0, c1, i)); m == 0 {
+					return i
+				}
+			}
+		}
+		return math.MaxInt // unreachable: the groups hold m rows
+	}
+	for w, word := range at {
+		for ; word != 0; word &= word - 1 {
+			x.setRows(set, x.group(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	iT := math.MaxInt
+	for w, word := range set {
+		if c := bits.OnesCount64(word); iT == math.MaxInt && c >= m {
+			for ; m > 1; m-- {
+				word &= word - 1
+			}
+			iT = w<<6 | bits.TrailingZeros64(word)
+		} else {
+			m -= c
+		}
+		set[w] = 0
+	}
+	return iT
+}
+
+// weighted is a value that counts weight times.
+type weighted struct {
+	v float64
+	w int
+}
+
+// weightedKth returns the least value of ws (none NaN) with at least k of
+// the weight at or below it, and the weight under it: a quickselect over
+// the values that keeps the weights beside them. It reorders ws.
+func weightedKth(ws []weighted, k int) (v float64, under int) {
+	for {
+		p := ws[len(ws)/2].v
+		// Three ways: [0, lt) under p, [lt, gt) equal, [gt, len) above.
+		lt, gt, wl, we := 0, len(ws), 0, 0
+		for i := 0; i < gt; {
+			switch w := ws[i]; {
+			case w.v < p:
+				ws[lt], ws[i] = w, ws[lt]
+				lt, i, wl = lt+1, i+1, wl+w.w
+			case w.v > p:
+				gt--
+				ws[i], ws[gt] = ws[gt], w
+			default:
+				i, we = i+1, we+w.w
+			}
+		}
+		switch {
+		case k <= wl:
+			ws = ws[:lt]
+		case k <= wl+we:
+			return p, under + wl
+		default:
+			k -= wl + we
+			under += wl + we
+			ws = ws[gt:]
+		}
+	}
 }
 
 // setRows adds rows to the row set set.
@@ -983,21 +1192,23 @@ func (x *PairIndex) setRows(set []uint64, rows []int32) {
 // bound lies lexicographically at or below the cut (T, iT) — of a group
 // at T, its rows up to iT — and returns the rows of the groups proven
 // NaN: pass two over the groups. Of a first code below the NaN code,
-// the groups under T are a prefix, one run of rows, and those at T
-// follow it.
+// the groups under T are one run of rows, and those at T lie on either
+// side of it.
 func (f *rowFilter) keepGroups(set []uint64, T float64, iT int) (nNaN int) {
 	x := f.pairs
+	var at groupSet // the groups whose lower bound is T
+	rowsAt, groupsAt := 0, 0
 	group := func(g int) {
 		rows := x.group(g)
 		switch l := f.pair(f.lo, g>>8, g&255); {
 		case l < T:
+			x.setRows(set, rows)
 		case l == T:
-			rows = rows[:upTo(rows, iT)]
+			at.add(g, g+1)
+			rowsAt, groupsAt = rowsAt+len(rows), groupsAt+1
 		default:
 			nNaN += len(rows) * b2i(l != l)
-			return
 		}
-		x.setRows(set, rows)
 	}
 	for a := range 256 {
 		g := a << 8
@@ -1010,12 +1221,40 @@ func (f *rowFilter) keepGroups(set []uint64, T float64, iT int) (nNaN int) {
 			}
 			continue
 		}
-		lt := f.below(f.lo, a, T, false)
-		x.setRows(set, x.rows[x.off[g]:x.off[g+lt]])
-		for b, le := lt, f.below(f.lo, a, T, true); b < le; b++ {
-			group(g + b)
+		l0, l1 := f.run(false, a, func(u float64) bool { return u < T })
+		x.setRows(set, x.rows[x.off[g+l0]:x.off[g+l1]])
+		e0, e1 := f.run(false, a, func(u float64) bool { return u <= T })
+		for _, r := range [2][2]int{{e0, l0}, {l1, e1}} { // at T
+			at.add(g+r[0], g+r[1])
+			rowsAt, groupsAt = rowsAt+int(x.off[g+r[1]]-x.off[g+r[0]]), groupsAt+r[1]-r[0]
 		}
 		group(g + codeNaN)
+	}
+	// The rows at T up to iT: read from each group's ascending rows (≈ 10
+	// ns a group, and 2 a row under iT, whose share of the rows is iT's),
+	// or, where that costs more (a clamp class spread over the codes of two
+	// views is thousands of groups), from the codes of rows 0..iT (≈ 1 ns
+	// a row).
+	c0, c1 := f.codes[0], f.codes[1]
+	if to := min(iT, len(c0)-1); 10*groupsAt+2*rowsAt*(to+1)/len(c0) > to+1 {
+		for lo := 0; lo <= to; lo += 64 {
+			var word uint64
+			for i := lo; i <= min(lo+63, to); i++ {
+				word |= at.has(c0, c1, i) << (i & 63)
+			}
+			set[lo>>6] |= word
+		}
+		return nNaN
+	}
+	for w, word := range at {
+		for ; word != 0; word &= word - 1 {
+			for _, i := range x.group(w<<6 | bits.TrailingZeros64(word)) {
+				if int(i) > iT {
+					break
+				}
+				set[i>>6] |= 1 << (i & 63)
+			}
+		}
 	}
 	return nNaN
 }

@@ -271,6 +271,49 @@ func rowFilterChild(rng *rand.Rand, n int) []float64 {
 	return rangeDistances(rng, n)
 }
 
+// viewLeaf is a range leaf of weight w over a column of n rows drawn at
+// random, its code plane the view of the column's: an interior range, a
+// wide one whose zeros spread over most of the column's codes (two of
+// them put a clamp class of thousands of groups under a root's cut), and
+// an open one whose bound is strict, over uniform, ascending and integer
+// columns (whose values sit on the bounds) with NaN and ±Inf sprinkled
+// in. A column the plane refuses a view gives a leaf without a plane.
+func viewLeaf(rng *rand.Rand, n int, w float64) *Node {
+	var gen func(i int) float64
+	switch rng.Intn(3) {
+	case 0:
+		gen = func(int) float64 { return rng.Float64() * 100 }
+	case 1:
+		gen = func(i int) float64 { return float64(i)/float64(n)*100 + rng.Float64() }
+	default:
+		gen = func(int) float64 { return float64(rng.Intn(101)) }
+	}
+	col := make([]float64, n)
+	for i := range col {
+		col[i] = gen(i)
+		if rng.Intn(50) == 0 {
+			col[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+	}
+	lo, hi, edge := float64(20+rng.Intn(40)), 0.0, math.NaN()
+	switch rng.Intn(4) {
+	case 0: // interior
+		hi = lo + float64(3+rng.Intn(20))
+	case 1: // wide
+		lo, hi = float64(rng.Intn(8)), float64(80+rng.Intn(20))
+	case 2: // a > lo, strict
+		hi, edge = math.Inf(1), lo
+	default: // a < hi, strict
+		lo, hi = math.Inf(-1), lo
+		edge = hi
+	}
+	leaf := &Node{Op: Leaf, Weight: w, Dists: rangeLeaf(col, lo, hi, edge)}
+	if view, ok := BuildCodes(col).View(lo, hi, edge); ok {
+		leaf.Codes = view
+	}
+	return leaf
+}
+
 // rowFilterKernels are the combiners the filter's terms follow.
 var rowFilterKernels = []struct {
 	name string
@@ -328,7 +371,7 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.codes) == 2 && f.flags == nil && f.monotone() {
+	if len(f.codes) == 2 && f.flags == nil && f.unimodal() {
 		// The same filter over the groups of the children's joint codes.
 		g := *f
 		g.pairs = groupPairs(f.codes[0], f.codes[1])
@@ -463,7 +506,10 @@ func TestRowFilterKeepsTopK(t *testing.T) {
 		}
 		for j := 0; !not && j < 1+rng.Intn(3); j++ {
 			child := &Node{Op: Leaf, Weight: weights[rng.Intn(len(weights))], Dists: rowFilterChild(rng, n)}
-			if rng.Intn(5) == 0 {
+			switch rng.Intn(5) {
+			case 0:
+				child = viewLeaf(rng, n, child.Weight)
+			case 1:
 				child = &Node{Op: NodeOr, Weight: child.Weight, Children: []*Node{
 					{Op: Leaf, Dists: rowFilterChild(rng, n)}, {Op: Leaf, Dists: rowFilterChild(rng, n)}}}
 			}
@@ -484,17 +530,42 @@ func TestRowFilterKeepsTopK(t *testing.T) {
 	if grouped < 200 {
 		t.Fatalf("the filter over the groups ran in %d checks", grouped)
 	}
+	// Two range leaves over columns, each a view of its column's plane:
+	// the root's filter over the groups of the views' codes, whose terms
+	// fall and rise, its crossing slot thousands of groups where both
+	// ranges are wide.
+	grouped = 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(3*evalChunk)
+		kn := rowFilterKernels[trial%len(rowFilterKernels)]
+		root := &Node{Op: kn.op, Weight: 1, Children: []*Node{
+			viewLeaf(rng, n, weights[1+rng.Intn(len(weights)-1)]), viewLeaf(rng, n, weights[1+rng.Intn(len(weights)-1)])}}
+		opts := kn.opts
+		opts.Budget = 1 + rng.Intn(n)
+		for _, k := range []int{1, 1 + rng.Intn(n), n} {
+			if checkRowFilter(t, fmt.Sprintf("views %d %s n %d", trial, kn.name, n), root, n, k, opts) {
+				grouped++
+			}
+		}
+	}
+	if grouped < 120 {
+		t.Fatalf("the filter over the groups of two views ran in %d checks", grouped)
+	}
 }
 
 // FuzzRowFilter gives the fuzzer two children's values, their weights,
-// the kernel, the budget and k: the first byte picks the kernel, the
-// next two the weights, the next two the budget and k, and the rest,
-// eight bytes a row, the rows of the two children in turn.
+// the kernel, the budget and k: the first byte picks the kernel and
+// which children are range leaves over their values as a column, each
+// with the view of the column's plane (none, the first, the second or
+// both; the range is from the column's first to its last value, the
+// strict edge none, lo or hi as the weight's byte says), the next two
+// the weights, the next two the budget and k, and the rest, eight bytes
+// a row, the rows of the two children in turn.
 func FuzzRowFilter(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
-	for seed := 0; seed < 12; seed++ {
+	for seed := 0; seed < 20; seed++ {
 		n := 1 + rng.Intn(30)
-		b := []byte{byte(seed), byte(rng.Intn(6)), byte(rng.Intn(6)), byte(rng.Intn(n)), byte(rng.Intn(n))}
+		b := []byte{byte(seed), byte(rng.Intn(18)), byte(rng.Intn(18)), byte(rng.Intn(n)), byte(rng.Intn(n))}
 		a, c := rowFilterChild(rng, n), rowFilterChild(rng, n)
 		for i := 0; i < n; i++ {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a[i]))
@@ -518,6 +589,17 @@ func FuzzRowFilter(f *testing.F) {
 		n := len(a)
 		root := &Node{Op: kn.op, Weight: 1, Children: []*Node{
 			{Op: Leaf, Weight: w0, Dists: a}, {Op: Leaf, Weight: w1, Dists: c}}}
+		views := int(data[0]) / len(rowFilterKernels)
+		for j, leaf := range root.Children {
+			if views>>j&1 == 0 {
+				continue
+			}
+			col := leaf.Dists
+			lo, hi := col[0], col[n-1]
+			edge := []float64{math.NaN(), lo, hi}[int(data[1+j])/len(weights)%3]
+			leaf.Dists = rangeLeaf(col, lo, hi, edge)
+			leaf.Codes, _ = BuildCodes(col).View(lo, hi, edge)
+		}
 		opts := kn.opts
 		opts.Budget = 1 + budget%n
 		checkRowFilter(t, kn.name, root, n, 1+k%n, opts)
@@ -528,7 +610,8 @@ func FuzzRowFilter(f *testing.F) {
 // rows bit for bit for every K — a zero's sign included, which only the
 // selection over the crossing slot's rows decides when the slot holds
 // zeros of both signs and other values — over terms of hand-set tables
-// that mix +0, -0, ties and values a slot apart.
+// that mix +0, -0, ties and values a slot apart, the second child's
+// non-decreasing or, as a view's, falling to the zeros and then rising.
 func TestCutPairsZeroSigns(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	negZero := math.Copysign(0, -1)
@@ -539,10 +622,12 @@ func TestCutPairsZeroSigns(t *testing.T) {
 		for j := range f.hi {
 			// Non-decreasing terms: zeros of either sign, then ties and
 			// small steps, so that a cut slot holds several values.
-			x := 0.0
+			x, falls := 0.0, j == 1 && trial%4 >= 2
 			for c := range f.hi[j] {
 				switch {
-				case c < 3:
+				case falls && c < 2:
+					f.hi[j][c] = float64(2-c) * 1e-4
+				case c < 3 || falls && c < 4:
 					f.hi[j][c] = []float64{0, negZero}[rng.Intn(2)]
 				default:
 					x += float64(rng.Intn(2)) * 1e-4
@@ -551,11 +636,12 @@ func TestCutPairsZeroSigns(t *testing.T) {
 			}
 			f.lo[j] = f.hi[j]
 		}
+		f.shape()
 		for i := range n {
 			f.codes[0][i], f.codes[1][i] = uint8(rng.Intn(6)), uint8(rng.Intn(6))
 		}
-		if !f.monotone() {
-			t.Fatal("the tables are not monotone")
+		if !f.unimodal() {
+			t.Fatal("the tables do not fall and rise")
 		}
 		var buf [filterBlock]float64
 		rows := newCutHist(f.span())
@@ -572,7 +658,7 @@ func TestCutPairsZeroSigns(t *testing.T) {
 			T, iT := f.cut(rows, n, K, buf[:])
 			gT, giT := math.Inf(1), math.MaxInt
 			if s, need, ok := groups.find(K); ok {
-				gT, giT = g.cutPairs(g.slotGroups(groups, s), need)
+				gT, giT = g.cutPairs(g.slotGroups(groups, s), need, make([]uint64, (n+63)/64))
 			}
 			if math.Float64bits(gT) != math.Float64bits(T) || giT != iT {
 				t.Fatalf("trial %d K %d: the groups cut at (%v, %d), the rows at (%v, %d)", trial, K, gT, giT, T, iT)

@@ -291,13 +291,13 @@ func (rd *rootDefer) filterPairs(f *rowFilter, K int) (*filtered, error) {
 	f.countPairs(h)
 	fr := newFiltered(n, K)
 	fr.T, fr.iT = math.Inf(1), math.MaxInt
+	set := make([]uint64, (n+63)/64)
 	if s, need, ok := h.find(K); ok {
-		fr.T, fr.iT = f.cutPairs(f.slotGroups(h, s), need)
+		fr.T, fr.iT = f.cutPairs(f.slotGroups(h, s), need, set)
 	}
 	if err := rd.poll(); err != nil {
 		return nil, err
 	}
-	set := make([]uint64, (n+63)/64)
 	fr.nNaN = f.keepGroups(set, fr.T, fr.iT)
 	var l [filterBlock]float64
 	var kept []int

@@ -25,13 +25,15 @@ func eagerRanking(t *testing.T, tree *Node, n, k int, opts EvalOptions) (*Result
 	return res, sorted, order
 }
 
-// attachLeafStats gives every leaf of the tree its code plane — what
-// the engine's leaf entries carry, and what ranges the leaf.
+// attachLeafStats gives every leaf of the tree but a view its code plane
+// — what the engine's leaf entries carry, and what ranges the leaf.
 func attachLeafStats(root *Node) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Op == Leaf {
-			n.Codes = BuildCodes(n.Dists)
+			if n.Codes == nil || !n.Codes.view {
+				n.Codes = BuildCodes(n.Dists)
+			}
 			return
 		}
 		for _, c := range n.Children {

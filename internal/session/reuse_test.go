@@ -98,8 +98,8 @@ func TestSecondSessionHitsRangeTheFirstLeft(t *testing.T) {
 		{"second: drag to the range the first left", dragA(30), 2, 0, 1},
 		{"second: undo", (*Session).Undo, 2, 0, 1},
 	})
-	if st := shared.Stats(); st.Evictions != 0 || st.Entries != 4 {
-		t.Fatalf("tier after three ranges of a and one of b: %+v", st)
+	if st := shared.Stats(); st.Evictions != 0 || st.Entries != 6 {
+		t.Fatalf("tier after three ranges of a and one of b, and the planes of a and b: %+v", st)
 	}
 }
 
@@ -207,8 +207,8 @@ func TestDragStormStaysInsideTheBudget(t *testing.T) {
 				}
 			}
 		}
-		if st := tier.Stats(); st.Fills != positions+2 || st.Evictions == 0 {
-			t.Fatalf("%s: the storm filled %d leaves and evicted %d", name, st.Fills, st.Evictions)
+		if st := tier.Stats(); st.Fills != positions+4 || st.Evictions == 0 {
+			t.Fatalf("%s: the storm filled %d entries (its leaves and the planes of a and b) and evicted %d", name, st.Fills, st.Evictions)
 		}
 	}
 	if st := plain.cache.Shared().Stats(); st.Entries != 64 {

@@ -42,6 +42,7 @@ type StreamSelector struct {
 	boundV  float64
 	boundI  int
 	bounded bool
+	nan     int // the NaN values offered
 }
 
 // NewStreamSelector returns a selector of the k lex-smallest pairs.
@@ -86,6 +87,7 @@ func (s *StreamSelector) offer(vals []float64, idx []int, base int) {
 			s.cands = slices.Grow(s.cands, size-n)
 		}
 		buf := s.cands[:n+m]
+		nan := 0
 		if s.bounded {
 			bv, bi := s.boundV, s.boundI
 			for off, v := range batch {
@@ -95,6 +97,7 @@ func (s *StreamSelector) offer(vals []float64, idx []int, base int) {
 				}
 				buf[n] = Cand{V: v, I: i}
 				n += b2i(v < bv) | b2i(v == bv)&b2i(i < bi)
+				nan += b2i(v != v)
 			}
 		} else {
 			for off, v := range batch {
@@ -105,8 +108,9 @@ func (s *StreamSelector) offer(vals []float64, idx []int, base int) {
 				buf[n] = Cand{V: v, I: i}
 				n += b2i(v == v)
 			}
+			nan += len(batch) - (n - len(s.cands))
 		}
-		s.cands = buf[:n]
+		s.cands, s.nan = buf[:n], s.nan+nan
 		if n >= s.trigger() {
 			s.compact()
 		}

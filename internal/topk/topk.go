@@ -29,10 +29,25 @@ import (
 // ascending order, ties by index, NaNs last by index. It is the
 // StreamSelector over the whole vector; dists is not modified.
 func SelectKWithIndex(dists []float64, k int) (vals []float64, idx []int) {
+	vals, idx, _ = SelectKInto(dists, k, nil, nil)
+	return vals, idx
+}
+
+// SelectKInto is SelectKWithIndex into the buffers vals and idx, which
+// back the returned slices when they hold min(k, len(dists)) entries
+// (fresh ones back them otherwise), and it counts the NaN values of
+// dists, which the selection reads anyway.
+func SelectKInto(dists []float64, k int, vals []float64, idx []int) (sorted []float64, order []int, nNaN int) {
 	k = min(max(k, 0), len(dists))
-	vals, idx = make([]float64, 0, k), make([]int, 0, k)
+	if cap(vals) < k || cap(idx) < k {
+		vals, idx = make([]float64, 0, k), make([]int, 0, k)
+	}
+	vals, idx = vals[:0], idx[:0]
 	if k == 0 {
-		return vals, idx
+		for _, v := range dists {
+			nNaN += b2i(v != v)
+		}
+		return vals, idx, nNaN
 	}
 	sel := NewStreamSelector(k)
 	sel.OfferSlice(dists, 0)
@@ -48,7 +63,7 @@ func SelectKWithIndex(dists []float64, k int) (vals []float64, idx []int) {
 			vals, idx = append(vals, dists[i]), append(idx, i)
 		}
 	}
-	return vals, idx
+	return vals, idx, sel.nan
 }
 
 // Threshold returns the k-th smallest value of xs (1-based) under the

@@ -3,6 +3,7 @@ package topk_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/reduce"
@@ -55,11 +56,28 @@ func TestSelectKWithIndexMatchesSort(t *testing.T) {
 		dists := randomDists(rng, n)
 		orig := append([]float64(nil), dists...)
 		sorted, sortIdx := reduce.SortWithIndex(dists)
+		nans := 0
+		for _, v := range dists {
+			if math.IsNaN(v) {
+				nans++
+			}
+		}
 		for _, k := range []int{0, 1, n - 1, n, n + 5, rng.Intn(n + 2)} {
 			vals, idx := topk.SelectKWithIndex(dists, k)
 			want := min(max(k, 0), n)
 			if len(vals) != want || len(idx) != want {
 				t.Fatalf("trial %d (n=%d k=%d): lengths %d/%d, want %d", trial, n, k, len(vals), len(idx), want)
+			}
+			// Into buffers of the right length, dirty, it ranks the same
+			// into them and counts the NaNs.
+			bv, bi := make([]float64, want), make([]int, want)
+			for i := range bv {
+				bv[i], bi[i] = -1, -1
+			}
+			iv, ii, nNaN := topk.SelectKInto(dists, k, bv, bi)
+			if nNaN != nans || len(iv) != want || want > 0 && (&iv[0] != &bv[0] || &ii[0] != &bi[0]) ||
+				!slices.EqualFunc(iv, vals, sameBits) || !slices.Equal(ii, idx) {
+				t.Fatalf("trial %d (n=%d k=%d): SelectKInto ranks apart from SelectKWithIndex, or counts %d NaNs of %d", trial, n, k, nNaN, nans)
 			}
 			for i := range idx {
 				if idx[i] != sortIdx[i] || !sameBits(vals[i], sorted[i]) {
