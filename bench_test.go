@@ -451,11 +451,14 @@ func runDragsOn(b *testing.B, cat *dataset.Catalog, opt core.Options, sql string
 }
 
 // BenchmarkCodePlane is the code pass alone, on one core: the code plane
-// of a fresh range leaf — the distances of BETWEEN 40 AND 60 over
-// Traffic's uniform c (which class a row falls into is a coin flip: an
-// exact answer a fifth of the time, else a bucket at random) and over
-// its ascending t (the predictor learns every branch), 200k rows. The
-// kernel branches on neither, so it reads the same on both.
+// of the distances of BETWEEN 40 AND 60 over Traffic's uniform c (which
+// class a row falls into is a coin flip: an exact answer a fifth of the
+// time, else a bucket at random) and over its ascending t (the predictor
+// learns every branch), 200k rows — what a leaf of a pair space or an
+// interior pass codes — and, as column, the plane of c's values, which a
+// single-table range leaf views: coded once per column and catalog
+// epoch, where a range step takes a view of it (a pass over its 256
+// codes). The kernel branches on neither, so it reads the same on all.
 func BenchmarkCodePlane(b *testing.B) {
 	cat, err := datagen.Traffic(200_000, 1994)
 	if err != nil {
@@ -465,7 +468,10 @@ func BenchmarkCodePlane(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, col := range []struct{ name, attr string }{{"uniform", "c"}, {"ascending", "t"}} {
+	for _, col := range []struct {
+		name, attr string
+		values     bool
+	}{{"uniform", "c", false}, {"ascending", "t", false}, {"column", "c", true}} {
 		b.Run(col.name, func(b *testing.B) {
 			column, err := tbl.Column(col.attr)
 			if err != nil {
@@ -473,8 +479,10 @@ func BenchmarkCodePlane(b *testing.B) {
 			}
 			dists := make([]float64, column.Len())
 			column.ReadFloats(dists, 0)
-			for i, v := range dists {
-				dists[i] = max(40-v, v-60, 0)
+			if !col.values {
+				for i, v := range dists {
+					dists[i] = max(40-v, v-60, 0)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -101,16 +101,17 @@ type viewBlock struct {
 // into one), so the range starts at +0 and a zero answer is +0. A code
 // whose interval is [+Inf, +Inf] (a -Inf or +Inf value outside the
 // target) holds no finite distance, and no other code reaches +Inf, as
-// View refuses a column whose subtractions overflow. The keep-th
-// smallest finite distance x is then bracketed:
-// at least keep rows lie in codes whose interval starts at or below x,
-// and at most keep−1 in codes whose interval ends below x, so the codes
-// sorted by each edge give tLo ≤ x ≤ tHi. Where the two meet, x is known
-// from the counts. Else x is selected among the rows of the codes whose
-// intervals reach into [tLo, tHi]: an exact code (one value, like the
-// zeros of the codes wholly inside the target) by its count, the others
-// gathered from v — unless they hold an eighth of the rows or more, when
-// NormRange's scan answers. scanned reports a pass over v.
+// View refuses a column whose subtractions overflow. A keep within the
+// codes wholly inside the target is answered by 0. Else the keep-th
+// smallest finite distance x is bracketed: at least keep rows lie in
+// codes whose interval starts at or below x, and at most keep−1 in codes
+// whose interval ends below x, so the codes weighted by their rows at
+// each edge give tLo ≤ x ≤ tHi (weightedKth). Where the two meet, x is
+// known from the counts. Else x is selected among the rows of the codes
+// whose intervals reach into [tLo, tHi]: an exact code (one value, like
+// the zeros of the codes wholly inside the target) by its count, the
+// others gathered from v — unless they hold an eighth of the rows or
+// more, when NormRange's scan answers. scanned reports a pass over v.
 func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 	var blocks [codeNaN]viewBlock
 	bs, nFinite, zeros := blocks[:0], 0, 0
@@ -127,23 +128,17 @@ func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 	if p.NoFinite || p.Kept <= zeros { // the keep-th is one of the codes wholly inside
 		return p, false
 	}
-	edge := func(hi bool) float64 {
-		slices.SortFunc(bs, func(a, b viewBlock) int {
-			if hi {
-				return cmp.Compare(a.hi, b.hi)
-			}
-			return cmp.Compare(a.lo, b.lo)
-		})
-		at := 0
+	var buf [codeNaN]weighted
+	edge := func(hi bool) float64 { // the least edge with Kept rows in codes at or under it
+		ws := buf[:0]
 		for _, b := range bs {
-			if at += b.count; at >= p.Kept {
-				if hi {
-					return b.hi
-				}
-				return b.lo
+			ws = append(ws, weighted{b.lo, b.count})
+			if hi {
+				ws[len(ws)-1].v = b.hi
 			}
 		}
-		panic("relevance: a view's counts hold fewer finite rows than they count")
+		v, _ := weightedKth(ws, p.Kept)
+		return v
 	}
 	tHi := edge(true)
 	tLo := edge(false)
