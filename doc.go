@@ -86,11 +86,14 @@
 //     single-slider drag recomputes at most one leaf, and none when it
 //     returns to a range the loop has been at (an undo, a bookmark).
 //     A leaf's code plane answers its normalization range for any
-//     weight: the minimum's class (a range leaf's exact answers) at
-//     once, else one pass over the plane's bytes gathers the crossing
-//     bucket's rows, or NormRange scans the vector when that bucket holds
-//     an eighth of them or more (TestCodeRangeMatchesNormRange,
-//     FuzzCodeRange).
+//     weight: the minimum's class at once, else one pass over the
+//     plane's bytes gathers the crossing bucket's rows, or NormRange
+//     scans the vector when that bucket holds an eighth of them or more
+//     (TestCodeRangeMatchesNormRange, FuzzCodeRange). A range leaf's view
+//     (below) answers from its codes' distance intervals: the codes wholly
+//     inside its target are its exact zeros, and only the codes whose
+//     intervals straddle the keep-th distance are gathered
+//     (TestColumnView, FuzzColumnView).
 //   - relevance.Evaluate is a chunk-fused evaluator: normalization
 //     ranges come from code counts and selections, then one chunked
 //     pass per tree level scales children (leaf chunks in L1-resident
@@ -100,11 +103,16 @@
 //     items). The pooling contract: a session Result is valid until
 //     the next recalculation.
 //   - A fresh range leaf is one branch-free pass (distances selected by
-//     bit masks) that codes its exact +0 entries as its plane's minimum
-//     class: a range keeping no more items is [+0, +0] from the counts
-//     alone; the slider's extremes are the column's (Column.MinMax).
+//     bit masks) and no code pass: a numeric column of a single table is
+//     coded once, over its values, per column and catalog epoch (a "V|"
+//     entry of the shared tier, never sent to kv), and a range leaf's
+//     plane is a view of it — the column's codes, counts and ID, with
+//     per-code distance intervals derived from each code's value
+//     interval by the kernel's subtraction (relevance.Codes.View); a kv
+//     arrival takes the same view. The slider's extremes are the
+//     column's (Column.MinMax).
 //     (TestRangeKernelMatchesToRange, FuzzRangeKernel, BenchmarkRangeDistances,
-//     TestCodeRangeMatchesNormRange, TestColumnExtremesMatchScan)
+//     TestColumnView, TestColumnExtremesMatchScan)
 //
 // # Rank before scale: monotonic-transform-aware top-k by filter and refine
 //
@@ -124,7 +132,8 @@
 // (TestUndeferrableRootsFinishEagerly). A leaf root — one predicate —
 // has nothing to combine and is finished eagerly too. The engine selects
 // the display budget on an eager root's scaled vector
-// (topk.SelectKWithIndex, TestEagerRootsSelectLikeFullSort); only
+// (topk.SelectKInto, which counts its NaNs, into the run cache's pooled
+// buffers; TestEagerRootsSelectLikeFullSort); only
 // Options.FullSort sorts. Every child of a combine — leaf
 // or interior node, computed or served — is scaled into scratch and
 // materialized only by Result.Vec, so reading a window before the
@@ -132,14 +141,16 @@
 // (TestWindowBeforeRankingKeepsPruning).
 //
 //   - Code planes. Every vector the shared tier ranks by is coded where
-//     it is born — a leaf by its compute (the pushdown's skipped segments
-//     without a read), an interior vector by the pass that fills it, a
-//     kv arrival as the tier admits it: a byte per row (relevance.Codes)
-//     naming the row's class — -Inf, the vector's minimum (a range
-//     leaf's exact answers), one of 252 equal-width buckets, +Inf, NaN —
-//     and per class a raw interval holding its rows, exact for every
-//     class but a bucket. The plane counts in the entry's bytes and
-//     never crosses kv.
+//     it is born — a leaf by its compute, an interior vector by the pass
+//     that fills it, a kv arrival as the tier admits it: a byte per row
+//     (relevance.Codes) naming the row's class — -Inf, the vector's
+//     minimum, one of 252 equal-width buckets, +Inf, NaN — and per class
+//     a raw interval holding its rows, exact for every class but a
+//     bucket. A single-table range leaf's plane is a view of its
+//     column's: the column's classes, with distance intervals that fall
+//     over the codes below the target, are 0 inside it and rise above it.
+//     The plane counts in the entry's bytes (a view its tables alone)
+//     and never crosses kv.
 //   - Filter. Each child's intervals, mapped through its params and
 //     weight onto the terms its kernel folds, bound every row's raw root
 //     value in two passes over bytes (the VA-file's filter step, Weber,
@@ -151,20 +162,25 @@
 //     (TestRowFilterKeepsTopK, FuzzRowFilter). An OR row whose codes
 //     leave it NaN or zero is kept too: the NaN count needs it decided.
 //   - Groups. A weight drag, a percent step or an undo to another weight
-//     moves a root's term tables and K, never its children's planes. So a
-//     root of two children without an OR's class bits, over at least
-//     65 536 rows, filters by a PairIndex of its children's planes: their
-//     rows in a stable counting sort by joint code c₀·256 + c₁, built by
-//     the first filter that asks and kept in the shared tier like a leaf
-//     (a "G|" key, never sent to kv). Every row of a group has its
-//     group's bounds, and a child's terms do not decrease over its codes,
-//     so pass one counts the 65 536 groups' bounds weighted by their rows,
-//     the cut bisects the rows of the crossing groups alone, and pass two
-//     keeps, per first code, one run of the index's rows (the groups
-//     below the cut) plus the groups at it up to iT — the same survivors,
-//     cut and NaN count as the passes over the rows, bit for bit
-//     (TestRowFilterKeepsTopK, FuzzRowFilter), in O(groups + survivors)
-//     instead of O(n) (TestWeightDragReadsPairIndex).
+//     moves a root's term tables and K, never its children's planes, and
+//     a range drag moves a view's tables, never its codes. So a root of
+//     two children without an OR's class bits, over at least 65 536 rows,
+//     filters by a PairIndex of its children's codes: their rows in a
+//     stable counting sort by joint code c₀·256 + c₁, built by the first
+//     filter that asks and kept in the shared tier like a leaf (a "G|"
+//     key by the planes' IDs, never sent to kv), so two range leaves
+//     build one index however they are dragged. Every row of a group has
+//     its group's bounds, and the second child's terms fall and then rise
+//     over its codes (a view's; widened into that shape where they do
+//     not), so pass one counts the groups' bounds weighted by their rows,
+//     a run of groups of one bound at a time, the cut selects among the
+//     crossing slot's runs and finds iT by reading the codes in row order
+//     (a clamp class spread over two views' codes is thousands of
+//     groups), and pass two keeps, per first code, one run of the index's
+//     rows (the groups below the cut) plus the groups at it up to iT —
+//     the same survivors, cut and NaN count as the passes over the rows,
+//     bit for bit (TestRowFilterKeepsTopK, FuzzRowFilter), in
+//     O(groups + survivors) instead of O(n) (TestWeightDragReadsPairIndex).
 //   - Refine. A kept row whose bounds meet is exact already (a class
 //     exact in every child, or an OR child's proven zero); only the
 //     others run the combine kernel, into a lexicographic (value, index)
@@ -521,8 +537,9 @@
 // written back. Leaf vectors and a 2D axis's signed distances are all
 // that travels, in core's versioned envelope (core/remote.go; version 5:
 // the version byte, then the vector), under the leaf keys "C|", "J|",
-// "B|", "S|" and the axis keys "A|"; code planes, axes' sorted samples,
-// interior vectors and PairIndexes are rebuilt where they are used, and a slider's
+// "B|", "S|" and the axis keys "A|"; code planes (a range leaf's view of
+// its column's plane), axes' sorted samples, column planes, interior
+// vectors and PairIndexes are rebuilt where they are used, and a slider's
 // numbers are read from the condition and its column. A value is
 // adopted only if it decodes in full, under the current envelope
 // version, to a vector exactly as long as the item space

@@ -1003,18 +1003,28 @@ func (f *rowFilter) fold(t0, t1 float64) float64 {
 	return t0 + t1
 }
 
+// pairCut is the cut (T, iT) over the groups of f.pairs. Until iT is
+// found (-1) it is the m-th smallest of the rows of at, the runs of
+// groups whose upper bound is T, which hold rows rows.
+type pairCut struct {
+	T       float64
+	iT      int
+	at      []groupRun
+	rows, m int
+}
+
 // cutPairs is cut over the groups of f.pairs: the lexicographic need-th
 // smallest (upper bound, index) pair of the rows of slot, the crossing
-// slot's runs of groups, in O(runs + rows at the cut). The bound T is the
-// need-th smallest of the runs' bounds, each weighted by its rows
-// (weightedKth); NaN equals nothing and ranks last (+Inf, MaxInt when the
-// need-th row is NaN). It is the one cut returns: when the slot holds one
-// value, the value of its first row, else the selection's, which only a
-// zero of either sign leaves to decide — then the slot's rows are
-// brought into row order and selected as cut selects them. iT is the
-// need-th row, less the rows under T, of the groups at T (nthRow, which
-// borrows set).
-func (f *rowFilter) cutPairs(slot []groupRun, need int, set []uint64) (T float64, iT int) {
+// slot's runs of groups, in O(runs). The bound T is the need-th smallest
+// of the runs' bounds, each weighted by its rows (weightedKth); NaN
+// equals nothing and ranks last (+Inf, MaxInt when the need-th row is
+// NaN). It is the one cut returns: when the slot holds one value, the
+// value of its first row, else the selection's, which only a zero of
+// either sign leaves to decide — then the slot's rows are brought into
+// row order and selected as cut selects them. Else iT is left to find:
+// the need-th row, less the rows under T, of the groups at T (pass two
+// finds it, keepGroups).
+func (f *rowFilter) cutPairs(slot []groupRun, need int) *pairCut {
 	x := f.pairs
 	rows := func(r groupRun) []int32 { return x.rows[x.off[r.g0]:x.off[r.g1]] }
 	ws := make([]weighted, 0, len(slot))
@@ -1023,18 +1033,18 @@ func (f *rowFilter) cutPairs(slot []groupRun, need int, set []uint64) (T float64
 			ws = append(ws, weighted{r.u, len(rows(r))})
 		}
 	}
-	if n := weightOf(ws); n < need {
-		return math.Inf(1), math.MaxInt
+	if weightOf(ws) < need {
+		return &pairCut{T: math.Inf(1), iT: math.MaxInt}
 	}
 	T, before := weightedKth(ws, need)
-	var at groupSet
-	signs, runs, rowsAt := 0, 0, 0 // the signs of the bounds at T (1 plus, 2 minus), their runs and rows
+	c := &pairCut{T: T, iT: -1, m: need - before}
+	signs, runs := 0, 0 // the signs of the bounds at T (1 plus, 2 minus), and their runs
 	for _, r := range slot {
 		if r.u == T {
 			signs |= 1 << b2i(math.Signbit(r.u))
 			runs++
-			rowsAt += len(rows(r))
-			at.add(r.g0, r.g1)
+			c.rows += len(rows(r))
+			c.at = append(c.at, r)
 		}
 	}
 	switch {
@@ -1044,7 +1054,7 @@ func (f *rowFilter) cutPairs(slot []groupRun, need int, set []uint64) (T float64
 		for _, r := range slot {
 			for g := r.g0; g < r.g1; g++ {
 				if rs := x.group(g); len(rs) > 0 && rs[0] < first {
-					first, T = rs[0], r.u
+					first, c.T = rs[0], r.u
 				}
 			}
 		}
@@ -1061,9 +1071,9 @@ func (f *rowFilter) cutPairs(slot []groupRun, need int, set []uint64) (T float64
 		for j, i := range idx {
 			vals[j] = f.pair(f.hi, int(f.codes[0][i]), int(f.codes[1][i]))
 		}
-		return pickCut(vals, idx, need)
+		c.T, c.iT = pickCut(vals, idx, need)
 	}
-	return T, f.nthRow(&at, rowsAt, need-before, set)
+	return c
 }
 
 // weightOf is the weight of ws.
@@ -1095,51 +1105,97 @@ func (s *groupSet) has(c0, c1 []uint8, i int) uint64 {
 	return s[g>>6] >> (g & 63) & 1
 }
 
-// nthRow returns the m-th smallest row of the rows groups of f.pairs
-// that at holds. Where the m-th lies early among them (n·m < rows²: it
-// is expected before row n·m/rows), the codes are read in row order and
-// the rows of at's groups counted, 64 rows at a time, branch-free; else
-// the groups' rows are set in set, an n-bit row set that is empty on
-// entry and on return, and its bits counted.
-func (f *rowFilter) nthRow(at *groupSet, rows, m int, set []uint64) int {
-	x, c0, c1 := f.pairs, f.codes[0], f.codes[1]
-	n := len(c0)
-	if n*m < rows*rows {
-		for lo := 0; lo < n; lo += 64 {
-			hi, c := min(lo+64, n), 0
-			for i := lo; i < hi; i++ {
-				c += int(at.has(c0, c1, i))
+// nthRow returns the m-th smallest of the rows of the runs of groups
+// of f.pairs at. A few groups (under a 300th of their rows) are bisected
+// over the row index: per group, the count at a row lies in a window of
+// its ascending rows that every step narrows, and a group whose window
+// closes counts its rows below it, fixed. Else their rows are set in an
+// n-bit row set, whose bits are counted, and which it returns (else
+// nil).
+func (f *rowFilter) nthRow(at []groupRun, m int) (int, []uint64) {
+	x := f.pairs
+	var ws [][]int32 // per group, the rows the count has yet to place
+	rows := 0
+	for _, r := range at {
+		for g := r.g0; g < r.g1 && 300*len(ws) < len(f.codes[0]); g++ {
+			ws = append(ws, x.group(g))
+		}
+		rows += int(x.off[r.g1] - x.off[r.g0])
+	}
+	if 300*len(ws) < rows {
+		counts := make([]int, len(ws))
+		lo, hi, base := 0, len(f.codes[0])-1, 0 // base: the rows below every open window
+		for lo < hi {
+			r, c := int(uint(lo+hi)>>1), base
+			for j, w := range ws {
+				counts[j], _ = slices.BinarySearch(w, int32(r)+1)
+				c += counts[j]
 			}
-			if c < m {
-				m -= c
-				continue
-			}
-			for i := lo; ; i++ {
-				if m -= int(at.has(c0, c1, i)); m == 0 {
-					return i
+			open := ws[:0]
+			for j, w := range ws {
+				if c >= m {
+					w = w[:counts[j]]
+				} else {
+					base += counts[j]
+					w = w[counts[j]:]
+				}
+				if len(w) > 0 {
+					open = append(open, w)
 				}
 			}
-		}
-		return math.MaxInt // unreachable: the groups hold m rows
-	}
-	for w, word := range at {
-		for ; word != 0; word &= word - 1 {
-			x.setRows(set, x.group(w<<6|bits.TrailingZeros64(word)))
-		}
-	}
-	iT := math.MaxInt
-	for w, word := range set {
-		if c := bits.OnesCount64(word); iT == math.MaxInt && c >= m {
-			for ; m > 1; m-- {
-				word &= word - 1
+			ws = open
+			if c >= m {
+				hi = r
+			} else {
+				lo = r + 1
 			}
-			iT = w<<6 | bits.TrailingZeros64(word)
-		} else {
-			m -= c
 		}
-		set[w] = 0
+		return lo, nil
 	}
-	return iT
+	set := make([]uint64, (len(f.codes[0])+63)/64)
+	for _, r := range at {
+		x.setRows(set, x.rows[x.off[r.g0]:x.off[r.g1]])
+	}
+	for w, word := range set {
+		if c := bits.OnesCount64(word); c < m {
+			m -= c
+			continue
+		}
+		for ; m > 1; m-- {
+			word &= word - 1
+		}
+		return w<<6 | bits.TrailingZeros64(word), set
+	}
+	return math.MaxInt, set // unreachable: the groups hold m rows
+}
+
+// scanCut reads the codes of the rows in row order, 64 at a time, and
+// adds to set the rows of the groups at holds, up to the m-th row of the
+// groups cut holds, which it returns.
+func (f *rowFilter) scanCut(cut, at *groupSet, m int, set []uint64) int {
+	c0, c1 := f.codes[0], f.codes[1]
+	for lo := 0; lo < len(c0); lo += 64 {
+		r0 := c0[lo:min(lo+64, len(c0))]
+		r1 := c1[lo : lo+len(r0)]
+		var u, l uint64
+		for k, x := range r0 {
+			g := uint(x)<<8 | uint(r1[k])
+			u |= cut[g>>6] >> (g & 63) & 1 << k
+			l |= at[g>>6] >> (g & 63) & 1 << k
+		}
+		if c := bits.OnesCount64(u); c < m {
+			m -= c
+			set[lo>>6] |= l
+			continue
+		}
+		for ; m > 1; m-- {
+			u &= u - 1
+		}
+		b := bits.TrailingZeros64(u)
+		set[lo>>6] |= l & (^uint64(0) >> (63 - b))
+		return lo + b
+	}
+	return math.MaxInt // unreachable: the groups hold m rows
 }
 
 // weighted is a value that counts weight times.
@@ -1189,23 +1245,28 @@ func (x *PairIndex) setRows(set []uint64, rows []int32) {
 }
 
 // keepGroups adds to set the rows of the groups of f.pairs whose lower
-// bound lies lexicographically at or below the cut (T, iT) — of a group
-// at T, its rows up to iT — and returns the rows of the groups proven
+// bound lies lexicographically at or below the cut c — of a group at
+// c.T, its rows up to c.iT — and returns the rows of the groups proven
 // NaN: pass two over the groups. Of a first code below the NaN code,
 // the groups under T are one run of rows, and those at T lie on either
-// side of it.
-func (f *rowFilter) keepGroups(set []uint64, T float64, iT int) (nNaN int) {
-	x := f.pairs
-	var at groupSet // the groups whose lower bound is T
-	rowsAt, groupsAt := 0, 0
+// side of it. A cut whose iT is yet to find is found here (c.iT set):
+// where the m-th of its rows is expected early (≈ n·m/rows, were they
+// spread over the row order) against the ≈ 1 ns a row of setting them
+// all, by one read of the codes in row order that counts the cut's rows
+// and sets the rows at T as it goes (scanCut), else by nthRow, whose
+// row set then holds the cut's rows up to iT (a group whose upper bound
+// is T has its lower bound at T or under it): only the other groups at
+// T are read, each up to iT.
+func (f *rowFilter) keepGroups(set []uint64, c *pairCut) (nNaN int) {
+	x, T := f.pairs, c.T
+	var at []groupRun // the runs of groups whose lower bound is T
 	group := func(g int) {
 		rows := x.group(g)
 		switch l := f.pair(f.lo, g>>8, g&255); {
 		case l < T:
 			x.setRows(set, rows)
 		case l == T:
-			at.add(g, g+1)
-			rowsAt, groupsAt = rowsAt+len(rows), groupsAt+1
+			at = append(at, groupRun{g, g + 1, T})
 		default:
 			nNaN += len(rows) * b2i(l != l)
 		}
@@ -1225,36 +1286,47 @@ func (f *rowFilter) keepGroups(set []uint64, T float64, iT int) (nNaN int) {
 		x.setRows(set, x.rows[x.off[g+l0]:x.off[g+l1]])
 		e0, e1 := f.run(false, a, func(u float64) bool { return u <= T })
 		for _, r := range [2][2]int{{e0, l0}, {l1, e1}} { // at T
-			at.add(g+r[0], g+r[1])
-			rowsAt, groupsAt = rowsAt+int(x.off[g+r[1]]-x.off[g+r[0]]), groupsAt+r[1]-r[0]
+			if x.off[g+r[0]] < x.off[g+r[1]] {
+				at = append(at, groupRun{g + r[0], g + r[1], T})
+			}
 		}
 		group(g + codeNaN)
 	}
-	// The rows at T up to iT: read from each group's ascending rows (≈ 10
-	// ns a group, and 2 a row under iT, whose share of the rows is iT's),
-	// or, where that costs more (a clamp class spread over the codes of two
-	// views is thousands of groups), from the codes of rows 0..iT (≈ 1 ns
-	// a row).
-	c0, c1 := f.codes[0], f.codes[1]
-	if to := min(iT, len(c0)-1); 10*groupsAt+2*rowsAt*(to+1)/len(c0) > to+1 {
-		for lo := 0; lo <= to; lo += 64 {
-			var word uint64
-			for i := lo; i <= min(lo+63, to); i++ {
-				word |= at.has(c0, c1, i) << (i & 63)
-			}
-			set[lo>>6] |= word
-		}
-		return nNaN
+	var cut groupSet
+	for _, r := range c.at {
+		cut.add(r.g0, r.g1)
 	}
-	for w, word := range at {
-		for ; word != 0; word &= word - 1 {
-			for _, i := range x.group(w<<6 | bits.TrailingZeros64(word)) {
-				if int(i) > iT {
-					break
-				}
-				set[i>>6] |= 1 << (i & 63)
+	var cutRows []uint64
+	if c.iT < 0 {
+		if n := len(f.codes[0]); 8*n*c.m < 3*c.rows*c.rows {
+			var lower groupSet
+			for _, r := range at {
+				lower.add(r.g0, r.g1)
+			}
+			c.iT = f.scanCut(&cut, &lower, c.m, set)
+			return nNaN
+		}
+		if c.iT, cutRows = f.nthRow(c.at, c.m); cutRows != nil {
+			last := c.iT >> 6
+			for w, word := range cutRows[:last] {
+				set[w] |= word
+			}
+			set[last] |= cutRows[last] & (^uint64(0) >> (63 - c.iT&63))
+		}
+	}
+	for _, r := range at { // their rows up to iT
+		for g := r.g0; g < r.g1; g++ {
+			if cutRows == nil || cut[g>>6]>>(g&63)&1 == 0 {
+				rows := x.group(g)
+				x.setRows(set, rows[:upTo(rows, c.iT)])
 			}
 		}
 	}
 	return nNaN
+}
+
+// upTo counts the rows of an ascending group at or below r.
+func upTo(rows []int32, r int) int {
+	i, _ := slices.BinarySearch(rows, int32(min(r, math.MaxInt32-1)+1))
+	return i
 }

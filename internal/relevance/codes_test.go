@@ -658,7 +658,11 @@ func TestCutPairsZeroSigns(t *testing.T) {
 			T, iT := f.cut(rows, n, K, buf[:])
 			gT, giT := math.Inf(1), math.MaxInt
 			if s, need, ok := groups.find(K); ok {
-				gT, giT = g.cutPairs(g.slotGroups(groups, s), need, make([]uint64, (n+63)/64))
+				c := g.cutPairs(g.slotGroups(groups, s), need)
+				if c.iT < 0 {
+					c.iT, _ = g.nthRow(c.at, c.m)
+				}
+				gT, giT = c.T, c.iT
 			}
 			if math.Float64bits(gT) != math.Float64bits(T) || giT != iT {
 				t.Fatalf("trial %d K %d: the groups cut at (%v, %d), the rows at (%v, %d)", trial, K, gT, giT, T, iT)

@@ -290,15 +290,16 @@ func (rd *rootDefer) filterPairs(f *rowFilter, K int) (*filtered, error) {
 	h := newCutHist(f.span())
 	f.countPairs(h)
 	fr := newFiltered(n, K)
-	fr.T, fr.iT = math.Inf(1), math.MaxInt
-	set := make([]uint64, (n+63)/64)
+	cut := &pairCut{T: math.Inf(1), iT: math.MaxInt}
 	if s, need, ok := h.find(K); ok {
-		fr.T, fr.iT = f.cutPairs(f.slotGroups(h, s), need, set)
+		cut = f.cutPairs(f.slotGroups(h, s), need)
 	}
 	if err := rd.poll(); err != nil {
 		return nil, err
 	}
-	fr.nNaN = f.keepGroups(set, fr.T, fr.iT)
+	set := make([]uint64, (n+63)/64)
+	fr.nNaN = f.keepGroups(set, cut)
+	fr.T, fr.iT = cut.T, cut.iT
 	var l [filterBlock]float64
 	var kept []int
 	c0, c1 := f.codes[0], f.codes[1]

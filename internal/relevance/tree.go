@@ -31,10 +31,12 @@ type Node struct {
 	// Codes is the code plane of the node's raw vector, which the
 	// ranking of a deferred root filters its rows by (codes.go) and whose
 	// counts answer the node's normalization range (Codes.Range). On a
-	// leaf the caller sets it, and it must code exactly Dists; a leaf
-	// without one is ranged by NormRange. On an interior node Evaluate
-	// sets it, from the node's pass or its cached vector. A root child
-	// without one has it built where it is read.
+	// leaf the caller sets it, and it must hold exactly Dists: a plane
+	// coded from them, or a range leaf's view of its column's plane
+	// (Codes.View) whose intervals hold every distance; a leaf without
+	// one is ranged by NormRange. On an interior node Evaluate sets it,
+	// from the node's pass or its cached vector. A root child without one
+	// has it built where it is read.
 	Codes *Codes
 	// Key names an interior node's raw combined vector for
 	// EvalOptions.Interior; the caller builds it, and it must name exactly
