@@ -372,7 +372,8 @@ func (rd *rootDefer) newRowFilter(pairs func(a, b *Codes) *PairIndex) *rowFilter
 			}
 		}
 	}
-	if m == 2 && !hasFlags && f.terms() {
+	grouped := m == 2 && !hasFlags && f.terms()
+	if grouped {
 		// The second child's terms widened to fall and then rise over its
 		// codes, where they do not (a view's eps bump): every group of a
 		// first code then has its bounds under a value in one run.
@@ -387,7 +388,7 @@ func (rd *rootDefer) newRowFilter(pairs func(a, b *Codes) *PairIndex) *rowFilter
 			}
 		}
 	}
-	if m == 2 && !hasFlags && pairs != nil && rd.n <= math.MaxInt32 && f.unimodal() &&
+	if grouped && pairs != nil && rd.n <= math.MaxInt32 &&
 		cps[0] == rd.node.Children[0].Codes && cps[1] == rd.node.Children[1].Codes {
 		f.pairs = pairs(cps[0], cps[1])
 	}
@@ -804,7 +805,16 @@ func (x *PairIndex) group(g int) []int32 { return x.rows[x.off[g]:x.off[g+1]] }
 // terms reports whether every child's terms over the codes below the
 // NaN code are finite and, for a product, not negative: then a fold of a
 // first code's term with the second child's does not decrease with the
-// latter.
+// latter. A root of two children without class bits whose terms are so
+// is filtered over the groups of a PairIndex: its second child's terms
+// are widened to fall and then rise over the codes below the NaN code
+// (valley; a distance plane's do not fall, as its codes are ordered like
+// its values, and a view's fall over the values below its target and
+// rise over those above it), so that for a first code below the NaN
+// code the groups over the second codes below it whose bound is under
+// (or at most) a value are one run of the PairIndex's rows (run). A NaN
+// code's groups have NaN bounds (a sum's NaN term) or no rows (an OR
+// without class bits has no NaN row); they are visited one by one.
 func (f *rowFilter) terms() bool {
 	for _, tabs := range [][][256]float64{f.lo, f.hi} {
 		for j := range tabs {
@@ -812,31 +822,6 @@ func (f *rowFilter) terms() bool {
 				if math.Float64bits(t)&expMask == expMask || f.or && t < 0 {
 					return false
 				}
-			}
-		}
-	}
-	return true
-}
-
-// unimodal reports whether a root of two children is filtered over the
-// groups of a PairIndex: its terms fold monotonically (terms) and the
-// second child's fall and then rise over the codes below the NaN code —
-// a distance plane's do not fall, as its codes are ordered like its
-// values, and a view's fall over the values below its target and rise
-// over those above it. Then for a first code below the NaN code the
-// groups over the second codes below it whose bound is under (or at
-// most) a value are one run of the PairIndex's rows (run). A NaN code's
-// groups have NaN bounds (a sum's NaN term) or no rows (an OR without
-// class bits has no NaN row); they are visited one by one.
-func (f *rowFilter) unimodal() bool {
-	if len(f.codes) != 2 || !f.terms() {
-		return false
-	}
-	for k, t := range []*[256]float64{&f.lo[1], &f.hi[1]} {
-		b := f.bot[k]
-		for c := 1; c < codeNaN; c++ {
-			if c <= b && t[c] > t[c-1] || c > b && t[c] < t[c-1] {
-				return false
 			}
 		}
 	}
@@ -898,8 +883,8 @@ func bottom(t *[256]float64) int {
 // run returns the second codes [b0, b1), below the NaN code, whose group
 // with first code a (below it too) has a bound in f.hi (up) or f.lo that
 // in accepts, where in holds for every value at most one it holds for: as
-// the bounds fall to the bottom code and rise from it (unimodal), they
-// are one run, bisected on either side. An empty run starts at the
+// the bounds fall to the bottom code and rise from it (valley), they are
+// one run, bisected on either side. An empty run starts at the
 // bottom code, which any run that is not empty holds.
 func (f *rowFilter) run(up bool, a int, in func(float64) bool) (b0, b1 int) {
 	tabs, bot := f.lo, f.bot[0]
@@ -1027,13 +1012,14 @@ type pairCut struct {
 func (f *rowFilter) cutPairs(slot []groupRun, need int) *pairCut {
 	x := f.pairs
 	rows := func(r groupRun) []int32 { return x.rows[x.off[r.g0]:x.off[r.g1]] }
-	ws := make([]weighted, 0, len(slot))
+	ws, total := make([]weighted, 0, len(slot)), 0
 	for _, r := range slot {
 		if r.u == r.u {
 			ws = append(ws, weighted{r.u, len(rows(r))})
+			total += len(rows(r))
 		}
 	}
-	if weightOf(ws) < need {
+	if total < need {
 		return &pairCut{T: math.Inf(1), iT: math.MaxInt}
 	}
 	T, before := weightedKth(ws, need)
@@ -1076,15 +1062,6 @@ func (f *rowFilter) cutPairs(slot []groupRun, need int) *pairCut {
 	return c
 }
 
-// weightOf is the weight of ws.
-func weightOf(ws []weighted) int {
-	n := 0
-	for _, w := range ws {
-		n += w.w
-	}
-	return n
-}
-
 // groupSet is a set of the joint codes of a PairIndex, a bit per group.
 type groupSet [pairGroups / 64]uint64
 
@@ -1096,13 +1073,6 @@ func (s *groupSet) add(g0, g1 int) {
 		s[w] |= (^uint64(0) >> (64 - (hi - lo))) << lo
 		g0 += hi - lo
 	}
-}
-
-// has is 1 when the set holds the group of row i of the codes c0, c1,
-// else 0.
-func (s *groupSet) has(c0, c1 []uint8, i int) uint64 {
-	g := int(c0[i])<<8 | int(c1[i])
-	return s[g>>6] >> (g & 63) & 1
 }
 
 // nthRow returns the m-th smallest of the rows of the runs of groups

@@ -371,7 +371,8 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.codes) == 2 && f.flags == nil && f.unimodal() {
+	if len(f.codes) == 2 && f.flags == nil && f.terms() {
+		valleys(t, what, f)
 		// The same filter over the groups of the children's joint codes.
 		g := *f
 		g.pairs = groupPairs(f.codes[0], f.codes[1])
@@ -444,6 +445,19 @@ func checkRowFilter(t *testing.T, what string, root *Node, n, k int, opts EvalOp
 		t.Fatalf("%s (grouped): NaNs %d, refined %d; the row passes' %d, %d", what, gk.NaNs, gk.Refined, rk.NaNs, rk.Refined)
 	}
 	return grouped
+}
+
+// valleys holds the second child's lower and upper terms of a filter of
+// two children to falling to its bottom code and rising from it.
+func valleys(t *testing.T, what string, f *rowFilter) {
+	t.Helper()
+	for k, tab := range []*[256]float64{&f.lo[1], &f.hi[1]} {
+		for c := 1; c < codeNaN; c++ {
+			if c <= f.bot[k] && tab[c] > tab[c-1] || c > f.bot[k] && tab[c] < tab[c-1] {
+				t.Fatalf("%s: the second child's terms (upper %v) do not fall to code %d and rise from it", what, k == 1, f.bot[k])
+			}
+		}
+	}
 }
 
 // sameFiltered holds what the filter over the groups left of a ranking
@@ -640,9 +654,7 @@ func TestCutPairsZeroSigns(t *testing.T) {
 		for i := range n {
 			f.codes[0][i], f.codes[1][i] = uint8(rng.Intn(6)), uint8(rng.Intn(6))
 		}
-		if !f.unimodal() {
-			t.Fatal("the tables do not fall and rise")
-		}
+		valleys(t, fmt.Sprintf("trial %d", trial), f)
 		var buf [filterBlock]float64
 		rows := newCutHist(f.span())
 		for lo := 0; lo < n; lo += filterBlock {
