@@ -300,12 +300,13 @@ func (e *Engine) columnView(cache *RunCache, space *itemSpace, attr query.BoundA
 
 // columnPlane is the code plane of a numeric column of the item space's
 // one table, over the column's values, coded once per column and catalog
-// epoch: an entry of cache's tier (runKeys.column), under its budget,
-// that never leaves the process and counts in no hit ratio. No run pins
-// it: a Result reads a range leaf's view, which holds the plane's codes,
-// and the plane itself only makes views. Without a cache it is coded on
-// the spot. The column is read and its extremes found in one pass
-// across the engine's workers, then coded.
+// epoch, with its rows listed by code (relevance.Codes.IndexRows): an
+// entry of cache's tier (runKeys.column), under its budget, that never
+// leaves the process and counts in no hit ratio. No run pins it: a
+// Result reads a range leaf's view, which holds the plane's codes, and
+// the plane itself only makes views. Without a cache it is coded on the
+// spot. The column is read and its extremes found in one pass across the
+// engine's workers, then coded.
 func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.BoundAttr) (*relevance.Codes, error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
@@ -318,7 +319,9 @@ func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.Bound
 	compute := func() (leafEntry, error) {
 		vals := make([]float64, space.n)
 		lo, hi := e.extremes(vals, column.ReadFloats)
-		return leafEntry{codes: e.codesOver(vals, lo, hi)}, nil
+		cp := e.codesOver(vals, lo, hi)
+		cp.IndexRows()
+		return leafEntry{codes: cp}, nil
 	}
 	if cache == nil {
 		le, _ := compute()
