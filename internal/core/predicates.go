@@ -57,8 +57,8 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 // the condition's distances already (its leaf's), which a string
 // condition then reuses instead of recomputing them (see stringCond).
 // Without signed, the entry is a leaf's, and comes with its code plane:
-// a single-table range leaf's the view of its column's, resolved through
-// cache (columnView). With it, the entry's raw vector is signed itself:
+// a single-table range leaf's on a cached run the view of its column's,
+// resolved through cache (columnView). With it, the entry's raw vector is signed itself:
 // every writer stores an item's distance before its signed distance, so
 // an axis fill writes one vector.
 func (e *Engine) condData(cache *RunCache, c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
@@ -239,13 +239,14 @@ func (e *Engine) numericCond(cache *RunCache, c *query.Cond, attr query.BoundAtt
 	switch {
 	case signed != nil:
 	case kernel:
-		if singleTable {
+		if singleTable && cache != nil {
 			le.codes = e.columnView(cache, space, attr, lo, hi, edge)
 		}
 		if le.codes == nil {
-			// A pair space's leaf (or a column whose distances overflow)
-			// is coded while its compute is paid for: range distances lie
-			// in [0, dmax].
+			// A pair space's leaf, an uncached run's (which has no tier to
+			// keep a column plane in) or one over a column whose distances
+			// overflow is coded while its compute is paid for: range
+			// distances lie in [0, dmax].
 			le.codes = e.codesOver(raw, 0, dmax)
 		}
 	default:
@@ -304,9 +305,8 @@ func (e *Engine) columnView(cache *RunCache, space *itemSpace, attr query.BoundA
 // entry of cache's tier (runKeys.column), under its budget, that never
 // leaves the process and counts in no hit ratio. No run pins it: a
 // Result reads a range leaf's view, which holds the plane's codes, and
-// the plane itself only makes views. Without a cache it is coded on the
-// spot. The column is read and its extremes found in one pass across the
-// engine's workers, then coded.
+// the plane itself only makes views. The column is read and its extremes
+// found in one pass across the engine's workers, then coded.
 func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.BoundAttr) (*relevance.Codes, error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
@@ -316,19 +316,14 @@ func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.Bound
 	if err != nil {
 		return nil, err
 	}
-	compute := func() (leafEntry, error) {
+	key := runKeys{space: e.spaceSig(space)}.column(attr.Qualified())
+	le, _, err := cache.Shared().fetch(key, space.n, nil, func() (leafEntry, error) {
 		vals := make([]float64, space.n)
 		lo, hi := e.extremes(vals, column.ReadFloats)
 		cp := e.codesOver(vals, lo, hi)
 		cp.IndexRows()
 		return leafEntry{codes: cp}, nil
-	}
-	if cache == nil {
-		le, _ := compute()
-		return le.codes, nil
-	}
-	key := runKeys{space: e.spaceSig(space)}.column(attr.Qualified())
-	le, _, err := cache.Shared().fetch(key, space.n, nil, compute)
+	})
 	return le.codes, err
 }
 

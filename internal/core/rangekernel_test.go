@@ -90,11 +90,13 @@ func rangeCond(attr string, op query.Op, a, b float64) *query.Cond {
 
 // checkRangeLeaf computes c's leaf over space without and with the
 // signed distances the 2D arrangement asks for, serially and on three
-// workers, and holds the leaf's raw distances and the axis fill's signed
-// ones (its entry's only vector) to refRangeLeaf over vals — the
-// condition's value of every item — bit for bit, and the ranges the
-// leaf's code plane answers around its exact answers to NormRange's. It
-// returns the segments the serial pass skipped.
+// workers, uncached and, without signed, on a cached run too (whose
+// single-table leaf's plane is a view of its column's), and holds the
+// leaf's raw distances and the axis fill's signed ones (its entry's only
+// vector) to refRangeLeaf over vals — the condition's value of every
+// item — bit for bit, and the ranges the leaf's code plane answers
+// around its exact answers to NormRange's. It returns the segments the
+// serial pass skipped.
 func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *query.Cond, attr query.BoundAttr, vals []float64) (skipped int) {
 	t.Helper()
 	raw, signed, zeros := refRangeLeaf(c, vals)
@@ -132,6 +134,12 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 			} else {
 				same("raw", le.raw, raw)
 				checkLeafRanges(t, c.Label(), le, zeros)
+				cached, _, _, err := e.condData(NewRunCache(), c, attr, space, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("raw (cached)", cached.raw, raw)
+				checkLeafRanges(t, c.Label()+" (cached)", cached, zeros)
 			}
 			if skipped >= 0 && segsSkipped != skipped {
 				t.Fatalf("%s (workers %d, signed %v): skipped %d segments, another pass %d", c.Label(), workers, withSigned, segsSkipped, skipped)

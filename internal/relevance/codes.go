@@ -1082,10 +1082,10 @@ func (s *groupSet) add(g0, g1 int) {
 // of f.pairs at. A few groups (under a 300th of their rows) are bisected
 // over the row index: per group, the count at a row lies in a window of
 // its ascending rows that every step narrows, and a group whose window
-// closes counts its rows below it, fixed. Else their rows are set in an
-// n-bit row set, whose bits are counted, and which it returns (else
-// nil).
-func (f *rowFilter) nthRow(at []groupRun, m int) (int, []uint64) {
+// closes counts its rows below it, fixed. Else their rows are set in
+// set, an empty n-bit row set, whose bits are counted, and those past
+// the m-th cleared: set then holds their rows up to it (inSet).
+func (f *rowFilter) nthRow(at []groupRun, m int, set []uint64) (iT int, inSet bool) {
 	x := f.pairs
 	var ws [][]int32 // per group, the rows the count has yet to place
 	rows := 0
@@ -1123,9 +1123,8 @@ func (f *rowFilter) nthRow(at []groupRun, m int) (int, []uint64) {
 				lo = r + 1
 			}
 		}
-		return lo, nil
+		return lo, false
 	}
-	set := make([]uint64, (len(f.codes[0])+63)/64)
 	for _, r := range at {
 		x.setRows(set, x.rows[x.off[r.g0]:x.off[r.g1]])
 	}
@@ -1137,9 +1136,12 @@ func (f *rowFilter) nthRow(at []groupRun, m int) (int, []uint64) {
 		for ; m > 1; m-- {
 			word &= word - 1
 		}
-		return w<<6 | bits.TrailingZeros64(word), set
+		b := bits.TrailingZeros64(word)
+		set[w] &= ^uint64(0) >> (63 - b)
+		clear(set[w+1:])
+		return w<<6 | b, true
 	}
-	return math.MaxInt, set // unreachable: the groups hold m rows
+	return math.MaxInt, true // unreachable: the groups hold m rows
 }
 
 // scanCut reads the codes of the rows in row order, 64 at a time, and
@@ -1222,16 +1224,28 @@ func (x *PairIndex) setRows(set []uint64, rows []int32) {
 // c.T, its rows up to c.iT — and returns the rows of the groups proven
 // NaN: pass two over the groups. Of a first code below the NaN code,
 // the groups under T are one run of rows, and those at T lie on either
-// side of it. A cut whose iT is yet to find is found here (c.iT set):
-// where the m-th of its rows is expected early (≈ n·m/rows, were they
-// spread over the row order) against the ≈ 1 ns a row of setting them
-// all, by one read of the codes in row order that counts the cut's rows
-// and sets the rows at T as it goes (scanCut), else by nthRow, whose
-// row set then holds the cut's rows up to iT (a group whose upper bound
-// is T has its lower bound at T or under it): only the other groups at
-// T are read, each up to iT.
+// side of it. set must be empty on entry. A cut whose iT is yet to find
+// is found here (c.iT set): where the m-th of its rows is expected early
+// (≈ n·m/rows, were they spread over the row order) against the ≈ 1 ns
+// a row of setting them all, by one read of the codes in row order that
+// counts the cut's rows and sets the rows at T as it goes (scanCut),
+// else first, by nthRow, which may leave in set the cut's rows up to iT
+// (a group whose upper bound is T has its lower bound at T or under it):
+// then only the other groups at T are read, each up to iT.
 func (f *rowFilter) keepGroups(set []uint64, c *pairCut) (nNaN int) {
 	x, T := f.pairs, c.T
+	var cut groupSet
+	for _, r := range c.at {
+		cut.add(r.g0, r.g1)
+	}
+	scan, cutRows := false, false // iT by scanCut; set holds the cut's rows up to iT
+	if c.iT < 0 {
+		if n := len(f.codes[0]); 8*n*c.m < 3*c.rows*c.rows {
+			scan = true
+		} else {
+			c.iT, cutRows = f.nthRow(c.at, c.m, set)
+		}
+	}
 	var at []groupRun // the runs of groups whose lower bound is T
 	group := func(g int) {
 		rows := x.group(g)
@@ -1265,31 +1279,17 @@ func (f *rowFilter) keepGroups(set []uint64, c *pairCut) (nNaN int) {
 		}
 		group(g + codeNaN)
 	}
-	var cut groupSet
-	for _, r := range c.at {
-		cut.add(r.g0, r.g1)
-	}
-	var cutRows []uint64
-	if c.iT < 0 {
-		if n := len(f.codes[0]); 8*n*c.m < 3*c.rows*c.rows {
-			var lower groupSet
-			for _, r := range at {
-				lower.add(r.g0, r.g1)
-			}
-			c.iT = f.scanCut(&cut, &lower, c.m, set)
-			return nNaN
+	if scan {
+		var lower groupSet
+		for _, r := range at {
+			lower.add(r.g0, r.g1)
 		}
-		if c.iT, cutRows = f.nthRow(c.at, c.m); cutRows != nil {
-			last := c.iT >> 6
-			for w, word := range cutRows[:last] {
-				set[w] |= word
-			}
-			set[last] |= cutRows[last] & (^uint64(0) >> (63 - c.iT&63))
-		}
+		c.iT = f.scanCut(&cut, &lower, c.m, set)
+		return nNaN
 	}
 	for _, r := range at { // their rows up to iT
 		for g := r.g0; g < r.g1; g++ {
-			if cutRows == nil || cut[g>>6]>>(g&63)&1 == 0 {
+			if !cutRows || cut[g>>6]>>(g&63)&1 == 0 {
 				rows := x.group(g)
 				x.setRows(set, rows[:upTo(rows, c.iT)])
 			}
