@@ -58,9 +58,9 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 // condition then reuses instead of recomputing them (see stringCond).
 // Without signed, the entry is a leaf's, and comes with its code plane:
 // a single-table range leaf's on a cached run the view of its column's,
-// resolved through cache (columnView). With it, the entry's raw vector is signed itself:
-// every writer stores an item's distance before its signed distance, so
-// an axis fill writes one vector.
+// resolved through cache (columnView). With it, the entry's raw vector
+// is signed itself: every writer stores an item's distance before its
+// signed distance, so an axis fill writes one vector.
 func (e *Engine) condData(cache *RunCache, c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
@@ -301,9 +301,8 @@ func (e *Engine) columnView(cache *RunCache, space *itemSpace, attr query.BoundA
 
 // columnPlane is the code plane of a numeric column of the item space's
 // one table, over the column's values, coded once per column and catalog
-// epoch, with its rows listed by code (relevance.Codes.IndexRows): an
-// entry of cache's tier (runKeys.column), under its budget, that never
-// leaves the process and counts in no hit ratio. No run pins it: a
+// epoch: an entry of cache's tier (runKeys.column), under its budget,
+// that never leaves the process and counts in no hit ratio. No run pins it: a
 // Result reads a range leaf's view, which holds the plane's codes, and
 // the plane itself only makes views. The column is read and its extremes
 // found in one pass across the engine's workers, then coded.
@@ -320,9 +319,7 @@ func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.Bound
 	le, _, err := cache.Shared().fetch(key, space.n, nil, func() (leafEntry, error) {
 		vals := make([]float64, space.n)
 		lo, hi := e.extremes(vals, column.ReadFloats)
-		cp := e.codesOver(vals, lo, hi)
-		cp.IndexRows()
-		return leafEntry{codes: cp}, nil
+		return leafEntry{codes: e.codesOver(vals, lo, hi)}, nil
 	})
 	return le.codes, err
 }

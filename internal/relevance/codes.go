@@ -40,9 +40,6 @@ type Codes struct {
 	// view marks a range leaf's view of a column plane: lo and hi are
 	// distance intervals, and the code bytes are the column's.
 	view bool
-	// byCode lists a column plane's rows by code (IndexRows); its views
-	// share it.
-	byCode []int32
 }
 
 // The codes of the reserved classes; the buckets run from codeBucket0.
@@ -56,12 +53,12 @@ const (
 )
 
 // Bytes is what the plane retains: a byte per row, the two tables and
-// the counts, and a column plane's rows by code. A view retains its
-// tables and counts; the code bytes and rows are its column's.
+// the counts. A view retains its tables and counts; the code bytes are
+// its column's.
 func (cp *Codes) Bytes() int64 {
 	b := int64(2*8*256 + 4*256)
 	if !cp.view {
-		b += int64(len(cp.codes) + 4*len(cp.byCode))
+		b += int64(len(cp.codes))
 	}
 	return b
 }

@@ -308,7 +308,7 @@ func viewLeaf(rng *rand.Rand, n int, w float64) *Node {
 		edge = hi
 	}
 	leaf := &Node{Op: Leaf, Weight: w, Dists: rangeLeaf(col, lo, hi, edge)}
-	if view, ok := columnCodes(col).View(lo, hi, edge); ok {
+	if view, ok := BuildCodes(col).View(lo, hi, edge); ok {
 		leaf.Codes = view
 	}
 	return leaf
@@ -612,7 +612,7 @@ func FuzzRowFilter(f *testing.F) {
 			lo, hi := col[0], col[n-1]
 			edge := []float64{math.NaN(), lo, hi}[int(data[1+j])/len(weights)%3]
 			leaf.Dists = rangeLeaf(col, lo, hi, edge)
-			leaf.Codes, _ = columnCodes(col).View(lo, hi, edge)
+			leaf.Codes, _ = BuildCodes(col).View(lo, hi, edge)
 		}
 		opts := kn.opts
 		opts.Budget = 1 + budget%n

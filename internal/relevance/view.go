@@ -1,6 +1,7 @@
 package relevance
 
 import (
+	"bytes"
 	"cmp"
 	"math"
 	"slices"
@@ -17,27 +18,6 @@ import (
 // thus changes a leaf's tables, never its codes, and a PairIndex over two
 // views outlives it.
 
-// IndexRows lists the rows of the plane by code, in row order within a
-// code (a stable counting sort): a column plane's, which its views
-// gather a code's rows from (viewRange) without a pass over its bytes.
-// It must run before the plane is shared.
-func (cp *Codes) IndexRows() {
-	cp.byCode = make([]int32, len(cp.codes))
-	at := cp.offsets()
-	for i, c := range cp.codes {
-		cp.byCode[at[c]] = int32(i)
-		at[c]++
-	}
-}
-
-// offsets returns where each code's rows start in byCode.
-func (cp *Codes) offsets() (at [256]int32) {
-	for c := 1; c < 256; c++ {
-		at[c] = at[c-1] + cp.counts[c-1]
-	}
-	return at
-}
-
 // View is the plane of a range leaf over the column cp codes: the leaf
 // whose distance to the target interval [lo, hi] is lo − v below it, v − hi
 // above it, 0 inside and NaN for a NaN value, except that a value equal to
@@ -49,7 +29,7 @@ func (cp *Codes) offsets() (at [256]int32) {
 // over those above hi. ok is false when the plane cannot know eps: a
 // finite value whose distance overflows to +Inf, so that the largest
 // finite distance is not at the column's extremes; the caller codes the
-// leaf's distances instead. cp must list its rows by code (IndexRows).
+// leaf's distances instead.
 func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 	dist := func(v float64) float64 {
 		switch {
@@ -75,7 +55,7 @@ func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 	if eps == 0 {
 		eps = 1
 	}
-	view = &Codes{id: cp.id, codes: cp.codes, counts: cp.counts, byCode: cp.byCode, view: true}
+	view = &Codes{id: cp.id, codes: cp.codes, counts: cp.counts, view: true}
 	for c := range codeNaN {
 		vl, vh := cp.lo[c], cp.hi[c]
 		l, h := 0.0, max(dist(vl), dist(vh))
@@ -130,8 +110,8 @@ type viewBlock struct {
 // known from the counts. Else x is selected among the rows of the codes
 // whose intervals reach into [tLo, tHi]: an exact code (one value, like
 // the zeros of the codes wholly inside the target) by its count, the
-// others gathered from v by the column's rows by code — unless they hold
-// an eighth of the rows or more, when NormRange's scan answers. scanned
+// others gathered from v, a run of bytes at a time — unless they hold an
+// eighth of the rows or more, when NormRange's scan answers. scanned
 // reports a pass over v.
 func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 	var blocks [codeNaN]viewBlock
@@ -187,9 +167,14 @@ func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 	if gather*8 >= len(v) {
 		return NormRange(v, keep), true
 	}
-	vals, at := make([]float64, 0, gather), cp.offsets()
+	vals := make([]float64, 0, gather)
 	for _, c := range gathered {
-		for _, i := range cp.byCode[at[c] : at[c]+cp.counts[c]] {
+		for i := 0; ; i++ {
+			j := bytes.IndexByte(cp.codes[i:], uint8(c))
+			if j < 0 {
+				break
+			}
+			i += j
 			vals = append(vals, v[i])
 		}
 	}

@@ -35,14 +35,6 @@ func rangeLeaf(vals []float64, lo, hi, edge float64) []float64 {
 	return raw
 }
 
-// columnCodes is the plane of a column: coded over its values, its rows
-// listed by code.
-func columnCodes(vals []float64) *Codes {
-	cp := BuildCodes(vals)
-	cp.IndexRows()
-	return cp
-}
-
 // rangeDist is the distance of v to [lo, hi], as the kernel computes it.
 func rangeDist(v, lo, hi float64) float64 {
 	switch {
@@ -97,7 +89,7 @@ func viewKeeps(view *Codes, stride int) []int {
 func checkView(t testing.TB, what string, vals []float64, lo, hi, edge float64) (*Codes, []float64) {
 	t.Helper()
 	raw := rangeLeaf(vals, lo, hi, edge)
-	col := columnCodes(vals)
+	col := BuildCodes(vals)
 	view, ok := col.View(lo, hi, edge)
 	if !ok {
 		for _, v := range vals {
@@ -107,13 +99,8 @@ func checkView(t testing.TB, what string, vals []float64, lo, hi, edge float64) 
 		}
 		t.Fatalf("%s: the view is refused, and no finite value's distance overflows", what)
 	}
-	if view.ID() != col.ID() || len(vals) > 0 && (&view.codes[0] != &col.codes[0] || &view.byCode[0] != &col.byCode[0]) || view.counts != col.counts {
-		t.Fatalf("%s: the view does not share its column's codes, rows by code, counts and ID", what)
-	}
-	for j := 1; j < len(col.byCode); j++ {
-		if a, b := col.byCode[j-1], col.byCode[j]; col.codes[a] > col.codes[b] || col.codes[a] == col.codes[b] && a >= b {
-			t.Fatalf("%s: rows by code out of order at %d", what, j)
-		}
+	if view.ID() != col.ID() || len(vals) > 0 && &view.codes[0] != &col.codes[0] || view.counts != col.counts {
+		t.Fatalf("%s: the view does not share its column's codes, counts and ID", what)
 	}
 	for i, d := range raw {
 		c := view.codes[i]

@@ -34,9 +34,9 @@ func SelectKWithIndex(dists []float64, k int) (vals []float64, idx []int) {
 }
 
 // SelectKInto is SelectKWithIndex into the buffers vals and idx, which
-// back the returned slices when they hold min(k, len(dists)) entries
-// (fresh ones back them otherwise), and it counts the NaN values of
-// dists, which the selection reads anyway.
+// back the returned slices when they have room for min(k, len(dists))
+// entries (fresh ones back them otherwise), and it counts the NaN values
+// of dists, which the selection reads anyway.
 func SelectKInto(dists []float64, k int, vals []float64, idx []int) (sorted []float64, order []int, nNaN int) {
 	k = min(max(k, 0), len(dists))
 	if cap(vals) < k || cap(idx) < k {
