@@ -324,7 +324,7 @@ type rowFilter struct {
 	pairs *PairIndex
 	// bot is, for a root of two children without class bits, the code
 	// the second child's lower (bot[0]) and upper (bot[1]) terms fall to
-	// and rise from (unimodal), and end[b] the first code past b whose
+	// and rise from (valley), and end[b] the first code past b whose
 	// upper term is not b's, bit for bit: the groups of a first code and
 	// the second codes [b, end[b]) have one upper bound.
 	bot [2]int
