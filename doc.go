@@ -105,7 +105,9 @@
 //   - A fresh range leaf is one branch-free pass (distances selected by
 //     bit masks) and no code pass: a numeric column of a single table is
 //     coded once, over its values, per column and catalog epoch (a "V|"
-//     entry of the shared tier, never sent to kv), and a range leaf's
+//     entry of the shared tier, never sent to kv, which a run keeps
+//     resident after each leaf holding a view of it, so the tier counts
+//     the code bytes of every view it holds), and a range leaf's
 //     plane is a view of it — the column's codes, counts and ID, with
 //     per-code distance intervals derived from each code's value
 //     interval by the kernel's subtraction (relevance.Codes.View); a kv
@@ -174,9 +176,9 @@
 //     over its codes (a view's; widened into that shape where they do
 //     not), so pass one counts the groups' bounds weighted by their rows,
 //     a run of groups of one bound at a time, the cut selects among the
-//     crossing slot's runs and finds iT by reading the codes in row order
-//     (a clamp class spread over two views' codes is thousands of
-//     groups), and pass two keeps, per first code, one run of the index's
+//     crossing slot's runs and finds iT in a row set of their rows (a
+//     clamp class spread over two views' codes is thousands of groups),
+//     and pass two keeps, per first code, one run of the index's
 //     rows (the groups below the cut) plus the groups at it up to iT —
 //     the same survivors, cut and NaN count as the passes over the rows,
 //     bit for bit (TestRowFilterKeepsTopK, FuzzRowFilter), in

@@ -478,7 +478,11 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		// signature: bound table.attr plus Label (operator, literals,
 		// distance function — Label excludes the weighting factor by
 		// construction), so weight-only reruns hit unconditionally.
-		return e.leafNode(res, space, expr, expr.Label(), res.keys.cond(attr.Qualified(), c.Label()), derive, compute)
+		node, err := e.leafNode(res, space, expr, expr.Label(), res.keys.cond(attr.Qualified(), c.Label()), derive, compute)
+		if err == nil && res.cache != nil && node.Codes != nil && node.Codes.Column() != nil {
+			res.cache.Shared().keep(e.columnKey(space, attr), node.Codes.Column())
+		}
+		return node, err
 	case *query.BoolExpr:
 		op := relevance.NodeAnd
 		if n.Op == query.Or {

@@ -397,7 +397,9 @@ func TestEvictedInnerPartRecomputesAlone(t *testing.T) {
 	if pins := interiorPins(cold); len(pins) != 2 {
 		t.Fatalf("the cold run pinned interior vectors %q, want the two parts'", pins)
 	}
-	// A tier holding everything the cold run read but the inner part.
+	// A tier holding everything the cold run read but the inner part:
+	// its pins and its columns' planes, of which its range leaves' planes
+	// are views.
 	sc := NewSharedCache(0, 0)
 	cold.mu.Lock()
 	for key, le := range cold.live.leaves {
@@ -406,6 +408,16 @@ func TestEvictedInnerPartRecomputesAlone(t *testing.T) {
 		}
 	}
 	cold.mu.Unlock()
+	planes, own := runKeys{space: e.spaceSig(res.Space)}, cold.Shared()
+	for _, attr := range []string{"S.a", "S.b", "S.c"} {
+		own.mu.Lock()
+		le, ok := own.entries.Get(planes.column(attr))
+		own.mu.Unlock()
+		if !ok {
+			t.Fatalf("the cold run left no plane of %s", attr)
+		}
+		sc.entries.Put(planes.column(attr), le, le.sizeBytes())
+	}
 	warm := NewRunCache()
 	warm.AttachShared(sc)
 	got, err := runCached(e, q, warm)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -126,4 +127,67 @@ func TestConcurrentSessionsShareOnePairIndex(t *testing.T) {
 	if st := sc.Stats(); st.Fills != 5 || st.Misses != 2 {
 		t.Fatalf("the sessions filled %d entries (%d leaf misses), want the two leaves, their columns' planes and one index", st.Fills, st.Misses)
 	}
+}
+
+// TestColumnPlaneOutlivesItsViews: a range leaf's view holds its column
+// plane's code bytes, which only the plane's entry counts, so a tier
+// under a byte budget never holds a view whose plane it evicted. Range
+// drags of one child fill leaves under a budget of a few, while the
+// other child's leaf is read at every step and its column's plane
+// nowhere else: the tier's bytes stay under the budget with fills −
+// evictions = entries, the leaf and its plane are both resident after
+// the last drag, and the root reads one PairIndex throughout — a range
+// drag of the other child too, whose plane is never coded again.
+func TestColumnPlaneOutlivesItsViews(t *testing.T) {
+	cat := interiorCatalog(t, minPairRows+300)
+	e := New(cat, nil, Options{GridW: 16, GridH: 16})
+	q := mustParse(t, `SELECT a FROM S WHERE a > 50 AND c < 40`)
+	const budget = 3 << 20
+	sc := NewSharedCache(0, budget)
+	c := NewRunCache()
+	c.AttachShared(sc)
+	first := ""
+	step := func(what string) *Result {
+		t.Helper()
+		res, err := runCached(e, q, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := New(cat, nil, Options{GridW: 16, GridH: 16, FullSort: true}).Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, full, res)
+		if st := sc.Stats(); st.Bytes > budget || st.Fills-st.Evictions != uint64(st.Entries) {
+			t.Fatalf("%s: the tier reads %+v under a budget of %d bytes", what, st, budget)
+		}
+		key := res.keys.pairs(res.root.Children[0].Codes, res.root.Children[1].Codes)
+		if first == "" {
+			first = key
+		} else if key != first {
+			t.Fatalf("%s: the root read the index %q, not %q", what, key, first)
+		}
+		return res
+	}
+	step("cold")
+	preds := query.Predicates(q.Where)
+	var res *Result
+	for v := 49; v > 40; v-- {
+		preds[0].(*query.Cond).Value = dataset.Float(float64(v))
+		res = step(fmt.Sprintf("a > %d", v))
+	}
+	if sc.Stats().Evictions < 4 {
+		t.Fatalf("the drags evicted %d entries", sc.Stats().Evictions)
+	}
+	// Read only now: a lookup makes an entry the most recently used.
+	leaf := res.root.Children[1]
+	sc.mu.Lock()
+	_, held := sc.entries.Get(leaf.Key)
+	plane, ok := sc.entries.Get(runKeys{space: e.spaceSig(res.Space)}.column("S.c"))
+	sc.mu.Unlock()
+	if !held || !ok || plane.codes != leaf.Codes.Column() {
+		t.Fatalf("the tier holds leaf %q (%v) and the plane its view views (%v)", leaf.Label, held, ok)
+	}
+	preds[1].(*query.Cond).Value = dataset.Float(30)
+	step("c < 30")
 }

@@ -301,11 +301,12 @@ func (e *Engine) columnView(cache *RunCache, space *itemSpace, attr query.BoundA
 
 // columnPlane is the code plane of a numeric column of the item space's
 // one table, over the column's values, coded once per column and catalog
-// epoch: an entry of cache's tier (runKeys.column), under its budget,
-// that never leaves the process and counts in no hit ratio. No run pins it: a
+// epoch: an entry of cache's tier (columnKey), under its budget, that
+// never leaves the process and counts in no hit ratio. No run pins it: a
 // Result reads a range leaf's view, which holds the plane's codes, and
-// the plane itself only makes views. The column is read and its extremes
-// found in one pass across the engine's workers, then coded.
+// the plane itself only makes views; a run keeps it resident after each
+// leaf that holds one of them (SharedCache.keep). The column is read and
+// its extremes found in one pass across the engine's workers, then coded.
 func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.BoundAttr) (*relevance.Codes, error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
@@ -315,13 +316,18 @@ func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.Bound
 	if err != nil {
 		return nil, err
 	}
-	key := runKeys{space: e.spaceSig(space)}.column(attr.Qualified())
-	le, _, err := cache.Shared().fetch(key, space.n, nil, func() (leafEntry, error) {
+	le, _, err := cache.Shared().fetch(e.columnKey(space, attr), space.n, nil, func() (leafEntry, error) {
 		vals := make([]float64, space.n)
 		lo, hi := e.extremes(vals, column.ReadFloats)
 		return leafEntry{codes: e.codesOver(vals, lo, hi)}, nil
 	})
 	return le.codes, err
+}
+
+// columnKey keys the code plane of a numeric column of the item space's
+// one table.
+func (e *Engine) columnKey(space *itemSpace, attr query.BoundAttr) string {
+	return runKeys{space: e.spaceSig(space)}.column(attr.Qualified())
 }
 
 // rangeKernel is one worker's share of a range condition's distance

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/lru"
+	"repro/internal/relevance"
 )
 
 // SharedCache is the store of the predicate cache: one instance per
@@ -356,6 +357,24 @@ func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEn
 		sc.mu.Unlock()
 	}
 	return le, remote, nil
+}
+
+// keep makes the column plane cp's entry under key (runKeys.column) the
+// most recently used, admitting cp again if the tier evicted it: a range
+// leaf's view holds the plane's code bytes, which only the plane's entry
+// counts, so the entry stays resident while a view of it is served. A
+// run keeps it after resolving the leaf, so recency evicts every
+// resident view of a plane before the plane, and a plane admitted again
+// keeps its ID, and with it the PairIndex of its views.
+func (sc *SharedCache) keep(key string, cp *relevance.Codes) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if _, ok := sc.entries.Get(key); ok {
+		return
+	}
+	le := leafEntry{codes: cp}
+	sc.evictions += uint64(sc.entries.Put(key, le, le.sizeBytes()))
+	sc.fills++
 }
 
 // touch makes the entry under key the most recently used — a session

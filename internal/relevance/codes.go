@@ -37,9 +37,10 @@ type Codes struct {
 	lo, hi [256]float64
 	mu     sync.Mutex // guards counts while runs of chunks are coded
 	counts [256]int32
-	// view marks a range leaf's view of a column plane: lo and hi are
-	// distance intervals, and the code bytes are the column's.
-	view bool
+	// column is the column plane a range leaf's view views (nil for a
+	// plane of its own): lo and hi are distance intervals, and the code
+	// bytes are the column's.
+	column *Codes
 }
 
 // The codes of the reserved classes; the buckets run from codeBucket0.
@@ -54,14 +55,18 @@ const (
 
 // Bytes is what the plane retains: a byte per row, the two tables and
 // the counts. A view retains its tables and counts; the code bytes are
-// its column's.
+// its column plane's (Column), which counts them.
 func (cp *Codes) Bytes() int64 {
 	b := int64(2*8*256 + 4*256)
-	if !cp.view {
+	if cp.column == nil {
 		b += int64(len(cp.codes))
 	}
 	return b
 }
+
+// Column is the column plane a view views, whose code bytes it shares;
+// nil for a plane of its own.
+func (cp *Codes) Column() *Codes { return cp.column }
 
 // ID names the plane's code bytes among every plane the process built:
 // two planes of equal ID code every row alike — one plane, or views of
@@ -132,7 +137,7 @@ func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
 	switch {
 	case cp == nil || len(cp.codes) != len(v):
 		return NormRange(v, keep), true
-	case cp.view:
+	case cp.column != nil:
 		return cp.viewRange(v, keep)
 	}
 	nFinite := 0
@@ -990,12 +995,12 @@ func (f *rowFilter) fold(t0, t1 float64) float64 {
 
 // pairCut is the cut (T, iT) over the groups of f.pairs. Until iT is
 // found (-1) it is the m-th smallest of the rows of at, the runs of
-// groups whose upper bound is T, which hold rows rows.
+// groups whose upper bound is T.
 type pairCut struct {
-	T       float64
-	iT      int
-	at      []groupRun
-	rows, m int
+	T  float64
+	iT int
+	at []groupRun
+	m  int
 }
 
 // cutPairs is cut over the groups of f.pairs: the lexicographic need-th
@@ -1029,7 +1034,6 @@ func (f *rowFilter) cutPairs(slot []groupRun, need int) *pairCut {
 		if r.u == T {
 			signs |= 1 << b2i(math.Signbit(r.u))
 			runs++
-			c.rows += len(rows(r))
 			c.at = append(c.at, r)
 		}
 	}
@@ -1141,35 +1145,6 @@ func (f *rowFilter) nthRow(at []groupRun, m int, set []uint64) (iT int, inSet bo
 	return math.MaxInt, true // unreachable: the groups hold m rows
 }
 
-// scanCut reads the codes of the rows in row order, 64 at a time, and
-// adds to set the rows of the groups at holds, up to the m-th row of the
-// groups cut holds, which it returns.
-func (f *rowFilter) scanCut(cut, at *groupSet, m int, set []uint64) int {
-	c0, c1 := f.codes[0], f.codes[1]
-	for lo := 0; lo < len(c0); lo += 64 {
-		r0 := c0[lo:min(lo+64, len(c0))]
-		r1 := c1[lo : lo+len(r0)]
-		var u, l uint64
-		for k, x := range r0 {
-			g := uint(x)<<8 | uint(r1[k])
-			u |= cut[g>>6] >> (g & 63) & 1 << k
-			l |= at[g>>6] >> (g & 63) & 1 << k
-		}
-		if c := bits.OnesCount64(u); c < m {
-			m -= c
-			set[lo>>6] |= l
-			continue
-		}
-		for ; m > 1; m-- {
-			u &= u - 1
-		}
-		b := bits.TrailingZeros64(u)
-		set[lo>>6] |= l & (^uint64(0) >> (63 - b))
-		return lo + b
-	}
-	return math.MaxInt // unreachable: the groups hold m rows
-}
-
 // weighted is a value that counts weight times.
 type weighted struct {
 	v float64
@@ -1222,26 +1197,19 @@ func (x *PairIndex) setRows(set []uint64, rows []int32) {
 // NaN: pass two over the groups. Of a first code below the NaN code,
 // the groups under T are one run of rows, and those at T lie on either
 // side of it. set must be empty on entry. A cut whose iT is yet to find
-// is found here (c.iT set): where the m-th of its rows is expected early
-// (≈ n·m/rows, were they spread over the row order) against the ≈ 1 ns
-// a row of setting them all, by one read of the codes in row order that
-// counts the cut's rows and sets the rows at T as it goes (scanCut),
-// else first, by nthRow, which may leave in set the cut's rows up to iT
-// (a group whose upper bound is T has its lower bound at T or under it):
-// then only the other groups at T are read, each up to iT.
+// is found here first (c.iT set), by nthRow, which may leave in set the
+// cut's rows up to iT (a group whose upper bound is T has its lower
+// bound at T or under it): then only the other groups at T are read,
+// each up to iT.
 func (f *rowFilter) keepGroups(set []uint64, c *pairCut) (nNaN int) {
 	x, T := f.pairs, c.T
 	var cut groupSet
 	for _, r := range c.at {
 		cut.add(r.g0, r.g1)
 	}
-	scan, cutRows := false, false // iT by scanCut; set holds the cut's rows up to iT
+	cutRows := false // set holds the cut's rows up to iT
 	if c.iT < 0 {
-		if n := len(f.codes[0]); 8*n*c.m < 3*c.rows*c.rows {
-			scan = true
-		} else {
-			c.iT, cutRows = f.nthRow(c.at, c.m, set)
-		}
+		c.iT, cutRows = f.nthRow(c.at, c.m, set)
 	}
 	var at []groupRun // the runs of groups whose lower bound is T
 	group := func(g int) {
@@ -1275,14 +1243,6 @@ func (f *rowFilter) keepGroups(set []uint64, c *pairCut) (nNaN int) {
 			}
 		}
 		group(g + codeNaN)
-	}
-	if scan {
-		var lower groupSet
-		for _, r := range at {
-			lower.add(r.g0, r.g1)
-		}
-		c.iT = f.scanCut(&cut, &lower, c.m, set)
-		return nNaN
 	}
 	for _, r := range at { // their rows up to iT
 		for g := r.g0; g < r.g1; g++ {

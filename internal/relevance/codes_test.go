@@ -568,18 +568,24 @@ func TestRowFilterKeepsTopK(t *testing.T) {
 }
 
 // FuzzRowFilter gives the fuzzer two children's values, their weights,
-// the kernel, the budget and k: the first byte picks the kernel and
-// which children are range leaves over their values as a column, each
-// with the view of the column's plane (none, the first, the second or
-// both; the range is from the column's first to its last value, the
-// strict edge none, lo or hi as the weight's byte says), the next two
-// the weights, the next two the budget and k, and the rest, eight bytes
-// a row, the rows of the two children in turn.
+// the kernel, the budget and k: the first byte picks the kernel (modulo
+// the kernels) and which children are range leaves over their values as
+// a column, each with the view of the column's plane (its top two bits:
+// none, the first, the second or both; the range is from the
+// column's first to its last value, the strict edge none, lo or hi as
+// the weight's byte says), the next two the weights, the next two the
+// budget and k, and the rest, eight bytes a row, the rows of the two
+// children in turn. The seeds are twelve of plain children, then eight
+// of views; the corpus's two files are of plain children.
 func FuzzRowFilter(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	for seed := 0; seed < 20; seed++ {
 		n := 1 + rng.Intn(30)
-		b := []byte{byte(seed), byte(rng.Intn(18)), byte(rng.Intn(18)), byte(rng.Intn(n)), byte(rng.Intn(n))}
+		first, draws := byte(seed), 6
+		if seed >= 12 {
+			first, draws = byte(64*(1+seed%3)+seed%len(rowFilterKernels)), 18
+		}
+		b := []byte{first, byte(rng.Intn(draws)), byte(rng.Intn(draws)), byte(rng.Intn(n)), byte(rng.Intn(n))}
 		a, c := rowFilterChild(rng, n), rowFilterChild(rng, n)
 		for i := 0; i < n; i++ {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a[i]))
@@ -603,7 +609,7 @@ func FuzzRowFilter(f *testing.F) {
 		n := len(a)
 		root := &Node{Op: kn.op, Weight: 1, Children: []*Node{
 			{Op: Leaf, Weight: w0, Dists: a}, {Op: Leaf, Weight: w1, Dists: c}}}
-		views := int(data[0]) / len(rowFilterKernels)
+		views := int(data[0]) >> 6
 		for j, leaf := range root.Children {
 			if views>>j&1 == 0 {
 				continue

@@ -31,7 +31,7 @@ func attachLeafStats(root *Node) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.Op == Leaf {
-			if n.Codes == nil || !n.Codes.view {
+			if n.Codes == nil || n.Codes.column == nil {
 				n.Codes = BuildCodes(n.Dists)
 			}
 			return

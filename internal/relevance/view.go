@@ -55,7 +55,7 @@ func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 	if eps == 0 {
 		eps = 1
 	}
-	view = &Codes{id: cp.id, codes: cp.codes, counts: cp.counts, view: true}
+	view = &Codes{id: cp.id, codes: cp.codes, counts: cp.counts, column: cp}
 	for c := range codeNaN {
 		vl, vh := cp.lo[c], cp.hi[c]
 		l, h := 0.0, max(dist(vl), dist(vh))
