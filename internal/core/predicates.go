@@ -145,7 +145,7 @@ func (e *Engine) numericCond(cache *RunCache, c *query.Cond, attr query.BoundAtt
 	}
 	// The per-item pass runs chunked across the worker pool: every chunk
 	// writes disjoint slots of raw/signed, and the merged reductions (a
-	// max, a count and the boundary items) are order-independent, so the
+	// max and the boundary items) are order-independent, so the
 	// result is bit-identical to the serial loop. Within a chunk, the pass
 	// walks segment-aligned subranges — each read into a SegmentSize
 	// scratch — so skipped segments drop out wholesale (a parallel chunk
@@ -220,10 +220,7 @@ func (e *Engine) numericCond(cache *RunCache, c *query.Cond, attr query.BoundAtt
 	}
 	dmax := total.max // the largest finite distance written, the boundary rows' too
 	if len(total.boundary) > 0 {
-		eps := total.max / 128
-		if eps == 0 {
-			eps = 1
-		}
+		eps := relevance.EdgeEps(total.max)
 		dmax = max(dmax, eps)
 		for _, i := range total.boundary {
 			raw[i] = eps

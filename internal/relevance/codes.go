@@ -126,9 +126,7 @@ func (cp *Codes) Encode(v []float64, c0, c1 int) {
 // minimum's class answers the range's minimum and, when keep reaches no
 // further, its maximum. Else the counts name the code the keep-th
 // smallest finite value falls into (codes are ordered like their
-// values); a code of under an eighth of the rows is gathered, a run of
-// bytes at a time, for the selection, and a denser one (a column too
-// skewed for equal-width buckets) answers by NormRange.
+// values), and its values are gathered for the selection (gather).
 // A nil plane, or one of another vector, answers by NormRange. scanned
 // reports a pass over v: the gather, or NormRange. A zero answer carries
 // the sign of v's first zero, as NormRange's does. A view answers by its
@@ -140,10 +138,7 @@ func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
 	case cp.column != nil:
 		return cp.viewRange(v, keep)
 	}
-	nFinite := 0
-	for _, c := range cp.counts[codeMin:codePosInf] {
-		nFinite += int(c)
-	}
+	nFinite := finiteRows(&cp.counts)
 	mn, mins := cp.enc.mn, int(cp.counts[codeMin])
 	switch {
 	case nFinite == 0:
@@ -162,21 +157,38 @@ func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
 	for ; before+int(cp.counts[c]) < p.Kept; c++ {
 		before += int(cp.counts[c])
 	}
-	m := int(cp.counts[c])
-	if m*8 >= len(v) {
+	vals, ok := cp.gather(v, c)
+	if !ok {
 		return NormRange(v, keep), true
-	}
-	vals := make([]float64, 0, m)
-	for i := 0; ; i++ {
-		j := bytes.IndexByte(cp.codes[i:], uint8(c))
-		if j < 0 {
-			break
-		}
-		i += j
-		vals = append(vals, v[i])
 	}
 	p.DMax = rangeOf(scanRange(vals, 0, len(vals)), vals, p.Kept-before).DMax
 	return p, true
+}
+
+// gather returns the values of v whose codes are among cs, gathered a
+// run of bytes at a time, code after code. ok is false when those codes
+// hold an eighth of the rows or more (a column too skewed for
+// equal-width buckets): NormRange's scan answers then.
+func (cp *Codes) gather(v []float64, cs ...int) (vals []float64, ok bool) {
+	rows := 0
+	for _, c := range cs {
+		rows += int(cp.counts[c])
+	}
+	if rows*8 >= len(v) {
+		return nil, false
+	}
+	vals = make([]float64, 0, rows)
+	for _, c := range cs {
+		for i := 0; ; i++ {
+			j := bytes.IndexByte(cp.codes[i:], uint8(c))
+			if j < 0 {
+				break
+			}
+			i += j
+			vals = append(vals, v[i])
+		}
+	}
+	return vals, true
 }
 
 // FiniteExtremes returns the least and the greatest finite value of v
@@ -1080,52 +1092,11 @@ func (s *groupSet) add(g0, g1 int) {
 }
 
 // nthRow returns the m-th smallest of the rows of the runs of groups
-// of f.pairs at. A few groups (under a 300th of their rows) are bisected
-// over the row index: per group, the count at a row lies in a window of
-// its ascending rows that every step narrows, and a group whose window
-// closes counts its rows below it, fixed. Else their rows are set in
-// set, an empty n-bit row set, whose bits are counted, and those past
-// the m-th cleared: set then holds their rows up to it (inSet).
-func (f *rowFilter) nthRow(at []groupRun, m int, set []uint64) (iT int, inSet bool) {
+// of f.pairs at: their rows are set in set, an empty n-bit row set, its
+// bits counted up to the m-th, and those past it cleared, so that set
+// then holds their rows up to it.
+func (f *rowFilter) nthRow(at []groupRun, m int, set []uint64) int {
 	x := f.pairs
-	var ws [][]int32 // per group, the rows the count has yet to place
-	rows := 0
-	for _, r := range at {
-		for g := r.g0; g < r.g1 && 300*len(ws) < len(f.codes[0]); g++ {
-			ws = append(ws, x.group(g))
-		}
-		rows += int(x.off[r.g1] - x.off[r.g0])
-	}
-	if 300*len(ws) < rows {
-		counts := make([]int, len(ws))
-		lo, hi, base := 0, len(f.codes[0])-1, 0 // base: the rows below every open window
-		for lo < hi {
-			r, c := int(uint(lo+hi)>>1), base
-			for j, w := range ws {
-				counts[j], _ = slices.BinarySearch(w, int32(r)+1)
-				c += counts[j]
-			}
-			open := ws[:0]
-			for j, w := range ws {
-				if c >= m {
-					w = w[:counts[j]]
-				} else {
-					base += counts[j]
-					w = w[counts[j]:]
-				}
-				if len(w) > 0 {
-					open = append(open, w)
-				}
-			}
-			ws = open
-			if c >= m {
-				hi = r
-			} else {
-				lo = r + 1
-			}
-		}
-		return lo, false
-	}
 	for _, r := range at {
 		x.setRows(set, x.rows[x.off[r.g0]:x.off[r.g1]])
 	}
@@ -1140,9 +1111,9 @@ func (f *rowFilter) nthRow(at []groupRun, m int, set []uint64) (iT int, inSet bo
 		b := bits.TrailingZeros64(word)
 		set[w] &= ^uint64(0) >> (63 - b)
 		clear(set[w+1:])
-		return w<<6 | b, true
+		return w<<6 | b
 	}
-	return math.MaxInt, true // unreachable: the groups hold m rows
+	return math.MaxInt // unreachable: the groups hold m rows
 }
 
 // weighted is a value that counts weight times.
@@ -1197,7 +1168,7 @@ func (x *PairIndex) setRows(set []uint64, rows []int32) {
 // NaN: pass two over the groups. Of a first code below the NaN code,
 // the groups under T are one run of rows, and those at T lie on either
 // side of it. set must be empty on entry. A cut whose iT is yet to find
-// is found here first (c.iT set), by nthRow, which may leave in set the
+// is found here first (c.iT set), by nthRow, which leaves in set the
 // cut's rows up to iT (a group whose upper bound is T has its lower
 // bound at T or under it): then only the other groups at T are read,
 // each up to iT.
@@ -1207,9 +1178,9 @@ func (f *rowFilter) keepGroups(set []uint64, c *pairCut) (nNaN int) {
 	for _, r := range c.at {
 		cut.add(r.g0, r.g1)
 	}
-	cutRows := false // set holds the cut's rows up to iT
-	if c.iT < 0 {
-		c.iT, cutRows = f.nthRow(c.at, c.m, set)
+	cutRows := c.iT < 0 // set holds the cut's rows up to iT
+	if cutRows {
+		c.iT = f.nthRow(c.at, c.m, set)
 	}
 	var at []groupRun // the runs of groups whose lower bound is T
 	group := func(g int) {

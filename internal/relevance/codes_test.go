@@ -678,7 +678,7 @@ func TestCutPairsZeroSigns(t *testing.T) {
 			if s, need, ok := groups.find(K); ok {
 				c := g.cutPairs(g.slotGroups(groups, s), need)
 				if c.iT < 0 {
-					c.iT, _ = g.nthRow(c.at, c.m, make([]uint64, (n+63)/64))
+					c.iT = g.nthRow(c.at, c.m, make([]uint64, (n+63)/64))
 				}
 				gT, giT = c.T, c.iT
 			}

@@ -1,7 +1,6 @@
 package relevance
 
 import (
-	"bytes"
 	"cmp"
 	"math"
 	"slices"
@@ -22,14 +21,13 @@ import (
 // whose distance to the target interval [lo, hi] is lo − v below it, v − hi
 // above it, 0 inside and NaN for a NaN value, except that a value equal to
 // edge (a strict operator's own bound; NaN when there is none) is at
-// distance eps — the largest finite distance of any other row over 128,
-// or 1 when that is 0. Per code the distances of its rows lie in an
-// interval the kernel's subtraction bounds exactly, as it rounds
-// monotonically: the distances fall over the values below lo and rise
-// over those above hi. ok is false when the plane cannot know eps: a
-// finite value whose distance overflows to +Inf, so that the largest
-// finite distance is not at the column's extremes; the caller codes the
-// leaf's distances instead.
+// distance eps, EdgeEps of the largest finite distance of any other row.
+// Per code the distances of its rows lie in an interval the kernel's
+// subtraction bounds exactly, as it rounds monotonically: the distances
+// fall over the values below lo and rise over those above hi. ok is
+// false when the plane cannot know eps: a finite value whose distance
+// overflows to +Inf, so that the largest finite distance is not at the
+// column's extremes; the caller codes the leaf's distances instead.
 func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 	dist := func(v float64) float64 {
 		switch {
@@ -51,10 +49,7 @@ func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 			dm = max(dm, d)
 		}
 	}
-	eps := dm / 128
-	if eps == 0 {
-		eps = 1
-	}
+	eps := EdgeEps(dm)
 	view = &Codes{id: cp.id, codes: cp.codes, counts: cp.counts, column: cp}
 	for c := range codeNaN {
 		vl, vh := cp.lo[c], cp.hi[c]
@@ -75,6 +70,16 @@ func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 	}
 	view.lo[codeNaN], view.hi[codeNaN] = math.NaN(), math.NaN()
 	return view, true
+}
+
+// EdgeEps is the distance of a row on a strict operator's own bound,
+// given dmax, the largest finite distance of the leaf's other rows:
+// dmax/128, or 1 when that is 0. The range kernel and View both take it.
+func EdgeEps(dmax float64) float64 {
+	if eps := dmax / 128; eps != 0 {
+		return eps
+	}
+	return 1
 }
 
 // finiteRows counts the rows of finite codes: the minimum's and the
@@ -110,9 +115,7 @@ type viewBlock struct {
 // known from the counts. Else x is selected among the rows of the codes
 // whose intervals reach into [tLo, tHi]: an exact code (one value, like
 // the zeros of the codes wholly inside the target) by its count, the
-// others gathered from v, a run of bytes at a time — unless they hold an
-// eighth of the rows or more, when NormRange's scan answers. scanned
-// reports a pass over v.
+// others gathered from v (gather). scanned reports a pass over v.
 func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 	var blocks [codeNaN]viewBlock
 	bs, nFinite, zeros := blocks[:0], 0, 0
@@ -149,7 +152,7 @@ func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 	}
 	// The codes wholly below tLo rank first; the others that reach into
 	// [tLo, tHi] hold x.
-	r, gather := p.Kept, 0
+	r := p.Kept
 	var exact []viewBlock
 	var gathered []int
 	for _, b := range bs {
@@ -161,22 +164,11 @@ func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 			exact = append(exact, b)
 		default:
 			gathered = append(gathered, b.code)
-			gather += b.count
 		}
 	}
-	if gather*8 >= len(v) {
+	vals, ok := cp.gather(v, gathered...)
+	if !ok {
 		return NormRange(v, keep), true
-	}
-	vals := make([]float64, 0, gather)
-	for _, c := range gathered {
-		for i := 0; ; i++ {
-			j := bytes.IndexByte(cp.codes[i:], uint8(c))
-			if j < 0 {
-				break
-			}
-			i += j
-			vals = append(vals, v[i])
-		}
 	}
 	// The r-th smallest of vals and the exact codes' values: past each
 	// exact value in turn, or among vals between two of them.
