@@ -102,19 +102,22 @@
 //     vectors materialize lazily (windows only read the displayed
 //     items). The pooling contract: a session Result is valid until
 //     the next recalculation.
-//   - A fresh range leaf is one branch-free pass (distances selected by
-//     bit masks) and no code pass: a numeric column of a single table is
-//     coded once, over its values, per column and catalog epoch (a "V|"
-//     entry of the shared tier, never sent to kv, which a run keeps
-//     resident after each leaf holding a view of it, so the tier counts
-//     the code bytes of every view it holds), and a range leaf's
-//     plane is a view of it — the column's codes, counts and ID, with
-//     per-code distance intervals derived from each code's value
-//     interval by the kernel's subtraction (relevance.Codes.View); a kv
-//     arrival takes the same view. The slider's extremes are the
-//     column's (Column.MinMax).
+//   - A fresh range leaf of a cached single-table run computes no
+//     distances: a numeric column of a single table is coded once, over
+//     its values, per column and catalog epoch (a "V|" entry of the
+//     shared tier keeping codes and values, 9 bytes a row, never sent to
+//     kv, which a run keeps resident after each leaf holding a view of
+//     it), and a range leaf is a view of it — the column's codes, counts
+//     and ID, with per-code distance intervals derived from each code's
+//     value interval by the kernel's subtraction (relevance.Codes.View),
+//     and no vector: a row's distance is computed from its value by the
+//     kernel's expression where it is read, by chunk or by row list. The
+//     leaf's entry is a few KB under an "R|" key that never travels
+//     (TestViewLeavesMatchVectorsAndFullSort). Pair spaces, uncached runs
+//     and 2D axes keep the branch-free kernel pass (distances selected by
+//     bit masks). The slider's extremes are the column's (Column.MinMax).
 //     (TestRangeKernelMatchesToRange, FuzzRangeKernel, BenchmarkRangeDistances,
-//     TestColumnView, TestColumnExtremesMatchScan)
+//     TestColumnView, FuzzColumnView, TestColumnExtremesMatchScan)
 //
 // # Rank before scale: monotonic-transform-aware top-k by filter and refine
 //
@@ -151,8 +154,8 @@
 //     bucket. A single-table range leaf's plane is a view of its
 //     column's: the column's classes, with distance intervals that fall
 //     over the codes below the target, are 0 inside it and rise above it.
-//     The plane counts in the entry's bytes (a view its tables alone)
-//     and never crosses kv.
+//     The plane counts in the entry's bytes (a view its tables alone;
+//     its column plane counts the codes and values) and never crosses kv.
 //   - Filter. Each child's intervals, mapped through its params and
 //     weight onto the terms its kernel folds, bound every row's raw root
 //     value in two passes over bytes (the VA-file's filter step, Weber,
@@ -262,11 +265,12 @@
 //     as hex floats, where stats that fail to parse are a typed
 //     ErrCorruptSegment at open (TestSegmentStatsMatchScan,
 //     TestColumnExtremesMatchScan, both over both backings).
-//   - Predicate pushdown: a range scan skips reading — for a file-backed
-//     column, decoding — a segment whose stats prove every row inside
-//     the query interval — distance exactly 0 — so results stay
-//     bit-identical by construction, and the skipped chunks are coded
-//     from the proof without a read. It does not depend on the backing.
+//   - Predicate pushdown: a range pass — an uncached run's range leaf, a
+//     pair space's, a 2D axis's signed fill — skips reading (for a
+//     file-backed column, decoding) a segment whose stats prove every row
+//     inside the query interval — distance exactly 0 — so results stay
+//     bit-identical by construction. It does not depend on the backing.
+//     A cached single-table range leaf is a view and reads no segment.
 //     StageTimings.SegsSkipped/Segs attribute it
 //     (TestPushdownLockstepReplay).
 //   - The writer writes segments: each column's, as they are — resident,
@@ -369,7 +373,8 @@
 // session-private (TestConcurrentSharedSessionsMatchFreshEngine).
 //
 // A cached leaf is only its vector: its raw distances and the code
-// plane its compute built. Only a 2D axis entry ("A|") carries its
+// plane its compute built, or, for a single-table range leaf, its view
+// of its column's plane and no distances. Only a 2D axis entry ("A|") carries its
 // sorted values, the sample its bands are cut from, sorted where the
 // vector is born — its compute, or a kv arrival (SharedCache.fetch's
 // derive) — so that an entry is whole when stored and never written
@@ -539,9 +544,10 @@
 // written back. Leaf vectors and a 2D axis's signed distances are all
 // that travels, in core's versioned envelope (core/remote.go; version 5:
 // the version byte, then the vector), under the leaf keys "C|", "J|",
-// "B|", "S|" and the axis keys "A|"; code planes (a range leaf's view of
-// its column's plane), axes' sorted samples, column planes, interior
-// vectors and PairIndexes are rebuilt where they are used, and a slider's
+// "B|", "S|" and the axis keys "A|"; code planes, range leaves (views
+// of their columns' planes, "R|"), axes' sorted samples, column planes,
+// interior vectors and PairIndexes are rebuilt where they are used, so a
+// query of range conditions alone sends kv nothing, and a slider's
 // numbers are read from the condition and its column. A value is
 // adopted only if it decodes in full, under the current envelope
 // version, to a vector exactly as long as the item space

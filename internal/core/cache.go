@@ -84,26 +84,29 @@ func newPinSet() pinSet {
 // recent ranges).
 const maxCacheEntries = 64
 
-// leafEntry is one cached vector as the tier holds it and as fetches
+// leafEntry is one cached entry as the tier holds it and as fetches
 // hand it out and pins keep it: the leaf of a condition, join,
 // boolean-negation fallback or subquery, the raw combined vector of an
-// interior node, or a 2D axis's signed distances. An entry is its
-// vectors and what is built from them, nothing else: the slider's
-// numbers are O(1) reads of the condition and its column
-// (Result.PredicateInfos). An entry is whole when it is
+// interior node, a 2D axis's signed distances, a column plane or a
+// PairIndex. An entry is its vectors and what is built from them,
+// nothing else: the slider's numbers are O(1) reads of the condition and
+// its column (Result.PredicateInfos). An entry is whole when it is
 // stored and never written afterwards; only its raw vector ever leaves
 // the process (encodeSharedEntry), and what is built from it is rebuilt
 // wherever it goes (SharedCache.fetch's derive).
 type leafEntry struct {
-	// raw is the distance vector (an interior node's raw combined one).
+	// raw is the distance vector (an interior node's raw combined one);
+	// a view leaf has none.
 	raw []float64
 	// codes is raw's code plane, built where the vector is born — a
 	// leaf's compute, an interior vector's pass, a kv arrival's fill —
 	// which the ranking filters the root's rows by and whose counts
 	// answer the vector's normalization ranges. A single-table range
-	// leaf's is a view of its column's plane (Engine.columnView); a
-	// column plane's entry holds that plane alone. A 2D axis's signed
-	// distances are never ranked and have none.
+	// leaf of a cached run is a view of its column's plane
+	// (Engine.columnView) and nothing else: its distances are computed
+	// from the plane's values where they are read. A column plane's
+	// entry holds that plane alone, with the column's values. A 2D axis's
+	// signed distances are never ranked and have none.
 	codes *relevance.Codes
 	// sorted is a 2D axis's signed distances in ascending order
 	// (relevance.SortedValues), the sample its bands are cut from, built

@@ -109,11 +109,13 @@ type StageTimings struct {
 	// bench/ freeze them.
 	SketchHits, SketchRescans int
 	// SegsSkipped and Segs attribute the segment-stats pushdown of a
-	// leaf's column read: storage segments whose read was skipped
+	// range pass's column read: storage segments whose read was skipped
 	// because the column's per-segment stats proved every row in range
-	// (distance exactly 0), out of the segments the run's fresh range
-	// leaves considered, resident or file-backed. Zero on warm runs
-	// (nothing is recomputed) and for uncached runs.
+	// (distance exactly 0), out of the segments the run's range passes
+	// considered, resident or file-backed. A range pass is an uncached
+	// run's range leaf, a pair space's, or a 2D axis's signed fill; a
+	// cached single-table range leaf is a view of its column's plane and
+	// reads no segment. Zero on warm runs (nothing is recomputed).
 	SegsSkipped, Segs int
 }
 
@@ -216,7 +218,6 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	res.Timings.Distances = time.Since(mark)
 	if cache != nil {
 		res.Timings.CacheHits, res.Timings.CacheMisses, res.Timings.SharedHits = cache.runStats()
-		res.Timings.SegsSkipped, res.Timings.Segs = cache.runSegStats()
 	}
 	mark = time.Now()
 	budget := e.opt.GridW * e.opt.GridH
@@ -316,6 +317,9 @@ func (e *Engine) runBound(ctx context.Context, q *query.Query, b *query.Binding,
 	res.sorted, res.Order = res.rankSorted, res.rankOrder
 	res.Displayed = e.displayCount(res.rankSorted, colorable, space.n, numPreds)
 	res.buildPlacement()
+	if cache != nil {
+		res.Timings.SegsSkipped, res.Timings.Segs = cache.runSegStats()
+	}
 	res.Timings.Reduce = time.Since(mark)
 	res.Timings.Total = time.Since(start)
 	runOK = true
@@ -454,31 +458,22 @@ func (e *Engine) exprNode(expr query.Expr, b *query.Binding, space *itemSpace, r
 		res.setEvaluated(n, c)
 		compute := func() (leafEntry, error) {
 			le, skipped, segs, err := e.condData(res.cache, c, attr, space, nil, nil)
-			if err == nil && res.cache != nil && segs > 0 {
+			if err == nil {
 				// Segment-pushdown attribution happens here, inside the
 				// compute closure, so only the run that actually paid for
 				// the cold scan counts it (cache hits recompute nothing).
-				res.cache.addSegStats(skipped, segs)
+				res.addSegStats(skipped, segs)
 			}
 			return le, err
-		}
-		// A range leaf another process computed arrives with its column's
-		// view, as its compute gives it one.
-		derive := e.entry
-		if lo, hi, edge, ok := viewOf(c, attr, space); ok {
-			derive = func(raw []float64) leafEntry {
-				le := leafEntry{raw: raw, codes: e.columnView(res.cache, space, attr, lo, hi, edge)}
-				if le.codes == nil {
-					le.codes = e.codes(raw)
-				}
-				return le
-			}
 		}
 		// The cache key (runKeys.cond) is the condition's structural
 		// signature: bound table.attr plus Label (operator, literals,
 		// distance function — Label excludes the weighting factor by
-		// construction), so weight-only reruns hit unconditionally.
-		node, err := e.leafNode(res, space, expr, expr.Label(), res.keys.cond(attr.Qualified(), c.Label()), derive, compute)
+		// construction), so weight-only reruns hit unconditionally. A
+		// range leaf that is a view of its column's plane is keyed as one,
+		// which never travels.
+		_, _, _, view := viewOf(c, attr, space)
+		node, err := e.leafNode(res, space, expr, expr.Label(), res.keys.cond(attr.Qualified(), c.Label(), view), e.entry, compute)
 		if err == nil && res.cache != nil && node.Codes != nil && node.Codes.Column() != nil {
 			res.cache.Shared().keep(e.columnKey(space, attr), node.Codes.Column())
 		}
@@ -725,10 +720,15 @@ func (e *Engine) extremes(v []float64, read func(dst []float64, from int)) (lo, 
 }
 
 // codesOver builds the code plane of v, whose finite values lie in
-// [lo, hi], its evaluator chunks split across the engine's workers: the
-// same bytes for any number of them.
+// [lo, hi].
 func (e *Engine) codesOver(v []float64, lo, hi float64) *relevance.Codes {
-	cp := relevance.NewCodes(len(v), lo, hi)
+	return e.encode(relevance.NewCodes(len(v), lo, hi), v)
+}
+
+// encode codes v, the vector of the new plane cp, its evaluator chunks
+// split across the engine's workers: the same bytes for any number of
+// them.
+func (e *Engine) encode(cp *relevance.Codes, v []float64) *relevance.Codes {
 	_ = parallelFor(cp.Chunks(), e.workers, 1, func(c0, c1 int) error {
 		cp.Encode(v, c0, c1)
 		return nil

@@ -284,9 +284,10 @@ func TestSpaceSigEmbedsEpoch(t *testing.T) {
 		t.Fatalf("space signature %q does not embed the epoch", sig1)
 	}
 	k := runKeys{space: sig1}
-	leaf := &relevance.Node{Op: relevance.Leaf, Key: k.cond("T.x", "x > 6")}
+	leaf := &relevance.Node{Op: relevance.Leaf, Key: k.cond("T.x", "x > 6", true)}
 	for _, key := range []string{
-		k.cond("T.x", "x > 6"),
+		k.cond("T.x", "x > 6", true),
+		k.cond("T.x", "x > 6", false),
 		k.join("T~U", true),
 		k.boolean("NOT x > 6"),
 		k.subquery(256, 0, "EXISTS (...)", false),
@@ -447,8 +448,9 @@ func TestEvictedInnerPartRecomputesAlone(t *testing.T) {
 }
 
 // TestInteriorVectorsStayLocal: over a remote tier, a nested query's
-// interior vectors and its root's PairIndex are neither asked of it nor
-// offered to it, on a cold node, on a node the fleet warms and on its
+// interior vectors, its root's PairIndex and its four range leaves —
+// views of their columns' planes — are neither asked of it nor offered
+// to it, on a cold node, on a second node over the same store and on its
 // warm rerun. The interior vectors' lookups count as the tier's
 // InteriorHits/InteriorMisses and the index's in nothing, never as its
 // Hits/Misses, which count the four leaves alone.
@@ -465,7 +467,7 @@ func TestInteriorVectorsStayLocal(t *testing.T) {
 		hits, misses, remoteHits, intHits, intMisses uint64
 	}{
 		{"cold", 1, 0, 4, 0, 0, 2},
-		{"fleet-warmed", 2, 0, 4, 4, 0, 2},
+		{"second node", 2, 0, 4, 0, 0, 2},
 	} {
 		sc := NewSharedCacheOpts(SharedOptions{Backend: backend})
 		c := NewRunCache()
@@ -494,12 +496,12 @@ func TestInteriorVectorsStayLocal(t *testing.T) {
 			t.Fatalf("%s: tier %+v", node.name, st)
 		}
 	}
-	if keys := backend.leafKeys(t); len(keys) != 4 {
-		t.Fatalf("the store holds %q, want the four leaves", keys)
+	if keys := backend.leafKeys(t); len(keys) != 0 {
+		t.Fatalf("the store holds %q, want nothing", keys)
 	}
 	backend.mu.Lock()
 	defer backend.mu.Unlock()
-	if backend.gets != 8 || backend.puts != 4 {
-		t.Fatalf("the store served %d gets and %d puts, want 8 and 4", backend.gets, backend.puts)
+	if backend.gets != 0 || backend.puts != 0 {
+		t.Fatalf("the store served %d gets and %d puts, want none", backend.gets, backend.puts)
 	}
 }

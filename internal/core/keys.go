@@ -37,9 +37,15 @@ func (e *Engine) runKeys(space *itemSpace) runKeys {
 // cond keys a simple-condition leaf: bound table.attr plus the
 // condition label (operator, literals, distance function — Label
 // excludes the weighting factor by construction, so weight-only reruns
-// hit unconditionally).
-func (k runKeys) cond(qualified, label string) string {
-	return "C|" + k.space + "|" + qualified + "|" + label
+// hit unconditionally). A leaf that is a view of its column's plane
+// (viewOf) is keyed under viewTag: its entry is its view, which a
+// process takes of the plane it coded itself, so it never travels.
+func (k runKeys) cond(qualified, label string, view bool) string {
+	tag := "C|"
+	if view {
+		tag = viewTag
+	}
+	return tag + k.space + "|" + qualified + "|" + label
 }
 
 // join keys a join-connection leaf; negation is part of the identity
@@ -104,12 +110,14 @@ func (k runKeys) pairs(a, b *relevance.Codes) string {
 // qualified attribute name exactly.
 func (k runKeys) column(qualified string) string { return columnTag + k.space + "|" + qualified }
 
-// interiorTag starts every interior key, pairsTag every PairIndex key
-// and columnTag every column plane's key, and no other.
+// interiorTag starts every interior key, pairsTag every PairIndex key,
+// columnTag every column plane's key and viewTag every view leaf's, and
+// no other.
 const (
 	interiorTag = "I|"
 	pairsTag    = "G|"
 	columnTag   = "V|"
+	viewTag     = "R|"
 )
 
 // isInterior reports whether key names an interior node's raw combined
@@ -118,8 +126,12 @@ func isInterior(key string) bool { return strings.HasPrefix(key, interiorTag) }
 
 // isLocal reports whether key names what never travels to the remote
 // tier: an interior vector, which a run rebuilds from its leaves in one
-// pass, a PairIndex, whose planes are the process's own, or a column
-// plane, which a process codes once from the catalog it holds.
+// pass, a PairIndex, whose planes are the process's own, a column plane,
+// which a process codes once from the catalog it holds, or a view leaf,
+// which is the view of such a plane.
 func isLocal(key string) bool {
-	return isInterior(key) || strings.HasPrefix(key, pairsTag) || strings.HasPrefix(key, columnTag)
+	return isInterior(key) || isView(key) || strings.HasPrefix(key, pairsTag) || strings.HasPrefix(key, columnTag)
 }
+
+// isView reports whether key names a view leaf (runKeys.cond).
+func isView(key string) bool { return strings.HasPrefix(key, viewTag) }

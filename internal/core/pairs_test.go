@@ -130,20 +130,21 @@ func TestConcurrentSessionsShareOnePairIndex(t *testing.T) {
 }
 
 // TestColumnPlaneOutlivesItsViews: a range leaf's view holds its column
-// plane's code bytes, which only the plane's entry counts, so a tier
-// under a byte budget never holds a view whose plane it evicted. Range
-// drags of one child fill leaves under a budget of a few, while the
-// other child's leaf is read at every step and its column's plane
-// nowhere else: the tier's bytes stay under the budget with fills −
-// evictions = entries, the leaf and its plane are both resident after
-// the last drag, and the root reads one PairIndex throughout — a range
-// drag of the other child too, whose plane is never coded again.
+// plane's code bytes and values, which only the plane's entry counts, so
+// a tier never holds a view whose plane it evicted. Range drags of one
+// child fill leaves under a cap of a few entries (a view is a few KB, so
+// a byte budget is a cap on the planes and the index), while the other
+// child's leaf is read at every step and its column's plane nowhere
+// else: the tier's bytes stay under the budget with fills − evictions =
+// entries, the leaf and its plane are both resident after the last drag,
+// and the root reads one PairIndex throughout — a range drag of the
+// other child too, whose plane is never coded again.
 func TestColumnPlaneOutlivesItsViews(t *testing.T) {
 	cat := interiorCatalog(t, minPairRows+300)
 	e := New(cat, nil, Options{GridW: 16, GridH: 16})
 	q := mustParse(t, `SELECT a FROM S WHERE a > 50 AND c < 40`)
 	const budget = 3 << 20
-	sc := NewSharedCache(0, budget)
+	sc := NewSharedCache(6, budget) // two planes, the index, two leaves and one more
 	c := NewRunCache()
 	c.AttachShared(sc)
 	first := ""

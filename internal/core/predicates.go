@@ -48,30 +48,37 @@ func (s *itemSpace) tableByName(name string) (*dataset.Table, error) {
 
 // condData computes the leaf entry of a simple condition over the item
 // space, and how many storage segments the segment-stats pushdown
-// skipped out of how many it considered (single-table range scans only;
-// see numericCond). attr is the condition's resolved binding, passed
+// skipped out of how many it considered (vector range leaves only; see
+// numericCond). attr is the condition's resolved binding, passed
 // explicitly so negation rewrites (which evaluate a private copy of the
 // condition) never have to touch the shared, read-only Binding. A
 // non-nil signed, zeroed and space.n long, receives the signed
 // distances the 2D arrangement places items by; a non-nil known holds
 // the condition's distances already (its leaf's), which a string
 // condition then reuses instead of recomputing them (see stringCond).
-// Without signed, the entry is a leaf's, and comes with its code plane:
-// a single-table range leaf's on a cached run the view of its column's,
-// resolved through cache (columnView). With it, the entry's raw vector
-// is signed itself: every writer stores an item's distance before its
-// signed distance, so an axis fill writes one vector.
+// Without signed, the entry is a leaf's, and comes with its code plane.
+// A single-table range leaf of a cached run takes the view of its
+// column's plane, resolved through cache (columnView), before any pass:
+// the view gives every distance the pass would write, so the leaf runs
+// no kernel and no pushdown, and its entry holds no vector. With signed,
+// the entry's raw vector is signed itself: every writer stores an item's
+// distance before its signed distance, so an axis fill writes one vector.
 func (e *Engine) condData(cache *RunCache, c *query.Cond, attr query.BoundAttr, space *itemSpace, known, signed []float64) (le leafEntry, segsSkipped, segs int, err error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
 		return leafEntry{}, 0, 0, err
+	}
+	if lo, hi, edge, ok := viewOf(c, attr, space); ok && cache != nil && signed == nil {
+		if le.codes = e.columnView(cache, space, attr, lo, hi, edge); le.codes != nil {
+			return le, 0, 0, nil
+		}
 	}
 	le.raw = signed
 	if signed == nil {
 		le.raw = make([]float64, space.n)
 	}
 	if attr.Kind.IsNumeric() {
-		segsSkipped, segs, err = e.numericCond(cache, c, attr, t, space, &le, signed)
+		segsSkipped, segs, err = e.numericCond(c, attr, t, space, &le, signed)
 	} else if err = e.stringCond(c, attr, t, space, known, le.raw, signed); err == nil && signed == nil {
 		le.codes = e.codes(le.raw)
 	}
@@ -85,7 +92,7 @@ func (e *Engine) condData(cache *RunCache, c *query.Cond, attr query.BoundAttr, 
 // numeric/time/bool attributes using the distance-to-range semantics of
 // section 3, and reports the segments the pushdown skipped out of those
 // it considered.
-func (e *Engine) numericCond(cache *RunCache, c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry, signed []float64) (segsSkipped, segs int, err error) {
+func (e *Engine) numericCond(c *query.Cond, attr query.BoundAttr, t *dataset.Table, space *itemSpace, le *leafEntry, signed []float64) (segsSkipped, segs int, err error) {
 	singleTable := space.pairs == nil
 	// Single-table spaces stream the column a segment at a time — a
 	// file-backed column never materializes an n-sized copy. Pair spaces
@@ -236,16 +243,11 @@ func (e *Engine) numericCond(cache *RunCache, c *query.Cond, attr query.BoundAtt
 	switch {
 	case signed != nil:
 	case kernel:
-		if singleTable && cache != nil {
-			le.codes = e.columnView(cache, space, attr, lo, hi, edge)
-		}
-		if le.codes == nil {
-			// A pair space's leaf, an uncached run's (which has no tier to
-			// keep a column plane in) or one over a column whose distances
-			// overflow is coded while its compute is paid for: range
-			// distances lie in [0, dmax].
-			le.codes = e.codesOver(raw, 0, dmax)
-		}
+		// A pair space's leaf, an uncached run's (which has no tier to
+		// keep a column plane in) or one over a column whose distances
+		// overflow is coded while its compute is paid for: range
+		// distances lie in [0, dmax].
+		le.codes = e.codesOver(raw, 0, dmax)
 	default:
 		le.codes = e.codes(raw)
 	}
@@ -299,11 +301,14 @@ func (e *Engine) columnView(cache *RunCache, space *itemSpace, attr query.BoundA
 // columnPlane is the code plane of a numeric column of the item space's
 // one table, over the column's values, coded once per column and catalog
 // epoch: an entry of cache's tier (columnKey), under its budget, that
-// never leaves the process and counts in no hit ratio. No run pins it: a
-// Result reads a range leaf's view, which holds the plane's codes, and
-// the plane itself only makes views; a run keeps it resident after each
-// leaf that holds one of them (SharedCache.keep). The column is read and
-// its extremes found in one pass across the engine's workers, then coded.
+// never leaves the process and counts in no hit ratio. The plane keeps
+// the values its build reads (relevance.NewColumnCodes), 8n counted in
+// its entry beside its n code bytes, and its views compute their
+// distances from them. No run pins it: a Result reads a range leaf's
+// view, which holds the plane's codes and values, and the plane itself
+// only makes views; a run keeps it resident after each leaf that holds
+// one of them (SharedCache.keep). The column is read and its extremes
+// found in one pass across the engine's workers, then coded.
 func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.BoundAttr) (*relevance.Codes, error) {
 	t, err := space.tableByName(attr.Table)
 	if err != nil {
@@ -316,7 +321,7 @@ func (e *Engine) columnPlane(cache *RunCache, space *itemSpace, attr query.Bound
 	le, _, err := cache.Shared().fetch(e.columnKey(space, attr), space.n, nil, func() (leafEntry, error) {
 		vals := make([]float64, space.n)
 		lo, hi := e.extremes(vals, column.ReadFloats)
-		return leafEntry{codes: e.codesOver(vals, lo, hi)}, nil
+		return leafEntry{codes: e.encode(relevance.NewColumnCodes(vals, lo, hi), vals)}, nil
 	})
 	return le.codes, err
 }

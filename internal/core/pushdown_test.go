@@ -68,10 +68,12 @@ func samePredicateInfos(t *testing.T, step string, a, b *Result) {
 // segment-stats pushdown: the same randomized interaction script —
 // range slides on the skippable clustered column, weight changes, a
 // strict operator, predicates on never-skippable columns — replayed
-// against the resident catalog and its segment file must produce, at
-// every step, the results of a fresh FullSort engine, bit for bit; both
-// engines must skip the same segments at every step, and must actually
-// have skipped some.
+// against the resident catalog and its segment file, cached (whose range
+// leaves are views of the columns' planes and read no segment) and
+// uncached (whose range leaves run the pushdown), must produce, at every
+// step, the results of a fresh FullSort engine, bit for bit; the
+// uncached engines must skip the same segments at every step, and must
+// actually have skipped some.
 func TestPushdownLockstepReplay(t *testing.T) {
 	const rows = 5*dataset.SegmentSize + 301
 	mem := clusteredCatalog(t, rows)
@@ -128,6 +130,15 @@ func TestPushdownLockstepReplay(t *testing.T) {
 			res, err := runCached(e.eng, q, caches[ei])
 			if err != nil {
 				t.Fatalf("step %d (%s): %v", si, e.name, err)
+			}
+			results[ei] = res
+			sameResults(t, ref, res)
+			samePredicateInfos(t, sql, ref, res)
+		}
+		for ei, e := range engines {
+			res, err := e.eng.Run(q)
+			if err != nil {
+				t.Fatalf("step %d (%s, uncached): %v", si, e.name, err)
 			}
 			results[ei] = res
 			sameResults(t, ref, res)

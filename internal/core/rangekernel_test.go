@@ -76,6 +76,17 @@ func checkLeafRanges(t testing.TB, what string, le leafEntry, zeros int) {
 	}
 }
 
+// scaledLeaf is the normalized vector of a leaf root of n rows over all
+// of them: a view's (codes) or a vector's (raw).
+func scaledLeaf(t testing.TB, n int, codes *relevance.Codes, raw []float64) []float64 {
+	t.Helper()
+	res, err := relevance.Evaluate(&relevance.Node{Op: relevance.Leaf, Dists: raw, Codes: codes}, n, relevance.EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Combined
+}
+
 // rangeOps are the operators the kernel serves.
 var rangeOps = []query.Op{query.OpBetween, query.OpLt, query.OpLe, query.OpGt, query.OpGe, query.OpEq}
 
@@ -138,7 +149,14 @@ func checkRangeLeaf(t testing.TB, cat *dataset.Catalog, space *itemSpace, c *que
 				if err != nil {
 					t.Fatal(err)
 				}
-				same("raw (cached)", cached.raw, raw)
+				if cached.codes.Column() == nil {
+					same("raw (cached, refused a view)", cached.raw, raw)
+				} else if len(cached.raw) != 0 {
+					t.Fatalf("%s: a view leaf's entry holds %d distances", c.Label(), len(cached.raw))
+				}
+				same("scaled (cached)", scaledLeaf(t, len(raw), cached.codes, cached.raw), scaledLeaf(t, len(raw), nil, raw))
+				// A view reads its column's values, not the vector it is given.
+				cached.raw = raw
 				checkLeafRanges(t, c.Label()+" (cached)", cached, zeros)
 			}
 			if skipped >= 0 && segsSkipped != skipped {

@@ -66,7 +66,7 @@ func (b *mapBackend) leafKeys(t *testing.T) []string {
 	return keys
 }
 
-// envelope writes a value for the leaf "a > 50" of interiorCatalog by
+// envelope writes a value for the leaf "a IN (50, 70)" of interiorCatalog by
 // hand in the layout of version ver, with vecs as its vectors: raw since
 // version 5, (raw, signed) in version 4; version 3 wrote a kind byte and
 // the slider scalars ahead of them, versions 1 and 2 two invalidation
@@ -215,15 +215,16 @@ func mustParse(t *testing.T, sql string) *query.Query {
 // — another catalog's rows, or an envelope of any earlier version (v4's
 // with and without its signed vector). Each is a remote miss answered by
 // a local compute; none is adopted, so the member's next run and a fresh
-// session on it are right too.
+// session on it are right too. The leaves are IN lists, whose vectors
+// travel (a range leaf is a view, which does not).
 func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 	const rows = 2*4096 + 57
-	const sql = `SELECT a FROM S WHERE a > 50 AND b < 40`
+	const sql = `SELECT a FROM S WHERE a IN (50, 70) AND b IN (40)`
 	spiral := Options{GridW: 8, GridH: 8}
 	twoD := Options{GridW: 8, GridH: 8, Arrangement: Arrange2D, AxisX: "a", AxisY: "b"}
 	cat := interiorCatalog(t, rows)
-	_, short := remoteLeaf(t, interiorCatalog(t, 10), spiral, sql, "|a > 50")
-	_, long := remoteLeaf(t, interiorCatalog(t, rows+3), spiral, sql, "|a > 50")
+	_, short := remoteLeaf(t, interiorCatalog(t, 10), spiral, sql, "|a IN (50, 70)")
+	_, long := remoteLeaf(t, interiorCatalog(t, rows+3), spiral, sql, "|a IN (50, 70)")
 	zeros := make([]float64, rows) // adopted, these would also move the ranking
 	for _, tc := range []struct {
 		name     string
@@ -243,8 +244,8 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, _ := remoteLeaf(t, cat, tc.opt, sql, "|a > 50")
-		otherKey, other := remoteLeaf(t, cat, tc.opt, sql, "|b < 40")
+		key, _ := remoteLeaf(t, cat, tc.opt, sql, "|a IN (50, 70)")
+		otherKey, other := remoteLeaf(t, cat, tc.opt, sql, "|b IN (40)")
 		backend := newMapBackend()
 		backend.Put(key, tc.poisoned)
 		backend.Put(otherKey, other)
@@ -276,13 +277,15 @@ func TestRemoteLeafOfWrongLengthIsAMiss(t *testing.T) {
 	}
 }
 
-// TestPushdownLeafIsARemoteHit: a leaf computed with skipped segments
-// is an ordinary leaf vector and crosses the fleet like any other. Node
-// A scans the clustered column t of a file-backed catalog, skipping
-// segments; node B — its own handle on the file, its own shared tier,
-// the same store — takes the leaf as a remote hit and ranks exactly as
-// a fresh FullSort engine does, panel values included.
-func TestPushdownLeafIsARemoteHit(t *testing.T) {
+// TestRangeLeafIsAViewOnEveryNode: a range leaf of a cached run is a
+// view of its column's plane, which each process codes from the catalog
+// it holds, so it never crosses the fleet. Node A ranks the clustered
+// column t of a file-backed catalog: its range leaves' entries hold no
+// distance vector, read no segment, and the store sees nothing. Node B —
+// its own handle on the file, its own shared tier, the same store —
+// takes the views of its own planes, asks the store for nothing, and
+// ranks exactly as a fresh FullSort engine does, panel values included.
+func TestRangeLeafIsAViewOnEveryNode(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.vseg")
 	if _, err := dataset.WriteCatalogFile(path, clusteredCatalog(t, 5*dataset.SegmentSize+301)); err != nil {
 		t.Fatal(err)
@@ -296,46 +299,46 @@ func TestPushdownLeafIsARemoteHit(t *testing.T) {
 		return New(cat, nil, Options{GridW: 16, GridH: 16}), c, sc
 	}
 	const sql = `SELECT t FROM C WHERE t BETWEEN 20 AND 80 AND u < 60`
-	eA, cA, scA := node()
-	resA, err := runCached(eA, mustParse(t, sql), cA)
+	full, err := New(openSegFile(t, path, 1<<16), nil, Options{GridW: 16, GridH: 16, FullSort: true}).Run(mustParse(t, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resA.Timings.SegsSkipped == 0 {
-		t.Fatal("node A skipped no segment: the leaf is not a pushdown leaf")
+	for _, name := range []string{"A", "B"} {
+		e, c, sc := node()
+		res, err := runCached(e, mustParse(t, sql), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tm := res.Timings; tm.CacheMisses != 2 || tm.Segs != 0 {
+			t.Fatalf("node %s: %+v", name, tm)
+		}
+		if st := sc.Stats(); st.RemotePuts != 0 || st.RemoteHits != 0 || st.RemoteMisses != 0 {
+			t.Fatalf("node %s: remote puts %d, hits %d, misses %d", name, st.RemotePuts, st.RemoteHits, st.RemoteMisses)
+		}
+		for _, leaf := range res.root.Children {
+			if le := c.live.leaves[leaf.Key]; le.codes.Column() == nil || len(le.raw) != 0 || !isLocal(leaf.Key) {
+				t.Fatalf("node %s: leaf %q is no view: %d distances", name, leaf.Label, len(le.raw))
+			}
+		}
+		sameResults(t, full, res)
+		samePredicateInfos(t, sql, full, res)
 	}
-	if st := scA.Stats(); st.RemotePuts != 2 {
-		t.Fatalf("node A offered %d leaves, want both", st.RemotePuts)
+	backend.mu.Lock()
+	defer backend.mu.Unlock()
+	if len(backend.seen) != 0 || backend.gets != 0 || backend.puts != 0 {
+		t.Fatalf("the store saw %q: %d gets, %d puts", backend.seen, backend.gets, backend.puts)
 	}
-	backend.leafKeys(t)
-
-	eB, cB, scB := node()
-	resB, err := runCached(eB, mustParse(t, sql), cB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tm := resB.Timings; tm.CacheMisses != 0 || tm.SharedHits != 2 || tm.Segs != 0 {
-		t.Fatalf("node B computed: %+v", tm)
-	}
-	if st := scB.Stats(); st.RemoteHits != 2 || st.RemoteMisses != 0 {
-		t.Fatalf("node B: remote hits %d, misses %d", st.RemoteHits, st.RemoteMisses)
-	}
-	full, err := New(eB.Catalog(), nil, Options{GridW: 16, GridH: 16, FullSort: true}).Run(mustParse(t, sql))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, full, resB)
-	samePredicateInfos(t, sql, full, resB)
 }
 
 // TestRemoteBackendWarmsOtherNode: two shared tiers (two "processes")
 // over the same catalog and one backend. The leaf vectors node A paid
 // for serve node B without recomputation, and nothing but leaf vectors
 // is in the store: B rebuilds code planes and interior entries locally,
-// bit-identically.
+// bit-identically. The leaves are IN lists, whose vectors travel (a
+// range leaf is a view, which does not).
 func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	cat := interiorCatalog(t, 2*4096+57)
-	sql := interiorSQL
+	sql := `SELECT a FROM S WHERE a IN (50, 60) AND b IN (40) OR c IN (20, 30) WEIGHT 2`
 	q := mustParse(t, sql)
 	e := New(cat, nil, Options{GridW: 8, GridH: 8})
 	cold, err := e.Run(q)
@@ -379,16 +382,10 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 	if first.Timings.CacheMisses != 0 || first.Timings.SharedHits != 3 {
 		t.Fatalf("node B cold run not fleet-warmed: %+v", first.Timings)
 	}
-	// Each range leaf arrived as its vector and took the view of its
-	// column's plane, as a leaf computed here does: its codes are the
-	// plane's, its own part is only its tables.
-	planes := runKeys{space: eB.spaceSig(first.Space)}
+	// Each leaf arrived as its vector, coded on arrival.
 	for _, leaf := range append(slices.Clone(first.root.Children[0].Children), first.root.Children[1]) {
-		scB.mu.Lock()
-		plane, ok := scB.entries.Get(planes.column("S." + leaf.Label[:1]))
-		scB.mu.Unlock()
-		if !ok || leaf.Codes.ID() != plane.codes.ID() || leaf.Codes.Bytes() >= int64(first.N) {
-			t.Fatalf("leaf %q arrived without the view of its column's plane", leaf.Label)
+		if len(leaf.Dists) != first.N || leaf.Codes == nil {
+			t.Fatalf("leaf %q arrived as %d distances, coded %v", leaf.Label, len(leaf.Dists), leaf.Codes != nil)
 		}
 	}
 	if st := scB.Stats(); st.RemoteHits != 3 {
@@ -397,11 +394,10 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 
 	// Node B's warm runs stand on the code planes and the interior vector
 	// it built itself: the store was asked once per leaf by each node (A's three
-	// misses, B's three hits) and for nothing else — a range edit inside
-	// the AND part included, which looks up and stores a new part vector
-	// in B's tier and asks the fleet for the moved leaf alone. B's tier
-	// holds the planes of the three columns too, which its arrivals'
-	// views read: 3 leaves, 3 planes and a part, then a leaf and a part.
+	// misses, B's three hits) and for nothing else — an edit inside the
+	// AND part included, which looks up and stores a new part vector in
+	// B's tier and asks the fleet for the moved leaf alone: 3 leaves and a
+	// part, then a leaf and a part.
 	for run := 0; run < 2; run++ {
 		warm, err := runCached(eB, q2, cB)
 		if err != nil {
@@ -412,12 +408,12 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 			t.Fatalf("node B's warm run %d built no local interior entry or ranked no chunk: %+v", run, warm.Timings)
 		}
 	}
-	query.Predicates(q2.Where)[0].(*query.BoolExpr).Children[0].(*query.Cond).Value = dataset.Float(30)
+	query.Predicates(q2.Where)[0].(*query.BoolExpr).Children[0].(*query.Cond).List = []dataset.Value{dataset.Float(30)}
 	edited, err := runCached(eB, q2, cB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := scB.Stats(); edited.Timings.CacheMisses != 1 || st.InteriorMisses == 0 || st.Entries != 9 {
+	if st := scB.Stats(); edited.Timings.CacheMisses != 1 || st.InteriorMisses == 0 || st.Entries != 6 {
 		t.Fatalf("node B's range edit: %+v, tier %+v", edited.Timings, st)
 	}
 	for _, k := range backend.leafKeys(t) {
@@ -437,7 +433,7 @@ func TestRemoteBackendWarmsOtherNode(t *testing.T) {
 // to local compute with identical results.
 func TestRemoteBackendDegradesToMiss(t *testing.T) {
 	cat := smallCatalog(t)
-	q, err := query.Parse(`SELECT x FROM T WHERE x > 6 AND y < 5`)
+	q, err := query.Parse(`SELECT x FROM T WHERE x IN (6, 8) AND y < 5`)
 	if err != nil {
 		t.Fatal(err)
 	}

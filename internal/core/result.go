@@ -211,9 +211,11 @@ func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 	leaf := r.nodeOf[c]
 	compute := func() (leafEntry, error) {
 		signed := make([]float64, r.N)
-		if _, _, _, err := r.Engine.condData(nil, r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed); err != nil {
+		_, skipped, segs, err := r.Engine.condData(nil, r.evaluated[c], r.Binding.Attrs[c], r.Space, leaf.Dists, signed)
+		if err != nil {
 			return leafEntry{}, err
 		}
+		r.addSegStats(skipped, segs)
 		return axisEntry(signed), nil
 	}
 	le, err := r.cache.fetch(r.keys.axis(leaf.Key), r.N, axisEntry, compute)
@@ -221,6 +223,18 @@ func (r *Result) signedOf(attr string) (signed, sorted []float64) {
 		return nil, nil // the leaf computed over the same inputs; unreachable
 	}
 	return le.raw, le.sorted
+}
+
+// addSegStats attributes one range pass's segment pushdown to the run
+// (StageTimings.SegsSkipped): through its cache, whose fill may run on
+// another session's goroutine, or, on an uncached run, directly.
+func (r *Result) addSegStats(skipped, segs int) {
+	if r.cache != nil {
+		r.cache.addSegStats(skipped, segs)
+		return
+	}
+	r.Timings.SegsSkipped += skipped
+	r.Timings.Segs += segs
 }
 
 // axisEntry is the entry of an axis's signed distances: the vector and
@@ -255,9 +269,11 @@ type PanelStats struct {
 // Stats computes the overall panel fields. The exact-match count
 // comes from the ranking whenever its prefix provably contains every
 // zero (its last entry is nonzero or NaN — zeros rank first, so none can
-// hide beyond it); only a selection saturated with exact answers falls
-// back to materializing the combined vector. Serving summaries therefore
-// stay free of the n-wide scale pass the rank-before-scale path avoids.
+// hide beyond it), or, for a deferred ranking saturated with them, from
+// its bounds (relevance.Result.Zeros); only an eager selection saturated
+// with exact answers falls back to materializing the combined vector.
+// Serving summaries therefore stay free of the n-wide scale pass the
+// rank-before-scale path avoids.
 func (r *Result) Stats() PanelStats {
 	r.mu.Lock()
 	ranked := r.rankSorted
@@ -267,6 +283,8 @@ func (r *Result) Stats() PanelStats {
 		// Monotone prefix (ascending, NaNs last): count the leading
 		// zeros.
 		exact = sort.Search(k, func(i int) bool { return ranked[i] != 0 })
+	} else if z := r.Eval.Zeros(); z >= 0 {
+		exact = z
 	} else if k > 0 || r.N > 0 {
 		for _, d := range r.Combined() {
 			if d == 0 {

@@ -156,8 +156,9 @@ type SharedStats struct {
 	InteriorMisses uint64 `json:"interior_misses"`
 	InteriorBytes  int64  `json:"interior_bytes"`
 	// RemoteHits/RemoteMisses/RemotePuts count traffic against the
-	// attached remote backend (leaf and 2D axis vectors, the only things
-	// that travel): fills answered by the networked store, fills that fell
+	// attached remote backend (the vectors of leaves that are not views,
+	// and 2D axes' signed distances, the only things that travel): fills
+	// answered by the networked store, fills that fell
 	// through to local compute after asking it — no value, or one the
 	// decoder refused — and entries this process offered to the fleet.
 	// All zero when no backend is attached. A RemoteHit is work some
@@ -262,19 +263,24 @@ func (sc *SharedCache) Bytes() int64 {
 // vector never travels: a run rebuilds it from its leaves in one fused
 // pass, less than fetching one costs, so its fill neither asks the
 // remote tier nor offers to it, and its lookups count as
-// InteriorHits/InteriorMisses instead of Hits/Misses. A PairIndex
-// (runKeys.pairs) and a column plane (runKeys.column) stay local too,
-// and their lookups count in neither.
+// InteriorHits/InteriorMisses instead of Hits/Misses. A view leaf
+// (runKeys.cond's "R|") stays local too — it is the view of a column
+// plane this process coded — and counts as a leaf. A PairIndex
+// (runKeys.pairs) and a column plane (runKeys.column) stay local, and
+// their lookups count in neither.
 // compute runs without any cache lock held, so fills for different keys
 // proceed concurrently and a fill may recursively fetch other keys.
 func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEntry, compute func() (leafEntry, error)) (le leafEntry, hit bool, err error) {
 	sc.mu.Lock()
 	hits, misses, backend := &sc.hits, &sc.misses, sc.backend
 	if isLocal(key) {
+		backend = nil
 		var uncounted uint64 // a PairIndex's and a column plane's lookups count nowhere
-		hits, misses, backend = &uncounted, &uncounted, nil
-		if isInterior(key) {
+		switch {
+		case isInterior(key):
 			hits, misses = &sc.intHits, &sc.intMisses
+		case !isView(key):
+			hits, misses = &uncounted, &uncounted
 		}
 	}
 	for {
@@ -337,8 +343,12 @@ func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEn
 	}
 	delete(sc.inflight, key)
 	if err == nil {
-		sc.evictions += uint64(sc.entries.Put(key, le, le.sizeBytes()))
-		sc.fills++
+		if resident, ok := sc.entries.Get(key); ok {
+			le = resident // keep admitted the plane again while this fill coded another
+		} else {
+			sc.evictions += uint64(sc.entries.Put(key, le, le.sizeBytes()))
+			sc.fills++
+		}
 		call.entry = le
 	}
 	call.err = err
@@ -365,7 +375,8 @@ func (sc *SharedCache) fetch(key string, rows int, derive func([]float64) leafEn
 // counts, so the entry stays resident while a view of it is served. A
 // run keeps it after resolving the leaf, so recency evicts every
 // resident view of a plane before the plane, and a plane admitted again
-// keeps its ID, and with it the PairIndex of its views.
+// keeps its ID, and with it the PairIndex of its views: a fill of the key
+// that ends after keep admitted the plane takes the resident one.
 func (sc *SharedCache) keep(key string, cp *relevance.Codes) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()

@@ -29,7 +29,8 @@ import (
 // exactly that vector. Per code it counts the rows, which answer the
 // vector's normalization ranges (Range). A range leaf's plane is a view
 // of its column's (View, view.go): the column's codes and counts, its
-// own intervals.
+// own intervals, and no vector — it computes its distances from the
+// column plane's values.
 type Codes struct {
 	id     uint64 // shared by the planes of one code bytes (ID)
 	codes  []uint8
@@ -38,9 +39,13 @@ type Codes struct {
 	mu     sync.Mutex // guards counts while runs of chunks are coded
 	counts [256]int32
 	// column is the column plane a range leaf's view views (nil for a
-	// plane of its own): lo and hi are distance intervals, and the code
-	// bytes are the column's.
+	// plane of its own): lo and hi are distance intervals, the code
+	// bytes are the column's, and tgt is the target the distances are to.
 	column *Codes
+	tgt    viewTarget
+	// vals are the values a column plane codes (NewColumnCodes), which
+	// its views compute their distances from; nil on any other plane.
+	vals []float64
 }
 
 // The codes of the reserved classes; the buckets run from codeBucket0.
@@ -54,12 +59,13 @@ const (
 )
 
 // Bytes is what the plane retains: a byte per row, the two tables and
-// the counts. A view retains its tables and counts; the code bytes are
-// its column plane's (Column), which counts them.
+// the counts, and a column plane's values. A view retains its tables and
+// counts; the code bytes and values are its column plane's (Column),
+// which counts them.
 func (cp *Codes) Bytes() int64 {
 	b := int64(2*8*256 + 4*256)
 	if cp.column == nil {
-		b += int64(len(cp.codes))
+		b += int64(len(cp.codes) + 8*len(cp.vals))
 	}
 	return b
 }
@@ -102,6 +108,15 @@ func NewCodes(n int, lo, hi float64) *Codes {
 	return cp
 }
 
+// NewColumnCodes is NewCodes for the plane of a column whose values are
+// vals, which it keeps: its views (View) read their rows' values there.
+// Encode codes vals.
+func NewColumnCodes(vals []float64, lo, hi float64) *Codes {
+	cp := NewCodes(len(vals), lo, hi)
+	cp.vals = vals
+	return cp
+}
+
 // Encode codes the rows of evaluator chunks [c0, c1) of v and adds
 // their per-code counts to the plane's.
 func (cp *Codes) Encode(v []float64, c0, c1 int) {
@@ -130,13 +145,13 @@ func (cp *Codes) Encode(v []float64, c0, c1 int) {
 // A nil plane, or one of another vector, answers by NormRange. scanned
 // reports a pass over v: the gather, or NormRange. A zero answer carries
 // the sign of v's first zero, as NormRange's does. A view answers by its
-// intervals (viewRange).
+// intervals and its column's values (viewRange), and reads no v.
 func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
 	switch {
+	case cp != nil && cp.column != nil:
+		return cp.viewRange(keep, func() []float64 { return make([]float64, len(cp.codes)) })
 	case cp == nil || len(cp.codes) != len(v):
 		return NormRange(v, keep), true
-	case cp.column != nil:
-		return cp.viewRange(v, keep)
 	}
 	nFinite := finiteRows(&cp.counts)
 	mn, mins := cp.enc.mn, int(cp.counts[codeMin])
@@ -157,7 +172,7 @@ func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
 	for ; before+int(cp.counts[c]) < p.Kept; c++ {
 		before += int(cp.counts[c])
 	}
-	vals, ok := cp.gather(v, c)
+	vals, ok := cp.gather(rawVals{v: v}, c)
 	if !ok {
 		return NormRange(v, keep), true
 	}
@@ -165,17 +180,21 @@ func (cp *Codes) Range(v []float64, keep int) (p NormParams, scanned bool) {
 	return p, true
 }
 
-// gather returns the values of v whose codes are among cs, gathered a
-// run of bytes at a time, code after code. ok is false when those codes
-// hold an eighth of the rows or more (a column too skewed for
-// equal-width buckets): NormRange's scan answers then.
-func (cp *Codes) gather(v []float64, cs ...int) (vals []float64, ok bool) {
+// gather returns the values of r, the values the plane codes, whose codes
+// are among cs, gathered a run of bytes at a time, code after code. ok is
+// false when those codes hold an eighth of the rows or more (a column too
+// skewed for equal-width buckets): NormRange's scan answers then.
+func (cp *Codes) gather(r rawVals, cs ...int) (vals []float64, ok bool) {
 	rows := 0
 	for _, c := range cs {
 		rows += int(cp.counts[c])
 	}
-	if rows*8 >= len(v) {
+	if rows*8 >= len(cp.codes) {
 		return nil, false
+	}
+	src := r.v
+	if r.view != nil {
+		src = r.view.column.vals
 	}
 	vals = make([]float64, 0, rows)
 	for _, c := range cs {
@@ -185,8 +204,11 @@ func (cp *Codes) gather(v []float64, cs ...int) (vals []float64, ok bool) {
 				break
 			}
 			i += j
-			vals = append(vals, v[i])
+			vals = append(vals, src[i])
 		}
+	}
+	if r.view != nil {
+		r.view.tgt.distances(vals, vals)
 	}
 	return vals, true
 }
@@ -414,11 +436,14 @@ func (rd *rootDefer) newRowFilter(pairs func(a, b *Codes) *PairIndex) *rowFilter
 
 // codesOf is node's code plane, built on the spot when the caller gave
 // it none (or one of another length).
-func codesOf(node *Node, raw []float64) *Codes {
-	if cp := node.Codes; cp != nil && len(cp.codes) == len(raw) {
+func codesOf(node *Node, raw rawVals) *Codes {
+	if raw.view != nil {
+		return raw.view
+	}
+	if cp := node.Codes; cp != nil && len(cp.codes) == len(raw.v) {
 		return cp
 	}
-	return BuildCodes(raw)
+	return BuildCodes(raw.v)
 }
 
 // term bounds what the kernel folds in for one child's scaled value s

@@ -281,7 +281,7 @@ func combineLpRaw(dst []float64, dists [][]float64, ws []float64, p float64) {
 // node's raw combined values: an interior node's pass completes them
 // with t, the deferred root ranks them as they are.
 type combine struct {
-	raw      [][]float64  // the children's unscaled vectors, read-only
+	raw      []rawVals    // the children's unscaled values, read-only
 	params   []NormParams // the params that scale them
 	ws       []float64    // resolved weights (resolveWeights)
 	combiner int
@@ -304,7 +304,7 @@ func (c *fusedCtx) newCombine(node *Node) (*combine, error) {
 		return nil, fmt.Errorf("relevance: Lp needs p >= 1, got %v", c.opts.LpP)
 	}
 	k := len(node.Children)
-	cb := &combine{raw: make([][]float64, k), params: make([]NormParams, k),
+	cb := &combine{raw: make([]rawVals, k), params: make([]NormParams, k),
 		scratch: make([][]float64, k), vs: make([][]float64, k)}
 	weights := make([]float64, k)
 	for j, child := range node.Children {
@@ -330,7 +330,7 @@ func (c *fusedCtx) newCombine(node *Node) (*combine, error) {
 func (cb *combine) chunk(dst []float64, lo, hi int) {
 	for j, raw := range cb.raw {
 		s := cb.scaled(j, hi-lo)
-		applyRange(s, raw[lo:hi], cb.params[j])
+		applyRange(s, raw.chunk(s, lo, hi), cb.params[j])
 		cb.vs[j] = s
 	}
 	combineRaw(cb.combiner, dst, cb.vs, cb.ws, cb.lpP)
@@ -343,9 +343,7 @@ func (cb *combine) chunk(dst []float64, lo, hi int) {
 func (cb *combine) rows(dst []float64, ids []int) {
 	for j, raw := range cb.raw {
 		s := cb.scaled(j, len(ids))
-		for t, i := range ids {
-			s[t] = raw[i]
-		}
+		raw.rows(s, ids)
 		applyRange(s, s, cb.params[j])
 		cb.vs[j] = s
 	}

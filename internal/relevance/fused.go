@@ -12,8 +12,10 @@ import (
 // vector per node per run. The fused evaluator restructures the same
 // arithmetic:
 //
-//  1. Leaf normalization ranges are computed first (a scan plus a
-//     selection per leaf; nothing is written).
+//  1. Leaf normalization ranges are computed first, from each leaf's
+//     code counts and a gather of the rows they leave open; nothing is
+//     written. A view leaf (Codes.View) has no vector: every read of its
+//     values computes them from its column's values (rawVals).
 //  2. Each interior node runs ONE chunked pass over its combine, which
 //     scales every child's chunk into chunk-local scratch and combines
 //     them; the pass completes the chunk with the node's transform and
@@ -39,7 +41,7 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	}
 	ctx := &fusedCtx{opts: opts, n: n,
 		res: &Result{ByNode: make(map[*Node][]float64), n: n, alloc: opts.Alloc}}
-	var vec []float64
+	var vec rawVals
 	var params NormParams
 	var err error
 	switch {
@@ -68,15 +70,16 @@ func evaluateFused(root *Node, n int, opts EvalOptions) (*Result, error) {
 	}
 	// Finalize the root: its combined vector scales in place (the
 	// buffer is ctx-owned); a leaf root scales into a fresh buffer,
-	// since node.Dists belongs to the caller, and so does a keyed root,
-	// whose vector EvalOptions.Interior owns. The root always
-	// materializes — Combined is the interface's primary output.
-	out := vec
+	// since node.Dists belongs to the caller (a view leaf's distances
+	// are written there first), and so does a keyed root, whose vector
+	// EvalOptions.Interior owns. The root always materializes — Combined
+	// is the interface's primary output.
+	out := vec.v
 	if root.Op == Leaf || ctx.keyed(root) {
 		out = ctx.alloc()
 	}
 	ctx.forChunks(func(_, lo, hi int) {
-		applyRange(out[lo:hi], vec[lo:hi], params)
+		applyRange(out[lo:hi], vec.chunk(out[lo:hi], lo, hi), params)
 	})
 	if err := ctx.checkpoint(); err != nil {
 		return nil, err
@@ -123,30 +126,69 @@ func (c *fusedCtx) checkpoint() error {
 	return c.opts.Checkpoint()
 }
 
-// eval processes one subtree and returns the node's UNSCALED vector
-// together with the params that scale it: for leaves the raw Dists, for
-// interior nodes the combined-but-not-yet-renormalized vector (the
-// parent's combine scales it chunk by chunk, the root finalizer in
-// place).
-func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
+// rawVals is a node's unscaled values as the evaluator reads them: a
+// vector, or a view leaf's distances (view), which it computes from the
+// view's column values wherever they are read.
+type rawVals struct {
+	v    []float64
+	view *Codes
+}
+
+// chunk returns the values of rows [lo, hi): a slice of the vector, or
+// the view's distances written to dst.
+func (r rawVals) chunk(dst []float64, lo, hi int) []float64 {
+	if r.view == nil {
+		return r.v[lo:hi]
+	}
+	r.view.tgt.distances(dst, r.view.column.vals[lo:hi])
+	return dst[:hi-lo]
+}
+
+// rows writes the values of rows ids to dst.
+func (r rawVals) rows(dst []float64, ids []int) {
+	src := r.v
+	if r.view != nil {
+		src = r.view.column.vals
+	}
+	for t, i := range ids {
+		dst[t] = src[i]
+	}
+	if r.view != nil {
+		r.view.tgt.distances(dst, dst[:len(ids)])
+	}
+}
+
+// eval processes one subtree and returns the node's UNSCALED values
+// together with the params that scale them: for leaves the raw Dists or
+// a view's distances, for interior nodes the
+// combined-but-not-yet-renormalized vector (the parent's combine scales
+// it chunk by chunk, the root finalizer in place).
+func (c *fusedCtx) eval(node *Node) (rawVals, NormParams, error) {
 	if err := c.checkpoint(); err != nil {
-		return nil, NormParams{}, err
+		return rawVals{}, NormParams{}, err
 	}
 	switch node.Op {
 	case Leaf:
+		if cp := node.Codes; cp != nil && cp.column != nil {
+			if len(cp.codes) != c.n {
+				return rawVals{}, NormParams{}, fmt.Errorf("relevance: leaf %q views %d rows, want %d", node.Label, len(cp.codes), c.n)
+			}
+			p, _ := cp.viewRange(c.keepOf(node), c.alloc)
+			return rawVals{view: cp}, p, nil
+		}
 		if len(node.Dists) != c.n {
-			return nil, NormParams{}, fmt.Errorf("relevance: leaf %q has %d distances, want %d", node.Label, len(node.Dists), c.n)
+			return rawVals{}, NormParams{}, fmt.Errorf("relevance: leaf %q has %d distances, want %d", node.Label, len(node.Dists), c.n)
 		}
 		p, _ := node.Codes.Range(node.Dists, c.keepOf(node))
-		return node.Dists, p, nil
+		return rawVals{v: node.Dists}, p, nil
 	case NodeAnd, NodeOr:
 		cb, err := c.newCombine(node)
 		if err != nil {
-			return nil, NormParams{}, err
+			return rawVals{}, NormParams{}, err
 		}
 		return c.pass(node, cb)
 	default:
-		return nil, NormParams{}, fmt.Errorf("relevance: unknown node op %d", node.Op)
+		return rawVals{}, NormParams{}, fmt.Errorf("relevance: unknown node op %d", node.Op)
 	}
 }
 
@@ -159,7 +201,7 @@ func (c *fusedCtx) eval(node *Node) ([]float64, NormParams, error) {
 // when it holds none under the key; any other node's pass writes a run
 // buffer. Either way the node is ranged by its code plane's counts, like
 // a leaf.
-func (c *fusedCtx) pass(node *Node, cb *combine) ([]float64, NormParams, error) {
+func (c *fusedCtx) pass(node *Node, cb *combine) (rawVals, NormParams, error) {
 	run := func(out []float64) ([]float64, *Codes, error) {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		c.forChunks(func(_, l, h int) {
@@ -192,10 +234,10 @@ func (c *fusedCtx) pass(node *Node, cb *combine) ([]float64, NormParams, error) 
 		raw, codes, err = run(c.alloc())
 	}
 	if err != nil {
-		return nil, NormParams{}, err
+		return rawVals{}, NormParams{}, err
 	}
 	if len(raw) != c.n {
-		return nil, NormParams{}, fmt.Errorf("relevance: %q resolved to %d values, want %d", node.Label, len(raw), c.n)
+		return rawVals{}, NormParams{}, fmt.Errorf("relevance: %q resolved to %d values, want %d", node.Label, len(raw), c.n)
 	}
 	node.Codes = codes
 	p, scanned := codes.Range(raw, c.keepOf(node))
@@ -203,7 +245,7 @@ func (c *fusedCtx) pass(node *Node, cb *combine) ([]float64, NormParams, error) 
 		c.res.SketchHits++
 		c.res.SketchRescans += b2i(scanned)
 	}
-	return raw, p, nil
+	return rawVals{v: raw}, p, nil
 }
 
 // keyed reports whether an interior node's vector is resolved through

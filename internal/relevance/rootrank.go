@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/topk"
@@ -103,6 +104,10 @@ type rootDefer struct {
 	params      NormParams // root normalization params
 	paramsKnown bool
 	ranking     *RootRanking
+	// zeroF and zeroHi are the filter and the tie class's (hiIn, hiOut)
+	// of a ranking whose k-th value is 0, which Zeros counts by.
+	zeroF  *rowFilter
+	zeroHi [2]float64
 
 	// checkpoint is EvalOptions.Checkpoint captured at build: RankRoot
 	// polls it per chunk so a request deadline interrupts the ranking
@@ -192,12 +197,25 @@ type filtered struct {
 	// their exact values.
 	ids, at []int
 	exact   [filterBlock]float64
+	bufs    *rankBufs // where surv and sv came from
 }
 
 func newFiltered(n, K int) *filtered {
-	return &filtered{surv: make([]int, 0, K+K/8), sv: make([]float64, 0, K+K/8),
-		touched: make([]bool, (n+evalChunk-1)/evalChunk)}
+	b := rankPool.Get().(*rankBufs)
+	return &filtered{surv: slices.Grow(b.surv[:0], K+K/8), sv: slices.Grow(b.sv[:0], K+K/8),
+		touched: make([]bool, (n+evalChunk-1)/evalChunk), bufs: b}
 }
+
+// rankBufs are a ranking's survivors and candidates, which RankRoot hands
+// back to rankPool: made anew, a 200k-row step's are a megabyte to zero.
+type rankBufs struct {
+	surv  []int
+	sv    []float64
+	cands []topk.Cand
+	below []rankedCand
+}
+
+var rankPool = sync.Pool{New: func() any { return new(rankBufs) }}
 
 // admit appends the values of survivors rows, ascending, of the block
 // of rows from lo, whose lower bounds l holds at i-lo, to fr.sv (the
@@ -390,7 +408,7 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 	rk.Refined, rk.CombineTime = fr.refined, time.Since(combineStart)
 	var lb [evalChunk]float64
 
-	sel := topk.NewStreamSelector(k)
+	sel := topk.NewStreamSelector(k, fr.bufs.cands)
 	sel.OfferAt(sv, surv)
 	rs := scanRange(sv, 0, len(sv))
 	cands, kth, complete := sel.Finish()
@@ -405,14 +423,14 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 		vals[rank], idx[rank] = s, i
 		rank++
 	}
+	below := slices.Grow(fr.bufs.below[:0], len(cands))
 	if !complete {
 		// Fewer than k comparable values: every comparable ranks (in
 		// scaled order), NaNs fill the remainder by index. The cut let
 		// every row through that its codes do not prove NaN, so a row
 		// the filter did not refine is NaN.
-		below := make([]rankedCand, len(cands))
-		for j, c := range cands {
-			below[j] = rankedCand{s: rd.key(c.V), i: c.I}
+		for _, c := range cands {
+			below = append(below, rankedCand{s: rd.key(c.V), i: c.I})
 		}
 		emitRanked(below, emit)
 		for i, s := 0, 0; rank < k && i < n; i++ {
@@ -459,7 +477,6 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 			return cmp.Compare(rd.key(x), sK)
 		}
 		// Strictly-below-the-cut candidates first.
-		below := make([]rankedCand, 0, len(cands))
 		for _, c := range cands {
 			if x := c.V; x <= loOut || x <= loIn && class(x) < 0 {
 				below = append(below, rankedCand{s: rd.key(x), i: c.I})
@@ -484,6 +501,9 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 		var ub [evalChunk]float64
 		var state [evalChunk]uint8 // 0 past the class, 1 in it, 2 refined or a survivor
 		var ids []int
+		if sK == 0 { // Zeros counts the class on demand
+			rd.zeroF, rd.zeroHi = f, [2]float64{hiIn, hiOut}
+		}
 		for c0, s := 0, 0; rank < k && c0 < n; c0 += evalChunk {
 			c1 := min(c0+evalChunk, n)
 			if c1 <= from {
@@ -537,8 +557,47 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 		rk.Pruned += 1 - b2i(t)
 	}
 	rk.ScaleTime = time.Since(scaleStart)
+	*fr.bufs = rankBufs{surv: surv, sv: sv, cands: cands, below: below}
+	rankPool.Put(fr.bufs)
 	rd.ranking = rk
 	return rk, nil
+}
+
+// Zeros counts the rows whose scaled value is 0 when the ranking's k-th
+// is (a selection saturated with exact answers), as the tie walk places
+// them: by their bounds, refining only the rows those leave open. It is
+// -1 for a ranking whose k-th is not 0, and for a root not deferred.
+func (r *Result) Zeros() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rd := r.root
+	if rd == nil || rd.zeroF == nil {
+		return -1
+	}
+	f, hiIn, hiOut := rd.zeroF, rd.zeroHi[0], rd.zeroHi[1]
+	var lb, ub [evalChunk]float64
+	var ids []int
+	zeros := 0
+	for c0 := 0; c0 < rd.n; c0 += evalChunk {
+		c1 := min(c0+evalChunk, rd.n)
+		f.fill(lb[:c1-c0], c0, false)
+		f.fill(ub[:c1-c0], c0, true)
+		ids = ids[:0]
+		for i := c0; i < c1; i++ {
+			switch lo, hi := lb[i-c0], ub[i-c0]; {
+			case lo != lo || lo > hiOut:
+			case hi <= hiIn:
+				zeros++
+			default:
+				ids = append(ids, i)
+			}
+		}
+		rd.cb.rows(lb[:len(ids)], ids)
+		for _, x := range lb[:len(ids)] {
+			zeros += b2i(x <= hiOut && (x <= hiIn || rd.key(x) == 0))
+		}
+	}
+	return zeros
 }
 
 // rankedCand is a survivor of the cut: its scaled value and index.

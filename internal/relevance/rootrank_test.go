@@ -377,7 +377,7 @@ func TestStreamSelectorMatchesSort(t *testing.T) {
 				comparable++
 			}
 		}
-		sel := topk.NewStreamSelector(k)
+		sel := topk.NewStreamSelector(k, nil)
 		sel.OfferSlice(vals, 0)
 		cands, kth, complete := sel.Finish()
 		if comparable < k {

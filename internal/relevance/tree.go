@@ -32,11 +32,13 @@ type Node struct {
 	// ranking of a deferred root filters its rows by (codes.go) and whose
 	// counts answer the node's normalization range (Codes.Range). On a
 	// leaf the caller sets it, and it must hold exactly Dists: a plane
-	// coded from them, or a range leaf's view of its column's plane
-	// (Codes.View) whose intervals hold every distance; a leaf without
-	// one is ranged by NormRange. On an interior node Evaluate sets it,
-	// from the node's pass or its cached vector. A root child without one
-	// has it built where it is read.
+	// coded from them; a leaf without one is ranged by NormRange. A range
+	// leaf's may be the view of its column's plane (Codes.View): the leaf
+	// then needs no Dists, and Evaluate reads none — it computes each
+	// distance it reads from the view's column values, by chunk or by row
+	// list. On an interior node Evaluate sets it, from the node's pass or
+	// its cached vector. A root child without one has it built where it
+	// is read.
 	Codes *Codes
 	// Key names an interior node's raw combined vector for
 	// EvalOptions.Interior; the caller builds it, and it must name exactly
@@ -161,8 +163,8 @@ type Result struct {
 	SketchRescans int
 
 	mu sync.Mutex
-	// lazy holds the nodes Vec has yet to materialize: a raw vector
-	// (node.Dists for a leaf) and the params that scale it.
+	// lazy holds the nodes Vec has yet to materialize: their raw values
+	// (node.Dists or a view for a leaf) and the params that scale them.
 	lazy  map[*Node]lazyVec
 	alloc func(n int) []float64
 	n     int
@@ -171,15 +173,15 @@ type Result struct {
 	root *rootDefer
 }
 
-// lazyVec is a node awaiting materialization: a read-only raw vector
-// and the params that scale it.
+// lazyVec is a node awaiting materialization: its read-only raw values
+// and the params that scale them.
 type lazyVec struct {
-	raw []float64
+	raw rawVals
 	p   NormParams
 }
 
 // setLazy registers node as raw scaled by p, to be materialized by Vec.
-func (r *Result) setLazy(node *Node, raw []float64, p NormParams) {
+func (r *Result) setLazy(node *Node, raw rawVals, p NormParams) {
 	if r.lazy == nil {
 		r.lazy = make(map[*Node]lazyVec)
 	}
@@ -209,10 +211,10 @@ func (r *Result) Vec(node *Node) []float64 {
 	if !ok {
 		return nil
 	}
-	// Scale the read-only raw vector into a fresh buffer — the values
+	// Scale the read-only raw values into a fresh buffer — the values
 	// the parent's pass scaled into its chunk scratch.
 	out := r.allocVec()
-	applyRange(out, lv.raw, lv.p)
+	applyRange(out, lv.raw.chunk(out, 0, r.n), lv.p)
 	r.ByNode[node] = out
 	delete(r.lazy, node)
 	return out

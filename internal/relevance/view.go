@@ -15,7 +15,10 @@ import (
 // each code the interval of the leaf's distances, derived per range from
 // the code's value interval by the kernel's own arithmetic. A range drag
 // thus changes a leaf's tables, never its codes, and a PairIndex over two
-// views outlives it.
+// views outlives it. A view holds no distance vector either: the column
+// plane keeps the column's values, and a view computes a row's distance
+// from its value by the kernel's own expression wherever one is read — a
+// chunk of rows or a list of them (rawVals).
 
 // View is the plane of a range leaf over the column cp codes: the leaf
 // whose distance to the target interval [lo, hi] is lo − v below it, v − hi
@@ -25,10 +28,14 @@ import (
 // Per code the distances of its rows lie in an interval the kernel's
 // subtraction bounds exactly, as it rounds monotonically: the distances
 // fall over the values below lo and rise over those above hi. ok is
-// false when the plane cannot know eps: a finite value whose distance
+// false when the plane cannot know eps — a finite value whose distance
 // overflows to +Inf, so that the largest finite distance is not at the
-// column's extremes; the caller codes the leaf's distances instead.
+// column's extremes — or holds no values (a plane not built by
+// NewColumnCodes); the caller codes the leaf's distances instead.
 func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
+	if len(cp.vals) != len(cp.codes) {
+		return nil, false
+	}
 	dist := func(v float64) float64 {
 		switch {
 		case v < lo:
@@ -50,7 +57,8 @@ func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 		}
 	}
 	eps := EdgeEps(dm)
-	view = &Codes{id: cp.id, codes: cp.codes, counts: cp.counts, column: cp}
+	view = &Codes{id: cp.id, codes: cp.codes, counts: cp.counts, column: cp,
+		tgt: viewTarget{lo: lo, hi: hi, edge: edge, eps: eps}}
 	for c := range codeNaN {
 		vl, vh := cp.lo[c], cp.hi[c]
 		l, h := 0.0, max(dist(vl), dist(vh))
@@ -82,6 +90,28 @@ func EdgeEps(dmax float64) float64 {
 	return 1
 }
 
+// viewTarget is what a view's distances are computed from: the target
+// [lo, hi], the strict bound edge (NaN for none) and the eps a row on it
+// is at.
+type viewTarget struct{ lo, hi, edge, eps float64 }
+
+// distances writes the range kernel's distances of the values src to dst,
+// which may alias it, by the kernel's masks.
+func (t *viewTarget) distances(dst, src []float64) {
+	dst = dst[:len(src)]
+	lo, hi, edge, eps := t.lo, t.hi, t.edge, math.Float64bits(t.eps)
+	for j, v := range src {
+		below := -b2u(v < lo)
+		above := -b2u(v > hi) &^ below
+		d := math.Float64bits(lo-v)&below | math.Float64bits(v-hi)&above | nanBits&-b2u(v != v)
+		on := -b2u(v == edge)
+		dst[j] = math.Float64frombits(d&^on | eps&on)
+	}
+}
+
+// nanBits are math.NaN()'s, the kernel's NaN.
+var nanBits = math.Float64bits(math.NaN())
+
 // finiteRows counts the rows of finite codes: the minimum's and the
 // buckets'.
 func finiteRows(counts *[256]int32) int {
@@ -100,7 +130,7 @@ type viewBlock struct {
 	count  int
 }
 
-// viewRange is Range for a view of the range leaf v: NormRange(v, keep)
+// viewRange is Range for a view: NormRange over its distances, keep,
 // bit for bit from the codes' distance intervals and counts. Its
 // distances are never negative and never -0 (no row's kernel subtracts
 // into one), so the range starts at +0 and a zero answer is +0. A code
@@ -115,8 +145,11 @@ type viewBlock struct {
 // known from the counts. Else x is selected among the rows of the codes
 // whose intervals reach into [tLo, tHi]: an exact code (one value, like
 // the zeros of the codes wholly inside the target) by its count, the
-// others gathered from v (gather). scanned reports a pass over v.
-func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
+// others gathered (gather), their distances computed from the column's
+// values. Where the gather refuses, every row's distance is written to a
+// buffer of a value per row from alloc and ranged by NormRange. scanned
+// reports a pass over the rows.
+func (cp *Codes) viewRange(keep int, alloc func() []float64) (p NormParams, scanned bool) {
 	var blocks [codeNaN]viewBlock
 	bs, nFinite, zeros := blocks[:0], 0, 0
 	for c := range codeNaN {
@@ -166,9 +199,11 @@ func (cp *Codes) viewRange(v []float64, keep int) (p NormParams, scanned bool) {
 			gathered = append(gathered, b.code)
 		}
 	}
-	vals, ok := cp.gather(v, gathered...)
+	vals, ok := cp.gather(rawVals{view: cp}, gathered...)
 	if !ok {
-		return NormRange(v, keep), true
+		buf := alloc()
+		cp.tgt.distances(buf, cp.column.vals)
+		return NormRange(buf, keep), true
 	}
 	// The r-th smallest of vals and the exact codes' values: past each
 	// exact value in turn, or among vals between two of them.

@@ -79,17 +79,31 @@ func viewKeeps(view *Codes, stride int) []int {
 	return some
 }
 
+// columnPlane codes the column vals as a column plane, which keeps them.
+func columnPlane(vals []float64) *Codes {
+	lo, hi := FiniteExtremes(vals)
+	cp := NewColumnCodes(vals, lo, hi)
+	cp.Encode(vals, 0, cp.Chunks())
+	return cp
+}
+
 // checkView codes the column vals, takes the view of a range leaf over
 // [lo, hi] with the strict bound edge, and holds every row's kernel
-// distance to its code's interval and the view's ranges to NormRange's
-// over the kernel's distances, bit for bit, the sign of a zero included.
-// A view the plane refuses must be one of a column whose largest finite
-// distance is not at its extremes: a finite value's distance overflows.
-// It returns the view (nil when refused) and the distances.
+// distance to its code's interval, to the view's distance of the row —
+// read by chunk (dists, over evaluator chunks and a ragged split) and by
+// row list (distsAt, in a shuffled order with repeats) — and the view's
+// ranges to NormRange's over the kernel's distances, bit for bit, the
+// sign of a zero and a NaN's payload included. A view the plane refuses
+// must be one of a column whose largest finite distance is not at its
+// extremes: a finite value's distance overflows. It returns the view
+// (nil when refused) and the distances.
 func checkView(t testing.TB, what string, vals []float64, lo, hi, edge float64) (*Codes, []float64) {
 	t.Helper()
 	raw := rangeLeaf(vals, lo, hi, edge)
-	col := BuildCodes(vals)
+	col := columnPlane(vals)
+	if _, ok := BuildCodes(vals).View(lo, hi, edge); ok {
+		t.Fatalf("%s: a plane that keeps no values gave a view", what)
+	}
 	view, ok := col.View(lo, hi, edge)
 	if !ok {
 		for _, v := range vals {
@@ -114,13 +128,37 @@ func checkView(t testing.TB, what string, vals []float64, lo, hi, edge float64) 
 			t.Fatalf("%s: row %d (value %v) at %v [%#x] lies outside its code %d's [%v, %v]", what, i, vals[i], d, math.Float64bits(d), c, l, h)
 		}
 	}
+	sameRows := func(how string, got []float64, rows func(int) int) {
+		t.Helper()
+		for j, d := range got {
+			if i := rows(j); math.Float64bits(d) != math.Float64bits(raw[i]) {
+				t.Fatalf("%s: %s: row %d (value %v) at %v [%#x], the kernel's %v [%#x]", what, how, i, vals[i],
+					d, math.Float64bits(d), raw[i], math.Float64bits(raw[i]))
+			}
+		}
+	}
+	got := make([]float64, len(vals))
+	for _, step := range []int{evalChunk, 7} {
+		for lo := 0; lo < len(vals); lo += step {
+			hi := min(lo+step, len(vals))
+			copy(got[lo:hi], rawVals{view: view}.chunk(make([]float64, step), lo, hi))
+		}
+		sameRows(fmt.Sprintf("chunks of %d", step), got, func(j int) int { return j })
+	}
+	ids := make([]int, 0, 2*len(vals))
+	for i := range vals {
+		ids = append(ids, len(vals)-1-i, i*7%len(vals))
+	}
+	got = make([]float64, len(ids))
+	rawVals{view: view}.rows(got, ids)
+	sameRows("row list", got, func(j int) int { return ids[j] })
 	stride := 1
 	if len(vals) > 300 {
 		stride = len(vals) / 40
 	}
 	for _, keep := range viewKeeps(view, stride) {
 		want := NormRange(raw, keep)
-		if got, _ := view.Range(raw, keep); !sameParams(got, want) {
+		if got, _ := view.Range(nil, keep); !sameParams(got, want) {
 			t.Fatalf("%s: keep %d: the view's range %+v [%#x %#x], NormRange %+v [%#x %#x]", what, keep,
 				got, math.Float64bits(got.DMin), math.Float64bits(got.DMax),
 				want, math.Float64bits(want.DMin), math.Float64bits(want.DMax))

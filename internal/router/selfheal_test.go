@@ -649,12 +649,17 @@ func TestKVBreakerVisibleInFleetStats(t *testing.T) {
 	env := newHealEnv(t, 2, 1, 1, 600, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	queries := datagen.TrafficQueries()
 	env.checkConverged(t, ctx, "bootstrap")
 	c := env.clients[0]
+	// Every query holds a new IN leaf, a distance vector the member asks
+	// kv for and offers to it (a range leaf is a view, which never
+	// travels).
+	inQuery := func(i int) string {
+		return fmt.Sprintf(`SELECT a FROM S WHERE a > 50 AND t IN (%d, 75)`, i)
+	}
 
 	// Healthy store: traffic flows, breaker closed.
-	s1, _, err := c.NewSession(ctx, "r0", queries[0], client.Options{})
+	s1, _, err := c.NewSession(ctx, "r0", inQuery(0), client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +681,7 @@ func TestKVBreakerVisibleInFleetStats(t *testing.T) {
 	// timeout per call.
 	env.kvBr.Kill()
 	for i := 0; i < 6; i++ {
-		if _, err := s1.SetRange(ctx, "a", float64(i), float64(i+50)); err != nil {
+		if _, err := s1.SetQuery(ctx, inQuery(1+i)); err != nil {
 			t.Fatalf("op %d during partition: %v", i, err)
 		}
 	}
@@ -694,9 +699,9 @@ func TestKVBreakerVisibleInFleetStats(t *testing.T) {
 	// Heal; after the cooldown a probe re-closes the breaker.
 	env.kvBr.Revive()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
+	for i := 7; ; i++ {
 		time.Sleep(15 * time.Millisecond)
-		if _, err := s1.SetRange(ctx, "b", 1, 80); err != nil {
+		if _, err := s1.SetQuery(ctx, inQuery(i)); err != nil {
 			t.Fatalf("op after heal: %v", err)
 		}
 		fleet, err = c.Fleet(ctx)

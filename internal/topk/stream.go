@@ -45,15 +45,17 @@ type StreamSelector struct {
 	nan     int // the NaN values offered
 }
 
-// NewStreamSelector returns a selector of the k lex-smallest pairs.
-func NewStreamSelector(k int) *StreamSelector {
+// NewStreamSelector returns a selector of the k lex-smallest pairs that
+// collects them in buf's storage (nil: its own), which a caller that
+// selects again may pass back (Finish returns it).
+func NewStreamSelector(k int, buf []Cand) *StreamSelector {
 	if k < 1 {
 		k = 1
 	}
-	// The buffer is sized by the first batch offered, then grown once to
-	// trigger() (2k+64) if more come: a selector fed fewer values than
-	// that never holds room for more.
-	return &StreamSelector{k: k}
+	// An empty buffer is sized by the first batch offered, then grown
+	// once to trigger() (2k+64) if more come: a selector fed fewer
+	// values than that never holds room for more.
+	return &StreamSelector{k: k, cands: buf[:0]}
 }
 
 // OfferSlice streams a chunk of values whose indices are base, base+1,

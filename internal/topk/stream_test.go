@@ -76,7 +76,7 @@ func TestOfferSliceMatchesElementwise(t *testing.T) {
 				vals[i] = st.f(rng, i, n)
 			}
 			name := fmt.Sprintf("k=%d/%s", k, st.name)
-			got, want := NewStreamSelector(k), NewStreamSelector(k)
+			got, want := NewStreamSelector(k, nil), NewStreamSelector(k, nil)
 			// Slices of the lengths that end one short of, exactly at and
 			// one past the next compaction, and arbitrary ones, in shuffled
 			// order of their bases; every other one through OfferAt.
@@ -151,7 +151,7 @@ func BenchmarkOfferSlice(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sel := NewStreamSelector(k)
+				sel := NewStreamSelector(k, nil)
 				for lo := 0; lo < n; lo += chunk {
 					sel.OfferSlice(c.vals[lo:min(n, lo+chunk)], lo)
 				}

@@ -49,7 +49,7 @@ func SelectKInto(dists []float64, k int, vals []float64, idx []int) (sorted []fl
 		}
 		return vals, idx, nNaN
 	}
-	sel := NewStreamSelector(k)
+	sel := NewStreamSelector(k, nil)
 	sel.OfferSlice(dists, 0)
 	cands, _, _ := sel.Finish()
 	slices.SortFunc(cands, compareCand)
