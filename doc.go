@@ -114,8 +114,9 @@
 //     kernel's expression where it is read, by chunk or by row list. The
 //     leaf's entry is a few KB under an "R|" key that never travels
 //     (TestViewLeavesMatchVectorsAndFullSort). Pair spaces, uncached runs
-//     and 2D axes keep the branch-free kernel pass (distances selected by
-//     bit masks). The slider's extremes are the column's (Column.MinMax).
+//     and 2D axes run the same kernel over the column into a vector
+//     (relevance.RangeDistances). The slider's extremes are the column's
+//     (Column.MinMax).
 //     (TestRangeKernelMatchesToRange, FuzzRangeKernel, BenchmarkRangeDistances,
 //     TestColumnView, FuzzColumnView, TestColumnExtremesMatchScan)
 //

@@ -333,13 +333,12 @@ func (e *Engine) columnKey(space *itemSpace, attr query.BoundAttr) string {
 }
 
 // rangeKernel is one worker's share of a range condition's distance
-// pass: distance.ToRange (and ToRangeSigned under the 2D arrangement)
-// bit for bit. Which side of the range a value of a column in generation
-// order falls on is a coin flip, so ToRange's comparisons (v < lo, then
-// v > hi) become masks over the two candidates' bits, a NaN ORs in
-// math.NaN()'s, and the signed value takes the sign bit of the v < lo
-// mask (v − lo is −(lo − v) exactly). Only rare events branch: a value
-// on a strict operator's bound (edge), a new running maximum.
+// pass: relevance.RangeDistances over the worker's values, with no edge
+// (the caller assigns the boundary rows' distances once the largest
+// finite distance is known), and, under the 2D arrangement,
+// distance.ToRangeSigned bit for bit: the distance with the sign of
+// v < lo (v − lo is −(lo − v) exactly). The running maximum and the rows
+// on a strict operator's bound (edge) are read off the written chunk.
 type rangeKernel struct {
 	lo, hi, edge float64
 	max          float64 // largest finite distance written
@@ -350,28 +349,24 @@ type rangeKernel struct {
 // those items of raw and, when non-nil, of signed.
 func (k *rangeKernel) run(raw, signed, vals []float64, base int) {
 	const signBit = 1 << 63
-	nan := math.Float64bits(math.NaN())
-	lo, hi, edge, mx, boundary := k.lo, k.hi, k.edge, k.max, k.boundary
 	raw = raw[base : base+len(vals)]
-	if signed != nil {
-		signed = signed[base : base+len(vals)]
-	}
+	relevance.RangeDistances(raw, vals, k.lo, k.hi, math.NaN(), 0)
+	edge, mx, boundary := k.edge, k.max, k.boundary
 	for j, v := range vals {
-		below := -b2u(v < lo)
-		above := -b2u(v > hi) &^ below
-		d := math.Float64bits(lo-v)&below | math.Float64bits(v-hi)&above | nan&-b2u(v != v)
-		raw[j] = math.Float64frombits(d)
-		if signed != nil {
-			signed[j] = math.Float64frombits(d | signBit&below)
-		}
 		if v == edge {
 			boundary = append(boundary, base+j)
 		}
-		if f := math.Float64frombits(d); f > mx && !math.IsInf(f, 1) {
-			mx = f
+		if d := raw[j]; d > mx && !math.IsInf(d, 1) {
+			mx = d
 		}
 	}
 	k.max, k.boundary = mx, boundary
+	if signed != nil { // after the reads above: an axis fill's raw is signed itself
+		signed = signed[base : base+len(vals)]
+		for j, v := range vals {
+			signed[j] = math.Float64frombits(math.Float64bits(raw[j]) | signBit&-b2u(v < k.lo))
+		}
+	}
 }
 
 // b2u is 1 for true and 0 for false, as a flag-to-register move.

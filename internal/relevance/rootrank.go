@@ -104,10 +104,10 @@ type rootDefer struct {
 	params      NormParams // root normalization params
 	paramsKnown bool
 	ranking     *RootRanking
-	// zeroF and zeroHi are the filter and the tie class's (hiIn, hiOut)
-	// of a ranking whose k-th value is 0, which Zeros counts by.
-	zeroF  *rowFilter
-	zeroHi [2]float64
+	// zeroClass is the tie class of a ranking whose k-th value is 0,
+	// which Zeros counts by, and zeros its count, -1 until counted.
+	zeroClass *tieClass
+	zeros     int
 
 	// checkpoint is EvalOptions.Checkpoint captured at build: RankRoot
 	// polls it per chunk so a request deadline interrupts the ranking
@@ -461,24 +461,12 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 			}
 			return min(math.Abs(x)*1e-12, math.MaxFloat64)
 		}
-		loIn, loOut := loTieEx+pad(loTieEx), loTieEx-pad(loTieEx) // NaN when no value scales below sK
-		hiIn, hiOut := hiTie-pad(hiTie), hiTie+pad(hiTie)
-		// class places a raw value's key below sK (-1), at it (0) or above
-		// it (1, and NaN).
-		class := func(x float64) int {
-			switch {
-			case x != x || x > hiOut:
-				return 1
-			case x <= hiIn && (loTieEx != loTieEx || x > loIn):
-				return 0
-			case x <= loOut:
-				return -1
-			}
-			return cmp.Compare(rd.key(x), sK)
-		}
+		tc := &tieClass{rd: rd, f: f, sK: sK, loTieEx: loTieEx,
+			loIn: loTieEx + pad(loTieEx), loOut: loTieEx - pad(loTieEx), // NaN when no value scales below sK
+			hiIn: hiTie - pad(hiTie), hiOut: hiTie + pad(hiTie)}
 		// Strictly-below-the-cut candidates first.
 		for _, c := range cands {
-			if x := c.V; x <= loOut || x <= loIn && class(x) < 0 {
+			if x := c.V; x <= tc.loOut || x <= tc.loIn && tc.class(x) < 0 {
 				below = append(below, rankedCand{s: rd.key(x), i: c.I})
 			}
 		}
@@ -491,63 +479,34 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 		// refined together.
 		from := n
 		switch {
-		case hiOut > T && f.anyLower(n, T, hiOut, lb[:filterBlock]):
+		case tc.hiOut > T && f.anyLower(n, T, tc.hiOut, lb[:filterBlock]):
 			from = 0
-		case hiOut >= T && iT < n:
+		case tc.hiOut >= T && iT < n:
 			from = iT + 1
 		}
-		// A tie scales to sK bit for bit: no kernel returns -0.
-		tie := func(x float64) bool { return class(x) == 0 }
-		var ub [evalChunk]float64
-		var state [evalChunk]uint8 // 0 past the class, 1 in it, 2 refined or a survivor
-		var ids []int
 		if sK == 0 { // Zeros counts the class on demand
-			rd.zeroF, rd.zeroHi = f, [2]float64{hiIn, hiOut}
+			rd.zeroClass, rd.zeros = tc, -1
 		}
+		var b tieChunk
 		for c0, s := 0, 0; rank < k && c0 < n; c0 += evalChunk {
-			c1 := min(c0+evalChunk, n)
+			c1, s0 := min(c0+evalChunk, n), s
+			for s < len(surv) && surv[s] < c1 {
+				s++
+			}
 			if c1 <= from {
-				for ; rank < k && s < len(surv) && surv[s] < c1; s++ {
-					if i := surv[s]; tie(sv[s]) {
-						emit(sK, i)
+				for t := s0; rank < k && t < s; t++ {
+					if tc.holds(sv[t]) {
+						emit(sK, surv[t])
 					}
 				}
 				continue
 			}
-			clear(state[:c1-c0])
-			s0 := s
-			for ; s < len(surv) && surv[s] < c1; s++ {
-				state[surv[s]-c0] = 2
-			}
-			f.fill(lb[:c1-c0], c0, false)
-			f.fill(ub[:c1-c0], c0, true)
-			ids = ids[:0]
-			for i := max(c0, from); i < c1; i++ {
-				lo, hi := lb[i-c0], ub[i-c0]
-				switch {
-				case state[i-c0] == 2 || lo != lo || lo > hiOut:
-				case hi <= hiIn && (loTieEx != loTieEx || lo > loIn):
-					state[i-c0] = 1
-				default:
-					ids = append(ids, i)
-					state[i-c0] = 2
-				}
-			}
-			// The bounds are read: ub now holds the exact value of every row
-			// of state 2, a survivor's from sv and a refined row's from lb.
-			for t := s0; t < s; t++ {
-				ub[surv[t]-c0] = sv[t]
-			}
-			if len(ids) > 0 {
-				rd.cb.rows(lb[:len(ids)], ids)
-				for j, i := range ids {
-					ub[i-c0] = lb[j]
-				}
-				rk.Refined += len(ids)
+			if refined := tc.place(&b, c0, c1, max(c0, from), surv[s0:s], sv[s0:s]); refined > 0 {
+				rk.Refined += refined
 				touched[c0/evalChunk] = true
 			}
 			for i := c0; rank < k && i < c1; i++ {
-				if st := state[i-c0]; st == 1 || st == 2 && tie(ub[i-c0]) {
+				if tc.in(&b, i-c0) {
 					emit(sK, i)
 				}
 			}
@@ -563,41 +522,105 @@ func (r *Result) RankRoot(k int, vals []float64, idx []int, pairs func(a, b *Cod
 	return rk, nil
 }
 
+// tieClass is the raw-domain preimage of a ranking's k-th scaled value
+// sK: (loTieEx, hiTie], whose edges, padded where the transform rounds
+// (in, out), place a row by its value or by its bounds under f.
+type tieClass struct {
+	rd                   *rootDefer
+	f                    *rowFilter
+	sK                   float64
+	loTieEx, loIn, loOut float64
+	hiIn, hiOut          float64
+}
+
+// class places a raw value's key below sK (-1), at it (0) or above it
+// (1, and NaN).
+func (tc *tieClass) class(x float64) int {
+	switch {
+	case x != x || x > tc.hiOut:
+		return 1
+	case x <= tc.hiIn && (tc.loTieEx != tc.loTieEx || x > tc.loIn):
+		return 0
+	case x <= tc.loOut:
+		return -1
+	}
+	return cmp.Compare(tc.rd.key(x), tc.sK)
+}
+
+// holds reports whether a raw value scales to sK, bit for bit: no
+// kernel returns -0.
+func (tc *tieClass) holds(x float64) bool { return tc.class(x) == 0 }
+
+// tieChunk is a chunk of rows as tieClass.place leaves it: each row's
+// state (0 past the class, 1 in it, 2 exact) and an exact row's value.
+type tieChunk struct {
+	lb, ub [evalChunk]float64
+	state  [evalChunk]uint8
+	ids    []int
+}
+
+// place places the rows of the chunk c0..c1 from from on in the class by
+// their bounds, given the chunk's survivors surv and their values sv: a
+// survivor is exact, and the rows the bounds leave open are refined
+// together, their count returned.
+func (tc *tieClass) place(b *tieChunk, c0, c1, from int, surv []int, sv []float64) (refined int) {
+	clear(b.state[:c1-c0])
+	for _, i := range surv {
+		b.state[i-c0] = 2
+	}
+	tc.f.fill(b.lb[:c1-c0], c0, false)
+	tc.f.fill(b.ub[:c1-c0], c0, true)
+	b.ids = b.ids[:0]
+	for i := from; i < c1; i++ {
+		lo, hi := b.lb[i-c0], b.ub[i-c0]
+		switch {
+		case b.state[i-c0] != 0 || lo != lo || lo > tc.hiOut:
+		case hi <= tc.hiIn && (tc.loTieEx != tc.loTieEx || lo > tc.loIn):
+			b.state[i-c0] = 1
+		default:
+			b.ids = append(b.ids, i)
+			b.state[i-c0] = 2
+		}
+	}
+	for t, i := range surv { // the bounds are read: ub holds every exact value
+		b.ub[i-c0] = sv[t]
+	}
+	tc.rd.cb.rows(b.lb[:len(b.ids)], b.ids)
+	for j, i := range b.ids {
+		b.ub[i-c0] = b.lb[j]
+	}
+	return len(b.ids)
+}
+
+// in reports whether row j of the chunk b is in the class.
+func (tc *tieClass) in(b *tieChunk, j int) bool {
+	return b.state[j] == 1 || b.state[j] == 2 && tc.holds(b.ub[j])
+}
+
 // Zeros counts the rows whose scaled value is 0 when the ranking's k-th
 // is (a selection saturated with exact answers), as the tie walk places
-// them: by their bounds, refining only the rows those leave open. It is
-// -1 for a ranking whose k-th is not 0, and for a root not deferred.
+// them, once. It is -1 for a ranking whose k-th is not 0, and for a root
+// not deferred.
 func (r *Result) Zeros() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rd := r.root
-	if rd == nil || rd.zeroF == nil {
+	switch {
+	case rd == nil || rd.zeroClass == nil:
 		return -1
+	case rd.zeros >= 0:
+		return rd.zeros
 	}
-	f, hiIn, hiOut := rd.zeroF, rd.zeroHi[0], rd.zeroHi[1]
-	var lb, ub [evalChunk]float64
-	var ids []int
-	zeros := 0
+	var b tieChunk
+	rd.zeros = 0
 	for c0 := 0; c0 < rd.n; c0 += evalChunk {
 		c1 := min(c0+evalChunk, rd.n)
-		f.fill(lb[:c1-c0], c0, false)
-		f.fill(ub[:c1-c0], c0, true)
-		ids = ids[:0]
-		for i := c0; i < c1; i++ {
-			switch lo, hi := lb[i-c0], ub[i-c0]; {
-			case lo != lo || lo > hiOut:
-			case hi <= hiIn:
-				zeros++
-			default:
-				ids = append(ids, i)
-			}
-		}
-		rd.cb.rows(lb[:len(ids)], ids)
-		for _, x := range lb[:len(ids)] {
-			zeros += b2i(x <= hiOut && (x <= hiIn || rd.key(x) == 0))
+		rd.zeroClass.place(&b, c0, c1, c0, nil, nil)
+		for j := range c1 - c0 {
+			rd.zeros += b2i(rd.zeroClass.in(&b, j))
 		}
 	}
-	return zeros
+	return rd.zeros
 }
 
 // rankedCand is a survivor of the cut: its scaled value and index.

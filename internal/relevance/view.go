@@ -36,15 +36,7 @@ func (cp *Codes) View(lo, hi, edge float64) (view *Codes, ok bool) {
 	if len(cp.vals) != len(cp.codes) {
 		return nil, false
 	}
-	dist := func(v float64) float64 {
-		switch {
-		case v < lo:
-			return lo - v
-		case v > hi:
-			return v - hi
-		}
-		return 0 // inside, or a NaN bound no value compares to
-	}
+	dist := func(v float64) float64 { return rangeDistance(v, lo, hi) }
 	// The largest finite distance lies at the column's finite extremes.
 	dm := 0.0
 	if finiteRows(&cp.counts) > 0 {
@@ -95,22 +87,50 @@ func EdgeEps(dmax float64) float64 {
 // is at.
 type viewTarget struct{ lo, hi, edge, eps float64 }
 
-// distances writes the range kernel's distances of the values src to dst,
-// which may alias it, by the kernel's masks.
+// distances writes the distances of the values src to dst, which may
+// alias it.
 func (t *viewTarget) distances(dst, src []float64) {
+	RangeDistances(dst, src, t.lo, t.hi, t.edge, t.eps)
+}
+
+// RangeDistances is the range kernel, every range leaf's distance pass:
+// it writes to dst the distance (rangeDistance) of each value of src to
+// the target [lo, hi], except that a value equal to edge is at eps. dst
+// may alias src. Where lo ≤ hi a value lies below lo, above hi or
+// neither, so its distance is the largest of the two differences and +0;
+// only the rows where that is NaN (a NaN value, an infinite value on its
+// own infinite bound) or that sit on the edge, and every row of a target
+// with lo > hi or a NaN bound, take the cases one by one.
+func RangeDistances(dst, src []float64, lo, hi, edge, eps float64) {
 	dst = dst[:len(src)]
-	lo, hi, edge, eps := t.lo, t.hi, t.edge, math.Float64bits(t.eps)
+	ordered := lo <= hi
 	for j, v := range src {
-		below := -b2u(v < lo)
-		above := -b2u(v > hi) &^ below
-		d := math.Float64bits(lo-v)&below | math.Float64bits(v-hi)&above | nanBits&-b2u(v != v)
-		on := -b2u(v == edge)
-		dst[j] = math.Float64frombits(d&^on | eps&on)
+		d := max(lo-v, v-hi, 0)
+		if d != d || v == edge || !ordered {
+			d = rangeDistance(v, lo, hi)
+			if v == edge {
+				d = eps
+			}
+		}
+		dst[j] = d
 	}
 }
 
-// nanBits are math.NaN()'s, the kernel's NaN.
-var nanBits = math.Float64bits(math.NaN())
+// rangeDistance is the distance of v to the target [lo, hi] —
+// distance.ToRange bit for bit: lo − v below it, v − hi above it,
+// math.NaN() for a NaN value, +0 inside or for a NaN bound no value
+// compares to.
+func rangeDistance(v, lo, hi float64) float64 {
+	switch {
+	case v < lo:
+		return lo - v
+	case v > hi:
+		return v - hi
+	case v != v:
+		return math.NaN()
+	}
+	return 0
+}
 
 // finiteRows counts the rows of finite codes: the minimum's and the
 // buckets'.
